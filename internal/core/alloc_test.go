@@ -1,0 +1,75 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
+)
+
+// stencilIteration is one time step of a 2-D halo exchange as the
+// tracer sees it: four Irecv, four Isend, a Waitall and an Allreduce.
+func stencilIteration() []*mpispec.CallRecord {
+	const intType, world = 18, 1
+	p2p := func(f mpispec.FuncID, buf, peer, req int64) *mpispec.CallRecord {
+		return &mpispec.CallRecord{Func: f, TEnd: 40, Args: []mpispec.Value{
+			{Kind: mpispec.KPtr, I: buf}, {Kind: mpispec.KInt, I: 64}, {Kind: mpispec.KDatatype, I: intType},
+			{Kind: mpispec.KRank, I: peer}, {Kind: mpispec.KTag, I: 7},
+			{Kind: mpispec.KComm, I: world, Arr: []int64{5}}, {Kind: mpispec.KRequest, I: req},
+		}}
+	}
+	var recs []*mpispec.CallRecord
+	reqs, stats := make([]int64, 8), make([]int64, 16)
+	for i, peer := range []int64{1, 9, 4, 6} {
+		recs = append(recs, p2p(mpispec.FIrecv, 0x1000+int64(i)*0x100, peer, int64(100+i)))
+		reqs[i], stats[2*i], stats[2*i+1] = int64(100+i), peer, 7
+	}
+	for i, peer := range []int64{1, 9, 4, 6} {
+		recs = append(recs, p2p(mpispec.FIsend, 0x2000+int64(i)*0x100, peer, int64(200+i)))
+		reqs[4+i] = int64(200 + i)
+	}
+	recs = append(recs,
+		&mpispec.CallRecord{Func: mpispec.FWaitall, TEnd: 900, Args: []mpispec.Value{
+			{Kind: mpispec.KInt, I: 8}, {Kind: mpispec.KReqArray, Arr: reqs}, {Kind: mpispec.KStatArray, Arr: stats},
+		}},
+		&mpispec.CallRecord{Func: mpispec.FAllreduce, TEnd: 300, Args: []mpispec.Value{
+			{Kind: mpispec.KPtr, I: 0x3000}, {Kind: mpispec.KPtr, I: 0x3100}, {Kind: mpispec.KInt, I: 1},
+			{Kind: mpispec.KDatatype, I: intType}, {Kind: mpispec.KOp, I: 64}, {Kind: mpispec.KComm, I: world, Arr: []int64{5}},
+		}})
+	return recs
+}
+
+// TestPostWarmPathAllocFree pins the whole interception path — encode,
+// CST hit, grammar append — at zero allocations once the loop is warm,
+// with no metrics collector attached.
+func TestPostWarmPathAllocFree(t *testing.T) {
+	tr := NewTracer(5, nil, Options{})
+	tr.MemAlloc(0x1000, 0x3000, 0)
+	recs := stencilIteration()
+	iteration := func() {
+		for _, r := range recs {
+			tr.Post(r)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		iteration()
+	}
+	if allocs := testing.AllocsPerRun(200, iteration); allocs != 0 {
+		t.Fatalf("warm stencil iteration allocates %v times in Post, want 0", allocs)
+	}
+	if tr.CSTLen() != len(recs) {
+		t.Fatalf("CST holds %d signatures, want %d", tr.CSTLen(), len(recs))
+	}
+}
+
+// BenchmarkPostStencil is the per-call cost on a loop body, where the
+// grammar churns (a rule made and inlined per call) instead of folding
+// into one run as BenchmarkTracerPost's single repeated record does.
+func BenchmarkPostStencil(b *testing.B) {
+	tr := NewTracer(5, nil, Options{})
+	tr.MemAlloc(0x1000, 0x3000, 0)
+	recs := stencilIteration()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Post(recs[i%len(recs)])
+	}
+}

@@ -169,7 +169,6 @@ func (t *Tracer) Post(rec *mpispec.CallRecord) {
 	}
 	w0 := time.Now()
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	s := t.enc.EncodeTo(t.sigBuf[:0], rec)
 	t.sigBuf = s
 	term := t.table.Add(s, rec.TEnd-rec.TStart)
@@ -183,6 +182,7 @@ func (t *Tracer) Post(rec *mpispec.CallRecord) {
 	}
 	t.IntraNs += time.Since(w0).Nanoseconds()
 	t.NCalls++
+	t.mu.Unlock()
 }
 
 // postInstrumented is Post with per-stage overhead histograms and CST
@@ -250,18 +250,18 @@ func (t *Tracer) ProbeStats() metrics.TracerStats {
 func (t *Tracer) MemAlloc(addr, size uint64, device int32) {
 	w0 := time.Now()
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.enc.MemAlloc(addr, size, device)
 	t.IntraNs += time.Since(w0).Nanoseconds()
+	t.mu.Unlock()
 }
 
 // MemFree implements mpispec.Interceptor (free interception).
 func (t *Tracer) MemFree(addr uint64) {
 	w0 := time.Now()
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.enc.MemFree(addr)
 	t.IntraNs += time.Since(w0).Nanoseconds()
+	t.mu.Unlock()
 }
 
 // BindOOB late-binds the tracer's out-of-band collective interface

@@ -82,22 +82,16 @@ func NewRequestPools() *RequestPools {
 	return &RequestPools{pools: make(map[string]*Pool)}
 }
 
-// Get allocates an id from the pool for signature key, creating the
-// pool on first use.
-func (rp *RequestPools) Get(key string) int32 {
-	p := rp.pools[key]
+// Pool returns the pool for signature key, creating it on first use.
+// The lookup does not allocate; the key bytes are copied only when a
+// pool is created, so callers may pass a scratch buffer.
+func (rp *RequestPools) Pool(key []byte) *Pool {
+	p := rp.pools[string(key)]
 	if p == nil {
 		p = New()
-		rp.pools[key] = p
+		rp.pools[string(key)] = p
 	}
-	return p.Get()
-}
-
-// Put releases an id back to the pool for signature key.
-func (rp *RequestPools) Put(key string, id int32) {
-	if p := rp.pools[key]; p != nil {
-		p.Put(id)
-	}
+	return p
 }
 
 // NumPools returns how many distinct signatures have pools.

@@ -98,17 +98,17 @@ func TestRequestPoolsIsolation(t *testing.T) {
 	rp := NewRequestPools()
 	// Two signatures allocate independently: both start at 0, which is
 	// exactly what makes request ids stable across completion orders.
-	a0 := rp.Get("irecv:src=+1")
-	b0 := rp.Get("irecv:src=+2")
+	a0 := rp.Pool([]byte("irecv:src=+1")).Get()
+	b0 := rp.Pool([]byte("irecv:src=+2")).Get()
 	if a0 != 0 || b0 != 0 {
 		t.Fatalf("per-signature pools must be independent: %d %d", a0, b0)
 	}
-	a1 := rp.Get("irecv:src=+1")
+	a1 := rp.Pool([]byte("irecv:src=+1")).Get()
 	if a1 != 1 {
 		t.Fatalf("second id in pool a = %d", a1)
 	}
-	rp.Put("irecv:src=+1", a0)
-	if got := rp.Get("irecv:src=+1"); got != 0 {
+	rp.Pool([]byte("irecv:src=+1")).Put(a0)
+	if got := rp.Pool([]byte("irecv:src=+1")).Get(); got != 0 {
 		t.Fatalf("freed id not reused: %d", got)
 	}
 	if rp.NumPools() != 2 {
@@ -126,7 +126,7 @@ func TestRequestPoolsStableAcrossCompletionOrder(t *testing.T) {
 	for iter, order := range orders {
 		ids := make([]int32, 3)
 		for i, k := range keys {
-			ids[i] = rp.Get(k)
+			ids[i] = rp.Pool([]byte(k)).Get()
 		}
 		for i, k := range keys {
 			if ids[i] != 0 {
@@ -134,12 +134,7 @@ func TestRequestPoolsStableAcrossCompletionOrder(t *testing.T) {
 			}
 		}
 		for _, i := range order { // free in a different order each time
-			rp.Put(keys[i], ids[i])
+			rp.Pool([]byte(keys[i])).Put(ids[i])
 		}
 	}
-}
-
-func TestRequestPoolsPutUnknownKey(t *testing.T) {
-	rp := NewRequestPools()
-	rp.Put("never-seen", 0) // must not panic
 }

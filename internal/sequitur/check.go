@@ -6,64 +6,88 @@ import "fmt"
 // the two Sequitur properties. It is intended for tests; it is O(size
 // of grammar).
 func (g *Grammar) CheckInvariants() error {
-	rules := g.rulesInOrder()
+	// Rules are numbered in the order this walk reaches them; it tests
+	// every link before following it, which rulesInOrder does not.
+	rules := []int32{0}
+	seen := make([]bool, len(g.rules))
+	seen[0] = true
 	type occ struct {
 		rule int
 		pos  int
 	}
 	digramsSeen := map[digram]occ{}
-	refCount := map[*Rule]int{}
-	refExpGT1 := map[*Rule]bool{}
-	for ri, r := range rules {
-		if r.dead {
+	refCount := make([]int32, len(g.rules))
+	refExpGT1 := make([]bool, len(g.rules))
+	for ri := 0; ri < len(rules); ri++ {
+		r := rules[ri]
+		if g.rules[r].dead {
 			return fmt.Errorf("rule %d is dead but reachable", ri)
 		}
+		if g.syms[g.rules[r].guard].exp != 0 {
+			return fmt.Errorf("rule %d: guard slot freed or reused", ri)
+		}
 		pos := 0
-		for s := r.first(); !s.isGuard(); s = s.next {
-			if s.next.prev != s || s.prev.next != s {
+		for s := g.first(r); !g.isGuard(s); s = g.syms[s].next {
+			sy := g.syms[s]
+			if sy.exp == freedExp {
+				return fmt.Errorf("rule %d pos %d: freed slot reachable", ri, pos)
+			}
+			if sy.next < 0 || sy.prev < 0 || g.syms[sy.next].prev != s || g.syms[sy.prev].next != s {
 				return fmt.Errorf("rule %d pos %d: broken links", ri, pos)
 			}
-			if s.exp < 1 {
-				return fmt.Errorf("rule %d pos %d: exponent %d < 1", ri, pos, s.exp)
+			if sy.exp < 1 {
+				return fmt.Errorf("rule %d pos %d: exponent %d < 1", ri, pos, sy.exp)
 			}
-			if s.rule != nil {
-				if s.rule.dead {
+			if sy.key < 0 {
+				if g.rules[-sy.key].dead {
 					return fmt.Errorf("rule %d pos %d: references dead rule", ri, pos)
 				}
-				if _, ok := s.rule.users[s]; !ok {
-					return fmt.Errorf("rule %d pos %d: missing from users set", ri, pos)
+				if sy.usePrev == notListed {
+					return fmt.Errorf("rule %d pos %d: missing from use list", ri, pos)
 				}
-				refCount[s.rule]++
-				if s.exp > 1 {
-					refExpGT1[s.rule] = true
+				refCount[-sy.key]++
+				if !seen[-sy.key] {
+					seen[-sy.key] = true
+					rules = append(rules, -sy.key)
+				}
+				if sy.exp > 1 {
+					refExpGT1[-sy.key] = true
 				}
 			}
-			if !s.next.isGuard() {
-				if s.sameKind(s.next) {
+			if !g.isGuard(sy.next) {
+				if sy.key == g.syms[sy.next].key {
 					return fmt.Errorf("rule %d pos %d: adjacent equal symbols not merged", ri, pos)
 				}
-				d := makeDigram(s, s.next)
+				d := g.digramAt(s, sy.next)
 				if prev, dup := digramsSeen[d]; dup {
 					return fmt.Errorf("P1 violated: digram repeated (rule %d pos %d and rule %d pos %d)",
 						prev.rule, prev.pos, ri, pos)
 				}
 				digramsSeen[d] = occ{ri, pos}
-				if idx, ok := g.digrams[d]; ok && idx != s {
+				if at, ok := g.find(d); ok && !g.pointsAt(&g.index[at], s) {
 					return fmt.Errorf("rule %d pos %d: digram indexed at wrong occurrence", ri, pos)
 				}
 			}
 			pos++
 		}
-		if r != g.start && pos == 0 {
+		if r != 0 && pos == 0 {
 			return fmt.Errorf("rule %d: empty body", ri)
 		}
 	}
 	for i, r := range rules {
-		if r == g.start {
+		if r == 0 {
 			continue
 		}
-		if len(r.users) != refCount[r] {
-			return fmt.Errorf("rule %d: users set size %d != observed references %d", i, len(r.users), refCount[r])
+		// The use list must hold exactly the references seen above.
+		listed := int32(0)
+		for u, prev := g.rules[r].useHead, nilIdx; u != nilIdx; prev, u = u, g.syms[u].useNext {
+			if g.syms[u].key != -r || g.syms[u].usePrev != prev || listed > refCount[r] {
+				return fmt.Errorf("rule %d: corrupt use list", i)
+			}
+			listed++
+		}
+		if listed != g.rules[r].uses || listed != refCount[r] {
+			return fmt.Errorf("rule %d: use list holds %d of count %d != observed references %d", i, listed, g.rules[r].uses, refCount[r])
 		}
 		if refCount[r] == 0 {
 			return fmt.Errorf("P2 violated: rule %d unreferenced", i)
@@ -71,7 +95,7 @@ func (g *Grammar) CheckInvariants() error {
 		if refCount[r] == 1 && !refExpGT1[r] {
 			return fmt.Errorf("P2 violated: rule %d referenced once with exponent 1", i)
 		}
-		if refCount[r] == 1 && r.bodyLen() == 1 {
+		if refCount[r] == 1 && g.bodyLen(r) == 1 {
 			return fmt.Errorf("rule %d: unreduced unit rule", i)
 		}
 	}

@@ -18,92 +18,260 @@
 //
 // Terminals are non-negative int32 values (Pilgrim uses CST terminal
 // ids). Exponents are int64.
+//
+// Symbols and rules live in two slabs and name each other by int32
+// index, and the digram index is one open-addressed table, so the
+// builder holds no pointers and a warm Append allocates nothing
+// (DESIGN.md, "Sequitur with run-length symbols").
 package sequitur
 
 import "fmt"
 
-// symbol is a node in a doubly linked rule body. A symbol is either a
-// terminal (rule == nil) or a reference to a rule (rule != nil). Guard
-// nodes delimit rule bodies; they are identified by owner != nil.
+const (
+	nilIdx    int32 = -1 // no symbol
+	notListed int32 = -2 // symbol.usePrev of a symbol on no rule's use list
+	freedExp  int64 = -1 // symbol.exp of a slot on the free list
+)
+
+// symbol is a node in a doubly linked rule body: a terminal (key >= 0)
+// or a reference to rule -key (rule 0, the start rule, is never
+// referenced). Guard nodes delimit rule bodies; they have exp == 0 and
+// key == -owner.
 type symbol struct {
-	next, prev *symbol
-	value      int32 // terminal id when rule == nil
-	exp        int64 // repetition count, >= 1
-	rule       *Rule // referenced rule for non-terminals
-	owner      *Rule // non-nil for guard nodes only
+	exp              int64  // repetition count, >= 1
+	next, prev       int32  // body links; nilIdx once unlinked
+	key              int32  // terminal id or -rule; exponents aside, equal keys are equal symbols
+	useNext, usePrev int32  // links in the referenced rule's use list; useNext also chains freed slots
+	gen              uint32 // bumped when the slot is freed; digram entries carry it
 }
 
-func (s *symbol) isGuard() bool { return s.owner != nil }
-
-// alive reports whether s is still spliced into some rule body.
-// Symbols removed by unlink have their links cleared.
-func (s *symbol) alive() bool { return s.prev != nil && s.next != nil }
-
-// sameKind reports whether two symbols refer to the same terminal or
-// the same rule, ignoring exponents.
-func (s *symbol) sameKind(o *symbol) bool {
-	if s.rule != nil || o.rule != nil {
-		return s.rule == o.rule
-	}
-	return s.value == o.value
+// rule is a grammar production. The body is a circular doubly linked
+// list threaded through a guard node.
+type rule struct {
+	guard            int32 // also chains free rule slots
+	useHead, useTail int32 // occurrence sites in insertion order (the start rule has none)
+	uses             int32
+	dead             bool
 }
 
-// digram is the hash key for an adjacent symbol pair. Exponents are
+// digram is the index key for an adjacent symbol pair. Exponents are
 // part of the identity: a³b and a²b are different digrams.
 type digram struct {
-	v1, v2 int32
 	e1, e2 int64
-	r1, r2 *Rule
+	k1, k2 int32
 }
 
-func makeDigram(a, b *symbol) digram {
-	return digram{v1: a.value, v2: b.value, e1: a.exp, e2: b.exp, r1: a.rule, r2: b.rule}
+func (d digram) hash() uint64 {
+	h := (uint64(uint32(d.k1))<<32 | uint64(uint32(d.k2))) * 0x9E3779B97F4A7C15
+	h = (h ^ h>>32 ^ uint64(d.e1)) * 0xC2B2AE3D27D4EB4F
+	h = (h ^ h>>29 ^ uint64(d.e2)) * 0x165667B19E3779F9
+	return h ^ h>>32
 }
 
-// Rule is a grammar production. The body is a circular doubly linked
-// list threaded through a guard node.
-type Rule struct {
-	guard *symbol
-	users map[*symbol]struct{} // occurrence sites (excludes the start rule, which has none)
-	id    int                  // stable creation index, for deterministic serialization
-	dead  bool
-}
-
-func (r *Rule) first() *symbol { return r.guard.next }
-func (r *Rule) last() *symbol  { return r.guard.prev }
-
-func (r *Rule) bodyLen() int {
-	n := 0
-	for s := r.first(); !s.isGuard(); s = s.next {
-		n++
-	}
-	return n
+// digramEntry maps a digram to the first symbol of its unique
+// occurrence. e1 == 0 marks an empty slot. gen is the symbol's
+// generation when the entry was written: a slot recycled since then
+// reads as an entry for the dead symbol it used to hold.
+type digramEntry struct {
+	digram
+	sym int32
+	gen uint32
 }
 
 // Grammar is an incrementally built context-free grammar that uniquely
 // generates the sequence of terminals appended to it.
 type Grammar struct {
-	start   *Rule
-	digrams map[digram]*symbol // digram -> first symbol of its unique occurrence
-	nextID  int
-	nTerms  int64 // number of terminals appended (uncompressed length)
+	syms  []symbol      // syms[0] is the start rule's guard
+	rules []rule        // rules[0] is the start rule
+	index []digramEntry // open-addressed, linear probing; len is 0 or a power of two
+	nIdx  int           // occupied index slots
+
+	// Slots freed while an append cascades go on pendSyms and are only
+	// reusable once AppendRun returns: cascades hold handles to symbols
+	// and rules they have already removed and test alive/dead on them.
+	freeSyms, pendSyms int32
+	freeRules          int32
+	users              []int32 // eliminateUnitRule's snapshots, used as a stack
+	nTerms             int64   // number of terminals appended (uncompressed length)
 }
 
 // New returns an empty grammar.
 func New() *Grammar {
-	g := &Grammar{digrams: make(map[digram]*symbol)}
-	g.start = g.newRule()
+	g := &Grammar{freeSyms: nilIdx, pendSyms: nilIdx, freeRules: nilIdx}
+	g.newRule()
 	return g
 }
 
-func (g *Grammar) newRule() *Rule {
-	r := &Rule{users: make(map[*symbol]struct{}), id: g.nextID}
-	g.nextID++
-	guard := &symbol{owner: r}
-	guard.next = guard
-	guard.prev = guard
-	r.guard = guard
+func (g *Grammar) newSym(key int32, exp int64) int32 {
+	s := g.freeSyms
+	if s != nilIdx {
+		g.freeSyms = g.syms[s].useNext
+	} else {
+		s = int32(len(g.syms))
+		g.syms = append(g.syms, symbol{})
+	}
+	g.syms[s] = symbol{exp: exp, next: nilIdx, prev: nilIdx, key: key, useNext: nilIdx, usePrev: notListed, gen: g.syms[s].gen}
+	return s
+}
+
+// freeSym retires a symbol no list reaches any more. Its fields stay
+// readable until AppendRun returns; only index entries stop matching.
+func (g *Grammar) freeSym(s int32) {
+	g.syms[s].gen++
+	g.syms[s].useNext = g.pendSyms
+	g.pendSyms = s
+}
+
+// recycle makes the slots freed during this append reusable; a dead
+// rule's slot goes with its guard.
+func (g *Grammar) recycle() {
+	for s := g.pendSyms; s != nilIdx; {
+		sy := &g.syms[s]
+		next := sy.useNext
+		if sy.exp == 0 {
+			g.rules[-sy.key].guard = g.freeRules
+			g.freeRules = -sy.key
+		}
+		sy.exp, sy.useNext = freedExp, g.freeSyms
+		g.freeSyms = s
+		s = next
+	}
+	g.pendSyms = nilIdx
+}
+
+func (g *Grammar) newRule() int32 {
+	r := g.freeRules
+	if r != nilIdx {
+		g.freeRules = g.rules[r].guard
+	} else {
+		r = int32(len(g.rules))
+		g.rules = append(g.rules, rule{})
+	}
+	guard := g.newSym(-r, 0)
+	g.syms[guard].next, g.syms[guard].prev = guard, guard
+	g.rules[r] = rule{guard: guard, useHead: nilIdx, useTail: nilIdx}
 	return r
+}
+
+func (g *Grammar) isGuard(s int32) bool { return g.syms[s].exp == 0 }
+
+// first returns the first body symbol of rule r (its guard if empty).
+func (g *Grammar) first(r int32) int32 { return g.syms[g.rules[r].guard].next }
+
+// alive reports whether s is still spliced into some rule body.
+// Symbols removed by unlink have their links cleared.
+func (g *Grammar) alive(s int32) bool { return g.syms[s].prev != nilIdx && g.syms[s].next != nilIdx }
+
+func (g *Grammar) digramAt(a, b int32) digram {
+	sa, sb := &g.syms[a], &g.syms[b]
+	return digram{e1: sa.exp, e2: sb.exp, k1: sa.key, k2: sb.key}
+}
+
+func (g *Grammar) bodyLen(r int32) int {
+	n := 0
+	for s := g.first(r); !g.isGuard(s); s = g.syms[s].next {
+		n++
+	}
+	return n
+}
+
+// addUse appends rule reference s to its rule's use list.
+func (g *Grammar) addUse(s int32) {
+	r := &g.rules[-g.syms[s].key]
+	g.syms[s].usePrev, g.syms[s].useNext = r.useTail, nilIdx
+	if r.useTail != nilIdx {
+		g.syms[r.useTail].useNext = s
+	} else {
+		r.useHead = s
+	}
+	r.useTail = s
+	r.uses++
+}
+
+// dropUse removes s from its rule's use list; a symbol on no list is
+// left alone.
+func (g *Grammar) dropUse(s int32) {
+	sy := &g.syms[s]
+	if sy.usePrev == notListed {
+		return
+	}
+	r := &g.rules[-sy.key]
+	if sy.usePrev != nilIdx {
+		g.syms[sy.usePrev].useNext = sy.useNext
+	} else {
+		r.useHead = sy.useNext
+	}
+	if sy.useNext != nilIdx {
+		g.syms[sy.useNext].usePrev = sy.usePrev
+	} else {
+		r.useTail = sy.usePrev
+	}
+	sy.usePrev = notListed
+	r.uses--
+}
+
+// pointsAt reports whether index entry e was written for the symbol now
+// in slot s, not for an earlier occupant of the slot.
+func (g *Grammar) pointsAt(e *digramEntry, s int32) bool {
+	return e.sym == s && e.gen == g.syms[s].gen
+}
+
+// find returns the index slot holding d, or the empty slot where d
+// would go (-1 while the table is unallocated).
+func (g *Grammar) find(d digram) (pos int, ok bool) {
+	mask := len(g.index) - 1
+	if mask < 0 {
+		return -1, false
+	}
+	for pos = int(d.hash()) & mask; ; pos = (pos + 1) & mask {
+		e := &g.index[pos]
+		if e.e1 == 0 {
+			return pos, false
+		}
+		if e.digram == d {
+			return pos, true
+		}
+	}
+}
+
+// setDigram points d's index entry at symbol s; pos and ok are what
+// find(d) returned.
+func (g *Grammar) setDigram(pos int, ok bool, d digram, s int32) {
+	if !ok {
+		if (g.nIdx+1)*4 > len(g.index)*3 {
+			g.growIndex()
+			pos, _ = g.find(d)
+		}
+		g.nIdx++
+	}
+	g.index[pos] = digramEntry{digram: d, sym: s, gen: g.syms[s].gen}
+}
+
+func (g *Grammar) growIndex() {
+	old := g.index
+	g.index = make([]digramEntry, max(8, 2*len(old)))
+	for _, e := range old {
+		if e.e1 != 0 {
+			pos, _ := g.find(e.digram)
+			g.index[pos] = e
+		}
+	}
+}
+
+// deleteAt empties index slot i and shifts the entries probing past it
+// back, so lookups need no tombstones.
+func (g *Grammar) deleteAt(i int) {
+	mask := len(g.index) - 1
+	for j := (i + 1) & mask; g.index[j].e1 != 0; j = (j + 1) & mask {
+		// The entry at j may move into the hole unless its home slot
+		// lies after the hole on its probe path.
+		if home := int(g.index[j].hash()) & mask; (j-home)&mask >= (j-i)&mask {
+			g.index[i] = g.index[j]
+			i = j
+		}
+	}
+	g.index[i] = digramEntry{}
+	g.nIdx--
 }
 
 // InputLen returns the number of terminals appended so far (the length
@@ -122,88 +290,84 @@ func (g *Grammar) AppendRun(t int32, k int64) {
 		panic("sequitur: negative terminal")
 	}
 	g.nTerms += k
-	s := &symbol{value: t, exp: k}
-	g.insertAfter(g.start.last(), s)
-	g.linkMade(s.prev, s)
+	s := g.newSym(t, k)
+	g.insertAfter(g.syms[0].prev, s)
+	g.linkMade(g.syms[s].prev, s)
+	g.recycle()
 }
 
 // insertAfter splices s into the list after pos. It does not perform
 // digram bookkeeping; callers use linkMade / removeDigram around it.
-func (g *Grammar) insertAfter(pos, s *symbol) {
-	s.prev = pos
-	s.next = pos.next
-	pos.next.prev = s
-	pos.next = s
+func (g *Grammar) insertAfter(pos, s int32) {
+	next := g.syms[pos].next
+	g.syms[s].prev, g.syms[s].next = pos, next
+	g.syms[next].prev = s
+	g.syms[pos].next = s
 }
 
 // unlink removes s from its list, removes the digrams it participates
 // in from the index, and clears s's links so alive() turns false. The
 // link formed between its old neighbours is NOT checked here.
-func (g *Grammar) unlink(s *symbol) {
-	g.removeDigram(s.prev, s)
-	g.removeDigram(s, s.next)
-	s.prev.next = s.next
-	s.next.prev = s.prev
-	s.prev = nil
-	s.next = nil
+func (g *Grammar) unlink(s int32) {
+	sy := &g.syms[s]
+	g.removeDigram(sy.prev, s)
+	g.removeDigram(s, sy.next)
+	g.syms[sy.prev].next = sy.next
+	g.syms[sy.next].prev = sy.prev
+	sy.prev, sy.next = nilIdx, nilIdx
 }
 
 // removeDigram deletes the digram (a,b) from the index if the indexed
 // occurrence is exactly this one.
-func (g *Grammar) removeDigram(a, b *symbol) {
-	if a == nil || b == nil || a.isGuard() || b.isGuard() {
+func (g *Grammar) removeDigram(a, b int32) {
+	if a == nilIdx || b == nilIdx || g.isGuard(a) || g.isGuard(b) {
 		return
 	}
-	d := makeDigram(a, b)
-	if g.digrams[d] == a {
-		delete(g.digrams, d)
+	if pos, ok := g.find(g.digramAt(a, b)); ok && g.pointsAt(&g.index[pos], a) {
+		g.deleteAt(pos)
 	}
 }
 
-// deref removes s from the user set of the rule it references and
+// deref removes s from the use list of the rule it references and
 // inlines / eliminates that rule if it became useless (P2).
-func (g *Grammar) deref(s *symbol) {
-	r := s.rule
-	if r == nil {
-		return
+func (g *Grammar) deref(s int32) {
+	if k := g.syms[s].key; k < 0 {
+		g.dropUse(s)
+		g.maybeInline(-k)
 	}
-	delete(r.users, s)
-	g.maybeInline(r)
 }
 
 // maybeInline enforces P2: if r has exactly one remaining use with
 // exponent 1, the rule body is spliced in at that use and r deleted.
-func (g *Grammar) maybeInline(r *Rule) {
-	if r == g.start || r.dead || len(r.users) != 1 {
+func (g *Grammar) maybeInline(r int32) {
+	if r == 0 || g.rules[r].dead || g.rules[r].uses != 1 {
 		return
 	}
-	var use *symbol
-	for u := range r.users {
-		use = u
-	}
-	if use.exp != 1 || !use.alive() {
+	use := g.rules[r].useHead
+	if g.syms[use].exp != 1 || !g.alive(use) {
 		return
 	}
-	prev := use.prev
-	next := use.next
+	prev, next := g.syms[use].prev, g.syms[use].next
 	g.unlink(use)
-	delete(r.users, use)
-	r.dead = true
-	first := r.first()
-	last := r.last()
-	if first.isGuard() {
+	g.dropUse(use)
+	g.freeSym(use)
+	g.rules[r].dead = true
+	guard := g.rules[r].guard
+	first, last := g.syms[guard].next, g.syms[guard].prev
+	g.freeSym(guard)
+	if first == guard {
 		// Empty body (cannot normally happen); just close the gap.
 		g.linkMade(prev, next)
 		return
 	}
 	// Splice r's body between prev and next. Interior digrams stay
 	// indexed and valid; only the two boundary links are new.
-	prev.next = first
-	first.prev = prev
-	last.next = next
-	next.prev = last
-	if !g.linkMade(prev, first) && next.alive() {
-		g.linkMade(next.prev, next)
+	g.syms[prev].next = first
+	g.syms[first].prev = prev
+	g.syms[last].next = next
+	g.syms[next].prev = last
+	if !g.linkMade(prev, first) && g.alive(next) {
+		g.linkMade(g.syms[next].prev, next)
 	}
 }
 
@@ -211,146 +375,154 @@ func (g *Grammar) maybeInline(r *Rule) {
 // become adjacent. It merges equal neighbours (run-length) and
 // otherwise enforces digram uniqueness (P1). It reports whether it
 // restructured the grammar (merged, substituted, or cascaded); callers
-// holding neighbouring pointers must treat them as stale when true.
-func (g *Grammar) linkMade(a, b *symbol) bool {
-	if a == nil || b == nil || a.isGuard() || b.isGuard() {
+// holding neighbouring handles must treat them as stale when true.
+func (g *Grammar) linkMade(a, b int32) bool {
+	if a == nilIdx || b == nilIdx || g.isGuard(a) || g.isGuard(b) {
 		return false
 	}
-	if !a.alive() || !b.alive() || a.next != b {
+	if !g.alive(a) || !g.alive(b) || g.syms[a].next != b {
 		return false
 	}
-	if a.sameKind(b) {
+	if g.syms[a].key == g.syms[b].key {
 		g.mergeRun(a, b)
 		return true
 	}
-	d := makeDigram(a, b)
-	match, ok := g.digrams[d]
-	if !ok {
-		g.digrams[d] = a
-		return false
-	}
-	if match == a {
-		return false
-	}
-	if !match.alive() || match.next == nil || makeDigram(match, match.next) != d {
+	d := g.digramAt(a, b)
+	pos, ok := g.find(d)
+	if ok {
+		e := &g.index[pos]
+		if g.pointsAt(e, a) {
+			return false
+		}
+		if m := e.sym; g.pointsAt(e, m) && g.alive(m) && g.digramAt(m, g.syms[m].next) == d {
+			g.processMatch(a, m)
+			return true
+		}
 		// Stale index entry; repoint at the live occurrence.
-		g.digrams[d] = a
-		return false
 	}
-	g.processMatch(a, match)
-	return true
+	g.setDigram(pos, ok, d, a)
+	return false
 }
 
 // mergeRun implements the run-length optimization: aᶦ aʲ → aᶦ⁺ʲ.
-func (g *Grammar) mergeRun(a, b *symbol) {
+func (g *Grammar) mergeRun(a, b int32) {
 	// Digrams touching either symbol change identity; drop them first.
-	g.removeDigram(a.prev, a)
+	g.removeDigram(g.syms[a].prev, a)
 	g.unlink(b) // removes (a,b) and (b,b.next) entries
-	if b.rule != nil {
-		delete(b.rule.users, b)
-	}
-	a.exp += b.exp
+	g.dropUse(b)
+	g.syms[a].exp += g.syms[b].exp
+	g.freeSym(b)
 	// A body that collapsed to a single symbol makes its rule a unit
 	// rule; eliminate it.
-	if a.prev.isGuard() && a.next.isGuard() && a.prev.owner != g.start && !a.prev.owner.dead {
-		g.eliminateUnitRule(a.prev.owner)
-		return
+	if prev := g.syms[a].prev; g.isGuard(prev) && g.isGuard(g.syms[a].next) {
+		if owner := -g.syms[prev].key; owner != 0 && !g.rules[owner].dead {
+			g.eliminateUnitRule(owner)
+			return
+		}
 	}
-	if !g.linkMade(a.prev, a) && a.alive() {
-		g.linkMade(a, a.next)
+	if !g.linkMade(g.syms[a].prev, a) && g.alive(a) {
+		g.linkMade(a, g.syms[a].next)
 	}
 }
 
 // eliminateUnitRule removes a rule whose body is a single symbol Xᵉ by
-// rewriting every use Rᵏ as Xᵉᵏ.
-func (g *Grammar) eliminateUnitRule(r *Rule) {
-	body := r.first()
-	if body.isGuard() || !body.next.isGuard() {
+// rewriting every use Rᵏ as Xᵉᵏ, in the order the uses were added.
+func (g *Grammar) eliminateUnitRule(r int32) {
+	guard := g.rules[r].guard
+	inner := g.syms[guard].next
+	if g.isGuard(inner) || !g.isGuard(g.syms[inner].next) {
 		return // not a unit rule
 	}
-	r.dead = true
-	inner := body
-	users := make([]*symbol, 0, len(r.users))
-	for u := range r.users {
-		users = append(users, u)
+	g.rules[r].dead = true
+	// Rewriting a use can cascade into r's other uses and into nested
+	// eliminations, so walk a snapshot; nested calls stack theirs above.
+	base := len(g.users)
+	for u := g.rules[r].useHead; u != nilIdx; u = g.syms[u].useNext {
+		g.users = append(g.users, u)
 	}
-	for _, u := range users {
-		delete(r.users, u)
-		if !u.alive() {
+	for i, end := base, len(g.users); i < end; i++ {
+		u := g.users[i]
+		g.dropUse(u)
+		if !g.alive(u) {
 			continue
 		}
-		g.removeDigram(u.prev, u)
-		g.removeDigram(u, u.next)
-		u.rule = inner.rule
-		u.value = inner.value
-		u.exp *= inner.exp
-		if inner.rule != nil {
-			inner.rule.users[u] = struct{}{}
+		g.removeDigram(g.syms[u].prev, u)
+		g.removeDigram(u, g.syms[u].next)
+		g.syms[u].key = g.syms[inner].key
+		g.syms[u].exp *= g.syms[inner].exp
+		if g.syms[u].key < 0 {
+			g.addUse(u)
 		}
-		if !g.linkMade(u.prev, u) && u.alive() {
-			g.linkMade(u, u.next)
+		if !g.linkMade(g.syms[u].prev, u) && g.alive(u) {
+			g.linkMade(u, g.syms[u].next)
 		}
 	}
+	g.users = g.users[:base]
 	// Drop the body symbol's own reference.
-	if inner.rule != nil {
-		delete(inner.rule.users, inner)
-		g.maybeInline(inner.rule)
-	}
+	g.deref(inner)
+	g.freeSym(inner)
+	g.freeSym(guard)
 }
 
 // processMatch handles a repeated digram: (a, a.next) matches (m,
 // m.next) elsewhere. Either reuse an existing 2-symbol rule or create
 // a new one.
-func (g *Grammar) processMatch(a, m *symbol) {
-	if m.prev.isGuard() && m.next.next.isGuard() && !m.prev.owner.dead && m.prev.owner != g.start {
-		// The match is the complete body of an existing rule: reuse it.
-		g.substitute(a, m.prev.owner)
-		return
+func (g *Grammar) processMatch(a, m int32) {
+	if prev := g.syms[m].prev; g.isGuard(prev) && g.isGuard(g.syms[g.syms[m].next].next) {
+		if owner := -g.syms[prev].key; owner != 0 && !g.rules[owner].dead {
+			// The match is the complete body of an existing rule: reuse it.
+			g.substitute(a, owner)
+			return
+		}
 	}
 	// Create a new rule from copies of the digram.
 	r := g.newRule()
-	c1 := &symbol{value: a.value, exp: a.exp, rule: a.rule}
-	c2 := &symbol{value: a.next.value, exp: a.next.exp, rule: a.next.rule}
-	if c1.rule != nil {
-		c1.rule.users[c1] = struct{}{}
+	d := g.digramAt(a, g.syms[a].next)
+	c1 := g.newSym(d.k1, d.e1)
+	c2 := g.newSym(d.k2, d.e2)
+	if d.k1 < 0 {
+		g.addUse(c1)
 	}
-	if c2.rule != nil {
-		c2.rule.users[c2] = struct{}{}
+	if d.k2 < 0 {
+		g.addUse(c2)
 	}
-	g.insertAfter(r.guard, c1)
+	g.insertAfter(g.rules[r].guard, c1)
 	g.insertAfter(c1, c2)
-	d := makeDigram(c1, c2)
-	g.digrams[d] = c1 // rule body becomes the canonical occurrence
-	// Replace the new occurrence first (its pointers are known live),
+	pos, ok := g.find(d)
+	g.setDigram(pos, ok, d, c1) // rule body becomes the canonical occurrence
+	// Replace the new occurrence first (its handles are known live),
 	// then the older one if cascades have not already consumed it.
 	g.substitute(a, r)
-	if m.alive() && m.next != nil && !m.next.isGuard() && makeDigram(m, m.next) == d && !r.dead {
+	if g.alive(m) && !g.isGuard(g.syms[m].next) && g.digramAt(m, g.syms[m].next) == d && !g.rules[r].dead {
 		g.substitute(m, r)
 	}
-	if !r.dead {
+	if !g.rules[r].dead {
 		g.maybeInline(r)
 	}
 }
 
 // substitute replaces the digram starting at s with a reference to
 // rule r.
-func (g *Grammar) substitute(s *symbol, r *Rule) {
-	prev := s.prev
-	b := s.next
+func (g *Grammar) substitute(s, r int32) {
+	prev, b := g.syms[s].prev, g.syms[s].next
 	g.unlink(s)
 	g.unlink(b)
 	g.deref(s)
 	g.deref(b)
-	ref := &symbol{rule: r, exp: 1}
-	r.users[ref] = struct{}{}
+	g.freeSym(s)
+	g.freeSym(b)
+	ref := g.newSym(-r, 1)
+	g.addUse(ref)
 	g.insertAfter(prev, ref)
 	// A 2-symbol body shrank to 1: unit rule, eliminate it.
-	if prev.isGuard() && ref.next.isGuard() && prev.owner != g.start && !prev.owner.dead {
-		g.eliminateUnitRule(prev.owner)
-		return
+	if g.isGuard(prev) && g.isGuard(g.syms[ref].next) {
+		if owner := -g.syms[prev].key; owner != 0 && !g.rules[owner].dead {
+			g.eliminateUnitRule(owner)
+			return
+		}
 	}
-	if !g.linkMade(prev, ref) && ref.alive() {
-		g.linkMade(ref, ref.next)
+	if !g.linkMade(prev, ref) && g.alive(ref) {
+		g.linkMade(ref, g.syms[ref].next)
 	}
 }
 
@@ -359,17 +531,17 @@ func (g *Grammar) substitute(s *symbol, r *Rule) {
 // re-coalesced across rule boundaries). Walking stops early if yield
 // returns false.
 func (g *Grammar) Walk(yield func(t int32, k int64) bool) {
-	g.walkRule(g.start, 1, yield)
+	g.walkRule(0, 1, yield)
 }
 
-func (g *Grammar) walkRule(r *Rule, times int64, yield func(int32, int64) bool) bool {
+func (g *Grammar) walkRule(r int32, times int64, yield func(int32, int64) bool) bool {
 	for i := int64(0); i < times; i++ {
-		for s := r.first(); !s.isGuard(); s = s.next {
-			if s.rule != nil {
-				if !g.walkRule(s.rule, s.exp, yield) {
+		for s := g.first(r); !g.isGuard(s); s = g.syms[s].next {
+			if sy := g.syms[s]; sy.key < 0 {
+				if !g.walkRule(-sy.key, sy.exp, yield) {
 					return false
 				}
-			} else if !yield(s.value, s.exp) {
+			} else if !yield(sy.key, sy.exp) {
 				return false
 			}
 		}
@@ -408,7 +580,7 @@ func (g *Grammar) Stats() Stats {
 	st.InputLen = g.nTerms
 	for _, r := range g.rulesInOrder() {
 		st.Rules++
-		st.Symbols += r.bodyLen()
+		st.Symbols += g.bodyLen(r)
 	}
 	st.SerializedB = len(g.Serialize()) * 4
 	return st
@@ -416,22 +588,22 @@ func (g *Grammar) Stats() Stats {
 
 // rulesInOrder returns the rules reachable from the start rule, start
 // first, in deterministic DFS order.
-func (g *Grammar) rulesInOrder() []*Rule {
-	var order []*Rule
-	seen := map[*Rule]bool{}
-	var visit func(r *Rule)
-	visit = func(r *Rule) {
+func (g *Grammar) rulesInOrder() []int32 {
+	var order []int32
+	seen := make([]bool, len(g.rules))
+	var visit func(r int32)
+	visit = func(r int32) {
 		if seen[r] {
 			return
 		}
 		seen[r] = true
 		order = append(order, r)
-		for s := r.first(); !s.isGuard(); s = s.next {
-			if s.rule != nil {
-				visit(s.rule)
+		for s := g.first(r); !g.isGuard(s); s = g.syms[s].next {
+			if k := g.syms[s].key; k < 0 {
+				visit(-k)
 			}
 		}
 	}
-	visit(g.start)
+	visit(0)
 	return order
 }

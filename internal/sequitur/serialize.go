@@ -32,21 +32,20 @@ func decExp(lo, hi int32) int64 {
 // inter-process identity check is a plain slice comparison.
 func (g *Grammar) Serialize() []int32 {
 	rules := g.rulesInOrder()
-	index := make(map[*Rule]int32, len(rules))
+	index := make([]int32, len(g.rules))
 	for i, r := range rules {
 		index[r] = int32(i)
 	}
 	out := make([]int32, 0, 1+len(rules)*4)
 	out = append(out, int32(len(rules)))
 	for _, r := range rules {
-		n := int32(r.bodyLen())
-		out = append(out, n)
-		for s := r.first(); !s.isGuard(); s = s.next {
-			v := s.value
-			if s.rule != nil {
-				v = -(index[s.rule] + 1)
+		out = append(out, int32(g.bodyLen(r)))
+		for s := g.first(r); !g.isGuard(s); s = g.syms[s].next {
+			v := g.syms[s].key
+			if v < 0 {
+				v = -(index[-v] + 1)
 			}
-			lo, hi := encExp(s.exp)
+			lo, hi := encExp(g.syms[s].exp)
 			out = append(out, v, lo, hi)
 		}
 	}

@@ -1,6 +1,10 @@
 package sig
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
+)
 
 // TestEncodeToWarmPathAllocFree pins the tracer's per-call encoding
 // cost: once the scratch buffer has grown to the workload's signature
@@ -20,5 +24,38 @@ func TestEncodeToWarmPathAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EncodeTo warm path allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestEncodeToRequestCycleAllocFree extends the pin to request-creating
+// calls: an Irecv/Isend/Waitall cycle looks its §3.4.3 pools up by the
+// scratch key bytes, builds a key string only when a pool is created,
+// and releases ids through the pool it recorded.
+func TestEncodeToRequestCycleAllocFree(t *testing.T) {
+	e := NewEncoder(0, nil)
+	e.MemAlloc(0x1000, 4096, 0)
+	recs := []*mpispec.CallRecord{
+		rec(0, mpispec.FIrecv, vp(0x1000), vi(1), vdt(intHandle), vr(1), vt(7), vc(1, 0), vreq(11)),
+		rec(0, mpispec.FIrecv, vp(0x1100), vi(1), vdt(intHandle), vr(3), vt(7), vc(1, 0), vreq(12)),
+		rec(0, mpispec.FIsend, vp(0x1200), vi(1), vdt(intHandle), vr(1), vt(7), vc(1, 0), vreq(13)),
+		rec(0, mpispec.FIsend, vp(0x1300), vi(1), vdt(intHandle), vr(3), vt(7), vc(1, 0), vreq(14)),
+		rec(0, mpispec.FWaitall, vi(4),
+			mpispec.Value{Kind: mpispec.KReqArray, Arr: []int64{11, 12, 13, 14}},
+			mpispec.Value{Kind: mpispec.KStatArray, Arr: []int64{1, 7, 3, 7, 0, 0, 0, 0}}),
+	}
+	var buf []byte
+	cycle := func() {
+		for _, r := range recs {
+			buf = e.EncodeTo(buf[:0], r)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("Irecv/Isend/Waitall cycle allocates %v times, want 0", allocs)
+	}
+	if e.NumRequestPools() != 4 {
+		t.Fatalf("NumRequestPools = %d, want one per creating signature", e.NumRequestPools())
 	}
 }

@@ -81,7 +81,7 @@ const (
 // reqEntry tracks a live request's symbolic id and its origin pool.
 type reqEntry struct {
 	id         int32
-	poolKey    string
+	pool       *idpool.Pool
 	persistent bool
 }
 
@@ -364,14 +364,13 @@ func (e *Encoder) EncodeTo(buf []byte, rec *mpispec.CallRecord) []byte {
 
 	if reqArg := requestCreatingArg(rec.Func); reqArg >= 0 {
 		e.keyBuf = e.encodeArgs(e.keyBuf[:0], rec, spec, base, true)
-		key := string(e.keyBuf)
+		key := e.keyBuf
 		if e.opts.SharedRequestPool {
-			key = "" // §3.4.3 off: one pool for every request
+			key = nil // §3.4.3 off: one pool for every request
 		}
-		h := rec.Args[reqArg].I
-		if h != 0 {
-			id := e.reqPools.Get(key)
-			e.reqIDs[h] = reqEntry{id: id, poolKey: key, persistent: isPersistentInit(rec.Func)}
+		if h := rec.Args[reqArg].I; h != 0 {
+			pool := e.reqPools.Pool(key)
+			e.reqIDs[h] = reqEntry{id: pool.Get(), pool: pool, persistent: isPersistentInit(rec.Func)}
 		}
 	}
 

@@ -144,7 +144,7 @@ func (e *Encoder) releaseRequest(h int64, evenPersistent bool) {
 	if ent.persistent && !evenPersistent {
 		return
 	}
-	e.reqPools.Put(ent.poolKey, ent.id)
+	ent.pool.Put(ent.id)
 	delete(e.reqIDs, h)
 }
 

@@ -180,8 +180,11 @@ func (r *Reconstructor) Next(term int32, f mpispec.FuncID, durTerm, intTerm int3
 	r.perSig = growDense(r.perSig, term)
 	recon := r.perSig[term] + valueOf(intTerm, b.b)
 	r.perSig[term] = recon
-	dur := valueOf(durTerm, b.b)
-	return int64(recon), int64(recon + dur)
+	// Truncate the duration on its own: ⌊recon+dur⌋−⌊recon⌋ can be one
+	// off ⌊dur⌋, which breaks the error bound for calls of a few ns,
+	// while ⌊bᵏ⌋ ≥ d holds for every integer d that binned to k.
+	tStart = int64(recon)
+	return tStart, tStart + int64(valueOf(durTerm, b.b))
 }
 
 // CallTime is one call's recovered wall-clock interval, in nanoseconds

@@ -13,6 +13,14 @@ import (
 // and checks the lossless property end to end.
 func traceVerified(t *testing.T, name string, n, iters int) (*pilgrim.TraceFile, pilgrim.FinalizeStats) {
 	t.Helper()
+	return traceVerifiedOpts(t, name, n, iters, pilgrim.Options{}, 0)
+}
+
+// traceVerifiedOpts is traceVerified under the given tracer options and
+// simulator noise seed.
+func traceVerifiedOpts(t *testing.T, name string, n, iters int, opts pilgrim.Options, seed int64) (*pilgrim.TraceFile, pilgrim.FinalizeStats) {
+	t.Helper()
+	opts.Verify = true
 	body, err := workloads.Get(name, iters, n)
 	if err != nil {
 		t.Fatal(err)
@@ -20,10 +28,10 @@ func traceVerified(t *testing.T, name string, n, iters int) (*pilgrim.TraceFile,
 	tracers := make([]*pilgrim.Tracer, n)
 	ics := make([]mpi.Interceptor, n)
 	for i := range tracers {
-		tracers[i] = pilgrim.NewTracer(i, nil, pilgrim.Options{Verify: true})
+		tracers[i] = pilgrim.NewTracer(i, nil, opts)
 		ics[i] = tracers[i]
 	}
-	err = mpi.RunOpt(n, mpi.Options{Interceptors: ics, Timeout: 90 * time.Second}, func(p *mpi.Proc) {
+	err = mpi.RunOpt(n, mpi.Options{Interceptors: ics, Timeout: 90 * time.Second, Seed: seed}, func(p *mpi.Proc) {
 		pilgrimBind(tracers[p.Rank()], p)
 		body(p)
 	})
@@ -75,6 +83,23 @@ func TestAllWorkloadsRunAndTraceLosslessly(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			traceVerified(t, c.name, c.n, c.iters)
+		})
+	}
+}
+
+// TestLossyTimingBoundOnShortCalls: FLASH's AMR bookkeeping makes many
+// calls that last 1-4 ns, where a recovered duration one nanosecond off
+// is already past the base-1 bound. The reconstructor must recover
+// every duration as the floor of its bin value, whatever fraction the
+// reconstructed start time carries.
+func TestLossyTimingBoundOnShortCalls(t *testing.T) {
+	for _, name := range []string{"cellular", "sedov"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= 10; seed++ {
+				traceVerifiedOpts(t, name, 16, 100, pilgrim.Options{TimingMode: pilgrim.TimingLossy}, seed)
+			}
 		})
 	}
 }
