@@ -8,6 +8,7 @@ package pilgrim_test
 // figure data.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,6 +23,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/replay"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/sig"
+	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
@@ -384,17 +386,48 @@ func BenchmarkTraceStencil64(b *testing.B) {
 	b.ReportMetric(float64(calls), "calls/op")
 }
 
+// BenchmarkDecodeRank is the analyst's side of a run: one op reads the
+// serialized trace and decodes every rank, as pilgrim-dump -summary or
+// pilgrim-analyze do. stencil16x2000 is many calls over 41 signatures
+// and two grammars; cg1024x10 is few calls per rank over hundreds of
+// grammars and thousands of signatures.
 func BenchmarkDecodeRank(b *testing.B) {
-	body := workloads.Stencil2D(workloads.StencilConfig{Iters: 100})
-	file, _, err := pilgrim.Run(16, pilgrim.Options{}, body)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pilgrim.DecodeRank(file, i%16); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range []struct {
+		name, app    string
+		procs, iters int
+	}{
+		{"stencil16x2000", "stencil2d", 16, 2000},
+		{"cg1024x10", "cg", 1024, 10},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			body, err := workloads.Get(w.app, w.iters, w.procs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			file, stats, err := pilgrim.Run(w.procs, pilgrim.Options{}, body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := file.WriteTo(&buf); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := trace.Read(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for r := 0; r < f.NumRanks; r++ {
+					if _, err := pilgrim.DecodeRank(f, r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(stats.TotalCalls), "ns/call")
+			b.ReportMetric(float64(file.CST.Len()), "cst-entries")
+		})
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
-	"github.com/hpcrepro/pilgrim/internal/sig"
 )
 
 func main() {
@@ -165,7 +164,7 @@ func dumpGrammar(w *bufio.Writer, file *pilgrim.TraceFile, rank int) {
 		for _, s := range body {
 			if s.Val >= 0 && !seen[s.Val] {
 				seen[s.Val] = true
-				if d, err := sig.Decode(file.CST.Sig(s.Val)); err == nil {
+				if d, err := file.DecodedSig(s.Val); err == nil {
 					fmt.Fprintf(w, "t%d = %s\n", s.Val, d)
 				}
 			}

@@ -17,26 +17,25 @@ type DecodedCall struct {
 	AvgDuration  int64 // aggregated-mode mean duration for the signature
 }
 
-// DecodeRank expands rank r's grammar, resolves terminals through the
-// global CST, and decodes every signature. This is the decompressor
-// the paper uses to check correctness ("comparing uncompressed traces
-// to compressed next decompressed traces").
+// DecodeRank expands rank r's grammar and resolves its terminals
+// through the global CST. This is the decompressor the paper uses to
+// check correctness ("comparing uncompressed traces to compressed next
+// decompressed traces"). Each CST entry is decoded once per file
+// (trace.File.DecodedSig), so a rank costs its expansion plus a gather:
+// calls with the same signature share one Args slice, which — like
+// everything reached through it — must not be modified.
 func DecodeRank(f *trace.File, rank int) ([]DecodedCall, error) {
 	terms, err := f.Terms(rank)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DecodedCall, 0, len(terms))
+	out := make([]DecodedCall, len(terms))
 	for i, term := range terms {
-		if int(term) >= f.CST.Len() {
-			return nil, fmt.Errorf("core: rank %d call %d references CST entry %d of %d",
-				rank, i, term, f.CST.Len())
-		}
-		d, err := sig.Decode(f.CST.Sig(term))
+		d, err := f.DecodedSig(term)
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d call %d: %w", rank, i, err)
 		}
-		out = append(out, DecodedCall{Decoded: d, AvgDuration: f.CST.AvgDuration(term)})
+		out[i] = DecodedCall{Decoded: d, AvgDuration: f.CST.AvgDuration(term)}
 	}
 
 	if f.TimingMode == trace.TimingLossy {
@@ -82,18 +81,30 @@ func ReconstructTimes(f *trace.File, rank int, terms []int32, calls []DecodedCal
 // RankSignatures returns rank r's raw signature byte stream (the
 // uncompressed per-call encoding), used for lossless verification.
 func RankSignatures(f *trace.File, rank int) ([]string, error) {
-	terms, err := f.Terms(rank)
+	terms, err := rankTerms(f, rank)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]string, len(terms))
 	for i, term := range terms {
-		if int(term) >= f.CST.Len() {
-			return nil, fmt.Errorf("core: rank %d call %d references CST entry %d", rank, i, term)
-		}
-		out[i] = string(f.CST.Sig(term))
+		out[i] = f.CST.SigString(term)
 	}
 	return out, nil
+}
+
+// rankTerms is f.Terms with every terminal checked against the CST.
+func rankTerms(f *trace.File, rank int) ([]int32, error) {
+	terms, err := f.Terms(rank)
+	if err != nil {
+		return nil, err
+	}
+	for i, term := range terms {
+		if int(term) >= f.CST.Len() {
+			return nil, fmt.Errorf("core: rank %d call %d references CST entry %d of %d",
+				rank, i, term, f.CST.Len())
+		}
+	}
+	return terms, nil
 }
 
 // VerifyLossless checks that the compressed trace decodes to exactly
@@ -107,17 +118,17 @@ func VerifyLossless(f *trace.File, tracers []*Tracer) error {
 		return fmt.Errorf("core: %d ranks in trace, %d tracers", f.NumRanks, len(tracers))
 	}
 	for r, tr := range tracers {
-		got, err := RankSignatures(f, r)
+		terms, err := rankTerms(f, r)
 		if err != nil {
 			return err
 		}
 		want := tr.RawSignatures()
-		if len(got) != len(want) {
-			return fmt.Errorf("core: rank %d decoded %d calls, traced %d", r, len(got), len(want))
+		if len(terms) != len(want) {
+			return fmt.Errorf("core: rank %d decoded %d calls, traced %d", r, len(terms), len(want))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				gd, _ := sig.Decode([]byte(got[i]))
+		for i, term := range terms {
+			if got := f.CST.SigString(term); got != want[i] {
+				gd, _ := sig.Decode([]byte(got))
 				wd, _ := sig.Decode([]byte(want[i]))
 				return fmt.Errorf("core: rank %d call %d mismatch:\n  decoded %s\n  traced  %s", r, i, gd, wd)
 			}

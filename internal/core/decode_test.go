@@ -1,0 +1,347 @@
+package core_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	pilgrim "github.com/hpcrepro/pilgrim"
+	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
+	"github.com/hpcrepro/pilgrim/internal/sig"
+	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/workloads"
+)
+
+// traced runs a workload under the tracer and returns the serialized
+// trace; every test reads a File of its own from it, so each starts
+// with nothing resolved.
+func traced(t testing.TB, name string, procs, iters int, opts pilgrim.Options) []byte {
+	t.Helper()
+	body, err := workloads.Get(name, iters, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := pilgrim.Run(procs, opts, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func read(t testing.TB, data []byte) *trace.File {
+	t.Helper()
+	f, err := trace.Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// referenceDecode is the per-call decoder DecodeRank used to be, kept
+// here as the oracle: the rank map is expanded for this rank alone, the
+// grammar is walked one terminal at a time, and sig.Decode runs on
+// every call. Nothing is shared between calls, ranks or invocations.
+func referenceDecode(f *trace.File, rank int) ([]core.DecodedCall, error) {
+	idx := f.RankMap.Expand(0)
+	var terms []int32
+	f.Grammars[idx[rank]].Walk(func(t int32, k int64) bool {
+		for ; k > 0; k-- {
+			terms = append(terms, t)
+		}
+		return true
+	})
+	calls := make([]core.DecodedCall, 0, len(terms))
+	for i, term := range terms {
+		d, err := sig.Decode(f.CST.Sig(term))
+		if err != nil {
+			return nil, fmt.Errorf("reference: rank %d call %d: %w", rank, i, err)
+		}
+		calls = append(calls, core.DecodedCall{Decoded: d, AvgDuration: f.CST.AvgDuration(term)})
+	}
+	if f.TimingMode == trace.TimingLossy {
+		times, err := core.ReconstructTimes(f, rank, terms, calls)
+		if err != nil {
+			return nil, err
+		}
+		for i := range calls {
+			calls[i].TStart, calls[i].TEnd = times[i].Start, times[i].End
+		}
+	}
+	return calls, nil
+}
+
+// TestDecodeRankMatchesPerCallReference: functions, args, AvgDuration
+// and TStart/TEnd of every call of every rank, on a first and a second
+// DecodeRank of the same File, and from 8 goroutines racing on a File
+// nobody has read yet (run under -race).
+func TestDecodeRankMatchesPerCallReference(t *testing.T) {
+	for _, w := range []struct {
+		name  string
+		procs int
+		iters int
+		opts  pilgrim.Options
+	}{
+		{"stencil2d", 16, 40, pilgrim.Options{}},
+		{"cellular", 8, 30, pilgrim.Options{TimingMode: pilgrim.TimingLossy}},
+		{"cg", 16, 5, pilgrim.Options{}},
+	} {
+		data := traced(t, w.name, w.procs, w.iters, w.opts)
+		ref := read(t, data)
+		want := make([][]core.DecodedCall, ref.NumRanks)
+		for r := range want {
+			var err error
+			if want[r], err = referenceDecode(ref, r); err != nil {
+				t.Fatal(err)
+			}
+			if len(want[r]) == 0 {
+				t.Fatalf("%s: rank %d traced no calls", w.name, r)
+			}
+		}
+
+		f := read(t, data)
+		for pass := 1; pass <= 2; pass++ {
+			for r := range want {
+				got, err := core.DecodeRank(f, r)
+				if err != nil {
+					t.Fatalf("%s: pass %d rank %d: %v", w.name, pass, r, err)
+				}
+				if !reflect.DeepEqual(got, want[r]) {
+					t.Fatalf("%s: pass %d rank %d differs from the per-call reference", w.name, pass, r)
+				}
+			}
+		}
+
+		f = read(t, data)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range want {
+					r := (i + g) % len(want) // every goroutine starts on another rank
+					got, err := core.DecodeRank(f, r)
+					if err != nil {
+						t.Errorf("%s: goroutine %d rank %d: %v", w.name, g, r, err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[r]) {
+						t.Errorf("%s: goroutine %d rank %d differs from the per-call reference", w.name, g, r)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestDecodedArgsShared: two calls with one signature share the Args
+// of the file's single decode of it.
+func TestDecodedArgsShared(t *testing.T) {
+	f := read(t, traced(t, "stencil2d", 4, 20, pilgrim.Options{}))
+	terms, err := f.Terms(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, err := core.DecodeRank(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int32]int{}
+	shared := 0
+	for i, term := range terms {
+		if len(calls[i].Args) == 0 {
+			continue
+		}
+		if j, ok := seen[term]; ok {
+			if &calls[i].Args[0] != &calls[j].Args[0] {
+				t.Fatalf("calls %d and %d (CST entry %d) hold separate Args", j, i, term)
+			}
+			shared++
+		}
+		seen[term] = i
+	}
+	if shared == 0 {
+		t.Fatal("no signature repeats in a 20-iteration stencil")
+	}
+}
+
+func gram(seq ...int32) sequitur.Serialized {
+	g := sequitur.New()
+	for _, v := range seq {
+		g.Append(v)
+	}
+	return g.Serialize()
+}
+
+// sameEveryTime decodes each rank three times and requires the error
+// text of the first call each time; it returns the ranks that failed.
+func sameEveryTime(t *testing.T, name string, f *trace.File) map[int]error {
+	t.Helper()
+	failed := map[int]error{}
+	for r := 0; r < f.NumRanks; r++ {
+		_, first := core.DecodeRank(f, r)
+		if first != nil {
+			failed[r] = first
+		}
+		for again := 0; again < 2; again++ {
+			if _, err := core.DecodeRank(f, r); fmt.Sprint(err) != fmt.Sprint(first) {
+				t.Errorf("%s: rank %d said %v, then %v", name, r, first, err)
+			}
+		}
+	}
+	return failed
+}
+
+// TestDecodeErrorsAreStable: a damaged file fails the same way on the
+// first and on repeated calls and from every rank the damage reaches,
+// and does not reach the ranks that never reference it.
+func TestDecodeErrorsAreStable(t *testing.T) {
+	data := traced(t, "cg", 8, 5, pilgrim.Options{})
+	clean := read(t, data)
+	idx, err := clean.GrammarIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Grammars) < 2 {
+		t.Fatalf("cg on 8 ranks deduped to %d grammars; the test needs two", len(clean.Grammars))
+	}
+
+	// Rank map damage fails every rank with one message.
+	missing := make([]int32, clean.NumRanks)
+	missing[3] = int32(len(clean.Grammars))
+	for name, rankMap := range map[string]sequitur.Serialized{
+		"missing grammar":   gram(missing...),
+		"short rank map":    gram(idx[:len(idx)-1]...),
+		"overlong rank map": gram(append(append([]int32(nil), idx...), 0)...),
+	} {
+		f := read(t, data)
+		f.RankMap = rankMap
+		failed := sameEveryTime(t, name, f)
+		if len(failed) != f.NumRanks {
+			t.Errorf("%s: %d of %d ranks failed", name, len(failed), f.NumRanks)
+		}
+		for r, err := range failed {
+			if err.Error() != failed[0].Error() {
+				t.Errorf("%s: rank %d: %v, rank 0: %v", name, r, err, failed[0])
+			}
+		}
+	}
+
+	// A terminal past the CST in one grammar fails exactly the ranks
+	// mapped to it.
+	f := read(t, data)
+	bad := idx[1]
+	f.Grammars[bad] = gram(0, int32(f.CST.Len())+5, 0)
+	failed := sameEveryTime(t, "terminal out of range", f)
+	for r := 0; r < f.NumRanks; r++ {
+		if _, isBad := failed[r]; isBad != (idx[r] == bad) {
+			t.Errorf("terminal out of range: rank %d (grammar %d) failed=%v", r, idx[r], isBad)
+		}
+	}
+
+	// A truncated signature fails exactly the ranks whose stream holds
+	// it, with the one decode error the file kept for that entry.
+	users := map[int32][]int{}
+	for r := 0; r < clean.NumRanks; r++ {
+		terms, err := clean.Terms(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int32]bool{}
+		for _, term := range terms {
+			if !seen[term] {
+				seen[term] = true
+				users[term] = append(users[term], r)
+			}
+		}
+	}
+	victim := int32(-1)
+	for term := int32(0); int(term) < clean.CST.Len(); term++ {
+		if n := len(users[term]); n >= 2 && n < clean.NumRanks && len(clean.CST.Sig(term)) > 2 {
+			victim = term
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no CST entry used by some but not all ranks")
+	}
+	f = read(t, data)
+	table := cst.New()
+	for term := int32(0); int(term) < f.CST.Len(); term++ {
+		s := f.CST.Sig(term)
+		if term == victim {
+			s = s[:len(s)-1]
+		}
+		if got := table.Add(s, 1); got != term {
+			t.Fatalf("rebuilt CST numbers entry %d as %d", term, got)
+		}
+	}
+	f.CST = table
+	failed = sameEveryTime(t, "truncated signature", f)
+	if len(failed) != len(users[victim]) {
+		t.Errorf("truncated signature: ranks %v reference it, %d ranks failed", users[victim], len(failed))
+	}
+	var cause error
+	for _, r := range users[victim] {
+		err := failed[r]
+		if err == nil {
+			t.Errorf("truncated signature: rank %d references entry %d and decoded", r, victim)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("rank %d call", r)) {
+			t.Errorf("truncated signature: rank %d error does not name the call: %v", r, err)
+		}
+		if cause == nil {
+			cause = errors.Unwrap(err)
+		} else if errors.Unwrap(err) != cause {
+			t.Errorf("truncated signature: rank %d failed with another error value: %v", r, err)
+		}
+	}
+}
+
+// TestDecodeRankWarmAllocs: once a file's signatures are decoded, a
+// rank costs its term expansion and its output slice — a small constant
+// number of allocations, whatever the number of calls.
+func TestDecodeRankWarmAllocs(t *testing.T) {
+	warm := func(iters int) (allocs float64, calls int) {
+		f := read(t, traced(t, "stencil2d", 16, iters, pilgrim.Options{}))
+		for r := 0; r < f.NumRanks; r++ {
+			if _, err := core.DecodeRank(f, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			out, err := core.DecodeRank(f, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls = len(out)
+		})
+		return allocs, calls
+	}
+	small, nSmall := warm(20)
+	large, nLarge := warm(400)
+	if nLarge < 10*nSmall {
+		t.Fatalf("400 iterations decode to %d calls, 20 to %d", nLarge, nSmall)
+	}
+	const budget = 8 // measured 5: rule offsets, sizes, first-use table, terms, output
+	if small > budget || large > budget {
+		t.Fatalf("warm DecodeRank allocates %v times for %d calls and %v for %d, want at most %d",
+			small, nSmall, large, nLarge, budget)
+	}
+	if large != small {
+		t.Fatalf("warm DecodeRank allocations grow with the stream: %v for %d calls, %v for %d",
+			small, nSmall, large, nLarge)
+	}
+}

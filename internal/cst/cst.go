@@ -77,6 +77,9 @@ func (t *Table) Sig(term int32) []byte {
 	return []byte(t.sigs[term])
 }
 
+// SigString is Sig without the copy: the table's own immutable key.
+func (t *Table) SigString(term int32) string { return t.sigs[term] }
+
 // Len returns the number of unique signatures.
 func (t *Table) Len() int { return len(t.sigs) }
 

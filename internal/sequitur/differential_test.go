@@ -159,3 +159,136 @@ func FuzzAppendDifferential(f *testing.F) {
 		differential(t, "fuzz", stream, 7)
 	})
 }
+
+// naiveExpand is the test-local reference for Serialized.Expand: it
+// decodes the rules (Serialized.Rules, which Expand does not use) and
+// emits one terminal at a time, re-walking a rule on every reference
+// and every repetition — what Expand did before it filled in bulk.
+func naiveExpand(sg sequitur.Serialized) []int32 {
+	rules := sg.Rules()
+	var out []int32
+	var walk func(r int)
+	walk = func(r int) {
+		for _, s := range rules[r] {
+			for i := int64(0); i < s.Exp; i++ {
+				if s.Val < 0 {
+					walk(int(-s.Val - 1))
+				} else {
+					out = append(out, s.Val)
+				}
+			}
+		}
+	}
+	walk(0)
+	return out
+}
+
+// shortRunStream is runStream with exponents small enough to
+// materialize: mostly runs, a few of them a few hundred long.
+func shortRunStream(rng *rand.Rand, n int) []run {
+	out := runStream(rng, n)
+	for i := range out {
+		out[i].k = 1 + out[i].k%300
+	}
+	return out
+}
+
+func TestExpandMatchesNaiveReference(t *testing.T) {
+	check := func(name string, sg sequitur.Serialized) {
+		t.Helper()
+		want := naiveExpand(sg)
+		n := sg.InputLen()
+		if n != int64(len(want)) {
+			t.Fatalf("%s: InputLen %d, reference expands to %d", name, n, len(want))
+		}
+		if got := sg.Expand(0); !slices.Equal(got, want) {
+			t.Fatalf("%s: Expand differs from the reference (%d vs %d terminals)", name, len(got), len(want))
+		}
+		// At the cap: the same sequence. One below: nil and the length,
+		// and Expand panics.
+		got, gn := sg.ExpandCapped(n)
+		if gn != n || (n > 0 && !slices.Equal(got, want)) {
+			t.Fatalf("%s: ExpandCapped(%d) = %d terminals, n=%d", name, n, len(got), gn)
+		}
+		if n < 2 {
+			return
+		}
+		if got, gn := sg.ExpandCapped(n - 1); got != nil || gn != n {
+			t.Fatalf("%s: ExpandCapped(%d) = %d terminals, n=%d; want nil, %d", name, n-1, len(got), gn, n)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Expand(%d) of %d terminals did not panic", name, n-1, n)
+				}
+			}()
+			sg.Expand(n - 1)
+		}()
+	}
+
+	seeds := 40
+	if testing.Short() {
+		seeds = 5
+	}
+	gens := []struct {
+		name string
+		gen  func(*rand.Rand, int) []run
+	}{{"random", randomStream}, {"loops", loopStream}, {"runs", shortRunStream}}
+	for _, gn := range gens {
+		for seed := 1; seed <= seeds; seed++ {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			g := sequitur.New()
+			for _, r := range gn.gen(rng, 200+rng.Intn(3000)) {
+				g.AppendRun(r.t, r.k)
+			}
+			check(gn.name, g.Serialize())
+		}
+	}
+
+	// Rule references with exponents, nested: the shapes the doubling
+	// copy and the copy-from-first-expansion paths take. A is reused
+	// after its first expansion, inside and outside B.
+	const A, B = -2, -3
+	check("nested exponents", sequitur.Serialized{
+		3,
+		4, B, 3, 0, A, 1, 0, 9, 2, 0, B, 1, 0, // S -> B^3 A 9^2 B
+		2, 1, 1, 0, 2, 4, 0, // A -> 1 2^4
+		3, A, 5, 0, 7, 1, 0, A, 1, 0, // B -> A^5 7 A
+	})
+	check("empty", sequitur.New().Serialize())
+
+	// The real call streams of the differential test above.
+	for _, p := range []struct {
+		name  string
+		procs int
+	}{{"stencil2d", 9}, {"cellular", 8}, {"cg", 8}} {
+		body, err := workloads.Get(p.name, 30, p.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := pilgrim.Run(p.procs, pilgrim.Options{TimingMode: pilgrim.TimingLossy}, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, set := range [][]sequitur.Serialized{f.Grammars, f.DurGrammars, f.IntGrammars, {f.RankMap}} {
+			for _, sg := range set {
+				check(p.name, sg)
+			}
+		}
+	}
+}
+
+// TestExpandCappedHugeRuns: a grammar of 2^40-long runs reports its
+// length without allocating it.
+func TestExpandCappedHugeRuns(t *testing.T) {
+	g := sequitur.New()
+	var want int64
+	for _, r := range runStream(rand.New(rand.NewSource(7)), 500) {
+		g.AppendRun(r.t, r.k)
+		want += r.k
+	}
+	sg := sequitur.Serialized(g.Serialize())
+	if got, n := sg.ExpandCapped(1 << 20); got != nil || n != want {
+		t.Fatalf("ExpandCapped = %d terminals, n=%d; want nil, %d", len(got), n, want)
+	}
+}

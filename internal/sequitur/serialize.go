@@ -183,19 +183,37 @@ func (sg Serialized) Relabel(mapping []int32) (Serialized, error) {
 	return flatten(rules), nil
 }
 
-// WalkSerialized streams the uncompressed terminal sequence of a
-// serialized grammar without rebuilding the linked structure.
+// ruleOffsets indexes the serialized form in place: rule r's symbol
+// triples are sg[off[r]+1 : off[r+1]] (off[r] is its body-length slot).
+// Walk, InputLen and Expand read bodies through it instead of decoding
+// every rule into a slice of its own. sg must have passed Validate.
+func (sg Serialized) ruleOffsets() []int32 {
+	nRules := int(sg[0])
+	off := make([]int32, nRules+1)
+	p := 1
+	for r := 0; r < nRules; r++ {
+		off[r] = int32(p)
+		p += 1 + 3*int(sg[p])
+	}
+	off[nRules] = int32(p)
+	return off
+}
+
+// Walk streams the uncompressed terminal sequence of a serialized
+// grammar without rebuilding the linked structure.
 func (sg Serialized) Walk(yield func(t int32, k int64) bool) {
-	rules := sg.rules()
+	off := sg.ruleOffsets()
 	var walk func(r int, times int64) bool
 	walk = func(r int, times int64) bool {
+		body := sg[off[r]+1 : off[r+1]]
 		for i := int64(0); i < times; i++ {
-			for _, s := range rules[r] {
-				if s.val < 0 {
-					if !walk(int(-s.val-1), s.exp) {
+			for j := 0; j < len(body); j += 3 {
+				v, k := body[j], decExp(body[j+1], body[j+2])
+				if v < 0 {
+					if !walk(int(-v-1), k) {
 						return false
 					}
-				} else if !yield(s.val, s.exp) {
+				} else if !yield(v, k) {
 					return false
 				}
 			}
@@ -211,8 +229,13 @@ func (sg Serialized) Walk(yield func(t int32, k int64) bool) {
 // expansions past int64, and a wrapped-negative length would slip
 // under every size cap downstream.
 func (sg Serialized) InputLen() int64 {
-	rules := sg.rules()
-	memo := make([]int64, len(rules))
+	return sg.ruleSizes(sg.ruleOffsets())[0]
+}
+
+// ruleSizes returns the expanded length of the start rule and of every
+// rule reachable from it (-1 for the others), saturating at MaxInt64.
+func (sg Serialized) ruleSizes(off []int32) []int64 {
+	memo := make([]int64, len(off)-1)
 	for i := range memo {
 		memo[i] = -1
 	}
@@ -223,17 +246,20 @@ func (sg Serialized) InputLen() int64 {
 		}
 		memo[r] = 0 // break cycles defensively; valid grammars are acyclic
 		var n int64
-		for _, s := range rules[r] {
-			if s.val < 0 {
-				n = satAdd(n, satMul(s.exp, size(int(-s.val-1))))
+		body := sg[off[r]+1 : off[r+1]]
+		for j := 0; j < len(body); j += 3 {
+			v, k := body[j], decExp(body[j+1], body[j+2])
+			if v < 0 {
+				n = satAdd(n, satMul(k, size(int(-v-1))))
 			} else {
-				n = satAdd(n, s.exp)
+				n = satAdd(n, k)
 			}
 		}
 		memo[r] = n
 		return n
 	}
-	return size(0)
+	size(0)
+	return memo
 }
 
 func satAdd(a, b int64) int64 {
@@ -256,18 +282,60 @@ func satMul(a, b int64) int64 {
 // Expand materializes the uncompressed sequence (panics above max
 // elements; max <= 0 disables the cap).
 func (sg Serialized) Expand(max int64) []int32 {
-	n := sg.InputLen()
+	out, n := sg.ExpandCapped(max)
 	if max > 0 && n > max {
 		panic(fmt.Sprintf("sequitur: expansion of %d terminals exceeds cap %d", n, max))
 	}
-	out := make([]int32, 0, n)
-	sg.Walk(func(t int32, k int64) bool {
-		for i := int64(0); i < k; i++ {
-			out = append(out, t)
-		}
-		return true
-	})
 	return out
+}
+
+// ExpandCapped is Expand for untrusted grammars: it returns the
+// uncompressed length n, and a nil sequence instead of a panic when n
+// exceeds max (max <= 0 disables the cap). The serialized form is
+// indexed once; the output is allocated at its final size and filled
+// in bulk: a terminal run is one fill, a rule's second and later
+// expansions (by reference or by exponent) are copies of its first.
+func (sg Serialized) ExpandCapped(max int64) (seq []int32, n int64) {
+	off := sg.ruleOffsets()
+	size := sg.ruleSizes(off)
+	n = size[0]
+	if max > 0 && n > max {
+		return nil, n
+	}
+	out := make([]int32, n)
+	first := make([]int64, len(size)) // where rule r was first expanded in out
+	for i := range first {
+		first[i] = -1
+	}
+	var fill func(r int, pos int64)
+	fill = func(r int, pos int64) {
+		body := sg[off[r]+1 : off[r+1]]
+		for j := 0; j < len(body); j += 3 {
+			v, k := body[j], decExp(body[j+1], body[j+2])
+			if v >= 0 {
+				run := out[pos : pos+k]
+				for i := range run {
+					run[i] = v
+				}
+				pos += k
+				continue
+			}
+			ref := int(-v - 1)
+			one, all := size[ref], size[ref]*k
+			if at := first[ref]; at >= 0 {
+				copy(out[pos:pos+one], out[at:])
+			} else {
+				fill(ref, pos)
+				first[ref] = pos
+			}
+			for done := one; done < all; {
+				done += int64(copy(out[pos+done:pos+all], out[pos:pos+done]))
+			}
+			pos += all
+		}
+	}
+	fill(0, 0)
+	return out, n
 }
 
 // Concat merges serialized grammars by renaming rule ids and creating

@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
@@ -57,5 +59,51 @@ func TestEncodeToRequestCycleAllocFree(t *testing.T) {
 	}
 	if e.NumRequestPools() != 4 {
 		t.Fatalf("NumRequestPools = %d, want one per creating signature", e.NumRequestPools())
+	}
+}
+
+// TestDecodeAllocatesPerFieldNotPerElement pins the decoder's cold
+// path (it runs once per CST entry of a trace): Args is sized from the
+// function's parameter list, an array field from its count, and the
+// (source, tag) pairs of a status array share one backing array.
+func TestDecodeAllocatesPerFieldNotPerElement(t *testing.T) {
+	e := NewEncoder(0, nil)
+	waitall := e.Encode(rec(0, mpispec.FWaitall, vi(8),
+		mpispec.Value{Kind: mpispec.KReqArray, Arr: []int64{0, 0, 0, 0, 0, 0, 0, 0}},
+		mpispec.Value{Kind: mpispec.KStatArray, Arr: []int64{1, 7, 3, 7, 1, 7, 3, 7, 0, 0, 0, 0, 0, 0, 0, 0}}))
+	d, err := Decode(waitall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Args) != 3 || len(d.Args[1].Arr) != 8 || len(d.Args[2].Arr) != 8 {
+		t.Fatalf("decoded %s", d)
+	}
+	for i, st := range d.Args[2].Arr {
+		if len(st.Arr) != 2 || cap(st.Arr) != 2 {
+			t.Fatalf("status %d holds %d fields (cap %d), want a pair of its own", i, len(st.Arr), cap(st.Arr))
+		}
+	}
+	// Args, the request array, the status array, the pairs.
+	if allocs := testing.AllocsPerRun(200, func() { Decode(waitall) }); allocs > 4 {
+		t.Fatalf("Decode of an 8-request Waitall allocates %v times, want at most 4", allocs)
+	}
+}
+
+// TestDecodeCountClaimsAreBounded: an array count comes from the
+// signature bytes; a claim the remaining bytes cannot hold must fail as
+// a truncation, not size an allocation.
+func TestDecodeCountClaimsAreBounded(t *testing.T) {
+	for _, kind := range []string{"requests", "statuses"} {
+		raw := binary.AppendUvarint(nil, uint64(mpispec.FWaitall))
+		raw = binary.AppendVarint(raw, 8) // count
+		if kind == "statuses" {
+			raw = binary.AppendUvarint(raw, 0) // no requests
+		}
+		raw = binary.AppendUvarint(raw, 1<<40) // claimed elements
+		raw = append(raw, 2, 2, 2)             // three bytes of them
+		_, err := Decode(raw)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("%s: 2^40 elements in 3 bytes: %v", kind, err)
+		}
 	}
 }

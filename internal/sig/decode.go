@@ -100,6 +100,9 @@ func Decode(sigBytes []byte) (Decoded, error) {
 	}
 	d := Decoded{Func: mpispec.FuncID(fid)}
 	spec := mpispec.Spec[d.Func]
+	if len(spec.Params) > 0 {
+		d.Args = make([]DecodedValue, 0, len(spec.Params))
+	}
 	for _, p := range spec.Params {
 		v, err := decodeValue(r, p.Kind)
 		if err != nil {
@@ -111,6 +114,21 @@ func Decode(sigBytes []byte) (Decoded, error) {
 		return Decoded{}, fmt.Errorf("sig: %s: %d trailing bytes", spec.Name, len(r.b)-r.pos)
 	}
 	return d, nil
+}
+
+// newArr sizes an array field's backing store up front. The count n
+// comes from the signature bytes, so it is capped by what the bytes
+// left could hold at minBytes per element; a longer claim fails with a
+// truncation error after at most that many elements. An empty array
+// stays nil.
+func (r *reader) newArr(n uint64, minBytes int) []DecodedValue {
+	if room := uint64(len(r.b)-r.pos) / uint64(minBytes); n > room {
+		n = room
+	}
+	if n == 0 {
+		return nil
+	}
+	return make([]DecodedValue, 0, n)
 }
 
 func decodeValue(r *reader, kind mpispec.ParamKind) (DecodedValue, error) {
@@ -133,19 +151,28 @@ func decodeValue(r *reader, kind mpispec.ParamKind) (DecodedValue, error) {
 	case mpispec.KReqArray:
 		var n uint64
 		n, err = r.uvarint()
+		v.Arr = r.newArr(n, 1)
 		for i := uint64(0); err == nil && i < n; i++ {
 			var id int64
 			id, err = r.varint()
 			v.Arr = append(v.Arr, DecodedValue{Kind: mpispec.KRequest, I: id})
 		}
 	case mpispec.KStatus:
-		return decodeStatus(r)
+		return decodeStatus(r, nil)
 	case mpispec.KStatArray:
 		var n uint64
 		n, err = r.uvarint()
+		// A status is at least a selector and a tag. All (source, tag)
+		// pairs of the array are carved from one allocation.
+		v.Arr = r.newArr(n, 2)
+		pairs := make([]DecodedValue, 2*cap(v.Arr))
 		for i := uint64(0); err == nil && i < n; i++ {
 			var st DecodedValue
-			st, err = decodeStatus(r)
+			var pair []DecodedValue
+			if len(pairs) >= 2 {
+				pair, pairs = pairs[:0:2], pairs[2:]
+			}
+			st, err = decodeStatus(r, pair)
 			v.Arr = append(v.Arr, st)
 		}
 	case mpispec.KPtr:
@@ -186,6 +213,7 @@ func decodeValue(r *reader, kind mpispec.ParamKind) (DecodedValue, error) {
 	case mpispec.KIntArray, mpispec.KIndexArray:
 		var n uint64
 		n, err = r.uvarint()
+		v.Arr = r.newArr(n, 1)
 		for i := uint64(0); err == nil && i < n; i++ {
 			var x int64
 			x, err = r.varint()
@@ -197,7 +225,9 @@ func decodeValue(r *reader, kind mpispec.ParamKind) (DecodedValue, error) {
 	return v, err
 }
 
-func decodeStatus(r *reader) (DecodedValue, error) {
+// decodeStatus decodes one status into a (source, tag) pair appended
+// to pair, which lets a status array own the storage of all its pairs.
+func decodeStatus(r *reader, pair []DecodedValue) (DecodedValue, error) {
 	v := DecodedValue{Kind: mpispec.KStatus}
 	sel, err := r.byte()
 	if err != nil {
@@ -214,7 +244,7 @@ func decodeStatus(r *reader) (DecodedValue, error) {
 	if err != nil {
 		return v, err
 	}
-	v.Arr = []DecodedValue{src, {Kind: mpispec.KTag, Sel: selAbs, I: tag}}
+	v.Arr = append(pair, src, DecodedValue{Kind: mpispec.KTag, Sel: selAbs, I: tag})
 	return v, nil
 }
 

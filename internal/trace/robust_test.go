@@ -151,6 +151,22 @@ func TestTermsRejectsOverflowingGrammar(t *testing.T) {
 	}
 }
 
+// TestReadRejectsEmptyGrammars: a zero-length grammar is what a nil
+// field serializes to and what no finalize produces; every expansion
+// would index past it, so Read refuses the file.
+func TestReadRejectsEmptyGrammars(t *testing.T) {
+	for name, damage := range map[string]func(*File){
+		"rank map": func(f *File) { f.RankMap = nil },
+		"grammar":  func(f *File) { f.Grammars[1] = nil },
+	} {
+		f := mkFile(t)
+		damage(f)
+		if _, err := Read(bytes.NewReader(serialize(t, f))); err == nil {
+			t.Errorf("file with an empty %s accepted", name)
+		}
+	}
+}
+
 func FuzzTraceRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))

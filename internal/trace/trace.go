@@ -17,9 +17,12 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
+	"sync/atomic"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
+	"github.com/hpcrepro/pilgrim/internal/sig"
 )
 
 // Timing modes.
@@ -31,6 +34,18 @@ const (
 const magic = "PILGRIM1"
 
 // File is a complete compressed trace.
+//
+// A File is built by filling its exported fields (finalize, Read) and
+// is read-only from the first call of a read method — GrammarIndex,
+// Terms, DecodedSig, and everything above them (core.DecodeRank,
+// analysis, replay, ...). Those methods resolve what is shared by all
+// ranks once per File and keep it: the rank → grammar index, and each
+// CST entry's decoded signature. They may be called from any number of
+// goroutines. What they return is shared with every other caller and
+// must not be modified: the slice from GrammarIndex, and the Args
+// (including nested Arr slices) of decoded signatures. Changing
+// RankMap, Grammars or CST after a read method has run is not seen.
+// Because it carries that state a File must not be copied by value.
 type File struct {
 	NumRanks   int
 	TimingMode uint8
@@ -65,6 +80,21 @@ type File struct {
 	// traces are byte-identical to the pre-salvage format and old
 	// readers simply ignore the tail.
 	Salvage *SalvageInfo
+
+	// Read-path memo (see the type comment): the validated rank map
+	// expansion, and one lazily decoded slot per CST entry.
+	rankOnce sync.Once
+	rankIdx  []int32
+	rankErr  error
+	sigOnce  sync.Once
+	sigs     []atomic.Pointer[decodedSig]
+}
+
+// decodedSig is one CST entry's decode result, error included, so a
+// malformed signature fails the same way on every call and rank.
+type decodedSig struct {
+	d   sig.Decoded
+	err error
 }
 
 // SalvageInfo tags a partial trace produced by SalvageFinalize.
@@ -80,15 +110,19 @@ type SalvageInfo struct {
 	Calls []int64
 }
 
-// GrammarIndex expands the rank map and returns, per rank, the index
-// of its grammar in Grammars.
+// GrammarIndex returns, per rank, the index of its grammar in
+// Grammars. The rank map is expanded and validated once per File; the
+// returned slice is shared and must not be modified.
 func (f *File) GrammarIndex() ([]int32, error) {
-	if n := f.RankMap.InputLen(); n != int64(f.NumRanks) {
+	f.rankOnce.Do(func() { f.rankIdx, f.rankErr = f.expandRankMap() })
+	return f.rankIdx, f.rankErr
+}
+
+func (f *File) expandRankMap() ([]int32, error) {
+	// The cap is never 0 (which would disable it), even for 0 ranks.
+	idx, n := f.RankMap.ExpandCapped(int64(f.NumRanks) + 1)
+	if n != int64(f.NumRanks) {
 		return nil, fmt.Errorf("trace: rank map expands to %d entries for %d ranks", n, f.NumRanks)
-	}
-	idx := f.RankMap.Expand(int64(f.NumRanks) + 1)
-	if len(idx) != f.NumRanks {
-		return nil, fmt.Errorf("trace: rank map expands to %d entries for %d ranks", len(idx), f.NumRanks)
 	}
 	for _, i := range idx {
 		if int(i) >= len(f.Grammars) {
@@ -103,7 +137,8 @@ func (f *File) GrammarIndex() ([]int32, error) {
 // run-length exponents and exhaust memory).
 const maxCallsPerRank = 1 << 28
 
-// Terms expands rank r's grammar into its terminal sequence.
+// Terms expands rank r's grammar into its terminal sequence. The
+// expansion is the caller's own: it is O(calls) and not kept.
 func (f *File) Terms(rank int) ([]int32, error) {
 	if rank < 0 || rank >= f.NumRanks {
 		return nil, fmt.Errorf("trace: rank %d out of range", rank)
@@ -112,11 +147,34 @@ func (f *File) Terms(rank int) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := f.Grammars[idx[rank]]
-	if n := g.InputLen(); n > maxCallsPerRank {
+	terms, n := f.Grammars[idx[rank]].ExpandCapped(maxCallsPerRank)
+	if n > maxCallsPerRank {
 		return nil, fmt.Errorf("trace: rank %d stream of %d calls exceeds the in-memory cap", rank, n)
 	}
-	return g.Expand(maxCallsPerRank), nil
+	return terms, nil
+}
+
+// DecodedSig returns CST entry term decoded. Each entry is decoded
+// once per File, on first reference, and the result — or the decode
+// error — is kept; the Args of the returned value are shared by every
+// call with that signature and must not be modified.
+func (f *File) DecodedSig(term int32) (sig.Decoded, error) {
+	f.sigOnce.Do(func() { f.sigs = make([]atomic.Pointer[decodedSig], f.CST.Len()) })
+	if term < 0 || int(term) >= len(f.sigs) {
+		return sig.Decoded{}, fmt.Errorf("trace: no CST entry %d (table holds %d)", term, len(f.sigs))
+	}
+	slot := &f.sigs[term]
+	e := slot.Load()
+	if e == nil {
+		// Racing first references decode the same bytes; the first to
+		// publish wins so all callers share one Args slice.
+		e = new(decodedSig)
+		e.d, e.err = sig.Decode(f.CST.Sig(term))
+		if !slot.CompareAndSwap(nil, e) {
+			e = slot.Load()
+		}
+	}
+	return e.d, e.err
 }
 
 // --- serialization -----------------------------------------------------------
@@ -471,10 +529,10 @@ func (br byteReader) grammar() (sequitur.Serialized, error) {
 	if rd.Len() != 0 {
 		return nil, fmt.Errorf("trace: trailing grammar bytes")
 	}
-	if len(g) > 0 {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
+	// Validate also rejects the empty grammar, which no writer produces
+	// and every expansion below would index out of range on.
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
@@ -95,6 +96,10 @@ func TestPackedRoundtrip(t *testing.T) {
 	}
 }
 
+// TestTermsErrors: each case damages a File of its own before the
+// first read (a File is read-only once a read method has run), and the
+// error must be the same on every later call and from every rank —
+// the rank index is resolved, and fails, once per File.
 func TestTermsErrors(t *testing.T) {
 	f := mkFile(t)
 	if _, err := f.Terms(-1); err == nil {
@@ -103,16 +108,51 @@ func TestTermsErrors(t *testing.T) {
 	if _, err := f.Terms(4); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
-	// Rank map referencing a missing grammar.
-	f.RankMap = mkGrammar([]int32{0, 1, 2, 0}) // grammar 2 does not exist
-	if _, err := f.Terms(0); err == nil {
-		t.Error("dangling grammar reference accepted")
+	if _, err := f.Terms(0); err != nil {
+		t.Errorf("a rank-range error poisoned the file: %v", err)
 	}
-	// Rank map of the wrong length.
-	f2 := mkFile(t)
-	f2.RankMap = mkGrammar([]int32{0, 1})
-	if _, err := f2.Terms(0); err == nil {
-		t.Error("short rank map accepted")
+	for _, c := range []struct {
+		name    string
+		rankMap []int32
+	}{
+		{"dangling grammar reference", []int32{0, 1, 2, 0}}, // grammar 2 does not exist
+		{"short rank map", []int32{0, 1}},
+		{"long rank map", []int32{0, 1, 0, 0, 1}},
+	} {
+		f := mkFile(t)
+		f.RankMap = mkGrammar(c.rankMap)
+		_, first := f.Terms(0)
+		if first == nil {
+			t.Errorf("%s accepted", c.name)
+			continue
+		}
+		for r := 0; r < f.NumRanks; r++ {
+			if _, err := f.Terms(r); err == nil || err.Error() != first.Error() {
+				t.Errorf("%s: rank %d: %v, first call said %v", c.name, r, err, first)
+			}
+		}
+		if idx, err := f.GrammarIndex(); idx != nil || err == nil || err.Error() != first.Error() {
+			t.Errorf("%s: GrammarIndex = %v, %v", c.name, idx, err)
+		}
+	}
+}
+
+// TestGrammarIndexResolvedOnce: every caller gets the same expansion.
+func TestGrammarIndexResolvedOnce(t *testing.T) {
+	f := mkFile(t)
+	a, err := f.GrammarIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{0, 1, 0, 0}; !slices.Equal(a, want) {
+		t.Fatalf("GrammarIndex = %v, want %v", a, want)
+	}
+	if _, err := f.Terms(1); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := f.GrammarIndex()
+	if &a[0] != &b[0] {
+		t.Fatal("GrammarIndex expanded the rank map again")
 	}
 }
 
