@@ -7,19 +7,23 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/obs"
+	"github.com/hpcrepro/pilgrim/internal/par"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
 // RetryPolicy bounds the client's connect/send retry loop.
 type RetryPolicy struct {
-	// MaxAttempts per snapshot (default 5). Each attempt is a fresh
-	// connection: dial, hello, snapshot, ack.
+	// MaxAttempts per snapshot (default 5). An attempt is one exchange
+	// (hello, snapshot, ack) on a held connection, or on a fresh dial
+	// when none is idle. A held connection that turns out to be stale is
+	// replaced at once and does not count as an attempt.
 	MaxAttempts int
 	// BaseDelay is the first backoff (default 50ms); each retry doubles
 	// it up to MaxDelay (default 2s), jittered to avoid a thundering
@@ -52,14 +56,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		p.MaxElapsed = 30 * time.Second
 	}
 	return p
-}
-
-// deadline converts MaxElapsed into an absolute retry deadline.
-func (p RetryPolicy) deadline(now time.Time) time.Time {
-	if p.MaxElapsed < 0 {
-		return time.Time{} // no deadline
-	}
-	return now.Add(p.MaxElapsed)
 }
 
 // OverLimitError is the client-side face of an admission NACK: the
@@ -101,54 +97,123 @@ type RunInfo struct {
 // Client ships rank snapshots to a collector. Sends are idempotent —
 // the server dedupes on (run, rank, epoch) — so any failure is safely
 // retried with a full re-send.
+//
+// A client keeps the connections it opens for the life of its run: a
+// sender takes an idle one or dials, and hands it back after a clean
+// reply, so the client never holds more connections than it has had
+// concurrent senders. WaitTrace (and so Collect) releases them once the
+// trace is in hand; a caller that never waits calls Close.
 type Client struct {
 	Addr  string
 	Run   RunInfo
 	Retry RetryPolicy
 	// IOTimeout bounds each dial/read/write (default 30s). WaitTrace
-	// reads are exempt: they legitimately block until the run
-	// finalizes.
+	// reads are exempt: they block until the run finalizes.
 	IOTimeout time.Duration
 	// Dial overrides the transport (tests inject flaky listeners);
 	// nil dials TCP.
 	Dial func(addr string) (net.Conn, error)
 	Logf func(format string, args ...any)
-	// Obs, when non-nil, records the client's side of the pipeline:
-	// dial/send spans per attempt, backoff and NACK instants, and the
-	// wait for the finalized trace. Nil disables tracing.
+	// Obs, when non-nil, records the client's side of the pipeline: a
+	// dial span per connection opened, a send span per attempt, backoff
+	// and NACK instants, and the wait for the finalized trace. Nil
+	// disables tracing.
 	Obs *obs.Sink
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
 
-	// echo holds the latest completed hello/ack timing 4-tuple, carried
-	// back to the collector on the next hello (and flushed best-effort
-	// before each connection closes) to feed its clock-offset estimator.
-	echoMu sync.Mutex
-	echo   wire.ClockEcho
+	// mu guards the held connections no sender is using and the latest
+	// completed hello/ack timing 4-tuple, which rides the next hello on
+	// any connection (Close flushes the last one) to feed the
+	// collector's clock-offset estimator.
+	mu   sync.Mutex
+	idle []*RawConn
+	echo wire.ClockEcho
 }
 
 // storeEcho saves a completed round-trip sample for the next hello.
 func (c *Client) storeEcho(e wire.ClockEcho) {
-	c.echoMu.Lock()
+	c.mu.Lock()
 	c.echo = e
-	c.echoMu.Unlock()
+	c.mu.Unlock()
 }
 
-// takeEcho returns the pending sample and clears it, so each round
-// trip feeds the collector's estimator exactly once.
+// takeEcho returns the pending sample and clears it, so a round trip
+// feeds the collector's estimator at most once.
 func (c *Client) takeEcho() wire.ClockEcho {
-	c.echoMu.Lock()
+	c.mu.Lock()
 	e := c.echo
 	c.echo = wire.ClockEcho{}
-	c.echoMu.Unlock()
+	c.mu.Unlock()
 	return e
 }
 
-func (c *Client) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
+// acquire hands the caller a connection of its own: the most recently
+// used idle one, or — when none is idle or fresh is set — a new dial.
+func (c *Client) acquire(rank int, fresh bool) (rc *RawConn, reused bool, err error) {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 && !fresh {
+		rc, c.idle = c.idle[n-1], c.idle[:n-1]
 	}
+	c.mu.Unlock()
+	if rc != nil {
+		return rc, true, nil
+	}
+	dsp := c.Obs.Start("client", "client.dial").WithRun(c.Run.RunID, rank, c.Run.Epoch)
+	conn, err := c.dial()
+	if err != nil {
+		dsp.WithStr("result", "error").End()
+		return nil, false, err
+	}
+	dsp.End()
+	return newRawConn(conn, c.ioTimeout()), false, nil
+}
+
+// withConn runs one exchange on a held connection, or on a fresh one
+// when none is idle, and afterwards keeps the connection or — if the
+// exchange left it dead — drops it. A transport failure on a held
+// connection means the collector dropped it while it sat idle
+// (IdleTimeout, restart): the exchange is redone at once on a fresh
+// dial, which costs the caller no retry attempt and is safe because
+// ingest is idempotent on (run, rank, epoch).
+func (c *Client) withConn(rank int, do func(rc *RawConn, reused bool) error) error {
+	for fresh := false; ; fresh = true {
+		rc, reused, err := c.acquire(rank, fresh)
+		if err != nil {
+			return err
+		}
+		err = do(rc, reused)
+		if !rc.dead {
+			c.mu.Lock()
+			c.idle = append(c.idle, rc)
+			c.mu.Unlock()
+			return err
+		}
+		rc.Close()
+		if _, permanent := err.(*permanentError); !reused || permanent {
+			return err
+		}
+	}
+}
+
+// Close flushes the pending clock sample and drops every idle
+// connection. The client stays usable: a later send dials again.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	if e := c.takeEcho(); e.Valid() && len(idle) > 0 {
+		// A bare hello: the collector feeds its estimator, then reads EOF.
+		h := c.hello(0)
+		h.Echo = e
+		_ = idle[0].SendFrame(wire.AppendFrame(nil, wire.TypeHello, h.Encode())) // best effort
+	}
+	for _, rc := range idle {
+		rc.Close()
+	}
+	return nil
 }
 
 func (c *Client) ioTimeout() time.Duration {
@@ -191,95 +256,50 @@ func (c *Client) backoff(attempt int) time.Duration {
 }
 
 func (c *Client) hello(rank int) *wire.Hello {
-	return &wire.Hello{
-		Version:    wire.Version,
-		RunID:      c.Run.RunID,
-		WorldSize:  c.Run.WorldSize,
-		Rank:       rank,
-		Epoch:      c.Run.Epoch,
-		TimingMode: c.Run.TimingMode,
-		TimingBase: c.Run.TimingBase,
-	}
+	return &wire.Hello{Version: wire.Version, RunID: c.Run.RunID, WorldSize: c.Run.WorldSize, Rank: rank,
+		Epoch: c.Run.Epoch, TimingMode: c.Run.TimingMode, TimingBase: c.Run.TimingBase}
 }
 
-// sendOnce runs one full attempt: dial, hello, snapshot, ack. The
-// hello carries live span context (a fresh span ID also stamped on the
-// client.send span, plus the send timestamp) so the collector can link
-// its ingest spans to ours and correct the one-way latency for clock
-// offset.
-func (c *Client) sendOnce(s *core.Snapshot) error {
-	dsp := c.Obs.Start("client", "client.dial").WithRun(c.Run.RunID, s.Rank, c.Run.Epoch)
-	conn, err := c.dial()
-	if err != nil {
-		dsp.WithStr("result", "error").End()
-		return err
-	}
-	dsp.End()
-	defer conn.Close()
-	spanID := obs.NextSpanID()
-	ssp := c.Obs.Start("client", "client.send").WithRun(c.Run.RunID, s.Rank, c.Run.Epoch).
-		WithSpanID(spanID)
-	deadline := time.Now().Add(c.ioTimeout())
-	conn.SetDeadline(deadline)
-	h := c.hello(s.Rank)
-	h.SpanID = spanID
-	h.Echo = c.takeEcho()
-	h.SendNs = time.Now().UnixNano() // T1 of this exchange
-	if err := wire.WriteFrame(conn, wire.TypeHello, h.Encode()); err != nil {
-		ssp.WithStr("result", "error").End()
-		return fmt.Errorf("send hello: %w", err)
-	}
-	body := wire.EncodeSnapshot(s)
-	ssp = ssp.WithAttr("bytes", int64(len(body)))
-	if err := wire.WriteFrame(conn, wire.TypeSnapshot, body); err != nil {
-		ssp.WithStr("result", "error").End()
-		return fmt.Errorf("send snapshot: %w", err)
-	}
-	typ, body, err := wire.ReadFrame(conn)
-	ackRecvNs := time.Now().UnixNano() // T4 of this exchange
-	if err != nil {
-		ssp.WithStr("result", "error").End()
-		return fmt.Errorf("read ack: %w", err)
-	}
-	ssp.End()
-	switch typ {
-	case wire.TypeAck:
-		ack, err := wire.DecodeAck(body)
+// sendOnce runs one attempt: hello and snapshot in one write, the ack
+// in one read. The hello carries live span context (a fresh span ID
+// also stamped on the client.send span, plus the send timestamp) so the
+// collector can link its ingest spans to ours and correct the one-way
+// latency for clock offset.
+func (c *Client) sendOnce(rank int, body []byte) error {
+	return c.withConn(rank, func(rc *RawConn, reused bool) error {
+		spanID := obs.NextSpanID()
+		ssp := c.Obs.Start("client", "client.send").WithRun(c.Run.RunID, rank, c.Run.Epoch).
+			WithSpanID(spanID).WithAttr("bytes", int64(len(body)))
+		if reused {
+			ssp = ssp.WithAttr("reused", 1)
+		}
+		h := c.hello(rank)
+		h.SpanID = spanID
+		h.Echo = c.takeEcho()
+		h.SendNs = time.Now().UnixNano() // T1 of this exchange
+		rc.wbuf = wire.AppendFrame(wire.AppendFrame(rc.wbuf[:0], wire.TypeHello, h.Encode()), wire.TypeSnapshot, body)
+		r, err := rc.roundTrip(wire.TypeAck)
+		ackRecvNs := time.Now().UnixNano() // T4 of this exchange
 		if err != nil {
+			ssp.WithStr("result", "error").End()
 			return err
 		}
-		if ack.RecvNs != 0 && ack.SendNs != 0 {
-			sample := wire.ClockEcho{T1: h.SendNs, T2: ack.RecvNs, T3: ack.SendNs, T4: ackRecvNs}
-			if sample.Valid() {
-				c.storeEcho(sample)
-				// Best-effort trailing flush: without it, a producer whose
-				// connections each carry one snapshot would never get a
-				// completed sample back to the collector.
-				fh := c.hello(s.Rank)
-				fh.Echo = sample
-				fh.SendNs = time.Now().UnixNano()
-				wire.WriteFrame(conn, wire.TypeHello, fh.Encode())
-			}
+		ssp.End()
+		if r.nack != nil {
+			c.Obs.Start("client", "client.nack").WithRun(c.Run.RunID, rank, c.Run.Epoch).
+				WithStr("code", wire.NackCodeString(r.nack.Code)).Emit()
+			return nackError(r.nack)
 		}
-		if ack.Status == wire.AckError {
+		if sample := (wire.ClockEcho{T1: h.SendNs, T2: r.ack.RecvNs, T3: r.ack.SendNs, T4: ackRecvNs}); sample.Valid() {
+			c.storeEcho(sample)
+		}
+		if r.ack.Status == wire.AckError {
 			// The server understood us and said no (epoch mismatch, run
 			// already finalized): retrying the same bytes cannot succeed.
-			return &permanentError{fmt.Errorf("collector rejected rank %d: %s", s.Rank, ack.Detail)}
+			return &permanentError{fmt.Errorf("collector rejected rank %d: %s", rank, r.ack.Detail)}
 		}
 		return nil // AckOK or AckDuplicate — the snapshot is merged
-	case wire.TypeNack:
-		nack, err := wire.DecodeNack(body)
-		if err != nil {
-			return err
-		}
-		c.Obs.Start("client", "client.nack").WithRun(c.Run.RunID, s.Rank, c.Run.Epoch).
-			WithStr("code", wire.NackCodeString(nack.Code)).Emit()
-		return &permanentError{&OverLimitError{Code: nack.Code, Detail: nack.Detail}}
-	case wire.TypeError:
-		return &permanentError{fmt.Errorf("collector error: %s", body)}
-	default:
-		return fmt.Errorf("unexpected reply frame 0x%02x", typ)
-	}
+	})
 }
 
 type permanentError struct{ err error }
@@ -287,15 +307,30 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// SendSnapshot ships one rank's snapshot, retrying transient failures
-// (refused connections, mid-stream resets) with jittered exponential
-// backoff, bounded by both MaxAttempts and the MaxElapsed deadline.
-func (c *Client) SendSnapshot(s *core.Snapshot) error {
+// nackError is the permanent error an admission NACK becomes.
+func nackError(n *wire.Nack) error {
+	return &permanentError{&OverLimitError{Code: n.Code, Detail: n.Detail}}
+}
+
+// retry runs once until it succeeds, fails permanently, or exhausts
+// the policy: transient failures (refused connections, mid-stream
+// resets) back off with jittered exponential delays, bounded by both
+// MaxAttempts and the MaxElapsed deadline.
+func (c *Client) retry(rank int, once func() error) error {
+	what := func() string { // only a failure pays for its name
+		if rank < 0 {
+			return "wait for trace"
+		}
+		return "rank " + strconv.Itoa(rank)
+	}
 	p := c.Retry.withDefaults()
-	deadline := p.deadline(time.Now())
+	var deadline time.Time // zero: no deadline
+	if p.MaxElapsed >= 0 {
+		deadline = time.Now().Add(p.MaxElapsed)
+	}
 	var last error
 	for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
-		err := c.sendOnce(s)
+		err := once()
 		if err == nil {
 			return nil
 		}
@@ -306,47 +341,39 @@ func (c *Client) SendSnapshot(s *core.Snapshot) error {
 		if attempt < p.MaxAttempts {
 			d := c.backoff(attempt)
 			if !deadline.IsZero() && time.Until(deadline) < d {
-				return fmt.Errorf("rank %d: retry deadline (%s) exceeded after %d attempts: %w",
-					s.Rank, p.MaxElapsed, attempt, last)
+				return fmt.Errorf("%s: retry deadline (%s) exceeded after %d attempts: %w",
+					what(), p.MaxElapsed, attempt, last)
 			}
-			c.logf("collect: rank %d attempt %d/%d failed (%v); retrying in %s",
-				s.Rank, attempt, p.MaxAttempts, err, d)
-			c.Obs.Start("client", "client.backoff").WithRun(c.Run.RunID, s.Rank, c.Run.Epoch).
+			if c.Logf != nil {
+				c.Logf("collect: %s attempt %d/%d failed (%v); retrying in %s",
+					what(), attempt, p.MaxAttempts, err, d)
+			}
+			c.Obs.Start("client", "client.backoff").WithRun(c.Run.RunID, rank, c.Run.Epoch).
 				WithAttr("attempt", int64(attempt)).WithAttr("delay_ns", int64(d)).Emit()
 			time.Sleep(d)
 		}
 	}
-	return fmt.Errorf("rank %d: %d attempts exhausted: %w", s.Rank, p.MaxAttempts, last)
+	return fmt.Errorf("%s: %d attempts exhausted: %w", what(), p.MaxAttempts, last)
 }
 
-// SendAll ships every snapshot over a bounded pool of connections and
+// SendSnapshot ships one rank's snapshot, retrying transient failures
+// under the client's RetryPolicy.
+func (c *Client) SendSnapshot(s *core.Snapshot) error {
+	body := wire.EncodeSnapshot(s)
+	if len(body) > wire.MaxFrame {
+		return fmt.Errorf("rank %d: snapshot of %d bytes exceeds the frame cap", s.Rank, len(body))
+	}
+	return c.retry(s.Rank, func() error { return c.sendOnce(s.Rank, body) })
+}
+
+// SendAll ships every snapshot from up to 8 concurrent senders and
 // returns the first failure (all sends still run to completion —
 // partial delivery is fine, the straggler deadline or a later retry
 // covers the rest).
 func (c *Client) SendAll(snaps []*core.Snapshot) error {
-	workers := 8
-	if len(snaps) < workers {
-		workers = len(snaps)
-	}
-	jobs := make(chan *core.Snapshot)
-	errs := make(chan error, len(snaps))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				errs <- c.SendSnapshot(s)
-			}
-		}()
-	}
-	for _, s := range snaps {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	errs := make([]error, len(snaps))
+	par.For(len(snaps), 8, func(i int) { errs[i] = c.SendSnapshot(snaps[i]) })
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
@@ -355,69 +382,23 @@ func (c *Client) SendAll(snaps []*core.Snapshot) error {
 }
 
 // WaitTrace blocks until the run finalizes at the collector and
-// returns the serialized trace bytes.
-func (c *Client) WaitTrace() ([]byte, error) {
-	p := c.Retry.withDefaults()
-	deadline := p.deadline(time.Now())
-	var last error
-	for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
-		data, err := c.waitOnce()
-		if err == nil {
-			return data, nil
-		}
-		if pe, ok := err.(*permanentError); ok {
-			return nil, pe.err
-		}
-		last = err
-		if attempt < p.MaxAttempts {
-			d := c.backoff(attempt)
-			if !deadline.IsZero() && time.Until(deadline) < d {
-				return nil, fmt.Errorf("wait for trace: retry deadline (%s) exceeded after %d attempts: %w",
-					p.MaxElapsed, attempt, last)
-			}
-			c.Obs.Start("client", "client.backoff").WithRun(c.Run.RunID, -1, c.Run.Epoch).
-				WithAttr("attempt", int64(attempt)).WithAttr("delay_ns", int64(d)).Emit()
-			time.Sleep(d)
-		}
-	}
-	return nil, fmt.Errorf("wait for trace: %d attempts exhausted: %w", p.MaxAttempts, last)
-}
-
-func (c *Client) waitOnce() ([]byte, error) {
-	wsp := c.Obs.Start("client", "client.wait").WithRun(c.Run.RunID, -1, c.Run.Epoch)
-	conn, err := c.dial()
-	if err != nil {
-		wsp.WithStr("result", "error").End()
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetWriteDeadline(time.Now().Add(c.ioTimeout()))
-	if err := wire.WriteFrame(conn, wire.TypeWait, (&wire.Wait{RunID: c.Run.RunID}).Encode()); err != nil {
-		wsp.WithStr("result", "error").End()
-		return nil, fmt.Errorf("send wait: %w", err)
-	}
-	// No read deadline: the reply comes when the run finalizes. A dead
-	// collector closes the connection and we fall out with an error.
-	typ, body, err := wire.ReadFrame(conn)
-	if err != nil {
-		wsp.WithStr("result", "error").End()
-		return nil, fmt.Errorf("read trace: %w", err)
-	}
-	wsp.WithAttr("bytes", int64(len(body))).End()
-	switch typ {
-	case wire.TypeTrace:
-		return body, nil
-	case wire.TypeNack:
-		nack, err := wire.DecodeNack(body)
+// returns the serialized trace bytes. It waits on one of the client's
+// held connections and, trace in hand or not, releases them all.
+func (c *Client) WaitTrace() (data []byte, err error) {
+	defer c.Close()
+	err = c.retry(-1, func() error {
+		wsp := c.Obs.Start("client", "client.wait").WithRun(c.Run.RunID, -1, c.Run.Epoch)
+		err := c.withConn(-1, func(rc *RawConn, _ bool) (err error) {
+			data, err = rc.WaitTrace(c.Run.RunID)
+			return err
+		})
 		if err != nil {
-			return nil, err
+			wsp = wsp.WithStr("result", "error")
 		}
-		return nil, &permanentError{&OverLimitError{Code: nack.Code, Detail: nack.Detail}}
-	case wire.TypeError:
-		return nil, &permanentError{fmt.Errorf("collector error: %s", body)}
-	default:
-		return nil, fmt.Errorf("unexpected reply frame 0x%02x", typ)
-	}
+		wsp.WithAttr("bytes", int64(len(data))).End()
+		return err
+	})
+	return data, err
 }
 
 // Collect ships every snapshot and blocks for the finalized trace —

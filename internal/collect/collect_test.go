@@ -23,7 +23,7 @@ import (
 // traceWorkload runs a real workload on n simulated ranks with a
 // tracer per rank and returns every rank's snapshot — the same state
 // the collector path and the local finalize path both start from.
-func traceWorkload(t *testing.T, n int) []*core.Snapshot {
+func traceWorkload(t testing.TB, n int) []*core.Snapshot {
 	t.Helper()
 	tracers := make([]*core.Tracer, n)
 	ics := make([]mpi.Interceptor, n)

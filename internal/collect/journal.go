@@ -1,7 +1,6 @@
 package collect
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -216,11 +215,9 @@ func (j *journal) writeManifestNow() {
 // invoke it (outside any lock) before acking, and it blocks until the
 // entry is fsynced.
 func (j *journal) appendSnapshot(h *wire.Hello, body []byte) (off, length int64, wait func()) {
-	var buf bytes.Buffer
-	buf.Grow(len(body) + 96)
-	wire.WriteFrame(&buf, wire.TypeHello, h.Encode())
-	wire.WriteFrame(&buf, wire.TypeSnapshot, body)
-	entry := buf.Bytes()
+	hb := h.Encode()
+	entry := wire.AppendFrame(make([]byte, 0, len(hb)+len(body)+18), wire.TypeHello, hb)
+	entry = wire.AppendFrame(entry, wire.TypeSnapshot, body)
 	off, length = j.nextOff, int64(len(entry))
 	j.nextOff += length
 	var done chan struct{}

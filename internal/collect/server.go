@@ -16,6 +16,7 @@
 package collect
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -457,13 +458,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	// One decode scratch per connection: the frame-body buffer and
 	// decoder cursor are reused across every frame this producer ships,
 	// so steady-state ingest allocates only what each decoded snapshot
-	// itself retains.
+	// itself retains. The buffered reader takes a producer's whole
+	// exchange (hello and snapshot arrive in one write) off the socket
+	// in one read; bodies larger than its buffer bypass it.
 	var hello *wire.Hello
 	var helloRecvNs int64
 	var sc wire.DecodeScratch
+	br := bufio.NewReader(conn)
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		typ, body, err := sc.ReadFrame(conn)
+		typ, body, err := sc.ReadFrame(br)
 		if err != nil {
 			return // EOF, deadline, or garbage — drop the connection
 		}
@@ -480,8 +484,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.m.IngestBytes.Add(int64(len(body)))
 			// A v2 hello may echo the completed timing 4-tuple of an
 			// earlier exchange; every echo feeds the run's clock-offset
-			// estimator, including the trailing flush hello a client
-			// sends with no snapshot behind it.
+			// estimator, including the bare hello a client flushes its
+			// last sample with before it closes its connections.
 			s.feedClockEcho(h)
 			hello, helloRecvNs = h, recvNs
 		case wire.TypeSnapshot:

@@ -8,6 +8,7 @@ package cst
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -587,16 +588,37 @@ func Deserialize(data []byte) (*Table, error) {
 // merged global table — and therefore the final trace file — is
 // byte-identical to an in-process merge.
 func (t *Table) SerializeExact() []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(t.sigs)))
-	for i, key := range t.sigs {
-		buf = binary.AppendUvarint(buf, uint64(len(key)))
-		buf = append(buf, key...)
-		buf = binary.AppendVarint(buf, t.count[i])
-		buf = binary.AppendVarint(buf, t.durSum[i])
-	}
-	return buf
+	return t.AppendExact(make([]byte, 0, t.ExactSize()))
 }
+
+// AppendExact appends the SerializeExact form to dst, so a snapshot
+// encoder can lay the table straight into its own buffer.
+func (t *Table) AppendExact(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(t.sigs)))
+	for i, key := range t.sigs {
+		dst = binary.AppendUvarint(dst, uint64(len(key)))
+		dst = append(dst, key...)
+		dst = binary.AppendVarint(dst, t.count[i])
+		dst = binary.AppendVarint(dst, t.durSum[i])
+	}
+	return dst
+}
+
+// ExactSize is the length of the SerializeExact form, computed without
+// building it: what a caller needs to size a buffer (and write the
+// table's length prefix) before AppendExact fills it.
+func (t *Table) ExactSize() int {
+	n := uvarintLen(uint64(len(t.sigs)))
+	for i, key := range t.sigs {
+		n += uvarintLen(uint64(len(key))) + len(key) + varintLen(t.count[i]) + varintLen(t.durSum[i])
+	}
+	return n
+}
+
+// uvarintLen and varintLen are the encoded sizes binary.AppendUvarint
+// and binary.AppendVarint produce.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // DeserializeExact parses a SerializeExact-encoded table. It is the
 // collector ingest path's decoder, so allocation is lean: the entry

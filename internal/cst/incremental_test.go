@@ -130,3 +130,19 @@ func TestDeserializeExactTruncated(t *testing.T) {
 		t.Fatal("trailing byte accepted")
 	}
 }
+
+// TestExactSizeMatchesSerializeExact: ExactSize predicts the encoded
+// length for every varint width, negative sums included.
+func TestExactSizeMatchesSerializeExact(t *testing.T) {
+	tb := New()
+	for i, d := range []int64{0, 1, -1, 63, 64, -65, 1 << 20, -(1 << 40), 1<<63 - 1, -1 << 63} {
+		tb.Add(bytes.Repeat([]byte{'k'}, 1+i*37), d)
+	}
+	b := tb.SerializeExact()
+	if tb.ExactSize() != len(b) || cap(b) != len(b) {
+		t.Fatalf("ExactSize %d, encoded %d bytes in a buffer of %d", tb.ExactSize(), len(b), cap(b))
+	}
+	if !bytes.Equal(tb.AppendExact([]byte("xy"))[2:], b) {
+		t.Fatal("AppendExact after a prefix differs from SerializeExact")
+	}
+}

@@ -111,6 +111,7 @@ func collectPoint(name string, procs, iters int) (CollectPoint, error) {
 		Addr: srv.Addr(),
 		Run:  collect.RunInfo{RunID: fmt.Sprintf("bench-%d", procs), WorldSize: procs},
 	}
+	defer c.Close()
 	t1 := time.Now()
 	file, err := c.Collect(snaps)
 	if err != nil {
@@ -142,6 +143,7 @@ func collectPoint(name string, procs, iters int) (CollectPoint, error) {
 		Addr: jsrv.Addr(),
 		Run:  collect.RunInfo{RunID: fmt.Sprintf("bench-j-%d", procs), WorldSize: procs},
 	}
+	defer jc.Close()
 	t2 := time.Now()
 	if _, err := jc.Collect(snaps); err != nil {
 		return CollectPoint{}, fmt.Errorf("journaled collect %s/%d: %w", name, procs, err)
@@ -164,6 +166,7 @@ func collectPoint(name string, procs, iters int) (CollectPoint, error) {
 		Run:  collect.RunInfo{RunID: fmt.Sprintf("bench-o-%d", procs), WorldSize: procs},
 		Obs:  obs.NewSink(0),
 	}
+	defer oc.Close()
 	t3 := time.Now()
 	if _, err := oc.Collect(snaps); err != nil {
 		return CollectPoint{}, fmt.Errorf("obs collect %s/%d: %w", name, procs, err)
@@ -172,8 +175,8 @@ func collectPoint(name string, procs, iters int) (CollectPoint, error) {
 	if pt.IngestNs > 0 {
 		pt.ObsPct = (float64(pt.ObsNs)/float64(pt.IngestNs) - 1) * 100
 	}
-	// The clock-echo flush that feeds the e2e histogram trails the last
-	// ack on each connection, so give the samples a moment to land.
+	// The last clock echo, which feeds the e2e histogram, is flushed as
+	// the client releases its connections, so give it a moment to land.
 	for i := 0; i < 20; i++ {
 		if osrv.Metrics().E2eLatency.Snapshot().Count > 0 {
 			break

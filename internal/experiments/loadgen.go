@@ -105,6 +105,7 @@ func loadgenCapture(name string, procs, iters int) (string, func(), error) {
 		Addr: srv.Addr(),
 		Run:  collect.RunInfo{RunID: "bench-src", WorldSize: procs},
 	}
+	defer c.Close()
 	_, err = c.Collect(snaps)
 	srv.Close()
 	if err != nil {

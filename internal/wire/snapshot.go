@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/cst"
@@ -26,29 +27,46 @@ const (
 	flagRaw    = 1 << 1
 )
 
-// EncodeSnapshot serializes one rank's crash-consistent snapshot.
+// EncodeSnapshot serializes one rank's crash-consistent snapshot. The
+// body is sized exactly first, so encoding is a single allocation.
 func EncodeSnapshot(s *core.Snapshot) []byte {
-	var b []byte
+	timing := s.DurGrammar != nil || s.IntGrammar != nil
+	tableLen := s.Table.ExactSize()
+	n := uvarintLen(uint64(s.Rank)) + varintLen(s.Calls) + varintLen(s.IntraNs) +
+		uvarintLen(uint64(tableLen)) + tableLen + grammarSize(s.Grammar) + 1
+	if timing {
+		n += grammarSize(s.DurGrammar) + grammarSize(s.IntGrammar)
+	}
+	if s.RawSigs != nil {
+		n += uvarintLen(uint64(len(s.RawSigs)))
+		for _, sig := range s.RawSigs {
+			n += uvarintLen(uint64(len(sig))) + len(sig)
+		}
+		for _, t := range s.RawTimes {
+			n += varintLen(t[0]) + varintLen(t[1])
+		}
+	}
+
+	b := make([]byte, 0, n)
 	b = binary.AppendUvarint(b, uint64(s.Rank))
 	b = binary.AppendVarint(b, s.Calls)
 	b = binary.AppendVarint(b, s.IntraNs)
-	tb := s.Table.SerializeExact()
-	b = binary.AppendUvarint(b, uint64(len(tb)))
-	b = append(b, tb...)
+	b = binary.AppendUvarint(b, uint64(tableLen))
+	b = s.Table.AppendExact(b)
 	b = appendGrammar(b, s.Grammar)
 	var flags byte
-	if s.DurGrammar != nil || s.IntGrammar != nil {
+	if timing {
 		flags |= flagTiming
 	}
 	if s.RawSigs != nil {
 		flags |= flagRaw
 	}
 	b = append(b, flags)
-	if flags&flagTiming != 0 {
+	if timing {
 		b = appendGrammar(b, s.DurGrammar)
 		b = appendGrammar(b, s.IntGrammar)
 	}
-	if flags&flagRaw != 0 {
+	if s.RawSigs != nil {
 		b = binary.AppendUvarint(b, uint64(len(s.RawSigs)))
 		for _, sig := range s.RawSigs {
 			b = binary.AppendUvarint(b, uint64(len(sig)))
@@ -69,6 +87,19 @@ func appendGrammar(b []byte, g sequitur.Serialized) []byte {
 	}
 	return b
 }
+
+func grammarSize(g sequitur.Serialized) int {
+	n := uvarintLen(uint64(len(g)))
+	for _, v := range g {
+		n += varintLen(int64(v))
+	}
+	return n
+}
+
+// uvarintLen and varintLen are the encoded sizes binary.AppendUvarint
+// and binary.AppendVarint produce.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // grammar decodes a count-prefixed grammar, validating structure so a
 // hostile snapshot cannot smuggle a cyclic or truncated grammar into

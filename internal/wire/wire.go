@@ -58,24 +58,24 @@ const MaxWorldSize = 1 << 24
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteFrame writes one frame.
+// AppendFrame appends one frame — header, body, CRC — to dst and
+// returns the extended slice. A sender that builds its frames into one
+// reused buffer puts a whole exchange on the wire with a single Write.
+// The caller bounds len(body) by MaxFrame (WriteFrame checks it).
+func AppendFrame(dst []byte, typ byte, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = append(dst, typ)
+	crc := crc32.Update(crc32.Checksum(dst[len(dst)-1:], crcTable), crcTable, body)
+	dst = append(dst, body...)
+	return binary.LittleEndian.AppendUint32(dst, crc)
+}
+
+// WriteFrame writes one frame with a single Write.
 func WriteFrame(w io.Writer, typ byte, body []byte) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("wire: frame body of %d bytes exceeds cap", len(body))
 	}
-	hdr := [5]byte{}
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	crc := crc32.Update(crc32.Checksum([]byte{typ}, crcTable), crcTable, body)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	_, err := w.Write(tail[:])
+	_, err := w.Write(AppendFrame(make([]byte, 0, len(body)+9), typ, body))
 	return err
 }
 
@@ -261,7 +261,8 @@ type Hello struct {
 
 // Encode serializes the hello body.
 func (h *Hello) Encode() []byte {
-	var b []byte
+	// Room for every field at its widest, so the body is one allocation.
+	b := make([]byte, 0, len(h.RunID)+96)
 	b = binary.AppendUvarint(b, uint64(h.Version))
 	b = binary.AppendUvarint(b, uint64(len(h.RunID)))
 	b = append(b, h.RunID...)

@@ -211,11 +211,15 @@ func collectFinalize(tracers []*Tracer, opts Options) (*TraceFile, FinalizeStats
 			TimingMode: opts.TimingMode,
 			TimingBase: opts.TimingBase,
 		},
-		// The run's flight recorder covers the networked path too: dial,
-		// send, backoff, NACK, and wait spans land next to the finalize
-		// stages on the same timeline.
+		// The run's flight recorder covers the networked path too: one
+		// dial span per sender, a send span per snapshot, backoff, NACK,
+		// and wait spans land next to the finalize stages on the same
+		// timeline.
 		Obs: opts.ObsSink,
 	}
+	// The client holds its connections for the run; whichever way this
+	// returns — trace collected or local fallback — none outlives it.
+	defer client.Close()
 	file, err := client.Collect(snaps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pilgrim: collector %s unreachable (%v); finalizing locally\n",
