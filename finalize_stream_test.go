@@ -16,12 +16,12 @@ import (
 // only changes when merge work happens, never what it computes, and
 // every ordering-sensitive pass stays sequential in rank order. These
 // tests pin that over the golden cases — plain, lossy timing, salvage,
-// and the collector's premerged path — by spilling the snapshots
-// through internal/spill (fresh decodes per fetch, exactly as the
-// finalize's table-absorbing ownership contract requires).
+// and the collector's premerged path — through the spill route's one
+// driver (spill.FinalizeRanks: frames out and tables merged batch by
+// batch, grammars read back once with the table section skipped).
 
-// streamedSweep spills snaps to disk and finalizes the spill at
-// several batch sizes and worker counts, failing unless every trace is
+// streamedSweep finalizes snaps through the spill at several batch
+// sizes and worker counts, failing unless every trace is
 // byte-identical to the in-memory sequential finalize of the same
 // snapshots.
 func streamedSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) {
@@ -32,22 +32,20 @@ func streamedSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info
 	seq, _ := core.FinalizeSnapshots(snaps, seqOpts, info)
 	want := traceBytes(t, seq)
 
-	w, err := spill.NewWriter(t.TempDir(), "identity", n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for _, s := range snaps {
-		if err := w.Add(s); err != nil {
-			t.Fatal(err)
-		}
+	// The driver owns what take returns and absorbs its table in place;
+	// snaps is reused across the sweep, so hand out a copy.
+	take := func(rank int) *core.Snapshot {
+		s := *snaps[rank]
+		s.Table = s.Table.Clone()
+		return &s
 	}
 	for _, k := range []int{1, 3, n} {
 		for _, workers := range []int{1, 0} {
 			sopts := opts
+			sopts.SpillDir = t.TempDir()
 			sopts.MaxResidentSnapshots = k
 			sopts.FinalizeWorkers = workers
-			f, _, err := core.FinalizeStreamed(n, w.Fetch, sopts, info)
+			f, _, err := spill.FinalizeRanks(n, take, info, sopts)
 			if err != nil {
 				t.Fatalf("batch=%d workers=%d: %v", k, workers, err)
 			}

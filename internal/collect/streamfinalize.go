@@ -2,9 +2,9 @@ package collect
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/trace"
@@ -35,58 +35,35 @@ func (s *Server) finalizeStreamedLocked(r *run, info *trace.SalvageInfo) (*trace
 		return nil, fmt.Errorf("open journal frames: %w", err)
 	}
 	defer f.Close()
+	var buf []byte // one journal entry, reused across the walk
 	fetch := func(start, n int) ([]*core.Snapshot, error) {
 		out := make([]*core.Snapshot, n)
-		for i := 0; i < n; i++ {
+		for i := range out {
 			rank := start + i
-			if ref := r.jrefs[rank]; ref[1] != 0 {
-				snap, err := readJournalPair(f, ref[0], ref[1], rank, r.id, r.epoch)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = snap
+			ref := r.jrefs[rank]
+			if ref[1] == 0 {
+				out[i] = r.snaps[rank]
 				continue
 			}
-			out[i] = r.snaps[rank]
+			// One read per entry, parsed in place; the table was merged on
+			// arrival, so its section is skipped. An identity mismatch is a
+			// bug, not a torn tail: refs cover only accepted appends.
+			buf = slices.Grow(buf[:0], int(ref[1]))[:ref[1]]
+			if _, err := f.ReadAt(buf, ref[0]); err != nil {
+				return nil, fmt.Errorf("journal rank %d: %w", rank, err)
+			}
+			h, snap, err := wire.DecodePair(buf, false)
+			if err != nil {
+				return nil, fmt.Errorf("journal rank %d: %w", rank, err)
+			}
+			if h.Rank != rank || h.RunID != r.id || h.Epoch != r.epoch {
+				return nil, fmt.Errorf("journal entry at %d holds run %s rank %d epoch %d, expected %s/%d/%d",
+					ref[0], h.RunID, h.Rank, h.Epoch, r.id, rank, r.epoch)
+			}
+			out[i] = snap
 		}
 		return out, nil
 	}
 	file, _, err := core.FinalizePremergedStreamed(r.world, fetch, r.inc.Result(), r.mergeNs, r.opts, info)
 	return file, err
-}
-
-// readJournalPair re-reads and CRC-validates one journaled
-// (Hello, Snapshot) frame pair at (off, length), returning the decoded
-// snapshot. The identity checks fail loudly if the ref points at the
-// wrong entry — a bug, not a torn tail, since refs cover only appends
-// the journal accepted.
-func readJournalPair(f *os.File, off, length int64, rank int, runID string, epoch uint64) (*core.Snapshot, error) {
-	sr := io.NewSectionReader(f, off, length)
-	typ, body, err := wire.ReadFrame(sr)
-	if err != nil {
-		return nil, fmt.Errorf("journal rank %d hello: %w", rank, err)
-	}
-	if typ != wire.TypeHello {
-		return nil, fmt.Errorf("journal rank %d: frame type 0x%02x where hello expected", rank, typ)
-	}
-	h, err := wire.DecodeHello(body)
-	if err != nil {
-		return nil, fmt.Errorf("journal rank %d hello: %w", rank, err)
-	}
-	if h.Rank != rank || h.RunID != runID || h.Epoch != epoch {
-		return nil, fmt.Errorf("journal entry at %d holds run %s rank %d epoch %d, expected %s/%d/%d",
-			off, h.RunID, h.Rank, h.Epoch, runID, rank, epoch)
-	}
-	typ, body, err = wire.ReadFrame(sr)
-	if err != nil {
-		return nil, fmt.Errorf("journal rank %d snapshot: %w", rank, err)
-	}
-	if typ != wire.TypeSnapshot {
-		return nil, fmt.Errorf("journal rank %d: frame type 0x%02x where snapshot expected", rank, typ)
-	}
-	snap, err := wire.DecodeSnapshot(body)
-	if err != nil {
-		return nil, fmt.Errorf("journal rank %d snapshot: %w", rank, err)
-	}
-	return snap, nil
 }

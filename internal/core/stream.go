@@ -1,9 +1,10 @@
-// Streamed, bounded-memory finalize: the same §3.5 inter-process
-// compression as finalizeSnapshots/finalizeMerged, but consuming rank
-// snapshots in bounded batches of K through a fetch callback instead
-// of holding all P in memory. Peak resident snapshots is O(K), peak
-// resident CST tables is O(K + log P) (cst.AddBatch releases absorbed
-// tables eagerly), and the produced trace is byte-identical to the
+// Streamed, bounded-memory finalize: the grammar half of the same
+// §3.5 inter-process compression as finalizeSnapshots/finalizeMerged,
+// consuming rank snapshots in bounded batches of K through a fetch
+// callback instead of holding all P in memory, against CSTs merged
+// beforehand (internal/spill feeds cst.Incremental.AddBatch K tables
+// at a time, so resident tables stay O(K + log P)). Peak resident
+// snapshots is O(K), and the produced trace is byte-identical to the
 // in-memory path for every K and worker count: the merge tree's shape
 // is a pure function of the rank count, each node's table is a pure
 // function of its descendant leaves in fixed left-right order, and
@@ -27,89 +28,32 @@ import (
 )
 
 // SnapshotFetch returns snapshots for the contiguous rank range
-// [start, start+n), in rank order. The finalize owns what it returns:
-// tables may be absorbed into the merge in place and released, so a
-// disk-backed fetch must decode fresh copies (the collector's journal
-// and internal/spill both do). A fetch may be called more than once
-// for the same range — the CST merge pass and the grammar pass each
-// stream the ranks once.
+// [start, start+n), in rank order. It is called once per range, and
+// only the grammar pass calls it: Table may be nil, and a table that
+// is present is never read or mutated, so an in-memory fetch may hand
+// out its resident snapshots and a disk-backed one may skip decoding
+// the CST section.
 type SnapshotFetch func(start, n int) ([]*Snapshot, error)
 
-// emptyTrace is the zero-rank finalize result shared by every
-// finalize entry point.
-func emptyTrace(info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}
+// BatchSize resolves MaxResidentSnapshots against the world size: 0
+// (unbounded) and anything over world mean one batch.
+func (o Options) BatchSize(world int) int {
+	if k := o.MaxResidentSnapshots; k > 0 && k < world {
+		return k
+	}
+	return world
 }
 
-// batchSize resolves Options.MaxResidentSnapshots against the world
-// size: 0 (unbounded) and anything over world mean one batch.
-func batchSize(opts Options, world int) int {
-	k := opts.MaxResidentSnapshots
-	if k <= 0 || k > world {
-		return world
-	}
-	return k
-}
-
-// FinalizeStreamed runs the full §3.5 finalize over world ranks
-// streamed through fetch in batches of Options.MaxResidentSnapshots:
-// first the pairwise CST merge (batched cst.Incremental.AddBatch with
-// owned, eagerly-released leaf tables), then the grammar
-// relabel/dedup/pack pass over a second stream of the same ranks.
-// Output is byte-identical to FinalizeSnapshots over the same
-// snapshots. The only error source is fetch itself.
-func FinalizeStreamed(world int, fetch SnapshotFetch, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
-	opts = opts.withDefaults()
-	if world == 0 {
-		f, st := emptyTrace(info)
-		return f, st, nil
-	}
-	batch := batchSize(opts, world)
-	workers := par.Workers(opts.FinalizeWorkers)
-	t0 := time.Now()
-	sp := opts.ObsSink.Start("finalize", "finalize.cst_merge").
-		WithAttr("ranks", int64(world)).WithAttr("batch", int64(batch))
-	inc := cst.NewIncremental(world)
-	for start := 0; start < world; start += batch {
-		n := batch
-		if start+n > world {
-			n = world - start
-		}
-		snaps, err := fetchRange(fetch, start, n)
-		if err != nil {
-			sp.End()
-			return nil, FinalizeStats{}, err
-		}
-		bsp := opts.ObsSink.Start("finalize", "finalize.batch_merge").
-			WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
-		tables := make([]*cst.Table, n)
-		for i, s := range snaps {
-			tables[i] = s.Table
-		}
-		if err := inc.AddBatch(start, tables, workers); err != nil {
-			bsp.End()
-			sp.End()
-			return nil, FinalizeStats{}, err
-		}
-		bsp.End()
-	}
-	merged := inc.Result()
-	sp.WithAttr("global_cst", int64(merged.Table.Len())).End()
-	return finalizeMergedStreamed(world, batch, fetch, merged, time.Since(t0).Nanoseconds(), opts, info)
-}
-
-// FinalizePremergedStreamed is FinalizeStreamed for callers whose CSTs
-// were already unified incrementally (the collector daemon): only the
-// grammar pass streams, against the supplied merge result. It relates
-// to FinalizePremerged exactly as FinalizeStreamed relates to
-// FinalizeSnapshots.
+// FinalizePremergedStreamed is the bounded-memory finalize: the CSTs
+// were unified before the call — by the collector as ranks reported,
+// or by internal/spill as it moved each batch of ranks to disk — and
+// only the grammar pass streams, through fetch in batches of
+// Options.MaxResidentSnapshots. Output is byte-identical to
+// FinalizePremerged over the same snapshots; fetch is the only error
+// source.
 func FinalizePremergedStreamed(world int, fetch SnapshotFetch, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
 	opts = opts.withDefaults()
-	if world == 0 {
-		f, st := emptyTrace(info)
-		return f, st, nil
-	}
-	return finalizeMergedStreamed(world, batchSize(opts, world), fetch, merged, cstMergeNs, opts, info)
+	return finalizeMergedStreamed(world, opts.BatchSize(world), fetch, merged, cstMergeNs, opts, info)
 }
 
 // fetchRange calls fetch and validates its contract (length and rank
@@ -163,6 +107,9 @@ func (d *dedupState) add(key string, g sequitur.Serialized) int32 {
 // in rank order across batches, which is what keeps the output
 // byte-identical for any batch size and worker count.
 func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
+	if world == 0 { // every entry point's zero-rank result
+		return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}, nil
+	}
 	workers := par.Workers(opts.FinalizeWorkers)
 	lossy := opts.TimingMode == trace.TimingLossy
 	var st FinalizeStats
@@ -189,11 +136,9 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 		if err != nil {
 			return nil, FinalizeStats{}, err
 		}
-		// The grammar pass never reads tables — fetched snapshots (and
-		// any tables a disk-backed fetch decoded) are dropped wholesale
-		// when the batch ends, so a batch's resident cost is bounded.
-		// Snapshots are not mutated: the in-memory wrapper hands the
-		// caller's own array through here.
+		// Fetched snapshots are dropped wholesale when the batch ends,
+		// so a batch's resident cost is bounded. They are not mutated:
+		// the in-memory wrapper hands the caller's own array through.
 		for _, s := range snaps {
 			st.IntraNs += s.IntraNs
 			st.TotalCalls += s.Calls

@@ -7,7 +7,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -293,8 +293,11 @@ func (t *Tracer) RawTimes() [][2]int64 { return t.rawTimes }
 // FinalizeStats reports where finalize time went (Figure 8's
 // decomposition) plus structural counts.
 type FinalizeStats struct {
-	IntraNs    int64 // summed per-rank intra-process compression time
-	CSTMergeNs int64 // inter-process compression of CSTs (incl. relabel)
+	IntraNs int64 // summed per-rank intra-process compression time
+	// CSTMergeNs is the inter-process compression of CSTs, table merge
+	// plus per-rank relabel. On the spill route the merge part times
+	// cst.Incremental.AddBatch alone: frame I/O is charged to no field.
+	CSTMergeNs int64
 	CFGMergeNs int64 // inter-process compression of CFGs (identity check + final pass)
 	UniqueCSTs int
 	UniqueCFGs int
@@ -414,19 +417,23 @@ func SalvageFinalize(tracers []*Tracer, failed map[int]error, reason string) (*t
 		opts.Collector.Salvages.Inc()
 	}
 	snaps := snapshotAll(tracers, opts)
-	info := &trace.SalvageInfo{Reason: reason, Calls: make([]int64, len(snaps))}
-	ranks := make([]int, 0, len(failed))
-	for r := range failed {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		info.FailedRanks = append(info.FailedRanks, int32(r))
-	}
+	info := NewSalvageInfo(len(snaps), failed, reason)
 	for i, s := range snaps {
 		info.Calls[i] = s.Calls
 	}
 	return finalizeSnapshots(snaps, opts, info)
+}
+
+// NewSalvageInfo starts the tag of a salvage finalize over world ranks:
+// the reason and the failed ranks in ascending order. The caller fills
+// Calls as it snapshots the ranks.
+func NewSalvageInfo(world int, failed map[int]error, reason string) *trace.SalvageInfo {
+	info := &trace.SalvageInfo{Reason: reason, Calls: make([]int64, world)}
+	for r := range failed {
+		info.FailedRanks = append(info.FailedRanks, int32(r))
+	}
+	slices.Sort(info.FailedRanks)
+	return info
 }
 
 // FinalizeSnapshots merges explicit snapshots (e.g. collected
@@ -450,9 +457,6 @@ func snapshotAll(tracers []*Tracer, opts Options) []*Snapshot {
 }
 
 func finalizeSnapshots(snaps []*Snapshot, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	if len(snaps) == 0 {
-		return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}
-	}
 	t0 := time.Now()
 	sp := opts.ObsSink.Start("finalize", "finalize.cst_merge").WithAttr("ranks", int64(len(snaps)))
 	tables := make([]*cst.Table, len(snaps))
@@ -473,9 +477,6 @@ func finalizeSnapshots(snaps []*Snapshot, opts Options, info *trace.SalvageInfo)
 // same snapshots locally, because cst.Incremental reproduces
 // MergePairwise exactly.
 func FinalizePremerged(snaps []*Snapshot, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	if len(snaps) == 0 {
-		return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}
-	}
 	return finalizeMerged(snaps, merged, cstMergeNs, opts.withDefaults(), info)
 }
 

@@ -19,9 +19,10 @@ import (
 // The finalize_mem experiment measures what the streaming finalize is
 // for: peak memory. At each rank count it finalizes the same synthetic
 // snapshot population twice — once the classic way (materialize all P
-// snapshots, finalize in memory) and once streamed (generate one rank
-// at a time into an internal/spill writer, then merge back from disk
-// in MaxResidentSnapshots-sized batches) — and records the peak live
+// snapshots, finalize in memory) and once streamed (spill.FinalizeRanks
+// generating one rank at a time: frames to disk and tables into the
+// merge in MaxResidentSnapshots-sized batches, grammars read back in
+// the same batches) — and records the peak live
 // heap and peak process RSS of each phase, asserting the two traces
 // are byte-identical. The in-memory peak grows O(P); the streamed peak
 // grows O(K + log P) in resident tables and should stay sublinear in P
@@ -95,21 +96,11 @@ func finalizeMemPoint(procs int, dir string) (FinalizeMemPoint, error) {
 	// reset below is unavailable.
 	var streamed []byte
 	heap, rss, err := measurePeak(func() error {
-		w, err := spill.NewWriter(dir, "membench", procs, core.Options{})
-		if err != nil {
-			return err
-		}
-		defer w.Close()
 		// Generate -> spill -> free one rank at a time: the whole point
-		// is that no more than one generated snapshot is ever resident
-		// on the producer side.
-		for r := 0; r < procs; r++ {
-			if err := w.Add(SyntheticSnapshot(r)); err != nil {
-				return err
-			}
-		}
-		f, _, err := core.FinalizeStreamed(procs, w.Fetch,
-			core.Options{MaxResidentSnapshots: memBatch}, nil)
+		// is that no more than a batch of generated snapshots is ever
+		// resident on the producer side.
+		f, _, err := spill.FinalizeRanks(procs, SyntheticSnapshot, nil,
+			core.Options{SpillDir: dir, CollectorRunID: "membench", MaxResidentSnapshots: memBatch})
 		if err != nil {
 			return err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"testing"
@@ -58,18 +57,8 @@ func TestFinalizeMemBounded(t *testing.T) {
 
 	var streamed []byte
 	streamedPeak, _, err := measurePeak(func() error {
-		w, err := spill.NewWriter(filepath.Join(t.TempDir(), "bounded"), "bounded", procs, core.Options{})
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		for r := 0; r < procs; r++ {
-			if err := w.Add(SyntheticSnapshot(r)); err != nil {
-				return err
-			}
-		}
-		f, _, err := core.FinalizeStreamed(procs, w.Fetch,
-			core.Options{MaxResidentSnapshots: memBatch}, nil)
+		f, _, err := spill.FinalizeRanks(procs, SyntheticSnapshot, nil,
+			core.Options{SpillDir: t.TempDir(), CollectorRunID: "bounded", MaxResidentSnapshots: memBatch})
 		if err != nil {
 			return err
 		}

@@ -3,26 +3,24 @@
 // collector's journal format (MANIFEST.json + a frames.jnl of
 // CRC32C-framed (Hello, Snapshot) wire pairs — readable by
 // pilgrim-dump -journal and collect.JournalReader) and streams them
-// back in rank ranges for core.FinalizeStreamed. A local run with
-// core.Options.SpillDir set finalizes through here: each rank's
-// tracer state moves into a snapshot (core.Tracer.TakeSnapshot),
-// lands on disk, and is freed before the next rank is touched, so
-// peak resident snapshots is O(MaxResidentSnapshots) instead of
-// O(ranks) while the produced trace stays byte-identical to the
-// in-memory finalize.
+// back in rank ranges for core.FinalizePremergedStreamed. A local run
+// with core.Options.SpillDir set finalizes through here in one write
+// pass and one read pass (FinalizeRanks), so peak resident snapshots
+// is O(MaxResidentSnapshots) instead of O(ranks) while the produced
+// trace stays byte-identical to the in-memory finalize.
 package spill
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
@@ -48,12 +46,22 @@ type manifest struct {
 // Writer spills snapshots for one run and serves them back by rank
 // range. Not safe for concurrent use.
 type Writer struct {
-	dir   string
-	f     *os.File
+	dir string
+	f   interface { // frames.jnl; an interface so a test can count its I/O
+		io.ReaderAt
+		io.WriterAt
+		io.Closer
+	}
 	man   manifest
 	world int
-	off   int64
+	off   int64      // where the next staged pair will land
 	refs  [][2]int64 // rank -> (offset, length) of its frame pair; length 0 = not spilled
+	wbuf  []byte     // pairs staged but not yet written; they end at off
+	rbuf  []byte     // fetch's read buffer, reused across runs
+	// runCap bounds the bytes one ReadAt or WriteAt moves: a run of pairs
+	// is cut there and a larger pair travels alone, so neither buffer
+	// rivals the batch it serves.
+	runCap int
 }
 
 // NewWriter creates (or truncates) the spill for runID under dir,
@@ -79,8 +87,9 @@ func NewWriter(dir, runID string, world int, opts core.Options) (*Writer, error)
 			CreatedSec: float64(time.Now().UnixNano()) / 1e9,
 			State:      "collecting",
 		},
-		world: world,
-		refs:  make([][2]int64, world),
+		world:  world,
+		refs:   make([][2]int64, world),
+		runCap: 1 << 20,
 	}
 	if err := w.writeManifest(); err != nil {
 		f.Close()
@@ -106,8 +115,18 @@ func (w *Writer) writeManifest() error {
 
 // Add appends one rank's snapshot as a (Hello, Snapshot) wire frame
 // pair — the exact bytes a producer would put on the wire — and
-// records its offset for Fetch.
+// records its offset for Fetch. It writes through: frames.jnl is
+// complete after every Add.
 func (w *Writer) Add(s *core.Snapshot) error {
+	if err := w.stage(s); err != nil {
+		return err
+	}
+	return w.flush()
+}
+
+// stage builds one rank's frame pair into the write buffer; the next
+// flush (forced here once runCap bytes wait) lands it in the file.
+func (w *Writer) stage(s *core.Snapshot) error {
 	if s.Rank < 0 || s.Rank >= w.world {
 		return fmt.Errorf("spill: rank %d out of range [0,%d)", s.Rank, w.world)
 	}
@@ -123,71 +142,84 @@ func (w *Writer) Add(s *core.Snapshot) error {
 		TimingMode: w.man.TimingMode,
 		TimingBase: w.man.TimingBase,
 	}
-	var buf bytes.Buffer
-	if err := wire.WriteFrame(&buf, wire.TypeHello, h.Encode()); err != nil {
-		return fmt.Errorf("spill: %w", err)
+	body := wire.EncodeSnapshot(s)
+	if len(body) > wire.MaxFrame {
+		return fmt.Errorf("spill: rank %d snapshot of %d bytes exceeds the frame cap", s.Rank, len(body))
 	}
-	if err := wire.WriteFrame(&buf, wire.TypeSnapshot, wire.EncodeSnapshot(s)); err != nil {
-		return fmt.Errorf("spill: %w", err)
+	before := len(w.wbuf)
+	w.wbuf = wire.AppendFrame(w.wbuf, wire.TypeHello, h.Encode())
+	w.wbuf = wire.AppendFrame(w.wbuf, wire.TypeSnapshot, body)
+	n := int64(len(w.wbuf) - before)
+	w.refs[s.Rank] = [2]int64{w.off, n}
+	w.off += n
+	if len(w.wbuf) >= w.runCap {
+		return w.flush()
 	}
-	if _, err := w.f.WriteAt(buf.Bytes(), w.off); err != nil {
-		return fmt.Errorf("spill: %w", err)
-	}
-	w.refs[s.Rank] = [2]int64{w.off, int64(buf.Len())}
-	w.off += int64(buf.Len())
 	return nil
 }
 
-// Fetch implements core.SnapshotFetch: it re-reads and CRC-validates
-// the spilled frame pairs for [start, start+n), returning fresh
-// snapshots the finalize may absorb in place.
+// flush lands every staged pair with one WriteAt.
+func (w *Writer) flush() error {
+	if len(w.wbuf) == 0 {
+		return nil
+	}
+	_, err := w.f.WriteAt(w.wbuf, w.off-int64(len(w.wbuf)))
+	w.wbuf = w.wbuf[:0]
+	if err != nil {
+		return fmt.Errorf("spill: %w", err)
+	}
+	return nil
+}
+
+// Fetch re-reads and CRC-validates the spilled frame pairs for
+// [start, start+n), returning fresh, fully decoded snapshots.
 func (w *Writer) Fetch(start, n int) ([]*core.Snapshot, error) {
+	return w.fetch(start, n, true)
+}
+
+// fetch reads each maximal run of pairs that sit back to back in the
+// file (a rank-ordered spill is one run per batch) with one ReadAt, cut
+// at runCap, and decodes them in place; Table is nil unless withTable.
+func (w *Writer) fetch(start, n int, withTable bool) ([]*core.Snapshot, error) {
 	if start < 0 || start+n > w.world {
 		return nil, fmt.Errorf("spill: fetch [%d,%d) out of range [0,%d)", start, start+n, w.world)
 	}
 	snaps := make([]*core.Snapshot, n)
-	for i := 0; i < n; i++ {
-		ref := w.refs[start+i]
-		if ref[1] == 0 {
+	for i := 0; i < n; {
+		off, size := w.refs[start+i][0], w.refs[start+i][1]
+		if size == 0 {
 			return nil, fmt.Errorf("spill: rank %d was never spilled", start+i)
 		}
-		s, err := w.readOne(ref[0], ref[1], start+i)
-		if err != nil {
-			return nil, err
+		// An unspilled rank's zero ref never continues a run (no pair
+		// ends at offset 0), so it stops here and fails above.
+		j := i + 1
+		for ; j < n; j++ {
+			next := w.refs[start+j]
+			if next[0] != off+size || size+next[1] > int64(w.runCap) {
+				break
+			}
+			size += next[1]
 		}
-		snaps[i] = s
+		w.rbuf = slices.Grow(w.rbuf[:0], int(size))
+		buf := w.rbuf[:size]
+		if _, err := w.f.ReadAt(buf, off); err != nil {
+			return nil, fmt.Errorf("spill: ranks [%d,%d) at offset %d: %w", start+i, start+j, off, err)
+		}
+		for ; i < j; i++ {
+			rank := start + i
+			pair := buf[:w.refs[rank][1]]
+			buf = buf[len(pair):]
+			h, s, err := wire.DecodePair(pair, withTable)
+			if err != nil {
+				return nil, fmt.Errorf("spill: rank %d: %w", rank, err)
+			}
+			if h.Rank != rank {
+				return nil, fmt.Errorf("spill: frame at offset %d holds rank %d, expected %d", w.refs[rank][0], h.Rank, rank)
+			}
+			snaps[i] = s
+		}
 	}
 	return snaps, nil
-}
-
-func (w *Writer) readOne(off, length int64, rank int) (*core.Snapshot, error) {
-	r := io.NewSectionReader(w.f, off, length)
-	typ, body, err := wire.ReadFrame(r)
-	if err != nil {
-		return nil, fmt.Errorf("spill: rank %d hello: %w", rank, err)
-	}
-	if typ != wire.TypeHello {
-		return nil, fmt.Errorf("spill: rank %d: frame type 0x%02x where hello expected", rank, typ)
-	}
-	h, err := wire.DecodeHello(body)
-	if err != nil {
-		return nil, fmt.Errorf("spill: rank %d hello: %w", rank, err)
-	}
-	if h.Rank != rank {
-		return nil, fmt.Errorf("spill: frame at offset %d holds rank %d, expected %d", off, h.Rank, rank)
-	}
-	typ, body, err = wire.ReadFrame(r)
-	if err != nil {
-		return nil, fmt.Errorf("spill: rank %d snapshot: %w", rank, err)
-	}
-	if typ != wire.TypeSnapshot {
-		return nil, fmt.Errorf("spill: rank %d: frame type 0x%02x where snapshot expected", rank, typ)
-	}
-	s, err := wire.DecodeSnapshot(body)
-	if err != nil {
-		return nil, fmt.Errorf("spill: rank %d snapshot: %w", rank, err)
-	}
-	return s, nil
 }
 
 // Finish rewrites the manifest with the run's terminal state. The
@@ -201,75 +233,106 @@ func (w *Writer) Finish(state, reason string) error {
 // Close releases the spill's file handle.
 func (w *Writer) Close() error { return w.f.Close() }
 
-// Finalize runs the streaming finalize over every tracer: snapshots
-// move out of the tracers (TakeSnapshot) and spill to
-// opts.SpillDir/<run> in batches of opts.MaxResidentSnapshots, then
-// core.FinalizeStreamed merges them back from disk in the same
-// batches. failed and reason tag a salvage finalize exactly as
-// core.SalvageFinalize does; pass failed == nil for a clean run. The
-// trace is byte-identical to the in-memory path.
+// Finalize runs the streaming finalize over every tracer (FinalizeRanks
+// with TakeSnapshot as the source). failed and reason tag a salvage
+// finalize exactly as core.SalvageFinalize does; pass failed == nil
+// for a clean run. The trace is byte-identical to the in-memory path.
 func Finalize(tracers []*core.Tracer, failed map[int]error, reason string, opts core.Options) (*trace.File, core.FinalizeStats, error) {
-	world := len(tracers)
-	runID := opts.CollectorRunID
-	if runID == "" {
-		runID = "local"
-	}
 	var info *trace.SalvageInfo
 	if failed != nil || reason != "" {
 		if opts.Collector != nil {
 			opts.Collector.Salvages.Inc()
 		}
-		info = &trace.SalvageInfo{Reason: reason, Calls: make([]int64, world)}
-		ranks := make([]int, 0, len(failed))
-		for r := range failed {
-			ranks = append(ranks, r)
+		info = core.NewSalvageInfo(len(tracers), failed, reason)
+	}
+	return FinalizeRanks(len(tracers), func(rank int) *core.Snapshot {
+		s := tracers[rank].TakeSnapshot()
+		if info != nil {
+			info.Calls[rank] = s.Calls
 		}
-		sort.Ints(ranks)
-		for _, r := range ranks {
-			info.FailedRanks = append(info.FailedRanks, int32(r))
-		}
+		return s
+	}, info, opts)
+}
+
+// FinalizeRanks is the spill route's one driver: one write pass, one
+// read pass. take(rank), called once per rank in rank order, hands over
+// a snapshot the finalize owns. Per batch of opts.MaxResidentSnapshots
+// ranks, the frames land in opts.SpillDir/<run> with one write and the
+// tables, still in memory, are absorbed (and released eagerly) by
+// cst.Incremental.AddBatch; core.FinalizePremergedStreamed then reads
+// the grammars back in the same batches. A non-nil info marks a salvage.
+func FinalizeRanks(world int, take func(rank int) *core.Snapshot, info *trace.SalvageInfo, opts core.Options) (*trace.File, core.FinalizeStats, error) {
+	runID := opts.CollectorRunID
+	if runID == "" {
+		runID = "local"
 	}
 	w, err := NewWriter(filepath.Join(opts.SpillDir, runID), runID, world, opts)
 	if err != nil {
 		return nil, core.FinalizeStats{}, err
 	}
 	defer w.Close()
-	// Spill pass: move each rank's state to disk and free it before
-	// touching the next, in MaxResidentSnapshots-sized strides so the
-	// obs timeline shows the same batching the merge passes use.
-	batch := opts.MaxResidentSnapshots
-	if batch <= 0 || batch > world {
-		batch = world
-	}
-	for start := 0; start < world; start += batch {
-		n := batch
-		if start+n > world {
-			n = world - start
-		}
-		sp := opts.ObsSink.Start("finalize", "finalize.spill").
-			WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
-		for i := start; i < start+n; i++ {
-			s := tracers[i].TakeSnapshot()
-			if info != nil {
-				info.Calls[i] = s.Calls
-			}
-			if err := w.Add(s); err != nil {
+	return w.finalize(take, info, opts)
+}
+
+func (w *Writer) finalize(take func(rank int) *core.Snapshot, info *trace.SalvageInfo, opts core.Options) (*trace.File, core.FinalizeStats, error) {
+	var merged cst.Merged
+	var mergeNs int64
+	if w.world > 0 { // a merge tree needs a leaf; core returns the empty trace
+		batch := opts.BatchSize(w.world)
+		inc := cst.NewIncremental(w.world)
+		sp := opts.ObsSink.Start("finalize", "finalize.cst_merge").
+			WithAttr("ranks", int64(w.world)).WithAttr("batch", int64(batch))
+		for start := 0; start < w.world; start += batch {
+			ns, err := w.spillBatch(take, start, min(batch, w.world-start), inc, opts)
+			if err != nil {
 				sp.End()
 				return nil, core.FinalizeStats{}, err
 			}
+			mergeNs += ns
 		}
-		sp.End()
+		merged = inc.Result()
+		sp.WithAttr("global_cst", int64(merged.Table.Len())).End()
 	}
-	f, st, err := core.FinalizeStreamed(world, w.Fetch, opts, info)
+	// The tables were merged on the way out: the grammar pass skips them.
+	f, st, err := core.FinalizePremergedStreamed(w.world, func(start, n int) ([]*core.Snapshot, error) {
+		return w.fetch(start, n, false)
+	}, merged, mergeNs, opts, info)
 	if err != nil {
 		return nil, core.FinalizeStats{}, err
 	}
-	state := "finalized"
+	state, reason := "finalized", ""
 	if info != nil {
-		state = "salvaged"
+		state, reason = "salvaged", info.Reason
 	}
 	if err := w.Finish(state, reason); err != nil {
 		return nil, core.FinalizeStats{}, err
 	}
 	return f, st, nil
+}
+
+// spillBatch moves ranks [start, start+n) out: frames to the file with
+// one write, then tables into the merge (a staged snapshot is garbage).
+// It returns the time inside AddBatch, the only §3.5 work done here.
+func (w *Writer) spillBatch(take func(rank int) *core.Snapshot, start, n int, inc *cst.Incremental, opts core.Options) (mergeNs int64, err error) {
+	sp := opts.ObsSink.Start("finalize", "finalize.spill").
+		WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
+	tables := make([]*cst.Table, n)
+	for i := 0; i < n && err == nil; i++ {
+		s := take(start + i)
+		tables[i] = s.Table
+		err = w.stage(s)
+	}
+	if err == nil {
+		err = w.flush()
+	}
+	sp.End()
+	if err != nil {
+		return 0, err
+	}
+	sp = opts.ObsSink.Start("finalize", "finalize.batch_merge").
+		WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
+	t0 := time.Now()
+	err = inc.AddBatch(start, tables, opts.FinalizeWorkers)
+	sp.End()
+	return time.Since(t0).Nanoseconds(), err
 }

@@ -2,15 +2,20 @@ package spill
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
+	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
@@ -36,7 +41,7 @@ func mkSnapshot(r int) *core.Snapshot {
 // TestRoundTrip spills snapshots and fetches them back in several
 // range shapes, checking each decoded snapshot is wire-identical to
 // the original and that repeated fetches of the same range keep
-// working (the finalize streams the ranks twice).
+// working.
 func TestRoundTrip(t *testing.T) {
 	const world = 9
 	w, err := NewWriter(t.TempDir(), "rt", world, core.Options{})
@@ -162,5 +167,237 @@ func TestFetchDetectsCorruption(t *testing.T) {
 	}
 	if _, err := w.Fetch(0, 1); err == nil {
 		t.Fatal("fetch of a corrupted frame succeeded")
+	}
+}
+
+// newTestWriter opens a spill of world ranks in a fresh directory.
+func newTestWriter(t *testing.T, world int) (*Writer, string) {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := NewWriter(dir, "t", world, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w, dir
+}
+
+// countingFile counts the ReadAt and WriteAt calls that reach
+// frames.jnl.
+type countingFile struct {
+	*os.File
+	reads, writes int
+}
+
+func (c *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.File.ReadAt(p, off)
+}
+
+func (c *countingFile) WriteAt(p []byte, off int64) (int, error) {
+	c.writes++
+	return c.File.WriteAt(p, off)
+}
+
+// TestFetchOrderAndRunCapIndependent: whatever order the ranks were
+// added in (so however the refs break into contiguous runs) and
+// wherever the run cap cuts a run, a fetch returns the same snapshots.
+// The cap is forced tiny so that runs of one, two and many pairs, and
+// a pair larger than the cap, all occur.
+func TestFetchOrderAndRunCapIndependent(t *testing.T) {
+	const world = 40
+	want := make([][]byte, world)
+	for r := range want {
+		want[r] = wire.EncodeSnapshot(mkSnapshot(r))
+	}
+	probe, _ := newTestWriter(t, world)
+	if err := probe.Add(mkSnapshot(0)); err != nil {
+		t.Fatal(err)
+	}
+	pairLen := int(probe.refs[0][1])
+	orders := map[string][]int{"ranked": nil, "reversed": nil, "interleaved": nil, "shuffled": rand.New(rand.NewSource(7)).Perm(world)}
+	for r := 0; r < world; r++ {
+		orders["ranked"] = append(orders["ranked"], r)
+		orders["reversed"] = append(orders["reversed"], world-1-r)
+		orders["interleaved"] = append(orders["interleaved"], (r%2)*(world/2)+r/2) // 0, 20, 1, 21, …
+	}
+	for name, order := range orders {
+		for _, runCap := range []int{1, pairLen, 2*pairLen + 1, 5 * pairLen, 1 << 20} {
+			w, _ := newTestWriter(t, world)
+			w.runCap = runCap
+			for _, r := range order {
+				if err := w.Add(mkSnapshot(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, withTable := range []bool{true, false} {
+				snaps, err := w.fetch(0, world, withTable)
+				if err != nil {
+					t.Fatalf("%s, cap %d: %v", name, runCap, err)
+				}
+				for r, s := range snaps {
+					if (s.Table != nil) != withTable {
+						t.Fatalf("%s, cap %d: rank %d table presence = %v, asked for %v", name, runCap, r, s.Table != nil, withTable)
+					}
+					if !withTable {
+						s.Table = mkSnapshot(r).Table
+					}
+					if !bytes.Equal(wire.EncodeSnapshot(s), want[r]) {
+						t.Fatalf("%s, cap %d: rank %d differs from what was spilled", name, runCap, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCoalescedReadNamesCorruptRank: 64 pairs come back in one read;
+// one flipped byte in pair j — in its hello, its snapshot body, a CRC
+// or a length field — fails the fetch with an error naming rank j, and
+// a file cut short fails it too. Nothing panics.
+func TestCoalescedReadNamesCorruptRank(t *testing.T) {
+	const world, j = 64, 37
+	w, dir := newTestWriter(t, world)
+	for r := 0; r < world; r++ {
+		if err := w.Add(mkSnapshot(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cf := &countingFile{File: w.f.(*os.File)}
+	w.f = cf
+	if _, err := w.Fetch(0, world); err != nil || cf.reads != 1 {
+		t.Fatalf("clean fetch: %d reads (want 1), err %v", cf.reads, err)
+	}
+	path := filepath.Join(dir, framesName)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int(w.refs[j][0])
+	helloLen := int(binary.LittleEndian.Uint32(clean[off:]))
+	snapOff := off + 5 + helloLen + 4
+	for name, at := range map[string]int{
+		"hello length":    off + 1,
+		"hello body":      off + 5 + helloLen/2,
+		"hello crc":       off + 5 + helloLen,
+		"snapshot length": snapOff,
+		"snapshot type":   snapOff + 4,
+		"snapshot body":   snapOff + 5 + 20,
+		"snapshot crc":    off + int(w.refs[j][1]) - 1,
+	} {
+		bad := append([]byte(nil), clean...)
+		bad[at] ^= 0x41
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, withTable := range []bool{true, false} {
+			_, err := w.fetch(0, world, withTable)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("rank %d:", j)) {
+				t.Errorf("flipped %s of rank %d (withTable=%v): err = %v", name, j, withTable, err)
+			}
+		}
+	}
+	for _, keep := range []int{0, 3, off + 2, len(clean) - 1} {
+		if err := os.WriteFile(path, clean[:keep], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Fetch(0, world); err == nil {
+			t.Errorf("fetch from a file truncated to %d of %d bytes succeeded", keep, len(clean))
+		}
+	}
+}
+
+// TestFinalizeIOPerBatch is the syscall evidence: a 4096-rank finalize
+// in batches of 256 touches frames.jnl once per batch in each
+// direction, not once (or six times) per rank — and emits the spill
+// and batch_merge spans once per batch inside one cst_merge span.
+func TestFinalizeIOPerBatch(t *testing.T) {
+	const world, batch = 4096, 256
+	w, _ := newTestWriter(t, world)
+	cf := &countingFile{File: w.f.(*os.File)}
+	w.f = cf
+	sink := obs.NewSink(1 << 12)
+	opts := core.Options{MaxResidentSnapshots: batch, ObsSink: sink}
+	f, st, err := w.finalize(mkSnapshot, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := world/batch + 1; cf.reads > max || cf.writes > max {
+		t.Fatalf("%d reads and %d writes of frames.jnl, want at most %d each", cf.reads, cf.writes, max)
+	}
+	snaps := make([]*core.Snapshot, world)
+	for r := range snaps {
+		snaps[r] = mkSnapshot(r)
+	}
+	ref, refSt := core.FinalizeSnapshots(snaps, core.Options{}, nil)
+	if !bytes.Equal(fileBytes(t, f), fileBytes(t, ref)) {
+		t.Fatal("spilled finalize differs from the in-memory one")
+	}
+	if st.TotalCalls != refSt.TotalCalls || st.GlobalCST != refSt.GlobalCST || st.UniqueCFGs != refSt.UniqueCFGs {
+		t.Fatalf("stats %+v, in-memory %+v", st, refSt)
+	}
+	spans := map[string]int{}
+	for _, ev := range sink.Events() {
+		spans[ev.Name]++
+		if ev.Name == "finalize.cst_merge" {
+			attrs := map[string]int64{}
+			for _, a := range ev.Attrs[:ev.NAttrs] {
+				attrs[a.Key] = a.Int
+			}
+			if attrs["ranks"] != world || attrs["batch"] != batch || attrs["global_cst"] != int64(st.GlobalCST) {
+				t.Errorf("finalize.cst_merge attrs = %v", attrs)
+			}
+		}
+	}
+	if spans["finalize.spill"] != world/batch || spans["finalize.batch_merge"] != world/batch || spans["finalize.cst_merge"] != 1 {
+		t.Fatalf("spans = %v", spans)
+	}
+}
+
+func fileBytes(t *testing.T, f *trace.File) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := f.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestFinalizeZeroTracers: a world of no ranks finalizes to the empty
+// trace and a finalized manifest, not a panic in the merge tree.
+func TestFinalizeZeroTracers(t *testing.T) {
+	dir := t.TempDir()
+	f, st, err := Finalize(nil, nil, "", core.Options{SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumRanks != 0 || f.CST.Len() != 0 || st.TotalCalls != 0 {
+		t.Fatalf("zero-rank finalize = %+v, %+v", f, st)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "local", manifestName))
+	if err != nil || !bytes.Contains(data, []byte(`"state": "finalized"`)) {
+		t.Fatalf("manifest = %s, err %v", data, err)
+	}
+}
+
+// TestAddRejectsOverCapSnapshot: a snapshot whose body exceeds
+// wire.MaxFrame fails at Add, where the caller can still act, rather
+// than at the fetch that would refuse to read it back.
+func TestAddRejectsOverCapSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encodes a 256 MiB snapshot")
+	}
+	w, dir := newTestWriter(t, 1)
+	s := mkSnapshot(0)
+	s.RawSigs = []string{strings.Repeat("x", wire.MaxFrame)}
+	s.RawTimes = [][2]int64{{0, 0}}
+	if err := w.Add(s); err == nil {
+		t.Fatal("over-cap snapshot accepted")
+	}
+	if fi, err := os.Stat(filepath.Join(dir, framesName)); err != nil || fi.Size() != 0 {
+		t.Fatalf("frames.jnl after a refused Add: %v, err %v", fi, err)
+	}
+	if err := w.Add(mkSnapshot(0)); err != nil {
+		t.Fatalf("rank refused after its over-cap snapshot was: %v", err)
 	}
 }

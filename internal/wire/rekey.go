@@ -22,50 +22,17 @@ import (
 const frameOverhead = 9
 
 // ReadFrameRaw reads and verifies one frame like ReadFrame, but also
-// returns the complete raw frame bytes (header + body + CRC). The body
-// slice aliases raw; both are freshly allocated per call, so callers
-// may retain them — this is the capture/replay path, not the zero-alloc
-// ingest loop (ReadFrameBuf).
+// returns the complete raw frame bytes (header + body + CRC), rebuilt
+// around the verified body. The body slice aliases raw; both are
+// freshly allocated per call, so callers may retain them — this is the
+// capture/replay path, not the zero-alloc ingest loop (ReadFrameBuf).
 func ReadFrameRaw(r io.Reader) (typ byte, raw, body []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	typ, body, err = ReadFrame(r)
+	if err != nil {
 		return 0, nil, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	typ = hdr[4]
-	if typ < TypeHello || typ > TypeNack {
-		return 0, nil, nil, fmt.Errorf("wire: unknown frame type 0x%02x", typ)
-	}
-	if n > MaxFrame {
-		return 0, nil, nil, fmt.Errorf("wire: frame body of %d bytes exceeds cap", n)
-	}
-	// Chunked growth, same discipline as ReadFrameBuf: a lying length
-	// field under the cap fails at EOF having over-allocated at most one
-	// chunk.
-	const chunk = 1 << 20
-	raw = make([]byte, 5, 5+min(int(n), chunk)+4)
-	copy(raw, hdr[:])
-	for remaining := int(n); remaining > 0; {
-		step := min(remaining, chunk)
-		start := len(raw)
-		raw = append(raw, make([]byte, step)...)
-		if _, err := io.ReadFull(r, raw[start:]); err != nil {
-			return 0, nil, nil, err
-		}
-		remaining -= step
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return 0, nil, nil, err
-	}
-	raw = append(raw, tail[:]...)
-	body = raw[5 : 5+int(n)]
-	want := binary.LittleEndian.Uint32(tail[:])
-	got := crc32.Update(crc32.Checksum(raw[4:5], crcTable), crcTable, body)
-	if got != want {
-		return 0, nil, nil, fmt.Errorf("wire: frame type 0x%02x checksum mismatch", typ)
-	}
-	return typ, raw, body, nil
+	raw = AppendFrame(make([]byte, 0, len(body)+frameOverhead), typ, body)
+	return typ, raw, raw[5 : 5+len(body)], nil
 }
 
 // RekeyHelloFrame rewrites the run-ID field of a complete, valid Hello
@@ -80,20 +47,12 @@ func RekeyHelloFrame(dst, frame []byte, runID string) ([]byte, error) {
 	if len(runID) == 0 || len(runID) > MaxRunID {
 		return nil, fmt.Errorf("wire: rekey run id length %d outside [1,%d]", len(runID), MaxRunID)
 	}
-	if len(frame) < frameOverhead {
-		return nil, fmt.Errorf("wire: rekey: %d bytes is shorter than any frame", len(frame))
+	typ, body, after, err := SplitFrame(frame)
+	if err != nil {
+		return nil, fmt.Errorf("wire: rekey: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(frame[:4])
-	if frame[4] != TypeHello {
-		return nil, fmt.Errorf("wire: rekey: frame type 0x%02x is not a hello", frame[4])
-	}
-	if uint64(len(frame)) != uint64(n)+frameOverhead {
-		return nil, fmt.Errorf("wire: rekey: frame claims %d body bytes but holds %d", n, len(frame)-frameOverhead)
-	}
-	body := frame[5 : 5+int(n)]
-	want := binary.LittleEndian.Uint32(frame[5+int(n):])
-	if got := crc32.Update(crc32.Checksum(frame[4:5], crcTable), crcTable, body); got != want {
-		return nil, fmt.Errorf("wire: rekey: input hello checksum mismatch")
+	if typ != TypeHello || len(after) != 0 {
+		return nil, fmt.Errorf("wire: rekey: frame type 0x%02x with %d bytes after it is not one hello", typ, len(after))
 	}
 	// The hello body opens with: version uvarint, run-ID length uvarint,
 	// run-ID bytes. Everything after the old ID passes through untouched.
@@ -112,16 +71,10 @@ func RekeyHelloFrame(dst, frame []byte, runID string) ([]byte, error) {
 		return nil, fmt.Errorf("wire: rekey: patched body of %d bytes exceeds cap", newLen)
 	}
 	start := len(dst)
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(newLen))
-	hdr[4] = TypeHello
-	dst = append(dst, hdr[:]...)
+	dst = append(binary.LittleEndian.AppendUint32(dst, uint32(newLen)), TypeHello)
 	dst = append(dst, body[:vn]...)
 	dst = binary.AppendUvarint(dst, uint64(len(runID)))
 	dst = append(dst, runID...)
 	dst = append(dst, rest...)
-	crc := crc32.Update(crc32.Checksum(dst[start+4:start+5], crcTable), crcTable, dst[start+5:])
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	return append(dst, tail[:]...), nil
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+4:], crcTable)), nil
 }

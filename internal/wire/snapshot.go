@@ -165,7 +165,7 @@ func (sc *DecodeScratch) ReadFrame(r io.Reader) (typ byte, body []byte, err erro
 // the scratch or body), so it may be retained past the next call.
 func (sc *DecodeScratch) DecodeSnapshot(body []byte) (*core.Snapshot, error) {
 	sc.d = dec{b: body}
-	return decodeSnapshot(&sc.d)
+	return decodeSnapshot(&sc.d, true)
 }
 
 // DecodeSnapshot parses and validates a snapshot body. Allocation is
@@ -173,11 +173,40 @@ func (sc *DecodeScratch) DecodeSnapshot(body []byte) (*core.Snapshot, error) {
 // checked against the bytes actually present before anything sized by
 // it is allocated.
 func DecodeSnapshot(body []byte) (*core.Snapshot, error) {
-	d := &dec{b: body}
-	return decodeSnapshot(d)
+	return decodeSnapshot(&dec{b: body}, true)
 }
 
-func decodeSnapshot(d *dec) (*core.Snapshot, error) {
+// DecodePair parses, in place, the (Hello, Snapshot) frame pair that
+// is the unit of the collector's journal and of internal/spill: both
+// frames checked by SplitFrame, both bodies validated, nothing allowed
+// after the pair. Callers check the Hello's identity against the entry
+// they asked for. With withTable false the snapshot's CST section is
+// stepped over (its bytes are still under the frame CRC) and Table is
+// nil. Nothing returned aliases b.
+func DecodePair(b []byte, withTable bool) (*Hello, *core.Snapshot, error) {
+	ht, hb, rest, err := SplitFrame(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hello: %w", err)
+	}
+	st, sb, rest, err := SplitFrame(rest)
+	if err != nil {
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
+	}
+	if ht != TypeHello || st != TypeSnapshot || len(rest) != 0 {
+		return nil, nil, fmt.Errorf("wire: frames 0x%02x, 0x%02x and %d more bytes where one hello, snapshot pair was expected", ht, st, len(rest))
+	}
+	h, err := DecodeHello(hb)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hello: %w", err)
+	}
+	s, err := decodeSnapshot(&dec{b: sb}, withTable)
+	if err != nil {
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return h, s, nil
+}
+
+func decodeSnapshot(d *dec, withTable bool) (*core.Snapshot, error) {
 	s := &core.Snapshot{}
 	rank, err := d.uvarint("snapshot rank")
 	if err != nil {
@@ -200,8 +229,10 @@ func decodeSnapshot(d *dec) (*core.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Table, err = cst.DeserializeExact(tb); err != nil {
-		return nil, err
+	if withTable {
+		if s.Table, err = cst.DeserializeExact(tb); err != nil {
+			return nil, err
+		}
 	}
 	if s.Grammar, err = d.grammar("snapshot grammar", false); err != nil {
 		return nil, err

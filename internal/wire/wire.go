@@ -70,6 +70,33 @@ func AppendFrame(dst []byte, typ byte, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
+// SplitFrame parses the frame at the head of b in place, the mirror of
+// AppendFrame: body aliases b and rest is what follows the frame. It
+// makes every check ReadFrame makes (type range, MaxFrame, CRC32C) and
+// bounds the length by the bytes present.
+func SplitFrame(b []byte) (typ byte, body, rest []byte, err error) {
+	if len(b) < 5 {
+		return 0, nil, nil, fmt.Errorf("wire: frame header: %w", io.ErrUnexpectedEOF)
+	}
+	n := binary.LittleEndian.Uint32(b)
+	typ = b[4]
+	if typ < TypeHello || typ > TypeNack {
+		return 0, nil, nil, fmt.Errorf("wire: unknown frame type 0x%02x", typ)
+	}
+	if n > MaxFrame {
+		return 0, nil, nil, fmt.Errorf("wire: frame body of %d bytes exceeds cap", n)
+	}
+	end := 5 + int(n)
+	if len(b)-4 < end {
+		return 0, nil, nil, fmt.Errorf("wire: frame claims a %d-byte body, %d bytes follow its header: %w", n, len(b)-5, io.ErrUnexpectedEOF)
+	}
+	// Type byte and body are contiguous, so the checksum is one pass.
+	if crc32.Checksum(b[4:end], crcTable) != binary.LittleEndian.Uint32(b[end:]) {
+		return 0, nil, nil, fmt.Errorf("wire: frame type 0x%02x checksum mismatch", typ)
+	}
+	return typ, b[5:end], b[end+4:], nil
+}
+
 // WriteFrame writes one frame with a single Write.
 func WriteFrame(w io.Writer, typ byte, body []byte) error {
 	if len(body) > MaxFrame {
