@@ -23,7 +23,9 @@ import (
 // streamedSweep finalizes snaps through the spill at several batch
 // sizes and worker counts, failing unless every trace is
 // byte-identical to the in-memory sequential finalize of the same
-// snapshots.
+// snapshots. One worker packs inline; more run each section's final
+// Sequitur pass on its own goroutine beside the walk, a batch behind
+// it, which is what -race and CI's -cpu 1,2,4 run exercise here.
 func streamedSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) {
 	t.Helper()
 	n := len(snaps)
@@ -40,7 +42,7 @@ func streamedSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info
 		return &s
 	}
 	for _, k := range []int{1, 3, n} {
-		for _, workers := range []int{1, 0} {
+		for _, workers := range []int{1, 2, 4} {
 			sopts := opts
 			sopts.SpillDir = t.TempDir()
 			sopts.MaxResidentSnapshots = k
@@ -118,7 +120,7 @@ func TestFinalizePremergedStreamedByteIdentical(t *testing.T) {
 				return snaps[start : start+n], nil
 			}
 			for _, k := range []int{1, 3, n} {
-				for _, workers := range []int{1, 0} {
+				for _, workers := range []int{1, 2, 4} {
 					opts := core.Options{MaxResidentSnapshots: k, FinalizeWorkers: workers}
 					f, _, err := core.FinalizePremergedStreamed(n, fetch, merged, 0, opts, nil)
 					if err != nil {

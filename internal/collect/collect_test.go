@@ -15,6 +15,7 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
@@ -451,6 +452,60 @@ func TestBadRunIDRejected(t *testing.T) {
 		c := client(srv, id, 1)
 		if err := c.SendSnapshot(snaps[0]); err == nil {
 			t.Fatalf("run id %q accepted", id)
+		}
+	}
+}
+
+// TestHostileTerminalRefusedRunSurvives: a well-formed snapshot whose
+// grammar names a terminal its own table does not hold is refused with
+// an AckError at decode — never registered, never journaled — so it
+// cannot reach finalize, where it used to kill the daemon on a relabel
+// panic. The server keeps serving and the run finalizes from its
+// honest ranks (the refused rank's real snapshot included) to the
+// local bytes, also on the payload-spill route, whose grammar pass
+// reads the journal back with the tables skipped.
+func TestHostileTerminalRefusedRunSurvives(t *testing.T) {
+	const n = 4
+	snaps := traceWorkload(t, n)
+	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
+	want := serialize(t, local)
+
+	for name, cfg := range map[string]collect.Config{
+		"resident":      {},
+		"payload-spill": {MaxResidentSnapshots: 1},
+	} {
+		cfg.OutDir = t.TempDir()
+		srv := startServer(t, cfg)
+		c := client(srv, "hostile", n)
+		for _, s := range snaps[:2] {
+			if err := c.SendSnapshot(s); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		bad := *snaps[2]
+		g := sequitur.New()
+		g.Append(0)
+		g.Append(int32(bad.Table.Len()) + 6)
+		bad.Grammar = sequitur.Serialized(g.Serialize())
+		err := c.SendSnapshot(&bad)
+		if err == nil || !strings.Contains(err.Error(), "names terminal") {
+			t.Fatalf("%s: hostile snapshot: %v, want a collector rejection naming the terminal", name, err)
+		}
+		if got := srv.Metrics().RejectedSnapshots.Load(); got != 1 {
+			t.Fatalf("%s: rejected counter %d, want 1", name, got)
+		}
+		// Rank 2's real snapshot is a first arrival, not a duplicate.
+		remote, err := c.Collect(snaps[2:])
+		if err != nil {
+			t.Fatalf("%s: run did not survive the refused frame: %v", name, err)
+		}
+		if got := serialize(t, remote); !bytes.Equal(got, want) {
+			t.Fatalf("%s: collected trace differs from local finalize (%d vs %d bytes)", name, len(got), len(want))
+		}
+		m := srv.Metrics()
+		if m.IngestSnapshots.Load() != n || m.DupSnapshots.Load() != 0 || m.FinalizedRuns.Load() != 1 {
+			t.Fatalf("%s: ingested %d (want %d), duplicates %d (want 0), finalized runs %d (want 1)",
+				name, m.IngestSnapshots.Load(), n, m.DupSnapshots.Load(), m.FinalizedRuns.Load())
 		}
 	}
 }

@@ -10,7 +10,11 @@
 // function of its descendant leaves in fixed left-right order, and
 // every cross-rank ordering decision (grammar first-seen dedup, rank
 // map append) runs in a sequential pass in rank order — batching only
-// changes when work happens, never what it computes.
+// changes when work happens, never what it computes. The same holds
+// for the final Sequitur pass, which packs each batch's first-seen
+// grammars on its own goroutine while the walk fetches the next batch:
+// a Packer's output is a function of the grammars and their order, and
+// it is handed exactly the dedup's list, in the dedup's order.
 //
 // The in-memory finalizeMerged is a thin wrapper over this code with
 // a fetch that slices the resident snapshot array and K = P, so the
@@ -49,8 +53,9 @@ func (o Options) BatchSize(world int) int {
 // or by internal/spill as it moved each batch of ranks to disk — and
 // only the grammar pass streams, through fetch in batches of
 // Options.MaxResidentSnapshots. Output is byte-identical to
-// FinalizePremerged over the same snapshots; fetch is the only error
-// source.
+// FinalizePremerged over the same snapshots. It fails when fetch does,
+// or when a fetched grammar names a terminal its rank's table never
+// held (a decoder that skipped the table could not check).
 func FinalizePremergedStreamed(world int, fetch SnapshotFetch, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
 	opts = opts.withDefaults()
 	return finalizeMergedStreamed(world, opts.BatchSize(world), fetch, merged, cstMergeNs, opts, info)
@@ -78,15 +83,34 @@ func fetchRange(fetch SnapshotFetch, start, n int) ([]*Snapshot, error) {
 	return snaps, nil
 }
 
-// dedupState is the incremental form of dedupGrammars: batches append
-// through it sequentially in rank order, so first-seen numbering is
-// identical to one sequential pass over all ranks.
+// dedupState is one section's first-seen grammar dedup: batches append
+// through it sequentially in rank order, so the numbering is identical
+// to one sequential pass over all ranks. It is also the one
+// packing helper of the call, duration and interval sections: flush
+// hands the grammars first seen since the last flush to a
+// sequitur.Packer, so the final Sequitur pass (§3.5.2) sees uniq in
+// order whoever runs it.
 type dedupState struct {
 	seen map[string]int32
 	uniq []sequitur.Serialized
+
+	packer  *sequitur.Packer
+	queue   *par.Queue // runs the Packer on its own goroutine; nil: flush packs inline
+	flushed int        // uniq[:flushed] has been handed to the Packer
+	busyNs  int64      // time spent inside the Packer; the queue's goroutine writes it until close
 }
 
-func newDedupState() *dedupState { return &dedupState{seen: map[string]int32{}} }
+// newDedupState starts a section's dedup and its Packer. With more
+// than one worker the Packer runs behind a queue deep enough for every
+// flush (one per batch), so the walk never waits for it: the grammars a
+// pending flush holds are retained for the trace file either way.
+func newDedupState(workers, flushes int) *dedupState {
+	d := &dedupState{seen: map[string]int32{}, packer: sequitur.NewPacker()}
+	if workers > 1 {
+		d.queue = par.NewQueue(flushes)
+	}
+	return d
+}
 
 func (d *dedupState) add(key string, g sequitur.Serialized) int32 {
 	j, ok := d.seen[key]
@@ -98,6 +122,47 @@ func (d *dedupState) add(key string, g sequitur.Serialized) int32 {
 	return j
 }
 
+// flush packs the grammars first seen since the last flush. They are
+// never written again (uniq only grows past them), so the queue's
+// goroutine may read them while the walk appends.
+func (d *dedupState) flush() {
+	gs := d.uniq[d.flushed:len(d.uniq):len(d.uniq)]
+	d.flushed = len(d.uniq)
+	if len(gs) == 0 {
+		return
+	}
+	pack := func() {
+		t := time.Now()
+		for _, g := range gs {
+			d.packer.Add(g)
+		}
+		d.busyNs += time.Since(t).Nanoseconds()
+	}
+	if d.queue == nil {
+		pack()
+	} else {
+		d.queue.Do(pack)
+	}
+}
+
+// stop joins the Packer's goroutine once it has packed everything
+// flushed so far. Every return path calls it (it is safe to call
+// twice), so an error leaves no goroutine behind.
+func (d *dedupState) stop() {
+	if d.queue != nil {
+		d.queue.Close()
+	}
+}
+
+// finish returns the pack of uniq, all of which has been flushed.
+func (d *dedupState) finish() sequitur.Serialized {
+	d.stop()
+	t := time.Now()
+	packed := d.packer.Finish()
+	d.busyNs += time.Since(t).Nanoseconds()
+	return packed
+}
+
 // finalizeMergedStreamed is the unified back half of the §3.5 merge
 // (grammar relabel against the global terminals, §3.5.1, plus the
 // inter-process grammar compression, §3.5.2), streaming ranks through
@@ -105,7 +170,9 @@ func (d *dedupState) add(key string, g sequitur.Serialized) int32 {
 // hashing fan out across workers; every ordering-sensitive step (the
 // first-seen grammar dedup and the rank-map append) runs sequentially
 // in rank order across batches, which is what keeps the output
-// byte-identical for any batch size and worker count.
+// byte-identical for any batch size and worker count. Each section's
+// final Sequitur pass runs beside the walk, a batch behind it
+// (dedupState.flush); FinalizeWorkers == 1 keeps it inline.
 func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
 	if world == 0 { // every entry point's zero-rank result
 		return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}, nil
@@ -116,12 +183,17 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 	st.CSTMergeNs = cstMergeNs
 	st.GlobalCST = merged.Table.Len()
 
-	calls := newDedupState()
+	batches := (world + batch - 1) / batch
+	dsp := opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
+	calls := newDedupState(workers, batches)
+	defer calls.stop()
 	rankMap := sequitur.New()
 	var durState, intState *dedupState
 	var durIdx, intIdx []int32
 	if lossy {
-		durState, intState = newDedupState(), newDedupState()
+		durState, intState = newDedupState(workers, batches), newDedupState(workers, batches)
+		defer durState.stop()
+		defer intState.stop()
 		durIdx = make([]int32, 0, world)
 		intIdx = make([]int32, 0, world)
 	}
@@ -156,7 +228,7 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 		rsp.End()
 		for i, err := range relabelErrs {
 			if err != nil {
-				panic(fmt.Sprintf("core: relabel rank %d: %v", start+i, err))
+				return nil, FinalizeStats{}, fmt.Errorf("core: relabel rank %d: %w", start+i, err)
 			}
 		}
 		st.CSTMergeNs += time.Since(t0).Nanoseconds()
@@ -184,17 +256,23 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 			}
 		}
 		cfgNs += time.Since(t1).Nanoseconds()
+		calls.flush()
+		if lossy {
+			durState.flush()
+			intState.flush()
+		}
 	}
 
-	// Final Sequitur pass over the non-identical grammars (§3.5.2):
+	// The final Sequitur pass over the non-identical grammars (§3.5.2)
 	// compresses shared rules across similar ranks and dominates the
 	// inter-process CFG compression time when many unique grammars
-	// survive the identity check.
+	// survive the identity check. It has been running since the first
+	// batch; what is left of it is all finalize waits for here.
 	t2 := time.Now()
-	dsp := opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
-	packed := sequitur.Pack(calls.uniq)
-	dsp.WithAttr("unique_cfgs", int64(len(calls.uniq))).End()
-	st.CFGMergeNs = cfgNs + time.Since(t2).Nanoseconds()
+	packed := calls.finish()
+	dsp.WithAttr("unique_cfgs", int64(len(calls.uniq))).
+		WithAttr("wait_ns", time.Since(t2).Nanoseconds()).End()
+	st.CFGMergeNs = cfgNs + calls.busyNs
 	st.UniqueCFGs = len(calls.uniq)
 
 	f := &trace.File{
@@ -208,21 +286,15 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 		Salvage:    info,
 	}
 	if lossy {
-		t3 := time.Now()
+		// The duration and interval streams are independent sections,
+		// each packed by its own dedupState beside the call section's.
 		tsp := opts.ObsSink.Start("finalize", "finalize.timing").WithAttr("ranks", int64(world))
 		f.DurGrammars, f.DurIndex = durState.uniq, durIdx
 		f.IntGrammars, f.IntIndex = intState.uniq, intIdx
-		// The duration and interval streams are independent: pack them
-		// as two parallel branches.
-		par.For(2, workers, func(branch int) {
-			if branch == 0 {
-				f.PackedDur = sequitur.Pack(f.DurGrammars)
-			} else {
-				f.PackedInt = sequitur.Pack(f.IntGrammars)
-			}
-		})
+		f.PackedDur = durState.finish()
+		f.PackedInt = intState.finish()
 		tsp.End()
-		st.CFGMergeNs += time.Since(t3).Nanoseconds()
+		st.CFGMergeNs += durState.busyNs + intState.busyNs
 	}
 	st.TraceBytes = f.SizeBytes()
 	if c := opts.Collector; c != nil {

@@ -298,7 +298,11 @@ type FinalizeStats struct {
 	// plus per-rank relabel. On the spill route the merge part times
 	// cst.Incremental.AddBatch alone: frame I/O is charged to no field.
 	CSTMergeNs int64
-	CFGMergeNs int64 // inter-process compression of CFGs (identity check + final pass)
+	// CFGMergeNs is the inter-process compression of CFGs, identity
+	// check plus final Sequitur pass. It is work, not wall time: the
+	// final pass runs beside the walk on its own goroutines (one per
+	// section) and is charged the time it spent busy there.
+	CFGMergeNs int64
 	UniqueCSTs int
 	UniqueCFGs int
 	TotalCalls int64
@@ -492,8 +496,10 @@ func finalizeMerged(snaps []*Snapshot, merged cst.Merged, cstMergeNs int64, opts
 	}
 	f, st, err := finalizeMergedStreamed(len(snaps), len(snaps), fetch, merged, cstMergeNs, opts, info)
 	if err != nil {
-		// The slice fetch cannot fail; an error here is a broken
-		// invariant, not an I/O condition the caller can handle.
+		// The slice fetch cannot fail, and a resident snapshot's grammar
+		// names only terminals of the table it was built or decoded
+		// with; an error here is a broken invariant, not an I/O
+		// condition the caller can handle.
 		panic(fmt.Sprintf("core: in-memory finalize: %v", err))
 	}
 	return f, st

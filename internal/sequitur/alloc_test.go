@@ -1,6 +1,10 @@
 package sequitur
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"unsafe"
+)
 
 // loopBody is a 13-terminal stencil-shaped iteration: post receives and
 // sends, wait, reduce.
@@ -28,9 +32,22 @@ func TestAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsCatchesSlabCorruption covers the two failures only
-// the slab layout can have: a freed slot still linked into a body, and
-// a use list that disagrees with the rule's count.
+// TestSlabEntrySizes pins the two hot structs at 32 bytes: two symbols
+// and two index entries to a cache line, and the live-bytes figures of
+// the ledger.
+func TestSlabEntrySizes(t *testing.T) {
+	if n := unsafe.Sizeof(symbol{}); n != 32 {
+		t.Errorf("symbol is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(digramEntry{}); n != 32 {
+		t.Errorf("digramEntry is %d bytes, want 32", n)
+	}
+}
+
+// TestCheckInvariantsCatchesSlabCorruption covers the failures only
+// the slab layout can have: a freed slot still linked into a body, a
+// use list that disagrees with the rule's count, and a symbol and an
+// index entry that disagree about who owns the entry.
 func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 	build := func() *Grammar {
 		g := New()
@@ -44,24 +61,79 @@ func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 		}
 		return g
 	}
-
-	g := build()
-	g.freeSym(g.syms[0].next)
-	g.recycle()
-	if g.CheckInvariants() == nil {
-		t.Fatal("reachable freed slot not reported")
+	// owners returns two symbols that own index entries, and a freed
+	// slot if the slab has one.
+	owners := func(g *Grammar) (a, b, freed int32) {
+		a, b, freed = nilIdx, nilIdx, nilIdx
+		for s := range g.syms {
+			switch {
+			case g.syms[s].exp == freedExp:
+				freed = int32(s)
+			case g.syms[s].slot == noSlot:
+			case a == nilIdx:
+				a = int32(s)
+			case b == nilIdx:
+				b = int32(s)
+			}
+		}
+		if a == nilIdx || b == nilIdx || freed == nilIdx {
+			t.Fatalf("test grammar has no two owners and a freed slot (%d, %d, %d)", a, b, freed)
+		}
+		return a, b, freed
 	}
 
-	g = build()
-	g.rules[g.rulesInOrder()[1]].uses++
-	if g.CheckInvariants() == nil {
-		t.Fatal("use count mismatch not reported")
-	}
-
-	g = build()
-	g.dropUse(g.rules[g.rulesInOrder()[1]].useHead)
-	if g.CheckInvariants() == nil {
-		t.Fatal("reference missing from use list not reported")
+	for _, c := range []struct {
+		name    string
+		corrupt func(g *Grammar)
+		want    string // part of the report
+	}{
+		{"reachable freed slot", func(g *Grammar) {
+			g.freeSym(g.syms[0].next)
+			g.recycle()
+		}, ""},
+		{"use count mismatch", func(g *Grammar) {
+			g.rules[g.rulesInOrder()[1]].uses++
+		}, "use list"},
+		{"reference missing from use list", func(g *Grammar) {
+			g.dropUse(g.rules[g.rulesInOrder()[1]].useHead)
+		}, "use list"},
+		{"slot names another symbol's entry (an entry claimed twice)", func(g *Grammar) {
+			a, b, _ := owners(g)
+			g.syms[a].slot = g.syms[b].slot
+		}, "another symbol's"},
+		{"slot names an empty entry", func(g *Grammar) {
+			a, _, _ := owners(g)
+			for i, e := range g.index {
+				if e.e1 == 0 {
+					g.syms[a].slot = int32(i)
+					return
+				}
+			}
+		}, "empty"},
+		{"owned entry holds another digram", func(g *Grammar) {
+			a, b, _ := owners(g)
+			sa, sb := g.syms[a].slot, g.syms[b].slot
+			g.index[sa].sym, g.index[sb].sym = b, a
+			g.syms[a].slot, g.syms[b].slot = sb, sa
+		}, "digram it does not start"},
+		{"guard owns an entry", func(g *Grammar) {
+			a, _, _ := owners(g)
+			g.syms[0].slot = g.syms[a].slot
+		}, "guard or freed"},
+		{"freed slot owns an entry", func(g *Grammar) {
+			a, _, freed := owners(g)
+			g.syms[freed].slot = g.syms[a].slot
+		}, "guard or freed"},
+		{"entry nobody owns", func(g *Grammar) {
+			a, _, _ := owners(g)
+			g.syms[a].slot = noSlot
+		}, ""},
+	} {
+		g := build()
+		c.corrupt(g)
+		if err := g.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: reported as %v, want an error mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 

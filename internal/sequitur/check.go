@@ -6,6 +6,9 @@ import "fmt"
 // the two Sequitur properties. It is intended for tests; it is O(size
 // of grammar).
 func (g *Grammar) CheckInvariants() error {
+	if err := g.checkOwnership(); err != nil {
+		return err
+	}
 	// Rules are numbered in the order this walk reaches them; it tests
 	// every link before following it, which rulesInOrder does not.
 	rules := []int32{0}
@@ -64,7 +67,7 @@ func (g *Grammar) CheckInvariants() error {
 						prev.rule, prev.pos, ri, pos)
 				}
 				digramsSeen[d] = occ{ri, pos}
-				if at, ok := g.find(d); ok && !g.pointsAt(&g.index[at], s) {
+				if at, ok := g.find(d); ok && !g.pointsAt(at, s) {
 					return fmt.Errorf("rule %d pos %d: digram indexed at wrong occurrence", ri, pos)
 				}
 			}
@@ -98,6 +101,46 @@ func (g *Grammar) CheckInvariants() error {
 		if refCount[r] == 1 && g.bodyLen(r) == 1 {
 			return fmt.Errorf("rule %d: unreduced unit rule", i)
 		}
+	}
+	return nil
+}
+
+// checkOwnership verifies that symbols and index entries name each
+// other: a symbol's slot is noSlot or the position of an entry that
+// points back at it and holds the digram it starts; no entry goes
+// unowned (so none is claimed twice either); guards and freed slots own
+// nothing. Between appends every slab slot is a guard, freed, or a live
+// body symbol, so the slab is walked whole.
+func (g *Grammar) checkOwnership() error {
+	owned := 0
+	for s := range g.syms {
+		sy := &g.syms[s]
+		if sy.slot == noSlot {
+			continue
+		}
+		if sy.exp < 1 {
+			return fmt.Errorf("symbol %d: guard or freed slot owns index entry %d", s, sy.slot)
+		}
+		if sy.slot < 0 || int(sy.slot) >= len(g.index) {
+			return fmt.Errorf("symbol %d: index slot %d out of range", s, sy.slot)
+		}
+		e := g.index[sy.slot]
+		if e.e1 == 0 || e.sym != int32(s) {
+			return fmt.Errorf("symbol %d: claims index entry %d, which is empty or another symbol's", s, sy.slot)
+		}
+		if sy.next < 0 || g.isGuard(sy.next) || e.digram != g.digramAt(int32(s), sy.next) {
+			return fmt.Errorf("symbol %d: owns an index entry for a digram it does not start", s)
+		}
+		owned++
+	}
+	occupied := 0
+	for _, e := range g.index {
+		if e.e1 != 0 {
+			occupied++
+		}
+	}
+	if occupied != owned || occupied != g.nIdx {
+		return fmt.Errorf("digram index holds %d entries (count says %d), %d of them owned", occupied, g.nIdx, owned)
 	}
 	return nil
 }

@@ -151,6 +151,7 @@ func FuzzAppendDifferential(f *testing.F) {
 	f.Add([]byte("abcabcabcabdabcabc"))
 	f.Add([]byte{1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 3, 3, 0x81, 0x81, 4})
 	f.Add([]byte("abcdbcabcdabcdbcabcd"))
+	f.Add(sequitur.PackShapedSeed())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		stream := make([]run, len(raw))
 		for i, b := range raw {

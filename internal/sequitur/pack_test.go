@@ -38,6 +38,44 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 	}
 }
 
+// TestPackerMatchesPack: a Packer fed grammar by grammar holds, after
+// every Add, exactly the pack of the grammars so far, and that pack
+// unpacks to them — so it does not matter who feeds it, or when.
+func TestPackerMatchesPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := make([]int32, 120)
+	for i := range base {
+		base[i] = int32(rng.Intn(12))
+	}
+	var gs []Serialized
+	p := NewPacker()
+	for k := 0; k < 24; k++ {
+		seq := slices.Clone(base)
+		seq[rng.Intn(len(seq))] = int32(100 + k) // near-identical ranks
+		if k%7 == 0 {
+			seq = seq[:rng.Intn(len(seq))] // and a few that are not
+		}
+		gs = append(gs, mkSer(seq))
+		p.Add(gs[k])
+		got := p.Finish()
+		if want := Pack(gs); !slices.Equal(got, want) {
+			t.Fatalf("after %d grammars the Packer holds %d ints, Pack gives %d", k+1, len(got), len(want))
+		}
+		back, err := Unpack(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(gs) {
+			t.Fatalf("after %d grammars the pack unpacks to %d", k+1, len(back))
+		}
+		for i := range gs {
+			if !slices.Equal(back[i], gs[i]) {
+				t.Fatalf("after %d grammars: grammar %d changed through the pack", k+1, i)
+			}
+		}
+	}
+}
+
 func TestPackCompressesSimilarGrammars(t *testing.T) {
 	// 64 grammars identical except the final terminal: the pack must
 	// be much smaller than the raw concatenation.

@@ -30,6 +30,7 @@ import "fmt"
 const (
 	nilIdx    int32 = -1 // no symbol
 	notListed int32 = -2 // symbol.usePrev of a symbol on no rule's use list
+	noSlot    int32 = -1 // symbol.slot of a symbol no index entry points at
 	freedExp  int64 = -1 // symbol.exp of a slot on the free list
 )
 
@@ -38,11 +39,11 @@ const (
 // referenced). Guard nodes delimit rule bodies; they have exp == 0 and
 // key == -owner.
 type symbol struct {
-	exp              int64  // repetition count, >= 1
-	next, prev       int32  // body links; nilIdx once unlinked
-	key              int32  // terminal id or -rule; exponents aside, equal keys are equal symbols
-	useNext, usePrev int32  // links in the referenced rule's use list; useNext also chains freed slots
-	gen              uint32 // bumped when the slot is freed; digram entries carry it
+	exp              int64 // repetition count, >= 1
+	next, prev       int32 // body links; nilIdx once unlinked
+	key              int32 // terminal id or -rule; exponents aside, equal keys are equal symbols
+	useNext, usePrev int32 // links in the referenced rule's use list; useNext also chains freed slots
+	slot             int32 // position of the index entry pointing at this symbol, or noSlot
 }
 
 // rule is a grammar production. The body is a circular doubly linked
@@ -69,13 +70,13 @@ func (d digram) hash() uint64 {
 }
 
 // digramEntry maps a digram to the first symbol of its unique
-// occurrence. e1 == 0 marks an empty slot. gen is the symbol's
-// generation when the entry was written: a slot recycled since then
-// reads as an entry for the dead symbol it used to hold.
+// occurrence. e1 == 0 marks an empty slot. That symbol's slot names the
+// entry back: a symbol owns at most one entry, the one for the digram
+// it starts, every occupied entry is owned, and whoever moves,
+// overwrites or deletes an entry moves or releases the claim with it.
 type digramEntry struct {
 	digram
 	sym int32
-	gen uint32
 }
 
 // Grammar is an incrementally built context-free grammar that uniquely
@@ -110,14 +111,17 @@ func (g *Grammar) newSym(key int32, exp int64) int32 {
 		s = int32(len(g.syms))
 		g.syms = append(g.syms, symbol{})
 	}
-	g.syms[s] = symbol{exp: exp, next: nilIdx, prev: nilIdx, key: key, useNext: nilIdx, usePrev: notListed, gen: g.syms[s].gen}
+	g.syms[s] = symbol{exp: exp, next: nilIdx, prev: nilIdx, key: key, useNext: nilIdx, usePrev: notListed, slot: noSlot}
 	return s
 }
 
 // freeSym retires a symbol no list reaches any more. Its fields stay
-// readable until AppendRun returns; only index entries stop matching.
+// readable until AppendRun returns; an index entry it still owns goes
+// with it, so none outlives its symbol.
 func (g *Grammar) freeSym(s int32) {
-	g.syms[s].gen++
+	if pos := g.syms[s].slot; pos != noSlot {
+		g.deleteAt(int(pos))
+	}
 	g.syms[s].useNext = g.pendSyms
 	g.pendSyms = s
 }
@@ -210,10 +214,10 @@ func (g *Grammar) dropUse(s int32) {
 	r.uses--
 }
 
-// pointsAt reports whether index entry e was written for the symbol now
-// in slot s, not for an earlier occupant of the slot.
-func (g *Grammar) pointsAt(e *digramEntry, s int32) bool {
-	return e.sym == s && e.gen == g.syms[s].gen
+// pointsAt reports whether index slot pos holds symbol s's entry: it
+// names s, and s names it back.
+func (g *Grammar) pointsAt(pos int, s int32) bool {
+	return g.index[pos].sym == s && g.syms[s].slot == int32(pos)
 }
 
 // find returns the index slot holding d, or the empty slot where d
@@ -234,17 +238,21 @@ func (g *Grammar) find(d digram) (pos int, ok bool) {
 	}
 }
 
-// setDigram points d's index entry at symbol s; pos and ok are what
-// find(d) returned.
+// setDigram points d's index entry at symbol s, which owns no entry
+// yet; pos and ok are what find(d) returned. The occurrence the entry
+// pointed at before loses its claim.
 func (g *Grammar) setDigram(pos int, ok bool, d digram, s int32) {
-	if !ok {
+	if ok {
+		g.syms[g.index[pos].sym].slot = noSlot
+	} else {
 		if (g.nIdx+1)*4 > len(g.index)*3 {
 			g.growIndex()
 			pos, _ = g.find(d)
 		}
 		g.nIdx++
 	}
-	g.index[pos] = digramEntry{digram: d, sym: s, gen: g.syms[s].gen}
+	g.index[pos] = digramEntry{digram: d, sym: s}
+	g.syms[s].slot = int32(pos)
 }
 
 func (g *Grammar) growIndex() {
@@ -254,19 +262,22 @@ func (g *Grammar) growIndex() {
 		if e.e1 != 0 {
 			pos, _ := g.find(e.digram)
 			g.index[pos] = e
+			g.syms[e.sym].slot = int32(pos)
 		}
 	}
 }
 
-// deleteAt empties index slot i and shifts the entries probing past it
-// back, so lookups need no tombstones.
+// deleteAt empties index slot i, releasing its claim, and shifts the
+// entries probing past it back, so lookups need no tombstones.
 func (g *Grammar) deleteAt(i int) {
+	g.syms[g.index[i].sym].slot = noSlot
 	mask := len(g.index) - 1
 	for j := (i + 1) & mask; g.index[j].e1 != 0; j = (j + 1) & mask {
 		// The entry at j may move into the hole unless its home slot
 		// lies after the hole on its probe path.
 		if home := int(g.index[j].hash()) & mask; (j-home)&mask >= (j-i)&mask {
 			g.index[i] = g.index[j]
+			g.syms[g.index[i].sym].slot = int32(i)
 			i = j
 		}
 	}
@@ -310,21 +321,23 @@ func (g *Grammar) insertAfter(pos, s int32) {
 // link formed between its old neighbours is NOT checked here.
 func (g *Grammar) unlink(s int32) {
 	sy := &g.syms[s]
-	g.removeDigram(sy.prev, s)
-	g.removeDigram(s, sy.next)
+	g.removeDigram(sy.prev)
+	g.removeDigram(s)
 	g.syms[sy.prev].next = sy.next
 	g.syms[sy.next].prev = sy.prev
 	sy.prev, sy.next = nilIdx, nilIdx
 }
 
-// removeDigram deletes the digram (a,b) from the index if the indexed
-// occurrence is exactly this one.
-func (g *Grammar) removeDigram(a, b int32) {
-	if a == nilIdx || b == nilIdx || g.isGuard(a) || g.isGuard(b) {
+// removeDigram deletes the digram a starts from the index if the
+// indexed occurrence is exactly this one, which a knows: the only entry
+// it can own is that digram's. A guard, and a symbol followed by one,
+// start no digram and own nothing.
+func (g *Grammar) removeDigram(a int32) {
+	if a == nilIdx {
 		return
 	}
-	if pos, ok := g.find(g.digramAt(a, b)); ok && g.pointsAt(&g.index[pos], a) {
-		g.deleteAt(pos)
+	if pos := g.syms[a].slot; pos != noSlot {
+		g.deleteAt(int(pos))
 	}
 }
 
@@ -390,11 +403,10 @@ func (g *Grammar) linkMade(a, b int32) bool {
 	d := g.digramAt(a, b)
 	pos, ok := g.find(d)
 	if ok {
-		e := &g.index[pos]
-		if g.pointsAt(e, a) {
+		if g.pointsAt(pos, a) {
 			return false
 		}
-		if m := e.sym; g.pointsAt(e, m) && g.alive(m) && g.digramAt(m, g.syms[m].next) == d {
+		if m := g.index[pos].sym; g.pointsAt(pos, m) && g.alive(m) && g.digramAt(m, g.syms[m].next) == d {
 			g.processMatch(a, m)
 			return true
 		}
@@ -407,7 +419,7 @@ func (g *Grammar) linkMade(a, b int32) bool {
 // mergeRun implements the run-length optimization: aᶦ aʲ → aᶦ⁺ʲ.
 func (g *Grammar) mergeRun(a, b int32) {
 	// Digrams touching either symbol change identity; drop them first.
-	g.removeDigram(g.syms[a].prev, a)
+	g.removeDigram(g.syms[a].prev)
 	g.unlink(b) // removes (a,b) and (b,b.next) entries
 	g.dropUse(b)
 	g.syms[a].exp += g.syms[b].exp
@@ -446,8 +458,8 @@ func (g *Grammar) eliminateUnitRule(r int32) {
 		if !g.alive(u) {
 			continue
 		}
-		g.removeDigram(g.syms[u].prev, u)
-		g.removeDigram(u, g.syms[u].next)
+		g.removeDigram(g.syms[u].prev)
+		g.removeDigram(u)
 		g.syms[u].key = g.syms[inner].key
 		g.syms[u].exp *= g.syms[inner].exp
 		if g.syms[u].key < 0 {

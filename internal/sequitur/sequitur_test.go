@@ -1,6 +1,7 @@
 package sequitur
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -236,19 +237,47 @@ func TestRandomRuns(t *testing.T) {
 	}
 }
 
+// PackShapedSeed is a FuzzAppendDifferential corpus entry shaped like
+// the stream Pack feeds a grammar: near-identical blocks of alternating
+// high and low 16-bit halves (here 1..2 and 3..7; the fuzz target keeps
+// three bits of a byte) closed by a 0 separator, each block differing
+// from the first in one low half.
+func PackShapedSeed() []byte {
+	var raw []byte
+	for blk := 0; blk < 8; blk++ {
+		for i := 0; i < 12; i++ {
+			lo := 3 + i%5
+			if i == blk {
+				lo = 3 + (i+1)%5
+			}
+			raw = append(raw, byte(1+i/8), byte(lo))
+		}
+		raw = append(raw, 0)
+	}
+	return raw
+}
+
 func TestInvariantsAfterEveryAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	seq := make([]int32, 200)
-	g := New()
-	for i := range seq {
-		seq[i] = int32(rng.Intn(3))
-		g.Append(seq[i])
-		if err := g.CheckInvariants(); err != nil {
-			t.Fatalf("after symbol %d (%v): %v", i, seq[:i+1], err)
-		}
+	random := make([]int32, 200)
+	for i := range random {
+		random[i] = int32(rng.Intn(3))
 	}
-	if got := g.Expand(0); !slices.Equal(got, seq) {
-		t.Fatal("final expansion mismatch")
+	var packShaped []int32
+	for _, b := range PackShapedSeed() {
+		packShaped = append(packShaped, int32(b))
+	}
+	for name, seq := range map[string][]int32{"random": random, "pack-shaped": packShaped} {
+		g := New()
+		for i, v := range seq {
+			g.Append(v)
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("%s: after symbol %d (%v): %v", name, i, seq[:i+1], err)
+			}
+		}
+		if got := g.Expand(0); !slices.Equal(got, seq) {
+			t.Fatalf("%s: final expansion mismatch", name)
+		}
 	}
 }
 
@@ -334,6 +363,67 @@ func TestSerializedRelabel(t *testing.T) {
 	}
 	if _, err := sg.Relabel([]int32{1}); err == nil {
 		t.Fatal("expected error for missing mapping")
+	}
+}
+
+// relabelRef is Relabel as it was before it rewrote a copy in place:
+// decode every rule into its own slice, map the terminals, re-flatten.
+func relabelRef(sg Serialized, mapping []int32) (Serialized, error) {
+	rules := sg.rules()
+	for _, body := range rules {
+		for i, s := range body {
+			if s.val >= 0 {
+				if int(s.val) >= len(mapping) {
+					return nil, fmt.Errorf("sequitur: relabel: no mapping for terminal %d", s.val)
+				}
+				body[i].val = mapping[s.val]
+			}
+		}
+	}
+	return flatten(rules), nil
+}
+
+// TestRelabelMatchesReference: same ints as the decode-and-reflatten
+// oracle (and the same refusal one terminal short), the input left
+// alone, MaxTerminal agreeing with the expansion, in one allocation.
+func TestRelabelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		alpha := 1 + rng.Intn(40)
+		g := New()
+		top := int32(-1)
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			v := int32(rng.Intn(alpha))
+			g.AppendRun(v, 1+int64(rng.Intn(3)))
+			top = max(top, v)
+		}
+		sg := Serialized(g.Serialize())
+		if got := sg.MaxTerminal(); got != top {
+			t.Fatalf("trial %d: MaxTerminal %d, stream's largest terminal is %d", trial, got, top)
+		}
+		before := slices.Clone(sg)
+		mapping := make([]int32, top+1)
+		for i := range mapping {
+			mapping[i] = int32(rng.Intn(1 << 20))
+		}
+		got, err := sg.Relabel(mapping)
+		want, werr := relabelRef(sg, mapping)
+		if err != nil || werr != nil || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Relabel differs from the reference (%v / %v)", trial, err, werr)
+		}
+		if !slices.Equal(sg, before) {
+			t.Fatalf("trial %d: Relabel rewrote its input", trial)
+		}
+		if top >= 0 {
+			_, err := sg.Relabel(mapping[:top])
+			_, werr := relabelRef(sg, mapping[:top])
+			if err == nil || werr == nil || err.Error() != werr.Error() {
+				t.Fatalf("trial %d: short mapping: %v, reference %v", trial, err, werr)
+			}
+		}
+		if avg := testing.AllocsPerRun(20, func() { sg.Relabel(mapping) }); avg > 1 {
+			t.Fatalf("trial %d: Relabel allocates %.1f times, want at most 1", trial, avg)
+		}
 	}
 }
 

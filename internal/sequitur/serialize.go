@@ -3,6 +3,7 @@ package sequitur
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Serialized grammar layout (all int32, matching the paper's "array of
@@ -167,20 +168,38 @@ func flatten(rules [][]sym) Serialized {
 // Relabel rewrites every terminal t as mapping[t], where mapping is
 // the dense relabel slice the inter-process CST merge produced
 // (terminals are contiguous, so index = old terminal). Terminals past
-// the end of the mapping are an error.
+// the end of the mapping are an error. Relabelling changes no
+// structure, so the result is one copy of sg with the value slot of
+// each terminal triple rewritten. sg must have passed Validate.
 func (sg Serialized) Relabel(mapping []int32) (Serialized, error) {
-	rules := sg.rules()
-	for _, body := range rules {
-		for i, s := range body {
-			if s.val >= 0 {
-				if int(s.val) >= len(mapping) {
-					return nil, fmt.Errorf("sequitur: relabel: no mapping for terminal %d", s.val)
+	out := slices.Clone(sg)
+	p := 1
+	for r := int32(0); r < out[0]; r++ {
+		end := p + 1 + 3*int(out[p])
+		for p++; p < end; p += 3 {
+			if v := out[p]; v >= 0 {
+				if int(v) >= len(mapping) {
+					return nil, fmt.Errorf("sequitur: relabel: no mapping for terminal %d", v)
 				}
-				body[i].val = mapping[s.val]
+				out[p] = mapping[v]
 			}
 		}
 	}
-	return flatten(rules), nil
+	return out, nil
+}
+
+// MaxTerminal returns the largest terminal id the grammar names, or -1
+// if it names none. sg must have passed Validate.
+func (sg Serialized) MaxTerminal() int32 {
+	m := int32(-1)
+	p := 1
+	for r := int32(0); r < sg[0]; r++ {
+		end := p + 1 + 3*int(sg[p])
+		for p++; p < end; p += 3 {
+			m = max(m, sg[p])
+		}
+	}
+	return m
 }
 
 // ruleOffsets indexes the serialized form in place: rule r's symbol

@@ -237,6 +237,13 @@ func decodeSnapshot(d *dec, withTable bool) (*core.Snapshot, error) {
 	if s.Grammar, err = d.grammar("snapshot grammar", false); err != nil {
 		return nil, err
 	}
+	// A terminal is an index into the rank's own table; finalize's
+	// relabel has no mapping for one past its end.
+	if withTable {
+		if t := s.Grammar.MaxTerminal(); int(t) >= s.Table.Len() {
+			return nil, fmt.Errorf("wire: snapshot grammar names terminal %d of a %d-entry cst", t, s.Table.Len())
+		}
+	}
 	flags, err := d.byteVal("snapshot flags")
 	if err != nil {
 		return nil, err

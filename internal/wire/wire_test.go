@@ -142,6 +142,43 @@ func TestSnapshotRawCountOverClaimRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotTerminalBeyondTableRejected: a grammar terminal is an
+// index into the snapshot's own CST, so a well-formed frame naming one
+// past the table's end is refused where the table is decoded — before
+// the collector acks and journals a snapshot its finalize cannot
+// relabel. With the table skipped the decoder cannot know; that route
+// reads frames this check already passed, and finalize returns the
+// relabel error.
+func TestSnapshotTerminalBeyondTableRejected(t *testing.T) {
+	s := minimalSnapshot()
+	s.Table.Add([]byte("sig-only"), 1)
+	g := sequitur.New()
+	g.Append(0)
+	g.Append(7)
+	s.Grammar = sequitur.Serialized(g.Serialize())
+	body := EncodeSnapshot(s)
+	_, err := DecodeSnapshot(body)
+	if err == nil || !strings.Contains(err.Error(), "names terminal 7 of a 1-entry cst") {
+		t.Fatalf("terminal 7 against a 1-entry table: %v", err)
+	}
+	hello := &Hello{Version: Version, RunID: "hostile", WorldSize: 1}
+	pair := AppendFrame(AppendFrame(nil, TypeHello, hello.Encode()), TypeSnapshot, body)
+	if _, _, err := DecodePair(pair, true); err == nil {
+		t.Fatal("pair decoded with its table accepted the terminal")
+	}
+	if _, _, err := DecodePair(pair, false); err != nil {
+		t.Fatalf("pair decoded without its table: %v", err)
+	}
+
+	// The largest terminal the table does hold is fine.
+	g = sequitur.New()
+	g.AppendRun(0, 3)
+	s.Grammar = sequitur.Serialized(g.Serialize())
+	if _, err := DecodeSnapshot(EncodeSnapshot(s)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := map[byte][]byte{
