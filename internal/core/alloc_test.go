@@ -61,6 +61,17 @@ func TestPostWarmPathAllocFree(t *testing.T) {
 	}
 }
 
+var tracerSink *Tracer
+
+// TestNewTracerAllocs pins a rank's construction cost, which a wide
+// run pays once per rank: id pools and the maps of rarely made objects
+// must not be allocated up front.
+func TestNewTracerAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { tracerSink = NewTracer(0, nil, Options{}) }); allocs > 10 {
+		t.Fatalf("NewTracer allocates %v times, want at most 10", allocs)
+	}
+}
+
 // BenchmarkPostStencil is the per-call cost on a loop body, where the
 // grammar churns (a rule made and inlined per call) instead of folding
 // into one run as BenchmarkTracerPost's single repeated record does.

@@ -10,31 +10,38 @@
 // that keyed collection.
 package idpool
 
-import "container/heap"
+import "math/bits"
 
 // Pool hands out small non-negative int32 ids, always choosing the
-// smallest free id so that allocation order is deterministic.
+// smallest free id so that allocation order is deterministic. It is a
+// bitmap: bit b of used[w] is set while id 64w+b is allocated, so the
+// smallest free id is the first clear bit. The zero value is an empty
+// pool; a Pool must not be copied after first use.
 type Pool struct {
-	free intHeap
-	next int32
-	used map[int32]bool
+	used []uint64
+	low  int   // every word before used[low] is full
+	next int32 // one past the largest id ever handed out
 }
 
 // New returns an empty pool whose first id is 0.
-func New() *Pool {
-	return &Pool{used: make(map[int32]bool)}
-}
+func New() *Pool { return new(Pool) }
 
 // Get returns the smallest unused id.
 func (p *Pool) Get() int32 {
-	var id int32
-	if p.free.Len() > 0 {
-		id = heap.Pop(&p.free).(int32)
-	} else {
-		id = p.next
-		p.next++
+	w := p.low
+	for w < len(p.used) && p.used[w] == ^uint64(0) {
+		w++
 	}
-	p.used[id] = true
+	if w == len(p.used) {
+		p.used = append(p.used, 0)
+	}
+	p.low = w
+	b := bits.TrailingZeros64(^p.used[w])
+	p.used[w] |= 1 << b
+	id := int32(w<<6 | b)
+	if id >= p.next {
+		p.next = id + 1
+	}
 	return id
 }
 
@@ -42,45 +49,38 @@ func (p *Pool) Get() int32 {
 // allocated is a no-op (matching MPI's tolerance of double frees of
 // null handles).
 func (p *Pool) Put(id int32) {
-	if !p.used[id] {
+	w := int(id >> 6)
+	if id < 0 || w >= len(p.used) {
 		return
 	}
-	delete(p.used, id)
-	heap.Push(&p.free, id)
+	p.used[w] &^= 1 << (id & 63)
+	if w < p.low {
+		p.low = w
+	}
 }
 
 // InUse returns the number of ids currently allocated.
-func (p *Pool) InUse() int { return len(p.used) }
+func (p *Pool) InUse() int {
+	n := 0
+	for _, w := range p.used {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // HighWater returns the smallest n such that every id ever handed out
 // is < n — the total id space the process needed.
 func (p *Pool) HighWater() int32 { return p.next }
 
-type intHeap []int32
-
-func (h intHeap) Len() int            { return len(h) }
-func (h intHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x interface{}) { *h = append(*h, x.(int32)) }
-func (h *intHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // RequestPools keeps one Pool per call signature (§3.4.3). The key is
 // the encoded signature of the creating call, excluding the request
-// argument itself.
+// argument itself. The zero value is an empty set.
 type RequestPools struct {
-	pools map[string]*Pool
+	pools map[string]*Pool // made by the first Pool call
 }
 
 // NewRequestPools returns an empty keyed pool set.
-func NewRequestPools() *RequestPools {
-	return &RequestPools{pools: make(map[string]*Pool)}
-}
+func NewRequestPools() *RequestPools { return new(RequestPools) }
 
 // Pool returns the pool for signature key, creating it on first use.
 // The lookup does not allocate; the key bytes are copied only when a
@@ -88,6 +88,9 @@ func NewRequestPools() *RequestPools {
 func (rp *RequestPools) Pool(key []byte) *Pool {
 	p := rp.pools[string(key)]
 	if p == nil {
+		if rp.pools == nil {
+			rp.pools = make(map[string]*Pool)
+		}
 		p = New()
 		rp.pools[string(key)] = p
 	}

@@ -62,6 +62,27 @@ func TestEncodeToRequestCycleAllocFree(t *testing.T) {
 	}
 }
 
+var encoderSink *Encoder
+
+// TestNewEncoderAllocatesWhatARankUses pins the cold start: a rank pays
+// for the encoder, its communicator map and its request map. Pools are
+// values that grow on first use, and the maps of derived types, groups,
+// user ops and stack addresses are made by their first write.
+func TestNewEncoderAllocatesWhatARankUses(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { encoderSink = NewEncoder(0, nil) }); allocs > 4 {
+		t.Fatalf("NewEncoder allocates %v times, want at most 4", allocs)
+	}
+	e := NewEncoder(0, nil)
+	e.Encode(rec(0, mpispec.FTypeContiguous, vi(4), vdt(intHandle), vdt(500)))
+	e.Encode(rec(0, mpispec.FCommGroup, vc(1, 0), mpispec.Value{Kind: mpispec.KGroup, I: 600}))
+	e.Encode(rec(0, mpispec.FOpCreate, vi(0), vi(1), mpispec.Value{Kind: mpispec.KOp, I: 700}))
+	e.Encode(sendRec(0, 0x7f0000000000, 1, 0))
+	if len(e.typeIDs) != 1 || len(e.groupIDs) != 1 || len(e.opIDs) != 1 || len(e.stackIDs) != 1 {
+		t.Fatalf("first writes: %d types %d groups %d ops %d stack addresses, want one each",
+			len(e.typeIDs), len(e.groupIDs), len(e.opIDs), len(e.stackIDs))
+	}
+}
+
 // TestDecodeAllocatesPerFieldNotPerElement pins the decoder's cold
 // path (it runs once per CST entry of a trace): Args is sized from the
 // function's parameter list, an array field from its count, and the

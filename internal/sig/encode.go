@@ -114,26 +114,26 @@ type Encoder struct {
 	commIDs   map[int64]int32
 	maxCommID int32
 
+	// The maps of derived types, groups, user ops and stack addresses
+	// are made by their first write; most ranks never have any.
 	typeIDs  map[int64]int32
-	typePool *idpool.Pool
+	typePool idpool.Pool
 
 	groupIDs  map[int64]int32
-	groupPool *idpool.Pool
+	groupPool idpool.Pool
 
 	opIDs  map[int64]int32
-	opPool *idpool.Pool
+	opPool idpool.Pool
 
 	reqIDs   map[int64]reqEntry
-	reqPools *idpool.RequestPools
+	reqPools idpool.RequestPools
 
 	mem       avl.Tree
-	memPool   *idpool.Pool
+	memPool   idpool.Pool
 	stackIDs  map[uint64]int32
-	stackPool *idpool.Pool
+	stackPool idpool.Pool
 
 	pending []pendingComm
-
-	keyBuf []byte // scratch for §3.4.3 request-pool keys, reused between calls
 }
 
 // NewEncoder builds the per-rank symbolic state. oob may be nil when
@@ -144,33 +144,26 @@ func NewEncoder(rank int, oob mpispec.OOB) *Encoder {
 
 // NewEncoderOpts is NewEncoder with ablation options.
 func NewEncoderOpts(rank int, oob mpispec.OOB, opts Options) *Encoder {
-	e := &Encoder{
+	return &Encoder{
 		rank:      rank,
 		oob:       oob,
 		opts:      opts,
 		commIDs:   map[int64]int32{worldHandle: 0, selfHandle: 1},
 		maxCommID: 1,
-		typeIDs:   map[int64]int32{},
-		typePool:  idpool.New(),
-		groupIDs:  map[int64]int32{},
-		groupPool: idpool.New(),
-		opIDs:     map[int64]int32{},
-		opPool:    idpool.New(),
 		reqIDs:    map[int64]reqEntry{},
-		reqPools:  idpool.NewRequestPools(),
-		stackIDs:  map[uint64]int32{},
-		stackPool: idpool.New(),
-		memPool:   idpool.New(),
 	}
-	return e
 }
 
 // SetOOB late-binds the out-of-band collective interface (the rank's
 // runtime handle may not exist when the encoder is built).
 func (e *Encoder) SetOOB(oob mpispec.OOB) { e.oob = oob }
 
-// MemAlloc registers an intercepted allocation (§3.3.3).
+// MemAlloc registers an intercepted allocation (§3.3.3). Insert
+// replaces a segment already registered at addr (its free was not
+// intercepted), so that segment's id goes back first and a
+// realloc-in-place keeps it.
 func (e *Encoder) MemAlloc(addr, size uint64, device int32) {
+	e.MemFree(addr)
 	id := e.memPool.Get()
 	e.mem.Insert(avl.Segment{Addr: addr, Size: size, ID: id, Device: device})
 }
@@ -192,38 +185,21 @@ func (e *Encoder) NumRequestPools() int { return e.reqPools.NumPools() }
 
 // --- primitive emitters ------------------------------------------------------
 
-func putUvarint(buf []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
-
-func putVarint(buf []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
-
 // commRankOf extracts the caller's rank within the call's communicator
 // (carried in the KComm value), falling back to the world rank.
-func (e *Encoder) commRankOf(rec *mpispec.CallRecord) int64 {
-	for _, a := range rec.Args {
-		if a.Kind == mpispec.KComm && len(a.Arr) > 0 {
+func (e *Encoder) commRankOf(rec *mpispec.CallRecord, ff *funcFacts) int64 {
+	if c := int(ff.comm); c >= 0 && c < len(rec.Args) {
+		if a := &rec.Args[c]; a.Kind == mpispec.KComm && len(a.Arr) > 0 {
+			return a.Arr[0]
+		}
+	}
+	// A null first communicator: any other one that carries a rank.
+	for i := range rec.Args {
+		if a := &rec.Args[i]; a.Kind == mpispec.KComm && len(a.Arr) > 0 {
 			return a.Arr[0]
 		}
 	}
 	return int64(e.rank)
-}
-
-// peerParam reports whether a KRank parameter is a peer rank
-// (source/destination: always relative) rather than a root-like rank
-// (absolute, identical on all callers).
-func peerParam(name string) bool {
-	switch name {
-	case "dest", "source", "rank_source", "rank_dest":
-		return true
-	}
-	return false
 }
 
 func (e *Encoder) encodeRank(buf []byte, v, base int64, peer bool) []byte {
@@ -237,23 +213,33 @@ func (e *Encoder) encodeRank(buf []byte, v, base int64, peer bool) []byte {
 	}
 	if peer && !e.opts.NoRelativeRanks {
 		buf = append(buf, selRel)
-		return putVarint(buf, v-base)
+		return binary.AppendVarint(buf, v-base)
 	}
 	buf = append(buf, selAbs)
-	return putVarint(buf, v)
+	return binary.AppendVarint(buf, v)
 }
 
 func (e *Encoder) encodeWindowed(buf []byte, v, base int64) []byte {
-	switch v {
-	case anyTag: // also matches Undefined for colors: same wire value is fine
+	if v == anyTag {
+		// MPI_UNDEFINED (-3, a split color) is a different value and
+		// has no selector here: it is stored absolutely.
 		return append(buf, selAnyTag)
 	}
 	if d := v - base; d >= -relWindow && d <= relWindow && !e.opts.NoRelativeRanks {
 		buf = append(buf, selRel)
-		return putVarint(buf, d)
+		return binary.AppendVarint(buf, d)
 	}
 	buf = append(buf, selAbs)
-	return putVarint(buf, v)
+	return binary.AppendVarint(buf, v)
+}
+
+// setID records k's symbolic id in *m, making the map on its first
+// write.
+func setID[K comparable](m *map[K]int32, k K, id int32) {
+	if *m == nil {
+		*m = make(map[K]int32)
+	}
+	(*m)[k] = id
 }
 
 func (e *Encoder) encodePtr(buf []byte, addr uint64) []byte {
@@ -264,13 +250,13 @@ func (e *Encoder) encodePtr(buf []byte, addr uint64) []byte {
 		// Ablation: the raw address, as a "stack" entry keyed by the
 		// exact address — what a tool without malloc interception sees.
 		buf = append(buf, ptrStack)
-		return putUvarint(buf, addr)
+		return binary.AppendUvarint(buf, addr)
 	}
 	if seg, ok := e.mem.Find(addr); ok {
 		buf = append(buf, ptrHeap)
-		buf = putUvarint(buf, uint64(seg.ID))
-		buf = putUvarint(buf, addr-seg.Addr)
-		buf = putUvarint(buf, uint64(seg.Device))
+		buf = binary.AppendUvarint(buf, uint64(seg.ID))
+		buf = binary.AppendUvarint(buf, addr-seg.Addr)
+		buf = binary.AppendUvarint(buf, uint64(seg.Device))
 		return buf
 	}
 	// Stack (or otherwise unknown) address: assign a per-address id,
@@ -278,10 +264,10 @@ func (e *Encoder) encodePtr(buf []byte, addr uint64) []byte {
 	id, ok := e.stackIDs[addr]
 	if !ok {
 		id = e.stackPool.Get()
-		e.stackIDs[addr] = id
+		setID(&e.stackIDs, addr, id)
 	}
 	buf = append(buf, ptrStack)
-	return putUvarint(buf, uint64(id))
+	return binary.AppendUvarint(buf, uint64(id))
 }
 
 // symbolicType returns (and lazily assigns, for predefined handles)
@@ -296,7 +282,7 @@ func (e *Encoder) symbolicType(h int64) int32 {
 	// Unknown derived handle (shouldn't happen in well-formed traces):
 	// assign on first sight so encoding stays total.
 	id := e.typePool.Get() + predefTypeCount
-	e.typeIDs[h] = id
+	setID(&e.typeIDs, h, id)
 	return id
 }
 
@@ -308,7 +294,7 @@ func (e *Encoder) symbolicOp(h int64) int32 {
 		return id
 	}
 	id := e.opPool.Get() + predefOpCount
-	e.opIDs[h] = id
+	setID(&e.opIDs, h, id)
 	return id
 }
 
@@ -317,7 +303,7 @@ func (e *Encoder) symbolicGroup(h int64) int32 {
 		return id
 	}
 	id := e.groupPool.Get()
-	e.groupIDs[h] = id
+	setID(&e.groupIDs, h, id)
 	return id
 }
 
@@ -356,104 +342,123 @@ func (e *Encoder) Encode(rec *mpispec.CallRecord) []byte {
 // Once the scratch has grown to the workload's signature sizes the
 // common call encodes with zero allocations; the tracer's per-call
 // path relies on this.
+//
+// The arguments are encoded once. A request-creating call leaves its
+// new request's slot out, which makes the bytes after the function id
+// the §3.4.3 pool key (the signature sans request); the id drawn with
+// that key is then spliced in where the slot was.
 func (e *Encoder) EncodeTo(buf []byte, rec *mpispec.CallRecord) []byte {
-	// Lifecycle, part 1: request-creating calls need the pool key
-	// (signature sans request) before the request id can be chosen.
-	spec := mpispec.Spec[rec.Func]
-	base := e.commRankOf(rec)
+	ff := &facts[rec.Func]
+	e.assignCreatedObjects(rec, ff)
 
-	if reqArg := requestCreatingArg(rec.Func); reqArg >= 0 {
-		e.keyBuf = e.encodeArgs(e.keyBuf[:0], rec, spec, base, true)
-		key := e.keyBuf
+	buf = binary.AppendUvarint(buf, uint64(rec.Func))
+	args := len(buf)
+	buf, reqOff := e.encodeArgs(buf, rec, ff)
+	if reqOff >= 0 {
+		key := buf[args:]
 		if e.opts.SharedRequestPool {
 			key = nil // §3.4.3 off: one pool for every request
 		}
-		if h := rec.Args[reqArg].I; h != 0 {
-			pool := e.reqPools.Pool(key)
-			e.reqIDs[h] = reqEntry{id: pool.Get(), pool: pool, persistent: isPersistentInit(rec.Func)}
-		}
+		buf = insertVarint(buf, reqOff, e.createRequest(rec.Args[ff.newRequest].I, key, ff.persistent))
 	}
-
-	e.assignCreatedObjects(rec)
-
-	buf = putUvarint(buf, uint64(rec.Func))
-	buf = e.encodeArgs(buf, rec, spec, base, false)
 
 	e.releaseCompletedObjects(rec)
 	e.pollPending()
 	return buf
 }
 
-// encodeArgs encodes all arguments. When skipRequests is true, request
-// values are omitted entirely — that variant is the §3.4.3 pool key.
-func (e *Encoder) encodeArgs(buf []byte, rec *mpispec.CallRecord, spec mpispec.FuncSpec, base int64, skipRequests bool) []byte {
-	for i, a := range rec.Args {
-		var pname string
-		if i < len(spec.Params) {
-			pname = spec.Params[i].Name
-		}
+// createRequest draws new request h's id from the pool of its key and
+// returns what the request's slot encodes.
+func (e *Encoder) createRequest(h int64, key []byte, persistent bool) int64 {
+	if h == 0 {
+		return -1
+	}
+	pool := e.reqPools.Pool(key)
+	id := pool.Get()
+	e.reqIDs[h] = reqEntry{id: id, pool: pool, persistent: persistent}
+	return int64(id)
+}
+
+// insertVarint inserts v's varint at buf[off:], moving the tail up.
+func insertVarint(buf []byte, off int, v int64) []byte {
+	tail := len(buf) - off
+	buf = binary.AppendVarint(buf, v)
+	if tail > 0 {
+		var enc [binary.MaxVarintLen64]byte
+		n := copy(enc[:], buf[off+tail:])
+		copy(buf[off+n:], buf[off:off+tail])
+		copy(buf[off:], enc[:n])
+	}
+	return buf
+}
+
+// encodeArgs encodes all arguments but the request the call creates,
+// if it creates one; it returns where that one goes, or -1.
+func (e *Encoder) encodeArgs(buf []byte, rec *mpispec.CallRecord, ff *funcFacts) ([]byte, int) {
+	base := e.commRankOf(rec, ff)
+	reqSlot, reqOff := int(ff.newRequest), -1
+	for i := range rec.Args {
+		a := &rec.Args[i]
 		switch a.Kind {
 		case mpispec.KInt:
-			buf = putVarint(buf, a.I)
+			buf = binary.AppendVarint(buf, a.I)
 		case mpispec.KRank:
-			buf = e.encodeRank(buf, a.I, base, peerParam(pname))
+			buf = e.encodeRank(buf, a.I, base, ff.peers&(1<<i) != 0)
 		case mpispec.KTag, mpispec.KColor, mpispec.KKey:
 			buf = e.encodeWindowed(buf, a.I, base)
 		case mpispec.KComm:
-			buf = putVarint(buf, e.symbolicComm(a.I))
+			buf = binary.AppendVarint(buf, e.symbolicComm(a.I))
 		case mpispec.KDatatype:
 			if a.I == 0 {
-				buf = putVarint(buf, -1)
+				buf = binary.AppendVarint(buf, -1)
 			} else {
-				buf = putVarint(buf, int64(e.symbolicType(a.I)))
+				buf = binary.AppendVarint(buf, int64(e.symbolicType(a.I)))
 			}
 		case mpispec.KOp:
 			if a.I == 0 {
-				buf = putVarint(buf, -1)
+				buf = binary.AppendVarint(buf, -1)
 			} else {
-				buf = putVarint(buf, int64(e.symbolicOp(a.I)))
+				buf = binary.AppendVarint(buf, int64(e.symbolicOp(a.I)))
 			}
 		case mpispec.KGroup:
 			if a.I == 0 {
-				buf = putVarint(buf, -1)
+				buf = binary.AppendVarint(buf, -1)
 			} else {
-				buf = putVarint(buf, int64(e.symbolicGroup(a.I)))
+				buf = binary.AppendVarint(buf, int64(e.symbolicGroup(a.I)))
 			}
 		case mpispec.KRequest:
-			if skipRequests {
+			if i == reqSlot {
+				reqOff = len(buf)
 				continue
 			}
-			buf = putVarint(buf, e.symbolicRequest(a.I))
+			buf = binary.AppendVarint(buf, e.symbolicRequest(a.I))
 		case mpispec.KReqArray:
-			if skipRequests {
-				continue
-			}
-			buf = putUvarint(buf, uint64(len(a.Arr)))
+			buf = binary.AppendUvarint(buf, uint64(len(a.Arr)))
 			for _, h := range a.Arr {
-				buf = putVarint(buf, e.symbolicRequest(h))
+				buf = binary.AppendVarint(buf, e.symbolicRequest(h))
 			}
 		case mpispec.KStatus:
 			buf = e.encodeStatus(buf, a.Arr, base)
 		case mpispec.KStatArray:
-			buf = putUvarint(buf, uint64(len(a.Arr)/2))
+			buf = binary.AppendUvarint(buf, uint64(len(a.Arr)/2))
 			for j := 0; j+1 < len(a.Arr); j += 2 {
 				buf = e.encodeStatus(buf, a.Arr[j:j+2], base)
 			}
 		case mpispec.KPtr:
 			buf = e.encodePtr(buf, uint64(a.I))
 		case mpispec.KString:
-			buf = putUvarint(buf, uint64(len(a.S)))
+			buf = binary.AppendUvarint(buf, uint64(len(a.S)))
 			buf = append(buf, a.S...)
 		case mpispec.KIntArray, mpispec.KIndexArray:
-			buf = putUvarint(buf, uint64(len(a.Arr)))
+			buf = binary.AppendUvarint(buf, uint64(len(a.Arr)))
 			for _, v := range a.Arr {
-				buf = putVarint(buf, v)
+				buf = binary.AppendVarint(buf, v)
 			}
 		default:
-			panic(fmt.Sprintf("sig: unhandled kind %v in %s", a.Kind, spec.Name))
+			panic(fmt.Sprintf("sig: unhandled kind %v in %s", a.Kind, rec.Func.Name()))
 		}
 	}
-	return buf
+	return buf, reqOff
 }
 
 // encodeStatus keeps MPI_SOURCE (relative) and MPI_TAG (§3.3.2).
@@ -463,5 +468,5 @@ func (e *Encoder) encodeStatus(buf []byte, st []int64, base int64) []byte {
 		src, tag = st[0], st[1]
 	}
 	buf = e.encodeRank(buf, src, base, true)
-	return putVarint(buf, tag)
+	return binary.AppendVarint(buf, tag)
 }

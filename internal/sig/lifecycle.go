@@ -1,92 +1,76 @@
 package sig
 
-import "github.com/hpcrepro/pilgrim/internal/mpispec"
+import (
+	"strings"
 
-// requestCreatingArg returns the index of the request output argument
-// for calls that create a request, or -1.
-func requestCreatingArg(f mpispec.FuncID) int {
-	switch f {
-	case mpispec.FIsend, mpispec.FIbsend, mpispec.FIssend, mpispec.FIrsend, mpispec.FIrecv,
-		mpispec.FSendInit, mpispec.FBsendInit, mpispec.FSsendInit, mpispec.FRsendInit, mpispec.FRecvInit:
-		return 6
-	case mpispec.FIbarrier:
-		return 1
-	case mpispec.FCommIdup:
-		return 2
-	case mpispec.FIbcast:
-		return 5
-	case mpispec.FIgather, mpispec.FIscatter:
-		return 8
-	case mpispec.FIallgather, mpispec.FIalltoall:
-		return 7
-	case mpispec.FIreduce:
-		return 7
-	case mpispec.FIallreduce:
-		return 6
-	}
-	return -1
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
+)
+
+// funcFacts is what the encoder knows about one function beyond its
+// arguments' kinds. The slots are parameter indices, -1 for none.
+type funcFacts struct {
+	comm       int8   // first communicator parameter: the caller's rank in it is the base of relative ranks
+	peers      uint16 // bit i: parameter i is a peer rank (source/destination, encoded relative) rather than a root
+	newRequest int8   // the request the call creates
+	persistent bool   // ... which keeps its id across completions until MPI_Request_free
+	newComm    int8   // the communicator a blocking call creates (MPI_Comm_idup's is agreed in the background)
+	newType    int8
+	newGroup   int8
+	newOp      int8
 }
 
-// isPersistentInit reports whether the call creates a persistent
-// request, whose id survives completions until MPI_Request_free.
-func isPersistentInit(f mpispec.FuncID) bool {
-	switch f {
-	case mpispec.FSendInit, mpispec.FBsendInit, mpispec.FSsendInit, mpispec.FRsendInit, mpispec.FRecvInit:
-		return true
+// facts is read off mpispec.Spec once: an object-kind parameter with
+// direction Out is the object the call creates.
+var facts = func() (t [mpispec.NumFuncs]funcFacts) {
+	for f := range t {
+		ff := funcFacts{comm: -1, newRequest: -1, newComm: -1, newType: -1, newGroup: -1, newOp: -1}
+		for i, p := range mpispec.Spec[f].Params {
+			slot, out := int8(i), p.Dir == mpispec.Out
+			switch p.Kind {
+			case mpispec.KRank:
+				switch p.Name {
+				case "dest", "source", "rank_source", "rank_dest":
+					ff.peers |= 1 << i
+				}
+			case mpispec.KComm:
+				if out {
+					ff.newComm = slot
+				} else if ff.comm < 0 {
+					ff.comm = slot
+				}
+			case mpispec.KRequest:
+				if out {
+					ff.newRequest = slot
+				}
+			case mpispec.KDatatype:
+				if out {
+					ff.newType = slot
+				}
+			case mpispec.KGroup:
+				if out {
+					ff.newGroup = slot
+				}
+			case mpispec.KOp:
+				if out {
+					ff.newOp = slot
+				}
+			}
+		}
+		if ff.newRequest >= 0 {
+			ff.newComm = -1
+			// Persistence is not a parameter property; MPI names the
+			// calls that make persistent requests MPI_*_init.
+			ff.persistent = strings.HasSuffix(mpispec.Spec[f].Name, "_init")
+		}
+		t[f] = ff
 	}
-	return false
-}
-
-// commCreatingArg returns the index of the newcomm output argument for
-// blocking communicator-creating calls, or -1.
-func commCreatingArg(f mpispec.FuncID) int {
-	switch f {
-	case mpispec.FCommDup:
-		return 1
-	case mpispec.FCommSplit, mpispec.FCommSplitType:
-		return 3
-	case mpispec.FCommCreate:
-		return 2
-	case mpispec.FCartCreate:
-		return 5
-	case mpispec.FCartSub, mpispec.FIntercommMerge:
-		return 2
-	case mpispec.FIntercommCreate:
-		return 5
-	}
-	return -1
-}
-
-// typeCreatingArg returns the newtype output argument index, or -1.
-func typeCreatingArg(f mpispec.FuncID) int {
-	switch f {
-	case mpispec.FTypeContiguous:
-		return 2
-	case mpispec.FTypeVector, mpispec.FTypeIndexed, mpispec.FTypeCreateStruct:
-		return 4
-	case mpispec.FTypeDup:
-		return 1
-	}
-	return -1
-}
-
-// groupCreatingArgs returns the new-group output argument indices.
-func groupCreatingArgs(f mpispec.FuncID) []int {
-	switch f {
-	case mpispec.FCommGroup:
-		return []int{1}
-	case mpispec.FGroupIncl, mpispec.FGroupExcl:
-		return []int{3}
-	case mpispec.FGroupUnion, mpispec.FGroupIntersection, mpispec.FGroupDifference:
-		return []int{2}
-	}
-	return nil
-}
+	return t
+}()
 
 // assignCreatedObjects performs the id assignment implied by the call,
 // including the group-wide all-reduce for new communicators (§3.3.1).
-func (e *Encoder) assignCreatedObjects(rec *mpispec.CallRecord) {
-	if i := commCreatingArg(rec.Func); i >= 0 {
+func (e *Encoder) assignCreatedObjects(rec *mpispec.CallRecord, ff *funcFacts) {
+	if i := ff.newComm; i >= 0 {
 		h := rec.Args[i].I
 		if h != 0 {
 			if _, known := e.commIDs[h]; !known {
@@ -111,24 +95,24 @@ func (e *Encoder) assignCreatedObjects(rec *mpispec.CallRecord) {
 			e.pending = append(e.pending, pendingComm{token: tok, commHandle: h})
 		}
 	}
-	if i := typeCreatingArg(rec.Func); i >= 0 {
+	if i := ff.newType; i >= 0 {
 		if h := rec.Args[i].I; h != 0 {
 			if _, known := e.typeIDs[h]; !known {
-				e.typeIDs[h] = e.typePool.Get() + predefTypeCount
+				setID(&e.typeIDs, h, e.typePool.Get()+predefTypeCount)
 			}
 		}
 	}
-	for _, i := range groupCreatingArgs(rec.Func) {
+	if i := ff.newGroup; i >= 0 {
 		if h := rec.Args[i].I; h != 0 {
 			if _, known := e.groupIDs[h]; !known {
-				e.groupIDs[h] = e.groupPool.Get()
+				setID(&e.groupIDs, h, e.groupPool.Get())
 			}
 		}
 	}
-	if rec.Func == mpispec.FOpCreate {
-		if h := rec.Args[2].I; h != 0 {
+	if i := ff.newOp; i >= 0 {
+		if h := rec.Args[i].I; h != 0 {
 			if _, known := e.opIDs[h]; !known {
-				e.opIDs[h] = e.opPool.Get() + predefOpCount
+				setID(&e.opIDs, h, e.opPool.Get()+predefOpCount)
 			}
 		}
 	}
