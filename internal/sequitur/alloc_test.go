@@ -1,6 +1,7 @@
 package sequitur
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"unsafe"
@@ -11,9 +12,11 @@ import (
 var loopBody = []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 10, 11}
 
 // TestAppendZeroAllocs pins the steady-state append at zero
-// allocations: once the slabs and the digram table have grown to the
-// loop's working set, every transient symbol and rule of the per-append
-// churn comes off a free list.
+// allocations. A clean iteration is the loop cursor counting; a
+// perturbed one flushes it and takes the slow path, where once the
+// slabs and the digram table have grown to the loop's working set every
+// transient symbol and rule of the per-append churn comes off a free
+// list, and the flushed terminals fit flush's stack buffer.
 func TestAppendZeroAllocs(t *testing.T) {
 	g := New()
 	iteration := func() {
@@ -21,11 +24,23 @@ func TestAppendZeroAllocs(t *testing.T) {
 			g.Append(v)
 		}
 	}
-	for i := 0; i < 50; i++ {
+	perturbed := func() {
 		iteration()
+		for i, v := range loopBody {
+			if i == len(loopBody)-2 {
+				v = 99
+			}
+			g.Append(v)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		perturbed()
 	}
 	if avg := testing.AllocsPerRun(200, iteration); avg != 0 {
 		t.Fatalf("steady-state loop iteration allocates %.2f times, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, perturbed); avg != 0 {
+		t.Fatalf("steady-state perturbed iteration allocates %.2f times, want 0", avg)
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -34,7 +49,8 @@ func TestAppendZeroAllocs(t *testing.T) {
 
 // TestSlabEntrySizes pins the two hot structs at 32 bytes: two symbols
 // and two index entries to a cache line, and the live-bytes figures of
-// the ledger.
+// the ledger. The builder itself is two lines; the loop cursor sits in
+// what was padding.
 func TestSlabEntrySizes(t *testing.T) {
 	if n := unsafe.Sizeof(symbol{}); n != 32 {
 		t.Errorf("symbol is %d bytes, want 32", n)
@@ -42,12 +58,16 @@ func TestSlabEntrySizes(t *testing.T) {
 	if n := unsafe.Sizeof(digramEntry{}); n != 32 {
 		t.Errorf("digramEntry is %d bytes, want 32", n)
 	}
+	if n := unsafe.Sizeof(Grammar{}); n != 128 {
+		t.Errorf("Grammar is %d bytes, want 128", n)
+	}
 }
 
 // TestCheckInvariantsCatchesSlabCorruption covers the failures only
 // the slab layout can have: a freed slot still linked into a body, a
-// use list that disagrees with the rule's count, and a symbol and an
-// index entry that disagree about who owns the entry.
+// use list that disagrees with the rule's count, a symbol and an index
+// entry that disagree about who owns the entry, a digram the index
+// lost, and a loop cursor that is not where an armed cursor can be.
 func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 	build := func() *Grammar {
 		g := New()
@@ -60,6 +80,23 @@ func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		return g
+	}
+	// buildArmed returns a grammar whose cursor stands on the sixth
+	// symbol of loopBody's rule; tail names that rule and the terminal
+	// after its run.
+	buildArmed := func() *Grammar {
+		g := New()
+		for i := 0; i < 4*len(loopBody)+5; i++ {
+			g.Append(loopBody[i%len(loopBody)])
+		}
+		if err := g.checkCursor(); err != nil || g.cur == nilIdx {
+			t.Fatalf("test grammar's cursor: armed=%v, %v", g.cur != nilIdx, err)
+		}
+		return g
+	}
+	tail := func(g *Grammar) (r, r1 int32) {
+		r1 = g.syms[0].prev
+		return -g.syms[g.syms[r1].prev].key, r1
 	}
 	// owners returns two symbols that own index entries, and a freed
 	// slot if the slab has one.
@@ -82,11 +119,21 @@ func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 		return a, b, freed
 	}
 
-	for _, c := range []struct {
+	type corruption struct {
 		name    string
 		corrupt func(g *Grammar)
 		want    string // part of the report
-	}{
+	}
+	check := func(base func() *Grammar, cases []corruption) {
+		for _, c := range cases {
+			g := base()
+			c.corrupt(g)
+			if err := g.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: reported as %v, want an error mentioning %q", c.name, err, c.want)
+			}
+		}
+	}
+	check(build, []corruption{
 		{"reachable freed slot", func(g *Grammar) {
 			g.freeSym(g.syms[0].next)
 			g.recycle()
@@ -128,19 +175,81 @@ func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 			a, _, _ := owners(g)
 			g.syms[a].slot = noSlot
 		}, ""},
-	} {
-		g := build()
-		c.corrupt(g)
-		if err := g.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: reported as %v, want an error mentioning %q", c.name, err, c.want)
-		}
-	}
+		{"digram missing from the index", func(g *Grammar) {
+			a, _, _ := owners(g)
+			g.deleteAt(int(g.syms[a].slot))
+		}, "digram not indexed"},
+		{"cursor past the slab", func(g *Grammar) {
+			g.cur = int32(len(g.syms))
+		}, "out of range"},
+		{"cursor armed with no run and terminal at the tail", func(g *Grammar) {
+			g.cur = g.first(g.rulesInOrder()[1])
+		}, "does not end in a rule's run and a terminal"},
+	})
+	check(buildArmed, []corruption{
+		{"cursor armed on a dead rule", func(g *Grammar) {
+			r, _ := tail(g)
+			g.rules[r].dead = true
+		}, "dead rule"},
+		{"cursor's rule begins with another terminal", func(g *Grammar) {
+			_, r1 := tail(g)
+			g.syms[r1].key = 99
+		}, "does not begin with the tail terminal"},
+		{"cursor on the rule's first symbol", func(g *Grammar) {
+			r, _ := tail(g)
+			g.cur = g.first(r)
+		}, "not a body symbol"},
+		{"cursor on the rule's guard", func(g *Grammar) {
+			r, _ := tail(g)
+			g.cur = g.rules[r].guard
+		}, "not a body symbol"},
+		{"cursor past a symbol with an exponent", func(g *Grammar) {
+			r, _ := tail(g)
+			g.syms[g.syms[g.first(r)].next].exp = 2
+		}, "not a terminal of exponent 1"},
+	})
 }
 
+// BenchmarkAppendLoop is the loop cursor's case: a steady loop.
 func BenchmarkAppendLoop(b *testing.B) {
 	g := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Append(loopBody[i%len(loopBody)])
+	}
+}
+
+// BenchmarkAppendNoisy is the shape of a lossy timing grammar, five
+// symbols at random: the cursor hardly ever arms and must cost nothing.
+func BenchmarkAppendNoisy(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]int32, 1<<16)
+	for i := range stream {
+		stream[i] = int32(rng.Intn(5))
+	}
+	g := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Append(stream[i%len(stream)])
+	}
+}
+
+// BenchmarkAppendPerturbedLoop replaces one symbol in 40 of the steady
+// loop, so two iterations in three arm the cursor only to flush it.
+func BenchmarkAppendPerturbedLoop(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]int32, 1<<16)
+	for i := range stream {
+		stream[i] = loopBody[i%len(loopBody)]
+		if rng.Intn(40) == 0 {
+			stream[i] = int32(rng.Intn(16))
+		}
+	}
+	g := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Append(stream[i%len(stream)])
 	}
 }

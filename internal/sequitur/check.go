@@ -6,6 +6,12 @@ import "fmt"
 // the two Sequitur properties. It is intended for tests; it is O(size
 // of grammar).
 func (g *Grammar) CheckInvariants() error {
+	// The cursor is checked as found; everything else is a property of
+	// the grammar the ordinary appends build, so the rest runs flushed.
+	if err := g.checkCursor(); err != nil {
+		return err
+	}
+	g.flush()
 	if err := g.checkOwnership(); err != nil {
 		return err
 	}
@@ -67,7 +73,11 @@ func (g *Grammar) CheckInvariants() error {
 						prev.rule, prev.pos, ri, pos)
 				}
 				digramsSeen[d] = occ{ri, pos}
-				if at, ok := g.find(d); ok && !g.pointsAt(at, s) {
+				at, ok := g.find(d)
+				if !ok {
+					return fmt.Errorf("rule %d pos %d: digram not indexed", ri, pos)
+				}
+				if !g.pointsAt(at, s) {
 					return fmt.Errorf("rule %d pos %d: digram indexed at wrong occurrence", ri, pos)
 				}
 			}
@@ -103,6 +113,42 @@ func (g *Grammar) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// checkCursor verifies an armed loop cursor without flushing it: the
+// start rule ends R^j r1 with r1 a terminal of exponent 1 equal to R's
+// first body symbol, and cur is a body symbol of R after the first with
+// nothing but terminals of exponent 1 before it.
+func (g *Grammar) checkCursor() error {
+	if g.cur == nilIdx {
+		return nil
+	}
+	if g.cur <= 0 || int(g.cur) >= len(g.syms) {
+		return fmt.Errorf("loop cursor %d out of range", g.cur)
+	}
+	r1 := g.syms[0].prev
+	run := g.syms[r1].prev
+	if g.isGuard(r1) || g.syms[r1].key < 0 || g.syms[r1].exp != 1 || g.syms[run].key >= 0 {
+		return fmt.Errorf("loop cursor armed but the start rule does not end in a rule's run and a terminal")
+	}
+	r := -g.syms[run].key
+	if g.rules[r].dead {
+		return fmt.Errorf("loop cursor armed on dead rule %d", r)
+	}
+	f := g.first(r)
+	if g.syms[f].key != g.syms[r1].key || g.syms[f].exp != 1 {
+		return fmt.Errorf("loop cursor armed but rule %d does not begin with the tail terminal", r)
+	}
+	for s := g.syms[f].next; ; s = g.syms[s].next {
+		switch {
+		case g.isGuard(s):
+			return fmt.Errorf("loop cursor %d is not a body symbol of rule %d past its first", g.cur, r)
+		case s == g.cur:
+			return nil
+		case g.syms[s].key < 0 || g.syms[s].exp != 1:
+			return fmt.Errorf("loop cursor passed a symbol of rule %d that is not a terminal of exponent 1", r)
+		}
+	}
 }
 
 // checkOwnership verifies that symbols and index entries name each

@@ -31,6 +31,16 @@ func singles(seq []int32) []run {
 // shows the comparison does not hang on that order.
 func differential(t testing.TB, name string, stream []run, every int) {
 	t.Helper()
+	differentialAt(t, name, stream, func() int { return every })
+}
+
+// differentialAt is differential comparing gap() appends after the last
+// comparison. A comparison reads the grammar, which flushes the loop
+// cursor, so only a stream compared at gaps longer than its loop bodies
+// lets the cursor complete an iteration; between comparisons the cursor
+// is checked where it stands.
+func differentialAt(t testing.TB, name string, stream []run, gap func() int) {
+	t.Helper()
 	g, ref, ref2 := sequitur.New(), sequitur.NewRef(), sequitur.NewRef()
 	compare := func(at int) {
 		t.Helper()
@@ -44,13 +54,21 @@ func differential(t testing.TB, name string, stream []run, every int) {
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatalf("%s: after %d appends: %v", name, at, err)
 		}
+		if st := g.Stats(); st.SerializedB != len(want)*4 {
+			t.Fatalf("%s: after %d appends: Stats().SerializedB = %d, Serialize() is %d bytes", name, at, st.SerializedB, len(want)*4)
+		}
 	}
+	next := gap()
 	for i, r := range stream {
 		g.AppendRun(r.t, r.k)
 		ref.AppendRun(r.t, r.k)
 		ref2.AppendRun(r.t, r.k)
-		if (i+1)%every == 0 {
+		if err := g.CheckCursor(); err != nil {
+			t.Fatalf("%s: after %d appends: %v", name, i+1, err)
+		}
+		if next--; next <= 0 {
 			compare(i + 1)
+			next = gap()
 		}
 	}
 	compare(len(stream))

@@ -92,13 +92,14 @@ type Grammar struct {
 	// and rules they have already removed and test alive/dead on them.
 	freeSyms, pendSyms int32
 	freeRules          int32
+	cur                int32   // loop cursor (see arm), or nilIdx
 	users              []int32 // eliminateUnitRule's snapshots, used as a stack
 	nTerms             int64   // number of terminals appended (uncompressed length)
 }
 
 // New returns an empty grammar.
 func New() *Grammar {
-	g := &Grammar{freeSyms: nilIdx, pendSyms: nilIdx, freeRules: nilIdx}
+	g := &Grammar{freeSyms: nilIdx, pendSyms: nilIdx, freeRules: nilIdx, cur: nilIdx}
 	g.newRule()
 	return g
 }
@@ -301,10 +302,95 @@ func (g *Grammar) AppendRun(t int32, k int64) {
 		panic("sequitur: negative terminal")
 	}
 	g.nTerms += k
+	if g.cur != nilIdx {
+		if sy := &g.syms[g.cur]; k == 1 && sy.key == t && sy.exp == 1 {
+			if g.isGuard(sy.next) {
+				g.completeLoop()
+			} else {
+				g.cur = sy.next
+			}
+			return
+		}
+		g.flush()
+	}
+	last := g.syms[0].prev
+	if !g.appendSlow(t, k) && k == 1 && g.syms[last].key < 0 {
+		g.arm(-g.syms[last].key, t)
+	}
+}
+
+// appendSlow is the textbook append: link t^k at the end of the start
+// rule and restore P1 and P2. It reports whether that restructured the
+// grammar.
+func (g *Grammar) appendSlow(t int32, k int64) bool {
 	s := g.newSym(t, k)
 	g.insertAfter(g.syms[0].prev, s)
-	g.linkMade(g.syms[s].prev, s)
+	changed := g.linkMade(g.syms[s].prev, s)
 	g.recycle()
+	return changed
+}
+
+// The loop cursor. On a steady loop the start rule ends R^j and the
+// next iteration arrives one terminal at a time; appendSlow rebuilds R's
+// body out of temporary rules, finds it is R, and tears them down again
+// to reach R^(j+1). While the arrivals spell R's body the cursor only
+// counts them: cur is the body symbol the next terminal has to equal,
+// the terminals seen so far are R's body from its second symbol up to
+// cur (the first is linked at the tail), and the grammar is untouched.
+// The last one bumps the run (completeLoop); anything else replays them
+// through appendSlow (flush), as does every reader of the grammar, so
+// what an observer sees is what appendSlow alone would have built
+// (DESIGN.md, "Loop cursor", has the argument).
+
+// arm sets the cursor after an append of terminal t that restructured
+// nothing and left the start rule ending R^j t, if t^1 is the first of
+// at least three body symbols of R.
+func (g *Grammar) arm(r, t int32) {
+	f := &g.syms[g.first(r)]
+	if f.key == t && f.exp == 1 && !g.isGuard(f.next) && !g.isGuard(g.syms[f.next].next) {
+		g.cur = f.next
+	}
+}
+
+// completeLoop ends an iteration the cursor followed to R's guard: the
+// tail R^j r1 becomes R^j R, which is the substitute(·, R) appendSlow's
+// last match ends in, and linkMade merges the run and re-checks the
+// digram on its left.
+func (g *Grammar) completeLoop() {
+	g.cur = nilIdx
+	r1 := g.syms[0].prev
+	run := g.syms[r1].prev
+	g.unlink(r1)
+	g.freeSym(r1)
+	ref := g.newSym(g.syms[run].key, 1)
+	g.addUse(ref)
+	g.insertAfter(run, ref)
+	g.linkMade(run, ref)
+	g.recycle()
+}
+
+// flush clears the cursor and appends the terminals it was holding the
+// ordinary way. They are copied out first (appendSlow rewrites the body
+// they are read from), onto the stack unless the body is unusually long.
+func (g *Grammar) flush() {
+	end := g.cur
+	if end == nilIdx {
+		return
+	}
+	g.cur = nilIdx
+	r := -g.syms[g.syms[g.syms[0].prev].prev].key
+	s := g.syms[g.first(r)].next
+	if s == end {
+		return // armed by the last append: nothing held yet
+	}
+	var buf [64]int32
+	pend := buf[:0]
+	for ; s != end; s = g.syms[s].next {
+		pend = append(pend, g.syms[s].key)
+	}
+	for _, t := range pend {
+		g.appendSlow(t, 1)
+	}
 }
 
 // insertAfter splices s into the list after pos. It does not perform
@@ -543,6 +629,7 @@ func (g *Grammar) substitute(s, r int32) {
 // re-coalesced across rule boundaries). Walking stops early if yield
 // returns false.
 func (g *Grammar) Walk(yield func(t int32, k int64) bool) {
+	g.flush()
 	g.walkRule(0, 1, yield)
 }
 
@@ -588,13 +675,16 @@ type Stats struct {
 
 // Stats returns size statistics for the grammar.
 func (g *Grammar) Stats() Stats {
+	g.flush()
 	var st Stats
 	st.InputLen = g.nTerms
 	for _, r := range g.rulesInOrder() {
 		st.Rules++
 		st.Symbols += g.bodyLen(r)
 	}
-	st.SerializedB = len(g.Serialize()) * 4
+	// The layout in serialize.go: a rule count, then per rule a body
+	// length and three ints per symbol.
+	st.SerializedB = 4 * (1 + st.Rules + 3*st.Symbols)
 	return st
 }
 

@@ -281,6 +281,61 @@ func TestInvariantsAfterEveryAppend(t *testing.T) {
 	}
 }
 
+// TestCursorInvariantAfterEveryAppend is the test above for streams the
+// loop cursor works on. CheckInvariants flushes the cursor, so checking
+// after every append would keep it from ever finishing an iteration:
+// the cursor alone is checked where it stands after every append, and
+// the whole grammar only now and then.
+func TestCursorInvariantAfterEveryAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var perturbed []int32
+	for i := 0; i < 40*len(loopBody); i++ {
+		v := loopBody[i%len(loopBody)]
+		if rng.Intn(40) == 0 {
+			v = int32(rng.Intn(16))
+		}
+		perturbed = append(perturbed, v)
+	}
+	var nested []int32
+	for o := 0; o < 12; o++ {
+		nested = append(nested, 20, 21)
+		for i := 0; i < 7; i++ {
+			nested = append(nested, 1, 2, 3, 4)
+		}
+		nested = append(nested, 22)
+	}
+	for _, c := range []struct {
+		name string
+		seq  []int32
+	}{{"perturbed loop", perturbed}, {"nested loops", nested}} {
+		name, seq := c.name, c.seq
+		g := New()
+		armed, next := 0, 1+rng.Intn(100)
+		for i, v := range seq {
+			g.Append(v)
+			if err := g.checkCursor(); err != nil {
+				t.Fatalf("%s: after symbol %d: %v", name, i, err)
+			}
+			if g.cur != nilIdx {
+				armed++
+			}
+			if next--; next == 0 {
+				next = 1 + rng.Intn(100)
+				if err := g.CheckInvariants(); err != nil {
+					t.Fatalf("%s: after symbol %d: %v", name, i, err)
+				}
+			}
+		}
+		t.Logf("%s: cursor armed after %d of %d appends", name, armed, len(seq))
+		if armed*10 < len(seq) {
+			t.Fatalf("%s: cursor armed after %d of %d appends; the stream no longer exercises it", name, armed, len(seq))
+		}
+		if got := g.Expand(0); !slices.Equal(got, seq) {
+			t.Fatalf("%s: final expansion mismatch", name)
+		}
+	}
+}
+
 func TestQuickRoundtrip(t *testing.T) {
 	f := func(raw []byte) bool {
 		seq := make([]int32, len(raw))

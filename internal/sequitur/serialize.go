@@ -32,6 +32,7 @@ func decExp(lo, hi int32) int64 {
 // from the same sequence of operations serialize identically, so the
 // inter-process identity check is a plain slice comparison.
 func (g *Grammar) Serialize() []int32 {
+	g.flush()
 	rules := g.rulesInOrder()
 	index := make([]int32, len(g.rules))
 	for i, r := range rules {

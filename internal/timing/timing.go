@@ -47,7 +47,7 @@ func newExpBase(b float64) expBase { return expBase{b: b, logB: math.Log(b)} }
 // Compressor builds the duration and interval grammars for one rank.
 type Compressor struct {
 	base    expBase
-	perFunc map[mpispec.FuncID]expBase
+	perFunc map[mpispec.FuncID]expBase // nil until the first SetFuncBase
 	durG    *sequitur.Grammar
 	intG    *sequitur.Grammar
 	// perSig holds each signature terminal's Σ reconstructed intervals.
@@ -65,10 +65,9 @@ func New(base float64) *Compressor {
 		panic("timing: base must be > 1")
 	}
 	return &Compressor{
-		base:    newExpBase(base),
-		perFunc: map[mpispec.FuncID]expBase{},
-		durG:    sequitur.New(),
-		intG:    sequitur.New(),
+		base: newExpBase(base),
+		durG: sequitur.New(),
+		intG: sequitur.New(),
 	}
 }
 
@@ -77,6 +76,9 @@ func New(base float64) *Compressor {
 func (c *Compressor) SetFuncBase(f mpispec.FuncID, base float64) {
 	if base <= 1 {
 		panic("timing: base must be > 1")
+	}
+	if c.perFunc == nil {
+		c.perFunc = map[mpispec.FuncID]expBase{}
 	}
 	c.perFunc[f] = newExpBase(base)
 }
@@ -160,11 +162,16 @@ type Reconstructor struct {
 
 // NewReconstructor mirrors the compressor configuration.
 func NewReconstructor(base float64) *Reconstructor {
-	return &Reconstructor{base: newExpBase(base), perFunc: map[mpispec.FuncID]expBase{}}
+	return &Reconstructor{base: newExpBase(base)}
 }
 
 // SetFuncBase mirrors Compressor.SetFuncBase.
-func (r *Reconstructor) SetFuncBase(f mpispec.FuncID, base float64) { r.perFunc[f] = newExpBase(base) }
+func (r *Reconstructor) SetFuncBase(f mpispec.FuncID, base float64) {
+	if r.perFunc == nil {
+		r.perFunc = map[mpispec.FuncID]expBase{}
+	}
+	r.perFunc[f] = newExpBase(base)
+}
 
 func (r *Reconstructor) baseFor(f mpispec.FuncID) expBase {
 	if b, ok := r.perFunc[f]; ok {

@@ -242,3 +242,22 @@ func TestGrammarSizesReported(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+var newSink *Compressor
+
+// TestNewAllocs pins a compressor's construction: the struct and its
+// two empty grammars. The per-function base map is made by the first
+// SetFuncBase, which no caller but a test has ever used.
+func TestNewAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { newSink = New(1.2) }); allocs > 7 {
+		t.Fatalf("timing.New allocates %.0f times, want at most 7", allocs)
+	}
+	var r *Reconstructor
+	if allocs := testing.AllocsPerRun(100, func() { r = NewReconstructor(1.2) }); allocs > 1 {
+		t.Fatalf("timing.NewReconstructor allocates %.0f times, want at most 1", allocs)
+	}
+	// Reading the unmade map is the common path.
+	if b := r.Bound(mpispec.FSend); math.Abs(b-0.2) > 1e-12 {
+		t.Fatalf("bound without overrides = %v, want 0.2", b)
+	}
+}
