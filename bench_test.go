@@ -284,6 +284,9 @@ func BenchmarkEncoderSend(b *testing.B) {
 	}
 }
 
+// BenchmarkTracerPost is one repeated record through the whole
+// interception path, the timed call in 16.5 included. ROADMAP item 2's
+// target is at most 200 ns/op; about 105 here.
 func BenchmarkTracerPost(b *testing.B) {
 	tr := pilgrim.NewTracer(0, nil, pilgrim.Options{})
 	tr.MemAlloc(0x1000, 1<<16, 0)
@@ -302,8 +305,11 @@ func BenchmarkTracerPost(b *testing.B) {
 }
 
 // BenchmarkTracerPostMetrics is BenchmarkTracerPost with a metrics
-// collector attached: the delta between the two is the per-call cost
-// of the instrumented pipeline (stage timers + histograms + counters).
+// collector attached. Only a timed call knows about the collector: it
+// takes three more clock reads for the stage histograms and brings the
+// call counters up to date. The delta between the two benchmarks is
+// that, spread over 16.5 calls; ROADMAP item 2's target is at most
+// 50 ns, about 5 here.
 func BenchmarkTracerPostMetrics(b *testing.B) {
 	tr := pilgrim.NewTracer(0, nil, pilgrim.Options{Collector: pilgrim.NewMetricsCollector()})
 	tr.MemAlloc(0x1000, 1<<16, 0)

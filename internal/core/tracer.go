@@ -37,10 +37,9 @@ type Options struct {
 	Encoding sig.Options
 
 	// Collector, when non-nil, receives live self-observability
-	// metrics: per-stage tracing overhead histograms, CST hit/miss
-	// counters, and finalize/trace-writer gauges. Nil (the default)
-	// keeps the hot path on a metrics-free code path whose only cost
-	// is one pointer comparison per call.
+	// metrics: per-stage tracing overhead histograms (a sample: calls
+	// Post times, about one in 16), CST hit/miss counters, and
+	// finalize/trace-writer gauges. Only a timed call looks at it.
 	Collector *metrics.Collector
 	// MetricsAddr, when non-empty, makes pilgrim.RunSim serve the
 	// collector (Prometheus text, expvar JSON, pprof) on this
@@ -117,10 +116,6 @@ type Tracer struct {
 	Rank int
 	opts Options
 
-	// m is the attached metrics collector; nil means disabled, and
-	// the interception hot path branches on that single nil check.
-	m *metrics.Collector
-
 	mu     sync.Mutex
 	enc    *sig.Encoder
 	table  *cst.Table
@@ -128,15 +123,39 @@ type Tracer struct {
 	tcomp  *timing.Compressor
 	sigBuf []byte // per-call signature scratch; alloc-free once warm
 
-	// Overhead accounting (intra-process tracing cost, wall time).
-	// Guarded by mu while the rank is live.
+	// Overhead accounting (intra-process tracing cost, wall time), an
+	// estimate: Post reads the clock on a sample of calls and a timed
+	// call counts for itself and the untimed calls before it (see
+	// postTimed). The encoder's blocking OOB wait is kept exactly, by
+	// the encoder; Snapshot adds it. Guarded by mu while the rank is
+	// live.
 	IntraNs int64
 	NCalls  int64
+
+	// Sampling state, guarded by mu. The two marks are low 32 bits: a
+	// flush is never 2^32 calls late.
+	rng       uint32 // xorshift32, seeded from the rank
+	callsMark uint32 // NCalls at the last counter flush
+	cstMark   uint32 // table.Len() at the last counter flush
+	countdown uint8  // untimed calls left before the next timed one
+	gap       uint8  // value countdown started from
+	ramp      uint8  // a gap is drawn from [0, 1<<ramp)
 
 	// Verification capture (Options.Verify).
 	rawSigs  []string
 	rawTimes [][2]int64
 }
+
+// The sampling law. A rank's first warmCalls calls are all timed, so
+// the cold CST misses and slab growth are measured, not extrapolated.
+// After that the number of untimed calls before the next timed one is
+// uniform on [0, 1<<ramp), ramp stepping 1, 2, ... maxRamp with each
+// timed call: a rank of a few dozen calls is not all warm-up, and a
+// long one settles at one timed call in (1<<maxRamp + 1) / 2 = 16.5.
+const (
+	warmCalls = 8
+	maxRamp   = 5
+)
 
 // NewTracer builds the tracing state for one rank. oob provides the
 // PMPI-level collectives used to agree on communicator ids; it may be
@@ -146,10 +165,12 @@ func NewTracer(rank int, oob mpispec.OOB, opts Options) *Tracer {
 	t := &Tracer{
 		Rank:  rank,
 		opts:  opts,
-		m:     opts.Collector,
 		enc:   sig.NewEncoderOpts(rank, oob, opts.Encoding),
 		table: cst.New(),
 		cfg:   sequitur.New(),
+		// Odd times odd: never the zero xorshift cannot leave, and
+		// neighbouring ranks start far apart.
+		rng: (uint32(rank)<<1 | 1) * 0x9E3779B1,
 	}
 	if opts.TimingMode == trace.TimingLossy {
 		t.tcomp = timing.New(opts.TimingBase)
@@ -161,18 +182,30 @@ func NewTracer(rank int, oob mpispec.OOB, opts Options) *Tracer {
 // via the CallRecord itself; nothing else to do before the call).
 func (t *Tracer) Pre(rec *mpispec.CallRecord) {}
 
-// Post implements mpispec.Interceptor: the steps 3-5 of Figure 2.
+// Post implements mpispec.Interceptor: the steps 3-5 of Figure 2. It
+// reads no clock and touches no collector; the call in ~16 that does
+// both is postTimed.
 func (t *Tracer) Post(rec *mpispec.CallRecord) {
-	if t.m != nil {
-		t.postInstrumented(rec)
+	t.mu.Lock()
+	if t.countdown == 0 {
+		t.postTimed(rec)
 		return
 	}
-	w0 := time.Now()
-	t.mu.Lock()
+	t.countdown--
 	s := t.enc.EncodeTo(t.sigBuf[:0], rec)
 	t.sigBuf = s
 	term := t.table.Add(s, rec.TEnd-rec.TStart)
 	t.cfg.Append(term)
+	if t.tcomp != nil || t.opts.Verify {
+		t.keep(term, s, rec)
+	}
+	t.NCalls++
+	t.mu.Unlock()
+}
+
+// keep is what a call leaves behind besides its terminal: the lossy
+// timing streams and the verification capture.
+func (t *Tracer) keep(term int32, s []byte, rec *mpispec.CallRecord) {
 	if t.tcomp != nil {
 		t.tcomp.Record(term, rec.Func, rec.TStart, rec.TEnd)
 	}
@@ -180,54 +213,102 @@ func (t *Tracer) Post(rec *mpispec.CallRecord) {
 		t.rawSigs = append(t.rawSigs, string(s))
 		t.rawTimes = append(t.rawTimes, [2]int64{rec.TStart, rec.TEnd})
 	}
-	t.IntraNs += time.Since(w0).Nanoseconds()
-	t.NCalls++
-	t.mu.Unlock()
 }
 
-// postInstrumented is Post with per-stage overhead histograms and CST
-// hit/miss counters. Stage boundaries are timed with monotonic reads;
-// observations happen after the tracer lock is released so a slow
-// scrape never extends the critical section.
-func (t *Tracer) postInstrumented(rec *mpispec.CallRecord) {
+// postTimed is Post on a sampled call, entered with mu held: the same
+// steps between clock reads. The call stands for itself and the gap
+// untimed calls since the previous timed one, so its duration enters
+// IntraNs gap+1 times: whatever the gaps were, every call up to this
+// one is then counted once, with no ratio to take at snapshot (the
+// calls after the last timed one, 31 at most, are not in yet). The
+// gaps are drawn without looking at the calls, so a call's chance of
+// being the timed one and the weight it then gets multiply to one
+// (DESIGN §4 item 11). The duration leaves out a blocking OOB agreement
+// inside the encoder (Comm_split, Comm_dup): that wait is two calls per
+// rank and microseconds to milliseconds long, no sample of it
+// extrapolates, and the encoder keeps it exactly.
+// With a collector attached a call past the ramp also takes the three
+// stage boundaries for the histograms, which therefore hold a uniform
+// sample of a rank's calls from its ~40th on, and every timed call
+// brings the call counters up to date.
+func (t *Tracer) postTimed(rec *mpispec.CallRecord) {
+	m := t.opts.Collector
+	if t.ramp < maxRamp {
+		// The histograms take only samples drawn at the full gap law,
+		// one call in 16.5 each: a warm-up or ramp call stands for fewer
+		// calls and would weigh up to 16 times too much among them, and
+		// a rank of a few dozen calls would pay the stage clocks on a
+		// third of its calls.
+		m = nil
+	}
+	var dEnc, dCST, dCFG time.Duration
+	wait := t.enc.OOBWaitNs()
 	w0 := time.Now()
-	t.mu.Lock()
 	s := t.enc.EncodeTo(t.sigBuf[:0], rec)
 	t.sigBuf = s
-	tEnc := time.Now()
-	before := t.table.Len()
+	if m != nil {
+		dEnc = time.Since(w0)
+	}
 	term := t.table.Add(s, rec.TEnd-rec.TStart)
-	tCST := time.Now()
+	if m != nil {
+		dCST = time.Since(w0)
+	}
 	t.cfg.Append(term)
-	tCFG := time.Now()
-	// The CFG boundary doubles as the end timestamp unless lossy
-	// timing or verification adds work after it — clock reads are the
-	// dominant instrumentation cost on virtualized clocksources.
-	wEnd := tCFG
+	if m != nil {
+		dCFG = time.Since(w0)
+	}
 	if t.tcomp != nil || t.opts.Verify {
-		if t.tcomp != nil {
-			t.tcomp.Record(term, rec.Func, rec.TStart, rec.TEnd)
-		}
-		if t.opts.Verify {
-			t.rawSigs = append(t.rawSigs, string(s))
-			t.rawTimes = append(t.rawTimes, [2]int64{rec.TStart, rec.TEnd})
-		}
-		wEnd = time.Now()
+		t.keep(term, s, rec)
 	}
-	miss := t.table.Len() != before
-	t.IntraNs += wEnd.Sub(w0).Nanoseconds()
+	d := time.Since(w0)
+	wait = t.enc.OOBWaitNs() - wait
+	t.IntraNs += (d.Nanoseconds() - wait) * (int64(t.gap) + 1)
 	t.NCalls++
-	t.mu.Unlock()
 
-	m := t.m
-	m.ObservePost(tEnc.Sub(w0).Nanoseconds(), tCST.Sub(tEnc).Nanoseconds(),
-		tCFG.Sub(tCST).Nanoseconds(), wEnd.Sub(w0).Nanoseconds())
-	m.TracerCalls.Inc()
-	if miss {
-		m.CSTMisses.Inc()
-	} else {
-		m.CSTHits.Inc()
+	t.flushCounters()
+
+	// The next gap. xorshift32 and not a stride: a loop body of 8, 16
+	// or 32 calls would put a fixed stride on the same call forever.
+	t.gap = 0
+	if t.NCalls >= warmCalls {
+		if t.ramp < maxRamp {
+			t.ramp++
+		}
+		x := t.rng
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		t.rng = x
+		t.gap = uint8(x >> (32 - t.ramp))
 	}
+	t.countdown = t.gap
+	t.mu.Unlock()
+	if m != nil {
+		// After the unlock, so a scrape contending for the histograms'
+		// cache lines never extends the critical section.
+		m.ObservePost(dEnc.Nanoseconds(), (dCST - dEnc).Nanoseconds(),
+			(dCFG - dCST).Nanoseconds(), d.Nanoseconds())
+	}
+}
+
+// flushCounters adds the calls since the last flush to the collector's
+// call, CST-hit and CST-miss counters; mu is held. A miss is a call
+// that grew the table, so the misses are the table's growth. Timed
+// calls flush, and so does everything that reads the tracer from
+// outside (ProbeStats, Snapshot, TakeSnapshot), so the counters are
+// exact whenever somebody looks.
+func (t *Tracer) flushCounters() {
+	m := t.opts.Collector
+	if m == nil {
+		return
+	}
+	calls := int64(uint32(t.NCalls) - t.callsMark)
+	misses := int64(uint32(t.table.Len()) - t.cstMark)
+	t.callsMark += uint32(calls)
+	t.cstMark += uint32(misses)
+	m.TracerCalls.Add(calls)
+	m.CSTMisses.Add(misses)
+	m.CSTHits.Add(calls - misses)
 }
 
 // ProbeStats evaluates the tracer's live structural state under its
@@ -236,6 +317,7 @@ func (t *Tracer) postInstrumented(rec *mpispec.CallRecord) {
 func (t *Tracer) ProbeStats() metrics.TracerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.flushCounters()
 	gs := t.cfg.Stats()
 	return metrics.TracerStats{
 		Calls:          t.NCalls,
@@ -293,7 +375,7 @@ func (t *Tracer) RawTimes() [][2]int64 { return t.rawTimes }
 // FinalizeStats reports where finalize time went (Figure 8's
 // decomposition) plus structural counts.
 type FinalizeStats struct {
-	IntraNs int64 // summed per-rank intra-process compression time
+	IntraNs int64 // summed per-rank intra-process compression time (Tracer.IntraNs: an estimate from the timed calls)
 	// CSTMergeNs is the inter-process compression of CSTs, table merge
 	// plus per-rank relabel. On the spill route the merge part times
 	// cst.Incremental.AddBatch alone: frame I/O is charged to no field.
@@ -337,15 +419,16 @@ type Snapshot struct {
 // Snapshot serializes the tracer's current state under its lock. Safe
 // to call concurrently with interception from the rank goroutine.
 func (t *Tracer) Snapshot() *Snapshot {
-	if t.m != nil {
-		t.m.Snapshots.Inc()
+	if m := t.opts.Collector; m != nil {
+		m.Snapshots.Inc()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.flushCounters()
 	s := &Snapshot{
 		Rank:     t.Rank,
 		Calls:    t.NCalls,
-		IntraNs:  t.IntraNs,
+		IntraNs:  t.IntraNs + t.enc.OOBWaitNs(),
 		Table:    t.table.Clone(),
 		Grammar:  sequitur.Serialized(t.cfg.Serialize()),
 		RawSigs:  append([]string(nil), t.rawSigs...),
@@ -367,15 +450,16 @@ func (t *Tracer) Snapshot() *Snapshot {
 // verification still works. Must only be called once the rank has
 // stopped tracing (end of run or salvage).
 func (t *Tracer) TakeSnapshot() *Snapshot {
-	if t.m != nil {
-		t.m.Snapshots.Inc()
+	if m := t.opts.Collector; m != nil {
+		m.Snapshots.Inc()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.flushCounters()
 	s := &Snapshot{
 		Rank:     t.Rank,
 		Calls:    t.NCalls,
-		IntraNs:  t.IntraNs,
+		IntraNs:  t.IntraNs + t.enc.OOBWaitNs(),
 		Table:    t.table,
 		Grammar:  sequitur.Serialized(t.cfg.Serialize()),
 		RawSigs:  t.rawSigs,
@@ -385,7 +469,10 @@ func (t *Tracer) TakeSnapshot() *Snapshot {
 		s.DurGrammar = t.tcomp.DurationGrammar()
 		s.IntGrammar = t.tcomp.IntervalGrammar()
 	}
-	t.table = cst.New()
+	// The fresh table starts the miss count over; without this the next
+	// flush would take the old length off the new one and walk the miss
+	// counter backwards.
+	t.table, t.cstMark = cst.New(), 0
 	t.cfg = sequitur.New()
 	if t.tcomp != nil {
 		t.tcomp = timing.New(t.opts.TimingBase)

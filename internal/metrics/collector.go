@@ -132,7 +132,10 @@ func (c *Collector) ObservePost(encNs, cstNs, cfgNs, totalNs int64) {
 func (c *Collector) Registry() *Registry { return c.reg }
 
 // Report snapshots every metric.
-func (c *Collector) Report() *Report { return c.reg.Report() }
+func (c *Collector) Report() *Report {
+	c.probeTotals()
+	return c.reg.Report()
+}
 
 // AddTracerProbe registers a scrape-time probe into one tracer's live
 // state and returns its removal function. pilgrim.RunSim registers one
@@ -154,7 +157,11 @@ func (c *Collector) AddTracerProbe(f func() TracerStats) (remove func()) {
 }
 
 // probeTotals sums every live probe, caching the walk briefly so one
-// scrape evaluating four gauge families pays for it once.
+// scrape evaluating four gauge families pays for it once. A tracer's
+// probe also brings its share of the call counters up to date, which
+// is why a scrape walks the probes before it reads anything: families
+// render in name order, and pilgrim_tracer_calls_total comes before
+// the first gauge that would get here.
 func (c *Collector) probeTotals() TracerStats {
 	c.probeMu.Lock()
 	defer c.probeMu.Unlock()

@@ -26,10 +26,12 @@ func Serve(addr string, c *Collector) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		c.probeTotals()
 		c.reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		c.probeTotals()
 		c.reg.WriteExpvar(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -90,7 +90,6 @@ type Tracer struct {
 	nodes   []node
 	covered map[mpispec.FuncID]bool
 
-	IntraNs  int64
 	NCalls   int64 // calls seen (recorded or not)
 	NDropped int64 // calls outside the supported subset
 }
@@ -118,16 +117,13 @@ func (t *Tracer) MemFree(addr uint64) {}
 // Post implements mpispec.Interceptor: reduce the call to ScalaTrace's
 // parameter subset and fold it into the RSD stream.
 func (t *Tracer) Post(rec *mpispec.CallRecord) {
-	w0 := time.Now()
 	t.NCalls++
 	if !t.covered[rec.Func] {
 		t.NDropped++
-		t.IntraNs += time.Since(w0).Nanoseconds()
 		return
 	}
 	ev := t.reduce(rec)
 	t.append(node{ev: ev, count: 1})
-	t.IntraNs += time.Since(w0).Nanoseconds()
 }
 
 // reduce keeps the modeled parameter subset: function id, a count/size
@@ -311,7 +307,6 @@ type Stats struct {
 	UniqueStreams int
 	TotalCalls    int64
 	Dropped       int64
-	IntraNs       int64
 	MergeNs       int64
 }
 
@@ -325,7 +320,6 @@ func Finalize(tracers []*Tracer) Stats {
 	for _, tr := range tracers {
 		st.TotalCalls += tr.NCalls
 		st.Dropped += tr.NDropped
-		st.IntraNs += tr.IntraNs
 		key := tr.streamKey()
 		if seen[key] {
 			st.TraceBytes += 4 // rank -> stream reference

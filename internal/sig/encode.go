@@ -134,6 +134,8 @@ type Encoder struct {
 	stackPool idpool.Pool
 
 	pending []pendingComm
+
+	oobWaitNs int64 // wall time blocked in oob.AllreduceMaxInt32
 }
 
 // NewEncoder builds the per-rank symbolic state. oob may be nil when
@@ -175,6 +177,11 @@ func (e *Encoder) MemFree(addr uint64) {
 		e.mem.Delete(addr)
 	}
 }
+
+// OOBWaitNs returns the wall time the encoder has spent blocked in the
+// §3.3.1 agreement on a new communicator's id, waiting for the group's
+// slowest member.
+func (e *Encoder) OOBWaitNs() int64 { return e.oobWaitNs }
 
 // LiveSegments returns the number of currently tracked heap segments.
 func (e *Encoder) LiveSegments() int { return e.mem.Len() }

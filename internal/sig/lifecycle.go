@@ -2,6 +2,7 @@ package sig
 
 import (
 	"strings"
+	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
@@ -76,8 +77,13 @@ func (e *Encoder) assignCreatedObjects(rec *mpispec.CallRecord, ff *funcFacts) {
 			if _, known := e.commIDs[h]; !known {
 				newID := e.maxCommID
 				if e.oob != nil {
-					// Step 1+2: group-wide max of locally assigned ids.
+					// Step 1+2: group-wide max of locally assigned ids. It
+					// blocks until the slowest member arrives, and is timed
+					// here because the tracer's sampled clock cannot be
+					// (OOBWaitNs).
+					w0 := time.Now()
 					newID = e.oob.AllreduceMaxInt32(h, e.maxCommID)
+					e.oobWaitNs += time.Since(w0).Nanoseconds()
 				}
 				// Step 3: one plus the group max.
 				newID++
