@@ -344,14 +344,17 @@ func BenchmarkCSTMerge64Ranks(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cst.MergePairwise(tables)
+		global := cst.New()
+		for _, t := range tables {
+			global.Absorb(t)
+		}
 	}
 }
 
 // benchmarkFinalize compares the sequential and parallel finalize
-// pipeline over deterministic synthetic snapshots at one rank count;
-// on a multi-core runner the "par" sub-benchmark should beat "seq" by
-// roughly the core count once the merge tree dominates.
+// pipeline over deterministic synthetic snapshots at one rank count.
+// "par" fans the relabel and hashing out and packs beside the walk;
+// the sequential Sequitur pack is the floor of both.
 func benchmarkFinalize(b *testing.B, procs int) {
 	snaps := experiments.SyntheticSnapshots(procs)
 	for _, cfg := range []struct {

@@ -39,8 +39,8 @@ func main() {
 		collector = flag.String("collector", "", "stream rank snapshots to a pilgrim-collectd at this address instead of merging locally (falls back to local merge if unreachable)")
 		runID     = flag.String("run-id", "", "run identifier at the collector (default: generated)")
 
-		spillDir    = flag.String("spill-dir", "", "finalize via an on-disk snapshot spill under this directory instead of holding every rank in memory (journal-format, byte-identical output; ignored with -collector)")
-		maxResident = flag.Int("max-resident", 0, "max rank snapshots resident during a -spill-dir finalize; the merge streams them back from disk in batches this size (0 = all)")
+		spillDir    = flag.String("spill-dir", "", "finalize a batch of ranks at a time instead of holding every rank in memory, recording each batch's snapshots under this directory (journal-format, byte-identical output; ignored with -collector)")
+		maxResident = flag.Int("max-resident", 0, "max rank snapshots resident during a -spill-dir finalize: each batch of at most this many is snapshotted, written to the spill and finalized before the next (0 = a sixteenth of the ranks)")
 
 		obsOn   = flag.Bool("obs", false, "record pipeline spans (finalize stages, collector client) into a flight recorder")
 		obsBuf  = flag.Int("obs-buf", 0, "flight recorder capacity in events (0 = 4096 default; overflow drops oldest)")

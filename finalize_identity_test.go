@@ -12,12 +12,11 @@ import (
 )
 
 // The parallel finalize pipeline must be byte-identical to sequential
-// finalize for every worker count: the merge tree's shape is a pure
-// function of the rank count, each pair merge is deterministic in its
-// inputs, and every ordering-sensitive pass (grammar dedup, rank map)
-// stays sequential. These tests pin that guarantee over the golden
-// cases: odd and even rank counts, lossy timing, salvage finalize, and
-// the collector's premerged path.
+// finalize for every worker count: per-rank work writes only its own
+// slot, and every ordering-sensitive pass (the CST fold, grammar dedup,
+// rank map) stays sequential in rank order. These tests pin that
+// guarantee over the golden cases: odd and even rank counts, lossy
+// timing, salvage finalize, and the collector's premerged path.
 
 // identityBody is a small SPMD body exercising point-to-point (with
 // rank-dependent peers, so grammars differ across ranks) plus a

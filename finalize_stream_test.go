@@ -17,8 +17,8 @@ import (
 // every ordering-sensitive pass stays sequential in rank order. These
 // tests pin that over the golden cases — plain, lossy timing, salvage,
 // and the collector's premerged path — through the spill route's one
-// driver (spill.FinalizeRanks: frames out and tables merged batch by
-// batch, grammars read back once with the table section skipped).
+// driver (spill.FinalizeRanks: each batch's frames written out and the
+// batch finalized from memory, nothing read back).
 
 // streamedSweep finalizes snaps through the spill at several batch
 // sizes and worker counts, failing unless every trace is
@@ -34,8 +34,8 @@ func streamedSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info
 	seq, _ := core.FinalizeSnapshots(snaps, seqOpts, info)
 	want := traceBytes(t, seq)
 
-	// The driver owns what take returns and absorbs its table in place;
-	// snaps is reused across the sweep, so hand out a copy.
+	// The driver owns what take returns; snaps is reused across the
+	// sweep, so hand out a copy.
 	take := func(rank int) *core.Snapshot {
 		s := *snaps[rank]
 		s.Table = s.Table.Clone()
@@ -122,7 +122,7 @@ func TestFinalizePremergedStreamedByteIdentical(t *testing.T) {
 			for _, k := range []int{1, 3, n} {
 				for _, workers := range []int{1, 2, 4} {
 					opts := core.Options{MaxResidentSnapshots: k, FinalizeWorkers: workers}
-					f, _, err := core.FinalizePremergedStreamed(n, fetch, merged, 0, opts, nil)
+					f, _, err := core.FinalizeStreamed(n, fetch, &merged, 0, opts, nil)
 					if err != nil {
 						t.Fatalf("batch=%d workers=%d: %v", k, workers, err)
 					}

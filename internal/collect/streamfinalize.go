@@ -12,11 +12,11 @@ import (
 )
 
 // finalizeStreamedLocked (r.mu held) finalizes a run whose snapshot
-// payloads were partly dropped under MaxResidentSnapshots: the grammar
-// pass streams them back from the run journal in resident-cap-sized
-// batches via core.FinalizePremergedStreamed, so peak finalize memory
-// stays bounded by the cap while the trace stays byte-identical to the
-// all-resident path.
+// payloads were partly dropped under MaxResidentSnapshots: the tables
+// were merged on arrival, and core.FinalizeStreamed's walk reads the
+// grammars back from the run journal in batches no larger than the cap,
+// so peak finalize memory stays bounded while the trace stays
+// byte-identical to the all-resident path.
 func (s *Server) finalizeStreamedLocked(r *run, info *trace.SalvageInfo) (*trace.File, error) {
 	j := r.journal
 	if j == nil {
@@ -64,6 +64,7 @@ func (s *Server) finalizeStreamedLocked(r *run, info *trace.SalvageInfo) (*trace
 		}
 		return out, nil
 	}
-	file, _, err := core.FinalizePremergedStreamed(r.world, fetch, r.inc.Result(), r.mergeNs, r.opts, info)
+	merged := r.inc.Result()
+	file, _, err := core.FinalizeStreamed(r.world, fetch, &merged, r.mergeNs, r.opts, info)
 	return file, err
 }

@@ -1,0 +1,134 @@
+package core_test
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/experiments"
+	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/workloads"
+	"github.com/hpcrepro/pilgrim/mpi"
+)
+
+// skeletonSnapshots traces one internal/workloads skeleton on 8 ranks
+// (9 where it needs a square, 16 for MILC's 4-D lattice) and snapshots
+// every tracer.
+func skeletonSnapshots(t *testing.T, name string, opts core.Options) []*core.Snapshot {
+	t.Helper()
+	n, iters := 8, 3
+	switch name {
+	case "bt", "sp":
+		n = 9
+	case "milc":
+		n, iters = 16, 1
+	}
+	body, err := workloads.Get(name, iters, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracers := make([]*core.Tracer, n)
+	ics := make([]mpi.Interceptor, n)
+	for i := range tracers {
+		tracers[i] = core.NewTracer(i, nil, opts)
+		ics[i] = tracers[i]
+	}
+	err = mpi.RunOpt(n, mpi.Options{Interceptors: ics, Timeout: 60 * time.Second}, func(p *mpi.Proc) {
+		core.BindOOB(tracers[p.Rank()], p)
+		body(p)
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	snaps := make([]*core.Snapshot, n)
+	for i, tr := range tracers {
+		snaps[i] = tr.Snapshot()
+	}
+	return snaps
+}
+
+// pairwiseOracle is the finalize as the paper orders it: every table
+// merged first by the log₂P pairwise tree (cst.Incremental, the same
+// tree and node merges as the pairwise merge), then the walk handed
+// that premerged table, sequentially.
+func pairwiseOracle(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) ([]byte, core.FinalizeStats) {
+	t.Helper()
+	inc := cst.NewIncremental(len(snaps))
+	for r, s := range snaps {
+		if err := inc.Add(r, s.Table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts.FinalizeWorkers = 1
+	f, st := core.FinalizePremerged(snaps, inc.Result(), 0, opts, info)
+	return fileBytes(t, f), st
+}
+
+func fileBytes(t *testing.T, f *trace.File) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := f.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// salvageInfo tags a salvage of snaps with two failed ranks.
+func salvageInfo(snaps []*core.Snapshot) *trace.SalvageInfo {
+	info := &trace.SalvageInfo{Reason: "fold identity", FailedRanks: []int32{1, int32(len(snaps) - 1)}, Calls: make([]int64, len(snaps))}
+	for i, s := range snaps {
+		info.Calls[i] = s.Calls
+	}
+	return info
+}
+
+// foldSweep finalizes snaps through the walk's rank-order fold at batch
+// caps K ∈ {1, 3, 64, world} and 1, 2 and 4 workers, failing unless
+// every trace is byte-identical to the pairwise oracle's and reports
+// the same global CST.
+func foldSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) {
+	t.Helper()
+	want, wantSt := pairwiseOracle(t, snaps, opts, info)
+	for _, k := range []int{1, 3, 64, len(snaps)} {
+		for _, workers := range []int{1, 2, 4} {
+			opts.MaxResidentSnapshots, opts.FinalizeWorkers = k, workers
+			f, st := core.FinalizeSnapshots(snaps, opts, info)
+			if got := fileBytes(t, f); !bytes.Equal(got, want) {
+				t.Fatalf("K=%d workers=%d: folded trace differs from the pairwise oracle (%d vs %d bytes)", k, workers, len(got), len(want))
+			}
+			if st.GlobalCST != wantSt.GlobalCST || st.UniqueCFGs != wantSt.UniqueCFGs {
+				t.Fatalf("K=%d workers=%d: stats %+v, oracle %+v", k, workers, st, wantSt)
+			}
+		}
+	}
+}
+
+// TestFinalizeStreamedFoldByteIdentical: the walk's rank-order CST fold,
+// relabelling batch by batch, writes the same trace bytes as merging
+// every table through the pairwise tree first, on every skeleton and on
+// 1024 synthetic ranks, in aggregated and lossy timing and as a
+// salvage, for every batch cap and worker count.
+func TestFinalizeStreamedFoldByteIdentical(t *testing.T) {
+	lossy := core.Options{TimingMode: trace.TimingLossy}
+	for _, w := range workloads.List() {
+		t.Run(w.Name, func(t *testing.T) {
+			snaps := skeletonSnapshots(t, w.Name, core.Options{})
+			foldSweep(t, snaps, core.Options{}, nil)
+			foldSweep(t, snaps, core.Options{}, salvageInfo(snaps))
+			foldSweep(t, skeletonSnapshots(t, w.Name, lossy), lossy, nil)
+		})
+	}
+	t.Run("synthetic1024", func(t *testing.T) {
+		snaps := experiments.SyntheticSnapshots(1024)
+		foldSweep(t, snaps, core.Options{}, nil)
+		foldSweep(t, snaps, core.Options{}, salvageInfo(snaps))
+		// Synthetic ranks have no timing streams; their call grammar
+		// stands in for both.
+		for _, s := range snaps {
+			s.DurGrammar, s.IntGrammar = s.Grammar, s.Grammar
+		}
+		foldSweep(t, snaps, lossy, nil)
+	})
+}

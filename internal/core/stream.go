@@ -1,24 +1,20 @@
-// Streamed, bounded-memory finalize: the grammar half of the same
-// §3.5 inter-process compression as finalizeSnapshots/finalizeMerged,
-// consuming rank snapshots in bounded batches of K through a fetch
-// callback instead of holding all P in memory, against CSTs merged
-// beforehand (internal/spill feeds cst.Incremental.AddBatch K tables
-// at a time, so resident tables stay O(K + log P)). Peak resident
-// snapshots is O(K), and the produced trace is byte-identical to the
-// in-memory path for every K and worker count: the merge tree's shape
-// is a pure function of the rank count, each node's table is a pure
-// function of its descendant leaves in fixed left-right order, and
-// every cross-rank ordering decision (grammar first-seen dedup, rank
-// map append) runs in a sequential pass in rank order — batching only
-// changes when work happens, never what it computes. The same holds
-// for the final Sequitur pass, which packs each batch's first-seen
-// grammars on its own goroutine while the walk fetches the next batch:
-// a Packer's output is a function of the grammars and their order, and
-// it is handed exactly the dedup's list, in the dedup's order.
+// The finalize walk (§3.5), every route's one implementation: rank
+// snapshots arrive through a fetch callback in batches, and per batch
+// the walk folds their tables into the global CST in rank order,
+// relabels each grammar against it (§3.5.1), keys and deduplicates the
+// grammars, and hands the first-seen ones to the section Packers that
+// run the final Sequitur pass (§3.5.2) on their own goroutines. The
+// pack therefore starts with the first batch, and the walk holds one
+// batch of snapshots at a time; what the fetch keeps is its own affair.
 //
-// The in-memory finalizeMerged is a thin wrapper over this code with
-// a fetch that slices the resident snapshot array and K = P, so the
-// two paths cannot drift apart.
+// The trace is byte-identical for every batch size and worker count.
+// cst.Table.Absorb never renumbers a terminal, so a rank's relabel is
+// final once ranks 0..r are absorbed, and the rank-order fold equals
+// the paper's pairwise merge tree (DESIGN §4a). Every other
+// cross-rank ordering decision (grammar first-seen dedup, rank map
+// append) runs sequentially in rank order, and a Packer's output is a
+// function of the grammars and their order, which is the dedup's:
+// batching only changes when work happens, never what it computes.
 package core
 
 import (
@@ -32,39 +28,30 @@ import (
 )
 
 // SnapshotFetch returns snapshots for the contiguous rank range
-// [start, start+n), in rank order. It is called once per range, and
-// only the grammar pass calls it: Table may be nil, and a table that
-// is present is never read or mutated, so an in-memory fetch may hand
-// out its resident snapshots and a disk-backed one may skip decoding
-// the CST section.
+// [start, start+n), in rank order. It is called once per range, in
+// rank order. The walk folds each Table into the global CST unless the
+// finalize was handed a premerged one, in which case Table may be nil
+// (a disk-backed fetch may skip decoding the CST section). Snapshots
+// are never mutated, so an in-memory fetch may hand out its resident
+// ones.
 type SnapshotFetch func(start, n int) ([]*Snapshot, error)
 
-// BatchSize resolves MaxResidentSnapshots against the world size: 0
-// (unbounded) and anything over world mean one batch.
+// BatchSize is the walk's grain for a world of ranks: a sixteenth of
+// it (at least one rank), so the Packers have work from the first
+// batch on, capped by MaxResidentSnapshots when that is set.
 func (o Options) BatchSize(world int) int {
-	if k := o.MaxResidentSnapshots; k > 0 && k < world {
-		return k
+	k := max(1, (world+15)/16)
+	if m := o.MaxResidentSnapshots; m > 0 && m < k {
+		return m
 	}
-	return world
+	return k
 }
 
-// FinalizePremergedStreamed is the bounded-memory finalize: the CSTs
-// were unified before the call — by the collector as ranks reported,
-// or by internal/spill as it moved each batch of ranks to disk — and
-// only the grammar pass streams, through fetch in batches of
-// Options.MaxResidentSnapshots. Output is byte-identical to
-// FinalizePremerged over the same snapshots. It fails when fetch does,
-// or when a fetched grammar names a terminal its rank's table never
-// held (a decoder that skipped the table could not check).
-func FinalizePremergedStreamed(world int, fetch SnapshotFetch, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
-	opts = opts.withDefaults()
-	return finalizeMergedStreamed(world, opts.BatchSize(world), fetch, merged, cstMergeNs, opts, info)
-}
-
-// fetchRange calls fetch and validates its contract (length and rank
-// order), so a buggy spill reader fails loudly instead of silently
-// misattributing grammars to ranks.
-func fetchRange(fetch SnapshotFetch, start, n int) ([]*Snapshot, error) {
+// fetchRange calls fetch and validates its contract (length, rank
+// order, and a table wherever the fold needs one), so a buggy spill
+// reader fails loudly instead of silently misattributing grammars to
+// ranks.
+func fetchRange(fetch SnapshotFetch, start, n int, needTable bool) ([]*Snapshot, error) {
 	snaps, err := fetch(start, n)
 	if err != nil {
 		return nil, err
@@ -78,6 +65,9 @@ func fetchRange(fetch SnapshotFetch, start, n int) ([]*Snapshot, error) {
 		}
 		if s.Rank != start+i {
 			return nil, fmt.Errorf("core: snapshot fetch [%d,%d) returned rank %d at position %d", start, start+n, s.Rank, i)
+		}
+		if needTable && s.Table == nil {
+			return nil, fmt.Errorf("core: snapshot fetch [%d,%d) returned rank %d without its table", start, start+n, s.Rank)
 		}
 	}
 	return snaps, nil
@@ -163,17 +153,23 @@ func (d *dedupState) finish() sequitur.Serialized {
 	return packed
 }
 
-// finalizeMergedStreamed is the unified back half of the §3.5 merge
-// (grammar relabel against the global terminals, §3.5.1, plus the
-// inter-process grammar compression, §3.5.2), streaming ranks through
-// fetch in batches of batch. Within a batch the relabel and key
-// hashing fan out across workers; every ordering-sensitive step (the
-// first-seen grammar dedup and the rank-map append) runs sequentially
-// in rank order across batches, which is what keeps the output
-// byte-identical for any batch size and worker count. Each section's
-// final Sequitur pass runs beside the walk, a batch behind it
-// (dedupState.flush); FinalizeWorkers == 1 keeps it inline.
-func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
+// FinalizeStreamed runs the finalize walk over world ranks fetched in
+// batches of Options.BatchSize. premerged, when non-nil, is a global
+// CST and relabels unified before the call — the collector merges
+// tables as ranks report — and cstMergeNs the time that took; without
+// it the walk folds the fetched tables itself. The trace is the same
+// bytes either way. It fails when fetch does, when a fetched snapshot
+// lacks the table the fold needs, or when a grammar names a terminal
+// its rank's table never held.
+//
+// Within a batch the fold is sequential and the relabel and key hashing
+// fan out across workers; every ordering-sensitive step (the fold, the
+// first-seen grammar dedup and the rank-map append) runs in rank order
+// across batches. Each section's final Sequitur pass runs beside the
+// walk, a batch behind it (dedupState.flush); FinalizeWorkers == 1
+// keeps it inline.
+func FinalizeStreamed(world int, fetch SnapshotFetch, premerged *cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
+	opts = opts.withDefaults()
 	if world == 0 { // every entry point's zero-rank result
 		return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}, nil
 	}
@@ -181,8 +177,12 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 	lossy := opts.TimingMode == trace.TimingLossy
 	var st FinalizeStats
 	st.CSTMergeNs = cstMergeNs
-	st.GlobalCST = merged.Table.Len()
+	global := cst.New()
+	if premerged != nil {
+		global = premerged.Table
+	}
 
+	batch := opts.BatchSize(world)
 	batches := (world + batch - 1) / batch
 	dsp := opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
 	calls := newDedupState(workers, batches)
@@ -200,11 +200,8 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 
 	var cfgNs int64
 	for start := 0; start < world; start += batch {
-		n := batch
-		if start+n > world {
-			n = world - start
-		}
-		snaps, err := fetchRange(fetch, start, n)
+		n := min(batch, world-start)
+		snaps, err := fetchRange(fetch, start, n, premerged == nil)
 		if err != nil {
 			return nil, FinalizeStats{}, err
 		}
@@ -215,15 +212,29 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 			st.IntraNs += s.IntraNs
 			st.TotalCalls += s.Calls
 		}
+		// The batch's tables join the global CST in rank order; a rank's
+		// relabel is final the moment its table is absorbed.
+		t0 := time.Now()
+		var relabels [][]int32
+		if premerged != nil {
+			relabels = premerged.Relabels[start : start+n]
+		} else {
+			msp := opts.ObsSink.Start("finalize", "finalize.cst_merge").
+				WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
+			relabels = make([][]int32, n)
+			for i, s := range snaps {
+				relabels[i] = global.Absorb(s.Table)
+			}
+			msp.WithAttr("global_cst", int64(global.Len())).End()
+		}
 		// Per-rank relabel against the global terminals (§3.5.1): each
 		// rank rewrites only its own grammar, so the loop fans out freely.
-		t0 := time.Now()
 		rsp := opts.ObsSink.Start("finalize", "finalize.relabel").
 			WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
 		relabeled := make([]sequitur.Serialized, n)
 		relabelErrs := make([]error, n)
 		par.For(n, workers, func(i int) {
-			relabeled[i], relabelErrs[i] = snaps[i].Grammar.Relabel(merged.Relabels[start+i])
+			relabeled[i], relabelErrs[i] = snaps[i].Grammar.Relabel(relabels[i])
 		})
 		rsp.End()
 		for i, err := range relabelErrs {
@@ -274,12 +285,13 @@ func finalizeMergedStreamed(world, batch int, fetch SnapshotFetch, merged cst.Me
 		WithAttr("wait_ns", time.Since(t2).Nanoseconds()).End()
 	st.CFGMergeNs = cfgNs + calls.busyNs
 	st.UniqueCFGs = len(calls.uniq)
+	st.GlobalCST = global.Len()
 
 	f := &trace.File{
 		NumRanks:   world,
 		TimingMode: opts.TimingMode,
 		TimingBase: opts.TimingBase,
-		CST:        merged.Table,
+		CST:        global,
 		Grammars:   calls.uniq,
 		Packed:     packed,
 		RankMap:    sequitur.Serialized(rankMap.Serialize()),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,11 +14,11 @@ import (
 
 // streamSnapshots builds n single-signature ranks with pairwise
 // distinct grammars (rank r repeats its call r+1 times), so every
-// batch flushes first-seen grammars to the Packers, and merges their
-// tables.
-func streamSnapshots(n int, lossy bool) ([]*Snapshot, cst.Merged) {
+// batch flushes first-seen grammars to the Packers, and folds their
+// tables into a premerged CST.
+func streamSnapshots(n int, lossy bool) ([]*Snapshot, *cst.Merged) {
 	snaps := make([]*Snapshot, n)
-	tables := make([]*cst.Table, n)
+	merged := &cst.Merged{Table: cst.New(), Relabels: make([][]int32, n)}
 	for r := range snaps {
 		tb := cst.New()
 		g := sequitur.New()
@@ -26,61 +27,87 @@ func streamSnapshots(n int, lossy bool) ([]*Snapshot, cst.Merged) {
 		if lossy {
 			snaps[r].DurGrammar, snaps[r].IntGrammar = g.Serialize(), g.Serialize()
 		}
-		tables[r] = tb.Clone()
+		merged.Relabels[r] = merged.Table.Absorb(tb)
 	}
-	return snaps, cst.MergePairwiseN(tables, 1)
+	return snaps, merged
 }
 
 // TestFinalizeStreamedErrorJoinsPackers: the Packers run on their own
 // goroutines while the walk fetches, so every error return has to stop
-// them. A fetch that fails on the second batch, and a grammar naming a
-// terminal its table never held (a panic before it was an error),
-// each come back as that error with the goroutine count at its
-// baseline, in both timing modes and with the Packers inline or not.
+// them. A fetch that fails on the second batch, a grammar naming a
+// terminal its table never held (a panic before it was an error), and,
+// when the walk folds the tables itself, a snapshot fetched without
+// its table each come back as that error with the goroutine count at
+// its baseline: in both timing modes, with the Packers inline or not,
+// folding or handed the tables premerged.
 func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 	const n = 12
 	errFetch := errors.New("spill: batch 2 unreadable")
 	for _, lossy := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 4} {
-			snaps, merged := streamSnapshots(n, lossy)
-			opts := Options{MaxResidentSnapshots: 4, FinalizeWorkers: workers}
-			if lossy {
-				opts.TimingMode = trace.TimingLossy
-			}
-			fetches := 0
-			failing := func(start, k int) ([]*Snapshot, error) {
-				if fetches++; fetches == 2 {
-					return nil, errFetch
+			for _, fold := range []bool{false, true} {
+				name := fmt.Sprintf("lossy=%v workers=%d fold=%v", lossy, workers, fold)
+				snaps, merged := streamSnapshots(n, lossy)
+				if fold {
+					merged = nil
 				}
-				return snaps[start : start+k], nil
-			}
-			check := leaktest.Baseline(t)
-			if _, _, err := FinalizePremergedStreamed(n, failing, merged, 0, opts, nil); !errors.Is(err, errFetch) {
-				t.Fatalf("lossy=%v workers=%d: fetch failure came back as %v", lossy, workers, err)
-			}
-			check()
-			if fetches != 2 {
-				t.Fatalf("lossy=%v workers=%d: fetch called %d times, want 2 (none after the failure)", lossy, workers, fetches)
-			}
+				opts := Options{FinalizeWorkers: workers}
+				if lossy {
+					opts.TimingMode = trace.TimingLossy
+				}
+				fetches := 0
+				failing := func(start, k int) ([]*Snapshot, error) {
+					if fetches++; fetches == 2 {
+						return nil, errFetch
+					}
+					return snaps[start : start+k], nil
+				}
+				check := leaktest.Baseline(t)
+				if _, _, err := FinalizeStreamed(n, failing, merged, 0, opts, nil); !errors.Is(err, errFetch) {
+					t.Fatalf("%s: fetch failure came back as %v", name, err)
+				}
+				check()
+				if fetches != 2 {
+					t.Fatalf("%s: fetch called %d times, want 2 (none after the failure)", name, fetches)
+				}
 
-			bad := *snaps[9]
-			g := sequitur.New()
-			g.Append(0)
-			g.Append(7)
-			bad.Grammar = g.Serialize()
-			hostile := func(start, k int) ([]*Snapshot, error) {
-				out := append([]*Snapshot(nil), snaps[start:start+k]...)
-				if start <= 9 && 9 < start+k {
-					out[9-start] = &bad
+				// Rank 9 swapped for a copy: the grammar naming terminal 7
+				// of a one-entry table, or the table left out.
+				swap9 := func(edit func(s *Snapshot)) SnapshotFetch {
+					bad := *snaps[9]
+					edit(&bad)
+					return func(start, k int) ([]*Snapshot, error) {
+						out := append([]*Snapshot(nil), snaps[start:start+k]...)
+						if start <= 9 && 9 < start+k {
+							out[9-start] = &bad
+						}
+						return out, nil
+					}
 				}
-				return out, nil
+				hostile := swap9(func(s *Snapshot) {
+					g := sequitur.New()
+					g.Append(0)
+					g.Append(7)
+					s.Grammar = g.Serialize()
+				})
+				check = leaktest.Baseline(t)
+				_, _, err := FinalizeStreamed(n, hostile, merged, 0, opts, nil)
+				if err == nil || !strings.Contains(err.Error(), "relabel rank 9") {
+					t.Fatalf("%s: unmapped terminal came back as %v", name, err)
+				}
+				check()
+
+				tableless := swap9(func(s *Snapshot) { s.Table = nil })
+				check = leaktest.Baseline(t)
+				_, _, err = FinalizeStreamed(n, tableless, merged, 0, opts, nil)
+				if fold && (err == nil || !strings.Contains(err.Error(), "rank 9 without its table")) {
+					t.Fatalf("%s: a missing table came back as %v", name, err)
+				}
+				if !fold && err != nil {
+					t.Fatalf("%s: premerged walk needed a table: %v", name, err)
+				}
+				check()
 			}
-			check = leaktest.Baseline(t)
-			_, _, err := FinalizePremergedStreamed(n, hostile, merged, 0, opts, nil)
-			if err == nil || !strings.Contains(err.Error(), "relabel rank 9") {
-				t.Fatalf("lossy=%v workers=%d: unmapped terminal came back as %v", lossy, workers, err)
-			}
-			check()
 		}
 	}
 }

@@ -63,12 +63,13 @@ type Options struct {
 	CollectorRunID string
 
 	// FinalizeWorkers caps the worker pool the finalize pipeline (§3.5)
-	// fans out on: the level-parallel pairwise CST merge, the per-rank
-	// grammar relabel, snapshotting, and grammar hashing. 0 (the
-	// default) means GOMAXPROCS; 1 forces the fully sequential path.
-	// The produced trace is byte-identical for every worker count — the
-	// merge tree's shape is fixed by the rank count and all cross-rank
-	// ordering decisions are taken in deterministic sequential passes.
+	// fans out on: snapshotting, the per-rank grammar relabel, and
+	// grammar hashing; above 1, each section's final Sequitur pass also
+	// runs on a goroutine of its own beside the walk. 0 (the default)
+	// means GOMAXPROCS; 1 forces the fully sequential path. The produced
+	// trace is byte-identical for every worker count — all cross-rank
+	// ordering decisions (the CST fold, grammar dedup, rank map) are
+	// taken in sequential passes in rank order.
 	FinalizeWorkers int
 
 	// ObsSink, when non-nil, receives pipeline span tracing: every
@@ -80,22 +81,23 @@ type Options struct {
 	// the same discipline as Collector.
 	ObsSink *obs.Sink
 
-	// SpillDir, when non-empty, makes pilgrim.RunSim finalize through
-	// an on-disk spill instead of holding every rank's snapshot in
-	// memory: snapshots are written to a journal-format spill under
-	// this directory (the same MANIFEST.json + frames.jnl layout the
-	// collector journals, readable by pilgrim-dump -journal) and
-	// streamed back in batches of MaxResidentSnapshots. The produced
-	// trace is byte-identical to the in-memory finalize; peak resident
-	// snapshots drop from O(ranks) to O(MaxResidentSnapshots). The
-	// core package itself never touches the filesystem; the wiring
-	// lives in internal/spill and pilgrim.RunSim.
+	// SpillDir, when non-empty, makes pilgrim.RunSim finalize without
+	// holding every rank's snapshot in memory: ranks are snapshotted a
+	// batch at a time, each batch is written to a journal-format
+	// recording under this directory (the same MANIFEST.json +
+	// frames.jnl layout the collector journals, readable by
+	// pilgrim-dump -journal and replayable by pilgrim-loadgen) and
+	// finalized straight from memory, and the batch is dropped. The
+	// produced trace is byte-identical to the in-memory finalize; peak
+	// resident snapshots drop from O(ranks) to one batch. The core
+	// package itself never touches the filesystem; the wiring lives in
+	// internal/spill and pilgrim.RunSim.
 	SpillDir string
-	// MaxResidentSnapshots bounds how many rank snapshots the streamed
-	// finalize (SpillDir, or the collector's journal-backed finalize)
-	// keeps in memory at once — the batch size K of the bounded-batch
-	// merge. 0 (the default) means unbounded (all ranks resident,
-	// byte-identical output either way).
+	// MaxResidentSnapshots caps the finalize walk's batch (BatchSize),
+	// and so how many rank snapshots the streamed finalize (SpillDir, or
+	// the collector's journal-backed finalize) keeps in memory at once.
+	// 0 (the default) leaves the batch at a sixteenth of the world;
+	// the output is byte-identical either way.
 	MaxResidentSnapshots int
 }
 
@@ -376,16 +378,16 @@ func (t *Tracer) RawTimes() [][2]int64 { return t.rawTimes }
 // decomposition) plus structural counts.
 type FinalizeStats struct {
 	IntraNs int64 // summed per-rank intra-process compression time (Tracer.IntraNs: an estimate from the timed calls)
-	// CSTMergeNs is the inter-process compression of CSTs, table merge
-	// plus per-rank relabel. On the spill route the merge part times
-	// cst.Incremental.AddBatch alone: frame I/O is charged to no field.
+	// CSTMergeNs is the inter-process compression of CSTs: the walk's
+	// rank-order fold of the tables plus the per-rank relabel, or, given
+	// a premerged table, the caller's merge time plus the relabel. The
+	// spill route's frame I/O is charged to no field.
 	CSTMergeNs int64
 	// CFGMergeNs is the inter-process compression of CFGs, identity
 	// check plus final Sequitur pass. It is work, not wall time: the
 	// final pass runs beside the walk on its own goroutines (one per
 	// section) and is charged the time it spent busy there.
 	CFGMergeNs int64
-	UniqueCSTs int
 	UniqueCFGs int
 	TotalCalls int64
 	GlobalCST  int // entries in the merged table
@@ -488,7 +490,7 @@ func Finalize(tracers []*Tracer) (*trace.File, FinalizeStats) {
 	if len(tracers) > 0 {
 		opts = tracers[0].opts
 	}
-	return finalizeSnapshots(snapshotAll(tracers, opts), opts, nil)
+	return finalizeResident(snapshotAll(tracers, opts), nil, 0, opts, nil)
 }
 
 // SalvageFinalize is the failure-path finalize: it snapshots every
@@ -512,7 +514,7 @@ func SalvageFinalize(tracers []*Tracer, failed map[int]error, reason string) (*t
 	for i, s := range snaps {
 		info.Calls[i] = s.Calls
 	}
-	return finalizeSnapshots(snaps, opts, info)
+	return finalizeResident(snaps, nil, 0, opts, info)
 }
 
 // NewSalvageInfo starts the tag of a salvage finalize over world ranks:
@@ -530,7 +532,7 @@ func NewSalvageInfo(world int, failed map[int]error, reason string) *trace.Salva
 // FinalizeSnapshots merges explicit snapshots (e.g. collected
 // incrementally by a monitor) into a trace tagged with salvage info.
 func FinalizeSnapshots(snaps []*Snapshot, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	return finalizeSnapshots(snaps, opts.withDefaults(), info)
+	return finalizeResident(snaps, nil, 0, opts, info)
 }
 
 // snapshotAll snapshots every tracer, fanning out on the finalize
@@ -547,41 +549,26 @@ func snapshotAll(tracers []*Tracer, opts Options) []*Snapshot {
 	return snaps
 }
 
-func finalizeSnapshots(snaps []*Snapshot, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	t0 := time.Now()
-	sp := opts.ObsSink.Start("finalize", "finalize.cst_merge").WithAttr("ranks", int64(len(snaps)))
-	tables := make([]*cst.Table, len(snaps))
-	for i, s := range snaps {
-		tables[i] = s.Table
-	}
-	merged := cst.MergePairwiseN(tables, par.Workers(opts.FinalizeWorkers))
-	sp.WithAttr("global_cst", int64(merged.Table.Len())).End()
-	return finalizeMerged(snaps, merged, time.Since(t0).Nanoseconds(), opts, info)
-}
-
 // FinalizePremerged finishes the §3.5 merge over snapshots whose CSTs
 // were already unified — the collector daemon merges tables
 // incrementally (cst.Incremental) as ranks report and calls this once
 // the run completes. merged must cover exactly snaps in order (rank i
 // of the merge is snaps[i]); cstMergeNs is the time the caller spent
 // producing it. The resulting trace is identical to finalizing the
-// same snapshots locally, because cst.Incremental reproduces
-// MergePairwise exactly.
+// same snapshots locally, because cst.Incremental reproduces the
+// rank-order fold exactly.
 func FinalizePremerged(snaps []*Snapshot, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	return finalizeMerged(snaps, merged, cstMergeNs, opts.withDefaults(), info)
+	return finalizeResident(snaps, &merged, cstMergeNs, opts, info)
 }
 
-// finalizeMerged is the back half of the §3.5 merge: grammar relabel
-// against the global terminals (§3.5.1) plus the inter-process grammar
-// compression (§3.5.2). It is the all-resident special case of
-// finalizeMergedStreamed — one batch covering every rank, fetched by
-// slicing the snapshot array — so the in-memory and streamed paths
+// finalizeResident is the finalize walk over resident snapshots,
+// fetched by slicing the array, so the in-memory and streamed routes
 // share one implementation and stay byte-identical by construction.
-func finalizeMerged(snaps []*Snapshot, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
+func finalizeResident(snaps []*Snapshot, premerged *cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
 	fetch := func(start, n int) ([]*Snapshot, error) {
 		return snaps[start : start+n], nil
 	}
-	f, st, err := finalizeMergedStreamed(len(snaps), len(snaps), fetch, merged, cstMergeNs, opts, info)
+	f, st, err := FinalizeStreamed(len(snaps), fetch, premerged, cstMergeNs, opts, info)
 	if err != nil {
 		// The slice fetch cannot fail, and a resident snapshot's grammar
 		// names only terminals of the table it was built or decoded

@@ -28,52 +28,6 @@ func checkMerged(t *testing.T, n int, got, want Merged) {
 	}
 }
 
-// TestAddBatchMatchesPairwise feeds contiguous rank batches of several
-// sizes at several worker counts and checks the result is identical to
-// MergePairwise. AddBatch owns its tables, so each feed regenerates
-// them (mkTables is deterministic in n).
-func TestAddBatchMatchesPairwise(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 13, 16, 17, 33} {
-		want := MergePairwise(mkTables(n))
-		for _, k := range []int{1, 3, n} {
-			for _, workers := range []int{1, 4} {
-				tables := mkTables(n)
-				inc := NewIncremental(n)
-				for start := 0; start < n; start += k {
-					end := start + k
-					if end > n {
-						end = n
-					}
-					if err := inc.AddBatch(start, tables[start:end], workers); err != nil {
-						t.Fatalf("n=%d batch=%d: %v", n, k, err)
-					}
-				}
-				if !inc.Done() {
-					t.Fatalf("n=%d batch=%d: not Done after all batches", n, k)
-				}
-				checkMerged(t, n, inc.Result(), want)
-			}
-		}
-	}
-}
-
-func TestAddBatchRejectsBadRanges(t *testing.T) {
-	inc := NewIncremental(4)
-	tb := func() *Table { t := New(); t.Add([]byte("x"), 1); return t }
-	if err := inc.AddBatch(3, []*Table{tb(), tb()}, 1); err == nil {
-		t.Fatal("out-of-range batch accepted")
-	}
-	if err := inc.AddBatch(-1, []*Table{tb()}, 1); err == nil {
-		t.Fatal("negative start accepted")
-	}
-	if err := inc.AddBatch(1, []*Table{tb()}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := inc.AddBatch(0, []*Table{tb(), tb()}, 1); err == nil {
-		t.Fatal("batch overlapping an added rank accepted")
-	}
-}
-
 // TestAddConcurrentMatchesPairwise hammers the lock-free path: all
 // ranks fed at once from their own goroutines, in a different shuffled
 // claim order per trial, must produce exactly MergePairwise's result,

@@ -11,8 +11,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync/atomic"
-
-	"github.com/hpcrepro/pilgrim/internal/par"
 )
 
 // Table is one process's call signature table.
@@ -125,49 +123,34 @@ type Merged struct {
 	Relabels [][]int32
 }
 
-// Merge unifies the tables of all ranks, keeping only globally unique
-// call signatures. It emulates the paper's log₂P pairwise-merge tree;
-// the result is identical to any merge order because entries are
-// keyed by signature bytes. New terminals are assigned in (first-rank,
-// first-occurrence) order, which makes the merged table deterministic.
-func Merge(tables []*Table) Merged {
-	g := New()
-	relabels := make([][]int32, len(tables))
-	for r, t := range tables {
-		m := make([]int32, len(t.sigs))
-		for old, key := range t.sigs {
-			term, ok := g.bySig[key]
-			if !ok {
-				term = int32(len(g.sigs))
-				g.bySig[key] = term
-				g.sigs = append(g.sigs, key)
-				g.count = append(g.count, 0)
-				g.durSum = append(g.durSum, 0)
-			}
-			g.count[term] += t.count[old]
-			g.durSum[term] += t.durSum[old]
-			m[old] = term
+// Absorb folds src into t, as in Figure 3: signatures already present
+// keep their terminal, new ones get fresh terminals appended in src's
+// first-occurrence order, and counts and duration sums add up. It
+// returns src's dense relabel slice; t's existing terminals never
+// move, so a relabel stays valid however much is absorbed after it.
+// src is only read.
+//
+// Absorbing every rank's table in rank order is the whole
+// inter-process CST merge: it equals the paper's log₂P pairwise tree
+// (and Incremental) entry for entry and relabel for relabel, because
+// a tree node is its left child with its right child absorbed, and by
+// induction each child is the rank-order fold of its own leaves.
+func (t *Table) Absorb(src *Table) []int32 {
+	relabel := make([]int32, len(src.sigs))
+	for old, key := range src.sigs {
+		term, ok := t.bySig[key]
+		if !ok {
+			term = int32(len(t.sigs))
+			t.bySig[key] = term
+			t.sigs = append(t.sigs, key)
+			t.count = append(t.count, 0)
+			t.durSum = append(t.durSum, 0)
 		}
-		relabels[r] = m
+		t.count[term] += src.count[old]
+		t.durSum[term] += src.durSum[old]
+		relabel[old] = term
 	}
-	return Merged{Table: g, Relabels: relabels}
-}
-
-// node is one position in the pairwise merge tree's working set: a
-// table plus the relabel slices of the ranks folded into it so far.
-// owned reports whether the table belongs to the merge (an internal
-// node) and may therefore be extended in place; leaf tables are the
-// caller's and are never mutated.
-type node struct {
-	t     *Table
-	ranks []int
-	maps  [][]int32
-	owned bool
-}
-
-// leafNode wraps one input table.
-func leafNode(rank int, t *Table) *node {
-	return &node{t: t, ranks: []int{rank}, maps: [][]int32{identity(t.Len())}}
+	return relabel
 }
 
 func identity(n int) []int32 {
@@ -176,100 +159,6 @@ func identity(n int) []int32 {
 		m[i] = int32(i)
 	}
 	return m
-}
-
-// mergePair folds b into a, producing the parent node. a's terminals
-// keep their numbering (its relabel slices transfer unchanged); b's
-// entries are appended in first-occurrence order and its relabel
-// slices are composed in place. Both children are consumed.
-func mergePair(a, b *node) *node {
-	dst := a.t
-	if !a.owned {
-		dst = a.t.Clone()
-	}
-	mapB := mergeInto(dst, b.t)
-	nn := &node{t: dst, owned: true}
-	nn.ranks = append(a.ranks, b.ranks...)
-	nn.maps = a.maps
-	for _, m := range b.maps {
-		nn.maps = append(nn.maps, composeInPlace(m, mapB))
-	}
-	return nn
-}
-
-// MergePairwise performs the same merge with an explicit log₂P
-// pairwise tree (the structure the paper times in Figure 8),
-// sequentially. The resulting global table equals Merge's up to
-// terminal numbering; the relabel slices are composed across rounds.
-func MergePairwise(tables []*Table) Merged {
-	return MergePairwiseN(tables, 1)
-}
-
-// MergePairwiseN is MergePairwise with each round's pair merges
-// running on up to workers goroutines, mirroring the paper's §3.5
-// observation that the log₂P rounds run in parallel across the
-// machine. The tree shape is a pure function of len(tables), every
-// pair merge is deterministic in its two inputs, and round k+1 only
-// reads round k's outputs — so the result, including terminal
-// numbering, is identical for every worker count. workers <= 0 means
-// GOMAXPROCS.
-func MergePairwiseN(tables []*Table, workers int) Merged {
-	n := len(tables)
-	if n == 0 {
-		return Merged{Table: New()}
-	}
-	workers = par.Workers(workers)
-	nodes := make([]*node, n)
-	par.For(n, workers, func(i int) {
-		nodes[i] = leafNode(i, tables[i])
-	})
-	for len(nodes) > 1 {
-		pairs := len(nodes) / 2
-		next := make([]*node, 0, pairs+1)
-		merged := make([]*node, pairs)
-		par.For(pairs, workers, func(i int) {
-			merged[i] = mergePair(nodes[2*i], nodes[2*i+1])
-		})
-		next = append(next, merged...)
-		if len(nodes)%2 == 1 {
-			next = append(next, nodes[len(nodes)-1])
-		}
-		nodes = next
-	}
-	root := nodes[0]
-	out := Merged{Table: root.t, Relabels: make([][]int32, n)}
-	for j, r := range root.ranks {
-		out.Relabels[r] = root.maps[j]
-	}
-	// The root may still be an unowned leaf (n == 1): hand the caller a
-	// table it may treat as its own.
-	if !root.owned {
-		out.Table = root.t.Clone()
-	}
-	return out
-}
-
-// mergeInto absorbs src into dst, as in Figure 3: signatures already
-// present keep their terminal, new ones get fresh terminals appended
-// in src's first-occurrence order. Returns src's dense relabel slice;
-// dst's existing terminals are unchanged (its relabel is the
-// identity). src is only read.
-func mergeInto(dst, src *Table) []int32 {
-	mapB := make([]int32, len(src.sigs))
-	for old, key := range src.sigs {
-		term, ok := dst.bySig[key]
-		if !ok {
-			term = int32(len(dst.sigs))
-			dst.bySig[key] = term
-			dst.sigs = append(dst.sigs, key)
-			dst.count = append(dst.count, 0)
-			dst.durSum = append(dst.durSum, 0)
-		}
-		dst.count[term] += src.count[old]
-		dst.durSum[term] += src.durSum[old]
-		mapB[old] = term
-	}
-	return mapB
 }
 
 // composeInPlace rewrites first[k] = second[first[k]] and returns
@@ -284,13 +173,13 @@ func composeInPlace(first, second []int32) []int32 {
 
 // --- incremental merge -------------------------------------------------------
 
-// Incremental performs the MergePairwise tree merge one rank at a
+// Incremental performs the log₂P pairwise tree merge one rank at a
 // time, in any arrival order: a collector feeds tables as ranks report
 // and each internal tree node merges as soon as both children are
-// complete. The final Result is identical (including terminal
-// numbering) to MergePairwise over the same tables in rank order,
-// because the tree shape depends only on the rank count and mergeTwo
-// is deterministic in its inputs.
+// complete. The tree shape depends only on the rank count and every
+// node merge is an Absorb, deterministic in its inputs, so the final
+// Result is identical (including terminal numbering) to absorbing the
+// same tables in rank order, whatever order they arrived in.
 type Incremental struct {
 	n     int
 	nodes []incNode
@@ -313,7 +202,7 @@ type incNode struct {
 	// claimed flag (CAS 0->1 guards double adds), on an internal node
 	// it counts completed children — the add that moves it to 2 owns
 	// the merge of that node, so every node merges exactly once with
-	// no lock. Sequential Add/AddBatch never touch it.
+	// no lock. Sequential Add never touches it.
 	join atomic.Int32
 }
 
@@ -326,8 +215,8 @@ func NewIncremental(n int) *Incremental {
 		inc.leaf[r] = r
 		current[r] = r
 	}
-	// Mirror MergePairwise's rounds: adjacent pairs merge, an odd
-	// trailing node carries into the next round unchanged.
+	// The paper's log₂P rounds: adjacent pairs merge, an odd trailing
+	// node carries into the next round unchanged.
 	for len(current) > 1 {
 		var next []int
 		for i := 0; i+1 < len(current); i += 2 {
@@ -361,8 +250,8 @@ func (inc *Incremental) setLeaf(rank int, t *Table, owned bool) {
 
 // mergeNode merges internal node p from its two complete children and
 // releases their payloads. Deterministic in the children's tables, so
-// the caller's scheduling (sequential climb, batch wave, or concurrent
-// join) never changes the result.
+// the caller's scheduling (sequential climb or concurrent join) never
+// changes the result.
 func (inc *Incremental) mergeNode(p int) {
 	pn := &inc.nodes[p]
 	a, b := &inc.nodes[pn.left], &inc.nodes[pn.right]
@@ -370,7 +259,7 @@ func (inc *Incremental) mergeNode(p int) {
 	if !a.owned {
 		dst = a.t.Clone()
 	}
-	mapB := mergeInto(dst, b.t)
+	mapB := dst.Absorb(b.t)
 	pn.t = dst
 	pn.owned = true
 	pn.ranks = append(a.ranks, b.ranks...)
@@ -405,55 +294,6 @@ func (inc *Incremental) Add(rank int, t *Table) error {
 		}
 		inc.mergeNode(p)
 		id = p
-	}
-	return nil
-}
-
-// AddBatch feeds a contiguous rank range [start, start+len(tables)) in
-// one call, merging every tree node that becomes complete with pair
-// merges running on up to workers goroutines per wave. The tables are
-// owned by the merge (absorbed in place, never cloned) — callers
-// stream them from disk and must not reuse them. The result is
-// byte-identical to feeding the same tables through Add one at a time:
-// each internal node's table is a pure function of its descendant
-// leaves in fixed left-right order, and wave scheduling only decides
-// when a node merges, never what it merges.
-func (inc *Incremental) AddBatch(start int, tables []*Table, workers int) error {
-	if start < 0 || start+len(tables) > inc.n {
-		return fmt.Errorf("cst: batch [%d,%d) out of range [0,%d)", start, start+len(tables), inc.n)
-	}
-	workers = par.Workers(workers)
-	frontier := make([]int, 0, len(tables))
-	for i, t := range tables {
-		rank := start + i
-		if inc.nodes[inc.leaf[rank]].ready {
-			return fmt.Errorf("cst: incremental merge rank %d added twice", rank)
-		}
-		inc.setLeaf(rank, t, true)
-		frontier = append(frontier, inc.leaf[rank])
-	}
-	// Wave propagation: collect every parent whose two children are now
-	// complete, merge the wave in parallel, repeat with the merged
-	// nodes as the new frontier. par.For's join is the barrier that
-	// publishes one wave's ready flags to the next collection pass.
-	queued := make(map[int]bool)
-	for len(frontier) > 0 {
-		var wave []int
-		for _, id := range frontier {
-			p := inc.nodes[id].parent
-			if p == -1 || inc.nodes[p].ready || queued[p] {
-				continue
-			}
-			if !inc.nodes[inc.nodes[p].left].ready || !inc.nodes[inc.nodes[p].right].ready {
-				continue
-			}
-			queued[p] = true
-			wave = append(wave, p)
-		}
-		par.For(len(wave), workers, func(i int) {
-			inc.mergeNode(wave[i])
-		})
-		frontier = wave
 	}
 	return nil
 }

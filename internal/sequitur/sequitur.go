@@ -112,7 +112,12 @@ func (g *Grammar) newSym(key int32, exp int64) int32 {
 		s = int32(len(g.syms))
 		g.syms = append(g.syms, symbol{})
 	}
-	g.syms[s] = symbol{exp: exp, next: nilIdx, prev: nilIdx, key: key, useNext: nilIdx, usePrev: notListed, slot: noSlot}
+	// Field by field through a pointer: a composite literal here is built
+	// on the stack and block-copied, and that store stalls the append.
+	sy := &g.syms[s]
+	sy.exp, sy.key = exp, key
+	sy.next, sy.prev = nilIdx, nilIdx
+	sy.useNext, sy.usePrev, sy.slot = nilIdx, notListed, noSlot
 	return s
 }
 

@@ -1,13 +1,15 @@
 // Package spill is the local half of the streaming, bounded-memory
-// finalize: it writes rank snapshots to an on-disk spill in the
-// collector's journal format (MANIFEST.json + a frames.jnl of
-// CRC32C-framed (Hello, Snapshot) wire pairs — readable by
-// pilgrim-dump -journal and collect.JournalReader) and streams them
-// back in rank ranges for core.FinalizePremergedStreamed. A local run
-// with core.Options.SpillDir set finalizes through here in one write
-// pass and one read pass (FinalizeRanks), so peak resident snapshots
-// is O(MaxResidentSnapshots) instead of O(ranks) while the produced
-// trace stays byte-identical to the in-memory finalize.
+// finalize: it snapshots the ranks a batch at a time, writes each batch
+// to an on-disk spill in the collector's journal format (MANIFEST.json
+// + a frames.jnl of CRC32C-framed (Hello, Snapshot) wire pairs —
+// readable by pilgrim-dump -journal and collect.JournalReader,
+// replayable by pilgrim-loadgen), and hands the batch straight to
+// core.FinalizeStreamed's walk, which folds, relabels and packs it and
+// drops it. A local run with core.Options.SpillDir set finalizes
+// through here (FinalizeRanks) in one pass that writes every rank and
+// reads none back, so peak resident snapshots is one batch instead of
+// every rank while the produced trace stays byte-identical to the
+// in-memory finalize.
 package spill
 
 import (
@@ -20,7 +22,6 @@ import (
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
-	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
@@ -43,8 +44,8 @@ type manifest struct {
 	Reason     string  `json:"reason,omitempty"`
 }
 
-// Writer spills snapshots for one run and serves them back by rank
-// range. Not safe for concurrent use.
+// Writer spills snapshots for one run and can serve them back by rank
+// range (Fetch). Not safe for concurrent use.
 type Writer struct {
 	dir string
 	f   interface { // frames.jnl; an interface so a test can count its I/O
@@ -57,7 +58,7 @@ type Writer struct {
 	off   int64      // where the next staged pair will land
 	refs  [][2]int64 // rank -> (offset, length) of its frame pair; length 0 = not spilled
 	wbuf  []byte     // pairs staged but not yet written; they end at off
-	rbuf  []byte     // fetch's read buffer, reused across runs
+	rbuf  []byte     // Fetch's read buffer, reused across runs
 	// runCap bounds the bytes one ReadAt or WriteAt moves: a run of pairs
 	// is cut there and a larger pair travels alone, so neither buffer
 	// rivals the batch it serves.
@@ -172,15 +173,11 @@ func (w *Writer) flush() error {
 }
 
 // Fetch re-reads and CRC-validates the spilled frame pairs for
-// [start, start+n), returning fresh, fully decoded snapshots.
+// [start, start+n), returning fresh, fully decoded snapshots. Each
+// maximal run of pairs that sit back to back in the file (a rank-ordered
+// spill is one run per batch) comes in with one ReadAt, cut at runCap,
+// and is decoded in place.
 func (w *Writer) Fetch(start, n int) ([]*core.Snapshot, error) {
-	return w.fetch(start, n, true)
-}
-
-// fetch reads each maximal run of pairs that sit back to back in the
-// file (a rank-ordered spill is one run per batch) with one ReadAt, cut
-// at runCap, and decodes them in place; Table is nil unless withTable.
-func (w *Writer) fetch(start, n int, withTable bool) ([]*core.Snapshot, error) {
 	if start < 0 || start+n > w.world {
 		return nil, fmt.Errorf("spill: fetch [%d,%d) out of range [0,%d)", start, start+n, w.world)
 	}
@@ -209,7 +206,7 @@ func (w *Writer) fetch(start, n int, withTable bool) ([]*core.Snapshot, error) {
 			rank := start + i
 			pair := buf[:w.refs[rank][1]]
 			buf = buf[len(pair):]
-			h, s, err := wire.DecodePair(pair, withTable)
+			h, s, err := wire.DecodePair(pair, true)
 			if err != nil {
 				return nil, fmt.Errorf("spill: rank %d: %w", rank, err)
 			}
@@ -254,13 +251,13 @@ func Finalize(tracers []*core.Tracer, failed map[int]error, reason string, opts 
 	}, info, opts)
 }
 
-// FinalizeRanks is the spill route's one driver: one write pass, one
-// read pass. take(rank), called once per rank in rank order, hands over
-// a snapshot the finalize owns. Per batch of opts.MaxResidentSnapshots
-// ranks, the frames land in opts.SpillDir/<run> with one write and the
-// tables, still in memory, are absorbed (and released eagerly) by
-// cst.Incremental.AddBatch; core.FinalizePremergedStreamed then reads
-// the grammars back in the same batches. A non-nil info marks a salvage.
+// FinalizeRanks is the spill route's one driver: one pass that writes
+// every rank and reads none back. take(rank), called once per rank in
+// rank order, hands over a snapshot the finalize owns. Per batch of
+// opts.BatchSize ranks, the frames land in opts.SpillDir/<run> with one
+// write and the snapshots go on to core.FinalizeStreamed's walk, which
+// folds their tables, relabels, dedups and packs them and drops them.
+// A non-nil info marks a salvage.
 func FinalizeRanks(world int, take func(rank int) *core.Snapshot, info *trace.SalvageInfo, opts core.Options) (*trace.File, core.FinalizeStats, error) {
 	runID := opts.CollectorRunID
 	if runID == "" {
@@ -275,28 +272,9 @@ func FinalizeRanks(world int, take func(rank int) *core.Snapshot, info *trace.Sa
 }
 
 func (w *Writer) finalize(take func(rank int) *core.Snapshot, info *trace.SalvageInfo, opts core.Options) (*trace.File, core.FinalizeStats, error) {
-	var merged cst.Merged
-	var mergeNs int64
-	if w.world > 0 { // a merge tree needs a leaf; core returns the empty trace
-		batch := opts.BatchSize(w.world)
-		inc := cst.NewIncremental(w.world)
-		sp := opts.ObsSink.Start("finalize", "finalize.cst_merge").
-			WithAttr("ranks", int64(w.world)).WithAttr("batch", int64(batch))
-		for start := 0; start < w.world; start += batch {
-			ns, err := w.spillBatch(take, start, min(batch, w.world-start), inc, opts)
-			if err != nil {
-				sp.End()
-				return nil, core.FinalizeStats{}, err
-			}
-			mergeNs += ns
-		}
-		merged = inc.Result()
-		sp.WithAttr("global_cst", int64(merged.Table.Len())).End()
-	}
-	// The tables were merged on the way out: the grammar pass skips them.
-	f, st, err := core.FinalizePremergedStreamed(w.world, func(start, n int) ([]*core.Snapshot, error) {
-		return w.fetch(start, n, false)
-	}, merged, mergeNs, opts, info)
+	f, st, err := core.FinalizeStreamed(w.world, func(start, n int) ([]*core.Snapshot, error) {
+		return w.spillBatch(take, start, n, opts)
+	}, nil, 0, opts, info)
 	if err != nil {
 		return nil, core.FinalizeStats{}, err
 	}
@@ -310,29 +288,21 @@ func (w *Writer) finalize(take func(rank int) *core.Snapshot, info *trace.Salvag
 	return f, st, nil
 }
 
-// spillBatch moves ranks [start, start+n) out: frames to the file with
-// one write, then tables into the merge (a staged snapshot is garbage).
-// It returns the time inside AddBatch, the only §3.5 work done here.
-func (w *Writer) spillBatch(take func(rank int) *core.Snapshot, start, n int, inc *cst.Incremental, opts core.Options) (mergeNs int64, err error) {
+// spillBatch takes ranks [start, start+n), lands their frame pairs in
+// the file with one write, and returns the snapshots to the walk.
+func (w *Writer) spillBatch(take func(rank int) *core.Snapshot, start, n int, opts core.Options) ([]*core.Snapshot, error) {
 	sp := opts.ObsSink.Start("finalize", "finalize.spill").
 		WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
-	tables := make([]*cst.Table, n)
-	for i := 0; i < n && err == nil; i++ {
-		s := take(start + i)
-		tables[i] = s.Table
-		err = w.stage(s)
+	defer sp.End()
+	snaps := make([]*core.Snapshot, n)
+	for i := range snaps {
+		snaps[i] = take(start + i)
+		if err := w.stage(snaps[i]); err != nil {
+			return nil, err
+		}
 	}
-	if err == nil {
-		err = w.flush()
+	if err := w.flush(); err != nil {
+		return nil, err
 	}
-	sp.End()
-	if err != nil {
-		return 0, err
-	}
-	sp = opts.ObsSink.Start("finalize", "finalize.batch_merge").
-		WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
-	t0 := time.Now()
-	err = inc.AddBatch(start, tables, opts.FinalizeWorkers)
-	sp.End()
-	return time.Since(t0).Nanoseconds(), err
+	return snaps, nil
 }

@@ -230,21 +230,13 @@ func TestFetchOrderAndRunCapIndependent(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, withTable := range []bool{true, false} {
-				snaps, err := w.fetch(0, world, withTable)
-				if err != nil {
-					t.Fatalf("%s, cap %d: %v", name, runCap, err)
-				}
-				for r, s := range snaps {
-					if (s.Table != nil) != withTable {
-						t.Fatalf("%s, cap %d: rank %d table presence = %v, asked for %v", name, runCap, r, s.Table != nil, withTable)
-					}
-					if !withTable {
-						s.Table = mkSnapshot(r).Table
-					}
-					if !bytes.Equal(wire.EncodeSnapshot(s), want[r]) {
-						t.Fatalf("%s, cap %d: rank %d differs from what was spilled", name, runCap, r)
-					}
+			snaps, err := w.Fetch(0, world)
+			if err != nil {
+				t.Fatalf("%s, cap %d: %v", name, runCap, err)
+			}
+			for r, s := range snaps {
+				if !bytes.Equal(wire.EncodeSnapshot(s), want[r]) {
+					t.Fatalf("%s, cap %d: rank %d differs from what was spilled", name, runCap, r)
 				}
 			}
 		}
@@ -290,11 +282,9 @@ func TestCoalescedReadNamesCorruptRank(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, withTable := range []bool{true, false} {
-			_, err := w.fetch(0, world, withTable)
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("rank %d:", j)) {
-				t.Errorf("flipped %s of rank %d (withTable=%v): err = %v", name, j, withTable, err)
-			}
+		_, err := w.Fetch(0, world)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("rank %d:", j)) {
+			t.Errorf("flipped %s of rank %d: err = %v", name, j, err)
 		}
 	}
 	for _, keep := range []int{0, 3, off + 2, len(clean) - 1} {
@@ -308,9 +298,10 @@ func TestCoalescedReadNamesCorruptRank(t *testing.T) {
 }
 
 // TestFinalizeIOPerBatch is the syscall evidence: a 4096-rank finalize
-// in batches of 256 touches frames.jnl once per batch in each
-// direction, not once (or six times) per rank — and emits the spill
-// and batch_merge spans once per batch inside one cst_merge span.
+// in batches of 256 writes frames.jnl once per batch and never reads it
+// (the walk finalizes each batch from memory), and emits one spill span
+// and one cst_merge span per batch, the latter carrying the global CST
+// size so far.
 func TestFinalizeIOPerBatch(t *testing.T) {
 	const world, batch = 4096, 256
 	w, _ := newTestWriter(t, world)
@@ -322,8 +313,8 @@ func TestFinalizeIOPerBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max := world/batch + 1; cf.reads > max || cf.writes > max {
-		t.Fatalf("%d reads and %d writes of frames.jnl, want at most %d each", cf.reads, cf.writes, max)
+	if max := world/batch + 1; cf.reads != 0 || cf.writes > max {
+		t.Fatalf("%d reads and %d writes of frames.jnl, want none and at most %d", cf.reads, cf.writes, max)
 	}
 	snaps := make([]*core.Snapshot, world)
 	for r := range snaps {
@@ -337,6 +328,7 @@ func TestFinalizeIOPerBatch(t *testing.T) {
 		t.Fatalf("stats %+v, in-memory %+v", st, refSt)
 	}
 	spans := map[string]int{}
+	lastCST := int64(0)
 	for _, ev := range sink.Events() {
 		spans[ev.Name]++
 		if ev.Name == "finalize.cst_merge" {
@@ -344,12 +336,17 @@ func TestFinalizeIOPerBatch(t *testing.T) {
 			for _, a := range ev.Attrs[:ev.NAttrs] {
 				attrs[a.Key] = a.Int
 			}
-			if attrs["ranks"] != world || attrs["batch"] != batch || attrs["global_cst"] != int64(st.GlobalCST) {
-				t.Errorf("finalize.cst_merge attrs = %v", attrs)
+			k := int64(spans[ev.Name] - 1)
+			if attrs["start"] != k*batch || attrs["ranks"] != batch || attrs["global_cst"] < lastCST {
+				t.Errorf("finalize.cst_merge #%d attrs = %v", k, attrs)
 			}
+			lastCST = attrs["global_cst"]
 		}
 	}
-	if spans["finalize.spill"] != world/batch || spans["finalize.batch_merge"] != world/batch || spans["finalize.cst_merge"] != 1 {
+	if lastCST != int64(st.GlobalCST) {
+		t.Errorf("last finalize.cst_merge global_cst = %d, final CST %d entries", lastCST, st.GlobalCST)
+	}
+	if spans["finalize.spill"] != world/batch || spans["finalize.cst_merge"] != world/batch || spans["finalize.batch_merge"] != 0 {
 		t.Fatalf("spans = %v", spans)
 	}
 }
@@ -364,7 +361,7 @@ func fileBytes(t *testing.T, f *trace.File) []byte {
 }
 
 // TestFinalizeZeroTracers: a world of no ranks finalizes to the empty
-// trace and a finalized manifest, not a panic in the merge tree.
+// trace and a finalized manifest, not a panic in the walk.
 func TestFinalizeZeroTracers(t *testing.T) {
 	dir := t.TempDir()
 	f, st, err := Finalize(nil, nil, "", core.Options{SpillDir: dir})
