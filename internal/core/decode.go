@@ -39,12 +39,13 @@ func DecodeRank(f *trace.File, rank int) ([]DecodedCall, error) {
 	}
 
 	if f.TimingMode == trace.TimingLossy {
-		times, err := ReconstructTimes(f, rank, terms, out)
+		durSeq, intSeq, err := timingStreams(f, rank, len(terms))
 		if err != nil {
 			return nil, err
 		}
+		r := timing.NewReconstructor(f.TimingBase)
 		for i := range out {
-			out[i].TStart, out[i].TEnd = times[i].Start, times[i].End
+			out[i].TStart, out[i].TEnd = r.Next(terms[i], out[i].Func, durSeq[i], intSeq[i])
 		}
 	}
 	return out, nil
@@ -52,30 +53,40 @@ func DecodeRank(f *trace.File, rank int) ([]DecodedCall, error) {
 
 // ReconstructTimes recovers the per-call wall-clock timeline of one
 // rank from the trace's duration and interval grammars (lossy timing
-// mode only), via timing.Reconstructor.Series. Every recovered start
-// and duration is within TimingBase−1 relative error of the original
-// wall clock. terms and calls must describe the rank's stream, as
-// returned by f.Terms and the signature decode.
+// mode only), via timing.Reconstructor.Series: the times DecodeRank
+// writes into its calls. Every recovered start and duration is within
+// TimingBase−1 relative error of the original wall clock. terms and
+// calls must describe the rank's stream, as returned by f.Terms and
+// the signature decode.
 func ReconstructTimes(f *trace.File, rank int, terms []int32, calls []DecodedCall) ([]timing.CallTime, error) {
 	if f.TimingMode != trace.TimingLossy {
 		return nil, fmt.Errorf("core: trace has no per-call timing (aggregated mode)")
 	}
-	var durSeq, intSeq []int32
-	if rank < len(f.DurIndex) && int(f.DurIndex[rank]) < len(f.DurGrammars) {
-		durSeq = f.DurGrammars[f.DurIndex[rank]].Expand(0)
-	}
-	if rank < len(f.IntIndex) && int(f.IntIndex[rank]) < len(f.IntGrammars) {
-		intSeq = f.IntGrammars[f.IntIndex[rank]].Expand(0)
-	}
-	if len(durSeq) != len(terms) || len(intSeq) != len(terms) {
-		return nil, fmt.Errorf("core: rank %d timing streams (%d/%d) do not match %d calls",
-			rank, len(durSeq), len(intSeq), len(terms))
+	durSeq, intSeq, err := timingStreams(f, rank, len(terms))
+	if err != nil {
+		return nil, err
 	}
 	funcs := make([]mpispec.FuncID, len(calls))
 	for i, c := range calls {
 		funcs[i] = c.Func
 	}
 	return timing.NewReconstructor(f.TimingBase).Series(terms, funcs, durSeq, intSeq)
+}
+
+// timingStreams expands rank's duration and interval grammars, which
+// must hold one terminal per call of its n.
+func timingStreams(f *trace.File, rank, n int) (durSeq, intSeq []int32, err error) {
+	if rank < len(f.DurIndex) && int(f.DurIndex[rank]) < len(f.DurGrammars) {
+		durSeq = f.DurGrammars[f.DurIndex[rank]].Expand(0)
+	}
+	if rank < len(f.IntIndex) && int(f.IntIndex[rank]) < len(f.IntGrammars) {
+		intSeq = f.IntGrammars[f.IntIndex[rank]].Expand(0)
+	}
+	if len(durSeq) != n || len(intSeq) != n {
+		return nil, nil, fmt.Errorf("core: rank %d timing streams (%d/%d) do not match %d calls",
+			rank, len(durSeq), len(intSeq), n)
+	}
+	return durSeq, intSeq, nil
 }
 
 // RankSignatures returns rank r's raw signature byte stream (the

@@ -108,6 +108,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate refuses options no run can trace with: in lossy timing mode
+// the base, once defaulted, must be finite and greater than 1.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	if o.TimingMode == trace.TimingLossy && !timing.ValidBase(o.TimingBase) {
+		return &trace.TimingBaseError{Base: o.TimingBase}
+	}
+	return nil
+}
+
 // Tracer is the per-rank interceptor: it implements
 // mpispec.Interceptor and accumulates the rank's CST and CFG.
 //

@@ -33,16 +33,40 @@ const binBias = 128
 const zeroTerm = 0
 
 // expBase is one exponential-bin base with its logarithm cached: the
-// binning hot path divides by log b on every recorded call, and
-// recomputing math.Log(b) per call roughly doubles its cost. The
-// cached value is exactly math.Log(b), so bins are bit-identical to
-// the uncached computation.
+// binning fallback divides by log b, and recomputing math.Log(b) per
+// call roughly doubles its cost. The cached value is exactly
+// math.Log(b), so bins are bit-identical to the uncached computation.
+// tab is the base's shared lookup table (nil past the table's cap).
 type expBase struct {
 	b    float64
 	logB float64
+	tab  *binTable
 }
 
-func newExpBase(b float64) expBase { return expBase{b: b, logB: math.Log(b)} }
+func newExpBase(b float64) expBase {
+	logB := math.Log(b)
+	return expBase{b: b, logB: logB, tab: tableFor(b, logB)}
+}
+
+// bin is binOf(v) under this base, by table where the table covers v.
+func (e expBase) bin(v float64) int32 {
+	if e.tab != nil && v >= 1 && v < 0x1p63 {
+		return e.tab.bin(v)
+	}
+	return binOf(v, e.logB)
+}
+
+// value is valueOf(term) under this base, by table where it covers term.
+func (e expBase) value(term int32) float64 {
+	if e.tab != nil && uint32(term) < uint32(len(e.tab.vals)) {
+		return e.tab.vals[term]
+	}
+	return valueOf(term, e.b)
+}
+
+// ValidBase reports whether b can serve as an exponential-bin base:
+// finite and greater than 1.
+func ValidBase(b float64) bool { return b > 1 && !math.IsInf(b, 1) }
 
 // Compressor builds the duration and interval grammars for one rank.
 type Compressor struct {
@@ -54,15 +78,14 @@ type Compressor struct {
 	// Terminals are contiguous small ints, so a dense slice (grown on
 	// demand) replaces the former map: no hashing and no allocation on
 	// the per-call path once the terminal has been seen.
-	perSig   []float64
-	recorded int64
+	perSig []float64
 }
 
 // New returns a compressor with relative error bound base−1 (the
 // paper evaluates base = 1.2, i.e. 20%).
 func New(base float64) *Compressor {
-	if base <= 1 {
-		panic("timing: base must be > 1")
+	if !ValidBase(base) {
+		panic("timing: base must be finite and > 1")
 	}
 	return &Compressor{
 		base: newExpBase(base),
@@ -74,8 +97,8 @@ func New(base float64) *Compressor {
 // SetFuncBase overrides the base for one MPI function (the paper
 // allows per-function bases).
 func (c *Compressor) SetFuncBase(f mpispec.FuncID, base float64) {
-	if base <= 1 {
-		panic("timing: base must be > 1")
+	if !ValidBase(base) {
+		panic("timing: base must be finite and > 1")
 	}
 	if c.perFunc == nil {
 		c.perFunc = map[mpispec.FuncID]expBase{}
@@ -92,7 +115,8 @@ func (c *Compressor) baseFor(f mpispec.FuncID) expBase {
 
 // binOf returns the grammar terminal for value v under the base whose
 // cached logarithm is logB: 0 for v <= 0, otherwise ⌈log_b v⌉ +
-// binBias.
+// binBias. It is the definition binTable reproduces, and the path for
+// the values the table does not cover.
 func binOf(v float64, logB float64) int32 {
 	if v <= 0 {
 		return zeroTerm
@@ -106,7 +130,7 @@ func binOf(v float64, logB float64) int32 {
 	return t
 }
 
-// valueOf inverts binOf.
+// valueOf inverts binOf; binTable.vals holds its results.
 func valueOf(term int32, b float64) float64 {
 	if term == zeroTerm {
 		return 0
@@ -120,15 +144,14 @@ func valueOf(term int32, b float64) float64 {
 func (c *Compressor) Record(term int32, f mpispec.FuncID, tStart, tEnd int64) {
 	b := c.baseFor(f)
 	dur := float64(tEnd - tStart)
-	c.durG.Append(binOf(dur, b.logB))
+	c.durG.Append(b.bin(dur))
 
 	c.perSig = growDense(c.perSig, term)
 	recon := c.perSig[term]
 	interval := float64(tStart) - recon
-	it := binOf(interval, b.logB)
+	it := b.bin(interval)
 	c.intG.Append(it)
-	c.perSig[term] = recon + valueOf(it, b.b)
-	c.recorded++
+	c.perSig[term] = recon + b.value(it)
 }
 
 // growDense extends a dense per-terminal slice to cover term.
@@ -138,9 +161,6 @@ func growDense(s []float64, term int32) []float64 {
 	}
 	return append(s, make([]float64, int(term)+1-len(s))...)
 }
-
-// Recorded returns the number of calls recorded.
-func (c *Compressor) Recorded() int64 { return c.recorded }
 
 // DurationGrammar returns the serialized duration grammar.
 func (c *Compressor) DurationGrammar() sequitur.Serialized {
@@ -185,13 +205,13 @@ func (r *Reconstructor) baseFor(f mpispec.FuncID) expBase {
 func (r *Reconstructor) Next(term int32, f mpispec.FuncID, durTerm, intTerm int32) (tStart, tEnd int64) {
 	b := r.baseFor(f)
 	r.perSig = growDense(r.perSig, term)
-	recon := r.perSig[term] + valueOf(intTerm, b.b)
+	recon := r.perSig[term] + b.value(intTerm)
 	r.perSig[term] = recon
 	// Truncate the duration on its own: ⌊recon+dur⌋−⌊recon⌋ can be one
 	// off ⌊dur⌋, which breaks the error bound for calls of a few ns,
 	// while ⌊bᵏ⌋ ≥ d holds for every integer d that binned to k.
 	tStart = int64(recon)
-	return tStart, tStart + int64(valueOf(durTerm, b.b))
+	return tStart, tStart + int64(b.value(durTerm))
 }
 
 // CallTime is one call's recovered wall-clock interval, in nanoseconds

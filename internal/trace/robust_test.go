@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -167,11 +168,39 @@ func TestReadRejectsEmptyGrammars(t *testing.T) {
 	}
 }
 
+// TestReadRejectsBadTimingBase: a lossy file whose base is not finite
+// and greater than 1 is refused with a TimingBaseError; an aggregated
+// file never uses its base and reads whatever it holds.
+func TestReadRejectsBadTimingBase(t *testing.T) {
+	for _, b := range []float64{math.NaN(), 1, 0.5, 0, -1.2, math.Inf(1)} {
+		f := richFile(t)
+		f.TimingBase = b
+		_, err := Read(bytes.NewReader(serialize(t, f)))
+		var be *TimingBaseError
+		if !errors.As(err, &be) {
+			t.Fatalf("lossy base %v: err %v, want a TimingBaseError", b, err)
+		}
+	}
+	f := richFile(t)
+	f.TimingBase = 1 + 0x1p-50 // valid; decoding it bins without a table
+	if _, err := Read(bytes.NewReader(serialize(t, f))); err != nil {
+		t.Fatal(err)
+	}
+	f = mkFile(t)
+	f.TimingBase = math.NaN()
+	if _, err := Read(bytes.NewReader(serialize(t, f))); err != nil {
+		t.Fatalf("aggregated file with an unused NaN base: %v", err)
+	}
+}
+
 func FuzzTraceRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
 	f.Add(serialize(f, mkFileTB(f)))
 	f.Add(serialize(f, richFile(f)))
+	nanBase := richFile(f)
+	nanBase.TimingBase = math.NaN()
+	f.Add(serialize(f, nanBase))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readAndProbe(data)
 	})

@@ -23,6 +23,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/sig"
+	"github.com/hpcrepro/pilgrim/internal/timing"
 )
 
 // Timing modes.
@@ -32,6 +33,15 @@ const (
 )
 
 const magic = "PILGRIM1"
+
+// TimingBaseError rejects a lossy-timing base that is not finite and
+// greater than 1: Read returns it for such a file, and tracing options
+// carrying one are refused before a run starts.
+type TimingBaseError struct{ Base float64 }
+
+func (e *TimingBaseError) Error() string {
+	return fmt.Sprintf("lossy timing base %v is not finite and > 1", e.Base)
+}
 
 // File is a complete compressed trace.
 //
@@ -611,6 +621,9 @@ func Read(r io.Reader) (*File, error) {
 		return nil, err
 	}
 	f.TimingBase = math.Float64frombits(baseBits)
+	if f.TimingMode == TimingLossy && !timing.ValidBase(f.TimingBase) {
+		return nil, &TimingBaseError{Base: f.TimingBase}
+	}
 	cstBytes, err := br.bytes()
 	if err != nil {
 		return nil, err

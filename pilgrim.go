@@ -81,13 +81,17 @@ func Run(n int, opts Options, body func(p *mpi.Proc)) (*TraceFile, FinalizeStats
 }
 
 // RunSim is Run with explicit simulator options (seed, timeout,
-// fault plan). When the simulation fails — injected crash, Abort,
+// fault plan). Options that fail Options.Validate return an error
+// before any rank runs. When the simulation fails — injected crash, Abort,
 // deadlock, panic — RunSim salvages: it runs the same inter-process
 // merge over whatever every rank traced before the failure and returns
 // the partial trace (tagged with trace.SalvageInfo) alongside the
 // non-nil error. Callers that only check err keep the old behavior;
 // callers that want the partial trace use the file even when err != nil.
 func RunSim(n int, opts Options, simOpts mpi.Options, body func(p *mpi.Proc)) (*TraceFile, FinalizeStats, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, FinalizeStats{}, fmt.Errorf("pilgrim: %w", err)
+	}
 	// Self-observability: an explicit Collector wins; otherwise asking
 	// for an endpoint or a progress reporter implies one.
 	col := opts.Collector

@@ -2,6 +2,8 @@ package pilgrim_test
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -198,6 +200,22 @@ func TestLossyTimingVerifies(t *testing.T) {
 	}
 	if err := pilgrim.VerifyLossless(file, tracers); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRejectsBadTimingBase: a lossy base that is not finite and
+// greater than 1 is an error before any rank runs, never a panic or a
+// trace. Aggregated mode never bins, so it does not look at the base.
+func TestRunRejectsBadTimingBase(t *testing.T) {
+	for _, b := range []float64{1, 0.5, math.NaN(), math.Inf(1)} {
+		file, _, err := pilgrim.Run(2, pilgrim.Options{TimingMode: pilgrim.TimingLossy, TimingBase: b}, ring(2))
+		var be *trace.TimingBaseError
+		if !errors.As(err, &be) || file != nil {
+			t.Fatalf("base %v: file %v, err %v; want no file and a TimingBaseError", b, file != nil, err)
+		}
+	}
+	if _, _, err := pilgrim.Run(2, pilgrim.Options{TimingBase: 0.5}, ring(2)); err != nil {
+		t.Fatalf("aggregated run with an unused base: %v", err)
 	}
 }
 
