@@ -1,7 +1,8 @@
 // pilgrim-collectd is the networked trace collector daemon: it
 // ingests per-rank tracer snapshots over TCP, runs the inter-process
-// merge server-side as ranks report, and writes each run's finalized
-// trace — byte-identical to an in-process finalize — under -out-dir.
+// finalize walk server-side as ranks report, and writes each run's
+// finalized trace — byte-identical to an in-process finalize — under
+// -out-dir.
 // An HTTP admin API lists runs, reports per-run status, serves
 // finalized traces, and exposes the daemon's Prometheus metrics.
 //
@@ -55,8 +56,7 @@ func main() {
 		idle      = flag.Duration("idle-timeout", 5*time.Minute, "drop ingest connections idle longer than this")
 		retention = flag.Duration("retention", 10*time.Minute, "keep a finalized run's trace in memory this long before serving it from -out-dir only (negative = forever)")
 		workers   = flag.Int("finalize-workers", 0, "worker pool size for run finalization (0 = GOMAXPROCS, 1 = sequential; output identical either way)")
-		mworkers  = flag.Int("merge-workers", 0, "worker pool size for merge-on-arrival: decoded snapshots merge off the run lock on this many workers (0 = GOMAXPROCS; output identical either way)")
-		maxResid  = flag.Int("max-resident-snapshots", 0, "max snapshots per run kept fully in memory; beyond it payloads spill to the run journal and finalize streams them back in bounded batches (0 = unlimited, requires -out-dir journaling)")
+		maxResid  = flag.Int("max-resident-snapshots", 0, "max not-yet-walked snapshots per run kept fully in memory; beyond it payloads spill to the run journal and the finalize walk reads them back in bounded batches (0 = unlimited, requires -out-dir journaling)")
 		jsync     = flag.String("journal-sync", "batch", "run journal fsync policy: always (durable ack per snapshot), batch (fsync every 100ms), off (never fsync)")
 		maxRuns   = flag.Int("max-runs", 0, "max runs collecting at once; further run creations are NACKed (0 = unlimited)")
 		maxBytes  = flag.Int64("max-run-bytes", 0, "max snapshot bytes accepted per run; the snapshot exceeding it is NACKed (0 = unlimited)")
@@ -125,7 +125,6 @@ func main() {
 		IdleTimeout:          *idle,
 		Retention:            *retention,
 		FinalizeWorkers:      *workers,
-		MergeWorkers:         *mworkers,
 		MaxResidentSnapshots: *maxResid,
 		JournalSync:          syncMode,
 		MaxRuns:              *maxRuns,

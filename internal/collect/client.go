@@ -2,7 +2,6 @@ package collect
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -70,12 +69,6 @@ type OverLimitError struct {
 
 func (e *OverLimitError) Error() string {
 	return fmt.Sprintf("collector over limit (%s): %s", wire.NackCodeString(e.Code), e.Detail)
-}
-
-// IsOverLimit reports whether err stems from an admission NACK.
-func IsOverLimit(err error) bool {
-	var ol *OverLimitError
-	return errors.As(err, &ol)
 }
 
 // RunInfo identifies the run a client's snapshots belong to.

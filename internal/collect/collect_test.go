@@ -26,6 +26,17 @@ import (
 // the collector path and the local finalize path both start from.
 func traceWorkload(t testing.TB, n int) []*core.Snapshot {
 	t.Helper()
+	tracers := traceTracers(t, n)
+	snaps := make([]*core.Snapshot, n)
+	for i, tr := range tracers {
+		snaps[i] = tr.Snapshot()
+	}
+	return snaps
+}
+
+// traceTracers is traceWorkload's run, returning the tracers.
+func traceTracers(t testing.TB, n int) []*core.Tracer {
+	t.Helper()
 	tracers := make([]*core.Tracer, n)
 	ics := make([]mpi.Interceptor, n)
 	for i := 0; i < n; i++ {
@@ -43,11 +54,7 @@ func traceWorkload(t testing.TB, n int) []*core.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := make([]*core.Snapshot, n)
-	for i, tr := range tracers {
-		snaps[i] = tr.Snapshot()
-	}
-	return snaps
+	return tracers
 }
 
 func serialize(t *testing.T, f *trace.File) []byte {
@@ -344,6 +351,9 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 
 // TestEpochSemantics: a retried producer with a higher epoch restarts
 // a finished run; an epoch mismatch against a live run is rejected.
+// The collector acks the last snapshot before its walk finalizes the
+// run, by design, so the test waits for the trace before it sends
+// epoch 1: only a finished run may restart.
 func TestEpochSemantics(t *testing.T) {
 	const n = 2
 	snaps := traceWorkload(t, n)
@@ -354,6 +364,9 @@ func TestEpochSemantics(t *testing.T) {
 		if err := c0.SendSnapshot(s); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := c0.WaitTrace(); err != nil {
+		t.Fatal(err)
 	}
 	// Epoch 1 on the finished run: fresh instance, collects again.
 	c1 := client(srv, "epochs", n)

@@ -70,8 +70,8 @@ type HealthStatus struct {
 	IngestRateBps     float64 `json:"ingest_rate_bps"`      // EWMA over arrivals
 	LastArrivalAgeSec float64 `json:"last_arrival_age_sec"` // -1 before the first arrival
 	JournalLagNs      int64   `json:"journal_fsync_lag_ns"` // 0 when clean or journaling is off
-	MergeBacklog      int64   `json:"merge_backlog"`        // snapshots queued but not yet merged
-	ResidentSnapshots int     `json:"resident_snapshots"`   // accepted snapshots whose payloads are in memory
+	MergeBacklog      int64   `json:"merge_backlog"`        // ranks received but not yet walked
+	ResidentSnapshots int     `json:"resident_snapshots"`   // of those, the ones whose payloads are in memory
 
 	// Clock-offset estimator state (zero until a v2 client has completed
 	// at least one echo round trip).
@@ -96,8 +96,8 @@ func (r *run) healthLocked(now time.Time) HealthStatus {
 
 		IngestRateBps:     r.ewmaBps,
 		LastArrivalAgeSec: -1,
-		MergeBacklog:      r.backlog.Load(),
-		ResidentSnapshots: r.received - r.spilled,
+		MergeBacklog:      int64(r.backlogLocked()),
+		ResidentSnapshots: r.backlogLocked() - r.spilled,
 
 		Reason:     r.reason,
 		CreatedSec: float64(r.created.UnixNano()) / 1e9,

@@ -19,9 +19,9 @@ type Metrics struct {
 	IngestBytes       *metrics.Counter   // wire frame body bytes ingested
 	DupSnapshots      *metrics.Counter   // idempotent re-sends deduplicated
 	RejectedSnapshots *metrics.Counter   // snapshots refused (bad run/epoch/decode)
-	MergeNs           *metrics.Histogram // per-snapshot incremental CST merge latency
-	MergeBacklog      *metrics.Gauge     // snapshots decoded and queued but not yet merged
-	FinalizeNs        *metrics.Histogram // per-run finalize (relabel+dedup+pack+write) latency
+	MergeNs           *metrics.Histogram // finalize walk time per step (one batch of the arrived prefix)
+	MergeBacklog      *metrics.Gauge     // ranks received but not yet walked
+	FinalizeNs        *metrics.Histogram // per-run finalize (pack tail+serialize+write) latency
 	ActiveRuns        *metrics.Gauge     // runs currently collecting
 	ActiveConns       *metrics.Gauge     // open ingest connections
 	FinalizedRuns     *metrics.Counter   // runs finalized with every rank reported
@@ -60,9 +60,9 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		IngestBytes:       reg.Counter("pilgrim_collect_ingest_bytes_total", "wire frame body bytes ingested"),
 		DupSnapshots:      reg.Counter("pilgrim_collect_duplicate_snapshots_total", "idempotent snapshot re-sends deduplicated by (run, rank, epoch)"),
 		RejectedSnapshots: reg.Counter("pilgrim_collect_rejected_snapshots_total", "snapshots refused (unknown run, epoch mismatch, decode error)"),
-		MergeNs:           reg.Histogram("pilgrim_collect_merge_ns", "incremental CST merge latency per arriving snapshot (ns)"),
-		MergeBacklog:      reg.Gauge("pilgrim_collect_merge_backlog", "snapshots decoded and enqueued for merge but not yet merged (all runs)"),
-		FinalizeNs:        reg.Histogram("pilgrim_collect_finalize_ns", "per-run finalize latency: relabel, grammar dedup, pack, serialize (ns)"),
+		MergeNs:           reg.Histogram("pilgrim_collect_merge_ns", "finalize walk time per step: one batch of a run's arrived prefix folded, relabeled and deduplicated, journal read-back included (ns)"),
+		MergeBacklog:      reg.Gauge("pilgrim_collect_merge_backlog", "ranks received but not yet walked (all runs)"),
+		FinalizeNs:        reg.Histogram("pilgrim_collect_finalize_ns", "per-run finalize latency once the last rank is walked: the pack's tail, serialize, write (ns)"),
 		ActiveRuns:        reg.Gauge("pilgrim_collect_active_runs", "runs currently collecting snapshots"),
 		ActiveConns:       reg.Gauge("pilgrim_collect_active_conns", "open ingest connections"),
 		FinalizedRuns:     reg.Counter("pilgrim_collect_finalized_runs_total", "runs finalized with every rank reported"),

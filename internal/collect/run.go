@@ -1,0 +1,486 @@
+package collect
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"sync"
+	"time"
+
+	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
+	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/wire"
+)
+
+// The run lifecycle: a run collects snapshots, advances one finalize
+// walk (core.Walk) over the contiguous prefix of ranks that have
+// arrived, and the step that walks its last rank finalizes it — or the
+// straggler deadline salvages it first. Connection handling and ingest
+// live in server.go.
+
+// runState is a run's lifecycle position.
+type runState int
+
+const (
+	stateCollecting runState = iota
+	stateFinalized           // every rank reported
+	stateSalvaged            // straggler deadline fired with ranks missing
+)
+
+func (s runState) String() string {
+	switch s {
+	case stateCollecting:
+		return "collecting"
+	case stateFinalized:
+		return "finalized"
+	default:
+		return "salvaged"
+	}
+}
+
+// run is one trace collection in flight: the per-rank snapshots
+// received so far and the finalize walk over their arrived prefix.
+type run struct {
+	id      string
+	world   int
+	epoch   uint64
+	opts    core.Options
+	created time.Time
+
+	mu       sync.Mutex
+	snaps    []*core.Snapshot // by rank; nil until reported; only Rank and Calls once walked
+	received int
+	bytes    int64 // snapshot body bytes accepted (admission accounting)
+
+	// The walk over the arrived prefix (advanceLocked): ranks
+	// [0, walked) are in walk, and ranks [walked, arrived) have all
+	// arrived. While stepping is set one walkSteps goroutine owns walk
+	// and reads the batch it walks off the lock; otherwise walk is only
+	// touched under mu. walk is nil before the first step and once the
+	// run is done.
+	walk     *core.Walk
+	walked   int
+	arrived  int
+	stepping bool
+	spilled  int        // unwalked snapshots whose payloads live only in the journal
+	jrefs    [][2]int64 // rank -> journal (offset, length); nil until first spill
+	// pendingInfo carries salvage metadata from salvageRun to the step
+	// that walks the last rank and finalizes the run.
+	pendingInfo *trace.SalvageInfo
+	timer       *time.Timer
+	evict       *time.Timer // retention: drops traceData once on disk
+	state       runState
+	reason      string // salvage reason, "" otherwise
+	traceData   []byte // nil after eviction; reload via tracePath
+	traceLen    int
+	tracePath   string
+	doneAt      time.Time
+	done        chan struct{}   // closed once the run finalizes
+	journal     *journal        // nil when OutDir is unset
+	recovery    *RecoveryStatus // non-nil when restored from a journal
+
+	// Live health model (health.go). phase's zero value is
+	// phaseAdmitted, matching a freshly created run.
+	phase         runPhase
+	lastArrival   time.Time
+	ewmaBps       float64     // EWMA ingest rate, bytes/sec
+	idle          *time.Timer // flips ingesting → awaiting-stragglers
+	clock         clockEstimator
+	lastHealthPub time.Time // rate limit for watch health-delta events
+}
+
+// newRun builds a run's in-memory state; shared by live creation
+// (runFor) and journal recovery (registerRecovered).
+func newRun(id string, world int, epoch uint64, timingMode uint8, timingBase float64, workers int) *run {
+	return &run{
+		id:      id,
+		world:   world,
+		epoch:   epoch,
+		opts:    core.Options{TimingMode: timingMode, TimingBase: timingBase, FinalizeWorkers: workers},
+		created: time.Now(),
+		snaps:   make([]*core.Snapshot, world),
+		done:    make(chan struct{}),
+	}
+}
+
+// receivedNow reads the rank count without holding the lock long.
+func (r *run) receivedNow() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.received
+}
+
+// traceLocked returns the run's trace bytes (r.mu held), reloading
+// the on-disk copy when the in-memory one was evicted by retention.
+func (r *run) traceLocked() []byte {
+	if r.traceData != nil || r.tracePath == "" {
+		return r.traceData
+	}
+	data, err := os.ReadFile(r.tracePath)
+	if err != nil {
+		return nil
+	}
+	return data
+}
+
+// backlogLocked counts the ranks received (salvage placeholders
+// included) but not yet walked; 0 once the run is done.
+func (r *run) backlogLocked() int {
+	if r.state != stateCollecting {
+		return 0
+	}
+	n := r.received - r.walked
+	if r.pendingInfo != nil {
+		n += len(r.pendingInfo.FailedRanks)
+	}
+	return n
+}
+
+// release drops a snapshot's payloads, keeping what the run's status
+// and salvage info read.
+func release(s *core.Snapshot) { *s = core.Snapshot{Rank: s.Rank, Calls: s.Calls} }
+
+// --- the walk over the arrived prefix ----------------------------------------
+
+// nextStepLocked is the size of the walk's next step (r.mu held): a
+// batch of Options.BatchSize ranks, or the whole remainder, and 0
+// until every one of them has arrived.
+func (r *run) nextStepLocked() int {
+	n := min(r.opts.BatchSize(r.world), r.world-r.walked)
+	if r.arrived-r.walked < n {
+		return 0
+	}
+	return n
+}
+
+// advanceLocked (r.mu held) extends the run's arrived prefix and
+// reports whether the caller must now run walkSteps: a step is ready
+// and no goroutine owns the walk. The step is counted on s.wg here,
+// under r.mu, which is what orders it before Close's wait: Close sets
+// closing and then takes every run's lock before it waits.
+func (s *Server) advanceLocked(r *run) bool {
+	for r.arrived < r.world && r.snaps[r.arrived] != nil {
+		r.arrived++
+	}
+	if r.stepping || r.nextStepLocked() == 0 || r.state != stateCollecting || s.closing.Load() {
+		return false
+	}
+	if r.walk == nil {
+		r.walk = core.NewWalk(r.world, nil, 0, r.opts)
+	}
+	r.stepping = true
+	s.wg.Add(1)
+	return true
+}
+
+// walkSteps advances r's walk one batch at a time for as long as the
+// next batch has arrived, reading each batch and walking it off r.mu.
+// The step that walks rank world−1 finalizes the run; a step that
+// fails (a spilled payload the journal cannot give back) finalizes it
+// with no trace. Once the server is closing it stops the walk and
+// leaves the run unfinalized, matching Close's contract.
+func (s *Server) walkSteps(r *run) {
+	defer s.wg.Done()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for {
+		if s.closing.Load() {
+			r.stopWalkLocked()
+			break
+		}
+		n := r.nextStepLocked()
+		if n == 0 {
+			break
+		}
+		start := r.walked
+		snaps := slices.Clone(r.snaps[start : start+n])
+		var refs [][2]int64
+		if r.jrefs != nil {
+			refs = r.jrefs[start : start+n]
+		}
+		w, j := r.walk, r.journal
+		r.mu.Unlock()
+		err := s.step(r, w, j, start, snaps, refs)
+		r.mu.Lock()
+		if s.closing.Load() {
+			r.stopWalkLocked()
+			break
+		}
+		if err != nil {
+			s.logf("run %s: walk ranks [%d,%d): %v", r.id, start, start+n, err)
+			s.finalizeLocked(r, r.pendingInfo, err)
+			break
+		}
+		for i, sn := range r.snaps[start : start+n] {
+			release(sn)
+			if refs != nil && refs[i][1] != 0 {
+				r.spilled--
+			}
+		}
+		r.walked += n
+		s.m.MergeBacklog.Add(-float64(n))
+		if r.walked == r.world {
+			// finalizeLocked's journal manifest update is enqueued after
+			// every append (all were enqueued before their ranks could be
+			// walked); queue order keeps the file consistent.
+			s.finalizeLocked(r, r.pendingInfo, nil)
+			break
+		}
+	}
+	r.stepping = false
+}
+
+// step walks one batch: the ranks whose payloads were spilled are read
+// back from the journal, tables included, and the batch goes into the
+// walk under one ingest.walk span.
+func (s *Server) step(r *run, w *core.Walk, j *journal, start int, snaps []*core.Snapshot, refs [][2]int64) error {
+	sp := s.obs.Start("collect", "ingest.walk").WithRun(r.id, -1, r.epoch).
+		WithAttr("start", int64(start)).WithAttr("ranks", int64(len(snaps)))
+	t0 := time.Now()
+	err := r.readBack(j, start, snaps, refs)
+	if err == nil {
+		err = w.Add(snaps)
+	}
+	if err != nil {
+		sp.WithStr("result", "error").End()
+		return err
+	}
+	s.m.MergeNs.Observe(time.Since(t0).Nanoseconds())
+	sp.WithAttr("global_cst", int64(w.GlobalCST())).End()
+	return nil
+}
+
+// readBack replaces each spilled snapshot of the batch at start with
+// its journal entry. Every spilled ref points into frames.jnl: the
+// journal queue is barriered so all appends are in the file (its
+// worker never takes r.mu), and the entries are read through a private
+// handle, as the append handle belongs to the queue worker. An identity
+// mismatch is a bug, not a torn tail: refs cover only accepted appends.
+func (r *run) readBack(j *journal, start int, snaps []*core.Snapshot, refs [][2]int64) error {
+	if !slices.ContainsFunc(refs, func(ref [2]int64) bool { return ref[1] != 0 }) {
+		return nil
+	}
+	j.q.Barrier()
+	if j.broken.Load() {
+		return fmt.Errorf("journal broken with payloads spilled to it")
+	}
+	f, err := os.Open(filepath.Join(j.dir, framesName))
+	if err != nil {
+		return fmt.Errorf("open journal frames: %w", err)
+	}
+	defer f.Close()
+	var buf []byte // one journal entry, reused across the batch
+	for i, ref := range refs {
+		if ref[1] == 0 {
+			continue
+		}
+		rank := start + i
+		buf = slices.Grow(buf[:0], int(ref[1]))[:ref[1]]
+		if _, err := f.ReadAt(buf, ref[0]); err != nil {
+			return fmt.Errorf("journal rank %d: %w", rank, err)
+		}
+		h, snap, err := wire.DecodePair(buf)
+		if err != nil {
+			return fmt.Errorf("journal rank %d: %w", rank, err)
+		}
+		if h.Rank != rank || h.RunID != r.id || h.Epoch != r.epoch {
+			return fmt.Errorf("journal entry at %d holds run %s rank %d epoch %d, expected %s/%d/%d",
+				ref[0], h.RunID, h.Rank, h.Epoch, r.id, rank, r.epoch)
+		}
+		snaps[i] = snap
+	}
+	return nil
+}
+
+// stopWalkLocked (r.mu held, no step running) joins the walk's Packer
+// goroutines and drops it.
+func (r *run) stopWalkLocked() {
+	if r.walk != nil {
+		r.walk.Stop()
+		r.walk = nil
+	}
+}
+
+// haltLocked (r.mu held, closing set) stops the run's timers and,
+// unless a step owns it, its walk; a step in flight stops the walk
+// itself once it sees closing. Taking r.mu after setting closing is
+// what orders every step's s.wg.Add before the shutdown's wait.
+func (r *run) haltLocked() *journal {
+	for _, t := range []*time.Timer{r.timer, r.evict, r.idle} {
+		if t != nil {
+			t.Stop()
+		}
+	}
+	if !r.stepping {
+		r.stopWalkLocked()
+	}
+	return r.journal
+}
+
+// salvageRun fires at the straggler deadline: missing ranks become
+// empty failed streams with empty tables, walked like any arrival, and
+// the step that walks the last rank finalizes the run as a salvage
+// trace (pendingInfo) — the same degradation core.SalvageFinalize
+// applies to crashed ranks.
+func (s *Server) salvageRun(r *run, deadline time.Duration) {
+	r.mu.Lock()
+	if r.state != stateCollecting || r.received == r.world {
+		// Fully received: the walk finalizes normally.
+		r.mu.Unlock()
+		return
+	}
+	s.obs.Start("collect", "salvage").WithRun(r.id, -1, r.epoch).
+		WithAttr("received", int64(r.received)).WithAttr("world", int64(r.world)).Emit()
+	info := &trace.SalvageInfo{
+		Reason: fmt.Sprintf("collector: straggler deadline (%s): %d/%d ranks reported", deadline, r.received, r.world),
+		Calls:  make([]int64, r.world),
+	}
+	for rank := 0; rank < r.world; rank++ {
+		if r.snaps[rank] != nil {
+			info.Calls[rank] = r.snaps[rank].Calls
+			continue
+		}
+		info.FailedRanks = append(info.FailedRanks, int32(rank))
+		// Registering the placeholder under r.mu dedups a straggler that
+		// arrives after this point: it acks as a duplicate, exactly as it
+		// would after finalize.
+		r.snaps[rank] = &core.Snapshot{
+			Rank:    rank,
+			Table:   cst.New(),
+			Grammar: sequitur.Serialized(sequitur.New().Serialize()),
+		}
+	}
+	r.pendingInfo = info
+	s.m.MergeBacklog.Add(float64(len(info.FailedRanks)))
+	step := s.advanceLocked(r)
+	r.mu.Unlock()
+	if step {
+		s.walkSteps(r)
+	}
+}
+
+// finalizeLocked (r.mu held) ends the walk and publishes the trace:
+// bytes for waiters, a file under OutDir. A non-nil werr is the step
+// failure that ended the walk early; the run then completes with no
+// trace bytes, the same degradation as a serialize failure.
+func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
+	if r.timer != nil {
+		r.timer.Stop()
+	}
+	if r.idle != nil {
+		r.idle.Stop()
+	}
+	s.enterPhaseLocked(r, phaseFinalizing)
+	fsp := s.obs.Start("collect", "finalize.run").WithRun(r.id, -1, r.epoch).
+		WithAttr("ranks", int64(r.world))
+	t0 := time.Now()
+	var file *trace.File
+	if werr == nil {
+		file, _, werr = r.walk.Finish(info)
+	}
+	r.stopWalkLocked()
+	// A done run keeps only each rank's Rank and Calls.
+	s.m.MergeBacklog.Add(-float64(r.backlogLocked()))
+	for _, sn := range r.snaps {
+		if sn != nil {
+			release(sn)
+		}
+	}
+	r.spilled, r.jrefs = 0, nil
+	var buf bytes.Buffer
+	serializeFailed := false
+	if werr != nil {
+		serializeFailed = true
+		r.reason = fmt.Sprintf("finalize walk failed: %v", werr)
+	} else if _, err := file.WriteTo(&buf); err != nil {
+		// Serialization of a just-merged trace cannot fail short of OOM;
+		// record the run as salvaged-with-no-bytes rather than crash.
+		serializeFailed = true
+		r.reason = fmt.Sprintf("serialize failed: %v", err)
+		s.logf("run %s: serialize failed: %v", r.id, err)
+	}
+	r.traceData = buf.Bytes()
+	r.traceLen = len(r.traceData)
+	if info != nil {
+		r.state = stateSalvaged
+		r.reason = info.Reason
+		s.m.SalvagedRuns.Inc()
+	} else {
+		r.state = stateFinalized
+		s.m.FinalizedRuns.Inc()
+	}
+	r.doneAt = time.Now()
+	if s.cfg.OutDir != "" {
+		path := filepath.Join(s.cfg.OutDir, r.id+".pilgrim")
+		// When journaling, sync the trace before the journal's manifest
+		// flips to a terminal state and the frames are dropped — the
+		// trace file is the run's only durable artifact after that.
+		sync := r.journal != nil && s.cfg.JournalSync != SyncOff
+		if err := writeFileMaybeSync(path, r.traceData, sync); err != nil {
+			s.logf("run %s: write %s: %v", r.id, path, err)
+		} else {
+			r.tracePath = path
+		}
+	}
+	// Retention: with the trace safely on disk, the in-memory copy is a
+	// cache — drop it after a while so the registry never grows by the
+	// full trace size per run for the daemon's lifetime.
+	if r.tracePath != "" {
+		retain := s.cfg.Retention
+		if retain == 0 {
+			retain = 10 * time.Minute
+		}
+		if retain > 0 {
+			r.evict = time.AfterFunc(retain, func() { s.evictRun(r) })
+		}
+	}
+	if r.journal != nil {
+		r.journal.finalizeRun(r.state.String(), r.reason)
+	}
+	s.collecting.Add(-1)
+	s.m.ActiveRuns.Add(-1)
+	s.m.TraceBytesOut.Add(int64(len(r.traceData)))
+	s.m.FinalizeNs.Observe(time.Since(t0).Nanoseconds())
+	switch {
+	case serializeFailed:
+		s.enterPhaseLocked(r, phaseFailed)
+	case info != nil:
+		s.enterPhaseLocked(r, phaseSalvaged)
+	default:
+		s.enterPhaseLocked(r, phaseFinalized)
+	}
+	fsp.WithAttr("trace_bytes", int64(len(r.traceData))).WithStr("state", r.state.String()).End()
+	s.logf("run %s: %s (%d ranks, %d bytes)", r.id, r.state, r.world, len(r.traceData))
+	close(r.done)
+}
+
+// writeFileMaybeSync writes path atomically enough for the journal's
+// purposes, fsyncing before close when sync is set.
+func writeFileMaybeSync(path string, data []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, werr := f.Write(data)
+	if werr == nil && sync {
+		werr = f.Sync()
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}
+
+// evictRun drops a finalized run's in-memory trace bytes; the on-disk
+// copy under OutDir keeps serving waiters and admin fetches.
+func (s *Server) evictRun(r *run) {
+	r.mu.Lock()
+	if r.state != stateCollecting && r.tracePath != "" {
+		r.traceData = nil
+	}
+	r.mu.Unlock()
+}

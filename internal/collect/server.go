@@ -1,6 +1,6 @@
 // Package collect is Pilgrim's networked trace collection subsystem:
 // a TCP collector server that ingests per-rank tracer snapshots
-// (framed by internal/wire), merges them incrementally as they
+// (framed by internal/wire), runs the finalize walk over them as they
 // arrive, and finalizes each run into the same trace file an
 // in-process MPI_Finalize merge would have produced — byte for byte —
 // plus the client that ships snapshots with retry, backoff, and
@@ -9,19 +9,18 @@
 // The paper's §3.5 inter-process compression assumes every rank's
 // grammar and CST meet inside one job at MPI_Finalize. The collector
 // decouples that: producers stream their crash-consistent snapshots
-// out, and the log₂P pairwise merge tree runs server-side, each tree
-// node merging the moment both children have reported
-// (cst.Incremental). Ranks that never report are degraded to salvage
+// out, and the server advances the same rank-order walk every local
+// finalize runs (core.Walk) over the contiguous prefix of ranks that
+// have reported, so when the last rank lands only the walk's tail is
+// left (run.go). Ranks that never report are degraded to salvage
 // semantics at a straggler deadline, mirroring core.SalvageFinalize.
 package collect
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -30,11 +29,7 @@ import (
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
-	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/obs"
-	"github.com/hpcrepro/pilgrim/internal/par"
-	"github.com/hpcrepro/pilgrim/internal/sequitur"
-	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
@@ -94,20 +89,14 @@ type Config struct {
 	// JournalLagWarn logs one rate-limited warning when a journal fsync
 	// lands later than this after its oldest queued byte. Zero disables.
 	JournalLagWarn time.Duration
-	// MergeWorkers bounds the shared pool that drains per-run merge
-	// queues: snapshots are decoded on their connection goroutine and
-	// their CST merges run here, off the run lock, on independent merge
-	// tree subtrees (cst.Incremental.AddConcurrent). 0 means GOMAXPROCS.
-	MergeWorkers int
-	// MaxResidentSnapshots caps how many snapshots per run keep their
-	// grammar payloads in memory. Beyond the cap an accepted snapshot's
-	// payloads are dropped once its journal entry is appended (the CST
-	// table is consumed by the merge either way), and finalize streams
-	// them back from the run journal in MaxResidentSnapshots-sized
-	// batches — peak finalize memory stays O(cap) instead of O(world)
-	// with byte-identical output. Requires OutDir (the journal is the
-	// spill); runs without a healthy journal keep everything resident.
-	// Zero means unbounded.
+	// MaxResidentSnapshots caps how many not-yet-walked snapshots per
+	// run keep their payloads in memory. Beyond the cap an accepted
+	// snapshot's payloads are dropped once its journal entry is
+	// appended, and the walk reads them back from the run journal when
+	// it reaches the rank, in batches no larger than the cap — peak
+	// memory stays O(cap) instead of O(world) with byte-identical
+	// output. Requires OutDir (the journal is the spill); runs without a
+	// healthy journal keep everything resident. Zero means unbounded.
 	MaxResidentSnapshots int
 	// KeepJournalFrames retains each run's frames.jnl after finalize
 	// instead of dropping it. Normal operation deletes the frames (the
@@ -128,128 +117,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// runState is a run's lifecycle position.
-type runState int
-
-const (
-	stateCollecting runState = iota
-	stateFinalized           // every rank reported
-	stateSalvaged            // straggler deadline fired with ranks missing
-)
-
-func (s runState) String() string {
-	switch s {
-	case stateCollecting:
-		return "collecting"
-	case stateFinalized:
-		return "finalized"
-	default:
-		return "salvaged"
-	}
-}
-
-// run is one trace collection in flight: the per-rank snapshots
-// received so far and the incremental merge over them.
-type run struct {
-	id      string
-	world   int
-	epoch   uint64
-	opts    core.Options
-	created time.Time
-
-	// mergeq is the run's bounded merge-on-arrival queue: ingest
-	// enqueues each decoded table here (blocking when full — that and
-	// the shared pool are the backpressure that slows a producer's ack
-	// instead of dropping), then submits one drain task to the server
-	// pool. backlog mirrors len(mergeq) for health and metrics.
-	mergeq  chan mergeItem
-	backlog atomic.Int64
-
-	mu       sync.Mutex
-	snaps    []*core.Snapshot // by rank; nil until reported
-	received int
-	merged   int        // ranks whose CST merge has completed
-	spilled  int        // snapshots whose payloads were dropped to the journal
-	jrefs    [][2]int64 // rank -> journal (offset, length); nil until first spill
-	bytes    int64      // snapshot body bytes accepted (admission accounting)
-	inc      *cst.Incremental
-	mergeNs  int64
-	// pendingInfo carries salvage metadata from salvageRun to the merge
-	// worker whose merge completes the run and triggers finalize.
-	pendingInfo *trace.SalvageInfo
-	timer       *time.Timer
-	evict       *time.Timer // retention: drops traceData once on disk
-	state       runState
-	reason      string // salvage reason, "" otherwise
-	traceData   []byte // nil after eviction; reload via tracePath
-	traceLen    int
-	tracePath   string
-	doneAt      time.Time
-	done        chan struct{}   // closed once the run finalizes
-	journal     *journal        // nil when OutDir is unset
-	recovery    *RecoveryStatus // non-nil when restored from a journal
-
-	// Live health model (health.go). phase's zero value is
-	// phaseAdmitted, matching a freshly created run.
-	phase         runPhase
-	lastArrival   time.Time
-	ewmaBps       float64     // EWMA ingest rate, bytes/sec
-	idle          *time.Timer // flips ingesting → awaiting-stragglers
-	clock         clockEstimator
-	lastHealthPub time.Time // rate limit for watch health-delta events
-}
-
-// mergeItem is one decoded snapshot's CST handed from its connection
-// goroutine to a merge worker. qsp is started at enqueue and ended at
-// dequeue, so the ingest.queue_wait span measures true queue time.
-type mergeItem struct {
-	rank   int
-	table  *cst.Table
-	spanID uint64
-	qsp    obs.Span
-}
-
-// mergeQueueDepth bounds each run's merge-on-arrival queue. A full
-// queue blocks the enqueueing connection goroutine — backpressure,
-// never a drop.
-const mergeQueueDepth = 64
-
-// newRun builds a run's in-memory state; shared by live creation
-// (runFor) and journal recovery (registerRecovered).
-func newRun(id string, world int, epoch uint64, timingMode uint8, timingBase float64, workers int) *run {
-	return &run{
-		id:      id,
-		world:   world,
-		epoch:   epoch,
-		opts:    core.Options{TimingMode: timingMode, TimingBase: timingBase, FinalizeWorkers: workers},
-		created: time.Now(),
-		snaps:   make([]*core.Snapshot, world),
-		inc:     cst.NewIncremental(world),
-		mergeq:  make(chan mergeItem, mergeQueueDepth),
-		done:    make(chan struct{}),
-	}
-}
-
-// receivedNow reads the rank count without holding the lock long.
-func (r *run) receivedNow() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.received
-}
-
-// traceLocked returns the run's trace bytes (r.mu held), reloading
-// the on-disk copy when the in-memory one was evicted by retention.
-func (r *run) traceLocked() []byte {
-	if r.traceData != nil || r.tracePath == "" {
-		return r.traceData
-	}
-	data, err := os.ReadFile(r.tracePath)
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
 // Server is the collector daemon's core: TCP ingest plus the run
 // registry. HTTP administration is layered on via AdminHandler.
 type Server struct {
@@ -258,11 +125,10 @@ type Server struct {
 	obs   *obs.Sink
 	ln    net.Listener
 	watch *broadcaster // /watch SSE fan-out; publish never blocks ingest
-	pool  *par.Pool    // shared merge workers draining per-run mergeqs
 
-	// closing gates the finalize trigger during shutdown: merge workers
-	// drain their queues but leave in-flight runs unfinalized, matching
-	// Close's contract.
+	// closing stops the runs' walks during shutdown: no step starts,
+	// and a step in flight stops its walk instead of finalizing, so
+	// in-flight runs stay unfinalized, matching Close's contract.
 	closing atomic.Bool
 
 	mu       sync.Mutex
@@ -323,7 +189,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s.m.registerProcess(s.start, s.obs)
 	s.watch = newBroadcaster(s.m)
-	s.pool = par.NewPool(cfg.MergeWorkers, mergeQueueDepth)
 	// Recovery runs to completion before the listener accepts, so a
 	// reconnecting producer can never race the replay of its own run.
 	if s.cfg.OutDir != "" {
@@ -347,9 +212,8 @@ func (s *Server) Obs() *obs.Sink { return s.obs }
 // handlers to drain. In-flight runs are left unfinalized (producers
 // fall back to local finalize when the collector vanishes).
 func (s *Server) Close() error {
-	// Merge workers consult closing before triggering finalize: queued
-	// merges still drain (every enqueued item has or will have a drain
-	// task), but a run completing during shutdown stays unfinalized.
+	// Steps consult closing before they start and before they finalize,
+	// so a run completing during shutdown stays unfinalized.
 	s.closing.Store(true)
 	s.mu.Lock()
 	if s.closed {
@@ -373,16 +237,7 @@ func (s *Server) Close() error {
 	err := s.ln.Close()
 	for _, r := range runs {
 		r.mu.Lock()
-		if r.timer != nil {
-			r.timer.Stop()
-		}
-		if r.evict != nil {
-			r.evict.Stop()
-		}
-		if r.idle != nil {
-			r.idle.Stop()
-		}
-		j := r.journal
+		j := r.haltLocked()
 		r.mu.Unlock()
 		if j != nil {
 			// Graceful shutdown flushes the journal so the next daemon
@@ -391,12 +246,9 @@ func (s *Server) Close() error {
 			j.close()
 		}
 	}
-	// Handler goroutines may be parked in mergeq sends or pool.Submit;
-	// they need live workers to drain, so the pool closes only after
-	// every handler has exited. Close then runs the remaining drain
-	// tasks to completion before returning.
+	// Handlers and walk steps; every step was counted before the loop
+	// above took its run's lock.
 	s.wg.Wait()
-	s.pool.Close()
 	return err
 }
 
@@ -585,7 +437,8 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 		// Quiesce the finished epoch's journal before the new epoch's
 		// journal opens the same directory: its queue may still hold the
 		// finalize cleanup (manifest rewrite, frame removal), which must
-		// not land on top of the successor's files.
+		// not land on top of the successor's files. Its walk needs
+		// nothing: finalizeLocked stopped it when the epoch finished.
 		r.mu.Lock()
 		old := r.journal
 		r.mu.Unlock()
@@ -626,15 +479,15 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 }
 
 // ingest decodes one snapshot on the calling (connection) goroutine,
-// registers it under the run lock, and hands its CST to the run's
-// merge queue — the merge itself runs on the shared worker pool, off
-// r.mu (see mergeSnapshot). Returns either the ack or the admission
-// NACK to send (exactly one is non-nil). Re-sends of a (run, rank,
-// epoch) already accepted ack as duplicates — the idempotency that
-// makes both client retry and journal replay safe. fromJournal marks
-// recovery replay: admission is bypassed, the frame is not
-// re-journaled (jref locates the existing journal entry), and the
-// merge runs inline so recovery completes before the listener accepts.
+// registers it under the run lock, and, when it completes a batch of
+// the arrived prefix, starts the run's walk on its own goroutine (see
+// walkSteps). Returns either the ack or the admission NACK to send
+// (exactly one is non-nil). Re-sends of a (run, rank, epoch) already
+// accepted ack as duplicates — the idempotency that makes both client
+// retry and journal replay safe. fromJournal marks recovery replay:
+// admission is bypassed, the frame is not re-journaled (jref locates
+// the existing journal entry), and the walk runs inline so recovery
+// completes before the listener accepts.
 func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, fromJournal bool, jref [2]int64) (*wire.Ack, *wire.Nack) {
 	dsp := s.obs.Start("collect", "ingest.decode").
 		WithRun(h.RunID, h.Rank, h.Epoch).WithAttr("bytes", int64(len(body))).
@@ -714,6 +567,7 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 	r.received++
 	r.bytes += int64(len(body))
 	s.m.IngestSnapshots.Inc()
+	s.m.MergeBacklog.Add(1)
 	s.noteArrivalLocked(r, int64(len(body)), time.Now())
 	// Journal the accepted frame pair. The append is enqueued under
 	// r.mu (preserving order) but all file I/O runs on the journal's
@@ -724,253 +578,31 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 	if r.journal != nil && !fromJournal {
 		joff, jlen, jwait = r.journal.appendSnapshot(h, body)
 	}
-	// The CST merge happens off this lock: capture the decoded table
-	// for the merge queue and drop the snapshot's reference, so the
-	// merge owns it exclusively (finalize never reads leaf tables).
-	table := snap.Table
-	snap.Table = nil
-	// Bounded-memory mode: beyond the resident cap, the snapshot's
-	// grammar payloads live only in the journal until finalize streams
-	// them back (finalizeStreamedLocked).
+	// Bounded-memory mode: beyond the resident cap, an unwalked
+	// snapshot's payloads live only in the journal until the walk
+	// reaches its rank and reads them back (walkSteps).
 	if limit := s.cfg.MaxResidentSnapshots; limit > 0 && jlen > 0 && r.journal != nil &&
-		!r.journal.broken.Load() && r.received-r.spilled > limit {
+		!r.journal.broken.Load() && r.backlogLocked()-r.spilled > limit {
 		if r.jrefs == nil {
 			r.jrefs = make([][2]int64, r.world)
 		}
 		r.jrefs[snap.Rank] = [2]int64{joff, jlen}
 		r.spilled++
-		snap.Grammar, snap.DurGrammar, snap.IntGrammar = nil, nil, nil
-		snap.RawSigs, snap.RawTimes = nil, nil
+		release(snap)
 	}
+	step := s.advanceLocked(r)
 	r.mu.Unlock()
-	if fromJournal {
-		// Recovery replay merges synchronously: the run must be fully
-		// merged (and possibly finalized) before the listener accepts.
-		s.mergeSnapshot(r, snap.Rank, table, h.SpanID)
-		return &wire.Ack{Status: wire.AckOK}, nil
-	}
-	// Merge-on-arrival: enqueue the item first, then submit one drain
-	// task — every submitted task is guaranteed a waiting item, so pool
-	// workers never block on an empty queue. Both the bounded queue and
-	// the bounded pool push back by blocking this connection goroutine,
-	// which slows the producer's ack; frames are never dropped.
-	qsp := s.obs.Start("collect", "ingest.queue_wait").
-		WithRun(h.RunID, h.Rank, h.Epoch).WithParent(h.SpanID)
-	r.backlog.Add(1)
-	s.m.MergeBacklog.Add(1)
-	r.mergeq <- mergeItem{rank: snap.Rank, table: table, spanID: h.SpanID, qsp: qsp}
-	if !s.pool.Submit(func() { s.drainMerge(r) }) {
-		s.drainMerge(r) // pool already closed (shutdown): drain inline
+	if step {
+		if fromJournal {
+			s.walkSteps(r)
+		} else {
+			go s.walkSteps(r)
+		}
 	}
 	if jwait != nil {
 		jwait()
 	}
 	return &wire.Ack{Status: wire.AckOK}, nil
-}
-
-// drainMerge consumes exactly one queued merge item for r. It is
-// submitted to the pool only after its item is enqueued, so the
-// receive never blocks on an empty queue.
-func (s *Server) drainMerge(r *run) {
-	it := <-r.mergeq
-	r.backlog.Add(-1)
-	s.m.MergeBacklog.Add(-1)
-	it.qsp.End()
-	s.mergeSnapshot(r, it.rank, it.table, it.spanID)
-}
-
-// mergeSnapshot folds one rank's CST into the run's merge tree off the
-// run lock (cst.Incremental.AddConcurrent; independent subtrees merge
-// in parallel, the table is absorbed without cloning) and, when it
-// completes the last of world merges, finalizes the run. The finalize
-// trigger is sound under concurrency because every worker increments
-// r.merged under r.mu after its merge returns: the worker that
-// observes merged == world also observes every other merge's writes.
-func (s *Server) mergeSnapshot(r *run, rank int, t *cst.Table, parent uint64) {
-	msp := s.obs.Start("collect", "ingest.merge").
-		WithRun(r.id, rank, r.epoch).WithParent(parent)
-	t0 := time.Now()
-	_, err := r.inc.AddConcurrent(rank, t, true)
-	mergeNs := time.Since(t0).Nanoseconds()
-	if err != nil {
-		// Unreachable: ingest and salvage dedup by r.snaps under r.mu
-		// before feeding a rank. Log rather than corrupt the count.
-		msp.WithStr("result", "reject").End()
-		s.logf("run %s: merge rank %d: %v", r.id, rank, err)
-		return
-	}
-	msp.End()
-	s.m.MergeNs.Observe(mergeNs)
-	r.mu.Lock()
-	r.mergeNs += mergeNs
-	r.merged++
-	if r.merged == r.world && r.state == stateCollecting && !s.closing.Load() {
-		// finalizeLocked's journal manifest update is enqueued after
-		// every append (all were enqueued before their merges); queue
-		// order keeps the file consistent.
-		s.finalizeLocked(r, r.pendingInfo)
-	}
-	r.mu.Unlock()
-}
-
-// salvageRun fires at the straggler deadline: missing ranks become
-// empty failed streams fed through the same concurrent merge path the
-// live ranks use, and whichever merge completes the run finalizes it
-// as a salvage trace (pendingInfo) — the same degradation
-// core.SalvageFinalize applies to crashed ranks.
-func (s *Server) salvageRun(r *run, deadline time.Duration) {
-	r.mu.Lock()
-	if r.state != stateCollecting || r.received == r.world {
-		// Fully received: any still-queued merges finish on the workers
-		// and the last one finalizes normally.
-		r.mu.Unlock()
-		return
-	}
-	s.obs.Start("collect", "salvage").WithRun(r.id, -1, r.epoch).
-		WithAttr("received", int64(r.received)).WithAttr("world", int64(r.world)).Emit()
-	info := &trace.SalvageInfo{
-		Reason: fmt.Sprintf("collector: straggler deadline (%s): %d/%d ranks reported", deadline, r.received, r.world),
-		Calls:  make([]int64, r.world),
-	}
-	var missing []int
-	for rank := 0; rank < r.world; rank++ {
-		if r.snaps[rank] != nil {
-			info.Calls[rank] = r.snaps[rank].Calls
-			continue
-		}
-		info.FailedRanks = append(info.FailedRanks, int32(rank))
-		missing = append(missing, rank)
-		// Registering the placeholder under r.mu dedups a straggler that
-		// arrives after this point: it acks as a duplicate, exactly as it
-		// would after finalize.
-		r.snaps[rank] = &core.Snapshot{
-			Rank:    rank,
-			Grammar: sequitur.Serialized(sequitur.New().Serialize()),
-		}
-	}
-	r.pendingInfo = info
-	r.mu.Unlock()
-	for _, rank := range missing {
-		s.mergeSnapshot(r, rank, cst.New(), 0)
-	}
-}
-
-// finalizeLocked (r.mu held) runs the back half of the §3.5 merge and
-// publishes the trace: bytes for waiters, a file under OutDir.
-func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo) {
-	if r.timer != nil {
-		r.timer.Stop()
-	}
-	if r.idle != nil {
-		r.idle.Stop()
-	}
-	s.enterPhaseLocked(r, phaseFinalizing)
-	fsp := s.obs.Start("collect", "finalize.run").WithRun(r.id, -1, r.epoch).
-		WithAttr("ranks", int64(r.world))
-	t0 := time.Now()
-	var file *trace.File
-	var ferr error
-	if r.spilled > 0 {
-		file, ferr = s.finalizeStreamedLocked(r, info)
-	} else {
-		file, _ = core.FinalizePremerged(r.snaps, r.inc.Result(), r.mergeNs, r.opts, info)
-	}
-	var buf bytes.Buffer
-	serializeFailed := false
-	if ferr != nil {
-		// Spilled payloads could not be read back (journal lost after its
-		// append was accepted); the run completes with no trace bytes,
-		// the same degradation as a serialize failure.
-		serializeFailed = true
-		r.reason = fmt.Sprintf("finalize reload failed: %v", ferr)
-		s.logf("run %s: finalize reload failed: %v", r.id, ferr)
-	} else if _, err := file.WriteTo(&buf); err != nil {
-		// Serialization of a just-merged trace cannot fail short of OOM;
-		// record the run as salvaged-with-no-bytes rather than crash.
-		serializeFailed = true
-		r.reason = fmt.Sprintf("serialize failed: %v", err)
-		s.logf("run %s: serialize failed: %v", r.id, err)
-	}
-	r.traceData = buf.Bytes()
-	r.traceLen = len(r.traceData)
-	if info != nil {
-		r.state = stateSalvaged
-		r.reason = info.Reason
-		s.m.SalvagedRuns.Inc()
-	} else {
-		r.state = stateFinalized
-		s.m.FinalizedRuns.Inc()
-	}
-	r.doneAt = time.Now()
-	if s.cfg.OutDir != "" {
-		path := filepath.Join(s.cfg.OutDir, r.id+".pilgrim")
-		// When journaling, sync the trace before the journal's manifest
-		// flips to a terminal state and the frames are dropped — the
-		// trace file is the run's only durable artifact after that.
-		sync := r.journal != nil && s.cfg.JournalSync != SyncOff
-		if err := writeFileMaybeSync(path, r.traceData, sync); err != nil {
-			s.logf("run %s: write %s: %v", r.id, path, err)
-		} else {
-			r.tracePath = path
-		}
-	}
-	// Retention: with the trace safely on disk, the in-memory copy is a
-	// cache — drop it after a while so the registry never grows by the
-	// full trace size per run for the daemon's lifetime.
-	if r.tracePath != "" {
-		retain := s.cfg.Retention
-		if retain == 0 {
-			retain = 10 * time.Minute
-		}
-		if retain > 0 {
-			r.evict = time.AfterFunc(retain, func() { s.evictRun(r) })
-		}
-	}
-	if r.journal != nil {
-		r.journal.finalizeRun(r.state.String(), r.reason)
-	}
-	s.collecting.Add(-1)
-	s.m.ActiveRuns.Add(-1)
-	s.m.TraceBytesOut.Add(int64(len(r.traceData)))
-	s.m.FinalizeNs.Observe(time.Since(t0).Nanoseconds())
-	switch {
-	case serializeFailed:
-		s.enterPhaseLocked(r, phaseFailed)
-	case info != nil:
-		s.enterPhaseLocked(r, phaseSalvaged)
-	default:
-		s.enterPhaseLocked(r, phaseFinalized)
-	}
-	fsp.WithAttr("trace_bytes", int64(len(r.traceData))).WithStr("state", r.state.String()).End()
-	s.logf("run %s: %s (%d ranks, %d bytes)", r.id, r.state, r.world, len(r.traceData))
-	close(r.done)
-}
-
-// writeFileMaybeSync writes path atomically enough for the journal's
-// purposes, fsyncing before close when sync is set.
-func writeFileMaybeSync(path string, data []byte, sync bool) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	if werr == nil && sync {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// evictRun drops a finalized run's in-memory trace bytes; the on-disk
-// copy under OutDir keeps serving waiters and admin fetches.
-func (s *Server) evictRun(r *run) {
-	r.mu.Lock()
-	if r.state != stateCollecting && r.tracePath != "" {
-		r.traceData = nil
-	}
-	r.mu.Unlock()
 }
 
 // serveWait blocks until the run finalizes, then sends its trace.

@@ -15,14 +15,14 @@ import (
 )
 
 // Tests for the bounded-memory ingest path: payload spilling to the
-// run journal under MaxResidentSnapshots, the streamed finalize that
-// reads them back, off-lock merge workers, and the queue's
-// backpressure contract (slow acks, never drops).
+// run journal under MaxResidentSnapshots, the walk that reads them
+// back when it reaches their ranks, and ingest under a flood of
+// concurrent producers (slow acks, never drops).
 
 // TestSpilledPayloadsMatchLocalFinalize caps resident snapshots far
-// below the world size: most payloads are stripped to journal refs on
-// arrival and streamed back at finalize, and the trace must still be
-// byte-identical to the in-memory local finalize.
+// below the world size: payloads beyond the cap are stripped to
+// journal refs on arrival and read back by the walk, and the trace
+// must still be byte-identical to the in-memory local finalize.
 func TestSpilledPayloadsMatchLocalFinalize(t *testing.T) {
 	const n = 16
 	snaps := traceWorkload(t, n)
@@ -43,32 +43,11 @@ func TestSpilledPayloadsMatchLocalFinalize(t *testing.T) {
 	}
 }
 
-// TestMergeWorkerCountIrrelevant runs the same snapshots through
-// servers with one and many merge workers: scheduling must never show
-// up in the bytes.
-func TestMergeWorkerCountIrrelevant(t *testing.T) {
-	const n = 12
-	snaps := traceWorkload(t, n)
-	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
-
-	for _, workers := range []int{1, 4} {
-		srv := startServer(t, collect.Config{MergeWorkers: workers})
-		c := client(srv, "mworkers", n)
-		remote, err := c.Collect(snaps)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := serialize(t, remote); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: trace differs from local finalize", workers)
-		}
-	}
-}
-
 // TestResidentSnapshotsBounded checks the health view mid-run: with a
-// resident cap of 2, an incomplete run holding 5 accepted snapshots
-// reports exactly 2 resident, and the admin health endpoint carries
-// the new fields.
+// resident cap of 2 and rank 0 held back, so that the walk cannot
+// start, an incomplete run holding 5 accepted snapshots reports all 5
+// as backlog and exactly 2 resident, and the admin health endpoint
+// carries both fields.
 func TestResidentSnapshotsBounded(t *testing.T) {
 	const n, limit = 6, 2
 	snaps := traceWorkload(t, n)
@@ -77,7 +56,7 @@ func TestResidentSnapshotsBounded(t *testing.T) {
 	defer admin.Close()
 
 	c := client(srv, "resident", n)
-	for _, s := range snaps[:n-1] {
+	for _, s := range snaps[1:] {
 		if err := c.SendSnapshot(s); err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +71,8 @@ func TestResidentSnapshotsBounded(t *testing.T) {
 	if h.ResidentSnapshots != limit {
 		t.Fatalf("resident snapshots %d, want %d (cap)", h.ResidentSnapshots, limit)
 	}
-	if h.MergeBacklog < 0 {
-		t.Fatalf("merge backlog %d negative", h.MergeBacklog)
+	if h.MergeBacklog != n-1 {
+		t.Fatalf("merge backlog %d, want %d (nothing walkable before rank 0)", h.MergeBacklog, n-1)
 	}
 	resp, err := admin.Client().Get(admin.URL + "/runs/resident/health")
 	if err != nil {
@@ -107,9 +86,9 @@ func TestResidentSnapshotsBounded(t *testing.T) {
 		t.Fatalf("health endpoint: %d %s", resp.StatusCode, body)
 	}
 
-	// Completing the run drains the backlog and finalizes from the
-	// spilled payloads.
-	if err := c.SendSnapshot(snaps[n-1]); err != nil {
+	// Rank 0 lets the walk through the whole run, spilled payloads
+	// included, and the backlog drains.
+	if err := c.SendSnapshot(snaps[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.WaitTrace(); err != nil {
@@ -120,16 +99,17 @@ func TestResidentSnapshotsBounded(t *testing.T) {
 	}
 }
 
-// TestBackpressureNeverDrops floods a single merge worker from many
-// concurrent producers: a full merge queue may slow acks, but every
-// send must succeed and every snapshot must merge exactly once.
+// TestBackpressureNeverDrops floods the collector from many concurrent
+// producers, one connection each, in whatever order the scheduler
+// lands them: the walk may slow acks, but every send must succeed and
+// every snapshot must be walked exactly once.
 func TestBackpressureNeverDrops(t *testing.T) {
 	const n = 48
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
 	want := serialize(t, local)
 
-	srv := startServer(t, collect.Config{MergeWorkers: 1})
+	srv := startServer(t, collect.Config{})
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -199,9 +179,11 @@ func TestStragglerSalvageWithSpill(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryWithSpill restarts a resident-capped daemon mid-run:
-// replay re-spills beyond the cap, late ranks finish the run, and the
-// trace is byte-identical to an uninterrupted in-memory finalize.
+// TestCrashRecoveryWithSpill restarts a resident-capped daemon mid-run,
+// with the upper half of the ranks in and so nothing walked: replay
+// re-spills beyond the cap, the lower half lets the walk read the
+// spilled ranks back, and the trace is byte-identical to an
+// uninterrupted in-memory finalize.
 func TestCrashRecoveryWithSpill(t *testing.T) {
 	const n = 8
 	snaps := traceWorkload(t, n)
@@ -212,7 +194,7 @@ func TestCrashRecoveryWithSpill(t *testing.T) {
 	cfg := collect.Config{OutDir: dir, JournalSync: collect.SyncAlways, MaxResidentSnapshots: 2}
 	srv := startServer(t, cfg)
 	c := client(srv, "spillcrash", n)
-	for i := 0; i < n/2; i++ {
+	for i := n / 2; i < n; i++ {
 		if err := c.SendSnapshot(snaps[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +209,7 @@ func TestCrashRecoveryWithSpill(t *testing.T) {
 		t.Fatalf("post-replay resident snapshots = %+v (ok=%v), want 2", h, ok)
 	}
 	c2 := client(srv2, "spillcrash", n)
-	for i := n / 2; i < n; i++ {
+	for i := 0; i < n/2; i++ {
 		if err := c2.SendSnapshot(snaps[i]); err != nil {
 			t.Fatal(err)
 		}

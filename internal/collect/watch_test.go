@@ -205,8 +205,10 @@ func TestAwaitStragglersPhase(t *testing.T) {
 
 // TestSpanContextPropagation runs client and collector against the
 // same flight recorder and asserts the cross-process link the wire
-// trailer exists for: every collector ingest.merge span carries a
-// parent_span attribute matching some client.send span's span_id.
+// trailer exists for: every collector ingest.decode span carries a
+// parent_span attribute matching some client.send span's span_id. The
+// walk is not per rank: its ingest.walk spans cover the ranks once, in
+// rank order, each naming its start, ranks and global CST size.
 func TestSpanContextPropagation(t *testing.T) {
 	const n = 4
 	snaps := traceWorkload(t, n)
@@ -232,23 +234,32 @@ func TestSpanContextPropagation(t *testing.T) {
 	if len(sendIDs) != n {
 		t.Fatalf("found %d client.send span IDs, want %d", len(sendIDs), n)
 	}
-	linked := 0
+	linked, walked := 0, 0
 	for _, ev := range sink.Events() {
-		if ev.Name != "ingest.merge" && ev.Name != "ingest.decode" {
-			continue
-		}
+		attrs := map[string]int64{}
 		for _, a := range ev.Attrs[:ev.NAttrs] {
-			if a.Key == obs.AttrParentSpan {
-				if !sendIDs[a.Int] {
-					t.Fatalf("%s parent_span %d matches no client.send span", ev.Name, a.Int)
+			attrs[a.Key] = a.Int
+		}
+		switch ev.Name {
+		case "ingest.decode":
+			if id, ok := attrs[obs.AttrParentSpan]; ok {
+				if !sendIDs[id] {
+					t.Fatalf("%s parent_span %d matches no client.send span", ev.Name, id)
 				}
 				linked++
 			}
+		case "ingest.walk":
+			if attrs["start"] != int64(walked) || attrs["ranks"] < 1 || attrs["global_cst"] < 1 {
+				t.Fatalf("ingest.walk attrs %v after %d walked ranks", attrs, walked)
+			}
+			walked += int(attrs["ranks"])
+		case "ingest.merge", "ingest.queue_wait":
+			t.Fatalf("span %s still recorded", ev.Name)
 		}
 	}
-	// Every rank's decode and merge span must link back.
-	if linked != 2*n {
-		t.Fatalf("%d linked ingest spans, want %d", linked, 2*n)
+	// Every rank's decode span must link back, and the walk covers them.
+	if linked != n || walked != n {
+		t.Fatalf("%d linked ingest.decode spans and %d walked ranks, want %d", linked, walked, n)
 	}
 
 	// And BuildDoc renders those links as Chrome trace flow arrows.

@@ -1,11 +1,14 @@
 // The finalize walk (§3.5), every route's one implementation: rank
-// snapshots arrive through a fetch callback in batches, and per batch
-// the walk folds their tables into the global CST in rank order,
-// relabels each grammar against it (§3.5.1), keys and deduplicates the
-// grammars, and hands the first-seen ones to the section Packers that
-// run the final Sequitur pass (§3.5.2) on their own goroutines. The
-// pack therefore starts with the first batch, and the walk holds one
-// batch of snapshots at a time; what the fetch keeps is its own affair.
+// snapshots arrive in batches, in rank order, and per batch the walk
+// folds their tables into the global CST, relabels each grammar
+// against it (§3.5.1), keys and deduplicates the grammars, and hands
+// the first-seen ones to the section Packers that run the final
+// Sequitur pass (§3.5.2) on their own goroutines. The pack therefore
+// starts with the first batch, and the walk holds one batch of
+// snapshots at a time; what the caller keeps is its own affair. The
+// local routes pull their batches through a fetch callback
+// (FinalizeStreamed); the collector pushes each batch into a Walk as
+// soon as its ranks have arrived.
 //
 // The trace is byte-identical for every batch size and worker count.
 // cst.Table.Absorb never renumbers a terminal, so a rank's relabel is
@@ -22,6 +25,7 @@ import (
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/par"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
@@ -30,10 +34,9 @@ import (
 // SnapshotFetch returns snapshots for the contiguous rank range
 // [start, start+n), in rank order. It is called once per range, in
 // rank order. The walk folds each Table into the global CST unless the
-// finalize was handed a premerged one, in which case Table may be nil
-// (a disk-backed fetch may skip decoding the CST section). Snapshots
-// are never mutated, so an in-memory fetch may hand out its resident
-// ones.
+// finalize was handed a premerged one, in which case Table may be nil.
+// Snapshots are never mutated, so an in-memory fetch may hand out its
+// resident ones.
 type SnapshotFetch func(start, n int) ([]*Snapshot, error)
 
 // BatchSize is the walk's grain for a world of ranks: a sixteenth of
@@ -45,32 +48,6 @@ func (o Options) BatchSize(world int) int {
 		return m
 	}
 	return k
-}
-
-// fetchRange calls fetch and validates its contract (length, rank
-// order, and a table wherever the fold needs one), so a buggy spill
-// reader fails loudly instead of silently misattributing grammars to
-// ranks.
-func fetchRange(fetch SnapshotFetch, start, n int, needTable bool) ([]*Snapshot, error) {
-	snaps, err := fetch(start, n)
-	if err != nil {
-		return nil, err
-	}
-	if len(snaps) != n {
-		return nil, fmt.Errorf("core: snapshot fetch [%d,%d) returned %d snapshots", start, start+n, len(snaps))
-	}
-	for i, s := range snaps {
-		if s == nil {
-			return nil, fmt.Errorf("core: snapshot fetch [%d,%d) returned nil snapshot at rank %d", start, start+n, start+i)
-		}
-		if s.Rank != start+i {
-			return nil, fmt.Errorf("core: snapshot fetch [%d,%d) returned rank %d at position %d", start, start+n, s.Rank, i)
-		}
-		if needTable && s.Table == nil {
-			return nil, fmt.Errorf("core: snapshot fetch [%d,%d) returned rank %d without its table", start, start+n, s.Rank)
-		}
-	}
-	return snaps, nil
 }
 
 // dedupState is one section's first-seen grammar dedup: batches append
@@ -153,163 +130,221 @@ func (d *dedupState) finish() sequitur.Serialized {
 	return packed
 }
 
-// FinalizeStreamed runs the finalize walk over world ranks fetched in
-// batches of Options.BatchSize. premerged, when non-nil, is a global
-// CST and relabels unified before the call — the collector merges
-// tables as ranks report — and cstMergeNs the time that took; without
-// it the walk folds the fetched tables itself. The trace is the same
-// bytes either way. It fails when fetch does, when a fetched snapshot
-// lacks the table the fold needs, or when a grammar names a terminal
-// its rank's table never held.
-//
-// Within a batch the fold is sequential and the relabel and key hashing
-// fan out across workers; every ordering-sensitive step (the fold, the
+// Walk is the finalize walk as a value the caller advances: NewWalk
+// starts the Packers, each Add walks the next ranks in rank order, and
+// Finish returns the trace once all world ranks are in. Within an Add
+// the fold is sequential and the relabel and key hashing fan out
+// across workers; every ordering-sensitive step (the fold, the
 // first-seen grammar dedup and the rank-map append) runs in rank order
-// across batches. Each section's final Sequitur pass runs beside the
-// walk, a batch behind it (dedupState.flush); FinalizeWorkers == 1
-// keeps it inline.
-func FinalizeStreamed(world int, fetch SnapshotFetch, premerged *cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
-	opts = opts.withDefaults()
-	if world == 0 { // every entry point's zero-rank result
-		return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}, nil
-	}
-	workers := par.Workers(opts.FinalizeWorkers)
-	lossy := opts.TimingMode == trace.TimingLossy
-	var st FinalizeStats
-	st.CSTMergeNs = cstMergeNs
-	global := cst.New()
-	if premerged != nil {
-		global = premerged.Table
-	}
+// across Adds. Each section's final Sequitur pass runs beside the walk,
+// an Add behind it (dedupState.flush); FinalizeWorkers == 1 keeps it
+// inline. A Walk is not safe for concurrent use.
+type Walk struct {
+	world, next int
+	opts        Options
+	workers     int
+	lossy       bool
+	premerged   *cst.Merged
+	global      *cst.Table
+	st          FinalizeStats
+	cfgNs       int64
 
+	dsp            obs.Span // finalize.dedup_pack, from NewWalk to Finish
+	calls          *dedupState
+	durState       *dedupState // lossy timing only, as are the two below
+	intState       *dedupState
+	durIdx, intIdx []int32
+	rankMap        *sequitur.Grammar
+}
+
+// NewWalk starts a walk over world ranks. premerged, when non-nil, is a
+// global CST and relabels unified before the walk and cstMergeNs the
+// time that took; without it the walk folds the tables itself. The
+// trace is the same bytes either way. The Packers' queues are as deep
+// as the walk has batches of Options.BatchSize.
+func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *Walk {
+	opts = opts.withDefaults()
+	w := &Walk{
+		world:     world,
+		opts:      opts,
+		workers:   par.Workers(opts.FinalizeWorkers),
+		lossy:     opts.TimingMode == trace.TimingLossy,
+		premerged: premerged,
+		global:    cst.New(),
+	}
+	w.st.CSTMergeNs = cstMergeNs
+	if premerged != nil {
+		w.global = premerged.Table
+	}
+	if world == 0 {
+		return w // Finish returns the zero-rank result
+	}
 	batch := opts.BatchSize(world)
 	batches := (world + batch - 1) / batch
-	dsp := opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
-	calls := newDedupState(workers, batches)
-	defer calls.stop()
-	rankMap := sequitur.New()
-	var durState, intState *dedupState
-	var durIdx, intIdx []int32
-	if lossy {
-		durState, intState = newDedupState(workers, batches), newDedupState(workers, batches)
-		defer durState.stop()
-		defer intState.stop()
-		durIdx = make([]int32, 0, world)
-		intIdx = make([]int32, 0, world)
+	w.dsp = opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
+	w.calls = newDedupState(w.workers, batches)
+	w.rankMap = sequitur.New()
+	if w.lossy {
+		w.durState, w.intState = newDedupState(w.workers, batches), newDedupState(w.workers, batches)
+		w.durIdx = make([]int32, 0, world)
+		w.intIdx = make([]int32, 0, world)
 	}
+	return w
+}
 
-	var cfgNs int64
-	for start := 0; start < world; start += batch {
-		n := min(batch, world-start)
-		snaps, err := fetchRange(fetch, start, n, premerged == nil)
-		if err != nil {
-			return nil, FinalizeStats{}, err
+// GlobalCST is the size of the global CST folded so far.
+func (w *Walk) GlobalCST() int { return w.global.Len() }
+
+// Add walks the next len(snaps) ranks. They must be the ranks that
+// follow the last Add's, in rank order, each with its Table unless the
+// walk was handed a premerged CST, so a buggy fetch fails loudly
+// instead of silently misattributing grammars to ranks. Add also fails
+// when a grammar names a terminal its rank's table never held. The
+// snapshots are only read, and none is referenced once Add returns
+// except the first-seen timing grammars, which the trace keeps.
+func (w *Walk) Add(snaps []*Snapshot) error {
+	start, n := w.next, len(snaps)
+	if n > w.world-start {
+		return fmt.Errorf("core: walk of %d ranks at rank %d given %d more", w.world, start, n)
+	}
+	for i, s := range snaps {
+		if s == nil {
+			return fmt.Errorf("core: walk given a nil snapshot for rank %d", start+i)
 		}
-		// Fetched snapshots are dropped wholesale when the batch ends,
-		// so a batch's resident cost is bounded. They are not mutated:
-		// the in-memory wrapper hands the caller's own array through.
-		for _, s := range snaps {
-			st.IntraNs += s.IntraNs
-			st.TotalCalls += s.Calls
+		if s.Rank != start+i {
+			return fmt.Errorf("core: walk given rank %d where rank %d was due", s.Rank, start+i)
 		}
-		// The batch's tables join the global CST in rank order; a rank's
-		// relabel is final the moment its table is absorbed.
-		t0 := time.Now()
-		var relabels [][]int32
-		if premerged != nil {
-			relabels = premerged.Relabels[start : start+n]
-		} else {
-			msp := opts.ObsSink.Start("finalize", "finalize.cst_merge").
-				WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
-			relabels = make([][]int32, n)
-			for i, s := range snaps {
-				relabels[i] = global.Absorb(s.Table)
-			}
-			msp.WithAttr("global_cst", int64(global.Len())).End()
+		if w.premerged == nil && s.Table == nil {
+			return fmt.Errorf("core: walk given rank %d without its table", s.Rank)
 		}
-		// Per-rank relabel against the global terminals (§3.5.1): each
-		// rank rewrites only its own grammar, so the loop fans out freely.
-		rsp := opts.ObsSink.Start("finalize", "finalize.relabel").
+	}
+	for _, s := range snaps {
+		w.st.IntraNs += s.IntraNs
+		w.st.TotalCalls += s.Calls
+	}
+	// The batch's tables join the global CST in rank order; a rank's
+	// relabel is final the moment its table is absorbed.
+	t0 := time.Now()
+	var relabels [][]int32
+	if w.premerged != nil {
+		relabels = w.premerged.Relabels[start : start+n]
+	} else {
+		msp := w.opts.ObsSink.Start("finalize", "finalize.cst_merge").
 			WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
-		relabeled := make([]sequitur.Serialized, n)
-		relabelErrs := make([]error, n)
-		par.For(n, workers, func(i int) {
-			relabeled[i], relabelErrs[i] = snaps[i].Grammar.Relabel(relabels[i])
-		})
-		rsp.End()
-		for i, err := range relabelErrs {
-			if err != nil {
-				return nil, FinalizeStats{}, fmt.Errorf("core: relabel rank %d: %w", start+i, err)
-			}
+		relabels = make([][]int32, n)
+		for i, s := range snaps {
+			relabels[i] = w.global.Absorb(s.Table)
 		}
-		st.CSTMergeNs += time.Since(t0).Nanoseconds()
-
-		// Identity keys fan out; the first-seen pass below stays
-		// sequential in rank order (the §3.5.2 memcmp identity check).
-		t1 := time.Now()
-		keys := make([]string, n)
-		var durKeys, intKeys []string
-		par.For(n, workers, func(i int) {
-			keys[i] = grammarKey(relabeled[i])
-		})
-		if lossy {
-			durKeys, intKeys = make([]string, n), make([]string, n)
-			par.For(n, workers, func(i int) {
-				durKeys[i] = grammarKey(snaps[i].DurGrammar)
-				intKeys[i] = grammarKey(snaps[i].IntGrammar)
-			})
-		}
-		for i := 0; i < n; i++ {
-			rankMap.Append(calls.add(keys[i], relabeled[i]))
-			if lossy {
-				durIdx = append(durIdx, durState.add(durKeys[i], snaps[i].DurGrammar))
-				intIdx = append(intIdx, intState.add(intKeys[i], snaps[i].IntGrammar))
-			}
-		}
-		cfgNs += time.Since(t1).Nanoseconds()
-		calls.flush()
-		if lossy {
-			durState.flush()
-			intState.flush()
+		msp.WithAttr("global_cst", int64(w.global.Len())).End()
+	}
+	// Per-rank relabel against the global terminals (§3.5.1): each
+	// rank rewrites only its own grammar, so the loop fans out freely.
+	rsp := w.opts.ObsSink.Start("finalize", "finalize.relabel").
+		WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
+	relabeled := make([]sequitur.Serialized, n)
+	relabelErrs := make([]error, n)
+	par.For(n, w.workers, func(i int) {
+		relabeled[i], relabelErrs[i] = snaps[i].Grammar.Relabel(relabels[i])
+	})
+	rsp.End()
+	for i, err := range relabelErrs {
+		if err != nil {
+			return fmt.Errorf("core: relabel rank %d: %w", start+i, err)
 		}
 	}
+	w.st.CSTMergeNs += time.Since(t0).Nanoseconds()
 
+	// Identity keys fan out; the first-seen pass below stays
+	// sequential in rank order (the §3.5.2 memcmp identity check).
+	t1 := time.Now()
+	keys := make([]string, n)
+	var durKeys, intKeys []string
+	par.For(n, w.workers, func(i int) {
+		keys[i] = grammarKey(relabeled[i])
+	})
+	if w.lossy {
+		durKeys, intKeys = make([]string, n), make([]string, n)
+		par.For(n, w.workers, func(i int) {
+			durKeys[i] = grammarKey(snaps[i].DurGrammar)
+			intKeys[i] = grammarKey(snaps[i].IntGrammar)
+		})
+	}
+	for i := 0; i < n; i++ {
+		w.rankMap.Append(w.calls.add(keys[i], relabeled[i]))
+		if w.lossy {
+			w.durIdx = append(w.durIdx, w.durState.add(durKeys[i], snaps[i].DurGrammar))
+			w.intIdx = append(w.intIdx, w.intState.add(intKeys[i], snaps[i].IntGrammar))
+		}
+	}
+	w.cfgNs += time.Since(t1).Nanoseconds()
+	w.calls.flush()
+	if w.lossy {
+		w.durState.flush()
+		w.intState.flush()
+	}
+	w.next += n
+	return nil
+}
+
+// Stop joins the Packers' goroutines without producing a trace, for a
+// walk abandoned before its last rank or on an error. It is safe to
+// call after Finish and more than once.
+func (w *Walk) Stop() {
+	for _, d := range []*dedupState{w.calls, w.durState, w.intState} {
+		if d != nil {
+			d.stop()
+		}
+	}
+}
+
+// Finish waits for the Packers and returns the trace of the walked
+// ranks; info, when non-nil, tags it as a salvage. Every rank must have
+// been added.
+func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
+	if w.next != w.world {
+		w.Stop()
+		return nil, FinalizeStats{}, fmt.Errorf("core: walk finished after %d of %d ranks", w.next, w.world)
+	}
+	if w.world == 0 { // every entry point's zero-rank result
+		return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}, nil
+	}
+	st := w.st
 	// The final Sequitur pass over the non-identical grammars (§3.5.2)
 	// compresses shared rules across similar ranks and dominates the
 	// inter-process CFG compression time when many unique grammars
 	// survive the identity check. It has been running since the first
 	// batch; what is left of it is all finalize waits for here.
 	t2 := time.Now()
-	packed := calls.finish()
-	dsp.WithAttr("unique_cfgs", int64(len(calls.uniq))).
+	packed := w.calls.finish()
+	w.dsp.WithAttr("unique_cfgs", int64(len(w.calls.uniq))).
 		WithAttr("wait_ns", time.Since(t2).Nanoseconds()).End()
-	st.CFGMergeNs = cfgNs + calls.busyNs
-	st.UniqueCFGs = len(calls.uniq)
-	st.GlobalCST = global.Len()
+	st.CFGMergeNs = w.cfgNs + w.calls.busyNs
+	st.UniqueCFGs = len(w.calls.uniq)
+	st.GlobalCST = w.global.Len()
 
 	f := &trace.File{
-		NumRanks:   world,
-		TimingMode: opts.TimingMode,
-		TimingBase: opts.TimingBase,
-		CST:        global,
-		Grammars:   calls.uniq,
+		NumRanks:   w.world,
+		TimingMode: w.opts.TimingMode,
+		TimingBase: w.opts.TimingBase,
+		CST:        w.global,
+		Grammars:   w.calls.uniq,
 		Packed:     packed,
-		RankMap:    sequitur.Serialized(rankMap.Serialize()),
+		RankMap:    sequitur.Serialized(w.rankMap.Serialize()),
 		Salvage:    info,
 	}
-	if lossy {
+	if w.lossy {
 		// The duration and interval streams are independent sections,
 		// each packed by its own dedupState beside the call section's.
-		tsp := opts.ObsSink.Start("finalize", "finalize.timing").WithAttr("ranks", int64(world))
-		f.DurGrammars, f.DurIndex = durState.uniq, durIdx
-		f.IntGrammars, f.IntIndex = intState.uniq, intIdx
-		f.PackedDur = durState.finish()
-		f.PackedInt = intState.finish()
+		tsp := w.opts.ObsSink.Start("finalize", "finalize.timing").WithAttr("ranks", int64(w.world))
+		f.DurGrammars, f.DurIndex = w.durState.uniq, w.durIdx
+		f.IntGrammars, f.IntIndex = w.intState.uniq, w.intIdx
+		f.PackedDur = w.durState.finish()
+		f.PackedInt = w.intState.finish()
 		tsp.End()
-		st.CFGMergeNs += durState.busyNs + intState.busyNs
+		st.CFGMergeNs += w.durState.busyNs + w.intState.busyNs
 	}
 	st.TraceBytes = f.SizeBytes()
-	if c := opts.Collector; c != nil {
+	if c := w.opts.Collector; c != nil {
 		cstB, cfgB, durB, intB := f.SectionSizes()
 		c.RecordTraceSections(cstB, cfgB, durB, intB, st.TraceBytes,
 			f.UncompressedEstimate(), st.TotalCalls)
@@ -317,4 +352,33 @@ func FinalizeStreamed(world int, fetch SnapshotFetch, premerged *cst.Merged, cst
 		st.Metrics = c.Report()
 	}
 	return f, st, nil
+}
+
+// FinalizeStreamed runs the finalize walk over world ranks fetched in
+// batches of Options.BatchSize: fetch, then Walk.Add, per batch.
+// premerged and cstMergeNs are NewWalk's. The trace is the same bytes
+// with or without a premerged CST. It fails when fetch does, when a
+// fetched batch breaks Add's contract, or when a grammar names a
+// terminal its rank's table never held.
+func FinalizeStreamed(world int, fetch SnapshotFetch, premerged *cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
+	w := NewWalk(world, premerged, cstMergeNs, opts)
+	defer w.Stop()
+	batch := opts.BatchSize(world)
+	for start := 0; start < world; start += batch {
+		n := min(batch, world-start)
+		snaps, err := fetch(start, n)
+		if err != nil {
+			return nil, FinalizeStats{}, err
+		}
+		if len(snaps) != n {
+			return nil, FinalizeStats{}, fmt.Errorf("core: snapshot fetch [%d,%d) returned %d snapshots", start, start+n, len(snaps))
+		}
+		// Fetched snapshots are dropped wholesale when the batch ends,
+		// so a batch's resident cost is bounded. They are not mutated:
+		// the in-memory wrapper hands the caller's own array through.
+		if err := w.Add(snaps); err != nil {
+			return nil, FinalizeStats{}, err
+		}
+	}
+	return w.Finish(info)
 }

@@ -560,13 +560,12 @@ func snapshotAll(tracers []*Tracer, opts Options) []*Snapshot {
 }
 
 // FinalizePremerged finishes the §3.5 merge over snapshots whose CSTs
-// were already unified — the collector daemon merges tables
-// incrementally (cst.Incremental) as ranks report and calls this once
-// the run completes. merged must cover exactly snaps in order (rank i
-// of the merge is snaps[i]); cstMergeNs is the time the caller spent
-// producing it. The resulting trace is identical to finalizing the
-// same snapshots locally, because cst.Incremental reproduces the
-// rank-order fold exactly.
+// were already unified, for instance by cst.Incremental in arrival
+// order. merged must cover exactly snaps in order (rank i of the merge
+// is snaps[i]); cstMergeNs is the time the caller spent producing it.
+// The resulting trace is identical to finalizing the same snapshots
+// locally, because cst.Incremental reproduces the rank-order fold
+// exactly.
 func FinalizePremerged(snaps []*Snapshot, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
 	return finalizeResident(snaps, &merged, cstMergeNs, opts, info)
 }

@@ -9,8 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
-	"sync/atomic"
 )
 
 // Table is one process's call signature table.
@@ -174,18 +172,17 @@ func composeInPlace(first, second []int32) []int32 {
 // --- incremental merge -------------------------------------------------------
 
 // Incremental performs the log₂P pairwise tree merge one rank at a
-// time, in any arrival order: a collector feeds tables as ranks report
-// and each internal tree node merges as soon as both children are
-// complete. The tree shape depends only on the rank count and every
-// node merge is an Absorb, deterministic in its inputs, so the final
-// Result is identical (including terminal numbering) to absorbing the
-// same tables in rank order, whatever order they arrived in.
+// time, in any arrival order: each internal tree node merges as soon as
+// both children are complete. The tree shape depends only on the rank
+// count and every node merge is an Absorb, deterministic in its inputs,
+// so the final Result is identical (including terminal numbering) to
+// absorbing the same tables in rank order, whatever order they arrived
+// in.
 type Incremental struct {
 	n     int
 	nodes []incNode
 	leaf  []int // rank -> leaf node index
 	root  int
-	added atomic.Int64
 }
 
 type incNode struct {
@@ -198,12 +195,6 @@ type incNode struct {
 	owned bool
 	// children; -1 for leaves. parent is -1 for the root.
 	left, right, parent int
-	// join is AddConcurrent's coordination state: on a leaf it is the
-	// claimed flag (CAS 0->1 guards double adds), on an internal node
-	// it counts completed children — the add that moves it to 2 owns
-	// the merge of that node, so every node merges exactly once with
-	// no lock. Sequential Add never touches it.
-	join atomic.Int32
 }
 
 // NewIncremental builds the merge tree for n ranks (n >= 1).
@@ -235,23 +226,8 @@ func NewIncremental(n int) *Incremental {
 	return inc
 }
 
-// setLeaf installs one rank's table on its leaf node. When owned, the
-// table belongs to the merge and may be extended in place by the first
-// pair merge (no clone); otherwise it stays intact.
-func (inc *Incremental) setLeaf(rank int, t *Table, owned bool) {
-	leaf := &inc.nodes[inc.leaf[rank]]
-	leaf.t = t
-	leaf.ranks = []int{rank}
-	leaf.maps = [][]int32{identity(t.Len())}
-	leaf.owned = owned
-	leaf.ready = true
-	inc.added.Add(1)
-}
-
 // mergeNode merges internal node p from its two complete children and
-// releases their payloads. Deterministic in the children's tables, so
-// the caller's scheduling (sequential climb or concurrent join) never
-// changes the result.
+// releases their payloads.
 func (inc *Incremental) mergeNode(p int) {
 	pn := &inc.nodes[p]
 	a, b := &inc.nodes[pn.left], &inc.nodes[pn.right]
@@ -275,16 +251,16 @@ func (inc *Incremental) mergeNode(p int) {
 
 // Add feeds one rank's table and merges every tree node that becomes
 // complete. The table is not mutated or retained past the merge. Not
-// safe for concurrent use; the collector's lock-free path is
-// AddConcurrent.
+// safe for concurrent use.
 func (inc *Incremental) Add(rank int, t *Table) error {
 	if rank < 0 || rank >= inc.n {
 		return fmt.Errorf("cst: incremental merge rank %d out of range [0,%d)", rank, inc.n)
 	}
-	if inc.nodes[inc.leaf[rank]].ready {
+	leaf := &inc.nodes[inc.leaf[rank]]
+	if leaf.ready {
 		return fmt.Errorf("cst: incremental merge rank %d added twice", rank)
 	}
-	inc.setLeaf(rank, t, false)
+	leaf.t, leaf.ranks, leaf.maps, leaf.ready = t, []int{rank}, [][]int32{identity(t.Len())}, true
 	// Propagate upward while both children of the parent are ready.
 	for id := inc.leaf[rank]; inc.nodes[id].parent != -1; {
 		p := inc.nodes[id].parent
@@ -298,47 +274,8 @@ func (inc *Incremental) Add(rank int, t *Table) error {
 	return nil
 }
 
-// AddConcurrent feeds one rank's table from any goroutine with no
-// external lock: the leaf is claimed by CAS, and the add climbs the
-// tree bumping each parent's atomic join counter — the add that makes
-// a counter reach 2 merges that node (both subtrees complete) and
-// continues upward, so every node merges exactly once and concurrent
-// adds only ever touch disjoint subtrees. Go's atomics order the
-// children's payload writes before the counter increment, so the
-// merging goroutine sees both subtrees complete. Returns true when
-// this add completed the root (Result is valid). When owned, the
-// table is absorbed in place rather than cloned.
-func (inc *Incremental) AddConcurrent(rank int, t *Table, owned bool) (rootDone bool, err error) {
-	if rank < 0 || rank >= inc.n {
-		return false, fmt.Errorf("cst: incremental merge rank %d out of range [0,%d)", rank, inc.n)
-	}
-	id := inc.leaf[rank]
-	if !inc.nodes[id].join.CompareAndSwap(0, 1) {
-		return false, fmt.Errorf("cst: incremental merge rank %d added twice", rank)
-	}
-	inc.setLeaf(rank, t, owned)
-	for {
-		p := inc.nodes[id].parent
-		if p == -1 {
-			return true, nil
-		}
-		if inc.nodes[p].join.Add(1) != 2 {
-			// Sibling subtree still incomplete; its last add will merge p.
-			return false, nil
-		}
-		inc.mergeNode(p)
-		id = p
-	}
-}
-
-// Received returns how many ranks have been added.
-func (inc *Incremental) Received() int { return int(inc.added.Load()) }
-
-// Done reports whether every rank has been added (Result is valid).
-func (inc *Incremental) Done() bool { return int(inc.added.Load()) == inc.n }
-
 // Result returns the completed merge; it must not be called before
-// Done reports true.
+// every rank has been added.
 func (inc *Incremental) Result() Merged {
 	root := &inc.nodes[inc.root]
 	if !root.ready {
@@ -348,7 +285,7 @@ func (inc *Incremental) Result() Merged {
 	for j, r := range root.ranks {
 		out.Relabels[r] = root.maps[j]
 	}
-	// A single-rank merge never ran mergeInto: return a table the
+	// A single-rank merge never ran mergeNode: return a table the
 	// caller may own without mutating the rank's snapshot table.
 	if !root.owned {
 		out.Table = root.t.Clone()
@@ -421,18 +358,13 @@ func Deserialize(data []byte) (*Table, error) {
 	return t, nil
 }
 
-// SerializeExact flattens the table keeping exact duration sums:
-// varint count, then per entry (len, bytes, callCount, durSum). The
-// on-disk format (Serialize) stores the average, which rounds; a
-// snapshot in flight to a collector must preserve the sum so the
-// merged global table — and therefore the final trace file — is
-// byte-identical to an in-process merge.
-func (t *Table) SerializeExact() []byte {
-	return t.AppendExact(make([]byte, 0, t.ExactSize()))
-}
-
-// AppendExact appends the SerializeExact form to dst, so a snapshot
-// encoder can lay the table straight into its own buffer.
+// AppendExact appends the table's exact form to dst: varint count, then
+// per entry (len, bytes, callCount, durSum). The on-disk format
+// (Serialize) stores the average, which rounds; a snapshot in flight
+// to a collector must preserve the sum so the merged global table —
+// and therefore the final trace file — is byte-identical to an
+// in-process merge. A snapshot encoder lays it straight into its own
+// buffer.
 func (t *Table) AppendExact(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t.sigs)))
 	for i, key := range t.sigs {
@@ -444,7 +376,7 @@ func (t *Table) AppendExact(dst []byte) []byte {
 	return dst
 }
 
-// ExactSize is the length of the SerializeExact form, computed without
+// ExactSize is the length of the AppendExact form, computed without
 // building it: what a caller needs to size a buffer (and write the
 // table's length prefix) before AppendExact fills it.
 func (t *Table) ExactSize() int {
@@ -460,7 +392,7 @@ func (t *Table) ExactSize() int {
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
-// DeserializeExact parses a SerializeExact-encoded table. It is the
+// DeserializeExact parses an AppendExact-encoded table. It is the
 // collector ingest path's decoder, so allocation is lean: the entry
 // count is validated against the bytes present (each entry costs at
 // least 3 bytes), then every slice and the signature index are sized
@@ -521,14 +453,3 @@ func DeserializeExact(data []byte) (*Table, error) {
 // Bytes returns the serialized size, the number the size experiments
 // report for the CST section.
 func (t *Table) Bytes() int { return len(t.Serialize()) }
-
-// TermsSorted returns all terminals ordered by signature bytes
-// (diagnostics/deterministic iteration).
-func (t *Table) TermsSorted() []int32 {
-	out := make([]int32, t.Len())
-	for i := range out {
-		out[i] = int32(i)
-	}
-	sort.Slice(out, func(i, j int) bool { return t.sigs[out[i]] < t.sigs[out[j]] })
-	return out
-}

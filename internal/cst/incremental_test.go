@@ -39,33 +39,31 @@ func TestIncrementalMatchesPairwise(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			order := rand.New(rand.NewSource(int64(n*100 + trial))).Perm(n)
 			inc := NewIncremental(n)
-			for i, r := range order {
-				if inc.Done() {
-					t.Fatalf("n=%d: Done before all ranks", n)
-				}
+			for _, r := range order {
 				if err := inc.Add(r, tables[r]); err != nil {
 					t.Fatalf("n=%d add rank %d: %v", n, r, err)
 				}
-				if inc.Received() != i+1 {
-					t.Fatalf("n=%d: Received=%d after %d adds", n, inc.Received(), i+1)
-				}
 			}
-			if !inc.Done() {
-				t.Fatalf("n=%d: not Done after all ranks", n)
-			}
-			got := inc.Result()
-			if !bytes.Equal(got.Table.SerializeExact(), want.Table.SerializeExact()) {
-				t.Fatalf("n=%d order %v: merged table differs from MergePairwise", n, order)
-			}
-			for r := 0; r < n; r++ {
-				if len(got.Relabels[r]) != len(want.Relabels[r]) {
-					t.Fatalf("n=%d rank %d: relabel size %d != %d", n, r, len(got.Relabels[r]), len(want.Relabels[r]))
-				}
-				for old, nw := range want.Relabels[r] {
-					if got.Relabels[r][old] != nw {
-						t.Fatalf("n=%d rank %d: relabel[%d]=%d, want %d", n, r, old, got.Relabels[r][old], nw)
-					}
-				}
+			checkMerged(t, n, inc.Result(), want)
+		}
+	}
+}
+
+// checkMerged fails unless got matches want exactly: same table bytes,
+// same relabel maps. This is the byte-equivalence property every
+// alternative feed order must preserve.
+func checkMerged(t *testing.T, n int, got, want Merged) {
+	t.Helper()
+	if !bytes.Equal(got.Table.SerializeExact(), want.Table.SerializeExact()) {
+		t.Fatalf("n=%d: merged table differs from MergePairwise", n)
+	}
+	for r := 0; r < n; r++ {
+		if len(got.Relabels[r]) != len(want.Relabels[r]) {
+			t.Fatalf("n=%d rank %d: relabel size %d != %d", n, r, len(got.Relabels[r]), len(want.Relabels[r]))
+		}
+		for old, nw := range want.Relabels[r] {
+			if got.Relabels[r][old] != nw {
+				t.Fatalf("n=%d rank %d: relabel[%d]=%d, want %d", n, r, old, got.Relabels[r][old], nw)
 			}
 		}
 	}

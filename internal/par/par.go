@@ -90,66 +90,6 @@ func (q *Queue) Close() {
 	<-q.done
 }
 
-// Pool is a long-lived bounded worker pool: workers goroutines drain a
-// task channel of fixed depth, and Submit blocks while the channel is
-// full. That blocking is the pool's backpressure contract — the
-// collector's merge-on-arrival path leans on it to slow a producer's
-// ack instead of dropping or buffering without bound. Unlike Queue,
-// tasks run concurrently across workers with no ordering guarantee.
-type Pool struct {
-	mu     sync.Mutex
-	closed bool
-	tasks  chan func()
-	wg     sync.WaitGroup
-}
-
-// NewPool starts workers goroutines (<= 0 means GOMAXPROCS) draining a
-// task channel that buffers up to depth pending tasks (minimum 1).
-func NewPool(workers, depth int) *Pool {
-	workers = Workers(workers)
-	if depth < 1 {
-		depth = 1
-	}
-	p := &Pool{tasks: make(chan func(), depth)}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.wg.Done()
-			for f := range p.tasks {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a task, blocking while the pool is depth tasks
-// behind. Returns false (dropping the task) once the pool is closed.
-func (p *Pool) Submit(f func()) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	p.tasks <- f
-	return true
-}
-
-// Close stops intake, runs every already-submitted task, and waits for
-// the workers to exit. Safe to call more than once.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
-	p.closed = true
-	close(p.tasks)
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
 // For runs f(i) for every i in [0, n), on up to workers goroutines.
 // workers <= 1 runs inline with zero overhead. Iterations are handed
 // out by an atomic counter, so the assignment of iterations to

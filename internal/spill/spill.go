@@ -206,7 +206,7 @@ func (w *Writer) Fetch(start, n int) ([]*core.Snapshot, error) {
 			rank := start + i
 			pair := buf[:w.refs[rank][1]]
 			buf = buf[len(pair):]
-			h, s, err := wire.DecodePair(pair, true)
+			h, s, err := wire.DecodePair(pair)
 			if err != nil {
 				return nil, fmt.Errorf("spill: rank %d: %w", rank, err)
 			}

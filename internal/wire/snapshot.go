@@ -14,7 +14,7 @@ import (
 // Snapshot body layout (all integers varint unless noted):
 //
 //	rank, calls, intraNs
-//	CST: length-prefixed cst.SerializeExact bytes (exact duration
+//	CST: length-prefixed cst.Table.AppendExact bytes (exact duration
 //	     sums — the on-disk average form would break byte-equivalence
 //	     of the collector-side merge)
 //	call grammar (count + varints)
@@ -165,7 +165,7 @@ func (sc *DecodeScratch) ReadFrame(r io.Reader) (typ byte, body []byte, err erro
 // the scratch or body), so it may be retained past the next call.
 func (sc *DecodeScratch) DecodeSnapshot(body []byte) (*core.Snapshot, error) {
 	sc.d = dec{b: body}
-	return decodeSnapshot(&sc.d, true)
+	return decodeSnapshot(&sc.d)
 }
 
 // DecodeSnapshot parses and validates a snapshot body. Allocation is
@@ -173,17 +173,15 @@ func (sc *DecodeScratch) DecodeSnapshot(body []byte) (*core.Snapshot, error) {
 // checked against the bytes actually present before anything sized by
 // it is allocated.
 func DecodeSnapshot(body []byte) (*core.Snapshot, error) {
-	return decodeSnapshot(&dec{b: body}, true)
+	return decodeSnapshot(&dec{b: body})
 }
 
 // DecodePair parses, in place, the (Hello, Snapshot) frame pair that
 // is the unit of the collector's journal and of internal/spill: both
 // frames checked by SplitFrame, both bodies validated, nothing allowed
 // after the pair. Callers check the Hello's identity against the entry
-// they asked for. With withTable false the snapshot's CST section is
-// stepped over (its bytes are still under the frame CRC) and Table is
-// nil. Nothing returned aliases b.
-func DecodePair(b []byte, withTable bool) (*Hello, *core.Snapshot, error) {
+// they asked for. Nothing returned aliases b.
+func DecodePair(b []byte) (*Hello, *core.Snapshot, error) {
 	ht, hb, rest, err := SplitFrame(b)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hello: %w", err)
@@ -199,14 +197,14 @@ func DecodePair(b []byte, withTable bool) (*Hello, *core.Snapshot, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("hello: %w", err)
 	}
-	s, err := decodeSnapshot(&dec{b: sb}, withTable)
+	s, err := decodeSnapshot(&dec{b: sb})
 	if err != nil {
 		return nil, nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return h, s, nil
 }
 
-func decodeSnapshot(d *dec, withTable bool) (*core.Snapshot, error) {
+func decodeSnapshot(d *dec) (*core.Snapshot, error) {
 	s := &core.Snapshot{}
 	rank, err := d.uvarint("snapshot rank")
 	if err != nil {
@@ -229,20 +227,16 @@ func decodeSnapshot(d *dec, withTable bool) (*core.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if withTable {
-		if s.Table, err = cst.DeserializeExact(tb); err != nil {
-			return nil, err
-		}
+	if s.Table, err = cst.DeserializeExact(tb); err != nil {
+		return nil, err
 	}
 	if s.Grammar, err = d.grammar("snapshot grammar", false); err != nil {
 		return nil, err
 	}
 	// A terminal is an index into the rank's own table; finalize's
 	// relabel has no mapping for one past its end.
-	if withTable {
-		if t := s.Grammar.MaxTerminal(); int(t) >= s.Table.Len() {
-			return nil, fmt.Errorf("wire: snapshot grammar names terminal %d of a %d-entry cst", t, s.Table.Len())
-		}
+	if t := s.Grammar.MaxTerminal(); int(t) >= s.Table.Len() {
+		return nil, fmt.Errorf("wire: snapshot grammar names terminal %d of a %d-entry cst", t, s.Table.Len())
 	}
 	flags, err := d.byteVal("snapshot flags")
 	if err != nil {

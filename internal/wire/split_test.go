@@ -102,9 +102,8 @@ func FuzzSplitFrame(f *testing.F) {
 }
 
 // TestDecodePair: the journal's unit decodes to the hello and snapshot
-// that were framed, with the table or without it; without it every
-// other section is still validated; and anything but exactly
-// hello ‖ snapshot is refused.
+// that were framed, table included; a body the snapshot decoder refuses
+// is refused; and anything but exactly hello ‖ snapshot is refused.
 func TestDecodePair(t *testing.T) {
 	hello := &Hello{Version: Version, RunID: "pair", WorldSize: 4, Rank: 2, Epoch: 9, TimingBase: 1.2}
 	for name, s := range map[string]*core.Snapshot{
@@ -112,28 +111,21 @@ func TestDecodePair(t *testing.T) {
 	} {
 		body := EncodeSnapshot(s)
 		pair := AppendFrame(AppendFrame(nil, TypeHello, hello.Encode()), TypeSnapshot, body)
-		for _, withTable := range []bool{true, false} {
-			h, got, err := DecodePair(pair, withTable)
-			if err != nil {
-				t.Fatalf("%s withTable=%v: %v", name, withTable, err)
-			}
-			if *h != *hello {
-				t.Fatalf("%s: hello %+v, want %+v", name, h, hello)
-			}
-			if (got.Table != nil) != withTable {
-				t.Fatalf("%s withTable=%v: table presence %v", name, withTable, got.Table != nil)
-			}
-			got.Table = s.Table
-			if !bytes.Equal(EncodeSnapshot(got), body) {
-				t.Fatalf("%s withTable=%v: snapshot differs", name, withTable)
-			}
+		h, got, err := DecodePair(pair)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		// A grammar the decoder refuses is refused with the table skipped
-		// too: truncate the body inside the grammar and re-frame it, so
-		// only the snapshot decoder can object.
+		if *h != *hello {
+			t.Fatalf("%s: hello %+v, want %+v", name, h, hello)
+		}
+		if !bytes.Equal(EncodeSnapshot(got), body) {
+			t.Fatalf("%s: snapshot differs", name)
+		}
+		// Truncate the body inside the grammar and re-frame it, so only
+		// the snapshot decoder can object.
 		short := AppendFrame(AppendFrame(nil, TypeHello, hello.Encode()), TypeSnapshot, body[:len(body)-1])
-		if _, _, err := DecodePair(short, false); err == nil {
-			t.Fatalf("%s: truncated snapshot body accepted with the table skipped", name)
+		if _, _, err := DecodePair(short); err == nil {
+			t.Fatalf("%s: truncated snapshot body accepted", name)
 		}
 		for what, bad := range map[string][]byte{
 			"trailing byte":   append(append([]byte(nil), pair...), 0),
@@ -143,7 +135,7 @@ func TestDecodePair(t *testing.T) {
 			"empty":           nil,
 			"cut in snapshot": pair[:len(pair)-3],
 		} {
-			if _, _, err := DecodePair(bad, true); err == nil {
+			if _, _, err := DecodePair(bad); err == nil {
 				t.Fatalf("%s: %s accepted", name, what)
 			}
 		}

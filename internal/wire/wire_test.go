@@ -56,7 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got.Rank != want.Rank || got.Calls != want.Calls || got.IntraNs != want.IntraNs {
 		t.Fatalf("header fields differ: %+v", got)
 	}
-	if !bytes.Equal(got.Table.SerializeExact(), want.Table.SerializeExact()) {
+	if !bytes.Equal(got.Table.AppendExact(nil), want.Table.AppendExact(nil)) {
 		t.Fatal("CST not exactly preserved")
 	}
 	if !reflect.DeepEqual(got.Grammar, want.Grammar) ||
@@ -146,9 +146,7 @@ func TestSnapshotRawCountOverClaimRejected(t *testing.T) {
 // index into the snapshot's own CST, so a well-formed frame naming one
 // past the table's end is refused where the table is decoded — before
 // the collector acks and journals a snapshot its finalize cannot
-// relabel. With the table skipped the decoder cannot know; that route
-// reads frames this check already passed, and finalize returns the
-// relabel error.
+// relabel, and where a journal or spill pair is read back.
 func TestSnapshotTerminalBeyondTableRejected(t *testing.T) {
 	s := minimalSnapshot()
 	s.Table.Add([]byte("sig-only"), 1)
@@ -163,11 +161,8 @@ func TestSnapshotTerminalBeyondTableRejected(t *testing.T) {
 	}
 	hello := &Hello{Version: Version, RunID: "hostile", WorldSize: 1}
 	pair := AppendFrame(AppendFrame(nil, TypeHello, hello.Encode()), TypeSnapshot, body)
-	if _, _, err := DecodePair(pair, true); err == nil {
+	if _, _, err := DecodePair(pair); err == nil {
 		t.Fatal("pair decoded with its table accepted the terminal")
-	}
-	if _, _, err := DecodePair(pair, false); err != nil {
-		t.Fatalf("pair decoded without its table: %v", err)
 	}
 
 	// The largest terminal the table does hold is fine.
