@@ -383,22 +383,25 @@ func BenchmarkFinalize1024(b *testing.B) { benchmarkFinalize(b, 1024) }
 func BenchmarkFinalize4096(b *testing.B) { benchmarkFinalize(b, 4096) }
 
 // BenchmarkPack4096 times the final Sequitur pass alone (§3.5.2) over
-// the unique grammars a 4096-rank synthetic finalize leaves, so the
-// ledger's sequitur.Pack line can be re-measured without bench/.
+// the grammars a 4096-rank synthetic finalize packs, one per grammar
+// shape, so the ledger's sequitur.Pack line can be re-measured without
+// bench/.
 func BenchmarkPack4096(b *testing.B) {
 	f, _ := core.FinalizeSnapshots(experiments.SyntheticSnapshots(4096), core.Options{}, nil)
+	reps := f.Representatives()
 	appends := 0
-	for _, g := range f.Grammars {
+	for _, g := range reps {
 		appends += 2*len(g) + 1 // two 16-bit halves per int, one separator
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if packed := sequitur.Pack(f.Grammars); len(packed) != len(f.Packed) {
+		if packed := sequitur.Pack(reps); len(packed) != len(f.Packed) {
 			b.Fatalf("pack is %d ints, finalize's was %d", len(packed), len(f.Packed))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*appends), "ns/append")
 	b.ReportMetric(float64(len(f.Grammars)), "unique-cfgs")
+	b.ReportMetric(float64(len(reps)), "unique-shapes")
 }
 
 func BenchmarkTraceStencil64(b *testing.B) {

@@ -54,6 +54,7 @@ func main() {
 
 	fmt.Fprintf(w, "# ranks=%d timing=%s cst=%d grammars=%d size=%dB\n",
 		file.NumRanks, timingName(file.TimingMode), file.CST.Len(), len(file.Grammars), file.SizeBytes())
+	fmt.Fprintf(w, "# %d grammars, %d shapes\n", len(file.Grammars), len(file.Representatives()))
 	// Section sizes are nominal (int32-width) pre-varint numbers; show
 	// the composition as shares of their own total, not of the file.
 	cstB, cfgB, durB, intB := file.SectionSizes()

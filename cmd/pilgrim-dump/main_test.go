@@ -84,6 +84,9 @@ func TestDumpStencil(t *testing.T) {
 	if code != 0 || !strings.HasPrefix(out, header) {
 		t.Fatalf("-summary: exit %d, stderr %q, output:\n%s", code, stderr, out)
 	}
+	if shapes := fmt.Sprintf("\n# %d grammars, %d shapes\n", len(file.Grammars), stats.UniqueShapes); !strings.Contains(out, shapes) {
+		t.Errorf("-summary does not say %q:\n%s", shapes[1:], out)
+	}
 	names, total := rows(out)
 	if total != stats.TotalCalls {
 		t.Errorf("-summary counts %d calls, the run traced %d", total, stats.TotalCalls)

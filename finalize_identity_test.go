@@ -48,6 +48,12 @@ func identityBody(iters int) func(p *mpi.Proc) {
 // exactly once, so repeated finalizes consume identical inputs.
 func snapshotsFor(t *testing.T, n int, opts core.Options) []*core.Snapshot {
 	t.Helper()
+	return snapshotsOf(t, n, opts, identityBody(6))
+}
+
+// snapshotsOf is snapshotsFor over any SPMD body.
+func snapshotsOf(t *testing.T, n int, opts core.Options, body func(p *mpi.Proc)) []*core.Snapshot {
+	t.Helper()
 	tracers := make([]*core.Tracer, n)
 	ics := make([]mpi.Interceptor, n)
 	for i := range tracers {
@@ -56,7 +62,7 @@ func snapshotsFor(t *testing.T, n int, opts core.Options) []*core.Snapshot {
 	}
 	so := simOpts()
 	so.Interceptors = ics
-	if err := mpi.RunOpt(n, so, identityBody(6)); err != nil {
+	if err := mpi.RunOpt(n, so, body); err != nil {
 		t.Fatal(err)
 	}
 	snaps := make([]*core.Snapshot, n)

@@ -9,6 +9,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/spill"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/workloads"
 )
 
 // The streaming, bounded-memory finalize must be byte-identical to the
@@ -74,6 +75,27 @@ func TestFinalizeStreamedByteIdenticalLossyTiming(t *testing.T) {
 		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
 			snaps := snapshotsFor(t, n, opts)
 			streamedSweep(t, snaps, opts, nil)
+		})
+	}
+}
+
+// TestFinalizeStreamedShapeByteIdentical: cg's ranks have unique
+// grammars of one shape, so the trace stores them by shape (PILGRIM2),
+// and which grammar represents the shape must not depend on the batch
+// size or the worker count.
+func TestFinalizeStreamedShapeByteIdentical(t *testing.T) {
+	for _, n := range []int{16, 33} {
+		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
+			body, err := workloads.Get("cg", 3, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps := snapshotsOf(t, n, core.Options{}, body)
+			f, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
+			if data := traceBytes(t, f); !bytes.HasPrefix(data, []byte("PILGRIM2")) {
+				t.Fatalf("cg trace starts %q, not stored by shape", data[:8])
+			}
+			streamedSweep(t, snaps, core.Options{}, nil)
 		})
 	}
 }

@@ -2,12 +2,15 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/experiments"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
@@ -131,4 +134,34 @@ func TestFinalizeStreamedFoldByteIdentical(t *testing.T) {
 		}
 		foldSweep(t, snaps, lossy, nil)
 	})
+}
+
+// TestWalkShapeColumn: the walk's Shape column is the first-seen dedup
+// of the unique grammars by sequitur.Serialized.Shape, in rank order,
+// and the call section's pack covers exactly the representatives, on
+// every skeleton.
+func TestWalkShapeColumn(t *testing.T) {
+	for _, w := range workloads.List() {
+		snaps := skeletonSnapshots(t, w.Name, core.Options{})
+		f, st := core.FinalizeSnapshots(snaps, core.Options{MaxResidentSnapshots: 3}, nil)
+		first := map[string]int32{}
+		for j, g := range f.Grammars {
+			shape, _ := g.Shape()
+			key := fmt.Sprint(shape)
+			want, seen := first[key]
+			if !seen {
+				first[key], want = int32(j), -1
+			}
+			if f.Shape[j] != want {
+				t.Fatalf("%s: grammar %d has Shape %d, want %d", w.Name, j, f.Shape[j], want)
+			}
+		}
+		if len(f.Shape) != len(f.Grammars) || st.UniqueShapes != len(first) {
+			t.Fatalf("%s: %d shape entries for %d grammars, %d unique shapes reported, %d found",
+				w.Name, len(f.Shape), len(f.Grammars), st.UniqueShapes, len(first))
+		}
+		if !slices.Equal(f.Packed, sequitur.Pack(f.Representatives())) {
+			t.Fatalf("%s: the pack is not the representatives'", w.Name)
+		}
+	}
 }

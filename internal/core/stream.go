@@ -3,7 +3,8 @@
 // folds their tables into the global CST, relabels each grammar
 // against it (§3.5.1), keys and deduplicates the grammars, and hands
 // the first-seen ones to the section Packers that run the final
-// Sequitur pass (§3.5.2) on their own goroutines. The pack therefore
+// Sequitur pass (§3.5.2) on their own goroutines; the call section
+// packs one grammar per shape (DESIGN §4d). The pack therefore
 // starts with the first batch, and the walk holds one batch of
 // snapshots at a time; what the caller keeps is its own affair. The
 // local routes pull their batches through a fetch callback
@@ -14,10 +15,11 @@
 // cst.Table.Absorb never renumbers a terminal, so a rank's relabel is
 // final once ranks 0..r are absorbed, and the rank-order fold equals
 // the paper's pairwise merge tree (DESIGN §4a). Every other
-// cross-rank ordering decision (grammar first-seen dedup, rank map
-// append) runs sequentially in rank order, and a Packer's output is a
-// function of the grammars and their order, which is the dedup's:
-// batching only changes when work happens, never what it computes.
+// cross-rank ordering decision (grammar first-seen dedup by identity
+// and shape, rank map append) runs sequentially in rank order, and a
+// Packer's output is a function of the grammars and their order, which
+// is the dedup's: batching only changes when work happens, never what
+// it computes.
 package core
 
 import (
@@ -54,47 +56,68 @@ func (o Options) BatchSize(world int) int {
 // through it sequentially in rank order, so the numbering is identical
 // to one sequential pass over all ranks. It is also the one
 // packing helper of the call, duration and interval sections: flush
-// hands the grammars first seen since the last flush to a
-// sequitur.Packer, so the final Sequitur pass (§3.5.2) sees uniq in
+// hands the representatives first seen since the last flush to a
+// sequitur.Packer, so the final Sequitur pass (§3.5.2) sees reps in
 // order whoever runs it.
 type dedupState struct {
 	seen map[string]int32
 	uniq []sequitur.Serialized
 
+	// shapes, if non-nil, dedups new grammars by shape key into shape
+	// (trace.File.Shape); reps, the Packer's input, is then one per shape.
+	shapes map[string]int32
+	shape  []int32
+	reps   []sequitur.Serialized
+
 	packer  *sequitur.Packer
 	queue   *par.Queue // runs the Packer on its own goroutine; nil: flush packs inline
-	flushed int        // uniq[:flushed] has been handed to the Packer
+	flushed int        // reps[:flushed] has been handed to the Packer
 	busyNs  int64      // time spent inside the Packer; the queue's goroutine writes it until close
 }
 
-// newDedupState starts a section's dedup and its Packer. With more
-// than one worker the Packer runs behind a queue deep enough for every
-// flush (one per batch), so the walk never waits for it: the grammars a
-// pending flush holds are retained for the trace file either way.
-func newDedupState(workers, flushes int) *dedupState {
-	d := &dedupState{seen: map[string]int32{}, packer: sequitur.NewPacker()}
+// newDedupState starts a section's dedup over world ranks and its
+// Packer. With more than one worker the Packer runs behind a queue deep
+// enough for every flush (one per batch), so the walk never waits for
+// it: the grammars a pending flush holds are retained either way.
+func newDedupState(world, workers, flushes int, byShape bool) *dedupState {
+	d := &dedupState{seen: make(map[string]int32, world), packer: sequitur.NewPacker()}
+	if byShape {
+		d.shapes = map[string]int32{}
+	}
 	if workers > 1 {
 		d.queue = par.NewQueue(flushes)
 	}
 	return d
 }
 
-func (d *dedupState) add(key string, g sequitur.Serialized) int32 {
+// add returns g's index among the unique grammars.
+func (d *dedupState) add(key string, g sequitur.Serialized, shapeKey string) int32 {
 	j, ok := d.seen[key]
-	if !ok {
-		j = int32(len(d.uniq))
-		d.seen[key] = j
-		d.uniq = append(d.uniq, g)
+	if ok {
+		return j
 	}
+	j = int32(len(d.uniq))
+	d.seen[key], d.uniq = j, append(d.uniq, g)
+	if d.shapes != nil {
+		rep, ok := d.shapes[shapeKey]
+		if !ok {
+			d.shapes[shapeKey], rep = j, -1
+		}
+		d.shape = append(d.shape, rep)
+		if ok {
+			return j
+		}
+	}
+	d.reps = append(d.reps, g)
 	return j
 }
 
-// flush packs the grammars first seen since the last flush. They are
-// never written again (uniq only grows past them), so the queue's
-// goroutine may read them while the walk appends.
+// flush packs the representatives first seen since the last flush.
+// They are never written again (reps only grows past them), so the
+// queue's goroutine may read them while the walk appends.
 func (d *dedupState) flush() {
-	gs := d.uniq[d.flushed:len(d.uniq):len(d.uniq)]
-	d.flushed = len(d.uniq)
+	gs := d.reps[d.flushed:len(d.reps):len(d.reps)]
+	d.flushed = len(d.reps)
 	if len(gs) == 0 {
 		return
 	}
@@ -121,7 +144,7 @@ func (d *dedupState) stop() {
 	}
 }
 
-// finish returns the pack of uniq, all of which has been flushed.
+// finish returns the pack of reps, all of which has been flushed.
 func (d *dedupState) finish() sequitur.Serialized {
 	d.stop()
 	t := time.Now()
@@ -182,10 +205,10 @@ func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *
 	batch := opts.BatchSize(world)
 	batches := (world + batch - 1) / batch
 	w.dsp = opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
-	w.calls = newDedupState(w.workers, batches)
+	w.calls = newDedupState(world, w.workers, batches, true)
 	w.rankMap = sequitur.New()
 	if w.lossy {
-		w.durState, w.intState = newDedupState(w.workers, batches), newDedupState(w.workers, batches)
+		w.durState, w.intState = newDedupState(world, w.workers, batches, false), newDedupState(world, w.workers, batches, false)
 		w.durIdx = make([]int32, 0, world)
 		w.intIdx = make([]int32, 0, world)
 	}
@@ -254,13 +277,15 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 	}
 	w.st.CSTMergeNs += time.Since(t0).Nanoseconds()
 
-	// Identity keys fan out; the first-seen pass below stays
+	// Identity and shape keys fan out; the first-seen pass below stays
 	// sequential in rank order (the §3.5.2 memcmp identity check).
 	t1 := time.Now()
-	keys := make([]string, n)
+	keys, shapeKeys := make([]string, n), make([]string, n)
 	var durKeys, intKeys []string
 	par.For(n, w.workers, func(i int) {
 		keys[i] = grammarKey(relabeled[i])
+		shape, _ := relabeled[i].Shape()
+		shapeKeys[i] = grammarKey(shape)
 	})
 	if w.lossy {
 		durKeys, intKeys = make([]string, n), make([]string, n)
@@ -270,10 +295,10 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 		})
 	}
 	for i := 0; i < n; i++ {
-		w.rankMap.Append(w.calls.add(keys[i], relabeled[i]))
+		w.rankMap.Append(w.calls.add(keys[i], relabeled[i], shapeKeys[i]))
 		if w.lossy {
-			w.durIdx = append(w.durIdx, w.durState.add(durKeys[i], snaps[i].DurGrammar))
-			w.intIdx = append(w.intIdx, w.intState.add(intKeys[i], snaps[i].IntGrammar))
+			w.durIdx = append(w.durIdx, w.durState.add(durKeys[i], snaps[i].DurGrammar, ""))
+			w.intIdx = append(w.intIdx, w.intState.add(intKeys[i], snaps[i].IntGrammar, ""))
 		}
 	}
 	w.cfgNs += time.Since(t1).Nanoseconds()
@@ -310,16 +335,17 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 	}
 	st := w.st
 	// The final Sequitur pass over the non-identical grammars (§3.5.2)
-	// compresses shared rules across similar ranks and dominates the
-	// inter-process CFG compression time when many unique grammars
-	// survive the identity check. It has been running since the first
-	// batch; what is left of it is all finalize waits for here.
+	// compresses shared rules across the shapes' first grammars. It has
+	// been running since the first batch; what is left of it is all
+	// finalize waits for here.
 	t2 := time.Now()
 	packed := w.calls.finish()
 	w.dsp.WithAttr("unique_cfgs", int64(len(w.calls.uniq))).
+		WithAttr("unique_shapes", int64(len(w.calls.reps))).
 		WithAttr("wait_ns", time.Since(t2).Nanoseconds()).End()
 	st.CFGMergeNs = w.cfgNs + w.calls.busyNs
 	st.UniqueCFGs = len(w.calls.uniq)
+	st.UniqueShapes = len(w.calls.reps)
 	st.GlobalCST = w.global.Len()
 
 	f := &trace.File{
@@ -328,6 +354,7 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 		TimingBase: w.opts.TimingBase,
 		CST:        w.global,
 		Grammars:   w.calls.uniq,
+		Shape:      w.calls.shape,
 		Packed:     packed,
 		RankMap:    sequitur.Serialized(w.rankMap.Serialize()),
 		Salvage:    info,

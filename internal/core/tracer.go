@@ -397,11 +397,12 @@ type FinalizeStats struct {
 	// check plus final Sequitur pass. It is work, not wall time: the
 	// final pass runs beside the walk on its own goroutines (one per
 	// section) and is charged the time it spent busy there.
-	CFGMergeNs int64
-	UniqueCFGs int
-	TotalCalls int64
-	GlobalCST  int // entries in the merged table
-	TraceBytes int
+	CFGMergeNs   int64
+	UniqueCFGs   int
+	UniqueShapes int // of the unique grammars; the final pass packs one per shape (DESIGN §4d)
+	TotalCalls   int64
+	GlobalCST    int // entries in the merged table
+	TraceBytes   int
 
 	// Metrics is the final self-observability report, populated when
 	// the run had a metrics Collector attached (Options.Collector or

@@ -189,6 +189,47 @@ func (sg Serialized) Relabel(mapping []int32) (Serialized, error) {
 	return out, nil
 }
 
+// Shape renames sg's terminals 0, 1, 2… by first occurrence in
+// serialization order. It returns the renamed grammar and vec, the
+// terminals it renamed in that order, so shape.Relabel(vec) is sg
+// again: grammars that differ only in which terminals they name share
+// a shape. sg must have passed Validate.
+func (sg Serialized) Shape() (shape Serialized, vec []int32) {
+	const scan = 16 // terminals a linear search of vec beats a map for
+	shape, vec = slices.Clone(sg), make([]int32, 0, scan)
+	var index map[int32]int32 // once vec outgrows the scan
+	p := 1
+	for r := int32(0); r < shape[0]; r++ {
+		end := p + 1 + 3*int(shape[p])
+		for p++; p < end; p += 3 {
+			v := shape[p]
+			if v < 0 {
+				continue
+			}
+			k, ok := int32(0), false
+			if index != nil {
+				k, ok = index[v]
+			} else if i := slices.Index(vec, v); i >= 0 {
+				k, ok = int32(i), true
+			}
+			if !ok {
+				k = int32(len(vec))
+				vec = append(vec, v)
+				if index != nil {
+					index[v] = k
+				} else if len(vec) > scan {
+					index = make(map[int32]int32, 2*len(vec))
+					for i, t := range vec {
+						index[t] = int32(i)
+					}
+				}
+			}
+			shape[p] = k
+		}
+	}
+	return shape, vec
+}
+
 // MaxTerminal returns the largest terminal id the grammar names, or -1
 // if it names none. sg must have passed Validate.
 func (sg Serialized) MaxTerminal() int32 {

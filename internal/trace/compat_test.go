@@ -1,0 +1,237 @@
+package trace_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	pilgrim "github.com/hpcrepro/pilgrim"
+	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
+	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/workloads"
+	"github.com/hpcrepro/pilgrim/mpi"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/v1/*.pilgrim from fresh runs, in the PILGRIM1 layout")
+
+// v1Fixtures are PILGRIM1 files, written before grammar shapes existed,
+// that the reader must keep reading. fresh rebuilds the trace each
+// was written from; it is the same File on every run unless salvaged,
+// since a salvage's streams end wherever the crash caught each rank.
+var v1Fixtures = []struct {
+	name     string
+	fresh    func(t *testing.T) *trace.File
+	salvaged bool
+}{
+	{"cg_64x4", skeleton("cg", 64, 4, pilgrim.Options{}, mpi.Options{}), false},
+	{"stencil2d_16x40", skeleton("stencil2d", 16, 40, pilgrim.Options{}, mpi.Options{}), false},
+	{"cellular_16x60_lossy", skeleton("cellular", 16, 60, pilgrim.Options{TimingMode: trace.TimingLossy}, mpi.Options{}), false},
+	// sedov 4 × 3 and the synthetic file have no repeated shape.
+	{"sedov_4x3", skeleton("sedov", 4, 3, pilgrim.Options{}, mpi.Options{}), false},
+	{"distinct_shapes", func(*testing.T) *trace.File { return distinctShapes() }, false},
+	{"salvage_stencil2d_8x20", skeleton("stencil2d", 8, 20, pilgrim.Options{}, mpi.Options{
+		Timeout:   60 * time.Second,
+		FaultPlan: &mpi.FaultPlan{Faults: []mpi.Fault{{Kind: mpi.FaultCrash, Rank: 3, AtCall: 30}}},
+	}), true},
+}
+
+// skeleton traces a registry skeleton; a run that fails must salvage.
+func skeleton(name string, procs, iters int, opts pilgrim.Options, sim mpi.Options) func(t *testing.T) *trace.File {
+	return func(t *testing.T) *trace.File {
+		t.Helper()
+		body, err := workloads.Get(name, iters, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := pilgrim.RunSim(procs, opts, sim, body)
+		if err != nil && (f == nil || f.Salvage == nil) {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return f
+	}
+}
+
+func mkGrammar(seq []int32) sequitur.Serialized {
+	g := sequitur.New()
+	for _, v := range seq {
+		g.Append(v)
+	}
+	return sequitur.Serialized(g.Serialize())
+}
+
+// distinctShapes is a synthetic trace of four grammars, no two of one
+// shape, as a finalize walk leaves it.
+func distinctShapes() *trace.File {
+	table := cst.New()
+	for i := 0; i < 6; i++ {
+		table.Add([]byte(fmt.Sprintf("sig%d", i)), int64(100*(i+1)))
+	}
+	var gs []sequitur.Serialized
+	for _, seq := range [][]int32{{0, 1, 0, 1, 2}, {3, 3, 3}, {4, 5, 4, 5, 4, 5, 0}, {2}} {
+		gs = append(gs, mkGrammar(seq))
+	}
+	return &trace.File{
+		NumRanks: 6, TimingMode: trace.TimingAggregated, TimingBase: 1.2,
+		CST: table, Grammars: gs, RankMap: mkGrammar([]int32{0, 1, 2, 3, 1, 0}),
+		Shape: []int32{-1, -1, -1, -1}, Packed: sequitur.Pack(gs),
+	}
+}
+
+// asV1 is f as a writer without shapes held it: every grammar packed
+// by the final pass, or none when pack is false.
+func asV1(f *trace.File, pack bool) *trace.File {
+	v1 := &trace.File{
+		NumRanks: f.NumRanks, TimingMode: f.TimingMode, TimingBase: f.TimingBase,
+		CST: f.CST, Grammars: f.Grammars, RankMap: f.RankMap,
+		DurGrammars: f.DurGrammars, DurIndex: f.DurIndex, PackedDur: f.PackedDur,
+		IntGrammars: f.IntGrammars, IntIndex: f.IntIndex, PackedInt: f.PackedInt,
+		Salvage: f.Salvage,
+	}
+	if pack {
+		v1.Packed = sequitur.Pack(f.Grammars)
+	}
+	return v1
+}
+
+func write(t *testing.T, f *trace.File) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := f.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+func read(t *testing.T, data []byte) *trace.File {
+	t.Helper()
+	f, err := trace.Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func sameGrammars(a, b []sequitur.Serialized) bool {
+	return slices.EqualFunc(a, b, func(x, y sequitur.Serialized) bool { return slices.Equal(x, y) })
+}
+
+// sameTrace compares what a reader of the trace sees: the grammars,
+// rank map, CST bytes, timing sections and salvage tag.
+func sameTrace(a, b *trace.File) error {
+	switch {
+	case a.NumRanks != b.NumRanks || a.TimingMode != b.TimingMode || a.TimingBase != b.TimingBase:
+		return fmt.Errorf("header differs")
+	case !sameGrammars(a.Grammars, b.Grammars):
+		return fmt.Errorf("grammars differ")
+	case !slices.Equal(a.RankMap, b.RankMap):
+		return fmt.Errorf("rank map differs")
+	case !bytes.Equal(a.CST.Serialize(), b.CST.Serialize()):
+		return fmt.Errorf("CST differs")
+	case !sameGrammars(a.DurGrammars, b.DurGrammars) || !slices.Equal(a.DurIndex, b.DurIndex) ||
+		!sameGrammars(a.IntGrammars, b.IntGrammars) || !slices.Equal(a.IntIndex, b.IntIndex):
+		return fmt.Errorf("timing sections differ")
+	case !reflect.DeepEqual(a.Salvage, b.Salvage):
+		return fmt.Errorf("salvage info differs")
+	}
+	return nil
+}
+
+// TestV1FixturesRead: every PILGRIM1 fixture reads, rewrites to its own
+// bytes and reads back to the same trace. A fresh run of a skeleton
+// that is not a salvage gives the File the fixture holds, and where no
+// shape repeats, today's writer gives the fixture's bytes.
+func TestV1FixturesRead(t *testing.T) {
+	for _, fx := range v1Fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			path := filepath.Join("testdata", "v1", fx.name+".pilgrim")
+			if *update {
+				if err := os.WriteFile(path, write(t, asV1(fx.fresh(t), true)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, []byte("PILGRIM1")) {
+				t.Fatalf("fixture starts %q", data[:min(8, len(data))])
+			}
+			f := read(t, data)
+			again := write(t, f)
+			if !bytes.Equal(again, data) {
+				t.Errorf("rewritten fixture differs (%d vs %d bytes)", len(again), len(data))
+			}
+			if err := sameTrace(f, read(t, again)); err != nil {
+				t.Errorf("read, write, read: %v", err)
+			}
+			if fx.salvaged {
+				if f.Salvage == nil {
+					t.Fatal("salvage fixture without salvage info")
+				}
+				return
+			}
+			fresh := fx.fresh(t)
+			if err := sameTrace(f, fresh); err != nil {
+				t.Errorf("fixture and a fresh run: %v", err)
+			}
+			if len(fresh.Representatives()) == len(fresh.Grammars) && !bytes.Equal(write(t, fresh), data) {
+				t.Error("no shape repeats, yet the fresh trace is not the fixture's bytes")
+			}
+		})
+	}
+}
+
+// TestShapeRoundTripAllSkeletons is the oracle over every registry
+// skeleton: the written trace reads back to the same grammars, its call
+// section is never larger than the smaller of the raw set and the pack
+// of every grammar, and a trace in which no shape repeats is the bytes
+// a writer without shapes gives.
+func TestShapeRoundTripAllSkeletons(t *testing.T) {
+	lossy := pilgrim.Options{TimingMode: trace.TimingLossy}
+	type run struct {
+		name string
+		opts pilgrim.Options
+	}
+	var runs []run
+	for _, info := range workloads.List() {
+		runs = append(runs, run{info.Name, pilgrim.Options{}})
+		if info.Name == "cellular" || info.Name == "stencil2d" {
+			runs = append(runs, run{info.Name, lossy})
+		}
+	}
+	shaped := 0
+	for _, r := range runs {
+		for _, procs := range []int{4, 16, 64} {
+			f := skeleton(r.name, procs, 3, r.opts, mpi.Options{})(t)
+			name := fmt.Sprintf("%s %d ranks lossy=%v", r.name, procs, r.opts.TimingMode == trace.TimingLossy)
+			data := write(t, f)
+			back := read(t, data)
+			if err := sameTrace(f, back); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// Only the call section differs between the three, and the
+			// magic strings have one length.
+			v1 := min(len(write(t, asV1(f, false))), len(write(t, asV1(f, true))))
+			if len(data) > v1 {
+				t.Errorf("%s: %d bytes with shapes, %d without", name, len(data), v1)
+			}
+			if len(f.Representatives()) == len(f.Grammars) {
+				if !bytes.Equal(data, write(t, asV1(f, true))) {
+					t.Errorf("%s: no shape repeats, yet the bytes differ from a writer without shapes", name)
+				}
+			} else {
+				shaped++
+			}
+		}
+	}
+	if shaped == 0 {
+		t.Fatal("no skeleton repeated a shape")
+	}
+}

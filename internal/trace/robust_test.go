@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
@@ -53,6 +57,68 @@ func richFile(tb testing.TB) *File {
 	return f
 }
 
+// shapedFile is richFile with grammars stored by shape: grammars 1
+// and 2 have grammar 0's shape, and grammar 3 opens a shape of its own.
+func shapedFile(tb testing.TB) *File {
+	tb.Helper()
+	f := richFile(tb)
+	for _, s := range []string{"sigD", "sigE", "sigF", "sigG", "sigH", "sigI"} {
+		f.CST.Add([]byte(s), 50)
+	}
+	f.Grammars = []sequitur.Serialized{
+		mkGrammar([]int32{0, 1, 0, 1, 2}),
+		mkGrammar([]int32{3, 4, 3, 4, 5}),
+		mkGrammar([]int32{6, 7, 6, 7, 8}),
+		mkGrammar([]int32{2, 2, 2}),
+	}
+	f.Shape = []int32{-1, 0, 0, -1}
+	f.RankMap = mkGrammar([]int32{0, 1, 2, 3})
+	f.Packed = sequitur.Pack(f.Representatives())
+	return f
+}
+
+// hostileShapes are shapedFile with its call section damaged the ways a
+// writer never damages it. Each must be refused: read anyway, it would
+// name a rule where a terminal belongs, take terminals past or short of
+// a shape's, follow a shape not yet opened, store a grammar under a
+// shape it does not have, or parse a section its magic does not allow.
+func hostileShapes(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	f := shapedFile(tb)
+	sec, err := f.shaped()
+	if err != nil || sec == nil {
+		tb.Fatalf("shapedFile has no shape section: %v", err)
+	}
+	// Grammar 0's vector is [2 0 1], its start rule naming terminal 2
+	// first; grammars 1 and 2 each step it by 3.
+	rows := func(d ...int32) *shapedSection {
+		return &shapedSection{reps: sec.reps, runs: sec.runs, vecEnc: vecRows, vecs: d}
+	}
+	runs := func(shape ...int32) *shapedSection {
+		return &shapedSection{reps: sec.reps, runs: rle(shape), vecEnc: sec.vecEnc, vecs: sec.vecs}
+	}
+	out := map[string][]byte{}
+	for name, s := range map[string]*shapedSection{
+		"negative vector entry":         rows(-3, 3, 3, 3, 3, 3),
+		"short vector":                  rows(3, 3, 3, 3, 3),
+		"long vector":                   rows(3, 3, 3, 3, 3, 3, 3),
+		"shape not yet opened":          runs(-1, 2, -1, 0),
+		"shape of a non-representative": runs(-1, 0, 1, -1),
+		"repeated terminal":             rows(3, 3, 2, 3, 3, 4),
+		"unknown vector layout":         {reps: sec.reps, runs: sec.runs, vecEnc: 3, vecs: sec.vecs},
+	} {
+		var buf bytes.Buffer
+		if _, err := f.write(&buf, s); err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	v1 := serialize(tb, f)
+	copy(v1, magic)
+	out["shape section under "+magic] = v1
+	return out
+}
+
 func serialize(tb testing.TB, f *File) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -79,12 +145,17 @@ func readAndProbe(data []byte) {
 }
 
 func TestReadExhaustiveTruncations(t *testing.T) {
-	full := richFile(t)
-	data := serialize(t, full)
+	for _, build := range []func(testing.TB) *File{richFile, shapedFile} {
+		truncations(t, build)
+	}
+}
+
+func truncations(t *testing.T, build func(testing.TB) *File) {
+	data := serialize(t, build(t))
 	// The salvage section is an optional tail: cutting exactly where it
 	// starts leaves a valid (salvage-less) file. Every other truncation
 	// must be rejected.
-	noSalvage := richFile(t)
+	noSalvage := build(t)
 	noSalvage.Salvage = nil
 	boundary := len(serialize(t, noSalvage))
 	for cut := 0; cut <= len(data); cut++ {
@@ -105,7 +176,12 @@ func TestReadExhaustiveTruncations(t *testing.T) {
 }
 
 func TestReadExhaustiveBitFlips(t *testing.T) {
-	data := serialize(t, richFile(t))
+	for _, f := range []*File{richFile(t), shapedFile(t)} {
+		bitFlips(t, serialize(t, f))
+	}
+}
+
+func bitFlips(t *testing.T, data []byte) {
 	for pos := 0; pos < len(data); pos++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), data...)
@@ -193,6 +269,87 @@ func TestReadRejectsBadTimingBase(t *testing.T) {
 	}
 }
 
+// TestShapeSectionRoundTrip: a file stored by shape reads back to the
+// grammars and Shape it was written from, and writes again to the same
+// bytes.
+func TestShapeSectionRoundTrip(t *testing.T) {
+	f := shapedFile(t)
+	data := serialize(t, f)
+	if !bytes.HasPrefix(data, []byte(magicShapes)) {
+		t.Fatalf("file starts %q", data[:len(magicShapes)])
+	}
+	got, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got.Grammars, f.Grammars, slices.Equal[sequitur.Serialized]) || !slices.Equal(got.Shape, f.Shape) {
+		t.Fatalf("read back grammars %v shape %v, wrote %v shape %v", got.Grammars, got.Shape, f.Grammars, f.Shape)
+	}
+	if again := serialize(t, got); !bytes.Equal(again, data) {
+		t.Fatal("a file read back writes other bytes")
+	}
+}
+
+// TestReadRejectsHostileShapes: each damaged shape section is an error.
+func TestReadRejectsHostileShapes(t *testing.T) {
+	for name, data := range hostileShapes(t) {
+		if _, err := Read(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestWriteRejectsBadShape: a Shape that does not describe Grammars
+// fails the write instead of storing grammars it would not give back.
+func TestWriteRejectsBadShape(t *testing.T) {
+	for name, shape := range map[string][]int32{
+		"short":                {-1, 0, 0},
+		"forward reference":    {-1, 2, -1, -1},
+		"another shape":        {-1, 0, 0, 0},
+		"non-representative":   {-1, 0, 1, -1},
+		"not a representative": {-2, 0, 0, -1},
+	} {
+		f := shapedFile(t)
+		f.Shape = shape
+		if _, err := f.WriteTo(io.Discard); err == nil {
+			t.Errorf("%s shape %v written", name, shape)
+		}
+	}
+}
+
+// TestReadRejectsUnknownSelectors: a grammar set is raw (0) or packed
+// (1), and the call section may also be stored by shape (2), but only
+// under magicShapes. Any other selector is an error, not a raw set.
+func TestReadRejectsUnknownSelectors(t *testing.T) {
+	for _, flag := range []byte{flagShapes, 3, 0xff} {
+		br := byteReader{r: bufio.NewReader(bytes.NewReader([]byte{flag, 0}))}
+		if _, _, err := br.readPackable(4); err == nil {
+			t.Errorf("grammar set selector %d accepted", flag)
+		}
+	}
+	for _, build := range []func(testing.TB) *File{richFile, shapedFile} {
+		data := serialize(t, build(t))
+		at := callSelectorAt(build(t))
+		for _, flag := range []byte{3, 0x80} {
+			mut := slices.Clone(data)
+			mut[at] = flag
+			if _, err := Read(bytes.NewReader(mut)); err == nil {
+				t.Errorf("%s file: call selector %d accepted", data[:len(magic)], flag)
+			}
+		}
+	}
+}
+
+// callSelectorAt is the offset of f's call-grammar selector byte: past
+// the magic, the header and the CST.
+func callSelectorAt(f *File) int {
+	hdr := binary.AppendUvarint(nil, uint64(f.NumRanks))
+	hdr = append(hdr, f.TimingMode)
+	hdr = binary.AppendUvarint(hdr, math.Float64bits(f.TimingBase))
+	cstLen := len(f.CST.Serialize())
+	return len(magic) + len(hdr) + len(binary.AppendUvarint(nil, uint64(cstLen))) + cstLen
+}
+
 func FuzzTraceRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
@@ -201,6 +358,16 @@ func FuzzTraceRead(f *testing.F) {
 	nanBase := richFile(f)
 	nanBase.TimingBase = math.NaN()
 	f.Add(serialize(f, nanBase))
+	f.Add(serialize(f, shapedFile(f)))
+	hostile := hostileShapes(f)
+	names := make([]string, 0, len(hostile))
+	for name := range hostile {
+		names = append(names, name)
+	}
+	slices.Sort(names) // seed numbers stay put from run to run
+	for _, name := range names {
+		f.Add(hostile[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readAndProbe(data)
 	})

@@ -32,7 +32,19 @@ const (
 	TimingLossy      = 1 // per-call duration+interval grammars, error < base-1
 )
 
-const magic = "PILGRIM1"
+// A file whose call section is stored by shape (flagShapes) starts
+// magicShapes; every other file is written as before shapes existed.
+const (
+	magic       = "PILGRIM1"
+	magicShapes = "PILGRIM2"
+)
+
+// Grammar set selectors; flagShapes only in a magicShapes call section.
+const (
+	flagRaw    = 0
+	flagPacked = 1
+	flagShapes = 2
+)
 
 // TimingBaseError rejects a lossy-timing base that is not finite and
 // greater than 1: Read returns it for such a file, and tracing options
@@ -69,9 +81,14 @@ type File struct {
 	Grammars []sequitur.Serialized
 	RankMap  sequitur.Serialized
 
-	// Packed, if non-nil, is the final Sequitur pass over the unique
-	// grammars (§3.5.2): the serialized form stores it instead of
-	// Grammars when smaller. Readers repopulate Grammars from it.
+	// Shape, if non-nil, holds per grammar -1 if it is the first of its
+	// shape (its representative), else that representative's index; nil
+	// means all are representatives (DESIGN §4d).
+	Shape []int32
+
+	// Packed, if non-nil, is the final Sequitur pass over the
+	// representatives (§3.5.2): the serialized form stores it instead of
+	// them when smaller. Readers repopulate Grammars from it.
 	Packed sequitur.Serialized
 
 	// Lossy timing (optional): unique timing grammars plus per-rank
@@ -231,11 +248,25 @@ func writeIndex(w *bufio.Writer, idx []int32) error {
 	return writeBytes(w, buf)
 }
 
-// WriteTo serializes the trace.
+// WriteTo serializes the trace. It fails without writing when Shape
+// does not describe Grammars.
 func (f *File) WriteTo(w io.Writer) (int64, error) {
+	sec, err := f.shaped()
+	if err != nil {
+		return 0, err
+	}
+	return f.write(w, sec)
+}
+
+// write serializes the trace with the call section sec (see writeCalls).
+func (f *File) write(w io.Writer, sec *shapedSection) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
-	if _, err := bw.WriteString(magic); err != nil {
+	m := magic
+	if sec != nil {
+		m = magicShapes
+	}
+	if _, err := bw.WriteString(m); err != nil {
 		return cw.n, err
 	}
 	var hdr []byte
@@ -248,25 +279,8 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 	if err := writeBytes(bw, f.CST.Serialize()); err != nil {
 		return cw.n, err
 	}
-	// Grammars section: packed (final Sequitur pass) when beneficial.
-	rawInts := 0
-	for _, g := range f.Grammars {
-		rawInts += len(g)
-	}
-	if f.Packed != nil && len(f.Packed) < rawInts {
-		if err := bw.WriteByte(1); err != nil {
-			return cw.n, err
-		}
-		if err := writeGrammar(bw, f.Packed); err != nil {
-			return cw.n, err
-		}
-	} else {
-		if err := bw.WriteByte(0); err != nil {
-			return cw.n, err
-		}
-		if err := writeGrammarSet(bw, f.Grammars); err != nil {
-			return cw.n, err
-		}
+	if err := f.writeCalls(bw, sec); err != nil {
+		return cw.n, err
 	}
 	if err := writeGrammar(bw, f.RankMap); err != nil {
 		return cw.n, err
@@ -377,12 +391,12 @@ func writePackable(w *bufio.Writer, gs []sequitur.Serialized, pack sequitur.Seri
 		rawInts += len(g)
 	}
 	if pack != nil && len(pack) < rawInts {
-		if err := w.WriteByte(1); err != nil {
+		if err := w.WriteByte(flagPacked); err != nil {
 			return err
 		}
 		return writeGrammar(w, pack)
 	}
-	if err := w.WriteByte(0); err != nil {
+	if err := w.WriteByte(flagRaw); err != nil {
 		return err
 	}
 	return writeGrammarSet(w, gs)
@@ -395,7 +409,16 @@ func (br byteReader) readPackable(max int) ([]sequitur.Serialized, sequitur.Seri
 	if err != nil {
 		return nil, nil, err
 	}
-	if flag == 1 {
+	return br.packable(flag, max)
+}
+
+// packable reads the grammar set that follows selector flag.
+func (br byteReader) packable(flag byte, max int) ([]sequitur.Serialized, sequitur.Serialized, error) {
+	switch flag {
+	case flagRaw:
+		gs, err := br.grammarSet(max)
+		return gs, nil, err
+	case flagPacked:
 		pack, err := br.grammar()
 		if err != nil {
 			return nil, nil, err
@@ -406,8 +429,7 @@ func (br byteReader) readPackable(max int) ([]sequitur.Serialized, sequitur.Seri
 		}
 		return gs, pack, nil
 	}
-	gs, err := br.grammarSet(max)
-	return gs, nil, err
+	return nil, nil, fmt.Errorf("trace: unknown grammar set selector %d", flag)
 }
 
 // maxPackExpansion bounds the expanded symbol count of a grammar pack
@@ -434,8 +456,7 @@ func unpackBounded(pack sequitur.Serialized, max int) ([]sequitur.Serialized, er
 // SizeBytes returns the serialized size of the trace — the "trace file
 // size" every figure reports.
 func (f *File) SizeBytes() int {
-	var buf bytes.Buffer
-	n, err := f.WriteTo(&buf)
+	n, err := f.WriteTo(io.Discard)
 	if err != nil {
 		return -1
 	}
@@ -444,18 +465,14 @@ func (f *File) SizeBytes() int {
 
 // SectionSizes reports the main sections' serialized sizes (CST,
 // call grammars incl. rank map, timing grammars), for the overhead
-// and Figure 10 style breakdowns.
+// and Figure 10 style breakdowns, in int32s before varint framing.
 func (f *File) SectionSizes() (cstB, cfgB, durB, intB int) {
 	cstB = len(f.CST.Serialize())
 	cfgB = len(f.RankMap) * 4
-	rawInts := 0
-	for _, g := range f.Grammars {
-		rawInts += len(g)
-	}
-	if f.Packed != nil && len(f.Packed) < rawInts {
-		cfgB += len(f.Packed) * 4
+	if sec, _ := f.shaped(); sec != nil { // a Shape WriteTo refuses counts as a plain set
+		cfgB += (packableInts(sec.reps, f.Packed) + len(sec.runs) + len(sec.vecs)) * 4
 	} else {
-		cfgB += rawInts * 4
+		cfgB += packableInts(f.Grammars, f.Packed) * 4
 	}
 	durB = packableInts(f.DurGrammars, f.PackedDur) * 4
 	intB = packableInts(f.IntGrammars, f.PackedInt) * 4
@@ -598,7 +615,8 @@ func Read(r io.Reader) (*File, error) {
 	if _, err := io.ReadFull(br.r, m); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if string(m) != magic {
+	byShape := string(m) == magicShapes
+	if !byShape && string(m) != magic {
 		return nil, fmt.Errorf("trace: bad magic %q", m)
 	}
 	f := &File{}
@@ -631,21 +649,20 @@ func Read(r io.Reader) (*File, error) {
 	if f.CST, err = cst.Deserialize(cstBytes); err != nil {
 		return nil, err
 	}
-	packedFlag, err := br.r.ReadByte()
+	flag, err := br.r.ReadByte()
 	if err != nil {
 		return nil, err
 	}
-	if packedFlag == 1 {
-		if f.Packed, err = br.grammar(); err != nil {
-			return nil, err
-		}
-		if f.Grammars, err = unpackBounded(f.Packed, f.NumRanks); err != nil {
-			return nil, err
-		}
-	} else {
-		if f.Grammars, err = br.grammarSet(f.NumRanks); err != nil {
-			return nil, err
-		}
+	switch {
+	case flag == flagShapes && byShape:
+		err = br.shaped(f)
+	case flag == flagShapes:
+		err = fmt.Errorf("trace: call section stored by shape in a %s file", magic)
+	default:
+		f.Grammars, f.Packed, err = br.packable(flag, f.NumRanks)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if f.RankMap, err = br.grammar(); err != nil {
 		return nil, err
@@ -664,7 +681,7 @@ func Read(r io.Reader) (*File, error) {
 	}
 	// Optional trailing salvage section: absent (EOF here) in normal
 	// traces and in files from older writers.
-	flag, err := br.r.ReadByte()
+	flag, err = br.r.ReadByte()
 	if err == io.EOF {
 		return f, nil
 	}

@@ -238,6 +238,7 @@ func collectFinalize(tracers []*Tracer, opts Options) (*TraceFile, FinalizeStats
 	st.TraceBytes = file.SizeBytes()
 	st.GlobalCST = file.CST.Len()
 	st.UniqueCFGs = len(file.Grammars)
+	st.UniqueShapes = len(file.Representatives())
 	return file, st
 }
 
