@@ -170,32 +170,11 @@ func BenchmarkFig10Timing(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectIngest measures the networked collection path: one
-// traced run's snapshots streamed through a loopback collector, merged
-// on arrival, finalized, and fetched back. The custom metrics compare
-// what crosses the wire to the raw and final trace sizes.
-func BenchmarkCollectIngest(b *testing.B) {
-	var pt experiments.CollectPoint
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunCollect(experiments.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt = r.Points[len(r.Points)-1]
-	}
-	b.ReportMetric(float64(pt.WireB), "wire-B")
-	b.ReportMetric(float64(pt.TraceB), "trace-B")
-	b.ReportMetric(pt.SnapsPerSec, "snaps/s")
-	b.ReportMetric(pt.MBPerSec, "MB/s")
-	b.ReportMetric(float64(pt.JournalNs), "journal-ns")
-	b.ReportMetric(pt.JournalPct, "journal-%")
-	b.ReportMetric(pt.ObsPct, "obs-%")
-}
-
 // BenchmarkCollectJournalIngest isolates the durability tax: the same
 // snapshot stream ingested by a journaling collector at each fsync
-// policy. journal-% on BenchmarkCollectIngest tracks the -journal-sync
-// =off overhead, which the design budgets at under 10%.
+// policy. The journal-less baseline and the ingest rate are bench/'s
+// collect_ingest row (collect.journal_delta_us,
+// collect.ingest_snaps_per_s).
 func BenchmarkCollectJournalIngest(b *testing.B) {
 	for _, mode := range []collect.SyncMode{collect.SyncOff, collect.SyncBatch, collect.SyncAlways} {
 		b.Run(string(mode), func(b *testing.B) {

@@ -9,7 +9,9 @@
 //	pilgrim-bench -exp stencil -json=out/dir
 //
 // Experiments: table1, stencil, osu, fig5, fig6, fig7, fig8, fig9,
-// fig10, ablation, collect, finalize, finalize_mem, loadgen, all.
+// ablation, fig10, finalize_mem, all. An unknown name is an error.
+// Pipeline timings (collector ingest, the finalize walk) live in the
+// bench/ harness, not here.
 //
 // With -json, each experiment additionally writes BENCH_<exp>.json —
 // the experiment's data series plus the run's self-observability
@@ -21,8 +23,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,6 +64,33 @@ type benchRecord struct {
 	Metrics    *pilgrim.MetricsReport `json:"metrics,omitempty"`
 }
 
+// result is what every experiment returns: its table printer, and
+// under -json the payload of BENCH_<name>.json.
+type result interface{ Print(io.Writer) }
+
+// sweep adapts an experiment's typed runner to the table below.
+func sweep[R result](f func(experiments.Scale) (R, error)) func(experiments.Scale) (result, error) {
+	return func(s experiments.Scale) (result, error) { return f(s) }
+}
+
+// exps lists the experiments in the order -exp all runs them.
+var exps = []struct {
+	name string
+	run  func(experiments.Scale) (result, error)
+}{
+	{"table1", func(experiments.Scale) (result, error) { return experiments.RunTable1(), nil }},
+	{"stencil", sweep(experiments.RunStencil)},
+	{"osu", sweep(experiments.RunOSU)},
+	{"fig5", sweep(experiments.RunFig5)},
+	{"fig6", sweep(experiments.RunFig6)},
+	{"fig7", sweep(experiments.RunFig7)},
+	{"fig8", sweep(experiments.RunFig8)},
+	{"fig9", sweep(experiments.RunFig9)},
+	{"ablation", sweep(experiments.RunAblation)},
+	{"fig10", sweep(experiments.RunFig10)},
+	{"finalize_mem", sweep(experiments.RunFinalizeMem)},
+}
+
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment(s), comma separated")
@@ -81,158 +112,59 @@ func main() {
 		fatal(fmt.Errorf("unknown scale %q", *scaleStr))
 	}
 
+	var names []string
+	for _, e := range exps {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	w := os.Stdout
-	// run executes one experiment; f returns the result object that both
-	// prints the table and, under -json, lands in BENCH_<name>.json.
-	run := func(name string, f func() (any, error)) {
-		if !all && !want[name] {
-			return
+		e = strings.TrimSpace(e)
+		if !slices.Contains(names, e) {
+			fatal(fmt.Errorf("unknown experiment %q (valid: %s)", e, strings.Join(names, ", ")))
 		}
-		var col *pilgrim.MetricsCollector
-		if jsonOut.set {
-			// A fresh collector per experiment so each BENCH file holds
-			// only its own run's metrics.
-			col = pilgrim.NewMetricsCollector()
-			experiments.SetCollector(col)
-			defer experiments.SetCollector(nil)
-		}
-		t0 := time.Now()
-		res, err := f()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		elapsed := time.Since(t0).Seconds()
-		fmt.Printf("(%s took %.1fs)\n", name, elapsed)
-		if jsonOut.set {
-			rec := benchRecord{
-				Experiment: name,
-				Scale:      *scaleStr,
-				ElapsedSec: elapsed,
-				Result:     res,
-			}
-			if col != nil {
-				rec.Metrics = col.Report()
-			}
-			if err := writeBench(jsonOut.dir, name, rec); err != nil {
-				fatal(err)
-			}
-		}
+		want[e] = true
 	}
 
-	run("table1", func() (any, error) {
-		r := experiments.RunTable1()
-		r.Print(w)
-		return r, nil
-	})
-	run("stencil", func() (any, error) {
-		r, err := experiments.RunStencil(scale)
-		if err != nil {
-			return nil, err
+	for _, e := range exps {
+		if want["all"] || want[e.name] {
+			run(e.name, *scaleStr, scale, e.run, jsonOut)
 		}
-		r.Print(w)
-		return r, nil
-	})
-	run("osu", func() (any, error) {
-		r, err := experiments.RunOSU(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("fig5", func() (any, error) {
-		r, err := experiments.RunFig5(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("fig6", func() (any, error) {
-		r, err := experiments.RunFig6(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("fig7", func() (any, error) {
-		r, err := experiments.RunFig7(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("fig8", func() (any, error) {
-		r, err := experiments.RunFig8(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("fig9", func() (any, error) {
-		r, err := experiments.RunFig9(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("ablation", func() (any, error) {
-		r, err := experiments.RunAblation(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("fig10", func() (any, error) {
-		r, err := experiments.RunFig10(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("collect", func() (any, error) {
-		r, err := experiments.RunCollect(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("finalize", func() (any, error) {
-		r, err := experiments.RunFinalize(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("finalize_mem", func() (any, error) {
-		r, err := experiments.RunFinalizeMem(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
-	run("loadgen", func() (any, error) {
-		r, err := experiments.RunLoadgen(scale)
-		if err != nil {
-			return nil, err
-		}
-		r.Print(w)
-		return r, nil
-	})
+	}
+}
+
+// run executes one experiment, prints its table and, under -json,
+// writes BENCH_<name>.json.
+func run(name, scaleStr string, scale experiments.Scale, f func(experiments.Scale) (result, error), jsonOut jsonFlag) {
+	var col *pilgrim.MetricsCollector
+	if jsonOut.set {
+		// A fresh collector per experiment so each BENCH file holds
+		// only its own run's metrics.
+		col = pilgrim.NewMetricsCollector()
+		experiments.SetCollector(col)
+		defer experiments.SetCollector(nil)
+	}
+	t0 := time.Now()
+	res, err := f(scale)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", name, err))
+	}
+	res.Print(os.Stdout)
+	elapsed := time.Since(t0).Seconds()
+	fmt.Printf("(%s took %.1fs)\n", name, elapsed)
+	if !jsonOut.set {
+		return
+	}
+	rec := benchRecord{
+		Experiment: name,
+		Scale:      scaleStr,
+		ElapsedSec: elapsed,
+		Result:     res,
+		Metrics:    col.Report(),
+	}
+	if err := writeBench(jsonOut.dir, name, rec); err != nil {
+		fatal(err)
+	}
 }
 
 func writeBench(dir, name string, rec benchRecord) error {

@@ -16,7 +16,7 @@ func (s *Server) TraceEvicted(id string) bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.state != stateCollecting && r.traceData == nil
+	return r.phase.terminal() && r.traceData == nil
 }
 
 // RunPayloads counts the ranks of a run that still hold a payload (a

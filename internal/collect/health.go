@@ -6,10 +6,10 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
-// The per-run health model: an explicit phase state machine layered
-// over the coarse runState, plus live progress counters. runState stays
-// the compatibility surface (status JSON, manifests); phase is the
-// operator's view of *where in its life* a run is right now.
+// The per-run health model: the run's one state machine, plus live
+// progress counters. The phase is the operator's view of *where in its
+// life* a run is right now; the coarse state in RunStatus and the
+// journal manifest is derived from it (runPhase.state).
 //
 //	admitted → ingesting → awaiting-stragglers ⇄ ingesting
 //	        → finalizing → finalized | salvaged | failed
@@ -48,6 +48,15 @@ func (p runPhase) String() string {
 }
 
 func (p runPhase) terminal() bool { return p >= phaseFinalized }
+
+// state is the coarse state RunStatus and the journal manifest carry:
+// "collecting" until the phase is terminal, then the phase's name.
+func (p runPhase) state() string {
+	if p.terminal() {
+		return p.String()
+	}
+	return "collecting"
+}
 
 // ewmaAlpha weights the ingest-rate moving average: ~70% of the
 // estimate comes from the last three arrivals.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -61,25 +60,26 @@ const (
 	framesName   = "frames.jnl"
 )
 
-// manifest is a run's durable identity, written when the run is
-// created and rewritten when it completes. Recovery trusts nothing
-// else: a journal directory without a parseable manifest is skipped.
-type manifest struct {
+// JournalManifest is a run's durable identity, MANIFEST.json, written
+// when the run is created and rewritten when it completes. Recovery
+// trusts nothing else: a journal directory without a parseable
+// manifest is skipped.
+type JournalManifest struct {
 	RunID      string  `json:"run"`
 	Epoch      uint64  `json:"epoch"`
 	World      int     `json:"nranks"`
 	TimingMode uint8   `json:"timing_mode"`
 	TimingBase float64 `json:"timing_base"`
 	CreatedSec float64 `json:"created_unix"`
-	State      string  `json:"state"` // collecting | finalized | salvaged
+	State      string  `json:"state"` // collecting | finalized | salvaged | failed
 	Reason     string  `json:"reason,omitempty"`
 }
 
 // parseManifest decodes and validates manifest bytes with the same
 // distrust as the wire decoders: the journal directory is an input the
 // daemon did not necessarily write (crashes truncate, operators edit).
-func parseManifest(data []byte) (*manifest, error) {
-	var m manifest
+func parseManifest(data []byte) (*JournalManifest, error) {
+	var m JournalManifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("collect: manifest: %w", err)
 	}
@@ -90,7 +90,7 @@ func parseManifest(data []byte) (*manifest, error) {
 		return nil, fmt.Errorf("collect: manifest world size %d outside [1,%d]", m.World, wire.MaxWorldSize)
 	}
 	switch m.State {
-	case "collecting", "finalized", "salvaged":
+	case "collecting", "finalized", "salvaged", "failed":
 	default:
 		return nil, fmt.Errorf("collect: manifest state %q unknown", m.State)
 	}
@@ -110,7 +110,7 @@ func parseManifest(data []byte) (*manifest, error) {
 type journal struct {
 	dir     string
 	mode    SyncMode
-	man     manifest
+	man     JournalManifest
 	m       *Metrics
 	obs     *obs.Sink
 	logf    func(format string, args ...any)
@@ -145,7 +145,7 @@ type journal struct {
 // create/truncate the frames file (fresh runs truncate so an epoch
 // restart of a reused run ID cannot replay stale frames), and persist
 // the manifest. No I/O happens on the caller's goroutine.
-func newJournal(dir string, mode SyncMode, man manifest, m *Metrics, sink *obs.Sink, logf func(string, ...any), fresh bool, lagWarn time.Duration, keep bool) *journal {
+func newJournal(dir string, mode SyncMode, man JournalManifest, m *Metrics, sink *obs.Sink, logf func(string, ...any), fresh bool, lagWarn time.Duration, keep bool) *journal {
 	j := &journal{dir: dir, mode: mode, man: man, m: m, obs: sink, logf: logf, q: par.NewQueue(64), lagWarn: lagWarn, keep: keep}
 	j.q.Do(func() {
 		if err := os.MkdirAll(j.dir, 0o755); err != nil {
@@ -433,43 +433,40 @@ func (s *Server) recoverJournals() {
 // recoverRun restores one journal directory. Any malformed state is
 // logged and skipped — recovery must never prevent startup.
 func (s *Server) recoverRun(jdir string) {
-	mdata, err := os.ReadFile(filepath.Join(jdir, manifestName))
+	jr, err := OpenJournal(jdir)
 	if err != nil {
 		s.logf("recover %s: %v (skipped)", jdir, err)
 		return
 	}
-	m, err := parseManifest(mdata)
-	if err != nil {
-		s.logf("recover %s: %v (skipped)", jdir, err)
-		return
-	}
+	defer jr.Close()
+	m := jr.Manifest()
 	if filepath.Base(jdir) != m.RunID {
 		s.logf("recover %s: manifest names run %q (skipped)", jdir, m.RunID)
 		return
 	}
 	if m.State != "collecting" {
-		s.recoverFinalized(m, jdir)
+		s.recoverFinalized(&m, jr)
 		return
 	}
-	s.replayRun(m, jdir)
+	s.replayRun(&m, jr)
 }
 
 // recoverFinalized re-registers a completed run from its manifest so
 // late waiters, duplicate re-sends, and admin fetches behave exactly
 // as they would had the daemon not restarted. The trace itself is
 // served from the OutDir file.
-func (s *Server) recoverFinalized(m *manifest, jdir string) {
+func (s *Server) recoverFinalized(m *JournalManifest, jr *JournalReader) {
 	tracePath := filepath.Join(s.cfg.OutDir, m.RunID+".pilgrim")
 	fi, err := os.Stat(tracePath)
 	if err != nil {
 		// Manifest says done but the trace is gone; if frames survived
 		// (crash between trace write and frame removal), replay rebuilds
 		// the identical trace. Otherwise there is nothing to restore.
-		if _, ferr := os.Stat(filepath.Join(jdir, framesName)); ferr == nil {
+		if jr.f != nil {
 			m.State = "collecting"
-			s.replayRun(m, jdir)
+			s.replayRun(m, jr)
 		} else {
-			s.logf("recover run %s: finalized but trace and frames both missing (skipped)", m.RunID)
+			s.logf("recover run %s: %s but trace and frames both missing (skipped)", m.RunID, m.State)
 		}
 		return
 	}
@@ -478,18 +475,19 @@ func (s *Server) recoverFinalized(m *manifest, jdir string) {
 	r.tracePath = tracePath
 	r.traceLen = int(fi.Size())
 	r.doneAt = time.Now()
-	if m.State == "salvaged" {
-		r.state = stateSalvaged
-		r.reason = m.Reason
+	r.reason = m.Reason
+	switch m.State {
+	case "salvaged":
 		s.enterPhaseLocked(r, phaseSalvaged)
-	} else {
-		r.state = stateFinalized
+	case "failed":
+		s.enterPhaseLocked(r, phaseFailed)
+	default:
 		s.enterPhaseLocked(r, phaseFinalized)
 	}
 	r.recovery = &RecoveryStatus{
 		Recovered:    true,
 		FromManifest: true,
-		JournalPath:  jdir,
+		JournalPath:  jr.dir,
 		JournalSync:  string(s.cfg.JournalSync),
 	}
 	close(r.done)
@@ -502,7 +500,7 @@ func (s *Server) recoverFinalized(m *manifest, jdir string) {
 
 // registerRecovered creates the registry entry for a recovered run
 // without admission checks — it was admitted before the crash.
-func (s *Server) registerRecovered(m *manifest) *run {
+func (s *Server) registerRecovered(m *JournalManifest) *run {
 	r := newRun(m.RunID, m.World, m.Epoch, m.TimingMode, m.TimingBase, s.cfg.FinalizeWorkers)
 	r.opts.ObsSink = s.obs
 	r.opts.MaxResidentSnapshots = s.cfg.MaxResidentSnapshots
@@ -514,67 +512,20 @@ func (s *Server) registerRecovered(m *manifest) *run {
 	return r
 }
 
-// countingReader tracks how many bytes a reader consumed, so replay
-// knows the offset of the last intact frame pair.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	k, err := c.r.Read(p)
-	c.n += int64(k)
-	return k, err
-}
-
-// replayPair is one intact journaled frame pair plus its location in
-// frames.jnl, so replay can hand bounded-memory ingest the same
-// (offset, length) spill ref a live append would have produced.
-type replayPair struct {
-	hello, snap []byte
-	off, length int64
-}
-
 // replayRun replays a collecting run's frame log through the normal
-// ingest path. The first CRC failure, truncated read, or frame that
-// does not belong to this run truncates the file there — a torn tail
-// is expected after a crash and must never fail the whole run.
-func (s *Server) replayRun(m *manifest, jdir string) {
-	fpath := filepath.Join(jdir, framesName)
-	var pairs []replayPair
-	var goodOff, fileSize int64
-	torn := false
-	if f, err := os.Open(fpath); err == nil {
-		if fi, err := f.Stat(); err == nil {
-			fileSize = fi.Size()
+// ingest path. The reader ends the log at the first CRC failure,
+// truncated read, or frame that does not belong to this run, and the
+// file is truncated there — a torn tail is expected after a crash and
+// must never fail the whole run.
+func (s *Server) replayRun(m *JournalManifest, jr *JournalReader) {
+	pairs, _ := jr.ReadAll() // a torn tail ends the read; Torn reports it
+	torn, cut := jr.Torn()
+	goodOff := jr.good
+	if cut > 0 {
+		if err := os.Truncate(filepath.Join(jr.dir, framesName), goodOff); err != nil {
+			s.logf("recover run %s: truncate torn tail: %v", m.RunID, err)
 		}
-		cr := &countingReader{r: f}
-		for {
-			ht, hbody, err := wire.ReadFrame(cr)
-			if err != nil {
-				torn = !errors.Is(err, io.EOF) || cr.n != goodOff
-				break
-			}
-			st, sbody, err := wire.ReadFrame(cr)
-			if err != nil || ht != wire.TypeHello || st != wire.TypeSnapshot {
-				torn = true
-				break
-			}
-			h, err := wire.DecodeHello(hbody)
-			if err != nil || h.RunID != m.RunID || h.Epoch != m.Epoch || h.WorldSize != m.World {
-				torn = true
-				break
-			}
-			pairs = append(pairs, replayPair{hello: hbody, snap: sbody, off: goodOff, length: cr.n - goodOff})
-			goodOff = cr.n
-		}
-		f.Close()
-		if goodOff < fileSize {
-			if err := os.Truncate(fpath, goodOff); err != nil {
-				s.logf("recover run %s: truncate torn tail: %v", m.RunID, err)
-			}
-			s.m.JournalTornTails.Inc()
-		}
+		s.m.JournalTornTails.Inc()
 	}
 
 	// Register the run, restore its straggler deadline from the
@@ -592,8 +543,8 @@ func (s *Server) replayRun(m *manifest, jdir string) {
 		ReplayedFrames: len(pairs),
 		ReplayedBytes:  goodOff,
 		TornTail:       torn,
-		TruncatedBytes: fileSize - goodOff,
-		JournalPath:    jdir,
+		TruncatedBytes: cut,
+		JournalPath:    jr.dir,
 		JournalSync:    string(s.cfg.JournalSync),
 	}
 	r.mu.Lock()
@@ -609,7 +560,7 @@ func (s *Server) replayRun(m *manifest, jdir string) {
 		rec.DeadlineSec = remaining.Seconds()
 	}
 	r.recovery = rec
-	r.journal = newJournal(jdir, s.cfg.JournalSync, *m, s.m, s.obs, s.logf, false, s.cfg.JournalLagWarn, s.cfg.KeepJournalFrames)
+	r.journal = newJournal(jr.dir, s.cfg.JournalSync, *m, s.m, s.obs, s.logf, false, s.cfg.JournalLagWarn, s.cfg.KeepJournalFrames)
 	r.journal.frames.Store(int64(len(pairs)))
 	r.journal.bytes.Store(goodOff)
 	r.journal.nextOff = goodOff
@@ -619,11 +570,7 @@ func (s *Server) replayRun(m *manifest, jdir string) {
 	s.m.RecoveredRuns.Inc()
 
 	for _, p := range pairs {
-		h, err := wire.DecodeHello(p.hello)
-		if err != nil {
-			continue // validated above; unreachable
-		}
-		ack, _ := s.ingest(h, p.snap, nil, true, [2]int64{p.off, p.length})
+		ack, _ := s.ingest(p.Hello, p.snap, nil, true, [2]int64{p.off, p.Bytes()})
 		if ack != nil && ack.Status == wire.AckOK {
 			s.m.JournalReplayedFrames.Inc()
 		}

@@ -9,7 +9,7 @@ import (
 // TestParseManifestRoundTrip pins the manifest schema: what the
 // journal writes, recovery accepts.
 func TestParseManifestRoundTrip(t *testing.T) {
-	in := manifest{
+	in := JournalManifest{
 		RunID: "run-1", Epoch: 7, World: 16,
 		TimingMode: 1, TimingBase: 1.01,
 		CreatedSec: 1754600000.25, State: "collecting",
@@ -68,7 +68,7 @@ func FuzzManifest(f *testing.F) {
 			t.Fatalf("accepted world size %d", m.World)
 		}
 		switch m.State {
-		case "collecting", "finalized", "salvaged":
+		case "collecting", "finalized", "salvaged", "failed":
 		default:
 			t.Fatalf("accepted state %q", m.State)
 		}

@@ -17,19 +17,8 @@ import (
 // the consumer side: pilgrim-loadgen replays the raw frames against a
 // live collector, pilgrim-dump inspects them. Both get the daemon's
 // own torn-tail semantics — a truncated final entry is reported, never
-// fatal — without reimplementing the framing.
-
-// JournalManifest is the exported view of a journal's MANIFEST.json.
-type JournalManifest struct {
-	RunID      string
-	Epoch      uint64
-	World      int
-	TimingMode uint8
-	TimingBase float64
-	CreatedSec float64
-	State      string // collecting | finalized | salvaged
-	Reason     string
-}
+// fatal — without reimplementing the framing. The daemon's own
+// crash-recovery replay (replayRun) reads through the same reader.
 
 // JournalEntry is one captured ingest event: the (Hello, Snapshot)
 // frame pair exactly as it crossed the wire, framing and CRC trailers
@@ -39,6 +28,9 @@ type JournalEntry struct {
 	Hello    *wire.Hello
 	HelloRaw []byte // complete hello frame (header + body + CRC)
 	SnapRaw  []byte // complete snapshot frame
+
+	off  int64  // where the entry starts in frames.jnl
+	snap []byte // the snapshot frame's body, aliasing SnapRaw
 }
 
 // Bytes is the entry's total on-wire size.
@@ -74,14 +66,7 @@ func OpenJournal(dir string) (*JournalReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("collect: open journal %s: %w", dir, err)
 	}
-	jr := &JournalReader{
-		dir: dir,
-		man: JournalManifest{
-			RunID: m.RunID, Epoch: m.Epoch, World: m.World,
-			TimingMode: m.TimingMode, TimingBase: m.TimingBase,
-			CreatedSec: m.CreatedSec, State: m.State, Reason: m.Reason,
-		},
-	}
+	jr := &JournalReader{dir: dir, man: *m}
 	f, err := os.Open(filepath.Join(dir, framesName))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -105,9 +90,9 @@ func (jr *JournalReader) Dir() string { return jr.dir }
 func (jr *JournalReader) Manifest() JournalManifest { return jr.man }
 
 // Next returns the next intact frame pair, or io.EOF when the journal
-// is exhausted. A torn or corrupt tail ends the stream with io.EOF and
-// is reported through Torn — identical semantics to the daemon's own
-// crash-recovery replay.
+// is exhausted. A torn or corrupt tail, or a pair that does not belong
+// to the manifest's run, epoch and world, ends the stream with io.EOF
+// and is reported through Torn.
 func (jr *JournalReader) Next() (*JournalEntry, error) {
 	if jr.done {
 		return nil, io.EOF
@@ -117,7 +102,7 @@ func (jr *JournalReader) Next() (*JournalEntry, error) {
 		jr.finish(!errors.Is(err, io.EOF) || jr.cr.n != jr.good)
 		return nil, io.EOF
 	}
-	st, sraw, _, err := wire.ReadFrameRaw(jr.cr)
+	st, sraw, sbody, err := wire.ReadFrameRaw(jr.cr)
 	if err != nil || ht != wire.TypeHello || st != wire.TypeSnapshot {
 		jr.finish(true)
 		return nil, io.EOF
@@ -127,8 +112,9 @@ func (jr *JournalReader) Next() (*JournalEntry, error) {
 		jr.finish(true)
 		return nil, io.EOF
 	}
+	e := &JournalEntry{Hello: h, HelloRaw: hraw, SnapRaw: sraw, off: jr.good, snap: sbody}
 	jr.good = jr.cr.n
-	return &JournalEntry{Hello: h, HelloRaw: hraw, SnapRaw: sraw}, nil
+	return e, nil
 }
 
 // ReadAll drains the reader and returns every intact entry.
@@ -166,6 +152,19 @@ func (jr *JournalReader) finish(torn bool) {
 func (jr *JournalReader) Close() error {
 	jr.finish(jr.torn)
 	return nil
+}
+
+// countingReader tracks how many bytes a reader consumed, so the
+// journal reader knows the offset of the last intact frame pair.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += int64(k)
+	return k, err
 }
 
 // FindJournals resolves path to the run journal directories beneath

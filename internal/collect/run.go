@@ -20,27 +20,8 @@ import (
 // walk (core.Walk) over the contiguous prefix of ranks that have
 // arrived, and the step that walks its last rank finalizes it — or the
 // straggler deadline salvages it first. Connection handling and ingest
-// live in server.go.
-
-// runState is a run's lifecycle position.
-type runState int
-
-const (
-	stateCollecting runState = iota
-	stateFinalized           // every rank reported
-	stateSalvaged            // straggler deadline fired with ranks missing
-)
-
-func (s runState) String() string {
-	switch s {
-	case stateCollecting:
-		return "collecting"
-	case stateFinalized:
-		return "finalized"
-	default:
-		return "salvaged"
-	}
-}
+// live in server.go, and the run's phase (its one state machine) in
+// health.go.
 
 // run is one trace collection in flight: the per-rank snapshots
 // received so far and the finalize walk over their arrived prefix.
@@ -73,9 +54,8 @@ type run struct {
 	pendingInfo *trace.SalvageInfo
 	timer       *time.Timer
 	evict       *time.Timer // retention: drops traceData once on disk
-	state       runState
-	reason      string // salvage reason, "" otherwise
-	traceData   []byte // nil after eviction; reload via tracePath
+	reason      string      // why the run salvaged or failed, "" otherwise
+	traceData   []byte      // nil after eviction; reload via tracePath
 	traceLen    int
 	tracePath   string
 	doneAt      time.Time
@@ -130,7 +110,7 @@ func (r *run) traceLocked() []byte {
 // backlogLocked counts the ranks received (salvage placeholders
 // included) but not yet walked; 0 once the run is done.
 func (r *run) backlogLocked() int {
-	if r.state != stateCollecting {
+	if r.phase.terminal() {
 		return 0
 	}
 	n := r.received - r.walked
@@ -166,7 +146,7 @@ func (s *Server) advanceLocked(r *run) bool {
 	for r.arrived < r.world && r.snaps[r.arrived] != nil {
 		r.arrived++
 	}
-	if r.stepping || r.nextStepLocked() == 0 || r.state != stateCollecting || s.closing.Load() {
+	if r.stepping || r.nextStepLocked() == 0 || r.phase.terminal() || s.closing.Load() {
 		return false
 	}
 	if r.walk == nil {
@@ -328,7 +308,7 @@ func (r *run) haltLocked() *journal {
 // applies to crashed ranks.
 func (s *Server) salvageRun(r *run, deadline time.Duration) {
 	r.mu.Lock()
-	if r.state != stateCollecting || r.received == r.world {
+	if r.phase.terminal() || r.received == r.world {
 		// Fully received: the walk finalizes normally.
 		r.mu.Unlock()
 		return
@@ -365,8 +345,8 @@ func (s *Server) salvageRun(r *run, deadline time.Duration) {
 
 // finalizeLocked (r.mu held) ends the walk and publishes the trace:
 // bytes for waiters, a file under OutDir. A non-nil werr is the step
-// failure that ended the walk early; the run then completes with no
-// trace bytes, the same degradation as a serialize failure.
+// failure that ended the walk early; the run then fails with no trace
+// bytes, the same degradation as a serialize failure.
 func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
 	if r.timer != nil {
 		r.timer.Stop()
@@ -391,28 +371,31 @@ func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
 		}
 	}
 	r.spilled, r.jrefs = 0, nil
+	end := phaseFinalized
+	switch {
+	case werr != nil:
+		end, r.reason = phaseFailed, fmt.Sprintf("finalize walk failed: %v", werr)
+	case info != nil:
+		end, r.reason = phaseSalvaged, info.Reason
+	}
 	var buf bytes.Buffer
-	serializeFailed := false
-	if werr != nil {
-		serializeFailed = true
-		r.reason = fmt.Sprintf("finalize walk failed: %v", werr)
-	} else if _, err := file.WriteTo(&buf); err != nil {
-		// Serialization of a just-merged trace cannot fail short of OOM;
-		// record the run as salvaged-with-no-bytes rather than crash.
-		serializeFailed = true
-		r.reason = fmt.Sprintf("serialize failed: %v", err)
-		s.logf("run %s: serialize failed: %v", r.id, err)
+	if end != phaseFailed {
+		if _, err := file.WriteTo(&buf); err != nil {
+			// Serialization of a just-merged trace cannot fail short of OOM;
+			// record the run as failed with no bytes rather than crash.
+			buf.Reset()
+			end, r.reason = phaseFailed, fmt.Sprintf("serialize failed: %v", err)
+			s.logf("run %s: serialize failed: %v", r.id, err)
+		}
+	}
+	switch end {
+	case phaseFinalized:
+		s.m.FinalizedRuns.Inc()
+	case phaseSalvaged:
+		s.m.SalvagedRuns.Inc()
 	}
 	r.traceData = buf.Bytes()
 	r.traceLen = len(r.traceData)
-	if info != nil {
-		r.state = stateSalvaged
-		r.reason = info.Reason
-		s.m.SalvagedRuns.Inc()
-	} else {
-		r.state = stateFinalized
-		s.m.FinalizedRuns.Inc()
-	}
 	r.doneAt = time.Now()
 	if s.cfg.OutDir != "" {
 		path := filepath.Join(s.cfg.OutDir, r.id+".pilgrim")
@@ -439,22 +422,15 @@ func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
 		}
 	}
 	if r.journal != nil {
-		r.journal.finalizeRun(r.state.String(), r.reason)
+		r.journal.finalizeRun(end.state(), r.reason)
 	}
 	s.collecting.Add(-1)
 	s.m.ActiveRuns.Add(-1)
 	s.m.TraceBytesOut.Add(int64(len(r.traceData)))
 	s.m.FinalizeNs.Observe(time.Since(t0).Nanoseconds())
-	switch {
-	case serializeFailed:
-		s.enterPhaseLocked(r, phaseFailed)
-	case info != nil:
-		s.enterPhaseLocked(r, phaseSalvaged)
-	default:
-		s.enterPhaseLocked(r, phaseFinalized)
-	}
-	fsp.WithAttr("trace_bytes", int64(len(r.traceData))).WithStr("state", r.state.String()).End()
-	s.logf("run %s: %s (%d ranks, %d bytes)", r.id, r.state, r.world, len(r.traceData))
+	s.enterPhaseLocked(r, end)
+	fsp.WithAttr("trace_bytes", int64(len(r.traceData))).WithStr("state", end.state()).End()
+	s.logf("run %s: %s (%d ranks, %d bytes)", r.id, end, r.world, len(r.traceData))
 	close(r.done)
 }
 
@@ -479,7 +455,7 @@ func writeFileMaybeSync(path string, data []byte, sync bool) error {
 // copy under OutDir keeps serving waiters and admin fetches.
 func (s *Server) evictRun(r *run) {
 	r.mu.Lock()
-	if r.state != stateCollecting && r.tracePath != "" {
+	if r.phase.terminal() && r.tracePath != "" {
 		r.traceData = nil
 	}
 	r.mu.Unlock()

@@ -139,9 +139,9 @@ type Server struct {
 	wg       sync.WaitGroup
 	start    time.Time
 
-	// collecting counts runs in stateCollecting for MaxRuns admission:
-	// incremented under s.mu where runs are created, decremented by
-	// finalize (which holds only r.mu), hence atomic.
+	// collecting counts runs not yet in a terminal phase, for MaxRuns
+	// admission: incremented under s.mu where runs are created,
+	// decremented by finalize (which holds only r.mu), hence atomic.
 	collecting atomic.Int64
 }
 
@@ -421,7 +421,7 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 	if ok {
 		r.mu.Lock()
 		sameEpoch := r.epoch == h.Epoch
-		finished := r.state != stateCollecting
+		finished := r.phase.terminal()
 		r.mu.Unlock()
 		if sameEpoch {
 			if r.world != h.WorldSize {
@@ -457,7 +457,7 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 		r.timer = time.AfterFunc(d, func() { s.salvageRun(r, d) })
 	}
 	if s.cfg.OutDir != "" {
-		man := manifest{
+		man := JournalManifest{
 			RunID: h.RunID, Epoch: h.Epoch, World: h.WorldSize,
 			TimingMode: h.TimingMode, TimingBase: h.TimingBase,
 			CreatedSec: float64(r.created.UnixNano()) / 1e9,
@@ -537,12 +537,12 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 		s.obs.Start("collect", "ingest.dup").WithRun(h.RunID, h.Rank, h.Epoch).Emit()
 		return &wire.Ack{Status: wire.AckDuplicate, Detail: fmt.Sprintf("rank %d already merged", snap.Rank)}, nil
 	}
-	if r.state != stateCollecting {
+	if r.phase.terminal() {
 		// A run recovered from a finalized manifest has no snapshots in
 		// memory, so the duplicate check above cannot catch re-sends whose
 		// ack the crash ate. Every rank of a finalized run reported by
 		// definition: ack them as duplicates, same as before the crash.
-		if r.state == stateFinalized && r.recovery != nil && r.recovery.FromManifest {
+		if r.phase == phaseFinalized && r.recovery != nil && r.recovery.FromManifest {
 			r.mu.Unlock()
 			s.m.DupSnapshots.Inc()
 			s.obs.Start("collect", "ingest.dup").WithRun(h.RunID, h.Rank, h.Epoch).
@@ -553,7 +553,7 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 		s.m.RejectedSnapshots.Inc()
 		s.obs.Start("collect", "ingest.reject").WithRun(h.RunID, h.Rank, h.Epoch).
 			WithStr("reason", "run-finished").Emit()
-		return &wire.Ack{Status: wire.AckError, Detail: fmt.Sprintf("run %s already %s", r.id, r.state)}, nil
+		return &wire.Ack{Status: wire.AckError, Detail: fmt.Sprintf("run %s already %s", r.id, r.phase)}, nil
 	}
 	if !fromJournal && s.cfg.MaxRunBytes > 0 && r.bytes+int64(len(body)) > s.cfg.MaxRunBytes {
 		r.mu.Unlock()
@@ -654,7 +654,7 @@ func (r *run) status() RunStatus {
 	defer r.mu.Unlock()
 	st := RunStatus{
 		ID: r.id, WorldSize: r.world, Epoch: r.epoch,
-		State: r.state.String(), Received: r.received,
+		State: r.phase.state(), Received: r.received,
 		TraceBytes: r.traceLen, TracePath: r.tracePath,
 		Reason:     r.reason,
 		CreatedSec: float64(r.created.UnixNano()) / 1e9,
@@ -753,7 +753,7 @@ func (s *Server) TraceBytes(id string) ([]byte, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.state == stateCollecting {
+	if !r.phase.terminal() {
 		return nil, false
 	}
 	return r.traceLocked(), true

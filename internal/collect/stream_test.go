@@ -2,8 +2,11 @@ package collect_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +100,64 @@ func TestResidentSnapshotsBounded(t *testing.T) {
 	if got := srv.Metrics().MergeBacklog.Load(); got != 0 {
 		t.Fatalf("merge backlog gauge %v after finalize, want 0", got)
 	}
+}
+
+// TestFailedWalkRecordedAsFailed: a walk that cannot read its spilled
+// payloads back ends the run as failed, not finalized — in its status
+// (with the walk error as reason), in the finalized-runs counter, in
+// the journal manifest, and again after a crash and restart.
+func TestFailedWalkRecordedAsFailed(t *testing.T) {
+	const n, limit = 6, 2
+	snaps := traceWorkload(t, n)
+	dir := t.TempDir()
+	cfg := collect.Config{OutDir: dir, JournalSync: collect.SyncAlways, MaxResidentSnapshots: limit}
+	srv := startServer(t, cfg)
+
+	// Rank 0 held back: nothing is walked and the payloads past the cap
+	// live only in frames.jnl, each send acked once its entry is synced.
+	c := client(srv, "lost", n)
+	for _, s := range snaps[1:] {
+		if err := c.SendSnapshot(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(journalFrames(dir, "lost"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendSnapshot(snaps[0]); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := c.WaitTrace(); err != nil || len(data) != 0 {
+		t.Fatalf("failed run served %d trace bytes (err %v)", len(data), err)
+	}
+
+	checkFailed := func(srv *collect.Server, when string) {
+		t.Helper()
+		st, ok := srv.Run("lost")
+		if !ok || st.State != "failed" || !strings.HasPrefix(st.Reason, "finalize walk failed: ") {
+			t.Fatalf("%s: status %+v (ok=%v), want failed with the walk error", when, st, ok)
+		}
+		if h, _ := srv.Health("lost"); h.Phase != "failed" || h.Reason != st.Reason {
+			t.Fatalf("%s: health %+v disagrees with status %+v", when, h, st)
+		}
+		if got := srv.Metrics().FinalizedRuns.Load(); got != 0 {
+			t.Fatalf("%s: %d finalized runs counted, want 0", when, got)
+		}
+	}
+	checkFailed(srv, "live")
+	// The manifest rewrite runs on the journal's queue, off the walk.
+	var man struct{ State, Reason string }
+	for wait := time.Now().Add(2 * time.Second); man.State != "failed" && time.Now().Before(wait); time.Sleep(5 * time.Millisecond) {
+		if data, err := os.ReadFile(filepath.Join(dir, "journal", "lost", "MANIFEST.json")); err == nil {
+			json.Unmarshal(data, &man)
+		}
+	}
+	if man.State != "failed" || !strings.HasPrefix(man.Reason, "finalize walk failed: ") {
+		t.Fatalf("manifest state %q reason %q, want failed with the walk error", man.State, man.Reason)
+	}
+
+	srv.CrashStop()
+	checkFailed(startServer(t, cfg), "after restart")
 }
 
 // TestBackpressureNeverDrops floods the collector from many concurrent

@@ -369,13 +369,6 @@ func (t *Tracer) CSTLen() int {
 	return t.table.Len()
 }
 
-// GrammarStats returns the current CFG size statistics.
-func (t *Tracer) GrammarStats() sequitur.Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cfg.Stats()
-}
-
 // RawSignatures returns the captured uncompressed signature stream
 // (Verify mode only).
 func (t *Tracer) RawSignatures() []string { return t.rawSigs }

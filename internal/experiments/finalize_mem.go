@@ -13,8 +13,59 @@ import (
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/spill"
 )
+
+// SyntheticSnapshots builds deterministic per-rank snapshots shaped
+// like a stencil run without spinning up the simulator: every rank
+// shares a common phase, falls into one of nine signature classes
+// (the paper's 2-D stencil count), and a sparse subset of ranks adds
+// rank-unique signatures so the global CST keeps growing with scale.
+// Deterministic: the same procs always yields byte-identical
+// snapshots, so finalize timings and identity checks are repeatable.
+func SyntheticSnapshots(procs int) []*core.Snapshot {
+	snaps := make([]*core.Snapshot, procs)
+	for r := 0; r < procs; r++ {
+		snaps[r] = SyntheticSnapshot(r)
+	}
+	return snaps
+}
+
+// SyntheticSnapshot builds rank r's snapshot alone, so bounded-memory
+// experiments can generate → spill → free one rank at a time without
+// ever materializing the full O(procs) snapshot set.
+func SyntheticSnapshot(r int) *core.Snapshot {
+	tbl := cst.New()
+	g := sequitur.New()
+	record := func(sig string, dur int64) {
+		g.Append(tbl.Add([]byte(sig), dur))
+	}
+	// Common phase: identical on every rank (init + collectives).
+	for i := 0; i < 256; i++ {
+		record(fmt.Sprintf("shared/%d", i%16), int64(100+i))
+	}
+	// Class phase: nine neighbour-exchange classes with loop
+	// structure Sequitur can fold.
+	cls := r % 9
+	for i := 0; i < 1024; i++ {
+		record(fmt.Sprintf("class%d/%d", cls, i%48), int64(200+i%64))
+	}
+	// Unique tail: every 17th rank sees rank-specific signatures
+	// (e.g. I/O on a subset), so merges keep discovering terminals.
+	if r%17 == 0 {
+		for i := 0; i < 64; i++ {
+			record(fmt.Sprintf("rank%d/%d", r, i%8), int64(300+i))
+		}
+	}
+	return &core.Snapshot{
+		Rank:    r,
+		Calls:   tbl.Calls(),
+		Table:   tbl,
+		Grammar: sequitur.Serialized(g.Serialize()),
+	}
+}
 
 // The finalize_mem experiment measures what the streaming finalize is
 // for: peak memory. At each rank count it finalizes the same synthetic

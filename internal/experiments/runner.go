@@ -160,13 +160,8 @@ func RunScalaSim(name string, procs, iters int, simOpts mpi.Options) (int, int64
 	return st.TraceBytes, time.Since(t0).Nanoseconds(), nil
 }
 
-// RunBase runs the workload with no tracer attached and returns the
-// wall time.
-func RunBase(name string, procs, iters int) (int64, error) {
-	return RunBaseSim(name, procs, iters, mpi.Options{Timeout: runTimeout})
-}
-
-// RunBaseSim is RunBase with explicit simulator options.
+// RunBaseSim runs the workload with no tracer attached under simOpts
+// and returns the wall time.
 func RunBaseSim(name string, procs, iters int, simOpts mpi.Options) (int64, error) {
 	body, err := workloads.Get(name, iters, procs)
 	if err != nil {

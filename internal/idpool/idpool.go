@@ -68,19 +68,12 @@ func (p *Pool) InUse() int {
 	return n
 }
 
-// HighWater returns the smallest n such that every id ever handed out
-// is < n — the total id space the process needed.
-func (p *Pool) HighWater() int32 { return p.next }
-
 // RequestPools keeps one Pool per call signature (§3.4.3). The key is
 // the encoded signature of the creating call, excluding the request
 // argument itself. The zero value is an empty set.
 type RequestPools struct {
 	pools map[string]*Pool // made by the first Pool call
 }
-
-// NewRequestPools returns an empty keyed pool set.
-func NewRequestPools() *RequestPools { return new(RequestPools) }
 
 // Pool returns the pool for signature key, creating it on first use.
 // The lookup does not allocate; the key bytes are copied only when a

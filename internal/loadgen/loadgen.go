@@ -92,8 +92,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Report is a campaign's JSON run report — also the payload of the
-// experiment harness's BENCH_loadgen.json.
+// Report is a campaign's JSON run report (pilgrim-loadgen -report):
+// offered vs achieved rate, ack round-trip percentiles, chaos counts.
 type Report struct {
 	Journals int `json:"journals"`
 	Streams  int `json:"streams"`

@@ -266,9 +266,6 @@ func nodesBytes(ns []node) int {
 	return total
 }
 
-// NumNodes returns the RSD node count (diagnostics).
-func (t *Tracer) NumNodes() int { return len(t.nodes) }
-
 // streamKey returns a canonical byte key of the compressed stream for
 // the identity merge.
 func (t *Tracer) streamKey() string {

@@ -425,17 +425,21 @@ func TestSerializedRelabel(t *testing.T) {
 // decode every rule into its own slice, map the terminals, re-flatten.
 func relabelRef(sg Serialized, mapping []int32) (Serialized, error) {
 	rules := sg.rules()
+	out := Serialized{int32(len(rules))}
 	for _, body := range rules {
-		for i, s := range body {
+		out = append(out, int32(len(body)))
+		for _, s := range body {
 			if s.val >= 0 {
 				if int(s.val) >= len(mapping) {
 					return nil, fmt.Errorf("sequitur: relabel: no mapping for terminal %d", s.val)
 				}
-				body[i].val = mapping[s.val]
+				s.val = mapping[s.val]
 			}
+			lo, hi := encExp(s.exp)
+			out = append(out, s.val, lo, hi)
 		}
 	}
-	return flatten(rules), nil
+	return out, nil
 }
 
 // TestRelabelMatchesReference: same ints as the decode-and-reflatten
@@ -479,54 +483,6 @@ func TestRelabelMatchesReference(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, func() { sg.Relabel(mapping) }); avg > 1 {
 			t.Fatalf("trial %d: Relabel allocates %.1f times, want at most 1", trial, avg)
 		}
-	}
-}
-
-func TestConcatIdenticalAndDistinct(t *testing.T) {
-	a := Serialized(build(t, []int32{1, 2, 1, 2}).Serialize())
-	b := Serialized(build(t, []int32{3, 4}).Serialize())
-	merged := Concat(a, b, a)
-	if err := merged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int32{1, 2, 1, 2, 3, 4, 1, 2, 1, 2}
-	if got := merged.Expand(0); !slices.Equal(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-func TestConcatEmptyParts(t *testing.T) {
-	empty := Serialized(New().Serialize())
-	merged := Concat(empty, empty)
-	if got := merged.Expand(0); len(got) != 0 {
-		t.Fatalf("expected empty, got %v", got)
-	}
-}
-
-func TestRebuild(t *testing.T) {
-	// Concat of many identical grammars should recompress massively.
-	var seq []int32
-	for i := 0; i < 50; i++ {
-		seq = append(seq, 1, 2, 3)
-	}
-	one := Serialized(build(t, seq).Serialize())
-	parts := make([]Serialized, 64)
-	for i := range parts {
-		parts[i] = one
-	}
-	merged := Concat(parts...)
-	rebuilt := merged.Rebuild()
-	if err := rebuilt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rebuilt.InputLen(), int64(64*len(seq)); got != want {
-		t.Fatalf("rebuilt InputLen %d want %d", got, want)
-	}
-	if rebuilt.Bytes() >= merged.Bytes() {
-		t.Fatalf("rebuild did not shrink: %d -> %d", merged.Bytes(), rebuilt.Bytes())
-	}
-	if !slices.Equal(rebuilt.Expand(0), merged.Expand(0)) {
-		t.Fatal("rebuild changed the sequence")
 	}
 }
 

@@ -153,19 +153,6 @@ func (sg Serialized) rules() [][]sym {
 	return out
 }
 
-func flatten(rules [][]sym) Serialized {
-	out := make([]int32, 0, 1+len(rules)*4)
-	out = append(out, int32(len(rules)))
-	for _, body := range rules {
-		out = append(out, int32(len(body)))
-		for _, s := range body {
-			lo, hi := encExp(s.exp)
-			out = append(out, s.val, lo, hi)
-		}
-	}
-	return out
-}
-
 // Relabel rewrites every terminal t as mapping[t], where mapping is
 // the dense relabel slice the inter-process CST merge produced
 // (terminals are contiguous, so index = old terminal). Terminals past
@@ -397,46 +384,6 @@ func (sg Serialized) ExpandCapped(max int64) (seq []int32, n int64) {
 	}
 	fill(0, 0)
 	return out, n
-}
-
-// Concat merges serialized grammars by renaming rule ids and creating
-// a fresh start rule S → S₁ S₂ … Sₙ, the rename-and-concatenate step
-// of Pilgrim's inter-process grammar merge (§3.5.2, Figure 4). The
-// inputs' start rules become ordinary rules referenced once each.
-func Concat(parts ...Serialized) Serialized {
-	merged := make([][]sym, 1) // slot 0: new start rule
-	start := make([]sym, 0, len(parts))
-	for _, p := range parts {
-		off := int32(len(merged))
-		rules := p.rules()
-		for _, body := range rules {
-			nb := make([]sym, len(body))
-			for i, s := range body {
-				if s.val < 0 {
-					nb[i] = sym{val: -((-s.val - 1 + off) + 1), exp: s.exp}
-				} else {
-					nb[i] = s
-				}
-			}
-			merged = append(merged, nb)
-		}
-		start = append(start, sym{val: -(off + 1), exp: 1})
-	}
-	merged[0] = start
-	return flatten(merged)
-}
-
-// Rebuild runs a fresh Sequitur pass over the terminal stream of a
-// serialized grammar, the paper's "final Sequitur pass" after merging.
-// It is only safe for sequences of moderate expanded length; callers
-// that merged identical grammars avoid it by construction.
-func (sg Serialized) Rebuild() Serialized {
-	g := New()
-	sg.Walk(func(t int32, k int64) bool {
-		g.AppendRun(t, k)
-		return true
-	})
-	return g.Serialize()
 }
 
 // Sym is the exported form of a serialized grammar symbol: Val is a

@@ -186,10 +186,6 @@ func (e *Encoder) OOBWaitNs() int64 { return e.oobWaitNs }
 // LiveSegments returns the number of currently tracked heap segments.
 func (e *Encoder) LiveSegments() int { return e.mem.Len() }
 
-// NumRequestPools returns how many distinct request signature pools
-// exist (diagnostics for §3.4.3).
-func (e *Encoder) NumRequestPools() int { return e.reqPools.NumPools() }
-
 // --- primitive emitters ------------------------------------------------------
 
 // commRankOf extracts the caller's rank within the call's communicator

@@ -231,7 +231,3 @@ func (e *Encoder) pollPending() {
 	}
 	e.pending = rest
 }
-
-// PendingComms returns how many communicator-id agreements are still
-// in flight (diagnostics).
-func (e *Encoder) PendingComms() int { return len(e.pending) }
