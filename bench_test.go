@@ -368,10 +368,7 @@ func BenchmarkFinalize4096(b *testing.B) { benchmarkFinalize(b, 4096) }
 func BenchmarkPack4096(b *testing.B) {
 	f, _ := core.FinalizeSnapshots(experiments.SyntheticSnapshots(4096), core.Options{}, nil)
 	reps := f.Representatives()
-	appends := 0
-	for _, g := range reps {
-		appends += 2*len(g) + 1 // two 16-bit halves per int, one separator
-	}
+	appends := int(sequitur.Pack(reps).InputLen()) // the symbols the pack is over
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if packed := sequitur.Pack(reps); len(packed) != len(f.Packed) {

@@ -415,7 +415,10 @@ func (r *Runner) sendEntries(ctx context.Context, st *stream, conn *collect.RawC
 				prevSendNs = e.Hello.SendNs
 			}
 		}
-		if chaos && cfg.Jitter > 0 && delay > 0 {
+		// One variate per pair, used or not: how many a stream draws must
+		// not depend on the capture's send times, or the seed stops
+		// deciding which pairs the later draws drop and duplicate.
+		if chaos && cfg.Jitter > 0 {
 			delay = time.Duration(float64(delay) * (1 + cfg.Jitter*(2*rng.Float64()-1)))
 		}
 		if delay > 0 {

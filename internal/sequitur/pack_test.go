@@ -1,6 +1,7 @@
 package sequitur
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,7 +25,7 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 	// Replace the empty grammar with a tiny one: packs of empty
 	// grammars are legal too, but keep one realistic case.
 	pack := Pack(gs)
-	back, err := Unpack(pack)
+	back, err := Unpack(pack, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPackerMatchesPack(t *testing.T) {
 		if want := Pack(gs); !slices.Equal(got, want) {
 			t.Fatalf("after %d grammars the Packer holds %d ints, Pack gives %d", k+1, len(got), len(want))
 		}
-		back, err := Unpack(got)
+		back, err := Unpack(got, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestPackCompressesSimilarGrammars(t *testing.T) {
 	if len(pack)*3 > rawInts {
 		t.Fatalf("pack only reached %d of %d ints; expected >3x on near-identical grammars", len(pack), rawInts)
 	}
-	back, err := Unpack(pack)
+	back, err := Unpack(pack, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestPackRandomGrammars(t *testing.T) {
 			}
 			gs = append(gs, mkSer(seq))
 		}
-		back, err := Unpack(Pack(gs))
+		back, err := Unpack(Pack(gs), 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -136,25 +137,177 @@ func TestPackRandomGrammars(t *testing.T) {
 	}
 }
 
-func TestUnpackRejectsGarbage(t *testing.T) {
-	// A grammar over odd half-symbols (missing low half).
+// escaped is a grammar whose serialized form holds ints the pack must
+// escape: a terminal of 2²⁹ and one of MaxInt32, an exponent of 2³⁰
+// (expLo escaped) and one of 2³³+1 (expHi > 0), beside rule references.
+func escaped() Serialized {
 	g := New()
-	g.Append(5) // hi half with no lo half before separator
-	g.Append(0)
-	if _, err := Unpack(Serialized(g.Serialize())); err == nil {
-		t.Error("dangling half-symbol accepted")
+	for i := 0; i < 3; i++ {
+		g.Append(1 << 29)
+		g.Append(math.MaxInt32)
+		g.Append(7)
 	}
-	// Trailing partial grammar (no separator).
-	g2 := New()
-	g2.Append(1)
-	g2.Append(1)
-	if _, err := Unpack(Serialized(g2.Serialize())); err == nil {
-		t.Error("missing final separator accepted")
+	g.AppendRun(3, 1<<30)
+	g.Append(1 << 29)
+	g.AppendRun(4, 1<<33+1)
+	return Serialized(g.Serialize())
+}
+
+// packInts counts what Add appends for gs: the ints, two more terminals
+// per escaped int, and one separator per grammar.
+func packInts(gs []Serialized) (symbols, escapes int64) {
+	for _, g := range gs {
+		for _, v := range g {
+			if v >= 1<<29 || v < -(1<<29) {
+				escapes++
+			}
+		}
+		symbols += int64(len(g)) + 1
+	}
+	return symbols + 2*escapes, escapes
+}
+
+// TestPackEscapes: ints at or past 2²⁹ in magnitude, large exponents
+// included, survive the pack as an escape and two halves; every other
+// int is one symbol.
+func TestPackEscapes(t *testing.T) {
+	gs := []Serialized{escaped(), mkSer([]int32{1, 2, 1, 2, 3}), escaped()}
+	if err := gs[0].Validate(); err != nil {
+		t.Fatal(err)
+	}
+	pack := Pack(gs)
+	symbols, escapes := packInts(gs)
+	if escapes < 4 {
+		t.Fatalf("only %d escaped ints in the test grammars", escapes)
+	}
+	if n := pack.InputLen(); n != symbols {
+		t.Fatalf("pack expands to %d symbols, want %d", n, symbols)
+	}
+	back, err := Unpack(pack, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(back, gs, slices.Equal[Serialized]) {
+		t.Fatal("escaped grammars changed through the pack")
 	}
 }
 
+// TestUnpackCapsInts: the cap counts grammar ints, not symbols.
+func TestUnpackCapsInts(t *testing.T) {
+	gs := []Serialized{escaped(), mkSer([]int32{5, 6, 5, 6})}
+	ints := int64(len(gs[0]) + len(gs[1]))
+	pack := Pack(gs)
+	if _, err := Unpack(pack, ints); err != nil {
+		t.Fatalf("cap of exactly %d ints: %v", ints, err)
+	}
+	if _, err := Unpack(pack, ints-1); err == nil {
+		t.Fatalf("%d ints unpacked under a cap of %d", ints, ints-1)
+	}
+}
+
+// packHalves is the pack older writers made: every int two terminals,
+// its 16-bit halves +1, and 0 between grammars.
+func packHalves(gs []Serialized) Serialized {
+	g := New()
+	for _, sg := range gs {
+		for _, v := range sg {
+			g.Append(int32(uint32(v)>>16) + 1)
+			g.Append(int32(uint32(v)&0xFFFF) + 1)
+		}
+		g.Append(0)
+	}
+	return Serialized(g.Serialize())
+}
+
+func TestUnpackHalvesRoundtrip(t *testing.T) {
+	gs := []Serialized{escaped(), mkSer([]int32{1, 2, 1, 2, 3}), mkSer([]int32{4})}
+	back, err := UnpackHalves(packHalves(gs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(back, gs, slices.Equal[Serialized]) {
+		t.Fatal("grammars changed through the 16-bit-half pack")
+	}
+}
+
+func TestUnpackRejectsGarbage(t *testing.T) {
+	// The grammar [1 1 5 1 0] (one rule: terminal 5, once) packs as one
+	// terminal per int, zigzag + 2. The last five cases write its 5 some
+	// other way. Read anyway, each would still give a valid grammar, so
+	// only the pack's own checks refuse them.
+	five := []int32{4, 4, 12, 4, 2}
+	if _, err := Unpack(mkSer(append(slices.Clone(five), packSep)), 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, seq := range map[string][]int32{
+		"missing final separator":          five,
+		"empty grammar":                    append(slices.Clone(five), packSep, packSep),
+		"dangling escape":                  append(slices.Clone(five), packSep, packEscape),
+		"escape cut by a separator":        {4, 4, packEscape, packBase, packSep},
+		"half below 2":                     {4, 4, packEscape, packEscape, packBase + 10, 4, 2, packSep},
+		"half past 16 bits":                {4, 4, packEscape, packBase + 0x4000, packBase + 0x10000, 4, 2, packSep},
+		"escape of a one-symbol int":       {4, 4, packEscape, packBase, packBase + 10, 4, 2, packSep},
+		"one symbol past the zigzag range": {4, 4, packBase + packDirect, 4, 2, packSep},
+	} {
+		if _, err := Unpack(mkSer(seq), 0); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	for name, seq := range map[string][]int32{
+		"dangling half-symbol":    {5, 0},
+		"missing final separator": {1, 1},
+	} {
+		if _, err := UnpackHalves(mkSer(seq), 0); err == nil {
+			t.Errorf("16-bit halves: %s accepted", name)
+		}
+	}
+}
+
+// FuzzPackRoundTrip: Unpack(Pack(gs)) is gs. A byte below 0x80 appends
+// a small terminal, one up to 0xBF a terminal of at least 2²⁹, one up
+// to 0xFE a run of up to 31·2²⁸ copies (expLo escaped, expHi > 0), and
+// 0xFF ends a grammar.
+func FuzzPackRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 2, 1, 2, 3, 0xFF, 4, 4, 4, 0xFF})
+	f.Add([]byte{0x80, 0x87, 1, 0x80, 0x87, 1, 0xC8, 0xFF, 0x80, 0x87, 1, 0xDF, 0xC4})
+	f.Add([]byte{1, 2, 0xC0, 1, 2, 0xE1, 0xFF, 1, 2, 0xBF, 1, 2, 0xFF, 0xFF, 1, 2})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var gs []Serialized
+		g := New()
+		for _, b := range append(raw, 0xFF) {
+			switch {
+			case b < 0x80:
+				g.Append(int32(b & 15))
+			case b < 0xC0:
+				v := int32(1<<29) + int32(b&7)
+				if b&7 == 7 {
+					v = math.MaxInt32
+				}
+				g.Append(v)
+			case b < 0xFF:
+				g.AppendRun(int32(b&3), 1+int64(b&0x1F)<<28)
+			case g.InputLen() > 0:
+				gs = append(gs, Serialized(g.Serialize()))
+				g = New()
+			}
+		}
+		back, err := Unpack(Pack(gs), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(gs) {
+			t.Fatalf("unpacked %d grammars, packed %d", len(back), len(gs))
+		}
+		for i := range gs {
+			if !slices.Equal(back[i], gs[i]) {
+				t.Fatalf("grammar %d changed through the pack", i)
+			}
+		}
+	})
+}
+
 func TestPackEmptySet(t *testing.T) {
-	back, err := Unpack(Pack(nil))
+	back, err := Unpack(Pack(nil), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

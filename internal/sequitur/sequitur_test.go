@@ -238,19 +238,22 @@ func TestRandomRuns(t *testing.T) {
 }
 
 // PackShapedSeed is a FuzzAppendDifferential corpus entry shaped like
-// the stream Pack feeds a grammar: near-identical blocks of alternating
-// high and low 16-bit halves (here 1..2 and 3..7; the fuzz target keeps
-// three bits of a byte) closed by a 0 separator, each block differing
-// from the first in one low half.
+// the stream Pack feeds a grammar: near-identical blocks of one
+// terminal per int (here 2..7, the fuzz target keeping three bits of a
+// byte), each with one escaped int (1, then its halves 2 and 3), closed
+// by a 0 separator, each block differing from the first in one int.
 func PackShapedSeed() []byte {
 	var raw []byte
 	for blk := 0; blk < 8; blk++ {
 		for i := 0; i < 12; i++ {
-			lo := 3 + i%5
+			v := 2 + i%6
 			if i == blk {
-				lo = 3 + (i+1)%5
+				v = 2 + (i+1)%6
 			}
-			raw = append(raw, byte(1+i/8), byte(lo))
+			raw = append(raw, byte(v))
+			if i == 6 {
+				raw = append(raw, 1, 2, 3)
+			}
 		}
 		raw = append(raw, 0)
 	}

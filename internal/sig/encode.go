@@ -46,7 +46,9 @@ const (
 
 	// commPending is the signature placeholder for a communicator
 	// whose group-wide id is still travelling in a non-blocking
-	// all-reduce (MPI_Comm_idup).
+	// all-reduce (MPI_Comm_idup). Only a use the MPI standard forbids
+	// meets it: before the idup's request completes, or of a handle
+	// that names no communicator.
 	commPending = int64(1<<31 - 1)
 )
 
@@ -85,10 +87,12 @@ type reqEntry struct {
 	persistent bool
 }
 
-// pendingComm is an in-flight non-blocking comm-id agreement.
+// pendingComm is an in-flight non-blocking comm-id agreement, and the
+// request of the MPI_Comm_idup that started it.
 type pendingComm struct {
 	token      int64
 	commHandle int64
+	request    int64
 }
 
 // Options disables individual encoding optimizations, for the
@@ -135,7 +139,7 @@ type Encoder struct {
 
 	pending []pendingComm
 
-	oobWaitNs int64 // wall time blocked in oob.AllreduceMaxInt32
+	oobWaitNs int64 // wall time blocked in the §3.3.1 agreement
 }
 
 // NewEncoder builds the per-rank symbolic state. oob may be nil when

@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -98,7 +100,7 @@ func (e *Encoder) assignCreatedObjects(rec *mpispec.CallRecord, ff *funcFacts) {
 		h := rec.Args[1].I
 		if h != 0 && e.oob != nil {
 			tok := e.oob.IAllreduceMaxInt32(rec.Args[0].I, e.maxCommID)
-			e.pending = append(e.pending, pendingComm{token: tok, commHandle: h})
+			e.pending = append(e.pending, pendingComm{token: tok, commHandle: h, request: rec.Args[2].I})
 		}
 	}
 	if i := ff.newType; i >= 0 {
@@ -144,41 +146,41 @@ func (e *Encoder) releaseCompletedObjects(rec *mpispec.CallRecord) {
 	args := rec.Args
 	switch rec.Func {
 	case mpispec.FWait:
-		e.releaseRequest(args[0].I, false)
+		e.complete(args[0].I)
 	case mpispec.FTest:
 		if args[1].I != 0 {
-			e.releaseRequest(args[0].I, false)
+			e.complete(args[0].I)
 		}
 	case mpispec.FWaitall:
 		for _, h := range args[1].Arr {
-			e.releaseRequest(h, false)
+			e.complete(h)
 		}
 	case mpispec.FWaitany:
 		if idx := args[2].I; idx >= 0 && int(idx) < len(args[1].Arr) {
-			e.releaseRequest(args[1].Arr[idx], false)
+			e.complete(args[1].Arr[idx])
 		}
 	case mpispec.FWaitsome:
 		for _, idx := range args[3].Arr {
 			if idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.releaseRequest(args[1].Arr[idx], false)
+				e.complete(args[1].Arr[idx])
 			}
 		}
 	case mpispec.FTestall:
 		if args[2].I != 0 {
 			for _, h := range args[1].Arr {
-				e.releaseRequest(h, false)
+				e.complete(h)
 			}
 		}
 	case mpispec.FTestany:
 		if args[3].I != 0 {
 			if idx := args[2].I; idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.releaseRequest(args[1].Arr[idx], false)
+				e.complete(args[1].Arr[idx])
 			}
 		}
 	case mpispec.FTestsome:
 		for _, idx := range args[3].Arr {
 			if idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.releaseRequest(args[1].Arr[idx], false)
+				e.complete(args[1].Arr[idx])
 			}
 		}
 	case mpispec.FRequestFree:
@@ -209,9 +211,40 @@ func (e *Encoder) releaseCompletedObjects(rec *mpispec.CallRecord) {
 	// so MPI_Comm_free needs no pool action.
 }
 
+// complete is the Wait*/Test* epilogue of request h. When h is an
+// MPI_Comm_idup's, the application may use the new communicator from
+// here on, so its id is agreed before the call returns.
+func (e *Encoder) complete(h int64) {
+	if len(e.pending) > 0 && h != 0 {
+		e.awaitIdup(h)
+	}
+	e.releaseRequest(h, false)
+}
+
+// awaitIdup blocks until the agreement of the MPI_Comm_idup whose
+// request is h lands, if it is pending. The agreement runs on another
+// goroutine, so the poll yields in between; the wait counts in
+// OOBWaitNs.
+func (e *Encoder) awaitIdup(h int64) {
+	i := slices.IndexFunc(e.pending, func(pc pendingComm) bool { return pc.request == h })
+	if i < 0 {
+		return
+	}
+	pc := e.pending[i]
+	w0 := time.Now()
+	done, groupMax := e.oob.PollOOB(pc.token)
+	for !done {
+		runtime.Gosched()
+		done, groupMax = e.oob.PollOOB(pc.token)
+	}
+	e.oobWaitNs += time.Since(w0).Nanoseconds()
+	e.pending = slices.Delete(e.pending, i, i+1)
+	e.resolve(pc.commHandle, groupMax)
+}
+
 // pollPending resolves communicator ids whose non-blocking agreement
-// (MPI_Comm_idup) has completed. Called from every encode, which
-// covers the paper's "check in Wait/Test epilogues" behaviour.
+// (MPI_Comm_idup) has completed. Called from every encode, it resolves
+// an idup whose request was freed rather than completed.
 func (e *Encoder) pollPending() {
 	if len(e.pending) == 0 || e.oob == nil {
 		return
@@ -223,11 +256,16 @@ func (e *Encoder) pollPending() {
 			rest = append(rest, pc)
 			continue
 		}
-		newID := groupMax + 1
-		e.commIDs[pc.commHandle] = newID
-		if newID > e.maxCommID {
-			e.maxCommID = newID
-		}
+		e.resolve(pc.commHandle, groupMax)
 	}
 	e.pending = rest
+}
+
+// resolve gives a communicator one plus its group's max id (§3.3.1).
+func (e *Encoder) resolve(commHandle int64, groupMax int32) {
+	newID := groupMax + 1
+	e.commIDs[commHandle] = newID
+	if newID > e.maxCommID {
+		e.maxCommID = newID
+	}
 }

@@ -11,7 +11,9 @@ package sig
 //
 // It also keeps the old MemAlloc, which leaks a segment id when an
 // address is registered twice without a free in between; the
-// differential drivers never do that.
+// differential drivers never do that. Its one later change is the one
+// both encoders share: the Wait*/Test* that completes an MPI_Comm_idup
+// resolves the new communicator's id (complete).
 
 import (
 	"container/heap"
@@ -537,7 +539,7 @@ func (e *refEncoder) assignCreatedObjects(rec *mpispec.CallRecord) {
 		h := rec.Args[1].I
 		if h != 0 && e.oob != nil {
 			tok := e.oob.IAllreduceMaxInt32(rec.Args[0].I, e.maxCommID)
-			e.pending = append(e.pending, pendingComm{token: tok, commHandle: h})
+			e.pending = append(e.pending, pendingComm{token: tok, commHandle: h, request: rec.Args[2].I})
 		}
 	}
 	if i := refTypeCreatingArg(rec.Func); i >= 0 {
@@ -583,41 +585,41 @@ func (e *refEncoder) releaseCompletedObjects(rec *mpispec.CallRecord) {
 	args := rec.Args
 	switch rec.Func {
 	case mpispec.FWait:
-		e.releaseRequest(args[0].I, false)
+		e.complete(args[0].I)
 	case mpispec.FTest:
 		if args[1].I != 0 {
-			e.releaseRequest(args[0].I, false)
+			e.complete(args[0].I)
 		}
 	case mpispec.FWaitall:
 		for _, h := range args[1].Arr {
-			e.releaseRequest(h, false)
+			e.complete(h)
 		}
 	case mpispec.FWaitany:
 		if idx := args[2].I; idx >= 0 && int(idx) < len(args[1].Arr) {
-			e.releaseRequest(args[1].Arr[idx], false)
+			e.complete(args[1].Arr[idx])
 		}
 	case mpispec.FWaitsome:
 		for _, idx := range args[3].Arr {
 			if idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.releaseRequest(args[1].Arr[idx], false)
+				e.complete(args[1].Arr[idx])
 			}
 		}
 	case mpispec.FTestall:
 		if args[2].I != 0 {
 			for _, h := range args[1].Arr {
-				e.releaseRequest(h, false)
+				e.complete(h)
 			}
 		}
 	case mpispec.FTestany:
 		if args[3].I != 0 {
 			if idx := args[2].I; idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.releaseRequest(args[1].Arr[idx], false)
+				e.complete(args[1].Arr[idx])
 			}
 		}
 	case mpispec.FTestsome:
 		for _, idx := range args[3].Arr {
 			if idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.releaseRequest(args[1].Arr[idx], false)
+				e.complete(args[1].Arr[idx])
 			}
 		}
 	case mpispec.FRequestFree:
@@ -646,6 +648,28 @@ func (e *refEncoder) releaseCompletedObjects(rec *mpispec.CallRecord) {
 	}
 	// Communicator ids are monotonic (group-max + 1) and never reused,
 	// so MPI_Comm_free needs no pool action.
+}
+
+// complete is the Wait*/Test* epilogue of request h: an MPI_Comm_idup's
+// request resolves its communicator's id, polling until it lands.
+func (e *refEncoder) complete(h int64) {
+	for i, pc := range e.pending {
+		if pc.request != h || h == 0 {
+			continue
+		}
+		done, groupMax := e.oob.PollOOB(pc.token)
+		for !done {
+			done, groupMax = e.oob.PollOOB(pc.token)
+		}
+		e.pending = append(e.pending[:i:i], e.pending[i+1:]...)
+		newID := groupMax + 1
+		e.commIDs[pc.commHandle] = newID
+		if newID > e.maxCommID {
+			e.maxCommID = newID
+		}
+		break
+	}
+	e.releaseRequest(h, false)
 }
 
 // pollPending resolves communicator ids whose non-blocking agreement

@@ -229,6 +229,44 @@ func TestCommIdupPendingThenResolved(t *testing.T) {
 	}
 }
 
+// slowOOB is a fakeOOB whose non-blocking agreements land only on the
+// after-th poll.
+type slowOOB struct {
+	*fakeOOB
+	polls, after int
+}
+
+func (o *slowOOB) PollOOB(token int64) (bool, int32) {
+	if o.polls++; o.polls < o.after {
+		return false, 0
+	}
+	return true, o.pendingV[token]
+}
+
+// TestCommIdupResolvedByItsWait: the Wait that completes an idup's
+// request returns only once the new communicator's id is agreed, however
+// many polls that takes, so its first use never meets the placeholder.
+// A Wait on another request leaves the agreement pending.
+func TestCommIdupResolvedByItsWait(t *testing.T) {
+	oob := &slowOOB{fakeOOB: newFakeOOB(1), after: 50}
+	e := NewEncoder(0, oob)
+	e.Encode(rec(0, mpispec.FCommIdup, vc(1, 0), vc(400, 0), vreq(77)))
+	e.Encode(rec(0, mpispec.FWait, vreq(78), vst(-3, -3)))
+	if e.PendingComms() != 1 {
+		t.Fatalf("after a Wait on another request %d agreements pending", e.PendingComms())
+	}
+	e.Encode(rec(0, mpispec.FWait, vreq(77), vst(-3, -3)))
+	if e.PendingComms() != 0 || oob.polls != oob.after {
+		t.Fatalf("after the idup's Wait: %d pending, %d polls", e.PendingComms(), oob.polls)
+	}
+	e.MemAlloc(0x1000, 64, 0)
+	d, _ := Decode(e.Encode(rec(0, mpispec.FSend,
+		vp(0x1000), vi(1), vdt(intHandle), vr(1), vt(0), vc(400, 0))))
+	if d.Args[5].I != 2 {
+		t.Errorf("first use of the idup comm encodes id %d, want 2", d.Args[5].I)
+	}
+}
+
 func TestRequestPoolsStableAcrossCompletionOrders(t *testing.T) {
 	// The §3.4.3 scenario: three Irecvs with different sources,
 	// completed in a different order each iteration. The signatures of

@@ -7,6 +7,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -74,6 +77,48 @@ func shapedFile(tb testing.TB) *File {
 	f.Shape = []int32{-1, 0, 0, -1}
 	f.RankMap = mkGrammar([]int32{0, 1, 2, 3})
 	f.Packed = sequitur.Pack(f.Representatives())
+	return f
+}
+
+// packedFile is shapedFile grown until the final pass pays in every
+// section: eight call representatives and eight grammars of each timing
+// stream, each a common sequence changed in one place, so the file is
+// magicPack with its calls stored by shape.
+func packedFile(tb testing.TB) *File {
+	tb.Helper()
+	f := shapedFile(tb)
+	rng := rand.New(rand.NewSource(3))
+	base := make([]int32, 60)
+	for i := range base {
+		base[i] = int32(rng.Intn(6))
+	}
+	variants := func(first int32) []sequitur.Serialized {
+		var gs []sequitur.Serialized
+		for k := 0; k < 8; k++ {
+			seq := slices.Clone(base)
+			seq[5*k] = first + int32(k%3)
+			gs = append(gs, mkGrammar(seq))
+		}
+		return gs
+	}
+	f.Grammars = variants(6)
+	// Two more grammars of grammar 0's shape, naming other terminals.
+	for _, perm := range [][]int32{{1, 0, 3, 2, 5, 4, 6}, {2, 3, 4, 5, 0, 1, 6}} {
+		g, err := f.Grammars[0].Relabel(perm)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		f.Grammars = append(f.Grammars, g)
+	}
+	f.NumRanks = len(f.Grammars)
+	f.Shape = []int32{-1, -1, -1, -1, -1, -1, -1, -1, 0, 0}
+	f.RankMap = mkGrammar([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Packed = sequitur.Pack(f.Representatives())
+	f.DurGrammars, f.IntGrammars = variants(10), variants(20)
+	f.DurIndex = []int32{0, 1, 2, 3, 4, 5, 6, 7, 0, 0}
+	f.IntIndex = f.DurIndex
+	f.PackedDur, f.PackedInt = sequitur.Pack(f.DurGrammars), sequitur.Pack(f.IntGrammars)
+	f.Salvage.Calls = make([]int64, f.NumRanks)
 	return f
 }
 
@@ -145,7 +190,7 @@ func readAndProbe(data []byte) {
 }
 
 func TestReadExhaustiveTruncations(t *testing.T) {
-	for _, build := range []func(testing.TB) *File{richFile, shapedFile} {
+	for _, build := range []func(testing.TB) *File{richFile, shapedFile, packedFile} {
 		truncations(t, build)
 	}
 }
@@ -176,7 +221,7 @@ func truncations(t *testing.T, build func(testing.TB) *File) {
 }
 
 func TestReadExhaustiveBitFlips(t *testing.T) {
-	for _, f := range []*File{richFile(t), shapedFile(t)} {
+	for _, f := range []*File{richFile(t), shapedFile(t), packedFile(t)} {
 		bitFlips(t, serialize(t, f))
 	}
 }
@@ -317,26 +362,129 @@ func TestWriteRejectsBadShape(t *testing.T) {
 	}
 }
 
-// TestReadRejectsUnknownSelectors: a grammar set is raw (0) or packed
-// (1), and the call section may also be stored by shape (2), but only
-// under magicShapes. Any other selector is an error, not a raw set.
+// TestReadRejectsUnknownSelectors: a grammar set is raw (0) or a pack
+// in the one alphabet its magic allows (1 under magic and magicShapes,
+// 3 under magicPack), and the call section may also be stored by shape
+// (2), but not under magic. Any other selector is an error, not a raw
+// set.
 func TestReadRejectsUnknownSelectors(t *testing.T) {
-	for _, flag := range []byte{flagShapes, 3, 0xff} {
-		br := byteReader{r: bufio.NewReader(bytes.NewReader([]byte{flag, 0}))}
-		if _, _, err := br.readPackable(4); err == nil {
-			t.Errorf("grammar set selector %d accepted", flag)
+	for m, refused := range map[string][]byte{
+		magic:       {flagShapes, flagPacked, 0xff},
+		magicShapes: {flagShapes, flagPacked, 0xff},
+		magicPack:   {flagHalves, flagShapes, 0xff},
+	} {
+		for _, flag := range refused {
+			br := byteReader{r: bufio.NewReader(bytes.NewReader([]byte{flag, 0})), magic: m}
+			if _, _, err := br.readPackable(4); err == nil {
+				t.Errorf("%s: grammar set selector %d accepted", m, flag)
+			}
 		}
 	}
-	for _, build := range []func(testing.TB) *File{richFile, shapedFile} {
+	for _, build := range []func(testing.TB) *File{richFile, shapedFile, packedFile} {
 		data := serialize(t, build(t))
 		at := callSelectorAt(build(t))
-		for _, flag := range []byte{3, 0x80} {
+		other := byte(flagPacked) // the pack selector of the other alphabet
+		if string(data[:len(magic)]) == magicPack {
+			other = flagHalves
+		}
+		for _, flag := range []byte{other, 0x80} {
 			mut := slices.Clone(data)
 			mut[at] = flag
 			if _, err := Read(bytes.NewReader(mut)); err == nil {
 				t.Errorf("%s file: call selector %d accepted", data[:len(magic)], flag)
 			}
 		}
+	}
+}
+
+// TestPackedFileRoundTrip: a file that stores a section by today's pack
+// is magicPack, may store its calls by shape, reads back to the File it
+// was written from and writes again to the same bytes.
+func TestPackedFileRoundTrip(t *testing.T) {
+	f := packedFile(t)
+	if f.stored(f.Representatives(), f.Packed) == nil || f.stored(f.DurGrammars, f.PackedDur) == nil || f.stored(f.IntGrammars, f.PackedInt) == nil {
+		t.Fatal("packedFile stores a section raw")
+	}
+	data := serialize(t, f)
+	if !bytes.HasPrefix(data, []byte(magicPack)) || data[callSelectorAt(f)] != flagShapes {
+		t.Fatalf("file starts %q with call selector %d", data[:len(magicPack)], data[callSelectorAt(f)])
+	}
+	got, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []sequitur.Serialized) bool {
+		return slices.EqualFunc(a, b, slices.Equal[sequitur.Serialized])
+	}
+	switch {
+	case !same(got.Grammars, f.Grammars) || !slices.Equal(got.Shape, f.Shape):
+		t.Fatal("call grammars changed")
+	case !same(got.DurGrammars, f.DurGrammars) || !same(got.IntGrammars, f.IntGrammars):
+		t.Fatal("timing grammars changed")
+	case !slices.Equal(got.Packed, f.Packed) || !slices.Equal(got.PackedDur, f.PackedDur) || !slices.Equal(got.PackedInt, f.PackedInt):
+		t.Fatal("packs changed")
+	}
+	if again := serialize(t, got); !bytes.Equal(again, data) {
+		t.Fatal("a file read back writes other bytes")
+	}
+}
+
+// TestGrammarLenMatchesWrite: the byte count the writer chooses between
+// a grammar set and its pack by is the count writeGrammar writes, for
+// ints of every varint length and sign.
+func TestGrammarLenMatchesWrite(t *testing.T) {
+	g := sequitur.Serialized{0, 1, -1, 63, -64, 64, -65, 1 << 13, -(1 << 13) - 1, 1 << 20, -(1 << 27), math.MaxInt32, math.MinInt32}
+	g = append(g, make(sequitur.Serialized, 200)...) // lengths past one varint byte
+	for n := 0; n <= len(g); n++ {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := writeGrammar(w, g[:n]); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		if got := grammarLen(g[:n]); got != buf.Len() {
+			t.Fatalf("grammarLen of %d ints = %d, writeGrammar wrote %d bytes", n, got, buf.Len())
+		}
+	}
+}
+
+// TestReadRejectsPackUnderOtherMagic: a pack is read in the alphabet
+// the magic names, so a file whose magic claims the other one is
+// refused. The fixtures hold packs of the older alphabet.
+func TestReadRejectsPackUnderOtherMagic(t *testing.T) {
+	data := serialize(t, packedFile(t))
+	for _, m := range []string{magic, magicShapes} {
+		mut := slices.Clone(data)
+		copy(mut, m)
+		if _, err := Read(bytes.NewReader(mut)); err == nil {
+			t.Errorf("today's packs read under %s", m)
+		}
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "v[12]", "*.pilgrim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := 0
+	for _, path := range paths {
+		old, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Read(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if f.Packed == nil && f.PackedDur == nil && f.PackedInt == nil {
+			continue
+		}
+		packed++
+		copy(old, magicPack)
+		if _, err := Read(bytes.NewReader(old)); err == nil {
+			t.Errorf("%s: older packs read under %s", path, magicPack)
+		}
+	}
+	if packed < 2 {
+		t.Fatalf("only %d fixtures hold a pack", packed)
 	}
 }
 
@@ -368,6 +516,7 @@ func FuzzTraceRead(f *testing.F) {
 	for _, name := range names {
 		f.Add(hostile[name])
 	}
+	f.Add(serialize(f, packedFile(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readAndProbe(data)
 	})

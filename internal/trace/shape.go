@@ -1,6 +1,6 @@
 package trace
 
-// A magicShapes call section (DESIGN §4d): the representatives as any
+// A flagShapes call section (DESIGN §4d): the representatives as any
 // grammar set, File.Shape as (value, run length) pairs, a layout byte,
 // and the other grammars' vectors as deltas against their shape's last.
 
@@ -81,14 +81,15 @@ func (f *File) shaped() (*shapedSection, error) {
 	return sec, nil
 }
 
-// writeCalls writes the call section: by shape if sec is non-nil.
-func (f *File) writeCalls(w *bufio.Writer, sec *shapedSection) error {
+// writeCalls writes the call section: by shape if sec is non-nil, and
+// the representatives as pack if that is non-nil (see writePackable).
+func (f *File) writeCalls(w *bufio.Writer, sec *shapedSection, pack sequitur.Serialized, packFlag byte) error {
 	if sec == nil {
-		return writePackable(w, f.Grammars, f.Packed)
+		return writePackable(w, f.Grammars, pack, packFlag)
 	}
 	// A bufio.Writer keeps its first error, and write's Flush returns it.
 	_ = w.WriteByte(flagShapes)
-	_ = writePackable(w, sec.reps, f.Packed)
+	_ = writePackable(w, sec.reps, pack, packFlag)
 	_ = writeIndex(w, sec.runs)
 	_ = w.WriteByte(sec.vecEnc)
 	return writeIndex(w, sec.vecs)
@@ -96,7 +97,7 @@ func (f *File) writeCalls(w *bufio.Writer, sec *shapedSection) error {
 
 // shaped reads a flagShapes call section into f, relabeling each
 // representative's shape by the vectors of its shape's other grammars.
-// These may hold no more ints than a pack may expand to.
+// These may hold no more ints than a pack may unpack to.
 func (br byteReader) shaped(f *File) error {
 	reps, pack, err := br.readPackable(f.NumRanks)
 	var runs, shape []int32
@@ -126,7 +127,7 @@ func (br byteReader) shaped(f *File) error {
 	switch {
 	case len(reps) != 0:
 		return fmt.Errorf("trace: %d representatives stored but not named", len(reps))
-	case size > maxPackExpansion/2: // two symbols per int
+	case size > maxPackInts:
 		return fmt.Errorf("trace: shape section rebuilds %d grammar ints", size)
 	}
 	shapes, last, n := repShapes(shape, gs)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -32,18 +33,25 @@ const (
 	TimingLossy      = 1 // per-call duration+interval grammars, error < base-1
 )
 
-// A file whose call section is stored by shape (flagShapes) starts
-// magicShapes; every other file is written as before shapes existed.
+// The magic is the format version. A file that stores any section by
+// the final Sequitur pass (flagPacked) starts magicPack. Otherwise a
+// file whose call section is stored by shape (flagShapes) starts
+// magicShapes, and every other file magic. Files of the two older
+// versions may hold packs of the older alphabet (flagHalves).
 const (
 	magic       = "PILGRIM1"
 	magicShapes = "PILGRIM2"
+	magicPack   = "PILGRIM3"
 )
 
-// Grammar set selectors; flagShapes only in a magicShapes call section.
+// Grammar set selectors. flagHalves only under magic and magicShapes,
+// flagPacked only under magicPack, and flagShapes, in the call section,
+// only under magicShapes and magicPack.
 const (
 	flagRaw    = 0
-	flagPacked = 1
+	flagHalves = 1 // sequitur.UnpackHalves reads the pack
 	flagShapes = 2
+	flagPacked = 3 // sequitur.Unpack reads the pack
 )
 
 // TimingBaseError rejects a lossy-timing base that is not finite and
@@ -107,6 +115,11 @@ type File struct {
 	// traces are byte-identical to the pre-salvage format and old
 	// readers simply ignore the tail.
 	Salvage *SalvageInfo
+
+	// halves marks the packs as the older alphabet's: Read sets it for
+	// a magic or magicShapes file, which therefore writes back to its
+	// own bytes.
+	halves bool
 
 	// Read-path memo (see the type comment): the validated rank map
 	// expansion, and one lazily decoded slot per CST entry.
@@ -260,12 +273,21 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 
 // write serializes the trace with the call section sec (see writeCalls).
 func (f *File) write(w io.Writer, sec *shapedSection) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	m := magic
+	calls := f.Grammars
 	if sec != nil {
+		calls = sec.reps
+	}
+	// Which packs are stored sets the version (see magicPack).
+	packed, dur, intv := f.stored(calls, f.Packed), f.stored(f.DurGrammars, f.PackedDur), f.stored(f.IntGrammars, f.PackedInt)
+	m, packFlag := magic, byte(flagHalves)
+	switch {
+	case !f.halves && (packed != nil || dur != nil || intv != nil):
+		m, packFlag = magicPack, flagPacked
+	case sec != nil:
 		m = magicShapes
 	}
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
 	if _, err := bw.WriteString(m); err != nil {
 		return cw.n, err
 	}
@@ -279,19 +301,19 @@ func (f *File) write(w io.Writer, sec *shapedSection) (int64, error) {
 	if err := writeBytes(bw, f.CST.Serialize()); err != nil {
 		return cw.n, err
 	}
-	if err := f.writeCalls(bw, sec); err != nil {
+	if err := f.writeCalls(bw, sec, packed, packFlag); err != nil {
 		return cw.n, err
 	}
 	if err := writeGrammar(bw, f.RankMap); err != nil {
 		return cw.n, err
 	}
-	if err := writePackable(bw, f.DurGrammars, f.PackedDur); err != nil {
+	if err := writePackable(bw, f.DurGrammars, dur, packFlag); err != nil {
 		return cw.n, err
 	}
 	if err := writeIndex(bw, f.DurIndex); err != nil {
 		return cw.n, err
 	}
-	if err := writePackable(bw, f.IntGrammars, f.PackedInt); err != nil {
+	if err := writePackable(bw, f.IntGrammars, intv, packFlag); err != nil {
 		return cw.n, err
 	}
 	if err := writeIndex(bw, f.IntIndex); err != nil {
@@ -383,15 +405,40 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writePackable writes a grammar set either raw or as its pack,
-// whichever is smaller, behind a selector byte.
-func writePackable(w *bufio.Writer, gs []sequitur.Serialized, pack sequitur.Serialized) error {
-	rawInts := 0
-	for _, g := range gs {
-		rawInts += len(g)
+// stored returns pack if the file stores it instead of the grammar set
+// gs, else nil: it does when the pack takes fewer bytes. A File read
+// from an older file stores the packs it was read with.
+func (f *File) stored(gs []sequitur.Serialized, pack sequitur.Serialized) sequitur.Serialized {
+	if pack == nil || f.halves {
+		return pack
 	}
-	if pack != nil && len(pack) < rawInts {
-		if err := w.WriteByte(flagPacked); err != nil {
+	raw := uvarintLen(uint64(len(gs)))
+	for _, g := range gs {
+		raw += grammarLen(g)
+	}
+	if grammarLen(pack) < raw {
+		return pack
+	}
+	return nil
+}
+
+// grammarLen is the number of bytes writeGrammar writes for g.
+func grammarLen(g sequitur.Serialized) int {
+	n := uvarintLen(uint64(len(g)))
+	for _, v := range g {
+		n += uvarintLen(uint64(v)<<1 ^ uint64(v>>31)) // binary.AppendVarint's zigzag
+	}
+	return uvarintLen(uint64(n)) + n
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, u)).
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// writePackable writes a grammar set behind a selector byte: as pack,
+// under packFlag, if pack is non-nil, else raw.
+func writePackable(w *bufio.Writer, gs []sequitur.Serialized, pack sequitur.Serialized, packFlag byte) error {
+	if pack != nil {
+		if err := w.WriteByte(packFlag); err != nil {
 			return err
 		}
 		return writeGrammar(w, pack)
@@ -412,38 +459,48 @@ func (br byteReader) readPackable(max int) ([]sequitur.Serialized, sequitur.Seri
 	return br.packable(flag, max)
 }
 
-// packable reads the grammar set that follows selector flag.
+// packable reads the grammar set that follows selector flag: raw, or
+// a pack of the one alphabet the file's magic allows.
 func (br byteReader) packable(flag byte, max int) ([]sequitur.Serialized, sequitur.Serialized, error) {
-	switch flag {
-	case flagRaw:
+	switch {
+	case flag == flagRaw:
 		gs, err := br.grammarSet(max)
 		return gs, nil, err
-	case flagPacked:
+	case flag == flagHalves && br.magic != magicPack, flag == flagPacked && br.magic == magicPack:
 		pack, err := br.grammar()
 		if err != nil {
 			return nil, nil, err
 		}
-		gs, err := unpackBounded(pack, max)
+		gs, err := unpackBounded(pack, max, flag)
 		if err != nil {
 			return nil, nil, err
 		}
 		return gs, pack, nil
+	case flag == flagHalves, flag == flagPacked:
+		return nil, nil, fmt.Errorf("trace: grammar pack selector %d in a %s file", flag, br.magic)
 	}
 	return nil, nil, fmt.Errorf("trace: unknown grammar set selector %d", flag)
 }
 
-// maxPackExpansion bounds the expanded symbol count of a grammar pack
-// (a structurally valid pack can still encode an exponential
-// expansion — run-length exponents nest multiplicatively).
-const maxPackExpansion = 1 << 28
+// maxPackInts bounds the grammar ints a pack may unpack to, and a shape
+// section may rebuild. A structurally valid pack can still encode an
+// exponential expansion: run-length exponents nest multiplicatively.
+const maxPackInts = 1 << 27
 
-// unpackBounded is sequitur.Unpack with the expansion and set-size
-// caps every untrusted read path needs.
-func unpackBounded(pack sequitur.Serialized, max int) ([]sequitur.Serialized, error) {
-	if n := pack.InputLen(); n > maxPackExpansion {
+// unpackBounded is sequitur.Unpack, or UnpackHalves for flagHalves,
+// with the expansion and set-size caps every untrusted read path
+// needs. Before the walk, the pack's symbols are capped at what
+// maxPackInts ints can take: three each (an escape and two halves), or
+// two in the older alphabet.
+func unpackBounded(pack sequitur.Serialized, max int, flag byte) ([]sequitur.Serialized, error) {
+	unpack, perInt := sequitur.Unpack, int64(3)
+	if flag == flagHalves {
+		unpack, perInt = sequitur.UnpackHalves, 2
+	}
+	if n := pack.InputLen(); n > perInt*maxPackInts {
 		return nil, fmt.Errorf("trace: grammar pack expands to %d symbols", n)
 	}
-	gs, err := sequitur.Unpack(pack)
+	gs, err := unpack(pack, maxPackInts)
 	if err != nil {
 		return nil, err
 	}
@@ -470,12 +527,12 @@ func (f *File) SectionSizes() (cstB, cfgB, durB, intB int) {
 	cstB = len(f.CST.Serialize())
 	cfgB = len(f.RankMap) * 4
 	if sec, _ := f.shaped(); sec != nil { // a Shape WriteTo refuses counts as a plain set
-		cfgB += (packableInts(sec.reps, f.Packed) + len(sec.runs) + len(sec.vecs)) * 4
+		cfgB += (f.packableInts(sec.reps, f.Packed) + len(sec.runs) + len(sec.vecs)) * 4
 	} else {
-		cfgB += packableInts(f.Grammars, f.Packed) * 4
+		cfgB += f.packableInts(f.Grammars, f.Packed) * 4
 	}
-	durB = packableInts(f.DurGrammars, f.PackedDur) * 4
-	intB = packableInts(f.IntGrammars, f.PackedInt) * 4
+	durB = f.packableInts(f.DurGrammars, f.PackedDur) * 4
+	intB = f.packableInts(f.IntGrammars, f.PackedInt) * 4
 	return
 }
 
@@ -491,13 +548,13 @@ func (f *File) UncompressedEstimate() int64 {
 	return f.CST.RawBytes()
 }
 
-func packableInts(gs []sequitur.Serialized, pack sequitur.Serialized) int {
+func (f *File) packableInts(gs []sequitur.Serialized, pack sequitur.Serialized) int {
+	if pack := f.stored(gs, pack); pack != nil {
+		return len(pack)
+	}
 	raw := 0
 	for _, g := range gs {
 		raw += len(g)
-	}
-	if pack != nil && len(pack) < raw {
-		return len(pack)
 	}
 	return raw
 }
@@ -505,7 +562,8 @@ func packableInts(gs []sequitur.Serialized, pack sequitur.Serialized) int {
 // --- reading -----------------------------------------------------------------
 
 type byteReader struct {
-	r *bufio.Reader
+	r     *bufio.Reader
+	magic string // the file's, which decides the selectors it may hold
 }
 
 func (br byteReader) bytes() ([]byte, error) {
@@ -615,11 +673,12 @@ func Read(r io.Reader) (*File, error) {
 	if _, err := io.ReadFull(br.r, m); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	byShape := string(m) == magicShapes
-	if !byShape && string(m) != magic {
+	switch br.magic = string(m); br.magic {
+	case magic, magicShapes, magicPack:
+	default:
 		return nil, fmt.Errorf("trace: bad magic %q", m)
 	}
-	f := &File{}
+	f := &File{halves: br.magic != magicPack}
 	n, err := binary.ReadUvarint(br.r)
 	if err != nil {
 		return nil, err
@@ -654,7 +713,7 @@ func Read(r io.Reader) (*File, error) {
 		return nil, err
 	}
 	switch {
-	case flag == flagShapes && byShape:
+	case flag == flagShapes && br.magic != magic:
 		err = br.shaped(f)
 	case flag == flagShapes:
 		err = fmt.Errorf("trace: call section stored by shape in a %s file", magic)
