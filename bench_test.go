@@ -363,15 +363,14 @@ func BenchmarkFinalize4096(b *testing.B) { benchmarkFinalize(b, 4096) }
 
 // BenchmarkPack4096 times the final Sequitur pass alone (§3.5.2) over
 // the grammars a 4096-rank synthetic finalize packs, one per grammar
-// shape, so the ledger's sequitur.Pack line can be re-measured without
-// bench/.
+// shape, so the ledger's pack line can be re-measured without bench/.
 func BenchmarkPack4096(b *testing.B) {
 	f, _ := core.FinalizeSnapshots(experiments.SyntheticSnapshots(4096), core.Options{}, nil)
 	reps := f.Representatives()
-	appends := int(sequitur.Pack(reps).InputLen()) // the symbols the pack is over
+	appends := int(packAll(reps).InputLen()) // the symbols the pack is over
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if packed := sequitur.Pack(reps); len(packed) != len(f.Packed) {
+		if packed := packAll(reps); len(packed) != len(f.Packed) {
 			b.Fatalf("pack is %d ints, finalize's was %d", len(packed), len(f.Packed))
 		}
 	}
@@ -492,4 +491,13 @@ func BenchmarkReplayRoundtrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// packAll is the final Sequitur pass over gs: a Packer fed them in order.
+func packAll(gs []sequitur.Serialized) sequitur.Serialized {
+	p := sequitur.NewPacker()
+	for _, g := range gs {
+		p.Add(g)
+	}
+	return p.Finish()
 }

@@ -160,8 +160,17 @@ func TestWalkShapeColumn(t *testing.T) {
 			t.Fatalf("%s: %d shape entries for %d grammars, %d unique shapes reported, %d found",
 				w.Name, len(f.Shape), len(f.Grammars), st.UniqueShapes, len(first))
 		}
-		if !slices.Equal(f.Packed, sequitur.Pack(f.Representatives())) {
+		if !slices.Equal(f.Packed, packAll(f.Representatives())) {
 			t.Fatalf("%s: the pack is not the representatives'", w.Name)
 		}
 	}
+}
+
+// packAll is the final Sequitur pass over gs: a Packer fed them in order.
+func packAll(gs []sequitur.Serialized) sequitur.Serialized {
+	p := sequitur.NewPacker()
+	for _, g := range gs {
+		p.Add(g)
+	}
+	return p.Finish()
 }

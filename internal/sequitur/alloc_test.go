@@ -47,16 +47,18 @@ func TestAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSlabEntrySizes pins the two hot structs at 32 bytes: two symbols
-// and two index entries to a cache line, and the live-bytes figures of
-// the ledger. The builder itself is two lines; the loop cursor sits in
-// what was padding.
+// TestSlabEntrySizes pins the two hot structs, and the live-bytes
+// figures of the ledger: a symbol is 32 bytes, two to a cache line; an
+// index entry is a fingerprint and a symbol index, 8 bytes, eight to a
+// cache line, so a probe run at half load rarely leaves its line. The
+// builder itself is two lines; the loop cursor sits in what was
+// padding.
 func TestSlabEntrySizes(t *testing.T) {
 	if n := unsafe.Sizeof(symbol{}); n != 32 {
 		t.Errorf("symbol is %d bytes, want 32", n)
 	}
-	if n := unsafe.Sizeof(digramEntry{}); n != 32 {
-		t.Errorf("digramEntry is %d bytes, want 32", n)
+	if n := unsafe.Sizeof(digramEntry{}); n != 8 {
+		t.Errorf("digramEntry is %d bytes, want 8", n)
 	}
 	if n := unsafe.Sizeof(Grammar{}); n != 128 {
 		t.Errorf("Grammar is %d bytes, want 128", n)
@@ -66,8 +68,9 @@ func TestSlabEntrySizes(t *testing.T) {
 // TestCheckInvariantsCatchesSlabCorruption covers the failures only
 // the slab layout can have: a freed slot still linked into a body, a
 // use list that disagrees with the rule's count, a symbol and an index
-// entry that disagree about who owns the entry, a digram the index
-// lost, and a loop cursor that is not where an armed cursor can be.
+// entry that disagree about who owns the entry, an entry whose
+// fingerprint is not its owner's digram, a digram the index lost, and a
+// loop cursor that is not where an armed cursor can be.
 func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 	build := func() *Grammar {
 		g := New()
@@ -151,7 +154,7 @@ func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 		{"slot names an empty entry", func(g *Grammar) {
 			a, _, _ := owners(g)
 			for i, e := range g.index {
-				if e.e1 == 0 {
+				if e.sym == 0 {
 					g.syms[a].slot = int32(i)
 					return
 				}
@@ -162,6 +165,16 @@ func TestCheckInvariantsCatchesSlabCorruption(t *testing.T) {
 			sa, sb := g.syms[a].slot, g.syms[b].slot
 			g.index[sa].sym, g.index[sb].sym = b, a
 			g.syms[a].slot, g.syms[b].slot = sb, sa
+		}, "fingerprint"},
+		{"entry's fingerprint is not its owner's digram", func(g *Grammar) {
+			a, _, _ := owners(g)
+			g.index[g.syms[a].slot].fp ^= 1 << 31
+		}, "fingerprint is not the digram it starts"},
+		{"entry owned by a symbol followed by its guard", func(g *Grammar) {
+			a, _, _ := owners(g)
+			last := g.syms[0].prev
+			g.index[g.syms[a].slot].sym, g.syms[last].slot = last, g.syms[a].slot
+			g.syms[a].slot = noSlot
 		}, "digram it does not start"},
 		{"guard owns an entry", func(g *Grammar) {
 			a, _, _ := owners(g)
@@ -219,14 +232,38 @@ func BenchmarkAppendLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendNoisy is the shape of a lossy timing grammar, five
-// symbols at random: the cursor hardly ever arms and must cost nothing.
-func BenchmarkAppendNoisy(b *testing.B) {
+// noisyStream is the shape of a lossy timing grammar's input: five
+// symbols at random.
+func noisyStream() []int32 {
 	rng := rand.New(rand.NewSource(1))
 	stream := make([]int32, 1<<16)
 	for i := range stream {
 		stream[i] = int32(rng.Intn(5))
 	}
+	return stream
+}
+
+// TestNoisyFootprint pins the bytes the digram index holds once
+// noisyStream is appended, so a change that grows the index fails here
+// and not only on the ledger's trace_live_bytes_per_rank.
+func TestNoisyFootprint(t *testing.T) {
+	g := New()
+	for _, v := range noisyStream() {
+		g.Append(v)
+	}
+	syms, rules, index := g.SlabBytes()
+	t.Logf("%d digrams: symbols %d B, rules %d B, index %d B", g.nIdx, syms, rules, index)
+	// 65 536 entries of 8 B: the index doubles at half load, and holds
+	// more than 16 384 digrams.
+	if want := 1 << 19; index != want {
+		t.Errorf("digram index holds %d B of %d digrams, want %d", index, g.nIdx, want)
+	}
+}
+
+// BenchmarkAppendNoisy appends noisyStream: the cursor hardly ever arms
+// and must cost nothing.
+func BenchmarkAppendNoisy(b *testing.B) {
+	stream := noisyStream()
 	g := New()
 	b.ReportAllocs()
 	b.ResetTimer()

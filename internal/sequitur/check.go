@@ -73,11 +73,11 @@ func (g *Grammar) CheckInvariants() error {
 						prev.rule, prev.pos, ri, pos)
 				}
 				digramsSeen[d] = occ{ri, pos}
-				at, ok := g.find(d)
+				at, _, ok := g.find(d)
 				if !ok {
 					return fmt.Errorf("rule %d pos %d: digram not indexed", ri, pos)
 				}
-				if !g.pointsAt(at, s) {
+				if g.index[at].sym != s || g.syms[s].slot != int32(at) {
 					return fmt.Errorf("rule %d pos %d: digram indexed at wrong occurrence", ri, pos)
 				}
 			}
@@ -153,10 +153,10 @@ func (g *Grammar) checkCursor() error {
 
 // checkOwnership verifies that symbols and index entries name each
 // other: a symbol's slot is noSlot or the position of an entry that
-// points back at it and holds the digram it starts; no entry goes
-// unowned (so none is claimed twice either); guards and freed slots own
-// nothing. Between appends every slab slot is a guard, freed, or a live
-// body symbol, so the slab is walked whole.
+// points back at it and holds the fingerprint of the digram it starts;
+// no entry goes unowned (so none is claimed twice either); guards and
+// freed slots own nothing. Between appends every slab slot is a guard,
+// freed, or a live body symbol, so the slab is walked whole.
 func (g *Grammar) checkOwnership() error {
 	owned := 0
 	for s := range g.syms {
@@ -171,17 +171,20 @@ func (g *Grammar) checkOwnership() error {
 			return fmt.Errorf("symbol %d: index slot %d out of range", s, sy.slot)
 		}
 		e := g.index[sy.slot]
-		if e.e1 == 0 || e.sym != int32(s) {
+		if e.sym != int32(s) {
 			return fmt.Errorf("symbol %d: claims index entry %d, which is empty or another symbol's", s, sy.slot)
 		}
-		if sy.next < 0 || g.isGuard(sy.next) || e.digram != g.digramAt(int32(s), sy.next) {
+		if sy.next < 0 || g.isGuard(sy.next) {
 			return fmt.Errorf("symbol %d: owns an index entry for a digram it does not start", s)
+		}
+		if e.fp != uint32(g.digramAt(int32(s), sy.next).hash()) {
+			return fmt.Errorf("symbol %d: owns an index entry whose fingerprint is not the digram it starts", s)
 		}
 		owned++
 	}
 	occupied := 0
 	for _, e := range g.index {
-		if e.e1 != 0 {
+		if e.sym != 0 {
 			occupied++
 		}
 	}

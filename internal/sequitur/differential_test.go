@@ -170,6 +170,9 @@ func FuzzAppendDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 3, 3, 0x81, 0x81, 4})
 	f.Add([]byte("abcdbcabcdabcdbcabcd"))
 	f.Add(sequitur.PackShapedSeed())
+	for _, seed := range collisionSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		stream := make([]run, len(raw))
 		for i, b := range raw {

@@ -47,16 +47,7 @@ func (p *Packer) Add(g Serialized) {
 // Finish returns the pack of the grammars added so far.
 func (p *Packer) Finish() Serialized { return p.g.Serialize() }
 
-// Pack is a Packer fed gs in order.
-func Pack(gs []Serialized) Serialized {
-	p := NewPacker()
-	for _, g := range gs {
-		p.Add(g)
-	}
-	return p.Finish()
-}
-
-// Unpack reverses Pack. It refuses a pack of more than maxInts grammar
+// Unpack reverses a Packer's Finish. It refuses a pack of more than maxInts grammar
 // ints (maxInts <= 0 disables the cap) and any int not written the one
 // way Add writes it.
 func Unpack(pack Serialized, maxInts int64) ([]Serialized, error) {

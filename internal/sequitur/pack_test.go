@@ -15,6 +15,15 @@ func mkSer(seq []int32) Serialized {
 	return Serialized(g.Serialize())
 }
 
+// packAll is a Packer fed gs in order.
+func packAll(gs []Serialized) Serialized {
+	p := NewPacker()
+	for _, g := range gs {
+		p.Add(g)
+	}
+	return p.Finish()
+}
+
 func TestPackUnpackRoundtrip(t *testing.T) {
 	gs := []Serialized{
 		mkSer([]int32{1, 2, 1, 2, 3}),
@@ -24,7 +33,7 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 	}
 	// Replace the empty grammar with a tiny one: packs of empty
 	// grammars are legal too, but keep one realistic case.
-	pack := Pack(gs)
+	pack := packAll(gs)
 	back, err := Unpack(pack, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +49,9 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 }
 
 // TestPackerMatchesPack: a Packer fed grammar by grammar holds, after
-// every Add, exactly the pack of the grammars so far, and that pack
-// unpacks to them — so it does not matter who feeds it, or when.
+// every Add, exactly what a fresh Packer fed the grammars so far holds,
+// and that pack unpacks to them — so it does not matter who feeds it,
+// or when.
 func TestPackerMatchesPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := make([]int32, 120)
@@ -59,8 +69,8 @@ func TestPackerMatchesPack(t *testing.T) {
 		gs = append(gs, mkSer(seq))
 		p.Add(gs[k])
 		got := p.Finish()
-		if want := Pack(gs); !slices.Equal(got, want) {
-			t.Fatalf("after %d grammars the Packer holds %d ints, Pack gives %d", k+1, len(got), len(want))
+		if want := packAll(gs); !slices.Equal(got, want) {
+			t.Fatalf("after %d grammars the Packer holds %d ints, a fresh one %d", k+1, len(got), len(want))
 		}
 		back, err := Unpack(got, 0)
 		if err != nil {
@@ -92,7 +102,7 @@ func TestPackCompressesSimilarGrammars(t *testing.T) {
 		gs = append(gs, g)
 		rawInts += len(g)
 	}
-	pack := Pack(gs)
+	pack := packAll(gs)
 	if len(pack) >= rawInts {
 		t.Fatalf("pack did not compress: %d ints vs raw %d", len(pack), rawInts)
 	}
@@ -122,7 +132,7 @@ func TestPackRandomGrammars(t *testing.T) {
 			}
 			gs = append(gs, mkSer(seq))
 		}
-		back, err := Unpack(Pack(gs), 0)
+		back, err := Unpack(packAll(gs), 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -175,7 +185,7 @@ func TestPackEscapes(t *testing.T) {
 	if err := gs[0].Validate(); err != nil {
 		t.Fatal(err)
 	}
-	pack := Pack(gs)
+	pack := packAll(gs)
 	symbols, escapes := packInts(gs)
 	if escapes < 4 {
 		t.Fatalf("only %d escaped ints in the test grammars", escapes)
@@ -196,7 +206,7 @@ func TestPackEscapes(t *testing.T) {
 func TestUnpackCapsInts(t *testing.T) {
 	gs := []Serialized{escaped(), mkSer([]int32{5, 6, 5, 6})}
 	ints := int64(len(gs[0]) + len(gs[1]))
-	pack := Pack(gs)
+	pack := packAll(gs)
 	if _, err := Unpack(pack, ints); err != nil {
 		t.Fatalf("cap of exactly %d ints: %v", ints, err)
 	}
@@ -263,7 +273,7 @@ func TestUnpackRejectsGarbage(t *testing.T) {
 	}
 }
 
-// FuzzPackRoundTrip: Unpack(Pack(gs)) is gs. A byte below 0x80 appends
+// FuzzPackRoundTrip: Unpack(packAll(gs)) is gs. A byte below 0x80 appends
 // a small terminal, one up to 0xBF a terminal of at least 2²⁹, one up
 // to 0xFE a run of up to 31·2²⁸ copies (expLo escaped, expHi > 0), and
 // 0xFF ends a grammar.
@@ -291,7 +301,7 @@ func FuzzPackRoundTrip(f *testing.F) {
 				g = New()
 			}
 		}
-		back, err := Unpack(Pack(gs), 0)
+		back, err := Unpack(packAll(gs), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +317,7 @@ func FuzzPackRoundTrip(f *testing.F) {
 }
 
 func TestPackEmptySet(t *testing.T) {
-	back, err := Unpack(Pack(nil), 0)
+	back, err := Unpack(packAll(nil), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,12 +70,15 @@ func (d digram) hash() uint64 {
 }
 
 // digramEntry maps a digram to the first symbol of its unique
-// occurrence. e1 == 0 marks an empty slot. That symbol's slot names the
-// entry back: a symbol owns at most one entry, the one for the digram
-// it starts, every occupied entry is owned, and whoever moves,
-// overwrites or deletes an entry moves or releases the claim with it.
+// occurrence. It keeps only the low 32 bits of the digram's hash, which
+// also give its home slot; the digram itself is read from the symbol.
+// sym == 0 marks an empty slot (the start rule's guard owns nothing).
+// That symbol's slot names the entry back: a symbol owns at most one
+// entry, the one for the digram it starts, every occupied entry is
+// owned, and whoever moves, overwrites or deletes an entry moves or
+// releases the claim with it.
 type digramEntry struct {
-	digram
+	fp  uint32
 	sym int32
 }
 
@@ -220,53 +223,61 @@ func (g *Grammar) dropUse(s int32) {
 	r.uses--
 }
 
-// pointsAt reports whether index slot pos holds symbol s's entry: it
-// names s, and s names it back.
-func (g *Grammar) pointsAt(pos int, s int32) bool {
-	return g.index[pos].sym == s && g.syms[s].slot == int32(pos)
-}
-
 // find returns the index slot holding d, or the empty slot where d
-// would go (-1 while the table is unallocated).
-func (g *Grammar) find(d digram) (pos int, ok bool) {
+// would go (-1 while the table is unallocated), and d's fingerprint. A
+// slot whose fingerprint matches is d's only if its owner starts d.
+func (g *Grammar) find(d digram) (pos int, fp uint32, ok bool) {
+	fp = uint32(d.hash())
 	mask := len(g.index) - 1
 	if mask < 0 {
-		return -1, false
+		return -1, fp, false
 	}
-	for pos = int(d.hash()) & mask; ; pos = (pos + 1) & mask {
+	for pos = int(fp) & mask; ; pos = (pos + 1) & mask {
 		e := &g.index[pos]
-		if e.e1 == 0 {
-			return pos, false
+		if e.sym == 0 {
+			return pos, fp, false
 		}
-		if e.digram == d {
-			return pos, true
+		if e.fp == fp && g.digramAt(e.sym, g.syms[e.sym].next) == d {
+			return pos, fp, true
 		}
 	}
 }
 
-// setDigram points d's index entry at symbol s, which owns no entry
-// yet; pos and ok are what find(d) returned. The occurrence the entry
-// pointed at before loses its claim.
-func (g *Grammar) setDigram(pos int, ok bool, d digram, s int32) {
+// emptySlot returns the first empty slot on fingerprint fp's probe path.
+func (g *Grammar) emptySlot(fp uint32) int {
+	mask := len(g.index) - 1
+	pos := int(fp) & mask
+	for g.index[pos].sym != 0 {
+		pos = (pos + 1) & mask
+	}
+	return pos
+}
+
+// setDigram points the index entry of the digram s starts at s, which
+// owns no entry yet; pos, fp and ok are what find returned for it. The
+// occurrence the entry pointed at before loses its claim.
+func (g *Grammar) setDigram(pos int, fp uint32, ok bool, s int32) {
 	if ok {
 		g.syms[g.index[pos].sym].slot = noSlot
 	} else {
-		if (g.nIdx+1)*4 > len(g.index)*3 {
+		if (g.nIdx+1)*2 > len(g.index) {
 			g.growIndex()
-			pos, _ = g.find(d)
+			pos = g.emptySlot(fp)
 		}
 		g.nIdx++
 	}
-	g.index[pos] = digramEntry{digram: d, sym: s}
+	g.index[pos] = digramEntry{fp: fp, sym: s}
 	g.syms[s].slot = int32(pos)
 }
 
+// growIndex doubles the table; the fingerprints give the new home
+// slots, so nothing is rehashed.
 func (g *Grammar) growIndex() {
 	old := g.index
 	g.index = make([]digramEntry, max(8, 2*len(old)))
 	for _, e := range old {
-		if e.e1 != 0 {
-			pos, _ := g.find(e.digram)
+		if e.sym != 0 {
+			pos := g.emptySlot(e.fp)
 			g.index[pos] = e
 			g.syms[e.sym].slot = int32(pos)
 		}
@@ -278,10 +289,10 @@ func (g *Grammar) growIndex() {
 func (g *Grammar) deleteAt(i int) {
 	g.syms[g.index[i].sym].slot = noSlot
 	mask := len(g.index) - 1
-	for j := (i + 1) & mask; g.index[j].e1 != 0; j = (j + 1) & mask {
+	for j := (i + 1) & mask; g.index[j].sym != 0; j = (j + 1) & mask {
 		// The entry at j may move into the hole unless its home slot
 		// lies after the hole on its probe path.
-		if home := int(g.index[j].hash()) & mask; (j-home)&mask >= (j-i)&mask {
+		if home := int(g.index[j].fp) & mask; (j-home)&mask >= (j-i)&mask {
 			g.index[i] = g.index[j]
 			g.syms[g.index[i].sym].slot = int32(i)
 			i = j
@@ -491,19 +502,15 @@ func (g *Grammar) linkMade(a, b int32) bool {
 		g.mergeRun(a, b)
 		return true
 	}
-	d := g.digramAt(a, b)
-	pos, ok := g.find(d)
-	if ok {
-		if g.pointsAt(pos, a) {
-			return false
-		}
-		if m := g.index[pos].sym; g.pointsAt(pos, m) && g.alive(m) && g.digramAt(m, g.syms[m].next) == d {
-			g.processMatch(a, m)
-			return true
-		}
-		// Stale index entry; repoint at the live occurrence.
+	pos, fp, ok := g.find(g.digramAt(a, b))
+	if !ok {
+		g.setDigram(pos, fp, false, a)
+		return false
 	}
-	g.setDigram(pos, ok, d, a)
+	if m := g.index[pos].sym; m != a {
+		g.processMatch(a, m)
+		return true
+	}
 	return false
 }
 
@@ -591,8 +598,8 @@ func (g *Grammar) processMatch(a, m int32) {
 	}
 	g.insertAfter(g.rules[r].guard, c1)
 	g.insertAfter(c1, c2)
-	pos, ok := g.find(d)
-	g.setDigram(pos, ok, d, c1) // rule body becomes the canonical occurrence
+	pos, fp, ok := g.find(d)
+	g.setDigram(pos, fp, ok, c1) // rule body becomes the canonical occurrence
 	// Replace the new occurrence first (its handles are known live),
 	// then the older one if cascades have not already consumed it.
 	g.substitute(a, r)

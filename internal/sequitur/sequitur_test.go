@@ -238,7 +238,7 @@ func TestRandomRuns(t *testing.T) {
 }
 
 // PackShapedSeed is a FuzzAppendDifferential corpus entry shaped like
-// the stream Pack feeds a grammar: near-identical blocks of one
+// the stream a Packer feeds its grammar: near-identical blocks of one
 // terminal per int (here 2..7, the fuzz target keeping three bits of a
 // byte), each with one escaped int (1, then its halves 2 and 3), closed
 // by a 0 separator, each block differing from the first in one int.

@@ -80,7 +80,7 @@ func distinctShapes() *trace.File {
 	return &trace.File{
 		NumRanks: 6, TimingMode: trace.TimingAggregated, TimingBase: 1.2,
 		CST: table, Grammars: gs, RankMap: mkGrammar([]int32{0, 1, 2, 3, 1, 0}),
-		Shape: []int32{-1, -1, -1, -1}, Packed: sequitur.Pack(gs),
+		Shape: []int32{-1, -1, -1, -1}, Packed: packAll(gs),
 	}
 }
 
@@ -95,7 +95,7 @@ func asV1(f *trace.File, pack bool) *trace.File {
 		Salvage: f.Salvage,
 	}
 	if pack {
-		v1.Packed = sequitur.Pack(f.Grammars)
+		v1.Packed = packAll(f.Grammars)
 	}
 	return v1
 }
@@ -300,4 +300,13 @@ func TestShapeRoundTripAllSkeletons(t *testing.T) {
 	if shaped == 0 {
 		t.Fatal("no skeleton repeated a shape")
 	}
+}
+
+// packAll is the final Sequitur pass over gs: a Packer fed them in order.
+func packAll(gs []sequitur.Serialized) sequitur.Serialized {
+	p := sequitur.NewPacker()
+	for _, g := range gs {
+		p.Add(g)
+	}
+	return p.Finish()
 }

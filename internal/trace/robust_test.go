@@ -54,9 +54,9 @@ func richFile(tb testing.TB) *File {
 			Calls:       []int64{8, 8, 3, 8},
 		},
 	}
-	f.Packed = sequitur.Pack(f.Grammars)
-	f.PackedDur = sequitur.Pack(f.DurGrammars)
-	f.PackedInt = sequitur.Pack(f.IntGrammars)
+	f.Packed = packAll(f.Grammars)
+	f.PackedDur = packAll(f.DurGrammars)
+	f.PackedInt = packAll(f.IntGrammars)
 	return f
 }
 
@@ -76,7 +76,7 @@ func shapedFile(tb testing.TB) *File {
 	}
 	f.Shape = []int32{-1, 0, 0, -1}
 	f.RankMap = mkGrammar([]int32{0, 1, 2, 3})
-	f.Packed = sequitur.Pack(f.Representatives())
+	f.Packed = packAll(f.Representatives())
 	return f
 }
 
@@ -113,11 +113,11 @@ func packedFile(tb testing.TB) *File {
 	f.NumRanks = len(f.Grammars)
 	f.Shape = []int32{-1, -1, -1, -1, -1, -1, -1, -1, 0, 0}
 	f.RankMap = mkGrammar([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Packed = sequitur.Pack(f.Representatives())
+	f.Packed = packAll(f.Representatives())
 	f.DurGrammars, f.IntGrammars = variants(10), variants(20)
 	f.DurIndex = []int32{0, 1, 2, 3, 4, 5, 6, 7, 0, 0}
 	f.IntIndex = f.DurIndex
-	f.PackedDur, f.PackedInt = sequitur.Pack(f.DurGrammars), sequitur.Pack(f.IntGrammars)
+	f.PackedDur, f.PackedInt = packAll(f.DurGrammars), packAll(f.IntGrammars)
 	f.Salvage.Calls = make([]int64, f.NumRanks)
 	return f
 }

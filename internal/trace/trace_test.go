@@ -70,7 +70,7 @@ func TestRoundtrip(t *testing.T) {
 func TestPackedRoundtrip(t *testing.T) {
 	f := mkFile(t)
 	// Force a pack and make it profitable by duplicating rules.
-	f.Packed = sequitur.Pack(f.Grammars)
+	f.Packed = packAll(f.Grammars)
 	var buf bytes.Buffer
 	if _, err := f.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestReadNeverPanicsOnRandomBytes(t *testing.T) {
 
 func TestReadNeverPanicsOnTruncations(t *testing.T) {
 	f := mkFile(t)
-	f.Packed = sequitur.Pack(f.Grammars)
+	f.Packed = packAll(f.Grammars)
 	var buf bytes.Buffer
 	f.WriteTo(&buf)
 	data := buf.Bytes()
@@ -264,4 +264,13 @@ func TestReadNeverPanicsOnTruncations(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// packAll is the final Sequitur pass over gs: a Packer fed them in order.
+func packAll(gs []sequitur.Serialized) sequitur.Serialized {
+	p := sequitur.NewPacker()
+	for _, g := range gs {
+		p.Add(g)
+	}
+	return p.Finish()
 }
