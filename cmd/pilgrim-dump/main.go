@@ -20,8 +20,8 @@ import (
 	"sort"
 
 	pilgrim "github.com/hpcrepro/pilgrim"
-	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
 
@@ -177,12 +177,12 @@ func dumpGrammar(w *bufio.Writer, file *pilgrim.TraceFile, rank int) {
 // frame counts and byte totals per (rank, epoch), and the torn-tail
 // report — what a capture actually holds before loadgen replays it.
 func dumpJournals(w *bufio.Writer, path string) {
-	dirs, err := collect.FindJournals(path)
+	dirs, err := framelog.Find(path)
 	if err != nil {
 		fatal(err)
 	}
 	for _, dir := range dirs {
-		jr, err := collect.OpenJournal(dir)
+		jr, err := framelog.OSDir(dir).Open()
 		if err != nil {
 			fatal(err)
 		}

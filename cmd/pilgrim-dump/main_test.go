@@ -131,3 +131,36 @@ func TestDumpStencil(t *testing.T) {
 		t.Errorf("-rank 99: exit %d, stderr %q", code, stderr)
 	}
 }
+
+// TestDumpJournal traces through the spill, which leaves a frame-pair
+// log behind, and inspects it with -journal: the manifest's identity,
+// one pair per rank and no torn tail; then a torn tail once garbage is
+// appended, and exit 1 for a directory holding no log.
+func TestDumpJournal(t *testing.T) {
+	const procs = 8
+	body, err := workloads.Get("stencil2d", 5, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, _, err := pilgrim.Run(procs, pilgrim.Options{SpillDir: dir, MaxResidentSnapshots: 3}, body); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, code := dump(t, "-journal", dir)
+	if code != 0 || !strings.Contains(out, fmt.Sprintf("world=%d state=finalized", procs)) ||
+		!strings.Contains(out, fmt.Sprintf("frames: %d pairs", procs)) || strings.Contains(out, "TORN TAIL") {
+		t.Fatalf("-journal: exit %d, stderr %q, output:\n%s", code, stderr, out)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "local", "frames.jnl"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{1, 2, 3})
+	f.Close()
+	if out, _, code = dump(t, "-journal", dir); code != 0 || !strings.Contains(out, "TORN TAIL: 3 trailing bytes") {
+		t.Errorf("-journal over a torn tail: exit %d, output:\n%s", code, out)
+	}
+	if _, stderr, code = dump(t, "-journal", t.TempDir()); code != 1 || !strings.Contains(stderr, "no run journals") {
+		t.Errorf("-journal over an empty directory: exit %d, stderr %q", code, stderr)
+	}
+}

@@ -29,7 +29,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/hpcrepro/pilgrim/internal/collect"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/loadgen"
 	"github.com/hpcrepro/pilgrim/internal/obs"
 )
@@ -61,7 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: pilgrim-loadgen -addr <collector> -journal <dir> [-amplify N] [-speedup X | -rate N] [chaos flags]")
 		os.Exit(2)
 	}
-	dirs, err := collect.FindJournals(*journal)
+	dirs, err := framelog.Find(*journal)
 	if err != nil {
 		fatal(err)
 	}

@@ -3,7 +3,13 @@ package collect
 import (
 	"errors"
 	"time"
+
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 )
+
+// StartOnFS is Start with run journals on fsys, where a test injects
+// faults.
+func StartOnFS(cfg Config, fsys framelog.FS) (*Server, error) { return start(cfg, fsys) }
 
 // TraceEvicted reports whether a finalized run's in-memory trace
 // bytes have been dropped by retention (test hook).

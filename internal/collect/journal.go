@@ -1,29 +1,28 @@
 package collect
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
 
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/par"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
 // The collector's crash-recovery layer: every accepted snapshot frame
-// is appended to a per-run journal under OutDir/journal/<run>/, and a
-// restarted daemon replays intact frames through the normal idempotent
-// ingest path before accepting new connections. The journal reuses the
-// CRC32C wire framing verbatim — one (Hello, Snapshot) frame pair per
-// accepted snapshot — so replay is literally the ingest loop pointed
-// at a file, torn tails are detected by the same checksum that guards
-// the network, and the file doubles as a spill format any wire reader
-// can consume.
+// is appended to a per-run frame-pair log (internal/framelog) under
+// OutDir/journal/<run>/, and a restarted daemon replays intact frames
+// through the normal idempotent ingest path before accepting new
+// connections. The log reuses the CRC32C wire framing verbatim — one
+// (Hello, Snapshot) frame pair per accepted snapshot — so replay is
+// literally the ingest loop pointed at a file, torn tails are detected
+// by the same checksum that guards the network, and the file doubles as
+// the payload spill of a bounded-memory run and as a recording
+// pilgrim-loadgen replays.
 
 // SyncMode is the journal's fsync policy.
 type SyncMode string
@@ -55,62 +54,14 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	}
 }
 
-const (
-	manifestName = "MANIFEST.json"
-	framesName   = "frames.jnl"
-)
-
-// JournalManifest is a run's durable identity, MANIFEST.json, written
-// when the run is created and rewritten when it completes. Recovery
-// trusts nothing else: a journal directory without a parseable
-// manifest is skipped.
-type JournalManifest struct {
-	RunID      string  `json:"run"`
-	Epoch      uint64  `json:"epoch"`
-	World      int     `json:"nranks"`
-	TimingMode uint8   `json:"timing_mode"`
-	TimingBase float64 `json:"timing_base"`
-	CreatedSec float64 `json:"created_unix"`
-	State      string  `json:"state"` // collecting | finalized | salvaged | failed
-	Reason     string  `json:"reason,omitempty"`
-}
-
-// parseManifest decodes and validates manifest bytes with the same
-// distrust as the wire decoders: the journal directory is an input the
-// daemon did not necessarily write (crashes truncate, operators edit).
-func parseManifest(data []byte) (*JournalManifest, error) {
-	var m JournalManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("collect: manifest: %w", err)
-	}
-	if !runIDOK(m.RunID) || len(m.RunID) > wire.MaxRunID {
-		return nil, fmt.Errorf("collect: manifest run id %q invalid", m.RunID)
-	}
-	if m.World < 1 || m.World > wire.MaxWorldSize {
-		return nil, fmt.Errorf("collect: manifest world size %d outside [1,%d]", m.World, wire.MaxWorldSize)
-	}
-	switch m.State {
-	case "collecting", "finalized", "salvaged", "failed":
-	default:
-		return nil, fmt.Errorf("collect: manifest state %q unknown", m.State)
-	}
-	if math.IsNaN(m.TimingBase) || math.IsInf(m.TimingBase, 0) || m.TimingBase < 0 {
-		return nil, fmt.Errorf("collect: manifest timing base %v implausible", m.TimingBase)
-	}
-	if math.IsNaN(m.CreatedSec) || math.IsInf(m.CreatedSec, 0) {
-		return nil, fmt.Errorf("collect: manifest created time %v implausible", m.CreatedSec)
-	}
-	return &m, nil
-}
-
 // journal is one run's durable frame log. All file I/O happens on a
 // dedicated par.Queue worker, never under the server or run locks; the
 // queue's FIFO order preserves append order because entries are
 // enqueued under the run lock.
 type journal struct {
-	dir     string
+	dir     framelog.Dir
 	mode    SyncMode
-	man     JournalManifest
+	man     framelog.Manifest
 	m       *Metrics
 	obs     *obs.Sink
 	logf    func(format string, args ...any)
@@ -126,7 +77,7 @@ type journal struct {
 	nextOff int64
 
 	// Queue-goroutine-owned state.
-	f     *os.File
+	f     framelog.File // frames.jnl, appended to
 	dirty bool
 
 	// Cross-goroutine observability (admin recovery view).
@@ -141,22 +92,14 @@ type journal struct {
 	lastLagWarn atomic.Int64
 }
 
-// newJournal builds the run's journal and enqueues its open: MkdirAll,
-// create/truncate the frames file (fresh runs truncate so an epoch
-// restart of a reused run ID cannot replay stale frames), and persist
-// the manifest. No I/O happens on the caller's goroutine.
-func newJournal(dir string, mode SyncMode, man JournalManifest, m *Metrics, sink *obs.Sink, logf func(string, ...any), fresh bool, lagWarn time.Duration, keep bool) *journal {
+// newJournal builds the run's journal and enqueues its open: create
+// the log (fresh runs truncate so an epoch restart of a reused run ID
+// cannot replay stale frames) and persist the manifest. No I/O happens
+// on the caller's goroutine.
+func newJournal(dir framelog.Dir, mode SyncMode, man framelog.Manifest, m *Metrics, sink *obs.Sink, logf func(string, ...any), fresh bool, lagWarn time.Duration, keep bool) *journal {
 	j := &journal{dir: dir, mode: mode, man: man, m: m, obs: sink, logf: logf, q: par.NewQueue(64), lagWarn: lagWarn, keep: keep}
 	j.q.Do(func() {
-		if err := os.MkdirAll(j.dir, 0o755); err != nil {
-			j.fail("create journal dir", err)
-			return
-		}
-		flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		if fresh {
-			flags |= os.O_TRUNC
-		}
-		f, err := os.OpenFile(filepath.Join(j.dir, framesName), flags, 0o644)
+		f, err := j.dir.Create(fresh)
 		if err != nil {
 			j.fail("open journal", err)
 			return
@@ -176,50 +119,27 @@ func (j *journal) fail(what string, err error) {
 	}
 }
 
-// writeManifestNow persists the manifest atomically (tmp + rename +
-// fsync). Queue goroutine only.
+// writeManifestNow persists the manifest atomically, fsynced unless
+// the sync mode is off. Queue goroutine only.
 func (j *journal) writeManifestNow() {
-	data, err := json.MarshalIndent(&j.man, "", "  ")
-	if err != nil {
-		j.fail("encode manifest", err)
-		return
-	}
-	tmp := filepath.Join(j.dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := j.dir.WriteManifest(&j.man, j.mode != SyncOff); err != nil {
 		j.fail("write manifest", err)
-		return
-	}
-	_, werr := f.Write(append(data, '\n'))
-	if werr == nil && j.mode != SyncOff {
-		werr = f.Sync()
-	}
-	if err := f.Close(); werr == nil {
-		werr = err
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, filepath.Join(j.dir, manifestName))
-	}
-	if werr != nil {
-		j.fail("write manifest", werr)
 	}
 }
 
 // appendSnapshot enqueues one accepted snapshot's (Hello, Snapshot)
 // frame pair. It copies both into a private buffer first, so the
-// caller's scratch body can be reused immediately. The returned
-// (off, length) locate the entry in frames.jnl — valid because
-// appends are caller-ordered under r.mu — letting the bounded-memory
+// caller's scratch body can be reused immediately. The returned ref
+// locates the entry in frames.jnl — valid because appends are
+// caller-ordered under r.mu — letting the bounded-memory
 // ingest path treat the journal as its payload spill. The returned
 // wait function is non-nil only under SyncAlways: the caller must
 // invoke it (outside any lock) before acking, and it blocks until the
 // entry is fsynced.
-func (j *journal) appendSnapshot(h *wire.Hello, body []byte) (off, length int64, wait func()) {
-	hb := h.Encode()
-	entry := wire.AppendFrame(make([]byte, 0, len(hb)+len(body)+18), wire.TypeHello, hb)
-	entry = wire.AppendFrame(entry, wire.TypeSnapshot, body)
-	off, length = j.nextOff, int64(len(entry))
-	j.nextOff += length
+func (j *journal) appendSnapshot(h *wire.Hello, body []byte) (ref framelog.Ref, wait func()) {
+	entry := framelog.AppendPair(nil, h, body)
+	ref = framelog.Ref{Off: j.nextOff, Len: int64(len(entry))}
+	j.nextOff += ref.Len
 	var done chan struct{}
 	if j.mode == SyncAlways {
 		done = make(chan struct{})
@@ -253,9 +173,9 @@ func (j *journal) appendSnapshot(h *wire.Hello, body []byte) (off, length int64,
 		}
 	})
 	if !ok || done == nil {
-		return off, length, nil
+		return ref, nil
 	}
-	return off, length, func() { <-done }
+	return ref, func() { <-done }
 }
 
 // fsyncNow flushes the frames file. Queue goroutine only.
@@ -347,7 +267,7 @@ func (j *journal) finalizeRun(state, reason string) {
 		if j.keep {
 			return
 		}
-		if err := os.Remove(filepath.Join(j.dir, framesName)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := j.dir.RemoveFrames(); err != nil {
 			j.fail("remove frames", err)
 		}
 	})
@@ -391,9 +311,6 @@ func (j *journal) status() (frames, bytes int64, broken bool) {
 
 // --- recovery ----------------------------------------------------------------
 
-// journalRoot is where run journals live under OutDir.
-func journalRoot(outDir string) string { return filepath.Join(outDir, "journal") }
-
 // RecoveryStatus is the admin view of one run's crash-recovery state
 // and journal health (GET /runs/{id}/recovery).
 type RecoveryStatus struct {
@@ -417,7 +334,7 @@ type RecoveryStatus struct {
 // the idempotent ingest path. Runs before the listener accepts, so a
 // reconnecting producer never races its own replay.
 func (s *Server) recoverJournals() {
-	root := journalRoot(s.cfg.OutDir)
+	root := framelog.Root(s.cfg.OutDir)
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return // no journal dir: fresh OutDir
@@ -433,7 +350,7 @@ func (s *Server) recoverJournals() {
 // recoverRun restores one journal directory. Any malformed state is
 // logged and skipped — recovery must never prevent startup.
 func (s *Server) recoverRun(jdir string) {
-	jr, err := OpenJournal(jdir)
+	jr, err := s.journalDir(jdir).Open()
 	if err != nil {
 		s.logf("recover %s: %v (skipped)", jdir, err)
 		return
@@ -455,14 +372,14 @@ func (s *Server) recoverRun(jdir string) {
 // late waiters, duplicate re-sends, and admin fetches behave exactly
 // as they would had the daemon not restarted. The trace itself is
 // served from the OutDir file.
-func (s *Server) recoverFinalized(m *JournalManifest, jr *JournalReader) {
+func (s *Server) recoverFinalized(m *framelog.Manifest, jr *framelog.Reader) {
 	tracePath := filepath.Join(s.cfg.OutDir, m.RunID+".pilgrim")
 	fi, err := os.Stat(tracePath)
 	if err != nil {
 		// Manifest says done but the trace is gone; if frames survived
 		// (crash between trace write and frame removal), replay rebuilds
 		// the identical trace. Otherwise there is nothing to restore.
-		if jr.f != nil {
+		if jr.HasFrames() {
 			m.State = "collecting"
 			s.replayRun(m, jr)
 		} else {
@@ -487,7 +404,7 @@ func (s *Server) recoverFinalized(m *JournalManifest, jr *JournalReader) {
 	r.recovery = &RecoveryStatus{
 		Recovered:    true,
 		FromManifest: true,
-		JournalPath:  jr.dir,
+		JournalPath:  jr.Dir().Path,
 		JournalSync:  string(s.cfg.JournalSync),
 	}
 	close(r.done)
@@ -500,7 +417,7 @@ func (s *Server) recoverFinalized(m *JournalManifest, jr *JournalReader) {
 
 // registerRecovered creates the registry entry for a recovered run
 // without admission checks — it was admitted before the crash.
-func (s *Server) registerRecovered(m *JournalManifest) *run {
+func (s *Server) registerRecovered(m *framelog.Manifest) *run {
 	r := newRun(m.RunID, m.World, m.Epoch, m.TimingMode, m.TimingBase, s.cfg.FinalizeWorkers)
 	r.opts.ObsSink = s.obs
 	r.opts.MaxResidentSnapshots = s.cfg.MaxResidentSnapshots
@@ -517,13 +434,13 @@ func (s *Server) registerRecovered(m *JournalManifest) *run {
 // truncated read, or frame that does not belong to this run, and the
 // file is truncated there — a torn tail is expected after a crash and
 // must never fail the whole run.
-func (s *Server) replayRun(m *JournalManifest, jr *JournalReader) {
-	pairs, _ := jr.ReadAll() // a torn tail ends the read; Torn reports it
+func (s *Server) replayRun(m *framelog.Manifest, jr *framelog.Reader) {
+	pairs := jr.ReadAll() // a torn tail ends the read; Torn reports it
 	torn, cut := jr.Torn()
-	goodOff := jr.good
+	goodOff := jr.Intact()
 	if cut > 0 {
-		if err := os.Truncate(filepath.Join(jr.dir, framesName), goodOff); err != nil {
-			s.logf("recover run %s: truncate torn tail: %v", m.RunID, err)
+		if err := jr.Repair(); err != nil {
+			s.logf("recover run %s: %v", m.RunID, err)
 		}
 		s.m.JournalTornTails.Inc()
 	}
@@ -544,7 +461,7 @@ func (s *Server) replayRun(m *JournalManifest, jr *JournalReader) {
 		ReplayedBytes:  goodOff,
 		TornTail:       torn,
 		TruncatedBytes: cut,
-		JournalPath:    jr.dir,
+		JournalPath:    jr.Dir().Path,
 		JournalSync:    string(s.cfg.JournalSync),
 	}
 	r.mu.Lock()
@@ -560,7 +477,7 @@ func (s *Server) replayRun(m *JournalManifest, jr *JournalReader) {
 		rec.DeadlineSec = remaining.Seconds()
 	}
 	r.recovery = rec
-	r.journal = newJournal(jr.dir, s.cfg.JournalSync, *m, s.m, s.obs, s.logf, false, s.cfg.JournalLagWarn, s.cfg.KeepJournalFrames)
+	r.journal = newJournal(jr.Dir(), s.cfg.JournalSync, *m, s.m, s.obs, s.logf, false, s.cfg.JournalLagWarn, s.cfg.KeepJournalFrames)
 	r.journal.frames.Store(int64(len(pairs)))
 	r.journal.bytes.Store(goodOff)
 	r.journal.nextOff = goodOff
@@ -570,7 +487,7 @@ func (s *Server) replayRun(m *JournalManifest, jr *JournalReader) {
 	s.m.RecoveredRuns.Inc()
 
 	for _, p := range pairs {
-		ack, _ := s.ingest(p.Hello, p.snap, nil, true, [2]int64{p.off, p.Bytes()})
+		ack, _ := s.ingest(p.Hello, p.Body, nil, true, p.Ref())
 		if ack != nil && ack.Status == wire.AckOK {
 			s.m.JournalReplayedFrames.Inc()
 		}
@@ -579,3 +496,7 @@ func (s *Server) replayRun(m *JournalManifest, jr *JournalReader) {
 	s.logf("run %s: recovered (%d frames replayed, torn=%v, %d/%d ranks)",
 		m.RunID, len(pairs), torn, r.receivedNow(), m.World)
 }
+
+// journalDir is the run log directory path on the collector's file
+// system.
+func (s *Server) journalDir(path string) framelog.Dir { return framelog.Dir{FS: s.fs, Path: path} }

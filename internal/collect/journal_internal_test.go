@@ -1,29 +1,31 @@
 package collect
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 )
 
 // TestParseManifestRoundTrip pins the manifest schema: what the
 // journal writes, recovery accepts.
 func TestParseManifestRoundTrip(t *testing.T) {
-	in := JournalManifest{
+	in := framelog.Manifest{
 		RunID: "run-1", Epoch: 7, World: 16,
 		TimingMode: 1, TimingBase: 1.01,
 		CreatedSec: 1754600000.25, State: "collecting",
 	}
-	data, err := json.Marshal(&in)
+	d := framelog.OSDir(t.TempDir())
+	if err := d.WriteManifest(&in, false); err != nil {
+		t.Fatal(err)
+	}
+	jr, err := d.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := parseManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *out != in {
-		t.Fatalf("round trip: %+v != %+v", *out, in)
+	defer jr.Close()
+	if out := jr.Manifest(); out != in {
+		t.Fatalf("round trip: %+v != %+v", out, in)
 	}
 }
 
@@ -40,13 +42,13 @@ func TestParseManifestRejectsHostileInput(t *testing.T) {
 		{"bad state", `{"run":"r","nranks":2,"state":"exploded"}`},
 		{"negative base", `{"run":"r","nranks":2,"state":"collecting","timing_base":-3}`},
 	} {
-		if _, err := parseManifest([]byte(tc.body)); err == nil {
+		if _, err := framelog.ParseManifest([]byte(tc.body)); err == nil {
 			t.Errorf("%s: accepted %q", tc.name, tc.body)
 		}
 	}
 }
 
-// FuzzManifest: parseManifest must never panic and must only accept
+// FuzzManifest: framelog.ParseManifest must never panic and must only accept
 // manifests whose identity fields survive its own validation rules.
 func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"run":"demo","epoch":1,"nranks":8,"timing_mode":0,"timing_base":0,"created_unix":1.7e9,"state":"collecting"}`))
@@ -57,11 +59,11 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"run":"r","nranks":-1,"state":"collecting"}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := parseManifest(data)
+		m, err := framelog.ParseManifest(data)
 		if err != nil {
 			return
 		}
-		if !runIDOK(m.RunID) || strings.ContainsAny(m.RunID, "/\\") {
+		if !framelog.ValidRunID(m.RunID) || strings.ContainsAny(m.RunID, "/\\") {
 			t.Fatalf("accepted hostile run id %q", m.RunID)
 		}
 		if m.World < 1 {

@@ -11,9 +11,9 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
-	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
 // The run lifecycle: a run collects snapshots, advances one finalize
@@ -47,8 +47,8 @@ type run struct {
 	walked   int
 	arrived  int
 	stepping bool
-	spilled  int        // unwalked snapshots whose payloads live only in the journal
-	jrefs    [][2]int64 // rank -> journal (offset, length); nil until first spill
+	spilled  int            // unwalked snapshots whose payloads live only in the journal
+	jrefs    []framelog.Ref // rank -> journal entry; nil until first spill
 	// pendingInfo carries salvage metadata from salvageRun to the step
 	// that walks the last rank and finalizes the run.
 	pendingInfo *trace.SalvageInfo
@@ -178,7 +178,7 @@ func (s *Server) walkSteps(r *run) {
 		}
 		start := r.walked
 		snaps := slices.Clone(r.snaps[start : start+n])
-		var refs [][2]int64
+		var refs []framelog.Ref
 		if r.jrefs != nil {
 			refs = r.jrefs[start : start+n]
 		}
@@ -197,7 +197,7 @@ func (s *Server) walkSteps(r *run) {
 		}
 		for i, sn := range r.snaps[start : start+n] {
 			release(sn)
-			if refs != nil && refs[i][1] != 0 {
+			if refs != nil && refs[i].Len != 0 {
 				r.spilled--
 			}
 		}
@@ -217,7 +217,7 @@ func (s *Server) walkSteps(r *run) {
 // step walks one batch: the ranks whose payloads were spilled are read
 // back from the journal, tables included, and the batch goes into the
 // walk under one ingest.walk span.
-func (s *Server) step(r *run, w *core.Walk, j *journal, start int, snaps []*core.Snapshot, refs [][2]int64) error {
+func (s *Server) step(r *run, w *core.Walk, j *journal, start int, snaps []*core.Snapshot, refs []framelog.Ref) error {
 	sp := s.obs.Start("collect", "ingest.walk").WithRun(r.id, -1, r.epoch).
 		WithAttr("start", int64(start)).WithAttr("ranks", int64(len(snaps)))
 	t0 := time.Now()
@@ -240,40 +240,21 @@ func (s *Server) step(r *run, w *core.Walk, j *journal, start int, snaps []*core
 // worker never takes r.mu), and the entries are read through a private
 // handle, as the append handle belongs to the queue worker. An identity
 // mismatch is a bug, not a torn tail: refs cover only accepted appends.
-func (r *run) readBack(j *journal, start int, snaps []*core.Snapshot, refs [][2]int64) error {
-	if !slices.ContainsFunc(refs, func(ref [2]int64) bool { return ref[1] != 0 }) {
+func (r *run) readBack(j *journal, start int, snaps []*core.Snapshot, refs []framelog.Ref) error {
+	if !slices.ContainsFunc(refs, func(ref framelog.Ref) bool { return ref.Len != 0 }) {
 		return nil
 	}
 	j.q.Barrier()
 	if j.broken.Load() {
 		return fmt.Errorf("journal broken with payloads spilled to it")
 	}
-	f, err := os.Open(filepath.Join(j.dir, framesName))
+	f, err := j.dir.OpenFrames()
 	if err != nil {
-		return fmt.Errorf("open journal frames: %w", err)
+		return err
 	}
 	defer f.Close()
-	var buf []byte // one journal entry, reused across the batch
-	for i, ref := range refs {
-		if ref[1] == 0 {
-			continue
-		}
-		rank := start + i
-		buf = slices.Grow(buf[:0], int(ref[1]))[:ref[1]]
-		if _, err := f.ReadAt(buf, ref[0]); err != nil {
-			return fmt.Errorf("journal rank %d: %w", rank, err)
-		}
-		h, snap, err := wire.DecodePair(buf)
-		if err != nil {
-			return fmt.Errorf("journal rank %d: %w", rank, err)
-		}
-		if h.Rank != rank || h.RunID != r.id || h.Epoch != r.epoch {
-			return fmt.Errorf("journal entry at %d holds run %s rank %d epoch %d, expected %s/%d/%d",
-				ref[0], h.RunID, h.Rank, h.Epoch, r.id, rank, r.epoch)
-		}
-		snaps[i] = snap
-	}
-	return nil
+	fe := framelog.Fetcher{From: f, Run: r.id, Epoch: r.epoch}
+	return fe.Fetch(start, refs, snaps)
 }
 
 // stopWalkLocked (r.mu held, no step running) joins the walk's Packer

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
@@ -121,6 +122,7 @@ type Config struct {
 // registry. HTTP administration is layered on via AdminHandler.
 type Server struct {
 	cfg   Config
+	fs    framelog.FS // where run journals live
 	m     *Metrics
 	obs   *obs.Sink
 	ln    net.Listener
@@ -158,7 +160,10 @@ func (e *overLimit) Error() string {
 
 // Start listens on cfg.Listen and serves ingest connections in the
 // background until Close.
-func Start(cfg Config) (*Server, error) {
+func Start(cfg Config) (*Server, error) { return start(cfg, framelog.OS) }
+
+// start is Start with run journals on fsys.
+func start(cfg Config, fsys framelog.FS) (*Server, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
@@ -176,6 +181,7 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
+		fs:       fsys,
 		m:        cfg.Metrics,
 		obs:      cfg.Obs,
 		ln:       ln,
@@ -346,7 +352,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			s.m.IngestBytes.Add(int64(len(body)))
-			ack, nack := s.ingest(hello, body, &sc, false, [2]int64{})
+			ack, nack := s.ingest(hello, body, &sc, false, framelog.Ref{})
 			v2 := hello.Version >= 2
 			hello = nil
 			if nack != nil {
@@ -391,25 +397,11 @@ func (s *Server) sendError(conn net.Conn, msg string) {
 	s.send(conn, wire.TypeError, []byte(msg))
 }
 
-// runIDOK rejects identifiers that could escape OutDir or bloat the
-// registry; the wire layer already bounds the length.
-func runIDOK(id string) bool {
-	for _, c := range id {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.':
-		default:
-			return false
-		}
-	}
-	return id != "" && id[0] != '.'
-}
-
 // runFor resolves (creating if needed) the run a hello addresses.
 // Journal replay passes fromJournal to bypass admission: a recovered
 // run was admitted before the crash.
 func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
-	if !runIDOK(h.RunID) {
+	if !framelog.ValidRunID(h.RunID) {
 		return nil, fmt.Errorf("invalid run id %q", h.RunID)
 	}
 	s.mu.Lock()
@@ -457,7 +449,7 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 		r.timer = time.AfterFunc(d, func() { s.salvageRun(r, d) })
 	}
 	if s.cfg.OutDir != "" {
-		man := JournalManifest{
+		man := framelog.Manifest{
 			RunID: h.RunID, Epoch: h.Epoch, World: h.WorldSize,
 			TimingMode: h.TimingMode, TimingBase: h.TimingBase,
 			CreatedSec: float64(r.created.UnixNano()) / 1e9,
@@ -465,7 +457,7 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 		}
 		// fresh=true truncates any stale frames: an epoch restart of a
 		// reused run ID must never replay the previous epoch's journal.
-		r.journal = newJournal(filepath.Join(journalRoot(s.cfg.OutDir), h.RunID),
+		r.journal = newJournal(s.journalDir(filepath.Join(framelog.Root(s.cfg.OutDir), h.RunID)),
 			s.cfg.JournalSync, man, s.m, s.obs, s.logf, true, s.cfg.JournalLagWarn, s.cfg.KeepJournalFrames)
 	}
 	s.runs[h.RunID] = r
@@ -488,7 +480,7 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 // admission is bypassed, the frame is not re-journaled (jref locates
 // the existing journal entry), and the walk runs inline so recovery
 // completes before the listener accepts.
-func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, fromJournal bool, jref [2]int64) (*wire.Ack, *wire.Nack) {
+func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, fromJournal bool, jref framelog.Ref) (*wire.Ack, *wire.Nack) {
 	dsp := s.obs.Start("collect", "ingest.decode").
 		WithRun(h.RunID, h.Rank, h.Epoch).WithAttr("bytes", int64(len(body))).
 		WithParent(h.SpanID)
@@ -574,19 +566,18 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 	// queue worker; under SyncAlways the ack below is withheld — via
 	// jwait, outside the lock — until the entry is fsynced.
 	var jwait func()
-	joff, jlen := jref[0], jref[1]
 	if r.journal != nil && !fromJournal {
-		joff, jlen, jwait = r.journal.appendSnapshot(h, body)
+		jref, jwait = r.journal.appendSnapshot(h, body)
 	}
 	// Bounded-memory mode: beyond the resident cap, an unwalked
 	// snapshot's payloads live only in the journal until the walk
 	// reaches its rank and reads them back (walkSteps).
-	if limit := s.cfg.MaxResidentSnapshots; limit > 0 && jlen > 0 && r.journal != nil &&
+	if limit := s.cfg.MaxResidentSnapshots; limit > 0 && jref.Len > 0 && r.journal != nil &&
 		!r.journal.broken.Load() && r.backlogLocked()-r.spilled > limit {
 		if r.jrefs == nil {
-			r.jrefs = make([][2]int64, r.world)
+			r.jrefs = make([]framelog.Ref, r.world)
 		}
-		r.jrefs[snap.Rank] = [2]int64{joff, jlen}
+		r.jrefs[snap.Rank] = jref
 		r.spilled++
 		release(snap)
 	}
@@ -737,7 +728,7 @@ func (s *Server) Recovery(id string) (RecoveryStatus, bool) {
 	}
 	if r.journal != nil {
 		st.JournalFrames, st.JournalBytes, st.JournalBroken = r.journal.status()
-		st.JournalPath = r.journal.dir
+		st.JournalPath = r.journal.dir.Path
 		st.JournalSync = string(r.journal.mode)
 	}
 	return st, true

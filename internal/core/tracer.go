@@ -83,10 +83,10 @@ type Options struct {
 
 	// SpillDir, when non-empty, makes pilgrim.RunSim finalize without
 	// holding every rank's snapshot in memory: ranks are snapshotted a
-	// batch at a time, each batch is written to a journal-format
-	// recording under this directory (the same MANIFEST.json +
-	// frames.jnl layout the collector journals, readable by
-	// pilgrim-dump -journal and replayable by pilgrim-loadgen) and
+	// batch at a time, each batch is appended to a frame-pair log under
+	// this directory (internal/framelog: the MANIFEST.json + frames.jnl
+	// layout the collector journals, readable by pilgrim-dump -journal
+	// and replayable by pilgrim-loadgen) and
 	// finalized straight from memory, and the batch is dropped. The
 	// produced trace is byte-identical to the in-memory finalize; peak
 	// resident snapshots drop from O(ranks) to one batch. The core

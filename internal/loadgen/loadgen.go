@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/collect"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
@@ -37,7 +38,7 @@ type Config struct {
 	// Addr is the collector's TCP ingest address.
 	Addr string
 	// Journals are run journal directories to replay (each holding
-	// MANIFEST.json + frames.jnl; resolve with collect.FindJournals).
+	// MANIFEST.json + frames.jnl; resolve with framelog.Find).
 	Journals []string
 
 	// Amplify is how many synthetic copies of each journal to replay
@@ -132,8 +133,8 @@ type Report struct {
 // capture is one journal loaded into memory, shared read-only by every
 // stream amplified from it.
 type capture struct {
-	man     collect.JournalManifest
-	entries []*collect.JournalEntry
+	man     framelog.Manifest
+	entries []*framelog.Entry
 }
 
 // stream is one amplified replay of one capture: its own run ID, its
@@ -181,15 +182,12 @@ func New(cfg Config) (*Runner, error) {
 		r.m = NewMetrics(nil)
 	}
 	for _, dir := range cfg.Journals {
-		jr, err := collect.OpenJournal(dir)
+		jr, err := framelog.OSDir(dir).Open()
 		if err != nil {
 			return nil, err
 		}
-		entries, err := jr.ReadAll()
+		entries := jr.ReadAll()
 		jr.Close()
-		if err != nil {
-			return nil, err
-		}
 		if torn, trunc := jr.Torn(); torn {
 			r.logf("journal %s: torn tail (%d bytes ignored)", dir, trunc)
 		}
@@ -332,7 +330,7 @@ func (r *Runner) replayStream(ctx context.Context, st *stream, pc *pacer) {
 			holdFrom = 1 // always let rank 0 through so the run exists
 		}
 	}
-	var normal, held []*collect.JournalEntry
+	var normal, held []*framelog.Entry
 	for _, e := range st.cap.entries {
 		if e.Hello.Rank >= holdFrom {
 			held = append(held, e)
@@ -379,7 +377,7 @@ func (r *Runner) replayStream(ctx context.Context, st *stream, pc *pacer) {
 // transport retries. chaos gates drop/dup/reorder: the held-rank flush
 // at the end of a stream replays clean so a HoldFor test
 // deterministically completes its run.
-func (r *Runner) sendEntries(ctx context.Context, st *stream, conn *collect.RawConn, entries []*collect.JournalEntry, rng *rand.Rand, pc *pacer, chaos bool) (*collect.RawConn, bool) {
+func (r *Runner) sendEntries(ctx context.Context, st *stream, conn *collect.RawConn, entries []*framelog.Entry, rng *rand.Rand, pc *pacer, chaos bool) (*collect.RawConn, bool) {
 	cfg := &r.cfg
 	var rekeyBuf []byte
 	var prevSendNs int64

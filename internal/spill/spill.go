@@ -1,8 +1,8 @@
 // Package spill is the local half of the streaming, bounded-memory
-// finalize: it snapshots the ranks a batch at a time, writes each batch
-// to an on-disk spill in the collector's journal format (MANIFEST.json
-// + a frames.jnl of CRC32C-framed (Hello, Snapshot) wire pairs —
-// readable by pilgrim-dump -journal and collect.JournalReader,
+// finalize: it snapshots the ranks a batch at a time, appends each
+// batch to a frame-pair log (internal/framelog: MANIFEST.json + a
+// frames.jnl of CRC32C-framed (Hello, Snapshot) wire pairs, the
+// collector journal's layout — readable by pilgrim-dump -journal,
 // replayable by pilgrim-loadgen), and hands the batch straight to
 // core.FinalizeStreamed's walk, which folds, relabels and packs it and
 // drops it. A local run with core.Options.SpillDir set finalizes
@@ -13,73 +13,46 @@
 package spill
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
-const (
-	manifestName = "MANIFEST.json"
-	framesName   = "frames.jnl"
-)
-
-// manifest mirrors the collector journal's MANIFEST.json so the spill
-// directory is inspectable with the same tooling.
-type manifest struct {
-	RunID      string  `json:"run"`
-	Epoch      uint64  `json:"epoch"`
-	World      int     `json:"nranks"`
-	TimingMode uint8   `json:"timing_mode"`
-	TimingBase float64 `json:"timing_base"`
-	CreatedSec float64 `json:"created_unix"`
-	State      string  `json:"state"` // collecting | finalized | salvaged
-	Reason     string  `json:"reason,omitempty"`
-}
-
 // Writer spills snapshots for one run and can serve them back by rank
 // range (Fetch). Not safe for concurrent use.
 type Writer struct {
-	dir string
-	f   interface { // frames.jnl; an interface so a test can count its I/O
-		io.ReaderAt
-		io.WriterAt
-		io.Closer
-	}
-	man   manifest
-	world int
-	off   int64      // where the next staged pair will land
-	refs  [][2]int64 // rank -> (offset, length) of its frame pair; length 0 = not spilled
-	wbuf  []byte     // pairs staged but not yet written; they end at off
-	rbuf  []byte     // Fetch's read buffer, reused across runs
-	// runCap bounds the bytes one ReadAt or WriteAt moves: a run of pairs
-	// is cut there and a larger pair travels alone, so neither buffer
-	// rivals the batch it serves.
-	runCap int
+	dir  framelog.Dir
+	f    framelog.File // frames.jnl, appended to
+	man  framelog.Manifest
+	off  int64          // where the next staged pair will land
+	refs []framelog.Ref // by rank; the zero Ref = not spilled
+	wbuf []byte         // pairs staged but not yet written; they end at off
+	// fetch reads ranks back; its RunCap also bounds wbuf, so neither
+	// buffer rivals the batch it serves.
+	fetch framelog.Fetcher
 }
 
 // NewWriter creates (or truncates) the spill for runID under dir,
 // writing a collecting-state manifest up front so a crash mid-spill
 // leaves a self-describing directory behind.
 func NewWriter(dir, runID string, world int, opts core.Options) (*Writer, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("spill: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, framesName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	return newWriter(framelog.OSDir(dir), runID, world, opts)
+}
+
+func newWriter(dir framelog.Dir, runID string, world int, opts core.Options) (*Writer, error) {
+	f, err := dir.Create(true)
 	if err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
 	w := &Writer{
 		dir: dir,
 		f:   f,
-		man: manifest{
+		man: framelog.Manifest{
 			RunID:      runID,
 			Epoch:      uint64(time.Now().UnixNano()),
 			World:      world,
@@ -88,30 +61,14 @@ func NewWriter(dir, runID string, world int, opts core.Options) (*Writer, error)
 			CreatedSec: float64(time.Now().UnixNano()) / 1e9,
 			State:      "collecting",
 		},
-		world:  world,
-		refs:   make([][2]int64, world),
-		runCap: 1 << 20,
+		refs: make([]framelog.Ref, world),
 	}
-	if err := w.writeManifest(); err != nil {
+	w.fetch = framelog.Fetcher{From: f, Run: runID, Epoch: w.man.Epoch, RunCap: framelog.DefaultRunCap}
+	if err := w.dir.WriteManifest(&w.man, false); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("spill: %w", err)
 	}
 	return w, nil
-}
-
-func (w *Writer) writeManifest() error {
-	data, err := json.MarshalIndent(&w.man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("spill: manifest: %w", err)
-	}
-	tmp := filepath.Join(w.dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("spill: manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, manifestName)); err != nil {
-		return fmt.Errorf("spill: manifest: %w", err)
-	}
-	return nil
 }
 
 // Add appends one rank's snapshot as a (Hello, Snapshot) wire frame
@@ -126,45 +83,36 @@ func (w *Writer) Add(s *core.Snapshot) error {
 }
 
 // stage builds one rank's frame pair into the write buffer; the next
-// flush (forced here once runCap bytes wait) lands it in the file.
+// flush (forced here once RunCap bytes wait) lands it in the file.
 func (w *Writer) stage(s *core.Snapshot) error {
-	if s.Rank < 0 || s.Rank >= w.world {
-		return fmt.Errorf("spill: rank %d out of range [0,%d)", s.Rank, w.world)
+	if s.Rank < 0 || s.Rank >= len(w.refs) {
+		return fmt.Errorf("spill: rank %d out of range [0,%d)", s.Rank, len(w.refs))
 	}
-	if w.refs[s.Rank][1] != 0 {
+	if w.refs[s.Rank].Len != 0 {
 		return fmt.Errorf("spill: rank %d spilled twice", s.Rank)
-	}
-	h := wire.Hello{
-		Version:    wire.Version,
-		RunID:      w.man.RunID,
-		WorldSize:  w.world,
-		Rank:       s.Rank,
-		Epoch:      w.man.Epoch,
-		TimingMode: w.man.TimingMode,
-		TimingBase: w.man.TimingBase,
 	}
 	body := wire.EncodeSnapshot(s)
 	if len(body) > wire.MaxFrame {
 		return fmt.Errorf("spill: rank %d snapshot of %d bytes exceeds the frame cap", s.Rank, len(body))
 	}
+	h := w.man.Hello(s.Rank)
 	before := len(w.wbuf)
-	w.wbuf = wire.AppendFrame(w.wbuf, wire.TypeHello, h.Encode())
-	w.wbuf = wire.AppendFrame(w.wbuf, wire.TypeSnapshot, body)
+	w.wbuf = framelog.AppendPair(w.wbuf, &h, body)
 	n := int64(len(w.wbuf) - before)
-	w.refs[s.Rank] = [2]int64{w.off, n}
+	w.refs[s.Rank] = framelog.Ref{Off: w.off, Len: n}
 	w.off += n
-	if len(w.wbuf) >= w.runCap {
+	if len(w.wbuf) >= w.fetch.RunCap {
 		return w.flush()
 	}
 	return nil
 }
 
-// flush lands every staged pair with one WriteAt.
+// flush lands every staged pair with one write.
 func (w *Writer) flush() error {
 	if len(w.wbuf) == 0 {
 		return nil
 	}
-	_, err := w.f.WriteAt(w.wbuf, w.off-int64(len(w.wbuf)))
+	_, err := w.f.Write(w.wbuf)
 	w.wbuf = w.wbuf[:0]
 	if err != nil {
 		return fmt.Errorf("spill: %w", err)
@@ -175,46 +123,20 @@ func (w *Writer) flush() error {
 // Fetch re-reads and CRC-validates the spilled frame pairs for
 // [start, start+n), returning fresh, fully decoded snapshots. Each
 // maximal run of pairs that sit back to back in the file (a rank-ordered
-// spill is one run per batch) comes in with one ReadAt, cut at runCap,
-// and is decoded in place.
+// spill is one run per batch) comes in with one read.
 func (w *Writer) Fetch(start, n int) ([]*core.Snapshot, error) {
-	if start < 0 || start+n > w.world {
-		return nil, fmt.Errorf("spill: fetch [%d,%d) out of range [0,%d)", start, start+n, w.world)
+	if start < 0 || n < 0 || start+n > len(w.refs) {
+		return nil, fmt.Errorf("spill: fetch [%d,%d) out of range [0,%d)", start, start+n, len(w.refs))
 	}
-	snaps := make([]*core.Snapshot, n)
-	for i := 0; i < n; {
-		off, size := w.refs[start+i][0], w.refs[start+i][1]
-		if size == 0 {
+	refs := w.refs[start : start+n]
+	for i, ref := range refs {
+		if ref.Len == 0 {
 			return nil, fmt.Errorf("spill: rank %d was never spilled", start+i)
 		}
-		// An unspilled rank's zero ref never continues a run (no pair
-		// ends at offset 0), so it stops here and fails above.
-		j := i + 1
-		for ; j < n; j++ {
-			next := w.refs[start+j]
-			if next[0] != off+size || size+next[1] > int64(w.runCap) {
-				break
-			}
-			size += next[1]
-		}
-		w.rbuf = slices.Grow(w.rbuf[:0], int(size))
-		buf := w.rbuf[:size]
-		if _, err := w.f.ReadAt(buf, off); err != nil {
-			return nil, fmt.Errorf("spill: ranks [%d,%d) at offset %d: %w", start+i, start+j, off, err)
-		}
-		for ; i < j; i++ {
-			rank := start + i
-			pair := buf[:w.refs[rank][1]]
-			buf = buf[len(pair):]
-			h, s, err := wire.DecodePair(pair)
-			if err != nil {
-				return nil, fmt.Errorf("spill: rank %d: %w", rank, err)
-			}
-			if h.Rank != rank {
-				return nil, fmt.Errorf("spill: frame at offset %d holds rank %d, expected %d", w.refs[rank][0], h.Rank, rank)
-			}
-			snaps[i] = s
-		}
+	}
+	snaps := make([]*core.Snapshot, n)
+	if err := w.fetch.Fetch(start, refs, snaps); err != nil {
+		return nil, fmt.Errorf("spill: %w", err)
 	}
 	return snaps, nil
 }
@@ -224,7 +146,10 @@ func (w *Writer) Fetch(start, n int) ([]*core.Snapshot, error) {
 // wire recording (pilgrim-dump -journal, pilgrim-loadgen).
 func (w *Writer) Finish(state, reason string) error {
 	w.man.State, w.man.Reason = state, reason
-	return w.writeManifest()
+	if err := w.dir.WriteManifest(&w.man, false); err != nil {
+		return fmt.Errorf("spill: %w", err)
+	}
+	return nil
 }
 
 // Close releases the spill's file handle.
@@ -272,7 +197,7 @@ func FinalizeRanks(world int, take func(rank int) *core.Snapshot, info *trace.Sa
 }
 
 func (w *Writer) finalize(take func(rank int) *core.Snapshot, info *trace.SalvageInfo, opts core.Options) (*trace.File, core.FinalizeStats, error) {
-	f, st, err := core.FinalizeStreamed(w.world, func(start, n int) ([]*core.Snapshot, error) {
+	f, st, err := core.FinalizeStreamed(len(w.refs), func(start, n int) ([]*core.Snapshot, error) {
 		return w.spillBatch(take, start, n, opts)
 	}, nil, 0, opts, info)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,6 +14,8 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
+	"github.com/hpcrepro/pilgrim/internal/framelog/framelogtest"
 	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
@@ -173,30 +176,51 @@ func TestFetchDetectsCorruption(t *testing.T) {
 // newTestWriter opens a spill of world ranks in a fresh directory.
 func newTestWriter(t *testing.T, world int) (*Writer, string) {
 	t.Helper()
+	w, dir, _ := newCountedWriter(t, world)
+	return w, dir
+}
+
+// newCountedWriter is newTestWriter on a file system that counts the
+// reads and writes reaching frames.jnl.
+func newCountedWriter(t *testing.T, world int) (*Writer, string, *countingFS) {
+	t.Helper()
 	dir := t.TempDir()
-	w, err := NewWriter(dir, "t", world, core.Options{})
+	cfs := &countingFS{FS: framelog.OS}
+	w, err := newWriter(framelog.Dir{FS: cfs, Path: dir}, "t", world, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	return w, dir
+	return w, dir, cfs
 }
 
-// countingFile counts the ReadAt and WriteAt calls that reach
-// frames.jnl.
-type countingFile struct {
-	*os.File
+// countingFS counts the ReadAt and Write calls that reach frames.jnl.
+type countingFS struct {
+	framelog.FS
 	reads, writes int
 }
 
+func (c *countingFS) OpenFile(name string, flag int) (framelog.File, error) {
+	f, err := c.FS.OpenFile(name, flag)
+	if err != nil || filepath.Base(name) != framelog.FramesName {
+		return f, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+type countingFile struct {
+	framelog.File
+	fs *countingFS
+}
+
 func (c *countingFile) ReadAt(p []byte, off int64) (int, error) {
-	c.reads++
+	c.fs.reads++
 	return c.File.ReadAt(p, off)
 }
 
-func (c *countingFile) WriteAt(p []byte, off int64) (int, error) {
-	c.writes++
-	return c.File.WriteAt(p, off)
+func (c *countingFile) Write(p []byte) (int, error) {
+	c.fs.writes++
+	return c.File.Write(p)
 }
 
 // TestFetchOrderAndRunCapIndependent: whatever order the ranks were
@@ -214,7 +238,7 @@ func TestFetchOrderAndRunCapIndependent(t *testing.T) {
 	if err := probe.Add(mkSnapshot(0)); err != nil {
 		t.Fatal(err)
 	}
-	pairLen := int(probe.refs[0][1])
+	pairLen := int(probe.refs[0].Len)
 	orders := map[string][]int{"ranked": nil, "reversed": nil, "interleaved": nil, "shuffled": rand.New(rand.NewSource(7)).Perm(world)}
 	for r := 0; r < world; r++ {
 		orders["ranked"] = append(orders["ranked"], r)
@@ -224,7 +248,7 @@ func TestFetchOrderAndRunCapIndependent(t *testing.T) {
 	for name, order := range orders {
 		for _, runCap := range []int{1, pairLen, 2*pairLen + 1, 5 * pairLen, 1 << 20} {
 			w, _ := newTestWriter(t, world)
-			w.runCap = runCap
+			w.fetch.RunCap = runCap
 			for _, r := range order {
 				if err := w.Add(mkSnapshot(r)); err != nil {
 					t.Fatal(err)
@@ -249,23 +273,21 @@ func TestFetchOrderAndRunCapIndependent(t *testing.T) {
 // a file cut short fails it too. Nothing panics.
 func TestCoalescedReadNamesCorruptRank(t *testing.T) {
 	const world, j = 64, 37
-	w, dir := newTestWriter(t, world)
+	w, dir, cfs := newCountedWriter(t, world)
 	for r := 0; r < world; r++ {
 		if err := w.Add(mkSnapshot(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cf := &countingFile{File: w.f.(*os.File)}
-	w.f = cf
-	if _, err := w.Fetch(0, world); err != nil || cf.reads != 1 {
-		t.Fatalf("clean fetch: %d reads (want 1), err %v", cf.reads, err)
+	if _, err := w.Fetch(0, world); err != nil || cfs.reads != 1 {
+		t.Fatalf("clean fetch: %d reads (want 1), err %v", cfs.reads, err)
 	}
-	path := filepath.Join(dir, framesName)
+	path := filepath.Join(dir, framelog.FramesName)
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := int(w.refs[j][0])
+	off := int(w.refs[j].Off)
 	helloLen := int(binary.LittleEndian.Uint32(clean[off:]))
 	snapOff := off + 5 + helloLen + 4
 	for name, at := range map[string]int{
@@ -275,7 +297,7 @@ func TestCoalescedReadNamesCorruptRank(t *testing.T) {
 		"snapshot length": snapOff,
 		"snapshot type":   snapOff + 4,
 		"snapshot body":   snapOff + 5 + 20,
-		"snapshot crc":    off + int(w.refs[j][1]) - 1,
+		"snapshot crc":    off + int(w.refs[j].Len) - 1,
 	} {
 		bad := append([]byte(nil), clean...)
 		bad[at] ^= 0x41
@@ -304,17 +326,15 @@ func TestCoalescedReadNamesCorruptRank(t *testing.T) {
 // size so far.
 func TestFinalizeIOPerBatch(t *testing.T) {
 	const world, batch = 4096, 256
-	w, _ := newTestWriter(t, world)
-	cf := &countingFile{File: w.f.(*os.File)}
-	w.f = cf
+	w, _, cfs := newCountedWriter(t, world)
 	sink := obs.NewSink(1 << 12)
 	opts := core.Options{MaxResidentSnapshots: batch, ObsSink: sink}
 	f, st, err := w.finalize(mkSnapshot, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max := world/batch + 1; cf.reads != 0 || cf.writes > max {
-		t.Fatalf("%d reads and %d writes of frames.jnl, want none and at most %d", cf.reads, cf.writes, max)
+	if max := world/batch + 1; cfs.reads != 0 || cfs.writes > max {
+		t.Fatalf("%d reads and %d writes of frames.jnl, want none and at most %d", cfs.reads, cfs.writes, max)
 	}
 	snaps := make([]*core.Snapshot, world)
 	for r := range snaps {
@@ -371,7 +391,7 @@ func TestFinalizeZeroTracers(t *testing.T) {
 	if f.NumRanks != 0 || f.CST.Len() != 0 || st.TotalCalls != 0 {
 		t.Fatalf("zero-rank finalize = %+v, %+v", f, st)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "local", manifestName))
+	data, err := os.ReadFile(filepath.Join(dir, "local", framelog.ManifestName))
 	if err != nil || !bytes.Contains(data, []byte(`"state": "finalized"`)) {
 		t.Fatalf("manifest = %s, err %v", data, err)
 	}
@@ -391,10 +411,54 @@ func TestAddRejectsOverCapSnapshot(t *testing.T) {
 	if err := w.Add(s); err == nil {
 		t.Fatal("over-cap snapshot accepted")
 	}
-	if fi, err := os.Stat(filepath.Join(dir, framesName)); err != nil || fi.Size() != 0 {
+	if fi, err := os.Stat(filepath.Join(dir, framelog.FramesName)); err != nil || fi.Size() != 0 {
 		t.Fatalf("frames.jnl after a refused Add: %v, err %v", fi, err)
 	}
 	if err := w.Add(mkSnapshot(0)); err != nil {
 		t.Fatalf("rank refused after its over-cap snapshot was: %v", err)
+	}
+}
+
+// TestSpillIsAFrameLog: a finished spill is the collector journal's
+// layout, so the frame-log reader scans it: a finalized manifest, and
+// every rank's pair in rank order, intact, carrying the snapshot that
+// was spilled.
+func TestSpillIsAFrameLog(t *testing.T) {
+	const world, batch = 10, 4
+	w, dir := newTestWriter(t, world)
+	if _, _, err := w.finalize(mkSnapshot, nil, core.Options{MaxResidentSnapshots: batch}); err != nil {
+		t.Fatal(err)
+	}
+	jr, err := framelog.OSDir(dir).Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	if m := jr.Manifest(); m.State != "finalized" || m.World != world || m.RunID != "t" {
+		t.Fatalf("manifest = %+v", m)
+	}
+	entries := jr.ReadAll()
+	if torn, cut := jr.Torn(); torn || cut != 0 || len(entries) != world {
+		t.Fatalf("%d entries, torn %v, cut %d", len(entries), torn, cut)
+	}
+	for r, e := range entries {
+		if e.Hello.Rank != r || e.Ref() != w.refs[r] || !bytes.Equal(e.Body, wire.EncodeSnapshot(mkSnapshot(r))) {
+			t.Fatalf("entry %d: rank %d, ref %+v (spilled at %+v)", r, e.Hello.Rank, e.Ref(), w.refs[r])
+		}
+	}
+}
+
+// TestFinalizeSurfacesAppendFault: a spill whose append fails mid-run
+// fails the finalize with the fault; it never returns a trace.
+func TestFinalizeSurfacesAppendFault(t *testing.T) {
+	ffs := &framelogtest.FaultFS{FS: framelog.OS, Op: framelogtest.WriteFrames, N: 2}
+	w, err := newWriter(framelog.Dir{FS: ffs, Path: t.TempDir()}, "fault", 12, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	f, _, err := w.finalize(mkSnapshot, nil, core.Options{MaxResidentSnapshots: 4})
+	if !errors.Is(err, framelogtest.ErrInjected) || f != nil {
+		t.Fatalf("finalize over a failing append: file %v, err %v", f != nil, err)
 	}
 }

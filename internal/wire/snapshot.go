@@ -177,7 +177,7 @@ func DecodeSnapshot(body []byte) (*core.Snapshot, error) {
 }
 
 // DecodePair parses, in place, the (Hello, Snapshot) frame pair that
-// is the unit of the collector's journal and of internal/spill: both
+// is the unit of a frame-pair log (internal/framelog): both
 // frames checked by SplitFrame, both bodies validated, nothing allowed
 // after the pair. Callers check the Hello's identity against the entry
 // they asked for. Nothing returned aliases b.
