@@ -55,13 +55,19 @@ func main() {
 	fmt.Fprintf(w, "# ranks=%d timing=%s cst=%d grammars=%d size=%dB\n",
 		file.NumRanks, timingName(file.TimingMode), file.CST.Len(), len(file.Grammars), file.SizeBytes())
 	fmt.Fprintf(w, "# %d grammars, %d shapes\n", len(file.Grammars), len(file.Representatives()))
-	// Section sizes are nominal (int32-width) pre-varint numbers; show
-	// the composition as shares of their own total, not of the file.
+	// Section sizes are nominal (int32-width) pre-varint numbers, but for
+	// a deflated timing section's stored bytes; show the composition as
+	// shares of their own total, not of the file.
 	cstB, cfgB, durB, intB := file.SectionSizes()
 	secTotal := cstB + cfgB + durB + intB
 	fmt.Fprintf(w, "# sections: cst=%dB (%s) grammars=%dB (%s) duration=%dB (%s) interval=%dB (%s)\n",
 		cstB, pct(cstB, secTotal), cfgB, pct(cfgB, secTotal),
 		durB, pct(durB, secTotal), intB, pct(intB, secTotal))
+	if file.TimingMode == pilgrim.TimingLossy {
+		dur, intv := file.TimingStorage()
+		fmt.Fprintf(w, "# timing sets: duration %s %dB -> %dB, interval %s %dB -> %dB\n",
+			dur.Form, dur.Raw, dur.Stored, intv.Form, intv.Raw, intv.Stored)
+	}
 	if raw, total := file.UncompressedEstimate(), file.SizeBytes(); raw > 0 && total > 0 {
 		fmt.Fprintf(w, "# compression: %d calls replayed raw ≈ %dB, ratio %.1fx\n",
 			file.CST.Calls(), raw, float64(raw)/float64(total))

@@ -132,6 +132,34 @@ func TestDumpStencil(t *testing.T) {
 	}
 }
 
+// TestDumpTimingSets: a lossy trace's header says how each timing set
+// is stored, raw bytes to stored bytes: deflated for a fresh run, packed
+// for a file an older writer packed them in.
+func TestDumpTimingSets(t *testing.T) {
+	body, err := workloads.Get("stencil2d", 20, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, _, err := pilgrim.Run(16, pilgrim.Options{TimingMode: pilgrim.TimingLossy}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lossy.pilgrim")
+	if err := file.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	dur, intv := file.TimingStorage()
+	fresh := fmt.Sprintf("# timing sets: duration deflated %dB -> %dB, interval deflated %dB -> %dB\n",
+		dur.Raw, dur.Stored, intv.Raw, intv.Stored)
+	older := filepath.Join("..", "..", "internal", "trace", "testdata", "v3", "osu_alltoall_16x20_lossy.pilgrim")
+	for path, want := range map[string]string{path: fresh, older: "# timing sets: duration packed "} {
+		out, stderr, code := dump(t, "-n", "1", path)
+		if code != 0 || !strings.Contains(out, want) {
+			t.Errorf("%s: exit %d, stderr %q, no %q in:\n%s", path, code, stderr, want, out)
+		}
+	}
+}
+
 // TestDumpJournal traces through the spill, which leaves a frame-pair
 // log behind, and inspects it with -journal: the manifest's identity,
 // one pair per rank and no torn tail; then a torn tail once garbage is

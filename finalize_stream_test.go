@@ -24,9 +24,9 @@ import (
 // streamedSweep finalizes snaps through the spill at several batch
 // sizes and worker counts, failing unless every trace is
 // byte-identical to the in-memory sequential finalize of the same
-// snapshots. One worker packs inline; more run each section's final
-// Sequitur pass on its own goroutine beside the walk, a batch behind
-// it, which is what -race and CI's -cpu 1,2,4 run exercise here.
+// snapshots. One worker packs inline; more run the call section's
+// final Sequitur pass on its own goroutine beside the walk, a batch
+// behind it, which is what -race and CI's -cpu 1,2,4 run exercise here.
 func streamedSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) {
 	t.Helper()
 	n := len(snaps)
@@ -69,12 +69,18 @@ func TestFinalizeStreamedByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFinalizeStreamedByteIdenticalLossyTiming also sweeps a lossy
+// salvage: the timing sets are deflated once per File, on every route.
 func TestFinalizeStreamedByteIdenticalLossyTiming(t *testing.T) {
 	opts := core.Options{TimingMode: trace.TimingLossy, TimingBase: 1.2}
 	for _, n := range []int{2, 7, 16} {
 		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
 			snaps := snapshotsFor(t, n, opts)
 			streamedSweep(t, snaps, opts, nil)
+			if n == 7 {
+				info := &trace.SalvageInfo{Reason: "identity test", FailedRanks: []int32{2}, Calls: make([]int64, n)}
+				streamedSweep(t, snaps, opts, info)
+			}
 		})
 	}
 }

@@ -37,10 +37,16 @@ func traceWorkload(t testing.TB, n int) []*core.Snapshot {
 // traceTracers is traceWorkload's run, returning the tracers.
 func traceTracers(t testing.TB, n int) []*core.Tracer {
 	t.Helper()
+	return traceTracersOpts(t, n, core.Options{})
+}
+
+// traceTracersOpts is traceTracers with tracer options.
+func traceTracersOpts(t testing.TB, n int, opts core.Options) []*core.Tracer {
+	t.Helper()
 	tracers := make([]*core.Tracer, n)
 	ics := make([]mpi.Interceptor, n)
 	for i := 0; i < n; i++ {
-		tracers[i] = core.NewTracer(i, nil, core.Options{})
+		tracers[i] = core.NewTracer(i, nil, opts)
 		ics[i] = tracers[i]
 	}
 	body, err := workloads.Get("stencil2d", 3, n)
@@ -132,6 +138,37 @@ func TestStreamingMatchesLocalFinalize(t *testing.T) {
 	}
 	if got := srv.Metrics().IngestSnapshots.Load(); got != n {
 		t.Fatalf("ingest counter %d, want %d", got, n)
+	}
+}
+
+// TestLossyStreamingMatchesLocalFinalize: a lossy run's timing sets are
+// deflated once per File on either side, so the collected trace, with
+// its payloads resident or spilled to the journal and arriving out of
+// rank order, is the local finalize's bytes.
+func TestLossyStreamingMatchesLocalFinalize(t *testing.T) {
+	const n = 8
+	opts := core.Options{TimingMode: trace.TimingLossy, TimingBase: 1.2}
+	tracers := traceTracersOpts(t, n, opts)
+	snaps := make([]*core.Snapshot, n)
+	for i, tr := range tracers {
+		snaps[n-1-i] = tr.Snapshot()
+	}
+	local, _ := core.Finalize(tracers)
+	want := serialize(t, local)
+	if !bytes.HasPrefix(want, []byte("PILGRIM4")) {
+		t.Fatalf("local lossy trace starts %q, no timing set deflated", want[:8])
+	}
+	for _, resident := range []int{0, 3} {
+		srv := startServer(t, collect.Config{OutDir: t.TempDir(), MaxResidentSnapshots: resident})
+		c := client(srv, "lossy", n)
+		c.Run.TimingMode, c.Run.TimingBase = opts.TimingMode, opts.TimingBase
+		remote, err := c.Collect(snaps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := serialize(t, remote); !bytes.Equal(got, want) {
+			t.Fatalf("resident=%d: collected lossy trace differs from local finalize: %d vs %d bytes", resident, len(got), len(want))
+		}
 	}
 }
 

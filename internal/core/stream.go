@@ -2,9 +2,10 @@
 // snapshots arrive in batches, in rank order, and per batch the walk
 // folds their tables into the global CST, relabels each grammar
 // against it (§3.5.1), keys and deduplicates the grammars, and hands
-// the first-seen ones to the section Packers that run the final
-// Sequitur pass (§3.5.2) on their own goroutines; the call section
-// packs one grammar per shape (DESIGN §4d). The pack therefore
+// the first grammar of each call grammar shape (DESIGN §4d) to the
+// Packer that runs the final Sequitur pass (§3.5.2) on its own
+// goroutine. The timing sections get no pass: trace stores each set
+// raw or deflated. The pack therefore
 // starts with the first batch, and the walk holds one batch of
 // snapshots at a time; what the caller keeps is its own affair. The
 // local routes pull their batches through a fetch callback
@@ -16,7 +17,7 @@
 // final once ranks 0..r are absorbed, and the rank-order fold equals
 // the paper's pairwise merge tree (DESIGN §4a). Every other
 // cross-rank ordering decision (grammar first-seen dedup by identity
-// and shape, rank map append) runs sequentially in rank order, and a
+// and shape, rank map append) runs sequentially in rank order, and the
 // Packer's output is a function of the grammars and their order, which
 // is the dedup's: batching only changes when work happens, never what
 // it computes.
@@ -54,36 +55,38 @@ func (o Options) BatchSize(world int) int {
 
 // dedupState is one section's first-seen grammar dedup: batches append
 // through it sequentially in rank order, so the numbering is identical
-// to one sequential pass over all ranks. It is also the one
-// packing helper of the call, duration and interval sections: flush
-// hands the representatives first seen since the last flush to a
-// sequitur.Packer, so the final Sequitur pass (§3.5.2) sees reps in
-// order whoever runs it.
+// to one sequential pass over all ranks. The call section's also dedups
+// by shape and packs: flush hands the representatives first seen since
+// the last flush to a sequitur.Packer, so the final Sequitur pass
+// (§3.5.2) sees reps in order whoever runs it. The duration and
+// interval sections' have no Packer.
 type dedupState struct {
 	seen map[string]int32
 	uniq []sequitur.Serialized
 
 	// shapes, if non-nil, dedups new grammars by shape key into shape
-	// (trace.File.Shape); reps, the Packer's input, is then one per shape.
+	// (trace.File.Shape); reps, the Packer's input, is one per shape.
 	shapes map[string]int32
 	shape  []int32
 	reps   []sequitur.Serialized
 
-	packer  *sequitur.Packer
-	queue   *par.Queue // runs the Packer on its own goroutine; nil: flush packs inline
-	flushed int        // reps[:flushed] has been handed to the Packer
-	busyNs  int64      // time spent inside the Packer; the queue's goroutine writes it until close
+	packer  *sequitur.Packer // nil without shapes
+	queue   *par.Queue       // runs the Packer on its own goroutine; nil: flush packs inline
+	flushed int              // reps[:flushed] has been handed to the Packer
+	busyNs  int64            // time spent inside the Packer; the queue's goroutine writes it until close
 }
 
-// newDedupState starts a section's dedup over world ranks and its
-// Packer. With more than one worker the Packer runs behind a queue deep
-// enough for every flush (one per batch), so the walk never waits for
-// it: the grammars a pending flush holds are retained either way.
-func newDedupState(world, workers, flushes int, byShape bool) *dedupState {
-	d := &dedupState{seen: make(map[string]int32, world), packer: sequitur.NewPacker()}
-	if byShape {
-		d.shapes = map[string]int32{}
+// newDedupState starts a section's dedup over world ranks; the call
+// section's (calls) also dedups by shape and starts its Packer. With
+// more than one worker the Packer runs behind a queue deep enough for
+// every flush (one per batch), so the walk never waits for it: the
+// grammars a pending flush holds are retained either way.
+func newDedupState(world, workers, flushes int, calls bool) *dedupState {
+	d := &dedupState{seen: make(map[string]int32, world)}
+	if !calls {
+		return d
 	}
+	d.shapes, d.packer = map[string]int32{}, sequitur.NewPacker()
 	if workers > 1 {
 		d.queue = par.NewQueue(flushes)
 	}
@@ -98,17 +101,15 @@ func (d *dedupState) add(key string, g sequitur.Serialized, shapeKey string) int
 	}
 	j = int32(len(d.uniq))
 	d.seen[key], d.uniq = j, append(d.uniq, g)
-	if d.shapes != nil {
-		rep, ok := d.shapes[shapeKey]
-		if !ok {
-			d.shapes[shapeKey], rep = j, -1
-		}
-		d.shape = append(d.shape, rep)
-		if ok {
-			return j
-		}
+	if d.shapes == nil {
+		return j
 	}
-	d.reps = append(d.reps, g)
+	rep, ok := d.shapes[shapeKey]
+	if !ok {
+		d.shapes[shapeKey], rep = j, -1
+		d.reps = append(d.reps, g)
+	}
+	d.shape = append(d.shape, rep)
 	return j
 }
 
@@ -154,14 +155,14 @@ func (d *dedupState) finish() sequitur.Serialized {
 }
 
 // Walk is the finalize walk as a value the caller advances: NewWalk
-// starts the Packers, each Add walks the next ranks in rank order, and
+// starts the Packer, each Add walks the next ranks in rank order, and
 // Finish returns the trace once all world ranks are in. Within an Add
 // the fold is sequential and the relabel and key hashing fan out
 // across workers; every ordering-sensitive step (the fold, the
 // first-seen grammar dedup and the rank-map append) runs in rank order
-// across Adds. Each section's final Sequitur pass runs beside the walk,
-// an Add behind it (dedupState.flush); FinalizeWorkers == 1 keeps it
-// inline. A Walk is not safe for concurrent use.
+// across Adds. The call section's final Sequitur pass runs beside the
+// walk, an Add behind it (dedupState.flush); FinalizeWorkers == 1 keeps
+// it inline. A Walk is not safe for concurrent use.
 type Walk struct {
 	world, next int
 	opts        Options
@@ -183,8 +184,8 @@ type Walk struct {
 // NewWalk starts a walk over world ranks. premerged, when non-nil, is a
 // global CST and relabels unified before the walk and cstMergeNs the
 // time that took; without it the walk folds the tables itself. The
-// trace is the same bytes either way. The Packers' queues are as deep
-// as the walk has batches of Options.BatchSize.
+// trace is the same bytes either way. The Packer's queue is as deep as
+// the walk has batches of Options.BatchSize.
 func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *Walk {
 	opts = opts.withDefaults()
 	w := &Walk{
@@ -303,26 +304,20 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 	}
 	w.cfgNs += time.Since(t1).Nanoseconds()
 	w.calls.flush()
-	if w.lossy {
-		w.durState.flush()
-		w.intState.flush()
-	}
 	w.next += n
 	return nil
 }
 
-// Stop joins the Packers' goroutines without producing a trace, for a
+// Stop joins the Packer's goroutine without producing a trace, for a
 // walk abandoned before its last rank or on an error. It is safe to
 // call after Finish and more than once.
 func (w *Walk) Stop() {
-	for _, d := range []*dedupState{w.calls, w.durState, w.intState} {
-		if d != nil {
-			d.stop()
-		}
+	if w.calls != nil {
+		w.calls.stop()
 	}
 }
 
-// Finish waits for the Packers and returns the trace of the walked
+// Finish waits for the Packer and returns the trace of the walked
 // ranks; info, when non-nil, tags it as a salvage. Every rank must have
 // been added.
 func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
@@ -360,15 +355,16 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 		Salvage:    info,
 	}
 	if w.lossy {
-		// The duration and interval streams are independent sections,
-		// each packed by its own dedupState beside the call section's.
+		// The duration and interval sets are stored raw or deflated,
+		// decided here once for the File and kept for every later write.
 		tsp := w.opts.ObsSink.Start("finalize", "finalize.timing").WithAttr("ranks", int64(w.world))
+		t3 := time.Now()
 		f.DurGrammars, f.DurIndex = w.durState.uniq, w.durIdx
 		f.IntGrammars, f.IntIndex = w.intState.uniq, w.intIdx
-		f.PackedDur = w.durState.finish()
-		f.PackedInt = w.intState.finish()
-		tsp.End()
-		st.CFGMergeNs += w.durState.busyNs + w.intState.busyNs
+		dur, intv := f.TimingStorage()
+		st.CFGMergeNs += time.Since(t3).Nanoseconds()
+		tsp.WithAttr("raw_bytes", int64(dur.Raw+intv.Raw)).
+			WithAttr("stored_bytes", int64(dur.Stored+intv.Stored)).End()
 	}
 	st.TraceBytes = f.SizeBytes()
 	if c := w.opts.Collector; c != nil {

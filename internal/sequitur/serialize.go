@@ -67,11 +67,16 @@ func (sg Serialized) Validate() error {
 	if nRules < 1 {
 		return fmt.Errorf("sequitur: %d rules", nRules)
 	}
+	if nRules >= len(sg) { // every rule takes at least its length
+		return fmt.Errorf("sequitur: %d rules in %d ints", nRules, len(sg))
+	}
+	at := make([]int, nRules) // where each rule starts
 	p := 1
 	for r := 0; r < nRules; r++ {
 		if p >= len(sg) {
 			return fmt.Errorf("sequitur: truncated at rule %d", r)
 		}
+		at[r] = p
 		n := int(sg[p])
 		p++
 		if n < 0 {
@@ -102,8 +107,7 @@ func (sg Serialized) Validate() error {
 	}
 	// A valid grammar is acyclic (a cyclic one would make Walk/Expand
 	// recurse forever — untrusted inputs must be rejected here).
-	rules := sg.rules()
-	state := make([]uint8, len(rules)) // 0 unvisited, 1 in-stack, 2 done
+	state := make([]uint8, nRules) // 0 unvisited, 1 in-stack, 2 done
 	var visit func(r int) error
 	visit = func(r int) error {
 		switch state[r] {
@@ -113,9 +117,9 @@ func (sg Serialized) Validate() error {
 			return nil
 		}
 		state[r] = 1
-		for _, s := range rules[r] {
-			if s.val < 0 {
-				if err := visit(int(-s.val - 1)); err != nil {
+		for p, end := at[r]+1, at[r]+1+3*int(sg[at[r]]); p < end; p += 3 {
+			if v := sg[p]; v < 0 {
+				if err := visit(int(-v - 1)); err != nil {
 					return err
 				}
 			}

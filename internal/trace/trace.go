@@ -33,26 +33,39 @@ const (
 	TimingLossy      = 1 // per-call duration+interval grammars, error < base-1
 )
 
-// The magic is the format version. A file that stores any section by
-// the final Sequitur pass (flagPacked) starts magicPack. Otherwise a
-// file whose call section is stored by shape (flagShapes) starts
-// magicShapes, and every other file magic. Files of the two older
-// versions may hold packs of the older alphabet (flagHalves).
+// The magic is the format version. A file that stores a timing
+// section deflated (flagDeflated) starts magicDeflate. Otherwise a file
+// that stores any section by the final Sequitur pass (flagPacked)
+// starts magicPack, a file whose call section is stored by shape
+// (flagShapes) magicShapes, and every other file magic. Files of the
+// two oldest versions may hold packs of the older alphabet (flagHalves).
 const (
-	magic       = "PILGRIM1"
-	magicShapes = "PILGRIM2"
-	magicPack   = "PILGRIM3"
+	magic        = "PILGRIM1"
+	magicShapes  = "PILGRIM2"
+	magicPack    = "PILGRIM3"
+	magicDeflate = "PILGRIM4"
 )
 
 // Grammar set selectors. flagHalves only under magic and magicShapes,
-// flagPacked only under magicPack, and flagShapes, in the call section,
-// only under magicShapes and magicPack.
+// flagPacked only under magicPack and magicDeflate, flagShapes, in the
+// call section, under every magic but magic, and flagDeflated, in a
+// timing section, only under magicDeflate.
 const (
-	flagRaw    = 0
-	flagHalves = 1 // sequitur.UnpackHalves reads the pack
-	flagShapes = 2
-	flagPacked = 3 // sequitur.Unpack reads the pack
+	flagRaw      = 0
+	flagHalves   = 1 // sequitur.UnpackHalves reads the pack
+	flagShapes   = 2
+	flagPacked   = 3 // sequitur.Unpack reads the pack
+	flagDeflated = 4 // the raw set's length, then a compress/flate stream of it
 )
+
+// deflateLevel is the compress/flate level of a deflated timing set:
+// on irregular's 125 KB of timing sets level 1 is 8 % larger, and level
+// 6 takes 1.8 times as long for 3 % less.
+const deflateLevel = 4
+
+// halves reports whether a file of magic m holds packs of the older
+// alphabet.
+func halves(m string) bool { return m == magic || m == magicShapes }
 
 // TimingBaseError rejects a lossy-timing base that is not finite and
 // greater than 1: Read returns it for such a file, and tracing options
@@ -100,14 +113,12 @@ type File struct {
 	Packed sequitur.Serialized
 
 	// Lossy timing (optional): unique timing grammars plus per-rank
-	// indices. PackedDur/PackedInt, when non-nil, are final Sequitur
-	// passes over the timing grammars, stored instead when smaller.
+	// indices. The writer stores each set raw or deflated, whichever
+	// takes fewer bytes (DESIGN §4d); TimingStorage reports which.
 	DurGrammars []sequitur.Serialized
 	DurIndex    []int32
 	IntGrammars []sequitur.Serialized
 	IntIndex    []int32
-	PackedDur   sequitur.Serialized
-	PackedInt   sequitur.Serialized
 
 	// Salvage, if non-nil, marks this as a partial trace recovered from
 	// a failed run: it names the failure and the ranks whose streams
@@ -116,10 +127,18 @@ type File struct {
 	// readers simply ignore the tail.
 	Salvage *SalvageInfo
 
-	// halves marks the packs as the older alphabet's: Read sets it for
-	// a magic or magicShapes file, which therefore writes back to its
-	// own bytes.
-	halves bool
+	// read is the magic of the file Read parsed this File from, "" for
+	// a File built in memory. A File read from a file writes back to its
+	// bytes: the magic, each pack in its alphabet, each section stored
+	// as it was read.
+	read string
+
+	// How the duration and interval sets are stored: decided on the
+	// first write of a File built in memory (deflating is the costly
+	// part of a write) or set by Read. Changing DurGrammars or
+	// IntGrammars after a write is not seen.
+	timingOnce sync.Once
+	timing     [2]storedSet
 
 	// Read-path memo (see the type comment): the validated rank map
 	// expansion, and one lazily decoded slot per CST entry.
@@ -277,14 +296,24 @@ func (f *File) write(w io.Writer, sec *shapedSection) (int64, error) {
 	if sec != nil {
 		calls = sec.reps
 	}
-	// Which packs are stored sets the version (see magicPack).
-	packed, dur, intv := f.stored(calls, f.Packed), f.stored(f.DurGrammars, f.PackedDur), f.stored(f.IntGrammars, f.PackedInt)
-	m, packFlag := magic, byte(flagHalves)
+	// How the sections are stored sets the version (see magicDeflate);
+	// a File read from a file keeps its own.
+	packed, tm := f.stored(calls, f.Packed), f.timingSets()
+	m := f.read
 	switch {
-	case !f.halves && (packed != nil || dur != nil || intv != nil):
-		m, packFlag = magicPack, flagPacked
+	case m != "":
+	case tm[0].z != nil || tm[1].z != nil:
+		m = magicDeflate
+	case packed != nil || tm[0].pack != nil || tm[1].pack != nil:
+		m = magicPack
 	case sec != nil:
 		m = magicShapes
+	default:
+		m = magic
+	}
+	packFlag := byte(flagPacked)
+	if halves(m) {
+		packFlag = flagHalves
 	}
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -307,13 +336,13 @@ func (f *File) write(w io.Writer, sec *shapedSection) (int64, error) {
 	if err := writeGrammar(bw, f.RankMap); err != nil {
 		return cw.n, err
 	}
-	if err := writePackable(bw, f.DurGrammars, dur, packFlag); err != nil {
+	if err := tm[0].write(bw, f.DurGrammars, packFlag); err != nil {
 		return cw.n, err
 	}
 	if err := writeIndex(bw, f.DurIndex); err != nil {
 		return cw.n, err
 	}
-	if err := writePackable(bw, f.IntGrammars, intv, packFlag); err != nil {
+	if err := tm[1].write(bw, f.IntGrammars, packFlag); err != nil {
 		return cw.n, err
 	}
 	if err := writeIndex(bw, f.IntIndex); err != nil {
@@ -407,19 +436,21 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // stored returns pack if the file stores it instead of the grammar set
 // gs, else nil: it does when the pack takes fewer bytes. A File read
-// from an older file stores the packs it was read with.
+// from a file stores the packs it was read with.
 func (f *File) stored(gs []sequitur.Serialized, pack sequitur.Serialized) sequitur.Serialized {
-	if pack == nil || f.halves {
-		return pack
-	}
-	raw := uvarintLen(uint64(len(gs)))
-	for _, g := range gs {
-		raw += grammarLen(g)
-	}
-	if grammarLen(pack) < raw {
+	if pack == nil || f.read != "" || grammarLen(pack) < setLen(gs) {
 		return pack
 	}
 	return nil
+}
+
+// setLen is the number of bytes writeGrammarSet writes for gs.
+func setLen(gs []sequitur.Serialized) int {
+	n := uvarintLen(uint64(len(gs)))
+	for _, g := range gs {
+		n += grammarLen(g)
+	}
+	return n
 }
 
 // grammarLen is the number of bytes writeGrammar writes for g.
@@ -466,7 +497,7 @@ func (br byteReader) packable(flag byte, max int) ([]sequitur.Serialized, sequit
 	case flag == flagRaw:
 		gs, err := br.grammarSet(max)
 		return gs, nil, err
-	case flag == flagHalves && br.magic != magicPack, flag == flagPacked && br.magic == magicPack:
+	case flag == flagHalves && halves(br.magic), flag == flagPacked && !halves(br.magic):
 		pack, err := br.grammar()
 		if err != nil {
 			return nil, nil, err
@@ -520,9 +551,10 @@ func (f *File) SizeBytes() int {
 	return int(n)
 }
 
-// SectionSizes reports the main sections' serialized sizes (CST,
-// call grammars incl. rank map, timing grammars), for the overhead
-// and Figure 10 style breakdowns, in int32s before varint framing.
+// SectionSizes reports the main sections' sizes (CST, call grammars
+// incl. rank map, duration and interval grammars), for the overhead and
+// Figure 10 style breakdowns: in int32s before varint framing, except
+// that a deflated timing section counts the bytes it is stored in.
 func (f *File) SectionSizes() (cstB, cfgB, durB, intB int) {
 	cstB = len(f.CST.Serialize())
 	cfgB = len(f.RankMap) * 4
@@ -531,8 +563,8 @@ func (f *File) SectionSizes() (cstB, cfgB, durB, intB int) {
 	} else {
 		cfgB += f.packableInts(f.Grammars, f.Packed) * 4
 	}
-	durB = f.packableInts(f.DurGrammars, f.PackedDur) * 4
-	intB = f.packableInts(f.IntGrammars, f.PackedInt) * 4
+	tm := f.timingSets()
+	durB, intB = f.sectionBytes(f.DurGrammars, &tm[0]), f.sectionBytes(f.IntGrammars, &tm[1])
 	return
 }
 
@@ -562,7 +594,10 @@ func (f *File) packableInts(gs []sequitur.Serialized, pack sequitur.Serialized) 
 // --- reading -----------------------------------------------------------------
 
 type byteReader struct {
-	r     *bufio.Reader
+	r interface {
+		io.Reader
+		io.ByteReader
+	}
 	magic string // the file's, which decides the selectors it may hold
 }
 
@@ -595,25 +630,14 @@ func (br byteReader) grammar() (sequitur.Serialized, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd := bytes.NewReader(b)
-	n, err := binary.ReadUvarint(rd)
+	vs, at, err := varints(b)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(b)) { // every int costs at least one byte
-		return nil, fmt.Errorf("trace: grammar claims %d ints in %d bytes", n, len(b))
-	}
-	g := make(sequitur.Serialized, n)
-	for i := range g {
-		v, err := binary.ReadVarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		g[i] = int32(v)
-	}
-	if rd.Len() != 0 {
+	if at != len(b) {
 		return nil, fmt.Errorf("trace: trailing grammar bytes")
 	}
+	g := sequitur.Serialized(vs)
 	// Validate also rejects the empty grammar, which no writer produces
 	// and every expansion below would index out of range on.
 	if err := g.Validate(); err != nil {
@@ -647,23 +671,34 @@ func (br byteReader) index() ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd := bytes.NewReader(b)
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, err
+	idx, _, err := varints(b)
+	return idx, err
+}
+
+// varints parses what writeGrammar and writeIndex frame: a count, then
+// that many zigzag varints, truncated to int32. It returns them and the
+// bytes they took.
+func varints(b []byte) ([]int32, int, error) {
+	n, at := binary.Uvarint(b)
+	if at <= 0 {
+		return nil, 0, fmt.Errorf("trace: bad int count")
 	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("trace: index claims %d entries in %d bytes", n, len(b))
+	if n > uint64(len(b)) { // every int costs at least one byte
+		return nil, 0, fmt.Errorf("trace: %d ints claimed in %d bytes", n, len(b))
 	}
-	idx := make([]int32, n)
-	for i := range idx {
-		v, err := binary.ReadVarint(rd)
-		if err != nil {
-			return nil, err
+	vs := make([]int32, n)
+	for i := range vs {
+		if at < len(b) && b[at] < 0x80 { // one byte: most ints of a grammar
+			vs[i], at = int32(b[at]>>1)^-int32(b[at]&1), at+1
+			continue
 		}
-		idx[i] = int32(v)
+		v, k := binary.Varint(b[at:])
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("trace: bad int %d of %d", i, n)
+		}
+		vs[i], at = int32(v), at+k
 	}
-	return idx, nil
+	return vs, at, nil
 }
 
 // Read parses a trace file.
@@ -674,11 +709,11 @@ func Read(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	switch br.magic = string(m); br.magic {
-	case magic, magicShapes, magicPack:
+	case magic, magicShapes, magicPack, magicDeflate:
 	default:
 		return nil, fmt.Errorf("trace: bad magic %q", m)
 	}
-	f := &File{halves: br.magic != magicPack}
+	f := &File{read: br.magic}
 	n, err := binary.ReadUvarint(br.r)
 	if err != nil {
 		return nil, err
@@ -726,13 +761,13 @@ func Read(r io.Reader) (*File, error) {
 	if f.RankMap, err = br.grammar(); err != nil {
 		return nil, err
 	}
-	if f.DurGrammars, f.PackedDur, err = br.readPackable(f.NumRanks); err != nil {
+	if f.DurGrammars, err = br.timingSet(&f.timing[0], f.NumRanks); err != nil {
 		return nil, err
 	}
 	if f.DurIndex, err = br.index(); err != nil {
 		return nil, err
 	}
-	if f.IntGrammars, f.PackedInt, err = br.readPackable(f.NumRanks); err != nil {
+	if f.IntGrammars, err = br.timingSet(&f.timing[1], f.NumRanks); err != nil {
 		return nil, err
 	}
 	if f.IntIndex, err = br.index(); err != nil {

@@ -208,6 +208,19 @@ func TestSectionSizesConsistent(t *testing.T) {
 	if durB != 0 || intB != 0 {
 		t.Fatalf("unexpected timing sections: %d %d", durB, intB)
 	}
+	// Empty timing sets, and sets deflate does not shrink, stay raw.
+	for _, f := range []*File{mkFile(t), richFile(t)} {
+		if dur, intv := f.TimingStorage(); dur.Form != "raw" || intv.Form != "raw" || dur.Stored != dur.Raw {
+			t.Fatalf("timing sets stored %+v, %+v", dur, intv)
+		}
+	}
+	// A deflated section counts the bytes it is stored in.
+	f = deflatedFile(t)
+	_, _, durB, intB = f.SectionSizes()
+	dur, intv := f.TimingStorage()
+	if dur.Form != "deflated" || durB != dur.Stored || intB != intv.Stored {
+		t.Fatalf("deflated sections: %d %d, stored %+v, %+v", durB, intB, dur, intv)
+	}
 }
 
 func TestReadNeverPanicsOnRandomBytes(t *testing.T) {
