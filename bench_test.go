@@ -330,31 +330,21 @@ func BenchmarkCSTMerge64Ranks(b *testing.B) {
 	}
 }
 
-// benchmarkFinalize compares the sequential and parallel finalize
-// pipeline over deterministic synthetic snapshots at one rank count.
-// "par" fans the relabel and hashing out and packs beside the walk;
-// the sequential Sequitur pack is the floor of both.
+// benchmarkFinalize times the finalize pipeline over deterministic
+// synthetic snapshots at one rank count. The walk fans the relabel and
+// hashing out on GOMAXPROCS workers and packs beside itself; -cpu
+// compares widths, and the sequential Sequitur pack is the floor of
+// every one.
 func benchmarkFinalize(b *testing.B, procs int) {
 	snaps := experiments.SyntheticSnapshots(procs)
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{
-		{"seq", 1},
-		{"par", 0}, // GOMAXPROCS
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opts := core.Options{FinalizeWorkers: cfg.workers}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var stats core.FinalizeStats
-			for i := 0; i < b.N; i++ {
-				_, stats = core.FinalizeSnapshots(snaps, opts, nil)
-			}
-			b.ReportMetric(float64(stats.GlobalCST), "cst-entries")
-			b.ReportMetric(float64(stats.UniqueCFGs), "unique-cfgs")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var stats core.FinalizeStats
+	for i := 0; i < b.N; i++ {
+		_, stats = core.FinalizeSnapshots(snaps, core.Options{}, nil)
 	}
+	b.ReportMetric(float64(stats.GlobalCST), "cst-entries")
+	b.ReportMetric(float64(stats.UniqueCFGs), "unique-cfgs")
 }
 
 func BenchmarkFinalize64(b *testing.B)   { benchmarkFinalize(b, 64) }

@@ -55,7 +55,6 @@ func main() {
 		deadline  = flag.Duration("deadline", 0, "straggler deadline per run: finalize as a salvage trace once this elapses with ranks missing (0 = wait forever)")
 		idle      = flag.Duration("idle-timeout", 5*time.Minute, "drop ingest connections idle longer than this")
 		retention = flag.Duration("retention", 10*time.Minute, "keep a finalized run's trace in memory this long before serving it from -out-dir only (negative = forever)")
-		workers   = flag.Int("finalize-workers", 0, "worker pool size for run finalization (0 = GOMAXPROCS, 1 = sequential; output identical either way)")
 		maxResid  = flag.Int("max-resident-snapshots", 0, "max not-yet-walked snapshots per run kept fully in memory; beyond it payloads spill to the run journal and the finalize walk reads them back in bounded batches (0 = unlimited, requires -out-dir journaling)")
 		jsync     = flag.String("journal-sync", "batch", "run journal fsync policy: always (durable ack per snapshot), batch (fsync every 100ms), off (never fsync)")
 		maxRuns   = flag.Int("max-runs", 0, "max runs collecting at once; further run creations are NACKed (0 = unlimited)")
@@ -124,7 +123,6 @@ func main() {
 		StragglerDeadline:    *deadline,
 		IdleTimeout:          *idle,
 		Retention:            *retention,
-		FinalizeWorkers:      *workers,
 		MaxResidentSnapshots: *maxResid,
 		JournalSync:          syncMode,
 		MaxRuns:              *maxRuns,

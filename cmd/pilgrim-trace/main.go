@@ -28,7 +28,6 @@ func main() {
 		out     = flag.String("o", "trace.pilgrim", "output trace file")
 		timing  = flag.String("timing", "aggregated", "timing mode: aggregated or lossy")
 		base    = flag.Float64("timing-base", 1.2, "exponential bin base for lossy timing")
-		workers = flag.Int("finalize-workers", 0, "finalize worker pool size (0 = GOMAXPROCS, 1 = sequential; output identical either way)")
 		list    = flag.Bool("list", false, "list available workloads and exit")
 		verbose = flag.Bool("v", false, "print per-rank statistics")
 
@@ -84,7 +83,6 @@ func main() {
 	}
 	opts.CollectorAddr = *collector
 	opts.CollectorRunID = *runID
-	opts.FinalizeWorkers = *workers
 	opts.SpillDir = *spillDir
 	opts.MaxResidentSnapshots = *maxResident
 	if *obsOn || *obsDump != "" {

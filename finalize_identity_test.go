@@ -3,6 +3,7 @@ package pilgrim_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
@@ -11,8 +12,9 @@ import (
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
-// The parallel finalize pipeline must be byte-identical to sequential
-// finalize for every worker count: per-rank work writes only its own
+// The finalize pipeline must write the same bytes at every GOMAXPROCS,
+// from one proc (where the walk's fan-out runs inline and the Packer's
+// goroutine never overlaps it) up: per-rank work writes only its own
 // slot, and every ordering-sensitive pass (the CST fold, grammar dedup,
 // rank map) stays sequential in rank order. These tests pin that
 // guarantee over the golden cases: odd and even rank counts, lossy
@@ -81,19 +83,25 @@ func traceBytes(t *testing.T, f *trace.File) []byte {
 	return b.Bytes()
 }
 
-// workerSweep finalizes snaps with workers=1 and then with several
-// parallel widths (including 0 = GOMAXPROCS), failing unless every
-// trace is byte-identical to the sequential one.
+// procsSweep is the GOMAXPROCS settings the byte-identity sweeps run
+// the finalize at.
+var procsSweep = []int{1, 2, 3, 8}
+
+// workerSweep finalizes snaps at every procsSweep setting, failing
+// unless every trace is byte-identical to the one-proc one. The
+// setting is restored afterwards.
 func workerSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) {
 	t.Helper()
-	opts.FinalizeWorkers = 1
-	seq, _ := core.FinalizeSnapshots(snaps, opts, info)
-	want := traceBytes(t, seq)
-	for _, w := range []int{2, 3, 8, 0} {
-		opts.FinalizeWorkers = w
-		par, _ := core.FinalizeSnapshots(snaps, opts, info)
-		if got := traceBytes(t, par); !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: trace differs from sequential (%d vs %d bytes)", w, len(got), len(want))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, p := range procsSweep {
+		runtime.GOMAXPROCS(p)
+		f, _ := core.FinalizeSnapshots(snaps, opts, info)
+		got := traceBytes(t, f)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d: trace differs from GOMAXPROCS=1 (%d vs %d bytes)", p, len(got), len(want))
 		}
 	}
 }
@@ -129,15 +137,15 @@ func TestFinalizeWorkersByteIdenticalSalvage(t *testing.T) {
 
 // TestFinalizePremergedWorkersByteIdentical covers the collector path:
 // tables merged incrementally in an arbitrary arrival order must
-// finalize (at any worker count) to the same bytes as a local
-// sequential finalize of the same snapshots.
+// finalize (at every GOMAXPROCS) to the same bytes as a local finalize
+// of the same snapshots.
 func TestFinalizePremergedWorkersByteIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{1, 2, 7, 16, 33} {
 		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
 			snaps := snapshotsFor(t, n, core.Options{})
-			opts := core.Options{FinalizeWorkers: 1}
-			seq, _ := core.FinalizeSnapshots(snaps, opts, nil)
-			want := traceBytes(t, seq)
+			local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
+			want := traceBytes(t, local)
 
 			// Feed the incremental merge out of rank order (a fixed
 			// stride walks every rank for the sizes used here).
@@ -153,11 +161,11 @@ func TestFinalizePremergedWorkersByteIdentical(t *testing.T) {
 				}
 			}
 			merged := inc.Result()
-			for _, w := range []int{1, 3, 0} {
-				opts.FinalizeWorkers = w
-				f, _ := core.FinalizePremerged(snaps, merged, 0, opts, nil)
+			for _, p := range procsSweep {
+				runtime.GOMAXPROCS(p)
+				f, _ := core.FinalizePremerged(snaps, merged, 0, core.Options{}, nil)
 				if got := traceBytes(t, f); !bytes.Equal(got, want) {
-					t.Errorf("premerged workers=%d: trace differs from local sequential finalize", w)
+					t.Errorf("premerged GOMAXPROCS=%d: trace differs from local finalize", p)
 				}
 			}
 		})

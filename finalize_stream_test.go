@@ -3,6 +3,7 @@ package pilgrim_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
@@ -13,7 +14,7 @@ import (
 )
 
 // The streaming, bounded-memory finalize must be byte-identical to the
-// in-memory finalize for every batch size and worker count: batching
+// in-memory finalize for every batch size and GOMAXPROCS: batching
 // only changes when merge work happens, never what it computes, and
 // every ordering-sensitive pass stays sequential in rank order. These
 // tests pin that over the golden cases — plain, lossy timing, salvage,
@@ -22,18 +23,17 @@ import (
 // batch finalized from memory, nothing read back).
 
 // streamedSweep finalizes snaps through the spill at several batch
-// sizes and worker counts, failing unless every trace is
-// byte-identical to the in-memory sequential finalize of the same
-// snapshots. One worker packs inline; more run the call section's
-// final Sequitur pass on its own goroutine beside the walk, a batch
-// behind it, which is what -race and CI's -cpu 1,2,4 run exercise here.
+// sizes and GOMAXPROCS settings, failing unless every trace is
+// byte-identical to the in-memory finalize of the same snapshots. The
+// call section's final Sequitur pass runs on its own goroutine beside
+// the walk, a batch behind it, which is what -race and CI's -cpu 1,2,4
+// run exercise here.
 func streamedSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) {
 	t.Helper()
 	n := len(snaps)
-	seqOpts := opts
-	seqOpts.FinalizeWorkers = 1
-	seq, _ := core.FinalizeSnapshots(snaps, seqOpts, info)
-	want := traceBytes(t, seq)
+	mem, _ := core.FinalizeSnapshots(snaps, opts, info)
+	want := traceBytes(t, mem)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	// The driver owns what take returns; snaps is reused across the
 	// sweep, so hand out a copy.
@@ -43,18 +43,18 @@ func streamedSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info
 		return &s
 	}
 	for _, k := range []int{1, 3, n} {
-		for _, workers := range []int{1, 2, 4} {
+		for _, p := range procsSweep {
+			runtime.GOMAXPROCS(p)
 			sopts := opts
 			sopts.SpillDir = t.TempDir()
 			sopts.MaxResidentSnapshots = k
-			sopts.FinalizeWorkers = workers
 			f, _, err := spill.FinalizeRanks(n, take, info, sopts)
 			if err != nil {
-				t.Fatalf("batch=%d workers=%d: %v", k, workers, err)
+				t.Fatalf("batch=%d GOMAXPROCS=%d: %v", k, p, err)
 			}
 			if got := traceBytes(t, f); !bytes.Equal(got, want) {
-				t.Errorf("batch=%d workers=%d: streamed trace differs from in-memory sequential (%d vs %d bytes)",
-					k, workers, len(got), len(want))
+				t.Errorf("batch=%d GOMAXPROCS=%d: streamed trace differs from in-memory (%d vs %d bytes)",
+					k, p, len(got), len(want))
 			}
 		}
 	}
@@ -88,7 +88,7 @@ func TestFinalizeStreamedByteIdenticalLossyTiming(t *testing.T) {
 // TestFinalizeStreamedShapeByteIdentical: cg's ranks have unique
 // grammars of one shape, so the trace stores them by shape (PILGRIM2),
 // and which grammar represents the shape must not depend on the batch
-// size or the worker count.
+// size or GOMAXPROCS.
 func TestFinalizeStreamedShapeByteIdentical(t *testing.T) {
 	for _, n := range []int{16, 33} {
 		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
@@ -120,13 +120,14 @@ func TestFinalizeStreamedByteIdenticalSalvage(t *testing.T) {
 // spilled-payload path: tables merged incrementally in an arbitrary
 // arrival order, then a grammar pass streaming the snapshots back in
 // bounded batches, must finalize to the same bytes as a local
-// in-memory sequential finalize.
+// in-memory finalize.
 func TestFinalizePremergedStreamedByteIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{1, 2, 7, 16, 33} {
 		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
 			snaps := snapshotsFor(t, n, core.Options{})
-			seq, _ := core.FinalizeSnapshots(snaps, core.Options{FinalizeWorkers: 1}, nil)
-			want := traceBytes(t, seq)
+			mem, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
+			want := traceBytes(t, mem)
 
 			// Feed the incremental merge out of rank order.
 			inc := cst.NewIncremental(n)
@@ -148,15 +149,16 @@ func TestFinalizePremergedStreamedByteIdentical(t *testing.T) {
 				return snaps[start : start+n], nil
 			}
 			for _, k := range []int{1, 3, n} {
-				for _, workers := range []int{1, 2, 4} {
-					opts := core.Options{MaxResidentSnapshots: k, FinalizeWorkers: workers}
+				for _, p := range procsSweep {
+					runtime.GOMAXPROCS(p)
+					opts := core.Options{MaxResidentSnapshots: k}
 					f, _, err := core.FinalizeStreamed(n, fetch, &merged, 0, opts, nil)
 					if err != nil {
-						t.Fatalf("batch=%d workers=%d: %v", k, workers, err)
+						t.Fatalf("batch=%d GOMAXPROCS=%d: %v", k, p, err)
 					}
 					if got := traceBytes(t, f); !bytes.Equal(got, want) {
-						t.Errorf("batch=%d workers=%d: premerged streamed trace differs from local sequential finalize",
-							k, workers)
+						t.Errorf("batch=%d GOMAXPROCS=%d: premerged streamed trace differs from local finalize",
+							k, p)
 					}
 				}
 			}

@@ -22,6 +22,7 @@ package analysis
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
@@ -98,7 +99,7 @@ func Analyze(f *trace.File) (*Analysis, error) {
 	a.Events = make([][]Event, f.NumRanks)
 	perRank := make([][]core.DecodedCall, f.NumRanks)
 	errs := make([]error, f.NumRanks)
-	workers := par.Workers(0)
+	workers := runtime.GOMAXPROCS(0)
 	par.For(f.NumRanks, workers, func(r int) {
 		calls, err := core.DecodeRank(f, r)
 		if err != nil {

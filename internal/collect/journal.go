@@ -418,7 +418,7 @@ func (s *Server) recoverFinalized(m *framelog.Manifest, jr *framelog.Reader) {
 // registerRecovered creates the registry entry for a recovered run
 // without admission checks — it was admitted before the crash.
 func (s *Server) registerRecovered(m *framelog.Manifest) *run {
-	r := newRun(m.RunID, m.World, m.Epoch, m.TimingMode, m.TimingBase, s.cfg.FinalizeWorkers)
+	r := newRun(m.RunID, m.World, m.Epoch, m.TimingMode, m.TimingBase)
 	r.opts.ObsSink = s.obs
 	r.opts.MaxResidentSnapshots = s.cfg.MaxResidentSnapshots
 	r.created = time.Unix(0, int64(m.CreatedSec*1e9))

@@ -75,12 +75,12 @@ type run struct {
 
 // newRun builds a run's in-memory state; shared by live creation
 // (runFor) and journal recovery (registerRecovered).
-func newRun(id string, world int, epoch uint64, timingMode uint8, timingBase float64, workers int) *run {
+func newRun(id string, world int, epoch uint64, timingMode uint8, timingBase float64) *run {
 	return &run{
 		id:      id,
 		world:   world,
 		epoch:   epoch,
-		opts:    core.Options{TimingMode: timingMode, TimingBase: timingBase, FinalizeWorkers: workers},
+		opts:    core.Options{TimingMode: timingMode, TimingBase: timingBase},
 		created: time.Now(),
 		snaps:   make([]*core.Snapshot, world),
 		done:    make(chan struct{}),

@@ -58,11 +58,6 @@ type Config struct {
 	// Runs without a disk copy (no OutDir, or the write failed) are
 	// never evicted.
 	Retention time.Duration
-	// FinalizeWorkers bounds the worker pool used when finalizing a
-	// run (relabel fan-out, grammar hashing, timing packing). 0 means
-	// GOMAXPROCS, 1 forces sequential; output bytes are identical for
-	// every setting.
-	FinalizeWorkers int
 	// JournalSync selects the run journal's fsync policy (always,
 	// batch, off; "" means batch). The journal itself is active
 	// whenever OutDir is set: every accepted snapshot is appended to
@@ -442,7 +437,7 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 		return nil, &overLimit{code: wire.NackMaxRuns,
 			detail: fmt.Sprintf("collector at max-runs=%d", s.cfg.MaxRuns)}
 	}
-	r = newRun(h.RunID, h.WorldSize, h.Epoch, h.TimingMode, h.TimingBase, s.cfg.FinalizeWorkers)
+	r = newRun(h.RunID, h.WorldSize, h.Epoch, h.TimingMode, h.TimingBase)
 	r.opts.ObsSink = s.obs
 	r.opts.MaxResidentSnapshots = s.cfg.MaxResidentSnapshots
 	if d := s.cfg.StragglerDeadline; d > 0 {

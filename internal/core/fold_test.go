@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -52,19 +53,19 @@ func skeletonSnapshots(t *testing.T, name string, opts core.Options) []*core.Sna
 	return snaps
 }
 
-// pairwiseOracle is the finalize as the paper orders it: every table
-// merged first by the log₂P pairwise tree (cst.Incremental, the same
-// tree and node merges as the pairwise merge), then the walk handed
-// that premerged table, sequentially.
-func pairwiseOracle(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) ([]byte, core.FinalizeStats) {
+// premergedOracle is the finalize as the collector once ordered it:
+// every table merged first by cst.Incremental, fed in reverse rank
+// order so each table waits for every lower rank, then the walk handed
+// that premerged table. cst's tests hold Incremental to the paper's
+// log₂P pairwise tree.
+func premergedOracle(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) ([]byte, core.FinalizeStats) {
 	t.Helper()
 	inc := cst.NewIncremental(len(snaps))
-	for r, s := range snaps {
-		if err := inc.Add(r, s.Table); err != nil {
+	for r := len(snaps) - 1; r >= 0; r-- {
+		if err := inc.Add(r, snaps[r].Table); err != nil {
 			t.Fatal(err)
 		}
 	}
-	opts.FinalizeWorkers = 1
 	f, st := core.FinalizePremerged(snaps, inc.Result(), 0, opts, info)
 	return fileBytes(t, f), st
 }
@@ -88,21 +89,23 @@ func salvageInfo(snaps []*core.Snapshot) *trace.SalvageInfo {
 }
 
 // foldSweep finalizes snaps through the walk's rank-order fold at batch
-// caps K ∈ {1, 3, 64, world} and 1, 2 and 4 workers, failing unless
-// every trace is byte-identical to the pairwise oracle's and reports
-// the same global CST.
+// caps K ∈ {1, 3, 64, world} and GOMAXPROCS 1, 2, 3 and 8, failing
+// unless every trace is byte-identical to the premerged oracle's and
+// reports the same global CST.
 func foldSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) {
 	t.Helper()
-	want, wantSt := pairwiseOracle(t, snaps, opts, info)
+	want, wantSt := premergedOracle(t, snaps, opts, info)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, k := range []int{1, 3, 64, len(snaps)} {
-		for _, workers := range []int{1, 2, 4} {
-			opts.MaxResidentSnapshots, opts.FinalizeWorkers = k, workers
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			opts.MaxResidentSnapshots = k
 			f, st := core.FinalizeSnapshots(snaps, opts, info)
 			if got := fileBytes(t, f); !bytes.Equal(got, want) {
-				t.Fatalf("K=%d workers=%d: folded trace differs from the pairwise oracle (%d vs %d bytes)", k, workers, len(got), len(want))
+				t.Fatalf("K=%d procs=%d: folded trace differs from the premerged oracle (%d vs %d bytes)", k, procs, len(got), len(want))
 			}
 			if st.GlobalCST != wantSt.GlobalCST || st.UniqueCFGs != wantSt.UniqueCFGs {
-				t.Fatalf("K=%d workers=%d: stats %+v, oracle %+v", k, workers, st, wantSt)
+				t.Fatalf("K=%d procs=%d: stats %+v, oracle %+v", k, procs, st, wantSt)
 			}
 		}
 	}
@@ -110,9 +113,9 @@ func foldSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *tr
 
 // TestFinalizeStreamedFoldByteIdentical: the walk's rank-order CST fold,
 // relabelling batch by batch, writes the same trace bytes as merging
-// every table through the pairwise tree first, on every skeleton and on
+// every table through cst.Incremental first, on every skeleton and on
 // 1024 synthetic ranks, in aggregated and lossy timing and as a
-// salvage, for every batch cap and worker count.
+// salvage, for every batch cap and GOMAXPROCS.
 func TestFinalizeStreamedFoldByteIdentical(t *testing.T) {
 	lossy := core.Options{TimingMode: trace.TimingLossy}
 	for _, w := range workloads.List() {

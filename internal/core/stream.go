@@ -12,7 +12,7 @@
 // (FinalizeStreamed); the collector pushes each batch into a Walk as
 // soon as its ranks have arrived.
 //
-// The trace is byte-identical for every batch size and worker count.
+// The trace is byte-identical for every batch size and GOMAXPROCS.
 // cst.Table.Absorb never renumbers a terminal, so a rank's relabel is
 // final once ranks 0..r are absorbed, and the rank-order fold equals
 // the paper's pairwise merge tree (DESIGN §4a). Every other
@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
@@ -71,24 +72,20 @@ type dedupState struct {
 	reps   []sequitur.Serialized
 
 	packer  *sequitur.Packer // nil without shapes
-	queue   *par.Queue       // runs the Packer on its own goroutine; nil: flush packs inline
+	queue   *par.Queue       // runs the Packer on its own goroutine
 	flushed int              // reps[:flushed] has been handed to the Packer
 	busyNs  int64            // time spent inside the Packer; the queue's goroutine writes it until close
 }
 
 // newDedupState starts a section's dedup over world ranks; the call
-// section's (calls) also dedups by shape and starts its Packer. With
-// more than one worker the Packer runs behind a queue deep enough for
-// every flush (one per batch), so the walk never waits for it: the
-// grammars a pending flush holds are retained either way.
-func newDedupState(world, workers, flushes int, calls bool) *dedupState {
+// section's (calls) also dedups by shape and starts its Packer behind a
+// queue deep enough for every flush (one per batch), so the walk never
+// waits for it: the grammars a pending flush holds are retained either
+// way.
+func newDedupState(world, flushes int, calls bool) *dedupState {
 	d := &dedupState{seen: make(map[string]int32, world)}
-	if !calls {
-		return d
-	}
-	d.shapes, d.packer = map[string]int32{}, sequitur.NewPacker()
-	if workers > 1 {
-		d.queue = par.NewQueue(flushes)
+	if calls {
+		d.shapes, d.packer, d.queue = map[string]int32{}, sequitur.NewPacker(), par.NewQueue(flushes)
 	}
 	return d
 }
@@ -122,32 +119,18 @@ func (d *dedupState) flush() {
 	if len(gs) == 0 {
 		return
 	}
-	pack := func() {
+	d.queue.Do(func() {
 		t := time.Now()
 		for _, g := range gs {
 			d.packer.Add(g)
 		}
 		d.busyNs += time.Since(t).Nanoseconds()
-	}
-	if d.queue == nil {
-		pack()
-	} else {
-		d.queue.Do(pack)
-	}
-}
-
-// stop joins the Packer's goroutine once it has packed everything
-// flushed so far. Every return path calls it (it is safe to call
-// twice), so an error leaves no goroutine behind.
-func (d *dedupState) stop() {
-	if d.queue != nil {
-		d.queue.Close()
-	}
+	})
 }
 
 // finish returns the pack of reps, all of which has been flushed.
 func (d *dedupState) finish() sequitur.Serialized {
-	d.stop()
+	d.queue.Close()
 	t := time.Now()
 	packed := d.packer.Finish()
 	d.busyNs += time.Since(t).Nanoseconds()
@@ -157,12 +140,12 @@ func (d *dedupState) finish() sequitur.Serialized {
 // Walk is the finalize walk as a value the caller advances: NewWalk
 // starts the Packer, each Add walks the next ranks in rank order, and
 // Finish returns the trace once all world ranks are in. Within an Add
-// the fold is sequential and the relabel and key hashing fan out
-// across workers; every ordering-sensitive step (the fold, the
+// the fold is sequential and the relabel and key hashing fan out on
+// GOMAXPROCS workers; every ordering-sensitive step (the fold, the
 // first-seen grammar dedup and the rank-map append) runs in rank order
 // across Adds. The call section's final Sequitur pass runs beside the
-// walk, an Add behind it (dedupState.flush); FinalizeWorkers == 1 keeps
-// it inline. A Walk is not safe for concurrent use.
+// walk, an Add behind it (dedupState.flush). A Walk is not safe for
+// concurrent use.
 type Walk struct {
 	world, next int
 	opts        Options
@@ -191,7 +174,7 @@ func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *
 	w := &Walk{
 		world:     world,
 		opts:      opts,
-		workers:   par.Workers(opts.FinalizeWorkers),
+		workers:   runtime.GOMAXPROCS(0),
 		lossy:     opts.TimingMode == trace.TimingLossy,
 		premerged: premerged,
 		global:    cst.New(),
@@ -206,10 +189,10 @@ func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *
 	batch := opts.BatchSize(world)
 	batches := (world + batch - 1) / batch
 	w.dsp = opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
-	w.calls = newDedupState(world, w.workers, batches, true)
+	w.calls = newDedupState(world, batches, true)
 	w.rankMap = sequitur.New()
 	if w.lossy {
-		w.durState, w.intState = newDedupState(world, w.workers, batches, false), newDedupState(world, w.workers, batches, false)
+		w.durState, w.intState = newDedupState(world, batches, false), newDedupState(world, batches, false)
 		w.durIdx = make([]int32, 0, world)
 		w.intIdx = make([]int32, 0, world)
 	}
@@ -308,12 +291,14 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 	return nil
 }
 
-// Stop joins the Packer's goroutine without producing a trace, for a
-// walk abandoned before its last rank or on an error. It is safe to
-// call after Finish and more than once.
+// Stop joins the Packer's goroutine once it has packed everything
+// flushed so far, without producing a trace, for a walk abandoned
+// before its last rank or on an error. Every return path calls it, so
+// an error leaves no goroutine behind; it is safe to call after Finish
+// and more than once.
 func (w *Walk) Stop() {
 	if w.calls != nil {
-		w.calls.stop()
+		w.calls.queue.Close()
 	}
 }
 

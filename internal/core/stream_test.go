@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -38,20 +39,22 @@ func streamSnapshots(n int, lossy bool) ([]*Snapshot, *cst.Merged) {
 // terminal its table never held (a panic before it was an error), and,
 // when the walk folds the tables itself, a snapshot fetched without
 // its table each come back as that error with the goroutine count at
-// its baseline: in both timing modes, with the Packers inline or not,
+// its baseline: in both timing modes, at GOMAXPROCS 1, 2, 3 and 8,
 // folding or handed the tables premerged.
 func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 	const n = 12
 	errFetch := errors.New("spill: batch 2 unreadable")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, lossy := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4} {
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
 			for _, fold := range []bool{false, true} {
-				name := fmt.Sprintf("lossy=%v workers=%d fold=%v", lossy, workers, fold)
+				name := fmt.Sprintf("lossy=%v procs=%d fold=%v", lossy, procs, fold)
 				snaps, merged := streamSnapshots(n, lossy)
 				if fold {
 					merged = nil
 				}
-				opts := Options{FinalizeWorkers: workers}
+				var opts Options
 				if lossy {
 					opts.TimingMode = trace.TimingLossy
 				}

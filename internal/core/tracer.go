@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -61,16 +62,6 @@ type Options struct {
 	// CollectorRunID names the run at the collector (admin API, output
 	// file). Empty means pilgrim.RunSim generates a unique one.
 	CollectorRunID string
-
-	// FinalizeWorkers caps the worker pool the finalize pipeline (§3.5)
-	// fans out on: snapshotting, the per-rank grammar relabel, and
-	// grammar hashing; above 1, each section's final Sequitur pass also
-	// runs on a goroutine of its own beside the walk. 0 (the default)
-	// means GOMAXPROCS; 1 forces the fully sequential path. The produced
-	// trace is byte-identical for every worker count — all cross-rank
-	// ordering decisions (the CST fold, grammar dedup, rank map) are
-	// taken in sequential passes in rank order.
-	FinalizeWorkers int
 
 	// ObsSink, when non-nil, receives pipeline span tracing: every
 	// finalize stage (snapshot, CST merge, relabel, grammar dedup/pack,
@@ -539,14 +530,13 @@ func FinalizeSnapshots(snaps []*Snapshot, opts Options, info *trace.SalvageInfo)
 	return finalizeResident(snaps, nil, 0, opts, info)
 }
 
-// snapshotAll snapshots every tracer, fanning out on the finalize
-// worker pool: each Snapshot serializes that rank's grammars (and, in
+// snapshotAll snapshots every tracer on GOMAXPROCS workers: each Snapshot serializes that rank's grammars (and, in
 // lossy timing mode, its two timing grammars) under the rank's own
 // lock, so the per-rank serialization loop parallelizes trivially.
 func snapshotAll(tracers []*Tracer, opts Options) []*Snapshot {
 	sp := opts.ObsSink.Start("finalize", "finalize.snapshot").WithAttr("ranks", int64(len(tracers)))
 	snaps := make([]*Snapshot, len(tracers))
-	par.For(len(tracers), par.Workers(opts.FinalizeWorkers), func(i int) {
+	par.For(len(tracers), runtime.GOMAXPROCS(0), func(i int) {
 		snaps[i] = tracers[i].Snapshot()
 	})
 	sp.End()

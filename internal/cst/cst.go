@@ -130,9 +130,9 @@ type Merged struct {
 //
 // Absorbing every rank's table in rank order is the whole
 // inter-process CST merge: it equals the paper's log₂P pairwise tree
-// (and Incremental) entry for entry and relabel for relabel, because
-// a tree node is its left child with its right child absorbed, and by
-// induction each child is the rank-order fold of its own leaves.
+// entry for entry and relabel for relabel, because a tree node is its
+// left child with its right child absorbed, and by induction each
+// child is the rank-order fold of its own leaves.
 func (t *Table) Absorb(src *Table) []int32 {
 	relabel := make([]int32, len(src.sigs))
 	for old, key := range src.sigs {
@@ -151,125 +151,39 @@ func (t *Table) Absorb(src *Table) []int32 {
 	return relabel
 }
 
-func identity(n int) []int32 {
-	m := make([]int32, n)
-	for i := range m {
-		m[i] = int32(i)
-	}
-	return m
-}
-
-// composeInPlace rewrites first[k] = second[first[k]] and returns
-// first. The caller owns first (it is a leaf identity or a prior
-// composition private to this tree node).
-func composeInPlace(first, second []int32) []int32 {
-	for k, v := range first {
-		first[k] = second[v]
-	}
-	return first
-}
-
 // --- incremental merge -------------------------------------------------------
 
-// Incremental performs the log₂P pairwise tree merge one rank at a
-// time, in any arrival order: each internal tree node merges as soon as
-// both children are complete. The tree shape depends only on the rank
-// count and every node merge is an Absorb, deterministic in its inputs,
-// so the final Result is identical (including terminal numbering) to
-// absorbing the same tables in rank order, whatever order they arrived
-// in.
+// Incremental is the inter-process merge fed one rank at a time, in any
+// arrival order: it holds each table until every lower rank has
+// arrived, then absorbs the contiguous prefix in rank order. The Result
+// is therefore the rank-order fold whatever order the tables arrived
+// in, and so equal to the paper's log₂P pairwise tree (Absorb).
 type Incremental struct {
-	n     int
-	nodes []incNode
-	leaf  []int // rank -> leaf node index
-	root  int
+	global   *Table
+	pending  []*Table // by rank: arrived, not yet absorbed
+	relabels [][]int32
+	next     int // ranks [0, next) are absorbed
 }
 
-type incNode struct {
-	t     *Table
-	ranks []int
-	maps  [][]int32
-	ready bool
-	// owned reports the node's table belongs to the merge and may be
-	// extended in place; leaf tables are the caller's and stay intact.
-	owned bool
-	// children; -1 for leaves. parent is -1 for the root.
-	left, right, parent int
-}
-
-// NewIncremental builds the merge tree for n ranks (n >= 1).
+// NewIncremental starts the merge of n ranks.
 func NewIncremental(n int) *Incremental {
-	inc := &Incremental{n: n, leaf: make([]int, n)}
-	current := make([]int, n)
-	for r := 0; r < n; r++ {
-		inc.nodes = append(inc.nodes, incNode{left: -1, right: -1, parent: -1})
-		inc.leaf[r] = r
-		current[r] = r
-	}
-	// The paper's log₂P rounds: adjacent pairs merge, an odd trailing
-	// node carries into the next round unchanged.
-	for len(current) > 1 {
-		var next []int
-		for i := 0; i+1 < len(current); i += 2 {
-			id := len(inc.nodes)
-			inc.nodes = append(inc.nodes, incNode{left: current[i], right: current[i+1], parent: -1})
-			inc.nodes[current[i]].parent = id
-			inc.nodes[current[i+1]].parent = id
-			next = append(next, id)
-		}
-		if len(current)%2 == 1 {
-			next = append(next, current[len(current)-1])
-		}
-		current = next
-	}
-	inc.root = current[0]
-	return inc
+	return &Incremental{global: New(), pending: make([]*Table, n), relabels: make([][]int32, n)}
 }
 
-// mergeNode merges internal node p from its two complete children and
-// releases their payloads.
-func (inc *Incremental) mergeNode(p int) {
-	pn := &inc.nodes[p]
-	a, b := &inc.nodes[pn.left], &inc.nodes[pn.right]
-	dst := a.t
-	if !a.owned {
-		dst = a.t.Clone()
-	}
-	mapB := dst.Absorb(b.t)
-	pn.t = dst
-	pn.owned = true
-	pn.ranks = append(a.ranks, b.ranks...)
-	pn.maps = a.maps
-	for _, m := range b.maps {
-		pn.maps = append(pn.maps, composeInPlace(m, mapB))
-	}
-	pn.ready = true
-	// Drop child payloads: only the relabel slices live on in pn.
-	a.t, a.ranks, a.maps = nil, nil, nil
-	b.t, b.ranks, b.maps = nil, nil, nil
-}
-
-// Add feeds one rank's table and merges every tree node that becomes
-// complete. The table is not mutated or retained past the merge. Not
-// safe for concurrent use.
+// Add feeds one rank's table and absorbs every rank it completes the
+// prefix of. The table is only read, and is not retained once
+// absorbed. Not safe for concurrent use.
 func (inc *Incremental) Add(rank int, t *Table) error {
-	if rank < 0 || rank >= inc.n {
-		return fmt.Errorf("cst: incremental merge rank %d out of range [0,%d)", rank, inc.n)
+	if rank < 0 || rank >= len(inc.pending) {
+		return fmt.Errorf("cst: incremental merge rank %d out of range [0,%d)", rank, len(inc.pending))
 	}
-	leaf := &inc.nodes[inc.leaf[rank]]
-	if leaf.ready {
+	if rank < inc.next || inc.pending[rank] != nil {
 		return fmt.Errorf("cst: incremental merge rank %d added twice", rank)
 	}
-	leaf.t, leaf.ranks, leaf.maps, leaf.ready = t, []int{rank}, [][]int32{identity(t.Len())}, true
-	// Propagate upward while both children of the parent are ready.
-	for id := inc.leaf[rank]; inc.nodes[id].parent != -1; {
-		p := inc.nodes[id].parent
-		pn := &inc.nodes[p]
-		if !inc.nodes[pn.left].ready || !inc.nodes[pn.right].ready {
-			break
-		}
-		inc.mergeNode(p)
-		id = p
+	inc.pending[rank] = t
+	for ; inc.next < len(inc.pending) && inc.pending[inc.next] != nil; inc.next++ {
+		inc.relabels[inc.next] = inc.global.Absorb(inc.pending[inc.next])
+		inc.pending[inc.next] = nil
 	}
 	return nil
 }
@@ -277,20 +191,10 @@ func (inc *Incremental) Add(rank int, t *Table) error {
 // Result returns the completed merge; it must not be called before
 // every rank has been added.
 func (inc *Incremental) Result() Merged {
-	root := &inc.nodes[inc.root]
-	if !root.ready {
+	if inc.next != len(inc.pending) {
 		panic("cst: Incremental.Result before all ranks added")
 	}
-	out := Merged{Table: root.t, Relabels: make([][]int32, inc.n)}
-	for j, r := range root.ranks {
-		out.Relabels[r] = root.maps[j]
-	}
-	// A single-rank merge never ran mergeNode: return a table the
-	// caller may own without mutating the rank's snapshot table.
-	if !root.owned {
-		out.Table = root.t.Clone()
-	}
-	return out
+	return Merged{Table: inc.global, Relabels: inc.relabels}
 }
 
 // --- serialization -----------------------------------------------------------

@@ -2,6 +2,7 @@ package cst
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -47,6 +48,105 @@ func TestIncrementalMatchesPairwise(t *testing.T) {
 			checkMerged(t, n, inc.Result(), want)
 		}
 	}
+}
+
+// encodeTables lays tables out as FuzzIncrementalArrivalOrder's input:
+// a rank count byte, then per entry (rank, signature length, signature,
+// uvarint duration) records that rebuild each table's entries in
+// order, with their counts and duration sums.
+func encodeTables(tables []*Table) []byte {
+	b := []byte{byte(len(tables) - 1)}
+	for r, t := range tables {
+		for term, key := range t.sigs {
+			for c := int64(0); c < t.count[term]; c++ {
+				var dur int64
+				if c == 0 {
+					dur = t.durSum[term]
+				}
+				b = append(b, byte(r), byte(len(key)))
+				b = append(b, key...)
+				b = binary.AppendUvarint(b, uint64(dur))
+			}
+		}
+	}
+	return b
+}
+
+// decodeTables is encodeTables's inverse over any input: 1 to 64 ranks,
+// signatures of up to 7 bytes, a truncated record ignored.
+func decodeTables(b []byte) []*Table {
+	if len(b) == 0 {
+		return nil
+	}
+	tables := make([]*Table, 1+int(b[0])%64)
+	for r := range tables {
+		tables[r] = New()
+	}
+	for b = b[1:]; len(b) >= 2; {
+		r, l := int(b[0])%len(tables), int(b[1])%8
+		if len(b) < 2+l {
+			break
+		}
+		sig := b[2 : 2+l]
+		dur, k := binary.Uvarint(b[2+l:])
+		if k <= 0 {
+			break
+		}
+		tables[r].Add(sig, int64(dur%1e9))
+		b = b[2+l+k:]
+	}
+	return tables
+}
+
+// FuzzIncrementalArrivalOrder feeds any table set to Incremental in any
+// arrival order (order's bytes swap ranks of the identity permutation)
+// and requires the result, table bytes and relabels alike, to equal
+// both the pairwise tree and the rank-order Absorb fold. A rank added
+// twice, or out of range, must fail at any point of the feed.
+func FuzzIncrementalArrivalOrder(f *testing.F) {
+	for _, n := range []int{1, 2, 3, 5, 8, 13, 16, 17} {
+		tables := mkTables(n)
+		data := encodeTables(tables)
+		for r, tb := range decodeTables(data) {
+			if !bytes.Equal(tb.SerializeExact(), tables[r].SerializeExact()) {
+				f.Fatalf("n=%d rank %d: the seed does not decode to its table", n, r)
+			}
+		}
+		f.Add(data, []byte{})
+		f.Add(data, []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
+	}
+	f.Fuzz(func(t *testing.T, data, order []byte) {
+		tables := decodeTables(data)
+		n := len(tables)
+		if n == 0 {
+			return
+		}
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i, b := range order {
+			j, k := i%n, int(b)%n
+			perm[j], perm[k] = perm[k], perm[j]
+		}
+		fold := New()
+		relabels := make([][]int32, n)
+		for r, tb := range tables {
+			relabels[r] = fold.Absorb(tb)
+		}
+		inc := NewIncremental(n)
+		for _, r := range perm {
+			if err := inc.Add(r, tables[r]); err != nil {
+				t.Fatalf("add rank %d: %v", r, err)
+			}
+			if inc.Add(r, tables[r]) == nil || inc.Add(n, tables[r]) == nil || inc.Add(-1, tables[r]) == nil {
+				t.Fatalf("a duplicate or out-of-range add of rank %d accepted", r)
+			}
+		}
+		got := inc.Result()
+		checkMerged(t, n, got, MergePairwise(tables))
+		checkMerged(t, n, got, Merged{Table: fold, Relabels: relabels})
+	})
 }
 
 // checkMerged fails unless got matches want exactly: same table bytes,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/par"
@@ -37,6 +38,24 @@ func Merge(tables []*Table) Merged {
 		relabels[r] = m
 	}
 	return Merged{Table: g, Relabels: relabels}
+}
+
+func identity(n int) []int32 {
+	m := make([]int32, n)
+	for i := range m {
+		m[i] = int32(i)
+	}
+	return m
+}
+
+// composeInPlace rewrites first[k] = second[first[k]] and returns
+// first. The caller owns first (it is a leaf identity or a prior
+// composition private to this tree node).
+func composeInPlace(first, second []int32) []int32 {
+	for k, v := range first {
+		first[k] = second[v]
+	}
+	return first
 }
 
 // node is one position in the pairwise merge tree's working set: a
@@ -89,7 +108,9 @@ func MergePairwiseN(tables []*Table, workers int) Merged {
 	if n == 0 {
 		return Merged{Table: New()}
 	}
-	workers = par.Workers(workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	nodes := make([]*node, n)
 	par.For(n, workers, func(i int) {
 		nodes[i] = leafNode(i, tables[i])

@@ -7,19 +7,9 @@
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// Workers resolves a worker-count option: n > 0 is taken as-is,
-// anything else means GOMAXPROCS.
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Queue is a serial task executor: one worker goroutine runs submitted
 // tasks in submission order. It is the asynchronous half of the

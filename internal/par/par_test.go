@@ -1,7 +1,6 @@
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,18 +30,6 @@ func TestForSequentialIsInOrder(t *testing.T) {
 		if i != v {
 			t.Fatalf("sequential For out of order: %v", order)
 		}
-	}
-}
-
-func TestWorkers(t *testing.T) {
-	if Workers(4) != 4 {
-		t.Fatal("explicit worker count not honored")
-	}
-	if Workers(0) != runtime.GOMAXPROCS(0) {
-		t.Fatal("zero should resolve to GOMAXPROCS")
-	}
-	if Workers(-1) != runtime.GOMAXPROCS(0) {
-		t.Fatal("negative should resolve to GOMAXPROCS")
 	}
 }
 

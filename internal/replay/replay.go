@@ -27,6 +27,7 @@ package replay
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
@@ -73,7 +74,7 @@ func Body(f *trace.File) func(p *mpi.Proc) {
 func DecodeAll(f *trace.File) ([][]core.DecodedCall, error) {
 	perRank := make([][]core.DecodedCall, f.NumRanks)
 	errs := make([]error, f.NumRanks)
-	par.For(f.NumRanks, par.Workers(0), func(r int) {
+	par.For(f.NumRanks, runtime.GOMAXPROCS(0), func(r int) {
 		perRank[r], errs[r] = core.DecodeRank(f, r)
 	})
 	for r, err := range errs {
