@@ -39,12 +39,17 @@ type Writer struct {
 
 // NewWriter creates (or truncates) the spill for runID under dir,
 // writing a collecting-state manifest up front so a crash mid-spill
-// leaves a self-describing directory behind.
+// leaves a self-describing directory behind. It refuses a run ID that
+// framelog.ValidRunID rejects, as the collector does: the ID names a
+// directory, and the manifest must parse back.
 func NewWriter(dir, runID string, world int, opts core.Options) (*Writer, error) {
 	return newWriter(framelog.OSDir(dir), runID, world, opts)
 }
 
 func newWriter(dir framelog.Dir, runID string, world int, opts core.Options) (*Writer, error) {
+	if !framelog.ValidRunID(runID) {
+		return nil, fmt.Errorf("spill: invalid run id %q", runID)
+	}
 	f, err := dir.Create(true)
 	if err != nil {
 		return nil, fmt.Errorf("spill: %w", err)

@@ -108,6 +108,30 @@ func TestWriterRejectsBadAdds(t *testing.T) {
 	}
 }
 
+// TestWriterRefusesUnsafeRunID: a run ID names the spill's directory
+// and its manifest, so one framelog.ValidRunID rejects is refused
+// before anything is written, by NewWriter and by FinalizeRanks, which
+// would otherwise join it into SpillDir and write outside it.
+func TestWriterRefusesUnsafeRunID(t *testing.T) {
+	for _, id := range []string{"../x", "a/b", ".hidden", ""} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "spill")
+		if w, err := NewWriter(filepath.Join(dir, "run"), id, 1, core.Options{}); err == nil {
+			w.Close()
+			t.Errorf("NewWriter accepted run id %q", id)
+		}
+		if id != "" { // FinalizeRanks names an unnamed run "local"
+			opts := core.Options{SpillDir: dir, CollectorRunID: id}
+			if _, _, err := FinalizeRanks(1, func(int) *core.Snapshot { return mkSnapshot(0) }, nil, opts); err == nil {
+				t.Errorf("FinalizeRanks accepted run id %q", id)
+			}
+		}
+		if ents, _ := os.ReadDir(root); len(ents) != 0 {
+			t.Errorf("run id %q: %d entries written", id, len(ents))
+		}
+	}
+}
+
 // TestManifestLifecycle checks the spill directory is self-describing
 // through its life: collecting while open, terminal after Finish, in
 // the collector journal's manifest schema.

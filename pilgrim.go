@@ -33,6 +33,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/analysis"
 	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/metrics"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/obs"
@@ -82,15 +83,25 @@ func Run(n int, opts Options, body func(p *mpi.Proc)) (*TraceFile, FinalizeStats
 
 // RunSim is Run with explicit simulator options (seed, timeout,
 // fault plan). Options that fail Options.Validate return an error
-// before any rank runs. When the simulation fails — injected crash, Abort,
-// deadlock, panic — RunSim salvages: it runs the same inter-process
-// merge over whatever every rank traced before the failure and returns
-// the partial trace (tagged with trace.SalvageInfo) alongside the
-// non-nil error. Callers that only check err keep the old behavior;
-// callers that want the partial trace use the file even when err != nil.
+// before any rank runs, as does a CollectorRunID that cannot name a
+// SpillDir subdirectory when the spill is used. When the simulation
+// fails — injected crash, Abort, deadlock, panic — RunSim salvages: it
+// runs the same inter-process merge over whatever every rank traced
+// before the failure and returns the partial trace (tagged with
+// trace.SalvageInfo) alongside the non-nil error. Callers that only
+// check err keep the old behavior; callers that want the partial trace
+// use the file even when err != nil.
+//
+// The finalize route is picked once: the collector at CollectorAddr
+// for a clean run, else the spill under SpillDir, else in memory.
+// SpillDir is ignored under a collector, clean run or not.
 func RunSim(n int, opts Options, simOpts mpi.Options, body func(p *mpi.Proc)) (*TraceFile, FinalizeStats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, FinalizeStats{}, fmt.Errorf("pilgrim: %w", err)
+	}
+	spilled := opts.SpillDir != "" && opts.CollectorAddr == ""
+	if spilled && opts.CollectorRunID != "" && !framelog.ValidRunID(opts.CollectorRunID) {
+		return nil, FinalizeStats{}, fmt.Errorf("pilgrim: run id %q cannot name a spill directory", opts.CollectorRunID)
 	}
 	// Self-observability: an explicit Collector wins; otherwise asking
 	// for an endpoint or a progress reporter implies one.
@@ -134,60 +145,65 @@ func RunSim(n int, opts Options, simOpts mpi.Options, body func(p *mpi.Proc)) (*
 		core.BindOOB(tracers[p.Rank()], p)
 		body(p)
 	})
+	var failed map[int]error // nil for a clean run
+	var reason string
 	if err != nil {
-		if opts.SpillDir != "" && opts.CollectorAddr == "" {
-			file, stats, serr := spillSalvage(tracers, err, opts)
-			if serr != nil {
-				// The spill consumed tracer state, so there is no safe
-				// in-memory fallback: the salvage trace is lost, the run
-				// error still stands.
-				fmt.Fprintf(os.Stderr, "pilgrim: spill salvage finalize failed: %v\n", serr)
-				return nil, stats, err
-			}
-			return file, stats, err
-		}
-		file, stats := SalvageFinalize(tracers, err)
-		return file, stats, err
+		failed, reason = classify(err)
 	}
-	if opts.CollectorAddr != "" {
+	switch {
+	case opts.CollectorAddr != "" && err == nil:
 		file, stats := collectFinalize(tracers, opts)
 		if col != nil {
 			stats.Metrics = col.Report()
 		}
 		return file, stats, nil
-	}
-	if opts.SpillDir != "" {
+	case spilled:
 		// Streaming, bounded-memory finalize: snapshots spill to disk in
 		// batches of MaxResidentSnapshots and merge back from the spill,
 		// byte-identical to the in-memory path.
-		file, stats, ferr := spill.Finalize(tracers, nil, "", opts)
-		if ferr != nil {
-			return nil, stats, fmt.Errorf("pilgrim: spill finalize: %w", ferr)
+		file, stats, ferr := spill.Finalize(tracers, failed, reason, opts)
+		switch {
+		case ferr == nil:
+			return file, stats, err
+		case err != nil:
+			// The spill consumed tracer state, so there is no safe
+			// in-memory fallback: the salvage trace is lost, the run
+			// error still stands.
+			fmt.Fprintf(os.Stderr, "pilgrim: spill salvage finalize failed: %v\n", ferr)
+			return nil, stats, err
 		}
-		return file, stats, nil
+		return nil, stats, fmt.Errorf("pilgrim: spill finalize: %w", ferr)
+	case err != nil:
+		file, stats := core.SalvageFinalize(tracers, failed, reason)
+		return file, stats, err
 	}
 	file, stats := core.Finalize(tracers)
 	return file, stats, nil
 }
 
-// spillSalvage is the failure-path streaming finalize: the same
-// failed-rank classification as SalvageFinalize, run through the
-// on-disk spill instead of all-resident snapshots.
-func spillSalvage(tracers []*Tracer, err error, opts Options) (*TraceFile, FinalizeStats, error) {
-	failed := map[int]error{}
+// classify maps a failed run's error to what a salvage is tagged with:
+// the ranks that originated the failure and a one-line reason. Ranks
+// that merely unwound with ErrRevoked were innocent bystanders torn
+// down by the runtime, so they are not listed; only ranks that
+// crashed, aborted or panicked are. The map is never nil.
+func classify(err error) (failed map[int]error, reason string) {
+	failed = map[int]error{}
 	for r, e := range mpi.FailedRanks(err) {
 		if !errors.Is(e, mpi.ErrRevoked) {
 			failed[r] = e
 		}
 	}
-	reason, _, _ := strings.Cut(err.Error(), "\n")
-	return spill.Finalize(tracers, failed, reason, opts)
+	if err != nil {
+		reason, _, _ = strings.Cut(err.Error(), "\n")
+	}
+	return failed, reason
 }
 
 // collectFinalize is the networked finalize path: every rank's
 // snapshot streams to the pilgrim-collectd at Options.CollectorAddr,
-// the log₂P merge runs server-side, and the finalized trace is fetched
-// back — byte-identical to what core.Finalize would have produced.
+// the collector walks the snapshots as they arrive, and the finalized
+// trace is fetched back — byte-identical to what core.Finalize would
+// have produced.
 // Any failure (collector down, network partition, rejection) falls
 // back to the local merge over the same snapshots, so the run always
 // succeeds.
@@ -248,18 +264,7 @@ func collectFinalize(tracers []*Tracer, opts Options) (*TraceFile, FinalizeStats
 // originated the failure (ranks that merely unwound with ErrRevoked
 // are not listed as failed) and why. err is the error RunOpt returned.
 func SalvageFinalize(tracers []*Tracer, err error) (*TraceFile, FinalizeStats) {
-	failed := map[int]error{}
-	for r, e := range mpi.FailedRanks(err) {
-		// Revoked ranks were innocent bystanders torn down by the
-		// runtime; only ranks that crashed/aborted/paniced are "failed".
-		if !errors.Is(e, mpi.ErrRevoked) {
-			failed[r] = e
-		}
-	}
-	reason := ""
-	if err != nil {
-		reason, _, _ = strings.Cut(err.Error(), "\n")
-	}
+	failed, reason := classify(err)
 	return core.SalvageFinalize(tracers, failed, reason)
 }
 

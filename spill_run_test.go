@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	pilgrim "github.com/hpcrepro/pilgrim"
+	"github.com/hpcrepro/pilgrim/mpi"
 )
 
 // readManifest parses a spill directory's MANIFEST.json.
@@ -50,6 +52,24 @@ func TestRunSimSpillDir(t *testing.T) {
 	m := readManifest(t, filepath.Join(dir, "local"))
 	if m["state"] != "finalized" || m["nranks"] != float64(n) {
 		t.Fatalf("spill manifest = %v", m)
+	}
+}
+
+// TestRunSimSpillRefusesUnsafeRunID: with a spill directory, a run ID
+// that cannot name a directory inside it (it would climb out, nest, or
+// hide) is refused before any rank runs, and nothing is written.
+func TestRunSimSpillRefusesUnsafeRunID(t *testing.T) {
+	for _, id := range []string{"../x", "a/b", ".hidden"} {
+		root := t.TempDir()
+		opts := pilgrim.Options{SpillDir: filepath.Join(root, "spill"), CollectorRunID: id}
+		var ran atomic.Bool
+		file, _, err := pilgrim.RunSim(2, opts, simOpts(), func(p *mpi.Proc) { ran.Store(true) })
+		if err == nil || file != nil || ran.Load() {
+			t.Errorf("run id %q: err %v, trace %v, ranks ran %v", id, err, file != nil, ran.Load())
+		}
+		if ents, _ := os.ReadDir(root); len(ents) != 0 {
+			t.Errorf("run id %q: %d entries written", id, len(ents))
+		}
 	}
 }
 
