@@ -13,8 +13,8 @@ import (
 )
 
 // The finalize pipeline must write the same bytes at every GOMAXPROCS,
-// from one proc (where the walk's fan-out runs inline and the Packer's
-// goroutine never overlaps it) up: per-rank work writes only its own
+// from one proc (where the walk's fan-out runs inline and one goroutine
+// runs at a time) up: per-rank work writes only its own
 // slot, and every ordering-sensitive pass (the CST fold, grammar dedup,
 // rank map) stays sequential in rank order. These tests pin that
 // guarantee over the golden cases: odd and even rank counts, lossy

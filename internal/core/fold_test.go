@@ -53,10 +53,9 @@ func skeletonSnapshots(t *testing.T, name string, opts core.Options) []*core.Sna
 	return snaps
 }
 
-// premergedOracle is the finalize as the collector once ordered it:
-// every table merged first by cst.Incremental, fed in reverse rank
-// order so each table waits for every lower rank, then the walk handed
-// that premerged table. cst's tests hold Incremental to the paper's
+// premergedOracle is the finalize handed a premerged CST: every table
+// merged first by cst.Incremental, fed in reverse rank order so each
+// table waits for every lower rank, then the walk handed that table. cst's tests hold Incremental to the paper's
 // log₂P pairwise tree.
 func premergedOracle(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *trace.SalvageInfo) ([]byte, core.FinalizeStats) {
 	t.Helper()

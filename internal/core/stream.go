@@ -72,7 +72,7 @@ type dedupState struct {
 	reps   []sequitur.Serialized
 
 	packer  *sequitur.Packer // nil without shapes
-	queue   *par.Queue       // runs the Packer on its own goroutine
+	queue   *par.Queue       // runs the Packer on its own goroutine; nil without shapes
 	flushed int              // reps[:flushed] has been handed to the Packer
 	busyNs  int64            // time spent inside the Packer; the queue's goroutine writes it until close
 }
@@ -80,8 +80,8 @@ type dedupState struct {
 // newDedupState starts a section's dedup over world ranks; the call
 // section's (calls) also dedups by shape and starts its Packer behind a
 // queue deep enough for every flush (one per batch), so the walk never
-// waits for it: the grammars a pending flush holds are retained either
-// way.
+// waits for it. A pending flush costs no memory of its own: reps holds
+// its grammars anyway.
 func newDedupState(world, flushes int, calls bool) *dedupState {
 	d := &dedupState{seen: make(map[string]int32, world)}
 	if calls {

@@ -530,9 +530,10 @@ func FinalizeSnapshots(snaps []*Snapshot, opts Options, info *trace.SalvageInfo)
 	return finalizeResident(snaps, nil, 0, opts, info)
 }
 
-// snapshotAll snapshots every tracer on GOMAXPROCS workers: each Snapshot serializes that rank's grammars (and, in
-// lossy timing mode, its two timing grammars) under the rank's own
-// lock, so the per-rank serialization loop parallelizes trivially.
+// snapshotAll snapshots every tracer on GOMAXPROCS workers: each
+// Snapshot serializes that rank's grammars (and, in lossy timing mode,
+// its two timing grammars) under the rank's own lock, so the per-rank
+// serialization loop parallelizes trivially.
 func snapshotAll(tracers []*Tracer, opts Options) []*Snapshot {
 	sp := opts.ObsSink.Start("finalize", "finalize.snapshot").WithAttr("ranks", int64(len(tracers)))
 	snaps := make([]*Snapshot, len(tracers))

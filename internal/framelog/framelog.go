@@ -107,9 +107,11 @@ func (m *Manifest) Hello(rank int) wire.Hello {
 }
 
 // ValidRunID rejects run identifiers that could escape the directory a
-// log is named after or bloat a registry; the wire layer already bounds
-// the length.
+// log is named after, or that the wire layer would not carry.
 func ValidRunID(id string) bool {
+	if len(id) > wire.MaxRunID {
+		return false
+	}
 	for _, c := range id {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
@@ -129,7 +131,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("framelog: manifest: %w", err)
 	}
-	if !ValidRunID(m.RunID) || len(m.RunID) > wire.MaxRunID {
+	if !ValidRunID(m.RunID) {
 		return nil, fmt.Errorf("framelog: manifest run id %q invalid", m.RunID)
 	}
 	if m.World < 1 || m.World > wire.MaxWorldSize {

@@ -111,9 +111,10 @@ func TestWriterRejectsBadAdds(t *testing.T) {
 // TestWriterRefusesUnsafeRunID: a run ID names the spill's directory
 // and its manifest, so one framelog.ValidRunID rejects is refused
 // before anything is written, by NewWriter and by FinalizeRanks, which
-// would otherwise join it into SpillDir and write outside it.
+// would otherwise join it into SpillDir and write outside it, or write
+// a manifest framelog.ParseManifest refuses.
 func TestWriterRefusesUnsafeRunID(t *testing.T) {
-	for _, id := range []string{"../x", "a/b", ".hidden", ""} {
+	for _, id := range []string{"../x", "a/b", ".hidden", strings.Repeat("a", wire.MaxRunID+1), ""} {
 		root := t.TempDir()
 		dir := filepath.Join(root, "spill")
 		if w, err := NewWriter(filepath.Join(dir, "run"), id, 1, core.Options{}); err == nil {

@@ -158,8 +158,8 @@ func RunSim(n int, opts Options, simOpts mpi.Options, body func(p *mpi.Proc)) (*
 		}
 		return file, stats, nil
 	case spilled:
-		// Streaming, bounded-memory finalize: snapshots spill to disk in
-		// batches of MaxResidentSnapshots and merge back from the spill,
+		// Streaming, bounded-memory finalize: each batch of at most
+		// MaxResidentSnapshots ranks is written to the spill and walked,
 		// byte-identical to the in-memory path.
 		file, stats, ferr := spill.Finalize(tracers, failed, reason, opts)
 		switch {
