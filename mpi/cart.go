@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
+)
 
 // cartInfo stores the Cartesian topology attached to a communicator.
 type cartInfo struct {
@@ -35,7 +39,7 @@ func (p *Proc) CartCreate(c *Comm, dims []int, periods []bool, reorder bool) (*C
 	var nc *Comm
 	args := []Value{vComm(c), vInt(len(dims)), vIntArray(dims), vIntArray(perInts),
 		vInt(int(b2i(reorder))), vComm(nil)}
-	p.icall(fCartCreate, args, func() {
+	p.icall(mpispec.FCartCreate, args, func() {
 		res, maxClk := p.commRendezvous(c, nil, func(m map[int]any) any {
 			return p.world.ctxSeq.Add(1)
 		})
@@ -102,7 +106,7 @@ func (p *Proc) CartCoords(c *Comm, rank int) ([]int, error) {
 	}
 	coords := rankToCoords(rank, ci.dims)
 	args := []Value{vComm(c), vRank(rank), vInt(len(ci.dims)), vIntArray(coords)}
-	p.icall(fCartCoords, args, func() {})
+	p.icall(mpispec.FCartCoords, args, func() {})
 	return coords, nil
 }
 
@@ -114,7 +118,7 @@ func (p *Proc) CartRank(c *Comm, coords []int) (int, error) {
 	}
 	var r int
 	args := []Value{vComm(c), vIntArray(coords), vRank(0)}
-	p.icall(fCartRank, args, func() {
+	p.icall(mpispec.FCartRank, args, func() {
 		r = coordsToRank(coords, ci.dims, ci.periods)
 		args[2].I = int64(r)
 	})
@@ -132,7 +136,7 @@ func (p *Proc) CartShift(c *Comm, direction, disp int) (src, dest int, err error
 		return ProcNull, ProcNull, fmt.Errorf("mpi: CartShift direction %d out of range", direction)
 	}
 	args := []Value{vComm(c), vInt(direction), vInt(disp), vRank(0), vRank(0)}
-	p.icall(fCartShift, args, func() {
+	p.icall(mpispec.FCartShift, args, func() {
 		up := make([]int, len(ci.coords))
 		copy(up, ci.coords)
 		up[direction] += disp
@@ -161,7 +165,7 @@ func (p *Proc) CartGet(c *Comm) (dims []int, periods []bool, coords []int, err e
 		}
 	}
 	args := []Value{vComm(c), vInt(len(ci.dims)), vIntArray(ci.dims), vIntArray(perInts), vIntArray(ci.coords)}
-	p.icall(fCartGet, args, func() {})
+	p.icall(mpispec.FCartGet, args, func() {})
 	return append([]int(nil), ci.dims...), append([]bool(nil), ci.periods...), append([]int(nil), ci.coords...), nil
 }
 
@@ -173,7 +177,7 @@ func (p *Proc) CartdimGet(c *Comm) (int, error) {
 	}
 	var n int
 	args := []Value{vComm(c), vInt(0)}
-	p.icall(fCartdimGet, args, func() {
+	p.icall(mpispec.FCartdimGet, args, func() {
 		n = len(ci.dims)
 		args[1].I = int64(n)
 	})
@@ -198,7 +202,7 @@ func (p *Proc) CartSub(c *Comm, remain []bool) (*Comm, error) {
 	}
 	var nc *Comm
 	args := []Value{vComm(c), vIntArray(remInts), vComm(nil)}
-	p.icall(fCartSub, args, func() {
+	p.icall(mpispec.FCartSub, args, func() {
 		// Color = coordinates along dropped dims; key = row-major rank
 		// within kept dims.
 		color, key := 0, 0
@@ -236,7 +240,7 @@ func (p *Proc) DimsCreate(nnodes, ndims int, dims []int) error {
 	}
 	args := []Value{vInt(nnodes), vInt(ndims), vIntArray(dims)}
 	var err error
-	p.icall(fDimsCreate, args, func() {
+	p.icall(mpispec.FDimsCreate, args, func() {
 		err = dimsCreate(nnodes, ndims, dims)
 		args[2] = vIntArray(dims)
 	})

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"sync/atomic"
 	"testing"
 )
@@ -398,3 +399,119 @@ func putF64(b []byte, v float64) {
 }
 
 func getF64(b []byte) float64 { return f64FromInt64(getInt64(b)) }
+
+// TestCollectiveTwins requires each non-blocking collective, completed
+// by Wait, to leave every rank's receive buffer exactly as its blocking
+// twin does on the same inputs: for root 0 and the last rank, on the
+// world and on a 3-rank split.
+func TestCollectiveTwins(t *testing.T) {
+	type call func(p *Proc, send, recv Ptr, root int, c *Comm) error
+	type icall func(p *Proc, send, recv Ptr, root int, c *Comm) (*Request, error)
+	const count = 2
+	twins := []struct {
+		name     string
+		blocking call
+		start    icall
+	}{
+		{"Barrier",
+			func(p *Proc, s, r Ptr, root int, c *Comm) error { return p.Barrier(c) },
+			func(p *Proc, s, r Ptr, root int, c *Comm) (*Request, error) { return p.Ibarrier(c) }},
+		{"Bcast",
+			func(p *Proc, s, r Ptr, root int, c *Comm) error { return p.Bcast(r, count, Int, root, c) },
+			func(p *Proc, s, r Ptr, root int, c *Comm) (*Request, error) { return p.Ibcast(r, count, Int, root, c) }},
+		{"Gather",
+			func(p *Proc, s, r Ptr, root int, c *Comm) error {
+				return p.Gather(s, count, Int, r, count, Int, root, c)
+			},
+			func(p *Proc, s, r Ptr, root int, c *Comm) (*Request, error) {
+				return p.Igather(s, count, Int, r, count, Int, root, c)
+			}},
+		{"Scatter",
+			func(p *Proc, s, r Ptr, root int, c *Comm) error {
+				return p.Scatter(s, count, Int, r, count, Int, root, c)
+			},
+			func(p *Proc, s, r Ptr, root int, c *Comm) (*Request, error) {
+				return p.Iscatter(s, count, Int, r, count, Int, root, c)
+			}},
+		{"Allgather",
+			func(p *Proc, s, r Ptr, root int, c *Comm) error { return p.Allgather(s, count, Int, r, count, Int, c) },
+			func(p *Proc, s, r Ptr, root int, c *Comm) (*Request, error) {
+				return p.Iallgather(s, count, Int, r, count, Int, c)
+			}},
+		{"Alltoall",
+			func(p *Proc, s, r Ptr, root int, c *Comm) error { return p.Alltoall(s, count, Int, r, count, Int, c) },
+			func(p *Proc, s, r Ptr, root int, c *Comm) (*Request, error) {
+				return p.Ialltoall(s, count, Int, r, count, Int, c)
+			}},
+		{"Reduce",
+			func(p *Proc, s, r Ptr, root int, c *Comm) error { return p.Reduce(s, r, count, Int, OpSum, root, c) },
+			func(p *Proc, s, r Ptr, root int, c *Comm) (*Request, error) {
+				return p.Ireduce(s, r, count, Int, OpSum, root, c)
+			}},
+		{"Allreduce",
+			func(p *Proc, s, r Ptr, root int, c *Comm) error { return p.Allreduce(s, r, count, Int, OpSum, c) },
+			func(p *Proc, s, r Ptr, root int, c *Comm) (*Request, error) {
+				return p.Iallreduce(s, r, count, Int, OpSum, c)
+			}},
+	}
+	const n = 6
+	var moved [8][2][2]atomic.Int32 // ranks whose buffer the blocking call changed
+	run(t, n, func(p *Proc) {
+		split, err := p.CommSplit(p.World(), p.Rank()/3, p.Rank())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for ci, c := range []*Comm{p.World(), split} {
+			g := c.Size()
+			send, recv := p.Alloc(4*count*g), p.Alloc(4*count*g)
+			for k, tw := range twins {
+				for ri, root := range []int{0, g - 1} {
+					// prep fills the inputs; a root's receive buffer
+					// holds the data it broadcasts.
+					prep := func() {
+						for i := 0; i < count*g; i++ {
+							putInt32(send.Bytes()[4*i:], int32(1000*k+100*c.Rank()+i))
+							putInt32(recv.Bytes()[4*i:], -1)
+						}
+						if c.Rank() == root {
+							copy(recv.Bytes(), send.Bytes())
+						}
+					}
+					prep()
+					before := append([]byte(nil), recv.Bytes()...)
+					if err := tw.blocking(p, send.Ptr(0), recv.Ptr(0), root, c); err != nil {
+						t.Errorf("%s: %v", tw.name, err)
+						return
+					}
+					want := append([]byte(nil), recv.Bytes()...)
+					if !bytes.Equal(want, before) {
+						moved[k][ci][ri].Add(1)
+					}
+					prep()
+					req, err := tw.start(p, send.Ptr(0), recv.Ptr(0), root, c)
+					if err == nil {
+						err = p.Wait(req, nil)
+					}
+					if err != nil {
+						t.Errorf("non-blocking %s: %v", tw.name, err)
+						return
+					}
+					if !bytes.Equal(recv.Bytes(), want) {
+						t.Errorf("comm %d root %d rank %d: non-blocking %s left %v, blocking %v",
+							ci, root, c.Rank(), tw.name, recv.Bytes(), want)
+					}
+				}
+			}
+		}
+	})
+	for k, tw := range twins[1:] {
+		for ci := range moved[k+1] {
+			for ri := range moved[k+1][ci] {
+				if moved[k+1][ci][ri].Load() == 0 {
+					t.Errorf("%s on comm %d, root case %d: no rank's buffer changed", tw.name, ci, ri)
+				}
+			}
+		}
+	}
+}

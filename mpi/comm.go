@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
 
 // Group is an ordered set of world ranks (a per-process object, as in
@@ -158,7 +160,7 @@ func (w *World) rendezvous(key collKey, need, rank int, clock int64, contrib any
 func (p *Proc) commRendezvous(c *Comm, contrib any, compute func(map[int]any) any) (any, int64) {
 	seq := c.seq.Add(1)
 	key := collKey{ctx: c.ctx, seq: seq}
-	defer p.world.setBlocked(p, collTarget(p.world, key, c.group, p.rank, c.name))()
+	defer p.world.setBlocked(p, collTarget(p.world, key, c.group, p.rank, c.name, false))()
 	return p.world.rendezvous(key, len(c.group), c.myRank, p.clock.Load(), contrib, compute)
 }
 
@@ -194,7 +196,7 @@ func (p *Proc) CommDup(c *Comm) (*Comm, error) {
 	}
 	var nc *Comm
 	args := []Value{vComm(c), vComm(nil)}
-	p.icall(fCommDup, args, func() {
+	p.icall(mpispec.FCommDup, args, func() {
 		res, maxClk := p.commRendezvous(c, nil, func(m map[int]any) any {
 			return p.world.ctxSeq.Add(1)
 		})
@@ -216,12 +218,12 @@ func (p *Proc) CommIdup(c *Comm) (*Comm, *Request, error) {
 	nc := &Comm{proc: p, handle: p.newHandle(), group: c.group, myRank: c.myRank,
 		remote: c.remote, name: c.name + "+idup"}
 	p.registerComm(nc)
-	req := p.newRequest(rkColl)
+	req := p.newRequest()
 	args := []Value{vComm(c), vComm(nc), vReq(req)}
-	p.icall(fCommIdup, args, func() {
+	p.icall(mpispec.FCommIdup, args, func() {
 		seq := c.seq.Add(1)
 		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
+		req.target = collTarget(p.world, key, c.group, p.rank, c.name, false)
 		clk := p.clock.Load()
 		p.goBackground(func() {
 			res, maxClk := p.world.rendezvous(key, len(c.group), c.myRank, clk, nil,
@@ -242,7 +244,7 @@ func (p *Proc) CommSplit(c *Comm, color, key int) (*Comm, error) {
 	}
 	var nc *Comm
 	args := []Value{vComm(c), vColor(color), vKey(key), vComm(nil)}
-	p.icall(fCommSplit, args, func() {
+	p.icall(mpispec.FCommSplit, args, func() {
 		nc = p.splitBody(c, color, key, fmt.Sprintf("%s/split", c.name))
 		args[3] = vComm(nc)
 	})
@@ -308,7 +310,7 @@ func (p *Proc) CommSplitType(c *Comm, splitType, key int) (*Comm, error) {
 	}
 	var nc *Comm
 	args := []Value{vComm(c), vInt(splitType), vKey(key), vComm(nil)}
-	p.icall(fCommSplitType, args, func() {
+	p.icall(mpispec.FCommSplitType, args, func() {
 		color := p.rank / 16
 		if splitType != CommTypeShared {
 			color = Undefined
@@ -330,7 +332,7 @@ func (p *Proc) CommCreate(c *Comm, g *Group) (*Comm, error) {
 	}
 	var nc *Comm
 	args := []Value{vComm(c), vGroup(g), vComm(nil)}
-	p.icall(fCommCreate, args, func() {
+	p.icall(mpispec.FCommCreate, args, func() {
 		// All members contribute; the group contents come from the
 		// caller's group object (identical on all ranks, per MPI).
 		res, maxClk := p.commRendezvous(c, nil, func(m map[int]any) any {
@@ -360,7 +362,7 @@ func (p *Proc) CommFree(c *Comm) error {
 		return err
 	}
 	args := []Value{vComm(c)}
-	p.icall(fCommFree, args, func() {
+	p.icall(mpispec.FCommFree, args, func() {
 		c.freed = true
 	})
 	return nil
@@ -373,7 +375,7 @@ func (p *Proc) CommGroup(c *Comm) (*Group, error) {
 	}
 	var g *Group
 	args := []Value{vComm(c), vGroup(nil)}
-	p.icall(fCommGroup, args, func() {
+	p.icall(mpispec.FCommGroup, args, func() {
 		ranks := make([]int, len(c.group))
 		copy(ranks, c.group)
 		g = &Group{handle: p.newHandle(), ranks: ranks}
@@ -392,7 +394,7 @@ func (p *Proc) CommCompare(a, b *Comm) (int, error) {
 	}
 	var res int
 	args := []Value{vComm(a), vComm(b), vInt(0)}
-	p.icall(fCommCompare, args, func() {
+	p.icall(mpispec.FCommCompare, args, func() {
 		switch {
 		case a == b || a.ctx == b.ctx:
 			res = Ident
@@ -414,7 +416,7 @@ func (p *Proc) CommSetName(c *Comm, name string) error {
 		return err
 	}
 	args := []Value{vComm(c), vString(name)}
-	p.icall(fCommSetName, args, func() {
+	p.icall(mpispec.FCommSetName, args, func() {
 		c.name = name
 	})
 	return nil
@@ -427,7 +429,7 @@ func (p *Proc) CommGetName(c *Comm) (string, error) {
 	}
 	var name string
 	args := []Value{vComm(c), vString(""), vInt(0)}
-	p.icall(fCommGetName, args, func() {
+	p.icall(mpispec.FCommGetName, args, func() {
 		name = c.name
 		args[1].S = name
 		args[2].I = int64(len(name))
@@ -442,7 +444,7 @@ func (p *Proc) CommTestInter(c *Comm) (bool, error) {
 	}
 	var flag bool
 	args := []Value{vComm(c), vInt(0)}
-	p.icall(fCommTestInter, args, func() {
+	p.icall(mpispec.FCommTestInter, args, func() {
 		flag = c.remote != nil
 		args[1].I = b2i(flag)
 	})
@@ -460,7 +462,7 @@ func (p *Proc) CommRemoteSize(c *Comm) (int, error) {
 	}
 	var n int
 	args := []Value{vComm(c), vInt(0)}
-	p.icall(fCommRemoteSize, args, func() {
+	p.icall(mpispec.FCommRemoteSize, args, func() {
 		n = len(c.remote)
 		args[1].I = int64(n)
 	})
@@ -475,7 +477,7 @@ func (p *Proc) IntercommCreate(localComm *Comm, localLeader int, peerComm *Comm,
 	}
 	var nc *Comm
 	args := []Value{vComm(localComm), vRank(localLeader), vComm(peerComm), vRank(remoteLeader), vTag(tag), vComm(nil)}
-	p.icall(fIntercommCreate, args, func() {
+	p.icall(mpispec.FIntercommCreate, args, func() {
 		type leaderInfo struct {
 			group []int
 		}
@@ -548,7 +550,7 @@ func (p *Proc) IntercommMerge(c *Comm, high bool) (*Comm, error) {
 	var nc *Comm
 	args := []Value{vComm(c), vInt(int(b2i(high)))}
 	args = append(args, vComm(nil))
-	p.icall(fIntercommMerge, args, func() {
+	p.icall(mpispec.FIntercommMerge, args, func() {
 		type mergeContrib struct {
 			high      bool
 			worldRank int
@@ -559,7 +561,7 @@ func (p *Proc) IntercommMerge(c *Comm, high bool) (*Comm, error) {
 		members := make([]int, 0, need)
 		members = append(members, c.group...)
 		members = append(members, c.remote...)
-		defer p.world.setBlocked(p, collTargetWorldKeyed(p.world, key, members, p.rank, c.name))()
+		defer p.world.setBlocked(p, collTarget(p.world, key, members, p.rank, c.name, true))()
 		res, maxClk := p.world.rendezvous(key, need, p.rank, p.clock.Load(),
 			mergeContrib{high: high, worldRank: p.rank}, func(m map[int]any) any {
 				var lows, highs []int

@@ -73,8 +73,10 @@ func sendTarget(c *Comm, destWorld, dest, tag int) *waitTarget {
 }
 
 // collTarget builds the wait target of a collective rendezvous: the
-// members of the communicator that have not arrived at the slot yet.
-func collTarget(w *World, key collKey, members []int, self int, commName string) *waitTarget {
+// members that have not arrived at the slot yet. The slot keys a
+// member by its index in members, or by its world rank when worldKeyed
+// (intercomm merge, OOB operations).
+func collTarget(w *World, key collKey, members []int, self int, commName string, worldKeyed bool) *waitTarget {
 	return &waitTarget{
 		detail: fmt.Sprintf("comm=%s", commName),
 		peers: func() []int {
@@ -88,32 +90,11 @@ func collTarget(w *World, key collKey, members []int, self int, commName string)
 			}
 			s.mu.Lock()
 			for i, wr := range members {
-				if _, ok := s.contrib[i]; !ok && wr != self {
-					missing = append(missing, wr)
+				k := i
+				if worldKeyed {
+					k = wr
 				}
-			}
-			s.mu.Unlock()
-			return missing
-		},
-	}
-}
-
-// collTargetWorldKeyed is collTarget for rendezvous keyed by world
-// rank (intercomm merge, leader exchange) rather than comm rank.
-func collTargetWorldKeyed(w *World, key collKey, members []int, self int, commName string) *waitTarget {
-	return &waitTarget{
-		detail: fmt.Sprintf("comm=%s", commName),
-		peers: func() []int {
-			w.collMu.Lock()
-			s := w.colls[key]
-			w.collMu.Unlock()
-			var missing []int
-			if s == nil {
-				return missing
-			}
-			s.mu.Lock()
-			for _, wr := range members {
-				if _, ok := s.contrib[wr]; !ok && wr != self {
+				if _, ok := s.contrib[k]; !ok && wr != self {
 					missing = append(missing, wr)
 				}
 			}

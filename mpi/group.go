@@ -1,12 +1,16 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
+)
 
 // GroupSize returns the number of ranks in the group.
 func (p *Proc) GroupSize(g *Group) int {
 	var n int
 	args := []Value{vGroup(g), vInt(0)}
-	p.icall(fGroupSize, args, func() {
+	p.icall(mpispec.FGroupSize, args, func() {
 		n = len(g.ranks)
 		args[1].I = int64(n)
 	})
@@ -18,7 +22,7 @@ func (p *Proc) GroupSize(g *Group) int {
 func (p *Proc) GroupRank(g *Group) int {
 	r := Undefined
 	args := []Value{vGroup(g), vRank(0)}
-	p.icall(fGroupRank, args, func() {
+	p.icall(mpispec.FGroupRank, args, func() {
 		for i, wr := range g.ranks {
 			if wr == p.rank {
 				r = i
@@ -39,7 +43,7 @@ func (p *Proc) GroupIncl(g *Group, ranks []int) (*Group, error) {
 	}
 	var ng *Group
 	args := []Value{vGroup(g), vInt(len(ranks)), vIntArray(ranks), vGroup(nil)}
-	p.icall(fGroupIncl, args, func() {
+	p.icall(mpispec.FGroupIncl, args, func() {
 		nr := make([]int, len(ranks))
 		for i, r := range ranks {
 			nr[i] = g.ranks[r]
@@ -61,7 +65,7 @@ func (p *Proc) GroupExcl(g *Group, ranks []int) (*Group, error) {
 	}
 	var ng *Group
 	args := []Value{vGroup(g), vInt(len(ranks)), vIntArray(ranks), vGroup(nil)}
-	p.icall(fGroupExcl, args, func() {
+	p.icall(mpispec.FGroupExcl, args, func() {
 		var nr []int
 		for i, wr := range g.ranks {
 			if !excl[i] {
@@ -80,7 +84,7 @@ func (p *Proc) GroupFree(g *Group) error {
 		return fmt.Errorf("mpi: GroupFree on invalid group")
 	}
 	args := []Value{vGroup(g)}
-	p.icall(fGroupFree, args, func() {
+	p.icall(mpispec.FGroupFree, args, func() {
 		g.freed = true
 	})
 	return nil
@@ -91,7 +95,7 @@ func (p *Proc) GroupFree(g *Group) error {
 func (p *Proc) GroupTranslateRanks(g1 *Group, ranks1 []int, g2 *Group) ([]int, error) {
 	out := make([]int, len(ranks1))
 	args := []Value{vGroup(g1), vInt(len(ranks1)), vIntArray(ranks1), vGroup(g2), vIntArray(nil)}
-	p.icall(fGroupTranslateRanks, args, func() {
+	p.icall(mpispec.FGroupTranslateRanks, args, func() {
 		pos := map[int]int{}
 		for i, wr := range g2.ranks {
 			pos[wr] = i
@@ -113,7 +117,7 @@ func (p *Proc) GroupTranslateRanks(g1 *Group, ranks1 []int, g2 *Group) ([]int, e
 func (p *Proc) GroupUnion(g1, g2 *Group) (*Group, error) {
 	var ng *Group
 	args := []Value{vGroup(g1), vGroup(g2), vGroup(nil)}
-	p.icall(fGroupUnion, args, func() {
+	p.icall(mpispec.FGroupUnion, args, func() {
 		seen := map[int]bool{}
 		var nr []int
 		for _, r := range g1.ranks {
@@ -139,7 +143,7 @@ func (p *Proc) GroupUnion(g1, g2 *Group) (*Group, error) {
 func (p *Proc) GroupIntersection(g1, g2 *Group) (*Group, error) {
 	var ng *Group
 	args := []Value{vGroup(g1), vGroup(g2), vGroup(nil)}
-	p.icall(fGroupIntersection, args, func() {
+	p.icall(mpispec.FGroupIntersection, args, func() {
 		in2 := map[int]bool{}
 		for _, r := range g2.ranks {
 			in2[r] = true
@@ -160,7 +164,7 @@ func (p *Proc) GroupIntersection(g1, g2 *Group) (*Group, error) {
 func (p *Proc) GroupDifference(g1, g2 *Group) (*Group, error) {
 	var ng *Group
 	args := []Value{vGroup(g1), vGroup(g2), vGroup(nil)}
-	p.icall(fGroupDifference, args, func() {
+	p.icall(mpispec.FGroupDifference, args, func() {
 		in2 := map[int]bool{}
 		for _, r := range g2.ranks {
 			in2[r] = true

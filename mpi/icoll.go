@@ -1,230 +1,63 @@
 package mpi
 
-// Non-blocking collectives: the call is traced immediately (with its
-// request), and the collective body runs on a background goroutine
-// that completes the request. The background rendezvous uses the
-// sequence number drawn at call time, so call order defines matching
-// exactly as MPI requires.
+import "github.com/hpcrepro/pilgrim/internal/mpispec"
+
+// Non-blocking collectives: each is its blocking twin's description
+// run by icollective, which traces the call with its request at once
+// and completes the request from a background goroutine.
 
 // Ibarrier starts a non-blocking barrier.
 func (p *Proc) Ibarrier(c *Comm) (*Request, error) {
-	if err := p.checkColl(c); err != nil {
-		return nil, err
-	}
-	req := p.newRequest(rkColl)
-	args := []Value{vComm(c), vReq(req)}
-	p.icall(fIbarrier, args, func() {
-		seq := c.seq.Add(1)
-		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
-		clk := p.clock.Load()
-		p.goBackground(func() {
-			_, maxClk := p.world.rendezvous(key, len(c.group), c.myRank, clk, nil, nil)
-			req.complete(Status{}, maxClk+costLatency*int64(log2ceil(len(c.group))))
-		})
-	})
-	return req, nil
+	return p.icollective(mpispec.FIbarrier, c, func() coll { return barrierColl(c) })
 }
 
 // Ibcast starts a non-blocking broadcast.
 func (p *Proc) Ibcast(buf Ptr, count int, dt *Datatype, root int, c *Comm) (*Request, error) {
-	if err := p.checkColl(c, dt); err != nil {
-		return nil, err
-	}
-	req := p.newRequest(rkColl)
-	args := []Value{vPtr(buf), vInt(count), vType(dt), vRank(root), vComm(c), vReq(req)}
-	p.icall(fIbcast, args, func() {
-		nbytes := count * dt.size
-		var contrib any
-		if c.myRank == root {
-			contrib = snapshot(buf, nbytes)
-		}
-		seq := c.seq.Add(1)
-		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
-		clk := p.clock.Load()
-		me := c.myRank
-		p.goBackground(func() {
-			res, maxClk := p.world.rendezvous(key, len(c.group), me, clk, contrib,
-				func(m map[int]any) any { return m[root] })
-			if me != root {
-				if data, ok := res.([]byte); ok {
-					copy(buf.data, data)
-				}
-			}
-			req.complete(Status{}, maxClk+costLatency*int64(log2ceil(len(c.group)))+int64(nbytes)/10)
-		})
-	})
-	return req, nil
+	return p.icollective(mpispec.FIbcast, c, func() coll { return bcastColl(buf, count, dt, root, c) }, dt)
 }
 
 // Igather starts a non-blocking gather.
 func (p *Proc) Igather(sendbuf Ptr, sendcount int, sendtype *Datatype,
 	recvbuf Ptr, recvcount int, recvtype *Datatype, root int, c *Comm) (*Request, error) {
-	if err := p.checkColl(c, sendtype, recvtype); err != nil {
-		return nil, err
-	}
-	req := p.newRequest(rkColl)
-	args := []Value{vPtr(sendbuf), vInt(sendcount), vType(sendtype),
-		vPtr(recvbuf), vInt(recvcount), vType(recvtype), vRank(root), vComm(c), vReq(req)}
-	p.icall(fIgather, args, func() {
-		nbytes := sendcount * sendtype.size
-		contrib := snapshot(sendbuf, nbytes)
-		seq := c.seq.Add(1)
-		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
-		clk := p.clock.Load()
-		me := c.myRank
-		p.goBackground(func() {
-			res, maxClk := p.world.rendezvous(key, len(c.group), me, clk, contrib, concatCompute(len(c.group)))
-			if me == root {
-				copy(recvbuf.data, res.([]byte))
-			}
-			req.complete(Status{}, maxClk+costLatency*int64(log2ceil(len(c.group))))
-		})
-	})
-	return req, nil
+	return p.icollective(mpispec.FIgather, c, func() coll {
+		return gatherColl(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root, c)
+	}, sendtype, recvtype)
 }
 
 // Iscatter starts a non-blocking scatter.
 func (p *Proc) Iscatter(sendbuf Ptr, sendcount int, sendtype *Datatype,
 	recvbuf Ptr, recvcount int, recvtype *Datatype, root int, c *Comm) (*Request, error) {
-	if err := p.checkColl(c, sendtype, recvtype); err != nil {
-		return nil, err
-	}
-	req := p.newRequest(rkColl)
-	args := []Value{vPtr(sendbuf), vInt(sendcount), vType(sendtype),
-		vPtr(recvbuf), vInt(recvcount), vType(recvtype), vRank(root), vComm(c), vReq(req)}
-	p.icall(fIscatter, args, func() {
-		blockBytes := sendcount * sendtype.size
-		var contrib any
-		if c.myRank == root {
-			contrib = snapshot(sendbuf, blockBytes*len(c.group))
-		}
-		seq := c.seq.Add(1)
-		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
-		clk := p.clock.Load()
-		me := c.myRank
-		p.goBackground(func() {
-			res, maxClk := p.world.rendezvous(key, len(c.group), me, clk, contrib,
-				func(m map[int]any) any { return m[root] })
-			if data, ok := res.([]byte); ok {
-				off := me * blockBytes
-				if off+blockBytes <= len(data) {
-					copy(recvbuf.data, data[off:off+blockBytes])
-				}
-			}
-			req.complete(Status{}, maxClk+costLatency*int64(log2ceil(len(c.group))))
-		})
-	})
-	return req, nil
+	return p.icollective(mpispec.FIscatter, c, func() coll {
+		return scatterColl(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, root, c)
+	}, sendtype, recvtype)
 }
 
 // Iallgather starts a non-blocking allgather.
 func (p *Proc) Iallgather(sendbuf Ptr, sendcount int, sendtype *Datatype,
 	recvbuf Ptr, recvcount int, recvtype *Datatype, c *Comm) (*Request, error) {
-	if err := p.checkColl(c, sendtype, recvtype); err != nil {
-		return nil, err
-	}
-	req := p.newRequest(rkColl)
-	args := []Value{vPtr(sendbuf), vInt(sendcount), vType(sendtype),
-		vPtr(recvbuf), vInt(recvcount), vType(recvtype), vComm(c), vReq(req)}
-	p.icall(fIallgather, args, func() {
-		nbytes := sendcount * sendtype.size
-		contrib := snapshot(sendbuf, nbytes)
-		seq := c.seq.Add(1)
-		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
-		clk := p.clock.Load()
-		p.goBackground(func() {
-			res, maxClk := p.world.rendezvous(key, len(c.group), c.myRank, clk, contrib, concatCompute(len(c.group)))
-			copy(recvbuf.data, res.([]byte))
-			req.complete(Status{}, maxClk+costLatency*int64(log2ceil(len(c.group))))
-		})
-	})
-	return req, nil
+	return p.icollective(mpispec.FIallgather, c, func() coll {
+		return allgatherColl(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, c)
+	}, sendtype, recvtype)
 }
 
 // Ialltoall starts a non-blocking all-to-all.
 func (p *Proc) Ialltoall(sendbuf Ptr, sendcount int, sendtype *Datatype,
 	recvbuf Ptr, recvcount int, recvtype *Datatype, c *Comm) (*Request, error) {
-	if err := p.checkColl(c, sendtype, recvtype); err != nil {
-		return nil, err
-	}
-	req := p.newRequest(rkColl)
-	args := []Value{vPtr(sendbuf), vInt(sendcount), vType(sendtype),
-		vPtr(recvbuf), vInt(recvcount), vType(recvtype), vComm(c), vReq(req)}
-	p.icall(fIalltoall, args, func() {
-		blockBytes := sendcount * sendtype.size
-		contrib := snapshot(sendbuf, blockBytes*len(c.group))
-		seq := c.seq.Add(1)
-		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
-		clk := p.clock.Load()
-		me := c.myRank
-		p.goBackground(func() {
-			res, maxClk := p.world.rendezvous(key, len(c.group), me, clk, contrib, identityCompute)
-			m := res.(map[int]any)
-			for i := 0; i < len(c.group); i++ {
-				data, _ := m[i].([]byte)
-				srcOff := me * blockBytes
-				dstOff := i * blockBytes
-				if srcOff+blockBytes <= len(data) && dstOff+blockBytes <= len(recvbuf.data) {
-					copy(recvbuf.data[dstOff:dstOff+blockBytes], data[srcOff:srcOff+blockBytes])
-				}
-			}
-			req.complete(Status{}, maxClk+costLatency*int64(log2ceil(len(c.group))))
-		})
-	})
-	return req, nil
+	return p.icollective(mpispec.FIalltoall, c, func() coll {
+		return alltoallColl(sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, c)
+	}, sendtype, recvtype)
 }
 
 // Ireduce starts a non-blocking reduce.
 func (p *Proc) Ireduce(sendbuf, recvbuf Ptr, count int, dt *Datatype, op *Op, root int, c *Comm) (*Request, error) {
-	if err := p.checkColl(c, dt); err != nil {
-		return nil, err
-	}
-	req := p.newRequest(rkColl)
-	args := []Value{vPtr(sendbuf), vPtr(recvbuf), vInt(count), vType(dt), vOp(op), vRank(root), vComm(c), vReq(req)}
-	p.icall(fIreduce, args, func() {
-		nbytes := count * dt.size
-		contrib := snapshot(sendbuf, nbytes)
-		seq := c.seq.Add(1)
-		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
-		clk := p.clock.Load()
-		me := c.myRank
-		p.goBackground(func() {
-			res, maxClk := p.world.rendezvous(key, len(c.group), me, clk, contrib, reduceCompute(op, dt, len(c.group)))
-			if me == root {
-				copy(recvbuf.data, res.([]byte))
-			}
-			req.complete(Status{}, maxClk+costLatency*int64(log2ceil(len(c.group))))
-		})
-	})
-	return req, nil
+	return p.icollective(mpispec.FIreduce, c, func() coll {
+		return reduceColl(sendbuf, recvbuf, count, dt, op, root, c)
+	}, dt)
 }
 
 // Iallreduce starts a non-blocking allreduce.
 func (p *Proc) Iallreduce(sendbuf, recvbuf Ptr, count int, dt *Datatype, op *Op, c *Comm) (*Request, error) {
-	if err := p.checkColl(c, dt); err != nil {
-		return nil, err
-	}
-	req := p.newRequest(rkColl)
-	args := []Value{vPtr(sendbuf), vPtr(recvbuf), vInt(count), vType(dt), vOp(op), vComm(c), vReq(req)}
-	p.icall(fIallreduce, args, func() {
-		nbytes := count * dt.size
-		contrib := snapshot(sendbuf, nbytes)
-		seq := c.seq.Add(1)
-		key := collKey{ctx: c.ctx, seq: seq}
-		req.target = collTarget(p.world, key, c.group, p.rank, c.name)
-		clk := p.clock.Load()
-		p.goBackground(func() {
-			res, maxClk := p.world.rendezvous(key, len(c.group), c.myRank, clk, contrib, reduceCompute(op, dt, len(c.group)))
-			copy(recvbuf.data, res.([]byte))
-			req.complete(Status{}, maxClk+costLatency*int64(log2ceil(len(c.group))))
-		})
-	})
-	return req, nil
+	return p.icollective(mpispec.FIallreduce, c, func() coll {
+		return allreduceColl(sendbuf, recvbuf, count, dt, op, c)
+	}, dt)
 }

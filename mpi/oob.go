@@ -35,7 +35,7 @@ func (p *Proc) oobAllreduceMax(c *Comm, v int32, register bool) int32 {
 		members := make([]int, 0, need)
 		members = append(members, c.group...)
 		members = append(members, c.remote...)
-		defer p.world.setBlocked(p, collTargetWorldKeyed(p.world, key, members, p.rank, c.name+" (OOB)"))()
+		defer p.world.setBlocked(p, collTarget(p.world, key, members, p.rank, c.name+" (OOB)", true))()
 	}
 	res, _ := p.world.rendezvous(key, need, p.rank, p.clock.Load(), v, func(m map[int]any) any {
 		best := int32(-1 << 31)

@@ -2,8 +2,12 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
 
 func run(t *testing.T, n int, body func(p *Proc)) {
@@ -490,6 +494,133 @@ func TestVirtualClockAdvances(t *testing.T) {
 			if p.Now() <= t0+1000 {
 				t.Error("receive did not advance clock past transfer cost")
 			}
+		}
+	})
+}
+
+// funcLog records the functions a rank's calls were traced as.
+type funcLog struct{ funcs []mpispec.FuncID }
+
+func (l *funcLog) Pre(*mpispec.CallRecord)             {}
+func (l *funcLog) Post(rec *mpispec.CallRecord)        { l.funcs = append(l.funcs, rec.Func) }
+func (l *funcLog) MemAlloc(addr, size uint64, _ int32) {}
+func (l *funcLog) MemFree(addr uint64)                 {}
+
+// TestOutOfRangePeerRefused requires every point-to-point call to
+// refuse a peer that names no rank of its communicator, with an error
+// rather than a receive that can never match, and to trace the failing
+// call. On an intercommunicator the peer is checked against the remote
+// group: on ranks 2..4 below, peer 2 is a local rank but not a remote
+// one.
+func TestOutOfRangePeerRefused(t *testing.T) {
+	cases := []struct {
+		fn   mpispec.FuncID
+		call func(p *Proc, c *Comm, buf Ptr, bad int) error
+	}{
+		{mpispec.FSend, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			return p.Send(buf, 1, Int, bad, 0, c)
+		}},
+		{mpispec.FIsend, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			_, err := p.Isend(buf, 1, Int, bad, 0, c)
+			return err
+		}},
+		{mpispec.FRecv, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			return p.Recv(buf, 1, Int, bad, 0, c, nil)
+		}},
+		{mpispec.FIrecv, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			_, err := p.Irecv(buf, 1, Int, bad, 0, c)
+			return err
+		}},
+		{mpispec.FRecvInit, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			// A persistent request refuses its peer at Start, as a
+			// persistent send does: the request completes with an error.
+			r, err := p.RecvInit(buf, 1, Int, bad, 0, c)
+			if err != nil {
+				return err
+			}
+			var st Status
+			if err := p.Start(r); err != nil {
+				return err
+			}
+			if err := p.Wait(r, &st); err != nil || st.Error == 0 {
+				return err
+			}
+			return fmt.Errorf("status error %d", st.Error)
+		}},
+		{mpispec.FProbe, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			return p.Probe(bad, 0, c, nil)
+		}},
+		{mpispec.FIprobe, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			_, err := p.Iprobe(bad, 0, c, nil)
+			return err
+		}},
+		{mpispec.FSendrecv, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			return p.Sendrecv(buf, 1, Int, bad, 0, buf, 1, Int, ProcNull, 0, c, nil)
+		}},
+		{mpispec.FSendrecv, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			return p.Sendrecv(buf, 1, Int, ProcNull, 0, buf, 1, Int, bad, 0, c, nil)
+		}},
+		{mpispec.FSendrecvReplace, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			return p.SendrecvReplace(buf, 1, Int, bad, 0, ProcNull, 0, c, nil)
+		}},
+		{mpispec.FSendrecvReplace, func(p *Proc, c *Comm, buf Ptr, bad int) error {
+			return p.SendrecvReplace(buf, 1, Int, ProcNull, 0, bad, 0, c, nil)
+		}},
+	}
+	const n = 5
+	logs := make([]mpispec.Interceptor, n)
+	for i := range logs {
+		logs[i] = &funcLog{}
+	}
+	err := RunOpt(n, Options{Timeout: 30 * time.Second, Interceptors: logs}, func(p *Proc) {
+		w := p.World()
+		half, err := p.CommSplit(w, min(p.Rank()/2, 1), p.Rank())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		remoteLeader := 2
+		if p.Rank() >= 2 {
+			remoteLeader = 0
+		}
+		inter, err := p.IntercommCreate(half, 0, w, remoteLeader, 7)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		log := logs[p.Rank()].(*funcLog)
+		buf := p.Alloc(4)
+		for _, c := range []*Comm{w, inter} {
+			bad := c.Size()
+			if c.IsInter() {
+				bad = c.RemoteSizeRaw()
+			}
+			for _, tc := range cases {
+				mark := len(log.funcs)
+				if err := tc.call(p, c, buf.Ptr(0), bad); err == nil {
+					t.Errorf("rank %d %s on %s: peer %d accepted", p.Rank(), tc.fn.Name(), c.Name(), bad)
+				}
+				if !slices.Contains(log.funcs[mark:], tc.fn) {
+					t.Errorf("rank %d %s on %s: failing call not traced", p.Rank(), tc.fn.Name(), c.Name())
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProbeProcNull requires a probe of ProcNull to match at once, as
+// in MPI, instead of waiting for a message that cannot come.
+func TestProbeProcNull(t *testing.T) {
+	run(t, 2, func(p *Proc) {
+		var st Status
+		if err := p.Probe(ProcNull, AnyTag, p.World(), &st); err != nil || st.Source != ProcNull {
+			t.Errorf("Probe(ProcNull) = %v, status %+v", err, st)
+		}
+		if found, err := p.Iprobe(ProcNull, 3, p.World(), &st); err != nil || !found || st.Source != ProcNull {
+			t.Errorf("Iprobe(ProcNull) = %v, %v, status %+v", found, err, st)
 		}
 	})
 }

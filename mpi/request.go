@@ -1,15 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
 
-type reqKind uint8
-
-const (
-	rkSend reqKind = iota
-	rkRecv
-	rkColl
-	rkPersistSend
-	rkPersistRecv
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
 
 // Request is a non-blocking operation handle. Persistent requests
@@ -17,7 +11,6 @@ const (
 type Request struct {
 	proc   *Proc
 	handle int64
-	kind   reqKind
 
 	// guarded by proc.mu
 	done      bool
@@ -41,8 +34,8 @@ type Request struct {
 func (r *Request) Handle() int64 { return r.handle }
 
 // newRequest allocates a request owned by p.
-func (p *Proc) newRequest(kind reqKind) *Request {
-	return &Request{proc: p, handle: p.newHandle(), kind: kind}
+func (p *Proc) newRequest() *Request {
+	return &Request{proc: p, handle: p.newHandle()}
 }
 
 // complete marks the request done and wakes the owner's waiters.
@@ -162,7 +155,7 @@ func (p *Proc) Wait(r *Request, status *Status) error {
 	}
 	args := []Value{vReq(r), vStatus()}
 	var st Status
-	p.icall(fWait, args, func() {
+	p.icall(mpispec.FWait, args, func() {
 		r.waitDone()
 		st = r.consume()
 		setStatus(&args[1], st)
@@ -181,7 +174,7 @@ func (p *Proc) Test(r *Request, status *Status) (bool, error) {
 	args := []Value{vReq(r), vInt(0), vStatus()}
 	var flag bool
 	var st Status
-	p.icall(fTest, args, func() {
+	p.icall(mpispec.FTest, args, func() {
 		if r.isDone() {
 			flag = true
 			st = r.consume()
@@ -199,7 +192,7 @@ func (p *Proc) Test(r *Request, status *Status) (bool, error) {
 func (p *Proc) Waitall(rs []*Request, statuses []Status) error {
 	args := []Value{vInt(len(rs)), vReqArray(rs), vStatArray()}
 	sts := make([]Status, len(rs))
-	p.icall(fWaitall, args, func() {
+	p.icall(mpispec.FWaitall, args, func() {
 		for i, r := range rs {
 			if r == nil {
 				continue
@@ -219,7 +212,7 @@ func (p *Proc) Waitany(rs []*Request, status *Status) (int, error) {
 	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vStatus()}
 	idx := Undefined
 	var st Status
-	p.icall(fWaitany, args, func() {
+	p.icall(mpispec.FWaitany, args, func() {
 		if i := waitAnyDone(p, rs); i >= 0 {
 			idx = i
 			st = rs[i].consume()
@@ -239,7 +232,7 @@ func (p *Proc) Waitsome(rs []*Request, statuses []Status) ([]int, error) {
 	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vIndexArray(), vStatArray()}
 	var idx []int
 	var sts []Status
-	p.icall(fWaitsome, args, func() {
+	p.icall(mpispec.FWaitsome, args, func() {
 		if first := waitAnyDone(p, rs); first >= 0 {
 			for i, r := range rs {
 				if r != nil && r.isDone() {
@@ -263,7 +256,7 @@ func (p *Proc) Testall(rs []*Request, statuses []Status) (bool, error) {
 	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vStatArray()}
 	all := true
 	var sts []Status
-	p.icall(fTestall, args, func() {
+	p.icall(mpispec.FTestall, args, func() {
 		for _, r := range rs {
 			if r != nil && !r.isDone() {
 				all = false
@@ -292,7 +285,7 @@ func (p *Proc) Testany(rs []*Request, status *Status) (idx int, flag bool, err e
 	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vInt(0), vStatus()}
 	idx = Undefined
 	var st Status
-	p.icall(fTestany, args, func() {
+	p.icall(mpispec.FTestany, args, func() {
 		for i, r := range rs {
 			if r != nil && r.isDone() {
 				idx = i
@@ -317,7 +310,7 @@ func (p *Proc) Testsome(rs []*Request, statuses []Status) ([]int, error) {
 	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vIndexArray(), vStatArray()}
 	var idx []int
 	var sts []Status
-	p.icall(fTestsome, args, func() {
+	p.icall(mpispec.FTestsome, args, func() {
 		for i, r := range rs {
 			if r != nil && r.isDone() {
 				st := r.consume()
@@ -340,7 +333,7 @@ func (p *Proc) RequestFree(r *Request) error {
 		return fmt.Errorf("mpi: RequestFree on nil request")
 	}
 	args := []Value{vReq(r)}
-	p.icall(fRequestFree, args, func() {
+	p.icall(mpispec.FRequestFree, args, func() {
 		p.mu.Lock()
 		r.restart = nil
 		r.persistent = false
@@ -357,7 +350,7 @@ func (p *Proc) RequestGetStatus(r *Request, status *Status) (bool, error) {
 	args := []Value{vReq(r), vInt(0), vStatus()}
 	var flag bool
 	var st Status
-	p.icall(fRequestGetStatus, args, func() {
+	p.icall(mpispec.FRequestGetStatus, args, func() {
 		p.mu.Lock()
 		flag = r.done
 		st = r.status
@@ -380,7 +373,7 @@ func (p *Proc) Cancel(r *Request) error {
 		return fmt.Errorf("mpi: Cancel on nil request")
 	}
 	args := []Value{vReq(r)}
-	p.icall(fCancel, args, func() {
+	p.icall(mpispec.FCancel, args, func() {
 		if r.post != nil {
 			if r.post.withdraw() {
 				r.proc.mu.Lock()

@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
+)
 
 // TypeContiguous creates a datatype of count consecutive oldtype
 // elements.
@@ -10,7 +14,7 @@ func (p *Proc) TypeContiguous(count int, oldtype *Datatype) (*Datatype, error) {
 	}
 	var nt *Datatype
 	args := []Value{vInt(count), vType(oldtype), vType(nil)}
-	p.icall(fTypeContiguous, args, func() {
+	p.icall(mpispec.FTypeContiguous, args, func() {
 		nt = &Datatype{handle: p.newHandle(), name: "contiguous", kind: tkContiguous,
 			size: count * oldtype.size, extent: count * oldtype.extent,
 			base: oldtype.base, lane: oldtype.lane, oldtype: oldtype, count: count}
@@ -27,7 +31,7 @@ func (p *Proc) TypeVector(count, blocklength, stride int, oldtype *Datatype) (*D
 	}
 	var nt *Datatype
 	args := []Value{vInt(count), vInt(blocklength), vInt(stride), vType(oldtype), vType(nil)}
-	p.icall(fTypeVector, args, func() {
+	p.icall(mpispec.FTypeVector, args, func() {
 		extent := 0
 		if count > 0 {
 			extent = ((count-1)*stride + blocklength) * oldtype.extent
@@ -52,7 +56,7 @@ func (p *Proc) TypeIndexed(blocklengths, displacements []int, oldtype *Datatype)
 	}
 	var nt *Datatype
 	args := []Value{vInt(len(blocklengths)), vIntArray(blocklengths), vIntArray(displacements), vType(oldtype), vType(nil)}
-	p.icall(fTypeIndexed, args, func() {
+	p.icall(mpispec.FTypeIndexed, args, func() {
 		size, maxEnd := 0, 0
 		for i, bl := range blocklengths {
 			size += bl * oldtype.size
@@ -87,7 +91,7 @@ func (p *Proc) TypeCreateStruct(blocklengths, displacements []int, types []*Data
 	}
 	var nt *Datatype
 	args := []Value{vInt(len(blocklengths)), vIntArray(blocklengths), vIntArray(displacements), vIntArray(handles), vType(nil)}
-	p.icall(fTypeCreateStruct, args, func() {
+	p.icall(mpispec.FTypeCreateStruct, args, func() {
 		size, maxEnd := 0, 0
 		base := baseByteK
 		lane := 1
@@ -119,7 +123,7 @@ func (p *Proc) TypeCommit(dt *Datatype) error {
 		return fmt.Errorf("mpi: TypeCommit on invalid datatype")
 	}
 	args := []Value{vType(dt)}
-	p.icall(fTypeCommit, args, func() {
+	p.icall(mpispec.FTypeCommit, args, func() {
 		dt.committed = true
 	})
 	return nil
@@ -134,7 +138,7 @@ func (p *Proc) TypeFree(dt *Datatype) error {
 		return fmt.Errorf("mpi: cannot free predefined datatype %s", dt.name)
 	}
 	args := []Value{vType(dt)}
-	p.icall(fTypeFree, args, func() {
+	p.icall(mpispec.FTypeFree, args, func() {
 		dt.freed = true
 	})
 	return nil
@@ -144,7 +148,7 @@ func (p *Proc) TypeFree(dt *Datatype) error {
 func (p *Proc) TypeSize(dt *Datatype) int {
 	var n int
 	args := []Value{vType(dt), vInt(0)}
-	p.icall(fTypeSize, args, func() {
+	p.icall(mpispec.FTypeSize, args, func() {
 		n = dt.size
 		args[1].I = int64(n)
 	})
@@ -154,7 +158,7 @@ func (p *Proc) TypeSize(dt *Datatype) int {
 // TypeGetExtent returns the lower bound (always 0 here) and extent.
 func (p *Proc) TypeGetExtent(dt *Datatype) (lb, extent int) {
 	args := []Value{vType(dt), vInt(0), vInt(0)}
-	p.icall(fTypeGetExtent, args, func() {
+	p.icall(mpispec.FTypeGetExtent, args, func() {
 		extent = dt.extent
 		args[2].I = int64(extent)
 	})
@@ -168,7 +172,7 @@ func (p *Proc) TypeDup(dt *Datatype) (*Datatype, error) {
 	}
 	var nt *Datatype
 	args := []Value{vType(dt), vType(nil)}
-	p.icall(fTypeDup, args, func() {
+	p.icall(mpispec.FTypeDup, args, func() {
 		cp := *dt
 		cp.handle = p.newHandle()
 		cp.kind = tkDup
@@ -186,7 +190,7 @@ func (p *Proc) OpCreate(fn func(dst, src []byte, dt *Datatype), commute bool) (*
 	}
 	var op *Op
 	args := []Value{vInt(0), vInt(int(b2i(commute))), vOp(nil)}
-	p.icall(fOpCreate, args, func() {
+	p.icall(mpispec.FOpCreate, args, func() {
 		op = &Op{handle: p.newHandle(), name: "user_op", combine: fn, commute: commute, user: true}
 		args[2] = vOp(op)
 	})
@@ -199,6 +203,6 @@ func (p *Proc) OpFree(op *Op) error {
 		return fmt.Errorf("mpi: OpFree on invalid op")
 	}
 	args := []Value{vOp(op)}
-	p.icall(fOpFree, args, func() {})
+	p.icall(mpispec.FOpFree, args, func() {})
 	return nil
 }

@@ -2,6 +2,9 @@ package mpi
 
 import "github.com/hpcrepro/pilgrim/internal/mpispec"
 
+// Value is the captured-argument type used in CallRecords.
+type Value = mpispec.Value
+
 // Value constructors used when building CallRecords. Kept tiny so the
 // per-call wrappers read like the generated prologue/epilogue code.
 
