@@ -1,353 +1,127 @@
 package replay
 
 import (
-	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
-// replayDense handles Gather/Scatter/Allgather/Alltoall, which share
-// the (sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype,
-// [root,] comm) layout.
-func (st *Interp) replayDense(c core.DecodedCall) error {
-	a := c.Args
-	hasRoot := c.Func == mpispec.FGather || c.Func == mpispec.FScatter
-	commIdx := 6
-	if hasRoot {
-		commIdx = 7
-	}
-	cm, err := st.comm(a[commIdx])
-	if err != nil {
-		return err
-	}
-	sb, err := st.ptr(a[0])
-	if err != nil {
-		return err
-	}
-	rb, err := st.ptr(a[3])
-	if err != nil {
-		return err
-	}
-	sdt, err := st.datatype(a[2])
-	if err != nil {
-		return err
-	}
-	rdt, err := st.datatype(a[5])
-	if err != nil {
-		return err
-	}
-	sc, rc := int(a[1].I), int(a[4].I)
-	switch c.Func {
-	case mpispec.FGather:
-		return st.p.Gather(sb, sc, sdt, rb, rc, rdt, st.rank(a[6], cm), cm)
-	case mpispec.FScatter:
-		return st.p.Scatter(sb, sc, sdt, rb, rc, rdt, st.rank(a[6], cm), cm)
-	case mpispec.FAllgather:
-		return st.p.Allgather(sb, sc, sdt, rb, rc, rdt, cm)
-	default:
-		return st.p.Alltoall(sb, sc, sdt, rb, rc, rdt, cm)
-	}
-}
-
-// replayVector handles the vector collectives.
-func (st *Interp) replayVector(c core.DecodedCall) error {
-	a := c.Args
+// collective replays a collective. Each argument layout is decoded
+// once: a non-blocking collective has its blocking twin's layout plus
+// a trailing request, which started registers.
+func (st *Interp) collective(id mpispec.FuncID, a *args) error {
 	p := st.p
-	switch c.Func {
+	switch id {
+	case mpispec.FBarrier, mpispec.FIbarrier:
+		cm := a.comm(0)
+		switch {
+		case !a.ok():
+		case id == mpispec.FIbarrier:
+			return a.started(p.Ibarrier(cm))
+		default:
+			return p.Barrier(cm)
+		}
+
+	case mpispec.FBcast, mpispec.FIbcast:
+		cm := a.comm(4)
+		buf, count, dt, root := a.ptr(0), a.num(1), a.dt(2), a.rel(3, cm)
+		switch {
+		case !a.ok():
+		case id == mpispec.FIbcast:
+			return a.started(p.Ibcast(buf, count, dt, root, cm))
+		default:
+			return p.Bcast(buf, count, dt, root, cm)
+		}
+
+	// (sendbuf, sendcount, sendtype, recvbuf, recvcount, recvtype, [root,] comm)
+	case mpispec.FGather, mpispec.FIgather, mpispec.FScatter, mpispec.FIscatter,
+		mpispec.FAllgather, mpispec.FIallgather, mpispec.FAlltoall, mpispec.FIalltoall:
+		ci := 6
+		if id == mpispec.FGather || id == mpispec.FIgather || id == mpispec.FScatter || id == mpispec.FIscatter {
+			ci = 7
+		}
+		cm := a.comm(ci)
+		sb, sc, sdt, rb, rc, rdt := a.ptr(0), a.num(1), a.dt(2), a.ptr(3), a.num(4), a.dt(5)
+		if !a.ok() {
+			break
+		}
+		switch id {
+		case mpispec.FGather:
+			return p.Gather(sb, sc, sdt, rb, rc, rdt, a.rel(6, cm), cm)
+		case mpispec.FIgather:
+			return a.started(p.Igather(sb, sc, sdt, rb, rc, rdt, a.rel(6, cm), cm))
+		case mpispec.FScatter:
+			return p.Scatter(sb, sc, sdt, rb, rc, rdt, a.rel(6, cm), cm)
+		case mpispec.FIscatter:
+			return a.started(p.Iscatter(sb, sc, sdt, rb, rc, rdt, a.rel(6, cm), cm))
+		case mpispec.FAllgather:
+			return p.Allgather(sb, sc, sdt, rb, rc, rdt, cm)
+		case mpispec.FIallgather:
+			return a.started(p.Iallgather(sb, sc, sdt, rb, rc, rdt, cm))
+		case mpispec.FAlltoall:
+			return p.Alltoall(sb, sc, sdt, rb, rc, rdt, cm)
+		default:
+			return a.started(p.Ialltoall(sb, sc, sdt, rb, rc, rdt, cm))
+		}
+
 	case mpispec.FGatherv:
-		cm, err := st.comm(a[8])
-		if err != nil {
-			return err
+		cm := a.comm(8)
+		if sb, sdt, rb, rdt := a.ptr(0), a.dt(2), a.ptr(3), a.dt(6); a.ok() {
+			return p.Gatherv(sb, a.num(1), sdt, rb, a.ints(4), a.ints(5), rdt, a.rel(7, cm), cm)
 		}
-		sb, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		rb, err := st.ptr(a[3])
-		if err != nil {
-			return err
-		}
-		sdt, err := st.datatype(a[2])
-		if err != nil {
-			return err
-		}
-		rdt, err := st.datatype(a[6])
-		if err != nil {
-			return err
-		}
-		return p.Gatherv(sb, int(a[1].I), sdt, rb, ints(a[4]), ints(a[5]), rdt, st.rank(a[7], cm), cm)
 	case mpispec.FScatterv:
-		cm, err := st.comm(a[8])
-		if err != nil {
-			return err
+		cm := a.comm(8)
+		if sb, sdt, rb, rdt := a.ptr(0), a.dt(3), a.ptr(4), a.dt(6); a.ok() {
+			return p.Scatterv(sb, a.ints(1), a.ints(2), sdt, rb, a.num(5), rdt, a.rel(7, cm), cm)
 		}
-		sb, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		rb, err := st.ptr(a[4])
-		if err != nil {
-			return err
-		}
-		sdt, err := st.datatype(a[3])
-		if err != nil {
-			return err
-		}
-		rdt, err := st.datatype(a[6])
-		if err != nil {
-			return err
-		}
-		return p.Scatterv(sb, ints(a[1]), ints(a[2]), sdt, rb, int(a[5].I), rdt, st.rank(a[7], cm), cm)
 	case mpispec.FAllgatherv:
-		cm, err := st.comm(a[7])
-		if err != nil {
-			return err
+		cm := a.comm(7)
+		if sb, sdt, rb, rdt := a.ptr(0), a.dt(2), a.ptr(3), a.dt(6); a.ok() {
+			return p.Allgatherv(sb, a.num(1), sdt, rb, a.ints(4), a.ints(5), rdt, cm)
 		}
-		sb, err := st.ptr(a[0])
-		if err != nil {
-			return err
+	case mpispec.FAlltoallv:
+		cm := a.comm(8)
+		if sb, sdt, rb, rdt := a.ptr(0), a.dt(3), a.ptr(4), a.dt(7); a.ok() {
+			return p.Alltoallv(sb, a.ints(1), a.ints(2), sdt, rb, a.ints(5), a.ints(6), rdt, cm)
 		}
-		rb, err := st.ptr(a[3])
-		if err != nil {
-			return err
-		}
-		sdt, err := st.datatype(a[2])
-		if err != nil {
-			return err
-		}
-		rdt, err := st.datatype(a[6])
-		if err != nil {
-			return err
-		}
-		return p.Allgatherv(sb, int(a[1].I), sdt, rb, ints(a[4]), ints(a[5]), rdt, cm)
-	default: // Alltoallv
-		cm, err := st.comm(a[8])
-		if err != nil {
-			return err
-		}
-		sb, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		rb, err := st.ptr(a[4])
-		if err != nil {
-			return err
-		}
-		sdt, err := st.datatype(a[3])
-		if err != nil {
-			return err
-		}
-		rdt, err := st.datatype(a[7])
-		if err != nil {
-			return err
-		}
-		return p.Alltoallv(sb, ints(a[1]), ints(a[2]), sdt, rb, ints(a[5]), ints(a[6]), rdt, cm)
-	}
-}
 
-// replayReduce handles the reduction collectives.
-func (st *Interp) replayReduce(c core.DecodedCall) error {
-	a := c.Args
-	p := st.p
-	sb, err := st.ptr(a[0])
-	if err != nil {
-		return err
-	}
-	rb, err := st.ptr(a[1])
-	if err != nil {
-		return err
-	}
-	switch c.Func {
-	case mpispec.FReduce:
-		cm, err := st.comm(a[6])
-		if err != nil {
-			return err
-		}
-		dt, err := st.datatype(a[3])
-		if err != nil {
-			return err
-		}
-		op, err := st.op(a[4])
-		if err != nil {
-			return err
-		}
-		return p.Reduce(sb, rb, int(a[2].I), dt, op, st.rank(a[5], cm), cm)
-	case mpispec.FReduceScatter:
-		cm, err := st.comm(a[5])
-		if err != nil {
-			return err
-		}
-		dt, err := st.datatype(a[3])
-		if err != nil {
-			return err
-		}
-		op, err := st.op(a[4])
-		if err != nil {
-			return err
-		}
-		return p.ReduceScatter(sb, rb, ints(a[2]), dt, op, cm)
+	// (sendbuf, recvbuf, count, datatype, op, [root,] comm)
 	default:
-		cm, err := st.comm(a[5])
-		if err != nil {
-			return err
+		ci := 5
+		if id == mpispec.FReduce || id == mpispec.FIreduce {
+			ci = 6
 		}
-		dt, err := st.datatype(a[3])
-		if err != nil {
-			return err
+		cm := a.comm(ci)
+		sb, rb, count, dt, op := a.ptr(0), a.ptr(1), a.num(2), a.dt(3), a.op(4)
+		if !a.ok() {
+			break
 		}
-		op, err := st.op(a[4])
-		if err != nil {
-			return err
-		}
-		count := int(a[2].I)
-		switch c.Func {
+		switch id {
+		case mpispec.FReduce:
+			return p.Reduce(sb, rb, count, dt, op, a.rel(5, cm), cm)
+		case mpispec.FIreduce:
+			return a.started(p.Ireduce(sb, rb, count, dt, op, a.rel(5, cm), cm))
 		case mpispec.FAllreduce:
 			return p.Allreduce(sb, rb, count, dt, op, cm)
+		case mpispec.FIallreduce:
+			return a.started(p.Iallreduce(sb, rb, count, dt, op, cm))
 		case mpispec.FScan:
 			return p.Scan(sb, rb, count, dt, op, cm)
 		case mpispec.FExscan:
 			return p.Exscan(sb, rb, count, dt, op, cm)
-		default: // ReduceScatterBlock
+		case mpispec.FReduceScatter:
+			return p.ReduceScatter(sb, rb, a.ints(2), dt, op, cm)
+		default: // FReduceScatterBlock
 			return p.ReduceScatterBlock(sb, rb, count, dt, op, cm)
 		}
 	}
+	return a.err
 }
 
-// replayIColl handles the non-blocking collectives, registering the
-// resulting request.
-func (st *Interp) replayIColl(c core.DecodedCall) error {
-	a := c.Args
-	p := st.p
-	var r *mpi.Request
-	var err error
-	var reqID int64
-	switch c.Func {
-	case mpispec.FIbarrier:
-		cm, e := st.comm(a[0])
-		if e != nil {
-			return e
-		}
-		r, err = p.Ibarrier(cm)
-		reqID = a[1].I
-	case mpispec.FIbcast:
-		cm, e := st.comm(a[4])
-		if e != nil {
-			return e
-		}
-		buf, e := st.ptr(a[0])
-		if e != nil {
-			return e
-		}
-		dt, e := st.datatype(a[2])
-		if e != nil {
-			return e
-		}
-		r, err = p.Ibcast(buf, int(a[1].I), dt, st.rank(a[3], cm), cm)
-		reqID = a[5].I
-	case mpispec.FIgather, mpispec.FIscatter:
-		cm, e := st.comm(a[7])
-		if e != nil {
-			return e
-		}
-		sb, e := st.ptr(a[0])
-		if e != nil {
-			return e
-		}
-		rb, e := st.ptr(a[3])
-		if e != nil {
-			return e
-		}
-		sdt, e := st.datatype(a[2])
-		if e != nil {
-			return e
-		}
-		rdt, e := st.datatype(a[5])
-		if e != nil {
-			return e
-		}
-		if c.Func == mpispec.FIgather {
-			r, err = p.Igather(sb, int(a[1].I), sdt, rb, int(a[4].I), rdt, st.rank(a[6], cm), cm)
-		} else {
-			r, err = p.Iscatter(sb, int(a[1].I), sdt, rb, int(a[4].I), rdt, st.rank(a[6], cm), cm)
-		}
-		reqID = a[8].I
-	case mpispec.FIallgather, mpispec.FIalltoall:
-		cm, e := st.comm(a[6])
-		if e != nil {
-			return e
-		}
-		sb, e := st.ptr(a[0])
-		if e != nil {
-			return e
-		}
-		rb, e := st.ptr(a[3])
-		if e != nil {
-			return e
-		}
-		sdt, e := st.datatype(a[2])
-		if e != nil {
-			return e
-		}
-		rdt, e := st.datatype(a[5])
-		if e != nil {
-			return e
-		}
-		if c.Func == mpispec.FIallgather {
-			r, err = p.Iallgather(sb, int(a[1].I), sdt, rb, int(a[4].I), rdt, cm)
-		} else {
-			r, err = p.Ialltoall(sb, int(a[1].I), sdt, rb, int(a[4].I), rdt, cm)
-		}
-		reqID = a[7].I
-	case mpispec.FIreduce:
-		cm, e := st.comm(a[6])
-		if e != nil {
-			return e
-		}
-		sb, e := st.ptr(a[0])
-		if e != nil {
-			return e
-		}
-		rb, e := st.ptr(a[1])
-		if e != nil {
-			return e
-		}
-		dt, e := st.datatype(a[3])
-		if e != nil {
-			return e
-		}
-		op, e := st.op(a[4])
-		if e != nil {
-			return e
-		}
-		r, err = p.Ireduce(sb, rb, int(a[2].I), dt, op, st.rank(a[5], cm), cm)
-		reqID = a[7].I
-	default: // FIallreduce
-		cm, e := st.comm(a[5])
-		if e != nil {
-			return e
-		}
-		sb, e := st.ptr(a[0])
-		if e != nil {
-			return e
-		}
-		rb, e := st.ptr(a[1])
-		if e != nil {
-			return e
-		}
-		dt, e := st.datatype(a[3])
-		if e != nil {
-			return e
-		}
-		op, e := st.op(a[4])
-		if e != nil {
-			return e
-		}
-		r, err = p.Iallreduce(sb, rb, int(a[2].I), dt, op, cm)
-		reqID = a[6].I
+// started registers the request a non-blocking collective returned
+// under the symbolic id of its trailing argument.
+func (a *args) started(r *mpi.Request, err error) error {
+	if err == nil {
+		a.st.pushReq(a.id(len(a.v)-1), r, false)
 	}
-	if err != nil {
-		return err
-	}
-	st.pushReq(reqID, r, false)
-	return nil
+	return err
 }

@@ -11,7 +11,7 @@ import (
 // exec replays one decoded call.
 func (st *Interp) exec(c core.DecodedCall) error {
 	p := st.p
-	a := c.Args
+	a := &args{st: st, v: c.Args}
 	switch c.Func {
 	case mpispec.FInit:
 		return p.Init()
@@ -24,517 +24,256 @@ func (st *Interp) exec(c core.DecodedCall) error {
 	case mpispec.FGetProcessorName:
 		p.GetProcessorName()
 	case mpispec.FCommSize:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
+		if cm := a.comm(0); a.ok() {
+			p.CommSize(cm)
 		}
-		p.CommSize(cm)
 	case mpispec.FCommRank:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
-		}
-		p.CommRank(cm)
-
-	case mpispec.FSend, mpispec.FBsend, mpispec.FSsend, mpispec.FRsend:
-		cm, err := st.comm(a[5])
-		if err != nil {
-			return err
-		}
-		buf, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		dt, err := st.datatype(a[2])
-		if err != nil {
-			return err
-		}
-		dest := st.rank(a[3], cm)
-		tag := int(a[4].Resolve(int64(cm.Rank())))
-		switch c.Func {
-		case mpispec.FSsend:
-			return p.Ssend(buf, int(a[1].I), dt, dest, tag, cm)
-		case mpispec.FBsend:
-			return p.Bsend(buf, int(a[1].I), dt, dest, tag, cm)
-		case mpispec.FRsend:
-			return p.Rsend(buf, int(a[1].I), dt, dest, tag, cm)
-		default:
-			return p.Send(buf, int(a[1].I), dt, dest, tag, cm)
+		if cm := a.comm(0); a.ok() {
+			p.CommRank(cm)
 		}
 
-	case mpispec.FRecv:
-		cm, err := st.comm(a[5])
-		if err != nil {
-			return err
-		}
-		buf, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		dt, err := st.datatype(a[2])
-		if err != nil {
-			return err
-		}
-		return p.Recv(buf, int(a[1].I), dt, st.rank(a[3], cm),
-			int(a[4].Resolve(int64(cm.Rank()))), cm, nil)
-
-	case mpispec.FIsend, mpispec.FIbsend, mpispec.FIssend, mpispec.FIrsend, mpispec.FIrecv,
+	case mpispec.FSend, mpispec.FBsend, mpispec.FSsend, mpispec.FRsend, mpispec.FRecv,
+		mpispec.FIsend, mpispec.FIbsend, mpispec.FIssend, mpispec.FIrsend, mpispec.FIrecv,
 		mpispec.FSendInit, mpispec.FBsendInit, mpispec.FSsendInit, mpispec.FRsendInit, mpispec.FRecvInit:
-		cm, err := st.comm(a[5])
-		if err != nil {
-			return err
-		}
-		buf, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		dt, err := st.datatype(a[2])
-		if err != nil {
-			return err
-		}
-		peer := st.rank(a[3], cm)
-		tag := int(a[4].Resolve(int64(cm.Rank())))
-		count := int(a[1].I)
-		var r *mpi.Request
-		persistent := false
-		switch c.Func {
-		case mpispec.FIsend:
-			r, err = p.Isend(buf, count, dt, peer, tag, cm)
-		case mpispec.FIbsend:
-			r, err = p.Ibsend(buf, count, dt, peer, tag, cm)
-		case mpispec.FIssend:
-			r, err = p.Issend(buf, count, dt, peer, tag, cm)
-		case mpispec.FIrsend:
-			r, err = p.Irsend(buf, count, dt, peer, tag, cm)
-		case mpispec.FIrecv:
-			r, err = p.Irecv(buf, count, dt, peer, tag, cm)
-		case mpispec.FSendInit:
-			r, err = p.SendInit(buf, count, dt, peer, tag, cm)
-			persistent = true
-		case mpispec.FBsendInit:
-			r, err = p.BsendInit(buf, count, dt, peer, tag, cm)
-			persistent = true
-		case mpispec.FSsendInit:
-			r, err = p.SsendInit(buf, count, dt, peer, tag, cm)
-			persistent = true
-		case mpispec.FRsendInit:
-			r, err = p.RsendInit(buf, count, dt, peer, tag, cm)
-			persistent = true
-		case mpispec.FRecvInit:
-			r, err = p.RecvInit(buf, count, dt, peer, tag, cm)
-			persistent = true
-		}
-		if err != nil {
-			return err
-		}
-		st.pushReq(a[6].I, r, persistent)
-
+		return st.p2p(c.Func, a)
 	case mpispec.FSendrecv:
-		cm, err := st.comm(a[10])
-		if err != nil {
-			return err
+		cm := a.comm(10)
+		if sb, sdt, rb, rdt := a.ptr(0), a.dt(2), a.ptr(5), a.dt(7); a.ok() {
+			return p.Sendrecv(sb, a.num(1), sdt, a.rel(3, cm), a.rel(4, cm),
+				rb, a.num(6), rdt, a.rel(8, cm), a.rel(9, cm), cm, nil)
 		}
-		sb, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		rb, err := st.ptr(a[5])
-		if err != nil {
-			return err
-		}
-		sdt, err := st.datatype(a[2])
-		if err != nil {
-			return err
-		}
-		rdt, err := st.datatype(a[7])
-		if err != nil {
-			return err
-		}
-		return p.Sendrecv(sb, int(a[1].I), sdt, st.rank(a[3], cm), int(a[4].Resolve(int64(cm.Rank()))),
-			rb, int(a[6].I), rdt, st.rank(a[8], cm), int(a[9].Resolve(int64(cm.Rank()))), cm, nil)
-
 	case mpispec.FSendrecvReplace:
-		cm, err := st.comm(a[7])
-		if err != nil {
-			return err
+		cm := a.comm(7)
+		if buf, dt := a.ptr(0), a.dt(2); a.ok() {
+			return p.SendrecvReplace(buf, a.num(1), dt, a.rel(3, cm), a.rel(4, cm), a.rel(5, cm), a.rel(6, cm), cm, nil)
 		}
-		buf, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		dt, err := st.datatype(a[2])
-		if err != nil {
-			return err
-		}
-		return p.SendrecvReplace(buf, int(a[1].I), dt,
-			st.rank(a[3], cm), int(a[4].Resolve(int64(cm.Rank()))),
-			st.rank(a[5], cm), int(a[6].Resolve(int64(cm.Rank()))), cm, nil)
-
 	case mpispec.FProbe:
 		// Blocking probe: re-execute it (the matching message will
 		// arrive, as it did originally).
-		cm, err := st.comm(a[2])
-		if err != nil {
-			return err
+		if cm := a.comm(2); a.ok() {
+			return p.Probe(a.rel(0, cm), a.rel(1, cm), cm, nil)
 		}
-		return p.Probe(st.rank(a[0], cm), int(a[1].Resolve(int64(cm.Rank()))), cm, nil)
 	case mpispec.FIprobe:
 		// Non-blocking polling: replay is a no-op (its outcome depends
 		// on arrival timing, which replay does not reproduce).
 		return nil
 
 	case mpispec.FWait:
-		r, err := st.popReq(a[0].I)
+		r, err := st.popReq(a.id(0))
 		if err != nil {
 			return err
 		}
 		return p.Wait(r, nil)
 	case mpispec.FWaitall:
-		rs, err := st.popReqs(a[1])
+		rs, err := st.popReqs(a.v[1])
 		if err != nil {
 			return err
 		}
 		return p.Waitall(rs, make([]mpi.Status, len(rs)))
 	case mpispec.FTest:
 		// Completed only if the recorded flag is set.
-		if a[1].I != 0 {
-			r, err := st.popReq(a[0].I)
+		if a.flag(1) {
+			r, err := st.popReq(a.id(0))
 			if err != nil {
 				return err
 			}
 			return p.Wait(r, nil)
 		}
 	case mpispec.FWaitany, mpispec.FTestany:
-		idxArg := 2
-		completed := a[idxArg].I >= 0
+		completed := a.num(2) >= 0
 		if c.Func == mpispec.FTestany {
-			completed = a[3].I != 0 && a[2].I >= 0
+			completed = a.flag(3) && a.num(2) >= 0
 		}
 		if completed {
 			// The trace tells us which slot completed; wait for the
 			// request occupying that position in the live window.
-			rs, err := st.peekReqs(a[1])
+			rs, err := st.peekReqs(a.v[1])
 			if err != nil {
 				return err
 			}
-			slot := int(a[2].I)
+			slot := a.num(2)
 			if slot < 0 || slot >= len(rs) || rs[slot] == nil {
 				return fmt.Errorf("completed slot %d out of range", slot)
 			}
-			st.consume(a[1].Arr[slot].I, rs[slot])
+			st.consume(a.v[1].Arr[slot].I, rs[slot])
 			return p.Wait(rs[slot], nil)
 		}
 	case mpispec.FWaitsome, mpispec.FTestsome:
-		rs, err := st.peekReqs(a[1])
+		rs, err := st.peekReqs(a.v[1])
 		if err != nil {
 			return err
 		}
-		for _, iv := range a[3].Arr {
-			slot := int(iv.I)
+		for _, slot := range a.ints(3) {
 			if slot < 0 || slot >= len(rs) || rs[slot] == nil {
 				return fmt.Errorf("completed slot %d out of range", slot)
 			}
-			st.consume(a[1].Arr[slot].I, rs[slot])
+			st.consume(a.v[1].Arr[slot].I, rs[slot])
 			if err := p.Wait(rs[slot], nil); err != nil {
 				return err
 			}
 		}
 	case mpispec.FTestall:
-		if a[2].I != 0 {
-			rs, err := st.popReqs(a[1])
+		if a.flag(2) {
+			rs, err := st.popReqs(a.v[1])
 			if err != nil {
 				return err
 			}
 			return p.Waitall(rs, make([]mpi.Status, len(rs)))
 		}
 	case mpispec.FRequestFree:
-		r, err := st.popReq(a[0].I)
+		r, err := st.popReq(a.id(0))
 		if err != nil {
 			return err
 		}
 		delete(st.persistent, r)
-		st.dropReq(a[0].I, r)
+		st.dropReq(a.id(0), r)
 		return p.RequestFree(r)
 	case mpispec.FRequestGetStatus, mpispec.FCancel:
 		return nil // polling/cancellation: structural no-op on replay
 
 	case mpispec.FStart:
-		r, err := st.popReq(a[0].I) // persistent: not consumed
+		r, err := st.popReq(a.id(0)) // persistent: not consumed
 		if err != nil {
 			return err
 		}
 		return p.Start(r)
 	case mpispec.FStartall:
-		rs, err := st.popReqs(a[1])
+		rs, err := st.popReqs(a.v[1])
 		if err != nil {
 			return err
 		}
 		return p.Startall(rs)
 
-	case mpispec.FBarrier:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
-		}
-		return p.Barrier(cm)
-	case mpispec.FBcast:
-		cm, err := st.comm(a[4])
-		if err != nil {
-			return err
-		}
-		buf, err := st.ptr(a[0])
-		if err != nil {
-			return err
-		}
-		dt, err := st.datatype(a[2])
-		if err != nil {
-			return err
-		}
-		return p.Bcast(buf, int(a[1].I), dt, st.rank(a[3], cm), cm)
-	case mpispec.FGather, mpispec.FScatter, mpispec.FAllgather, mpispec.FAlltoall:
-		return st.replayDense(c)
-	case mpispec.FGatherv, mpispec.FScatterv, mpispec.FAllgatherv, mpispec.FAlltoallv:
-		return st.replayVector(c)
-	case mpispec.FReduce, mpispec.FAllreduce, mpispec.FScan, mpispec.FExscan,
-		mpispec.FReduceScatter, mpispec.FReduceScatterBlock:
-		return st.replayReduce(c)
-	case mpispec.FIbarrier, mpispec.FIbcast, mpispec.FIgather, mpispec.FIscatter,
-		mpispec.FIallgather, mpispec.FIalltoall, mpispec.FIreduce, mpispec.FIallreduce:
-		return st.replayIColl(c)
+	case mpispec.FBarrier, mpispec.FIbarrier, mpispec.FBcast, mpispec.FIbcast,
+		mpispec.FGather, mpispec.FIgather, mpispec.FScatter, mpispec.FIscatter,
+		mpispec.FAllgather, mpispec.FIallgather, mpispec.FAlltoall, mpispec.FIalltoall,
+		mpispec.FGatherv, mpispec.FScatterv, mpispec.FAllgatherv, mpispec.FAlltoallv,
+		mpispec.FReduce, mpispec.FIreduce, mpispec.FAllreduce, mpispec.FIallreduce,
+		mpispec.FScan, mpispec.FExscan, mpispec.FReduceScatter, mpispec.FReduceScatterBlock:
+		return st.collective(c.Func, a)
 
 	case mpispec.FCommDup:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
+		if cm := a.comm(0); a.ok() {
+			nc, err := p.CommDup(cm)
+			return bind(st.comms, a.id(1), nc, err)
 		}
-		nc, err := p.CommDup(cm)
-		if err != nil {
-			return err
-		}
-		st.comms[a[1].I] = nc
 	case mpispec.FCommSplit:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
-		}
-		color := int(a[1].Resolve(int64(cm.Rank())))
-		key := int(a[2].Resolve(int64(cm.Rank())))
-		nc, err := p.CommSplit(cm, color, key)
-		if err != nil {
-			return err
-		}
-		if nc != nil {
-			st.comms[a[3].I] = nc
+		if cm := a.comm(0); a.ok() {
+			nc, err := p.CommSplit(cm, a.rel(1, cm), a.rel(2, cm))
+			return bind(st.comms, a.id(3), nc, err)
 		}
 	case mpispec.FCommSplitType:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
-		}
-		nc, err := p.CommSplitType(cm, int(a[1].I), int(a[2].Resolve(int64(cm.Rank()))))
-		if err != nil {
-			return err
-		}
-		if nc != nil {
-			st.comms[a[3].I] = nc
+		if cm := a.comm(0); a.ok() {
+			nc, err := p.CommSplitType(cm, a.num(1), a.rel(2, cm))
+			return bind(st.comms, a.id(3), nc, err)
 		}
 	case mpispec.FCommCreate:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
-		}
-		g, err := st.group(a[1])
-		if err != nil {
-			return err
-		}
-		nc, err := p.CommCreate(cm, g)
-		if err != nil {
-			return err
-		}
-		if nc != nil {
-			st.comms[a[2].I] = nc
+		if cm, g := a.comm(0), a.group(1); a.ok() {
+			nc, err := p.CommCreate(cm, g)
+			return bind(st.comms, a.id(2), nc, err)
 		}
 	case mpispec.FCommFree:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
+		if cm := a.comm(0); a.ok() {
+			return p.CommFree(cm)
 		}
-		return p.CommFree(cm)
 	case mpispec.FCommGroup:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
+		if cm := a.comm(0); a.ok() {
+			g, err := p.CommGroup(cm)
+			return bind(st.grps, a.id(1), g, err)
 		}
-		g, err := p.CommGroup(cm)
-		if err != nil {
-			return err
-		}
-		st.grps[a[1].I] = g
 	case mpispec.FCommCompare:
-		c1, err := st.comm(a[0])
-		if err != nil {
+		if c1, c2 := a.comm(0), a.comm(1); a.ok() {
+			_, err := p.CommCompare(c1, c2)
 			return err
 		}
-		c2, err := st.comm(a[1])
-		if err != nil {
-			return err
-		}
-		_, err = p.CommCompare(c1, c2)
-		return err
 	case mpispec.FCommSetName:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
+		if cm := a.comm(0); a.ok() {
+			return p.CommSetName(cm, a.v[1].S)
 		}
-		return p.CommSetName(cm, a[1].S)
 	case mpispec.FCommGetName:
-		cm, err := st.comm(a[0])
-		if err != nil {
+		if cm := a.comm(0); a.ok() {
+			_, err := p.CommGetName(cm)
 			return err
 		}
-		_, err = p.CommGetName(cm)
-		return err
 	case mpispec.FCommTestInter:
-		cm, err := st.comm(a[0])
-		if err != nil {
+		if cm := a.comm(0); a.ok() {
+			_, err := p.CommTestInter(cm)
 			return err
 		}
-		_, err = p.CommTestInter(cm)
-		return err
 	case mpispec.FCommRemoteSize:
-		cm, err := st.comm(a[0])
-		if err != nil {
+		if cm := a.comm(0); a.ok() {
+			_, err := p.CommRemoteSize(cm)
 			return err
 		}
-		_, err = p.CommRemoteSize(cm)
-		return err
 	case mpispec.FIntercommCreate:
-		local, err := st.comm(a[0])
-		if err != nil {
-			return err
+		if local, peer := a.comm(0), a.comm(2); a.ok() {
+			nc, err := p.IntercommCreate(local, a.rel(1, local), peer, a.rel(3, local), a.rel(4, local))
+			return bind(st.comms, a.id(5), nc, err)
 		}
-		peer, err := st.comm(a[2])
-		if err != nil {
-			return err
-		}
-		nc, err := p.IntercommCreate(local, int(a[1].Resolve(int64(local.Rank()))),
-			peer, int(a[3].Resolve(int64(local.Rank()))), int(a[4].Resolve(int64(local.Rank()))))
-		if err != nil {
-			return err
-		}
-		st.comms[a[5].I] = nc
 	case mpispec.FIntercommMerge:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
+		if cm := a.comm(0); a.ok() {
+			nc, err := p.IntercommMerge(cm, a.flag(1))
+			return bind(st.comms, a.id(2), nc, err)
 		}
-		nc, err := p.IntercommMerge(cm, a[1].I != 0)
-		if err != nil {
-			return err
-		}
-		st.comms[a[2].I] = nc
 	case mpispec.FCommIdup:
 		return fmt.Errorf("MPI_Comm_idup replay is not supported")
 
 	case mpispec.FGroupSize:
-		g, err := st.group(a[0])
-		if err != nil {
-			return err
+		if g := a.group(0); a.ok() {
+			p.GroupSize(g)
 		}
-		p.GroupSize(g)
 	case mpispec.FGroupRank:
-		g, err := st.group(a[0])
-		if err != nil {
-			return err
+		if g := a.group(0); a.ok() {
+			p.GroupRank(g)
 		}
-		p.GroupRank(g)
 	case mpispec.FGroupIncl, mpispec.FGroupExcl:
-		g, err := st.group(a[0])
-		if err != nil {
-			return err
+		if g := a.group(0); a.ok() {
+			incl := p.GroupIncl
+			if c.Func == mpispec.FGroupExcl {
+				incl = p.GroupExcl
+			}
+			ng, err := incl(g, a.ints(2))
+			return bind(st.grps, a.id(3), ng, err)
 		}
-		var ng *mpi.Group
-		if c.Func == mpispec.FGroupIncl {
-			ng, err = p.GroupIncl(g, ints(a[2]))
-		} else {
-			ng, err = p.GroupExcl(g, ints(a[2]))
-		}
-		if err != nil {
-			return err
-		}
-		st.grps[a[3].I] = ng
 	case mpispec.FGroupFree:
-		g, err := st.group(a[0])
-		if err != nil {
-			return err
+		if g := a.group(0); a.ok() {
+			return p.GroupFree(g)
 		}
-		return p.GroupFree(g)
 	case mpispec.FGroupTranslateRanks:
-		g1, err := st.group(a[0])
-		if err != nil {
+		if g1, g2 := a.group(0), a.group(3); a.ok() {
+			_, err := p.GroupTranslateRanks(g1, a.ints(2), g2)
 			return err
 		}
-		g2, err := st.group(a[3])
-		if err != nil {
-			return err
-		}
-		_, err = p.GroupTranslateRanks(g1, ints(a[2]), g2)
-		return err
 	case mpispec.FGroupUnion, mpispec.FGroupIntersection, mpispec.FGroupDifference:
-		g1, err := st.group(a[0])
-		if err != nil {
-			return err
+		if g1, g2 := a.group(0), a.group(1); a.ok() {
+			set := p.GroupUnion
+			switch c.Func {
+			case mpispec.FGroupIntersection:
+				set = p.GroupIntersection
+			case mpispec.FGroupDifference:
+				set = p.GroupDifference
+			}
+			ng, err := set(g1, g2)
+			return bind(st.grps, a.id(2), ng, err)
 		}
-		g2, err := st.group(a[1])
-		if err != nil {
-			return err
-		}
-		var ng *mpi.Group
-		switch c.Func {
-		case mpispec.FGroupUnion:
-			ng, err = p.GroupUnion(g1, g2)
-		case mpispec.FGroupIntersection:
-			ng, err = p.GroupIntersection(g1, g2)
-		default:
-			ng, err = p.GroupDifference(g1, g2)
-		}
-		if err != nil {
-			return err
-		}
-		st.grps[a[2].I] = ng
 
 	case mpispec.FTypeContiguous:
-		old, err := st.datatype(a[1])
-		if err != nil {
-			return err
+		if old := a.dt(1); a.ok() {
+			nt, err := p.TypeContiguous(a.num(0), old)
+			return bind(st.types, a.id(2), nt, err)
 		}
-		nt, err := p.TypeContiguous(int(a[0].I), old)
-		if err != nil {
-			return err
-		}
-		st.types[a[2].I] = nt
 	case mpispec.FTypeVector:
-		old, err := st.datatype(a[3])
-		if err != nil {
-			return err
+		if old := a.dt(3); a.ok() {
+			nt, err := p.TypeVector(a.num(0), a.num(1), a.num(2), old)
+			return bind(st.types, a.id(4), nt, err)
 		}
-		nt, err := p.TypeVector(int(a[0].I), int(a[1].I), int(a[2].I), old)
-		if err != nil {
-			return err
-		}
-		st.types[a[4].I] = nt
 	case mpispec.FTypeIndexed:
-		old, err := st.datatype(a[3])
-		if err != nil {
-			return err
+		if old := a.dt(3); a.ok() {
+			nt, err := p.TypeIndexed(a.ints(1), a.ints(2), old)
+			return bind(st.types, a.id(4), nt, err)
 		}
-		nt, err := p.TypeIndexed(ints(a[1]), ints(a[2]), old)
-		if err != nil {
-			return err
-		}
-		st.types[a[4].I] = nt
 	case mpispec.FTypeCreateStruct:
-		handles := ints(a[3])
+		handles := a.ints(3)
 		members := make([]*mpi.Datatype, len(handles))
 		for i, h := range handles {
 			// Struct member handles were recorded as raw values; map
@@ -545,160 +284,164 @@ func (st *Interp) exec(c core.DecodedCall) error {
 			}
 			members[i] = dt
 		}
-		nt, err := p.TypeCreateStruct(ints(a[1]), ints(a[2]), members)
-		if err != nil {
-			return err
-		}
-		st.types[a[4].I] = nt
+		nt, err := p.TypeCreateStruct(a.ints(1), a.ints(2), members)
+		return bind(st.types, a.id(4), nt, err)
 	case mpispec.FTypeCommit:
-		dt, err := st.datatype(a[0])
-		if err != nil {
-			return err
+		if dt := a.dt(0); a.ok() {
+			return p.TypeCommit(dt)
 		}
-		return p.TypeCommit(dt)
 	case mpispec.FTypeFree:
-		dt, err := st.datatype(a[0])
-		if err != nil {
-			return err
+		if dt := a.dt(0); a.ok() {
+			delete(st.types, a.id(0))
+			return p.TypeFree(dt)
 		}
-		delete(st.types, a[0].I)
-		return p.TypeFree(dt)
 	case mpispec.FTypeSize:
-		dt, err := st.datatype(a[0])
-		if err != nil {
-			return err
+		if dt := a.dt(0); a.ok() {
+			p.TypeSize(dt)
 		}
-		p.TypeSize(dt)
 	case mpispec.FTypeGetExtent:
-		dt, err := st.datatype(a[0])
-		if err != nil {
-			return err
+		if dt := a.dt(0); a.ok() {
+			p.TypeGetExtent(dt)
 		}
-		p.TypeGetExtent(dt)
 	case mpispec.FTypeDup:
-		dt, err := st.datatype(a[0])
-		if err != nil {
-			return err
+		if dt := a.dt(0); a.ok() {
+			nt, err := p.TypeDup(dt)
+			return bind(st.types, a.id(1), nt, err)
 		}
-		nt, err := p.TypeDup(dt)
-		if err != nil {
-			return err
-		}
-		st.types[a[1].I] = nt
 	case mpispec.FGetCount, mpispec.FGetElements:
 		// Local status queries: re-execute with a status carrying the
 		// byte count implied by the recorded result, so the re-traced
 		// record reproduces the original outputs.
-		dt, err := st.datatype(a[1])
-		if err != nil {
-			return err
+		dt := a.dt(1)
+		if !a.ok() {
+			break
 		}
 		stat := mpi.Status{}
-		if len(a[0].Arr) == 2 {
-			stat.Source = int(a[0].Arr[0].Resolve(int64(p.Rank())))
-			stat.Tag = int(a[0].Arr[1].I)
+		if arr := a.v[0].Arr; len(arr) == 2 {
+			stat.Source = int(arr[0].Resolve(int64(p.Rank())))
+			stat.Tag = int(arr[1].I)
 		}
 		if c.Func == mpispec.FGetCount {
-			stat.Count = int(a[2].I) * dt.Size()
+			stat.Count = a.num(2) * dt.Size()
 			p.GetCount(stat, dt)
 		} else {
-			stat.Count = int(a[2].I) * dt.LaneSize()
+			stat.Count = a.num(2) * dt.LaneSize()
 			p.GetElements(stat, dt)
 		}
-		return nil
 
 	case mpispec.FCartCreate:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
-		}
-		dims := ints(a[2])
-		perInts := ints(a[3])
-		periods := make([]bool, len(perInts))
-		for i, v := range perInts {
-			periods[i] = v != 0
-		}
-		nc, err := p.CartCreate(cm, dims, periods, a[4].I != 0)
-		if err != nil {
-			return err
-		}
-		if nc != nil {
-			st.comms[a[5].I] = nc
+		if cm := a.comm(0); a.ok() {
+			nc, err := p.CartCreate(cm, a.ints(2), a.bools(3), a.flag(4))
+			return bind(st.comms, a.id(5), nc, err)
 		}
 	case mpispec.FCartCoords:
-		cm, err := st.comm(a[0])
-		if err != nil {
+		if cm := a.comm(0); a.ok() {
+			_, err := p.CartCoords(cm, a.rel(1, cm))
 			return err
 		}
-		_, err = p.CartCoords(cm, st.rank(a[1], cm))
-		return err
 	case mpispec.FCartRank:
-		cm, err := st.comm(a[0])
-		if err != nil {
+		if cm := a.comm(0); a.ok() {
+			_, err := p.CartRank(cm, a.ints(1))
 			return err
 		}
-		_, err = p.CartRank(cm, ints(a[1]))
-		return err
 	case mpispec.FCartShift:
-		cm, err := st.comm(a[0])
-		if err != nil {
+		if cm := a.comm(0); a.ok() {
+			_, _, err := p.CartShift(cm, a.num(1), a.num(2))
 			return err
 		}
-		_, _, err = p.CartShift(cm, int(a[1].I), int(a[2].I))
-		return err
 	case mpispec.FCartGet:
-		cm, err := st.comm(a[0])
-		if err != nil {
+		if cm := a.comm(0); a.ok() {
+			_, _, _, err := p.CartGet(cm)
 			return err
 		}
-		_, _, _, err = p.CartGet(cm)
-		return err
 	case mpispec.FCartdimGet:
-		cm, err := st.comm(a[0])
-		if err != nil {
+		if cm := a.comm(0); a.ok() {
+			_, err := p.CartdimGet(cm)
 			return err
 		}
-		_, err = p.CartdimGet(cm)
-		return err
 	case mpispec.FCartSub:
-		cm, err := st.comm(a[0])
-		if err != nil {
-			return err
-		}
-		remInts := ints(a[1])
-		rem := make([]bool, len(remInts))
-		for i, v := range remInts {
-			rem[i] = v != 0
-		}
-		nc, err := p.CartSub(cm, rem)
-		if err != nil {
-			return err
-		}
-		if nc != nil {
-			st.comms[a[2].I] = nc
+		if cm := a.comm(0); a.ok() {
+			nc, err := p.CartSub(cm, a.bools(1))
+			return bind(st.comms, a.id(2), nc, err)
 		}
 	case mpispec.FDimsCreate:
 		// Replay the computed output to keep local state consistent.
-		dims := make([]int, int(a[1].I))
-		return p.DimsCreate(int(a[0].I), int(a[1].I), dims)
+		return p.DimsCreate(a.num(0), a.num(1), make([]int, a.num(1)))
 
 	case mpispec.FOpCreate:
-		op, err := p.OpCreate(func(dst, src []byte, dt *mpi.Datatype) {}, a[1].I != 0)
-		if err != nil {
-			return err
-		}
-		st.ops[a[2].I] = op
+		op, err := p.OpCreate(func(dst, src []byte, dt *mpi.Datatype) {}, a.flag(1))
+		return bind(st.ops, a.id(2), op, err)
 	case mpispec.FOpFree:
-		op, err := st.op(a[0])
-		if err != nil {
-			return err
+		if op := a.op(0); a.ok() {
+			delete(st.ops, a.id(0))
+			return p.OpFree(op)
 		}
-		delete(st.ops, a[0].I)
-		return p.OpFree(op)
 	case mpispec.FAbort:
 		return fmt.Errorf("trace contains MPI_Abort; refusing to replay it")
 	default:
 		return fmt.Errorf("replay of %s not implemented", c.Func.Name())
 	}
-	return nil
+	return a.err
+}
+
+// bind registers the object a creating call returned under its
+// symbolic id. A nil object (a split's color Undefined, a rank outside
+// a Cartesian grid) registers nothing.
+func bind[T comparable](m map[int64]T, id int64, x T, err error) error {
+	var none T
+	if err == nil && x != none {
+		m[id] = x
+	}
+	return err
+}
+
+// p2p replays the calls with the point-to-point layout (buf, count,
+// datatype, peer, tag, comm). A non-blocking or persistent call has its
+// blocking twin's layout plus a trailing request.
+func (st *Interp) p2p(id mpispec.FuncID, a *args) error {
+	cm := a.comm(5)
+	buf, dt := a.ptr(0), a.dt(2)
+	if !a.ok() {
+		return a.err
+	}
+	p, count, peer, tag := st.p, a.num(1), a.rel(3, cm), a.rel(4, cm)
+	var start func(mpi.Ptr, int, *mpi.Datatype, int, int, *mpi.Comm) (*mpi.Request, error)
+	persistent := false
+	switch id {
+	case mpispec.FSend:
+		return p.Send(buf, count, dt, peer, tag, cm)
+	case mpispec.FBsend:
+		return p.Bsend(buf, count, dt, peer, tag, cm)
+	case mpispec.FSsend:
+		return p.Ssend(buf, count, dt, peer, tag, cm)
+	case mpispec.FRsend:
+		return p.Rsend(buf, count, dt, peer, tag, cm)
+	case mpispec.FRecv:
+		return p.Recv(buf, count, dt, peer, tag, cm, nil)
+	case mpispec.FIsend:
+		start = p.Isend
+	case mpispec.FIbsend:
+		start = p.Ibsend
+	case mpispec.FIssend:
+		start = p.Issend
+	case mpispec.FIrsend:
+		start = p.Irsend
+	case mpispec.FIrecv:
+		start = p.Irecv
+	case mpispec.FSendInit:
+		start, persistent = p.SendInit, true
+	case mpispec.FBsendInit:
+		start, persistent = p.BsendInit, true
+	case mpispec.FSsendInit:
+		start, persistent = p.SsendInit, true
+	case mpispec.FRsendInit:
+		start, persistent = p.RsendInit, true
+	default: // FRecvInit
+		start, persistent = p.RecvInit, true
+	}
+	r, err := start(buf, count, dt, peer, tag, cm)
+	if err == nil {
+		st.pushReq(a.id(6), r, persistent)
+	}
+	return err
 }
