@@ -13,7 +13,7 @@ import (
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden/*.pilgrim from the kitchen-sink program")
+var update = flag.Bool("update", false, "rewrite testdata/golden/*.pilgrim from the kitchen-sink and completions programs")
 
 // kitchenRanks is the world size kitchenSink is written for.
 const kitchenRanks = 6
@@ -275,20 +275,27 @@ func TestRoundTripKitchenSink(t *testing.T) {
 // TestKitchenSinkGolden pins the kitchen-sink program's trace, so the
 // calls no workload makes (non-blocking collectives, persistent
 // requests, intercommunicators, topologies, datatypes) keep their
-// arguments and virtual timestamps. The aggregated-timing golden is
-// compared byte for byte. The lossy-timing golden is compared by the
-// File it reads to: its timing sections are deflated, and
-// compress/flate's output may change between Go releases.
+// arguments and virtual timestamps.
 func TestKitchenSinkGolden(t *testing.T) {
+	checkGolden(t, "kitchen_sink_6", kitchenRanks, kitchenSink)
+}
+
+// checkGolden traces body on a world of n ranks with aggregated and
+// with lossy timing and compares each trace with its golden under
+// testdata/golden. The aggregated-timing golden is compared byte for
+// byte. The lossy-timing golden is compared by the File it reads to:
+// its timing sections are deflated, and compress/flate's output may
+// change between Go releases.
+func checkGolden(t *testing.T, name string, n int, body func(p *mpi.Proc)) {
 	for _, lossy := range []bool{false, true} {
-		name := "kitchen_sink_6"
+		name := name
 		var opts pilgrim.Options
 		if lossy {
 			name += "_lossy"
 			opts.TimingMode = pilgrim.TimingLossy
 		}
 		t.Run(name, func(t *testing.T) {
-			f, _, err := pilgrim.RunSim(kitchenRanks, opts, simOpts(), kitchenSink)
+			f, _, err := pilgrim.RunSim(n, opts, simOpts(), body)
 			if err != nil {
 				t.Fatal(err)
 			}
