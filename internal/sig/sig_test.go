@@ -158,6 +158,9 @@ func TestProcNullAndAnySource(t *testing.T) {
 	if d.Args[4].Sel != selAnyTag {
 		t.Error("ANY_TAG lost")
 	}
+	if src, tag := d.Args[3].Resolve(0), d.Args[4].Resolve(0); src != anySource || tag != anyTag {
+		t.Errorf("wildcards resolve to source %d tag %d, want %d %d", src, tag, anySource, anyTag)
+	}
 	// Status preserved: source (relative to rank 0) and tag.
 	st := d.Args[6]
 	if st.Arr[0].Resolve(0) != 2 || st.Arr[1].I != 5 {
