@@ -81,14 +81,25 @@ type Value struct {
 // CallRecord is one intercepted MPI call with all argument values
 // populated (input values at the prologue, output values by the
 // epilogue), plus timing. Args follow the Spec parameter order.
-type Value64 = int64
-
 type CallRecord struct {
 	Func   FuncID
 	Args   []Value
 	TStart int64 // call entry, virtual ns
 	TEnd   int64 // call exit, virtual ns
 	Rank   int   // calling rank in the world
+}
+
+// Arg reads argument i as Completion.Slots does: its integer for k < 0,
+// else element k of its array, with ok false past the array's end.
+func (r *CallRecord) Arg(i, k int) (int64, bool) {
+	a := &r.Args[i]
+	if k < 0 {
+		return a.I, true
+	}
+	if k < len(a.Arr) {
+		return a.Arr[k], true
+	}
+	return 0, false
 }
 
 // Interceptor is the PMPI-analog hook set. The simulator invokes Pre

@@ -5,11 +5,15 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
+	"github.com/hpcrepro/pilgrim/internal/sig"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
 // exec replays one decoded call.
 func (st *Interp) exec(c core.DecodedCall) error {
+	if cmp := mpispec.CompletionOf(c.Func); cmp != nil {
+		return st.complete(cmp, c)
+	}
 	p := st.p
 	a := &args{st: st, v: c.Args}
 	switch c.Func {
@@ -58,68 +62,6 @@ func (st *Interp) exec(c core.DecodedCall) error {
 		// on arrival timing, which replay does not reproduce).
 		return nil
 
-	case mpispec.FWait:
-		r, err := st.popReq(a.id(0))
-		if err != nil {
-			return err
-		}
-		return p.Wait(r, nil)
-	case mpispec.FWaitall:
-		rs, err := st.popReqs(a.v[1])
-		if err != nil {
-			return err
-		}
-		return p.Waitall(rs, make([]mpi.Status, len(rs)))
-	case mpispec.FTest:
-		// Completed only if the recorded flag is set.
-		if a.flag(1) {
-			r, err := st.popReq(a.id(0))
-			if err != nil {
-				return err
-			}
-			return p.Wait(r, nil)
-		}
-	case mpispec.FWaitany, mpispec.FTestany:
-		completed := a.num(2) >= 0
-		if c.Func == mpispec.FTestany {
-			completed = a.flag(3) && a.num(2) >= 0
-		}
-		if completed {
-			// The trace tells us which slot completed; wait for the
-			// request occupying that position in the live window.
-			rs, err := st.peekReqs(a.v[1])
-			if err != nil {
-				return err
-			}
-			slot := a.num(2)
-			if slot < 0 || slot >= len(rs) || rs[slot] == nil {
-				return fmt.Errorf("completed slot %d out of range", slot)
-			}
-			st.consume(a.v[1].Arr[slot].I, rs[slot])
-			return p.Wait(rs[slot], nil)
-		}
-	case mpispec.FWaitsome, mpispec.FTestsome:
-		rs, err := st.peekReqs(a.v[1])
-		if err != nil {
-			return err
-		}
-		for _, slot := range a.ints(3) {
-			if slot < 0 || slot >= len(rs) || rs[slot] == nil {
-				return fmt.Errorf("completed slot %d out of range", slot)
-			}
-			st.consume(a.v[1].Arr[slot].I, rs[slot])
-			if err := p.Wait(rs[slot], nil); err != nil {
-				return err
-			}
-		}
-	case mpispec.FTestall:
-		if a.flag(2) {
-			rs, err := st.popReqs(a.v[1])
-			if err != nil {
-				return err
-			}
-			return p.Waitall(rs, make([]mpi.Status, len(rs)))
-		}
 	case mpispec.FRequestFree:
 		r, err := st.popReq(a.id(0))
 		if err != nil {
@@ -138,7 +80,7 @@ func (st *Interp) exec(c core.DecodedCall) error {
 		}
 		return p.Start(r)
 	case mpispec.FStartall:
-		rs, err := st.popReqs(a.v[1])
+		rs, err := st.peekReqs(a.v[1].Arr)
 		if err != nil {
 			return err
 		}
@@ -393,6 +335,42 @@ func bind[T comparable](m map[int64]T, id int64, x T, err error) error {
 		m[id] = x
 	}
 	return err
+}
+
+// complete replays a Wait/Test call by waiting for exactly the
+// requests it completed: one Waitall when it completed the whole
+// request array it names, one Wait per completed request otherwise.
+// The completed requests leave the live window; persistent ones stay.
+func (st *Interp) complete(cmp *mpispec.Completion, c core.DecodedCall) error {
+	var ids []sig.DecodedValue
+	if cmp.Requests >= 0 {
+		ids = c.Args[cmp.Requests].Arr
+	} else {
+		ids = c.Args[cmp.Request : cmp.Request+1] // MPI_Wait's and MPI_Test's one request
+	}
+	rs, err := st.peekReqs(ids)
+	if err != nil {
+		return err
+	}
+	var done []*mpi.Request
+	completed := cmp.Slots(c.Arg, func(id int64, slot, _ int) {
+		if r := rs[slot]; r != nil {
+			st.consume(id, r)
+			done = append(done, r)
+		}
+	})
+	if cmp.Every() && cmp.Requests >= 0 {
+		if !completed {
+			return nil
+		}
+		return st.p.Waitall(rs, make([]mpi.Status, len(rs)))
+	}
+	for _, r := range done {
+		if err := st.p.Wait(r, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // p2p replays the calls with the point-to-point layout (buf, count,

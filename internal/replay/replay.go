@@ -289,45 +289,12 @@ func (st *Interp) popReq(id int64) (*mpi.Request, error) {
 	return r, nil
 }
 
-// popReqs resolves a request-id array positionally (oldest first per
-// id), without consuming persistent entries.
-func (st *Interp) popReqs(v sig.DecodedValue) ([]*mpi.Request, error) {
+// peekReqs resolves request ids positionally (oldest first per id)
+// without consuming anything; a null id resolves to nil.
+func (st *Interp) peekReqs(ids []sig.DecodedValue) ([]*mpi.Request, error) {
 	taken := map[int64]int{}
-	out := make([]*mpi.Request, len(v.Arr))
-	for i, idv := range v.Arr {
-		id := idv.I
-		if id < 0 {
-			continue // null request slot
-		}
-		q := st.reqs[id]
-		k := taken[id]
-		if k >= len(q) {
-			return nil, fmt.Errorf("request array slot %d: no live request with id %d", i, id)
-		}
-		out[i] = q[k]
-		taken[id] = k + 1
-	}
-	// Consume the non-persistent ones.
-	for id, k := range taken {
-		q := st.reqs[id]
-		var rest []*mpi.Request
-		for j, r := range q {
-			if j < k && !st.persistent[r] {
-				continue
-			}
-			rest = append(rest, r)
-		}
-		st.reqs[id] = rest
-	}
-	return out, nil
-}
-
-// peekReqs resolves a request-id array positionally without consuming
-// anything (for Waitany/Waitsome style calls that complete a subset).
-func (st *Interp) peekReqs(v sig.DecodedValue) ([]*mpi.Request, error) {
-	taken := map[int64]int{}
-	out := make([]*mpi.Request, len(v.Arr))
-	for i, idv := range v.Arr {
+	out := make([]*mpi.Request, len(ids))
+	for i, idv := range ids {
 		id := idv.I
 		if id < 0 {
 			continue // null request slot

@@ -369,7 +369,7 @@ func (e *Encoder) EncodeTo(buf []byte, rec *mpispec.CallRecord) []byte {
 		buf = insertVarint(buf, reqOff, e.createRequest(rec.Args[ff.newRequest].I, key, ff.persistent))
 	}
 
-	e.releaseCompletedObjects(rec)
+	e.releaseCompletedObjects(rec, ff)
 	e.pollPending()
 	return buf
 }

@@ -20,13 +20,15 @@ type funcFacts struct {
 	newType    int8
 	newGroup   int8
 	newOp      int8
+	completion *mpispec.Completion // the requests a Wait*/Test* call completes
 }
 
 // facts is read off mpispec.Spec once: an object-kind parameter with
 // direction Out is the object the call creates.
 var facts = func() (t [mpispec.NumFuncs]funcFacts) {
 	for f := range t {
-		ff := funcFacts{comm: -1, newRequest: -1, newComm: -1, newType: -1, newGroup: -1, newOp: -1}
+		ff := funcFacts{comm: -1, newRequest: -1, newComm: -1, newType: -1, newGroup: -1, newOp: -1,
+			completion: mpispec.CompletionOf(mpispec.FuncID(f))}
 		for i, p := range mpispec.Spec[f].Params {
 			slot, out := int8(i), p.Dir == mpispec.Out
 			switch p.Kind {
@@ -142,47 +144,13 @@ func (e *Encoder) releaseRequest(h int64, evenPersistent bool) {
 
 // releaseCompletedObjects recycles ids after the epilogue: requests
 // completed by Wait*/Test*, and objects destroyed by *_free calls.
-func (e *Encoder) releaseCompletedObjects(rec *mpispec.CallRecord) {
+func (e *Encoder) releaseCompletedObjects(rec *mpispec.CallRecord, ff *funcFacts) {
+	if c := ff.completion; c != nil {
+		c.Slots(rec.Arg, func(h int64, _, _ int) { e.complete(h) })
+		return
+	}
 	args := rec.Args
 	switch rec.Func {
-	case mpispec.FWait:
-		e.complete(args[0].I)
-	case mpispec.FTest:
-		if args[1].I != 0 {
-			e.complete(args[0].I)
-		}
-	case mpispec.FWaitall:
-		for _, h := range args[1].Arr {
-			e.complete(h)
-		}
-	case mpispec.FWaitany:
-		if idx := args[2].I; idx >= 0 && int(idx) < len(args[1].Arr) {
-			e.complete(args[1].Arr[idx])
-		}
-	case mpispec.FWaitsome:
-		for _, idx := range args[3].Arr {
-			if idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.complete(args[1].Arr[idx])
-			}
-		}
-	case mpispec.FTestall:
-		if args[2].I != 0 {
-			for _, h := range args[1].Arr {
-				e.complete(h)
-			}
-		}
-	case mpispec.FTestany:
-		if args[3].I != 0 {
-			if idx := args[2].I; idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.complete(args[1].Arr[idx])
-			}
-		}
-	case mpispec.FTestsome:
-		for _, idx := range args[3].Arr {
-			if idx >= 0 && int(idx) < len(args[1].Arr) {
-				e.complete(args[1].Arr[idx])
-			}
-		}
 	case mpispec.FRequestFree:
 		e.releaseRequest(args[0].I, true)
 	case mpispec.FTypeFree:

@@ -147,22 +147,104 @@ func waitAnyDone(p *Proc, rs []*Request) int {
 
 // --- Public completion calls -------------------------------------------------
 
+// completion runs the Wait/Test call f over rs (a one-request array
+// for MPI_Wait and MPI_Test) and records what it completed where f's
+// completion descriptor says. It copies the status of the one request
+// completed to status, or the statuses the call reports to statuses,
+// and returns the completed slots of an any or some call and whether
+// the call completed: a Test call may complete nothing, as may an any
+// call over no active request.
+func (p *Proc) completion(f mpispec.FuncID, rs []*Request, status *Status, statuses []Status) (idx []int, done bool) {
+	c := mpispec.CompletionOf(f)
+	args := make([]Value, len(mpispec.Spec[f].Params))
+	for i, prm := range mpispec.Spec[f].Params {
+		args[i].Kind = prm.Kind
+	}
+	if c.Request >= 0 {
+		args[c.Request] = vReq(rs[0])
+	} else {
+		args[c.Count], args[c.Requests] = vInt(len(rs)), vReqArray(rs)
+	}
+	if c.Status >= 0 {
+		args[c.Status] = vStatus()
+	}
+	var sts []Status
+	p.icall(f, args, func() {
+		if c.Every() {
+			if done = c.Blocking || allDone(rs); done {
+				sts = make([]Status, len(rs))
+				for i, r := range rs {
+					if r != nil {
+						if c.Blocking {
+							r.waitDone()
+						}
+						sts[i] = r.consume()
+					}
+				}
+			}
+		} else {
+			if !c.Blocking || waitAnyDone(p, rs) >= 0 {
+				for i, r := range rs {
+					if r != nil && r.isDone() {
+						idx, sts = append(idx, i), append(sts, r.consume())
+						if c.Index >= 0 {
+							break
+						}
+					}
+				}
+			}
+			// A call with an indices array reports it, even empty.
+			done = len(idx) > 0 || c.Indices >= 0
+		}
+		if c.Flag >= 0 {
+			args[c.Flag].I = b2i(done)
+		}
+		if c.Index >= 0 {
+			args[c.Index].I = int64(first(idx))
+		}
+		if c.Indices >= 0 {
+			args[c.Outcount].I = int64(len(idx))
+			setIndexArray(&args[c.Indices], idx)
+		}
+		if done && c.Status >= 0 {
+			setStatus(&args[c.Status], sts[0])
+		}
+		if done && c.Statuses >= 0 {
+			setStatArray(&args[c.Statuses], sts)
+		}
+	})
+	if status != nil && len(sts) > 0 {
+		*status = sts[0]
+	}
+	copy(statuses, sts)
+	return idx, done
+}
+
+// allDone reports whether every request in rs is nil or complete.
+func allDone(rs []*Request) bool {
+	for _, r := range rs {
+		if r != nil && !r.isDone() {
+			return false
+		}
+	}
+	return true
+}
+
+// first returns the first completed slot, or Undefined.
+func first(idx []int) int {
+	if len(idx) == 0 {
+		return Undefined
+	}
+	return idx[0]
+}
+
 // Wait blocks until the request completes; status may be nil
 // (MPI_STATUS_IGNORE).
 func (p *Proc) Wait(r *Request, status *Status) error {
 	if r == nil {
 		return fmt.Errorf("mpi: Wait on nil request")
 	}
-	args := []Value{vReq(r), vStatus()}
-	var st Status
-	p.icall(mpispec.FWait, args, func() {
-		r.waitDone()
-		st = r.consume()
-		setStatus(&args[1], st)
-	})
-	if status != nil {
-		*status = st
-	}
+	p.completion(mpispec.FWait, []*Request{r}, status, nil)
 	return nil
 }
 
@@ -171,158 +253,47 @@ func (p *Proc) Test(r *Request, status *Status) (bool, error) {
 	if r == nil {
 		return false, fmt.Errorf("mpi: Test on nil request")
 	}
-	args := []Value{vReq(r), vInt(0), vStatus()}
-	var flag bool
-	var st Status
-	p.icall(mpispec.FTest, args, func() {
-		if r.isDone() {
-			flag = true
-			st = r.consume()
-			setStatus(&args[2], st)
-		}
-		args[1].I = b2i(flag)
-	})
-	if status != nil && flag {
-		*status = st
-	}
+	_, flag := p.completion(mpispec.FTest, []*Request{r}, status, nil)
 	return flag, nil
 }
 
 // Waitall blocks until every request completes.
 func (p *Proc) Waitall(rs []*Request, statuses []Status) error {
-	args := []Value{vInt(len(rs)), vReqArray(rs), vStatArray()}
-	sts := make([]Status, len(rs))
-	p.icall(mpispec.FWaitall, args, func() {
-		for i, r := range rs {
-			if r == nil {
-				continue
-			}
-			r.waitDone()
-			sts[i] = r.consume()
-		}
-		setStatArray(&args[2], sts)
-	})
-	copy(statuses, sts)
+	p.completion(mpispec.FWaitall, rs, nil, statuses)
 	return nil
 }
 
 // Waitany blocks until one request completes; returns its index, or
 // Undefined if no active request exists.
 func (p *Proc) Waitany(rs []*Request, status *Status) (int, error) {
-	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vStatus()}
-	idx := Undefined
-	var st Status
-	p.icall(mpispec.FWaitany, args, func() {
-		if i := waitAnyDone(p, rs); i >= 0 {
-			idx = i
-			st = rs[i].consume()
-			setStatus(&args[3], st)
-		}
-		args[2].I = int64(idx)
-	})
-	if status != nil && idx >= 0 {
-		*status = st
-	}
-	return idx, nil
+	idx, _ := p.completion(mpispec.FWaitany, rs, status, nil)
+	return first(idx), nil
 }
 
 // Waitsome blocks until at least one request completes and returns the
 // indices of all completed ones (or nil if none active).
 func (p *Proc) Waitsome(rs []*Request, statuses []Status) ([]int, error) {
-	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vIndexArray(), vStatArray()}
-	var idx []int
-	var sts []Status
-	p.icall(mpispec.FWaitsome, args, func() {
-		if first := waitAnyDone(p, rs); first >= 0 {
-			for i, r := range rs {
-				if r != nil && r.isDone() {
-					st := r.consume()
-					idx = append(idx, i)
-					sts = append(sts, st)
-				}
-			}
-		}
-		args[2].I = int64(len(idx))
-		setIndexArray(&args[3], idx)
-		setStatArray(&args[4], sts)
-	})
-	copy(statuses, sts)
+	idx, _ := p.completion(mpispec.FWaitsome, rs, nil, statuses)
 	return idx, nil
 }
 
 // Testall reports whether all requests are complete, consuming them if
 // so.
 func (p *Proc) Testall(rs []*Request, statuses []Status) (bool, error) {
-	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vStatArray()}
-	all := true
-	var sts []Status
-	p.icall(mpispec.FTestall, args, func() {
-		for _, r := range rs {
-			if r != nil && !r.isDone() {
-				all = false
-				break
-			}
-		}
-		if all {
-			sts = make([]Status, len(rs))
-			for i, r := range rs {
-				if r != nil {
-					sts[i] = r.consume()
-				}
-			}
-			setStatArray(&args[3], sts)
-		}
-		args[2].I = b2i(all)
-	})
-	if all {
-		copy(statuses, sts)
-	}
+	_, all := p.completion(mpispec.FTestall, rs, nil, statuses)
 	return all, nil
 }
 
 // Testany checks whether any request is complete.
 func (p *Proc) Testany(rs []*Request, status *Status) (idx int, flag bool, err error) {
-	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vInt(0), vStatus()}
-	idx = Undefined
-	var st Status
-	p.icall(mpispec.FTestany, args, func() {
-		for i, r := range rs {
-			if r != nil && r.isDone() {
-				idx = i
-				flag = true
-				st = r.consume()
-				setStatus(&args[4], st)
-				break
-			}
-		}
-		args[2].I = int64(idx)
-		args[3].I = b2i(flag)
-	})
-	if status != nil && flag {
-		*status = st
-	}
-	return idx, flag, nil
+	slots, flag := p.completion(mpispec.FTestany, rs, status, nil)
+	return first(slots), flag, nil
 }
 
 // Testsome returns the indices of currently completed requests
 // (possibly empty), consuming them.
 func (p *Proc) Testsome(rs []*Request, statuses []Status) ([]int, error) {
-	args := []Value{vInt(len(rs)), vReqArray(rs), vInt(0), vIndexArray(), vStatArray()}
-	var idx []int
-	var sts []Status
-	p.icall(mpispec.FTestsome, args, func() {
-		for i, r := range rs {
-			if r != nil && r.isDone() {
-				st := r.consume()
-				idx = append(idx, i)
-				sts = append(sts, st)
-			}
-		}
-		args[2].I = int64(len(idx))
-		setIndexArray(&args[3], idx)
-		setStatArray(&args[4], sts)
-	})
-	copy(statuses, sts)
+	idx, _ := p.completion(mpispec.FTestsome, rs, nil, statuses)
 	return idx, nil
 }
 
