@@ -263,15 +263,12 @@ func (s *Server) feedClockEcho(h *wire.Hello) {
 	}
 	r.mu.Lock()
 	if r.epoch == h.Epoch {
-		if off, ok := r.clock.addSample(h.Echo.T1, h.Echo.T2, h.Echo.T3, h.Echo.T4); ok {
-			// The echo carries the original exchange's own send/receive
-			// pair, so every completed round trip yields exactly one
-			// corrected one-way latency sample — even a producer that
-			// ships a single snapshot per connection.
-			lat := (h.Echo.T2 - off) - h.Echo.T1
-			if lat < 0 {
-				lat = 0
-			}
+		r.clock.addSample(h.Echo.T1, h.Echo.T2, h.Echo.T3, h.Echo.T4)
+		// The echo carries the original exchange's own send/receive
+		// pair, so every completed round trip yields exactly one
+		// corrected one-way latency sample — even a producer that
+		// ships a single snapshot per connection.
+		if lat, ok := r.clock.oneWay(h.Echo.T1, h.Echo.T2); ok {
 			s.m.E2eLatency.Observe(lat)
 		}
 	}
