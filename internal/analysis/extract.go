@@ -5,16 +5,16 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/sig"
+	"github.com/hpcrepro/pilgrim/mpi"
 )
 
 // Point-to-point operation extraction: walks one rank's event stream
 // and produces every posted send and receive with absolute (world)
-// peer ranks, payload bytes, and post/completion times. Nonblocking
-// operations are tracked through the request id space exactly as the
-// replay interpreter does — FIFO per symbolic id, with persistent
-// templates instantiated by Start/Startall — so completion calls
-// (Wait/Test families) attach their times and recorded statuses to
-// the right posts.
+// peer ranks, payload bytes, and post/completion times. Requests are
+// resolved through the same sig.Window as the replay interpreter's,
+// with persistent requests posting again at each Start/Startall, so
+// completion calls (Wait/Test families) attach their times and
+// recorded statuses to the right posts.
 
 // SendOp is one posted point-to-point send.
 type SendOp struct {
@@ -57,39 +57,21 @@ type RecvOp struct {
 
 func (r *RecvOp) key() (int, int) { return r.Rank, r.Index }
 
-// predefSizes mirrors the byte sizes of the runtime's predefined
-// datatypes in symbolic-id order (handle − hTypeBase).
-var predefSizes = []int64{1, 1, 4, 8, 4, 8, 2, 4, 8, 1, 2, 4, 8, 1, 16}
-
-// predefHandleBase mirrors mpi's hTypeBase (predefined datatype
-// handles 16..47; symbolic id = handle − 16).
-const predefHandleBase = 16
-
-// reqInstance is one in-flight nonblocking operation.
-type reqInstance struct {
+// request is a live request as analysis sees it: the operation it has
+// in flight, if any, and for a persistent request the MPI_*_init call
+// that made it, which each MPI_Start posts again.
+type request struct {
 	send *SendOp
 	recv *RecvOp
-}
-
-// persistentReq is an inactive Send_init/Recv_init template.
-type persistentReq struct {
-	isSend bool
-	peer   sig.DecodedValue // dest or source field as recorded
-	tag    sig.DecodedValue
-	commID int64
-	count  int64
-	dtype  int64
-	fn     mpispec.FuncID
+	init *sig.Decoded
 }
 
 // extractor is the per-rank walk state.
 type extractor struct {
-	rank  int
 	views map[int64]*commView
 
-	dtSizes map[int64]int64
-	pending map[int64][]*reqInstance
-	templ   map[int64]*persistentReq
+	dtSizes map[int64]int64 // derived datatypes
+	reqs    sig.Window[*request]
 
 	sends []*SendOp
 	recvs []*RecvOp
@@ -101,16 +83,7 @@ func extractRank(events []Event, views map[int64]*commView) ([]*SendOp, []*RecvO
 	if len(events) == 0 {
 		return nil, nil, nil
 	}
-	x := &extractor{
-		rank:    events[0].Rank,
-		views:   views,
-		dtSizes: map[int64]int64{},
-		pending: map[int64][]*reqInstance{},
-		templ:   map[int64]*persistentReq{},
-	}
-	for i, sz := range predefSizes {
-		x.dtSizes[int64(i)] = sz
-	}
+	x := &extractor{views: views, dtSizes: map[int64]int64{}}
 	for _, ev := range events {
 		if err := x.step(ev); err != nil {
 			return nil, nil, fmt.Errorf("call %d (%s): %w", ev.Index, ev.Func().Name(), err)
@@ -128,7 +101,12 @@ func (x *extractor) view(commID int64) (*commView, error) {
 }
 
 // typeSize returns the byte size of a symbolic datatype id.
-func (x *extractor) typeSize(id int64) int64 { return x.dtSizes[id] }
+func (x *extractor) typeSize(id int64) int64 {
+	if dt := mpi.PredefinedType(id); dt != nil {
+		return int64(dt.Size())
+	}
+	return x.dtSizes[id]
+}
 
 func (x *extractor) step(ev Event) error {
 	a := ev.Call.Args
@@ -136,116 +114,40 @@ func (x *extractor) step(ev Event) error {
 		x.completeCall(ev, c)
 		return nil
 	}
+	if m := mpispec.MessageOf(ev.Func()); m != nil {
+		return x.post(ev, m)
+	}
 	switch f := ev.Func(); f {
-
-	// Blocking sends.
-	case mpispec.FSend, mpispec.FBsend, mpispec.FSsend, mpispec.FRsend:
-		s, err := x.makeSend(ev, a[3], a[4], a[5].I, a[1].I, a[2].I, false)
-		if err != nil || s == nil {
-			return err
+	case mpispec.FStart, mpispec.FStartall:
+		ids := a[:1]
+		if f == mpispec.FStartall {
+			ids = a[1].Arr
 		}
-		s.TDone, s.DoneIndex = ev.TEnd, ev.Index
-		x.sends = append(x.sends, s)
-
-	// Blocking receive.
-	case mpispec.FRecv:
-		r, err := x.makeRecv(ev, a[3], a[4], a[5].I, a[1].I, a[2].I)
-		if err != nil || r == nil {
-			return err
-		}
-		x.recvs = append(x.recvs, r)
-		x.completeRecv(r, ev, &a[6], int64(r.Comm.myRank))
-
-	// Nonblocking posts.
-	case mpispec.FIsend, mpispec.FIbsend, mpispec.FIssend, mpispec.FIrsend:
-		s, err := x.makeSend(ev, a[3], a[4], a[5].I, a[1].I, a[2].I, false)
+		rs, err := x.reqs.Resolve(ids)
 		if err != nil {
 			return err
 		}
-		if s != nil {
-			x.sends = append(x.sends, s)
-			x.push(a[6].I, &reqInstance{send: s})
-		}
-	case mpispec.FIrecv:
-		r, err := x.makeRecv(ev, a[3], a[4], a[5].I, a[1].I, a[2].I)
-		if err != nil {
-			return err
-		}
-		if r != nil {
-			x.recvs = append(x.recvs, r)
-			x.push(a[6].I, &reqInstance{recv: r})
-		}
-
-	// Combined send+recv.
-	case mpispec.FSendrecv:
-		s, err := x.makeSend(ev, a[3], a[4], a[10].I, a[1].I, a[2].I, false)
-		if err != nil {
-			return err
-		}
-		if s != nil {
-			s.TDone, s.DoneIndex = ev.TEnd, ev.Index
-			x.sends = append(x.sends, s)
-		}
-		r, err := x.makeRecv(ev, a[8], a[9], a[10].I, a[6].I, a[7].I)
-		if err != nil {
-			return err
-		}
-		if r != nil {
-			x.recvs = append(x.recvs, r)
-			x.completeRecv(r, ev, &a[11], int64(r.Comm.myRank))
-		}
-	case mpispec.FSendrecvReplace:
-		s, err := x.makeSend(ev, a[3], a[4], a[7].I, a[1].I, a[2].I, false)
-		if err != nil {
-			return err
-		}
-		if s != nil {
-			s.TDone, s.DoneIndex = ev.TEnd, ev.Index
-			x.sends = append(x.sends, s)
-		}
-		r, err := x.makeRecv(ev, a[5], a[6], a[7].I, a[1].I, a[2].I)
-		if err != nil {
-			return err
-		}
-		if r != nil {
-			x.recvs = append(x.recvs, r)
-			x.completeRecv(r, ev, &a[8], int64(r.Comm.myRank))
-		}
-
-	// Persistent templates and activation.
-	case mpispec.FSendInit, mpispec.FBsendInit, mpispec.FSsendInit, mpispec.FRsendInit:
-		x.templ[a[6].I] = &persistentReq{isSend: true, peer: a[3], tag: a[4],
-			commID: a[5].I, count: a[1].I, dtype: a[2].I, fn: f}
-	case mpispec.FRecvInit:
-		x.templ[a[6].I] = &persistentReq{isSend: false, peer: a[3], tag: a[4],
-			commID: a[5].I, count: a[1].I, dtype: a[2].I, fn: f}
-	case mpispec.FStart:
-		return x.start(ev, a[0].I)
-	case mpispec.FStartall:
-		for _, rv := range a[1].Arr {
-			if err := x.start(ev, rv.I); err != nil {
-				return err
+		for _, r := range rs {
+			if r != nil && r.init != nil {
+				if err := x.launch(ev, r.init, mpispec.MessageOf(r.init.Func), r); err != nil {
+					return err
+				}
 			}
 		}
 
 	case mpispec.FRequestFree:
-		id := a[0].I
-		if q := x.pending[id]; len(q) > 0 {
-			// The operation still completes under the covers; take the
-			// free call as the last point it is known to exist.
-			x.finish(q[0], ev, nil, 0)
-			x.pending[id] = q[1:]
-		} else {
-			delete(x.templ, id)
+		// The operation still completes under the covers; take the
+		// free call as the last point it is known to exist.
+		if r, err := x.reqs.Free(a[0].I); err == nil {
+			x.finish(r, ev, nil, 0)
 		}
 	case mpispec.FCancel:
-		if q := x.pending[a[0].I]; len(q) > 0 {
-			inst := q[len(q)-1]
-			if inst.send != nil {
-				inst.send.Cancelled = true
+		if rs, _ := x.reqs.Resolve(a[:1]); rs[0] != nil {
+			if s := rs[0].send; s != nil {
+				s.Cancelled = true
 			}
-			if inst.recv != nil {
-				inst.recv.Cancelled = true
+			if r := rs[0].recv; r != nil {
+				r.Cancelled = true
 			}
 		}
 
@@ -265,12 +167,9 @@ func (x *extractor) step(ev Event) error {
 		// plain int array on the wire); only predefined handles are
 		// resolvable post-mortem.
 		var total int64
-		for i, bl := range a[1].Arr {
-			if i < len(a[3].Arr) {
-				h := a[3].Arr[i].I
-				if h >= predefHandleBase && h-predefHandleBase < int64(len(predefSizes)) {
-					total += bl.I * predefSizes[h-predefHandleBase]
-				}
+		for i := range min(len(a[1].Arr), len(a[3].Arr)) {
+			if dt := mpi.PredefinedType(a[3].Arr[i].I - mpi.Byte.Handle()); dt != nil {
+				total += a[1].Arr[i].I * int64(dt.Size())
 			}
 		}
 		x.dtSizes[a[4].I] = total
@@ -278,150 +177,116 @@ func (x *extractor) step(ev Event) error {
 		x.dtSizes[a[1].I] = x.typeSize(a[0].I)
 	case mpispec.FTypeFree:
 		delete(x.dtSizes, a[0].I)
+
+	default:
+		// Non-blocking collectives and MPI_Comm_idup post no message,
+		// but their requests hold places in the window.
+		if n := len(a) - 1; n >= 0 && a[n].Kind == mpispec.KRequest && mpispec.Spec[f].Params[n].Dir == mpispec.Out {
+			x.reqs.Add(a[n].I, &request{}, false)
+		}
 	}
 	return nil
 }
 
-// makeSend builds a SendOp from a posting call's fields. ProcNull
-// destinations return (nil, nil): the runtime completes them without
-// posting an envelope, and the metrics layer does not count them.
-func (x *extractor) makeSend(ev Event, dst, tag sig.DecodedValue, commID, count, dtype int64, persistent bool) (*SendOp, error) {
-	if dst.IsProcNull() {
-		return nil, nil
+// post records the message a posting call sends or receives. A
+// blocking call completes it at once, a non-blocking call leaves it in
+// flight on the request it creates, and an MPI_*_init call only makes
+// the persistent request whose every MPI_Start posts it.
+func (x *extractor) post(ev Event, m *mpispec.Message) error {
+	a, r := ev.Call.Args, &request{}
+	if m.Persistent {
+		r.init = &ev.Call.Decoded
+		x.reqs.Add(a[m.Request].I, r, true)
+		return nil
 	}
-	v, err := x.view(commID)
-	if err != nil {
-		return nil, err
+	if err := x.launch(ev, &ev.Call.Decoded, m, r); err != nil {
+		return err
 	}
-	base := int64(v.myRank)
-	peer := dst.Resolve(base)
-	if peer < 0 || int(peer) >= len(v.group) {
-		return nil, fmt.Errorf("send dest %d outside comm of %d", peer, len(v.group))
+	if m.Request >= 0 {
+		x.reqs.Add(a[m.Request].I, r, false)
+	} else if r.recv != nil {
+		x.finish(r, ev, &a[m.Status], int64(r.recv.Comm.myRank))
 	}
-	return &SendOp{
-		Rank: ev.Rank, Index: ev.Index, DoneIndex: ev.Index,
-		Dst: v.group[peer], Tag: tag.Resolve(base), CommID: commID, Comm: v,
-		Count: count, Bytes: count * x.typeSize(dtype),
-		TPost: ev.TStart, TDone: ev.TEnd, Func: ev.Func(),
-	}, nil
+	return nil
 }
 
-// makeRecv builds a RecvOp. ProcNull sources return (nil, nil).
-func (x *extractor) makeRecv(ev Event, src, tag sig.DecodedValue, commID, count, dtype int64) (*RecvOp, error) {
-	if src.IsProcNull() {
-		return nil, nil
-	}
-	v, err := x.view(commID)
-	if err != nil {
-		return nil, err
-	}
-	base := int64(v.myRank)
-	r := &RecvOp{
-		Rank: ev.Rank, Index: ev.Index, DoneIndex: ev.Index,
-		Src: valAnySource, Tag: tag.Resolve(base), CommID: commID, Comm: v,
-		Count: count, Capacity: count * x.typeSize(dtype),
-		TPost: ev.TStart, TDone: ev.TEnd, Func: ev.Func(),
-	}
-	if !src.IsWildcard() {
-		peer := src.Resolve(base)
-		if peer < 0 || int(peer) >= len(v.group) {
-			return nil, fmt.Errorf("recv source %d outside comm of %d", peer, len(v.group))
+// launch posts the sides of the message call describes as operations
+// of ev, in flight on r, with world-rank peers and payload bytes. A
+// ProcNull peer posts nothing: the runtime completes it without an
+// envelope, and the metrics layer does not count it.
+func (x *extractor) launch(ev Event, call *sig.Decoded, m *mpispec.Message, r *request) error {
+	a, commID := call.Args, call.Args[m.Comm].I
+	for _, h := range []*mpispec.Half{m.Send, m.Recv} {
+		if h == nil || a[h.Peer].IsProcNull() {
+			continue
 		}
-		r.Src = v.group[peer]
-	}
-	return r, nil
-}
-
-func (x *extractor) push(reqID int64, inst *reqInstance) {
-	x.pending[reqID] = append(x.pending[reqID], inst)
-}
-
-// start instantiates a persistent template as an in-flight op.
-func (x *extractor) start(ev Event, reqID int64) error {
-	t, ok := x.templ[reqID]
-	if !ok {
-		return fmt.Errorf("Start on unknown persistent request %d", reqID)
-	}
-	if t.isSend {
-		s, err := x.makeSend(ev, t.peer, t.tag, t.commID, t.count, t.dtype, true)
+		v, err := x.view(commID)
 		if err != nil {
 			return err
 		}
-		if s != nil {
-			s.Func = t.fn
-			x.sends = append(x.sends, s)
-			x.push(reqID, &reqInstance{send: s})
+		base, count := int64(v.myRank), a[h.Count].I
+		bytes := count * x.typeSize(a[h.Datatype].I)
+		peer := valAnySource
+		if h == m.Send || !a[h.Peer].IsWildcard() {
+			p := a[h.Peer].Resolve(base)
+			if p < 0 || int(p) >= len(v.group) {
+				return fmt.Errorf("%s %d outside comm of %d", mpispec.Spec[call.Func].Params[h.Peer].Name, p, len(v.group))
+			}
+			peer = v.group[p]
 		}
-		return nil
-	}
-	r, err := x.makeRecv(ev, t.peer, t.tag, t.commID, t.count, t.dtype)
-	if err != nil {
-		return err
-	}
-	if r != nil {
-		r.Func = t.fn
-		x.recvs = append(x.recvs, r)
-		x.push(reqID, &reqInstance{recv: r})
+		if h == m.Send {
+			r.send = &SendOp{Rank: ev.Rank, Index: ev.Index, DoneIndex: ev.Index,
+				Dst: peer, Tag: a[h.Tag].Resolve(base), CommID: commID, Comm: v, Count: count, Bytes: bytes,
+				TPost: ev.TStart, TDone: ev.TEnd, Func: call.Func}
+			x.sends = append(x.sends, r.send)
+		} else {
+			r.recv = &RecvOp{Rank: ev.Rank, Index: ev.Index, DoneIndex: ev.Index,
+				Src: peer, Tag: a[h.Tag].Resolve(base), CommID: commID, Comm: v, Count: count, Capacity: bytes,
+				TPost: ev.TStart, TDone: ev.TEnd, Func: call.Func}
+			x.recvs = append(x.recvs, r.recv)
+		}
 	}
 	return nil
-}
-
-// complete pops the oldest in-flight op of a request id. An empty
-// queue is not an error: ProcNull posts and probe-style requests
-// complete without ever entering it.
-func (x *extractor) complete(ev Event, reqID int64, status *sig.DecodedValue) {
-	q := x.pending[reqID]
-	if len(q) == 0 {
-		return
-	}
-	x.finish(q[0], ev, status, int64(ev.Rank))
-	x.pending[reqID] = q[1:]
 }
 
 // completeCall completes the requests a Wait/Test call completed. The
 // recorded statuses resolve wildcard sources and tags; these calls
 // carry no comm argument, so their status fields were encoded against
-// the caller's world rank.
+// the caller's world rank. A request that resolves to no live one is
+// skipped: analysis reads salvaged traces too.
 func (x *extractor) completeCall(ev Event, c *mpispec.Completion) {
 	a := ev.Call.Args
-	c.Slots(ev.Call.Arg, func(id int64, _, k int) {
+	x.reqs.Complete(c, ev.Call.Decoded, func(r *request, k int) {
 		var status *sig.DecodedValue
 		if k < 0 {
 			status = &a[c.Status]
 		} else if sts := a[c.Statuses].Arr; k < len(sts) {
 			status = &sts[k]
 		}
-		x.complete(ev, id, status)
+		x.finish(r, ev, status, int64(ev.Rank))
 	})
 }
 
-// finish stamps completion on an in-flight op and resolves wildcard
-// receive fields from the recorded status. statusBase is the rank the
-// status fields were encoded against (the caller's rank in the
-// completing call's communicator; world rank for Wait-family calls,
-// which have no comm argument).
-func (x *extractor) finish(inst *reqInstance, ev Event, status *sig.DecodedValue, statusBase int64) {
-	if inst.send != nil {
-		inst.send.TDone, inst.send.DoneIndex = ev.TEnd, ev.Index
+// finish stamps completion on a request's operations in flight, which
+// leave it, and fills a wildcard receive's source and tag from the
+// recorded status. statusBase is the rank the status fields were
+// encoded against (the caller's rank in the completing call's
+// communicator; world rank for Wait-family calls, which have no comm
+// argument).
+func (x *extractor) finish(r *request, ev Event, status *sig.DecodedValue, statusBase int64) {
+	if s := r.send; s != nil {
+		s.TDone, s.DoneIndex = ev.TEnd, ev.Index
 	}
-	if inst.recv != nil {
-		x.completeRecv(inst.recv, ev, status, statusBase)
-	}
-}
-
-// completeRecv marks a receive complete and fills wildcard source/tag
-// from the recorded status.
-func (x *extractor) completeRecv(r *RecvOp, ev Event, status *sig.DecodedValue, statusBase int64) {
-	r.TDone, r.DoneIndex, r.Completed = ev.TEnd, ev.Index, true
-	if status == nil || len(status.Arr) != 2 {
-		return
-	}
-	if r.Src == valAnySource {
-		if observed := status.Arr[0].Resolve(statusBase); observed >= 0 && int(observed) < len(r.Comm.group) {
-			r.Src = r.Comm.group[observed]
+	if rv := r.recv; rv != nil {
+		rv.TDone, rv.DoneIndex, rv.Completed = ev.TEnd, ev.Index, true
+		if status != nil && len(status.Arr) == 2 {
+			if observed := status.Arr[0].Resolve(statusBase); rv.Src == valAnySource && observed >= 0 && int(observed) < len(rv.Comm.group) {
+				rv.Src = rv.Comm.group[observed]
+			}
+			if rv.Tag < 0 {
+				rv.Tag = status.Arr[1].I
+			}
 		}
 	}
-	if r.Tag < 0 {
-		r.Tag = status.Arr[1].I
-	}
+	r.send, r.recv = nil, nil
 }

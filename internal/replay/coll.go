@@ -121,7 +121,7 @@ func (st *Interp) collective(id mpispec.FuncID, a *args) error {
 // under the symbolic id of its trailing argument.
 func (a *args) started(r *mpi.Request, err error) error {
 	if err == nil {
-		a.st.pushReq(a.id(len(a.v)-1), r, false)
+		a.st.reqs.Add(a.id(len(a.v)-1), r, false)
 	}
 	return err
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
-	"github.com/hpcrepro/pilgrim/internal/sig"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
@@ -14,8 +13,11 @@ func (st *Interp) exec(c core.DecodedCall) error {
 	if cmp := mpispec.CompletionOf(c.Func); cmp != nil {
 		return st.complete(cmp, c)
 	}
-	p := st.p
 	a := &args{st: st, v: c.Args}
+	if m := mpispec.MessageOf(c.Func); m != nil {
+		return st.post(c.Func, m, a)
+	}
+	p := st.p
 	switch c.Func {
 	case mpispec.FInit:
 		return p.Init()
@@ -36,21 +38,6 @@ func (st *Interp) exec(c core.DecodedCall) error {
 			p.CommRank(cm)
 		}
 
-	case mpispec.FSend, mpispec.FBsend, mpispec.FSsend, mpispec.FRsend, mpispec.FRecv,
-		mpispec.FIsend, mpispec.FIbsend, mpispec.FIssend, mpispec.FIrsend, mpispec.FIrecv,
-		mpispec.FSendInit, mpispec.FBsendInit, mpispec.FSsendInit, mpispec.FRsendInit, mpispec.FRecvInit:
-		return st.p2p(c.Func, a)
-	case mpispec.FSendrecv:
-		cm := a.comm(10)
-		if sb, sdt, rb, rdt := a.ptr(0), a.dt(2), a.ptr(5), a.dt(7); a.ok() {
-			return p.Sendrecv(sb, a.num(1), sdt, a.rel(3, cm), a.rel(4, cm),
-				rb, a.num(6), rdt, a.rel(8, cm), a.rel(9, cm), cm, nil)
-		}
-	case mpispec.FSendrecvReplace:
-		cm := a.comm(7)
-		if buf, dt := a.ptr(0), a.dt(2); a.ok() {
-			return p.SendrecvReplace(buf, a.num(1), dt, a.rel(3, cm), a.rel(4, cm), a.rel(5, cm), a.rel(6, cm), cm, nil)
-		}
 	case mpispec.FProbe:
 		// Blocking probe: re-execute it (the matching message will
 		// arrive, as it did originally).
@@ -63,24 +50,22 @@ func (st *Interp) exec(c core.DecodedCall) error {
 		return nil
 
 	case mpispec.FRequestFree:
-		r, err := st.popReq(a.id(0))
+		r, err := st.reqs.Free(a.id(0))
 		if err != nil {
 			return err
 		}
-		delete(st.persistent, r)
-		st.dropReq(a.id(0), r)
 		return p.RequestFree(r)
 	case mpispec.FRequestGetStatus, mpispec.FCancel:
 		return nil // polling/cancellation: structural no-op on replay
 
 	case mpispec.FStart:
-		r, err := st.popReq(a.id(0)) // persistent: not consumed
+		rs, err := st.reqs.Resolve(a.v[:1])
 		if err != nil {
 			return err
 		}
-		return p.Start(r)
+		return p.Start(rs[0])
 	case mpispec.FStartall:
-		rs, err := st.peekReqs(a.v[1].Arr)
+		rs, err := st.reqs.Resolve(a.v[1].Arr)
 		if err != nil {
 			return err
 		}
@@ -220,11 +205,9 @@ func (st *Interp) exec(c core.DecodedCall) error {
 		for i, h := range handles {
 			// Struct member handles were recorded as raw values; map
 			// predefined ones (the common case in traces we replay).
-			dt, ok := st.types[int64(h)-16]
-			if !ok {
+			if members[i] = mpi.PredefinedType(int64(h) - mpi.Byte.Handle()); members[i] == nil {
 				return fmt.Errorf("struct member type %d unknown", h)
 			}
-			members[i] = dt
 		}
 		nt, err := p.TypeCreateStruct(a.ints(1), a.ints(2), members)
 		return bind(st.types, a.id(4), nt, err)
@@ -340,25 +323,15 @@ func bind[T comparable](m map[int64]T, id int64, x T, err error) error {
 // complete replays a Wait/Test call by waiting for exactly the
 // requests it completed: one Waitall when it completed the whole
 // request array it names, one Wait per completed request otherwise.
-// The completed requests leave the live window; persistent ones stay.
+// The window takes the completed requests out; persistent ones stay.
 func (st *Interp) complete(cmp *mpispec.Completion, c core.DecodedCall) error {
-	var ids []sig.DecodedValue
-	if cmp.Requests >= 0 {
-		ids = c.Args[cmp.Requests].Arr
-	} else {
-		ids = c.Args[cmp.Request : cmp.Request+1] // MPI_Wait's and MPI_Test's one request
-	}
-	rs, err := st.peekReqs(ids)
+	var done []*mpi.Request
+	rs, completed, err := st.reqs.Complete(cmp, c.Decoded, func(r *mpi.Request, _ int) {
+		done = append(done, r)
+	})
 	if err != nil {
 		return err
 	}
-	var done []*mpi.Request
-	completed := cmp.Slots(c.Arg, func(id int64, slot, _ int) {
-		if r := rs[slot]; r != nil {
-			st.consume(id, r)
-			done = append(done, r)
-		}
-	})
 	if cmp.Every() && cmp.Requests >= 0 {
 		if !completed {
 			return nil
@@ -373,53 +346,67 @@ func (st *Interp) complete(cmp *mpispec.Completion, c core.DecodedCall) error {
 	return nil
 }
 
-// p2p replays the calls with the point-to-point layout (buf, count,
-// datatype, peer, tag, comm). A non-blocking or persistent call has its
-// blocking twin's layout plus a trailing request.
-func (st *Interp) p2p(id mpispec.FuncID, a *args) error {
-	cm := a.comm(5)
-	buf, dt := a.ptr(0), a.dt(2)
+// sends and starts are the blocking sends and the calls that post a
+// message on a new request.
+var (
+	sends = map[mpispec.FuncID]func(*mpi.Proc, mpi.Ptr, int, *mpi.Datatype, int, int, *mpi.Comm) error{
+		mpispec.FSend: (*mpi.Proc).Send, mpispec.FBsend: (*mpi.Proc).Bsend,
+		mpispec.FSsend: (*mpi.Proc).Ssend, mpispec.FRsend: (*mpi.Proc).Rsend,
+	}
+	starts = map[mpispec.FuncID]func(*mpi.Proc, mpi.Ptr, int, *mpi.Datatype, int, int, *mpi.Comm) (*mpi.Request, error){
+		mpispec.FIsend: (*mpi.Proc).Isend, mpispec.FIbsend: (*mpi.Proc).Ibsend,
+		mpispec.FIssend: (*mpi.Proc).Issend, mpispec.FIrsend: (*mpi.Proc).Irsend, mpispec.FIrecv: (*mpi.Proc).Irecv,
+		mpispec.FSendInit: (*mpi.Proc).SendInit, mpispec.FBsendInit: (*mpi.Proc).BsendInit,
+		mpispec.FSsendInit: (*mpi.Proc).SsendInit, mpispec.FRsendInit: (*mpi.Proc).RsendInit,
+		mpispec.FRecvInit: (*mpi.Proc).RecvInit,
+	}
+)
+
+// half is one side of a message, resolved.
+type half struct {
+	buf       mpi.Ptr
+	count     int
+	dt        *mpi.Datatype
+	peer, tag int
+}
+
+// half resolves the side of a message h describes.
+func (a *args) half(h *mpispec.Half, cm *mpi.Comm) half {
+	return half{a.ptr(h.Buf), a.num(h.Count), a.dt(h.Datatype), a.rel(h.Peer, cm), a.rel(h.Tag, cm)}
+}
+
+// post replays one of the calls that post a point-to-point message,
+// reading its arguments where m says. A non-blocking or persistent
+// call's request enters the window.
+func (st *Interp) post(f mpispec.FuncID, m *mpispec.Message, a *args) error {
+	p, cm := st.p, a.comm(m.Comm)
+	var s, r half
+	if m.Send != nil {
+		s = a.half(m.Send, cm)
+	}
+	if m.Recv != nil {
+		r = a.half(m.Recv, cm)
+	}
 	if !a.ok() {
 		return a.err
 	}
-	p, count, peer, tag := st.p, a.num(1), a.rel(3, cm), a.rel(4, cm)
-	var start func(mpi.Ptr, int, *mpi.Datatype, int, int, *mpi.Comm) (*mpi.Request, error)
-	persistent := false
-	switch id {
-	case mpispec.FSend:
-		return p.Send(buf, count, dt, peer, tag, cm)
-	case mpispec.FBsend:
-		return p.Bsend(buf, count, dt, peer, tag, cm)
-	case mpispec.FSsend:
-		return p.Ssend(buf, count, dt, peer, tag, cm)
-	case mpispec.FRsend:
-		return p.Rsend(buf, count, dt, peer, tag, cm)
-	case mpispec.FRecv:
-		return p.Recv(buf, count, dt, peer, tag, cm, nil)
-	case mpispec.FIsend:
-		start = p.Isend
-	case mpispec.FIbsend:
-		start = p.Ibsend
-	case mpispec.FIssend:
-		start = p.Issend
-	case mpispec.FIrsend:
-		start = p.Irsend
-	case mpispec.FIrecv:
-		start = p.Irecv
-	case mpispec.FSendInit:
-		start, persistent = p.SendInit, true
-	case mpispec.FBsendInit:
-		start, persistent = p.BsendInit, true
-	case mpispec.FSsendInit:
-		start, persistent = p.SsendInit, true
-	case mpispec.FRsendInit:
-		start, persistent = p.RsendInit, true
-	default: // FRecvInit
-		start, persistent = p.RecvInit, true
+	switch {
+	case f == mpispec.FRecv:
+		return p.Recv(r.buf, r.count, r.dt, r.peer, r.tag, cm, nil)
+	case f == mpispec.FSendrecv:
+		return p.Sendrecv(s.buf, s.count, s.dt, s.peer, s.tag, r.buf, r.count, r.dt, r.peer, r.tag, cm, nil)
+	case f == mpispec.FSendrecvReplace:
+		return p.SendrecvReplace(s.buf, s.count, s.dt, s.peer, s.tag, r.peer, r.tag, cm, nil)
+	case m.Request < 0:
+		return sends[f](p, s.buf, s.count, s.dt, s.peer, s.tag, cm)
 	}
-	r, err := start(buf, count, dt, peer, tag, cm)
+	h := s // the one side a non-blocking or persistent call posts
+	if m.Recv != nil {
+		h = r
+	}
+	req, err := starts[f](p, h.buf, h.count, h.dt, h.peer, h.tag, cm)
 	if err == nil {
-		st.pushReq(a.id(6), r, persistent)
+		st.reqs.Add(a.id(m.Request), req, m.Persistent)
 	}
 	return err
 }

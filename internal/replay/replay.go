@@ -15,12 +15,15 @@
 //   - Waitany/Waitsome/Test* are replayed by waiting for exactly the
 //     requests the trace says completed (a Waitall over that subset):
 //     the message flow is reproduced, the polling pattern is not.
-//   - Request arrays resolve symbolic ids positionally in creation
-//     order. Two live requests from different per-signature pools can
-//     share an id (§3.4.3); if the application ordered them in an
-//     array differently from their creation order, the replay pairs
-//     slots with the other request of the same id — the message flow
-//     is identical, but per-slot status bookkeeping may permute.
+//   - Symbolic request ids resolve through sig.Window, which analysis
+//     shares. Two live requests from different per-signature pools can
+//     share an id (§3.4.3). An array resolves positionally in creation
+//     order; if the application ordered such requests differently, the
+//     replay pairs slots with the other request of the same id — the
+//     message flow is identical, but per-slot status bookkeeping may
+//     permute. A single MPI_Start of an id that two live persistent
+//     requests share is ambiguous in the trace; both readers take the
+//     oldest.
 //   - MPI_Comm_idup is not supported (its id agreement is deferred);
 //     replay traces should use blocking communicator creation.
 package replay
@@ -49,11 +52,7 @@ type Interp struct {
 	ops   map[int64]*mpi.Op
 	segs  map[int64]*mpi.Buffer
 	stack map[int64]mpi.Ptr
-	// live requests: per symbolic id, FIFO of outstanding requests
-	// (per-signature pools can reuse an id across distinct pools).
-	reqs map[int64][]*mpi.Request
-	// persistent requests never leave reqs on completion; track them.
-	persistent map[*mpi.Request]bool
+	reqs  sig.Window[*mpi.Request]
 }
 
 // Body builds the SPMD body that replays the trace. It decodes each
@@ -102,15 +101,13 @@ func Run(f *trace.File, simOpts mpi.Options) error {
 // NewInterp builds a fresh interpreter for one rank.
 func NewInterp(p *mpi.Proc) *Interp {
 	return &Interp{
-		p:          p,
-		comms:      map[int64]*mpi.Comm{0: p.World(), 1: p.Self()},
-		types:      predefTypes(),
-		grps:       map[int64]*mpi.Group{},
-		ops:        predefOps(),
-		segs:       map[int64]*mpi.Buffer{},
-		stack:      map[int64]mpi.Ptr{},
-		reqs:       map[int64][]*mpi.Request{},
-		persistent: map[*mpi.Request]bool{},
+		p:     p,
+		comms: map[int64]*mpi.Comm{0: p.World(), 1: p.Self()},
+		types: map[int64]*mpi.Datatype{},
+		grps:  map[int64]*mpi.Group{},
+		ops:   predefOps(),
+		segs:  map[int64]*mpi.Buffer{},
+		stack: map[int64]mpi.Ptr{},
 	}
 }
 
@@ -141,17 +138,6 @@ func RankCalls(calls []core.DecodedCall, p *mpi.Proc) error {
 		}
 	}
 	return nil
-}
-
-func predefTypes() map[int64]*mpi.Datatype {
-	list := []*mpi.Datatype{mpi.Byte, mpi.Char, mpi.Int, mpi.Long, mpi.Float, mpi.Double,
-		mpi.Short, mpi.Unsigned, mpi.LongLong, mpi.Int8T, mpi.Int16T, mpi.Int32T,
-		mpi.Int64T, mpi.UnsignedChar, mpi.DoubleInt}
-	m := map[int64]*mpi.Datatype{}
-	for i, dt := range list {
-		m[int64(i)] = dt
-	}
-	return m
 }
 
 func predefOps() map[int64]*mpi.Op {
@@ -221,12 +207,18 @@ func lookup[T any](a *args, m map[int64]T, i int, what string) T {
 }
 
 func (a *args) comm(i int) *mpi.Comm   { return lookup(a, a.st.comms, i, "comm") }
-func (a *args) dt(i int) *mpi.Datatype { return lookup(a, a.st.types, i, "datatype") }
 func (a *args) op(i int) *mpi.Op       { return lookup(a, a.st.ops, i, "op") }
 func (a *args) group(i int) *mpi.Group { return lookup(a, a.st.grps, i, "group") }
 func (a *args) num(i int) int          { return int(a.v[i].I) }
 func (a *args) id(i int) int64         { return a.v[i].I }
 func (a *args) flag(i int) bool        { return a.v[i].I != 0 }
+
+func (a *args) dt(i int) *mpi.Datatype {
+	if dt := mpi.PredefinedType(a.v[i].I); dt != nil {
+		return dt
+	}
+	return lookup(a, a.st.types, i, "datatype")
+}
 
 func (a *args) ints(i int) []int {
 	out := make([]int, len(a.v[i].Arr))
@@ -266,66 +258,4 @@ func (a *args) ptr(i int) mpi.Ptr {
 		return lookup(a, a.st.stack, i, "stack")
 	}
 	return mpi.NilPtr
-}
-
-// pushReq registers a created request under its symbolic id.
-func (st *Interp) pushReq(id int64, r *mpi.Request, persistent bool) {
-	st.reqs[id] = append(st.reqs[id], r)
-	if persistent {
-		st.persistent[r] = true
-	}
-}
-
-// popReq takes the oldest live request with the symbolic id.
-func (st *Interp) popReq(id int64) (*mpi.Request, error) {
-	q := st.reqs[id]
-	if len(q) == 0 {
-		return nil, fmt.Errorf("no live request with id %d", id)
-	}
-	r := q[0]
-	if !st.persistent[r] {
-		st.reqs[id] = q[1:]
-	}
-	return r, nil
-}
-
-// peekReqs resolves request ids positionally (oldest first per id)
-// without consuming anything; a null id resolves to nil.
-func (st *Interp) peekReqs(ids []sig.DecodedValue) ([]*mpi.Request, error) {
-	taken := map[int64]int{}
-	out := make([]*mpi.Request, len(ids))
-	for i, idv := range ids {
-		id := idv.I
-		if id < 0 {
-			continue // null request slot
-		}
-		q := st.reqs[id]
-		k := taken[id]
-		if k >= len(q) {
-			return nil, fmt.Errorf("request array slot %d: no live request with id %d", i, id)
-		}
-		out[i] = q[k]
-		taken[id] = k + 1
-	}
-	return out, nil
-}
-
-// consume removes one specific request from its id queue (persistent
-// requests stay).
-func (st *Interp) consume(id int64, r *mpi.Request) {
-	if st.persistent[r] {
-		return
-	}
-	st.dropReq(id, r)
-}
-
-// dropReq removes a request from its queue unconditionally.
-func (st *Interp) dropReq(id int64, r *mpi.Request) {
-	q := st.reqs[id]
-	for i, x := range q {
-		if x == r {
-			st.reqs[id] = append(q[:i:i], q[i+1:]...)
-			return
-		}
-	}
 }

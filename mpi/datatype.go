@@ -90,7 +90,20 @@ var (
 	Int64T       = named(12, "MPI_INT64_T", 8, baseInt)
 	UnsignedChar = named(13, "MPI_UNSIGNED_CHAR", 1, baseInt)
 	DoubleInt    = named(14, "MPI_DOUBLE_INT", 16, baseFloat64)
+
+	predefined = []*Datatype{Byte, Char, Int, Long, Float, Double, Short, Unsigned,
+		LongLong, Int8T, Int16T, Int32T, Int64T, UnsignedChar, DoubleInt}
 )
+
+// PredefinedType returns the predefined datatype with symbolic id id,
+// or nil. A trace gives a predefined datatype its handle's offset from
+// MPI_BYTE's, the first predefined handle, as its symbolic id.
+func PredefinedType(id int64) *Datatype {
+	if id >= 0 && id < int64(len(predefined)) {
+		return predefined[id]
+	}
+	return nil
+}
 
 func (d *Datatype) checkUsable() error {
 	if d == nil {
