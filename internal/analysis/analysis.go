@@ -54,14 +54,20 @@ func EachEvent(f *trace.File, rank int, yield func(Event) error) error {
 	if err != nil {
 		return err
 	}
+	return timeline(f, rank, calls, yield)
+}
+
+// timeline yields one rank's decoded calls as events in call order.
+// A lossy trace carries each call's times; an aggregated one lays the
+// calls back to back, each lasting its signature's mean duration.
+func timeline(f *trace.File, rank int, calls []core.DecodedCall, yield func(Event) error) error {
 	var clock int64
 	for i, c := range calls {
 		ev := Event{Rank: rank, Index: i, Call: c}
 		if f.TimingMode == trace.TimingLossy {
 			ev.TStart, ev.TEnd = c.TStart, c.TEnd
 		} else {
-			ev.TStart = clock
-			ev.TEnd = clock + c.AvgDuration
+			ev.TStart, ev.TEnd = clock, clock+c.AvgDuration
 			clock = ev.TEnd
 		}
 		if err := yield(ev); err != nil {
@@ -107,19 +113,11 @@ func Analyze(f *trace.File) (*Analysis, error) {
 			return
 		}
 		perRank[r] = calls
-		evs := make([]Event, len(calls))
-		var clock int64
-		for i, c := range calls {
-			evs[i] = Event{Rank: r, Index: i, Call: c}
-			if f.TimingMode == trace.TimingLossy {
-				evs[i].TStart, evs[i].TEnd = c.TStart, c.TEnd
-			} else {
-				evs[i].TStart = clock
-				evs[i].TEnd = clock + c.AvgDuration
-				clock = evs[i].TEnd
-			}
-		}
-		a.Events[r] = evs
+		a.Events[r] = make([]Event, 0, len(calls))
+		timeline(f, r, calls, func(ev Event) error {
+			a.Events[r] = append(a.Events[r], ev)
+			return nil
+		})
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
