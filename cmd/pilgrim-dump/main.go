@@ -63,6 +63,9 @@ func main() {
 	fmt.Fprintf(w, "# sections: cst=%dB (%s) grammars=%dB (%s) duration=%dB (%s) interval=%dB (%s)\n",
 		cstB, pct(cstB, secTotal), cfgB, pct(cfgB, secTotal),
 		durB, pct(durB, secTotal), intB, pct(intB, secTotal))
+	cs := file.CSTStorage()
+	fmt.Fprintf(w, "# cst: %d entries, %d templates, stored %s %dB (raw %dB)\n",
+		cs.Entries, cs.Templates, cs.Form, cs.Stored, cs.Raw)
 	if file.TimingMode == pilgrim.TimingLossy {
 		dur, intv := file.TimingStorage()
 		fmt.Fprintf(w, "# timing sets: duration %s %dB -> %dB, interval %s %dB -> %dB\n",

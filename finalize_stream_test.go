@@ -86,9 +86,9 @@ func TestFinalizeStreamedByteIdenticalLossyTiming(t *testing.T) {
 }
 
 // TestFinalizeStreamedShapeByteIdentical: cg's ranks have unique
-// grammars of one shape, so the trace stores them by shape (PILGRIM2),
-// and which grammar represents the shape must not depend on the batch
-// size or GOMAXPROCS.
+// grammars of one shape, so the trace stores them by shape, and which
+// grammar represents the shape must not depend on the batch size or
+// GOMAXPROCS.
 func TestFinalizeStreamedShapeByteIdentical(t *testing.T) {
 	for _, n := range []int{16, 33} {
 		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
@@ -98,8 +98,8 @@ func TestFinalizeStreamedShapeByteIdentical(t *testing.T) {
 			}
 			snaps := snapshotsOf(t, n, core.Options{}, body)
 			f, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-			if data := traceBytes(t, f); !bytes.HasPrefix(data, []byte("PILGRIM2")) {
-				t.Fatalf("cg trace starts %q, not stored by shape", data[:8])
+			if len(f.Representatives()) == len(f.Grammars) {
+				t.Fatalf("cg's %d grammars are of %d shapes, not stored by shape", len(f.Grammars), len(f.Representatives()))
 			}
 			streamedSweep(t, snaps, core.Options{}, nil)
 		})

@@ -8,6 +8,7 @@ package cst
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -248,6 +249,11 @@ func Deserialize(data []byte) (*Table, error) {
 			return nil, fmt.Errorf("cst: truncated entry %d duration", i)
 		}
 		pos += k
+		// Every entry was called at least once, and its duration sum,
+		// avg × count, must be an int64.
+		if cnt < 1 || avg > math.MaxInt64/cnt || avg < math.MinInt64/cnt {
+			return nil, fmt.Errorf("cst: entry %d: %d calls averaging %d", i, cnt, avg)
+		}
 		if _, dup := t.bySig[key]; dup {
 			return nil, fmt.Errorf("cst: duplicate signature in entry %d", i)
 		}

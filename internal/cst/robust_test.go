@@ -2,6 +2,7 @@ package cst
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -71,4 +72,28 @@ func FuzzDeserialize(f *testing.F) {
 		}
 		got.Serialize()
 	})
+}
+
+// TestDeserializeRejectsBadCounts: an entry is called at least once,
+// and its average times its count is an int64 duration sum.
+func TestDeserializeRejectsBadCounts(t *testing.T) {
+	entry := func(count, avg int64) []byte { // a table of one entry, "x"
+		data := binary.AppendUvarint(nil, 1)
+		data = append(binary.AppendUvarint(data, 1), 'x')
+		return binary.AppendVarint(binary.AppendVarint(data, count), avg)
+	}
+	for _, c := range [][2]int64{{0, 5}, {-1, 5}, {2, math.MaxInt64/2 + 1}, {3, math.MinInt64/3 - 1}, {1 << 40, 1 << 30}} {
+		if _, err := Deserialize(entry(c[0], c[1])); err == nil {
+			t.Errorf("%d calls averaging %d accepted", c[0], c[1])
+		}
+	}
+	for _, c := range [][2]int64{{1, math.MaxInt64}, {1, math.MinInt64}, {2, math.MaxInt64 / 2}, {3, math.MinInt64 / 3}, {7, -4}} {
+		tb, err := Deserialize(entry(c[0], c[1]))
+		if err != nil {
+			t.Fatalf("%d calls averaging %d: %v", c[0], c[1], err)
+		}
+		if tb.Count(0) != c[0] || tb.AvgDuration(0) != c[1] {
+			t.Errorf("%d calls averaging %d read back as %d averaging %d", c[0], c[1], tb.Count(0), tb.AvgDuration(0))
+		}
+	}
 }

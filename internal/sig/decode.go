@@ -78,10 +78,16 @@ type reader struct {
 	pos int
 }
 
+// uvarint and varint read a varint in its shortest form, the only one
+// an encoder writes: a longer one ends in a zero byte. That keeps a
+// signature the one byte string of its call, so Join(Split(sig)) is sig.
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("sig: truncated uvarint at %d", r.pos)
+	}
+	if n > 1 && r.b[r.pos+n-1] == 0 {
+		return 0, fmt.Errorf("sig: uvarint at %d is longer than its shortest form", r.pos)
 	}
 	r.pos += n
 	return v, nil
@@ -91,6 +97,9 @@ func (r *reader) varint() (int64, error) {
 	v, n := binary.Varint(r.b[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("sig: truncated varint at %d", r.pos)
+	}
+	if n > 1 && r.b[r.pos+n-1] == 0 {
+		return 0, fmt.Errorf("sig: varint at %d is longer than its shortest form", r.pos)
 	}
 	r.pos += n
 	return v, nil
@@ -220,7 +229,8 @@ func decodeValue(r *reader, kind mpispec.ParamKind) (DecodedValue, error) {
 		var n uint64
 		n, err = r.uvarint()
 		if err == nil {
-			if r.pos+int(n) > len(r.b) {
+			// In uint64: int(n) may wrap negative past the check.
+			if n > uint64(len(r.b)-r.pos) {
 				err = fmt.Errorf("truncated string")
 			} else {
 				v.S = string(r.b[r.pos : r.pos+int(n)])

@@ -117,7 +117,7 @@ func (s *storedSet) write(w *bufio.Writer, gs []sequitur.Serialized, packFlag by
 }
 
 // timingSet reads a timing set, recording in s how it was stored: as
-// readPackable reads one, or, under magicDeflate, deflated. The raw
+// readPackable reads one, or, from magicDeflate on, deflated. The raw
 // bytes must be exactly one grammar set, parsed with grammarSet's caps.
 func (br byteReader) timingSet(s *storedSet, max int) ([]sequitur.Serialized, error) {
 	flag, err := br.r.ReadByte()
@@ -128,7 +128,7 @@ func (br byteReader) timingSet(s *storedSet, max int) ([]sequitur.Serialized, er
 		var gs []sequitur.Serialized
 		gs, s.pack, err = br.packable(flag, max)
 		return gs, err
-	case br.magic != magicDeflate:
+	case br.magic < magicDeflate:
 		return nil, fmt.Errorf("trace: deflated grammar set in a %s file", br.magic)
 	}
 	n, err := binary.ReadUvarint(br.r)

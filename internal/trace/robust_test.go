@@ -251,7 +251,7 @@ func readAndProbe(data []byte) {
 }
 
 func TestReadExhaustiveTruncations(t *testing.T) {
-	for _, build := range []func(testing.TB) *File{richFile, shapedFile, packedFile, deflatedFile} {
+	for _, build := range []func(testing.TB) *File{richFile, shapedFile, packedFile, deflatedFile, templatedFile} {
 		truncations(t, build)
 	}
 }
@@ -282,7 +282,7 @@ func truncations(t *testing.T, build func(testing.TB) *File) {
 }
 
 func TestReadExhaustiveBitFlips(t *testing.T) {
-	for _, f := range []*File{richFile(t), shapedFile(t), packedFile(t), deflatedFile(t)} {
+	for _, f := range []*File{richFile(t), shapedFile(t), packedFile(t), deflatedFile(t), templatedFile(t)} {
 		bitFlips(t, serialize(t, f))
 	}
 }
@@ -425,16 +425,17 @@ func TestWriteRejectsBadShape(t *testing.T) {
 
 // TestReadRejectsUnknownSelectors: a grammar set is raw (0) or a pack
 // in the one alphabet its magic allows (1 under magic and magicShapes,
-// 3 under magicPack and magicDeflate), the call section may also be
-// stored by shape (2), but not under magic, and a timing set deflated
-// (4), but only under magicDeflate. Any other selector is an error, not
-// a raw set.
+// 3 from magicPack on), the call section may also be stored by shape
+// (2), but not under magic, and a timing set deflated (4), but only
+// from magicDeflate on. Under magicTemplates the CST section is raw (0)
+// or templated (1). Any other selector is an error, not a raw set.
 func TestReadRejectsUnknownSelectors(t *testing.T) {
 	for m, refused := range map[string][]byte{
-		magic:        {flagShapes, flagPacked, flagDeflated, 0xff},
-		magicShapes:  {flagShapes, flagPacked, flagDeflated, 0xff},
-		magicPack:    {flagHalves, flagShapes, flagDeflated, 0xff},
-		magicDeflate: {flagHalves, flagShapes, flagDeflated, 0xff},
+		magic:          {flagShapes, flagPacked, flagDeflated, 0xff},
+		magicShapes:    {flagShapes, flagPacked, flagDeflated, 0xff},
+		magicPack:      {flagHalves, flagShapes, flagDeflated, 0xff},
+		magicDeflate:   {flagHalves, flagShapes, flagDeflated, 0xff},
+		magicTemplates: {flagHalves, flagShapes, flagDeflated, 0xff},
 	} {
 		for _, flag := range refused {
 			br := byteReader{r: bufio.NewReader(bytes.NewReader([]byte{flag, 0})), magic: m}
@@ -442,7 +443,13 @@ func TestReadRejectsUnknownSelectors(t *testing.T) {
 				t.Errorf("%s: grammar set selector %d accepted", m, flag)
 			}
 		}
-		if m == magicDeflate {
+		for _, flag := range []byte{cstTemplated + 1, 0xff} {
+			br := byteReader{r: bufio.NewReader(bytes.NewReader([]byte{flag, 1, 0})), magic: m}
+			if err := br.cstSection(new(File)); err == nil {
+				t.Errorf("%s: CST selector %d accepted", m, flag)
+			}
+		}
+		if m >= magicDeflate {
 			continue
 		}
 		br := byteReader{r: bytes.NewReader([]byte{flagDeflated, 1, 1, 0}), magic: m}
@@ -458,7 +465,7 @@ func TestReadRejectsUnknownSelectors(t *testing.T) {
 			t.Errorf("deflated timing sets read under %s", m)
 		}
 	}
-	for _, build := range []func(testing.TB) *File{richFile, shapedFile, packedFile, deflatedFile} {
+	for _, build := range []func(testing.TB) *File{richFile, shapedFile, packedFile, deflatedFile, templatedFile} {
 		data := serialize(t, build(t))
 		at := callSelectorAt(build(t))
 		other := byte(flagPacked) // the pack selector of the other alphabet
@@ -539,29 +546,34 @@ func TestDeflatedFileRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentWritesDeflateOnce: writes of one File from several
-// goroutines at once share the first one's deflate and give one set of
-// bytes (run under -race).
+// goroutines at once share the first one's deflate, and its CST
+// encoding, and give one set of bytes (run under -race).
 func TestConcurrentWritesDeflateOnce(t *testing.T) {
-	f := deflatedFile(t)
-	outs := make([][]byte, 4)
-	var wg sync.WaitGroup
-	for i := range outs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f.TimingStorage()
-			f.SectionSizes()
-			var b bytes.Buffer
-			if _, err := f.WriteTo(&b); err != nil {
-				t.Error(err)
+	for _, c := range []struct {
+		f     *File
+		magic string
+	}{{deflatedFile(t), magicDeflate}, {templatedFile(t), magicTemplates}} {
+		outs := make([][]byte, 4)
+		var wg sync.WaitGroup
+		for i := range outs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.f.TimingStorage()
+				c.f.CSTStorage()
+				c.f.SectionSizes()
+				var b bytes.Buffer
+				if _, err := c.f.WriteTo(&b); err != nil {
+					t.Error(err)
+				}
+				outs[i] = b.Bytes()
+			}()
+		}
+		wg.Wait()
+		for _, b := range outs[1:] {
+			if !bytes.Equal(b, outs[0]) || !bytes.HasPrefix(b, []byte(c.magic)) {
+				t.Fatalf("concurrent writes differ: %d vs %d bytes", len(b), len(outs[0]))
 			}
-			outs[i] = b.Bytes()
-		}()
-	}
-	wg.Wait()
-	for _, b := range outs[1:] {
-		if !bytes.Equal(b, outs[0]) || !bytes.HasPrefix(b, []byte(magicDeflate)) {
-			t.Fatalf("concurrent writes differ: %d vs %d bytes", len(b), len(outs[0]))
 		}
 	}
 }
@@ -602,7 +614,7 @@ func TestGrammarLenMatchesWrite(t *testing.T) {
 		}
 		b := buf.Bytes()
 		_, k := binary.Uvarint(b)
-		if vs, at, err := varints(b[k:]); err != nil || at != len(b)-k || !slices.Equal(vs, g[:n]) {
+		if vs, at, err := varints[int32](b[k:]); err != nil || at != len(b)-k || !slices.Equal(vs, g[:n]) {
 			t.Fatalf("%d ints read back as %v (%d of %d bytes, %v)", n, vs, at, len(b)-k, err)
 		}
 	}
@@ -649,13 +661,14 @@ func TestReadRejectsPackUnderOtherMagic(t *testing.T) {
 }
 
 // callSelectorAt is the offset of f's call-grammar selector byte: past
-// the magic, the header and the CST.
+// the magic, the header and the CST section, with its selector if the
+// CST is stored templated.
 func callSelectorAt(f *File) int {
-	hdr := binary.AppendUvarint(nil, uint64(f.NumRanks))
-	hdr = append(hdr, f.TimingMode)
-	hdr = binary.AppendUvarint(hdr, math.Float64bits(f.TimingBase))
-	cstLen := len(f.CST.Serialize())
-	return len(magic) + len(hdr) + len(binary.AppendUvarint(nil, uint64(cstLen))) + cstLen
+	s := f.storedCST()
+	if s.templated != nil {
+		return cstAt(f) + 1 + framedLen(len(s.templated))
+	}
+	return cstAt(f) + framedLen(len(s.raw))
 }
 
 func FuzzTraceRead(f *testing.F) {
@@ -689,6 +702,12 @@ func FuzzTraceRead(f *testing.F) {
 	s.z = slices.Clone(s.z)
 	s.z[len(s.z)/2] ^= 0x10
 	f.Add(serialize(f, flipped))
+	// A valid magicTemplates file and four damaged ones.
+	f.Add(serialize(f, templatedFile(f)))
+	templates := hostileTemplates(f)
+	for _, name := range []string{"lifted values short", "run past the entries", "rebuilt duplicate", "template ids out of use order"} {
+		f.Add(templates[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readAndProbe(data)
 	})

@@ -33,23 +33,26 @@ const (
 	TimingLossy      = 1 // per-call duration+interval grammars, error < base-1
 )
 
-// The magic is the format version. A file that stores a timing
-// section deflated (flagDeflated) starts magicDeflate. Otherwise a file
-// that stores any section by the final Sequitur pass (flagPacked)
-// starts magicPack, a file whose call section is stored by shape
-// (flagShapes) magicShapes, and every other file magic. Files of the
-// two oldest versions may hold packs of the older alphabet (flagHalves).
+// The magic is the format version, and the magics order as their
+// versions. A file that stores its CST templated (cstTemplated) starts
+// magicTemplates. Otherwise a file that stores a timing section
+// deflated (flagDeflated) starts magicDeflate, a file that stores any
+// section by the final Sequitur pass (flagPacked) magicPack, a file
+// whose call section is stored by shape (flagShapes) magicShapes, and
+// every other file magic. Files of the two oldest versions may hold
+// packs of the older alphabet (flagHalves).
 const (
-	magic        = "PILGRIM1"
-	magicShapes  = "PILGRIM2"
-	magicPack    = "PILGRIM3"
-	magicDeflate = "PILGRIM4"
+	magic          = "PILGRIM1"
+	magicShapes    = "PILGRIM2"
+	magicPack      = "PILGRIM3"
+	magicDeflate   = "PILGRIM4"
+	magicTemplates = "PILGRIM5"
 )
 
 // Grammar set selectors. flagHalves only under magic and magicShapes,
-// flagPacked only under magicPack and magicDeflate, flagShapes, in the
-// call section, under every magic but magic, and flagDeflated, in a
-// timing section, only under magicDeflate.
+// flagPacked under every later magic, flagShapes, in the call section,
+// under every magic but magic, and flagDeflated, in a timing section,
+// from magicDeflate on.
 const (
 	flagRaw      = 0
 	flagHalves   = 1 // sequitur.UnpackHalves reads the pack
@@ -139,6 +142,11 @@ type File struct {
 	// IntGrammars after a write is not seen.
 	timingOnce sync.Once
 	timing     [2]storedSet
+
+	// How the CST is stored: decided on the first write of a File built
+	// in memory, or set by Read (see storedCST).
+	cstOnce sync.Once
+	cst     storedCST
 
 	// Read-path memo (see the type comment): the validated rank map
 	// expansion, and one lazily decoded slot per CST entry.
@@ -249,12 +257,17 @@ func writeBytes(w *bufio.Writer, b []byte) error {
 }
 
 func writeGrammar(w *bufio.Writer, g sequitur.Serialized) error {
-	buf := make([]byte, 0, len(g)*3)
-	buf = binary.AppendUvarint(buf, uint64(len(g)))
-	for _, v := range g {
+	return writeBytes(w, appendInts(make([]byte, 0, len(g)*3), g))
+}
+
+// appendInts appends what varints reads: the count of vs, then each as
+// a zigzag varint.
+func appendInts[T int32 | int64](buf []byte, vs []T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vs)))
+	for _, v := range vs {
 		buf = binary.AppendVarint(buf, int64(v))
 	}
-	return writeBytes(w, buf)
+	return buf
 }
 
 func writeGrammarSet(w *bufio.Writer, gs []sequitur.Serialized) error {
@@ -272,12 +285,7 @@ func writeGrammarSet(w *bufio.Writer, gs []sequitur.Serialized) error {
 }
 
 func writeIndex(w *bufio.Writer, idx []int32) error {
-	buf := make([]byte, 0, len(idx)*2+8)
-	buf = binary.AppendUvarint(buf, uint64(len(idx)))
-	for _, v := range idx {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	return writeBytes(w, buf)
+	return writeBytes(w, appendInts(make([]byte, 0, len(idx)*2+8), idx))
 }
 
 // WriteTo serializes the trace. It fails without writing when Shape
@@ -296,12 +304,14 @@ func (f *File) write(w io.Writer, sec *shapedSection) (int64, error) {
 	if sec != nil {
 		calls = sec.reps
 	}
-	// How the sections are stored sets the version (see magicDeflate);
+	// How the sections are stored sets the version (see magicTemplates);
 	// a File read from a file keeps its own.
-	packed, tm := f.stored(calls, f.Packed), f.timingSets()
+	packed, tm, cs := f.stored(calls, f.Packed), f.timingSets(), f.storedCST()
 	m := f.read
 	switch {
 	case m != "":
+	case cs.templated != nil:
+		m = magicTemplates
 	case tm[0].z != nil || tm[1].z != nil:
 		m = magicDeflate
 	case packed != nil || tm[0].pack != nil || tm[1].pack != nil:
@@ -327,7 +337,7 @@ func (f *File) write(w io.Writer, sec *shapedSection) (int64, error) {
 	if _, err := bw.Write(hdr); err != nil {
 		return cw.n, err
 	}
-	if err := writeBytes(bw, f.CST.Serialize()); err != nil {
+	if err := cs.write(bw, m); err != nil {
 		return cw.n, err
 	}
 	if err := f.writeCalls(bw, sec, packed, packFlag); err != nil {
@@ -553,10 +563,11 @@ func (f *File) SizeBytes() int {
 
 // SectionSizes reports the main sections' sizes (CST, call grammars
 // incl. rank map, duration and interval grammars), for the overhead and
-// Figure 10 style breakdowns: in int32s before varint framing, except
-// that a deflated timing section counts the bytes it is stored in.
+// Figure 10 style breakdowns: the grammars in int32s before varint
+// framing, the CST and a deflated timing section in the bytes they are
+// stored in.
 func (f *File) SectionSizes() (cstB, cfgB, durB, intB int) {
-	cstB = len(f.CST.Serialize())
+	cstB = f.CSTStorage().Stored
 	cfgB = len(f.RankMap) * 4
 	if sec, _ := f.shaped(); sec != nil { // a Shape WriteTo refuses counts as a plain set
 		cfgB += (f.packableInts(sec.reps, f.Packed) + len(sec.runs) + len(sec.vecs)) * 4
@@ -630,7 +641,7 @@ func (br byteReader) grammar() (sequitur.Serialized, error) {
 	if err != nil {
 		return nil, err
 	}
-	vs, at, err := varints(b)
+	vs, at, err := varints[int32](b)
 	if err != nil {
 		return nil, err
 	}
@@ -671,14 +682,14 @@ func (br byteReader) index() ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, _, err := varints(b)
+	idx, _, err := varints[int32](b)
 	return idx, err
 }
 
-// varints parses what writeGrammar and writeIndex frame: a count, then
-// that many zigzag varints, truncated to int32. It returns them and the
-// bytes they took.
-func varints(b []byte) ([]int32, int, error) {
+// varints parses what appendInts writes: a count, then that many
+// zigzag varints, truncated to T. It returns them and the bytes they
+// took.
+func varints[T int32 | int64](b []byte) ([]T, int, error) {
 	n, at := binary.Uvarint(b)
 	if at <= 0 {
 		return nil, 0, fmt.Errorf("trace: bad int count")
@@ -686,17 +697,17 @@ func varints(b []byte) ([]int32, int, error) {
 	if n > uint64(len(b)) { // every int costs at least one byte
 		return nil, 0, fmt.Errorf("trace: %d ints claimed in %d bytes", n, len(b))
 	}
-	vs := make([]int32, n)
+	vs := make([]T, n)
 	for i := range vs {
 		if at < len(b) && b[at] < 0x80 { // one byte: most ints of a grammar
-			vs[i], at = int32(b[at]>>1)^-int32(b[at]&1), at+1
+			vs[i], at = T(b[at]>>1)^-T(b[at]&1), at+1
 			continue
 		}
 		v, k := binary.Varint(b[at:])
 		if k <= 0 {
 			return nil, 0, fmt.Errorf("trace: bad int %d of %d", i, n)
 		}
-		vs[i], at = int32(v), at+k
+		vs[i], at = T(v), at+k
 	}
 	return vs, at, nil
 }
@@ -709,7 +720,7 @@ func Read(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	switch br.magic = string(m); br.magic {
-	case magic, magicShapes, magicPack, magicDeflate:
+	case magic, magicShapes, magicPack, magicDeflate, magicTemplates:
 	default:
 		return nil, fmt.Errorf("trace: bad magic %q", m)
 	}
@@ -736,11 +747,7 @@ func Read(r io.Reader) (*File, error) {
 	if f.TimingMode == TimingLossy && !timing.ValidBase(f.TimingBase) {
 		return nil, &TimingBaseError{Base: f.TimingBase}
 	}
-	cstBytes, err := br.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if f.CST, err = cst.Deserialize(cstBytes); err != nil {
+	if err := br.cstSection(f); err != nil {
 		return nil, err
 	}
 	flag, err := br.r.ReadByte()
