@@ -160,6 +160,34 @@ func TestDumpTimingSets(t *testing.T) {
 	}
 }
 
+// TestDumpCSTStorage: the header says how the CST is stored: templated
+// for a fresh cg run, raw for the same trace as an older writer stored
+// it, each with its entries, templates and bytes.
+func TestDumpCSTStorage(t *testing.T) {
+	body, err := workloads.Get("cg", 4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, _, err := pilgrim.Run(64, pilgrim.Options{}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cg.pilgrim")
+	if err := file.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	st := file.CSTStorage()
+	fresh := fmt.Sprintf("# cst: %d entries, %d templates, stored templated %dB (raw %dB)\n", st.Entries, st.Templates, st.Stored, st.Raw)
+	older := filepath.Join("..", "..", "internal", "trace", "testdata", "v4", "cg_64x4.pilgrim")
+	raw := fmt.Sprintf("# cst: %d entries, %d templates, stored raw %dB (raw %dB)\n", st.Entries, st.Templates, st.Raw, st.Raw)
+	for path, want := range map[string]string{path: fresh, older: raw} {
+		out, stderr, code := dump(t, "-n", "1", path)
+		if code != 0 || !strings.Contains(out, want) {
+			t.Errorf("%s: exit %d, stderr %q, no %q in:\n%s", path, code, stderr, want, out)
+		}
+	}
+}
+
 // TestDumpJournal traces through the spill, which leaves a frame-pair
 // log behind, and inspects it with -journal: the manifest's identity,
 // one pair per rank and no torn tail; then a torn tail once garbage is
