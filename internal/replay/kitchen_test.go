@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	pilgrim "github.com/hpcrepro/pilgrim"
+	"github.com/hpcrepro/pilgrim/internal/analysis"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
@@ -348,4 +349,40 @@ func readTrace(t *testing.T, b []byte) *trace.File {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// TestAnalyzeKitchenSinkGoldens requires analysis to read both
+// kitchen-sink goldens, intercommunicators included: every send meets
+// its receive, and the exchange over the intercommunicator (tag 8)
+// pairs world rank r with r+3 in both directions.
+func TestAnalyzeKitchenSinkGoldens(t *testing.T) {
+	for _, name := range []string{"kitchen_sink_6", "kitchen_sink_6_lossy"} {
+		t.Run(name, func(t *testing.T) {
+			b, err := os.ReadFile(filepath.Join("testdata", "golden", name+".pilgrim"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			an, err := analysis.Analyze(readTrace(t, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(an.UnmatchedSends)+len(an.UnmatchedRecvs) > 0 {
+				t.Errorf("%d sends and %d receives unmatched", len(an.UnmatchedSends), len(an.UnmatchedRecvs))
+			}
+			pairs := map[[2]int]int{}
+			for _, m := range an.Matches {
+				if m.Send.Tag == 8 {
+					pairs[[2]int{m.Send.Rank, m.Recv.Rank}]++
+				}
+			}
+			want := map[[2]int]int{}
+			for r := 0; r < kitchenRanks/2; r++ {
+				want[[2]int{r, r + 3}]++
+				want[[2]int{r + 3, r}]++
+			}
+			if !reflect.DeepEqual(pairs, want) {
+				t.Errorf("intercommunicator messages (sender, receiver): %v, want %v", pairs, want)
+			}
+		})
+	}
 }
