@@ -14,21 +14,25 @@
 // meaningful while inter-rank alignment is approximate.
 //
 // Peer ranks in signatures are symbolic (relative to the caller's rank
-// in the call's communicator), so the package re-derives communicator
-// membership by resolving communicator-creating collectives across all
-// rank streams in lockstep — the analysis-side mirror of the id
-// agreement the tracer performs at record time.
+// in the call's communicator), and a communicator id is agreed across
+// ranks but does not name a membership. So the package runs every
+// rank's communicator and group calls on a fresh simulated world, the
+// one authority on membership, and takes each communicator from it:
+// its members resolve peers, and its context keys message channels.
 package analysis
 
 import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/par"
+	"github.com/hpcrepro/pilgrim/internal/replay"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/mpi"
 )
 
 // Event is one decoded call of one rank with resolved wall-clock
@@ -93,7 +97,7 @@ type Analysis struct {
 	Profile *Profile
 	Late    LateStats
 
-	comms []map[int64]*commView // per rank: comm id → resolved view
+	comms []map[int64]*mpi.Comm // per rank: comm id → the communicator
 }
 
 // Analyze decodes the whole trace and computes every derived view.
@@ -130,7 +134,7 @@ func Analyze(f *trace.File) (*Analysis, error) {
 	a.comms = comms
 
 	// Extraction is per-rank independent (each rank reads only its own
-	// events and comm views); the sends/recvs concatenate in rank order
+	// events and communicators); the sends/recvs concatenate in rank order
 	// afterward so downstream matching sees the sequential layout.
 	sendsBy := make([][]*SendOp, f.NumRanks)
 	recvsBy := make([][]*RecvOp, f.NumRanks)
@@ -158,16 +162,75 @@ func Analyze(f *trace.File) (*Analysis, error) {
 }
 
 // CommGroup returns the world ranks of a communicator as resolved from
-// rank r's stream (comm rank i ↔ world rank group[i]), or nil if the
-// comm id is unknown on that rank.
+// rank r's stream (comm rank i ↔ world rank group[i]), or nil if no
+// call of that rank names the comm id.
 func (a *Analysis) CommGroup(rank int, commID int64) []int {
 	if rank < 0 || rank >= len(a.comms) {
 		return nil
 	}
-	if v, ok := a.comms[rank][commID]; ok {
-		return v.group
+	if cm, ok := a.comms[rank][commID]; ok {
+		return cm.GroupRanks()
 	}
 	return nil
+}
+
+// resolveComms runs each rank's communicator and group calls (those
+// mpispec.ObjectOf says create or free one) through a replay.Interp on
+// a fresh simulated world, and returns per rank every communicator its
+// calls name. A stream that cannot complete a creation, such as a
+// salvaged one whose peers stopped before it, is reported at the
+// lowest rank left blocked: the simulator's deadlock watchdog halts
+// the run.
+func resolveComms(perRank [][]core.DecodedCall) ([]map[int64]*mpi.Comm, error) {
+	n := len(perRank)
+	if n == 0 {
+		return nil, nil
+	}
+	comms := make([]map[int64]*mpi.Comm, n)
+	at := make([]int, n) // the call each rank has reached
+	errs := make([]error, n)
+	runErr := mpi.RunOpt(n, mpi.Options{}, func(p *mpi.Proc) {
+		r, in := p.Rank(), replay.NewInterp(p)
+		comms[r] = map[int64]*mpi.Comm{}
+		for i, c := range perRank[r] {
+			at[r] = i
+			// Naming the communicators in call order binds each
+			// MPI_Comm_idup's at its first use, as replay does.
+			for k, prm := range mpispec.Spec[c.Func].Params {
+				if prm.Kind != mpispec.KComm || prm.Dir == mpispec.Out {
+					continue
+				}
+				if cm, err := in.Comm(c.Args[k].I); err == nil {
+					comms[r][c.Args[k].I] = cm
+				}
+			}
+			if o := mpispec.ObjectOf(c.Func); o != nil && (o.Kind == mpispec.KComm || o.Kind == mpispec.KGroup) {
+				if err := in.Exec(c); err != nil {
+					errs[r] = fmt.Errorf("analysis: rank %d call %d (%s): %w", r, i, c.Func.Name(), err)
+					panic(errs[r])
+				}
+			}
+		}
+		at[r] = len(perRank[r])
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
+	if runErr != nil {
+		cause := runErr.Error()
+		if re, ok := runErr.(*mpi.RunError); ok && re.Cause != nil {
+			cause = re.Cause.Error()
+		}
+		cause, _, _ = strings.Cut(cause, "\n")
+		for r, i := range at {
+			if i < len(perRank[r]) {
+				return nil, fmt.Errorf("analysis: rank %d call %d (%s): unresolvable communicator rendezvous: %s",
+					r, i, perRank[r][i].Func.Name(), cause)
+			}
+		}
+		return nil, fmt.Errorf("analysis: resolving communicators: %s", cause)
+	}
+	return comms, nil
 }
 
 // WallNs returns the trace's wall time: the latest event end across

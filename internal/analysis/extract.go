@@ -24,7 +24,7 @@ type SendOp struct {
 	Dst       int // receiver world rank
 	Tag       int64
 	CommID    int64
-	Comm      *commView
+	Comm      *mpi.Comm
 	Count     int64
 	Bytes     int64
 	TPost     int64 // posting call start
@@ -42,10 +42,10 @@ type RecvOp struct {
 	Rank      int
 	Index     int
 	DoneIndex int
-	Src       int // sender world rank; valAnySource until resolved
+	Src       int // sender world rank; mpi.AnySource until resolved
 	Tag       int64
 	CommID    int64
-	Comm      *commView
+	Comm      *mpi.Comm
 	Count     int64
 	Capacity  int64 // posted buffer capacity in bytes
 	TPost     int64
@@ -68,7 +68,7 @@ type request struct {
 
 // extractor is the per-rank walk state.
 type extractor struct {
-	views map[int64]*commView
+	comms map[int64]*mpi.Comm
 
 	dtSizes map[int64]int64 // derived datatypes
 	reqs    sig.Window[*request]
@@ -79,11 +79,11 @@ type extractor struct {
 
 // extractRank derives every send and recv of one rank from its event
 // stream (events must be the rank's full stream in call order).
-func extractRank(events []Event, views map[int64]*commView) ([]*SendOp, []*RecvOp, error) {
+func extractRank(events []Event, comms map[int64]*mpi.Comm) ([]*SendOp, []*RecvOp, error) {
 	if len(events) == 0 {
 		return nil, nil, nil
 	}
-	x := &extractor{views: views, dtSizes: map[int64]int64{}}
+	x := &extractor{comms: comms, dtSizes: map[int64]int64{}}
 	for _, ev := range events {
 		if err := x.step(ev); err != nil {
 			return nil, nil, fmt.Errorf("call %d (%s): %w", ev.Index, ev.Func().Name(), err)
@@ -92,12 +92,13 @@ func extractRank(events []Event, views map[int64]*commView) ([]*SendOp, []*RecvO
 	return x.sends, x.recvs, nil
 }
 
-func (x *extractor) view(commID int64) (*commView, error) {
-	v, ok := x.views[commID]
-	if !ok {
-		return nil, fmt.Errorf("unknown comm id %d", commID)
+// peers returns the world ranks a communicator's point-to-point calls
+// address: its group, or an intercommunicator's remote group.
+func peers(cm *mpi.Comm) []int {
+	if cm.IsInter() {
+		return cm.RemoteGroupRanks()
 	}
-	return v, nil
+	return cm.GroupRanks()
 }
 
 // typeSize returns the byte size of a symbolic datatype id.
@@ -205,7 +206,7 @@ func (x *extractor) post(ev Event, m *mpispec.Message) error {
 	if m.Request >= 0 {
 		x.reqs.Add(a[m.Request].I, r, false)
 	} else if r.recv != nil {
-		x.finish(r, ev, &a[m.Status], int64(r.recv.Comm.myRank))
+		x.finish(r, ev, &a[m.Status], int64(r.recv.Comm.Rank()))
 	}
 	return nil
 }
@@ -220,28 +221,28 @@ func (x *extractor) launch(ev Event, call *sig.Decoded, m *mpispec.Message, r *r
 		if h == nil || a[h.Peer].IsProcNull() {
 			continue
 		}
-		v, err := x.view(commID)
-		if err != nil {
-			return err
+		cm, ok := x.comms[commID]
+		if !ok {
+			return fmt.Errorf("unknown comm id %d", commID)
 		}
-		base, count := int64(v.myRank), a[h.Count].I
+		base, count, group := int64(cm.Rank()), a[h.Count].I, peers(cm)
 		bytes := count * x.typeSize(a[h.Datatype].I)
-		peer := valAnySource
+		peer := mpi.AnySource
 		if h == m.Send || !a[h.Peer].IsWildcard() {
 			p := a[h.Peer].Resolve(base)
-			if p < 0 || int(p) >= len(v.group) {
-				return fmt.Errorf("%s %d outside comm of %d", mpispec.Spec[call.Func].Params[h.Peer].Name, p, len(v.group))
+			if p < 0 || int(p) >= len(group) {
+				return fmt.Errorf("%s %d outside comm of %d", mpispec.Spec[call.Func].Params[h.Peer].Name, p, len(group))
 			}
-			peer = v.group[p]
+			peer = group[p]
 		}
 		if h == m.Send {
 			r.send = &SendOp{Rank: ev.Rank, Index: ev.Index, DoneIndex: ev.Index,
-				Dst: peer, Tag: a[h.Tag].Resolve(base), CommID: commID, Comm: v, Count: count, Bytes: bytes,
+				Dst: peer, Tag: a[h.Tag].Resolve(base), CommID: commID, Comm: cm, Count: count, Bytes: bytes,
 				TPost: ev.TStart, TDone: ev.TEnd, Func: call.Func}
 			x.sends = append(x.sends, r.send)
 		} else {
 			r.recv = &RecvOp{Rank: ev.Rank, Index: ev.Index, DoneIndex: ev.Index,
-				Src: peer, Tag: a[h.Tag].Resolve(base), CommID: commID, Comm: v, Count: count, Capacity: bytes,
+				Src: peer, Tag: a[h.Tag].Resolve(base), CommID: commID, Comm: cm, Count: count, Capacity: bytes,
 				TPost: ev.TStart, TDone: ev.TEnd, Func: call.Func}
 			x.recvs = append(x.recvs, r.recv)
 		}
@@ -280,8 +281,9 @@ func (x *extractor) finish(r *request, ev Event, status *sig.DecodedValue, statu
 	if rv := r.recv; rv != nil {
 		rv.TDone, rv.DoneIndex, rv.Completed = ev.TEnd, ev.Index, true
 		if status != nil && len(status.Arr) == 2 {
-			if observed := status.Arr[0].Resolve(statusBase); rv.Src == valAnySource && observed >= 0 && int(observed) < len(rv.Comm.group) {
-				rv.Src = rv.Comm.group[observed]
+			group := peers(rv.Comm)
+			if observed := status.Arr[0].Resolve(statusBase); rv.Src == mpi.AnySource && observed >= 0 && int(observed) < len(group) {
+				rv.Src = group[observed]
 			}
 			if rv.Tag < 0 {
 				rv.Tag = status.Arr[1].I

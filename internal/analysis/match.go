@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-
-	"github.com/hpcrepro/pilgrim/internal/mpispec"
-)
+import "github.com/hpcrepro/pilgrim/internal/mpispec"
 
 // Point-to-point matching and the analyses built on it: late-sender /
 // late-receiver statistics and a longest-path critical-path estimate.
@@ -18,16 +14,13 @@ type Match struct {
 // channelKey identifies an ordered message channel. MPI guarantees
 // non-overtaking per (source, dest, communicator, tag), so matching
 // within a channel is a positional zip of send posts against receive
-// posts. The communicator is identified by id plus membership
-// fingerprint: symbolic ids alone can alias across disjoint groups.
+// posts. The communicator is its simulated context, which every member
+// shares: a symbolic id can name different communicators on disjoint
+// groups, and two communicators can have the same members.
 type channelKey struct {
 	src, dst int
-	comm     string
+	comm     int64
 	tag      int64
-}
-
-func commFingerprint(v *commView) string {
-	return fmt.Sprint(v.group)
 }
 
 // matchP2P zips sends against completed receives channel by channel.
@@ -44,7 +37,7 @@ func (a *Analysis) matchP2P() {
 			a.UnmatchedSends = append(a.UnmatchedSends, s)
 			continue
 		}
-		k := channelKey{src: s.Rank, dst: s.Dst, comm: commFingerprint(s.Comm), tag: s.Tag}
+		k := channelKey{src: s.Rank, dst: s.Dst, comm: s.Comm.Context(), tag: s.Tag}
 		sendQ[k] = append(sendQ[k], s)
 	}
 
@@ -53,7 +46,7 @@ func (a *Analysis) matchP2P() {
 		if !r.Completed || r.Cancelled || r.Src < 0 || r.Tag < 0 {
 			continue
 		}
-		k := channelKey{src: r.Src, dst: r.Rank, comm: commFingerprint(r.Comm), tag: r.Tag}
+		k := channelKey{src: r.Src, dst: r.Rank, comm: r.Comm.Context(), tag: r.Tag}
 		if q := sendQ[k]; len(q) > 0 {
 			a.Matches = append(a.Matches, Match{Send: q[0], Recv: r})
 			sendQ[k] = q[1:]

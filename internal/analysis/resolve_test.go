@@ -1,0 +1,24 @@
+package analysis
+
+import (
+	"strings"
+	"testing"
+
+	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
+	"github.com/hpcrepro/pilgrim/internal/sig"
+)
+
+// TestUnresolvableCreationIsAnError gives rank 0 an MPI_Comm_dup of
+// the world that rank 1's stream never reaches. The simulator cannot
+// complete it, and analysis reports the rank and the call instead of
+// waiting.
+func TestUnresolvableCreationIsAnError(t *testing.T) {
+	dup := core.DecodedCall{Decoded: sig.Decoded{Func: mpispec.FCommDup,
+		Args: []sig.DecodedValue{{Kind: mpispec.KComm, I: 0}, {Kind: mpispec.KComm, I: 2}}}}
+	init := core.DecodedCall{Decoded: sig.Decoded{Func: mpispec.FInit}}
+	_, err := resolveComms([][]core.DecodedCall{{init, dup}, {init}})
+	if err == nil || !strings.Contains(err.Error(), "rank 0 call 1 (MPI_Comm_dup)") {
+		t.Fatalf("error %v, want one naming rank 0 call 1 (MPI_Comm_dup)", err)
+	}
+}

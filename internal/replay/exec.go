@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
@@ -143,7 +144,14 @@ func (st *Interp) exec(c core.DecodedCall) error {
 			return bind(st.comms, a.id(2), nc, err)
 		}
 	case mpispec.FCommIdup:
-		return fmt.Errorf("MPI_Comm_idup replay is not supported")
+		if cm := a.comm(0); a.ok() {
+			nc, req, err := p.CommIdup(cm)
+			if err == nil {
+				st.idups = append(st.idups, idup{nc, req})
+				st.reqs.Add(a.id(2), req, false)
+			}
+			return err
+		}
 
 	case mpispec.FGroupSize:
 		if g := a.group(0); a.ok() {
@@ -331,6 +339,11 @@ func (st *Interp) complete(cmp *mpispec.Completion, c core.DecodedCall) error {
 	})
 	if err != nil {
 		return err
+	}
+	for i := range st.idups {
+		if slices.Contains(done, st.idups[i].req) {
+			st.idups[i].req = nil
+		}
 	}
 	if cmp.Every() && cmp.Requests >= 0 {
 		if !completed {

@@ -24,8 +24,13 @@
 //     permute. A single MPI_Start of an id that two live persistent
 //     requests share is ambiguous in the trace; both readers take the
 //     oldest.
-//   - MPI_Comm_idup is not supported (its id agreement is deferred);
-//     replay traces should use blocking communicator creation.
+//   - An MPI_Comm_idup records no id for its communicator: the tracer
+//     agrees it in the background, and the trace first names it where
+//     the communicator is used. The interpreter creates the
+//     communicator at the idup, puts its request in the window for the
+//     completion call that waits for it, and binds it to the first id
+//     no creation bound. Two idup communicators in flight at once bind
+//     in creation order.
 package replay
 
 import (
@@ -47,6 +52,7 @@ import (
 type Interp struct {
 	p     *mpi.Proc
 	comms map[int64]*mpi.Comm
+	idups []idup // MPI_Comm_idup communicators no id is bound to yet
 	types map[int64]*mpi.Datatype
 	grps  map[int64]*mpi.Group
 	ops   map[int64]*mpi.Op
@@ -111,8 +117,37 @@ func NewInterp(p *mpi.Proc) *Interp {
 	}
 }
 
+// idup is an MPI_Comm_idup's communicator and its request, nil once a
+// completion call waited for it.
+type idup struct {
+	comm *mpi.Comm
+	req  *mpi.Request
+}
+
 // Exec replays one decoded call.
 func (st *Interp) Exec(c core.DecodedCall) error { return st.exec(c) }
+
+// Comm returns the communicator bound to symbolic id. An id no
+// creation bound names the oldest MPI_Comm_idup communicator not bound
+// yet (see the fidelity notes); it is waited for here if no completion
+// call has.
+func (st *Interp) Comm(id int64) (*mpi.Comm, error) {
+	if cm, ok := st.comms[id]; ok {
+		return cm, nil
+	}
+	if id < 0 || len(st.idups) == 0 {
+		return nil, fmt.Errorf("unknown comm id %d", id)
+	}
+	d := st.idups[0]
+	st.idups = st.idups[1:]
+	if d.req != nil {
+		if err := st.p.Wait(d.req, nil); err != nil {
+			return nil, err
+		}
+	}
+	st.comms[id] = d.comm
+	return d.comm, nil
+}
 
 // Prealloc materializes the buffers a call stream references; call it
 // once before the first Exec.
@@ -206,12 +241,19 @@ func lookup[T any](a *args, m map[int64]T, i int, what string) T {
 	return x
 }
 
-func (a *args) comm(i int) *mpi.Comm   { return lookup(a, a.st.comms, i, "comm") }
 func (a *args) op(i int) *mpi.Op       { return lookup(a, a.st.ops, i, "op") }
 func (a *args) group(i int) *mpi.Group { return lookup(a, a.st.grps, i, "group") }
 func (a *args) num(i int) int          { return int(a.v[i].I) }
 func (a *args) id(i int) int64         { return a.v[i].I }
 func (a *args) flag(i int) bool        { return a.v[i].I != 0 }
+
+func (a *args) comm(i int) *mpi.Comm {
+	cm, err := a.st.Comm(a.v[i].I)
+	if a.err == nil {
+		a.err = err
+	}
+	return cm
+}
 
 func (a *args) dt(i int) *mpi.Datatype {
 	if dt := mpi.PredefinedType(a.v[i].I); dt != nil {

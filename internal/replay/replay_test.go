@@ -1,10 +1,12 @@
 package replay_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	pilgrim "github.com/hpcrepro/pilgrim"
+	"github.com/hpcrepro/pilgrim/internal/analysis"
 	"github.com/hpcrepro/pilgrim/internal/replay"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
@@ -216,4 +218,81 @@ func TestReplaySplitComms(t *testing.T) {
 	}
 	re := retrace(t, orig)
 	assertSameDecodedStreams(t, orig, re)
+}
+
+// idupRanks is the world size idupProgram is written for.
+const idupRanks = 4
+
+// idupProgram gives ranks 0 and 1 a duplicate of their half of the
+// world by MPI_Comm_idup and sends a message on it. Every rank joins a
+// Comm_split of the world: rank 0 between its idup and its Wait, rank 1
+// before its idup. A reader that waited for the idup at once would
+// leave rank 0 waiting for rank 1's idup while rank 1 waits in the
+// split for rank 0.
+func idupProgram(p *mpi.Proc) {
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	must(p.Init())
+	w, rank := p.World(), p.Rank()
+	half, err := p.CommSplit(w, rank/2, rank)
+	must(err)
+	var dup *mpi.Comm
+	var req *mpi.Request
+	if rank == 0 {
+		dup, req, err = p.CommIdup(half)
+		must(err)
+	}
+	parity, err := p.CommSplit(w, rank%2, rank)
+	must(err)
+	if rank == 1 {
+		dup, req, err = p.CommIdup(half)
+		must(err)
+	}
+	if dup != nil {
+		must(p.Wait(req, nil))
+		buf := p.Alloc(64)
+		if rank == 0 {
+			must(p.Send(buf.Ptr(0), 3, mpi.Int, 1, 5, dup))
+		} else {
+			must(p.Recv(buf.Ptr(0), 3, mpi.Int, 0, 5, dup, nil))
+		}
+		buf.Free()
+		must(p.CommFree(dup))
+	}
+	must(p.Barrier(parity))
+	must(p.Finalize())
+}
+
+// TestReplayCommIdup replays idupProgram call for call, and requires
+// analysis to match its message on the idup'd communicator.
+func TestReplayCommIdup(t *testing.T) {
+	orig, _, err := pilgrim.RunSim(idupRanks, pilgrim.Options{}, simOpts(), idupProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDecodedStreams(t, orig, retrace(t, orig))
+
+	an, err := analysis.Analyze(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Matches) != 1 || len(an.UnmatchedSends)+len(an.UnmatchedRecvs) != 0 {
+		t.Fatalf("%d matches, %d sends and %d receives unmatched; want 1, 0, 0",
+			len(an.Matches), len(an.UnmatchedSends), len(an.UnmatchedRecvs))
+	}
+	// The halves are comm 2, the parity classes 3: the idup'd
+	// communicator is the first id after them.
+	m := an.Matches[0]
+	if m.Send.Rank != 0 || m.Recv.Rank != 1 || m.Send.Tag != 5 || m.Send.Count != 3 || m.Send.CommID != 4 || m.Recv.CommID != 4 {
+		t.Errorf("matched %d→%d tag %d count %d on comms %d and %d, want 0→1 tag 5 count 3 on comm 4",
+			m.Send.Rank, m.Recv.Rank, m.Send.Tag, m.Send.Count, m.Send.CommID, m.Recv.CommID)
+	}
+	for r := 0; r < 2; r++ {
+		if g := an.CommGroup(r, 4); !reflect.DeepEqual(g, []int{0, 1}) {
+			t.Errorf("rank %d: the idup'd communicator resolves to %v, want [0 1]", r, g)
+		}
+	}
 }

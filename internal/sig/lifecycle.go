@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/hpcrepro/pilgrim/internal/idpool"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
 
@@ -20,46 +21,41 @@ type funcFacts struct {
 	newType    int8
 	newGroup   int8
 	newOp      int8
+	free       *mpispec.Object     // the object an MPI_*_free call frees
 	completion *mpispec.Completion // the requests a Wait*/Test* call completes
 }
 
-// facts is read off mpispec.Spec once: an object-kind parameter with
-// direction Out is the object the call creates.
+// facts is read off mpispec.Spec once; the object slots come from
+// mpispec.ObjectOf.
 var facts = func() (t [mpispec.NumFuncs]funcFacts) {
 	for f := range t {
 		ff := funcFacts{comm: -1, newRequest: -1, newComm: -1, newType: -1, newGroup: -1, newOp: -1,
 			completion: mpispec.CompletionOf(mpispec.FuncID(f))}
 		for i, p := range mpispec.Spec[f].Params {
-			slot, out := int8(i), p.Dir == mpispec.Out
-			switch p.Kind {
-			case mpispec.KRank:
+			switch {
+			case p.Kind == mpispec.KRank:
 				switch p.Name {
 				case "dest", "source", "rank_source", "rank_dest":
 					ff.peers |= 1 << i
 				}
-			case mpispec.KComm:
-				if out {
-					ff.newComm = slot
-				} else if ff.comm < 0 {
-					ff.comm = slot
-				}
-			case mpispec.KRequest:
-				if out {
-					ff.newRequest = slot
-				}
-			case mpispec.KDatatype:
-				if out {
-					ff.newType = slot
-				}
-			case mpispec.KGroup:
-				if out {
-					ff.newGroup = slot
-				}
-			case mpispec.KOp:
-				if out {
-					ff.newOp = slot
-				}
+			case p.Kind == mpispec.KComm && p.Dir != mpispec.Out && ff.comm < 0:
+				ff.comm = int8(i)
+			case p.Kind == mpispec.KRequest && p.Dir == mpispec.Out:
+				ff.newRequest = int8(i)
 			}
+		}
+		switch o := mpispec.ObjectOf(mpispec.FuncID(f)); {
+		case o == nil:
+		case o.Free:
+			ff.free = o
+		case o.Kind == mpispec.KComm:
+			ff.newComm = int8(o.Param)
+		case o.Kind == mpispec.KDatatype:
+			ff.newType = int8(o.Param)
+		case o.Kind == mpispec.KGroup:
+			ff.newGroup = int8(o.Param)
+		case o.Kind == mpispec.KOp:
+			ff.newOp = int8(o.Param)
 		}
 		if ff.newRequest >= 0 {
 			ff.newComm = -1
@@ -149,34 +145,33 @@ func (e *Encoder) releaseCompletedObjects(rec *mpispec.CallRecord, ff *funcFacts
 		c.Slots(rec.Arg, func(h int64, _, _ int) { e.complete(h) })
 		return
 	}
-	args := rec.Args
-	switch rec.Func {
-	case mpispec.FRequestFree:
-		e.releaseRequest(args[0].I, true)
-	case mpispec.FTypeFree:
-		if h := args[0].I; h != 0 {
-			if id, ok := e.typeIDs[h]; ok {
-				e.typePool.Put(id - predefTypeCount)
-				delete(e.typeIDs, h)
-			}
-		}
-	case mpispec.FGroupFree:
-		if h := args[0].I; h != 0 {
-			if id, ok := e.groupIDs[h]; ok {
-				e.groupPool.Put(id)
-				delete(e.groupIDs, h)
-			}
-		}
-	case mpispec.FOpFree:
-		if h := args[0].I; h != 0 {
-			if id, ok := e.opIDs[h]; ok {
-				e.opPool.Put(id - predefOpCount)
-				delete(e.opIDs, h)
-			}
-		}
+	if rec.Func == mpispec.FRequestFree {
+		e.releaseRequest(rec.Args[0].I, true)
+	}
+	if ff.free == nil {
+		return
 	}
 	// Communicator ids are monotonic (group-max + 1) and never reused,
 	// so MPI_Comm_free needs no pool action.
+	var ids map[int64]int32
+	var pool *idpool.Pool
+	var base int32
+	switch ff.free.Kind {
+	case mpispec.KDatatype:
+		ids, pool, base = e.typeIDs, &e.typePool, predefTypeCount
+	case mpispec.KGroup:
+		ids, pool = e.groupIDs, &e.groupPool
+	case mpispec.KOp:
+		ids, pool, base = e.opIDs, &e.opPool, predefOpCount
+	default:
+		return
+	}
+	if h := rec.Args[ff.free.Param].I; h != 0 {
+		if id, ok := ids[h]; ok {
+			pool.Put(id - base)
+			delete(ids, h)
+		}
+	}
 }
 
 // complete is the Wait*/Test* epilogue of request h. When h is an

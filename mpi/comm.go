@@ -67,6 +67,10 @@ func (c *Comm) Context() int64 { return c.ctx }
 // GroupRanks returns the local group's world ranks.
 func (c *Comm) GroupRanks() []int { return c.group }
 
+// RemoteGroupRanks returns an inter-communicator's remote group's world
+// ranks, the ranks its point-to-point calls address (nil for intra).
+func (c *Comm) RemoteGroupRanks() []int { return c.remote }
+
 func (c *Comm) checkUsable() error {
 	if c == nil {
 		return fmt.Errorf("mpi: nil communicator")
