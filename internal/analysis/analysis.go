@@ -14,11 +14,15 @@
 // meaningful while inter-rank alignment is approximate.
 //
 // Peer ranks in signatures are symbolic (relative to the caller's rank
-// in the call's communicator), and a communicator id is agreed across
-// ranks but does not name a membership. So the package runs every
-// rank's communicator and group calls on a fresh simulated world, the
-// one authority on membership, and takes each communicator from it:
-// its members resolve peers, and its context keys message channels.
+// in the call's communicator), a communicator id is agreed across
+// ranks but does not name a membership, and a datatype id names a
+// layout only on the rank that created it. So the package runs every
+// rank's object calls (those that create or free a communicator,
+// group, datatype or op) on a fresh simulated world, the one authority
+// on objects, and takes each communicator and datatype from it at the
+// call that uses it: a communicator's members resolve peers and its
+// context keys message channels, and a datatype's size gives a
+// message's payload bytes.
 package analysis
 
 import (
@@ -101,22 +105,20 @@ type Analysis struct {
 }
 
 // Analyze decodes the whole trace and computes every derived view.
-// The per-rank stages (grammar decode, event timeline build, p2p op
-// extraction) fan out over a worker pool; each writes only its own
-// rank's slot, so the result is identical to the sequential order.
+// Grammar decode and the event timelines fan out over a worker pool;
+// each rank writes only its own slot, so the result is identical to
+// the sequential order. The sends and receives come from one walk per
+// rank on a fresh simulated world.
 func Analyze(f *trace.File) (*Analysis, error) {
 	a := &Analysis{File: f}
 	a.Events = make([][]Event, f.NumRanks)
-	perRank := make([][]core.DecodedCall, f.NumRanks)
 	errs := make([]error, f.NumRanks)
-	workers := runtime.GOMAXPROCS(0)
-	par.For(f.NumRanks, workers, func(r int) {
+	par.For(f.NumRanks, runtime.GOMAXPROCS(0), func(r int) {
 		calls, err := core.DecodeRank(f, r)
 		if err != nil {
 			errs[r] = fmt.Errorf("analysis: decode rank %d: %w", r, err)
 			return
 		}
-		perRank[r] = calls
 		a.Events[r] = make([]Event, 0, len(calls))
 		timeline(f, r, calls, func(ev Event) error {
 			a.Events[r] = append(a.Events[r], ev)
@@ -126,34 +128,9 @@ func Analyze(f *trace.File) (*Analysis, error) {
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
-
-	comms, err := resolveComms(perRank)
-	if err != nil {
+	if err := a.walk(); err != nil {
 		return nil, err
 	}
-	a.comms = comms
-
-	// Extraction is per-rank independent (each rank reads only its own
-	// events and communicators); the sends/recvs concatenate in rank order
-	// afterward so downstream matching sees the sequential layout.
-	sendsBy := make([][]*SendOp, f.NumRanks)
-	recvsBy := make([][]*RecvOp, f.NumRanks)
-	par.For(f.NumRanks, workers, func(r int) {
-		sends, recvs, err := extractRank(a.Events[r], comms[r])
-		if err != nil {
-			errs[r] = fmt.Errorf("analysis: rank %d: %w", r, err)
-			return
-		}
-		sendsBy[r], recvsBy[r] = sends, recvs
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	for r := 0; r < f.NumRanks; r++ {
-		a.Sends = append(a.Sends, sendsBy[r]...)
-		a.Recvs = append(a.Recvs, recvsBy[r]...)
-	}
-
 	a.matchP2P()
 	a.Matrix = buildMatrix(f.NumRanks, a.Sends)
 	a.Profile = buildProfile(a.Events)
@@ -174,47 +151,42 @@ func (a *Analysis) CommGroup(rank int, commID int64) []int {
 	return nil
 }
 
-// resolveComms runs each rank's communicator and group calls (those
-// mpispec.ObjectOf says create or free one) through a replay.Interp on
-// a fresh simulated world, and returns per rank every communicator its
-// calls name. A stream that cannot complete a creation, such as a
-// salvaged one whose peers stopped before it, is reported at the
-// lowest rank left blocked: the simulator's deadlock watchdog halts
-// the run.
-func resolveComms(perRank [][]core.DecodedCall) ([]map[int64]*mpi.Comm, error) {
-	n := len(perRank)
+// walk runs each rank's events through an extractor on a fresh
+// simulated world: a replay.Interp executes the calls
+// mpispec.ObjectOf says create or free an object, and each send and
+// receive takes its communicator and datatype from it. The sends and
+// receives concatenate in rank order. A stream that cannot complete a
+// creation, such as a salvaged one whose peers stopped before it, is
+// reported at the lowest rank left blocked: the simulator's deadlock
+// watchdog halts the run.
+func (a *Analysis) walk() error {
+	n := len(a.Events)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	comms := make([]map[int64]*mpi.Comm, n)
+	a.comms = make([]map[int64]*mpi.Comm, n)
+	sends := make([][]*SendOp, n)
+	recvs := make([][]*RecvOp, n)
 	at := make([]int, n) // the call each rank has reached
 	errs := make([]error, n)
 	runErr := mpi.RunOpt(n, mpi.Options{}, func(p *mpi.Proc) {
-		r, in := p.Rank(), replay.NewInterp(p)
-		comms[r] = map[int64]*mpi.Comm{}
-		for i, c := range perRank[r] {
+		r := p.Rank()
+		x := &extractor{in: replay.NewInterp(p), comms: map[int64]*mpi.Comm{}}
+		for i, ev := range a.Events[r] {
 			at[r] = i
-			// Naming the communicators in call order binds each
-			// MPI_Comm_idup's at its first use, as replay does.
-			for k, prm := range mpispec.Spec[c.Func].Params {
-				if prm.Kind != mpispec.KComm || prm.Dir == mpispec.Out {
-					continue
-				}
-				if cm, err := in.Comm(c.Args[k].I); err == nil {
-					comms[r][c.Args[k].I] = cm
-				}
-			}
-			if o := mpispec.ObjectOf(c.Func); o != nil && (o.Kind == mpispec.KComm || o.Kind == mpispec.KGroup) {
-				if err := in.Exec(c); err != nil {
-					errs[r] = fmt.Errorf("analysis: rank %d call %d (%s): %w", r, i, c.Func.Name(), err)
-					panic(errs[r])
-				}
+			if err := x.step(ev); err != nil {
+				// The rank stops here without revoking the world, so
+				// every rank reaches its own first error on every
+				// schedule and the lowest one is reported.
+				errs[r] = fmt.Errorf("analysis: rank %d call %d (%s): %w", r, i, ev.Func().Name(), err)
+				return
 			}
 		}
-		at[r] = len(perRank[r])
+		at[r] = len(a.Events[r])
+		a.comms[r], sends[r], recvs[r] = x.comms, x.sends, x.recvs
 	})
 	if err := firstErr(errs); err != nil {
-		return nil, err
+		return err
 	}
 	if runErr != nil {
 		cause := runErr.Error()
@@ -223,14 +195,18 @@ func resolveComms(perRank [][]core.DecodedCall) ([]map[int64]*mpi.Comm, error) {
 		}
 		cause, _, _ = strings.Cut(cause, "\n")
 		for r, i := range at {
-			if i < len(perRank[r]) {
-				return nil, fmt.Errorf("analysis: rank %d call %d (%s): unresolvable communicator rendezvous: %s",
-					r, i, perRank[r][i].Func.Name(), cause)
+			if evs := a.Events[r]; i < len(evs) {
+				return fmt.Errorf("analysis: rank %d call %d (%s): unresolvable communicator rendezvous: %s",
+					r, i, evs[i].Func().Name(), cause)
 			}
 		}
-		return nil, fmt.Errorf("analysis: resolving communicators: %s", cause)
+		return fmt.Errorf("analysis: resolving communicators: %s", cause)
 	}
-	return comms, nil
+	for r := range n {
+		a.Sends = append(a.Sends, sends[r]...)
+		a.Recvs = append(a.Recvs, recvs[r]...)
+	}
+	return nil
 }
 
 // WallNs returns the trace's wall time: the latest event end across

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
+	"github.com/hpcrepro/pilgrim/internal/replay"
 	"github.com/hpcrepro/pilgrim/internal/sig"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
@@ -66,30 +67,15 @@ type request struct {
 	init *sig.Decoded
 }
 
-// extractor is the per-rank walk state.
+// extractor is the per-rank walk state. Its interpreter holds the
+// rank's objects on the simulated world.
 type extractor struct {
-	comms map[int64]*mpi.Comm
-
-	dtSizes map[int64]int64 // derived datatypes
-	reqs    sig.Window[*request]
+	in    *replay.Interp
+	comms map[int64]*mpi.Comm // every communicator a call named, by id
+	reqs  sig.Window[*request]
 
 	sends []*SendOp
 	recvs []*RecvOp
-}
-
-// extractRank derives every send and recv of one rank from its event
-// stream (events must be the rank's full stream in call order).
-func extractRank(events []Event, comms map[int64]*mpi.Comm) ([]*SendOp, []*RecvOp, error) {
-	if len(events) == 0 {
-		return nil, nil, nil
-	}
-	x := &extractor{comms: comms, dtSizes: map[int64]int64{}}
-	for _, ev := range events {
-		if err := x.step(ev); err != nil {
-			return nil, nil, fmt.Errorf("call %d (%s): %w", ev.Index, ev.Func().Name(), err)
-		}
-	}
-	return x.sends, x.recvs, nil
 }
 
 // peers returns the world ranks a communicator's point-to-point calls
@@ -101,16 +87,23 @@ func peers(cm *mpi.Comm) []int {
 	return cm.GroupRanks()
 }
 
-// typeSize returns the byte size of a symbolic datatype id.
-func (x *extractor) typeSize(id int64) int64 {
-	if dt := mpi.PredefinedType(id); dt != nil {
-		return int64(dt.Size())
-	}
-	return x.dtSizes[id]
-}
-
+// step takes one event of the rank's stream, in call order.
 func (x *extractor) step(ev Event) error {
 	a := ev.Call.Args
+	// Naming the communicators in call order binds each
+	// MPI_Comm_idup's at its first use, as replay does.
+	for k, prm := range mpispec.Spec[ev.Func()].Params {
+		if prm.Kind == mpispec.KComm && prm.Dir != mpispec.Out {
+			if cm, err := x.in.Comm(a[k].I); err == nil {
+				x.comms[a[k].I] = cm
+			}
+		}
+	}
+	if mpispec.ObjectOf(ev.Func()) != nil {
+		if err := x.in.Exec(ev.Call); err != nil {
+			return err
+		}
+	}
 	if c := mpispec.CompletionOf(ev.Func()); c != nil {
 		x.completeCall(ev, c)
 		return nil
@@ -151,33 +144,6 @@ func (x *extractor) step(ev Event) error {
 				r.Cancelled = true
 			}
 		}
-
-	// Datatype lifecycle (needed for payload byte accounting).
-	case mpispec.FTypeContiguous:
-		x.dtSizes[a[2].I] = a[0].I * x.typeSize(a[1].I)
-	case mpispec.FTypeVector:
-		x.dtSizes[a[4].I] = a[0].I * a[1].I * x.typeSize(a[3].I)
-	case mpispec.FTypeIndexed:
-		var total int64
-		for _, bl := range a[1].Arr {
-			total += bl.I * x.typeSize(a[3].I)
-		}
-		x.dtSizes[a[4].I] = total
-	case mpispec.FTypeCreateStruct:
-		// The member types array carries raw runtime handles (it is a
-		// plain int array on the wire); only predefined handles are
-		// resolvable post-mortem.
-		var total int64
-		for i := range min(len(a[1].Arr), len(a[3].Arr)) {
-			if dt := mpi.PredefinedType(a[3].Arr[i].I - mpi.Byte.Handle()); dt != nil {
-				total += a[1].Arr[i].I * int64(dt.Size())
-			}
-		}
-		x.dtSizes[a[4].I] = total
-	case mpispec.FTypeDup:
-		x.dtSizes[a[1].I] = x.typeSize(a[0].I)
-	case mpispec.FTypeFree:
-		delete(x.dtSizes, a[0].I)
 
 	default:
 		// Non-blocking collectives and MPI_Comm_idup post no message,
@@ -221,12 +187,16 @@ func (x *extractor) launch(ev Event, call *sig.Decoded, m *mpispec.Message, r *r
 		if h == nil || a[h.Peer].IsProcNull() {
 			continue
 		}
-		cm, ok := x.comms[commID]
-		if !ok {
-			return fmt.Errorf("unknown comm id %d", commID)
+		cm, err := x.in.Comm(commID)
+		if err != nil {
+			return err
+		}
+		dt, err := x.in.Datatype(a[h.Datatype].I)
+		if err != nil {
+			return err
 		}
 		base, count, group := int64(cm.Rank()), a[h.Count].I, peers(cm)
-		bytes := count * x.typeSize(a[h.Datatype].I)
+		bytes := count * int64(dt.Size())
 		peer := mpi.AnySource
 		if h == m.Send || !a[h.Peer].IsWildcard() {
 			p := a[h.Peer].Resolve(base)

@@ -17,7 +17,11 @@ func TestUnresolvableCreationIsAnError(t *testing.T) {
 	dup := core.DecodedCall{Decoded: sig.Decoded{Func: mpispec.FCommDup,
 		Args: []sig.DecodedValue{{Kind: mpispec.KComm, I: 0}, {Kind: mpispec.KComm, I: 2}}}}
 	init := core.DecodedCall{Decoded: sig.Decoded{Func: mpispec.FInit}}
-	_, err := resolveComms([][]core.DecodedCall{{init, dup}, {init}})
+	a := &Analysis{Events: [][]Event{
+		{{Rank: 0, Index: 0, Call: init}, {Rank: 0, Index: 1, Call: dup}},
+		{{Rank: 1, Index: 0, Call: init}},
+	}}
+	err := a.walk()
 	if err == nil || !strings.Contains(err.Error(), "rank 0 call 1 (MPI_Comm_dup)") {
 		t.Fatalf("error %v, want one naming rank 0 call 1 (MPI_Comm_dup)", err)
 	}

@@ -2,6 +2,21 @@ package mpispec
 
 import "strings"
 
+// The predefined-handle layout. Every rank shares the handles of the
+// predefined objects: MPI_COMM_WORLD, MPI_COMM_SELF, and a range each
+// for the datatypes and the ops. A trace names a predefined datatype or
+// op by its handle's offset in its range, and an object a call creates
+// by the kind's count plus an id of its own, so the ranges' sizes fix
+// every symbolic id.
+const (
+	CommWorldHandle = 1
+	CommSelfHandle  = 2
+	TypeHandleBase  = 16
+	PredefinedTypes = 16
+	OpHandleBase    = 64
+	PredefinedOps   = 16
+)
+
 // Object describes the object a call creates or frees: a communicator,
 // group, datatype or user op. Param is the position of the object's
 // parameter, read off Spec by kind and direction.

@@ -113,13 +113,6 @@ type Interceptor interface {
 	MemFree(addr uint64)
 }
 
-// ObjEvent describes object lifecycle for symbolic-id management:
-// which argument positions of a call create or destroy objects.
-type ObjEvent struct {
-	Arg     int  // index into Args
-	Creates bool // true: handle becomes live after the call
-}
-
 // OOB gives a tracer access to unintercepted ("PMPI-level")
 // collectives for its own bookkeeping, e.g. agreeing on communicator
 // symbolic ids (§3.3.1). Handles are the simulator's comm handles as

@@ -325,6 +325,35 @@ func collectiveIDs(p *mpi.Proc) {
 	p.Finalize()
 }
 
+// idupIDs is collectiveIDs with an MPI_Comm_idup in the barrier's
+// place: the idup's request and the receive's are both id 0, and the
+// Waitany returns the idup's, which completes once every rank started
+// it.
+func idupIDs(p *mpi.Proc) {
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	p.Init()
+	w := p.World()
+	n, rank := p.Size(), p.Rank()
+	buf := p.Alloc(64)
+	c, d, err := p.CommIdup(w)
+	must(err)
+	r, err := p.Irecv(buf.Ptr(32), 1, mpi.Int, (rank-1+n)%n, 8, w)
+	must(err)
+	if idx, err := p.Waitany([]*mpi.Request{d, r}, nil); err != nil || idx != 0 {
+		panic(fmt.Sprintf("idupIDs rank %d: Waitany = %d, %v", rank, idx, err))
+	}
+	must(p.Barrier(c))
+	must(p.Send(buf.Ptr(0), 1, mpi.Int, (rank+1)%n, 8, w))
+	must(p.Wait(r, nil))
+	must(p.CommFree(c))
+	buf.Free()
+	p.Finalize()
+}
+
 // TestCompletionMatches checks the matches analysis.Analyze derives
 // from each program's trace against the simulator's own record of the
 // run, kept by the interceptor next to the tracer: raw request handles
@@ -339,6 +368,7 @@ func TestCompletionMatches(t *testing.T) {
 		{"completions", completionRanks, completions},
 		{"sharedIDs", sharedIDRanks, sharedIDs},
 		{"collectiveIDs", sharedIDRanks, collectiveIDs},
+		{"idupIDs", sharedIDRanks, idupIDs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tees := make([]*tee, tc.ranks)

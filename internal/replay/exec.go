@@ -9,12 +9,24 @@ import (
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
-// exec replays one decoded call.
+// exec replays one decoded call. The object the call creates is bound
+// under the id mpispec.ObjectOf names, and the one an MPI_*_free call
+// frees is unbound, here alone.
 func (st *Interp) exec(c core.DecodedCall) error {
+	a := &args{st: st, v: c.Args}
+	err := st.call(c, a)
+	if o := mpispec.ObjectOf(c.Func); o != nil && err == nil {
+		st.bind(o, a.id(o.Param), a.obj)
+	}
+	return err
+}
+
+// call replays one decoded call; a creating call leaves the object it
+// made in a.obj.
+func (st *Interp) call(c core.DecodedCall, a *args) error {
 	if cmp := mpispec.CompletionOf(c.Func); cmp != nil {
 		return st.complete(cmp, c)
 	}
-	a := &args{st: st, v: c.Args}
 	if m := mpispec.MessageOf(c.Func); m != nil {
 		return st.post(c.Func, m, a)
 	}
@@ -82,23 +94,19 @@ func (st *Interp) exec(c core.DecodedCall) error {
 
 	case mpispec.FCommDup:
 		if cm := a.comm(0); a.ok() {
-			nc, err := p.CommDup(cm)
-			return bind(st.comms, a.id(1), nc, err)
+			return a.made(p.CommDup(cm))
 		}
 	case mpispec.FCommSplit:
 		if cm := a.comm(0); a.ok() {
-			nc, err := p.CommSplit(cm, a.rel(1, cm), a.rel(2, cm))
-			return bind(st.comms, a.id(3), nc, err)
+			return a.made(p.CommSplit(cm, a.rel(1, cm), a.rel(2, cm)))
 		}
 	case mpispec.FCommSplitType:
 		if cm := a.comm(0); a.ok() {
-			nc, err := p.CommSplitType(cm, a.num(1), a.rel(2, cm))
-			return bind(st.comms, a.id(3), nc, err)
+			return a.made(p.CommSplitType(cm, a.num(1), a.rel(2, cm)))
 		}
 	case mpispec.FCommCreate:
 		if cm, g := a.comm(0), a.group(1); a.ok() {
-			nc, err := p.CommCreate(cm, g)
-			return bind(st.comms, a.id(2), nc, err)
+			return a.made(p.CommCreate(cm, g))
 		}
 	case mpispec.FCommFree:
 		if cm := a.comm(0); a.ok() {
@@ -106,8 +114,7 @@ func (st *Interp) exec(c core.DecodedCall) error {
 		}
 	case mpispec.FCommGroup:
 		if cm := a.comm(0); a.ok() {
-			g, err := p.CommGroup(cm)
-			return bind(st.grps, a.id(1), g, err)
+			return a.made(p.CommGroup(cm))
 		}
 	case mpispec.FCommCompare:
 		if c1, c2 := a.comm(0), a.comm(1); a.ok() {
@@ -135,13 +142,11 @@ func (st *Interp) exec(c core.DecodedCall) error {
 		}
 	case mpispec.FIntercommCreate:
 		if local, peer := a.comm(0), a.comm(2); a.ok() {
-			nc, err := p.IntercommCreate(local, a.rel(1, local), peer, a.rel(3, local), a.rel(4, local))
-			return bind(st.comms, a.id(5), nc, err)
+			return a.made(p.IntercommCreate(local, a.rel(1, local), peer, a.rel(3, local), a.rel(4, local)))
 		}
 	case mpispec.FIntercommMerge:
 		if cm := a.comm(0); a.ok() {
-			nc, err := p.IntercommMerge(cm, a.flag(1))
-			return bind(st.comms, a.id(2), nc, err)
+			return a.made(p.IntercommMerge(cm, a.flag(1)))
 		}
 	case mpispec.FCommIdup:
 		if cm := a.comm(0); a.ok() {
@@ -167,8 +172,7 @@ func (st *Interp) exec(c core.DecodedCall) error {
 			if c.Func == mpispec.FGroupExcl {
 				incl = p.GroupExcl
 			}
-			ng, err := incl(g, a.ints(2))
-			return bind(st.grps, a.id(3), ng, err)
+			return a.made(incl(g, a.ints(2)))
 		}
 	case mpispec.FGroupFree:
 		if g := a.group(0); a.ok() {
@@ -188,44 +192,38 @@ func (st *Interp) exec(c core.DecodedCall) error {
 			case mpispec.FGroupDifference:
 				set = p.GroupDifference
 			}
-			ng, err := set(g1, g2)
-			return bind(st.grps, a.id(2), ng, err)
+			return a.made(set(g1, g2))
 		}
 
 	case mpispec.FTypeContiguous:
 		if old := a.dt(1); a.ok() {
-			nt, err := p.TypeContiguous(a.num(0), old)
-			return bind(st.types, a.id(2), nt, err)
+			return a.made(p.TypeContiguous(a.num(0), old))
 		}
 	case mpispec.FTypeVector:
 		if old := a.dt(3); a.ok() {
-			nt, err := p.TypeVector(a.num(0), a.num(1), a.num(2), old)
-			return bind(st.types, a.id(4), nt, err)
+			return a.made(p.TypeVector(a.num(0), a.num(1), a.num(2), old))
 		}
 	case mpispec.FTypeIndexed:
 		if old := a.dt(3); a.ok() {
-			nt, err := p.TypeIndexed(a.ints(1), a.ints(2), old)
-			return bind(st.types, a.id(4), nt, err)
+			return a.made(p.TypeIndexed(a.ints(1), a.ints(2), old))
 		}
 	case mpispec.FTypeCreateStruct:
 		handles := a.ints(3)
 		members := make([]*mpi.Datatype, len(handles))
 		for i, h := range handles {
-			// Struct member handles were recorded as raw values; map
-			// predefined ones (the common case in traces we replay).
+			// Struct member handles were recorded raw (see the fidelity
+			// notes); only a predefined one names a type here.
 			if members[i] = mpi.PredefinedType(int64(h) - mpi.Byte.Handle()); members[i] == nil {
 				return fmt.Errorf("struct member type %d unknown", h)
 			}
 		}
-		nt, err := p.TypeCreateStruct(a.ints(1), a.ints(2), members)
-		return bind(st.types, a.id(4), nt, err)
+		return a.made(p.TypeCreateStruct(a.ints(1), a.ints(2), members))
 	case mpispec.FTypeCommit:
 		if dt := a.dt(0); a.ok() {
 			return p.TypeCommit(dt)
 		}
 	case mpispec.FTypeFree:
 		if dt := a.dt(0); a.ok() {
-			delete(st.types, a.id(0))
 			return p.TypeFree(dt)
 		}
 	case mpispec.FTypeSize:
@@ -238,8 +236,7 @@ func (st *Interp) exec(c core.DecodedCall) error {
 		}
 	case mpispec.FTypeDup:
 		if dt := a.dt(0); a.ok() {
-			nt, err := p.TypeDup(dt)
-			return bind(st.types, a.id(1), nt, err)
+			return a.made(p.TypeDup(dt))
 		}
 	case mpispec.FGetCount, mpispec.FGetElements:
 		// Local status queries: re-execute with a status carrying the
@@ -264,8 +261,7 @@ func (st *Interp) exec(c core.DecodedCall) error {
 
 	case mpispec.FCartCreate:
 		if cm := a.comm(0); a.ok() {
-			nc, err := p.CartCreate(cm, a.ints(2), a.bools(3), a.flag(4))
-			return bind(st.comms, a.id(5), nc, err)
+			return a.made(p.CartCreate(cm, a.ints(2), a.bools(3), a.flag(4)))
 		}
 	case mpispec.FCartCoords:
 		if cm := a.comm(0); a.ok() {
@@ -294,19 +290,16 @@ func (st *Interp) exec(c core.DecodedCall) error {
 		}
 	case mpispec.FCartSub:
 		if cm := a.comm(0); a.ok() {
-			nc, err := p.CartSub(cm, a.bools(1))
-			return bind(st.comms, a.id(2), nc, err)
+			return a.made(p.CartSub(cm, a.bools(1)))
 		}
 	case mpispec.FDimsCreate:
 		// Replay the computed output to keep local state consistent.
 		return p.DimsCreate(a.num(0), a.num(1), make([]int, a.num(1)))
 
 	case mpispec.FOpCreate:
-		op, err := p.OpCreate(func(dst, src []byte, dt *mpi.Datatype) {}, a.flag(1))
-		return bind(st.ops, a.id(2), op, err)
+		return a.made(p.OpCreate(func(dst, src []byte, dt *mpi.Datatype) {}, a.flag(1)))
 	case mpispec.FOpFree:
 		if op := a.op(0); a.ok() {
-			delete(st.ops, a.id(0))
 			return p.OpFree(op)
 		}
 	case mpispec.FAbort:
@@ -317,15 +310,36 @@ func (st *Interp) exec(c core.DecodedCall) error {
 	return a.err
 }
 
-// bind registers the object a creating call returned under its
-// symbolic id. A nil object (a split's color Undefined, a rank outside
-// a Cartesian grid) registers nothing.
-func bind[T comparable](m map[int64]T, id int64, x T, err error) error {
-	var none T
-	if err == nil && x != none {
-		m[id] = x
-	}
+// made keeps the object a creating call returned for exec to bind.
+func (a *args) made(x any, err error) error {
+	a.obj = x
 	return err
+}
+
+// bind registers object x under id, or forgets id's object when o is
+// an MPI_*_free call's. A nil object (a split's color Undefined, a rank
+// outside a Cartesian grid, an MPI_Comm_idup's communicator, which
+// binds at its first use) registers nothing.
+func (st *Interp) bind(o *mpispec.Object, id int64, x any) {
+	switch o.Kind {
+	case mpispec.KComm:
+		keep(st.comms, id, x, o.Free)
+	case mpispec.KGroup:
+		keep(st.grps, id, x, o.Free)
+	case mpispec.KDatatype:
+		keep(st.types, id, x, o.Free)
+	case mpispec.KOp:
+		keep(st.ops, id, x, o.Free)
+	}
+}
+
+func keep[T comparable](m map[int64]T, id int64, x any, free bool) {
+	var none T
+	if free {
+		delete(m, id)
+	} else if v, _ := x.(T); v != none {
+		m[id] = v
+	}
 }
 
 // complete replays a Wait/Test call by waiting for exactly the

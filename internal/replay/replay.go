@@ -31,6 +31,11 @@
 //     completion call that waits for it, and binds it to the first id
 //     no creation bound. Two idup communicators in flight at once bind
 //     in creation order.
+//   - An MPI_Type_create_struct's member types are a plain int array
+//     in the trace, so they keep their raw handles rather than symbolic
+//     ids. A predefined member's handle is the same on every run; a
+//     derived member's names nothing on a replay, so both readers
+//     (replay and analysis) refuse such a struct.
 package replay
 
 import (
@@ -111,7 +116,7 @@ func NewInterp(p *mpi.Proc) *Interp {
 		comms: map[int64]*mpi.Comm{0: p.World(), 1: p.Self()},
 		types: map[int64]*mpi.Datatype{},
 		grps:  map[int64]*mpi.Group{},
-		ops:   predefOps(),
+		ops:   map[int64]*mpi.Op{},
 		segs:  map[int64]*mpi.Buffer{},
 		stack: map[int64]mpi.Ptr{},
 	}
@@ -149,6 +154,18 @@ func (st *Interp) Comm(id int64) (*mpi.Comm, error) {
 	return d.comm, nil
 }
 
+// Datatype returns the datatype bound to symbolic id: a predefined one,
+// or the one the creation that bound id made.
+func (st *Interp) Datatype(id int64) (*mpi.Datatype, error) {
+	if dt := mpi.PredefinedType(id); dt != nil {
+		return dt, nil
+	}
+	if dt, ok := st.types[id]; ok {
+		return dt, nil
+	}
+	return nil, fmt.Errorf("unknown datatype id %d", id)
+}
+
 // Prealloc materializes the buffers a call stream references; call it
 // once before the first Exec.
 func (st *Interp) Prealloc(calls []core.DecodedCall) { st.preallocate(calls) }
@@ -173,16 +190,6 @@ func RankCalls(calls []core.DecodedCall, p *mpi.Proc) error {
 		}
 	}
 	return nil
-}
-
-func predefOps() map[int64]*mpi.Op {
-	list := []*mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin, mpi.OpProd,
-		mpi.OpLand, mpi.OpLor, mpi.OpBand, mpi.OpBor}
-	m := map[int64]*mpi.Op{}
-	for i, op := range list {
-		m[int64(i)] = op
-	}
-	return m
 }
 
 // preallocate materializes every heap segment and stack variable the
@@ -228,6 +235,7 @@ type args struct {
 	st  *Interp
 	v   []sig.DecodedValue
 	err error
+	obj any // the object a creating call made
 }
 
 func (a *args) ok() bool { return a.err == nil }
@@ -241,7 +249,6 @@ func lookup[T any](a *args, m map[int64]T, i int, what string) T {
 	return x
 }
 
-func (a *args) op(i int) *mpi.Op       { return lookup(a, a.st.ops, i, "op") }
 func (a *args) group(i int) *mpi.Group { return lookup(a, a.st.grps, i, "group") }
 func (a *args) num(i int) int          { return int(a.v[i].I) }
 func (a *args) id(i int) int64         { return a.v[i].I }
@@ -256,10 +263,18 @@ func (a *args) comm(i int) *mpi.Comm {
 }
 
 func (a *args) dt(i int) *mpi.Datatype {
-	if dt := mpi.PredefinedType(a.v[i].I); dt != nil {
-		return dt
+	dt, err := a.st.Datatype(a.v[i].I)
+	if a.err == nil {
+		a.err = err
 	}
-	return lookup(a, a.st.types, i, "datatype")
+	return dt
+}
+
+func (a *args) op(i int) *mpi.Op {
+	if op := mpi.PredefinedOp(a.v[i].I); op != nil {
+		return op
+	}
+	return lookup(a, a.st.ops, i, "op")
 }
 
 func (a *args) ints(i int) []int {

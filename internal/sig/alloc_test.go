@@ -77,9 +77,10 @@ func TestNewEncoderAllocatesWhatARankUses(t *testing.T) {
 	e.Encode(rec(0, mpispec.FCommGroup, vc(1, 0), mpispec.Value{Kind: mpispec.KGroup, I: 600}))
 	e.Encode(rec(0, mpispec.FOpCreate, vi(0), vi(1), mpispec.Value{Kind: mpispec.KOp, I: 700}))
 	e.Encode(sendRec(0, 0x7f0000000000, 1, 0))
-	if len(e.typeIDs) != 1 || len(e.groupIDs) != 1 || len(e.opIDs) != 1 || len(e.stackIDs) != 1 {
+	types, ops, groups := e.objIDs[0].ids, e.objIDs[1].ids, e.objIDs[2].ids
+	if len(types) != 1 || len(groups) != 1 || len(ops) != 1 || len(e.stackIDs) != 1 {
 		t.Fatalf("first writes: %d types %d groups %d ops %d stack addresses, want one each",
-			len(e.typeIDs), len(e.groupIDs), len(e.opIDs), len(e.stackIDs))
+			len(types), len(groups), len(ops), len(e.stackIDs))
 	}
 }
 

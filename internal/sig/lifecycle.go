@@ -6,31 +6,26 @@ import (
 	"strings"
 	"time"
 
-	"github.com/hpcrepro/pilgrim/internal/idpool"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
 
 // funcFacts is what the encoder knows about one function beyond its
 // arguments' kinds. The slots are parameter indices, -1 for none.
 type funcFacts struct {
-	comm       int8   // first communicator parameter: the caller's rank in it is the base of relative ranks
-	peers      uint16 // bit i: parameter i is a peer rank (source/destination, encoded relative) rather than a root
-	newRequest int8   // the request the call creates
-	persistent bool   // ... which keeps its id across completions until MPI_Request_free
-	newComm    int8   // the communicator a blocking call creates (MPI_Comm_idup's is agreed in the background)
-	newType    int8
-	newGroup   int8
-	newOp      int8
-	free       *mpispec.Object     // the object an MPI_*_free call frees
+	comm       int8                // first communicator parameter: the caller's rank in it is the base of relative ranks
+	peers      uint16              // bit i: parameter i is a peer rank (source/destination, encoded relative) rather than a root
+	newRequest int8                // the request the call creates
+	persistent bool                // ... which keeps its id across completions until MPI_Request_free
+	object     *mpispec.Object     // the object the call creates or frees
 	completion *mpispec.Completion // the requests a Wait*/Test* call completes
 }
 
-// facts is read off mpispec.Spec once; the object slots come from
+// facts is read off mpispec.Spec once; the object comes from
 // mpispec.ObjectOf.
 var facts = func() (t [mpispec.NumFuncs]funcFacts) {
 	for f := range t {
-		ff := funcFacts{comm: -1, newRequest: -1, newComm: -1, newType: -1, newGroup: -1, newOp: -1,
-			completion: mpispec.CompletionOf(mpispec.FuncID(f))}
+		ff := funcFacts{comm: -1, newRequest: -1,
+			object: mpispec.ObjectOf(mpispec.FuncID(f)), completion: mpispec.CompletionOf(mpispec.FuncID(f))}
 		for i, p := range mpispec.Spec[f].Params {
 			switch {
 			case p.Kind == mpispec.KRank:
@@ -44,21 +39,7 @@ var facts = func() (t [mpispec.NumFuncs]funcFacts) {
 				ff.newRequest = int8(i)
 			}
 		}
-		switch o := mpispec.ObjectOf(mpispec.FuncID(f)); {
-		case o == nil:
-		case o.Free:
-			ff.free = o
-		case o.Kind == mpispec.KComm:
-			ff.newComm = int8(o.Param)
-		case o.Kind == mpispec.KDatatype:
-			ff.newType = int8(o.Param)
-		case o.Kind == mpispec.KGroup:
-			ff.newGroup = int8(o.Param)
-		case o.Kind == mpispec.KOp:
-			ff.newOp = int8(o.Param)
-		}
 		if ff.newRequest >= 0 {
-			ff.newComm = -1
 			// Persistence is not a parameter property; MPI names the
 			// calls that make persistent requests MPI_*_init.
 			ff.persistent = strings.HasSuffix(mpispec.Spec[f].Name, "_init")
@@ -71,56 +52,38 @@ var facts = func() (t [mpispec.NumFuncs]funcFacts) {
 // assignCreatedObjects performs the id assignment implied by the call,
 // including the group-wide all-reduce for new communicators (§3.3.1).
 func (e *Encoder) assignCreatedObjects(rec *mpispec.CallRecord, ff *funcFacts) {
-	if i := ff.newComm; i >= 0 {
-		h := rec.Args[i].I
-		if h != 0 {
-			if _, known := e.commIDs[h]; !known {
-				newID := e.maxCommID
-				if e.oob != nil {
-					// Step 1+2: group-wide max of locally assigned ids. It
-					// blocks until the slowest member arrives, and is timed
-					// here because the tracer's sampled clock cannot be
-					// (OOBWaitNs).
-					w0 := time.Now()
-					newID = e.oob.AllreduceMaxInt32(h, e.maxCommID)
-					e.oobWaitNs += time.Since(w0).Nanoseconds()
-				}
-				// Step 3: one plus the group max.
-				newID++
-				e.commIDs[h] = newID
-				if newID > e.maxCommID {
-					e.maxCommID = newID
-				}
-			}
-		}
+	o := ff.object
+	if o == nil || o.Free {
+		return
 	}
-	if rec.Func == mpispec.FCommIdup {
-		h := rec.Args[1].I
-		if h != 0 && e.oob != nil {
+	h := rec.Args[o.Param].I
+	switch {
+	case h == 0:
+	case rec.Func == mpispec.FCommIdup:
+		// The id is agreed in the background; the completion of the
+		// idup's request waits for it.
+		if e.oob != nil {
 			tok := e.oob.IAllreduceMaxInt32(rec.Args[0].I, e.maxCommID)
 			e.pending = append(e.pending, pendingComm{token: tok, commHandle: h, request: rec.Args[2].I})
 		}
-	}
-	if i := ff.newType; i >= 0 {
-		if h := rec.Args[i].I; h != 0 {
-			if _, known := e.typeIDs[h]; !known {
-				setID(&e.typeIDs, h, e.typePool.Get()+predefTypeCount)
-			}
+	case o.Kind != mpispec.KComm:
+		e.createObj(o.Kind, h)
+	default:
+		if _, known := e.commIDs[h]; known {
+			return
 		}
-	}
-	if i := ff.newGroup; i >= 0 {
-		if h := rec.Args[i].I; h != 0 {
-			if _, known := e.groupIDs[h]; !known {
-				setID(&e.groupIDs, h, e.groupPool.Get())
-			}
+		newID := e.maxCommID
+		if e.oob != nil {
+			// Step 1+2: group-wide max of locally assigned ids. It
+			// blocks until the slowest member arrives, and is timed
+			// here because the tracer's sampled clock cannot be
+			// (OOBWaitNs).
+			w0 := time.Now()
+			newID = e.oob.AllreduceMaxInt32(h, e.maxCommID)
+			e.oobWaitNs += time.Since(w0).Nanoseconds()
 		}
-	}
-	if i := ff.newOp; i >= 0 {
-		if h := rec.Args[i].I; h != 0 {
-			if _, known := e.opIDs[h]; !known {
-				setID(&e.opIDs, h, e.opPool.Get()+predefOpCount)
-			}
-		}
+		// Step 3: one plus the group max.
+		e.resolve(h, newID)
 	}
 }
 
@@ -148,29 +111,10 @@ func (e *Encoder) releaseCompletedObjects(rec *mpispec.CallRecord, ff *funcFacts
 	if rec.Func == mpispec.FRequestFree {
 		e.releaseRequest(rec.Args[0].I, true)
 	}
-	if ff.free == nil {
-		return
-	}
 	// Communicator ids are monotonic (group-max + 1) and never reused,
 	// so MPI_Comm_free needs no pool action.
-	var ids map[int64]int32
-	var pool *idpool.Pool
-	var base int32
-	switch ff.free.Kind {
-	case mpispec.KDatatype:
-		ids, pool, base = e.typeIDs, &e.typePool, predefTypeCount
-	case mpispec.KGroup:
-		ids, pool = e.groupIDs, &e.groupPool
-	case mpispec.KOp:
-		ids, pool, base = e.opIDs, &e.opPool, predefOpCount
-	default:
-		return
-	}
-	if h := rec.Args[ff.free.Param].I; h != 0 {
-		if id, ok := ids[h]; ok {
-			pool.Put(id - base)
-			delete(ids, h)
-		}
+	if o := ff.object; o != nil && o.Free && o.Kind != mpispec.KComm {
+		e.freeObj(o.Kind, rec.Args[o.Param].I)
 	}
 }
 

@@ -93,6 +93,17 @@ type refReqEntry struct {
 	persistent bool
 }
 
+// The reference's own copy of the predefined-handle layout, so the
+// oracle does not read the layout the encoder under test reads.
+const (
+	predefTypeHandleBase = 16
+	predefTypeCount      = 16
+	predefOpHandleBase   = 64
+	predefOpCount        = 16
+	worldHandle          = 1
+	selfHandle           = 2
+)
+
 // refEncoder holds all per-process symbolic state. One refEncoder exists per
 // traced rank.
 type refEncoder struct {

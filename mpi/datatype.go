@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
+)
 
 // baseKindT distinguishes the primitive element a datatype bottoms out
 // in; reductions pick their lane arithmetic from it.
@@ -68,7 +72,7 @@ func (d *Datatype) laneSize() int       { return d.lane }
 func (d *Datatype) LaneSize() int { return d.lane }
 
 func named(off int64, name string, size int, base baseKindT) *Datatype {
-	return &Datatype{handle: hTypeBase + off, name: name, kind: tkNamed,
+	return &Datatype{handle: mpispec.TypeHandleBase + off, name: name, kind: tkNamed,
 		size: size, extent: size, base: base, lane: size, committed: true}
 }
 
@@ -96,8 +100,7 @@ var (
 )
 
 // PredefinedType returns the predefined datatype with symbolic id id,
-// or nil. A trace gives a predefined datatype its handle's offset from
-// MPI_BYTE's, the first predefined handle, as its symbolic id.
+// or nil: its handle's offset in mpispec's datatype range.
 func PredefinedType(id int64) *Datatype {
 	if id >= 0 && id < int64(len(predefined)) {
 		return predefined[id]

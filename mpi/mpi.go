@@ -74,26 +74,30 @@ func (o *Op) Handle() int64 { return o.handle }
 // Predefined reduction operations. The combine functions operate on
 // int64 or float64 lanes depending on the datatype.
 var (
-	OpSum  = &Op{handle: hOpBase + 0, name: "MPI_SUM", combine: combineSum, commute: true}
-	OpMax  = &Op{handle: hOpBase + 1, name: "MPI_MAX", combine: combineMax, commute: true}
-	OpMin  = &Op{handle: hOpBase + 2, name: "MPI_MIN", combine: combineMin, commute: true}
-	OpProd = &Op{handle: hOpBase + 3, name: "MPI_PROD", combine: combineProd, commute: true}
-	OpLand = &Op{handle: hOpBase + 4, name: "MPI_LAND", combine: combineLand, commute: true}
-	OpLor  = &Op{handle: hOpBase + 5, name: "MPI_LOR", combine: combineLor, commute: true}
-	OpBand = &Op{handle: hOpBase + 6, name: "MPI_BAND", combine: combineBand, commute: true}
-	OpBor  = &Op{handle: hOpBase + 7, name: "MPI_BOR", combine: combineBor, commute: true}
+	OpSum  = &Op{handle: mpispec.OpHandleBase + 0, name: "MPI_SUM", combine: combineSum, commute: true}
+	OpMax  = &Op{handle: mpispec.OpHandleBase + 1, name: "MPI_MAX", combine: combineMax, commute: true}
+	OpMin  = &Op{handle: mpispec.OpHandleBase + 2, name: "MPI_MIN", combine: combineMin, commute: true}
+	OpProd = &Op{handle: mpispec.OpHandleBase + 3, name: "MPI_PROD", combine: combineProd, commute: true}
+	OpLand = &Op{handle: mpispec.OpHandleBase + 4, name: "MPI_LAND", combine: combineLand, commute: true}
+	OpLor  = &Op{handle: mpispec.OpHandleBase + 5, name: "MPI_LOR", combine: combineLor, commute: true}
+	OpBand = &Op{handle: mpispec.OpHandleBase + 6, name: "MPI_BAND", combine: combineBand, commute: true}
+	OpBor  = &Op{handle: mpispec.OpHandleBase + 7, name: "MPI_BOR", combine: combineBor, commute: true}
+
+	predefinedOps = []*Op{OpSum, OpMax, OpMin, OpProd, OpLand, OpLor, OpBand, OpBor}
 )
 
-// Reserved handle ranges. Predefined objects have well-known handles
-// shared by all ranks; per-process objects allocate upward from
-// hDynamicBase.
-const (
-	hCommWorld   = 1
-	hCommSelf    = 2
-	hTypeBase    = 16  // predefined datatypes: 16..47
-	hOpBase      = 64  // predefined ops: 64..79
-	hDynamicBase = 256 // first dynamically assigned handle
-)
+// PredefinedOp returns the predefined op with symbolic id id, or nil:
+// its handle's offset in mpispec's op range.
+func PredefinedOp(id int64) *Op {
+	if id >= 0 && id < int64(len(predefinedOps)) {
+		return predefinedOps[id]
+	}
+	return nil
+}
+
+// Predefined objects take their handles from mpispec's layout, shared
+// by all ranks; per-process objects allocate upward from hDynamicBase.
+const hDynamicBase = 256
 
 // Ptr is a typed pointer into a simulated allocation: the address is
 // what a tracer sees; the data slice is what the runtime moves.

@@ -192,10 +192,10 @@ func RunOpt(n int, opts Options, body func(p *Proc)) error {
 			oobPending: make(map[int64]*oobOp),
 		}
 		p.cond = sync.NewCond(&p.mu)
-		p.worldComm = &Comm{proc: p, handle: hCommWorld, ctx: hCommWorld, group: worldGroup, myRank: i, name: "MPI_COMM_WORLD"}
-		p.selfComm = &Comm{proc: p, handle: hCommSelf, ctx: hCommSelf, group: []int{i}, myRank: 0, name: "MPI_COMM_SELF"}
-		p.comms[hCommWorld] = p.worldComm
-		p.comms[hCommSelf] = p.selfComm
+		p.worldComm = &Comm{proc: p, handle: mpispec.CommWorldHandle, ctx: mpispec.CommWorldHandle, group: worldGroup, myRank: i, name: "MPI_COMM_WORLD"}
+		p.selfComm = &Comm{proc: p, handle: mpispec.CommSelfHandle, ctx: mpispec.CommSelfHandle, group: []int{i}, myRank: 0, name: "MPI_COMM_SELF"}
+		p.comms[mpispec.CommWorldHandle] = p.worldComm
+		p.comms[mpispec.CommSelfHandle] = p.selfComm
 		if opts.Interceptors != nil && i < len(opts.Interceptors) {
 			p.interceptor = opts.Interceptors[i]
 		}
