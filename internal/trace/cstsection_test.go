@@ -184,7 +184,7 @@ func TestTemplatedFileRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(data, []byte(magicTemplates)) || data[cstAt(f)] != cstTemplated {
 		t.Fatalf("file starts %q with CST selector %d", data[:len(magic)], data[cstAt(f)])
 	}
-	if cstB, _, _, _ := f.SectionSizes(); cstB != st.Stored {
+	if cstB, _, _, _ := f.SectionSizes(); cstB != 1+framedLen(st.Stored) {
 		t.Errorf("SectionSizes counts the CST as %d bytes, stored in %d", cstB, st.Stored)
 	}
 	got, err := Read(bytes.NewReader(data))
