@@ -132,31 +132,38 @@ func TestDumpStencil(t *testing.T) {
 	}
 }
 
-// TestDumpTimingSets: a lossy trace's header says how each timing set
-// is stored, raw bytes to stored bytes: deflated for a fresh run, packed
-// for a file an older writer packed them in.
-func TestDumpTimingSets(t *testing.T) {
-	body, err := workloads.Get("stencil2d", 20, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, _, err := pilgrim.Run(16, pilgrim.Options{TimingMode: pilgrim.TimingLossy}, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "lossy.pilgrim")
-	if err := file.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	dur, intv := file.TimingStorage()
-	fresh := fmt.Sprintf("# timing sets: duration deflated %dB -> %dB, interval deflated %dB -> %dB\n",
-		dur.Raw, dur.Stored, intv.Raw, intv.Stored)
-	older := filepath.Join("..", "..", "internal", "trace", "testdata", "v3", "osu_alltoall_16x20_lossy.pilgrim")
-	for path, want := range map[string]string{path: fresh, older: "# timing sets: duration packed "} {
-		out, stderr, code := dump(t, "-n", "1", path)
-		if code != 0 || !strings.Contains(out, want) {
-			t.Errorf("%s: exit %d, stderr %q, no %q in:\n%s", path, code, stderr, want, out)
+// TestDumpBody: the header says how the body is stored, raw bytes to
+// stored bytes: deflated for a lossy stencil run past the floor, raw for
+// a small run and for a file an older writer wrote.
+func TestDumpBody(t *testing.T) {
+	var paths []string
+	for _, iters := range []int{50, 1} {
+		body, err := workloads.Get("stencil2d", iters, 16)
+		if err != nil {
+			t.Fatal(err)
 		}
+		file, _, err := pilgrim.Run(16, pilgrim.Options{TimingMode: pilgrim.TimingLossy}, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("lossy%d.pilgrim", iters))
+		if err := file.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+		st := file.BodyStorage()
+		want := map[int]string{50: "deflated", 1: "raw"}[iters]
+		if st.Form != want {
+			t.Fatalf("stencil2d 16 x %d stores its body %+v", iters, st)
+		}
+		line := fmt.Sprintf("# body: %s %dB -> %dB\n", st.Form, st.Raw, st.Stored)
+		if out, stderr, code := dump(t, "-n", "1", path); code != 0 || !strings.Contains(out, line) {
+			t.Errorf("%s: exit %d, stderr %q, no %q in:\n%s", path, code, stderr, line, out)
+		}
+	}
+	older := filepath.Join("..", "..", "internal", "trace", "testdata", "v3", "osu_alltoall_16x20_lossy.pilgrim")
+	if out, stderr, code := dump(t, "-n", "1", older); code != 0 || !strings.Contains(out, "# body: raw ") {
+		t.Errorf("%s: exit %d, stderr %q, no raw body in:\n%s", older, code, stderr, out)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
@@ -80,10 +81,10 @@ func goldenCases() []goldenCase {
 // RunSim with both a collector and a spill directory set: it must
 // salvage in memory and leave the spill directory unused.
 //
-// Aggregated goldens are compared byte for byte. A lossy golden is
-// compared by the File it reads to, since its timing sections are
-// deflated and compress/flate's output may change between Go
-// releases; within one binary the routes still agree to the byte.
+// A golden is compared by its raw bytes (tracetest.Raw): a deflated
+// body inflated, since compress/flate's output may change between Go
+// releases; within one binary the routes still agree to the byte. Read
+// and written again, every golden is its own bytes.
 func TestGoldenTraces(t *testing.T) {
 	srv, err := collect.Start(collect.Config{Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -103,12 +104,11 @@ func TestGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.lossy {
-				if err := sameFile(readTrace(t, mem), readTrace(t, golden)); err != nil {
-					t.Errorf("in-memory route and golden: %v", err)
-				}
-			} else if !bytes.Equal(mem, golden) {
-				t.Errorf("in-memory route: %d bytes, golden %d, contents differ", len(mem), len(golden))
+			if got, want := rawTrace(t, mem), rawTrace(t, golden); !bytes.Equal(got, want) {
+				t.Errorf("in-memory route: %d raw bytes, golden %d, contents differ", len(got), len(want))
+			}
+			if again := writeTrace(t, readTrace(t, golden)); !bytes.Equal(again, golden) {
+				t.Errorf("the golden read and written again is %d bytes, not its own %d", len(again), len(golden))
 			}
 
 			spillDir := t.TempDir()
@@ -211,6 +211,16 @@ func writeTrace(t *testing.T, f *trace.File) []byte {
 	return buf.Bytes()
 }
 
+// rawTrace is tracetest.Raw's view of a trace's bytes.
+func rawTrace(t *testing.T, b []byte) []byte {
+	t.Helper()
+	raw, err := tracetest.Raw(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func readTrace(t *testing.T, b []byte) *trace.File {
 	t.Helper()
 	f, err := trace.Read(bytes.NewReader(b))
@@ -240,4 +250,51 @@ func sameFile(a, b *trace.File) error {
 		return fmt.Errorf("salvage tags differ")
 	}
 	return nil
+}
+
+// TestCompatFixtures: traces an older writer wrote of three golden cases
+// — a PILGRIM4 file whose timing sets are deflated one at a time, and
+// two PILGRIM5 files — read, rewrite to their own bytes, and read and
+// decode as their rewritten goldens do: the same File, and every rank
+// the same calls, times included.
+func TestCompatFixtures(t *testing.T) {
+	for _, c := range []struct{ name, magic string }{
+		{"stencil2d_8x3_lossy", "PILGRIM4"},
+		{"cellular_8x3_lossy", "PILGRIM5"},
+		{"osu_bw_8x3", "PILGRIM5"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", "compat", c.name+".pilgrim"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", "golden", c.name+".pilgrim"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(old, []byte(c.magic)) || bytes.Equal(old, golden) {
+				t.Fatalf("fixture starts %q, %d bytes against the golden's %d", old[:8], len(old), len(golden))
+			}
+			a, b := readTrace(t, old), readTrace(t, golden)
+			if again := writeTrace(t, a); !bytes.Equal(again, old) {
+				t.Errorf("the fixture read and written again is %d bytes, not its own %d", len(again), len(old))
+			}
+			if err := sameFile(a, b); err != nil {
+				t.Fatalf("fixture and golden: %v", err)
+			}
+			for r := 0; r < a.NumRanks; r++ {
+				x, err := pilgrim.DecodeRank(a, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				y, err := pilgrim.DecodeRank(b, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(x, y) {
+					t.Fatalf("rank %d decodes to other calls", r)
+				}
+			}
+		})
+	}
 }

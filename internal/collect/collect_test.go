@@ -37,11 +37,12 @@ func traceWorkload(t testing.TB, n int) []*core.Snapshot {
 // traceTracers is traceWorkload's run, returning the tracers.
 func traceTracers(t testing.TB, n int) []*core.Tracer {
 	t.Helper()
-	return traceTracersOpts(t, n, core.Options{})
+	return traceTracersOpts(t, n, 3, core.Options{})
 }
 
-// traceTracersOpts is traceTracers with tracer options.
-func traceTracersOpts(t testing.TB, n int, opts core.Options) []*core.Tracer {
+// traceTracersOpts is traceTracers with iters iterations and tracer
+// options.
+func traceTracersOpts(t testing.TB, n, iters int, opts core.Options) []*core.Tracer {
 	t.Helper()
 	tracers := make([]*core.Tracer, n)
 	ics := make([]mpi.Interceptor, n)
@@ -49,7 +50,7 @@ func traceTracersOpts(t testing.TB, n int, opts core.Options) []*core.Tracer {
 		tracers[i] = core.NewTracer(i, nil, opts)
 		ics[i] = tracers[i]
 	}
-	body, err := workloads.Get("stencil2d", 3, n)
+	body, err := workloads.Get("stencil2d", iters, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,22 +142,22 @@ func TestStreamingMatchesLocalFinalize(t *testing.T) {
 	}
 }
 
-// TestLossyStreamingMatchesLocalFinalize: a lossy run's timing sets are
+// TestLossyStreamingMatchesLocalFinalize: a lossy run's body is
 // deflated once per File on either side, so the collected trace, with
 // its payloads resident or spilled to the journal and arriving out of
 // rank order, is the local finalize's bytes.
 func TestLossyStreamingMatchesLocalFinalize(t *testing.T) {
 	const n = 8
 	opts := core.Options{TimingMode: trace.TimingLossy, TimingBase: 1.2}
-	tracers := traceTracersOpts(t, n, opts)
+	tracers := traceTracersOpts(t, n, 400, opts)
 	snaps := make([]*core.Snapshot, n)
 	for i, tr := range tracers {
 		snaps[n-1-i] = tr.Snapshot()
 	}
 	local, _ := core.Finalize(tracers)
 	want := serialize(t, local)
-	if !bytes.HasPrefix(want, []byte("PILGRIM4")) {
-		t.Fatalf("local lossy trace starts %q, no timing set deflated", want[:8])
+	if !bytes.HasPrefix(want, []byte("PILGRIM6")) {
+		t.Fatalf("local lossy trace starts %q, its body not deflated", want[:8])
 	}
 	for _, resident := range []int{0, 3} {
 		srv := startServer(t, collect.Config{OutDir: t.TempDir(), MaxResidentSnapshots: resident})

@@ -44,10 +44,10 @@ func RunFig10(scale Scale) (Fig10Result, error) {
 }
 
 // Print renders Figure 10's data: each timing section's size as
-// trace.File.SectionSizes reports it, which is the stored bytes of a
-// deflated section and four bytes an int of a raw one.
+// trace.File.SectionSizes reports it, the bytes the set and its index
+// take in the raw body, before the writer deflates the body.
 func (r Fig10Result) Print(w io.Writer) {
-	header(w, "Figure 10: timing section sizes, deflated bytes or 4 B an int when raw (b = 1.2)")
+	header(w, "Figure 10: timing section sizes in the raw body, with their indices (b = 1.2)")
 	for _, s := range r.Series {
 		fmt.Fprintf(w, "%-10s  %8s  %12s  %14s  %14s\n",
 			s.Workload, "procs", "calls", "interval(KB)", "duration(KB)")

@@ -12,7 +12,7 @@ package trace
 // byte, as the shape section's vectors have, and its ints.
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -93,17 +93,16 @@ func framedLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 // write writes the CST section as s stores it, behind a selector under
 // magic m if m has one.
-func (s *storedCST) write(w *bufio.Writer, m string) error {
+func (s *storedCST) write(w *bytes.Buffer, m string) {
 	b := s.raw
-	if m == magicTemplates {
+	if m >= magicTemplates {
 		sel := byte(cstRaw)
 		if s.templated != nil {
 			sel, b = cstTemplated, s.templated
 		}
-		// A bufio.Writer keeps its first error, and writeBytes returns it.
-		_ = w.WriteByte(sel)
+		w.WriteByte(sel)
 	}
-	return writeBytes(w, b)
+	writeBytes(w, b)
 }
 
 // templateCST is t's templated section and its template count, or nil
@@ -272,7 +271,7 @@ func step(v, prev *int64, back bool) {
 // cstSection reads the CST section into f, recording how it is stored.
 func (br byteReader) cstSection(f *File) error {
 	sel := byte(cstRaw)
-	if br.magic == magicTemplates {
+	if br.magic >= magicTemplates {
 		var err error
 		if sel, err = br.r.ReadByte(); err != nil {
 			return err

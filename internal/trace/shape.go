@@ -5,7 +5,7 @@ package trace
 // and the other grammars' vectors as deltas against their shape's last.
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -79,16 +79,16 @@ func (f *File) shaped() (*shapedSection, error) {
 
 // writeCalls writes the call section: by shape if sec is non-nil, and
 // the representatives as pack if that is non-nil (see writePackable).
-func (f *File) writeCalls(w *bufio.Writer, sec *shapedSection, pack sequitur.Serialized, packFlag byte) error {
+func (f *File) writeCalls(w *bytes.Buffer, sec *shapedSection, pack sequitur.Serialized, packFlag byte) {
 	if sec == nil {
-		return writePackable(w, f.Grammars, pack, packFlag)
+		writePackable(w, f.Grammars, pack, packFlag)
+		return
 	}
-	// A bufio.Writer keeps its first error, and write's Flush returns it.
-	_ = w.WriteByte(flagShapes)
-	_ = writePackable(w, sec.reps, pack, packFlag)
-	_ = writeIndex(w, sec.runs)
-	_ = w.WriteByte(sec.vecEnc)
-	return writeIndex(w, sec.vecs)
+	w.WriteByte(flagShapes)
+	writePackable(w, sec.reps, pack, packFlag)
+	writeIndex(w, sec.runs)
+	w.WriteByte(sec.vecEnc)
+	writeIndex(w, sec.vecs)
 }
 
 // shaped reads a flagShapes call section into f, relabeling each
