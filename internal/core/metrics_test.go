@@ -7,6 +7,7 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/metrics"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
+	"github.com/hpcrepro/pilgrim/internal/trace"
 )
 
 // tracerCounters reads the three per-call counters a tracer flushes.
@@ -203,6 +204,52 @@ func TestCountersAcrossTakeSnapshot(t *testing.T) {
 		if c != calls || m != distinct || h != calls-distinct {
 			t.Fatalf("after %s: calls/hits/misses = %d/%d/%d, want %d/%d/%d",
 				step.name, c, h, m, calls, calls-distinct, distinct)
+		}
+	}
+}
+
+// TestTakeSnapshotAllocs: TakeSnapshot allocates only the snapshot it
+// returns — the struct and its serialized grammars — and builds no
+// fresh state for a rank that has stopped tracing. A taken tracer still
+// answers Snapshot, ProbeStats and CSTLen as an empty one, and traces a
+// call made after the take.
+func TestTakeSnapshotAllocs(t *testing.T) {
+	for _, mode := range []uint8{trace.TimingAggregated, trace.TimingLossy} {
+		const runs = 20
+		tracers := make([]*Tracer, runs+2) // AllocsPerRun warms up once
+		for i := range tracers {
+			tracers[i] = NewTracer(3, nil, Options{TimingMode: mode})
+			for c := 0; c < 300; c++ {
+				feed(tracers[i], mpispec.FSend, sendArgs(int64(c%11), 999, 3), int64(c*10), int64(c*10+5))
+			}
+		}
+		spare := tracers[runs+1]
+		parts := testing.AllocsPerRun(runs, func() {
+			_ = spare.cfg.Serialize()
+			if spare.tcomp != nil {
+				_, _ = spare.tcomp.DurationGrammar(), spare.tcomp.IntervalGrammar()
+			}
+		})
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			tracers[next].TakeSnapshot()
+			next++
+		})
+		if want := parts + 1; got != want {
+			t.Errorf("timing mode %d: TakeSnapshot made %v allocations, its snapshot %v", mode, got, want)
+		}
+		taken := tracers[0]
+		if s := taken.Snapshot(); s.Calls != 300 || s.Table.Len() != 0 || len(s.Grammar) != 2 {
+			t.Errorf("timing mode %d: a taken tracer snapshots %d calls, %d CST entries, grammar %v",
+				mode, s.Calls, s.Table.Len(), s.Grammar)
+		}
+		if st := taken.ProbeStats(); st.Calls != 300 || st.CSTEntries != 0 || taken.CSTLen() != 0 {
+			t.Errorf("timing mode %d: a taken tracer probes %+v", mode, st)
+		}
+		// A rank that calls on after the take traces into empty state.
+		feed(tracers[1], mpispec.FSend, sendArgs(1, 999, 3), 0, 5)
+		if n := tracers[1].CSTLen(); n != 1 {
+			t.Errorf("timing mode %d: a call after the take left %d CST entries", mode, n)
 		}
 	}
 }

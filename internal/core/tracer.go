@@ -235,6 +235,7 @@ func (t *Tracer) keep(term int32, s []byte, rec *mpispec.CallRecord) {
 // sample of a rank's calls from its ~40th on, and every timed call
 // brings the call counters up to date.
 func (t *Tracer) postTimed(rec *mpispec.CallRecord) {
+	t.untake()
 	m := t.opts.Collector
 	if t.ramp < maxRamp {
 		// The histograms take only samples drawn at the full gap law,
@@ -320,6 +321,7 @@ func (t *Tracer) flushCounters() {
 func (t *Tracer) ProbeStats() metrics.TracerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.untake()
 	t.flushCounters()
 	gs := t.cfg.Stats()
 	return metrics.TracerStats{
@@ -357,6 +359,7 @@ func BindOOB(t *Tracer, oob mpispec.OOB) { t.enc.SetOOB(oob) }
 func (t *Tracer) CSTLen() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.untake()
 	return t.table.Len()
 }
 
@@ -421,6 +424,7 @@ func (t *Tracer) Snapshot() *Snapshot {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.untake()
 	t.flushCounters()
 	s := &Snapshot{
 		Rank:     t.Rank,
@@ -440,18 +444,20 @@ func (t *Tracer) Snapshot() *Snapshot {
 
 // TakeSnapshot is Snapshot with move semantics: the rank's CST and
 // grammar state transfer into the returned snapshot without cloning,
-// and the tracer resets to empty, so a streaming finalize can spill
+// and the tracer is left empty, so a streaming finalize can spill
 // rank i's snapshot to disk and free it before touching rank i+1.
 // Only the verification capture (Options.Verify) is shared rather
 // than moved — the tracer keeps its reference so post-run lossless
 // verification still works. Must only be called once the rank has
-// stopped tracing (end of run or salvage).
+// stopped tracing (end of run or salvage); it allocates only the
+// snapshot it returns.
 func (t *Tracer) TakeSnapshot() *Snapshot {
 	if m := t.opts.Collector; m != nil {
 		m.Snapshots.Inc()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.untake()
 	t.flushCounters()
 	s := &Snapshot{
 		Rank:     t.Rank,
@@ -466,15 +472,26 @@ func (t *Tracer) TakeSnapshot() *Snapshot {
 		s.DurGrammar = t.tcomp.DurationGrammar()
 		s.IntGrammar = t.tcomp.IntervalGrammar()
 	}
-	// The fresh table starts the miss count over; without this the next
-	// flush would take the old length off the new one and walk the miss
-	// counter backwards.
+	// A rank that calls on anyway takes the timed path, which untakes.
+	t.table, t.cfg, t.tcomp, t.countdown = nil, nil, nil, 0
+	return s
+}
+
+// untake gives a tracer whose state TakeSnapshot moved out an empty
+// state again, for the readers that may still look at it; mu is held.
+// A rank that has stopped tracing builds one only if one does. The
+// fresh table starts the miss count over; without this the next flush
+// would take the old length off the new one and walk the miss counter
+// backwards.
+func (t *Tracer) untake() {
+	if t.table != nil {
+		return
+	}
 	t.table, t.cstMark = cst.New(), 0
 	t.cfg = sequitur.New()
-	if t.tcomp != nil {
+	if t.opts.TimingMode == trace.TimingLossy {
 		t.tcomp = timing.New(t.opts.TimingBase)
 	}
-	return s
 }
 
 // Finalize performs the inter-process compression over all ranks'
