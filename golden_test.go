@@ -252,13 +252,16 @@ func sameFile(a, b *trace.File) error {
 	return nil
 }
 
-// TestCompatFixtures: traces an older writer wrote of three golden cases
-// — a PILGRIM4 file whose timing sets are deflated one at a time, and
-// two PILGRIM5 files — read, rewrite to their own bytes, and read and
+// TestCompatFixtures: traces an older writer wrote of five golden cases
+// — a PILGRIM1 file, a PILGRIM2 file whose calls are stored by shape, a
+// PILGRIM4 file whose timing sets are deflated one at a time, and two
+// PILGRIM5 files — read, rewrite to their own bytes, and read and
 // decode as their rewritten goldens do: the same File, and every rank
 // the same calls, times included.
 func TestCompatFixtures(t *testing.T) {
 	for _, c := range []struct{ name, magic string }{
+		{"osu_allreduce_8x3", "PILGRIM1"},
+		{"stencil2d_8x3", "PILGRIM2"},
 		{"stencil2d_8x3_lossy", "PILGRIM4"},
 		{"cellular_8x3_lossy", "PILGRIM5"},
 		{"osu_bw_8x3", "PILGRIM5"},

@@ -343,15 +343,12 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 		f.DurGrammars, f.DurIndex = w.durState.uniq, w.durIdx
 		f.IntGrammars, f.IntIndex = w.intState.uniq, w.intIdx
 	}
-	// The first write decides how the body is stored, once for the File
-	// and kept for every later write.
+	// The first write lays the File out, once; every later write, size
+	// and report reads that form.
 	bsp := w.opts.ObsSink.Start("finalize", "finalize.body").WithAttr("ranks", int64(w.world))
 	st.TraceBytes = f.SizeBytes()
-	if w.opts.ObsSink != nil { // a raw body is laid out again to report it
-		body := f.BodyStorage()
-		bsp = bsp.WithAttr("raw_bytes", int64(body.Raw)).WithAttr("stored_bytes", int64(body.Stored))
-	}
-	bsp.End()
+	body := f.BodyStorage()
+	bsp.WithAttr("raw_bytes", int64(body.Raw)).WithAttr("stored_bytes", int64(body.Stored)).End()
 	if c := w.opts.Collector; c != nil {
 		cstB, cfgB, durB, intB := f.SectionSizes()
 		c.RecordTraceSections(cstB, cfgB, durB, intB, st.TraceBytes,

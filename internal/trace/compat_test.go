@@ -3,7 +3,6 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -21,8 +20,6 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
-
-var update = flag.Bool("update", false, "rewrite the testdata/v*/*.pilgrim fixtures from fresh runs")
 
 // v1Fixtures are PILGRIM1 files, written before grammar shapes existed,
 // that the reader must keep reading. fresh rebuilds the trace each
@@ -87,10 +84,10 @@ func distinctShapes() *trace.File {
 	}
 }
 
-// asV1 is f as a writer without shapes held it: every grammar packed
-// by the final pass, or none when pack is false.
-func asV1(f *trace.File, pack bool) *trace.File {
-	v1 := &trace.File{
+// unshaped is f as a finalize without shapes leaves it: every grammar
+// packed by the final pass, or none when pack is false.
+func unshaped(f *trace.File, pack bool) *trace.File {
+	u := &trace.File{
 		NumRanks: f.NumRanks, TimingMode: f.TimingMode, TimingBase: f.TimingBase,
 		CST: f.CST, Grammars: f.Grammars, RankMap: f.RankMap,
 		DurGrammars: f.DurGrammars, DurIndex: f.DurIndex,
@@ -98,9 +95,9 @@ func asV1(f *trace.File, pack bool) *trace.File {
 		Salvage: f.Salvage,
 	}
 	if pack {
-		v1.Packed = packAll(f.Grammars)
+		u.Packed = packAll(f.Grammars)
 	}
-	return v1
+	return u
 }
 
 func write(t *testing.T, f *trace.File) []byte {
@@ -149,18 +146,13 @@ func sameTrace(a, b *trace.File) error {
 // TestV1FixturesRead: every PILGRIM1 fixture reads, rewrites to its own
 // bytes and reads back to the same trace. A fresh run of a skeleton
 // that is not a salvage gives the File the fixture holds, and where no
-// shape repeats, today's writer gives the fixture's bytes, but for a
-// CST it stores templated.
+// shape repeats, today's writer gives the fixture's bytes but for its
+// magic and its CST section. No writer can remake the fixtures, so they
+// have no -update path.
 func TestV1FixturesRead(t *testing.T) {
 	for _, fx := range v1Fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			path := filepath.Join("testdata", "v1", fx.name+".pilgrim")
-			if *update {
-				if err := os.WriteFile(path, write(t, asV1(fx.fresh(t), true)), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			data, err := os.ReadFile(path)
+			data, err := os.ReadFile(filepath.Join("testdata", "v1", fx.name+".pilgrim"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +253,8 @@ var v3Fixtures = []packedFixture{
 
 // TestV2FixturesRead: every PILGRIM2 fixture reads with its pack,
 // rewrites to its own bytes and reads back to the same trace, and a
-// fresh run of its skeleton gives the File the fixture holds.
+// fresh run of its skeleton gives the File the fixture holds. As the v1
+// fixtures, the v2 and v3 ones have no -update path.
 func TestV2FixturesRead(t *testing.T) { readPackedFixtures(t, "v2", "PILGRIM2", v2Fixtures) }
 
 // TestV3FixturesRead is TestV2FixturesRead for the PILGRIM3 fixtures.
@@ -328,13 +321,7 @@ func TestV4FixturesRead(t *testing.T) {
 func readPackedFixtures(t *testing.T, dir, magic string, fixtures []packedFixture) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			path := filepath.Join("testdata", dir, fx.name+".pilgrim")
-			if *update {
-				if err := os.WriteFile(path, write(t, fx.fresh(t)), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			data, err := os.ReadFile(path)
+			data, err := os.ReadFile(filepath.Join("testdata", dir, fx.name+".pilgrim"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +350,7 @@ func readPackedFixtures(t *testing.T, dir, magic string, fixtures []packedFixtur
 // same trace with its call pack dropped.
 func TestPackStoredOnlyWhenFewerBytes(t *testing.T) {
 	f := skeleton("osu_allreduce", 16, 200, pilgrim.Options{TimingMode: trace.TimingLossy}, mpi.Options{})(t)
-	raw := asV1(f, false)
+	raw := unshaped(f, false)
 	raw.Shape = f.Shape
 	if got, want := len(write(t, f)), len(write(t, raw)); got > want {
 		t.Fatalf("%d bytes with packs, %d without", got, want)
@@ -399,12 +386,12 @@ func TestShapeRoundTripAllSkeletons(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			// Only the call section differs between the three raw bodies.
-			v1 := min(asV1(f, false).BodyStorage().Raw, asV1(f, true).BodyStorage().Raw)
+			v1 := min(unshaped(f, false).BodyStorage().Raw, unshaped(f, true).BodyStorage().Raw)
 			if got := f.BodyStorage().Raw; got > v1 {
 				t.Errorf("%s: a %d-byte raw body with shapes, %d without", name, got, v1)
 			}
 			if len(f.Representatives()) == len(f.Grammars) {
-				if !bytes.Equal(data, write(t, asV1(f, true))) {
+				if !bytes.Equal(data, write(t, unshaped(f, true))) {
 					t.Errorf("%s: no shape repeats, yet the bytes differ from a writer without shapes", name)
 				}
 			} else {

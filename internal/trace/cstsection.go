@@ -1,6 +1,6 @@
 package trace
 
-// The CST section (DESIGN §4d). Under magicTemplates it starts with a
+// The CST section (DESIGN §4d). From magicTemplates on it starts with a
 // selector: cstRaw, then the table as cst.Serialize writes it, which is
 // how every older file stores it, without the selector; or
 // cstTemplated, then the templated section: the unique templates
@@ -20,7 +20,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/sig"
 )
 
-// CST section selectors, under magicTemplates.
+// CST section selectors, from magicTemplates on.
 const (
 	cstRaw       = 0
 	cstTemplated = 1
@@ -39,14 +39,6 @@ const (
 	maxCSTSigBytes = 1 << 24
 )
 
-// storedCST is how the CST is stored: as templated (the section after
-// its selector and length) if that is non-nil, else as raw.
-type storedCST struct {
-	raw       []byte // the table as cst.Serialize writes it
-	templated []byte
-	templates int // the table's unique templates, 0 if an entry does not split
-}
-
 // CSTStorage is how the CST is stored: Form is "raw" or "templated",
 // Raw the bytes the table takes raw and Stored the bytes it takes as
 // stored, neither counting a selector or length.
@@ -56,53 +48,36 @@ type CSTStorage struct {
 	Raw, Stored        int
 }
 
-// CSTStorage reports how the CST is stored. On a File built in memory
-// it encodes the table, unless a write has.
+// CSTStorage reports how the CST is stored. The templates of a table
+// stored raw are counted on the first call. A File WriteTo refuses
+// reports zeros.
 func (f *File) CSTStorage() CSTStorage {
-	s := f.storedCST()
-	st := CSTStorage{Form: "raw", Entries: f.CST.Len(), Templates: s.templates, Raw: len(s.raw), Stored: len(s.raw)}
-	if s.templated != nil {
-		st.Form, st.Stored = "templated", len(s.templated)
+	st := f.form().cst
+	if st.Form == "raw" {
+		f.tmplOnce.Do(func() { _, f.templates = templateCST(f.CST) })
+		st.Templates = f.templates
 	}
 	return st
-}
-
-// storedCST decides, once per File, how the CST is stored. A File built
-// in memory stores it templated when that takes fewer bytes than raw; a
-// File read from a file keeps what Read set. Changing CST after a write
-// is not seen.
-func (f *File) storedCST() *storedCST {
-	f.cstOnce.Do(func() {
-		s := &f.cst
-		switch {
-		case f.read == "":
-			s.raw = f.CST.Serialize()
-			var t []byte
-			if t, s.templates = templateCST(f.CST); t != nil && 1+framedLen(len(t)) < framedLen(len(s.raw)) {
-				s.templated = t
-			}
-		case s.templated == nil:
-			_, s.templates = templateCST(f.CST)
-		}
-	})
-	return &f.cst
 }
 
 // framedLen is the number of bytes writeBytes writes for n bytes.
 func framedLen(n int) int { return uvarintLen(uint64(n)) + n }
 
-// write writes the CST section as s stores it, behind a selector under
-// magic m if m has one.
-func (s *storedCST) write(w *bytes.Buffer, m string) {
-	b := s.raw
-	if m >= magicTemplates {
-		sel := byte(cstRaw)
-		if s.templated != nil {
-			sel, b = cstTemplated, s.templated
-		}
-		w.WriteByte(sel)
+// writeCST writes the CST section of t: templated, behind cstTemplated,
+// when that takes fewer bytes than the raw table without a selector,
+// else raw behind cstRaw. It returns how t is stored, its templates
+// counted only if templated.
+func writeCST(w *bytes.Buffer, t *cst.Table) CSTStorage {
+	b := t.Serialize()
+	st := CSTStorage{Form: "raw", Entries: t.Len(), Raw: len(b), Stored: len(b)}
+	sel := byte(cstRaw)
+	if tm, n := templateCST(t); tm != nil && 1+framedLen(len(tm)) < framedLen(len(b)) {
+		sel, b = cstTemplated, tm
+		st.Form, st.Templates, st.Stored = "templated", n, len(tm)
 	}
+	w.WriteByte(sel)
 	writeBytes(w, b)
+	return st
 }
 
 // templateCST is t's templated section and its template count, or nil
@@ -268,33 +243,36 @@ func step(v, prev *int64, back bool) {
 	}
 }
 
-// cstSection reads the CST section into f, recording how it is stored.
-func (br byteReader) cstSection(f *File) error {
+// cstSection reads the CST section into f and returns how it is
+// stored, its templates counted only if templated.
+func (br byteReader) cstSection(f *File) (CSTStorage, error) {
 	sel := byte(cstRaw)
 	if br.magic >= magicTemplates {
 		var err error
 		if sel, err = br.r.ReadByte(); err != nil {
-			return err
+			return CSTStorage{}, err
 		}
 	}
 	b, err := br.bytes()
 	if err != nil {
-		return err
+		return CSTStorage{}, err
 	}
-	s := &f.cst
+	st := CSTStorage{Form: "raw", Stored: len(b)}
 	switch sel {
 	case cstRaw:
-		s.raw = b
 	case cstTemplated:
-		if s.raw, s.templates, err = untemplate(b); err != nil {
-			return err
+		if b, st.Templates, err = untemplate(b); err != nil {
+			return CSTStorage{}, err
 		}
-		s.templated = b
+		st.Form = "templated"
 	default:
-		return fmt.Errorf("trace: unknown CST selector %d", sel)
+		return CSTStorage{}, fmt.Errorf("trace: unknown CST selector %d", sel)
 	}
-	f.CST, err = cst.Deserialize(s.raw)
-	return err
+	if f.CST, err = cst.Deserialize(b); err != nil {
+		return CSTStorage{}, err
+	}
+	st.Entries, st.Raw = f.CST.Len(), len(b)
+	return st, nil
 }
 
 // untemplate rebuilds the table a templated section b stores, as

@@ -173,7 +173,7 @@ func TestReadRejectsHostileTemplates(t *testing.T) {
 // TestTemplatedFileRoundTrip: a File whose CST takes fewer bytes
 // templated is magicTemplates, stores its CST templated, reads back to
 // the same table and writes again to the same bytes; the same table
-// with one entry that does not split stays raw under the older magic.
+// with one entry that does not split is stored raw, behind cstRaw.
 func TestTemplatedFileRoundTrip(t *testing.T) {
 	f := templatedFile(t)
 	st := f.CSTStorage()
@@ -206,10 +206,10 @@ func TestTemplatedFileRoundTrip(t *testing.T) {
 	if st := f.CSTStorage(); st.Form != "raw" || st.Templates != 0 {
 		t.Fatalf("a table with an entry that does not split is stored %+v", st)
 	}
-	raw := binary.AppendUvarint(nil, uint64(len(f.CST.Serialize())))
+	raw := binary.AppendUvarint([]byte{cstRaw}, uint64(len(f.CST.Serialize())))
 	raw = append(raw, f.CST.Serialize()...)
-	if data := serialize(t, f); bytes.HasPrefix(data, []byte(magicTemplates)) || !bytes.HasPrefix(data[cstAt(f):], raw) {
-		t.Fatalf("file starts %q, and its CST is not stored as older writers store it", data[:len(magic)])
+	if data := serialize(t, f); !bytes.HasPrefix(data, []byte(magicTemplates)) || !bytes.HasPrefix(data[cstAt(f):], raw) {
+		t.Fatalf("file starts %q, and its CST is not stored raw behind its selector", data[:len(magic)])
 	}
 }
 
@@ -238,14 +238,16 @@ func TestTemplatedColumnsInEitherOrder(t *testing.T) {
 		for r := int64(0); r < 40; r++ {
 			c.add(f.CST, r)
 		}
-		s := f.storedCST()
-		if s.templated == nil {
+		data := serialize(t, f)
+		if data[cstAt(f)] != cstTemplated {
 			t.Fatalf("%s: stored raw", name)
 		}
-		if ordered := columnLayouts(s.templated)[1]&inOrder != 0; ordered != c.ordered {
+		n, k := binary.Uvarint(data[cstAt(f)+1:])
+		section := data[cstAt(f)+1+k:][:n]
+		if ordered := columnLayouts(section)[1]&inOrder != 0; ordered != c.ordered {
 			t.Errorf("%s: lifted values in template order: %v", name, ordered)
 		}
-		got, err := Read(bytes.NewReader(serialize(t, f)))
+		got, err := Read(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

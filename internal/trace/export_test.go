@@ -1,16 +1,29 @@
 package trace
 
-// TimingForms reports how f stores its duration and interval sets:
-// "packed", "deflated" or "raw" each.
+import "bytes"
+
+// rawBody is f's raw body: its stored body, inflated under magicBody.
+func rawBody(f *File) []byte {
+	s := f.form()
+	body := s.data[s.at:]
+	if string(s.data[:len(magicBody)]) == magicBody {
+		body, _ = byteReader{r: bytes.NewReader(body)}.deflatedBody()
+	}
+	return body
+}
+
+// TimingForms reports how f stores its duration and interval sets, by
+// their selectors: "packed", "deflated" or "raw" each.
 func TimingForms(f *File) (dur, intv string) {
-	form := func(s *storedSet) string {
-		switch {
-		case s.pack != nil:
+	body, ends := rawBody(f), f.form().ends
+	form := func(sel byte) string {
+		switch sel {
+		case flagHalves, flagPacked:
 			return "packed"
-		case s.z != nil:
+		case flagDeflated:
 			return "deflated"
 		}
 		return "raw"
 	}
-	return form(&f.timing[0]), form(&f.timing[1])
+	return form(body[ends[1]]), form(body[ends[2]])
 }

@@ -53,6 +53,7 @@ func TestSalvageAbsentKeepsOldFormat(t *testing.T) {
 
 	// An old-format stream is exactly the salvage-free serialization;
 	// appending the section must grow the stream, not change its prefix.
+	f = mkFile(t) // a File is fixed by its first write
 	f.Salvage = &SalvageInfo{FailedRanks: []int32{0}, Reason: "x", Calls: []int64{1, 1, 1, 1}}
 	var withInfo bytes.Buffer
 	if _, err := f.WriteTo(&withInfo); err != nil {

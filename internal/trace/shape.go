@@ -79,13 +79,13 @@ func (f *File) shaped() (*shapedSection, error) {
 
 // writeCalls writes the call section: by shape if sec is non-nil, and
 // the representatives as pack if that is non-nil (see writePackable).
-func (f *File) writeCalls(w *bytes.Buffer, sec *shapedSection, pack sequitur.Serialized, packFlag byte) {
+func (f *File) writeCalls(w *bytes.Buffer, sec *shapedSection, pack sequitur.Serialized) {
 	if sec == nil {
-		writePackable(w, f.Grammars, pack, packFlag)
+		writePackable(w, f.Grammars, pack)
 		return
 	}
 	w.WriteByte(flagShapes)
-	writePackable(w, sec.reps, pack, packFlag)
+	writePackable(w, sec.reps, pack)
 	writeIndex(w, sec.runs)
 	w.WriteByte(sec.vecEnc)
 	writeIndex(w, sec.vecs)

@@ -10,7 +10,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -34,16 +33,15 @@ const (
 )
 
 // The magic is the format version, and the magics order as their
-// versions. A file whose body — every section after the magic and the
-// header — is stored deflated (bodyDeflated) starts magicBody. Its raw
-// body is a magicTemplates body. A file whose body is stored raw and
-// that stores its CST templated (cstTemplated) starts magicTemplates.
-// Otherwise a file that stores any section by the final Sequitur pass
-// (flagPacked) starts magicPack, a file whose call section is stored by
-// shape (flagShapes) magicShapes, and every other file magic. Files of
-// the two oldest versions may hold packs of the older alphabet
-// (flagHalves). Older writers stored timing sets deflated
-// (flagDeflated) under magicDeflate and magicTemplates.
+// versions. The writer stores a body — every section after the magic
+// and the header — raw under magicTemplates, or, from minDeflatedBody
+// up when that takes fewer bytes, as one deflate stream (bodyDeflated)
+// under magicBody, whose raw body is a magicTemplates body. The older
+// magics are read only: under magic the calls are a grammar set, under
+// magicShapes they may be stored by shape (flagShapes), under magicPack
+// a pack is of today's alphabet (flagPacked), and under magicDeflate
+// timing sets may be stored deflated (flagDeflated); only from
+// magicTemplates on does the CST section have a selector.
 const (
 	magic          = "PILGRIM1"
 	magicShapes    = "PILGRIM2"
@@ -56,7 +54,8 @@ const (
 // Grammar set selectors. flagHalves only under magic and magicShapes,
 // flagPacked under every later magic, flagShapes, in the call section,
 // under every magic but magic, and flagDeflated, in a timing section,
-// only under magicDeflate and magicTemplates.
+// only under magicDeflate and magicTemplates. The writer stores a set
+// raw or by flagPacked, and the calls also by flagShapes.
 const (
 	flagRaw      = 0
 	flagHalves   = 1 // sequitur.UnpackHalves reads the pack
@@ -70,10 +69,14 @@ const (
 // takes 1.8 times as long for 3 % less.
 const deflateLevel = 4
 
-// minDeflatedBody is the smallest raw body the writer deflates. Each
-// flate.NewWriter allocates about 700 KB of hash state: deflating every
-// body took a 16-rank stencil's 1.2 KB trace from 0.35 to 0.6 ms of
-// finalize, for a few hundred bytes.
+// minDeflatedBody is the smallest raw body the writer deflates. Below
+// it deflating costs more finalize time than its bytes are worth: with
+// no floor and one level-4 flate.Writer reused for every body (held
+// under a mutex, Reset per body), a stencil2d 16×2000 trace of
+// 1.2 KB shrank to 461 B, but its finalize rose in 4 of 4 alternating
+// pairs, 0.370 / 0.376 / 0.314 / 0.298 → 0.488 / 0.441 / 0.411 /
+// 0.514 ms (+17 to +72 %). A sync.Pool would not keep the writer
+// across the collections a run forces between its stages.
 const minDeflatedBody = 4 << 10
 
 // halves reports whether a file of magic m holds packs of the older
@@ -105,7 +108,11 @@ func (e *TimingBaseError) Error() string {
 // must not be modified: the slice from GrammarIndex, and the Args
 // (including nested Arr slices) of decoded signatures. Changing
 // RankMap, Grammars or CST after a read method has run is not seen.
-// Because it carries that state a File must not be copied by value.
+// Likewise the first of WriteTo, SizeBytes, SectionSizes, BodyStorage
+// and CSTStorage lays a File built in memory out once, and all of them
+// read that stored form; a File Read gives stores the bytes it was read
+// from. Because it carries that state a File must not be copied by
+// value.
 type File struct {
 	NumRanks   int
 	TimingMode uint8
@@ -143,27 +150,16 @@ type File struct {
 	// readers simply ignore the tail.
 	Salvage *SalvageInfo
 
-	// read is the magic of the file Read parsed this File from, "" for
-	// a File built in memory. A File read from a file writes back to its
-	// bytes: the magic, each pack in its alphabet, each section stored
-	// as it was read.
-	read string
+	// The stored form: laid out by the first write of a File built in
+	// memory, or kept by Read as it read it. Once it is set, changing
+	// the File is not seen.
+	formOnce sync.Once
+	stored   form
 
-	// How the duration and interval sets are stored, as Read found
-	// them; a File built in memory stores them raw.
-	timing [2]storedSet
-
-	// The deflated body: computed on the first write of a File built in
-	// memory whose body reaches minDeflatedBody (deflating is the costly
-	// part of a write), or set by Read. Once it is, changing the File is
-	// not seen.
-	bodyOnce sync.Once
-	deflated storedBody
-
-	// How the CST is stored: decided on the first write of a File built
-	// in memory, or set by Read (see storedCST).
-	cstOnce sync.Once
-	cst     storedCST
+	// The unique templates of a CST stored raw, counted on the first
+	// CSTStorage.
+	tmplOnce  sync.Once
+	templates int
 
 	// Read-path memo (see the type comment): the validated rank map
 	// expansion, and one lazily decoded slot per CST entry.
@@ -297,100 +293,75 @@ func writeIndex(w *bytes.Buffer, idx []int32) {
 	writeBytes(w, appendInts(make([]byte, 0, len(idx)*2+8), idx))
 }
 
-// WriteTo serializes the trace. It fails without writing when Shape
-// does not describe Grammars.
-func (f *File) WriteTo(w io.Writer) (int64, error) { return f.write(w, f.shaped) }
+// form is how a trace is stored: data, the bytes WriteTo writes, whose
+// body starts at at and takes raw bytes raw; ends, the offsets in the
+// raw body at which the CST section, the call section with the rank
+// map, and each timing set with its index end; and how the CST is
+// stored. A File WriteTo refuses has only err, why.
+type form struct {
+	data    []byte
+	at, raw int
+	ends    [4]int
+	cst     CSTStorage
+	err     error
+}
 
-// write serializes the trace with the call section sec gives (see
-// writeCalls): the magic, the header (the rank count, the timing mode
-// and the timing base), then the body, raw or, under magicBody, as its
-// selector, its raw length and its compress/flate stream.
-func (f *File) write(w io.Writer, sec func() (*shapedSection, error)) (int64, error) {
-	m, body, z, err := f.body(sec)
-	if err != nil {
-		return 0, err
+// form returns f's stored form, laying a File built in memory out on
+// the first call (see layout); Read sets a read File's.
+func (f *File) form() *form {
+	f.formOnce.Do(func() { f.stored = f.layout() })
+	return &f.stored
+}
+
+// WriteTo writes the trace's stored form. It fails without writing
+// when Shape does not describe Grammars.
+func (f *File) WriteTo(w io.Writer) (int64, error) {
+	s := f.form()
+	if s.err != nil {
+		return 0, s.err
 	}
-	head := binary.AppendUvarint([]byte(m), uint64(f.NumRanks))
-	head = append(head, f.TimingMode)
-	head = binary.AppendUvarint(head, math.Float64bits(f.TimingBase))
-	if z != nil {
-		head = append(head, bodyDeflated)
-		head = binary.AppendUvarint(head, uint64(z.raw))
-		head = binary.AppendUvarint(head, uint64(len(z.z)))
-		body = z.z
-	}
-	n, err := w.Write(head)
-	if err == nil {
-		var k int
-		k, err = w.Write(body)
-		n += k
-	}
+	n, err := w.Write(s.data)
 	return int64(n), err
 }
 
-// body returns the magic f is written under and its body, raw or, under
-// magicBody, deflated (z non-nil), with the call section sec gives (see
-// writeCalls); it fails where sec does. A File read from a file keeps
-// its magic and stores its body as it was read. A File built in memory
-// decides on its first write whether it deflates its body (see
-// deflate); a deflated body is never laid out again.
-func (f *File) body(sec func() (*shapedSection, error)) (m string, raw []byte, z *storedBody, err error) {
-	if f.read == "" {
-		f.bodyOnce.Do(func() { m, raw, f.deflated, err = f.deflate(sec) })
-	}
-	switch {
-	case f.read == magicBody || f.deflated.z != nil:
-		return magicBody, nil, &f.deflated, nil
-	case raw != nil || err != nil: // the first write's
-		return m, raw, nil, err
-	}
-	s, err := sec()
+// layout lays out a File built in memory: the magic, the header (the
+// rank count, the timing mode and the timing base), then the body raw
+// under magicTemplates, or, if it takes at least minDeflatedBody bytes
+// and the stream fewer, under magicBody as its selector, its raw length
+// and its compress/flate stream.
+func (f *File) layout() form {
+	sec, err := f.shaped()
 	if err != nil {
-		return "", nil, nil, err
+		return form{err: err}
 	}
-	if m = f.read; m == "" {
-		m = f.rawMagic(s)
-	}
-	raw, _ = f.writeBody(m, s)
-	return m, raw, nil, nil
+	return f.lay(sec)
 }
 
-// deflate lays out the body of a File built in memory and returns its
-// magic and raw bytes, and its deflated form when the raw body takes at
-// least minDeflatedBody bytes and the stream fewer; else the zero
-// storedBody. The stream holds the body as magicBody lays it out.
-func (f *File) deflate(sec func() (*shapedSection, error)) (string, []byte, storedBody, error) {
-	s, err := sec()
-	if err != nil {
-		return "", nil, storedBody{}, err
+// lay is layout with the call section sec (see writeCalls).
+func (f *File) lay(sec *shapedSection) form {
+	w := bytes.NewBuffer(f.header(magicTemplates))
+	s := form{at: w.Len()}
+	s.ends, s.cst = f.writeBody(w, sec)
+	s.data = w.Bytes()
+	body := s.data[s.at:]
+	if s.raw = len(body); s.raw < minDeflatedBody || s.raw > maxDeflatedRaw {
+		return s
 	}
-	m := f.rawMagic(s)
-	raw, _ := f.writeBody(m, s)
-	if len(raw) < minDeflatedBody || len(raw) > maxDeflatedRaw {
-		return m, raw, storedBody{}, nil
+	z := deflateBody(body)
+	d := append(f.header(magicBody), bodyDeflated)
+	d = binary.AppendUvarint(d, uint64(s.raw))
+	if d = binary.AppendUvarint(d, uint64(len(z))); len(d)+len(z) < len(s.data) {
+		s.data = append(d, z...)
 	}
-	b := raw
-	if m != magicTemplates { // an older magic's CST has no selector
-		b, _ = f.writeBody(magicBody, s)
-	}
-	if d := (storedBody{z: deflateBody(b), raw: len(b)}); d.len() < len(raw) {
-		return magicBody, nil, d, nil
-	}
-	return m, raw, storedBody{}, nil
+	return s
 }
 
-// rawMagic is the magic of a File built in memory whose body is stored
-// raw (see magicBody).
-func (f *File) rawMagic(sec *shapedSection) string {
-	switch {
-	case f.storedCST().templated != nil:
-		return magicTemplates
-	case f.stored(f.calls(sec), f.Packed) != nil || f.timing[0].pack != nil || f.timing[1].pack != nil:
-		return magicPack
-	case sec != nil:
-		return magicShapes
-	}
-	return magic
+// header is the magic m, then the rank count, the timing mode and the
+// timing base.
+func (f *File) header(m string) []byte {
+	head := binary.AppendUvarint([]byte(m), uint64(f.NumRanks))
+	head = append(head, f.TimingMode)
+	return binary.AppendUvarint(head, math.Float64bits(f.TimingBase))
 }
 
 // calls is the grammar set f's call section stores: the
@@ -403,31 +374,29 @@ func (f *File) calls(sec *shapedSection) []sequitur.Serialized {
 	return f.Grammars
 }
 
-// writeBody serializes the body as a file of magic m stores it. ends
-// holds the offsets at which the CST section, the call section with the
-// rank map, and each timing set with its index end.
-func (f *File) writeBody(m string, sec *shapedSection) (body []byte, ends [4]int) {
-	packFlag := byte(flagPacked)
-	if halves(m) {
-		packFlag = flagHalves
-	}
-	var w bytes.Buffer
-	f.storedCST().write(&w, m)
-	ends[0] = w.Len()
-	f.writeCalls(&w, sec, f.stored(f.calls(sec), f.Packed), packFlag)
-	writeGrammar(&w, f.RankMap)
-	ends[1] = w.Len()
-	f.timing[0].write(&w, f.DurGrammars, packFlag)
-	writeIndex(&w, f.DurIndex)
-	ends[2] = w.Len()
-	f.timing[1].write(&w, f.IntGrammars, packFlag)
-	writeIndex(&w, f.IntIndex)
-	ends[3] = w.Len()
+// writeBody appends the body to w: the CST section (see writeCST), the
+// call section (see writeCalls) with the rank map, the timing sets raw
+// with their indices, and the salvage section if there is one. It
+// returns the offsets from the body's start at which the first four
+// end, and how the CST is stored.
+func (f *File) writeBody(w *bytes.Buffer, sec *shapedSection) (ends [4]int, st CSTStorage) {
+	at := w.Len()
+	st = writeCST(w, f.CST)
+	ends[0] = w.Len() - at
+	f.writeCalls(w, sec, storedPack(f.calls(sec), f.Packed))
+	writeGrammar(w, f.RankMap)
+	ends[1] = w.Len() - at
+	writePackable(w, f.DurGrammars, nil)
+	writeIndex(w, f.DurIndex)
+	ends[2] = w.Len() - at
+	writePackable(w, f.IntGrammars, nil)
+	writeIndex(w, f.IntIndex)
+	ends[3] = w.Len() - at
 	if f.Salvage != nil {
 		w.WriteByte(1)
-		writeBytes(&w, f.Salvage.serialize())
+		writeBytes(w, f.Salvage.serialize())
 	}
-	return w.Bytes(), ends
+	return ends, st
 }
 
 func (s *SalvageInfo) serialize() []byte {
@@ -491,11 +460,10 @@ func deserializeSalvage(data []byte) (*SalvageInfo, error) {
 	return s, nil
 }
 
-// stored returns pack if the file stores it instead of the grammar set
-// gs, else nil: it does when the pack takes fewer bytes. A File read
-// from a file stores the packs it was read with.
-func (f *File) stored(gs []sequitur.Serialized, pack sequitur.Serialized) sequitur.Serialized {
-	if pack == nil || f.read != "" || grammarLen(pack) < setLen(gs) {
+// storedPack returns pack if the file stores it instead of the grammar
+// set gs, else nil: it does when the pack takes fewer bytes.
+func storedPack(gs []sequitur.Serialized, pack sequitur.Serialized) sequitur.Serialized {
+	if pack != nil && grammarLen(pack) < setLen(gs) {
 		return pack
 	}
 	return nil
@@ -523,10 +491,10 @@ func grammarLen(g sequitur.Serialized) int {
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // writePackable writes a grammar set behind a selector byte: as pack,
-// under packFlag, if pack is non-nil, else raw.
-func writePackable(w *bytes.Buffer, gs []sequitur.Serialized, pack sequitur.Serialized, packFlag byte) {
+// under flagPacked, if pack is non-nil, else raw.
+func writePackable(w *bytes.Buffer, gs []sequitur.Serialized, pack sequitur.Serialized) {
 	if pack != nil {
-		w.WriteByte(packFlag)
+		w.WriteByte(flagPacked)
 		writeGrammar(w, pack)
 		return
 	}
@@ -596,13 +564,13 @@ func unpackBounded(pack sequitur.Serialized, max int, flag byte) ([]sequitur.Ser
 }
 
 // SizeBytes returns the serialized size of the trace — the "trace file
-// size" every figure reports.
+// size" every figure reports — or -1 for a File WriteTo refuses.
 func (f *File) SizeBytes() int {
-	n, err := f.WriteTo(io.Discard)
-	if err != nil {
+	s := f.form()
+	if s.err != nil {
 		return -1
 	}
-	return int(n)
+	return len(s.data)
 }
 
 // SectionSizes reports the bytes the main sections take in the body,
@@ -611,12 +579,7 @@ func (f *File) SizeBytes() int {
 // its index. With a salvage section they are the raw body. A File
 // WriteTo refuses reports zeros.
 func (f *File) SectionSizes() (cstB, cfgB, durB, intB int) {
-	m, _, _, err := f.body(f.shaped)
-	sec, serr := f.shaped()
-	if err != nil || serr != nil {
-		return
-	}
-	_, e := f.writeBody(m, sec)
+	e := f.form().ends
 	return e[0], e[1] - e[0], e[2] - e[1], e[3] - e[2]
 }
 
@@ -635,34 +598,25 @@ func (f *File) UncompressedEstimate() int64 {
 // --- reading -----------------------------------------------------------------
 
 type byteReader struct {
-	r interface {
-		io.Reader
-		io.ByteReader
-	}
+	r     *bytes.Reader
 	magic string // the file's, which decides the selectors it may hold
 }
+
+// off is the offset br has read to.
+func (br byteReader) off() int { return int(br.r.Size()) - br.r.Len() }
 
 func (br byteReader) bytes() ([]byte, error) {
 	n, err := binary.ReadUvarint(br.r)
 	if err != nil {
 		return nil, err
 	}
-	// Never trust a length from the wire: read in bounded chunks so a
-	// corrupt huge length fails at EOF instead of exhausting memory.
-	const chunk = 1 << 20
-	var b []byte
-	for remaining := n; remaining > 0; {
-		step := remaining
-		if step > chunk {
-			step = chunk
-		}
-		start := len(b)
-		b = append(b, make([]byte, step)...)
-		if _, err := io.ReadFull(br.r, b[start:]); err != nil {
-			return nil, err
-		}
-		remaining -= step
+	// Never trust a length from the wire: a corrupt huge length fails
+	// here instead of allocating it.
+	if n > uint64(br.r.Len()) {
+		return nil, io.ErrUnexpectedEOF
 	}
+	b := make([]byte, n)
+	br.r.Read(b) // n is at most Len, so it fills b
 	return b, nil
 }
 
@@ -742,9 +696,14 @@ func varints[T int32 | int64](b []byte) ([]T, int, error) {
 	return vs, at, nil
 }
 
-// Read parses a trace file.
+// Read parses a trace file. The File keeps the file's bytes, which it
+// writes back as they are, and records where each section ends.
 func Read(r io.Reader) (*File, error) {
-	br := byteReader{r: bufio.NewReader(r)}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	br := byteReader{r: bytes.NewReader(data)}
 	m := make([]byte, len(magic))
 	if _, err := io.ReadFull(br.r, m); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
@@ -754,7 +713,7 @@ func Read(r io.Reader) (*File, error) {
 	default:
 		return nil, fmt.Errorf("trace: bad magic %q", m)
 	}
-	f := &File{read: br.magic}
+	f := &File{}
 	n, err := binary.ReadUvarint(br.r)
 	if err != nil {
 		return nil, err
@@ -777,33 +736,39 @@ func Read(r io.Reader) (*File, error) {
 	if f.TimingMode == TimingLossy && !timing.ValidBase(f.TimingBase) {
 		return nil, &TimingBaseError{Base: f.TimingBase}
 	}
-	if br.magic != magicBody {
-		if err := br.body(f); err != nil {
+	s := form{data: data, at: br.off()}
+	s.raw = len(data) - s.at
+	if br.magic == magicBody {
+		raw, err := br.deflatedBody()
+		if err != nil {
 			return nil, err
 		}
-		return f, nil
+		br = byteReader{r: bytes.NewReader(raw), magic: magicBody}
+		s.raw = len(raw)
 	}
-	rd, err := br.deflatedBody(&f.deflated)
-	if err != nil {
+	if s.ends, s.cst, err = br.body(f); err != nil {
 		return nil, err
 	}
-	if err := (byteReader{r: rd, magic: magicBody}).body(f); err != nil {
-		return nil, err
+	if br.magic == magicBody && br.r.Len() != 0 {
+		return nil, fmt.Errorf("trace: %d bytes past the body's salvage section", br.r.Len())
 	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("trace: %d bytes past the body's salvage section", rd.Len())
-	}
+	f.formOnce.Do(func() { f.stored = s })
 	return f, nil
 }
 
-// body reads the sections after the header into f.
-func (br byteReader) body(f *File) error {
-	if err := br.cstSection(f); err != nil {
-		return err
+// body reads the sections after the header into f. It returns the
+// offsets from where it starts at which the CST section, the call
+// section with the rank map, and each timing set with its index end,
+// and how the CST is stored.
+func (br byteReader) body(f *File) (ends [4]int, st CSTStorage, err error) {
+	at := br.off()
+	if st, err = br.cstSection(f); err != nil {
+		return
 	}
+	ends[0] = br.off() - at
 	flag, err := br.r.ReadByte()
 	if err != nil {
-		return err
+		return
 	}
 	switch {
 	case flag == flagShapes && br.magic != magic:
@@ -814,41 +779,45 @@ func (br byteReader) body(f *File) error {
 		f.Grammars, f.Packed, err = br.packable(flag, f.NumRanks)
 	}
 	if err != nil {
-		return err
+		return
 	}
 	if f.RankMap, err = br.grammar(); err != nil {
-		return err
+		return
 	}
-	if f.DurGrammars, err = br.timingSet(&f.timing[0], f.NumRanks); err != nil {
-		return err
+	ends[1] = br.off() - at
+	if f.DurGrammars, err = br.timingSet(f.NumRanks); err != nil {
+		return
 	}
 	if f.DurIndex, err = br.index(); err != nil {
-		return err
+		return
 	}
-	if f.IntGrammars, err = br.timingSet(&f.timing[1], f.NumRanks); err != nil {
-		return err
+	ends[2] = br.off() - at
+	if f.IntGrammars, err = br.timingSet(f.NumRanks); err != nil {
+		return
 	}
 	if f.IntIndex, err = br.index(); err != nil {
-		return err
+		return
 	}
+	ends[3] = br.off() - at
 	// Optional trailing salvage section: absent (EOF here) in normal
 	// traces and in files from older writers.
 	flag, err = br.r.ReadByte()
 	if err == io.EOF {
-		return nil
+		return ends, st, nil
 	}
 	if err != nil {
-		return err
+		return
 	}
 	if flag != 1 {
-		return fmt.Errorf("trace: bad trailing section flag %d", flag)
+		err = fmt.Errorf("trace: bad trailing section flag %d", flag)
+		return
 	}
 	sb, err := br.bytes()
 	if err != nil {
-		return err
+		return
 	}
 	f.Salvage, err = deserializeSalvage(sb)
-	return err
+	return
 }
 
 // Save writes the trace to a file path.

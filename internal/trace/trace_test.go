@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"slices"
 	"testing"
@@ -212,7 +213,7 @@ func TestSectionSizesConsistent(t *testing.T) {
 	}
 	// The sections and a salvage section are the raw body, deflated or
 	// not.
-	for _, f := range []*File{mkFile(t), richFile(t), deflatedFile(t), templatedFile(t), bodyFile(t)} {
+	for _, f := range []*File{mkFile(t), richFile(t), readTB(t, deflatedFile(t)), templatedFile(t), bodyFile(t)} {
 		cstB, cfgB, durB, intB := f.SectionSizes()
 		salvage := 0
 		if f.Salvage != nil {
@@ -224,12 +225,42 @@ func TestSectionSizesConsistent(t *testing.T) {
 	}
 	// A deflated timing set counts the bytes it is stored in, with its
 	// selector and its index.
-	f = deflatedFile(t)
+	data := deflatedFile(t)
+	f = readTB(t, data)
 	_, _, durB, intB = f.SectionSizes()
-	idx := framedLen(len(appendInts(nil, f.DurIndex)))
 	for i, b := range []int{durB, intB} {
-		if s := &f.timing[i]; b != 1+uvarintLen(uint64(s.raw))+framedLen(len(s.z))+idx {
-			t.Fatalf("deflated section %d takes %d bytes, its stream %d", i, b, len(s.z))
+		d := findDeflatedSet(t, data, i)
+		idx := framedLen(len(appendInts(nil, [][]int32{f.DurIndex, f.IntIndex}[i])))
+		if b != 1+uvarintLen(uint64(d.raw))+framedLen(len(d.z))+idx {
+			t.Fatalf("deflated section %d takes %d bytes, its stream %d", i, b, len(d.z))
+		}
+	}
+}
+
+// TestLaterCallsReadTheStoredForm: after the first write of a File
+// built in memory whose body is raw, a later WriteTo allocates at most
+// once, and SectionSizes and BodyStorage allocate nothing: each reads
+// the form the first write laid out.
+func TestLaterCallsReadTheStoredForm(t *testing.T) {
+	f := shapedFile(t)
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.BodyStorage(); st.Form != "raw" {
+		t.Fatalf("shapedFile stores its body %+v", st)
+	}
+	for name, call := range map[string]func(){
+		"WriteTo":      func() { f.WriteTo(io.Discard) },
+		"SectionSizes": func() { f.SectionSizes() },
+		"BodyStorage":  func() { f.BodyStorage() },
+	} {
+		want := 0.0
+		if name == "WriteTo" {
+			want = 1
+		}
+		if n := testing.AllocsPerRun(20, call); n > want {
+			t.Errorf("a later %s allocates %v times", name, n)
 		}
 	}
 }
