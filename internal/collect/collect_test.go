@@ -2,6 +2,8 @@ package collect_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -17,6 +19,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/wire"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
@@ -557,6 +560,60 @@ func TestHostileTerminalRefusedRunSurvives(t *testing.T) {
 		if m.IngestSnapshots.Load() != n || m.DupSnapshots.Load() != 0 || m.FinalizedRuns.Load() != 1 {
 			t.Fatalf("%s: ingested %d (want %d), duplicates %d (want 0), finalized runs %d (want 1)",
 				name, m.IngestSnapshots.Load(), n, m.DupSnapshots.Load(), m.FinalizedRuns.Load())
+		}
+	}
+}
+
+// withEntryCount is s encoded with its CST entry 0's call count
+// replaced by count.
+func withEntryCount(s *core.Snapshot, count int64) []byte {
+	body, tb := wire.EncodeSnapshot(s), s.Table.AppendExact(nil)
+	at := bytes.Index(body, tb)
+	prefix := len(binary.AppendUvarint(nil, uint64(len(tb))))
+	_, k := binary.Uvarint(tb)
+	l, m := binary.Uvarint(tb[k:])
+	c := k + m + int(l) // entry 0's count, past the entry count and its signature
+	_, old := binary.Varint(tb[c:])
+	patched := binary.AppendVarint(append([]byte(nil), tb[:c]...), count)
+	patched = append(patched, tb[c+old:]...)
+	out := binary.AppendUvarint(append([]byte(nil), body[:at-prefix]...), uint64(len(patched)))
+	return append(append(out, patched...), body[at+len(tb):]...)
+}
+
+// TestUncalledEntryRefused: a snapshot whose CST entry claims 0 or -5
+// calls decodes to a table the trace reader refuses, so the collector
+// refuses it with an AckError, counted, instead of finalizing a trace
+// no reader can open. The run then finalizes from the rank's honest
+// snapshot to a trace that reads.
+func TestUncalledEntryRefused(t *testing.T) {
+	snap := traceWorkload(t, 1)[0]
+	srv := startServer(t, collect.Config{})
+	rc, err := collect.DialRaw(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for i, count := range []int64{0, -5} {
+		runID := fmt.Sprintf("uncalled-%d", i)
+		hello := wire.AppendFrame(nil, wire.TypeHello, (&wire.Hello{Version: wire.Version, RunID: runID, WorldSize: 1}).Encode())
+		before := srv.Metrics().RejectedSnapshots.Load()
+		ack, nack, err := rc.SendPair(hello, wire.AppendFrame(nil, wire.TypeSnapshot, withEntryCount(snap, count)))
+		if err != nil || nack != nil || ack.Status != wire.AckError {
+			t.Fatalf("entry of %d calls: ack %+v, nack %+v, %v; want an AckError", count, ack, nack, err)
+		}
+		if got := srv.Metrics().RejectedSnapshots.Load(); got != before+1 {
+			t.Fatalf("entry of %d calls: rejected counter %d, want %d", count, got, before+1)
+		}
+		ack, _, err = rc.SendPair(hello, wire.AppendFrame(nil, wire.TypeSnapshot, wire.EncodeSnapshot(snap)))
+		if err != nil || ack.Status != wire.AckOK {
+			t.Fatalf("honest snapshot after the refused one: ack %+v, %v", ack, err)
+		}
+		data, err := rc.WaitTrace(runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.Read(bytes.NewReader(data)); err != nil {
+			t.Fatalf("run %s serves a trace the reader refuses: %v", runID, err)
 		}
 	}
 }

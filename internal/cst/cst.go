@@ -200,31 +200,82 @@ func (inc *Incremental) Result() Merged {
 
 // --- serialization -----------------------------------------------------------
 
-// Serialize flattens the table: varint count, then per entry
-// (len, bytes, callCount, avgDuration). Storing the average rather
-// than the sum keeps entry width independent of run length, matching
-// the paper's "we keep the average for calls' duration" (§3.2).
-func (t *Table) Serialize() []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(t.sigs)))
+// A table has two stored forms, one layout: a varint count, then per
+// entry (len, bytes, callCount, duration). The file form (Serialize)
+// stores each entry's average duration, which keeps entry width
+// independent of run length, matching the paper's "we keep the average
+// for calls' duration" (§3.2). The exact form (AppendExact) stores the
+// duration sum: a snapshot in flight to a collector must keep it, so
+// the merged global table, and so the trace file, is byte-identical to
+// an in-process merge. Each form is written by appendForm and read by
+// parse.
+
+// Serialize returns the table's file form.
+func (t *Table) Serialize() []byte { return t.appendForm(nil, false) }
+
+// Deserialize parses a table's file form.
+func Deserialize(data []byte) (*Table, error) { return parse(data, false) }
+
+// AppendExact appends the table's exact form to dst. A snapshot encoder
+// lays it straight into its own buffer.
+func (t *Table) AppendExact(dst []byte) []byte { return t.appendForm(dst, true) }
+
+// DeserializeExact parses a table's exact form.
+func DeserializeExact(data []byte) (*Table, error) { return parse(data, true) }
+
+// appendForm appends the table's exact form, or else its file form.
+func (t *Table) appendForm(dst []byte, exact bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(t.sigs)))
 	for i, key := range t.sigs {
-		buf = binary.AppendUvarint(buf, uint64(len(key)))
-		buf = append(buf, key...)
-		buf = binary.AppendVarint(buf, t.count[i])
-		buf = binary.AppendVarint(buf, t.AvgDuration(int32(i)))
+		dst = binary.AppendUvarint(dst, uint64(len(key)))
+		dst = append(dst, key...)
+		dst = binary.AppendVarint(dst, t.count[i])
+		if exact {
+			dst = binary.AppendVarint(dst, t.durSum[i])
+		} else {
+			dst = binary.AppendVarint(dst, t.AvgDuration(int32(i)))
+		}
 	}
-	return buf
+	return dst
 }
 
-// Deserialize parses a serialized table.
-func Deserialize(data []byte) (*Table, error) {
-	t := New()
-	pos := 0
-	n, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
+// ExactSize is the length of the exact form, computed without building
+// it: what a caller needs to size a buffer (and write the table's
+// length prefix) before AppendExact fills it.
+func (t *Table) ExactSize() int {
+	n := uvarintLen(uint64(len(t.sigs)))
+	for i, key := range t.sigs {
+		n += uvarintLen(uint64(len(key))) + len(key) + varintLen(t.count[i]) + varintLen(t.durSum[i])
+	}
+	return n
+}
+
+// uvarintLen and varintLen are the encoded sizes binary.AppendUvarint
+// and binary.AppendVarint produce.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// parse reads a table's exact form, or else its file form. It sits on
+// the trace reader's and the collector's ingest paths, so it refuses
+// what no writer writes and allocates once: the entry count is checked
+// against the bytes present (an entry takes at least 3), then every
+// slice and the signature index are sized to it. Every entry was called
+// at least once, no signature repeats, and in the file form the
+// duration sum, average × count, must be an int64.
+func parse(data []byte, exact bool) (*Table, error) {
+	n, pos := binary.Uvarint(data)
+	if pos <= 0 {
 		return nil, fmt.Errorf("cst: truncated count")
 	}
-	pos += k
+	if n > uint64(len(data)-pos)/3 {
+		return nil, fmt.Errorf("cst: %d entries claimed in %d bytes", n, len(data)-pos)
+	}
+	t := &Table{
+		bySig:  make(map[string]int32, n),
+		sigs:   make([]string, 0, n),
+		count:  make([]int64, 0, n),
+		durSum: make([]int64, 0, n),
+	}
 	for i := uint64(0); i < n; i++ {
 		l, k := binary.Uvarint(data[pos:])
 		if k <= 0 {
@@ -244,15 +295,19 @@ func Deserialize(data []byte) (*Table, error) {
 			return nil, fmt.Errorf("cst: truncated entry %d count", i)
 		}
 		pos += k
-		avg, k := binary.Varint(data[pos:])
+		dur, k := binary.Varint(data[pos:])
 		if k <= 0 {
 			return nil, fmt.Errorf("cst: truncated entry %d duration", i)
 		}
 		pos += k
-		// Every entry was called at least once, and its duration sum,
-		// avg × count, must be an int64.
-		if cnt < 1 || avg > math.MaxInt64/cnt || avg < math.MinInt64/cnt {
-			return nil, fmt.Errorf("cst: entry %d: %d calls averaging %d", i, cnt, avg)
+		switch {
+		case cnt < 1:
+			return nil, fmt.Errorf("cst: entry %d: %d calls", i, cnt)
+		case exact:
+		case dur > math.MaxInt64/cnt || dur < math.MinInt64/cnt:
+			return nil, fmt.Errorf("cst: entry %d: %d calls averaging %d", i, cnt, dur)
+		default:
+			dur *= cnt
 		}
 		if _, dup := t.bySig[key]; dup {
 			return nil, fmt.Errorf("cst: duplicate signature in entry %d", i)
@@ -260,99 +315,7 @@ func Deserialize(data []byte) (*Table, error) {
 		t.bySig[key] = int32(len(t.sigs))
 		t.sigs = append(t.sigs, key)
 		t.count = append(t.count, cnt)
-		t.durSum = append(t.durSum, avg*cnt)
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("cst: %d trailing bytes", len(data)-pos)
-	}
-	return t, nil
-}
-
-// AppendExact appends the table's exact form to dst: varint count, then
-// per entry (len, bytes, callCount, durSum). The on-disk format
-// (Serialize) stores the average, which rounds; a snapshot in flight
-// to a collector must preserve the sum so the merged global table —
-// and therefore the final trace file — is byte-identical to an
-// in-process merge. A snapshot encoder lays it straight into its own
-// buffer.
-func (t *Table) AppendExact(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(t.sigs)))
-	for i, key := range t.sigs {
-		dst = binary.AppendUvarint(dst, uint64(len(key)))
-		dst = append(dst, key...)
-		dst = binary.AppendVarint(dst, t.count[i])
-		dst = binary.AppendVarint(dst, t.durSum[i])
-	}
-	return dst
-}
-
-// ExactSize is the length of the AppendExact form, computed without
-// building it: what a caller needs to size a buffer (and write the
-// table's length prefix) before AppendExact fills it.
-func (t *Table) ExactSize() int {
-	n := uvarintLen(uint64(len(t.sigs)))
-	for i, key := range t.sigs {
-		n += uvarintLen(uint64(len(key))) + len(key) + varintLen(t.count[i]) + varintLen(t.durSum[i])
-	}
-	return n
-}
-
-// uvarintLen and varintLen are the encoded sizes binary.AppendUvarint
-// and binary.AppendVarint produce.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
-
-// DeserializeExact parses an AppendExact-encoded table. It is the
-// collector ingest path's decoder, so allocation is lean: the entry
-// count is validated against the bytes present (each entry costs at
-// least 3 bytes), then every slice and the signature index are sized
-// exactly once — no append-growth churn per arriving snapshot.
-func DeserializeExact(data []byte) (*Table, error) {
-	t := New()
-	pos := 0
-	n, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
-		return nil, fmt.Errorf("cst: truncated count")
-	}
-	pos += k
-	if n > uint64(len(data)-pos)/3 {
-		return nil, fmt.Errorf("cst: %d entries claimed in %d bytes", n, len(data)-pos)
-	}
-	if n > 0 {
-		t.bySig = make(map[string]int32, n)
-		t.sigs = make([]string, 0, n)
-		t.count = make([]int64, 0, n)
-		t.durSum = make([]int64, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(data[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("cst: truncated entry %d length", i)
-		}
-		pos += k
-		// Same uint64 comparison as Deserialize: int(l) may wrap.
-		if l > uint64(len(data)-pos) {
-			return nil, fmt.Errorf("cst: truncated entry %d bytes", i)
-		}
-		key := string(data[pos : pos+int(l)])
-		pos += int(l)
-		cnt, k := binary.Varint(data[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("cst: truncated entry %d count", i)
-		}
-		pos += k
-		sum, k := binary.Varint(data[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("cst: truncated entry %d duration sum", i)
-		}
-		pos += k
-		if _, dup := t.bySig[key]; dup {
-			return nil, fmt.Errorf("cst: duplicate signature in entry %d", i)
-		}
-		t.bySig[key] = int32(len(t.sigs))
-		t.sigs = append(t.sigs, key)
-		t.count = append(t.count, cnt)
-		t.durSum = append(t.durSum, sum)
+		t.durSum = append(t.durSum, dur)
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("cst: %d trailing bytes", len(data)-pos)

@@ -54,23 +54,42 @@ func TestDeserializeExhaustiveCorruption(t *testing.T) {
 	}
 }
 
+// FuzzDeserialize runs both stored forms of a table over the same
+// bytes. What either accepts is internally consistent, and what the
+// exact form accepts is a table the file form writes and reads back
+// with the same signatures and call counts.
 func FuzzDeserialize(f *testing.F) {
 	tb := New()
 	tb.Add([]byte("sigA"), 100)
 	tb.Add([]byte("sigB"), 200)
+	tb.Add([]byte("sigB"), 301)
 	f.Add(tb.Serialize())
+	f.Add(tb.SerializeExact())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Deserialize(data)
+		if got, err := Deserialize(data); err == nil {
+			for i := int32(0); int(i) < got.Len(); i++ {
+				got.Sig(i)
+				got.AvgDuration(i)
+			}
+			got.Serialize()
+		}
+		exact, err := DeserializeExact(data)
 		if err != nil {
 			return
 		}
-		// Accepted tables must be internally consistent.
-		for i := int32(0); int(i) < got.Len(); i++ {
-			got.Sig(i)
-			got.AvgDuration(i)
+		back, err := Deserialize(exact.Serialize())
+		if err != nil {
+			t.Fatalf("a table the exact form accepts is refused in the file form: %v", err)
 		}
-		got.Serialize()
+		if back.Len() != exact.Len() {
+			t.Fatalf("%d entries read back as %d", exact.Len(), back.Len())
+		}
+		for i := int32(0); int(i) < exact.Len(); i++ {
+			if back.SigString(i) != exact.SigString(i) || back.Count(i) != exact.Count(i) {
+				t.Fatalf("entry %d: %q × %d read back as %q × %d", i, exact.SigString(i), exact.Count(i), back.SigString(i), back.Count(i))
+			}
+		}
 	})
 }
 

@@ -427,19 +427,19 @@ func TestSerializedRelabel(t *testing.T) {
 // relabelRef is Relabel as it was before it rewrote a copy in place:
 // decode every rule into its own slice, map the terminals, re-flatten.
 func relabelRef(sg Serialized, mapping []int32) (Serialized, error) {
-	rules := sg.rules()
+	rules := sg.Rules()
 	out := Serialized{int32(len(rules))}
 	for _, body := range rules {
 		out = append(out, int32(len(body)))
 		for _, s := range body {
-			if s.val >= 0 {
-				if int(s.val) >= len(mapping) {
-					return nil, fmt.Errorf("sequitur: relabel: no mapping for terminal %d", s.val)
+			if s.Val >= 0 {
+				if int(s.Val) >= len(mapping) {
+					return nil, fmt.Errorf("sequitur: relabel: no mapping for terminal %d", s.Val)
 				}
-				s.val = mapping[s.val]
+				s.Val = mapping[s.Val]
 			}
-			lo, hi := encExp(s.exp)
-			out = append(out, s.val, lo, hi)
+			lo, hi := encExp(s.Exp)
+			out = append(out, s.Val, lo, hi)
 		}
 	}
 	return out, nil

@@ -1,8 +1,10 @@
 package sequitur
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -83,9 +85,6 @@ func (sg Serialized) Validate() error {
 			return fmt.Errorf("sequitur: rule %d negative body length", r)
 		}
 		for i := 0; i < n; i++ {
-			if p+2 >= len(sg)+1 && p+2 > len(sg) {
-				return fmt.Errorf("sequitur: truncated symbol in rule %d", r)
-			}
 			if p+3 > len(sg) {
 				return fmt.Errorf("sequitur: truncated symbol in rule %d", r)
 			}
@@ -132,30 +131,6 @@ func (sg Serialized) Validate() error {
 
 // Bytes returns the serialized size in bytes.
 func (sg Serialized) Bytes() int { return len(sg) * 4 }
-
-// sym is a decoded serialized symbol.
-type sym struct {
-	val int32 // terminal >= 0, or rule ref encoded negative
-	exp int64
-}
-
-// rules decodes the serialized form into per-rule symbol slices.
-func (sg Serialized) rules() [][]sym {
-	nRules := int(sg[0])
-	out := make([][]sym, nRules)
-	p := 1
-	for r := 0; r < nRules; r++ {
-		n := int(sg[p])
-		p++
-		body := make([]sym, n)
-		for i := 0; i < n; i++ {
-			body[i] = sym{val: sg[p], exp: decExp(sg[p+1], sg[p+2])}
-			p += 3
-		}
-		out[r] = body
-	}
-	return out
-}
 
 // Relabel rewrites every terminal t as mapping[t], where mapping is
 // the dense relabel slice the inter-process CST merge produced
@@ -390,9 +365,9 @@ func (sg Serialized) ExpandCapped(max int64) (seq []int32, n int64) {
 	return out, n
 }
 
-// Sym is the exported form of a serialized grammar symbol: Val is a
-// terminal id when >= 0, otherwise a rule reference encoding rule
-// index i as -(i+1); Exp is the repetition count.
+// Sym is a decoded serialized grammar symbol: Val is a terminal id
+// when >= 0, otherwise a rule reference encoding rule index i as
+// -(i+1); Exp is the repetition count.
 type Sym struct {
 	Val int32
 	Exp int64
@@ -402,14 +377,72 @@ type Sym struct {
 // (rule 0 is the start rule). Used by consumers that mirror the
 // grammar's structure, e.g. the mini-app source generator.
 func (sg Serialized) Rules() [][]Sym {
-	rs := sg.rules()
-	out := make([][]Sym, len(rs))
-	for i, body := range rs {
-		ob := make([]Sym, len(body))
-		for j, s := range body {
-			ob[j] = Sym{Val: s.val, Exp: s.exp}
+	off := sg.ruleOffsets()
+	out := make([][]Sym, len(off)-1)
+	for r := range out {
+		body := sg[off[r]+1 : off[r+1]]
+		out[r] = make([]Sym, len(body)/3)
+		for i := range out[r] {
+			out[r][i] = Sym{Val: body[3*i], Exp: decExp(body[3*i+1], body[3*i+2])}
 		}
-		out[i] = ob
 	}
 	return out
+}
+
+// A grammar is stored, in a trace file and in a snapshot on the wire,
+// as AppendInts writes it; a trace stores its indices and CST columns
+// so too.
+
+// AppendInts appends vs to b: their count, then each as a zigzag
+// varint.
+func AppendInts[T int32 | int64](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+// IntsLen is len(AppendInts(nil, vs)).
+func IntsLen(vs []int32) int {
+	n := uvarintLen(uint64(len(vs)))
+	for _, v := range vs {
+		n += uvarintLen(uint64(v)<<1 ^ uint64(v>>31)) // binary.AppendVarint's zigzag
+	}
+	return n
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, u)).
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// ReadInts reads what AppendInts writes at the head of b, and returns
+// the ints and the bytes they took. It refuses a count past what b can
+// hold, a truncated varint, and an int outside T.
+func ReadInts[T int32 | int64](b []byte) ([]T, int, error) {
+	n, at := binary.Uvarint(b)
+	if at <= 0 {
+		return nil, 0, fmt.Errorf("sequitur: bad int count")
+	}
+	if n > uint64(len(b)-at) { // every int takes at least one byte
+		return nil, 0, fmt.Errorf("sequitur: %d ints claimed in %d bytes", n, len(b)-at)
+	}
+	var vs []T // no ints: nil
+	if n > 0 {
+		vs = make([]T, n)
+	}
+	for i := range vs {
+		if at < len(b) && b[at] < 0x80 { // one byte: most ints of a grammar
+			vs[i], at = T(b[at]>>1)^-T(b[at]&1), at+1
+			continue
+		}
+		v, k := binary.Varint(b[at:])
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("sequitur: bad int %d of %d", i, n)
+		}
+		if vs[i] = T(v); int64(vs[i]) != v {
+			return nil, 0, fmt.Errorf("sequitur: int %d of %d is %d, past %T", i, n, v, vs[i])
+		}
+		at += k
+	}
+	return vs, at, nil
 }

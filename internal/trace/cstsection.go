@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/sig"
 )
 
@@ -148,7 +149,7 @@ func appendColumn(b []byte, d []int64, lens []int, order []int) []byte {
 			enc, vs = oenc|inOrder, ovs
 		}
 	}
-	return appendInts(append(b, enc), vs)
+	return sequitur.AppendInts(append(b, enc), vs)
 }
 
 // permute lists the rows of d, of lengths lens (nil: one int each), in
@@ -400,7 +401,7 @@ func (c *cursor) column(n int, lens []int, order []int) ([]int64, error) {
 		return nil, fmt.Errorf("trace: templated CST cut short")
 	}
 	enc := c.b[c.pos]
-	vs, k, err := varints[int64](c.b[c.pos+1:])
+	vs, k, err := sequitur.ReadInts[int64](c.b[c.pos+1:])
 	if err != nil {
 		return nil, err
 	}

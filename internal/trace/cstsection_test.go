@@ -10,6 +10,7 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
 )
 
 // splitSig is an MPI_Comm_split signature of comm 1 into newcomm: its
@@ -59,7 +60,7 @@ func (s tmplSection) bytes() []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(s.n))
 	for c, col := range s.cols {
-		b = appendInts(append(b, s.enc[c]), col)
+		b = sequitur.AppendInts(append(b, s.enc[c]), col)
 	}
 	return b
 }
@@ -270,7 +271,7 @@ func columnLayouts(b []byte) []byte {
 	var encs []byte
 	for range 4 {
 		encs = append(encs, b[c.pos])
-		_, k, _ := varints[int64](b[c.pos+1:])
+		_, k, _ := sequitur.ReadInts[int64](b[c.pos+1:])
 		c.pos += 1 + k
 	}
 	return encs

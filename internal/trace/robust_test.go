@@ -279,6 +279,27 @@ func hostileBodies(tb testing.TB) map[string][]byte {
 	} {
 		out[name] = withBody(tb, data, s.raw, s.z)
 	}
+	// The duration index, found at the section ends Read records, with
+	// its first int 2^32 past what it was: an int32 would wrap back to it.
+	var ints, wide []byte
+	for i, v := range f.DurIndex {
+		if i == 0 {
+			ints = binary.AppendUvarint(nil, uint64(len(f.DurIndex)))
+			wide = slices.Clone(ints)
+			wide = binary.AppendVarint(wide, int64(v)+1<<32)
+		} else {
+			wide = binary.AppendVarint(wide, int64(v))
+		}
+		ints = binary.AppendVarint(ints, int64(v))
+	}
+	framed := func(b []byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
+	end := f.form().ends[2]
+	start := end - len(framed(ints))
+	if !bytes.Equal(raw[start:end], framed(ints)) {
+		tb.Fatal("bodyFile's duration index is not where its section ends")
+	}
+	past := slices.Concat(raw[:start], framed(wide), raw[end:])
+	out["index int past int32"] = withBody(tb, data, len(past), deflateBody(past))
 	out["bytes past the stream"] = append(slices.Clone(data), 0)
 	return out
 }
@@ -808,21 +829,19 @@ func TestReadRejectsHostileDeflate(t *testing.T) {
 }
 
 // TestGrammarLenMatchesWrite: the byte count the writer chooses between
-// a grammar set and its pack by is the count writeGrammar writes, and
-// varints reads the ints back, for ints of every varint length and sign.
+// a grammar set and its pack by is the count writeInts writes, and ints
+// reads the ints back, for ints of every varint length and sign.
 func TestGrammarLenMatchesWrite(t *testing.T) {
 	g := sequitur.Serialized{0, 1, -1, 63, -64, 64, -65, 1 << 13, -(1 << 13) - 1, 1 << 20, -(1 << 27), math.MaxInt32, math.MinInt32}
 	g = append(g, make(sequitur.Serialized, 200)...) // lengths past one varint byte
 	for n := 0; n <= len(g); n++ {
 		var buf bytes.Buffer
-		writeGrammar(&buf, g[:n])
-		if got := grammarLen(g[:n]); got != buf.Len() {
-			t.Fatalf("grammarLen of %d ints = %d, writeGrammar wrote %d bytes", n, got, buf.Len())
+		writeInts(&buf, g[:n])
+		if got := intsLen(g[:n]); got != buf.Len() {
+			t.Fatalf("intsLen of %d ints = %d, writeInts wrote %d bytes", n, got, buf.Len())
 		}
-		b := buf.Bytes()
-		_, k := binary.Uvarint(b)
-		if vs, at, err := varints[int32](b[k:]); err != nil || at != len(b)-k || !slices.Equal(vs, g[:n]) {
-			t.Fatalf("%d ints read back as %v (%d of %d bytes, %v)", n, vs, at, len(b)-k, err)
+		if vs, err := (byteReader{r: bytes.NewReader(buf.Bytes())}).ints(); err != nil || !slices.Equal(vs, g[:n]) {
+			t.Fatalf("%d ints read back as %v (%v)", n, vs, err)
 		}
 	}
 }

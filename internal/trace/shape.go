@@ -86,9 +86,9 @@ func (f *File) writeCalls(w *bytes.Buffer, sec *shapedSection, pack sequitur.Ser
 	}
 	w.WriteByte(flagShapes)
 	writePackable(w, sec.reps, pack)
-	writeIndex(w, sec.runs)
+	writeInts(w, sec.runs)
 	w.WriteByte(sec.vecEnc)
-	writeIndex(w, sec.vecs)
+	writeInts(w, sec.vecs)
 }
 
 // shaped reads a flagShapes call section into f, relabeling each
@@ -98,7 +98,7 @@ func (br byteReader) shaped(f *File) error {
 	reps, pack, err := br.readPackable(f.NumRanks)
 	var runs, shape []int32
 	if err == nil {
-		runs, err = br.index()
+		runs, err = br.ints()
 	}
 	if err == nil {
 		shape, err = unrle(runs, f.NumRanks)
@@ -130,7 +130,7 @@ func (br byteReader) shaped(f *File) error {
 	var d []int32
 	enc, err := br.r.ReadByte()
 	if err == nil {
-		d, err = br.index()
+		d, err = br.ints()
 	}
 	if err == nil {
 		d, err = unlayout(enc, d, n, rowLens(shape, last))

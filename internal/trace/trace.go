@@ -261,36 +261,30 @@ func (f *File) DecodedSig(term int32) (sig.Decoded, error) {
 
 // The writer builds the body in memory, so its writes do not fail.
 
-func writeBytes(w *bytes.Buffer, b []byte) {
+func writeUvarint(w *bytes.Buffer, x uint64) {
 	var tmp [binary.MaxVarintLen64]byte
-	w.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(b)))])
+	w.Write(tmp[:binary.PutUvarint(tmp[:], x)])
+}
+
+func writeBytes(w *bytes.Buffer, b []byte) {
+	writeUvarint(w, uint64(len(b)))
 	w.Write(b)
 }
 
-func writeGrammar(w *bytes.Buffer, g sequitur.Serialized) {
-	writeBytes(w, appendInts(make([]byte, 0, len(g)*3), g))
-}
-
-// appendInts appends what varints reads: the count of vs, then each as
-// a zigzag varint.
-func appendInts[T int32 | int64](buf []byte, vs []T) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vs)))
-	for _, v := range vs {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	return buf
+// writeInts writes a grammar or an index: vs as sequitur.AppendInts
+// lays them out, behind their length.
+func writeInts(w *bytes.Buffer, vs []int32) {
+	n := sequitur.IntsLen(vs)
+	writeUvarint(w, uint64(n))
+	w.Grow(n)
+	w.Write(sequitur.AppendInts(w.AvailableBuffer(), vs))
 }
 
 func writeGrammarSet(w *bytes.Buffer, gs []sequitur.Serialized) {
-	var tmp [binary.MaxVarintLen64]byte
-	w.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(gs)))])
+	writeUvarint(w, uint64(len(gs)))
 	for _, g := range gs {
-		writeGrammar(w, g)
+		writeInts(w, g)
 	}
-}
-
-func writeIndex(w *bytes.Buffer, idx []int32) {
-	writeBytes(w, appendInts(make([]byte, 0, len(idx)*2+8), idx))
 }
 
 // form is how a trace is stored: data, the bytes WriteTo writes, whose
@@ -384,13 +378,13 @@ func (f *File) writeBody(w *bytes.Buffer, sec *shapedSection) (ends [4]int, st C
 	st = writeCST(w, f.CST)
 	ends[0] = w.Len() - at
 	f.writeCalls(w, sec, storedPack(f.calls(sec), f.Packed))
-	writeGrammar(w, f.RankMap)
+	writeInts(w, f.RankMap)
 	ends[1] = w.Len() - at
 	writePackable(w, f.DurGrammars, nil)
-	writeIndex(w, f.DurIndex)
+	writeInts(w, f.DurIndex)
 	ends[2] = w.Len() - at
 	writePackable(w, f.IntGrammars, nil)
-	writeIndex(w, f.IntIndex)
+	writeInts(w, f.IntIndex)
 	ends[3] = w.Len() - at
 	if f.Salvage != nil {
 		w.WriteByte(1)
@@ -400,62 +394,29 @@ func (f *File) writeBody(w *bytes.Buffer, sec *shapedSection) (ends [4]int, st C
 }
 
 func (s *SalvageInfo) serialize() []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(s.FailedRanks)))
-	for _, r := range s.FailedRanks {
-		buf = binary.AppendVarint(buf, int64(r))
-	}
+	buf := sequitur.AppendInts(nil, s.FailedRanks)
 	buf = binary.AppendUvarint(buf, uint64(len(s.Reason)))
 	buf = append(buf, s.Reason...)
-	buf = binary.AppendUvarint(buf, uint64(len(s.Calls)))
-	for _, c := range s.Calls {
-		buf = binary.AppendVarint(buf, c)
-	}
-	return buf
+	return sequitur.AppendInts(buf, s.Calls)
 }
 
 func deserializeSalvage(data []byte) (*SalvageInfo, error) {
-	rd := bytes.NewReader(data)
 	s := &SalvageInfo{}
-	n, err := binary.ReadUvarint(rd)
+	ranks, k, err := sequitur.ReadInts[int32](data)
 	if err != nil {
-		return nil, fmt.Errorf("trace: truncated salvage rank count")
+		return nil, fmt.Errorf("trace: salvage failed ranks: %w", err)
 	}
-	if n > uint64(len(data)) {
-		return nil, fmt.Errorf("trace: salvage claims %d failed ranks in %d bytes", n, len(data))
-	}
-	for i := uint64(0); i < n; i++ {
-		v, err := binary.ReadVarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("trace: truncated salvage rank %d", i)
-		}
-		s.FailedRanks = append(s.FailedRanks, int32(v))
-	}
-	l, err := binary.ReadUvarint(rd)
-	if err != nil || l > uint64(rd.Len()) {
+	s.FailedRanks, data = ranks, data[k:]
+	l, k := binary.Uvarint(data)
+	if k <= 0 || l > uint64(len(data)-k) {
 		return nil, fmt.Errorf("trace: truncated salvage reason")
 	}
-	reason := make([]byte, l)
-	if _, err := io.ReadFull(rd, reason); err != nil {
-		return nil, fmt.Errorf("trace: truncated salvage reason")
+	s.Reason, data = string(data[k:k+int(l)]), data[k+int(l):]
+	if s.Calls, k, err = sequitur.ReadInts[int64](data); err != nil {
+		return nil, fmt.Errorf("trace: salvage call counts: %w", err)
 	}
-	s.Reason = string(reason)
-	n, err = binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("trace: truncated salvage call counts")
-	}
-	if n > uint64(len(data)) {
-		return nil, fmt.Errorf("trace: salvage claims %d call counts in %d bytes", n, len(data))
-	}
-	for i := uint64(0); i < n; i++ {
-		v, err := binary.ReadVarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("trace: truncated salvage call count %d", i)
-		}
-		s.Calls = append(s.Calls, v)
-	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("trace: %d trailing salvage bytes", rd.Len())
+	if k != len(data) {
+		return nil, fmt.Errorf("trace: %d trailing salvage bytes", len(data)-k)
 	}
 	return s, nil
 }
@@ -463,7 +424,7 @@ func deserializeSalvage(data []byte) (*SalvageInfo, error) {
 // storedPack returns pack if the file stores it instead of the grammar
 // set gs, else nil: it does when the pack takes fewer bytes.
 func storedPack(gs []sequitur.Serialized, pack sequitur.Serialized) sequitur.Serialized {
-	if pack != nil && grammarLen(pack) < setLen(gs) {
+	if pack != nil && intsLen(pack) < setLen(gs) {
 		return pack
 	}
 	return nil
@@ -473,19 +434,13 @@ func storedPack(gs []sequitur.Serialized, pack sequitur.Serialized) sequitur.Ser
 func setLen(gs []sequitur.Serialized) int {
 	n := uvarintLen(uint64(len(gs)))
 	for _, g := range gs {
-		n += grammarLen(g)
+		n += intsLen(g)
 	}
 	return n
 }
 
-// grammarLen is the number of bytes writeGrammar writes for g.
-func grammarLen(g sequitur.Serialized) int {
-	n := uvarintLen(uint64(len(g)))
-	for _, v := range g {
-		n += uvarintLen(uint64(v)<<1 ^ uint64(v>>31)) // binary.AppendVarint's zigzag
-	}
-	return uvarintLen(uint64(n)) + n
-}
+// intsLen is the number of bytes writeInts writes for vs.
+func intsLen(vs []int32) int { return framedLen(sequitur.IntsLen(vs)) }
 
 // uvarintLen is len(binary.AppendUvarint(nil, u)).
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
@@ -495,7 +450,7 @@ func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 func writePackable(w *bytes.Buffer, gs []sequitur.Serialized, pack sequitur.Serialized) {
 	if pack != nil {
 		w.WriteByte(flagPacked)
-		writeGrammar(w, pack)
+		writeInts(w, pack)
 		return
 	}
 	w.WriteByte(flagRaw)
@@ -621,21 +576,13 @@ func (br byteReader) bytes() ([]byte, error) {
 }
 
 func (br byteReader) grammar() (sequitur.Serialized, error) {
-	b, err := br.bytes()
+	g, err := br.ints()
 	if err != nil {
 		return nil, err
 	}
-	vs, at, err := varints[int32](b)
-	if err != nil {
-		return nil, err
-	}
-	if at != len(b) {
-		return nil, fmt.Errorf("trace: trailing grammar bytes")
-	}
-	g := sequitur.Serialized(vs)
 	// Validate also rejects the empty grammar, which no writer produces
 	// and every expansion below would index out of range on.
-	if err := g.Validate(); err != nil {
+	if err := sequitur.Serialized(g).Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -661,39 +608,17 @@ func (br byteReader) grammarSet(max int) ([]sequitur.Serialized, error) {
 	return gs, nil
 }
 
-func (br byteReader) index() ([]int32, error) {
+// ints reads what writeInts writes.
+func (br byteReader) ints() ([]int32, error) {
 	b, err := br.bytes()
 	if err != nil {
 		return nil, err
 	}
-	idx, _, err := varints[int32](b)
-	return idx, err
-}
-
-// varints parses what appendInts writes: a count, then that many
-// zigzag varints, truncated to T. It returns them and the bytes they
-// took.
-func varints[T int32 | int64](b []byte) ([]T, int, error) {
-	n, at := binary.Uvarint(b)
-	if at <= 0 {
-		return nil, 0, fmt.Errorf("trace: bad int count")
+	vs, at, err := sequitur.ReadInts[int32](b)
+	if err == nil && at != len(b) {
+		err = fmt.Errorf("trace: %d bytes past %d ints", len(b)-at, len(vs))
 	}
-	if n > uint64(len(b)) { // every int costs at least one byte
-		return nil, 0, fmt.Errorf("trace: %d ints claimed in %d bytes", n, len(b))
-	}
-	vs := make([]T, n)
-	for i := range vs {
-		if at < len(b) && b[at] < 0x80 { // one byte: most ints of a grammar
-			vs[i], at = T(b[at]>>1)^-T(b[at]&1), at+1
-			continue
-		}
-		v, k := binary.Varint(b[at:])
-		if k <= 0 {
-			return nil, 0, fmt.Errorf("trace: bad int %d of %d", i, n)
-		}
-		vs[i], at = T(v), at+k
-	}
-	return vs, at, nil
+	return vs, err
 }
 
 // Read parses a trace file. The File keeps the file's bytes, which it
@@ -788,14 +713,14 @@ func (br byteReader) body(f *File) (ends [4]int, st CSTStorage, err error) {
 	if f.DurGrammars, err = br.timingSet(f.NumRanks); err != nil {
 		return
 	}
-	if f.DurIndex, err = br.index(); err != nil {
+	if f.DurIndex, err = br.ints(); err != nil {
 		return
 	}
 	ends[2] = br.off() - at
 	if f.IntGrammars, err = br.timingSet(f.NumRanks); err != nil {
 		return
 	}
-	if f.IntIndex, err = br.index(); err != nil {
+	if f.IntIndex, err = br.ints(); err != nil {
 		return
 	}
 	ends[3] = br.off() - at

@@ -230,7 +230,7 @@ func TestSectionSizesConsistent(t *testing.T) {
 	_, _, durB, intB = f.SectionSizes()
 	for i, b := range []int{durB, intB} {
 		d := findDeflatedSet(t, data, i)
-		idx := framedLen(len(appendInts(nil, [][]int32{f.DurIndex, f.IntIndex}[i])))
+		idx := intsLen([][]int32{f.DurIndex, f.IntIndex}[i])
 		if b != 1+uvarintLen(uint64(d.raw))+framedLen(len(d.z))+idx {
 			t.Fatalf("deflated section %d takes %d bytes, its stream %d", i, b, len(d.z))
 		}

@@ -15,6 +15,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(EncodeSnapshot(minimalSnapshot()))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
+	f.Add(withEntryCount(testSnapshot(), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
 		if err != nil {

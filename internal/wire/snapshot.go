@@ -17,7 +17,7 @@ import (
 //	CST: length-prefixed cst.Table.AppendExact bytes (exact duration
 //	     sums — the on-disk average form would break byte-equivalence
 //	     of the collector-side merge)
-//	call grammar (count + varints)
+//	call grammar (sequitur.AppendInts)
 //	flags byte: bit0 = timing grammars present, bit1 = raw verify capture
 //	[duration grammar, interval grammar]
 //	[raw capture: n sigs, n × (len, bytes), n × (tStart, tEnd)]
@@ -33,9 +33,9 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	timing := s.DurGrammar != nil || s.IntGrammar != nil
 	tableLen := s.Table.ExactSize()
 	n := uvarintLen(uint64(s.Rank)) + varintLen(s.Calls) + varintLen(s.IntraNs) +
-		uvarintLen(uint64(tableLen)) + tableLen + grammarSize(s.Grammar) + 1
+		uvarintLen(uint64(tableLen)) + tableLen + sequitur.IntsLen(s.Grammar) + 1
 	if timing {
-		n += grammarSize(s.DurGrammar) + grammarSize(s.IntGrammar)
+		n += sequitur.IntsLen(s.DurGrammar) + sequitur.IntsLen(s.IntGrammar)
 	}
 	if s.RawSigs != nil {
 		n += uvarintLen(uint64(len(s.RawSigs)))
@@ -53,7 +53,7 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	b = binary.AppendVarint(b, s.IntraNs)
 	b = binary.AppendUvarint(b, uint64(tableLen))
 	b = s.Table.AppendExact(b)
-	b = appendGrammar(b, s.Grammar)
+	b = sequitur.AppendInts(b, s.Grammar)
 	var flags byte
 	if timing {
 		flags |= flagTiming
@@ -63,8 +63,8 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	}
 	b = append(b, flags)
 	if timing {
-		b = appendGrammar(b, s.DurGrammar)
-		b = appendGrammar(b, s.IntGrammar)
+		b = sequitur.AppendInts(b, s.DurGrammar)
+		b = sequitur.AppendInts(b, s.IntGrammar)
 	}
 	if s.RawSigs != nil {
 		b = binary.AppendUvarint(b, uint64(len(s.RawSigs)))
@@ -80,22 +80,6 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	return b
 }
 
-func appendGrammar(b []byte, g sequitur.Serialized) []byte {
-	b = binary.AppendUvarint(b, uint64(len(g)))
-	for _, v := range g {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	return b
-}
-
-func grammarSize(g sequitur.Serialized) int {
-	n := uvarintLen(uint64(len(g)))
-	for _, v := range g {
-		n += varintLen(int64(v))
-	}
-	return n
-}
-
 // uvarintLen and varintLen are the encoded sizes binary.AppendUvarint
 // and binary.AppendVarint produce.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
@@ -107,30 +91,17 @@ func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) 
 // the call grammar of a rank that traced nothing is still the
 // one-empty-rule grammar, never length zero.
 func (d *dec) grammar(what string, optional bool) (sequitur.Serialized, error) {
-	n, err := d.uvarint(what + " count")
+	vs, k, err := sequitur.ReadInts[int32](d.b[d.pos:])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wire: %s: %w", what, err)
 	}
-	// Every serialized int costs at least one body byte.
-	if n > uint64(d.remaining()) {
-		return nil, fmt.Errorf("wire: %s claims %d ints in %d bytes", what, n, d.remaining())
-	}
-	if n == 0 {
+	d.pos += k
+	g := sequitur.Serialized(vs)
+	if len(g) == 0 {
 		if optional {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("wire: empty %s", what)
-	}
-	g := make(sequitur.Serialized, n)
-	for i := range g {
-		v, err := d.varint(what)
-		if err != nil {
-			return nil, err
-		}
-		if v < -(1<<31) || v > (1<<31)-1 {
-			return nil, fmt.Errorf("wire: %s int %d overflows int32", what, v)
-		}
-		g[i] = int32(v)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: %s: %w", what, err)

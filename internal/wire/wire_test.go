@@ -174,6 +174,42 @@ func TestSnapshotTerminalBeyondTableRejected(t *testing.T) {
 	}
 }
 
+// withEntryCount is s encoded with its CST entry 0's call count
+// replaced by count: the bytes a hostile or broken producer could send.
+func withEntryCount(s *core.Snapshot, count int64) []byte {
+	body, tb := EncodeSnapshot(s), s.Table.AppendExact(nil)
+	at := bytes.Index(body, tb)
+	prefix := len(binary.AppendUvarint(nil, uint64(len(tb))))
+	// Entry 0 follows the entry count; its count follows its signature.
+	n, k := binary.Uvarint(tb)
+	l, m := binary.Uvarint(tb[k:])
+	if n == 0 || at < prefix {
+		panic("snapshot has no CST entry to patch")
+	}
+	c := k + m + int(l)
+	_, old := binary.Varint(tb[c:])
+	patched := binary.AppendVarint(append([]byte(nil), tb[:c]...), count)
+	patched = append(patched, tb[c+old:]...)
+	out := binary.AppendUvarint(append([]byte(nil), body[:at-prefix]...), uint64(len(patched)))
+	out = append(out, patched...)
+	return append(out, body[at+len(tb):]...)
+}
+
+// TestSnapshotUncalledEntryRejected: every CST entry was called at
+// least once, and the trace reader refuses a table that says otherwise,
+// so the snapshot decoder refuses it too: a collector that acked it
+// would finalize a trace no reader can open.
+func TestSnapshotUncalledEntryRejected(t *testing.T) {
+	for _, count := range []int64{0, -5} {
+		if _, err := DecodeSnapshot(withEntryCount(testSnapshot(), count)); err == nil {
+			t.Errorf("CST entry of %d calls accepted", count)
+		}
+	}
+	if _, err := DecodeSnapshot(withEntryCount(testSnapshot(), 2)); err != nil {
+		t.Fatalf("the unpatched count, written again: %v", err)
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := map[byte][]byte{
