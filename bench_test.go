@@ -325,7 +325,9 @@ func BenchmarkCSTMerge64Ranks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		global := cst.New()
 		for _, t := range tables {
-			global.Absorb(t)
+			if _, err := global.Absorb(t); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

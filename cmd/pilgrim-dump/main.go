@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/core"
@@ -57,12 +58,28 @@ func main() {
 	fmt.Fprintf(w, "# %d grammars, %d shapes\n", len(file.Grammars), len(file.Representatives()))
 	// Section sizes are the bytes each takes in the raw body; show the
 	// composition as shares of their own total, which leaves out a
-	// salvage section.
+	// salvage section. The call and timing sections end in their
+	// indices, which are shown on their own.
 	cstB, cfgB, durB, intB := file.SectionSizes()
-	secTotal := cstB + cfgB + durB + intB
-	fmt.Fprintf(w, "# sections: cst=%dB (%s) grammars=%dB (%s) duration=%dB (%s) interval=%dB (%s)\n",
+	idx := file.IndexStorage()
+	idxB := idx[0].Bytes + idx[1].Bytes + idx[2].Bytes
+	cfgB, durB, intB = cfgB-idx[0].Bytes, durB-idx[1].Bytes, intB-idx[2].Bytes
+	secTotal := cstB + cfgB + durB + intB + idxB
+	fmt.Fprintf(w, "# sections: cst=%dB (%s) grammars=%dB (%s) duration=%dB (%s) interval=%dB (%s) index=%dB (%s)\n",
 		cstB, pct(cstB, secTotal), cfgB, pct(cfgB, secTotal),
-		durB, pct(durB, secTotal), intB, pct(intB, secTotal))
+		durB, pct(durB, secTotal), intB, pct(intB, secTotal), idxB, pct(idxB, secTotal))
+	fmt.Fprint(w, "# index:")
+	for k, name := range []string{"ranks", "durations", "intervals"} {
+		if k > 0 {
+			fmt.Fprint(w, ",")
+		}
+		fmt.Fprintf(w, " %s %s", name, idx[k].Form)
+		if strings.HasPrefix(idx[k].Form, "column") {
+			fmt.Fprintf(w, " stride %d", idx[k].Stride)
+		}
+		fmt.Fprintf(w, " %dB", idx[k].Bytes)
+	}
+	fmt.Fprintln(w)
 	cs := file.CSTStorage()
 	fmt.Fprintf(w, "# cst: %d entries, %d templates, stored %s %dB (raw %dB)\n",
 		cs.Entries, cs.Templates, cs.Form, cs.Stored, cs.Raw)

@@ -45,13 +45,13 @@ func run(t *testing.T, args ...string) (string, string, int) {
 }
 
 // TestTraceSavesOneStoredForm: a 16-rank stencil2d run with -o saves a
-// PILGRIM5 file whose body is raw, and the same run with -timing lossy
-// a PILGRIM6 file whose body is deflated. The tool reports the file's
+// PILGRIM7 file whose body is raw, and the same run with -timing lossy
+// a PILGRIM8 file whose body is deflated. The tool reports the file's
 // size, and each file loads and writes back to its own bytes.
 func TestTraceSavesOneStoredForm(t *testing.T) {
 	for _, c := range []struct{ timing, magic, form string }{
-		{"aggregated", "PILGRIM5", "raw"},
-		{"lossy", "PILGRIM6", "deflated"},
+		{"aggregated", "PILGRIM7", "raw"},
+		{"lossy", "PILGRIM8", "deflated"},
 	} {
 		path := filepath.Join(t.TempDir(), c.timing+".pilgrim")
 		out, stderr, code := run(t, "-workload", "stencil2d", "-procs", "16", "-timing", c.timing, "-o", path)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -277,6 +278,65 @@ func TestCompatFixtures(t *testing.T) {
 			}
 			if !bytes.HasPrefix(old, []byte(c.magic)) || bytes.Equal(old, golden) {
 				t.Fatalf("fixture starts %q, %d bytes against the golden's %d", old[:8], len(old), len(golden))
+			}
+			a, b := readTrace(t, old), readTrace(t, golden)
+			if again := writeTrace(t, a); !bytes.Equal(again, old) {
+				t.Errorf("the fixture read and written again is %d bytes, not its own %d", len(again), len(old))
+			}
+			if err := sameFile(a, b); err != nil {
+				t.Fatalf("fixture and golden: %v", err)
+			}
+			for r := 0; r < a.NumRanks; r++ {
+				x, err := pilgrim.DecodeRank(a, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				y, err := pilgrim.DecodeRank(b, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(x, y) {
+					t.Fatalf("rank %d decodes to other calls", r)
+				}
+			}
+		})
+	}
+}
+
+// TestV6CompatFixtures: every golden as the writer before the index
+// sections stored it — a PILGRIM5 file, or PILGRIM6 where its body is
+// deflated, the rank map a Sequitur grammar and the timing indices int
+// lists — kept under testdata/compat/v6. Each reads and rewrites to
+// its own bytes; today's golden (PILGRIM7 or PILGRIM8) is no larger,
+// and reads as the same File and decodes to the same calls on every
+// rank, times included.
+func TestV6CompatFixtures(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "compat", "v6", "*.pilgrim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 25 {
+		t.Fatalf("%d v6 fixtures, one per golden is 25", len(paths))
+	}
+	for _, path := range paths {
+		name := filepath.Base(path)
+		t.Run(strings.TrimSuffix(name, ".pilgrim"), func(t *testing.T) {
+			old, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+			if os.IsNotExist(err) {
+				golden, err = os.ReadFile(filepath.Join("internal", "replay", "testdata", "golden", name))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch om, gm := string(old[:8]), string(golden[:8]); {
+			case om != "PILGRIM5" && om != "PILGRIM6", gm != "PILGRIM7" && gm != "PILGRIM8":
+				t.Fatalf("fixture starts %q, golden %q", om, gm)
+			case len(golden) > len(old):
+				t.Errorf("the golden takes %d bytes, the fixture %d", len(golden), len(old))
 			}
 			a, b := readTrace(t, old), readTrace(t, golden)
 			if again := writeTrace(t, a); !bytes.Equal(again, old) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -159,7 +160,7 @@ func TestLossyStreamingMatchesLocalFinalize(t *testing.T) {
 	}
 	local, _ := core.Finalize(tracers)
 	want := serialize(t, local)
-	if !bytes.HasPrefix(want, []byte("PILGRIM6")) {
+	if !bytes.HasPrefix(want, []byte("PILGRIM8")) {
 		t.Fatalf("local lossy trace starts %q, its body not deflated", want[:8])
 	}
 	for _, resident := range []int{0, 3} {
@@ -615,6 +616,58 @@ func TestUncalledEntryRefused(t *testing.T) {
 		if _, err := trace.Read(bytes.NewReader(data)); err != nil {
 			t.Fatalf("run %s serves a trace the reader refuses: %v", runID, err)
 		}
+	}
+}
+
+// TestOverflowingCountsRefused: two snapshots of a 2-rank run whose
+// CST entry 0 is one signature claiming past half of math.MaxInt64
+// calls each. The first is accepted; the second, whose count would
+// take the merged entry past an int64, is refused at ingest with a
+// counted AckError instead of wrapping in the walk. The run then
+// finalizes from rank 1's honest snapshot to a trace that reads.
+func TestOverflowingCountsRefused(t *testing.T) {
+	snap := traceWorkload(t, 1)[0]
+	srv := startServer(t, collect.Config{})
+	rc, err := collect.DialRaw(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	send := func(rank int, body []byte) *wire.Ack {
+		t.Helper()
+		hello := wire.AppendFrame(nil, wire.TypeHello, (&wire.Hello{Version: wire.Version, RunID: "overflow", WorldSize: 2, Rank: rank}).Encode())
+		ack, nack, err := rc.SendPair(hello, wire.AppendFrame(nil, wire.TypeSnapshot, body))
+		if err != nil || nack != nil {
+			t.Fatalf("rank %d: nack %+v, %v", rank, nack, err)
+		}
+		return ack
+	}
+	rank1 := *snap
+	rank1.Rank = 1
+	half := int64(math.MaxInt64/2 + 1)
+	if ack := send(0, withEntryCount(snap, half)); ack.Status != wire.AckOK {
+		t.Fatalf("first hostile snapshot: ack %+v", ack)
+	}
+	before := srv.Metrics().RejectedSnapshots.Load()
+	if ack := send(1, withEntryCount(&rank1, half)); ack.Status != wire.AckError {
+		t.Fatalf("snapshot overflowing entry 0's count: ack %+v, want an AckError", ack)
+	}
+	if got := srv.Metrics().RejectedSnapshots.Load(); got != before+1 {
+		t.Fatalf("rejected counter %d, want %d", got, before+1)
+	}
+	if ack := send(1, wire.EncodeSnapshot(&rank1)); ack.Status != wire.AckOK {
+		t.Fatalf("honest snapshot after the refused one: ack %+v", ack)
+	}
+	data, err := rc.WaitTrace("overflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("the run serves a trace the reader refuses: %v", err)
+	}
+	if got, want := f.CST.Count(0), half+snap.Table.Count(0); got != want {
+		t.Fatalf("entry 0 holds %d calls, want %d", got, want)
 	}
 }
 

@@ -35,7 +35,8 @@ type run struct {
 	mu       sync.Mutex
 	snaps    []*core.Snapshot // by rank; nil until reported; only Rank and Calls once walked
 	received int
-	bytes    int64 // snapshot body bytes accepted (admission accounting)
+	bytes    int64    // snapshot body bytes accepted (admission accounting)
+	sums     cst.Sums // the accepted tables' calls and durations, in total
 
 	// The walk over the arrived prefix (advanceLocked): ranks
 	// [0, walked) are in walk, and ranks [walked, arrived) have all

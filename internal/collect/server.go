@@ -550,6 +550,16 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 		return nil, &wire.Nack{Code: wire.NackRunBytes,
 			Detail: fmt.Sprintf("run %s at max-run-bytes=%d", r.id, s.cfg.MaxRunBytes)}
 	}
+	// A snapshot whose counts or durations would overflow the merged
+	// CST is refused here, whatever order the ranks arrive in, so the
+	// walk never meets one.
+	if err := r.sums.Admit(snap.Table); err != nil {
+		r.mu.Unlock()
+		s.m.RejectedSnapshots.Inc()
+		s.obs.Start("collect", "ingest.reject").WithRun(h.RunID, h.Rank, h.Epoch).
+			WithStr("reason", "overflow").Emit()
+		return &wire.Ack{Status: wire.AckError, Detail: fmt.Sprintf("rank %d: %v", snap.Rank, err)}, nil
+	}
 	r.snaps[snap.Rank] = snap
 	r.received++
 	r.bytes += int64(len(body))

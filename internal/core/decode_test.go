@@ -48,13 +48,12 @@ func read(t testing.TB, data []byte) *trace.File {
 }
 
 // referenceDecode is the per-call decoder DecodeRank used to be, kept
-// here as the oracle: the rank map is expanded for this rank alone, the
-// grammar is walked one terminal at a time, and sig.Decode runs on
-// every call. Nothing is shared between calls, ranks or invocations.
+// here as the oracle: the rank's grammar is walked one terminal at a
+// time, and sig.Decode runs on every call. Nothing is shared between
+// calls, ranks or invocations.
 func referenceDecode(f *trace.File, rank int) ([]core.DecodedCall, error) {
-	idx := f.RankMap.Expand(0)
 	var terms []int32
-	f.Grammars[idx[rank]].Walk(func(t int32, k int64) bool {
+	f.Grammars[f.RankMap[rank]].Walk(func(t int32, k int64) bool {
 		for ; k > 0; k-- {
 			terms = append(terms, t)
 		}
@@ -220,10 +219,10 @@ func TestDecodeErrorsAreStable(t *testing.T) {
 	// Rank map damage fails every rank with one message.
 	missing := make([]int32, clean.NumRanks)
 	missing[3] = int32(len(clean.Grammars))
-	for name, rankMap := range map[string]sequitur.Serialized{
-		"missing grammar":   gram(missing...),
-		"short rank map":    gram(idx[:len(idx)-1]...),
-		"overlong rank map": gram(append(append([]int32(nil), idx...), 0)...),
+	for name, rankMap := range map[string][]int32{
+		"missing grammar":   missing,
+		"short rank map":    idx[:len(idx)-1],
+		"overlong rank map": append(append([]int32(nil), idx...), 0),
 	} {
 		f := read(t, data)
 		f.RankMap = rankMap

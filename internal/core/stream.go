@@ -17,7 +17,7 @@
 // final once ranks 0..r are absorbed, and the rank-order fold equals
 // the paper's pairwise merge tree (DESIGN §4a). Every other
 // cross-rank ordering decision (grammar first-seen dedup by identity
-// and shape, rank map append) runs sequentially in rank order, and the
+// and shape, rank index append) runs sequentially in rank order, and the
 // Packer's output is a function of the grammars and their order, which
 // is the dedup's: batching only changes when work happens, never what
 // it computes.
@@ -142,7 +142,7 @@ func (d *dedupState) finish() sequitur.Serialized {
 // Finish returns the trace once all world ranks are in. Within an Add
 // the fold is sequential and the relabel and key hashing fan out on
 // GOMAXPROCS workers; every ordering-sensitive step (the fold, the
-// first-seen grammar dedup and the rank-map append) runs in rank order
+// first-seen grammar dedup and the rank index append) runs in rank order
 // across Adds. The call section's final Sequitur pass runs beside the
 // walk, an Add behind it (dedupState.flush). A Walk is not safe for
 // concurrent use.
@@ -160,8 +160,8 @@ type Walk struct {
 	calls          *dedupState
 	durState       *dedupState // lossy timing only, as are the two below
 	intState       *dedupState
+	rankIdx        []int32 // per rank, its call grammar's index
 	durIdx, intIdx []int32
-	rankMap        *sequitur.Grammar
 }
 
 // NewWalk starts a walk over world ranks. premerged, when non-nil, is a
@@ -190,7 +190,7 @@ func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *
 	batches := (world + batch - 1) / batch
 	w.dsp = opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
 	w.calls = newDedupState(world, batches, true)
-	w.rankMap = sequitur.New()
+	w.rankIdx = make([]int32, 0, world)
 	if w.lossy {
 		w.durState, w.intState = newDedupState(world, batches, false), newDedupState(world, batches, false)
 		w.durIdx = make([]int32, 0, world)
@@ -208,7 +208,9 @@ func (w *Walk) GlobalCST() int { return w.global.Len() }
 // instead of silently misattributing grammars to ranks. Add also fails
 // when a grammar names a terminal its rank's table never held. The
 // snapshots are only read, and none is referenced once Add returns
-// except the first-seen timing grammars, which the trace keeps.
+// except the first-seen timing grammars, which the trace keeps. A
+// merged CST entry whose count or duration sum would pass an int64
+// fails Add too, and the walk is then dropped.
 func (w *Walk) Add(snaps []*Snapshot) error {
 	start, n := w.next, len(snaps)
 	if n > w.world-start {
@@ -240,7 +242,11 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 			WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
 		relabels = make([][]int32, n)
 		for i, s := range snaps {
-			relabels[i] = w.global.Absorb(s.Table)
+			var err error
+			if relabels[i], err = w.global.Absorb(s.Table); err != nil {
+				msp.WithStr("result", "error").End()
+				return fmt.Errorf("core: merge rank %d: %w", s.Rank, err)
+			}
 		}
 		msp.WithAttr("global_cst", int64(w.global.Len())).End()
 	}
@@ -279,7 +285,7 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 		})
 	}
 	for i := 0; i < n; i++ {
-		w.rankMap.Append(w.calls.add(keys[i], relabeled[i], shapeKeys[i]))
+		w.rankIdx = append(w.rankIdx, w.calls.add(keys[i], relabeled[i], shapeKeys[i]))
 		if w.lossy {
 			w.durIdx = append(w.durIdx, w.durState.add(durKeys[i], snaps[i].DurGrammar, ""))
 			w.intIdx = append(w.intIdx, w.intState.add(intKeys[i], snaps[i].IntGrammar, ""))
@@ -311,7 +317,7 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 		return nil, FinalizeStats{}, fmt.Errorf("core: walk finished after %d of %d ranks", w.next, w.world)
 	}
 	if w.world == 0 { // every entry point's zero-rank result
-		return &trace.File{CST: cst.New(), RankMap: sequitur.Serialized(sequitur.New().Serialize()), Salvage: info}, FinalizeStats{}, nil
+		return &trace.File{CST: cst.New(), Salvage: info}, FinalizeStats{}, nil
 	}
 	st := w.st
 	// The final Sequitur pass over the non-identical grammars (§3.5.2)
@@ -336,7 +342,7 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 		Grammars:   w.calls.uniq,
 		Shape:      w.calls.shape,
 		Packed:     packed,
-		RankMap:    sequitur.Serialized(w.rankMap.Serialize()),
+		RankMap:    w.rankIdx,
 		Salvage:    info,
 	}
 	if w.lossy {

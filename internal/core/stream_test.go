@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,7 +30,7 @@ func streamSnapshots(n int, lossy bool) ([]*Snapshot, *cst.Merged) {
 		if lossy {
 			snaps[r].DurGrammar, snaps[r].IntGrammar = g.Serialize(), g.Serialize()
 		}
-		merged.Relabels[r] = merged.Table.Absorb(tb)
+		merged.Relabels[r], _ = merged.Table.Absorb(tb) // one call per rank cannot overflow
 	}
 	return snaps, merged
 }
@@ -38,9 +40,10 @@ func streamSnapshots(n int, lossy bool) ([]*Snapshot, *cst.Merged) {
 // them. A fetch that fails on the second batch, a grammar naming a
 // terminal its table never held (a panic before it was an error), and,
 // when the walk folds the tables itself, a snapshot fetched without
-// its table each come back as that error with the goroutine count at
-// its baseline: in both timing modes, at GOMAXPROCS 1, 2, 3 and 8,
-// folding or handed the tables premerged.
+// its table, and a table whose call count would take the merged entry
+// past an int64, each come back as that error with the goroutine
+// count at its baseline: in both timing modes, at GOMAXPROCS 1, 2, 3
+// and 8, folding or handed the tables premerged.
 func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 	const n = 12
 	errFetch := errors.New("spill: batch 2 unreadable")
@@ -108,6 +111,25 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 				}
 				if !fold && err != nil {
 					t.Fatalf("%s: premerged walk needed a table: %v", name, err)
+				}
+				check()
+
+				overflowing := swap9(func(s *Snapshot) {
+					b := binary.AppendUvarint(nil, 1) // one entry: "sig", called math.MaxInt64 times
+					b = append(binary.AppendUvarint(b, 3), "sig"...)
+					b = binary.AppendVarint(binary.AppendVarint(b, math.MaxInt64), 1)
+					var err error
+					if s.Table, err = cst.DeserializeExact(b); err != nil {
+						t.Fatal(err)
+					}
+				})
+				check = leaktest.Baseline(t)
+				_, _, err = FinalizeStreamed(n, overflowing, merged, 0, opts, nil)
+				if fold && (err == nil || !strings.Contains(err.Error(), "merge rank 9")) {
+					t.Fatalf("%s: an overflowing count came back as %v", name, err)
+				}
+				if !fold && err != nil {
+					t.Fatalf("%s: premerged walk read a table: %v", name, err)
 				}
 				check()
 			}

@@ -132,7 +132,10 @@ func FuzzIncrementalArrivalOrder(f *testing.F) {
 		fold := New()
 		relabels := make([][]int32, n)
 		for r, tb := range tables {
-			relabels[r] = fold.Absorb(tb)
+			var err error
+			if relabels[r], err = fold.Absorb(tb); err != nil {
+				t.Fatal(err)
+			}
 		}
 		inc := NewIncremental(n)
 		for _, r := range perm {

@@ -84,7 +84,10 @@ func mergePair(a, b *node) *node {
 	if !a.owned {
 		dst = a.t.Clone()
 	}
-	mapB := dst.Absorb(b.t)
+	mapB, err := dst.Absorb(b.t)
+	if err != nil {
+		panic(err) // the oracle's tables never overflow
+	}
 	nn := &node{t: dst, owned: true}
 	nn.ranks = append(a.ranks, b.ranks...)
 	nn.maps = a.maps
@@ -183,7 +186,11 @@ func TestAbsorbInRankOrderMatchesPairwise(t *testing.T) {
 		fold := New()
 		early := make([][]int32, n)
 		for r, tb := range tables {
-			early[r] = append([]int32(nil), fold.Absorb(tb)...)
+			relabel, err := fold.Absorb(tb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			early[r] = append([]int32(nil), relabel...)
 		}
 		checkMerged(t, n, Merged{Table: fold, Relabels: early}, want)
 		if !bytes.Equal(fold.Serialize(), want.Table.Serialize()) {

@@ -116,3 +116,70 @@ func TestDeserializeRejectsBadCounts(t *testing.T) {
 		}
 	}
 }
+
+// hostile is a one-entry table: signature sig, count calls lasting dur
+// ns in all, as a hostile snapshot's exact form may claim.
+func hostile(sig string, count, dur int64) *Table {
+	return &Table{bySig: map[string]int32{sig: 0}, sigs: []string{sig}, count: []int64{count}, durSum: []int64{dur}}
+}
+
+// TestAbsorbRefusesOverflow: a fold whose merged count or duration sum
+// would pass an int64, either way, fails instead of wrapping.
+func TestAbsorbRefusesOverflow(t *testing.T) {
+	half := int64(math.MaxInt64/2 + 1)
+	for name, c := range map[string]struct{ a, b *Table }{
+		"count":             {hostile("s", half, 0), hostile("s", half, 0)},
+		"duration":          {hostile("s", 1, math.MaxInt64), hostile("s", 1, 1)},
+		"negative duration": {hostile("s", 1, math.MinInt64), hostile("s", 1, -1)},
+	} {
+		global := New()
+		if _, err := global.Absorb(c.a); err != nil {
+			t.Fatalf("%s: first table: %v", name, err)
+		}
+		if _, err := global.Absorb(c.b); err == nil {
+			t.Errorf("%s: merged to %d calls lasting %d ns", name, global.count[0], global.durSum[0])
+		}
+	}
+	global := New()
+	for _, tb := range []*Table{hostile("s", half-1, math.MaxInt64-1), hostile("s", half, 1)} {
+		if _, err := global.Absorb(tb); err != nil {
+			t.Fatalf("a sum of exactly math.MaxInt64 refused: %v", err)
+		}
+	}
+}
+
+// TestSumsAdmit: Sums refuses the table that would take the calls, or
+// the absolute durations, of the tables admitted so far past an int64,
+// whichever signatures they are counted against, and is left as it
+// was; the bound itself is admitted. Whatever order the admitted tables
+// are then absorbed in, no sum wraps.
+func TestSumsAdmit(t *testing.T) {
+	half := int64(math.MaxInt64/2 + 1)
+	var s Sums
+	admitted := []*Table{hostile("a", half, math.MaxInt64/2), hostile("b", half/2, 0), hostile("a", half/2-1, -(math.MaxInt64/2 + 1))}
+	for i, tb := range admitted {
+		if err := s.Admit(tb); err != nil {
+			t.Fatalf("table %d refused: %v", i, err)
+		}
+	}
+	for name, tb := range map[string]*Table{
+		"a call more":       hostile("c", 1, 0),
+		"a nanosecond more": hostile("b", 1, 1),
+		"min duration":      hostile("b", 1, math.MinInt64),
+	} {
+		if err := s.Admit(tb); err == nil {
+			t.Errorf("%s admitted", name)
+		}
+		if s != (Sums{math.MaxInt64, math.MaxInt64}) {
+			t.Errorf("%s: a refused table changed the sums to %+v", name, s)
+		}
+	}
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}} {
+		global := New()
+		for _, i := range order {
+			if _, err := global.Absorb(admitted[i]); err != nil {
+				t.Fatalf("order %v: %v", order, err)
+			}
+		}
+	}
+}

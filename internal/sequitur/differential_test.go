@@ -292,7 +292,11 @@ func TestExpandMatchesNaiveReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, set := range [][]sequitur.Serialized{f.Grammars, f.DurGrammars, f.IntGrammars, {f.RankMap}} {
+		rankMap := sequitur.New() // the grammar an older file stores the rank map as
+		for _, v := range f.RankMap {
+			rankMap.Append(v)
+		}
+		for _, set := range [][]sequitur.Serialized{f.Grammars, f.DurGrammars, f.IntGrammars, {rankMap.Serialize()}} {
 			for _, sg := range set {
 				check(p.name, sg)
 			}

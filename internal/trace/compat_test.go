@@ -79,7 +79,7 @@ func distinctShapes() *trace.File {
 	}
 	return &trace.File{
 		NumRanks: 6, TimingMode: trace.TimingAggregated, TimingBase: 1.2,
-		CST: table, Grammars: gs, RankMap: mkGrammar([]int32{0, 1, 2, 3, 1, 0}),
+		CST: table, Grammars: gs, RankMap: []int32{0, 1, 2, 3, 1, 0},
 		Shape: []int32{-1, -1, -1, -1}, Packed: packAll(gs),
 	}
 }
@@ -147,7 +147,7 @@ func sameTrace(a, b *trace.File) error {
 // bytes and reads back to the same trace. A fresh run of a skeleton
 // that is not a salvage gives the File the fixture holds, and where no
 // shape repeats, today's writer gives the fixture's bytes but for its
-// magic and its CST section. No writer can remake the fixtures, so they
+// magic, its CST section and its index sections. No writer can remake the fixtures, so they
 // have no -update path.
 func TestV1FixturesRead(t *testing.T) {
 	for _, fx := range v1Fixtures {
@@ -185,39 +185,38 @@ func TestV1FixturesRead(t *testing.T) {
 }
 
 // sameOutsideCST requires the bytes a writer gives to be want, but for
-// a CST stored templated or a body stored deflated, and then for only
-// the magic and the CST section of the raw body.
+// the magic, a CST stored templated, a body stored deflated and the
+// index sections: the header, the call section and the timing sets
+// without their indices, and the salvage section take the same bytes.
 func sameOutsideCST(t *testing.T, got, want []byte) {
 	t.Helper()
 	if bytes.Equal(got, want) {
 		return
 	}
-	gh, gr := splitCST(t, got)
-	wh, wr := splitCST(t, want)
-	if string(got[:8]) < "PILGRIM5" || !bytes.Equal(gh, wh) || !bytes.Equal(gr, wr) {
-		t.Errorf("the trace differs from %d bytes outside a templated CST (%d bytes)", len(want), len(got))
+	if g, w := outsideCST(t, got), outsideCST(t, want); !slices.EqualFunc(g, w, bytes.Equal) {
+		t.Errorf("the trace differs from %d bytes outside its CST and indices (%d bytes)", len(want), len(got))
 	}
 }
 
-// splitCST splits a trace's bytes around its CST section: the header
-// after the magic, and what follows the section (and its selector from
-// PILGRIM5 on) in the raw body.
-func splitCST(t *testing.T, data []byte) (hdr, rest []byte) {
+// outsideCST is a trace's header after the magic, then, in its raw
+// body, the call section and each timing set without its index, and
+// the salvage section.
+func outsideCST(t *testing.T, data []byte) [][]byte {
 	t.Helper()
-	data, err := tracetest.Raw(data)
+	f := read(t, data)
+	raw, err := tracetest.Raw(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := 8
-	_, k := binary.Uvarint(data[at:]) // ranks
-	at += k + 1                       // and the timing mode
-	_, k = binary.Uvarint(data[at:])  // timing base
-	hdr, at = data[8:at+k], at+k
-	if string(data[:8]) >= "PILGRIM5" {
-		at++
+	at := 8 + headerLen(f)
+	body := raw[at:]
+	cstB, cfgB, durB, intB := f.SectionSizes()
+	ends := []int{cstB, cstB + cfgB, cstB + cfgB + durB, cstB + cfgB + durB + intB}
+	out := [][]byte{raw[8:at]}
+	for k, st := range f.IndexStorage() {
+		out = append(out, body[ends[k]:ends[k+1]-st.Bytes])
 	}
-	n, k := binary.Uvarint(data[at:])
-	return hdr, data[at+k+int(n):]
+	return append(out, body[ends[3]:])
 }
 
 // packedFixture is an older file that stores a section by the final
@@ -277,9 +276,9 @@ var v4Fixtures = []struct {
 // bytes. A fresh run of its skeleton gives the File the fixture holds,
 // today's writer stores that run's CST templated, and the file it
 // writes reads to the same File. Its raw body differs from the
-// fixture's only in the CST section, and, where the fixture deflated
-// its timing sets, in them, so there the call sections take the same
-// bytes.
+// fixture's only in the CST and index sections, and, where the fixture
+// deflated its timing sets, in them, so there the call sections
+// without the rank map take the same bytes.
 func TestV4FixturesRead(t *testing.T) {
 	for _, fx := range v4Fixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -305,6 +304,7 @@ func TestV4FixturesRead(t *testing.T) {
 			if dur, intv := trace.TimingForms(f); dur == "deflated" || intv == "deflated" {
 				_, got, _, _ := fresh.SectionSizes()
 				_, want, _, _ := f.SectionSizes()
+				got, want = got-fresh.IndexStorage()[0].Bytes, want-f.IndexStorage()[0].Bytes
 				if got != want {
 					t.Errorf("the call section takes %d bytes, %d in the fixture", got, want)
 				}

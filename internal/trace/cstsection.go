@@ -258,32 +258,33 @@ func (br byteReader) cstSection(f *File) (CSTStorage, error) {
 	if err != nil {
 		return CSTStorage{}, err
 	}
-	st := CSTStorage{Form: "raw", Stored: len(b)}
+	st := CSTStorage{Form: "raw", Raw: len(b), Stored: len(b)}
 	switch sel {
 	case cstRaw:
+		f.CST, err = cst.Deserialize(b)
 	case cstTemplated:
-		if b, st.Templates, err = untemplate(b); err != nil {
-			return CSTStorage{}, err
+		if f.CST, st.Templates, err = untemplate(b); err == nil {
+			st.Form, st.Raw = "templated", f.CST.Bytes()
 		}
-		st.Form = "templated"
 	default:
-		return CSTStorage{}, fmt.Errorf("trace: unknown CST selector %d", sel)
+		err = fmt.Errorf("trace: unknown CST selector %d", sel)
 	}
-	if f.CST, err = cst.Deserialize(b); err != nil {
+	if err != nil {
 		return CSTStorage{}, err
 	}
-	st.Entries, st.Raw = f.CST.Len(), len(b)
+	st.Entries = f.CST.Len()
 	return st, nil
 }
 
-// untemplate rebuilds the table a templated section b stores, as
-// cst.Serialize writes it, and returns it with the template count. It
-// refuses a template sig.ParseTemplate cannot walk, template ids out of
-// range or not in first-use order, a column of other than the ints the
-// entries and templates imply, and more than maxCSTEntries entries or
-// maxCSTSigBytes signature bytes; cst.Deserialize then refuses a
-// duplicate signature.
-func untemplate(b []byte) ([]byte, int, error) {
+// untemplate builds the table a templated section b stores, and
+// returns it with the template count. It refuses a template
+// sig.ParseTemplate cannot walk, template ids out of range or not in
+// first-use order, a column of other than the ints the entries and
+// templates imply, more than maxCSTEntries entries or maxCSTSigBytes
+// signature bytes, and an entry cst.Table.AppendAverage refuses: a
+// duplicate signature, fewer than one call, or a duration sum past an
+// int64.
+func untemplate(b []byte) (*cst.Table, int, error) {
 	c := &cursor{b: b}
 	nt, err := c.uvarint()
 	if err != nil {
@@ -355,7 +356,7 @@ func untemplate(b []byte) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	raw := binary.AppendUvarint(make([]byte, 0, size+4*len(tid)), n)
+	t := cst.NewSized(int(n))
 	var s []byte
 	prev := newPrevRows(widths)
 	at := 0
@@ -370,12 +371,11 @@ func untemplate(b []byte) ([]byte, int, error) {
 		if size += len(s); size > maxCSTSigBytes {
 			return nil, 0, fmt.Errorf("trace: templated CST rebuilds over %d signature bytes", size)
 		}
-		raw = binary.AppendUvarint(raw, uint64(len(s)))
-		raw = append(raw, s...)
-		raw = binary.AppendVarint(raw, counts[i])
-		raw = binary.AppendVarint(raw, avgs[i])
+		if err := t.AppendAverage(string(s), counts[i], avgs[i]); err != nil {
+			return nil, 0, err
+		}
 	}
-	return raw, int(nt), nil
+	return t, int(nt), nil
 }
 
 // cursor reads a templated CST section.

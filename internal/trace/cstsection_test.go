@@ -33,7 +33,7 @@ func splitTemplate(newcomm int64) string {
 
 // templatedFile is richFile with a CST of sixteen Comm_split entries,
 // four ranks each into one of four communicators, which the writer
-// stores templated: magicTemplates.
+// stores templated.
 func templatedFile(tb testing.TB) *File {
 	tb.Helper()
 	f := richFile(tb)
@@ -172,7 +172,7 @@ func TestReadRejectsHostileTemplates(t *testing.T) {
 }
 
 // TestTemplatedFileRoundTrip: a File whose CST takes fewer bytes
-// templated is magicTemplates, stores its CST templated, reads back to
+// templated is magicIndex, stores its CST templated, reads back to
 // the same table and writes again to the same bytes; the same table
 // with one entry that does not split is stored raw, behind cstRaw.
 func TestTemplatedFileRoundTrip(t *testing.T) {
@@ -182,7 +182,7 @@ func TestTemplatedFileRoundTrip(t *testing.T) {
 		t.Fatalf("templatedFile stores its CST %+v", st)
 	}
 	data := serialize(t, f)
-	if !bytes.HasPrefix(data, []byte(magicTemplates)) || data[cstAt(f)] != cstTemplated {
+	if !bytes.HasPrefix(data, []byte(magicIndex)) || data[cstAt(f)] != cstTemplated {
 		t.Fatalf("file starts %q with CST selector %d", data[:len(magic)], data[cstAt(f)])
 	}
 	if cstB, _, _, _ := f.SectionSizes(); cstB != 1+framedLen(st.Stored) {
@@ -209,7 +209,7 @@ func TestTemplatedFileRoundTrip(t *testing.T) {
 	}
 	raw := binary.AppendUvarint([]byte{cstRaw}, uint64(len(f.CST.Serialize())))
 	raw = append(raw, f.CST.Serialize()...)
-	if data := serialize(t, f); !bytes.HasPrefix(data, []byte(magicTemplates)) || !bytes.HasPrefix(data[cstAt(f):], raw) {
+	if data := serialize(t, f); !bytes.HasPrefix(data, []byte(magicIndex)) || !bytes.HasPrefix(data[cstAt(f):], raw) {
 		t.Fatalf("file starts %q, and its CST is not stored raw behind its selector", data[:len(magic)])
 	}
 }
@@ -277,8 +277,8 @@ func columnLayouts(b []byte) []byte {
 	return encs
 }
 
-// cstAt is the offset of f's CST section, or of its selector under
-// magicTemplates: past the magic and the header.
+// cstAt is the offset of f's CST section, or of its selector from
+// magicTemplates on: past the magic and the header.
 func cstAt(f *File) int {
 	hdr := binary.AppendUvarint(nil, uint64(f.NumRanks))
 	hdr = append(hdr, f.TimingMode)

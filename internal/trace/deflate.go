@@ -1,9 +1,9 @@
 package trace
 
-// The deflated body (DESIGN §4d): under magicBody every section after
-// the header is one compress/flate stream. Older writers deflated the
-// timing sets one at a time instead (flagDeflated), which the reader
-// keeps reading.
+// The deflated body (DESIGN §4d): under magicIndexBody, and the older
+// magicBody, every section after the header is one compress/flate
+// stream. Older writers deflated the timing sets one at a time instead
+// (flagDeflated), which the reader keeps reading.
 
 import (
 	"bytes"
@@ -15,8 +15,9 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 )
 
-// Body selectors, under magicBody. The writer stores a body it does not
-// deflate under magicTemplates, so the one selector is bodyDeflated.
+// Body selectors, under a deflated body's magic. The writer stores a
+// body it does not deflate under magicIndex, so the one selector is
+// bodyDeflated.
 const bodyDeflated = 1
 
 // maxDeflatedRaw caps the raw length a deflate stream may declare; the
@@ -43,7 +44,7 @@ func (f *File) BodyStorage() BodyStorage {
 	switch {
 	case s.err != nil:
 		return BodyStorage{}
-	case string(s.data[:len(magicBody)]) == magicBody:
+	case bodyMagic(string(s.data[:len(magic)])):
 		return BodyStorage{"deflated", s.raw, len(s.data) - s.at}
 	}
 	return BodyStorage{"raw", s.raw, s.raw}
@@ -58,7 +59,7 @@ func deflateBody(b []byte) []byte {
 	return z.Bytes()
 }
 
-// deflatedBody reads a magicBody file's body after the header: its
+// deflatedBody reads a deflated body after the header: its
 // selector, then a deflate stream (see deflated) that must end the
 // file. It returns the raw body.
 func (br byteReader) deflatedBody() ([]byte, error) {

@@ -2,11 +2,11 @@ package trace
 
 import "bytes"
 
-// rawBody is f's raw body: its stored body, inflated under magicBody.
+// rawBody is f's raw body: its stored body, inflated if deflated.
 func rawBody(f *File) []byte {
 	s := f.form()
 	body := s.data[s.at:]
-	if string(s.data[:len(magicBody)]) == magicBody {
+	if bodyMagic(string(s.data[:len(magic)])) {
 		body, _ = byteReader{r: bytes.NewReader(body)}.deflatedBody()
 	}
 	return body

@@ -43,7 +43,7 @@ func richFile(tb testing.TB) *File {
 		TimingBase: 1.01,
 		CST:        table,
 		Grammars:   []sequitur.Serialized{g0, g1},
-		RankMap:    mkGrammar([]int32{0, 1, 0, 0}),
+		RankMap:    []int32{0, 1, 0, 0},
 
 		DurGrammars: []sequitur.Serialized{dur},
 		DurIndex:    []int32{0, 0, 0, 0},
@@ -75,7 +75,7 @@ func shapedFile(tb testing.TB) *File {
 		mkGrammar([]int32{2, 2, 2}),
 	}
 	f.Shape = []int32{-1, 0, 0, -1}
-	f.RankMap = mkGrammar([]int32{0, 1, 2, 3})
+	f.RankMap = []int32{0, 1, 2, 3}
 	f.Packed = packAll(f.Representatives())
 	return f
 }
@@ -157,7 +157,7 @@ func (d deflatedSet) with(data []byte, raw int, z []byte) []byte {
 
 // bodyFile is grownFile with more CST entries than the final pass can
 // shrink, which takes its body past minDeflatedBody: the writer stores
-// it deflated under magicBody.
+// it deflated under magicIndexBody.
 func bodyFile(tb testing.TB) *File {
 	tb.Helper()
 	f := grownFile(tb)
@@ -198,7 +198,7 @@ func grownFile(tb testing.TB) *File {
 	}
 	f.NumRanks = len(f.Grammars)
 	f.Shape = []int32{-1, -1, -1, -1, -1, -1, -1, -1, 0, 0}
-	f.RankMap = mkGrammar([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.RankMap = []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	f.Packed = packAll(f.Representatives())
 	f.DurGrammars, f.IntGrammars = variants(10), variants(20)
 	f.DurIndex = []int32{0, 1, 2, 3, 4, 5, 6, 7, 0, 0}
@@ -240,8 +240,8 @@ func hostileDeflates(tb testing.TB) map[string][]byte {
 	return out
 }
 
-// withBody is a magicBody file's bytes data with the raw length and
-// stream of its body replaced.
+// withBody is the bytes data of a file whose body is deflated with the
+// raw length and stream of its body replaced.
 func withBody(tb testing.TB, data []byte, raw int, z []byte) []byte {
 	tb.Helper()
 	at := readTB(tb, data).form().at
@@ -256,7 +256,7 @@ func withBody(tb testing.TB, data []byte, raw int, z []byte) []byte {
 func hostileBodies(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	data := serialize(tb, bodyFile(tb))
-	if !bytes.HasPrefix(data, []byte(magicBody)) {
+	if !bytes.HasPrefix(data, []byte(magicIndexBody)) {
 		tb.Fatalf("bodyFile starts %q", data[:len(magic)])
 	}
 	f := readTB(tb, data)
@@ -279,26 +279,21 @@ func hostileBodies(tb testing.TB) map[string][]byte {
 	} {
 		out[name] = withBody(tb, data, s.raw, s.z)
 	}
-	// The duration index, found at the section ends Read records, with
-	// its first int 2^32 past what it was: an int32 would wrap back to it.
-	var ints, wide []byte
+	// The duration index, found at the section ends Read records, stored
+	// plain with its first int 2^32 past what it was: an int32 would
+	// wrap back to it.
+	wide := binary.AppendUvarint(nil, uint64(len(f.DurIndex)))
 	for i, v := range f.DurIndex {
 		if i == 0 {
-			ints = binary.AppendUvarint(nil, uint64(len(f.DurIndex)))
-			wide = slices.Clone(ints)
 			wide = binary.AppendVarint(wide, int64(v)+1<<32)
 		} else {
 			wide = binary.AppendVarint(wide, int64(v))
 		}
-		ints = binary.AppendVarint(ints, int64(v))
 	}
-	framed := func(b []byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
 	end := f.form().ends[2]
-	start := end - len(framed(ints))
-	if !bytes.Equal(raw[start:end], framed(ints)) {
-		tb.Fatal("bodyFile's duration index is not where its section ends")
-	}
-	past := slices.Concat(raw[:start], framed(wide), raw[end:])
+	start := end - f.IndexStorage()[durIndex].Bytes
+	plain := append([]byte{indexPlain}, binary.AppendUvarint(nil, uint64(len(wide)))...)
+	past := slices.Concat(raw[:start], plain, wide, raw[end:])
 	out["index int past int32"] = withBody(tb, data, len(past), deflateBody(past))
 	out["bytes past the stream"] = append(slices.Clone(data), 0)
 	return out
@@ -381,12 +376,12 @@ func readAndProbe(data []byte) {
 
 // inputs are a file of every stored form the reader knows: files the
 // writer stores with every optional section, by shape, with a templated
-// CST and with a deflated body, and the older writers' packed and
-// deflated timing sets.
+// CST, with a deflated body and with a rank map kept as a grammar, and
+// the older writers' packed and deflated timing sets.
 func inputs(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
-	for _, build := range []func(testing.TB) *File{richFile, shapedFile, templatedFile, bodyFile} {
+	for _, build := range []func(testing.TB) *File{richFile, shapedFile, templatedFile, bodyFile, periodicFile} {
 		out = append(out, serialize(tb, build(tb)))
 	}
 	return append(out, packedFile(tb), deflatedFile(tb))
@@ -524,13 +519,13 @@ func TestReadRejectsBadTimingBase(t *testing.T) {
 	}
 }
 
-// TestShapeSectionRoundTrip: a file stored by shape is magicTemplates
+// TestShapeSectionRoundTrip: a file stored by shape is magicIndex
 // with its calls behind flagShapes, reads back to the grammars and Shape
 // it was written from, and writes again to the same bytes.
 func TestShapeSectionRoundTrip(t *testing.T) {
 	f := shapedFile(t)
 	data := serialize(t, f)
-	if !bytes.HasPrefix(data, []byte(magicTemplates)) || data[callSelectorAt(f)] != flagShapes {
+	if !bytes.HasPrefix(data, []byte(magicIndex)) || data[callSelectorAt(f)] != flagShapes {
 		t.Fatalf("file starts %q with call selector %d", data[:len(magic)], data[callSelectorAt(f)])
 	}
 	got, err := Read(bytes.NewReader(data))
@@ -577,9 +572,10 @@ func TestWriteRejectsBadShape(t *testing.T) {
 // 3 from magicPack on), the call section may also be stored by shape
 // (2), but not under magic, and a timing set deflated (4), but only
 // under magicDeflate and magicTemplates. From magicTemplates on the CST
-// section is raw (0) or templated (1), and under magicBody the body is
-// deflated (1). Any other selector is an error, not a raw set. The
-// files of the older magics are the v1 to v4 fixtures.
+// section is raw (0) or templated (1), and under magicBody and
+// magicIndexBody the body is deflated (1). Any other selector is an
+// error, not a raw set. The files of the older magics are the v1 to v4
+// fixtures.
 func TestReadRejectsUnknownSelectors(t *testing.T) {
 	for m, refused := range map[string][]byte{
 		magic:          {flagShapes, flagPacked, flagDeflated, 0xff},
@@ -588,6 +584,8 @@ func TestReadRejectsUnknownSelectors(t *testing.T) {
 		magicDeflate:   {flagHalves, flagShapes, flagDeflated, 0xff},
 		magicTemplates: {flagHalves, flagShapes, flagDeflated, 0xff},
 		magicBody:      {flagHalves, flagShapes, flagDeflated, 0xff},
+		magicIndex:     {flagHalves, flagShapes, flagDeflated, 0xff},
+		magicIndexBody: {flagHalves, flagShapes, flagDeflated, 0xff},
 	} {
 		for _, flag := range refused {
 			br := byteReader{r: bytes.NewReader([]byte{flag, 0}), magic: m}
@@ -703,8 +701,8 @@ func TestDeflatedFileRoundTrip(t *testing.T) {
 }
 
 // TestBodyFileRoundTrip: a File built in memory whose raw body reaches
-// minDeflatedBody is magicBody, its body one deflate stream of a
-// magicTemplates body, smaller than raw. It reads back to the File it
+// minDeflatedBody is magicIndexBody, its body one deflate stream of a
+// magicIndex body, smaller than raw. It reads back to the File it
 // was written from, reports the same storage and writes again to the
 // same bytes. A body below the floor is stored raw.
 func TestBodyFileRoundTrip(t *testing.T) {
@@ -712,7 +710,7 @@ func TestBodyFileRoundTrip(t *testing.T) {
 	data := serialize(t, f)
 	st := f.BodyStorage()
 	switch {
-	case !bytes.HasPrefix(data, []byte(magicBody)) || data[cstAt(f)] != bodyDeflated:
+	case !bytes.HasPrefix(data, []byte(magicIndexBody)) || data[cstAt(f)] != bodyDeflated:
 		t.Fatalf("file starts %q with body selector %d", data[:len(magic)], data[cstAt(f)])
 	case st.Form != "deflated" || st.Raw < minDeflatedBody || st.Stored >= st.Raw:
 		t.Fatalf("body stored %+v", st)
@@ -724,9 +722,9 @@ func TestBodyFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var raw bytes.Buffer
-	f.writeBody(&raw, sec)
+	f.writeBody(&raw, sec, new(form))
 	if !bytes.Equal(rawBody(f), raw.Bytes()) {
-		t.Fatal("the stream is not the magicTemplates body")
+		t.Fatal("the stream is not the magicIndex body")
 	}
 	got, err := Read(bytes.NewReader(data))
 	if err != nil {
@@ -742,14 +740,14 @@ func TestBodyFileRoundTrip(t *testing.T) {
 		t.Fatal("timing grammars changed")
 	case !bytes.Equal(got.CST.Serialize(), f.CST.Serialize()) || got.Salvage.Reason != f.Salvage.Reason:
 		t.Fatal("CST or salvage changed")
-	case got.BodyStorage() != st || got.CSTStorage() != f.CSTStorage():
+	case got.BodyStorage() != st || got.CSTStorage() != f.CSTStorage() || got.IndexStorage() != f.IndexStorage():
 		t.Fatalf("read back as %+v, written %+v", got.BodyStorage(), st)
 	}
 	if again := serialize(t, got); !bytes.Equal(again, data) {
 		t.Fatal("a file read back writes other bytes")
 	}
 	small := mkFileTB(t)
-	if st, data := small.BodyStorage(), serialize(t, small); st.Form != "raw" || !bytes.HasPrefix(data, []byte(magicTemplates)) || cstAt(small)+st.Stored != len(data) {
+	if st, data := small.BodyStorage(), serialize(t, small); st.Form != "raw" || !bytes.HasPrefix(data, []byte(magicIndex)) || cstAt(small)+st.Stored != len(data) {
 		t.Fatalf("a %d-byte file starting %q reports its body %+v", len(data), data[:len(magic)], st)
 	}
 }
@@ -761,7 +759,7 @@ func TestConcurrentWritesDeflateOnce(t *testing.T) {
 	for _, c := range []struct {
 		f     *File
 		magic string
-	}{{bodyFile(t), magicBody}, {templatedFile(t), magicTemplates}} {
+	}{{bodyFile(t), magicIndexBody}, {templatedFile(t), magicIndex}} {
 		outs := make([][]byte, 4)
 		var wg sync.WaitGroup
 		for i := range outs {
@@ -921,13 +919,13 @@ func FuzzTraceRead(f *testing.F) {
 	}
 	d := findDeflatedSet(f, deflated, 1)
 	f.Add(d.with(deflated, d.raw, flipMid(d.z)))
-	// A valid magicTemplates file and four damaged ones.
+	// A valid file with a templated CST and four damaged ones.
 	f.Add(serialize(f, templatedFile(f)))
 	templates := hostileTemplates(f)
 	for _, name := range []string{"lifted values short", "run past the entries", "rebuilt duplicate", "template ids out of use order"} {
 		f.Add(templates[name])
 	}
-	// A valid magicBody file and five damaged ones.
+	// A valid file with a deflated body and five damaged ones.
 	f.Add(serialize(f, bodyFile(f)))
 	bodies := hostileBodies(f)
 	for _, name := range []string{"truncated", "bomb length", "length past ratio", "trailing garbage", "flipped bit"} {
@@ -936,6 +934,14 @@ func FuzzTraceRead(f *testing.F) {
 	// A magic file and a magicShapes file that stores its calls by shape.
 	f.Add(fixture(f, filepath.Join("v1", "distinct_shapes.pilgrim")))
 	f.Add(fixture(f, filepath.Join("v4", "cg_64x4.pilgrim")))
+	// A rank map stored as a grammar and one stored as a column under
+	// magicIndex, and four damaged index sections.
+	f.Add(serialize(f, periodicFile(f)))
+	f.Add(serialize(f, indexFile(f, grid(6, 6))))
+	indices := hostileIndices(f)
+	for _, name := range []string{"rank map: run past the ranks", "rank map: sum past the grammars", "rank map: selector past every stride", "columns under " + magicTemplates} {
+		f.Add(indices[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readAndProbe(data)
 	})
@@ -953,6 +959,6 @@ func mkFileTB(tb testing.TB) *File {
 		NumRanks: 4, TimingMode: TimingAggregated, TimingBase: 1.2,
 		CST:      table,
 		Grammars: []sequitur.Serialized{mkGrammar([]int32{0, 1, 0, 1, 2}), mkGrammar([]int32{2, 2, 2})},
-		RankMap:  mkGrammar([]int32{0, 1, 0, 0}),
+		RankMap:  []int32{0, 1, 0, 0},
 	}
 }

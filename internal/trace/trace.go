@@ -1,8 +1,11 @@
 // Package trace defines Pilgrim's on-disk trace format: one file for
 // the whole job, holding the globally merged call signature table, the
-// set of unique per-rank grammars with a (grammar-compressed) rank →
-// grammar mapping, and optionally the per-rank timing grammars of the
-// non-aggregated mode.
+// set of unique per-rank grammars with a rank → grammar index, and
+// optionally the per-rank timing grammars of the non-aggregated mode
+// with their indices. Each index is stored as a column, raw or
+// run-length, of its ints or of their differences at a stride, or in
+// the older plain form (a Sequitur grammar for the rank map), whichever
+// is smaller.
 //
 // Internally everything is arrays of integers (as in the paper), so
 // identity checks during merging are flat comparisons, and the file is
@@ -17,6 +20,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,14 +38,17 @@ const (
 
 // The magic is the format version, and the magics order as their
 // versions. The writer stores a body — every section after the magic
-// and the header — raw under magicTemplates, or, from minDeflatedBody
-// up when that takes fewer bytes, as one deflate stream (bodyDeflated)
-// under magicBody, whose raw body is a magicTemplates body. The older
+// and the header — raw under magicIndex, or, from minDeflatedBody up
+// when that takes fewer bytes, as one deflate stream (bodyDeflated)
+// under magicIndexBody, whose raw body is a magicIndex body. The older
 // magics are read only: under magic the calls are a grammar set, under
 // magicShapes they may be stored by shape (flagShapes), under magicPack
 // a pack is of today's alphabet (flagPacked), and under magicDeflate
 // timing sets may be stored deflated (flagDeflated); only from
-// magicTemplates on does the CST section have a selector.
+// magicTemplates on does the CST section have a selector, from
+// magicBody on may the body be deflated (a magicBody body is a
+// magicTemplates body), and from magicIndex on does each index section
+// have one (index.go).
 const (
 	magic          = "PILGRIM1"
 	magicShapes    = "PILGRIM2"
@@ -49,6 +56,8 @@ const (
 	magicDeflate   = "PILGRIM4"
 	magicTemplates = "PILGRIM5"
 	magicBody      = "PILGRIM6"
+	magicIndex     = "PILGRIM7"
+	magicIndexBody = "PILGRIM8"
 )
 
 // Grammar set selectors. flagHalves only under magic and magicShapes,
@@ -87,6 +96,9 @@ func halves(m string) bool { return m == magic || m == magicShapes }
 // stored deflated.
 func deflatedSets(m string) bool { return m == magicDeflate || m == magicTemplates }
 
+// bodyMagic reports whether a file of magic m stores its body deflated.
+func bodyMagic(m string) bool { return m == magicBody || m == magicIndexBody }
+
 // TimingBaseError rejects a lossy-timing base that is not finite and
 // greater than 1: Read returns it for such a file, and tracing options
 // carrying one are refused before a run starts.
@@ -121,10 +133,10 @@ type File struct {
 	CST *cst.Table
 
 	// Grammars holds the unique per-rank grammars after the identity
-	// dedup of §3.5.2; RankMap is a grammar over unique-grammar
-	// indices whose expansion has one terminal per rank.
+	// dedup of §3.5.2; RankMap holds, per rank, the index of its grammar
+	// in Grammars.
 	Grammars []sequitur.Serialized
-	RankMap  sequitur.Serialized
+	RankMap  []int32
 
 	// Shape, if non-nil, holds per grammar -1 if it is the first of its
 	// shape (its representative), else that representative's index; nil
@@ -161,10 +173,9 @@ type File struct {
 	tmplOnce  sync.Once
 	templates int
 
-	// Read-path memo (see the type comment): the validated rank map
-	// expansion, and one lazily decoded slot per CST entry.
+	// Read-path memo (see the type comment): the rank map's check, and
+	// one lazily decoded slot per CST entry.
 	rankOnce sync.Once
-	rankIdx  []int32
 	rankErr  error
 	sigOnce  sync.Once
 	sigs     []atomic.Pointer[decodedSig]
@@ -191,25 +202,16 @@ type SalvageInfo struct {
 }
 
 // GrammarIndex returns, per rank, the index of its grammar in
-// Grammars. The rank map is expanded and validated once per File; the
-// returned slice is shared and must not be modified.
+// Grammars: the rank map, validated once per File. The returned slice
+// is shared and must not be modified.
 func (f *File) GrammarIndex() ([]int32, error) {
-	f.rankOnce.Do(func() { f.rankIdx, f.rankErr = f.expandRankMap() })
-	return f.rankIdx, f.rankErr
-}
-
-func (f *File) expandRankMap() ([]int32, error) {
-	// The cap is never 0 (which would disable it), even for 0 ranks.
-	idx, n := f.RankMap.ExpandCapped(int64(f.NumRanks) + 1)
-	if n != int64(f.NumRanks) {
-		return nil, fmt.Errorf("trace: rank map expands to %d entries for %d ranks", n, f.NumRanks)
+	f.rankOnce.Do(func() {
+		f.rankErr = checkIndex(indexNames[rankMapIndex], f.RankMap, f.NumRanks, len(f.Grammars))
+	})
+	if f.rankErr != nil {
+		return nil, f.rankErr
 	}
-	for _, i := range idx {
-		if int(i) >= len(f.Grammars) {
-			return nil, fmt.Errorf("trace: rank map references grammar %d of %d", i, len(f.Grammars))
-		}
-	}
-	return idx, nil
+	return f.RankMap, nil
 }
 
 // maxCallsPerRank bounds in-memory expansion of one rank's call
@@ -290,13 +292,14 @@ func writeGrammarSet(w *bytes.Buffer, gs []sequitur.Serialized) {
 // form is how a trace is stored: data, the bytes WriteTo writes, whose
 // body starts at at and takes raw bytes raw; ends, the offsets in the
 // raw body at which the CST section, the call section with the rank
-// map, and each timing set with its index end; and how the CST is
-// stored. A File WriteTo refuses has only err, why.
+// map, and each timing set with its index end; and how the CST and the
+// indices are stored. A File WriteTo refuses has only err, why.
 type form struct {
 	data    []byte
 	at, raw int
 	ends    [4]int
 	cst     CSTStorage
+	index   [3]IndexStorage
 	err     error
 }
 
@@ -308,7 +311,8 @@ func (f *File) form() *form {
 }
 
 // WriteTo writes the trace's stored form. It fails without writing
-// when Shape does not describe Grammars.
+// when Shape does not describe Grammars, or when the rank map names a
+// negative grammar, which no grammar over it can hold.
 func (f *File) WriteTo(w io.Writer) (int64, error) {
 	s := f.form()
 	if s.err != nil {
@@ -320,10 +324,13 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 
 // layout lays out a File built in memory: the magic, the header (the
 // rank count, the timing mode and the timing base), then the body raw
-// under magicTemplates, or, if it takes at least minDeflatedBody bytes
-// and the stream fewer, under magicBody as its selector, its raw length
-// and its compress/flate stream.
+// under magicIndex, or, if it takes at least minDeflatedBody bytes and
+// the stream fewer, under magicIndexBody as its selector, its raw
+// length and its compress/flate stream.
 func (f *File) layout() form {
+	if r := slices.IndexFunc(f.RankMap, func(i int32) bool { return i < 0 }); r >= 0 {
+		return form{err: fmt.Errorf("trace: rank map names grammar %d for rank %d", f.RankMap[r], r)}
+	}
 	sec, err := f.shaped()
 	if err != nil {
 		return form{err: err}
@@ -333,16 +340,16 @@ func (f *File) layout() form {
 
 // lay is layout with the call section sec (see writeCalls).
 func (f *File) lay(sec *shapedSection) form {
-	w := bytes.NewBuffer(f.header(magicTemplates))
+	w := bytes.NewBuffer(f.header(magicIndex))
 	s := form{at: w.Len()}
-	s.ends, s.cst = f.writeBody(w, sec)
+	f.writeBody(w, sec, &s)
 	s.data = w.Bytes()
 	body := s.data[s.at:]
 	if s.raw = len(body); s.raw < minDeflatedBody || s.raw > maxDeflatedRaw {
 		return s
 	}
 	z := deflateBody(body)
-	d := append(f.header(magicBody), bodyDeflated)
+	d := append(f.header(magicIndexBody), bodyDeflated)
 	d = binary.AppendUvarint(d, uint64(s.raw))
 	if d = binary.AppendUvarint(d, uint64(len(z))); len(d)+len(z) < len(s.data) {
 		s.data = append(d, z...)
@@ -370,27 +377,26 @@ func (f *File) calls(sec *shapedSection) []sequitur.Serialized {
 
 // writeBody appends the body to w: the CST section (see writeCST), the
 // call section (see writeCalls) with the rank map, the timing sets raw
-// with their indices, and the salvage section if there is one. It
-// returns the offsets from the body's start at which the first four
-// end, and how the CST is stored.
-func (f *File) writeBody(w *bytes.Buffer, sec *shapedSection) (ends [4]int, st CSTStorage) {
+// with their indices (see writeIndex), and the salvage section if there
+// is one. It records in s the offsets from the body's start at which
+// the first four end, and how the CST and the indices are stored.
+func (f *File) writeBody(w *bytes.Buffer, sec *shapedSection, s *form) {
 	at := w.Len()
-	st = writeCST(w, f.CST)
-	ends[0] = w.Len() - at
+	s.cst = writeCST(w, f.CST)
+	s.ends[0] = w.Len() - at
 	f.writeCalls(w, sec, storedPack(f.calls(sec), f.Packed))
-	writeInts(w, f.RankMap)
-	ends[1] = w.Len() - at
+	s.index[rankMapIndex] = writeIndex(w, rankMapIndex, f.RankMap, f.NumRanks, len(f.Grammars))
+	s.ends[1] = w.Len() - at
 	writePackable(w, f.DurGrammars, nil)
-	writeInts(w, f.DurIndex)
-	ends[2] = w.Len() - at
+	s.index[durIndex] = writeIndex(w, durIndex, f.DurIndex, f.NumRanks, len(f.DurGrammars))
+	s.ends[2] = w.Len() - at
 	writePackable(w, f.IntGrammars, nil)
-	writeInts(w, f.IntIndex)
-	ends[3] = w.Len() - at
+	s.index[intIndex] = writeIndex(w, intIndex, f.IntIndex, f.NumRanks, len(f.IntGrammars))
+	s.ends[3] = w.Len() - at
 	if f.Salvage != nil {
 		w.WriteByte(1)
 		writeBytes(w, f.Salvage.serialize())
 	}
-	return ends, st
 }
 
 func (s *SalvageInfo) serialize() []byte {
@@ -634,7 +640,7 @@ func Read(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	switch br.magic = string(m); br.magic {
-	case magic, magicShapes, magicPack, magicDeflate, magicTemplates, magicBody:
+	case magic, magicShapes, magicPack, magicDeflate, magicTemplates, magicBody, magicIndex, magicIndexBody:
 	default:
 		return nil, fmt.Errorf("trace: bad magic %q", m)
 	}
@@ -663,34 +669,35 @@ func Read(r io.Reader) (*File, error) {
 	}
 	s := form{data: data, at: br.off()}
 	s.raw = len(data) - s.at
-	if br.magic == magicBody {
+	deflated := bodyMagic(br.magic)
+	if deflated {
 		raw, err := br.deflatedBody()
 		if err != nil {
 			return nil, err
 		}
-		br = byteReader{r: bytes.NewReader(raw), magic: magicBody}
+		br.r = bytes.NewReader(raw)
 		s.raw = len(raw)
 	}
-	if s.ends, s.cst, err = br.body(f); err != nil {
+	if err = br.body(f, &s); err != nil {
 		return nil, err
 	}
-	if br.magic == magicBody && br.r.Len() != 0 {
+	if deflated && br.r.Len() != 0 {
 		return nil, fmt.Errorf("trace: %d bytes past the body's salvage section", br.r.Len())
 	}
 	f.formOnce.Do(func() { f.stored = s })
 	return f, nil
 }
 
-// body reads the sections after the header into f. It returns the
-// offsets from where it starts at which the CST section, the call
+// body reads the sections after the header into f. It records in s
+// the offsets from where it starts at which the CST section, the call
 // section with the rank map, and each timing set with its index end,
-// and how the CST is stored.
-func (br byteReader) body(f *File) (ends [4]int, st CSTStorage, err error) {
+// and how the CST and the indices are stored.
+func (br byteReader) body(f *File, s *form) (err error) {
 	at := br.off()
-	if st, err = br.cstSection(f); err != nil {
+	if s.cst, err = br.cstSection(f); err != nil {
 		return
 	}
-	ends[0] = br.off() - at
+	s.ends[0] = br.off() - at
 	flag, err := br.r.ReadByte()
 	if err != nil {
 		return
@@ -706,29 +713,29 @@ func (br byteReader) body(f *File) (ends [4]int, st CSTStorage, err error) {
 	if err != nil {
 		return
 	}
-	if f.RankMap, err = br.grammar(); err != nil {
+	if f.RankMap, s.index[rankMapIndex], err = br.index(rankMapIndex, f.NumRanks, len(f.Grammars)); err != nil {
 		return
 	}
-	ends[1] = br.off() - at
+	s.ends[1] = br.off() - at
 	if f.DurGrammars, err = br.timingSet(f.NumRanks); err != nil {
 		return
 	}
-	if f.DurIndex, err = br.ints(); err != nil {
+	if f.DurIndex, s.index[durIndex], err = br.index(durIndex, f.NumRanks, len(f.DurGrammars)); err != nil {
 		return
 	}
-	ends[2] = br.off() - at
+	s.ends[2] = br.off() - at
 	if f.IntGrammars, err = br.timingSet(f.NumRanks); err != nil {
 		return
 	}
-	if f.IntIndex, err = br.ints(); err != nil {
+	if f.IntIndex, s.index[intIndex], err = br.index(intIndex, f.NumRanks, len(f.IntGrammars)); err != nil {
 		return
 	}
-	ends[3] = br.off() - at
+	s.ends[3] = br.off() - at
 	// Optional trailing salvage section: absent (EOF here) in normal
 	// traces and in files from older writers.
 	flag, err = br.r.ReadByte()
 	if err == io.EOF {
-		return ends, st, nil
+		return nil
 	}
 	if err != nil {
 		return

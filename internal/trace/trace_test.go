@@ -27,7 +27,7 @@ func mkFile(t *testing.T) *File {
 	table.Add([]byte("sigC"), 300)
 	g0 := mkGrammar([]int32{0, 1, 0, 1, 2})
 	g1 := mkGrammar([]int32{2, 2, 2})
-	rankMap := mkGrammar([]int32{0, 1, 0, 0})
+	rankMap := []int32{0, 1, 0, 0}
 	return &File{
 		NumRanks: 4, TimingMode: TimingAggregated, TimingBase: 1.2,
 		CST: table, Grammars: []sequitur.Serialized{g0, g1}, RankMap: rankMap,
@@ -121,7 +121,7 @@ func TestTermsErrors(t *testing.T) {
 		{"long rank map", []int32{0, 1, 0, 0, 1}},
 	} {
 		f := mkFile(t)
-		f.RankMap = mkGrammar(c.rankMap)
+		f.RankMap = c.rankMap
 		_, first := f.Terms(0)
 		if first == nil {
 			t.Errorf("%s accepted", c.name)
@@ -207,8 +207,8 @@ func TestSectionSizesConsistent(t *testing.T) {
 		t.Fatalf("sections: %d %d", cstB, cfgB)
 	}
 	// An empty timing set is its selector and count, an empty index
-	// its length and count.
-	if durB != 4 || intB != 4 {
+	// its selector, length and count.
+	if durB != 5 || intB != 5 {
 		t.Fatalf("empty timing sections take %d and %d bytes", durB, intB)
 	}
 	// The sections and a salvage section are the raw body, deflated or

@@ -13,10 +13,10 @@ import (
 )
 
 // Raw returns a trace's bytes with a deflated body inflated: a PILGRIM6
-// file's magic and header, then its raw body. Any other file is
-// returned as it is.
+// or PILGRIM8 file's magic and header, then its raw body. Any other
+// file is returned as it is.
 func Raw(data []byte) ([]byte, error) {
-	if !bytes.HasPrefix(data, []byte("PILGRIM6")) {
+	if !bytes.HasPrefix(data, []byte("PILGRIM6")) && !bytes.HasPrefix(data, []byte("PILGRIM8")) {
 		return data, nil
 	}
 	at := 8
