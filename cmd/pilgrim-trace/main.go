@@ -39,7 +39,7 @@ func main() {
 		runID     = flag.String("run-id", "", "run identifier at the collector (default: generated)")
 
 		spillDir    = flag.String("spill-dir", "", "finalize a batch of ranks at a time instead of holding every rank in memory, recording each batch's snapshots under this directory (journal-format, byte-identical output; ignored with -collector)")
-		maxResident = flag.Int("max-resident", 0, "max rank snapshots resident during a -spill-dir finalize: each batch of at most this many is snapshotted, written to the spill and finalized before the next (0 = a sixteenth of the ranks)")
+		maxResident = flag.Int("max-resident", 0, "max rank snapshots resident during a -spill-dir finalize: batches of half this many are snapshotted and written to the spill while the batch before is finalized (0 = two batches of a sixteenth of the ranks; negative is refused)")
 
 		obsOn   = flag.Bool("obs", false, "record pipeline spans (finalize stages, collector client) into a flight recorder")
 		obsBuf  = flag.Int("obs-buf", 0, "flight recorder capacity in events (0 = 4096 default; overflow drops oldest)")

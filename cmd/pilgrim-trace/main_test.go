@@ -84,3 +84,28 @@ func TestTraceSavesOneStoredForm(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceRefusesBadOptions: options no run can trace with exit 1
+// with the reason on stderr and leave no file: a negative -max-resident
+// (once run as a cap of a sixteenth of the ranks), and a lossy timing
+// base not above 1.
+func TestTraceRefusesBadOptions(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		why  string
+	}{
+		{[]string{"-workload", "cg", "-procs", "8", "-iters", "2", "-max-resident", "-4"}, "max resident snapshots -4 is negative"},
+		{[]string{"-workload", "stencil2d", "-procs", "4", "-timing", "lossy", "-timing-base", "1"}, "is not finite and > 1"},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "t.pilgrim")
+		args := append(c.args, "-spill-dir", filepath.Join(dir, "spill"), "-o", path)
+		_, stderr, code := run(t, args...)
+		if code != 1 || !strings.Contains(stderr, c.why) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 and %q", c.args, code, stderr, c.why)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%v: a trace was written (stat: %v)", c.args, err)
+		}
+	}
+}

@@ -286,3 +286,25 @@ func BenchmarkClientSendSnapshot(b *testing.B) {
 		}
 	}
 }
+
+// TestStartRefusesBadConfig: Start fails, before it listens, on a
+// config no server can run with — a journal sync mode it does not
+// know, or a negative resident snapshot cap, which it once took for no
+// cap at all — and starts with the zero cap, which is none.
+func TestStartRefusesBadConfig(t *testing.T) {
+	for name, cfg := range map[string]collect.Config{
+		"unknown sync mode":     {JournalSync: "sometimes"},
+		"negative resident cap": {MaxResidentSnapshots: -1},
+	} {
+		cfg.Listen, cfg.OutDir = "127.0.0.1:0", t.TempDir()
+		if srv, err := collect.Start(cfg); err == nil {
+			srv.Close()
+			t.Errorf("%s: started", name)
+		}
+	}
+	srv, err := collect.Start(collect.Config{Listen: "127.0.0.1:0", OutDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+}

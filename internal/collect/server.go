@@ -92,7 +92,8 @@ type Config struct {
 	// it reaches the rank, in batches no larger than the cap — peak
 	// memory stays O(cap) instead of O(world) with byte-identical
 	// output. Requires OutDir (the journal is the spill); runs without a
-	// healthy journal keep everything resident. Zero means unbounded.
+	// healthy journal keep everything resident. Zero means unbounded;
+	// Start refuses a negative cap.
 	MaxResidentSnapshots int
 	// KeepJournalFrames retains each run's frames.jnl after finalize
 	// instead of dropping it. Normal operation deletes the frames (the
@@ -170,6 +171,9 @@ func start(cfg Config, fsys framelog.FS) (*Server, error) {
 		return nil, err
 	}
 	cfg.JournalSync = mode
+	if cfg.MaxResidentSnapshots < 0 {
+		return nil, fmt.Errorf("collect: max resident snapshots %d is negative", cfg.MaxResidentSnapshots)
+	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, err

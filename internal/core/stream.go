@@ -8,9 +8,11 @@
 // they end up in. The pack therefore
 // starts with the first batch, and the walk holds one batch of
 // snapshots at a time; what the caller keeps is its own affair. The
-// local routes pull their batches through a fetch callback
-// (FinalizeStreamed); the collector pushes each batch into a Walk as
-// soon as its ranks have arrived.
+// spill route pulls its batches through a fetch callback
+// (FinalizeStreamed), which fetches the next batch while the walk
+// takes in this one; the in-memory routes add slices of their resident
+// array; the collector pushes each batch into a Walk as soon as its
+// ranks have arrived.
 //
 // The trace is byte-identical for every batch size and GOMAXPROCS.
 // cst.Table.Absorb never renumbers a terminal, so a rank's relabel is
@@ -36,22 +38,42 @@ import (
 )
 
 // SnapshotFetch returns snapshots for the contiguous rank range
-// [start, start+n), in rank order. It is called once per range, in
-// rank order. The walk folds each Table into the global CST unless the
-// finalize was handed a premerged one, in which case Table may be nil.
-// Snapshots are never mutated, so an in-memory fetch may hand out its
-// resident ones.
+// [start, start+n), in rank order. FinalizeStreamed calls it once per
+// range, in rank order, one call at a time, on a goroutine of its own
+// while the walk takes in the range before. The walk folds each Table
+// into the global CST unless the finalize was handed a premerged one,
+// in which case Table may be nil. Snapshots are never mutated, so a
+// fetch may hand out resident ones.
 type SnapshotFetch func(start, n int) ([]*Snapshot, error)
 
-// BatchSize is the walk's grain for a world of ranks: a sixteenth of
-// it (at least one rank), so the Packers have work from the first
-// batch on, capped by MaxResidentSnapshots when that is set.
+// BatchSize is the pushed walk's grain for a world of ranks (the
+// collector's step): a sixteenth of it (at least one rank), so the
+// Packers have work from the first batch on, capped by
+// MaxResidentSnapshots when that is set. FinalizeStreamed fetches at
+// fetchGrain instead.
 func (o Options) BatchSize(world int) int {
 	k := max(1, (world+15)/16)
 	if m := o.MaxResidentSnapshots; m > 0 && m < k {
 		return m
 	}
 	return k
+}
+
+// fetchGrain returns FinalizeStreamed's batch, and the limit on the
+// snapshots it lets be resident at once, each counted from the fetch
+// that returns it to the end of its Walk.Add. Under a cap K the batch
+// is BatchSize under a cap of max(1, ⌊K/2⌋), so the batch being walked
+// and the next one, fetched beside it, fit in K; at K = 1 they do not,
+// and each fetch waits for the Add before it. Without a cap two
+// batches of BatchSize may be resident.
+func (o Options) fetchGrain(world int) (batch, limit int) {
+	k := o.MaxResidentSnapshots
+	if k <= 0 {
+		batch = o.BatchSize(world)
+		return batch, 2 * batch
+	}
+	o.MaxResidentSnapshots = max(1, k/2)
+	return o.BatchSize(world), k
 }
 
 // dedupState is one section's first-seen grammar dedup: batches append
@@ -137,6 +159,11 @@ func (d *dedupState) finish() sequitur.Serialized {
 	return packed
 }
 
+// maxPresize bounds the entries the walk makes room for in the global
+// CST after its first batch, and so what a first batch that predicts
+// too many can cost: about 2 MiB of map.
+const maxPresize = 1 << 16
+
 // Walk is the finalize walk as a value the caller advances: NewWalk
 // starts the Packer, each Add walks the next ranks in rank order, and
 // Finish returns the trace once all world ranks are in. Within an Add
@@ -168,7 +195,7 @@ type Walk struct {
 // global CST and relabels unified before the walk and cstMergeNs the
 // time that took; without it the walk folds the tables itself. The
 // trace is the same bytes either way. The Packer's queue is as deep as
-// the walk has batches of Options.BatchSize.
+// the walk has batches of fetchGrain, the finer of the two grains.
 func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *Walk {
 	opts = opts.withDefaults()
 	w := &Walk{
@@ -186,7 +213,7 @@ func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *
 	if world == 0 {
 		return w // Finish returns the zero-rank result
 	}
-	batch := opts.BatchSize(world)
+	batch, _ := opts.fetchGrain(world)
 	batches := (world + batch - 1) / batch
 	w.dsp = opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
 	w.calls = newDedupState(world, batches, true)
@@ -249,6 +276,13 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 			}
 		}
 		msp.WithAttr("global_cst", int64(w.global.Len())).End()
+		if start == 0 && n < w.world {
+			// Room for the rest of the world at the first batch's rate of
+			// new entries per rank, up to maxPresize: grown entry by
+			// entry, the table's map rehashes at every doubling, which
+			// took 40 % of a 4 096-rank cg fold.
+			w.global.Grow(min(w.global.Len()*(w.world-n)/n, maxPresize))
+		}
 	}
 	// Per-rank relabel against the global terminals (§3.5.1): each
 	// rank rewrites only its own grammar, so the loop fans out freely.
@@ -366,30 +400,78 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 }
 
 // FinalizeStreamed runs the finalize walk over world ranks fetched in
-// batches of Options.BatchSize: fetch, then Walk.Add, per batch.
+// batches of fetchGrain, each batch fetched while the walk Adds the one
+// before when the two fit under MaxResidentSnapshots (pipeline).
 // premerged and cstMergeNs are NewWalk's. The trace is the same bytes
-// with or without a premerged CST. It fails when fetch does, when a
-// fetched batch breaks Add's contract, or when a grammar names a
-// terminal its rank's table never held.
+// with or without a premerged CST, for every cap and GOMAXPROCS. It
+// fails when fetch does, when a fetched batch breaks Add's contract, or
+// when a grammar names a terminal its rank's table never held; a batch
+// already fetched when Add fails is dropped unwalked. Every path joins
+// the fetch goroutine and the Packer before it returns.
 func FinalizeStreamed(world int, fetch SnapshotFetch, premerged *cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
 	w := NewWalk(world, premerged, cstMergeNs, opts)
 	defer w.Stop()
-	batch := opts.BatchSize(world)
-	for start := 0; start < world; start += batch {
-		n := min(batch, world-start)
-		snaps, err := fetch(start, n)
-		if err != nil {
-			return nil, FinalizeStats{}, err
-		}
-		if len(snaps) != n {
-			return nil, FinalizeStats{}, fmt.Errorf("core: snapshot fetch [%d,%d) returned %d snapshots", start, start+n, len(snaps))
-		}
-		// Fetched snapshots are dropped wholesale when the batch ends,
-		// so a batch's resident cost is bounded. They are not mutated:
-		// the in-memory wrapper hands the caller's own array through.
-		if err := w.Add(snaps); err != nil {
-			return nil, FinalizeStats{}, err
-		}
+	batch, limit := opts.fetchGrain(world)
+	if err := pipeline(world, batch, limit, fetch, w.Add); err != nil {
+		return nil, FinalizeStats{}, err
 	}
 	return w.Finish(info)
+}
+
+// fetched is what one fetch returned.
+type fetched struct {
+	snaps []*Snapshot
+	err   error
+}
+
+// pipeline hands world ranks to add in batches of batch ranks, in rank
+// order. Each batch is fetched on a goroutine of its own, one fetch at
+// a time: the next starts as soon as it fits beside the snapshots
+// already resident, which is before the Add of the batch before it
+// when 2·batch ≤ limit, and after it otherwise. A batch is resident
+// from the start of its fetch until its add returns, so at most limit
+// snapshots are. pipeline returns only once no fetch is running, on
+// every path; a batch fetched beside a failing add is dropped.
+func pipeline(world, batch, limit int, fetch SnapshotFetch, add func([]*Snapshot) error) error {
+	var pending chan fetched // the fetch in flight, nil when none is
+	next, resident := 0, 0   // next: the first rank no fetch has asked for
+	defer func() {
+		if pending != nil {
+			<-pending
+		}
+	}()
+	prefetch := func() {
+		n := min(batch, world-next)
+		if pending != nil || n == 0 || resident+n > limit {
+			return
+		}
+		ch, start := make(chan fetched, 1), next
+		go func() {
+			snaps, err := fetch(start, n)
+			ch <- fetched{snaps, err}
+		}()
+		pending, next, resident = ch, next+n, resident+n
+	}
+	for start := 0; start < world; {
+		prefetch()
+		b := <-pending
+		pending = nil
+		n := min(batch, world-start)
+		if b.err != nil {
+			return b.err
+		}
+		if len(b.snaps) != n {
+			return fmt.Errorf("core: snapshot fetch [%d,%d) returned %d snapshots", start, start+n, len(b.snaps))
+		}
+		prefetch()
+		// The batch is dropped wholesale once walked, so what is resident
+		// stays bounded.
+		err := add(b.snaps)
+		resident -= n
+		if err != nil {
+			return err
+		}
+		start += n
+	}
+	return nil
 }

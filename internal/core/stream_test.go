@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/leaktest"
@@ -36,14 +39,17 @@ func streamSnapshots(n int, lossy bool) ([]*Snapshot, *cst.Merged) {
 }
 
 // TestFinalizeStreamedErrorJoinsPackers: the Packers run on their own
-// goroutines while the walk fetches, so every error return has to stop
-// them. A fetch that fails on the second batch, a grammar naming a
-// terminal its table never held (a panic before it was an error), and,
-// when the walk folds the tables itself, a snapshot fetched without
-// its table, and a table whose call count would take the merged entry
-// past an int64, each come back as that error with the goroutine
-// count at its baseline: in both timing modes, at GOMAXPROCS 1, 2, 3
-// and 8, folding or handed the tables premerged.
+// goroutines, and each fetch on one of its own while the walk takes in
+// the batch before, so every return has to join them. A fetch that
+// fails on the second batch, an Add that fails on the second batch
+// while the third is being fetched, a grammar naming a terminal its
+// table never held (a panic before it was an error), and, when the
+// walk folds the tables itself, a snapshot fetched without its table,
+// and a table whose call count would take the merged entry past an
+// int64, each come back as that error with the goroutine count at its
+// baseline, as do a finished walk and one stopped halfway: in both
+// timing modes, at GOMAXPROCS 1, 2, 3 and 8, folding or handed the
+// tables premerged.
 func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 	const n = 12
 	errFetch := errors.New("spill: batch 2 unreadable")
@@ -77,6 +83,60 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 					t.Fatalf("%s: fetch called %d times, want 2 (none after the failure)", name, fetches)
 				}
 
+				// Under a cap of 2 the batches are of one rank: rank 1, the
+				// second batch, names a terminal its table never held, and
+				// the third batch's fetch, started beside that Add, is still
+				// running when it fails (a sleep keeps it so; no check
+				// depends on how long). The finalize returns only once that
+				// fetch has, and fetches nothing after it.
+				capped := opts
+				capped.MaxResidentSnapshots = 2
+				if b, limit := capped.fetchGrain(n); b != 1 || limit != 2 {
+					t.Fatalf("%s: batches of %d under a limit of %d", name, b, limit)
+				}
+				var third atomic.Bool
+				fetches = 0
+				slow := func(start, k int) ([]*Snapshot, error) {
+					fetches++
+					out := append([]*Snapshot(nil), snaps[start:start+k]...)
+					switch start {
+					case 1:
+						bad := *out[0]
+						g := sequitur.New()
+						g.Append(7)
+						bad.Grammar = g.Serialize()
+						out[0] = &bad
+					case 2:
+						time.Sleep(20 * time.Millisecond)
+						third.Store(true)
+					}
+					return out, nil
+				}
+				check = leaktest.Baseline(t)
+				_, _, err := FinalizeStreamed(n, slow, merged, 0, capped, nil)
+				if err == nil || !strings.Contains(err.Error(), "relabel rank 1") {
+					t.Fatalf("%s: a failing Add came back as %v", name, err)
+				}
+				if !third.Load() || fetches != 3 {
+					t.Fatalf("%s: returned with the third fetch done %v, after %d fetches, want it done and 3", name, third.Load(), fetches)
+				}
+				check()
+
+				check = leaktest.Baseline(t)
+				if _, _, err := FinalizeStreamed(n, func(start, k int) ([]*Snapshot, error) {
+					return snaps[start : start+k], nil
+				}, merged, 0, capped, nil); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				check()
+				check = leaktest.Baseline(t)
+				w := NewWalk(n, merged, 0, opts)
+				if err := w.Add(snaps[:n/2]); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				w.Stop()
+				check()
+
 				// Rank 9 swapped for a copy: the grammar naming terminal 7
 				// of a one-entry table, or the table left out.
 				swap9 := func(edit func(s *Snapshot)) SnapshotFetch {
@@ -97,7 +157,7 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 					s.Grammar = g.Serialize()
 				})
 				check = leaktest.Baseline(t)
-				_, _, err := FinalizeStreamed(n, hostile, merged, 0, opts, nil)
+				_, _, err = FinalizeStreamed(n, hostile, merged, 0, opts, nil)
 				if err == nil || !strings.Contains(err.Error(), "relabel rank 9") {
 					t.Fatalf("%s: unmapped terminal came back as %v", name, err)
 				}
@@ -135,4 +195,103 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFinalizeStreamedResidency: a snapshot is resident from the fetch
+// that returns it until the end of its Walk.Add, and under
+// MaxResidentSnapshots K no more than K ever are. The fetch checks the
+// bound as it starts, against the ranks walked so far. Whenever two
+// batches fit under K each Add waits for the next batch's fetch to
+// start, which it must (the walk fetches a batch ahead), and otherwise
+// requires that it has not. The trace is the in-memory finalize's
+// bytes: for K of 1, 2, 3 and 256 and no cap, in both timing modes,
+// folding or handed the tables premerged.
+func TestFinalizeStreamedResidency(t *testing.T) {
+	const n = 64
+	for _, lossy := range []bool{false, true} {
+		for _, fold := range []bool{false, true} {
+			snaps, merged := streamSnapshots(n, lossy)
+			if fold {
+				merged = nil
+			}
+			var opts Options
+			if lossy {
+				opts.TimingMode = trace.TimingLossy
+			}
+			ref, _ := FinalizeSnapshots(snaps, opts, nil)
+			want := streamBytes(t, ref)
+			for _, k := range []int{1, 2, 3, 256, 0} {
+				name := fmt.Sprintf("lossy=%v fold=%v K=%d", lossy, fold, k)
+				opts.MaxResidentSnapshots = k
+				batch, limit := opts.fetchGrain(n)
+				if k > 0 && limit != k {
+					t.Fatalf("%s: limit %d", name, limit)
+				}
+				ahead := 2*batch <= limit
+				var fetched, walked, peak, calls atomic.Int64
+				started := make(chan struct{}, n) // one send per fetch
+				fetch := func(start, m int) ([]*Snapshot, error) {
+					calls.Add(1)
+					started <- struct{}{}
+					resident := fetched.Add(int64(m)) - walked.Load()
+					if resident > int64(limit) {
+						t.Errorf("%s: fetch [%d,%d) makes %d snapshots resident", name, start, start+m, resident)
+					}
+					if resident > peak.Load() {
+						peak.Store(resident)
+					}
+					return snaps[start : start+m], nil
+				}
+				w := NewWalk(n, merged, 0, opts)
+				adds, seen := int64(0), int64(0)
+				err := pipeline(n, batch, limit, fetch, func(b []*Snapshot) error {
+					adds++
+					for ; ahead && b[len(b)-1].Rank+1 < n && seen <= adds; seen++ {
+						select {
+						case <-started:
+						case <-time.After(5 * time.Second):
+							return fmt.Errorf("batch %d walked with no fetch ahead of it", adds)
+						}
+					}
+					if !ahead && calls.Load() > adds {
+						return fmt.Errorf("batch %d walked beside the next fetch", adds)
+					}
+					err := w.Add(b)
+					walked.Add(int64(len(b)))
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				f, _, err := w.Finish(nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := streamBytes(t, f); !bytes.Equal(got, want) {
+					t.Fatalf("%s: %d bytes, in memory %d", name, len(got), len(want))
+				}
+				if want := int64(min(limit, 2*batch)); peak.Load() != want {
+					t.Errorf("%s: at most %d snapshots resident, want %d (batches of %d)", name, peak.Load(), want, batch)
+				}
+				f, _, err = FinalizeStreamed(n, func(start, m int) ([]*Snapshot, error) {
+					return snaps[start : start+m], nil
+				}, merged, 0, opts, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := streamBytes(t, f); !bytes.Equal(got, want) {
+					t.Fatalf("%s: FinalizeStreamed wrote %d bytes, in memory %d", name, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+func streamBytes(t *testing.T, f *trace.File) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := f.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }

@@ -78,17 +78,22 @@ type Options struct {
 	// this directory (internal/framelog: the MANIFEST.json + frames.jnl
 	// layout the collector journals, readable by pilgrim-dump -journal
 	// and replayable by pilgrim-loadgen) and
-	// finalized straight from memory, and the batch is dropped. The
-	// produced trace is byte-identical to the in-memory finalize; peak
-	// resident snapshots drop from O(ranks) to one batch. The core
+	// finalized straight from memory while the next batch is taken, and
+	// the batch is dropped. The produced trace is byte-identical to the
+	// in-memory finalize; peak resident snapshots drop from O(ranks) to
+	// MaxResidentSnapshots, or two batches without a cap. The core
 	// package itself never touches the filesystem; the wiring lives in
 	// internal/spill and pilgrim.RunSim.
 	SpillDir string
-	// MaxResidentSnapshots caps the finalize walk's batch (BatchSize),
-	// and so how many rank snapshots the streamed finalize (SpillDir, or
-	// the collector's journal-backed finalize) keeps in memory at once.
-	// 0 (the default) leaves the batch at a sixteenth of the world;
-	// the output is byte-identical either way.
+	// MaxResidentSnapshots caps how many rank snapshots a streamed
+	// finalize keeps in memory at once. FinalizeStreamed (SpillDir)
+	// counts a snapshot from the fetch that returns it to the end of
+	// its Walk.Add and fetches batches of half the cap, a batch ahead
+	// of the walk (at 1, without overlap); the collector's
+	// journal-backed finalize caps its walk's batch (BatchSize) at it.
+	// 0 (the default) sets no cap: batches of a sixteenth of the world,
+	// two of them resident at once. Validate refuses a negative cap.
+	// The output is byte-identical for every cap.
 	MaxResidentSnapshots int
 }
 
@@ -100,11 +105,15 @@ func (o Options) withDefaults() Options {
 }
 
 // Validate refuses options no run can trace with: in lossy timing mode
-// the base, once defaulted, must be finite and greater than 1.
+// the base, once defaulted, must be finite and greater than 1, and the
+// resident snapshot cap must not be negative.
 func (o Options) Validate() error {
 	o = o.withDefaults()
 	if o.TimingMode == trace.TimingLossy && !timing.ValidBase(o.TimingBase) {
 		return &trace.TimingBaseError{Base: o.TimingBase}
+	}
+	if o.MaxResidentSnapshots < 0 {
+		return fmt.Errorf("max resident snapshots %d is negative", o.MaxResidentSnapshots)
 	}
 	return nil
 }
@@ -572,21 +581,26 @@ func FinalizePremerged(snaps []*Snapshot, merged cst.Merged, cstMergeNs int64, o
 	return finalizeResident(snaps, &merged, cstMergeNs, opts, info)
 }
 
-// finalizeResident is the finalize walk over resident snapshots,
-// fetched by slicing the array, so the in-memory and streamed routes
-// share one implementation and stay byte-identical by construction.
+// finalizeResident is the finalize walk over resident snapshots, in
+// batches of Options.BatchSize sliced from the array. Nothing is
+// fetched, so nothing is fetched ahead: a goroutine per batch would
+// only add its start-up to a 16-rank finalize. The walk is
+// FinalizeStreamed's, so the in-memory and streamed routes stay
+// byte-identical by construction.
 func finalizeResident(snaps []*Snapshot, premerged *cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	fetch := func(start, n int) ([]*Snapshot, error) {
-		return snaps[start : start+n], nil
+	w := NewWalk(len(snaps), premerged, cstMergeNs, opts)
+	defer w.Stop()
+	batch := opts.BatchSize(len(snaps))
+	for start := 0; start < len(snaps); start += batch {
+		if err := w.Add(snaps[start:min(start+batch, len(snaps))]); err != nil {
+			// A resident snapshot's grammar names only terminals of the
+			// table it was built or decoded with; an error here is a
+			// broken invariant, not an I/O condition the caller can
+			// handle.
+			panic(fmt.Sprintf("core: in-memory finalize: %v", err))
+		}
 	}
-	f, st, err := FinalizeStreamed(len(snaps), fetch, premerged, cstMergeNs, opts, info)
-	if err != nil {
-		// The slice fetch cannot fail, and a resident snapshot's grammar
-		// names only terminals of the table it was built or decoded
-		// with; an error here is a broken invariant, not an I/O
-		// condition the caller can handle.
-		panic(fmt.Sprintf("core: in-memory finalize: %v", err))
-	}
+	f, st, _ := w.Finish(info) // fails only short of the last rank
 	return f, st
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Table is one process's call signature table.
@@ -36,6 +37,22 @@ func NewSized(n int) *Table {
 		count:  make([]int64, 0, n),
 		durSum: make([]int64, 0, n),
 	}
+}
+
+// Grow makes room for n more entries, so that adding them rehashes
+// nothing.
+func (t *Table) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	m := make(map[string]int32, len(t.sigs)+n)
+	for term, s := range t.sigs {
+		m[s] = int32(term)
+	}
+	t.bySig = m
+	t.sigs = slices.Grow(t.sigs, n)
+	t.count = slices.Grow(t.count, n)
+	t.durSum = slices.Grow(t.durSum, n)
 }
 
 // Add returns the terminal for sig, creating a new entry on first

@@ -191,6 +191,43 @@ func TestAddHitPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestGrowKeepsTheTable: a grown table keeps its entries and their
+// terminals, absorbs as the ungrown one does, and absorbs the entries
+// it made room for without allocating.
+func TestGrowKeepsTheTable(t *testing.T) {
+	build := func() *Table {
+		tb := New()
+		for i := 0; i < 10; i++ {
+			tb.Add([]byte(fmt.Sprintf("sig%d", i%7)), int64(i))
+		}
+		return tb
+	}
+	src := New()
+	for i := 0; i < 64; i++ {
+		src.Add([]byte(fmt.Sprintf("sig%d", i)), 3)
+	}
+	plain, grown := build(), build()
+	grown.Grow(src.Len())
+	grown.Grow(0)
+	if !bytes.Equal(plain.Serialize(), grown.Serialize()) {
+		t.Fatal("Grow changed the table")
+	}
+	var want, got []int32
+	allocs := testing.AllocsPerRun(1, func() {
+		g := build()
+		g.Grow(src.Len())
+		got, _ = g.Absorb(src) // the relabel is Absorb's one allocation
+	})
+	want, _ = plain.Absorb(src)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("relabel %v, ungrown %v", got, want)
+	}
+	base := testing.AllocsPerRun(1, func() { build().Grow(src.Len()) })
+	if allocs-base > 1 {
+		t.Fatalf("absorbing into a grown table allocated %.0f times beyond the relabel", allocs-base-1)
+	}
+}
+
 func TestSerializeRoundtrip(t *testing.T) {
 	tb := New()
 	tb.Add([]byte("alpha"), 5)

@@ -71,11 +71,11 @@ func SyntheticSnapshot(r int) *core.Snapshot {
 // for: peak memory. At each rank count it finalizes the same synthetic
 // snapshot population twice — once the classic way (materialize all P
 // snapshots, finalize in memory) and once streamed (spill.FinalizeRanks
-// generating one rank at a time: frames to disk and tables into the
-// merge in MaxResidentSnapshots-sized batches, grammars read back in
-// the same batches) — and records the peak live
-// heap and peak process RSS of each phase, asserting the two traces
-// are byte-identical. The in-memory peak grows O(P); the streamed peak
+// generating each rank as its batch is fetched: frames to disk and
+// snapshots into the walk in batches of half of MaxResidentSnapshots,
+// the next batch generated while the walk takes in this one) — and
+// records the peak live heap and peak process RSS of each phase,
+// asserting the two traces are byte-identical. The in-memory peak grows O(P); the streamed peak
 // grows O(K + log P) in resident tables and should stay sublinear in P
 // (the acceptance bar: the largest point's streamed peak RSS under 4x
 // the 2048-rank point's).

@@ -7,18 +7,21 @@
 // core.FinalizeStreamed's walk, which folds, relabels and packs it and
 // drops it. A local run with core.Options.SpillDir set finalizes
 // through here (FinalizeRanks) in one pass that writes every rank and
-// reads none back, so peak resident snapshots is one batch instead of
-// every rank while the produced trace stays byte-identical to the
-// in-memory finalize.
+// reads none back, so peak resident snapshots is at most
+// MaxResidentSnapshots (the batch being walked and the one being
+// spilled beside it) instead of every rank, while the produced trace
+// stays byte-identical to the in-memory finalize.
 package spill
 
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/framelog"
+	"github.com/hpcrepro/pilgrim/internal/par"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
@@ -81,30 +84,38 @@ func newWriter(dir framelog.Dir, runID string, world int, opts core.Options) (*W
 // records its offset for Fetch. It writes through: frames.jnl is
 // complete after every Add.
 func (w *Writer) Add(s *core.Snapshot) error {
-	if err := w.stage(s); err != nil {
+	if err := w.due(s.Rank); err != nil {
+		return err
+	}
+	if err := w.stage(s.Rank, wire.EncodeSnapshot(s)); err != nil {
 		return err
 	}
 	return w.flush()
 }
 
-// stage builds one rank's frame pair into the write buffer; the next
-// flush (forced here once RunCap bytes wait) lands it in the file.
-func (w *Writer) stage(s *core.Snapshot) error {
-	if s.Rank < 0 || s.Rank >= len(w.refs) {
-		return fmt.Errorf("spill: rank %d out of range [0,%d)", s.Rank, len(w.refs))
+// due refuses a rank outside the world or already spilled.
+func (w *Writer) due(rank int) error {
+	if rank < 0 || rank >= len(w.refs) {
+		return fmt.Errorf("spill: rank %d out of range [0,%d)", rank, len(w.refs))
 	}
-	if w.refs[s.Rank].Len != 0 {
-		return fmt.Errorf("spill: rank %d spilled twice", s.Rank)
+	if w.refs[rank].Len != 0 {
+		return fmt.Errorf("spill: rank %d spilled twice", rank)
 	}
-	body := wire.EncodeSnapshot(s)
+	return nil
+}
+
+// stage builds the frame pair around a due rank's encoded snapshot into
+// the write buffer; the next flush (forced here once RunCap bytes wait)
+// lands it in the file.
+func (w *Writer) stage(rank int, body []byte) error {
 	if len(body) > wire.MaxFrame {
-		return fmt.Errorf("spill: rank %d snapshot of %d bytes exceeds the frame cap", s.Rank, len(body))
+		return fmt.Errorf("spill: rank %d snapshot of %d bytes exceeds the frame cap", rank, len(body))
 	}
-	h := w.man.Hello(s.Rank)
+	h := w.man.Hello(rank)
 	before := len(w.wbuf)
 	w.wbuf = framelog.AppendPair(w.wbuf, &h, body)
 	n := int64(len(w.wbuf) - before)
-	w.refs[s.Rank] = framelog.Ref{Off: w.off, Len: n}
+	w.refs[rank] = framelog.Ref{Off: w.off, Len: n}
 	w.off += n
 	if len(w.wbuf) >= w.fetch.RunCap {
 		return w.flush()
@@ -182,12 +193,16 @@ func Finalize(tracers []*core.Tracer, failed map[int]error, reason string, opts 
 }
 
 // FinalizeRanks is the spill route's one driver: one pass that writes
-// every rank and reads none back. take(rank), called once per rank in
-// rank order, hands over a snapshot the finalize owns. Per batch of
-// opts.BatchSize ranks, the frames land in opts.SpillDir/<run> with one
-// write and the snapshots go on to core.FinalizeStreamed's walk, which
-// folds their tables, relabels, dedups and packs them and drops them.
-// A non-nil info marks a salvage.
+// every rank and reads none back. take(rank), called once per rank,
+// hands over a snapshot the finalize owns; the ranks of a batch are
+// taken concurrently, on GOMAXPROCS workers, so take must be safe to
+// call for distinct ranks at once. Per batch of core.FinalizeStreamed's
+// fetch grain (under MaxResidentSnapshots K, ⌊K/2⌋ ranks), the frames
+// land in opts.SpillDir/<run> with one write, in rank order, and the
+// snapshots go on to the walk, which folds their tables, relabels,
+// dedups and packs them and drops them while the next batch is taken,
+// encoded and written. At most K snapshots are resident at once. A
+// non-nil info marks a salvage.
 func FinalizeRanks(world int, take func(rank int) *core.Snapshot, info *trace.SalvageInfo, opts core.Options) (*trace.File, core.FinalizeStats, error) {
 	runID := opts.CollectorRunID
 	if runID == "" {
@@ -218,16 +233,23 @@ func (w *Writer) finalize(take func(rank int) *core.Snapshot, info *trace.Salvag
 	return f, st, nil
 }
 
-// spillBatch takes ranks [start, start+n), lands their frame pairs in
-// the file with one write, and returns the snapshots to the walk.
+// spillBatch takes and encodes ranks [start, start+n) on GOMAXPROCS
+// workers, stages their frame pairs in rank order, lands them in the
+// file with one write, and returns the snapshots to the walk.
 func (w *Writer) spillBatch(take func(rank int) *core.Snapshot, start, n int, opts core.Options) ([]*core.Snapshot, error) {
 	sp := opts.ObsSink.Start("finalize", "finalize.spill").
 		WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
 	defer sp.End()
-	snaps := make([]*core.Snapshot, n)
-	for i := range snaps {
+	snaps, bodies := make([]*core.Snapshot, n), make([][]byte, n)
+	par.For(n, runtime.GOMAXPROCS(0), func(i int) {
 		snaps[i] = take(start + i)
-		if err := w.stage(snaps[i]); err != nil {
+		bodies[i] = wire.EncodeSnapshot(snaps[i])
+	})
+	for i, s := range snaps {
+		if err := w.due(s.Rank); err != nil {
+			return nil, err
+		}
+		if err := w.stage(s.Rank, bodies[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -345,21 +345,22 @@ func TestCoalescedReadNamesCorruptRank(t *testing.T) {
 }
 
 // TestFinalizeIOPerBatch is the syscall evidence: a 4096-rank finalize
-// in batches of 256 writes frames.jnl once per batch and never reads it
-// (the walk finalizes each batch from memory), and emits one spill span
-// and one cst_merge span per batch, the latter carrying the global CST
-// size so far.
+// under a cap of 256 resident snapshots fetches batches of 128, writes
+// frames.jnl exactly once per fetched batch and never reads it (the
+// walk finalizes each batch from memory), and emits one spill span and
+// one cst_merge span per batch, the latter carrying the global CST size
+// so far.
 func TestFinalizeIOPerBatch(t *testing.T) {
-	const world, batch = 4096, 256
+	const world, resident, batch = 4096, 256, 128
 	w, _, cfs := newCountedWriter(t, world)
 	sink := obs.NewSink(1 << 12)
-	opts := core.Options{MaxResidentSnapshots: batch, ObsSink: sink}
+	opts := core.Options{MaxResidentSnapshots: resident, ObsSink: sink}
 	f, st, err := w.finalize(mkSnapshot, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max := world/batch + 1; cfs.reads != 0 || cfs.writes > max {
-		t.Fatalf("%d reads and %d writes of frames.jnl, want none and at most %d", cfs.reads, cfs.writes, max)
+	if cfs.reads != 0 || cfs.writes != world/batch {
+		t.Fatalf("%d reads and %d writes of frames.jnl, want none and %d", cfs.reads, cfs.writes, world/batch)
 	}
 	snaps := make([]*core.Snapshot, world)
 	for r := range snaps {

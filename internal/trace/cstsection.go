@@ -248,7 +248,7 @@ func step(v, prev *int64, back bool) {
 // stored, its templates counted only if templated.
 func (br byteReader) cstSection(f *File) (CSTStorage, error) {
 	sel := byte(cstRaw)
-	if br.magic >= magicTemplates {
+	if br.from(magicTemplates) {
 		var err error
 		if sel, err = br.r.ReadByte(); err != nil {
 			return CSTStorage{}, err

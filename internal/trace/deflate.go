@@ -132,15 +132,15 @@ func (br byteReader) timingSet(max int) ([]sequitur.Serialized, error) {
 	case flag != flagDeflated:
 		gs, _, err := br.packable(flag, max)
 		return gs, err
-	case !deflatedSets(br.magic):
-		return nil, fmt.Errorf("trace: deflated grammar set in a %s file", br.magic)
+	case !deflatedSets(br.v):
+		return nil, fmt.Errorf("trace: deflated grammar set in a %s file", br.magic())
 	}
 	raw, err := br.deflated()
 	if err != nil {
 		return nil, err
 	}
 	rd := bytes.NewReader(raw)
-	gs, err := byteReader{r: rd, magic: br.magic}.grammarSet(max)
+	gs, err := byteReader{r: rd, v: br.v}.grammarSet(max)
 	if err == nil && rd.Len() != 0 {
 		err = fmt.Errorf("trace: %d bytes past a deflated grammar set", rd.Len())
 	}

@@ -191,7 +191,7 @@ func (br byteReader) index(k, n, m int) ([]int32, IndexStorage, error) {
 		st.Form = "grammar"
 	}
 	sel := uint64(indexPlain)
-	if br.magic >= magicIndex {
+	if br.from(magicIndex) {
 		var err error
 		if sel, err = binary.ReadUvarint(br.r); err != nil {
 			return nil, IndexStorage{}, err

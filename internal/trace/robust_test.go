@@ -588,21 +588,21 @@ func TestReadRejectsUnknownSelectors(t *testing.T) {
 		magicIndexBody: {flagHalves, flagShapes, flagDeflated, 0xff},
 	} {
 		for _, flag := range refused {
-			br := byteReader{r: bytes.NewReader([]byte{flag, 0}), magic: m}
+			br := byteReader{r: bytes.NewReader([]byte{flag, 0}), v: version(m)}
 			if _, _, err := br.readPackable(4); err == nil {
 				t.Errorf("%s: grammar set selector %d accepted", m, flag)
 			}
 		}
 		for _, flag := range []byte{cstTemplated + 1, 0xff} {
-			br := byteReader{r: bytes.NewReader([]byte{flag, 1, 0}), magic: m}
+			br := byteReader{r: bytes.NewReader([]byte{flag, 1, 0}), v: version(m)}
 			if _, err := br.cstSection(new(File)); err == nil {
 				t.Errorf("%s: CST selector %d accepted", m, flag)
 			}
 		}
-		if deflatedSets(m) {
+		if deflatedSets(version(m)) {
 			continue
 		}
-		br := byteReader{r: bytes.NewReader([]byte{flagDeflated, 1, 1, 0}), magic: m}
+		br := byteReader{r: bytes.NewReader([]byte{flagDeflated, 1, 1, 0}), v: version(m)}
 		if _, err := br.timingSet(4); err == nil {
 			t.Errorf("%s: deflated timing set accepted", m)
 		}
@@ -631,7 +631,7 @@ func TestReadRejectsUnknownSelectors(t *testing.T) {
 	for _, data := range files {
 		at := callSelectorAt(readTB(t, data))
 		other := byte(flagPacked) // the pack selector of the other alphabet
-		if !halves(string(data[:len(magic)])) {
+		if !halves(version(string(data[:len(magic)]))) {
 			other = flagHalves
 		}
 		for _, flag := range []byte{other, flagDeflated, 0x80} {

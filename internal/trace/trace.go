@@ -21,6 +21,8 @@ import (
 	"math/bits"
 	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -88,16 +90,32 @@ const deflateLevel = 4
 // across the collections a run forces between its stages.
 const minDeflatedBody = 4 << 10
 
-// halves reports whether a file of magic m holds packs of the older
-// alphabet.
-func halves(m string) bool { return m == magic || m == magicShapes }
+// version is the format version a magic names: "PILGRIM" and then the
+// version in decimal, without leading zeros; 0 for anything else. The
+// reader orders magics by version, never as strings, under which
+// "PILGRIM10" sorts before "PILGRIM8".
+func version(m string) int {
+	d, ok := strings.CutPrefix(m, "PILGRIM")
+	v, err := strconv.Atoi(d)
+	if !ok || err != nil || v < 1 || d != strconv.Itoa(v) {
+		return 0
+	}
+	return v
+}
 
-// deflatedSets reports whether a file of magic m may hold a timing set
-// stored deflated.
-func deflatedSets(m string) bool { return m == magicDeflate || m == magicTemplates }
+// halves reports whether a file of version v holds packs of the older
+// alphabet.
+func halves(v int) bool { return v < version(magicPack) }
+
+// deflatedSets reports whether a file of version v may hold a timing
+// set stored deflated.
+func deflatedSets(v int) bool { return v == version(magicDeflate) || v == version(magicTemplates) }
 
 // bodyMagic reports whether a file of magic m stores its body deflated.
-func bodyMagic(m string) bool { return m == magicBody || m == magicIndexBody }
+func bodyMagic(m string) bool {
+	v := version(m)
+	return v == version(magicBody) || v == version(magicIndexBody)
+}
 
 // TimingBaseError rejects a lossy-timing base that is not finite and
 // greater than 1: Read returns it for such a file, and tracing options
@@ -480,7 +498,7 @@ func (br byteReader) packable(flag byte, max int) ([]sequitur.Serialized, sequit
 	case flag == flagRaw:
 		gs, err := br.grammarSet(max)
 		return gs, nil, err
-	case flag == flagHalves && halves(br.magic), flag == flagPacked && !halves(br.magic):
+	case flag == flagHalves && halves(br.v), flag == flagPacked && !halves(br.v):
 		pack, err := br.grammar()
 		if err != nil {
 			return nil, nil, err
@@ -491,7 +509,7 @@ func (br byteReader) packable(flag byte, max int) ([]sequitur.Serialized, sequit
 		}
 		return gs, pack, nil
 	case flag == flagHalves, flag == flagPacked:
-		return nil, nil, fmt.Errorf("trace: grammar pack selector %d in a %s file", flag, br.magic)
+		return nil, nil, fmt.Errorf("trace: grammar pack selector %d in a %s file", flag, br.magic())
 	}
 	return nil, nil, fmt.Errorf("trace: unknown grammar set selector %d", flag)
 }
@@ -559,9 +577,15 @@ func (f *File) UncompressedEstimate() int64 {
 // --- reading -----------------------------------------------------------------
 
 type byteReader struct {
-	r     *bytes.Reader
-	magic string // the file's, which decides the selectors it may hold
+	r *bytes.Reader
+	v int // the file's format version, which decides the selectors it may hold
 }
+
+// from reports whether the file's version is m's or later.
+func (br byteReader) from(m string) bool { return br.v >= version(m) }
+
+// magic is the file's magic, for messages.
+func (br byteReader) magic() string { return fmt.Sprintf("PILGRIM%d", br.v) }
 
 // off is the offset br has read to.
 func (br byteReader) off() int { return int(br.r.Size()) - br.r.Len() }
@@ -639,9 +663,7 @@ func Read(r io.Reader) (*File, error) {
 	if _, err := io.ReadFull(br.r, m); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	switch br.magic = string(m); br.magic {
-	case magic, magicShapes, magicPack, magicDeflate, magicTemplates, magicBody, magicIndex, magicIndexBody:
-	default:
+	if br.v = version(string(m)); br.v < 1 || br.v > version(magicIndexBody) {
 		return nil, fmt.Errorf("trace: bad magic %q", m)
 	}
 	f := &File{}
@@ -669,7 +691,7 @@ func Read(r io.Reader) (*File, error) {
 	}
 	s := form{data: data, at: br.off()}
 	s.raw = len(data) - s.at
-	deflated := bodyMagic(br.magic)
+	deflated := bodyMagic(string(m))
 	if deflated {
 		raw, err := br.deflatedBody()
 		if err != nil {
@@ -703,7 +725,7 @@ func (br byteReader) body(f *File, s *form) (err error) {
 		return
 	}
 	switch {
-	case flag == flagShapes && br.magic != magic:
+	case flag == flagShapes && br.from(magicShapes):
 		err = br.shaped(f)
 	case flag == flagShapes:
 		err = fmt.Errorf("trace: call section stored by shape in a %s file", magic)

@@ -329,3 +329,49 @@ func packAll(gs []sequitur.Serialized) sequitur.Serialized {
 	}
 	return p.Finish()
 }
+
+// TestMagicVersionsOrderAsNumbers: the reader orders magics by the
+// version each names, so a two-digit version orders after PILGRIM8,
+// which as strings it does not, and a reader of it takes the CST and
+// index selectors every magic from PILGRIM5 and PILGRIM7 on carries.
+// Anything but "PILGRIM" and a decimal version without leading zeros
+// is no version.
+func TestMagicVersionsOrderAsNumbers(t *testing.T) {
+	for _, c := range []struct {
+		m string
+		v int
+	}{
+		{magic, 1}, {magicTemplates, 5}, {magicIndexBody, 8}, {"PILGRIM9", 9}, {"PILGRIM10", 10}, {"PILGRIM123", 123},
+		{"PILGRIM0", 0}, {"PILGRIM08", 0}, {"PILGRIM", 0}, {"PILGRIMx", 0}, {"PILGRIM1x", 0}, {"PILGRAM8", 0},
+	} {
+		if got := version(c.m); got != c.v {
+			t.Errorf("version(%q) = %d, want %d", c.m, got, c.v)
+		}
+	}
+	if "PILGRIM10" >= magicIndexBody {
+		t.Fatal("the string order no longer misorders two-digit magics; this test lost its point")
+	}
+	ten := byteReader{v: version("PILGRIM10")}
+	for _, m := range []string{magic, magicShapes, magicPack, magicDeflate, magicTemplates, magicBody, magicIndex, magicIndexBody} {
+		if !ten.from(m) {
+			t.Errorf("PILGRIM10 orders before %s", m)
+		}
+		if (byteReader{v: version(m)}).from("PILGRIM10") {
+			t.Errorf("%s orders after PILGRIM10", m)
+		}
+	}
+
+	tb := cst.New()
+	tb.Add([]byte("sig"), 5)
+	var sec bytes.Buffer
+	writeCST(&sec, tb)
+	writeIndex(&sec, rankMapIndex, []int32{0, 0, 0, 0}, 4, 1)
+	br := byteReader{r: bytes.NewReader(sec.Bytes()), v: version("PILGRIM10")}
+	var f File
+	if _, err := br.cstSection(&f); err != nil || f.CST.Len() != 1 {
+		t.Fatalf("a PILGRIM10 CST section read to %v, err %v", f.CST, err)
+	}
+	if idx, _, err := br.index(rankMapIndex, 4, 1); err != nil || !slices.Equal(idx, []int32{0, 0, 0, 0}) || br.r.Len() != 0 {
+		t.Fatalf("a PILGRIM10 rank map read to %v, err %v, %d bytes left", idx, err, br.r.Len())
+	}
+}

@@ -158,9 +158,10 @@ func RunSim(n int, opts Options, simOpts mpi.Options, body func(p *mpi.Proc)) (*
 		}
 		return file, stats, nil
 	case spilled:
-		// Streaming, bounded-memory finalize: each batch of at most
-		// MaxResidentSnapshots ranks is written to the spill and walked,
-		// byte-identical to the in-memory path.
+		// Streaming, bounded-memory finalize: each batch is written to
+		// the spill and walked while the next is taken, with at most
+		// MaxResidentSnapshots snapshots resident, byte-identical to the
+		// in-memory path.
 		file, stats, ferr := spill.Finalize(tracers, failed, reason, opts)
 		switch {
 		case ferr == nil:
