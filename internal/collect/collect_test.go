@@ -18,6 +18,7 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/leaktest"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
@@ -428,18 +429,52 @@ func TestEpochSemantics(t *testing.T) {
 // TestCloseUnblocksWaiters: Close() while a waiter is parked on an
 // incomplete run (no straggler deadline — the run can never finalize)
 // must return promptly; the waiter errors out and its producer falls
-// back to local finalize.
+// back to local finalize. Every incomplete run's walker ends with the
+// Close, whether it has walked a batch, waits for rank 0, or waits for
+// the first batch of a wide world, which builds no walk until it is in;
+// nothing finalizes and no goroutine is left behind.
 func TestCloseUnblocksWaiters(t *testing.T) {
-	const n = 2
-	snaps := traceWorkload(t, n)
-	srv := startServer(t, collect.Config{})
-	c := client(srv, "halfrun", n)
-	if err := c.SendSnapshot(snaps[0]); err != nil {
+	snaps := traceWorkload(t, 4)
+	check := leaktest.Baseline(t)
+	srv, err := collect.Start(collect.Config{Listen: "127.0.0.1:0"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	incomplete := []struct {
+		id    string
+		world int
+		ranks []int
+		walk  bool // a batch is in, so the run's walk is built
+	}{
+		{"halfrun", 2, []int{0}, true},
+		{"norank0", 4, []int{1, 2, 3}, false},
+		{"wide", 1 << 16, []int{0}, false},
+	}
+	for _, run := range incomplete {
+		c := client(srv, run.id, run.world)
+		for _, rank := range run.ranks {
+			if err := c.SendSnapshot(snaps[rank]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+	for _, run := range incomplete {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_, walk := srv.RunPayloads(run.id)
+			if walk == run.walk {
+				break
+			}
+			if !run.walk || time.Now().After(deadline) {
+				t.Fatalf("run %s: walk built = %v, want %v", run.id, walk, run.walk)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	waitErr := make(chan error, 1)
 	go func() {
-		w := client(srv, "halfrun", n)
+		w := client(srv, "halfrun", 2)
 		w.Retry = collect.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: 3}
 		_, err := w.WaitTrace()
 		waitErr <- err
@@ -463,6 +498,18 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 	if err := <-waitErr; err == nil {
 		t.Fatal("waiter got a trace from an incomplete run")
 	}
+	for _, run := range incomplete {
+		if st, _ := srv.Run(run.id); st.State != "collecting" {
+			t.Errorf("run %s is %s after Close", run.id, st.State)
+		}
+		if _, walk := srv.RunPayloads(run.id); walk {
+			t.Errorf("run %s kept its walk after Close", run.id)
+		}
+	}
+	if m := srv.Metrics(); m.FinalizedRuns.Load()+m.SalvagedRuns.Load() != 0 {
+		t.Error("a run finalized during Close")
+	}
+	check()
 }
 
 // TestRetentionEvictsToDisk: after Retention elapses a finalized run's

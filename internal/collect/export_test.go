@@ -60,31 +60,4 @@ func (c *Client) Backoff(attempt int) time.Duration { return c.backoff(attempt) 
 // dropped without flushing — no fsync, no manifest update — leaving
 // on-disk state exactly as a kill at this instant would (written bytes
 // live in the page cache; the process-local rest is gone).
-func (s *Server) CrashStop() {
-	s.closing.Store(true)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	close(s.shutdown)
-	for c := range s.conns {
-		c.Close()
-	}
-	runs := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		runs = append(runs, r)
-	}
-	s.mu.Unlock()
-	s.ln.Close()
-	for _, r := range runs {
-		r.mu.Lock()
-		j := r.haltLocked()
-		r.mu.Unlock()
-		if j != nil {
-			j.crash()
-		}
-	}
-	s.wg.Wait()
-}
+func (s *Server) CrashStop() { s.halt((*journal).crash) }

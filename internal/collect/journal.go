@@ -330,9 +330,9 @@ type RecoveryStatus struct {
 
 // recoverJournals scans OutDir/journal on startup and restores every
 // run it can: finalized runs re-register from their manifest (serving
-// the on-disk trace), collecting runs replay their frame log through
-// the idempotent ingest path. Runs before the listener accepts, so a
-// reconnecting producer never races its own replay.
+// the on-disk trace), collecting runs get a walker and replay their
+// frame log through the idempotent ingest path, before the listener
+// accepts, so a reconnecting producer never races its own replay.
 func (s *Server) recoverJournals() {
 	root := framelog.Root(s.cfg.OutDir)
 	entries, err := os.ReadDir(root)
@@ -416,7 +416,8 @@ func (s *Server) recoverFinalized(m *framelog.Manifest, jr *framelog.Reader) {
 }
 
 // registerRecovered creates the registry entry for a recovered run
-// without admission checks — it was admitted before the crash.
+// without admission checks — it was admitted before the crash — and
+// starts a collecting run's walker, as runFor does a live run's.
 func (s *Server) registerRecovered(m *framelog.Manifest) *run {
 	r := newRun(m.RunID, m.World, m.Epoch, m.TimingMode, m.TimingBase)
 	r.opts.ObsSink = s.obs
@@ -424,6 +425,10 @@ func (s *Server) registerRecovered(m *framelog.Manifest) *run {
 	r.created = time.Unix(0, int64(m.CreatedSec*1e9))
 	s.mu.Lock()
 	s.runs[m.RunID] = r
+	if m.State == "collecting" {
+		s.wg.Add(1)
+		go s.walkRun(r)
+	}
 	s.mu.Unlock()
 	s.m.RunPhase.With(phaseAdmitted.String()).Add(1)
 	return r

@@ -289,12 +289,21 @@ func BenchmarkClientSendSnapshot(b *testing.B) {
 
 // TestStartRefusesBadConfig: Start fails, before it listens, on a
 // config no server can run with — a journal sync mode it does not
-// know, or a negative resident snapshot cap, which it once took for no
-// cap at all — and starts with the zero cap, which is none.
+// know, or a negative timeout or cap, which it once took for "off" or
+// (an idle timeout) for a read deadline in the past that reset every
+// connection — and starts with the zero values, which are defaults or
+// no cap. Retention and AwaitStragglers keep their documented negative
+// meaning.
 func TestStartRefusesBadConfig(t *testing.T) {
 	for name, cfg := range map[string]collect.Config{
-		"unknown sync mode":     {JournalSync: "sometimes"},
-		"negative resident cap": {MaxResidentSnapshots: -1},
+		"unknown sync mode":           {JournalSync: "sometimes"},
+		"negative resident cap":       {MaxResidentSnapshots: -1},
+		"negative idle timeout":       {IdleTimeout: -time.Second},
+		"negative straggler deadline": {StragglerDeadline: -time.Second},
+		"negative journal lag warn":   {JournalLagWarn: -time.Second},
+		"negative max runs":           {MaxRuns: -1},
+		"negative max run bytes":      {MaxRunBytes: -1},
+		"negative max conns":          {MaxConns: -1},
 	} {
 		cfg.Listen, cfg.OutDir = "127.0.0.1:0", t.TempDir()
 		if srv, err := collect.Start(cfg); err == nil {
@@ -302,9 +311,12 @@ func TestStartRefusesBadConfig(t *testing.T) {
 			t.Errorf("%s: started", name)
 		}
 	}
-	srv, err := collect.Start(collect.Config{Listen: "127.0.0.1:0", OutDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	for _, cfg := range []collect.Config{{}, {Retention: -1, AwaitStragglers: -1}} {
+		cfg.Listen, cfg.OutDir = "127.0.0.1:0", t.TempDir()
+		srv, err := collect.Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
 	}
-	srv.Close()
 }

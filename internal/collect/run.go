@@ -16,12 +16,13 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/trace"
 )
 
-// The run lifecycle: a run collects snapshots, advances one finalize
-// walk (core.Walk) over the contiguous prefix of ranks that have
-// arrived, and the step that walks its last rank finalizes it — or the
-// straggler deadline salvages it first. Connection handling and ingest
-// live in server.go, and the run's phase (its one state machine) in
-// health.go.
+// The run lifecycle: a run collects snapshots, and its walker — one
+// goroutine per collecting run, started with the run — advances one
+// finalize walk (core.Walk) over the contiguous prefix of ranks that
+// have arrived. Ingest and the straggler deadline's salvage only extend
+// that prefix and wake the walker; the walker's batch that ends at the
+// last rank finalizes the run. Connection handling and ingest live in
+// server.go, and the run's phase (its one state machine) in health.go.
 
 // run is one trace collection in flight: the per-rank snapshots
 // received so far and the finalize walk over their arrived prefix.
@@ -38,20 +39,19 @@ type run struct {
 	bytes    int64    // snapshot body bytes accepted (admission accounting)
 	sums     cst.Sums // the accepted tables' calls and durations, in total
 
-	// The walk over the arrived prefix (advanceLocked): ranks
-	// [0, walked) are in walk, and ranks [walked, arrived) have all
-	// arrived. While stepping is set one walkSteps goroutine owns walk
-	// and reads the batch it walks off the lock; otherwise walk is only
-	// touched under mu. walk is nil before the first step and once the
-	// run is done.
-	walk     *core.Walk
-	walked   int
-	arrived  int
-	stepping bool
-	spilled  int            // unwalked snapshots whose payloads live only in the journal
-	jrefs    []framelog.Ref // rank -> journal entry; nil until first spill
-	// pendingInfo carries salvage metadata from salvageRun to the step
-	// that walks the last rank and finalizes the run.
+	// The walk over the arrived prefix: ranks [0, walked) are in walk,
+	// and ranks [walked, arrived) have all arrived (arriveLocked). Only
+	// the run's walker (walkRun) touches walk, setting it under mu; wake
+	// (on mu) is how arrivals and shutdown reach the walker. walk is nil
+	// before the first batch and once the run is done.
+	walk    *core.Walk
+	walked  int
+	arrived int
+	wake    sync.Cond
+	spilled int            // unwalked snapshots whose payloads live only in the journal
+	jrefs   []framelog.Ref // rank -> journal entry; nil until first spill
+	// pendingInfo carries salvage metadata from salvageRun to the walker,
+	// which finalizes the run once it walks the last rank.
 	pendingInfo *trace.SalvageInfo
 	timer       *time.Timer
 	evict       *time.Timer // retention: drops traceData once on disk
@@ -77,7 +77,7 @@ type run struct {
 // newRun builds a run's in-memory state; shared by live creation
 // (runFor) and journal recovery (registerRecovered).
 func newRun(id string, world int, epoch uint64, timingMode uint8, timingBase float64) *run {
-	return &run{
+	r := &run{
 		id:      id,
 		world:   world,
 		epoch:   epoch,
@@ -86,6 +86,8 @@ func newRun(id string, world int, epoch uint64, timingMode uint8, timingBase flo
 		snaps:   make([]*core.Snapshot, world),
 		done:    make(chan struct{}),
 	}
+	r.wake.L = &r.mu
+	return r
 }
 
 // receivedNow reads the rank count without holding the lock long.
@@ -127,55 +129,46 @@ func release(s *core.Snapshot) { *s = core.Snapshot{Rank: s.Rank, Calls: s.Calls
 
 // --- the walk over the arrived prefix ----------------------------------------
 
-// nextStepLocked is the size of the walk's next step (r.mu held): a
-// batch of Options.BatchSize ranks, or the whole remainder, and 0
-// until every one of them has arrived.
-func (r *run) nextStepLocked() int {
-	n := min(r.opts.BatchSize(r.world), r.world-r.walked)
-	if r.arrived-r.walked < n {
-		return 0
-	}
-	return n
+// dueLocked (r.mu held) is the walker's next batch: Options.BatchSize
+// ranks from the walked prefix on, or the rest of the world, and
+// whether every one of them has arrived.
+func (r *run) dueLocked() (n int, ready bool) {
+	n = min(r.opts.BatchSize(r.world), r.world-r.walked)
+	return n, r.arrived-r.walked >= n
 }
 
-// advanceLocked (r.mu held) extends the run's arrived prefix and
-// reports whether the caller must now run walkSteps: a step is ready
-// and no goroutine owns the walk. The step is counted on s.wg here,
-// under r.mu, which is what orders it before Close's wait: Close sets
-// closing and then takes every run's lock before it waits.
-func (s *Server) advanceLocked(r *run) bool {
+// arriveLocked (r.mu held) extends the run's arrived prefix and wakes
+// the walker once the batch it waits for has all arrived.
+func (r *run) arriveLocked() {
 	for r.arrived < r.world && r.snaps[r.arrived] != nil {
 		r.arrived++
 	}
-	if r.stepping || r.nextStepLocked() == 0 || r.phase.terminal() || s.closing.Load() {
-		return false
+	if _, ready := r.dueLocked(); ready {
+		r.wake.Signal()
 	}
-	if r.walk == nil {
-		r.walk = core.NewWalk(r.world, nil, 0, r.opts)
-	}
-	r.stepping = true
-	s.wg.Add(1)
-	return true
 }
 
-// walkSteps advances r's walk one batch at a time for as long as the
-// next batch has arrived, reading each batch and walking it off r.mu.
-// The step that walks rank world−1 finalizes the run; a step that
-// fails (a spilled payload the journal cannot give back) finalizes it
-// with no trace. Once the server is closing it stops the walk and
-// leaves the run unfinalized, matching Close's contract.
-func (s *Server) walkSteps(r *run) {
+// walkRun is the run's walker: started with the run, it is the one
+// goroutine that touches the run's walk. It waits for the next batch of
+// the arrived prefix, reads the batch under r.mu and walks it off the
+// lock. The batch that ends at rank world−1 finalizes the run; a batch
+// that fails (a spilled payload the journal cannot give back)
+// finalizes it with no trace. Once the server is closing it stops the
+// walk and leaves the run unfinalized, matching Close's contract.
+func (s *Server) walkRun(r *run) {
 	defer s.wg.Done()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for {
-		if s.closing.Load() {
-			r.stopWalkLocked()
-			break
+	for !s.closing.Load() {
+		n, ready := r.dueLocked()
+		if !ready {
+			r.wake.Wait()
+			continue
 		}
-		n := r.nextStepLocked()
-		if n == 0 {
-			break
+		if r.walk == nil {
+			// Built at the first batch, not the hello: NewWalk presizes by
+			// world, and a hello may claim up to wire.MaxWorldSize ranks.
+			r.walk = core.NewWalk(r.world, nil, 0, r.opts)
 		}
 		start := r.walked
 		snaps := slices.Clone(r.snaps[start : start+n])
@@ -188,31 +181,32 @@ func (s *Server) walkSteps(r *run) {
 		err := s.step(r, w, j, start, snaps, refs)
 		r.mu.Lock()
 		if s.closing.Load() {
-			r.stopWalkLocked()
 			break
 		}
 		if err != nil {
 			s.logf("run %s: walk ranks [%d,%d): %v", r.id, start, start+n, err)
-			s.finalizeLocked(r, r.pendingInfo, err)
-			break
-		}
-		for i, sn := range r.snaps[start : start+n] {
-			release(sn)
-			if refs != nil && refs[i].Len != 0 {
-				r.spilled--
+		} else {
+			for i, sn := range r.snaps[start : start+n] {
+				release(sn)
+				if refs != nil && refs[i].Len != 0 {
+					r.spilled--
+				}
 			}
+			r.walked += n
+			s.m.MergeBacklog.Add(-float64(n))
 		}
-		r.walked += n
-		s.m.MergeBacklog.Add(-float64(n))
-		if r.walked == r.world {
+		if err != nil || r.walked == r.world {
 			// finalizeLocked's journal manifest update is enqueued after
 			// every append (all were enqueued before their ranks could be
 			// walked); queue order keeps the file consistent.
-			s.finalizeLocked(r, r.pendingInfo, nil)
-			break
+			s.finalizeLocked(r, r.pendingInfo, err)
+			return
 		}
 	}
-	r.stepping = false
+	if r.walk != nil {
+		r.walk.Stop()
+		r.walk = nil
+	}
 }
 
 // step walks one batch: the ranks whose payloads were spilled are read
@@ -258,36 +252,23 @@ func (r *run) readBack(j *journal, start int, snaps []*core.Snapshot, refs []fra
 	return fe.Fetch(start, refs, snaps)
 }
 
-// stopWalkLocked (r.mu held, no step running) joins the walk's Packer
-// goroutines and drops it.
-func (r *run) stopWalkLocked() {
-	if r.walk != nil {
-		r.walk.Stop()
-		r.walk = nil
-	}
-}
-
-// haltLocked (r.mu held, closing set) stops the run's timers and,
-// unless a step owns it, its walk; a step in flight stops the walk
-// itself once it sees closing. Taking r.mu after setting closing is
-// what orders every step's s.wg.Add before the shutdown's wait.
+// haltLocked (r.mu held, closing set) stops the run's timers and
+// wakes its walker, which sees closing and stops the walk.
 func (r *run) haltLocked() *journal {
 	for _, t := range []*time.Timer{r.timer, r.evict, r.idle} {
 		if t != nil {
 			t.Stop()
 		}
 	}
-	if !r.stepping {
-		r.stopWalkLocked()
-	}
+	r.wake.Signal()
 	return r.journal
 }
 
 // salvageRun fires at the straggler deadline: missing ranks become
-// empty failed streams with empty tables, walked like any arrival, and
-// the step that walks the last rank finalizes the run as a salvage
-// trace (pendingInfo) — the same degradation core.SalvageFinalize
-// applies to crashed ranks.
+// empty failed streams with empty tables, which arrive like any rank,
+// and the walker finalizes the run as a salvage trace (pendingInfo)
+// once it walks the last rank — the same degradation
+// core.SalvageFinalize applies to crashed ranks.
 func (s *Server) salvageRun(r *run, deadline time.Duration) {
 	r.mu.Lock()
 	if r.phase.terminal() || r.received == r.world {
@@ -318,16 +299,13 @@ func (s *Server) salvageRun(r *run, deadline time.Duration) {
 	}
 	r.pendingInfo = info
 	s.m.MergeBacklog.Add(float64(len(info.FailedRanks)))
-	step := s.advanceLocked(r)
+	r.arriveLocked()
 	r.mu.Unlock()
-	if step {
-		s.walkSteps(r)
-	}
 }
 
-// finalizeLocked (r.mu held) ends the walk and publishes the trace:
-// bytes for waiters, a file under OutDir. A non-nil werr is the step
-// failure that ended the walk early; the run then fails with no trace
+// finalizeLocked (r.mu held, on the run's walker) ends the walk and
+// publishes the trace: bytes for waiters, a file under OutDir. A
+// non-nil werr is the batch failure that ended the walk early; the run then fails with no trace
 // bytes, the same degradation as a serialize failure.
 func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
 	if r.timer != nil {
@@ -344,7 +322,8 @@ func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
 	if werr == nil {
 		file, _, werr = r.walk.Finish(info)
 	}
-	r.stopWalkLocked()
+	r.walk.Stop()
+	r.walk = nil
 	// A done run keeps only each rank's Rank and Calls.
 	s.m.MergeBacklog.Add(-float64(r.backlogLocked()))
 	for _, sn := range r.snaps {

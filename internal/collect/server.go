@@ -45,10 +45,10 @@ type Config struct {
 	// StragglerDeadline bounds how long a run may collect after its
 	// first snapshot arrives; when it fires with ranks missing, the run
 	// is finalized as a salvage trace (missing ranks listed as failed,
-	// their streams empty). Zero means wait forever.
+	// their streams empty). Zero waits forever; negative is refused.
 	StragglerDeadline time.Duration
 	// IdleTimeout bounds how long a connection may sit between frames
-	// (default 5 minutes).
+	// (zero means 5 minutes; Start refuses a negative timeout).
 	IdleTimeout time.Duration
 	// Retention bounds how long a finalized run's trace bytes stay in
 	// server memory once OutDir holds a disk copy; after it elapses the
@@ -64,17 +64,17 @@ type Config struct {
 	// OutDir/journal/<run>/ so a restarted daemon can replay in-flight
 	// runs instead of losing them.
 	JournalSync SyncMode
-	// MaxRuns caps how many runs may be collecting at once; a hello
-	// that would create one more is refused with a NACK and the
-	// producer falls back to local finalize. Zero means unlimited.
+	// MaxRuns caps the runs collecting at once; a hello that would
+	// create one more is NACKed, and its producer falls back to local
+	// finalize. Zero means unlimited; Start refuses a negative cap.
 	MaxRuns int
 	// MaxRunBytes caps the snapshot body bytes accepted into one run;
 	// the snapshot that would exceed it is NACKed. Zero means
-	// unlimited.
+	// unlimited; Start refuses a negative cap.
 	MaxRunBytes int64
 	// MaxConns caps concurrent ingest connections; excess connections
 	// receive a NACK frame and are closed without being served. Zero
-	// means unlimited.
+	// means unlimited; Start refuses a negative cap.
 	MaxConns int
 	// AwaitStragglers is how long a still-incomplete run may sit with no
 	// arrivals before its health phase flips from "ingesting" to
@@ -83,7 +83,8 @@ type Config struct {
 	// disables the transition.
 	AwaitStragglers time.Duration
 	// JournalLagWarn logs one rate-limited warning when a journal fsync
-	// lands later than this after its oldest queued byte. Zero disables.
+	// lands later than this after its oldest queued byte (0 disables;
+	// Start refuses a negative one).
 	JournalLagWarn time.Duration
 	// MaxResidentSnapshots caps how many not-yet-walked snapshots per
 	// run keep their payloads in memory. Beyond the cap an accepted
@@ -124,9 +125,9 @@ type Server struct {
 	ln    net.Listener
 	watch *broadcaster // /watch SSE fan-out; publish never blocks ingest
 
-	// closing stops the runs' walks during shutdown: no step starts,
-	// and a step in flight stops its walk instead of finalizing, so
-	// in-flight runs stay unfinalized, matching Close's contract.
+	// closing stops the runs' walkers during shutdown: each stops its
+	// walk instead of walking or finalizing, so in-flight runs stay
+	// unfinalized, matching Close's contract.
 	closing atomic.Bool
 
 	mu       sync.Mutex
@@ -171,8 +172,19 @@ func start(cfg Config, fsys framelog.FS) (*Server, error) {
 		return nil, err
 	}
 	cfg.JournalSync = mode
-	if cfg.MaxResidentSnapshots < 0 {
-		return nil, fmt.Errorf("collect: max resident snapshots %d is negative", cfg.MaxResidentSnapshots)
+	// A negative cap or timeout would read as "off" where it is used; a
+	// negative idle timeout puts every read deadline in the past.
+	for name, d := range map[string]time.Duration{"idle timeout": cfg.IdleTimeout,
+		"straggler deadline": cfg.StragglerDeadline, "journal lag warn": cfg.JournalLagWarn} {
+		if d < 0 {
+			return nil, fmt.Errorf("collect: %s %v is negative", name, d)
+		}
+	}
+	for name, n := range map[string]int64{"max runs": int64(cfg.MaxRuns), "max run bytes": cfg.MaxRunBytes,
+		"max conns": int64(cfg.MaxConns), "max resident snapshots": int64(cfg.MaxResidentSnapshots)} {
+		if n < 0 {
+			return nil, fmt.Errorf("collect: %s %d is negative", name, n)
+		}
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -213,12 +225,18 @@ func (s *Server) Metrics() *Metrics { return s.m }
 // Obs returns the server's flight recorder (nil when tracing is off).
 func (s *Server) Obs() *obs.Sink { return s.obs }
 
-// Close stops accepting, severs open connections, and waits for
-// handlers to drain. In-flight runs are left unfinalized (producers
-// fall back to local finalize when the collector vanishes).
-func (s *Server) Close() error {
-	// Steps consult closing before they start and before they finalize,
-	// so a run completing during shutdown stays unfinalized.
+// Close stops accepting, severs open connections, stops every run's
+// walker and waits for them and the handlers to drain. In-flight runs
+// are left unfinalized (producers fall back to local finalize), their
+// journals flushed and "collecting", for the next daemon to replay.
+func (s *Server) Close() error { return s.halt((*journal).close) }
+
+// halt is the one shutdown, graceful (Close) or not (CrashStop, which
+// drops the journals instead of flushing them): endJournal ends each
+// run's journal once its timers are stopped and its walker woken.
+func (s *Server) halt(endJournal func(*journal)) error {
+	// Walkers consult closing before each batch and before they
+	// finalize, so a run completing during shutdown stays unfinalized.
 	s.closing.Store(true)
 	s.mu.Lock()
 	if s.closed {
@@ -245,14 +263,9 @@ func (s *Server) Close() error {
 		j := r.haltLocked()
 		r.mu.Unlock()
 		if j != nil {
-			// Graceful shutdown flushes the journal so the next daemon
-			// replays the run exactly as left; the manifest stays
-			// "collecting" on purpose.
-			j.close()
+			endJournal(j)
 		}
 	}
-	// Handlers and walk steps; every step was counted before the loop
-	// above took its run's lock.
 	s.wg.Wait()
 	return err
 }
@@ -428,8 +441,8 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 		// Quiesce the finished epoch's journal before the new epoch's
 		// journal opens the same directory: its queue may still hold the
 		// finalize cleanup (manifest rewrite, frame removal), which must
-		// not land on top of the successor's files. Its walk needs
-		// nothing: finalizeLocked stopped it when the epoch finished.
+		// not land on top of the successor's files. Its walker needs
+		// nothing: it ended when it finalized the epoch.
 		r.mu.Lock()
 		old := r.journal
 		r.mu.Unlock()
@@ -460,6 +473,10 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 			s.cfg.JournalSync, man, s.m, s.obs, s.logf, true, s.cfg.JournalLagWarn, s.cfg.KeepJournalFrames)
 	}
 	s.runs[h.RunID] = r
+	// Counted under s.mu with s.closed checked, so Close's wait covers
+	// every walker.
+	s.wg.Add(1)
+	go s.walkRun(r)
 	s.collecting.Add(1)
 	s.m.ActiveRuns.Add(1)
 	s.m.RunPhase.With(phaseAdmitted.String()).Add(1)
@@ -470,15 +487,14 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 }
 
 // ingest decodes one snapshot on the calling (connection) goroutine,
-// registers it under the run lock, and, when it completes a batch of
-// the arrived prefix, starts the run's walk on its own goroutine (see
-// walkSteps). Returns either the ack or the admission NACK to send
-// (exactly one is non-nil). Re-sends of a (run, rank, epoch) already
-// accepted ack as duplicates — the idempotency that makes both client
-// retry and journal replay safe. fromJournal marks recovery replay:
-// admission is bypassed, the frame is not re-journaled (jref locates
-// the existing journal entry), and the walk runs inline so recovery
-// completes before the listener accepts.
+// registers it under the run lock, and extends the run's arrived
+// prefix, waking the run's walker when that completes the batch it
+// waits for (arriveLocked); it never walks. Returns either the ack or
+// the admission NACK to send (exactly one is non-nil). Re-sends of a
+// (run, rank, epoch) already accepted ack as duplicates — the
+// idempotency that makes both client retry and journal replay safe.
+// fromJournal marks recovery replay: admission is bypassed and the
+// frame is not re-journaled (jref locates the existing journal entry).
 func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, fromJournal bool, jref framelog.Ref) (*wire.Ack, *wire.Nack) {
 	dsp := s.obs.Start("collect", "ingest.decode").
 		WithRun(h.RunID, h.Rank, h.Epoch).WithAttr("bytes", int64(len(body))).
@@ -580,7 +596,7 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 	}
 	// Bounded-memory mode: beyond the resident cap, an unwalked
 	// snapshot's payloads live only in the journal until the walk
-	// reaches its rank and reads them back (walkSteps).
+	// reaches its rank and reads them back (walkRun).
 	if limit := s.cfg.MaxResidentSnapshots; limit > 0 && jref.Len > 0 && r.journal != nil &&
 		!r.journal.broken.Load() && r.backlogLocked()-r.spilled > limit {
 		if r.jrefs == nil {
@@ -590,15 +606,8 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 		r.spilled++
 		release(snap)
 	}
-	step := s.advanceLocked(r)
+	r.arriveLocked()
 	r.mu.Unlock()
-	if step {
-		if fromJournal {
-			s.walkSteps(r)
-		} else {
-			go s.walkSteps(r)
-		}
-	}
 	if jwait != nil {
 		jwait()
 	}

@@ -46,8 +46,8 @@ import (
 // fetch may hand out resident ones.
 type SnapshotFetch func(start, n int) ([]*Snapshot, error)
 
-// BatchSize is the pushed walk's grain for a world of ranks (the
-// collector's step): a sixteenth of it (at least one rank), so the
+// BatchSize is the grain of the collector's walk for a world of ranks
+// (each run's walker takes its batches at it): a sixteenth of it (at least one rank), so the
 // Packers have work from the first batch on, capped by
 // MaxResidentSnapshots when that is set. FinalizeStreamed fetches at
 // fetchGrain instead.
