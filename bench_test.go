@@ -387,8 +387,11 @@ func BenchmarkTraceStencil64(b *testing.B) {
 // BenchmarkDecodeRank is the analyst's side of a run: one op reads the
 // serialized trace and decodes every rank, as pilgrim-dump -summary or
 // pilgrim-analyze do. stencil16x2000 is many calls over 41 signatures
-// and two grammars; cg1024x10 is few calls per rank over hundreds of
-// grammars and thousands of signatures.
+// and two grammars, its CST stored raw; cg1024x10 and cg4096x10 are few
+// calls per rank over thousands of grammars and signatures, whose CST
+// is stored by template (cg4096x10: 8 135 entries of 10 templates), so
+// that they time the decode of each template once and of each entry by
+// filling its lifted values in.
 func BenchmarkDecodeRank(b *testing.B) {
 	for _, w := range []struct {
 		name, app    string
@@ -396,6 +399,7 @@ func BenchmarkDecodeRank(b *testing.B) {
 	}{
 		{"stencil16x2000", "stencil2d", 16, 2000},
 		{"cg1024x10", "cg", 1024, 10},
+		{"cg4096x10", "cg", 4096, 10},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			body, err := workloads.Get(w.app, w.iters, w.procs)

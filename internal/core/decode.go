@@ -21,9 +21,11 @@ type DecodedCall struct {
 // through the global CST. This is the decompressor the paper uses to
 // check correctness ("comparing uncompressed traces to compressed next
 // decompressed traces"). Each CST entry is decoded once per file
-// (trace.File.DecodedSig), so a rank costs its expansion plus a gather:
-// calls with the same signature share one Args slice, which — like
-// everything reached through it — must not be modified.
+// (trace.File.DecodedSig: a templated CST's templates once each, its
+// entries by filling their lifted values in), so a rank costs its
+// expansion plus a gather: calls with the same signature share one
+// Args slice, which — like everything reached through it — must not be
+// modified. Any number of goroutines may decode ranks of one File.
 func DecodeRank(f *trace.File, rank int) ([]DecodedCall, error) {
 	terms, err := f.Terms(rank)
 	if err != nil {

@@ -88,9 +88,11 @@ type dedupState struct {
 	uniq []sequitur.Serialized
 
 	// shapes, if non-nil, dedups new grammars by shape key into shape
-	// (trace.File.Shape); reps, the Packer's input, is one per shape.
+	// (trace.File.Shape), with each one's vector in vecs
+	// (trace.File.ShapeVecs); reps, the Packer's input, is one per shape.
 	shapes map[string]int32
 	shape  []int32
+	vecs   [][]int32
 	reps   []sequitur.Serialized
 
 	packer  *sequitur.Packer // nil without shapes
@@ -112,8 +114,9 @@ func newDedupState(world, flushes int, calls bool) *dedupState {
 	return d
 }
 
-// add returns g's index among the unique grammars.
-func (d *dedupState) add(key string, g sequitur.Serialized, shapeKey string) int32 {
+// add returns g's index among the unique grammars; shapeKey and vec
+// are its shape's key and its vector, for a dedup by shape.
+func (d *dedupState) add(key string, g sequitur.Serialized, shapeKey string, vec []int32) int32 {
 	j, ok := d.seen[key]
 	if ok {
 		return j
@@ -128,7 +131,7 @@ func (d *dedupState) add(key string, g sequitur.Serialized, shapeKey string) int
 		d.shapes[shapeKey], rep = j, -1
 		d.reps = append(d.reps, g)
 	}
-	d.shape = append(d.shape, rep)
+	d.shape, d.vecs = append(d.shape, rep), append(d.vecs, vec)
 	return j
 }
 
@@ -304,11 +307,12 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 	// Identity and shape keys fan out; the first-seen pass below stays
 	// sequential in rank order (the §3.5.2 memcmp identity check).
 	t1 := time.Now()
-	keys, shapeKeys := make([]string, n), make([]string, n)
+	keys, shapeKeys, vecs := make([]string, n), make([]string, n), make([][]int32, n)
 	var durKeys, intKeys []string
 	par.For(n, w.workers, func(i int) {
 		keys[i] = grammarKey(relabeled[i])
-		shape, _ := relabeled[i].Shape()
+		var shape sequitur.Serialized
+		shape, vecs[i] = relabeled[i].Shape()
 		shapeKeys[i] = grammarKey(shape)
 	})
 	if w.lossy {
@@ -319,10 +323,10 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 		})
 	}
 	for i := 0; i < n; i++ {
-		w.rankIdx = append(w.rankIdx, w.calls.add(keys[i], relabeled[i], shapeKeys[i]))
+		w.rankIdx = append(w.rankIdx, w.calls.add(keys[i], relabeled[i], shapeKeys[i], vecs[i]))
 		if w.lossy {
-			w.durIdx = append(w.durIdx, w.durState.add(durKeys[i], snaps[i].DurGrammar, ""))
-			w.intIdx = append(w.intIdx, w.intState.add(intKeys[i], snaps[i].IntGrammar, ""))
+			w.durIdx = append(w.durIdx, w.durState.add(durKeys[i], snaps[i].DurGrammar, "", nil))
+			w.intIdx = append(w.intIdx, w.intState.add(intKeys[i], snaps[i].IntGrammar, "", nil))
 		}
 	}
 	w.cfgNs += time.Since(t1).Nanoseconds()
@@ -375,6 +379,7 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 		CST:        w.global,
 		Grammars:   w.calls.uniq,
 		Shape:      w.calls.shape,
+		ShapeVecs:  w.calls.vecs,
 		Packed:     packed,
 		RankMap:    w.rankIdx,
 		Salvage:    info,

@@ -3,6 +3,8 @@ package sig
 import (
 	"encoding/binary"
 	"fmt"
+
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
 
 // A signature's template is the signature with the varints of its
@@ -66,4 +68,134 @@ func (t Template) Join(dst []byte, lifted []int64) ([]byte, error) {
 		at = c
 	}
 	return append(dst, t.tmpl[at:]...), nil
+}
+
+// Pattern is a call decoded once for every signature of one template:
+// the template's call, each lifted field's value 0, which Fill sets
+// from a signature's lifted values. A whole signature is the template
+// that takes none (DecodeWhole).
+type Pattern struct {
+	d     Decoded
+	lifts int
+	below int // values Fill copies below Args: each status and status array holding a lifted source
+}
+
+// Decode decodes the template for Fill. It is Decode's walk, but for
+// the lifted values the template lacks, so it fails where ParseTemplate
+// does.
+func (t Template) Decode() (Pattern, error) { return decodePattern(t.tmpl, templating) }
+
+// DecodeWhole decodes a whole signature as the Pattern that takes no
+// lifted values: Fill(nil) is Decode(sig).
+func DecodeWhole(sig string) (Pattern, error) { return decodePattern(sig, decoding) }
+
+func decodePattern(s string, use int) (Pattern, error) {
+	w := walker{in: s, use: use}
+	d, err := w.call()
+	if err != nil {
+		return Pattern{}, err
+	}
+	p := Pattern{d: d, lifts: len(w.cuts)}
+	if p.lifts == 0 {
+		return p, nil
+	}
+	for _, a := range d.Args {
+		switch a.Kind {
+		case mpispec.KStatus:
+			if isLifted(a.Arr[0]) {
+				p.below += 2
+			}
+		case mpispec.KStatArray:
+			if n := liftedStatuses(a.Arr); n > 0 {
+				p.below += len(a.Arr) + 2*n
+			}
+		}
+	}
+	return p, nil
+}
+
+// isLifted reports whether a rank-like field's value is lifted into a
+// template's row: a selRel or selAbs peer, color, key or status source.
+func isLifted(v DecodedValue) bool { return v.Sel == selRel || v.Sel == selAbs }
+
+// liftedStatuses is the number of statuses in arr whose source is
+// lifted.
+func liftedStatuses(arr []DecodedValue) int {
+	n := 0
+	for _, st := range arr {
+		if isLifted(st.Arr[0]) {
+			n++
+		}
+	}
+	return n
+}
+
+// Fill returns the call that the pattern's template makes with lifted,
+// which must hold exactly the values the template takes: Decode of
+// Join's signature. With no lifted values it is the pattern's own call.
+// Else its Args, and each status and status array holding a lifted
+// source, are one allocation of its own; every other array it shares
+// with the pattern.
+func (p Pattern) Fill(lifted []int64) (Decoded, error) {
+	if len(lifted) != p.lifts {
+		return Decoded{}, fmt.Errorf("sig: template takes %d lifted values, %d given", p.lifts, len(lifted))
+	}
+	if p.lifts == 0 {
+		return p.d, nil
+	}
+	n := len(p.d.Args)
+	vs := make([]DecodedValue, n+p.below)
+	f := filler{lifted: lifted, below: vs[n:]}
+	args := vs[:n:n]
+	copy(args, p.d.Args)
+	for i := range args {
+		switch a := &args[i]; a.Kind {
+		case mpispec.KRank, mpispec.KColor, mpispec.KKey:
+			f.set(a)
+		case mpispec.KStatus:
+			a.Arr = f.status(a.Arr)
+		case mpispec.KStatArray:
+			if liftedStatuses(a.Arr) > 0 {
+				arr := f.take(a.Arr)
+				for j := range arr {
+					arr[j].Arr = f.status(arr[j].Arr)
+				}
+				a.Arr = arr
+			}
+		}
+	}
+	return Decoded{Func: p.d.Func, Args: args}, nil
+}
+
+// filler hands out a Fill's lifted values in order, and its storage
+// below Args.
+type filler struct {
+	lifted []int64
+	below  []DecodedValue
+}
+
+// set sets v's value to the next lifted one if v is lifted.
+func (f *filler) set(v *DecodedValue) {
+	if isLifted(*v) {
+		v.I, f.lifted = f.lifted[0], f.lifted[1:]
+	}
+}
+
+// take copies vs to the filler's storage.
+func (f *filler) take(vs []DecodedValue) []DecodedValue {
+	out := f.below[:len(vs):len(vs)]
+	f.below = f.below[len(vs):]
+	copy(out, vs)
+	return out
+}
+
+// status returns the (source, tag) pair of a status, copied with its
+// source set if that is lifted.
+func (f *filler) status(pair []DecodedValue) []DecodedValue {
+	if !isLifted(pair[0]) {
+		return pair
+	}
+	pair = f.take(pair)
+	f.set(&pair[0])
+	return pair
 }

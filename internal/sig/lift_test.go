@@ -3,6 +3,7 @@ package sig
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -34,14 +35,25 @@ func liftedOracle(d Decoded) []int64 {
 	return out
 }
 
-// checkSplitJoin is the Split/Join oracle for any bytes b: Split
-// succeeds exactly when Decode does; then it lifts liftedOracle's
-// values, the template is b without their varints and parses to take
-// as many, Join gives b back, and Join refuses one value too few or
-// too many.
+// checkSplitJoin is the Split/Join oracle for any bytes b: Split and
+// DecodeWhole succeed exactly when Decode does, and DecodeWhole's
+// pattern filled with nothing is Decode's call; then Split lifts
+// liftedOracle's values, the template is b without their varints and
+// parses to take as many, Join gives b back, the template decoded and
+// filled in with them is Decode's call again, and Join and Fill refuse
+// one value too few or too many.
 func checkSplitJoin(t testing.TB, b []byte) {
 	t.Helper()
 	d, derr := Decode(b)
+	whole, werr := DecodeWhole(string(b))
+	if (werr == nil) != (derr == nil) {
+		t.Fatalf("%x: DecodeWhole error %v, Decode error %v", b, werr, derr)
+	}
+	if werr == nil {
+		if got, err := whole.Fill(nil); err != nil || !reflect.DeepEqual(got, d) {
+			t.Fatalf("%x: whole signature fills to %v (%v), Decode gives %v", b, got, err, d)
+		}
+	}
 	tmpl, lifted, err := Split(string(b), nil, nil)
 	if (err == nil) != (derr == nil) {
 		t.Fatalf("%x: Split error %v, Decode error %v", b, err, derr)
@@ -59,8 +71,24 @@ func checkSplitJoin(t testing.TB, b []byte) {
 	if size != len(b) {
 		t.Fatalf("%x: template of %d bytes and %d lifted values make %d bytes", b, len(tmpl), len(lifted), size)
 	}
-	if p, err := ParseTemplate(string(tmpl)); err != nil || p.Lifts() != len(lifted) {
+	p, err := ParseTemplate(string(tmpl))
+	if err != nil || p.Lifts() != len(lifted) {
 		t.Fatalf("%x: template takes %d lifted values (%v); Split lifted %d", b, p.Lifts(), err, len(lifted))
+	}
+	pat, err := p.Decode()
+	if err != nil {
+		t.Fatalf("%x: template %x parses but does not decode: %v", b, tmpl, err)
+	}
+	if got, err := pat.Fill(lifted); err != nil || !reflect.DeepEqual(got, d) {
+		t.Fatalf("%x: template filled in is %v (%v), Decode gives %v", b, got, err, d)
+	}
+	if _, err := pat.Fill(append(slices.Clone(lifted), 7)); err == nil {
+		t.Fatalf("%x: Fill took a value too many", b)
+	}
+	if len(lifted) > 0 {
+		if _, err := pat.Fill(lifted[1:]); err == nil {
+			t.Fatalf("%x: Fill took a value too few", b)
+		}
 	}
 	back, err := Join(nil, string(tmpl), lifted)
 	if err != nil || !bytes.Equal(back, b) {

@@ -8,17 +8,18 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 )
 
-// What a walk does with the fields it reads.
+// What a walk does with the fields it reads. The first two decode.
 const (
-	decoding  = iota // build each field's DecodedValue (Decode)
-	splitting        // copy in to out but the lifted values' varints, which go to vals (Split)
-	joining          // walk a template, noting in cuts where each lifted value goes (ParseTemplate)
+	decoding   = iota // build each field's DecodedValue (Decode)
+	templating        // decode a template, leaving each lifted field's value 0 and noting it in cuts (Template.Decode)
+	joining           // walk a template, noting in cuts where each lifted value goes (ParseTemplate)
+	splitting         // copy in to out but the lifted values' varints, which go to vals (Split)
 )
 
 // walker is the one reader of signature bytes: a cursor over in and a
-// field walker over mpispec.Spec. Decode, Split and ParseTemplate are
-// its three uses. The first failure is kept in err; the walk stops at
-// it.
+// field walker over mpispec.Spec. Decode, Template.Decode, Split and
+// ParseTemplate are its four uses. The first failure is kept in err;
+// the walk stops at it.
 type walker struct {
 	in   string
 	pos  int
@@ -43,7 +44,7 @@ func (w *walker) call() (Decoded, error) {
 	}
 	d := Decoded{Func: mpispec.FuncID(fid)}
 	spec := &mpispec.Spec[fid]
-	if w.use == decoding && len(spec.Params) > 0 {
+	if w.decodes() && len(spec.Params) > 0 {
 		d.Args = make([]DecodedValue, len(spec.Params))
 	}
 	var scratch DecodedValue // the fields of a walk that does not decode
@@ -127,7 +128,7 @@ func (w *walker) field(v *DecodedValue, kind mpispec.ParamKind) {
 		case n > uint64(len(w.in)-w.pos): // in uint64: int(n) may wrap negative
 			w.fail("truncated string")
 		default:
-			if w.use == decoding {
+			if w.decodes() {
 				v.S = strings.Clone(w.in[w.pos : w.pos+int(n)])
 			}
 			w.pos += int(n)
@@ -145,7 +146,7 @@ func (w *walker) arr(n uint64, minBytes int) []DecodedValue {
 	if room := uint64(len(w.in)-w.pos) / uint64(minBytes); n > room {
 		n = room
 	}
-	if n == 0 || w.use != decoding {
+	if n == 0 || !w.decodes() {
 		return nil
 	}
 	return make([]DecodedValue, 0, n)
@@ -160,11 +161,14 @@ func (w *walker) status(v *DecodedValue, pair []DecodedValue) {
 	if w.err != nil {
 		return
 	}
-	if tag := w.varint(); w.use == decoding {
+	if tag := w.varint(); w.decodes() {
 		v.Arr = append(pair, DecodedValue{Kind: mpispec.KRank, Sel: sel, I: src},
 			DecodedValue{Kind: mpispec.KTag, Sel: selAbs, I: tag})
 	}
 }
+
+// decodes reports whether the walk builds the fields it reads.
+func (w *walker) decodes() bool { return w.use <= templating }
 
 // rankLike walks a selector and, for selRel and selAbs, its varint,
 // which is a lifted value when lift is set: splitting moves it to vals,
@@ -176,7 +180,7 @@ func (w *walker) rankLike(lift bool) (sel byte, x int64) {
 	switch {
 	case !lift || w.use == decoding:
 		return sel, w.varint()
-	case w.use == joining:
+	case w.use != splitting:
 		w.cuts = append(w.cuts, w.pos)
 		return sel, 0
 	}

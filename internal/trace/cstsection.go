@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
@@ -67,17 +68,19 @@ func framedLen(n int) int { return uvarintLen(uint64(n)) + n }
 // writeCST writes the CST section of t: templated, behind cstTemplated,
 // when that takes fewer bytes than the raw table without a selector,
 // else raw behind cstRaw. It returns how t is stored, its templates
-// counted only if templated.
+// counted only if templated. The raw table is sized, and serialized only
+// when stored.
 func writeCST(w *bytes.Buffer, t *cst.Table) CSTStorage {
-	b := t.Serialize()
-	st := CSTStorage{Form: "raw", Entries: t.Len(), Raw: len(b), Stored: len(b)}
-	sel := byte(cstRaw)
-	if tm, n := templateCST(t); tm != nil && 1+framedLen(len(tm)) < framedLen(len(b)) {
-		sel, b = cstTemplated, tm
+	raw := t.Bytes()
+	st := CSTStorage{Form: "raw", Entries: t.Len(), Raw: raw, Stored: raw}
+	if tm, n := templateCST(t); tm != nil && 1+framedLen(len(tm)) < framedLen(raw) {
 		st.Form, st.Templates, st.Stored = "templated", n, len(tm)
+		w.WriteByte(cstTemplated)
+		writeBytes(w, tm)
+		return st
 	}
-	w.WriteByte(sel)
-	writeBytes(w, b)
+	w.WriteByte(cstRaw)
+	writeBytes(w, t.Serialize())
 	return st
 }
 
@@ -263,8 +266,9 @@ func (br byteReader) cstSection(f *File) (CSTStorage, error) {
 	case cstRaw:
 		f.CST, err = cst.Deserialize(b)
 	case cstTemplated:
-		if f.CST, st.Templates, err = untemplate(b); err == nil {
-			st.Form, st.Raw = "templated", f.CST.Bytes()
+		if f.tmpl, err = untemplate(b); err == nil {
+			f.CST = f.tmpl.table
+			st.Form, st.Raw, st.Templates = "templated", f.CST.Bytes(), len(f.tmpl.tmpls)
 		}
 	default:
 		err = fmt.Errorf("trace: unknown CST selector %d", sel)
@@ -276,54 +280,85 @@ func (br byteReader) cstSection(f *File) (CSTStorage, error) {
 	return st, nil
 }
 
+// cstTemplates is a templated CST section as read: the table it
+// rebuilds, each template, and each entry's template id and lifted
+// row. DecodedSig decodes each template once (decoded, one slot per
+// template) and each entry by filling its row in.
+type cstTemplates struct {
+	table   *cst.Table
+	tmpls   []sig.Template
+	tid     []int64
+	lifted  []int64 // entry i's row is lifted[at[i]:at[i+1]]
+	at      []int
+	decoded []atomic.Pointer[decodedTemplate]
+}
+
+// decodedTemplate is one template's decode result, error included.
+type decodedTemplate struct {
+	p   sig.Pattern
+	err error
+}
+
+// pattern returns template id decoded, decoding it on first reference.
+func (t *cstTemplates) pattern(id int64) (sig.Pattern, error) {
+	slot := &t.decoded[id]
+	e := slot.Load()
+	if e == nil {
+		e = new(decodedTemplate)
+		e.p, e.err = t.tmpls[id].Decode()
+		e = publish(slot, e)
+	}
+	return e.p, e.err
+}
+
 // untemplate builds the table a templated section b stores, and
-// returns it with the template count. It refuses a template
+// returns it with its templates and rows. It refuses a template
 // sig.ParseTemplate cannot walk, template ids out of range or not in
 // first-use order, a column of other than the ints the entries and
 // templates imply, more than maxCSTEntries entries or maxCSTSigBytes
 // signature bytes, and an entry cst.Table.AppendAverage refuses: a
 // duplicate signature, fewer than one call, or a duration sum past an
 // int64.
-func untemplate(b []byte) (*cst.Table, int, error) {
+func untemplate(b []byte) (*cstTemplates, error) {
 	c := &cursor{b: b}
 	nt, err := c.uvarint()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if nt > uint64(len(b)) { // every template costs at least its length's byte
-		return nil, 0, fmt.Errorf("trace: %d CST templates claimed in %d bytes", nt, len(b))
+		return nil, fmt.Errorf("trace: %d CST templates claimed in %d bytes", nt, len(b))
 	}
 	// Each template, its length and the lifted values it takes.
 	tmpls, tsize, widths := make([]sig.Template, nt), make([]int, nt), make([]int, nt)
 	for i := range tmpls {
 		l, err := c.uvarint()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if l > uint64(len(b)-c.pos) {
-			return nil, 0, fmt.Errorf("trace: truncated CST template %d", i)
+			return nil, fmt.Errorf("trace: truncated CST template %d", i)
 		}
 		if tmpls[i], err = sig.ParseTemplate(string(b[c.pos : c.pos+int(l)])); err != nil {
-			return nil, 0, fmt.Errorf("trace: CST template %d: %w", i, err)
+			return nil, fmt.Errorf("trace: CST template %d: %w", i, err)
 		}
 		tsize[i], widths[i] = int(l), tmpls[i].Lifts()
 		c.pos += int(l)
 	}
 	n, err := c.uvarint()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if n > maxCSTEntries {
-		return nil, 0, fmt.Errorf("trace: templated CST of %d entries", n)
+		return nil, fmt.Errorf("trace: templated CST of %d entries", n)
 	}
 	tid, err := c.column(int(n), nil, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	used, size := int64(0), 0 // size: at least one byte per lifted value
 	for i, id := range tid {
 		if id < 0 || id > used || id >= int64(nt) {
-			return nil, 0, fmt.Errorf("trace: CST entry %d names template %d, not one of the %d in first-use order", i, id, nt)
+			return nil, fmt.Errorf("trace: CST entry %d names template %d, not one of the %d in first-use order", i, id, nt)
 		}
 		if id == used {
 			used++
@@ -332,9 +367,9 @@ func untemplate(b []byte) (*cst.Table, int, error) {
 	}
 	switch {
 	case used != int64(nt):
-		return nil, 0, fmt.Errorf("trace: %d CST templates stored, %d used", nt, used)
+		return nil, fmt.Errorf("trace: %d CST templates stored, %d used", nt, used)
 	case size > maxCSTSigBytes:
-		return nil, 0, fmt.Errorf("trace: templated CST rebuilds over %d signature bytes", size)
+		return nil, fmt.Errorf("trace: templated CST rebuilds over %d signature bytes", size)
 	}
 	lens, lifts := make([]int, n), 0
 	for i, id := range tid {
@@ -354,28 +389,28 @@ func untemplate(b []byte) (*cst.Table, int, error) {
 		err = fmt.Errorf("trace: %d bytes past the templated CST", len(b)-c.pos)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	t := cst.NewSized(int(n))
+	t := &cstTemplates{table: cst.NewSized(int(n)), tmpls: tmpls, tid: tid, lifted: lifted,
+		at: make([]int, n+1), decoded: make([]atomic.Pointer[decodedTemplate], nt)}
 	var s []byte
 	prev := newPrevRows(widths)
-	at := 0
 	size = 0
 	for i, id := range tid {
-		row := lifted[at : at+lens[i]]
-		at += lens[i]
+		t.at[i+1] = t.at[i] + lens[i]
+		row := lifted[t.at[i]:t.at[i+1]]
 		prev.delta(id, row, &counts[i], &avgs[i], true)
 		if s, err = tmpls[id].Join(s[:0], row); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if size += len(s); size > maxCSTSigBytes {
-			return nil, 0, fmt.Errorf("trace: templated CST rebuilds over %d signature bytes", size)
+			return nil, fmt.Errorf("trace: templated CST rebuilds over %d signature bytes", size)
 		}
-		if err := t.AppendAverage(string(s), counts[i], avgs[i]); err != nil {
-			return nil, 0, err
+		if err := t.table.AppendAverage(string(s), counts[i], avgs[i]); err != nil {
+			return nil, err
 		}
 	}
-	return t, int(nt), nil
+	return t, nil
 }
 
 // cursor reads a templated CST section.

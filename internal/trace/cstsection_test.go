@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +15,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
+	"github.com/hpcrepro/pilgrim/internal/sig"
 )
 
 // splitSig is an MPI_Comm_split signature of comm 1 into newcomm: its
@@ -284,4 +289,73 @@ func cstAt(f *File) int {
 	hdr = append(hdr, f.TimingMode)
 	hdr = binary.AppendUvarint(hdr, math.Float64bits(f.TimingBase))
 	return len(magic) + len(hdr)
+}
+
+// diffDecodedSigs returns an error naming the first CST entry whose
+// DecodedSig is not sig.Decode of its signature, errors included.
+func diffDecodedSigs(f *File) error {
+	for term := range int32(f.CST.Len()) {
+		got, gerr := f.DecodedSig(term)
+		want, werr := sig.Decode(f.CST.Sig(term))
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			return fmt.Errorf("CST entry %d: DecodedSig gives %v (%v), sig.Decode %v (%v)", term, got, gerr, want, werr)
+		}
+	}
+	return nil
+}
+
+// TestDecodedSigMatchesDecode: DecodedSig, which decodes each template
+// once and fills each entry's lifted values in, gives every entry of
+// every checked-in trace — the goldens, the compat and version
+// fixtures — and of every FuzzTraceRead seed the reader accepts what
+// sig.Decode gives its signature, errors included. So does a File whose
+// CST was replaced after Read, which DecodedSig decodes entry by entry.
+func TestDecodedSigMatchesDecode(t *testing.T) {
+	var paths []string
+	for _, pat := range []string{
+		"../../testdata/golden/*.pilgrim", "../../testdata/compat/*.pilgrim", "../../testdata/compat/v6/*.pilgrim",
+		"../replay/testdata/golden/*.pilgrim", "testdata/v*/*.pilgrim",
+	} {
+		ps, err := filepath.Glob(pat)
+		if err != nil || len(ps) == 0 {
+			t.Fatalf("%s: %d traces (%v)", pat, len(ps), err)
+		}
+		paths = append(paths, ps...)
+	}
+	templated := 0
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := readTB(t, data)
+		if f.CSTStorage().Form == "templated" {
+			templated++
+		}
+		if err := diffDecodedSigs(f); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	if templated == 0 {
+		t.Fatalf("none of %d traces stores its CST templated", len(paths))
+	}
+	accepted := 0
+	for i, data := range traceReadSeeds(t) {
+		f, err := Read(bytes.NewReader(data))
+		if err != nil {
+			continue
+		}
+		accepted++
+		if err := diffDecodedSigs(f); err != nil {
+			t.Errorf("seed %d: %v", i, err)
+		}
+	}
+	t.Logf("%d traces, %d templated; %d seeds read", len(paths), templated, accepted)
+
+	f := readTB(t, serialize(t, templatedFile(t)))
+	f.CST = templatedFile(t).CST
+	f.CST.Add(splitSig(9, 9, 9), 1)
+	if err := diffDecodedSigs(f); err != nil {
+		t.Fatalf("CST replaced after Read: %v", err)
+	}
 }

@@ -567,6 +567,45 @@ func TestWriteRejectsBadShape(t *testing.T) {
 	}
 }
 
+// TestShapeVecs: a File that carries the vector Shape gives each
+// grammar writes the bytes it writes without them, and one whose
+// vectors do not relabel the grammar's representative to it, or name a
+// terminal twice, or are not one per grammar, is refused.
+func TestShapeVecs(t *testing.T) {
+	vecs := func(f *File) [][]int32 {
+		out := make([][]int32, len(f.Grammars))
+		for j, g := range f.Grammars {
+			_, out[j] = g.Shape()
+		}
+		return out
+	}
+	f := shapedFile(t)
+	f.ShapeVecs = vecs(f)
+	if got, want := serialize(t, f), serialize(t, shapedFile(t)); !bytes.Equal(got, want) {
+		t.Fatalf("with shape vectors %d bytes, without %d", len(got), len(want))
+	}
+	for name, bad := range map[string]func(f *File){
+		"another terminal": func(f *File) { f.ShapeVecs[1] = []int32{3, 4, 6} },
+		"too short":        func(f *File) { f.ShapeVecs[1] = f.ShapeVecs[1][:2] },
+		"too long":         func(f *File) { f.ShapeVecs[1] = append(f.ShapeVecs[1], 9) },
+		"one per grammar":  func(f *File) { f.ShapeVecs = f.ShapeVecs[:3] },
+		// Grammar 1 is not of grammar 0's shape, though relabeling that
+		// shape by a vector naming 3 twice gives it.
+		"a terminal twice": func(f *File) {
+			shape, _ := f.Grammars[0].Shape()
+			f.ShapeVecs[1] = []int32{3, 3, 5}
+			f.Grammars[1], _ = shape.Relabel(f.ShapeVecs[1])
+		},
+	} {
+		f := shapedFile(t)
+		f.ShapeVecs = vecs(f)
+		bad(f)
+		if _, err := f.WriteTo(io.Discard); err == nil {
+			t.Errorf("%s: written", name)
+		}
+	}
+}
+
 // TestReadRejectsUnknownSelectors: a grammar set is raw (0) or a pack
 // in the one alphabet its magic allows (1 under magic and magicShapes,
 // 3 from magicPack on), the call section may also be stored by shape
@@ -890,60 +929,77 @@ func TestReadRejectsPackUnderOtherMagic(t *testing.T) {
 // section.
 func callSelectorAt(f *File) int { return f.form().at + f.form().ends[0] }
 
-func FuzzTraceRead(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(magic))
-	f.Add(serialize(f, mkFileTB(f)))
-	f.Add(serialize(f, richFile(f)))
-	nanBase := richFile(f)
+// traceReadSeeds are FuzzTraceRead's seeds: valid files of every
+// stored form and magic, and damaged ones.
+func traceReadSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var seeds [][]byte
+	add := func(data []byte) { seeds = append(seeds, data) }
+	add([]byte{})
+	add([]byte(magic))
+	add(serialize(tb, mkFileTB(tb)))
+	add(serialize(tb, richFile(tb)))
+	nanBase := richFile(tb)
 	nanBase.TimingBase = math.NaN()
-	f.Add(serialize(f, nanBase))
-	f.Add(serialize(f, shapedFile(f)))
-	hostile := hostileShapes(f)
+	add(serialize(tb, nanBase))
+	add(serialize(tb, shapedFile(tb)))
+	hostile := hostileShapes(tb)
 	names := make([]string, 0, len(hostile))
 	for name := range hostile {
 		names = append(names, name)
 	}
 	slices.Sort(names) // seed numbers stay put from run to run
 	for _, name := range names {
-		f.Add(hostile[name])
+		add(hostile[name])
 	}
-	f.Add(packedFile(f))
+	add(packedFile(tb))
 	// A valid magicDeflate file and four damaged ones, after the seeds
 	// above so their numbers stay put.
-	deflated := deflatedFile(f)
-	f.Add(deflated)
-	deflates := hostileDeflates(f)
+	deflated := deflatedFile(tb)
+	add(deflated)
+	deflates := hostileDeflates(tb)
 	for _, name := range []string{"truncated", "bomb length", "trailing garbage"} {
-		f.Add(deflates[name])
+		add(deflates[name])
 	}
-	d := findDeflatedSet(f, deflated, 1)
-	f.Add(d.with(deflated, d.raw, flipMid(d.z)))
+	d := findDeflatedSet(tb, deflated, 1)
+	add(d.with(deflated, d.raw, flipMid(d.z)))
 	// A valid file with a templated CST and four damaged ones.
-	f.Add(serialize(f, templatedFile(f)))
-	templates := hostileTemplates(f)
+	add(serialize(tb, templatedFile(tb)))
+	templates := hostileTemplates(tb)
 	for _, name := range []string{"lifted values short", "run past the entries", "rebuilt duplicate", "template ids out of use order"} {
-		f.Add(templates[name])
+		add(templates[name])
 	}
 	// A valid file with a deflated body and five damaged ones.
-	f.Add(serialize(f, bodyFile(f)))
-	bodies := hostileBodies(f)
+	add(serialize(tb, bodyFile(tb)))
+	bodies := hostileBodies(tb)
 	for _, name := range []string{"truncated", "bomb length", "length past ratio", "trailing garbage", "flipped bit"} {
-		f.Add(bodies[name])
+		add(bodies[name])
 	}
 	// A magic file and a magicShapes file that stores its calls by shape.
-	f.Add(fixture(f, filepath.Join("v1", "distinct_shapes.pilgrim")))
-	f.Add(fixture(f, filepath.Join("v4", "cg_64x4.pilgrim")))
+	add(fixture(tb, filepath.Join("v1", "distinct_shapes.pilgrim")))
+	add(fixture(tb, filepath.Join("v4", "cg_64x4.pilgrim")))
 	// A rank map stored as a grammar and one stored as a column under
 	// magicIndex, and four damaged index sections.
-	f.Add(serialize(f, periodicFile(f)))
-	f.Add(serialize(f, indexFile(f, grid(6, 6))))
-	indices := hostileIndices(f)
+	add(serialize(tb, periodicFile(tb)))
+	add(serialize(tb, indexFile(tb, grid(6, 6))))
+	indices := hostileIndices(tb)
 	for _, name := range []string{"rank map: run past the ranks", "rank map: sum past the grammars", "rank map: selector past every stride", "columns under " + magicTemplates} {
-		f.Add(indices[name])
+		add(indices[name])
+	}
+	return seeds
+}
+
+func FuzzTraceRead(f *testing.F) {
+	for _, data := range traceReadSeeds(f) {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readAndProbe(data)
+		if file, err := Read(bytes.NewReader(data)); err == nil {
+			if err := diffDecodedSigs(file); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
 }
 

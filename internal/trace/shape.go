@@ -57,14 +57,33 @@ func (f *File) shaped() (*shapedSection, error) {
 	if len(reps) == len(f.Grammars) {
 		return nil, nil
 	}
+	if f.ShapeVecs != nil && len(f.ShapeVecs) != len(f.Grammars) {
+		return nil, fmt.Errorf("trace: %d shape vectors for %d grammars", len(f.ShapeVecs), len(f.Grammars))
+	}
 	shapes, last, n := repShapes(f.Shape, f.Grammars)
 	d := make([]int32, 0, n)
+	var sorted []int32
 	for j, r := range f.Shape {
 		if r == -1 {
 			continue
 		}
-		shape, vec := f.Grammars[j].Shape()
-		if !slices.Equal(shape, shapes[r]) {
+		var vec []int32
+		if f.ShapeVecs != nil {
+			vec = f.ShapeVecs[j]
+		} else {
+			_, vec = f.Grammars[j].Shape()
+		}
+		// A vector of distinct terminals that relabels r's shape to the
+		// grammar is the one Shape gives it.
+		ok := len(vec) == len(last[r])
+		if ok {
+			sorted, ok = distinct(vec, sorted)
+		}
+		if ok {
+			g, err := shapes[r].Relabel(vec)
+			ok = err == nil && slices.Equal(g, f.Grammars[j])
+		}
+		if !ok {
 			return nil, fmt.Errorf("trace: grammar %d does not have the shape of grammar %d", j, r)
 		}
 		for c, t := range vec {
@@ -152,9 +171,8 @@ func (br byteReader) shaped(f *File) error {
 			}
 			vec[c] = int32(t)
 		}
-		sorted = append(sorted[:0], vec...)
-		slices.Sort(sorted)
-		if len(slices.Compact(sorted)) != len(vec) { // another shape, which no writer stores here
+		var ok bool
+		if sorted, ok = distinct(vec, sorted); !ok { // another shape, which no writer stores here
 			return fmt.Errorf("trace: grammar %d's vector names a terminal twice", j)
 		}
 		if gs[j], err = shapes[r].Relabel(vec); err != nil {
@@ -164,6 +182,14 @@ func (br byteReader) shaped(f *File) error {
 	}
 	f.Grammars, f.Packed, f.Shape = gs, pack, shape
 	return nil
+}
+
+// distinct reports whether vec names no terminal twice, sorting a copy
+// of it in sorted, whose storage it returns for the next call.
+func distinct(vec, sorted []int32) ([]int32, bool) {
+	sorted = append(sorted[:0], vec...)
+	slices.Sort(sorted)
+	return sorted, len(slices.Compact(sorted)) == len(vec)
 }
 
 // checkShape requires a Shape column for n grammars: each entry -1 or

@@ -161,6 +161,11 @@ type File struct {
 	// means all are representatives (DESIGN §4d).
 	Shape []int32
 
+	// ShapeVecs, if non-nil, holds per grammar the vector
+	// sequitur.Serialized.Shape gives it, which the writer then checks
+	// against its shape instead of shaping the grammar again.
+	ShapeVecs [][]int32
+
 	// Packed, if non-nil, is the final Sequitur pass over the
 	// representatives (§3.5.2): the serialized form stores it instead of
 	// them when smaller. Readers repopulate Grammars from it.
@@ -190,6 +195,10 @@ type File struct {
 	// CSTStorage.
 	tmplOnce  sync.Once
 	templates int
+
+	// The templated CST section Read found, if any, which DecodedSig
+	// decodes by template.
+	tmpl *cstTemplates
 
 	// Read-path memo (see the type comment): the rank map's check, and
 	// one lazily decoded slot per CST entry.
@@ -254,27 +263,53 @@ func (f *File) Terms(rank int) ([]int32, error) {
 	return terms, nil
 }
 
-// DecodedSig returns CST entry term decoded. Each entry is decoded
-// once per File, on first reference, and the result — or the decode
-// error — is kept; the Args of the returned value are shared by every
-// call with that signature and must not be modified.
+// DecodedSig returns CST entry term decoded: sig.Decode of its
+// signature. Each entry is decoded once per File, on first reference,
+// from its template, which is decoded once per File too, filled in with
+// the entry's lifted values (sig.Pattern); a CST stored raw, or built
+// in memory, has one template per entry, its whole signature, which
+// takes none. The result — or the decode error — is kept; the Args of
+// the returned value are shared by every call with that signature and
+// must not be modified.
 func (f *File) DecodedSig(term int32) (sig.Decoded, error) {
-	f.sigOnce.Do(func() { f.sigs = make([]atomic.Pointer[decodedSig], f.CST.Len()) })
+	f.sigOnce.Do(func() {
+		f.sigs = make([]atomic.Pointer[decodedSig], f.CST.Len())
+		if t := f.tmpl; t != nil && (t.table != f.CST || len(t.tid) != f.CST.Len()) {
+			f.tmpl = nil // the CST was changed after Read: its templates are not its own
+		}
+	})
 	if term < 0 || int(term) >= len(f.sigs) {
 		return sig.Decoded{}, fmt.Errorf("trace: no CST entry %d (table holds %d)", term, len(f.sigs))
 	}
 	slot := &f.sigs[term]
 	e := slot.Load()
 	if e == nil {
-		// Racing first references decode the same bytes; the first to
-		// publish wins so all callers share one Args slice.
 		e = new(decodedSig)
-		e.d, e.err = sig.Decode(f.CST.Sig(term))
-		if !slot.CompareAndSwap(nil, e) {
-			e = slot.Load()
+		var p sig.Pattern
+		var row []int64
+		if t := f.tmpl; t != nil {
+			p, e.err = t.pattern(t.tid[term])
+			row = t.lifted[t.at[term]:t.at[term+1]]
+		} else {
+			p, e.err = sig.DecodeWhole(f.CST.SigString(term))
 		}
+		if e.err == nil {
+			e.d, e.err = p.Fill(row)
+		}
+		e = publish(slot, e)
 	}
 	return e.d, e.err
+}
+
+// publish stores e in slot unless a racing first reference has stored
+// its own, and returns the one stored: racing first references decode
+// alike, and the first to publish wins, so all callers share one Args
+// slice.
+func publish[T any](slot *atomic.Pointer[T], e *T) *T {
+	if !slot.CompareAndSwap(nil, e) {
+		return slot.Load()
+	}
+	return e
 }
 
 // --- serialization -----------------------------------------------------------
