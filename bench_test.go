@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	pilgrim "github.com/hpcrepro/pilgrim"
@@ -391,7 +392,8 @@ func BenchmarkTraceStencil64(b *testing.B) {
 // calls per rank over thousands of grammars and signatures, whose CST
 // is stored by template (cg4096x10: 8 135 entries of 10 templates), so
 // that they time the decode of each template once and of each entry by
-// filling its lifted values in.
+// filling its lifted values in. ns/call and B/call are the op's time and
+// allocated bytes, read included, over the run's calls.
 func BenchmarkDecodeRank(b *testing.B) {
 	for _, w := range []struct {
 		name, app    string
@@ -415,6 +417,8 @@ func BenchmarkDecodeRank(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f, err := trace.Read(bytes.NewReader(buf.Bytes()))
@@ -427,7 +431,11 @@ func BenchmarkDecodeRank(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(stats.TotalCalls), "ns/call")
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			calls := float64(b.N) * float64(stats.TotalCalls)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/calls, "ns/call")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/calls, "B/call")
 			b.ReportMetric(float64(file.CST.Len()), "cst-entries")
 		})
 	}

@@ -14,9 +14,9 @@ import (
 // complete it, and analysis reports the rank and the call instead of
 // waiting.
 func TestUnresolvableCreationIsAnError(t *testing.T) {
-	dup := core.DecodedCall{Decoded: sig.Decoded{Func: mpispec.FCommDup,
-		Args: []sig.DecodedValue{{Kind: mpispec.KComm, I: 0}, {Kind: mpispec.KComm, I: 2}}}}
-	init := core.DecodedCall{Decoded: sig.Decoded{Func: mpispec.FInit}}
+	dup := core.NewCall(sig.Decoded{Func: mpispec.FCommDup,
+		Args: []sig.DecodedValue{{Kind: mpispec.KComm, I: 0}, {Kind: mpispec.KComm, I: 2}}}, 0)
+	init := core.NewCall(sig.Decoded{Func: mpispec.FInit}, 0)
 	a := &Analysis{Events: [][]Event{
 		{{Rank: 0, Index: 0, Call: init}, {Rank: 0, Index: 1, Call: dup}},
 		{{Rank: 1, Index: 0, Call: init}},

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/core"
@@ -65,7 +67,7 @@ func referenceDecode(f *trace.File, rank int) ([]core.DecodedCall, error) {
 		if err != nil {
 			return nil, fmt.Errorf("reference: rank %d call %d: %w", rank, i, err)
 		}
-		calls = append(calls, core.DecodedCall{Decoded: d, AvgDuration: f.CST.AvgDuration(term)})
+		calls = append(calls, core.NewCall(d, f.CST.AvgDuration(term)))
 	}
 	if f.TimingMode == trace.TimingLossy {
 		times, err := core.ReconstructTimes(f, rank, terms, calls)
@@ -82,9 +84,10 @@ func referenceDecode(f *trace.File, rank int) ([]core.DecodedCall, error) {
 // TestDecodeRankMatchesPerCallReference: functions, args, AvgDuration
 // and TStart/TEnd of every call of every rank, on a first and a second
 // DecodeRank of the same File, and from 8 goroutines racing on a File
-// nobody has read yet (run under -race). stencil2d's CST is stored raw,
-// so its entries decode whole; cellular's and cg's by template, so the
-// goroutines race on first references of templates and of entries.
+// nobody has read yet (run under -race), which must all get the same
+// entry for each call. stencil2d's CST is stored raw, so its entries
+// decode whole; cellular's and cg's by template, so the goroutines race
+// on first references of templates and of entries.
 func TestDecodeRankMatchesPerCallReference(t *testing.T) {
 	for _, w := range []struct {
 		name  string
@@ -128,7 +131,9 @@ func TestDecodeRankMatchesPerCallReference(t *testing.T) {
 
 		f = read(t, data)
 		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
+		raced := make([][][]core.DecodedCall, 8) // per goroutine, per rank
+		for g := range raced {
+			raced[g] = make([][]core.DecodedCall, len(want))
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
@@ -143,41 +148,73 @@ func TestDecodeRankMatchesPerCallReference(t *testing.T) {
 						t.Errorf("%s: goroutine %d rank %d differs from the per-call reference", w.name, g, r)
 						return
 					}
+					raced[g][r] = got
 				}
 			}(g)
 		}
 		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for g := 1; g < len(raced); g++ {
+			for r := range want {
+				for i, c := range raced[g][r] {
+					if c.Entry != raced[0][r][i].Entry {
+						t.Fatalf("%s: goroutines 0 and %d hold separate entries for rank %d call %d", w.name, g, r, i)
+					}
+				}
+			}
+		}
 	}
 }
 
-// TestDecodedArgsShared: two calls with one signature share the Args
-// of the file's single decode of it.
+// TestDecodedArgsShared: every call naming one CST entry, on every
+// rank, holds the file's one decoded Entry of it, which carries the
+// entry's mean duration; on a CST stored raw (stencil2d) and one stored
+// by template (cg).
 func TestDecodedArgsShared(t *testing.T) {
-	f := read(t, traced(t, "stencil2d", 4, 20, pilgrim.Options{}))
-	terms, err := f.Terms(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls, err := core.DecodeRank(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int32]int{}
-	shared := 0
-	for i, term := range terms {
-		if len(calls[i].Args) == 0 {
-			continue
+	for _, w := range []struct {
+		name         string
+		procs, iters int
+		form         string
+	}{
+		{"stencil2d", 4, 20, "raw"},
+		{"cg", 16, 5, "templated"},
+	} {
+		f := read(t, traced(t, w.name, w.procs, w.iters, pilgrim.Options{}))
+		if st := f.CSTStorage(); st.Form != w.form {
+			t.Fatalf("%s: CST stored %s, want %s", w.name, st.Form, w.form)
 		}
-		if j, ok := seen[term]; ok {
-			if &calls[i].Args[0] != &calls[j].Args[0] {
-				t.Fatalf("calls %d and %d (CST entry %d) hold separate Args", j, i, term)
+		held := map[int32]*trace.Entry{}
+		shared := 0
+		for r := 0; r < f.NumRanks; r++ {
+			terms, err := f.Terms(r)
+			if err != nil {
+				t.Fatal(err)
 			}
-			shared++
+			calls, err := core.DecodeRank(f, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, term := range terms {
+				c := calls[i]
+				if avg := f.CST.AvgDuration(term); c.AvgDuration != avg {
+					t.Fatalf("%s: rank %d call %d (CST entry %d) averages %d, the CST %d", w.name, r, i, term, c.AvgDuration, avg)
+				}
+				e, ok := held[term]
+				if !ok {
+					held[term] = c.Entry
+					continue
+				}
+				if c.Entry != e {
+					t.Fatalf("%s: rank %d call %d holds another entry than an earlier call of CST entry %d", w.name, r, i, term)
+				}
+				shared++
+			}
 		}
-		seen[term] = i
-	}
-	if shared == 0 {
-		t.Fatal("no signature repeats in a 20-iteration stencil")
+		if shared == 0 {
+			t.Fatalf("%s: no signature repeats", w.name)
+		}
 	}
 }
 
@@ -317,26 +354,52 @@ func TestDecodeErrorsAreStable(t *testing.T) {
 
 // TestDecodeRankWarmAllocs: once a file's signatures are decoded, a
 // rank costs its term expansion and its output slice — a small constant
-// number of allocations, whatever the number of calls.
+// number of allocations, whatever the number of calls, and at most a
+// 4-byte terminal and a 24-byte call for each call, plus a constant.
 func TestDecodeRankWarmAllocs(t *testing.T) {
-	warm := func(iters int) (allocs float64, calls int) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(core.DecodedCall{}) != 24 {
+		t.Fatalf("a decoded call is %d bytes, want 24", unsafe.Sizeof(core.DecodedCall{}))
+	}
+	warm := func(iters int) (allocs, allocBytes float64, calls int) {
 		f := read(t, traced(t, "stencil2d", 16, iters, pilgrim.Options{}))
 		for r := 0; r < f.NumRanks; r++ {
 			if _, err := core.DecodeRank(f, r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		allocs = testing.AllocsPerRun(20, func() {
+		decode := func() {
 			out, err := core.DecodeRank(f, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			calls = len(out)
-		})
-		return allocs, calls
+		}
+		allocs = testing.AllocsPerRun(20, decode)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			decode()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs, calls
 	}
-	small, nSmall := warm(20)
-	large, nLarge := warm(400)
+	small, smallBytes, nSmall := warm(20)
+	large, largeBytes, nLarge := warm(400)
+	t.Logf("warm DecodeRank: %d calls %.0f B, %d calls %.0f B", nSmall, smallBytes, nLarge, largeBytes)
+	// The constant covers the expansion's tables and the allocator
+	// rounding both slices up: to its size class, or past 32 KiB to a
+	// whole 8 KiB page.
+	const perCall, perTerm, constant = 24, 4, 16 << 10
+	for _, m := range []struct {
+		bytes float64
+		calls int
+	}{{smallBytes, nSmall}, {largeBytes, nLarge}} {
+		if limit := float64((perCall+perTerm)*m.calls + constant); m.bytes > limit {
+			t.Errorf("warm DecodeRank allocates %.0f B for %d calls (%.1f B a call), want at most %.0f",
+				m.bytes, m.calls, m.bytes/float64(m.calls), limit)
+		}
+	}
 	if nLarge < 10*nSmall {
 		t.Fatalf("400 iterations decode to %d calls, 20 to %d", nLarge, nSmall)
 	}

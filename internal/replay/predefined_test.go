@@ -54,7 +54,7 @@ func TestPredefinedObjectsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", recs[i].Func.Name(), err)
 		}
-		calls[i] = core.DecodedCall{Decoded: d}
+		calls[i] = core.NewCall(d, 0)
 	}
 	replayed := &recorder{}
 	err := mpi.RunOpt(1, mpi.Options{Interceptors: []mpispec.Interceptor{replayed}}, func(p *mpi.Proc) {

@@ -292,10 +292,18 @@ func cstAt(f *File) int {
 }
 
 // diffDecodedSigs returns an error naming the first CST entry whose
-// DecodedSig is not sig.Decode of its signature, errors included.
+// DecodedSig is not sig.Decode of its signature, errors included, or
+// does not carry the entry's mean duration.
 func diffDecodedSigs(f *File) error {
 	for term := range int32(f.CST.Len()) {
-		got, gerr := f.DecodedSig(term)
+		e, gerr := f.DecodedSig(term)
+		var got sig.Decoded
+		if e != nil {
+			got = e.Decoded
+			if avg := f.CST.AvgDuration(term); e.AvgDuration != avg {
+				return fmt.Errorf("CST entry %d: DecodedSig's mean duration is %d, the CST's %d", term, e.AvgDuration, avg)
+			}
+		}
 		want, werr := sig.Decode(f.CST.Sig(term))
 		if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
 			return fmt.Errorf("CST entry %d: DecodedSig gives %v (%v), sig.Decode %v (%v)", term, got, gerr, want, werr)

@@ -133,10 +133,10 @@ func (e *TimingBaseError) Error() string {
 // Terms, DecodedSig, and everything above them (core.DecodeRank,
 // analysis, replay, ...). Those methods resolve what is shared by all
 // ranks once per File and keep it: the rank → grammar index, and each
-// CST entry's decoded signature. They may be called from any number of
+// CST entry's decoded Entry. They may be called from any number of
 // goroutines. What they return is shared with every other caller and
-// must not be modified: the slice from GrammarIndex, and the Args
-// (including nested Arr slices) of decoded signatures. Changing
+// must not be modified: the slice from GrammarIndex, and each Entry
+// (its Args, including nested Arr slices, too). Changing
 // RankMap, Grammars or CST after a read method has run is not seen.
 // Likewise the first of WriteTo, SizeBytes, SectionSizes, BodyStorage
 // and CSTStorage lays a File built in memory out once, and all of them
@@ -208,10 +208,18 @@ type File struct {
 	sigs     []atomic.Pointer[decodedSig]
 }
 
+// Entry is one CST entry decoded: its call, and the mean duration of
+// the calls that made it. A File holds one Entry per CST entry, which
+// every call naming that entry shares.
+type Entry struct {
+	sig.Decoded
+	AvgDuration int64 // aggregated-mode mean duration for the signature
+}
+
 // decodedSig is one CST entry's decode result, error included, so a
 // malformed signature fails the same way on every call and rank.
 type decodedSig struct {
-	d   sig.Decoded
+	e   Entry
 	err error
 }
 
@@ -264,14 +272,14 @@ func (f *File) Terms(rank int) ([]int32, error) {
 }
 
 // DecodedSig returns CST entry term decoded: sig.Decode of its
-// signature. Each entry is decoded once per File, on first reference,
-// from its template, which is decoded once per File too, filled in with
-// the entry's lifted values (sig.Pattern); a CST stored raw, or built
-// in memory, has one template per entry, its whole signature, which
-// takes none. The result — or the decode error — is kept; the Args of
-// the returned value are shared by every call with that signature and
-// must not be modified.
-func (f *File) DecodedSig(term int32) (sig.Decoded, error) {
+// signature, with the entry's mean duration. Each entry is decoded once
+// per File, on first reference, from its template, which is decoded
+// once per File too, filled in with the entry's lifted values
+// (sig.Pattern); a CST stored raw, or built in memory, has one template
+// per entry, its whole signature, which takes none. The result — or the
+// decode error — is kept: every caller naming term gets the same
+// *Entry, which must not be modified.
+func (f *File) DecodedSig(term int32) (*Entry, error) {
 	f.sigOnce.Do(func() {
 		f.sigs = make([]atomic.Pointer[decodedSig], f.CST.Len())
 		if t := f.tmpl; t != nil && (t.table != f.CST || len(t.tid) != f.CST.Len()) {
@@ -279,7 +287,7 @@ func (f *File) DecodedSig(term int32) (sig.Decoded, error) {
 		}
 	})
 	if term < 0 || int(term) >= len(f.sigs) {
-		return sig.Decoded{}, fmt.Errorf("trace: no CST entry %d (table holds %d)", term, len(f.sigs))
+		return nil, fmt.Errorf("trace: no CST entry %d (table holds %d)", term, len(f.sigs))
 	}
 	slot := &f.sigs[term]
 	e := slot.Load()
@@ -294,17 +302,21 @@ func (f *File) DecodedSig(term int32) (sig.Decoded, error) {
 			p, e.err = sig.DecodeWhole(f.CST.SigString(term))
 		}
 		if e.err == nil {
-			e.d, e.err = p.Fill(row)
+			e.e.Decoded, e.err = p.Fill(row)
+			e.e.AvgDuration = f.CST.AvgDuration(term)
 		}
 		e = publish(slot, e)
 	}
-	return e.d, e.err
+	if e.err != nil {
+		return nil, e.err
+	}
+	return &e.e, nil
 }
 
 // publish stores e in slot unless a racing first reference has stored
 // its own, and returns the one stored: racing first references decode
-// alike, and the first to publish wins, so all callers share one Args
-// slice.
+// alike, and the first to publish wins, so all callers share one
+// result.
 func publish[T any](slot *atomic.Pointer[T], e *T) *T {
 	if !slot.CompareAndSwap(nil, e) {
 		return slot.Load()

@@ -64,7 +64,10 @@ type TraceFile = trace.File
 // compression time went.
 type FinalizeStats = core.FinalizeStats
 
-// DecodedCall is one reconstructed call from a compressed trace.
+// DecodedCall is one reconstructed call from a compressed trace: a
+// pointer to its signature's decoded CST entry (Func, Args,
+// AvgDuration), which every call of that signature shares and which
+// must not be modified, plus recovered times in lossy timing mode.
 type DecodedCall = core.DecodedCall
 
 // NewTracer builds a tracer for one rank. The OOB interface gives it
@@ -292,7 +295,8 @@ func Finalize(tracers []*Tracer) (*TraceFile, FinalizeStats) {
 	return core.Finalize(tracers)
 }
 
-// DecodeRank reconstructs one rank's call stream from a trace.
+// DecodeRank reconstructs one rank's call stream from a trace. Each
+// CST entry is decoded once per file and shared by every call naming it.
 func DecodeRank(f *TraceFile, rank int) ([]DecodedCall, error) {
 	return core.DecodeRank(f, rank)
 }
