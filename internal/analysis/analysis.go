@@ -6,12 +6,12 @@
 // pairs, a longest-path critical-path estimate, and exporters to
 // Chrome trace-event JSON (Perfetto-loadable) and CSV.
 //
-// Wall-clock times come from the trace's timing section: in lossy mode
-// every call's start and duration are recovered from the interval and
-// duration grammars (relative error ≤ base−1, see internal/timing); in
-// aggregated mode each rank's timeline is synthesized by accumulating
-// the CST mean durations, so within-rank ordering and durations are
-// meaningful while inter-rank alignment is approximate.
+// Wall-clock times are the ones core.DecodeRank gives each call: in
+// lossy mode recovered from the interval and duration grammars
+// (relative error ≤ base−1, see internal/timing); in aggregated mode
+// the CST mean durations laid end to end per rank, so within-rank
+// ordering and durations are meaningful while inter-rank alignment is
+// approximate.
 //
 // Peer ranks in signatures are symbolic (relative to the caller's rank
 // in the call's communicator), a communicator id is agreed across
@@ -32,58 +32,23 @@ import (
 	"strings"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
-	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/par"
 	"github.com/hpcrepro/pilgrim/internal/replay"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
-// Event is one decoded call of one rank with resolved wall-clock
-// times (nanoseconds since the rank's first call).
+// Event is one decoded call of one rank at its place in the rank's
+// stream, with the times DecodeRank resolved (nanoseconds since the
+// rank's first call). It is 40 bytes on a 64-bit machine.
 type Event struct {
-	Rank   int
-	Index  int // position in the rank's call stream
-	TStart int64
-	TEnd   int64
-	Call   core.DecodedCall
+	Rank  int
+	Index int // position in the rank's call stream
+	core.DecodedCall
 }
-
-// Func returns the event's MPI function id.
-func (e Event) Func() mpispec.FuncID { return e.Call.Func }
 
 // Duration returns the call's wall-clock duration.
 func (e Event) Duration() int64 { return e.TEnd - e.TStart }
-
-// EachEvent streams one rank's events in call order, resolving times
-// per the trace's timing mode. The callback's error aborts the walk.
-func EachEvent(f *trace.File, rank int, yield func(Event) error) error {
-	calls, err := core.DecodeRank(f, rank)
-	if err != nil {
-		return err
-	}
-	return timeline(f, rank, calls, yield)
-}
-
-// timeline yields one rank's decoded calls as events in call order.
-// A lossy trace carries each call's times; an aggregated one lays the
-// calls back to back, each lasting its signature's mean duration.
-func timeline(f *trace.File, rank int, calls []core.DecodedCall, yield func(Event) error) error {
-	var clock int64
-	for i, c := range calls {
-		ev := Event{Rank: rank, Index: i, Call: c}
-		if f.TimingMode == trace.TimingLossy {
-			ev.TStart, ev.TEnd = c.TStart, c.TEnd
-		} else {
-			ev.TStart, ev.TEnd = clock, clock+c.AvgDuration
-			clock = ev.TEnd
-		}
-		if err := yield(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Analysis holds every derived view of one trace.
 type Analysis struct {
@@ -105,10 +70,10 @@ type Analysis struct {
 }
 
 // Analyze decodes the whole trace and computes every derived view.
-// Grammar decode and the event timelines fan out over a worker pool;
-// each rank writes only its own slot, so the result is identical to
-// the sequential order. The sends and receives come from one walk per
-// rank on a fresh simulated world.
+// Grammar decode fans out over a worker pool; each rank writes only
+// its own slot, so the result is identical to the sequential order.
+// The sends and receives come from one walk per rank on a fresh
+// simulated world.
 func Analyze(f *trace.File) (*Analysis, error) {
 	a := &Analysis{File: f}
 	a.Events = make([][]Event, f.NumRanks)
@@ -119,11 +84,11 @@ func Analyze(f *trace.File) (*Analysis, error) {
 			errs[r] = fmt.Errorf("analysis: decode rank %d: %w", r, err)
 			return
 		}
-		a.Events[r] = make([]Event, 0, len(calls))
-		timeline(f, r, calls, func(ev Event) error {
-			a.Events[r] = append(a.Events[r], ev)
-			return nil
-		})
+		evs := make([]Event, len(calls))
+		for i, c := range calls {
+			evs[i] = Event{Rank: r, Index: i, DecodedCall: c}
+		}
+		a.Events[r] = evs
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
@@ -178,7 +143,7 @@ func (a *Analysis) walk() error {
 				// The rank stops here without revoking the world, so
 				// every rank reaches its own first error on every
 				// schedule and the lowest one is reported.
-				errs[r] = fmt.Errorf("analysis: rank %d call %d (%s): %w", r, i, ev.Func().Name(), err)
+				errs[r] = fmt.Errorf("analysis: rank %d call %d (%s): %w", r, i, ev.Func.Name(), err)
 				return
 			}
 		}
@@ -197,7 +162,7 @@ func (a *Analysis) walk() error {
 		for r, i := range at {
 			if evs := a.Events[r]; i < len(evs) {
 				return fmt.Errorf("analysis: rank %d call %d (%s): unresolvable communicator rendezvous: %s",
-					r, i, evs[i].Func().Name(), cause)
+					r, i, evs[i].Func.Name(), cause)
 			}
 		}
 		return fmt.Errorf("analysis: resolving communicators: %s", cause)

@@ -405,7 +405,7 @@ func TestAnalyzeSalvagedBeforeSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r, evs := range a.Events {
-		if len(evs) != 1 || evs[0].Func() != mpispec.FInit {
+		if len(evs) != 1 || evs[0].Func != mpispec.FInit {
 			t.Errorf("rank %d: %d events, want its MPI_Init alone", r, len(evs))
 		}
 	}

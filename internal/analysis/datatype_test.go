@@ -167,7 +167,7 @@ func checkPayloadBytes(t *testing.T, body func(p *mpi.Proc, ring func(dt *mpi.Da
 			t.Errorf("rank %d call %d sends %d bytes, the simulator moved %d", s.Rank, s.Index, s.Bytes, w)
 		}
 		if s.Rank == 0 {
-			id := an.Events[0][s.Index].Call.Args[mpispec.MessageOf(s.Func).Send.Datatype].I
+			id := an.Events[0][s.Index].Args[mpispec.MessageOf(s.Func).Send.Datatype].I
 			if bytesByID[id] == nil {
 				bytesByID[id] = map[int64]bool{}
 			}

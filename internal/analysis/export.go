@@ -23,7 +23,7 @@ func (a *Analysis) WritePerfetto(w io.Writer) error {
 	for r, evs := range a.Events {
 		for _, ev := range evs {
 			doc.Add(traceevent.Event{
-				Name: ev.Func().Name(), Ph: "X",
+				Name: ev.Func.Name(), Ph: "X",
 				Ts: traceevent.US(ev.TStart), Dur: traceevent.US(ev.TEnd - ev.TStart),
 				Pid: 0, Tid: r,
 				Args: map[string]any{"call": ev.Index},

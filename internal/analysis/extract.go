@@ -89,29 +89,29 @@ func peers(cm *mpi.Comm) []int {
 
 // step takes one event of the rank's stream, in call order.
 func (x *extractor) step(ev Event) error {
-	a := ev.Call.Args
+	a := ev.Args
 	// Naming the communicators in call order binds each
 	// MPI_Comm_idup's at its first use, as replay does.
-	for k, prm := range mpispec.Spec[ev.Func()].Params {
+	for k, prm := range mpispec.Spec[ev.Func].Params {
 		if prm.Kind == mpispec.KComm && prm.Dir != mpispec.Out {
 			if cm, err := x.in.Comm(a[k].I); err == nil {
 				x.comms[a[k].I] = cm
 			}
 		}
 	}
-	if mpispec.ObjectOf(ev.Func()) != nil {
-		if err := x.in.Exec(ev.Call); err != nil {
+	if mpispec.ObjectOf(ev.Func) != nil {
+		if err := x.in.Exec(ev.DecodedCall); err != nil {
 			return err
 		}
 	}
-	if c := mpispec.CompletionOf(ev.Func()); c != nil {
+	if c := mpispec.CompletionOf(ev.Func); c != nil {
 		x.completeCall(ev, c)
 		return nil
 	}
-	if m := mpispec.MessageOf(ev.Func()); m != nil {
+	if m := mpispec.MessageOf(ev.Func); m != nil {
 		return x.post(ev, m)
 	}
-	switch f := ev.Func(); f {
+	switch f := ev.Func; f {
 	case mpispec.FStart, mpispec.FStartall:
 		ids := a[:1]
 		if f == mpispec.FStartall {
@@ -160,13 +160,13 @@ func (x *extractor) step(ev Event) error {
 // flight on the request it creates, and an MPI_*_init call only makes
 // the persistent request whose every MPI_Start posts it.
 func (x *extractor) post(ev Event, m *mpispec.Message) error {
-	a, r := ev.Call.Args, &request{}
+	a, r := ev.Args, &request{}
 	if m.Persistent {
-		r.init = &ev.Call.Decoded
+		r.init = &ev.Decoded
 		x.reqs.Add(a[m.Request].I, r, true)
 		return nil
 	}
-	if err := x.launch(ev, &ev.Call.Decoded, m, r); err != nil {
+	if err := x.launch(ev, &ev.Decoded, m, r); err != nil {
 		return err
 	}
 	if m.Request >= 0 {
@@ -226,8 +226,8 @@ func (x *extractor) launch(ev Event, call *sig.Decoded, m *mpispec.Message, r *r
 // the caller's world rank. A request that resolves to no live one is
 // skipped: analysis reads salvaged traces too.
 func (x *extractor) completeCall(ev Event, c *mpispec.Completion) {
-	a := ev.Call.Args
-	x.reqs.Complete(c, ev.Call.Decoded, func(r *request, k int) {
+	a := ev.Args
+	x.reqs.Complete(c, ev.Decoded, func(r *request, k int) {
 		var status *sig.DecodedValue
 		if k < 0 {
 			status = &a[c.Status]

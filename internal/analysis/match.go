@@ -149,7 +149,7 @@ func (a *Analysis) CriticalPath() []CritStep {
 	}
 	for steps := 0; steps <= total; steps++ {
 		ev := a.Events[curRank][curIdx]
-		rev = append(rev, CritStep{Rank: ev.Rank, Index: ev.Index, Func: ev.Func(),
+		rev = append(rev, CritStep{Rank: ev.Rank, Index: ev.Index, Func: ev.Func,
 			TStart: ev.TStart, TEnd: ev.TEnd})
 
 		// Candidate predecessors: previous call on the same rank, or the

@@ -99,7 +99,7 @@ func buildProfile(events [][]Event) *Profile {
 	for r, evs := range events {
 		for _, ev := range evs {
 			d := ev.Duration()
-			f := ev.Func()
+			f := ev.Func
 			if perFunc[f] == nil {
 				perFunc[f] = make([]int64, n)
 			}

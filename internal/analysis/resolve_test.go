@@ -3,6 +3,7 @@ package analysis
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
@@ -18,11 +19,20 @@ func TestUnresolvableCreationIsAnError(t *testing.T) {
 		Args: []sig.DecodedValue{{Kind: mpispec.KComm, I: 0}, {Kind: mpispec.KComm, I: 2}}}, 0)
 	init := core.NewCall(sig.Decoded{Func: mpispec.FInit}, 0)
 	a := &Analysis{Events: [][]Event{
-		{{Rank: 0, Index: 0, Call: init}, {Rank: 0, Index: 1, Call: dup}},
-		{{Rank: 1, Index: 0, Call: init}},
+		{{Rank: 0, Index: 0, DecodedCall: init}, {Rank: 0, Index: 1, DecodedCall: dup}},
+		{{Rank: 1, Index: 0, DecodedCall: init}},
 	}}
 	err := a.walk()
 	if err == nil || !strings.Contains(err.Error(), "rank 0 call 1 (MPI_Comm_dup)") {
 		t.Fatalf("error %v, want one naming rank 0 call 1 (MPI_Comm_dup)", err)
+	}
+}
+
+// TestEventHoldsTheCallOnce: an event is its rank, its index and the
+// decoded call, whose times it does not copy: 40 bytes on a 64-bit
+// machine.
+func TestEventHoldsTheCallOnce(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Event{}) != 40 {
+		t.Fatalf("an event is %d bytes, want 40", unsafe.Sizeof(Event{}))
 	}
 }

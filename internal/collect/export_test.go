@@ -26,8 +26,8 @@ func (s *Server) TraceEvicted(id string) bool {
 }
 
 // RunPayloads counts the ranks of a run that still hold a payload (a
-// table, a grammar or a verification capture), and reports whether
-// the run still has a walk (test hook).
+// table or a grammar), and reports whether the run still has a walk
+// (test hook).
 func (s *Server) RunPayloads(id string) (ranks int, walk bool) {
 	s.mu.Lock()
 	r, ok := s.runs[id]
@@ -38,8 +38,7 @@ func (s *Server) RunPayloads(id string) (ranks int, walk bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, sn := range r.snaps {
-		if sn != nil && (sn.Table != nil || sn.Grammar != nil || sn.DurGrammar != nil ||
-			sn.IntGrammar != nil || sn.RawSigs != nil || sn.RawTimes != nil) {
+		if sn != nil && (sn.Table != nil || sn.Grammar != nil || sn.DurGrammar != nil || sn.IntGrammar != nil) {
 			ranks++
 		}
 	}

@@ -11,11 +11,12 @@ import (
 
 // DecodedCall is one reconstructed call of one rank: its CST entry —
 // the call's Func and Args and the entry's AvgDuration, shared with
-// every call naming that entry and read-only — and optional recovered
-// timing. It is 24 bytes on a 64-bit machine.
+// every call naming that entry and read-only — and its wall-clock
+// times, in nanoseconds from the rank's first call, which DecodeRank
+// resolves in both timing modes. It is 24 bytes on a 64-bit machine.
 type DecodedCall struct {
 	*trace.Entry
-	TStart, TEnd int64 // recovered wall-clock (lossy mode); 0 otherwise
+	TStart, TEnd int64
 }
 
 // NewCall returns a call of d with the given mean duration, on an
@@ -35,18 +36,29 @@ func NewCall(d sig.Decoded, avgDuration int64) DecodedCall {
 // signature share one *trace.Entry, which — like everything reached
 // through it — must not be modified. Any number of goroutines may
 // decode ranks of one File.
+//
+// DecodeRank is where a call gets its times. A lossy trace's are
+// recovered from its duration and interval grammars (relative error
+// below TimingBase−1, see internal/timing). An aggregated trace keeps
+// one mean duration per CST entry (the paper's §3.2), so its timeline
+// is those means laid end to end: from 0, each call lasting its
+// entry's AvgDuration and starting where the previous one ended. The
+// gather lays every call on that clock; a lossy trace's recovered
+// times then replace it.
 func DecodeRank(f *trace.File, rank int) ([]DecodedCall, error) {
 	terms, err := f.Terms(rank)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]DecodedCall, len(terms))
+	var clock int64
 	for i, term := range terms {
 		e, err := f.DecodedSig(term)
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d call %d: %w", rank, i, err)
 		}
-		out[i].Entry = e
+		out[i] = DecodedCall{Entry: e, TStart: clock, TEnd: clock + e.AvgDuration}
+		clock = out[i].TEnd
 	}
 
 	if f.TimingMode == trace.TimingLossy {
@@ -60,28 +72,6 @@ func DecodeRank(f *trace.File, rank int) ([]DecodedCall, error) {
 		}
 	}
 	return out, nil
-}
-
-// ReconstructTimes recovers the per-call wall-clock timeline of one
-// rank from the trace's duration and interval grammars (lossy timing
-// mode only), via timing.Reconstructor.Series: the times DecodeRank
-// writes into its calls. Every recovered start and duration is within
-// TimingBase−1 relative error of the original wall clock. terms and
-// calls must describe the rank's stream, as returned by f.Terms and
-// the signature decode.
-func ReconstructTimes(f *trace.File, rank int, terms []int32, calls []DecodedCall) ([]timing.CallTime, error) {
-	if f.TimingMode != trace.TimingLossy {
-		return nil, fmt.Errorf("core: trace has no per-call timing (aggregated mode)")
-	}
-	durSeq, intSeq, err := timingStreams(f, rank, len(terms))
-	if err != nil {
-		return nil, err
-	}
-	funcs := make([]mpispec.FuncID, len(calls))
-	for i, c := range calls {
-		funcs[i] = c.Func
-	}
-	return timing.NewReconstructor(f.TimingBase).Series(terms, funcs, durSeq, intSeq)
 }
 
 // timingStreams expands rank's duration and interval grammars, which

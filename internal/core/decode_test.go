@@ -14,8 +14,10 @@ import (
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/cst"
+	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/sig"
+	"github.com/hpcrepro/pilgrim/internal/timing"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 )
@@ -50,27 +52,43 @@ func read(t testing.TB, data []byte) *trace.File {
 }
 
 // referenceDecode is the per-call decoder DecodeRank used to be, kept
-// here as the oracle: the rank's grammar is walked one terminal at a
-// time, and sig.Decode runs on every call. Nothing is shared between
-// calls, ranks or invocations.
+// here as the oracle: the rank's grammars are walked one terminal at a
+// time, sig.Decode runs on every call, and the times come from a clock
+// of its own: an aggregated trace's calls laid end to end from 0, each
+// lasting its entry's mean duration, a lossy trace's recovered by
+// timing.Reconstructor.Series. Nothing is shared between calls, ranks
+// or invocations.
 func referenceDecode(f *trace.File, rank int) ([]core.DecodedCall, error) {
-	var terms []int32
-	f.Grammars[f.RankMap[rank]].Walk(func(t int32, k int64) bool {
-		for ; k > 0; k-- {
-			terms = append(terms, t)
-		}
-		return true
-	})
+	expand := func(g sequitur.Serialized) []int32 {
+		var seq []int32
+		g.Walk(func(t int32, k int64) bool {
+			for ; k > 0; k-- {
+				seq = append(seq, t)
+			}
+			return true
+		})
+		return seq
+	}
+	terms := expand(f.Grammars[f.RankMap[rank]])
 	calls := make([]core.DecodedCall, 0, len(terms))
+	var clock int64
 	for i, term := range terms {
 		d, err := sig.Decode(f.CST.Sig(term))
 		if err != nil {
 			return nil, fmt.Errorf("reference: rank %d call %d: %w", rank, i, err)
 		}
-		calls = append(calls, core.NewCall(d, f.CST.AvgDuration(term)))
+		c := core.NewCall(d, f.CST.AvgDuration(term))
+		c.TStart, c.TEnd = clock, clock+c.AvgDuration
+		clock = c.TEnd
+		calls = append(calls, c)
 	}
 	if f.TimingMode == trace.TimingLossy {
-		times, err := core.ReconstructTimes(f, rank, terms, calls)
+		funcs := make([]mpispec.FuncID, len(calls))
+		for i, c := range calls {
+			funcs[i] = c.Func
+		}
+		times, err := timing.NewReconstructor(f.TimingBase).Series(terms, funcs,
+			expand(f.DurGrammars[f.DurIndex[rank]]), expand(f.IntGrammars[f.IntIndex[rank]]))
 		if err != nil {
 			return nil, err
 		}
@@ -81,87 +99,121 @@ func referenceDecode(f *trace.File, rank int) ([]core.DecodedCall, error) {
 	return calls, nil
 }
 
+// differs names the first call of got that is not want's: its times,
+// or its decoded entry; "" if none is.
+func differs(got, want []core.DecodedCall) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d calls, want %d", len(got), len(want))
+	}
+	for i, c := range got {
+		switch w := want[i]; {
+		case c.TStart != w.TStart || c.TEnd != w.TEnd:
+			return fmt.Sprintf("call %d at [%d, %d], want [%d, %d]", i, c.TStart, c.TEnd, w.TStart, w.TEnd)
+		case !reflect.DeepEqual(c, w):
+			return fmt.Sprintf("call %d is %s avg %d, want %s avg %d", i, c.Decoded, c.AvgDuration, w.Decoded, w.AvgDuration)
+		}
+	}
+	return ""
+}
+
 // TestDecodeRankMatchesPerCallReference: functions, args, AvgDuration
-// and TStart/TEnd of every call of every rank, on a first and a second
-// DecodeRank of the same File, and from 8 goroutines racing on a File
-// nobody has read yet (run under -race), which must all get the same
-// entry for each call. stencil2d's CST is stored raw, so its entries
-// decode whole; cellular's and cg's by template, so the goroutines race
-// on first references of templates and of entries.
+// and TStart/TEnd of every call of every rank, in both timing modes,
+// on a first and a second DecodeRank of the same File, and from 8
+// goroutines racing on a File nobody has read yet (run under -race),
+// which must all get the same entry for each call. stencil2d's CST is
+// stored raw, so its entries decode whole; cellular's and cg's by
+// template, so the goroutines race on first references of templates
+// and of entries.
 func TestDecodeRankMatchesPerCallReference(t *testing.T) {
 	for _, w := range []struct {
 		name  string
 		procs int
 		iters int
-		opts  pilgrim.Options
 		form  string
 	}{
-		{"stencil2d", 16, 40, pilgrim.Options{}, "raw"},
-		{"cellular", 8, 30, pilgrim.Options{TimingMode: pilgrim.TimingLossy}, "templated"},
-		{"cg", 16, 5, pilgrim.Options{}, "templated"},
+		{"stencil2d", 16, 40, "raw"},
+		{"cellular", 8, 30, "templated"},
+		{"cg", 16, 5, "templated"},
 	} {
-		data := traced(t, w.name, w.procs, w.iters, w.opts)
-		ref := read(t, data)
-		if st := ref.CSTStorage(); st.Form != w.form {
-			t.Fatalf("%s: CST stored %s, want %s", w.name, st.Form, w.form)
+		for _, mode := range []struct {
+			name string
+			mode uint8
+		}{{"aggregated", pilgrim.TimingAggregated}, {"lossy", pilgrim.TimingLossy}} {
+			t.Run(w.name+"/"+mode.name, func(t *testing.T) {
+				matchesReference(t, traced(t, w.name, w.procs, w.iters, pilgrim.Options{TimingMode: mode.mode}), w.form)
+			})
 		}
-		want := make([][]core.DecodedCall, ref.NumRanks)
-		for r := range want {
-			var err error
-			if want[r], err = referenceDecode(ref, r); err != nil {
-				t.Fatal(err)
-			}
-			if len(want[r]) == 0 {
-				t.Fatalf("%s: rank %d traced no calls", w.name, r)
-			}
-		}
+	}
+}
 
-		f := read(t, data)
-		for pass := 1; pass <= 2; pass++ {
-			for r := range want {
+// matchesReference is TestDecodeRankMatchesPerCallReference on one
+// trace, whose CST must be stored in form.
+func matchesReference(t *testing.T, data []byte, form string) {
+	ref := read(t, data)
+	if st := ref.CSTStorage(); st.Form != form {
+		t.Fatalf("CST stored %s, want %s", st.Form, form)
+	}
+	want := make([][]core.DecodedCall, ref.NumRanks)
+	timed := false
+	for r := range want {
+		var err error
+		if want[r], err = referenceDecode(ref, r); err != nil {
+			t.Fatal(err)
+		}
+		if len(want[r]) == 0 {
+			t.Fatalf("rank %d traced no calls", r)
+		}
+		timed = timed || want[r][len(want[r])-1].TEnd > 0
+	}
+	if !timed {
+		t.Fatal("no rank's timeline ends past 0")
+	}
+
+	f := read(t, data)
+	for pass := 1; pass <= 2; pass++ {
+		for r := range want {
+			got, err := core.DecodeRank(f, r)
+			if err != nil {
+				t.Fatalf("pass %d rank %d: %v", pass, r, err)
+			}
+			if d := differs(got, want[r]); d != "" {
+				t.Fatalf("pass %d rank %d differs from the per-call reference: %s", pass, r, d)
+			}
+		}
+	}
+
+	f = read(t, data)
+	var wg sync.WaitGroup
+	raced := make([][][]core.DecodedCall, 8) // per goroutine, per rank
+	for g := range raced {
+		raced[g] = make([][]core.DecodedCall, len(want))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range want {
+				r := (i + g) % len(want) // every goroutine starts on another rank
 				got, err := core.DecodeRank(f, r)
 				if err != nil {
-					t.Fatalf("%s: pass %d rank %d: %v", w.name, pass, r, err)
+					t.Errorf("goroutine %d rank %d: %v", g, r, err)
+					return
 				}
-				if !reflect.DeepEqual(got, want[r]) {
-					t.Fatalf("%s: pass %d rank %d differs from the per-call reference", w.name, pass, r)
+				if d := differs(got, want[r]); d != "" {
+					t.Errorf("goroutine %d rank %d differs from the per-call reference: %s", g, r, d)
+					return
 				}
+				raced[g][r] = got
 			}
-		}
-
-		f = read(t, data)
-		var wg sync.WaitGroup
-		raced := make([][][]core.DecodedCall, 8) // per goroutine, per rank
-		for g := range raced {
-			raced[g] = make([][]core.DecodedCall, len(want))
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := range want {
-					r := (i + g) % len(want) // every goroutine starts on another rank
-					got, err := core.DecodeRank(f, r)
-					if err != nil {
-						t.Errorf("%s: goroutine %d rank %d: %v", w.name, g, r, err)
-						return
-					}
-					if !reflect.DeepEqual(got, want[r]) {
-						t.Errorf("%s: goroutine %d rank %d differs from the per-call reference", w.name, g, r)
-						return
-					}
-					raced[g][r] = got
-				}
-			}(g)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		for g := 1; g < len(raced); g++ {
-			for r := range want {
-				for i, c := range raced[g][r] {
-					if c.Entry != raced[0][r][i].Entry {
-						t.Fatalf("%s: goroutines 0 and %d hold separate entries for rank %d call %d", w.name, g, r, i)
-					}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g := 1; g < len(raced); g++ {
+		for r := range want {
+			for i, c := range raced[g][r] {
+				if c.Entry != raced[0][r][i].Entry {
+					t.Fatalf("goroutines 0 and %d hold separate entries for rank %d call %d", g, r, i)
 				}
 			}
 		}

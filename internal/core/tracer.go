@@ -419,10 +419,6 @@ type Snapshot struct {
 	Grammar    sequitur.Serialized
 	DurGrammar sequitur.Serialized // lossy timing mode only
 	IntGrammar sequitur.Serialized // lossy timing mode only
-
-	// Verification capture copies (Options.Verify).
-	RawSigs  []string
-	RawTimes [][2]int64
 }
 
 // Snapshot serializes the tracer's current state under its lock. Safe
@@ -436,13 +432,11 @@ func (t *Tracer) Snapshot() *Snapshot {
 	t.untake()
 	t.flushCounters()
 	s := &Snapshot{
-		Rank:     t.Rank,
-		Calls:    t.NCalls,
-		IntraNs:  t.IntraNs + t.enc.OOBWaitNs(),
-		Table:    t.table.Clone(),
-		Grammar:  sequitur.Serialized(t.cfg.Serialize()),
-		RawSigs:  append([]string(nil), t.rawSigs...),
-		RawTimes: append([][2]int64(nil), t.rawTimes...),
+		Rank:    t.Rank,
+		Calls:   t.NCalls,
+		IntraNs: t.IntraNs + t.enc.OOBWaitNs(),
+		Table:   t.table.Clone(),
+		Grammar: sequitur.Serialized(t.cfg.Serialize()),
 	}
 	if t.tcomp != nil {
 		s.DurGrammar = t.tcomp.DurationGrammar()
@@ -455,11 +449,10 @@ func (t *Tracer) Snapshot() *Snapshot {
 // grammar state transfer into the returned snapshot without cloning,
 // and the tracer is left empty, so a streaming finalize can spill
 // rank i's snapshot to disk and free it before touching rank i+1.
-// Only the verification capture (Options.Verify) is shared rather
-// than moved — the tracer keeps its reference so post-run lossless
-// verification still works. Must only be called once the rank has
-// stopped tracing (end of run or salvage); it allocates only the
-// snapshot it returns.
+// The verification capture (Options.Verify) stays with the tracer,
+// which post-run lossless verification reads. Must only be called
+// once the rank has stopped tracing (end of run or salvage); it
+// allocates only the snapshot it returns.
 func (t *Tracer) TakeSnapshot() *Snapshot {
 	if m := t.opts.Collector; m != nil {
 		m.Snapshots.Inc()
@@ -469,13 +462,11 @@ func (t *Tracer) TakeSnapshot() *Snapshot {
 	t.untake()
 	t.flushCounters()
 	s := &Snapshot{
-		Rank:     t.Rank,
-		Calls:    t.NCalls,
-		IntraNs:  t.IntraNs + t.enc.OOBWaitNs(),
-		Table:    t.table,
-		Grammar:  sequitur.Serialized(t.cfg.Serialize()),
-		RawSigs:  t.rawSigs,
-		RawTimes: t.rawTimes,
+		Rank:    t.Rank,
+		Calls:   t.NCalls,
+		IntraNs: t.IntraNs + t.enc.OOBWaitNs(),
+		Table:   t.table,
+		Grammar: sequitur.Serialized(t.cfg.Serialize()),
 	}
 	if t.tcomp != nil {
 		s.DurGrammar = t.tcomp.DurationGrammar()

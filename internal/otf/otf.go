@@ -23,7 +23,11 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/trace"
 )
 
-// Convert writes the whole trace as OTF-style text.
+// Convert writes the whole trace as OTF-style text. Each event's
+// tStart and tEnd are its call's times as core.DecodeRank resolves
+// them: recovered in lossy timing mode, and in aggregated mode the
+// rank's CST mean durations laid end to end from 0, the timeline the
+// analysis exports show.
 func Convert(f *trace.File, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "HDR\tpilgrim-otf\t1\t%d\t%d\n", f.NumRanks, f.TimingMode)
@@ -65,7 +69,10 @@ type Event struct {
 }
 
 // Parse reads back the text format (used by tests and downstream
-// tools that want structured access).
+// tools that want structured access). It refuses an event whose
+// numbers do not parse, whose rank is outside the header's count or
+// that precedes the header, and whose function id names no MPI
+// function.
 func Parse(r io.Reader) (ranks int, events []Event, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -83,7 +90,7 @@ func Parse(r io.Reader) (ranks int, events []Event, err error) {
 				return 0, nil, fmt.Errorf("otf: unknown format %q", fields[1])
 			}
 			ranks, err = strconv.Atoi(fields[3])
-			if err != nil {
+			if err != nil || ranks < 0 {
 				return 0, nil, fmt.Errorf("otf: bad rank count at line %d", lineNo)
 			}
 		case "DEF":
@@ -92,18 +99,34 @@ func Parse(r io.Reader) (ranks int, events []Event, err error) {
 			if len(fields) < 7 {
 				return 0, nil, fmt.Errorf("otf: bad event at line %d", lineNo)
 			}
-			var ev Event
-			ev.Rank, _ = strconv.Atoi(fields[1])
-			ev.Seq, _ = strconv.Atoi(fields[2])
-			ev.TStart, _ = strconv.ParseInt(fields[3], 10, 64)
-			ev.TEnd, _ = strconv.ParseInt(fields[4], 10, 64)
-			fid, _ := strconv.Atoi(fields[5])
-			ev.Func = mpispec.FuncID(fid)
-			ev.Text = fields[6]
+			ev, err := parseEvent(fields, ranks)
+			if err != nil {
+				return 0, nil, fmt.Errorf("otf: bad event at line %d: %w", lineNo, err)
+			}
 			events = append(events, ev)
 		default:
 			return 0, nil, fmt.Errorf("otf: unknown record %q at line %d", fields[0], lineNo)
 		}
 	}
 	return ranks, events, sc.Err()
+}
+
+// parseEvent reads the fields of an EVT line of a trace of ranks
+// ranks.
+func parseEvent(fields []string, ranks int) (Event, error) {
+	var n [5]int64 // rank, seq, tStart, tEnd, func id
+	for i := range n {
+		v, err := strconv.ParseInt(fields[1+i], 10, 64)
+		if err != nil {
+			return Event{}, err
+		}
+		n[i] = v
+	}
+	switch {
+	case n[0] < 0 || n[0] >= int64(ranks):
+		return Event{}, fmt.Errorf("rank %d outside the header's %d", n[0], ranks)
+	case n[4] < 0 || n[4] >= int64(mpispec.NumFuncs):
+		return Event{}, fmt.Errorf("function id %d outside [0, %d)", n[4], mpispec.NumFuncs)
+	}
+	return Event{Rank: int(n[0]), Seq: int(n[1]), TStart: n[2], TEnd: n[3], Func: mpispec.FuncID(n[4]), Text: fields[6]}, nil
 }

@@ -36,21 +36,24 @@ func Join(dst []byte, tmpl string, lifted []int64) ([]byte, error) {
 	return t.Join(dst, lifted)
 }
 
-// Template is a template walked once, for joining many times: its bytes
-// and the offsets in them where lifted values go.
+// Template is a template walked once, for joining and decoding many
+// times: its bytes, the offsets in them where lifted values go, and its
+// call decoded for Fill.
 type Template struct {
 	tmpl string
 	cuts []int
+	pat  Pattern
 }
 
 // ParseTemplate walks template tmpl with Decode's walk, but for the
-// lifted values it lacks.
+// lifted values it lacks, and decodes it for Fill on the way.
 func ParseTemplate(tmpl string) (Template, error) {
-	w := walker{in: tmpl, use: joining}
-	if _, err := w.call(); err != nil {
+	w := walker{in: tmpl, use: templating}
+	p, err := w.pattern()
+	if err != nil {
 		return Template{}, err
 	}
-	return Template{tmpl: tmpl, cuts: w.cuts}, nil
+	return Template{tmpl: tmpl, cuts: w.cuts, pat: p}, nil
 }
 
 // Lifts is the number of lifted values the template takes.
@@ -80,17 +83,18 @@ type Pattern struct {
 	below int // values Fill copies below Args: each status and status array holding a lifted source
 }
 
-// Decode decodes the template for Fill. It is Decode's walk, but for
-// the lifted values the template lacks, so it fails where ParseTemplate
-// does.
-func (t Template) Decode() (Pattern, error) { return decodePattern(t.tmpl, templating) }
+// Pattern is the template's call, decoded for Fill.
+func (t Template) Pattern() Pattern { return t.pat }
 
 // DecodeWhole decodes a whole signature as the Pattern that takes no
 // lifted values: Fill(nil) is Decode(sig).
-func DecodeWhole(sig string) (Pattern, error) { return decodePattern(sig, decoding) }
+func DecodeWhole(sig string) (Pattern, error) {
+	w := walker{in: sig, use: decoding}
+	return w.pattern()
+}
 
-func decodePattern(s string, use int) (Pattern, error) {
-	w := walker{in: s, use: use}
+// pattern walks one signature, or template, into its Pattern.
+func (w *walker) pattern() (Pattern, error) {
 	d, err := w.call()
 	if err != nil {
 		return Pattern{}, err

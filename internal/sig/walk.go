@@ -10,16 +10,15 @@ import (
 
 // What a walk does with the fields it reads. The first two decode.
 const (
-	decoding   = iota // build each field's DecodedValue (Decode)
-	templating        // decode a template, leaving each lifted field's value 0 and noting it in cuts (Template.Decode)
-	joining           // walk a template, noting in cuts where each lifted value goes (ParseTemplate)
+	decoding   = iota // build each field's DecodedValue (Decode, DecodeWhole)
+	templating        // decode a template, leaving each lifted field's value 0 and noting in cuts where it goes (ParseTemplate)
 	splitting         // copy in to out but the lifted values' varints, which go to vals (Split)
 )
 
 // walker is the one reader of signature bytes: a cursor over in and a
-// field walker over mpispec.Spec. Decode, Template.Decode, Split and
-// ParseTemplate are its four uses. The first failure is kept in err;
-// the walk stops at it.
+// field walker over mpispec.Spec. Decoding, templating and splitting
+// are its three uses. The first failure is kept in err; the walk stops
+// at it.
 type walker struct {
 	in   string
 	pos  int

@@ -432,8 +432,9 @@ func TestAddRejectsOverCapSnapshot(t *testing.T) {
 	}
 	w, dir := newTestWriter(t, 1)
 	s := mkSnapshot(0)
-	s.RawSigs = []string{strings.Repeat("x", wire.MaxFrame)}
-	s.RawTimes = [][2]int64{{0, 0}}
+	if err := s.Table.AppendAverage(strings.Repeat("x", wire.MaxFrame), 1, 0); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Add(s); err == nil {
 		t.Fatal("over-cap snapshot accepted")
 	}

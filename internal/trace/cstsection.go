@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
@@ -281,34 +280,15 @@ func (br byteReader) cstSection(f *File) (CSTStorage, error) {
 }
 
 // cstTemplates is a templated CST section as read: the table it
-// rebuilds, each template, and each entry's template id and lifted
-// row. DecodedSig decodes each template once (decoded, one slot per
-// template) and each entry by filling its row in.
+// rebuilds, each template, walked and decoded once, at Read, and each
+// entry's template id and lifted row. DecodedSig decodes an entry by
+// filling its row into its template's pattern.
 type cstTemplates struct {
-	table   *cst.Table
-	tmpls   []sig.Template
-	tid     []int64
-	lifted  []int64 // entry i's row is lifted[at[i]:at[i+1]]
-	at      []int
-	decoded []atomic.Pointer[decodedTemplate]
-}
-
-// decodedTemplate is one template's decode result, error included.
-type decodedTemplate struct {
-	p   sig.Pattern
-	err error
-}
-
-// pattern returns template id decoded, decoding it on first reference.
-func (t *cstTemplates) pattern(id int64) (sig.Pattern, error) {
-	slot := &t.decoded[id]
-	e := slot.Load()
-	if e == nil {
-		e = new(decodedTemplate)
-		e.p, e.err = t.tmpls[id].Decode()
-		e = publish(slot, e)
-	}
-	return e.p, e.err
+	table  *cst.Table
+	tmpls  []sig.Template
+	tid    []int64
+	lifted []int64 // entry i's row is lifted[at[i]:at[i+1]]
+	at     []int
 }
 
 // untemplate builds the table a templated section b stores, and
@@ -391,8 +371,7 @@ func untemplate(b []byte) (*cstTemplates, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &cstTemplates{table: cst.NewSized(int(n)), tmpls: tmpls, tid: tid, lifted: lifted,
-		at: make([]int, n+1), decoded: make([]atomic.Pointer[decodedTemplate], nt)}
+	t := &cstTemplates{table: cst.NewSized(int(n)), tmpls: tmpls, tid: tid, lifted: lifted, at: make([]int, n+1)}
 	var s []byte
 	prev := newPrevRows(widths)
 	size = 0

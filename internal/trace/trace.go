@@ -273,8 +273,8 @@ func (f *File) Terms(rank int) ([]int32, error) {
 
 // DecodedSig returns CST entry term decoded: sig.Decode of its
 // signature, with the entry's mean duration. Each entry is decoded once
-// per File, on first reference, from its template, which is decoded
-// once per File too, filled in with the entry's lifted values
+// per File, on first reference, from its template, which Read decoded
+// when it walked it, filled in with the entry's lifted values
 // (sig.Pattern); a CST stored raw, or built in memory, has one template
 // per entry, its whole signature, which takes none. The result — or the
 // decode error — is kept: every caller naming term gets the same
@@ -296,8 +296,7 @@ func (f *File) DecodedSig(term int32) (*Entry, error) {
 		var p sig.Pattern
 		var row []int64
 		if t := f.tmpl; t != nil {
-			p, e.err = t.pattern(t.tid[term])
-			row = t.lifted[t.at[term]:t.at[term+1]]
+			p, row = t.tmpls[t.tid[term]].Pattern(), t.lifted[t.at[term]:t.at[term+1]]
 		} else {
 			p, e.err = sig.DecodeWhole(f.CST.SigString(term))
 		}

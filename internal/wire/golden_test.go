@@ -18,10 +18,10 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden/*.frame from the current encoders")
 
 // aggregatedSnapshot is testSnapshot as an aggregated-timing run ships
-// it: no timing grammars, no raw capture.
+// it: no timing grammars.
 func aggregatedSnapshot() *core.Snapshot {
 	s := testSnapshot()
-	s.DurGrammar, s.IntGrammar, s.RawSigs, s.RawTimes = nil, nil, nil, nil
+	s.DurGrammar, s.IntGrammar = nil, nil
 	return s
 }
 
@@ -69,6 +69,12 @@ var goldenFrames = []struct {
 	}},
 }
 
+// rawCapture names the frames that are snapshots as older producers
+// shipped them, with the raw verify capture no encoder writes any
+// more: each recodes to its body's bytes, and -update leaves it as it
+// is.
+var rawCapture = map[string]bool{"snapshot_lossy": true}
+
 func recodeHello(b []byte) ([]byte, error) {
 	h, err := DecodeHello(b)
 	if err != nil {
@@ -96,10 +102,12 @@ func recodeSnapshot(b []byte) ([]byte, error) {
 // TestGoldenFrames: every checked-in frame still reads, decodes, and
 // re-encodes to the bytes in the file — the encoders and the framing
 // put the same bytes on the wire they did when the file was written.
+// A rawCapture frame re-encodes to its bytes without the capture: up
+// to it, with flagRaw cleared, and those are body's bytes.
 func TestGoldenFrames(t *testing.T) {
 	for _, g := range goldenFrames {
 		path := filepath.Join("testdata", "golden", g.name+".frame")
-		if *update {
+		if *update && !rawCapture[g.name] {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -120,13 +128,37 @@ func TestGoldenFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", g.name, err)
 		}
-		if got := AppendFrame(nil, typ, again); !bytes.Equal(got, want) {
+		if rawCapture[g.name] {
+			if !withoutRaw(body, again) {
+				t.Fatalf("%s: re-encoded body is not the checked-in one without its raw capture:\n got %x\nwant %x", g.name, again, body)
+			}
+			body = again
+		} else if got := AppendFrame(nil, typ, again); !bytes.Equal(got, want) {
 			t.Fatalf("%s: re-encoded frame differs from the checked-in one:\n got %x\nwant %x", g.name, got, want)
 		}
 		if fresh := g.body(); !bytes.Equal(fresh, body) {
 			t.Fatalf("%s: the encoder now produces a different body:\n got %x\nwant %x", g.name, fresh, body)
 		}
 	}
+}
+
+// withoutRaw reports whether snapshot body short is snapshot body long
+// without the raw capture it ends in: long's bytes up to it, but for
+// the flags byte, which lacks flagRaw.
+func withoutRaw(long, short []byte) bool {
+	if len(short) >= len(long) {
+		return false
+	}
+	flagBytes := 0
+	for i, b := range short {
+		if b != long[i] {
+			if long[i]&^flagRaw != b || b&flagRaw != 0 {
+				return false
+			}
+			flagBytes++
+		}
+	}
+	return flagBytes == 1
 }
 
 // writeFrame3 is WriteFrame as it was before AppendFrame — header,

@@ -21,6 +21,9 @@ import (
 //	flags byte: bit0 = timing grammars present, bit1 = raw verify capture
 //	[duration grammar, interval grammar]
 //	[raw capture: n sigs, n × (len, bytes), n × (tStart, tEnd)]
+//
+// Only older producers set bit1: the decoder walks and bounds their
+// raw capture, and drops it.
 
 const (
 	flagTiming = 1 << 0
@@ -37,15 +40,6 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	if timing {
 		n += sequitur.IntsLen(s.DurGrammar) + sequitur.IntsLen(s.IntGrammar)
 	}
-	if s.RawSigs != nil {
-		n += uvarintLen(uint64(len(s.RawSigs)))
-		for _, sig := range s.RawSigs {
-			n += uvarintLen(uint64(len(sig))) + len(sig)
-		}
-		for _, t := range s.RawTimes {
-			n += varintLen(t[0]) + varintLen(t[1])
-		}
-	}
 
 	b := make([]byte, 0, n)
 	b = binary.AppendUvarint(b, uint64(s.Rank))
@@ -58,24 +52,10 @@ func EncodeSnapshot(s *core.Snapshot) []byte {
 	if timing {
 		flags |= flagTiming
 	}
-	if s.RawSigs != nil {
-		flags |= flagRaw
-	}
 	b = append(b, flags)
 	if timing {
 		b = sequitur.AppendInts(b, s.DurGrammar)
 		b = sequitur.AppendInts(b, s.IntGrammar)
-	}
-	if s.RawSigs != nil {
-		b = binary.AppendUvarint(b, uint64(len(s.RawSigs)))
-		for _, sig := range s.RawSigs {
-			b = binary.AppendUvarint(b, uint64(len(sig)))
-			b = append(b, sig...)
-		}
-		for _, t := range s.RawTimes {
-			b = binary.AppendVarint(b, t[0])
-			b = binary.AppendVarint(b, t[1])
-		}
 	}
 	return b
 }
@@ -230,36 +210,22 @@ func decodeSnapshot(d *dec) (*core.Snapshot, error) {
 			return nil, err
 		}
 		// Each entry costs at least 3 body bytes: a one-byte signature
-		// length prefix plus one varint byte per time value. A looser
-		// bound would let a small hostile frame claim a huge count and
-		// force ~32 bytes of slice headers per claimed entry below.
+		// length prefix plus one varint byte per time value.
 		if n > uint64(d.remaining())/3 {
 			return nil, fmt.Errorf("wire: raw capture claims %d entries in %d bytes", n, d.remaining())
 		}
-		// Grow with append under a capped initial size: allocation then
-		// tracks bytes actually decoded, never the claimed count alone.
-		capHint := n
-		if capHint > 4096 {
-			capHint = 4096
-		}
-		s.RawSigs = make([]string, 0, capHint)
 		for i := uint64(0); i < n; i++ {
-			sig, err := d.bytes("raw signature")
-			if err != nil {
+			if _, err := d.bytes("raw signature"); err != nil {
 				return nil, err
 			}
-			s.RawSigs = append(s.RawSigs, string(sig))
 		}
-		s.RawTimes = make([][2]int64, 0, capHint)
 		for i := uint64(0); i < n; i++ {
-			var t [2]int64
-			if t[0], err = d.varint("raw start time"); err != nil {
+			if _, err := d.varint("raw start time"); err != nil {
 				return nil, err
 			}
-			if t[1], err = d.varint("raw end time"); err != nil {
+			if _, err := d.varint("raw end time"); err != nil {
 				return nil, err
 			}
-			s.RawTimes = append(s.RawTimes, t)
 		}
 	}
 	return s, d.finish()

@@ -42,8 +42,6 @@ func testSnapshot() *core.Snapshot {
 		Grammar:    sequitur.Serialized(g.Serialize()),
 		DurGrammar: sequitur.Serialized(dg.Serialize()),
 		IntGrammar: sequitur.Serialized(ig.Serialize()),
-		RawSigs:    []string{"sig-send", "sig-recv"},
-		RawTimes:   [][2]int64{{10, 13}, {20, 24}},
 	}
 }
 
@@ -64,8 +62,33 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(got.IntGrammar, want.IntGrammar) {
 		t.Fatal("grammars differ")
 	}
-	if !reflect.DeepEqual(got.RawSigs, want.RawSigs) || !reflect.DeepEqual(got.RawTimes, want.RawTimes) {
-		t.Fatal("raw capture differs")
+}
+
+// TestSnapshotRawCaptureDropped: a body carrying an older producer's
+// raw verify capture decodes to the snapshot without it, which
+// re-encodes without it; cut anywhere inside the capture, it is
+// refused.
+func TestSnapshotRawCaptureDropped(t *testing.T) {
+	base := EncodeSnapshot(minimalSnapshot())
+	body := append(append([]byte(nil), base[:len(base)-1]...), flagRaw) // its flags byte is last
+	body = binary.AppendUvarint(body, 2)
+	for _, sig := range []string{"sig-send", "sig-recv"} {
+		body = append(binary.AppendUvarint(body, uint64(len(sig))), sig...)
+	}
+	for _, v := range []int64{10, 13, 20, 24} {
+		body = binary.AppendVarint(body, v)
+	}
+	got, err := DecodeSnapshot(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := EncodeSnapshot(got); !bytes.Equal(again, base) {
+		t.Fatalf("re-encoded %x, want %x", again, base)
+	}
+	for cut := len(base); cut < len(body); cut++ {
+		if _, err := DecodeSnapshot(body[:cut]); err == nil {
+			t.Fatalf("raw capture cut at %d/%d accepted", cut, len(body))
+		}
 	}
 }
 
@@ -84,7 +107,7 @@ func TestSnapshotRoundTripMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DurGrammar != nil || got.RawSigs != nil {
+	if got.DurGrammar != nil || got.IntGrammar != nil {
 		t.Fatal("optional sections materialized from nothing")
 	}
 }

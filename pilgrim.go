@@ -67,7 +67,9 @@ type FinalizeStats = core.FinalizeStats
 // DecodedCall is one reconstructed call from a compressed trace: a
 // pointer to its signature's decoded CST entry (Func, Args,
 // AvgDuration), which every call of that signature shares and which
-// must not be modified, plus recovered times in lossy timing mode.
+// must not be modified, plus its wall-clock times: recovered in lossy
+// timing mode, the rank's mean durations laid end to end in aggregated
+// mode.
 type DecodedCall = core.DecodedCall
 
 // NewTracer builds a tracer for one rank. The OOB interface gives it
