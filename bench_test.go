@@ -441,6 +441,42 @@ func BenchmarkDecodeRank(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceRead is the read half of BenchmarkDecodeRank alone:
+// one op is trace.Read of the serialized trace, which decodes each CST
+// template once and joins no signature. stencil16x2000's CST is stored
+// raw, cg4096x10's by template.
+func BenchmarkTraceRead(b *testing.B) {
+	for _, w := range []struct {
+		name, app    string
+		procs, iters int
+	}{
+		{"stencil16x2000", "stencil2d", 16, 2000},
+		{"cg4096x10", "cg", 4096, 10},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			body, err := workloads.Get(w.app, w.iters, w.procs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			file, _, err := pilgrim.Run(w.procs, pilgrim.Options{}, body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := file.WriteTo(&buf); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := trace.Read(bytes.NewReader(buf.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkTraceFileWrite(b *testing.B) {
 	body := workloads.Stencil2D(workloads.StencilConfig{Iters: 100})
 	file, _, err := pilgrim.Run(16, pilgrim.Options{}, body)

@@ -20,8 +20,9 @@ type DecodedCall struct {
 }
 
 // NewCall returns a call of d with the given mean duration, on an
-// entry of its own that no trace holds: how a program or test that
-// decodes a bare signature builds what DecodeRank's readers take.
+// entry of its own that no trace holds, whose Term is 0: how a
+// program or test that decodes a bare signature builds what
+// DecodeRank's readers take.
 func NewCall(d sig.Decoded, avgDuration int64) DecodedCall {
 	return DecodedCall{Entry: &trace.Entry{Decoded: d, AvgDuration: avgDuration}}
 }
@@ -31,57 +32,63 @@ func NewCall(d sig.Decoded, avgDuration int64) DecodedCall {
 // check correctness ("comparing uncompressed traces to compressed next
 // decompressed traces"). Each CST entry is decoded once per file
 // (trace.File.DecodedSig: a templated CST's templates once each, its
-// entries by filling their lifted values in), so a rank costs its
-// expansion plus a gather of one pointer per call: calls with the same
+// entries by filling their lifted values in), and the rank's grammar is
+// expanded straight into its calls (trace.ExpandRank): each terminal
+// of a rule body is resolved to its entry once, on the rule's first
+// expansion, and the rule's later expansions are copies. So a rank
+// costs its expansion, one 24-byte call per call: calls with the same
 // signature share one *trace.Entry, which — like everything reached
 // through it — must not be modified. Any number of goroutines may
 // decode ranks of one File.
 //
-// DecodeRank is where a call gets its times. A lossy trace's are
-// recovered from its duration and interval grammars (relative error
-// below TimingBase−1, see internal/timing). An aggregated trace keeps
-// one mean duration per CST entry (the paper's §3.2), so its timeline
-// is those means laid end to end: from 0, each call lasting its
-// entry's AvgDuration and starting where the previous one ended. The
-// gather lays every call on that clock; a lossy trace's recovered
-// times then replace it.
+// DecodeRank is where a call gets its times, in one pass over the
+// expansion. A lossy trace's are recovered from its duration and
+// interval grammars (relative error below TimingBase−1, see
+// internal/timing). An aggregated trace keeps one mean duration per
+// CST entry (the paper's §3.2), so its timeline is those means laid end
+// to end: from 0, each call lasting its entry's AvgDuration and
+// starting where the previous one ended.
 func DecodeRank(f *trace.File, rank int) ([]DecodedCall, error) {
-	terms, err := f.Terms(rank)
+	out, err := trace.ExpandRank(f, rank, func(call int64, term int32) (DecodedCall, error) {
+		e, err := f.DecodedSig(term)
+		if err != nil {
+			return DecodedCall{}, fmt.Errorf("core: rank %d call %d: %w", rank, call, err)
+		}
+		return DecodedCall{Entry: e}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DecodedCall, len(terms))
-	var clock int64
-	for i, term := range terms {
-		e, err := f.DecodedSig(term)
-		if err != nil {
-			return nil, fmt.Errorf("core: rank %d call %d: %w", rank, i, err)
-		}
-		out[i] = DecodedCall{Entry: e, TStart: clock, TEnd: clock + e.AvgDuration}
-		clock = out[i].TEnd
-	}
-
-	if f.TimingMode == trace.TimingLossy {
-		durSeq, intSeq, err := timingStreams(f, rank, len(terms))
-		if err != nil {
-			return nil, err
-		}
-		r := timing.NewReconstructor(f.TimingBase)
+	if f.TimingMode != trace.TimingLossy {
+		var clock int64
 		for i := range out {
-			out[i].TStart, out[i].TEnd = r.Next(terms[i], out[i].Func, durSeq[i], intSeq[i])
+			c := &out[i]
+			c.TStart, c.TEnd = clock, clock+c.AvgDuration
+			clock = c.TEnd
 		}
+		return out, nil
+	}
+	durSeq, intSeq, err := timingStreams(f, rank, len(out))
+	if err != nil {
+		return nil, err
+	}
+	r := timing.NewReconstructor(f.TimingBase)
+	for i := range out {
+		c := &out[i]
+		c.TStart, c.TEnd = r.Next(c.Term, c.Func, durSeq[i], intSeq[i])
 	}
 	return out, nil
 }
 
 // timingStreams expands rank's duration and interval grammars, which
-// must hold one terminal per call of its n.
+// must hold one terminal per call of its n: neither is expanded past
+// n+1.
 func timingStreams(f *trace.File, rank, n int) (durSeq, intSeq []int32, err error) {
 	if rank < len(f.DurIndex) && int(f.DurIndex[rank]) < len(f.DurGrammars) {
-		durSeq = f.DurGrammars[f.DurIndex[rank]].Expand(0)
+		durSeq, _ = f.DurGrammars[f.DurIndex[rank]].ExpandCapped(int64(n) + 1)
 	}
 	if rank < len(f.IntIndex) && int(f.IntIndex[rank]) < len(f.IntGrammars) {
-		intSeq = f.IntGrammars[f.IntIndex[rank]].Expand(0)
+		intSeq, _ = f.IntGrammars[f.IntIndex[rank]].ExpandCapped(int64(n) + 1)
 	}
 	if len(durSeq) != n || len(intSeq) != n {
 		return nil, nil, fmt.Errorf("core: rank %d timing streams (%d/%d) do not match %d calls",

@@ -78,6 +78,7 @@ func referenceDecode(f *trace.File, rank int) ([]core.DecodedCall, error) {
 			return nil, fmt.Errorf("reference: rank %d call %d: %w", rank, i, err)
 		}
 		c := core.NewCall(d, f.CST.AvgDuration(term))
+		c.Term = term
 		c.TStart, c.TEnd = clock, clock+c.AvgDuration
 		clock = c.TEnd
 		calls = append(calls, c)
@@ -270,6 +271,86 @@ func TestDecodedArgsShared(t *testing.T) {
 	}
 }
 
+// TestCSTJoinsWhileDecoding: a CST read by template joins its
+// signatures on first use. Goroutines making the first Sig, SigString,
+// Lookup and Bytes calls on one read File, while others decode its
+// ranks (run under -race), all see the table its file form reads to,
+// and the decoders the calls of a File nobody else touched.
+func TestCSTJoinsWhileDecoding(t *testing.T) {
+	data := traced(t, "cg", 16, 5, pilgrim.Options{})
+	ref := read(t, data)
+	if st := ref.CSTStorage(); st.Form != "templated" {
+		t.Fatalf("CST stored %s, want templated", st.Form)
+	}
+	table, err := cst.Deserialize(ref.CST.Serialize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]core.DecodedCall, ref.NumRanks)
+	for r := range want {
+		if want[r], err = core.DecodeRank(ref, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := read(t, data)
+	uses := []func(term int32) error{
+		func(term int32) error {
+			if got, want := string(f.CST.Sig(term)), table.SigString(term); got != want {
+				return fmt.Errorf("Sig(%d) is %q, want %q", term, got, want)
+			}
+			return nil
+		},
+		func(term int32) error {
+			if got, want := f.CST.SigString(term), table.SigString(term); got != want {
+				return fmt.Errorf("SigString(%d) is %q, want %q", term, got, want)
+			}
+			return nil
+		},
+		func(term int32) error {
+			if got, ok := f.CST.Lookup(table.Sig(term)); !ok || got != term {
+				return fmt.Errorf("Lookup of entry %d's signature is %d, %v", term, got, ok)
+			}
+			return nil
+		},
+		func(int32) error {
+			if got, want := f.CST.Bytes(), table.Bytes(); got != want {
+				return fmt.Errorf("Bytes is %d, want %d", got, want)
+			}
+			return nil
+		},
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				use := uses[g/2]
+				for term := range int32(table.Len()) {
+					if err := use(term); err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
+						return
+					}
+				}
+				return
+			}
+			for i := range want {
+				r := (i + g) % len(want)
+				got, err := core.DecodeRank(f, r)
+				if err != nil {
+					t.Errorf("goroutine %d rank %d: %v", g, r, err)
+					return
+				}
+				if d := differs(got, want[r]); d != "" {
+					t.Errorf("goroutine %d rank %d: %s", g, r, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func gram(seq ...int32) sequitur.Serialized {
 	g := sequitur.New()
 	for _, v := range seq {
@@ -405,12 +486,15 @@ func TestDecodeErrorsAreStable(t *testing.T) {
 }
 
 // TestDecodeRankWarmAllocs: once a file's signatures are decoded, a
-// rank costs its term expansion and its output slice — a small constant
-// number of allocations, whatever the number of calls, and at most a
-// 4-byte terminal and a 24-byte call for each call, plus a constant.
+// rank costs its expansion's scratch and its output slice — two
+// allocations, whatever the number of calls, and at most a 24-byte call
+// for each call, plus a constant. A decoded value is at most 48 bytes.
 func TestDecodeRankWarmAllocs(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(core.DecodedCall{}) != 24 {
 		t.Fatalf("a decoded call is %d bytes, want 24", unsafe.Sizeof(core.DecodedCall{}))
+	}
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(sig.DecodedValue{}) > 48 {
+		t.Fatalf("a decoded value is %d bytes, want at most 48", unsafe.Sizeof(sig.DecodedValue{}))
 	}
 	warm := func(iters int) (allocs, allocBytes float64, calls int) {
 		f := read(t, traced(t, "stencil2d", 16, iters, pilgrim.Options{}))
@@ -439,15 +523,15 @@ func TestDecodeRankWarmAllocs(t *testing.T) {
 	small, smallBytes, nSmall := warm(20)
 	large, largeBytes, nLarge := warm(400)
 	t.Logf("warm DecodeRank: %d calls %.0f B, %d calls %.0f B", nSmall, smallBytes, nLarge, largeBytes)
-	// The constant covers the expansion's tables and the allocator
+	// The constant covers the expansion's scratch and the allocator
 	// rounding both slices up: to its size class, or past 32 KiB to a
 	// whole 8 KiB page.
-	const perCall, perTerm, constant = 24, 4, 16 << 10
+	const perCall, constant = 24, 16 << 10
 	for _, m := range []struct {
 		bytes float64
 		calls int
 	}{{smallBytes, nSmall}, {largeBytes, nLarge}} {
-		if limit := float64((perCall+perTerm)*m.calls + constant); m.bytes > limit {
+		if limit := float64(perCall*m.calls + constant); m.bytes > limit {
 			t.Errorf("warm DecodeRank allocates %.0f B for %d calls (%.1f B a call), want at most %.0f",
 				m.bytes, m.calls, m.bytes/float64(m.calls), limit)
 		}
@@ -455,7 +539,7 @@ func TestDecodeRankWarmAllocs(t *testing.T) {
 	if nLarge < 10*nSmall {
 		t.Fatalf("400 iterations decode to %d calls, 20 to %d", nLarge, nSmall)
 	}
-	const budget = 8 // measured 5: rule offsets, sizes, first-use table, terms, output
+	const budget = 2 // the expansion's scratch and its output
 	if small > budget || large > budget {
 		t.Fatalf("warm DecodeRank allocates %v times for %d calls and %v for %d, want at most %d",
 			small, nSmall, large, nLarge, budget)

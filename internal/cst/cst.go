@@ -11,17 +11,35 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
+	"sync"
 )
 
 // Table is one process's call signature table.
+//
+// A table read from columns (FromColumns) holds its entries' counts and
+// durations, and joins their signatures and indexes them only on first
+// use: Len, Count, AvgDuration and Calls read the counts, and every
+// other method joins first, once, under a sync.Once. Such a table may
+// be read from any number of goroutines.
 type Table struct {
 	bySig map[string]int32
 	sigs  []string // terminal -> signature bytes
 
 	// aggregated timing (default mode, §3.2): per-entry call count and
 	// duration sum, so the average duration survives compression.
-	count  []int64
-	durSum []int64
+	acc []acc
+
+	cols *columns // non-nil for a table read from columns
+}
+
+// acc is one entry's call count and duration sum.
+type acc struct{ count, durSum int64 }
+
+// columns is where a table read from columns joins its signatures.
+type columns struct {
+	once sync.Once
+	join func(dst []byte, term int32) []byte
 }
 
 // New returns an empty table.
@@ -32,11 +50,58 @@ func New() *Table {
 // NewSized returns an empty table with room for n entries.
 func NewSized(n int) *Table {
 	return &Table{
-		bySig:  make(map[string]int32, n),
-		sigs:   make([]string, 0, n),
-		count:  make([]int64, 0, n),
-		durSum: make([]int64, 0, n),
+		bySig: make(map[string]int32, n),
+		sigs:  make([]string, 0, n),
+		acc:   make([]acc, 0, n),
 	}
+}
+
+// FromColumns returns the table of len(counts) entries whose entry i
+// was called counts[i] times for avgs[i] ns on average, as the file
+// form stores it, and whose signature join(dst, i) appends to dst. It
+// refuses an entry AppendAverage refuses but for its signature: join
+// must give every entry another signature, which the table does not
+// check. It calls join only on first use of the signatures, from
+// whichever goroutine uses them first.
+func FromColumns(counts, avgs []int64, join func(dst []byte, term int32) []byte) (*Table, error) {
+	t := &Table{acc: make([]acc, len(counts)), cols: &columns{join: join}}
+	for i, c := range counts {
+		a, err := entry(i, c, avgs[i], false)
+		if err != nil {
+			return nil, err
+		}
+		t.acc[i] = a
+	}
+	return t, nil
+}
+
+// load joins and indexes the signatures of a table read from columns,
+// once.
+func (t *Table) load() {
+	if t.cols != nil {
+		t.cols.load(t)
+	}
+}
+
+// load joins t's signatures into one string, which each entry's
+// signature slices, and indexes them, once.
+func (c *columns) load(t *Table) {
+	c.once.Do(func() {
+		var b strings.Builder
+		at := make([]int, len(t.acc)+1)
+		var buf []byte
+		for i := range t.acc {
+			buf = c.join(buf[:0], int32(i))
+			b.Write(buf)
+			at[i+1] = b.Len()
+		}
+		all := b.String()
+		t.sigs, t.bySig = make([]string, len(t.acc)), make(map[string]int32, len(t.acc))
+		for i := range t.sigs {
+			t.sigs[i] = all[at[i]:at[i+1]]
+			t.bySig[t.sigs[i]] = int32(i)
+		}
+	})
 }
 
 // Grow makes room for n more entries, so that adding them rehashes
@@ -45,14 +110,14 @@ func (t *Table) Grow(n int) {
 	if n <= 0 {
 		return
 	}
+	t.load()
 	m := make(map[string]int32, len(t.sigs)+n)
 	for term, s := range t.sigs {
 		m[s] = int32(term)
 	}
 	t.bySig = m
 	t.sigs = slices.Grow(t.sigs, n)
-	t.count = slices.Grow(t.count, n)
-	t.durSum = slices.Grow(t.durSum, n)
+	t.acc = slices.Grow(t.acc, n)
 }
 
 // Add returns the terminal for sig, creating a new entry on first
@@ -60,30 +125,48 @@ func (t *Table) Grow(n int) {
 // path — by far the common case once an application's signature set
 // has been seen — is allocation-free: the map is probed with a
 // compiler-elided string conversion, and the key string is only
-// materialized for a genuinely new signature.
+// materialized for a genuinely new signature. A table read from
+// columns has no index until it joins its signatures: its first Add
+// misses, and the miss joins them.
 func (t *Table) Add(sig []byte, duration int64) int32 {
 	if term, ok := t.bySig[string(sig)]; ok {
-		t.count[term]++
-		t.durSum[term] += duration
-		return term
+		return t.hit(term, duration)
+	}
+	return t.miss(sig, duration)
+}
+
+// hit accumulates a call lasting duration into entry term.
+func (t *Table) hit(term int32, duration int64) int32 {
+	a := &t.acc[term]
+	a.count++
+	a.durSum += duration
+	return term
+}
+
+// miss is Add for a signature t's index lacks.
+func (t *Table) miss(sig []byte, duration int64) int32 {
+	if t.cols != nil && t.bySig == nil {
+		t.load()
+		if term, ok := t.bySig[string(sig)]; ok {
+			return t.hit(term, duration)
+		}
 	}
 	key := string(sig)
 	term := int32(len(t.sigs))
 	t.bySig[key] = term
 	t.sigs = append(t.sigs, key)
-	t.count = append(t.count, 1)
-	t.durSum = append(t.durSum, duration)
+	t.acc = append(t.acc, acc{1, duration})
 	return term
 }
 
 // Clone returns a deep copy of the table. Used by crash-consistent
 // snapshots: the copy is immutable while the original keeps growing.
 func (t *Table) Clone() *Table {
+	t.load()
 	c := &Table{
-		bySig:  make(map[string]int32, len(t.bySig)),
-		sigs:   append([]string(nil), t.sigs...),
-		count:  append([]int64(nil), t.count...),
-		durSum: append([]int64(nil), t.durSum...),
+		bySig: make(map[string]int32, len(t.bySig)),
+		sigs:  append([]string(nil), t.sigs...),
+		acc:   append([]acc(nil), t.acc...),
 	}
 	for k, v := range t.bySig {
 		c.bySig[k] = v
@@ -93,32 +176,37 @@ func (t *Table) Clone() *Table {
 
 // Lookup returns the terminal for sig without inserting.
 func (t *Table) Lookup(sig []byte) (int32, bool) {
+	t.load()
 	term, ok := t.bySig[string(sig)]
 	return term, ok
 }
 
 // Sig returns the signature bytes of a terminal.
 func (t *Table) Sig(term int32) []byte {
-	return []byte(t.sigs[term])
+	return []byte(t.SigString(term))
 }
 
 // SigString is Sig without the copy: the table's own immutable key.
-func (t *Table) SigString(term int32) string { return t.sigs[term] }
+func (t *Table) SigString(term int32) string {
+	t.load()
+	return t.sigs[term]
+}
 
 // Len returns the number of unique signatures.
-func (t *Table) Len() int { return len(t.sigs) }
+func (t *Table) Len() int { return len(t.acc) }
 
 // Count returns the number of calls recorded against a terminal.
-func (t *Table) Count(term int32) int64 { return t.count[term] }
+func (t *Table) Count(term int32) int64 { return t.acc[term].count }
 
 // RawBytes estimates the uncompressed signature-stream size: every
 // recorded call replayed as its full signature bytes. The ratio of
 // this to the serialized trace size is the compression ratio the
 // metrics layer and pilgrim-dump report.
 func (t *Table) RawBytes() int64 {
+	t.load()
 	var n int64
 	for term, key := range t.sigs {
-		n += t.count[term] * int64(len(key))
+		n += t.acc[term].count * int64(len(key))
 	}
 	return n
 }
@@ -126,18 +214,21 @@ func (t *Table) RawBytes() int64 {
 // Calls returns the total number of calls recorded (sum of counts).
 func (t *Table) Calls() int64 {
 	var n int64
-	for _, c := range t.count {
-		n += c
+	for _, a := range t.acc {
+		n += a.count
 	}
 	return n
 }
 
 // AvgDuration returns the mean duration of a terminal's calls.
-func (t *Table) AvgDuration(term int32) int64 {
-	if t.count[term] == 0 {
+func (t *Table) AvgDuration(term int32) int64 { return t.acc[term].avg() }
+
+// avg is the mean duration of the entry's calls.
+func (a acc) avg() int64 {
+	if a.count == 0 {
 		return 0
 	}
-	return t.durSum[term] / t.count[term]
+	return a.durSum / a.count
 }
 
 // Merged is the result of the inter-process merge: a single global
@@ -163,6 +254,8 @@ type Merged struct {
 // left child with its right child absorbed, and by induction each
 // child is the rank-order fold of its own leaves.
 func (t *Table) Absorb(src *Table) ([]int32, error) {
+	t.load()
+	src.load()
 	relabel := make([]int32, len(src.sigs))
 	for old, key := range src.sigs {
 		term, ok := t.bySig[key]
@@ -170,15 +263,15 @@ func (t *Table) Absorb(src *Table) ([]int32, error) {
 			term = int32(len(t.sigs))
 			t.bySig[key] = term
 			t.sigs = append(t.sigs, key)
-			t.count = append(t.count, 0)
-			t.durSum = append(t.durSum, 0)
+			t.acc = append(t.acc, acc{})
 		}
-		c, okc := add(t.count[term], src.count[old])
-		d, okd := add(t.durSum[term], src.durSum[old])
+		a, s := &t.acc[term], src.acc[old]
+		c, okc := add(a.count, s.count)
+		d, okd := add(a.durSum, s.durSum)
 		if !okc || !okd {
-			return nil, fmt.Errorf("cst: entry %d: %d calls lasting %d ns overflow the merged entry's", old, src.count[old], src.durSum[old])
+			return nil, fmt.Errorf("cst: entry %d: %d calls lasting %d ns overflow the merged entry's", old, s.count, s.durSum)
 		}
-		t.count[term], t.durSum[term] = c, d
+		a.count, a.durSum = c, d
 		relabel[old] = term
 	}
 	return relabel, nil
@@ -206,10 +299,10 @@ type Sums struct{ calls, ns uint64 }
 // total would pass math.MaxInt64, leaves s as it was and fails.
 func (s *Sums) Admit(t *Table) error {
 	calls, ns := s.calls, s.ns
-	for i := range t.sigs {
-		c, d := uint64(t.count[i]), absInt(t.durSum[i])
+	for i, a := range t.acc {
+		c, d := uint64(a.count), absInt(a.durSum)
 		if c > math.MaxInt64-calls || d > math.MaxInt64-ns {
-			return fmt.Errorf("cst: entry %d: %d calls lasting %d ns take the merge past an int64", i, t.count[i], t.durSum[i])
+			return fmt.Errorf("cst: entry %d: %d calls lasting %d ns take the merge past an int64", i, a.count, a.durSum)
 		}
 		calls, ns = calls+c, ns+d
 	}
@@ -303,15 +396,17 @@ func DeserializeExact(data []byte) (*Table, error) { return parse(data, true) }
 
 // appendForm appends the table's exact form, or else its file form.
 func (t *Table) appendForm(dst []byte, exact bool) []byte {
+	t.load()
 	dst = binary.AppendUvarint(dst, uint64(len(t.sigs)))
 	for i, key := range t.sigs {
+		a := t.acc[i]
 		dst = binary.AppendUvarint(dst, uint64(len(key)))
 		dst = append(dst, key...)
-		dst = binary.AppendVarint(dst, t.count[i])
+		dst = binary.AppendVarint(dst, a.count)
 		if exact {
-			dst = binary.AppendVarint(dst, t.durSum[i])
+			dst = binary.AppendVarint(dst, a.durSum)
 		} else {
-			dst = binary.AppendVarint(dst, t.AvgDuration(int32(i)))
+			dst = binary.AppendVarint(dst, a.avg())
 		}
 	}
 	return dst
@@ -321,9 +416,10 @@ func (t *Table) appendForm(dst []byte, exact bool) []byte {
 // it: what a caller needs to size a buffer (and write the table's
 // length prefix) before AppendExact fills it.
 func (t *Table) ExactSize() int {
+	t.load()
 	n := uvarintLen(uint64(len(t.sigs)))
 	for i, key := range t.sigs {
-		n += uvarintLen(uint64(len(key))) + len(key) + varintLen(t.count[i]) + varintLen(t.durSum[i])
+		n += uvarintLen(uint64(len(key))) + len(key) + varintLen(t.acc[i].count) + varintLen(t.acc[i].durSum)
 	}
 	return n
 }
@@ -390,35 +486,46 @@ func (t *Table) AppendAverage(key string, count, avg int64) error {
 
 // appendEntry appends entry key, called cnt times, dur its duration sum
 // in the exact form, else its average. It refuses what no writer
-// writes: fewer than one call, a signature already in t, and in the
-// file form a duration sum, average × count, past an int64.
+// writes: what entry refuses, and a signature already in t.
 func (t *Table) appendEntry(key string, cnt, dur int64, exact bool) error {
 	i := len(t.sigs)
-	switch {
-	case cnt < 1:
-		return fmt.Errorf("cst: entry %d: %d calls", i, cnt)
-	case exact:
-	case dur > math.MaxInt64/cnt || dur < math.MinInt64/cnt:
-		return fmt.Errorf("cst: entry %d: %d calls averaging %d", i, cnt, dur)
-	default:
-		dur *= cnt
+	a, err := entry(i, cnt, dur, exact)
+	if err != nil {
+		return err
 	}
 	if _, dup := t.bySig[key]; dup {
 		return fmt.Errorf("cst: duplicate signature in entry %d", i)
 	}
 	t.bySig[key] = int32(i)
 	t.sigs = append(t.sigs, key)
-	t.count = append(t.count, cnt)
-	t.durSum = append(t.durSum, dur)
+	t.acc = append(t.acc, a)
 	return nil
+}
+
+// entry is entry i's count and duration sum, called cnt times, dur its
+// duration sum in the exact form, else its average. It refuses what no
+// writer writes: fewer than one call, and in the file form a duration
+// sum, average × count, past an int64.
+func entry(i int, cnt, dur int64, exact bool) (acc, error) {
+	switch {
+	case cnt < 1:
+		return acc{}, fmt.Errorf("cst: entry %d: %d calls", i, cnt)
+	case exact:
+	case dur > math.MaxInt64/cnt || dur < math.MinInt64/cnt:
+		return acc{}, fmt.Errorf("cst: entry %d: %d calls averaging %d", i, cnt, dur)
+	default:
+		dur *= cnt
+	}
+	return acc{cnt, dur}, nil
 }
 
 // Bytes returns the size of the file form, without building it: the
 // number the size experiments report for the CST section.
 func (t *Table) Bytes() int {
+	t.load()
 	n := uvarintLen(uint64(len(t.sigs)))
 	for i, key := range t.sigs {
-		n += uvarintLen(uint64(len(key))) + len(key) + varintLen(t.count[i]) + varintLen(t.AvgDuration(int32(i)))
+		n += uvarintLen(uint64(len(key))) + len(key) + varintLen(t.acc[i].count) + varintLen(t.acc[i].avg())
 	}
 	return n
 }

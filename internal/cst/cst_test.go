@@ -3,6 +3,7 @@ package cst
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -310,5 +311,74 @@ func TestTermsSortedStable(t *testing.T) {
 	sorted := tb.TermsSorted()
 	if string(tb.Sig(sorted[0])) != "aa" || string(tb.Sig(sorted[2])) != "zz" {
 		t.Fatalf("sorted order wrong: %v", sorted)
+	}
+}
+
+// columnsOf is t read back from columns, as a trace reader builds it:
+// its counts and averages, and a join that reads t's signatures and
+// counts its calls in *joins.
+func columnsOf(tb testing.TB, t *Table, joins *int) *Table {
+	tb.Helper()
+	counts, avgs := make([]int64, t.Len()), make([]int64, t.Len())
+	for i := range counts {
+		counts[i], avgs[i] = t.Count(int32(i)), t.AvgDuration(int32(i))
+	}
+	c, err := FromColumns(counts, avgs, func(dst []byte, term int32) []byte {
+		*joins++
+		return append(dst, t.SigString(term)...)
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestFromColumns: a table read from columns reports its entries,
+// counts and means without joining a signature, joins every signature
+// once on first use, and is then the table its file form reads to:
+// for Serialize, Lookup, Sig, Add on a hit and on a miss, Clone and
+// Absorb, and as a source of Absorb.
+func TestFromColumns(t *testing.T) {
+	want := New()
+	for i := range 50 {
+		want.Add(fmt.Appendf(nil, "sig%d", i%20), int64(10*i))
+	}
+	file, err := Deserialize(want.Serialize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins := 0
+	c := columnsOf(t, want, &joins)
+	if c.Len() != 20 || c.Calls() != 50 || c.Count(3) != file.Count(3) || c.AvgDuration(7) != file.AvgDuration(7) || joins != 0 {
+		t.Fatalf("%d entries, %d calls, %d joins", c.Len(), c.Calls(), joins)
+	}
+	if !bytes.Equal(c.Serialize(), file.Serialize()) || joins != 20 {
+		t.Fatalf("serializes otherwise after %d joins", joins)
+	}
+	if term, ok := c.Lookup([]byte("sig4")); !ok || term != 4 || string(c.Sig(4)) != "sig4" || joins != 20 {
+		t.Fatalf("Lookup(sig4) = %d, %v after %d joins", term, ok, joins)
+	}
+	for name, use := range map[string]func(*Table){
+		"Add hit":     func(c *Table) { c.Add([]byte("sig4"), 1) },
+		"Add miss":    func(c *Table) { c.Add([]byte("new"), 1) },
+		"Absorb into": func(c *Table) { c.Absorb(want) },
+		"Absorb from": func(c *Table) { g := New(); g.Absorb(c); *c = *g.Clone() },
+		"Clone":       func(c *Table) { *c = *c.Clone() },
+		"Bytes, Grow": func(c *Table) { c.Bytes(); c.Grow(8) },
+	} {
+		fresh, got := file.Clone(), columnsOf(t, want, new(int))
+		use(fresh)
+		use(got)
+		if !bytes.Equal(got.SerializeExact(), fresh.SerializeExact()) {
+			t.Errorf("%s: a table read from columns ends other than one read from its file form", name)
+		}
+	}
+	for name, cols := range map[string][2][]int64{
+		"no calls":               {{1, 0}, {5, 5}},
+		"duration sum overflows": {{1, 2}, {5, math.MaxInt64}},
+	} {
+		if _, err := FromColumns(cols[0], cols[1], nil); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

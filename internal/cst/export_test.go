@@ -10,6 +10,7 @@ func (t *Table) SerializeExact() []byte {
 
 // TermsSorted returns all terminals ordered by signature bytes.
 func (t *Table) TermsSorted() []int32 {
+	t.load()
 	out := make([]int32, t.Len())
 	for i := range out {
 		out[i] = int32(i)

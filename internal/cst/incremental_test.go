@@ -58,10 +58,10 @@ func encodeTables(tables []*Table) []byte {
 	b := []byte{byte(len(tables) - 1)}
 	for r, t := range tables {
 		for term, key := range t.sigs {
-			for c := int64(0); c < t.count[term]; c++ {
+			for c := int64(0); c < t.acc[term].count; c++ {
 				var dur int64
 				if c == 0 {
-					dur = t.durSum[term]
+					dur = t.acc[term].durSum
 				}
 				b = append(b, byte(r), byte(len(key)))
 				b = append(b, key...)
@@ -204,8 +204,8 @@ func TestSerializeExactRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.SerializeExact(), tb.SerializeExact()) {
 		t.Fatal("exact round trip not identical")
 	}
-	if got.durSum[0] != 7 {
-		t.Fatalf("durSum = %d, want 7", got.durSum[0])
+	if got.acc[0].durSum != 7 {
+		t.Fatalf("durSum = %d, want 7", got.acc[0].durSum)
 	}
 	// The lossy path really is lossy here — guard that the exact path
 	// is needed at all.
@@ -213,7 +213,7 @@ func TestSerializeExactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lossy.durSum[0] == 7 {
+	if lossy.acc[0].durSum == 7 {
 		t.Fatal("avg round trip unexpectedly exact; exact form redundant?")
 	}
 }

@@ -28,11 +28,10 @@ func Merge(tables []*Table) Merged {
 				term = int32(len(g.sigs))
 				g.bySig[key] = term
 				g.sigs = append(g.sigs, key)
-				g.count = append(g.count, 0)
-				g.durSum = append(g.durSum, 0)
+				g.acc = append(g.acc, acc{})
 			}
-			g.count[term] += t.count[old]
-			g.durSum[term] += t.durSum[old]
+			g.acc[term].count += t.acc[old].count
+			g.acc[term].durSum += t.acc[old].durSum
 			m[old] = term
 		}
 		relabels[r] = m

@@ -120,7 +120,7 @@ func TestDeserializeRejectsBadCounts(t *testing.T) {
 // hostile is a one-entry table: signature sig, count calls lasting dur
 // ns in all, as a hostile snapshot's exact form may claim.
 func hostile(sig string, count, dur int64) *Table {
-	return &Table{bySig: map[string]int32{sig: 0}, sigs: []string{sig}, count: []int64{count}, durSum: []int64{dur}}
+	return &Table{bySig: map[string]int32{sig: 0}, sigs: []string{sig}, acc: []acc{{count, dur}}}
 }
 
 // TestAbsorbRefusesOverflow: a fold whose merged count or duration sum
@@ -137,7 +137,7 @@ func TestAbsorbRefusesOverflow(t *testing.T) {
 			t.Fatalf("%s: first table: %v", name, err)
 		}
 		if _, err := global.Absorb(c.b); err == nil {
-			t.Errorf("%s: merged to %d calls lasting %d ns", name, global.count[0], global.durSum[0])
+			t.Errorf("%s: merged to %d calls lasting %d ns", name, global.acc[0].count, global.acc[0].durSum)
 		}
 	}
 	global := New()

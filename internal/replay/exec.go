@@ -123,7 +123,7 @@ func (st *Interp) call(c core.DecodedCall, a *args) error {
 		}
 	case mpispec.FCommSetName:
 		if cm := a.comm(0); a.ok() {
-			return p.CommSetName(cm, a.v[1].S)
+			return p.CommSetName(cm, a.v[1].Str())
 		}
 	case mpispec.FCommGetName:
 		if cm := a.comm(0); a.ok() {

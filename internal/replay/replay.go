@@ -207,7 +207,7 @@ func (st *Interp) preallocate(calls []core.DecodedCall) {
 			switch a.Sel {
 			case 0: // heap
 				// Extent estimate: offset + a generous payload bound.
-				need := a.Off + 1<<16
+				need := a.Off() + 1<<16
 				if segSize[a.I] < need {
 					segSize[a.I] = need
 				}
@@ -309,7 +309,7 @@ func (a *args) ptr(i int) mpi.Ptr {
 	switch v.Sel {
 	case 0:
 		if b := lookup(a, a.st.segs, i, "segment"); b != nil {
-			return b.Ptr(int(v.Off))
+			return b.Ptr(int(v.Off()))
 		}
 	case 1:
 		return lookup(a, a.st.stack, i, "stack")

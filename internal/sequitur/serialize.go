@@ -210,44 +210,82 @@ func (sg Serialized) MaxTerminal() int32 {
 	return m
 }
 
-// ruleOffsets indexes the serialized form in place: rule r's symbol
-// triples are sg[off[r]+1 : off[r+1]] (off[r] is its body-length slot).
-// Walk, InputLen and Expand read bodies through it instead of decoding
-// every rule into a slice of its own. sg must have passed Validate.
-func (sg Serialized) ruleOffsets() []int32 {
-	nRules := int(sg[0])
-	off := make([]int32, nRules+1)
-	p := 1
-	for r := 0; r < nRules; r++ {
-		off[r] = int32(p)
-		p += 1 + 3*int(sg[p])
+// index is a serialized grammar indexed in place for walking and
+// expanding it, in one []int64 of three per rule: off[r], where rule
+// r's body-length slot is in sg; size[r], the length rule r expands to
+// (saturating at MaxInt64; -1 until sizeOf computes it, and for a rule
+// the start rule does not reach); and first[r], where in an expansion
+// rule r was first expanded (-1: not yet). Walk, InputLen, Rules and
+// every expansion read bodies through it instead of decoding every
+// rule into a slice of its own. sg must have passed Validate.
+type index struct {
+	sg               Serialized
+	off, size, first []int64
+}
+
+// newIndex indexes sg's rules; sizes are left to sizeOf.
+func newIndex(sg Serialized) index {
+	n := int(sg[0])
+	s := make([]int64, 3*n)
+	x := index{sg: sg, off: s[:n:n], size: s[n : 2*n : 2*n], first: s[2*n:]}
+	p := int64(1)
+	for r := range n {
+		x.off[r], x.size[r], x.first[r] = p, -1, -1
+		p += 1 + 3*int64(sg[p])
 	}
-	off[nRules] = int32(p)
-	return off
+	return x
+}
+
+// body is rule r's symbol triples.
+func (x *index) body(r int) []int32 {
+	at := x.off[r] + 1
+	return x.sg[at : at+3*int64(x.sg[at-1])]
+}
+
+// sizeOf computes the length of rule r and of every rule it reaches,
+// bottom-up, and returns rule r's.
+func (x *index) sizeOf(r int) int64 {
+	if x.size[r] >= 0 {
+		return x.size[r]
+	}
+	x.size[r] = 0 // break cycles defensively; valid grammars are acyclic
+	var n int64
+	body := x.body(r)
+	for j := 0; j < len(body); j += 3 {
+		v, k := body[j], decExp(body[j+1], body[j+2])
+		if v < 0 {
+			k = satMul(k, x.sizeOf(int(-v-1)))
+		}
+		n = satAdd(n, k)
+	}
+	x.size[r] = n
+	return n
+}
+
+// walk yields rule r's terminal runs, times times over, until yield
+// returns false, and reports whether it did not.
+func (x *index) walk(r int, times int64, yield func(t int32, k int64) bool) bool {
+	body := x.body(r)
+	for i := int64(0); i < times; i++ {
+		for j := 0; j < len(body); j += 3 {
+			v, k := body[j], decExp(body[j+1], body[j+2])
+			if v < 0 {
+				if !x.walk(int(-v-1), k, yield) {
+					return false
+				}
+			} else if !yield(v, k) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Walk streams the uncompressed terminal sequence of a serialized
 // grammar without rebuilding the linked structure.
 func (sg Serialized) Walk(yield func(t int32, k int64) bool) {
-	off := sg.ruleOffsets()
-	var walk func(r int, times int64) bool
-	walk = func(r int, times int64) bool {
-		body := sg[off[r]+1 : off[r+1]]
-		for i := int64(0); i < times; i++ {
-			for j := 0; j < len(body); j += 3 {
-				v, k := body[j], decExp(body[j+1], body[j+2])
-				if v < 0 {
-					if !walk(int(-v-1), k) {
-						return false
-					}
-				} else if !yield(v, k) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(0, 1)
+	x := newIndex(sg)
+	x.walk(0, 1, yield)
 }
 
 // InputLen returns the uncompressed length generated by a serialized
@@ -256,37 +294,8 @@ func (sg Serialized) Walk(yield func(t int32, k int64) bool) {
 // expansions past int64, and a wrapped-negative length would slip
 // under every size cap downstream.
 func (sg Serialized) InputLen() int64 {
-	return sg.ruleSizes(sg.ruleOffsets())[0]
-}
-
-// ruleSizes returns the expanded length of the start rule and of every
-// rule reachable from it (-1 for the others), saturating at MaxInt64.
-func (sg Serialized) ruleSizes(off []int32) []int64 {
-	memo := make([]int64, len(off)-1)
-	for i := range memo {
-		memo[i] = -1
-	}
-	var size func(r int) int64
-	size = func(r int) int64 {
-		if memo[r] >= 0 {
-			return memo[r]
-		}
-		memo[r] = 0 // break cycles defensively; valid grammars are acyclic
-		var n int64
-		body := sg[off[r]+1 : off[r+1]]
-		for j := 0; j < len(body); j += 3 {
-			v, k := body[j], decExp(body[j+1], body[j+2])
-			if v < 0 {
-				n = satAdd(n, satMul(k, size(int(-v-1))))
-			} else {
-				n = satAdd(n, k)
-			}
-		}
-		memo[r] = n
-		return n
-	}
-	size(0)
-	return memo
+	x := newIndex(sg)
+	return x.sizeOf(0)
 }
 
 func satAdd(a, b int64) int64 {
@@ -318,51 +327,102 @@ func (sg Serialized) Expand(max int64) []int32 {
 
 // ExpandCapped is Expand for untrusted grammars: it returns the
 // uncompressed length n, and a nil sequence instead of a panic when n
-// exceeds max (max <= 0 disables the cap). The serialized form is
-// indexed once; the output is allocated at its final size and filled
-// in bulk: a terminal run is one fill, a rule's second and later
-// expansions (by reference or by exponent) are copies of its first.
+// exceeds max (max <= 0 disables the cap). It is ExpandEach of each
+// terminal itself.
 func (sg Serialized) ExpandCapped(max int64) (seq []int32, n int64) {
-	off := sg.ruleOffsets()
-	size := sg.ruleSizes(off)
-	n = size[0]
+	seq, n, _ = ExpandEach(sg, max, func(_ int64, t int32) (int32, error) { return t, nil })
+	return seq, n
+}
+
+// ExpandEach is the one expander of a serialized grammar: it returns
+// sg's uncompressed sequence with each terminal t resolved to
+// leaf(at, t), where at is its position, and the sequence's length n.
+// When n exceeds max (max <= 0 disables the cap) it returns a nil
+// sequence instead, and on leaf's first error that error.
+//
+// The grammar is indexed once, and the output allocated at its final
+// length and filled in bulk. leaf is called once per terminal of a rule
+// body, on the rule's first expansion, in increasing position, so the
+// first failing position is the first failing terminal's first
+// occurrence: a terminal run is one fill of what leaf gave, and a
+// rule's later expansions, by reference or by exponent, are copies of
+// its first.
+func ExpandEach[T any](sg Serialized, max int64, leaf func(at int64, t int32) (T, error)) ([]T, int64, error) {
+	x := newIndex(sg)
+	n := x.sizeOf(0)
 	if max > 0 && n > max {
-		return nil, n
+		return nil, n, nil
 	}
-	out := make([]int32, n)
-	first := make([]int64, len(size)) // where rule r was first expanded in out
-	for i := range first {
-		first[i] = -1
+	// out is returned from a variable of its own, not from e: returning
+	// e.out would let leaf, a closure, escape with e.
+	out := make([]T, n)
+	_, flat := any(out).([]int32)
+	e := expander[T]{index: x, out: out, leaf: leaf, flat: flat}
+	if err := e.fill(0, 0); err != nil {
+		return nil, n, err
 	}
-	var fill func(r int, pos int64)
-	fill = func(r int, pos int64) {
-		body := sg[off[r]+1 : off[r+1]]
-		for j := 0; j < len(body); j += 3 {
-			v, k := body[j], decExp(body[j+1], body[j+2])
-			if v >= 0 {
-				run := out[pos : pos+k]
-				for i := range run {
-					run[i] = v
-				}
-				pos += k
-				continue
+	return out, n, nil
+}
+
+// expander is one ExpandEach.
+type expander[T any] struct {
+	index
+	out  []T
+	leaf func(at int64, t int32) (T, error)
+	flat bool // T is int32
+}
+
+// dup copies src to dst. A T that may hold pointers is copied element
+// by element: that takes the compiler's write barrier per pointer,
+// where copy's bulk barrier walks the type of every element while the
+// GC marks. On a 2-core x86-64 VM, BenchmarkDecodeRank/stencil16x2000
+// read 6 % above the per-call gather this expansion replaced with copy
+// (median of 10 alternating pairs), and 5 % below, then level, element
+// by element. int32s, which hold none, copy faster by copy.
+func (e *expander[T]) dup(dst, src []T) int {
+	if e.flat {
+		return copy(dst, src)
+	}
+	n := min(len(dst), len(src))
+	for i := range n {
+		dst[i] = src[i]
+	}
+	return n
+}
+
+// fill expands rule r into out from pos, the rule's first expansion.
+func (e *expander[T]) fill(r int, pos int64) error {
+	body := e.body(r)
+	for j := 0; j < len(body); j += 3 {
+		v, k := body[j], decExp(body[j+1], body[j+2])
+		if v >= 0 {
+			t, err := e.leaf(pos, v)
+			if err != nil {
+				return err
 			}
-			ref := int(-v - 1)
-			one, all := size[ref], size[ref]*k
-			if at := first[ref]; at >= 0 {
-				copy(out[pos:pos+one], out[at:])
-			} else {
-				fill(ref, pos)
-				first[ref] = pos
+			run := e.out[pos : pos+k]
+			for i := range run {
+				run[i] = t
 			}
-			for done := one; done < all; {
-				done += int64(copy(out[pos+done:pos+all], out[pos:pos+done]))
-			}
-			pos += all
+			pos += k
+			continue
 		}
+		ref := int(-v - 1)
+		one, all := e.size[ref], e.size[ref]*k
+		if at := e.first[ref]; at >= 0 {
+			e.dup(e.out[pos:pos+one], e.out[at:])
+		} else {
+			if err := e.fill(ref, pos); err != nil {
+				return err
+			}
+			e.first[ref] = pos
+		}
+		for done := one; done < all; {
+			done += int64(e.dup(e.out[pos+done:pos+all], e.out[pos:pos+done]))
+		}
+		pos += all
 	}
-	fill(0, 0)
-	return out, n
+	return nil
 }
 
 // Sym is a decoded serialized grammar symbol: Val is a terminal id
@@ -377,10 +437,10 @@ type Sym struct {
 // (rule 0 is the start rule). Used by consumers that mirror the
 // grammar's structure, e.g. the mini-app source generator.
 func (sg Serialized) Rules() [][]Sym {
-	off := sg.ruleOffsets()
-	out := make([][]Sym, len(off)-1)
+	x := newIndex(sg)
+	out := make([][]Sym, len(x.off))
 	for r := range out {
-		body := sg[off[r]+1 : off[r+1]]
+		body := x.body(r)
 		out[r] = make([]Sym, len(body)/3)
 		for i := range out[r] {
 			out[r][i] = Sym{Val: body[3*i], Exp: decExp(body[3*i+1], body[3*i+2])}

@@ -10,15 +10,47 @@ import (
 
 // DecodedValue is one decoded signature field. Rank-like fields carry
 // their selector so consumers know whether I is a delta (selRel), an
-// absolute value (selAbs) or a special constant.
+// absolute value (selAbs) or a special constant. What only a heap
+// pointer or a string holds is behind Extra, nil for every other
+// field, which keeps a value 48 bytes on a 64-bit machine.
 type DecodedValue struct {
-	Kind mpispec.ParamKind
-	Sel  byte
-	I    int64
-	Off  uint64 // pointer displacement (heap pointers)
-	Dev  int64  // device id (heap pointers)
-	Arr  []DecodedValue
-	S    string
+	Kind  mpispec.ParamKind
+	Sel   byte
+	I     int64
+	Arr   []DecodedValue
+	Extra *Extra
+}
+
+// Extra is the rest of a heap pointer or a string field. A decoded
+// call's values may share one, which must not be modified.
+type Extra struct {
+	Off uint64 // pointer displacement (heap pointers)
+	Dev int64  // device id (heap pointers)
+	S   string // a string field's bytes
+}
+
+// Off is a heap pointer's displacement, and 0 for any other field.
+func (v DecodedValue) Off() uint64 {
+	if v.Extra == nil {
+		return 0
+	}
+	return v.Extra.Off
+}
+
+// Dev is a heap pointer's device id, and 0 for any other field.
+func (v DecodedValue) Dev() int64 {
+	if v.Extra == nil {
+		return 0
+	}
+	return v.Extra.Dev
+}
+
+// Str is a string field's value, and "" for any other field.
+func (v DecodedValue) Str() string {
+	if v.Extra == nil {
+		return ""
+	}
+	return v.Extra.S
 }
 
 // Resolve returns the absolute value of a rank-like field given the
@@ -124,17 +156,17 @@ func (v DecodedValue) String() string {
 	case mpispec.KPtr:
 		switch v.Sel {
 		case ptrHeap:
-			if v.Dev != 0 {
-				return fmt.Sprintf("seg%d+%d@dev%d", v.I, v.Off, v.Dev)
+			if v.Dev() != 0 {
+				return fmt.Sprintf("seg%d+%d@dev%d", v.I, v.Off(), v.Dev())
 			}
-			return fmt.Sprintf("seg%d+%d", v.I, v.Off)
+			return fmt.Sprintf("seg%d+%d", v.I, v.Off())
 		case ptrStack:
 			return fmt.Sprintf("stack%d", v.I)
 		default:
 			return "nil"
 		}
 	case mpispec.KString:
-		return fmt.Sprintf("%q", v.S)
+		return fmt.Sprintf("%q", v.Str())
 	case mpispec.KStatus:
 		if len(v.Arr) == 2 {
 			return fmt.Sprintf("{src=%s tag=%s}", v.Arr[0], v.Arr[1])

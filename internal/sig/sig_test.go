@@ -346,13 +346,13 @@ func TestMemoryPointerEncoding(t *testing.T) {
 	// Interior pointer into the first segment.
 	s := e.Encode(sendRec(0, 0x1000+128, 1, 0))
 	d, _ := Decode(s)
-	if d.Args[0].Sel != ptrHeap || d.Args[0].I != 0 || d.Args[0].Off != 128 {
+	if d.Args[0].Sel != ptrHeap || d.Args[0].I != 0 || d.Args[0].Off() != 128 {
 		t.Errorf("interior pointer decoded as %+v", d.Args[0])
 	}
 	// Device pointer.
 	s2 := e.Encode(sendRec(0, 0x2000, 1, 0))
 	d2, _ := Decode(s2)
-	if d2.Args[0].I != 1 || d2.Args[0].Dev != 1 {
+	if d2.Args[0].I != 1 || d2.Args[0].Dev() != 1 {
 		t.Errorf("device pointer decoded as %+v", d2.Args[0])
 	}
 	// Unknown (stack) address: conservative fallback.

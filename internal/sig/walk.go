@@ -66,7 +66,8 @@ func (w *walker) call() (Decoded, error) {
 }
 
 // field walks one field of kind into v. Only a walk that decodes
-// reads v; it allocates only the backing store of an array field.
+// reads v; it allocates only the backing store of an array field and
+// the Extra of a heap pointer or a string.
 func (w *walker) field(v *DecodedValue, kind mpispec.ParamKind) {
 	v.Kind = kind
 	switch kind {
@@ -114,7 +115,10 @@ func (w *walker) field(v *DecodedValue, kind mpispec.ParamKind) {
 		switch v.Sel = w.byte(); {
 		case w.err != nil:
 		case v.Sel == ptrHeap: // id, offset, device
-			v.I, v.Off, v.Dev = int64(w.uvarint()), w.uvarint(), int64(w.uvarint())
+			id, off, dev := int64(w.uvarint()), w.uvarint(), int64(w.uvarint())
+			if v.I = id; w.decodes() {
+				v.Extra = &Extra{Off: off, Dev: dev}
+			}
 		case v.Sel == ptrStack:
 			v.I = int64(w.uvarint())
 		case v.Sel != ptrNil:
@@ -128,7 +132,7 @@ func (w *walker) field(v *DecodedValue, kind mpispec.ParamKind) {
 			w.fail("truncated string")
 		default:
 			if w.decodes() {
-				v.S = strings.Clone(w.in[w.pos : w.pos+int(n)])
+				v.Extra = &Extra{S: strings.Clone(w.in[w.pos : w.pos+int(n)])}
 			}
 			w.pos += int(n)
 		}

@@ -15,6 +15,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
+	"slices"
+	"unsafe"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
@@ -267,7 +271,7 @@ func (br byteReader) cstSection(f *File) (CSTStorage, error) {
 	case cstTemplated:
 		if f.tmpl, err = untemplate(b); err == nil {
 			f.CST = f.tmpl.table
-			st.Form, st.Raw, st.Templates = "templated", f.CST.Bytes(), len(f.tmpl.tmpls)
+			st.Form, st.Raw, st.Templates = "templated", f.tmpl.raw, len(f.tmpl.tmpls)
 		}
 	default:
 		err = fmt.Errorf("trace: unknown CST selector %d", sel)
@@ -280,25 +284,39 @@ func (br byteReader) cstSection(f *File) (CSTStorage, error) {
 }
 
 // cstTemplates is a templated CST section as read: the table it
-// rebuilds, each template, walked and decoded once, at Read, and each
-// entry's template id and lifted row. DecodedSig decodes an entry by
-// filling its row into its template's pattern.
+// stores, each template, walked and decoded once, at Read, each
+// entry's template id and lifted row, and the bytes the table takes
+// raw. The table is read from these columns (cst.FromColumns): it
+// joins its signatures only on first use. DecodedSig decodes an entry
+// by filling its row into its template's pattern.
 type cstTemplates struct {
 	table  *cst.Table
 	tmpls  []sig.Template
 	tid    []int64
 	lifted []int64 // entry i's row is lifted[at[i]:at[i+1]]
 	at     []int
+	raw    int
 }
 
-// untemplate builds the table a templated section b stores, and
-// returns it with its templates and rows. It refuses a template
-// sig.ParseTemplate cannot walk, template ids out of range or not in
-// first-use order, a column of other than the ints the entries and
-// templates imply, more than maxCSTEntries entries or maxCSTSigBytes
-// signature bytes, and an entry cst.Table.AppendAverage refuses: a
-// duplicate signature, fewer than one call, or a duration sum past an
-// int64.
+// row is entry i's lifted values.
+func (t *cstTemplates) row(i int) []int64 { return t.lifted[t.at[i]:t.at[i+1]] }
+
+// join appends entry term's signature to dst.
+func (t *cstTemplates) join(dst []byte, term int32) []byte {
+	dst, _ = t.tmpls[t.tid[term]].Join(dst, t.row(int(term))) // untemplate sized every row to its template
+	return dst
+}
+
+// untemplate reads a templated section b into its templates, rows and
+// table. It refuses a template sig.ParseTemplate cannot walk, two equal
+// templates, template ids out of range or not in first-use order, a
+// column of other than the ints the entries and templates imply, more
+// than maxCSTEntries entries or maxCSTSigBytes signature bytes, two
+// entries of one template with equal rows, and an entry
+// cst.FromColumns refuses: fewer than one call, or a duration sum past
+// an int64. A signature is its template joined with its row, and
+// sig.Split takes it back apart, so distinct templates and distinct
+// rows of each are distinct signatures, as no table holds one twice.
 func untemplate(b []byte) (*cstTemplates, error) {
 	c := &cursor{b: b}
 	nt, err := c.uvarint()
@@ -310,6 +328,7 @@ func untemplate(b []byte) (*cstTemplates, error) {
 	}
 	// Each template, its length and the lifted values it takes.
 	tmpls, tsize, widths := make([]sig.Template, nt), make([]int, nt), make([]int, nt)
+	seen := make(map[string]int, nt)
 	for i := range tmpls {
 		l, err := c.uvarint()
 		if err != nil {
@@ -318,7 +337,12 @@ func untemplate(b []byte) (*cstTemplates, error) {
 		if l > uint64(len(b)-c.pos) {
 			return nil, fmt.Errorf("trace: truncated CST template %d", i)
 		}
-		if tmpls[i], err = sig.ParseTemplate(string(b[c.pos : c.pos+int(l)])); err != nil {
+		s := string(b[c.pos : c.pos+int(l)])
+		if j, dup := seen[s]; dup {
+			return nil, fmt.Errorf("trace: CST templates %d and %d are equal", j, i)
+		}
+		seen[s] = i
+		if tmpls[i], err = sig.ParseTemplate(s); err != nil {
 			return nil, fmt.Errorf("trace: CST template %d: %w", i, err)
 		}
 		tsize[i], widths[i] = int(l), tmpls[i].Lifts()
@@ -371,25 +395,61 @@ func untemplate(b []byte) (*cstTemplates, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &cstTemplates{table: cst.NewSized(int(n)), tmpls: tmpls, tid: tid, lifted: lifted, at: make([]int, n+1)}
-	var s []byte
+	t := &cstTemplates{tmpls: tmpls, tid: tid, lifted: lifted, at: make([]int, n+1), raw: uvarintLen(n)}
 	prev := newPrevRows(widths)
 	size = 0
 	for i, id := range tid {
 		t.at[i+1] = t.at[i] + lens[i]
-		row := lifted[t.at[i]:t.at[i+1]]
+		row := t.row(i)
 		prev.delta(id, row, &counts[i], &avgs[i], true)
-		if s, err = tmpls[id].Join(s[:0], row); err != nil {
-			return nil, err
+		l := tsize[id]
+		for _, v := range row {
+			l += varintLen(v)
 		}
-		if size += len(s); size > maxCSTSigBytes {
+		if size += l; size > maxCSTSigBytes {
 			return nil, fmt.Errorf("trace: templated CST rebuilds over %d signature bytes", size)
 		}
-		if err := t.table.AppendAverage(string(s), counts[i], avgs[i]); err != nil {
-			return nil, err
-		}
+		t.raw += uvarintLen(uint64(l)) + l + varintLen(counts[i]) + varintLen(avgs[i])
+	}
+	if err := t.distinct(); err != nil {
+		return nil, err
+	}
+	if t.table, err = cst.FromColumns(counts, avgs, t.join); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// distinct refuses two entries of one template with equal rows. It
+// hashes each entry's template id and row into an open-addressed
+// table of twice the entries, and compares rows only where the hashes
+// agree. The hash is seeded per call, so no file can be built to
+// collide.
+func (t *cstTemplates) distinct() error {
+	type slot struct {
+		h     uint32 // the hash's high half; its low bits pick the slot
+		entry int32  // entry + 1; 0 is empty
+	}
+	n := len(t.tid)
+	slots := make([]slot, 1<<bits.Len(uint(2*n)))
+	mask := uint64(len(slots) - 1)
+	seed := maphash.MakeSeed()
+	for i, id := range t.tid {
+		row := t.row(i)
+		h := maphash.Bytes(seed, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(row))), 8*len(row)))
+		h = (h ^ uint64(id)) * 0x9e3779b97f4a7c15
+		for j := h & mask; ; j = (j + 1) & mask {
+			s := &slots[j]
+			if s.entry == 0 {
+				*s = slot{uint32(h >> 32), int32(i + 1)}
+				break
+			}
+			if k := int(s.entry - 1); s.h == uint32(h>>32) && t.tid[k] == id && slices.Equal(t.row(k), row) {
+				return fmt.Errorf("trace: CST entries %d and %d are one signature", k, i)
+			}
+		}
+	}
+	return nil
 }
 
 // cursor reads a templated CST section.

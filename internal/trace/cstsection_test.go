@@ -110,13 +110,18 @@ func hostileTemplates(tb testing.TB) map[string][]byte {
 			s.tmpls = append(s.tmpls, splitTemplate(3))
 			s.cols[0] = []int64{1, 0, 0}
 		},
-		"template never used":        func(s *tmplSection) { s.tmpls = append(s.tmpls, splitTemplate(3)) },
-		"lifted values short":        func(s *tmplSection) { s.cols[1] = s.cols[1][:5] },
-		"lifted values long":         func(s *tmplSection) { s.cols[1] = append(s.cols[1], 1) },
-		"counts short":               func(s *tmplSection) { s.cols[2] = s.cols[2][:2] },
-		"run past the entries":       func(s *tmplSection) { s.enc[0], s.cols[0] = vecRowsRLE, []int64{0, 4} },
-		"run of none":                func(s *tmplSection) { s.enc[0], s.cols[0] = vecRowsRLE, []int64{0, 0, 0, 3} },
-		"rebuilt duplicate":          func(s *tmplSection) { s.cols[1] = []int64{0, 0, 0, 0, 1, 1} },
+		"template never used":  func(s *tmplSection) { s.tmpls = append(s.tmpls, splitTemplate(3)) },
+		"lifted values short":  func(s *tmplSection) { s.cols[1] = s.cols[1][:5] },
+		"lifted values long":   func(s *tmplSection) { s.cols[1] = append(s.cols[1], 1) },
+		"counts short":         func(s *tmplSection) { s.cols[2] = s.cols[2][:2] },
+		"run past the entries": func(s *tmplSection) { s.enc[0], s.cols[0] = vecRowsRLE, []int64{0, 4} },
+		"run of none":          func(s *tmplSection) { s.enc[0], s.cols[0] = vecRowsRLE, []int64{0, 0, 0, 3} },
+		"rebuilt duplicate":    func(s *tmplSection) { s.cols[1] = []int64{0, 0, 0, 0, 1, 1} },
+		"equal templates": func(s *tmplSection) { // entries 0 and 1 are one signature
+			s.tmpls = append(s.tmpls, s.tmpls[0])
+			s.cols[0], s.cols[1] = []int64{0, 1, 1}, []int64{0, 0, 0, 0, 1, 1}
+			s.cols[2], s.cols[3] = []int64{1, 1, 0}, []int64{10, 10, 0}
+		},
 		"count of zero":              func(s *tmplSection) { s.cols[2] = []int64{1, -1, 1} },
 		"duration sum overflows":     func(s *tmplSection) { s.cols[2], s.cols[3] = []int64{2, 0, 0}, []int64{math.MaxInt64, 0, 0} },
 		"unknown layout":             func(s *tmplSection) { s.enc[3] = vecColsRLE + 1 },

@@ -208,12 +208,13 @@ type File struct {
 	sigs     []atomic.Pointer[decodedSig]
 }
 
-// Entry is one CST entry decoded: its call, and the mean duration of
-// the calls that made it. A File holds one Entry per CST entry, which
-// every call naming that entry shares.
+// Entry is one CST entry decoded: its call, the mean duration of the
+// calls that made it, and its terminal. A File holds one Entry per CST
+// entry, which every call naming that entry shares.
 type Entry struct {
 	sig.Decoded
 	AvgDuration int64 // aggregated-mode mean duration for the signature
+	Term        int32 // the entry's CST terminal
 }
 
 // decodedSig is one CST entry's decode result, error included, so a
@@ -257,6 +258,15 @@ const maxCallsPerRank = 1 << 28
 // Terms expands rank r's grammar into its terminal sequence. The
 // expansion is the caller's own: it is O(calls) and not kept.
 func (f *File) Terms(rank int) ([]int32, error) {
+	return ExpandRank(f, rank, func(_ int64, term int32) (int32, error) { return term, nil })
+}
+
+// ExpandRank expands rank r's grammar into one T per call:
+// sequitur.ExpandEach, which calls leaf(i, term) for call i of CST
+// entry term once per terminal of a rule body, and copies the rest.
+// It fails with leaf's first error, and for a rank out of range, a
+// rank map that does not check, or a stream past maxCallsPerRank.
+func ExpandRank[T any](f *File, rank int, leaf func(call int64, term int32) (T, error)) ([]T, error) {
 	if rank < 0 || rank >= f.NumRanks {
 		return nil, fmt.Errorf("trace: rank %d out of range", rank)
 	}
@@ -264,21 +274,21 @@ func (f *File) Terms(rank int) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	terms, n := f.Grammars[idx[rank]].ExpandCapped(maxCallsPerRank)
+	out, n, err := sequitur.ExpandEach(f.Grammars[idx[rank]], maxCallsPerRank, leaf)
 	if n > maxCallsPerRank {
 		return nil, fmt.Errorf("trace: rank %d stream of %d calls exceeds the in-memory cap", rank, n)
 	}
-	return terms, nil
+	return out, err
 }
 
 // DecodedSig returns CST entry term decoded: sig.Decode of its
-// signature, with the entry's mean duration. Each entry is decoded once
-// per File, on first reference, from its template, which Read decoded
-// when it walked it, filled in with the entry's lifted values
-// (sig.Pattern); a CST stored raw, or built in memory, has one template
-// per entry, its whole signature, which takes none. The result — or the
-// decode error — is kept: every caller naming term gets the same
-// *Entry, which must not be modified.
+// signature, with the entry's mean duration and term itself. Each
+// entry is decoded once per File, on first reference, from its
+// template, which Read decoded when it walked it, filled in with the
+// entry's lifted values (sig.Pattern); a CST stored raw, or built in
+// memory, has one template per entry, its whole signature, which takes
+// none. The result — or the decode error — is kept: every caller naming
+// term gets the same *Entry, which must not be modified.
 func (f *File) DecodedSig(term int32) (*Entry, error) {
 	f.sigOnce.Do(func() {
 		f.sigs = make([]atomic.Pointer[decodedSig], f.CST.Len())
@@ -296,13 +306,13 @@ func (f *File) DecodedSig(term int32) (*Entry, error) {
 		var p sig.Pattern
 		var row []int64
 		if t := f.tmpl; t != nil {
-			p, row = t.tmpls[t.tid[term]].Pattern(), t.lifted[t.at[term]:t.at[term+1]]
+			p, row = t.tmpls[t.tid[term]].Pattern(), t.row(int(term))
 		} else {
 			p, e.err = sig.DecodeWhole(f.CST.SigString(term))
 		}
 		if e.err == nil {
 			e.e.Decoded, e.err = p.Fill(row)
-			e.e.AvgDuration = f.CST.AvgDuration(term)
+			e.e.AvgDuration, e.e.Term = f.CST.AvgDuration(term), term
 		}
 		e = publish(slot, e)
 	}
@@ -514,6 +524,9 @@ func intsLen(vs []int32) int { return framedLen(sequitur.IntsLen(vs)) }
 
 // uvarintLen is len(binary.AppendUvarint(nil, u)).
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// varintLen is len(binary.AppendVarint(nil, v)).
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // writePackable writes a grammar set behind a selector byte: as pack,
 // under flagPacked, if pack is non-nil, else raw.
