@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,18 +25,25 @@ import (
 // the payload spill of a bounded-memory run and as a recording
 // pilgrim-loadgen replays.
 
-// SyncMode is the journal's fsync policy.
+// SyncMode is the journal's fsync policy. Under every mode the journal
+// is a group commit: an accepted frame pair joins the pending buffer,
+// and one queued drain writes everything pending with one write(2).
 type SyncMode string
 
 const (
-	// SyncAlways fsyncs after every appended frame pair; the ack for a
-	// snapshot is not sent until its journal entry is durable.
+	// SyncAlways fsyncs once per drain, and each snapshot's ack waits
+	// for the fsync of the group its pair was written in: the ack is
+	// the durability receipt.
 	SyncAlways SyncMode = "always"
-	// SyncBatch (the default) fsyncs at most once per batchSyncInterval;
-	// a crash of the whole machine can lose the last interval's frames
-	// (a daemon crash alone loses nothing — the OS page cache survives).
+	// SyncBatch (the default) fsyncs at most once per
+	// batchSyncInterval. The ack leaves once the pair is pending, before
+	// its write(2): a daemon crash loses the acked pairs not yet
+	// written (the pending buffer and the one being written, each at
+	// most framelog.DefaultRunCap bytes and one pair), and a machine
+	// crash also the last interval's unsynced writes.
 	SyncBatch SyncMode = "batch"
-	// SyncOff never fsyncs; durability is whatever the OS provides.
+	// SyncOff never fsyncs. The ack leaves as under SyncBatch; what a
+	// machine crash keeps is whatever the OS wrote back.
 	SyncOff SyncMode = "off"
 )
 
@@ -55,9 +63,12 @@ func ParseSyncMode(s string) (SyncMode, error) {
 }
 
 // journal is one run's durable frame log. All file I/O happens on a
-// dedicated par.Queue worker, never under the server or run locks; the
-// queue's FIFO order preserves append order because entries are
-// enqueued under the run lock.
+// dedicated par.Queue worker, never under the server or run locks.
+// Appends join a pending buffer under the run lock, so file order is
+// append order, and at most one drain of that buffer is queued at a
+// time; the queue's FIFO order puts every other task (the finalize
+// commit, a read-back's barrier) after the drain of what was appended
+// before it.
 type journal struct {
 	dir     framelog.Dir
 	mode    SyncMode
@@ -71,10 +82,23 @@ type journal struct {
 
 	// nextOff is the file offset the next appended entry will land at.
 	// It is caller-synchronized, not atomic: every appendSnapshot for a
-	// journal runs under its run's r.mu, which is also what makes the
-	// queue's FIFO order match append order. Recovery primes it to the
+	// journal runs under its run's r.mu. Recovery primes it to the
 	// replayed file's intact length before reattaching.
 	nextOff int64
+
+	// The group commit, under mu: appendSnapshot adds to pend, and the
+	// drain takes all of it. queued is set while a drain is queued that
+	// has not taken pend yet, so pend is non-empty only then; room wakes
+	// an append that found framelog.DefaultRunCap bytes pending. group
+	// (SyncAlways) is closed once pend's drain has fsynced. spare is the
+	// last drained buffer, which the next drain hands back to pend.
+	mu         sync.Mutex
+	room       sync.Cond
+	pend       []byte
+	pendFrames int
+	spare      []byte
+	queued     bool
+	group      chan struct{}
 
 	// Queue-goroutine-owned state.
 	f     framelog.File // frames.jnl, appended to
@@ -98,6 +122,7 @@ type journal struct {
 // on the caller's goroutine.
 func newJournal(dir framelog.Dir, mode SyncMode, man framelog.Manifest, m *Metrics, sink *obs.Sink, logf func(string, ...any), fresh bool, lagWarn time.Duration, keep bool) *journal {
 	j := &journal{dir: dir, mode: mode, man: man, m: m, obs: sink, logf: logf, q: par.NewQueue(64), lagWarn: lagWarn, keep: keep}
+	j.room.L = &j.mu
 	j.q.Do(func() {
 		f, err := j.dir.Create(fresh)
 		if err != nil {
@@ -127,55 +152,102 @@ func (j *journal) writeManifestNow() {
 	}
 }
 
-// appendSnapshot enqueues one accepted snapshot's (Hello, Snapshot)
-// frame pair. It copies both into a private buffer first, so the
-// caller's scratch body can be reused immediately. The returned ref
+// appendSnapshot adds one accepted snapshot's (Hello, Snapshot) frame
+// pair to the pending buffer, copying both, so the caller's scratch
+// body can be reused immediately, and queues a drain unless one is
+// queued already. An append that finds framelog.DefaultRunCap bytes
+// pending first waits for the drain to take them. The returned ref
 // locates the entry in frames.jnl — valid because appends are
-// caller-ordered under r.mu — letting the bounded-memory
-// ingest path treat the journal as its payload spill. The returned
-// wait function is non-nil only under SyncAlways: the caller must
-// invoke it (outside any lock) before acking, and it blocks until the
-// entry is fsynced.
+// caller-ordered under r.mu — letting the bounded-memory ingest path
+// treat the journal as its payload spill. The returned wait function is
+// non-nil only under SyncAlways: the caller must invoke it (outside any
+// lock) before acking, and it blocks until the entry is fsynced.
 func (j *journal) appendSnapshot(h *wire.Hello, body []byte) (ref framelog.Ref, wait func()) {
-	entry := framelog.AppendPair(nil, h, body)
-	ref = framelog.Ref{Off: j.nextOff, Len: int64(len(entry))}
-	j.nextOff += ref.Len
-	var done chan struct{}
-	if j.mode == SyncAlways {
-		done = make(chan struct{})
+	j.mu.Lock()
+	for j.queued && len(j.pend) >= framelog.DefaultRunCap {
+		j.room.Wait()
 	}
-	ok := j.q.Do(func() {
-		if done != nil {
-			defer close(done)
+	n := len(j.pend)
+	j.pend = framelog.AppendPair(j.pend, h, body)
+	j.pendFrames++
+	ref = framelog.Ref{Off: j.nextOff, Len: int64(len(j.pend) - n)}
+	j.nextOff += ref.Len
+	if j.mode == SyncAlways && j.group == nil {
+		j.group = make(chan struct{})
+	}
+	g, enqueue := j.group, !j.queued
+	j.queued = true
+	j.mu.Unlock()
+	// Enqueued off j.mu, which the drain takes, and still under r.mu:
+	// a task queued after this append (a barrier, the finalize commit)
+	// runs after this drain.
+	if enqueue && !j.q.Do(j.drain) {
+		// Closed: nothing will write the pairs.
+		if _, _, g := j.take(); g != nil {
+			close(g)
 		}
-		if j.f == nil || j.broken.Load() {
-			return
-		}
-		asp := j.obs.Start("journal", "journal.append").
-			WithRun(j.man.RunID, -1, j.man.Epoch).WithAttr("bytes", int64(len(entry)))
-		if _, err := j.f.Write(entry); err != nil {
-			j.fail("append", err)
-			asp.WithStr("result", "error").End()
-			return
-		}
-		asp.End()
-		j.oldestDirty.CompareAndSwap(0, time.Now().UnixNano())
-		j.frames.Add(1)
-		j.bytes.Add(int64(len(entry)))
-		j.m.JournalFrames.Inc()
-		j.m.JournalBytes.Add(int64(len(entry)))
-		switch j.mode {
-		case SyncAlways:
-			j.fsyncNow()
-		case SyncBatch:
-			j.dirty = true
-			j.armFlush()
-		}
-	})
-	if !ok || done == nil {
 		return ref, nil
 	}
-	return ref, func() { <-done }
+	if g == nil {
+		return ref, nil
+	}
+	return ref, func() { <-g }
+}
+
+// take empties the pending buffer, releasing appends waiting for room
+// and returning what was pending; the caller must close group once the
+// pairs are durable (or dropped).
+func (j *journal) take() (buf []byte, frames int, group chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	buf, frames, group = j.pend, j.pendFrames, j.group
+	j.pend, j.pendFrames, j.group, j.queued = j.spare[:0], 0, nil, false
+	j.spare = nil
+	j.room.Broadcast()
+	return buf, frames, group
+}
+
+// drain writes everything pending with one write(2), fsyncing under
+// SyncAlways before it releases the group's acks. Queue goroutine only.
+func (j *journal) drain() {
+	buf, frames, group := j.take()
+	j.write(buf, frames)
+	if group != nil {
+		close(group)
+	}
+	if cap(buf) <= 2*framelog.DefaultRunCap { // a huge pair's buffer is not kept
+		j.mu.Lock()
+		j.spare = buf[:0]
+		j.mu.Unlock()
+	}
+}
+
+// write appends frames pairs, buf, to frames.jnl under one
+// journal.append span. Queue goroutine only.
+func (j *journal) write(buf []byte, frames int) {
+	if len(buf) == 0 || j.f == nil || j.broken.Load() {
+		return
+	}
+	asp := j.obs.Start("journal", "journal.append").WithRun(j.man.RunID, -1, j.man.Epoch).
+		WithAttr("bytes", int64(len(buf))).WithAttr("frames", int64(frames))
+	if _, err := j.f.Write(buf); err != nil {
+		j.fail("append", err)
+		asp.WithStr("result", "error").End()
+		return
+	}
+	asp.End()
+	j.oldestDirty.CompareAndSwap(0, time.Now().UnixNano())
+	j.frames.Add(int64(frames))
+	j.bytes.Add(int64(len(buf)))
+	j.m.JournalFrames.Add(int64(frames))
+	j.m.JournalBytes.Add(int64(len(buf)))
+	switch j.mode {
+	case SyncAlways:
+		j.fsyncNow()
+	case SyncBatch:
+		j.dirty = true
+		j.armFlush()
+	}
 }
 
 // fsyncNow flushes the frames file. Queue goroutine only.
@@ -246,34 +318,71 @@ func (j *journal) armFlush() {
 	}
 }
 
-// finalizeRun records the run's terminal state in the manifest and
-// drops the frames file — the finalized trace under OutDir is the
-// durable artifact now, and a restart re-registers the run from the
-// manifest alone. Ordered after every pending append by the queue.
-// Capture mode (KeepJournalFrames) skips the drop, fsyncing instead so
+// finalizeRun commits the finalized run, ordered after every pending
+// append by the queue. trace, when non-nil, is the trace file under
+// OutDir, already written and served to waiters: it is fsynced (unless
+// the sync mode is off) and closed first. Then the manifest records
+// the terminal state — the commit point — and the frames file is
+// dropped: the trace is the run's durable artifact now, and a restart
+// re-registers the run from the manifest alone. A trace that cannot be
+// made durable commits nothing: the manifest stays collecting and the
+// frames stay, so a restart replays them to the same trace. Capture
+// mode (KeepJournalFrames) keeps the frames, fsyncing them instead so
 // the retained recording is complete.
-func (j *journal) finalizeRun(state, reason string) {
-	j.q.Do(func() {
-		j.man.State = state
-		j.man.Reason = reason
-		j.writeManifestNow()
+func (j *journal) finalizeRun(state, reason string, trace framelog.File) {
+	ok := j.q.Do(func() {
+		j.mu.Lock()
+		j.spare = nil
+		j.mu.Unlock()
+		commit := trace == nil || j.syncTrace(trace)
+		if commit {
+			j.man.State = state
+			j.man.Reason = reason
+			j.writeManifestNow()
+		}
 		if j.f != nil {
-			if j.keep && j.dirty && j.mode != SyncOff {
+			if (j.keep || !commit) && j.dirty && j.mode != SyncOff {
 				j.fsyncNow()
 			}
 			j.f.Close()
 			j.f = nil
 		}
-		if j.keep {
+		if j.keep || !commit {
 			return
 		}
 		if err := j.dir.RemoveFrames(); err != nil {
 			j.fail("remove frames", err)
 		}
 	})
+	if !ok && trace != nil {
+		trace.Close()
+	}
 	// Drain and stop the worker off the finalize path; appends cannot
 	// arrive after finalize (ingest rejects non-collecting runs).
 	go j.q.Close()
+}
+
+// syncTrace fsyncs (unless the sync mode is off) and closes the run's
+// trace file, reporting whether it is as durable as the mode asks.
+// Queue goroutine only.
+func (j *journal) syncTrace(f framelog.File) bool {
+	var err error
+	if j.mode != SyncOff {
+		sp := j.obs.Start("journal", "journal.fsync").WithRun(j.man.RunID, -1, j.man.Epoch).WithStr("file", "trace")
+		if err = f.Sync(); err != nil {
+			sp = sp.WithStr("result", "error")
+		}
+		sp.End()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		j.m.JournalErrors.Inc()
+		j.logf("run %s: trace fsync: %v (manifest left collecting; a restart replays the frames)", j.man.RunID, err)
+		return false
+	}
+	return true
 }
 
 // close flushes and closes the journal gracefully (daemon shutdown:

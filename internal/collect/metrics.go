@@ -71,7 +71,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 
 		JournalFrames:         reg.Counter("pilgrim_collect_journal_frames_total", "snapshot frame pairs appended to run journals"),
 		JournalBytes:          reg.Counter("pilgrim_collect_journal_bytes_total", "run journal bytes appended, wire framing included"),
-		JournalFsyncs:         reg.Counter("pilgrim_collect_journal_fsyncs_total", "journal fsync calls issued (always: per frame; batch: per interval)"),
+		JournalFsyncs:         reg.Counter("pilgrim_collect_journal_fsyncs_total", "journal fsync calls issued (always: per group commit; batch: per interval)"),
 		JournalErrors:         reg.Counter("pilgrim_collect_journal_errors_total", "journals marked broken by an I/O error (run continues memory-only)"),
 		JournalReplayedFrames: reg.Counter("pilgrim_collect_journal_replayed_frames_total", "journaled snapshots replayed through ingest during startup recovery"),
 		JournalTornTails:      reg.Counter("pilgrim_collect_journal_torn_tails_total", "torn or corrupt journal tails truncated during recovery"),

@@ -358,16 +358,18 @@ func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
 	r.traceData = buf.Bytes()
 	r.traceLen = len(r.traceData)
 	r.doneAt = time.Now()
+	// The trace is written into the page cache and served before it is
+	// durable: its fsync is queued on the journal ahead of the manifest
+	// commit (finalizeRun), so waiters are not held for it, and a crash
+	// before the commit replays the frames to the same bytes.
+	var traceFile framelog.File
 	if s.cfg.OutDir != "" {
 		path := filepath.Join(s.cfg.OutDir, r.id+".pilgrim")
-		// When journaling, sync the trace before the journal's manifest
-		// flips to a terminal state and the frames are dropped — the
-		// trace file is the run's only durable artifact after that.
-		sync := r.journal != nil && s.cfg.JournalSync != SyncOff
-		if err := writeFileMaybeSync(path, r.traceData, sync); err != nil {
+		f, err := s.writeTrace(path, r.traceData)
+		if err != nil {
 			s.logf("run %s: write %s: %v", r.id, path, err)
 		} else {
-			r.tracePath = path
+			r.tracePath, traceFile = path, f
 		}
 	}
 	// Retention: with the trace safely on disk, the in-memory copy is a
@@ -383,7 +385,7 @@ func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
 		}
 	}
 	if r.journal != nil {
-		r.journal.finalizeRun(end.state(), r.reason)
+		r.journal.finalizeRun(end.state(), r.reason, traceFile)
 	}
 	s.collecting.Add(-1)
 	s.m.ActiveRuns.Add(-1)
@@ -395,21 +397,19 @@ func (s *Server) finalizeLocked(r *run, info *trace.SalvageInfo, werr error) {
 	close(r.done)
 }
 
-// writeFileMaybeSync writes path atomically enough for the journal's
-// purposes, fsyncing before close when sync is set.
-func writeFileMaybeSync(path string, data []byte, sync bool) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// writeTrace writes a run's trace to path on the collector's file
+// system and returns the file still open, for the journal to fsync and
+// close once waiters have it.
+func (s *Server) writeTrace(path string, data []byte) (framelog.File, error) {
+	f, err := s.fs.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, werr := f.Write(data)
-	if werr == nil && sync {
-		werr = f.Sync()
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return nil, err
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
+	return f, nil
 }
 
 // evictRun drops a finalized run's in-memory trace bytes; the on-disk

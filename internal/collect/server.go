@@ -586,10 +586,11 @@ func (s *Server) ingest(h *wire.Hello, body []byte, sc *wire.DecodeScratch, from
 	s.m.IngestSnapshots.Inc()
 	s.m.MergeBacklog.Add(1)
 	s.noteArrivalLocked(r, int64(len(body)), time.Now())
-	// Journal the accepted frame pair. The append is enqueued under
-	// r.mu (preserving order) but all file I/O runs on the journal's
-	// queue worker; under SyncAlways the ack below is withheld — via
-	// jwait, outside the lock — until the entry is fsynced.
+	// Journal the accepted frame pair. It joins the journal's pending
+	// buffer under r.mu (preserving order), and all file I/O runs on
+	// the journal's queue worker; under SyncAlways the ack below is
+	// withheld — via jwait, outside the lock — until the group commit
+	// that wrote the entry has fsynced.
 	var jwait func()
 	if r.journal != nil && !fromJournal {
 		jref, jwait = r.journal.appendSnapshot(h, body)

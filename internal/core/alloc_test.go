@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/metrics"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
+	"github.com/hpcrepro/pilgrim/internal/sequitur"
 )
 
 // stencilIteration is one time step of a 2-D halo exchange as the
@@ -94,3 +96,20 @@ func BenchmarkPostStencil(b *testing.B) {
 		tr.Post(recs[i%len(recs)])
 	}
 }
+
+// TestGrammarKeyOneAllocation: a grammar's map key is built in one
+// allocation, which the key keeps; equal grammars give equal keys and
+// a grammar one int off another key.
+func TestGrammarKeyOneAllocation(t *testing.T) {
+	g := sequitur.Serialized{1, 2, 5, 1, 0, -1, 1, 0}
+	if allocs := testing.AllocsPerRun(100, func() { keySink = grammarKey(g) }); allocs != 1 {
+		t.Fatalf("grammarKey allocates %.1f times, want 1", allocs)
+	}
+	other := slices.Clone(g)
+	other[2] = 6
+	if grammarKey(slices.Clone(g)) != grammarKey(g) || grammarKey(other) == grammarKey(g) {
+		t.Fatal("grammarKey does not follow the grammar's ints")
+	}
+}
+
+var keySink string

@@ -309,11 +309,14 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 	t1 := time.Now()
 	keys, shapeKeys, vecs := make([]string, n), make([]string, n), make([][]int32, n)
 	var durKeys, intKeys []string
-	par.For(n, w.workers, func(i int) {
-		keys[i] = grammarKey(relabeled[i])
-		var shape sequitur.Serialized
-		shape, vecs[i] = relabeled[i].Shape()
-		shapeKeys[i] = grammarKey(shape)
+	workers := min(w.workers, n)
+	par.For(workers, workers, func(k int) {
+		var shape sequitur.Serialized // only keyed: one buffer a worker
+		for i := k; i < n; i += workers {
+			keys[i] = grammarKey(relabeled[i])
+			shape, vecs[i] = relabeled[i].ShapeInto(shape)
+			shapeKeys[i] = grammarKey(shape)
+		}
 	})
 	if w.lossy {
 		durKeys, intKeys = make([]string, n), make([]string, n)

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/metrics"
@@ -595,6 +596,8 @@ func finalizeResident(snaps []*Snapshot, premerged *cst.Merged, cstMergeNs int64
 	return f, st
 }
 
+// grammarKey is g's ints as a string, a map key: one allocation, which
+// the string takes over.
 func grammarKey(g sequitur.Serialized) string {
 	b := make([]byte, len(g)*4)
 	for i, v := range g {
@@ -603,5 +606,5 @@ func grammarKey(g sequitur.Serialized) string {
 		b[i*4+2] = byte(v >> 16)
 		b[i*4+3] = byte(v >> 24)
 	}
-	return string(b)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }

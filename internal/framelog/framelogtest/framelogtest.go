@@ -17,6 +17,7 @@ var ErrInjected = errors.New("framelogtest: injected fault")
 const (
 	WriteFrames   = "write frames"   // an append to frames.jnl
 	WriteManifest = "write manifest" // the write of a manifest's temporary file
+	WriteOther    = "write other"    // a write to any other file on the FS, such as a collector's trace
 	Sync          = "sync"           // any fsync
 	Rename        = "rename"         // the rename that commits a manifest
 	Truncate      = "truncate"       // a torn-tail repair
@@ -57,9 +58,12 @@ func (f *FaultFS) OpenFile(name string, flag int) (framelog.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	write := WriteManifest
-	if filepath.Base(name) == framelog.FramesName {
+	write := WriteOther
+	switch filepath.Base(name) {
+	case framelog.FramesName:
 		write = WriteFrames
+	case framelog.ManifestName + ".tmp":
+		write = WriteManifest
 	}
 	return &faultFile{File: file, fs: f, write: write}, nil
 }

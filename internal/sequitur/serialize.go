@@ -155,14 +155,42 @@ func (sg Serialized) Relabel(mapping []int32) (Serialized, error) {
 	return out, nil
 }
 
+// RelabelsTo reports whether sg.Relabel(mapping) succeeds and equals
+// g, without building the relabeled grammar. sg must have passed
+// Validate.
+func (sg Serialized) RelabelsTo(mapping []int32, g Serialized) bool {
+	if len(sg) != len(g) {
+		return false
+	}
+	same := 0 // sg[same:p] holds no terminal, so must equal g there
+	p := 1
+	for r := int32(0); r < sg[0]; r++ {
+		end := p + 1 + 3*int(sg[p])
+		for p++; p < end; p += 3 {
+			if v := sg[p]; v >= 0 {
+				if int(v) >= len(mapping) || mapping[v] != g[p] || !slices.Equal(sg[same:p], g[same:p]) {
+					return false
+				}
+				same = p + 1
+			}
+		}
+	}
+	return slices.Equal(sg[same:], g[same:])
+}
+
 // Shape renames sg's terminals 0, 1, 2… by first occurrence in
 // serialization order. It returns the renamed grammar and vec, the
 // terminals it renamed in that order, so shape.Relabel(vec) is sg
 // again: grammars that differ only in which terminals they name share
 // a shape. sg must have passed Validate.
-func (sg Serialized) Shape() (shape Serialized, vec []int32) {
+func (sg Serialized) Shape() (shape Serialized, vec []int32) { return sg.ShapeInto(nil) }
+
+// ShapeInto is Shape writing the renamed grammar into buf's storage,
+// grown if it is too short, for a caller that only reads the shape
+// before its next call. vec is always new.
+func (sg Serialized) ShapeInto(buf Serialized) (shape Serialized, vec []int32) {
 	const scan = 16 // terminals a linear search of vec beats a map for
-	shape, vec = slices.Clone(sg), make([]int32, 0, scan)
+	shape, vec = append(buf[:0], sg...), make([]int32, 0, scan)
 	var index map[int32]int32 // once vec outgrows the scan
 	p := 1
 	for r := int32(0); r < shape[0]; r++ {

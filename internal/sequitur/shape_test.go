@@ -67,3 +67,46 @@ func TestShapeVectorOrder(t *testing.T) {
 		t.Fatal("1 2 1 2 3 3 has the shape of 7 8 7 8 9")
 	}
 }
+
+// TestShapeIntoAndRelabelsTo: ShapeInto gives Shape's result in the
+// buffer it is handed, and RelabelsTo agrees with Relabel then Equal,
+// for the grammar's own vector, a vector one terminal off, a short
+// vector and another grammar, without allocating.
+func TestShapeIntoAndRelabelsTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var buf Serialized
+	prev := mkSer([]int32{0})
+	for trial := 0; trial < 300; trial++ {
+		alphabet := 1 + rng.Intn(40)
+		seq := make([]int32, 1+rng.Intn(400))
+		for i := range seq {
+			seq[i] = int32(rng.Intn(alphabet))
+		}
+		g := mkSer(seq)
+		shape, vec := g.Shape()
+		var v []int32
+		buf, v = g.ShapeInto(buf)
+		if !slices.Equal(buf, shape) || !slices.Equal(v, vec) {
+			t.Fatalf("trial %d: ShapeInto differs from Shape", trial)
+		}
+		off := slices.Clone(vec)
+		off[rng.Intn(len(off))] += 1 + int32(rng.Intn(3))
+		for _, c := range []struct {
+			vec  []int32
+			want Serialized
+		}{{vec, g}, {off, g}, {vec[:len(vec)-1], g}, {vec, prev}} {
+			r, err := shape.Relabel(c.vec)
+			want := err == nil && slices.Equal(r, c.want)
+			if got := shape.RelabelsTo(c.vec, c.want); got != want {
+				t.Fatalf("trial %d: RelabelsTo says %v, Relabel then Equal %v", trial, got, want)
+			}
+		}
+		if !shape.RelabelsTo(vec, g) {
+			t.Fatalf("trial %d: a shape does not relabel to its grammar", trial)
+		}
+		if avg := testing.AllocsPerRun(10, func() { shape.RelabelsTo(vec, g) }); avg != 0 {
+			t.Fatalf("trial %d: RelabelsTo allocates %.1f times", trial, avg)
+		}
+		prev = g
+	}
+}

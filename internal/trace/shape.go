@@ -63,6 +63,7 @@ func (f *File) shaped() (*shapedSection, error) {
 	shapes, last, n := repShapes(f.Shape, f.Grammars)
 	d := make([]int32, 0, n)
 	var sorted []int32
+	var scratch sequitur.Serialized
 	for j, r := range f.Shape {
 		if r == -1 {
 			continue
@@ -71,7 +72,7 @@ func (f *File) shaped() (*shapedSection, error) {
 		if f.ShapeVecs != nil {
 			vec = f.ShapeVecs[j]
 		} else {
-			_, vec = f.Grammars[j].Shape()
+			scratch, vec = f.Grammars[j].ShapeInto(scratch)
 		}
 		// A vector of distinct terminals that relabels r's shape to the
 		// grammar is the one Shape gives it.
@@ -79,10 +80,7 @@ func (f *File) shaped() (*shapedSection, error) {
 		if ok {
 			sorted, ok = distinct(vec, sorted)
 		}
-		if ok {
-			g, err := shapes[r].Relabel(vec)
-			ok = err == nil && slices.Equal(g, f.Grammars[j])
-		}
+		ok = ok && shapes[r].RelabelsTo(vec, f.Grammars[j])
 		if !ok {
 			return nil, fmt.Errorf("trace: grammar %d does not have the shape of grammar %d", j, r)
 		}
