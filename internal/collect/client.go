@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/par"
 	"github.com/hpcrepro/pilgrim/internal/trace"
@@ -201,7 +202,7 @@ func (c *Client) Close() error {
 		// A bare hello: the collector feeds its estimator, then reads EOF.
 		h := c.hello(0)
 		h.Echo = e
-		_ = idle[0].SendFrame(wire.AppendFrame(nil, wire.TypeHello, h.Encode())) // best effort
+		_ = idle[0].SendFrame(wire.AppendHelloFrame(nil, h)) // best effort
 	}
 	for _, rc := range idle {
 		rc.Close()
@@ -270,7 +271,7 @@ func (c *Client) sendOnce(rank int, body []byte) error {
 		h.SpanID = spanID
 		h.Echo = c.takeEcho()
 		h.SendNs = time.Now().UnixNano() // T1 of this exchange
-		rc.wbuf = wire.AppendFrame(wire.AppendFrame(rc.wbuf[:0], wire.TypeHello, h.Encode()), wire.TypeSnapshot, body)
+		rc.wbuf = framelog.AppendPair(rc.wbuf[:0], h, body)
 		r, err := rc.roundTrip(wire.TypeAck)
 		ackRecvNs := time.Now().UnixNano() // T4 of this exchange
 		if err != nil {

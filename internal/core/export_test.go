@@ -8,3 +8,11 @@ func (t *Tracer) GrammarStats() sequitur.Stats {
 	defer t.mu.Unlock()
 	return t.cfg.Stats()
 }
+
+// SetCSTGrain sets the pending CST entries at which a walk hands them to
+// its templater, and returns what restores the grain.
+func SetCSTGrain(n int) (restore func()) {
+	old := cstGrain
+	cstGrain = n
+	return func() { cstGrain = old }
+}

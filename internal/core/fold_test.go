@@ -29,6 +29,13 @@ func skeletonSnapshots(t *testing.T, name string, opts core.Options) []*core.Sna
 	case "milc":
 		n, iters = 16, 1
 	}
+	return snapshotAll(traceSkeleton(t, name, n, iters, opts))
+}
+
+// traceSkeleton traces one internal/workloads skeleton on n ranks for
+// iters iterations and returns its tracers.
+func traceSkeleton(t *testing.T, name string, n, iters int, opts core.Options) []*core.Tracer {
+	t.Helper()
 	body, err := workloads.Get(name, iters, n)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +53,12 @@ func skeletonSnapshots(t *testing.T, name string, opts core.Options) []*core.Sna
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	snaps := make([]*core.Snapshot, n)
+	return tracers
+}
+
+// snapshotAll snapshots every tracer.
+func snapshotAll(tracers []*core.Tracer) []*core.Snapshot {
+	snaps := make([]*core.Snapshot, len(tracers))
 	for i, tr := range tracers {
 		snaps[i] = tr.Snapshot()
 	}

@@ -4,7 +4,8 @@
 // against it (§3.5.1), keys and deduplicates the grammars, and hands
 // the first grammar of each call grammar shape (DESIGN §4d) to the
 // Packer that runs the final Sequitur pass (§3.5.2) on its own
-// goroutine. The timing sections get no pass: trace deflates the body
+// goroutine; the global CST's new entries go to a templater on another
+// (DESIGN §4a). The timing sections get no pass: trace deflates the body
 // they end up in. The pack therefore
 // starts with the first batch, and the walk holds one batch of
 // snapshots at a time; what the caller keeps is its own affair. The
@@ -162,6 +163,15 @@ func (d *dedupState) finish() sequitur.Serialized {
 	return packed
 }
 
+// cstGrain is how many new global CST entries Add lets pend before it
+// hands them to the walk's templater (Walk.tmpl). A hand-off costs the
+// walk a queue send and, at the first, a goroutine: at a grain of 1,
+// stencil2d 16×2000's sixteen one-rank batches took 12 % longer to
+// finalize (0.128 → 0.143 ms, 4 of 4 pairs on a 2-core VM), while at
+// 128 its 41 entries never reach it and cg 4096×10's 8 135 go in about
+// 250 an Add of 128 ranks. Tests lower it.
+var cstGrain = 128
+
 // maxPresize bounds the entries the walk makes room for in the global
 // CST after its first batch, and so what a first batch that predicts
 // too many can cost: about 2 MiB of map.
@@ -174,8 +184,9 @@ const maxPresize = 1 << 16
 // GOMAXPROCS workers; every ordering-sensitive step (the fold, the
 // first-seen grammar dedup and the rank index append) runs in rank order
 // across Adds. The call section's final Sequitur pass runs beside the
-// walk, an Add behind it (dedupState.flush). A Walk is not safe for
-// concurrent use.
+// walk, an Add behind it (dedupState.flush), and so does the global
+// CST's templating once it has grown by cstGrain entries (handOff). A
+// Walk is not safe for concurrent use.
 type Walk struct {
 	world, next int
 	opts        Options
@@ -192,6 +203,16 @@ type Walk struct {
 	intState       *dedupState
 	rankIdx        []int32 // per rank, its call grammar's index
 	durIdx, intIdx []int32
+	batches        int // at most this many Adds, fetchGrain's
+
+	// The global CST templated beside the walk (trace.CSTTemplater):
+	// pending holds the signatures of the entries folded in since the
+	// last hand-off, and each hand-off splits them on tq's goroutine.
+	// tmpl and tq are nil until the first hand-off.
+	pending []string
+	handed  int // entries handed to tmpl so far
+	tmpl    *trace.CSTTemplater
+	tq      *par.Queue
 }
 
 // NewWalk starts a walk over world ranks. premerged, when non-nil, is a
@@ -217,12 +238,12 @@ func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *
 		return w // Finish returns the zero-rank result
 	}
 	batch, _ := opts.fetchGrain(world)
-	batches := (world + batch - 1) / batch
+	w.batches = (world + batch - 1) / batch
 	w.dsp = opts.ObsSink.Start("finalize", "finalize.dedup_pack").WithAttr("ranks", int64(world))
-	w.calls = newDedupState(world, batches, true)
+	w.calls = newDedupState(world, w.batches, true)
 	w.rankIdx = make([]int32, 0, world)
 	if w.lossy {
-		w.durState, w.intState = newDedupState(world, batches, false), newDedupState(world, batches, false)
+		w.durState, w.intState = newDedupState(world, w.batches, false), newDedupState(world, w.batches, false)
 		w.durIdx = make([]int32, 0, world)
 		w.intIdx = make([]int32, 0, world)
 	}
@@ -271,6 +292,7 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 		msp := w.opts.ObsSink.Start("finalize", "finalize.cst_merge").
 			WithAttr("start", int64(start)).WithAttr("ranks", int64(n))
 		relabels = make([][]int32, n)
+		before := w.global.Len()
 		for i, s := range snaps {
 			var err error
 			if relabels[i], err = w.global.Absorb(s.Table); err != nil {
@@ -285,6 +307,12 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 			// entry, the table's map rehashes at every doubling, which
 			// took 40 % of a 4 096-rank cg fold.
 			w.global.Grow(min(w.global.Len()*(w.world-n)/n, maxPresize))
+		}
+		for term := before; term < w.global.Len(); term++ {
+			w.pending = append(w.pending, w.global.SigString(int32(term)))
+		}
+		if len(w.pending) >= cstGrain && start+n < w.world {
+			w.handOff()
 		}
 	}
 	// Per-rank relabel against the global terminals (§3.5.1): each
@@ -338,20 +366,42 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 	return nil
 }
 
+// handOff hands the pending signatures to the templater's goroutine,
+// starting it at the first hand-off, under one finalize.cst_template
+// span. The strings are the table's own and immutable, so the goroutine
+// never touches the table, which Absorb keeps appending to.
+func (w *Walk) handOff() {
+	if w.tq == nil {
+		w.tmpl, w.tq = trace.NewCSTTemplater(0), par.NewQueue(w.batches)
+	}
+	tm, sink, sigs, from := w.tmpl, w.opts.ObsSink, w.pending, w.handed
+	w.pending, w.handed = nil, w.handed+len(sigs)
+	w.tq.Do(func() {
+		sp := sink.Start("finalize", "finalize.cst_template").
+			WithAttr("start_entry", int64(from)).WithAttr("entries", int64(len(sigs)))
+		tm.Split(sigs)
+		sp.WithAttr("templates", int64(tm.Templates())).End()
+	})
+}
+
 // Stop joins the Packer's goroutine once it has packed everything
-// flushed so far, without producing a trace, for a walk abandoned
-// before its last rank or on an error. Every return path calls it, so
-// an error leaves no goroutine behind; it is safe to call after Finish
-// and more than once.
+// flushed so far, and the templater's once it has split everything
+// handed off, without producing a trace, for a walk abandoned before
+// its last rank or on an error. Every return path calls it, so an error
+// leaves no goroutine behind; it is safe to call after Finish and more
+// than once.
 func (w *Walk) Stop() {
 	if w.calls != nil {
 		w.calls.queue.Close()
 	}
+	if w.tq != nil {
+		w.tq.Close()
+	}
 }
 
-// Finish waits for the Packer and returns the trace of the walked
-// ranks; info, when non-nil, tags it as a salvage. Every rank must have
-// been added.
+// Finish waits for the Packer and the templater, lays the trace of the
+// walked ranks out and returns it; info, when non-nil, tags it as a
+// salvage. Every rank must have been added.
 func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
 	if w.next != w.world {
 		w.Stop()
@@ -391,12 +441,30 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 		f.DurGrammars, f.DurIndex = w.durState.uniq, w.durIdx
 		f.IntGrammars, f.IntIndex = w.intState.uniq, w.intIdx
 	}
+	if w.tq != nil {
+		// What the last Adds left pending is split here, once the
+		// hand-offs are; the section is then built on the templater's
+		// goroutine while this one lays out every other section. The CST
+		// section, laid out last, waits for it.
+		w.tq.Barrier()
+		w.tmpl.Split(w.pending)
+		w.pending = nil
+		tm, g := w.tmpl, w.global
+		w.tq.Do(func() { tm.Section(g) })
+		f.CSTTemplater = tm
+	}
 	// The first write lays the File out, once; every later write, size
 	// and report reads that form.
 	bsp := w.opts.ObsSink.Start("finalize", "finalize.body").WithAttr("ranks", int64(w.world))
 	st.TraceBytes = f.SizeBytes()
 	body := f.BodyStorage()
-	bsp.WithAttr("raw_bytes", int64(body.Raw)).WithAttr("stored_bytes", int64(body.Stored)).End()
+	var waitNs int64
+	if f.CSTTemplater != nil {
+		waitNs = f.CSTTemplater.WaitNs()
+		w.tq.Close()
+	}
+	bsp.WithAttr("raw_bytes", int64(body.Raw)).WithAttr("stored_bytes", int64(body.Stored)).
+		WithAttr("cst_wait_ns", waitNs).End()
 	if c := w.opts.Collector; c != nil {
 		cstB, cfgB, durB, intB := f.SectionSizes()
 		c.RecordTraceSections(cstB, cfgB, durB, intB, st.TraceBytes,

@@ -298,3 +298,30 @@ func FuzzScan(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendPairInPlace: AppendPair encodes the hello into the frame in
+// place, so a pair appended into a buffer with room allocates nothing,
+// and its frames are AppendFrame's of the hello's Encode and the body,
+// for a version-1 hello and a version-2 one with every trailer field
+// set at its widest, the run id at its longest.
+func TestAppendPairInPlace(t *testing.T) {
+	body := wire.EncodeSnapshot(snapshot(3))
+	v2 := wire.Hello{
+		Version: wire.Version, RunID: strings.Repeat("r", wire.MaxRunID), WorldSize: wire.MaxWorldSize, Rank: wire.MaxWorldSize - 1,
+		Epoch: 1<<64 - 1, TimingMode: 1, TimingBase: -1.5,
+		SpanID: 1<<64 - 1, SendNs: -1 << 63, Echo: wire.ClockEcho{T1: -1 << 63, T2: 1<<63 - 1, T3: -1 << 63, T4: 1<<63 - 1},
+	}
+	for _, h := range []wire.Hello{{Version: 1, RunID: "v1", WorldSize: 6, Rank: 5, Epoch: 9, TimingBase: 1.2}, v2} {
+		want := wire.AppendFrame(wire.AppendFrame(nil, wire.TypeHello, h.Encode()), wire.TypeSnapshot, body)
+		if got := framelog.AppendPair([]byte("head"), &h, body); !bytes.Equal(got[4:], want) || string(got[:4]) != "head" {
+			t.Fatalf("version %d: AppendPair wrote %d bytes, not the %d of AppendFrame's pair", h.Version, len(got)-4, len(want))
+		}
+		if len(h.Encode()) > wire.MaxHelloLen(len(h.RunID)) {
+			t.Fatalf("version %d: a hello of %d bytes past MaxHelloLen %d", h.Version, len(h.Encode()), wire.MaxHelloLen(len(h.RunID)))
+		}
+		buf := make([]byte, 0, 2*len(want))
+		if n := testing.AllocsPerRun(100, func() { buf = framelog.AppendPair(buf[:0], &h, body) }); n != 0 {
+			t.Fatalf("version %d: AppendPair into a buffer with room allocates %v times", h.Version, n)
+		}
+	}
+}

@@ -19,12 +19,11 @@ const frameOverhead = 4 + 1 + 4
 
 // AppendPair appends one snapshot's (Hello, Snapshot) frame pair — the
 // exact bytes a producer puts on the wire — to dst, growing it at most
-// once.
+// once, and, into a buffer with room, allocating nothing: the hello is
+// encoded in place (wire.AppendHelloFrame).
 func AppendPair(dst []byte, h *wire.Hello, body []byte) []byte {
-	hb := h.Encode()
-	dst = slices.Grow(dst, 2*frameOverhead+len(hb)+len(body))
-	dst = wire.AppendFrame(dst, wire.TypeHello, hb)
-	return wire.AppendFrame(dst, wire.TypeSnapshot, body)
+	dst = slices.Grow(dst, 2*frameOverhead+wire.MaxHelloLen(len(h.RunID))+len(body))
+	return wire.AppendFrame(wire.AppendHelloFrame(dst, h), wire.TypeSnapshot, body)
 }
 
 // Create opens the directory's frames.jnl for appending, making the

@@ -18,6 +18,9 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
@@ -59,7 +62,7 @@ type CSTStorage struct {
 func (f *File) CSTStorage() CSTStorage {
 	st := f.form().cst
 	if st.Form == "raw" {
-		f.tmplOnce.Do(func() { _, f.templates = templateCST(f.CST) })
+		f.tmplOnce.Do(func() { _, f.templates = f.templated() })
 		st.Templates = f.templates
 	}
 	return st
@@ -68,15 +71,22 @@ func (f *File) CSTStorage() CSTStorage {
 // framedLen is the number of bytes writeBytes writes for n bytes.
 func framedLen(n int) int { return uvarintLen(uint64(n)) + n }
 
-// writeCST writes the CST section of t: templated, behind cstTemplated,
+// writeCST writes f's CST section: templated, behind cstTemplated,
 // when that takes fewer bytes than the raw table without a selector,
-// else raw behind cstRaw. It returns how t is stored, its templates
-// counted only if templated. The raw table is sized, and serialized only
-// when stored.
-func writeCST(w *bytes.Buffer, t *cst.Table) CSTStorage {
+// else raw behind cstRaw. It returns how the CST is stored, its
+// templates counted only if templated. The raw table is sized, and
+// serialized only when stored. How long it took to get the templated
+// section is f.CSTTemplater's WaitNs.
+func (f *File) writeCST(w *bytes.Buffer) CSTStorage {
+	t := f.CST
 	raw := t.Bytes()
 	st := CSTStorage{Form: "raw", Entries: t.Len(), Raw: raw, Stored: raw}
-	if tm, n := templateCST(t); tm != nil && 1+framedLen(len(tm)) < framedLen(raw) {
+	t0 := time.Now()
+	tm, n := f.templated()
+	if c := f.CSTTemplater; c != nil {
+		c.waitNs.Store(time.Since(t0).Nanoseconds())
+	}
+	if tm != nil && 1+framedLen(len(tm)) < framedLen(raw) {
 		st.Form, st.Templates, st.Stored = "templated", n, len(tm)
 		w.WriteByte(cstTemplated)
 		writeBytes(w, tm)
@@ -87,60 +97,155 @@ func writeCST(w *bytes.Buffer, t *cst.Table) CSTStorage {
 	return st
 }
 
+// templated is f's CST templated (see CSTTemplater.Section): by
+// f.CSTTemplater when it split exactly the table's entries, else from
+// scratch.
+func (f *File) templated() ([]byte, int) {
+	if c := f.CSTTemplater; c != nil && c.Len() == f.CST.Len() {
+		return c.Section(f.CST)
+	}
+	return templateCST(f.CST)
+}
+
 // templateCST is t's templated section and its template count, or nil
-// and 0 when an entry does not split or t exceeds the caps.
+// and 0 when an entry does not split or t exceeds the caps: a
+// CSTTemplater run over every entry.
 func templateCST(t *cst.Table) ([]byte, int) {
 	n := t.Len()
 	if n > maxCSTEntries {
 		return nil, 0
 	}
-	byTmpl := make(map[string]int64, min(n, 1024)) // a small table's never grows
-	var tmpls []string
-	var widths []int // lifted values per template
-	tid, starts := make([]int64, n), make([]int, n+1)
-	lifted := make([]int64, 0, 4*n) // every entry's lifted values, in entry order
-	var buf []byte
-	size := 0
+	c := NewCSTTemplater(n)
 	for i := range n {
-		s := t.SigString(int32(i))
-		if size += len(s); size > maxCSTSigBytes {
-			return nil, 0
-		}
-		starts[i] = len(lifted)
-		var err error
-		if buf, lifted, err = sig.Split(s, buf[:0], lifted); err != nil {
-			return nil, 0
-		}
-		id, ok := byTmpl[string(buf)]
-		if !ok {
-			id = int64(len(tmpls))
-			tmpls = append(tmpls, string(buf))
-			widths = append(widths, len(lifted)-starts[i])
-			byTmpl[tmpls[id]] = id
-		}
-		tid[i] = id
+		c.split(t.SigString(int32(i)))
 	}
-	starts[n] = len(lifted)
+	return c.Section(t)
+}
+
+// CSTTemplater templates a CST entry by entry, in entry order, so that
+// a table that only grows by appending (the finalize walk's global CST,
+// DESIGN §4a) can be templated while it grows: Split splits each new
+// entry's signature (sig.Split) into its template and lifted values,
+// and Section builds the templated section from the table's final
+// counts and average durations once every entry is split. An entry
+// that does not split, or an entry or a signature byte past the caps,
+// leaves the table not templated, and the writer stores it raw. Split
+// is not safe for concurrent use; Section and WaitNs are.
+type CSTTemplater struct {
+	byTmpl map[string]int64
+	tmpls  []string
+	widths []int   // lifted values per template
+	tid    []int64 // per entry, its template's id
+	at     []int   // entry i's lifted values are lifted[at[i]:at[i+1]]
+	lifted []int64 // every entry's lifted values, in entry order
+	buf    []byte
+	n      int  // entries split
+	size   int  // their signature bytes
+	failed bool // an entry did not split, or the caps were crossed
+
+	once   sync.Once // Section's
+	sec    []byte
+	ntmpl  int
+	waitNs atomic.Int64 // how long the writer waited for the section
+}
+
+// NewCSTTemplater returns a templater with room for about n entries.
+func NewCSTTemplater(n int) *CSTTemplater {
+	return &CSTTemplater{
+		byTmpl: make(map[string]int64, min(n, 1024)), // a small table's never grows
+		tid:    make([]int64, 0, n),
+		at:     append(make([]int, 0, n+1), 0),
+		lifted: make([]int64, 0, 4*n),
+	}
+}
+
+// Split splits the signatures of the entries that follow the last
+// Split's, in entry order.
+func (c *CSTTemplater) Split(sigs []string) {
+	for _, s := range sigs {
+		c.split(s)
+	}
+}
+
+// split splits the next entry's signature s.
+func (c *CSTTemplater) split(s string) {
+	c.n++
+	if c.failed {
+		return
+	}
+	c.size += len(s)
+	var err error
+	if c.n <= maxCSTEntries && c.size <= maxCSTSigBytes {
+		c.buf, c.lifted, err = sig.Split(s, c.buf[:0], c.lifted)
+	}
+	if c.n > maxCSTEntries || c.size > maxCSTSigBytes || err != nil {
+		// Not templated: nothing split is needed any more.
+		*c = CSTTemplater{n: c.n, failed: true}
+		return
+	}
+	id, ok := c.byTmpl[string(c.buf)]
+	if !ok {
+		id = int64(len(c.tmpls))
+		c.tmpls = append(c.tmpls, string(c.buf))
+		c.widths = append(c.widths, len(c.lifted)-c.at[len(c.at)-1])
+		c.byTmpl[c.tmpls[id]] = id
+	}
+	c.tid = append(c.tid, id)
+	c.at = append(c.at, len(c.lifted))
+}
+
+// Len is the number of entries split.
+func (c *CSTTemplater) Len() int { return c.n }
+
+// Templates is the number of unique templates among the entries split,
+// 0 once the table is not templated.
+func (c *CSTTemplater) Templates() int { return len(c.tmpls) }
+
+// WaitNs is how long the trace's writer took to get the section: what
+// it waited for Section, or, when c did not split exactly its CST's
+// entries, how long templating that from scratch took. It is 0 until
+// the writer has written the CST.
+func (c *CSTTemplater) WaitNs() int64 { return c.waitNs.Load() }
+
+// Section returns the templated section of t, whose entries c split,
+// and its template count, or nil and 0 when an entry did not split, t
+// exceeds the caps or c did not split exactly t's entries. The first
+// call builds it from t's counts and average durations, which must be
+// final by then; every other call, on any goroutine, waits for that one
+// and returns what it built.
+func (c *CSTTemplater) Section(t *cst.Table) ([]byte, int) {
+	c.once.Do(func() {
+		if !c.failed && c.n == t.Len() {
+			c.sec, c.ntmpl = c.build(t)
+		}
+	})
+	return c.sec, c.ntmpl
+}
+
+// build lays the section out: the templates, the entry count, and the
+// four columns, the last three delta-coded per template.
+func (c *CSTTemplater) build(t *cst.Table) ([]byte, int) {
+	n, lifted := len(c.tid), c.lifted
 	lens, counts, avgs := make([]int, n), make([]int64, n), make([]int64, n)
-	prev := newPrevRows(widths)
-	for i, id := range tid {
-		lens[i], counts[i], avgs[i] = starts[i+1]-starts[i], t.Count(int32(i)), t.AvgDuration(int32(i))
-		prev.delta(id, lifted[starts[i]:starts[i+1]], &counts[i], &avgs[i], false)
+	prev := newPrevRows(c.widths)
+	for i, id := range c.tid {
+		lens[i], counts[i], avgs[i] = c.at[i+1]-c.at[i], t.Count(int32(i)), t.AvgDuration(int32(i))
+		prev.delta(id, lifted[c.at[i]:c.at[i+1]], &counts[i], &avgs[i], false)
 	}
-	b := binary.AppendUvarint(nil, uint64(len(tmpls)))
-	for _, s := range tmpls {
+	b := binary.AppendUvarint(nil, uint64(len(c.tmpls)))
+	for _, s := range c.tmpls {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
 	b = binary.AppendUvarint(b, uint64(n))
-	b = appendColumn(b, tid, nil, nil)
-	order := byTemplate(tid, len(tmpls))
-	if len(tmpls) == n { // every entry has a template of its own: the orders agree
+	b = appendColumn(b, c.tid, nil, nil)
+	order := byTemplate(c.tid, len(c.tmpls))
+	if len(c.tmpls) == n { // every entry has a template of its own: the orders agree
 		order = nil
 	}
 	b = appendColumn(b, lifted, lens, order)
 	b = appendColumn(b, counts, nil, order)
-	return appendColumn(b, avgs, nil, order), len(tmpls)
+	return appendColumn(b, avgs, nil, order), len(c.tmpls)
 }
 
 // appendColumn appends column d, of rows of lengths lens (nil: one int

@@ -372,3 +372,117 @@ func TestDecodedSigMatchesDecode(t *testing.T) {
 		t.Fatalf("CST replaced after Read: %v", err)
 	}
 }
+
+// inGrains feeds a templater t's entries in grains of g.
+func inGrains(t *cst.Table, g int) *CSTTemplater {
+	c := NewCSTTemplater(0)
+	for at := 0; at < t.Len(); at += g {
+		sigs := make([]string, 0, g)
+		for i := at; i < min(at+g, t.Len()); i++ {
+			sigs = append(sigs, t.SigString(int32(i)))
+		}
+		c.Split(sigs)
+	}
+	return c
+}
+
+// TestCSTTemplaterInGrains: a templater fed a table's entries in grains
+// of any size, as the finalize walk feeds it, builds the section
+// templateCST builds, on the CST of every checked-in trace and a table
+// of Comm_split entries; with an entry that does not split, anywhere,
+// or with a cap crossed, at the grain's first entry or within it, it
+// builds none, and a File carrying it stores the CST raw. A File whose
+// templater covers other than its CST's entries templates it from
+// scratch.
+func TestCSTTemplaterInGrains(t *testing.T) {
+	tables := []*cst.Table{templatedFile(t).CST}
+	for _, pat := range []string{"../../testdata/golden/*.pilgrim", "testdata/v*/*.pilgrim"} {
+		paths, err := filepath.Glob(pat)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: %d traces (%v)", pat, len(paths), err)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, readTB(t, data).CST)
+		}
+	}
+	templated := 0
+	for i, tb := range tables {
+		want, wantN := templateCST(tb)
+		if want != nil {
+			templated++
+		}
+		for _, g := range []int{1, 5, 128, tb.Len() + 1} {
+			c := inGrains(tb, g)
+			if got, n := c.Section(tb); c.Len() != tb.Len() || !bytes.Equal(got, want) || n != wantN || c.Templates() != n {
+				t.Fatalf("table %d in grains of %d: %d entries split, a %d-byte section of %d templates (%d counted), from scratch %d of %d",
+					i, g, c.Len(), len(got), n, c.Templates(), len(want), wantN)
+			}
+		}
+	}
+	if templated == 0 {
+		t.Fatalf("none of %d tables templates", len(tables))
+	}
+
+	for _, at := range []int{0, 7, 16} {
+		f := templatedFile(t)
+		tb := cst.New()
+		for i := range 16 {
+			if i == at {
+				tb.Add([]byte("sigZ"), 1)
+			}
+			tb.Add(f.CST.Sig(int32(i)), f.CST.AvgDuration(int32(i)))
+		}
+		if at == 16 {
+			tb.Add([]byte("sigZ"), 1)
+		}
+		for _, g := range []int{1, 4, 17} {
+			f.CST, f.CSTTemplater = tb, inGrains(tb, g)
+			if sec, n := f.CSTTemplater.Section(tb); sec != nil || n != 0 || f.CSTTemplater.Len() != 17 {
+				t.Fatalf("sigZ at %d, grains of %d: a %d-byte section of %d templates over %d entries", at, g, len(sec), n, f.CSTTemplater.Len())
+			}
+			if st := f.CSTStorage(); st.Form != "raw" {
+				t.Fatalf("sigZ at %d, grains of %d: the CST stored %+v", at, g, st)
+			}
+		}
+	}
+
+	sigs := make([]string, 16)
+	for i := range sigs {
+		sigs[i] = string(splitSig(int64(i), 0, 2))
+	}
+	for _, c := range []struct {
+		name    string
+		n, size int // where the templater stands before the last grain
+	}{
+		{"entries at the grain's first", maxCSTEntries, 0},
+		{"entries within the grain", maxCSTEntries - 3, 0},
+		{"signature bytes at the grain's first", 0, maxCSTSigBytes - len(sigs[0]) + 1},
+		{"signature bytes within the grain", 0, maxCSTSigBytes - 3*len(sigs[0])},
+	} {
+		tm := NewCSTTemplater(0)
+		tm.Split(sigs[:4])
+		tm.n, tm.size = c.n, c.size
+		tm.Split(sigs[4:])
+		if !tm.failed || tm.Templates() != 0 || tm.Len() != c.n+12 {
+			t.Fatalf("%s crossed: failed %v, %d templates, %d entries", c.name, tm.failed, tm.Templates(), tm.Len())
+		}
+	}
+
+	f := templatedFile(t)
+	want := serialize(t, templatedFile(t))
+	short := inGrains(f.CST, 3)
+	f.CSTTemplater = short
+	f.CST.Add(splitSig(9, 9, 9), 1) // the table grew past what short split
+	want2 := templatedFile(t)
+	want2.CST.Add(splitSig(9, 9, 9), 1)
+	if got := serialize(t, f); !bytes.Equal(got, serialize(t, want2)) || bytes.Equal(got, want) {
+		t.Fatal("a templater short of the CST's entries was written")
+	}
+	if sec, _ := short.Section(f.CST); sec != nil {
+		t.Fatalf("a templater short of the table built a %d-byte section", len(sec))
+	}
+}

@@ -150,6 +150,12 @@ type File struct {
 
 	CST *cst.Table
 
+	// CSTTemplater, if non-nil, is CST templated entry by entry as it
+	// grew (the finalize walk's), which the writer takes the templated
+	// section from when it split exactly CST's entries, instead of
+	// templating the table from scratch.
+	CSTTemplater *CSTTemplater
+
 	// Grammars holds the unique per-rank grammars after the identity
 	// dedup of §3.5.2; RankMap holds, per rank, the index of its grammar
 	// in Grammars.
@@ -453,24 +459,31 @@ func (f *File) calls(sec *shapedSection) []sequitur.Serialized {
 // call section (see writeCalls) with the rank map, the timing sets raw
 // with their indices (see writeIndex), and the salvage section if there
 // is one. It records in s the offsets from the body's start at which
-// the first four end, and how the CST and the indices are stored.
+// the first four end, and how the CST and the indices are stored. The
+// sections after the CST's are laid out first, as the CST section may
+// still be being built beside the layout (see CSTTemplater).
 func (f *File) writeBody(w *bytes.Buffer, sec *shapedSection, s *form) {
-	at := w.Len()
-	s.cst = writeCST(w, f.CST)
-	s.ends[0] = w.Len() - at
-	f.writeCalls(w, sec, storedPack(f.calls(sec), f.Packed))
-	s.index[rankMapIndex] = writeIndex(w, rankMapIndex, f.RankMap, f.NumRanks, len(f.Grammars))
-	s.ends[1] = w.Len() - at
-	writePackable(w, f.DurGrammars, nil)
-	s.index[durIndex] = writeIndex(w, durIndex, f.DurIndex, f.NumRanks, len(f.DurGrammars))
-	s.ends[2] = w.Len() - at
-	writePackable(w, f.IntGrammars, nil)
-	s.index[intIndex] = writeIndex(w, intIndex, f.IntIndex, f.NumRanks, len(f.IntGrammars))
-	s.ends[3] = w.Len() - at
+	var rest bytes.Buffer
+	f.writeCalls(&rest, sec, storedPack(f.calls(sec), f.Packed))
+	s.index[rankMapIndex] = writeIndex(&rest, rankMapIndex, f.RankMap, f.NumRanks, len(f.Grammars))
+	s.ends[1] = rest.Len()
+	writePackable(&rest, f.DurGrammars, nil)
+	s.index[durIndex] = writeIndex(&rest, durIndex, f.DurIndex, f.NumRanks, len(f.DurGrammars))
+	s.ends[2] = rest.Len()
+	writePackable(&rest, f.IntGrammars, nil)
+	s.index[intIndex] = writeIndex(&rest, intIndex, f.IntIndex, f.NumRanks, len(f.IntGrammars))
+	s.ends[3] = rest.Len()
 	if f.Salvage != nil {
-		w.WriteByte(1)
-		writeBytes(w, f.Salvage.serialize())
+		rest.WriteByte(1)
+		writeBytes(&rest, f.Salvage.serialize())
 	}
+	at := w.Len()
+	s.cst = f.writeCST(w)
+	s.ends[0] = w.Len() - at
+	for i := 1; i < len(s.ends); i++ {
+		s.ends[i] += s.ends[0]
+	}
+	w.Write(rest.Bytes())
 }
 
 func (s *SalvageInfo) serialize() []byte {

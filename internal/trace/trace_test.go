@@ -364,7 +364,7 @@ func TestMagicVersionsOrderAsNumbers(t *testing.T) {
 	tb := cst.New()
 	tb.Add([]byte("sig"), 5)
 	var sec bytes.Buffer
-	writeCST(&sec, tb)
+	(&File{CST: tb}).writeCST(&sec)
 	writeIndex(&sec, rankMapIndex, []int32{0, 0, 0, 0}, 4, 1)
 	br := byteReader{r: bytes.NewReader(sec.Bytes()), v: version("PILGRIM10")}
 	var f File

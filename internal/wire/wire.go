@@ -63,11 +63,23 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // reused buffer puts a whole exchange on the wire with a single Write.
 // The caller bounds len(body) by MaxFrame (WriteFrame checks it).
 func AppendFrame(dst []byte, typ byte, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, typ)
-	crc := crc32.Update(crc32.Checksum(dst[len(dst)-1:], crcTable), crcTable, body)
-	dst = append(dst, body...)
-	return binary.LittleEndian.AppendUint32(dst, crc)
+	at := len(dst)
+	return sealFrame(append(append(dst, 0, 0, 0, 0, typ), body...), at)
+}
+
+// AppendHelloFrame appends h's hello frame to dst, as AppendFrame of
+// h.Encode() does, with the body encoded in place.
+func AppendHelloFrame(dst []byte, h *Hello) []byte {
+	at := len(dst)
+	return sealFrame(h.Append(append(dst, 0, 0, 0, 0, TypeHello)), at)
+}
+
+// sealFrame completes the frame at dst[at:], its length left zero and
+// its type and body in place: it writes the length and appends the
+// CRC32C of the type and the body.
+func sealFrame(dst []byte, at int) []byte {
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-5))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[at+4:], crcTable))
 }
 
 // SplitFrame parses the frame at the head of b in place, the mirror of
@@ -286,10 +298,17 @@ type Hello struct {
 	Echo   ClockEcho // previously completed exchange; zero when absent
 }
 
-// Encode serializes the hello body.
-func (h *Hello) Encode() []byte {
-	// Room for every field at its widest, so the body is one allocation.
-	b := make([]byte, 0, len(h.RunID)+96)
+// MaxHelloLen is the most bytes the body of a hello DecodeHello accepts
+// takes with a run id of n bytes, every other field at its widest:
+// AppendHelloFrame into a buffer with this and the framing's 9 bytes
+// free does not grow it.
+func MaxHelloLen(n int) int { return n + 96 }
+
+// Encode serializes the hello body, in one allocation.
+func (h *Hello) Encode() []byte { return h.Append(make([]byte, 0, MaxHelloLen(len(h.RunID)))) }
+
+// Append appends the hello body to b.
+func (h *Hello) Append(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(h.Version))
 	b = binary.AppendUvarint(b, uint64(len(h.RunID)))
 	b = append(b, h.RunID...)
