@@ -13,7 +13,10 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/collect"
@@ -25,6 +28,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/sig"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
@@ -265,8 +269,8 @@ func BenchmarkEncoderSend(b *testing.B) {
 }
 
 // BenchmarkTracerPost is one repeated record through the whole
-// interception path, the timed call in 16.5 included. ROADMAP item 2's
-// target is at most 200 ns/op; about 105 here.
+// interception path, the timed call in 16.5 included: the Fig 7
+// per-call cost, ROADMAP item 8. About 90 ns/op on a 2-core VM.
 func BenchmarkTracerPost(b *testing.B) {
 	tr := pilgrim.NewTracer(0, nil, pilgrim.Options{})
 	tr.MemAlloc(0x1000, 1<<16, 0)
@@ -288,8 +292,8 @@ func BenchmarkTracerPost(b *testing.B) {
 // collector attached. Only a timed call knows about the collector: it
 // takes three more clock reads for the stage histograms and brings the
 // call counters up to date. The delta between the two benchmarks is
-// that, spread over 16.5 calls; ROADMAP item 2's target is at most
-// 50 ns, about 5 here.
+// that, spread over 16.5 calls: what a collector adds to ROADMAP item
+// 8's per-call cost, about 5 ns on a 2-core VM.
 func BenchmarkTracerPostMetrics(b *testing.B) {
 	tr := pilgrim.NewTracer(0, nil, pilgrim.Options{Collector: pilgrim.NewMetricsCollector()})
 	tr.MemAlloc(0x1000, 1<<16, 0)
@@ -304,6 +308,61 @@ func BenchmarkTracerPostMetrics(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Post(rec)
+	}
+}
+
+// BenchmarkTraceRanks is bench/'s trace stage on its wide_spill and
+// irregular recordings: every rank's recorded calls traced again into
+// a fresh tracer, the tracers built back to back and the ranks dealt
+// round-robin to GOMAXPROCS goroutines. ns/call is the goroutines'
+// summed time over the calls they trace, bench/'s trace_ns_per_call:
+// -cpu 1,2 shows what ranks traced side by side cost each other.
+func BenchmarkTraceRanks(b *testing.B) {
+	for _, w := range []struct {
+		name, app    string
+		procs, iters int
+		timing       uint8
+	}{
+		{"cg4096x10", "cg", 4096, 10, trace.TimingAggregated},
+		{"cellular16x400lossy", "cellular", 16, 400, trace.TimingLossy},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			ranks, err := tracetest.Record(w.app, w.procs, w.iters)
+			if err != nil {
+				b.Fatal(err)
+			}
+			oobs := make([]*tracetest.Answers, len(ranks))
+			calls := 0
+			for r, rank := range ranks {
+				oobs[r] = rank.OOB()
+				calls += rank.Calls
+			}
+			workers := runtime.GOMAXPROCS(0)
+			tracers := make([]*pilgrim.Tracer, len(ranks))
+			var busy atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := range ranks {
+					oobs[r].Rewind()
+					tracers[r] = pilgrim.NewTracer(r, oobs[r], pilgrim.Options{TimingMode: w.timing})
+				}
+				var wg sync.WaitGroup
+				for k := 0; k < workers; k++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						w0 := time.Now()
+						for r := k; r < len(ranks); r += workers {
+							ranks[r].Replay(tracers[r])
+						}
+						busy.Add(int64(time.Since(w0)))
+					}()
+				}
+				wg.Wait()
+			}
+			b.ReportMetric(float64(busy.Load())/float64(b.N*calls), "ns/call")
+		})
 	}
 }
 

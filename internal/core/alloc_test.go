@@ -1,12 +1,17 @@
 package core
 
 import (
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hpcrepro/pilgrim/internal/metrics"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
+	"github.com/hpcrepro/pilgrim/internal/timing"
+	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 )
 
 // stencilIteration is one time step of a 2-D halo exchange as the
@@ -75,12 +80,88 @@ func TestPostWarmPathAllocFree(t *testing.T) {
 var tracerSink *Tracer
 
 // TestNewTracerAllocs pins a rank's construction cost, which a wide
-// run pays once per rank: id pools and the maps of rarely made objects
-// must not be allocated up front.
+// run pays once per rank: the tracer is one allocation, and every map,
+// pool and slab is made by the rank that uses it.
 func TestNewTracerAllocs(t *testing.T) {
-	if allocs := testing.AllocsPerRun(100, func() { tracerSink = NewTracer(0, nil, Options{}) }); allocs > 10 {
-		t.Fatalf("NewTracer allocates %v times, want at most 10", allocs)
+	for _, mode := range []uint8{trace.TimingAggregated, trace.TimingLossy} {
+		if allocs := testing.AllocsPerRun(100, func() { tracerSink = NewTracer(0, nil, Options{TimingMode: mode}) }); allocs > 1 {
+			t.Fatalf("timing mode %d: NewTracer allocates %v times, want 1", mode, allocs)
+		}
 	}
+}
+
+// TestShortRankAllocs pins what a short rank costs in allocations from
+// NewTracer to its last call, ten today. A traced cg rank (34 calls, 7
+// signatures) fits the storage its tracer starts with: the tracer
+// itself, the slabs its first call adds, the grammar's rules and the
+// CST's signature column. Beyond those it makes only the CST's index
+// (a map: two), the communicator list Comm_split adds to, two heap
+// segments and their id pool's word.
+func TestShortRankAllocs(t *testing.T) {
+	ranks, err := tracetest.Record("cg", 64, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ranks[5]
+	if r.Calls != 34 {
+		t.Fatalf("cg rank traces %d calls, want 34", r.Calls)
+	}
+	oob := r.OOB()
+	allocs := testing.AllocsPerRun(50, func() {
+		oob.Rewind()
+		tr := NewTracer(5, oob, Options{})
+		r.Replay(tr)
+		tracerSink = tr
+	})
+	if allocs > 12 {
+		t.Fatalf("a 34-call cg rank allocates %v times from NewTracer on, want at most 12", allocs)
+	}
+}
+
+// TestTracerHotFieldsIsolated pins the layout that keeps concurrently
+// traced ranks off each other's cache lines: every field Post (or
+// MemAlloc, MemFree, Compressor.Record) writes on a call that creates
+// no object lies at least 128 B from either end of its allocation, the
+// distance an L2 prefetcher that fetches lines in pairs reaches. What
+// lies nearer the ends is read-only once built (the rank and options,
+// the compressor's bases), written only by object-creating calls (the
+// encoder's id tables) or by a call that meets a new terminal (the
+// header of the compressor's perSig), or padding.
+func TestTracerHotFieldsIsolated(t *testing.T) {
+	const reach = 128
+	for _, c := range []struct {
+		typ reflect.Type
+		hot []string
+	}{
+		{reflect.TypeFor[Tracer](), []string{
+			"mu", "sigBuf", "IntraNs", "NCalls", "rng", "callsMark", "cstMark", "countdown", "gap", "ramp",
+			"verify", "table", "cfg", "sigMem",
+			"enc.reqIDs", "enc.reqPools", "enc.mem", "enc.memPool", "enc.stackIDs", "enc.stackPool",
+		}},
+		{reflect.TypeFor[timing.Compressor](), []string{"durG", "intG"}},
+	} {
+		for _, path := range c.hot {
+			off, size := fieldSpan(t, c.typ, path)
+			if off < reach || c.typ.Size()-(off+size) < reach {
+				t.Errorf("%v.%s spans bytes [%d, %d) of %d, want %d B from either end",
+					c.typ, path, off, off+size, c.typ.Size(), reach)
+			}
+		}
+	}
+}
+
+// fieldSpan returns the offset and size of the field a dotted path
+// names, from the start of typ.
+func fieldSpan(t *testing.T, typ reflect.Type, path string) (off, size uintptr) {
+	for _, name := range strings.Split(path, ".") {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Fatalf("%v has no field %s", typ, name)
+		}
+		off += f.Offset
+		typ = f.Type
+	}
+	return off, typ.Size()
 }
 
 // BenchmarkPostStencil is the per-call cost on a loop body, which the

@@ -81,7 +81,7 @@ func TestVerifyLosslessDetectsCorruption(t *testing.T) {
 	feed(tracers[0], mpispec.FSend, sendArgs(1, 5, 0), 0, 10)
 	f, _ := Finalize(tracers)
 	// Corrupt the raw capture to simulate a mismatch.
-	tracers[0].rawSigs[0] = "corrupted"
+	tracers[0].verify.sigs[0] = "corrupted"
 	err := VerifyLossless(f, tracers)
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("corruption not detected: %v", err)

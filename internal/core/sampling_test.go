@@ -7,7 +7,7 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/metrics"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
-	"github.com/hpcrepro/pilgrim/internal/sig"
+	"github.com/hpcrepro/pilgrim/internal/timing"
 )
 
 // postSampled feeds one call and reports whether it was a timed one
@@ -132,14 +132,29 @@ func TestSamplingWeightsEachCallOnce(t *testing.T) {
 	}
 }
 
-// TestSizes pins the two per-rank structs in their allocation size
-// classes: the sampling state and the encoder's wait total must not
-// move trace_live_bytes_per_rank on a 4096-rank run.
+// TestSizes pins the per-rank allocations in their size classes, so
+// that trace_live_bytes_per_rank on a 4096-rank run does not move. The
+// tracer is a rank's whole state and fits the 896 B class with the
+// allocator's 8 B header, which an object over 512 B with pointers
+// carries; the slabs its first call adds hold no pointers and fill
+// 768 B; a lossy rank's compressor, padded, fills 512 B without one.
 func TestSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Tracer{}); n > 288 {
-		t.Errorf("Tracer is %d bytes, want at most 288", n)
+	allocated := func(size uintptr, pointers bool) uintptr {
+		if pointers && size > 512 {
+			return size + 8
+		}
+		return size
 	}
-	if n := unsafe.Sizeof(sig.Encoder{}); n > 352 {
-		t.Errorf("sig.Encoder is %d bytes, want at most 352", n)
+	for _, c := range []struct {
+		name         string
+		bytes, class uintptr
+	}{
+		{"Tracer", allocated(unsafe.Sizeof(Tracer{}), true), 896},
+		{"slabs", allocated(unsafe.Sizeof(slabs{}), false), 768},
+		{"timing.Compressor", allocated(unsafe.Sizeof(timing.Compressor{}), true), 512},
+	} {
+		if c.bytes > c.class {
+			t.Errorf("%s takes %d bytes, want at most %d", c.name, c.bytes, c.class)
+		}
 	}
 }

@@ -125,16 +125,21 @@ func (o Options) Validate() error {
 // The interception hooks run on the rank's goroutine; mu additionally
 // makes the accumulated state readable from outside it (Snapshot), so
 // a monitor can serialize a crash-consistent copy while the rank runs.
+//
+// A Tracer is all of its rank's tracing state in one allocation: the
+// encoder, the CST and the call grammar are held by value, with the
+// first storage of the signature scratch. NewTracer builds every
+// rank's tracer on one goroutine, back to back, and the ranks then
+// trace on other goroutines, so the fields Post writes on every call
+// lie at least 128 B from either end, between the read-only head below
+// and the encoder's cold tail (DESIGN §4, "One allocation per rank").
 type Tracer struct {
 	Rank int
 	opts Options
 
 	mu     sync.Mutex
-	enc    *sig.Encoder
-	table  *cst.Table
-	cfg    *sequitur.Grammar
 	tcomp  *timing.Compressor
-	sigBuf []byte // per-call signature scratch; alloc-free once warm
+	sigBuf []byte // per-call signature scratch, starting in sigMem
 
 	// Overhead accounting (intra-process tracing cost, wall time), an
 	// estimate: Post reads the clock on a sample of calls and a timed
@@ -154,10 +159,41 @@ type Tracer struct {
 	gap       uint8  // value countdown started from
 	ramp      uint8  // a gap is drawn from [0, 1<<ramp)
 
-	// Verification capture (Options.Verify).
-	rawSigs  []string
-	rawTimes [][2]int64
+	started bool // table and cfg are initialised (start)
+
+	verify *capture // Options.Verify, made by the first call
+
+	table  cst.Table
+	cfg    sequitur.Grammar
+	sigMem [64]byte
+
+	enc sig.Encoder
 }
+
+// capture is the raw call stream Options.Verify keeps.
+type capture struct {
+	sigs  []string
+	times [][2]int64
+}
+
+// slabs is the storage a rank's CST and call grammar start in: a short
+// rank's whole footprint (a cg rank's 34 calls: 7 signatures, 10
+// symbols), so it grows none of them. The rank's first call allocates
+// it, on the rank's own goroutine: a rank that outgrows every part lets
+// it go, which a part held inside the Tracer could not, and no other
+// rank's tracer is built next to it.
+type slabs struct {
+	cfg sequitur.Slab
+	cst cst.Slab
+}
+
+// keySlab is how many bytes of signatures a rank's CST copies into one
+// allocation before it allocates each new one apart: a cg rank's seven
+// take 67. It is an allocation of its own, not part of the Tracer or
+// of slabs: a table moved or cloned out of the tracer keeps its keys,
+// and the finalize walk reads them rank after rank, so they are packed
+// densely, away from everything else a rank holds.
+const keySlab = 160
 
 // The sampling law. A rank's first warmCalls calls are all timed, so
 // the cold CST misses and slab growth are measured, not extrapolated.
@@ -170,24 +206,19 @@ const (
 	maxRamp   = 5
 )
 
-// NewTracer builds the tracing state for one rank. oob provides the
-// PMPI-level collectives used to agree on communicator ids; it may be
-// nil only if no communicator-creating calls occur.
+// NewTracer builds the tracing state for one rank, in one allocation.
+// oob provides the PMPI-level collectives used to agree on communicator
+// ids; it may be nil only if no communicator-creating calls occur.
 func NewTracer(rank int, oob mpispec.OOB, opts Options) *Tracer {
-	opts = opts.withDefaults()
 	t := &Tracer{
-		Rank:  rank,
-		opts:  opts,
-		enc:   sig.NewEncoderOpts(rank, oob, opts.Encoding),
-		table: cst.New(),
-		cfg:   sequitur.New(),
+		Rank: rank,
+		opts: opts.withDefaults(),
 		// Odd times odd: never the zero xorshift cannot leave, and
 		// neighbouring ranks start far apart.
 		rng: (uint32(rank)<<1 | 1) * 0x9E3779B1,
 	}
-	if opts.TimingMode == trace.TimingLossy {
-		t.tcomp = timing.New(opts.TimingBase)
-	}
+	t.sigBuf = t.sigMem[:0]
+	t.enc.Init(rank, oob, t.opts.Encoding)
 	return t
 }
 
@@ -223,8 +254,11 @@ func (t *Tracer) keep(term int32, s []byte, rec *mpispec.CallRecord) {
 		t.tcomp.Record(term, rec.Func, rec.TStart, rec.TEnd)
 	}
 	if t.opts.Verify {
-		t.rawSigs = append(t.rawSigs, string(s))
-		t.rawTimes = append(t.rawTimes, [2]int64{rec.TStart, rec.TEnd})
+		if t.verify == nil {
+			t.verify = new(capture)
+		}
+		t.verify.sigs = append(t.verify.sigs, string(s))
+		t.verify.times = append(t.verify.times, [2]int64{rec.TStart, rec.TEnd})
 	}
 }
 
@@ -245,7 +279,7 @@ func (t *Tracer) keep(term int32, s []byte, rec *mpispec.CallRecord) {
 // sample of a rank's calls from its ~40th on, and every timed call
 // brings the call counters up to date.
 func (t *Tracer) postTimed(rec *mpispec.CallRecord) {
-	t.untake()
+	t.start()
 	m := t.opts.Collector
 	if t.ramp < maxRamp {
 		// The histograms take only samples drawn at the full gap law,
@@ -257,24 +291,24 @@ func (t *Tracer) postTimed(rec *mpispec.CallRecord) {
 	}
 	var dEnc, dCST, dCFG time.Duration
 	wait := t.enc.OOBWaitNs()
-	w0 := time.Now()
+	w0 := now()
 	s := t.enc.EncodeTo(t.sigBuf[:0], rec)
 	t.sigBuf = s
 	if m != nil {
-		dEnc = time.Since(w0)
+		dEnc = now() - w0
 	}
 	term := t.table.Add(s, rec.TEnd-rec.TStart)
 	if m != nil {
-		dCST = time.Since(w0)
+		dCST = now() - w0
 	}
 	t.cfg.Append(term)
 	if m != nil {
-		dCFG = time.Since(w0)
+		dCFG = now() - w0
 	}
 	if t.tcomp != nil || t.opts.Verify {
 		t.keep(term, s, rec)
 	}
-	d := time.Since(w0)
+	d := now() - w0
 	wait = t.enc.OOBWaitNs() - wait
 	t.IntraNs += (d.Nanoseconds() - wait) * (int64(t.gap) + 1)
 	t.NCalls++
@@ -331,7 +365,7 @@ func (t *Tracer) flushCounters() {
 func (t *Tracer) ProbeStats() metrics.TracerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.untake()
+	t.start()
 	t.flushCounters()
 	gs := t.cfg.Stats()
 	return metrics.TracerStats{
@@ -345,21 +379,29 @@ func (t *Tracer) ProbeStats() metrics.TracerStats {
 
 // MemAlloc implements mpispec.Interceptor (malloc interception).
 func (t *Tracer) MemAlloc(addr, size uint64, device int32) {
-	w0 := time.Now()
+	w0 := now()
 	t.mu.Lock()
 	t.enc.MemAlloc(addr, size, device)
-	t.IntraNs += time.Since(w0).Nanoseconds()
+	t.IntraNs += int64(now() - w0)
 	t.mu.Unlock()
 }
 
 // MemFree implements mpispec.Interceptor (free interception).
 func (t *Tracer) MemFree(addr uint64) {
-	w0 := time.Now()
+	w0 := now()
 	t.mu.Lock()
 	t.enc.MemFree(addr)
-	t.IntraNs += time.Since(w0).Nanoseconds()
+	t.IntraNs += int64(now() - w0)
 	t.mu.Unlock()
 }
+
+// epoch anchors the tracer's clock. time.Since of a time that carries
+// a monotonic reading reads the monotonic clock alone, where time.Now
+// reads the wall clock as well; a boundary costs one clock read.
+var epoch = time.Now()
+
+// now is the monotonic time since epoch.
+func now() time.Duration { return time.Since(epoch) }
 
 // BindOOB late-binds the tracer's out-of-band collective interface
 // (used when the runtime rank object is created after the tracer).
@@ -369,17 +411,27 @@ func BindOOB(t *Tracer, oob mpispec.OOB) { t.enc.SetOOB(oob) }
 func (t *Tracer) CSTLen() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.untake()
+	t.start()
 	return t.table.Len()
 }
 
 // RawSignatures returns the captured uncompressed signature stream
 // (Verify mode only).
-func (t *Tracer) RawSignatures() []string { return t.rawSigs }
+func (t *Tracer) RawSignatures() []string {
+	if t.verify == nil {
+		return nil
+	}
+	return t.verify.sigs
+}
 
 // RawTimes returns the captured per-call (tStart, tEnd) pairs (Verify
 // mode only).
-func (t *Tracer) RawTimes() [][2]int64 { return t.rawTimes }
+func (t *Tracer) RawTimes() [][2]int64 {
+	if t.verify == nil {
+		return nil
+	}
+	return t.verify.times
+}
 
 // FinalizeStats reports where finalize time went (Figure 8's
 // decomposition) plus structural counts.
@@ -430,7 +482,7 @@ func (t *Tracer) Snapshot() *Snapshot {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.untake()
+	t.start()
 	t.flushCounters()
 	s := &Snapshot{
 		Rank:    t.Rank,
@@ -453,46 +505,56 @@ func (t *Tracer) Snapshot() *Snapshot {
 // The verification capture (Options.Verify) stays with the tracer,
 // which post-run lossless verification reads. Must only be called
 // once the rank has stopped tracing (end of run or salvage); it
-// allocates only the snapshot it returns.
+// allocates only the snapshot it returns, whose table's header shares
+// its allocation.
 func (t *Tracer) TakeSnapshot() *Snapshot {
 	if m := t.opts.Collector; m != nil {
 		m.Snapshots.Inc()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.untake()
+	t.start()
 	t.flushCounters()
-	s := &Snapshot{
+	taken := &struct {
+		Snapshot
+		table cst.Table
+	}{table: t.table}
+	s := &taken.Snapshot
+	*s = Snapshot{
 		Rank:    t.Rank,
 		Calls:   t.NCalls,
 		IntraNs: t.IntraNs + t.enc.OOBWaitNs(),
-		Table:   t.table,
+		Table:   &taken.table,
 		Grammar: sequitur.Serialized(t.cfg.Serialize()),
 	}
 	if t.tcomp != nil {
 		s.DurGrammar = t.tcomp.DurationGrammar()
 		s.IntGrammar = t.tcomp.IntervalGrammar()
 	}
-	// A rank that calls on anyway takes the timed path, which untakes.
-	t.table, t.cfg, t.tcomp, t.countdown = nil, nil, nil, 0
+	// A rank that calls on anyway takes the timed path, which starts
+	// afresh.
+	t.table, t.cfg, t.tcomp = cst.Table{}, sequitur.Grammar{}, nil
+	t.started, t.countdown = false, 0
 	return s
 }
 
-// untake gives a tracer whose state TakeSnapshot moved out an empty
-// state again, for the readers that may still look at it; mu is held.
-// A rank that has stopped tracing builds one only if one does. The
+// start gives a tracer with no state (new, or whose state TakeSnapshot
+// moved out) an empty one; mu is held. It is the rank's first call that
+// starts it, on the rank's goroutine, unless a reader comes first. A
 // fresh table starts the miss count over; without this the next flush
 // would take the old length off the new one and walk the miss counter
 // backwards.
-func (t *Tracer) untake() {
-	if t.table != nil {
+func (t *Tracer) start() {
+	if t.started {
 		return
 	}
-	t.table, t.cstMark = cst.New(), 0
-	t.cfg = sequitur.New()
+	s := new(slabs)
+	t.table.Init(&s.cst, make([]byte, 0, keySlab))
+	t.cfg.Init(&s.cfg)
 	if t.opts.TimingMode == trace.TimingLossy {
 		t.tcomp = timing.New(t.opts.TimingBase)
 	}
+	t.started, t.cstMark = true, 0
 }
 
 // Finalize performs the inter-process compression over all ranks'

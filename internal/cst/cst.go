@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Table is one process's call signature table.
@@ -23,8 +24,9 @@ import (
 // other method joins first, once, under a sync.Once. Such a table may
 // be read from any number of goroutines.
 type Table struct {
-	bySig map[string]int32
-	sigs  []string // terminal -> signature bytes
+	bySig map[string]int32 // an Init table's is made by its first entry
+	sigs  []string         // terminal -> signature bytes
+	keys  []byte           // room for new signatures (Init), or nil
 
 	// aggregated timing (default mode, §3.2): per-entry call count and
 	// duration sum, so the average duration survives compression.
@@ -45,6 +47,19 @@ type columns struct {
 // New returns an empty table.
 func New() *Table {
 	return &Table{bySig: make(map[string]int32)}
+}
+
+// Slab is the storage a table's first entries' counts and durations
+// start in: 8 of them, all a short rank (a cg rank's 7 signatures)
+// ever has.
+type Slab struct{ acc [8]acc }
+
+// Init makes t an empty table whose first entries' counts and durations
+// go in s, which t then owns, and whose first signatures are copied
+// into keys' spare capacity while it lasts; past either, t grows as any
+// table does. The signature column starts at the slab's length too.
+func (t *Table) Init(s *Slab, keys []byte) {
+	*t = Table{sigs: make([]string, 0, len(s.acc)), acc: s.acc[:0], keys: keys[len(keys):]}
 }
 
 // NewSized returns an empty table with room for n entries.
@@ -151,12 +166,33 @@ func (t *Table) miss(sig []byte, duration int64) int32 {
 			return t.hit(term, duration)
 		}
 	}
-	key := string(sig)
+	key := t.intern(sig)
 	term := int32(len(t.sigs))
-	t.bySig[key] = term
+	t.put(key, term)
 	t.sigs = append(t.sigs, key)
 	t.acc = append(t.acc, acc{1, duration})
 	return term
+}
+
+// intern returns sig as a string: in keys' spare capacity while it
+// lasts, else in an allocation of its own. The bytes it takes from keys
+// are never written again.
+func (t *Table) intern(sig []byte) string {
+	n := len(t.keys)
+	if len(sig) == 0 || len(sig) > cap(t.keys)-n {
+		return string(sig)
+	}
+	t.keys = append(t.keys, sig...)
+	return unsafe.String(&t.keys[n], len(sig))
+}
+
+// put indexes signature key as terminal term, making the index on the
+// first put.
+func (t *Table) put(key string, term int32) {
+	if t.bySig == nil {
+		t.bySig = make(map[string]int32)
+	}
+	t.bySig[key] = term
 }
 
 // Clone returns a deep copy of the table. Used by crash-consistent
@@ -261,7 +297,7 @@ func (t *Table) Absorb(src *Table) ([]int32, error) {
 		term, ok := t.bySig[key]
 		if !ok {
 			term = int32(len(t.sigs))
-			t.bySig[key] = term
+			t.put(key, term)
 			t.sigs = append(t.sigs, key)
 			t.acc = append(t.acc, acc{})
 		}
@@ -496,7 +532,7 @@ func (t *Table) appendEntry(key string, cnt, dur int64, exact bool) error {
 	if _, dup := t.bySig[key]; dup {
 		return fmt.Errorf("cst: duplicate signature in entry %d", i)
 	}
-	t.bySig[key] = int32(i)
+	t.put(key, int32(i))
 	t.sigs = append(t.sigs, key)
 	t.acc = append(t.acc, a)
 	return nil

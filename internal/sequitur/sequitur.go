@@ -102,9 +102,32 @@ type Grammar struct {
 
 // New returns an empty grammar.
 func New() *Grammar {
-	g := &Grammar{freeSyms: nilIdx, pendSyms: nilIdx, freeRules: nilIdx, cur: nilIdx}
-	g.newRule()
+	g := new(Grammar)
+	g.Init(nil)
 	return g
+}
+
+// Slab is the storage a grammar starts in: 16 symbols, guards
+// included, and a digram index of 16 entries, all a short sequence
+// (a cg rank's 34 calls) ever holds. A grammar that outgrows a part
+// moves that part to a slab of its own, as any growth does, and the
+// part left behind is dead weight until the Slab is collected.
+type Slab struct {
+	syms  [16]symbol
+	index [16]digramEntry
+}
+
+// Init makes g an empty grammar. Given a zero Slab, which g then owns,
+// its symbols and digram index start there and its rules in a slab of
+// four, so that a short sequence grows nothing; given nil, every slab
+// grows from empty.
+func (g *Grammar) Init(s *Slab) {
+	*g = Grammar{freeSyms: nilIdx, pendSyms: nilIdx, freeRules: nilIdx, cur: nilIdx}
+	if s != nil {
+		g.syms, g.index = s.syms[:0], s.index[:]
+		g.rules = make([]rule, 0, 4)
+	}
+	g.newRule()
 }
 
 func (g *Grammar) newSym(key int32, exp int64) int32 {

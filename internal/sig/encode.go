@@ -98,21 +98,27 @@ type Options struct {
 }
 
 // Encoder holds all per-process symbolic state. One Encoder exists per
-// traced rank.
+// traced rank, usually inside its tracer. The fields a call writes sit
+// in the middle, and the fields only object-creating calls write at the
+// ends: the id tables of derived types, ops and groups, last, are 144 B
+// a tracer can end on (DESIGN §4, "One allocation per rank").
 type Encoder struct {
-	rank int
-	oob  mpispec.OOB
-	opts Options
-
-	commIDs   map[int64]int32
+	rank      int
+	oob       mpispec.OOB
+	opts      Options
 	maxCommID int32
 
-	// The id tables of datatypes, ops and groups, indexed by kind −
-	// KDatatype. Their maps and the map of stack addresses are made by
-	// their first write; most ranks never have any.
-	objIDs [3]idTable
+	// comms holds the communicators a call created, by handle; world and
+	// self are ids 0 and 1 without an entry. A rank makes a handful, so
+	// a sorted slice beats a map on both lookups and bytes, and the
+	// first one, most ranks' only one, goes in comm0.
+	comms []commID
+	comm0 [1]commID
 
-	reqIDs   map[int64]reqEntry
+	pending   []pendingComm
+	oobWaitNs int64 // wall time blocked in the §3.3.1 agreement
+
+	reqIDs   map[int64]reqEntry // made by the first request
 	reqPools idpool.RequestPools
 
 	mem       avl.Tree
@@ -120,9 +126,16 @@ type Encoder struct {
 	stackIDs  map[uint64]int32
 	stackPool idpool.Pool
 
-	pending []pendingComm
+	// The id tables of datatypes, ops and groups, indexed by kind −
+	// KDatatype. Their maps and the map of stack addresses are made by
+	// their first write; most ranks never have any.
+	objIDs [3]idTable
+}
 
-	oobWaitNs int64 // wall time blocked in the §3.3.1 agreement
+// commID is a created communicator's group-wide symbolic id.
+type commID struct {
+	h  int64
+	id int32
 }
 
 // NewEncoder builds the per-rank symbolic state. oob may be nil when
@@ -133,14 +146,17 @@ func NewEncoder(rank int, oob mpispec.OOB) *Encoder {
 
 // NewEncoderOpts is NewEncoder with ablation options.
 func NewEncoderOpts(rank int, oob mpispec.OOB, opts Options) *Encoder {
-	return &Encoder{
-		rank:      rank,
-		oob:       oob,
-		opts:      opts,
-		commIDs:   map[int64]int32{mpispec.CommWorldHandle: 0, mpispec.CommSelfHandle: 1},
-		maxCommID: 1,
-		reqIDs:    map[int64]reqEntry{},
-	}
+	e := new(Encoder)
+	e.Init(rank, oob, opts)
+	return e
+}
+
+// Init makes e the symbolic state of rank before its first call, as
+// NewEncoderOpts builds it, without allocating: every table is made by
+// its first write. e must not be copied after Init.
+func (e *Encoder) Init(rank int, oob mpispec.OOB, opts Options) {
+	*e = Encoder{rank: rank, oob: oob, opts: opts, maxCommID: 1}
+	e.comms = e.comm0[:0]
 }
 
 // SetOOB late-binds the out-of-band collective interface (the rank's
@@ -317,11 +333,42 @@ func (e *Encoder) symbolicComm(h int64) int64 {
 	if h == 0 {
 		return -1
 	}
-	if id, ok := e.commIDs[h]; ok {
+	if id, ok := e.commID(h); ok {
 		return int64(id)
 	}
 	// Comm whose id agreement is still pending (idup before wait).
 	return commPending
+}
+
+// commID returns communicator h's symbolic id, if it has one.
+func (e *Encoder) commID(h int64) (int32, bool) {
+	switch h {
+	case mpispec.CommWorldHandle:
+		return 0, true
+	case mpispec.CommSelfHandle:
+		return 1, true
+	}
+	if i, ok := e.commAt(h); ok {
+		return e.comms[i].id, true
+	}
+	return 0, false
+}
+
+// commAt returns where h is, or would go, in comms. It is on every
+// call that names a communicator, and written out: slices'
+// BinarySearchFunc, through its comparison func, costs four times as
+// much on one entry.
+func (e *Encoder) commAt(h int64) (int, bool) {
+	lo, hi := 0, len(e.comms)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e.comms[m].h < h {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(e.comms) && e.comms[lo].h == h
 }
 
 func (e *Encoder) symbolicRequest(h int64) int64 {
@@ -381,6 +428,9 @@ func (e *Encoder) createRequest(h int64, key []byte, persistent bool) int64 {
 	}
 	pool := e.reqPools.Pool(key)
 	id := pool.Get()
+	if e.reqIDs == nil {
+		e.reqIDs = make(map[int64]reqEntry)
+	}
 	e.reqIDs[h] = reqEntry{id: id, pool: pool, persistent: persistent}
 	return int64(id)
 }

@@ -69,7 +69,7 @@ func (e *Encoder) assignCreatedObjects(rec *mpispec.CallRecord, ff *funcFacts) {
 	case o.Kind != mpispec.KComm:
 		e.createObj(o.Kind, h)
 	default:
-		if _, known := e.commIDs[h]; known {
+		if _, known := e.commID(h); known {
 			return
 		}
 		newID := e.maxCommID
@@ -171,7 +171,11 @@ func (e *Encoder) pollPending() {
 // resolve gives a communicator one plus its group's max id (§3.3.1).
 func (e *Encoder) resolve(commHandle int64, groupMax int32) {
 	newID := groupMax + 1
-	e.commIDs[commHandle] = newID
+	if i, ok := e.commAt(commHandle); ok {
+		e.comms[i].id = newID
+	} else {
+		e.comms = slices.Insert(e.comms, i, commID{commHandle, newID})
+	}
 	if newID > e.maxCommID {
 		e.maxCommID = newID
 	}

@@ -68,17 +68,26 @@ func (e expBase) value(term int32) float64 {
 // finite and greater than 1.
 func ValidBase(b float64) bool { return b > 1 && !math.IsInf(b, 1) }
 
-// Compressor builds the duration and interval grammars for one rank.
+// Compressor builds the duration and interval grammars for one rank,
+// in one allocation. Record writes the two grammars' headers on every
+// call, so they sit 128 B from either end: a compressor allocated next
+// to another rank's shares no cache line, nor an adjacent one, that
+// Record writes with it (DESIGN §4, "One allocation per rank"). Ahead
+// of them are the read-only bases and perSig, which only a call that
+// meets a new terminal writes; after them, padding. At 512 B the
+// allocator adds no header and rounds nothing.
 type Compressor struct {
 	base    expBase
 	perFunc map[mpispec.FuncID]expBase // nil until the first SetFuncBase
-	durG    *sequitur.Grammar
-	intG    *sequitur.Grammar
 	// perSig holds each signature terminal's Σ reconstructed intervals.
 	// Terminals are contiguous small ints, so a dense slice (grown on
 	// demand) replaces the former map: no hashing and no allocation on
 	// the per-call path once the terminal has been seen.
 	perSig []float64
+	_      [72]byte
+
+	durG, intG sequitur.Grammar
+	_          [128]byte
 }
 
 // New returns a compressor with relative error bound base−1 (the
@@ -87,11 +96,10 @@ func New(base float64) *Compressor {
 	if !ValidBase(base) {
 		panic("timing: base must be finite and > 1")
 	}
-	return &Compressor{
-		base: newExpBase(base),
-		durG: sequitur.New(),
-		intG: sequitur.New(),
-	}
+	c := &Compressor{base: newExpBase(base)}
+	c.durG.Init(nil)
+	c.intG.Init(nil)
+	return c
 }
 
 // SetFuncBase overrides the base for one MPI function (the paper
@@ -146,7 +154,9 @@ func (c *Compressor) Record(term int32, f mpispec.FuncID, tStart, tEnd int64) {
 	dur := float64(tEnd - tStart)
 	c.durG.Append(b.bin(dur))
 
-	c.perSig = growDense(c.perSig, term)
+	if int(term) >= len(c.perSig) {
+		c.perSig = growDense(c.perSig, term)
+	}
 	recon := c.perSig[term]
 	interval := float64(tStart) - recon
 	it := b.bin(interval)

@@ -249,12 +249,13 @@ func TestGrammarSizesReported(t *testing.T) {
 
 var newSink *Compressor
 
-// TestNewAllocs pins a compressor's construction: the struct and its
-// two empty grammars. The per-function base map is made by the first
-// SetFuncBase, which no caller but a test has ever used.
+// TestNewAllocs pins a compressor's construction: the struct, which
+// holds its two grammars, and each grammar's first symbol and rule. The
+// per-function base map is made by the first SetFuncBase, which no
+// caller but a test has ever used.
 func TestNewAllocs(t *testing.T) {
-	if allocs := testing.AllocsPerRun(100, func() { newSink = New(1.2) }); allocs > 7 {
-		t.Fatalf("timing.New allocates %.0f times, want at most 7", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { newSink = New(1.2) }); allocs > 5 {
+		t.Fatalf("timing.New allocates %.0f times, want at most 5", allocs)
 	}
 	var r *Reconstructor
 	if allocs := testing.AllocsPerRun(100, func() { r = NewReconstructor(1.2) }); allocs > 1 {

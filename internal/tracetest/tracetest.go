@@ -1,7 +1,10 @@
-// Package tracetest compares trace files by the bytes they hold, not by
-// how compress/flate stored them: its output may change between Go
+// Package tracetest holds what the tests of several packages share. It
+// compares trace files by the bytes they hold, not by how
+// compress/flate stored them: its output may change between Go
 // releases, so a committed trace whose body is deflated is compared
-// with a fresh one through Raw.
+// with a fresh one through Raw. And it records a skeleton's per-rank
+// hook calls once (Record), to trace them again into fresh tracers
+// without the simulator.
 package tracetest
 
 import (
