@@ -78,8 +78,16 @@ func main() {
 
 	if *metricsAddr != "" || *metricsJSON != "" || *progress > 0 {
 		opts.Collector = pilgrim.NewMetricsCollector()
-		opts.MetricsAddr = *metricsAddr
-		opts.ProgressEvery = *progress
+	}
+	if *metricsAddr != "" {
+		srv, err := pilgrim.ServeMetrics(*metricsAddr, opts.Collector)
+		if err != nil {
+			fatal(err)
+		}
+		defer srv.Close()
+	}
+	if *progress > 0 {
+		defer pilgrim.StartProgressReporter(os.Stderr, opts.Collector, *progress)()
 	}
 	opts.CollectorAddr = *collector
 	opts.CollectorRunID = *runID

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -107,5 +108,39 @@ func TestTraceRefusesBadOptions(t *testing.T) {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("%v: a trace was written (stat: %v)", c.args, err)
 		}
+	}
+}
+
+// TestTraceTelemetryFlags: the tool serves and reports its own
+// collector. -metrics-addr on an ephemeral port is accepted, -progress
+// prints progress lines to stderr while the run goes on, and
+// -metrics-json writes a report whose tracer call counter is the
+// run's calls.
+func TestTraceTelemetryFlags(t *testing.T) {
+	dir := t.TempDir()
+	report := filepath.Join(dir, "metrics.json")
+	out, stderr, code := run(t, "-workload", "stencil2d", "-procs", "8", "-iters", "200",
+		"-metrics-addr", "127.0.0.1:0", "-progress", "1ms", "-metrics-json", report,
+		"-o", filepath.Join(dir, "t.pilgrim"))
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if !strings.Contains(stderr, "pilgrim: +") {
+		t.Errorf("-progress 1ms printed no progress line; stderr %q", stderr)
+	}
+	var calls int64
+	if _, err := fmt.Sscanf(out, "traced %d MPI calls", &calls); err != nil || calls == 0 {
+		t.Fatalf("no call count in %q (%v)", out, err)
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep pilgrim.MetricsReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Counters["pilgrim_tracer_calls_total"]; got != calls {
+		t.Errorf("the report counts %d tracer calls, the run traced %d", got, calls)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // only changes when merge work happens, never what it computes, and
 // every ordering-sensitive pass stays sequential in rank order. These
 // tests pin that over the golden cases — plain, lossy timing, salvage,
-// and the collector's premerged path — through the spill route's one
+// and the premerged walk — through the spill route's one
 // driver (spill.FinalizeRanks: each batch's frames written out and the
 // batch finalized from memory, nothing read back).
 
@@ -78,7 +78,7 @@ func TestFinalizeStreamedByteIdenticalLossyTiming(t *testing.T) {
 			snaps := snapshotsFor(t, n, opts)
 			streamedSweep(t, snaps, opts, nil)
 			if n == 7 {
-				info := &trace.SalvageInfo{Reason: "identity test", FailedRanks: []int32{2}, Calls: make([]int64, n)}
+				info := &trace.SalvageInfo{Reason: "identity test", FailedRanks: []int32{2}}
 				streamedSweep(t, snaps, opts, info)
 			}
 		})
@@ -109,18 +109,14 @@ func TestFinalizeStreamedShapeByteIdentical(t *testing.T) {
 func TestFinalizeStreamedByteIdenticalSalvage(t *testing.T) {
 	const n = 7
 	snaps := snapshotsFor(t, n, core.Options{})
-	info := &trace.SalvageInfo{Reason: "identity test", FailedRanks: []int32{2, 5}, Calls: make([]int64, n)}
-	for i, s := range snaps {
-		info.Calls[i] = s.Calls
-	}
+	info := &trace.SalvageInfo{Reason: "identity test", FailedRanks: []int32{2, 5}}
 	streamedSweep(t, snaps, core.Options{}, info)
 }
 
-// TestFinalizePremergedStreamedByteIdentical covers the collector's
-// spilled-payload path: tables merged incrementally in an arbitrary
-// arrival order, then a grammar pass streaming the snapshots back in
-// bounded batches, must finalize to the same bytes as a local
-// in-memory finalize.
+// TestFinalizePremergedStreamedByteIdentical covers the premerged
+// walk: tables merged incrementally in an arbitrary arrival order, then
+// a grammar pass over the snapshots in batches of every cap, must
+// finalize to the same bytes as a local in-memory finalize.
 func TestFinalizePremergedStreamedByteIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{1, 2, 7, 16, 33} {
@@ -142,22 +138,13 @@ func TestFinalizePremergedStreamedByteIdentical(t *testing.T) {
 				}
 			}
 			merged := inc.Result()
-			// The premerged grammar pass never reads tables and never
-			// mutates snapshots, so a fetch slicing the resident array
-			// satisfies the ownership contract.
-			fetch := func(start, n int) ([]*core.Snapshot, error) {
-				return snaps[start : start+n], nil
-			}
 			for _, k := range []int{1, 3, n} {
 				for _, p := range procsSweep {
 					runtime.GOMAXPROCS(p)
 					opts := core.Options{MaxResidentSnapshots: k}
-					f, _, err := core.FinalizeStreamed(n, fetch, &merged, 0, opts, nil)
-					if err != nil {
-						t.Fatalf("batch=%d GOMAXPROCS=%d: %v", k, p, err)
-					}
+					f, _ := core.FinalizePremerged(snaps, merged, 0, opts, nil)
 					if got := traceBytes(t, f); !bytes.Equal(got, want) {
-						t.Errorf("batch=%d GOMAXPROCS=%d: premerged streamed trace differs from local finalize",
+						t.Errorf("batch=%d GOMAXPROCS=%d: premerged trace differs from local finalize",
 							k, p)
 					}
 				}

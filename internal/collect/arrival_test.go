@@ -22,7 +22,7 @@ import (
 // completes, loses its last arrival to a straggler-deadline salvage,
 // or survives a daemon crash after half of each sender's ranks and is
 // replayed from the journal. Every case must finalize to the bytes
-// core.Finalize (or the matching core.SalvageFinalize) gives for the
+// core.Finalize (or the matching salvage finalize) gives for the
 // same tracers, keep no payload and no walk once finalized, and leave
 // no goroutine behind.
 func TestArrivalOrderByteIdentical(t *testing.T) {
@@ -93,7 +93,7 @@ func TestArrivalOrderByteIdentical(t *testing.T) {
 					switch mode {
 					case "salvage":
 						// The last arrival never comes: the deadline salvages the run
-						// with that rank's stream empty, as SalvageFinalize does for a
+						// with that rank's stream empty, as a local salvage does for a
 						// rank that traced nothing.
 						last := first[len(first)-1]
 						missing := last[len(last)-1]
@@ -101,8 +101,8 @@ func TestArrivalOrderByteIdentical(t *testing.T) {
 						cfg.StragglerDeadline = deadline
 						salvaged := slices.Clone(tracers)
 						salvaged[missing] = core.NewTracer(missing, nil, core.Options{})
-						f, _ := core.SalvageFinalize(salvaged, map[int]error{missing: errors.New("straggler")},
-							fmt.Sprintf("collector: straggler deadline (%s): %d/%d ranks reported", deadline, n-1, n))
+						f, _ := core.FinalizeSnapshots(core.Snapshots(salvaged), core.Options{}, core.NewSalvageInfo(map[int]error{missing: errors.New("straggler")},
+							fmt.Sprintf("collector: straggler deadline (%s): %d/%d ranks reported", deadline, n-1, n)))
 						want = serialize(t, f)
 					case "restart":
 						for i, ranks := range o.senders {

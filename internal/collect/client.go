@@ -396,8 +396,9 @@ func (c *Client) WaitTrace() (data []byte, err error) {
 }
 
 // Collect ships every snapshot and blocks for the finalized trace —
-// the remote equivalent of core.FinalizeSnapshots. Callers fall back
-// to the local merge on any error.
+// the remote equivalent of walking them locally (core.FinalizeSnapshots
+// on the same snapshots gives the same bytes). Callers fall back to the
+// local merge on any error.
 func (c *Client) Collect(snaps []*core.Snapshot) (*trace.File, error) {
 	if err := c.SendAll(snaps); err != nil {
 		return nil, err

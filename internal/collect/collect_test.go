@@ -3,6 +3,7 @@ package collect_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -268,6 +269,65 @@ func TestStragglerSalvage(t *testing.T) {
 	}
 	if srv.Metrics().SalvagedRuns.Load() != 1 {
 		t.Fatal("salvaged-run counter not incremented")
+	}
+}
+
+// TestSalvageTagEveryRoute: one set of recorded snapshots with rank 2
+// missing (in its place, the empty stream a straggler becomes) finalized
+// in memory, streamed under a cap of two resident snapshots, and through
+// a collector's straggler deadline gives one file on every route. Each
+// route is handed only the reason and the failed ranks, and the walk
+// fills in every rank's calls: each snapshot's, 0 for rank 2.
+func TestSalvageTagEveryRoute(t *testing.T) {
+	const n, missing = 6, 2
+	const deadline = 200 * time.Millisecond
+	snaps := traceWorkload(t, n)
+	snaps[missing] = core.NewTracer(missing, nil, core.Options{}).Snapshot()
+	reason := fmt.Sprintf("collector: straggler deadline (%s): %d/%d ranks reported", deadline, n-1, n)
+	tag := func() *trace.SalvageInfo {
+		return core.NewSalvageInfo(map[int]error{missing: errors.New("straggler")}, reason)
+	}
+
+	mem, _ := core.FinalizeSnapshots(snaps, core.Options{}, tag())
+	streamed, _, err := core.FinalizeStreamed(n, func(start, k int) ([]*core.Snapshot, error) {
+		return snaps[start : start+k], nil
+	}, core.Options{MaxResidentSnapshots: 2}, tag())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, collect.Config{StragglerDeadline: deadline})
+	c := client(srv, "tag", n)
+	for _, s := range snaps {
+		if s.Rank != missing {
+			if err := c.SendSnapshot(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	collected, err := c.WaitTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.Read(bytes.NewReader(collected))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := serialize(t, mem)
+	for route, got := range map[string][]byte{"streamed": serialize(t, streamed), "collected": collected} {
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the in-memory salvage's %d", route, len(got), len(want))
+		}
+	}
+	for route, f := range map[string]*trace.File{"in memory": mem, "streamed": streamed, "collected": f} {
+		if len(f.Salvage.Calls) != n {
+			t.Fatalf("%s: the tag holds %d ranks' calls, want %d", route, len(f.Salvage.Calls), n)
+		}
+		for r, s := range snaps {
+			if got := f.Salvage.Calls[r]; got != s.Calls {
+				t.Errorf("%s: rank %d tagged with %d calls, its snapshot has %d", route, r, got, s.Calls)
+			}
+		}
 	}
 }
 

@@ -168,7 +168,7 @@ func (s *Server) walkRun(r *run) {
 		if r.walk == nil {
 			// Built at the first batch, not the hello: NewWalk presizes by
 			// world, and a hello may claim up to wire.MaxWorldSize ranks.
-			r.walk = core.NewWalk(r.world, nil, 0, r.opts)
+			r.walk = core.NewWalk(r.world, r.opts)
 		}
 		start := r.walked
 		snaps := slices.Clone(r.snaps[start : start+n])
@@ -267,8 +267,9 @@ func (r *run) haltLocked() *journal {
 // salvageRun fires at the straggler deadline: missing ranks become
 // empty failed streams with empty tables, which arrive like any rank,
 // and the walker finalizes the run as a salvage trace (pendingInfo)
-// once it walks the last rank — the same degradation
-// core.SalvageFinalize applies to crashed ranks.
+// once it walks the last rank — the same degradation a local salvage
+// finalize applies to crashed ranks. The walk fills in each rank's
+// calls, 0 for a placeholder.
 func (s *Server) salvageRun(r *run, deadline time.Duration) {
 	r.mu.Lock()
 	if r.phase.terminal() || r.received == r.world {
@@ -280,11 +281,9 @@ func (s *Server) salvageRun(r *run, deadline time.Duration) {
 		WithAttr("received", int64(r.received)).WithAttr("world", int64(r.world)).Emit()
 	info := &trace.SalvageInfo{
 		Reason: fmt.Sprintf("collector: straggler deadline (%s): %d/%d ranks reported", deadline, r.received, r.world),
-		Calls:  make([]int64, r.world),
 	}
 	for rank := 0; rank < r.world; rank++ {
 		if r.snaps[rank] != nil {
-			info.Calls[rank] = r.snaps[rank].Calls
 			continue
 		}
 		info.FailedRanks = append(info.FailedRanks, int32(rank))

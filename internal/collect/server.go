@@ -13,7 +13,8 @@
 // finalize runs (core.Walk) over the contiguous prefix of ranks that
 // have reported, so when the last rank lands only the walk's tail is
 // left (run.go). Ranks that never report are degraded to salvage
-// semantics at a straggler deadline, mirroring core.SalvageFinalize.
+// semantics at a straggler deadline: each becomes an empty stream, as a
+// rank that traced nothing does in a local salvage finalize.
 package collect
 
 import (

@@ -75,7 +75,7 @@ func DecodeRank(f *trace.File, rank int) ([]DecodedCall, error) {
 	r := timing.NewReconstructor(f.TimingBase)
 	for i := range out {
 		c := &out[i]
-		c.TStart, c.TEnd = r.Next(c.Term, c.Func, durSeq[i], intSeq[i])
+		c.TStart, c.TEnd = r.Next(c.Term, durSeq[i], intSeq[i])
 	}
 	return out, nil
 }

@@ -14,7 +14,6 @@ import (
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/cst"
-	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/sig"
 	"github.com/hpcrepro/pilgrim/internal/timing"
@@ -84,11 +83,7 @@ func referenceDecode(f *trace.File, rank int) ([]core.DecodedCall, error) {
 		calls = append(calls, c)
 	}
 	if f.TimingMode == trace.TimingLossy {
-		funcs := make([]mpispec.FuncID, len(calls))
-		for i, c := range calls {
-			funcs[i] = c.Func
-		}
-		times, err := timing.NewReconstructor(f.TimingBase).Series(terms, funcs,
+		times, err := timing.NewReconstructor(f.TimingBase).Series(terms,
 			expand(f.DurGrammars[f.DurIndex[rank]]), expand(f.IntGrammars[f.IntIndex[rank]]))
 		if err != nil {
 			return nil, err

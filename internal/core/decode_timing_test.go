@@ -6,14 +6,13 @@ import (
 
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/core"
-	"github.com/hpcrepro/pilgrim/internal/mpispec"
 	"github.com/hpcrepro/pilgrim/internal/timing"
 )
 
 // mathTimes recovers one rank's times with math.Pow on every term: the
 // reconstruction as written before bins and values came from tables.
-func mathTimes(terms, durSeq, intSeq []int32, funcs []mpispec.FuncID, baseOf func(mpispec.FuncID) float64) []timing.CallTime {
-	value := func(term int32, b float64) float64 {
+func mathTimes(terms, durSeq, intSeq []int32, b float64) []timing.CallTime {
+	value := func(term int32) float64 {
 		if term == 0 {
 			return 0
 		}
@@ -22,19 +21,18 @@ func mathTimes(terms, durSeq, intSeq []int32, funcs []mpispec.FuncID, baseOf fun
 	perSig := map[int32]float64{}
 	out := make([]timing.CallTime, len(terms))
 	for i, term := range terms {
-		b := baseOf(funcs[i])
-		recon := perSig[term] + value(intSeq[i], b)
+		recon := perSig[term] + value(intSeq[i])
 		perSig[term] = recon
 		start := int64(recon)
-		out[i] = timing.CallTime{Start: start, End: start + int64(value(durSeq[i], b))}
+		out[i] = timing.CallTime{Start: start, End: start + int64(value(durSeq[i]))}
 	}
 	return out
 }
 
-// TestDecodeLossyTimesUnchanged: DecodeRank's recovered TStart/TEnd
-// are bit-identical to the math reconstruction on every call of every
-// rank of three lossy traces, and so is a reconstructor with a
-// per-function base override.
+// TestDecodeLossyTimesUnchanged: DecodeRank's recovered TStart/TEnd,
+// and a reconstructor's Series over the same streams, are bit-identical
+// to the math reconstruction on every call of every rank of three lossy
+// traces.
 func TestDecodeLossyTimesUnchanged(t *testing.T) {
 	for _, w := range []struct {
 		name  string
@@ -57,36 +55,20 @@ func TestDecodeLossyTimesUnchanged(t *testing.T) {
 			}
 			durSeq := f.DurGrammars[f.DurIndex[r]].Expand(0)
 			intSeq := f.IntGrammars[f.IntIndex[r]].Expand(0)
-			funcs := make([]mpispec.FuncID, len(calls))
-			for i, c := range calls {
-				funcs[i] = c.Func
-			}
-			want := mathTimes(terms, durSeq, intSeq, funcs, func(mpispec.FuncID) float64 { return f.TimingBase })
+			want := mathTimes(terms, durSeq, intSeq, f.TimingBase)
 			for i, c := range calls {
 				if c.TStart != want[i].Start || c.TEnd != want[i].End {
 					t.Fatalf("%s rank %d call %d: decoded [%d, %d], math gives [%d, %d]",
 						w.name, r, i, c.TStart, c.TEnd, want[i].Start, want[i].End)
 				}
 			}
-
-			override := funcs[len(funcs)/2]
-			baseOf := func(fn mpispec.FuncID) float64 {
-				if fn == override {
-					return 3.7
-				}
-				return f.TimingBase
-			}
-			rec := timing.NewReconstructor(f.TimingBase)
-			rec.SetFuncBase(override, 3.7)
-			got, err := rec.Series(terms, funcs, durSeq, intSeq)
+			got, err := timing.NewReconstructor(f.TimingBase).Series(terms, durSeq, intSeq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = mathTimes(terms, durSeq, intSeq, funcs, baseOf)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("%s rank %d call %d with %v at base 3.7: %v, math gives %v",
-						w.name, r, i, override, got[i], want[i])
+					t.Fatalf("%s rank %d call %d: Series gives %v, math gives %v", w.name, r, i, got[i], want[i])
 				}
 			}
 		}

@@ -29,7 +29,7 @@ func skeletonSnapshots(t *testing.T, name string, opts core.Options) []*core.Sna
 	case "milc":
 		n, iters = 16, 1
 	}
-	return snapshotAll(traceSkeleton(t, name, n, iters, opts))
+	return core.Snapshots(traceSkeleton(t, name, n, iters, opts))
 }
 
 // traceSkeleton traces one internal/workloads skeleton on n ranks for
@@ -54,15 +54,6 @@ func traceSkeleton(t *testing.T, name string, n, iters int, opts core.Options) [
 		t.Fatalf("%s: %v", name, err)
 	}
 	return tracers
-}
-
-// snapshotAll snapshots every tracer.
-func snapshotAll(tracers []*core.Tracer) []*core.Snapshot {
-	snaps := make([]*core.Snapshot, len(tracers))
-	for i, tr := range tracers {
-		snaps[i] = tr.Snapshot()
-	}
-	return snaps
 }
 
 // premergedOracle is the finalize handed a premerged CST: every table
@@ -90,13 +81,10 @@ func fileBytes(t *testing.T, f *trace.File) []byte {
 	return b.Bytes()
 }
 
-// salvageInfo tags a salvage of snaps with two failed ranks.
+// salvageInfo tags a salvage of snaps with two failed ranks; the walk
+// fills in the calls.
 func salvageInfo(snaps []*core.Snapshot) *trace.SalvageInfo {
-	info := &trace.SalvageInfo{Reason: "fold identity", FailedRanks: []int32{1, int32(len(snaps) - 1)}, Calls: make([]int64, len(snaps))}
-	for i, s := range snaps {
-		info.Calls[i] = s.Calls
-	}
-	return info
+	return &trace.SalvageInfo{Reason: "fold identity", FailedRanks: []int32{1, int32(len(snaps) - 1)}}
 }
 
 // foldSweep finalizes snaps through the walk's rank-order fold at batch

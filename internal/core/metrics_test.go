@@ -255,13 +255,13 @@ func TestTakeSnapshotAllocs(t *testing.T) {
 }
 
 // TestSalvageIncrementsCounter checks the failure-path finalize
-// counter.
+// counter, which the walk counts when it finishes a tagged trace.
 func TestSalvageIncrementsCounter(t *testing.T) {
 	col := metrics.NewCollector()
 	tr := NewTracer(0, nil, Options{Collector: col})
 	tr.MemAlloc(0x1000, 64, 0)
 	feed(tr, mpispec.FSend, sendArgs(1, 999, 0), 0, 5)
-	_, stats := SalvageFinalize([]*Tracer{tr}, map[int]error{}, "test failure")
+	_, stats := FinalizeSnapshots(Snapshots([]*Tracer{tr}), OptionsOf([]*Tracer{tr}), NewSalvageInfo(map[int]error{}, "test failure"))
 	if stats.Metrics == nil {
 		t.Fatal("salvage finalize produced no metrics report")
 	}

@@ -42,9 +42,9 @@ import (
 // [start, start+n), in rank order. FinalizeStreamed calls it once per
 // range, in rank order, one call at a time, on a goroutine of its own
 // while the walk takes in the range before. The walk folds each Table
-// into the global CST unless the finalize was handed a premerged one,
-// in which case Table may be nil. Snapshots are never mutated, so a
-// fetch may hand out resident ones.
+// into the global CST unless the finalize was handed a premerged one
+// (FinalizePremerged), in which case Table may be nil. Snapshots are
+// never mutated, so a fetch may hand out resident ones.
 type SnapshotFetch func(start, n int) ([]*Snapshot, error)
 
 // BatchSize is the grain of the collector's walk for a world of ranks
@@ -203,7 +203,8 @@ type Walk struct {
 	intState       *dedupState
 	rankIdx        []int32 // per rank, its call grammar's index
 	durIdx, intIdx []int32
-	batches        int // at most this many Adds, fetchGrain's
+	rankCalls      []int64 // per rank, its snapshot's Calls: a salvage tag's
+	batches        int     // at most this many Adds, fetchGrain's
 
 	// The global CST templated beside the walk (trace.CSTTemplater):
 	// pending holds the signatures of the entries folded in since the
@@ -215,12 +216,15 @@ type Walk struct {
 	tq      *par.Queue
 }
 
-// NewWalk starts a walk over world ranks. premerged, when non-nil, is a
-// global CST and relabels unified before the walk and cstMergeNs the
-// time that took; without it the walk folds the tables itself. The
-// trace is the same bytes either way. The Packer's queue is as deep as
-// the walk has batches of fetchGrain, the finer of the two grains.
-func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *Walk {
+// NewWalk starts a walk over world ranks, which folds their tables
+// into the global CST itself. The Packer's queue is as deep as the walk
+// has batches of fetchGrain, the finer of the two grains.
+func NewWalk(world int, opts Options) *Walk { return newWalk(world, nil, 0, opts) }
+
+// newWalk is NewWalk, handed the global CST and relabels when premerged
+// is non-nil: unified before the walk (FinalizePremerged), in
+// cstMergeNs. The trace is the same bytes either way.
+func newWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *Walk {
 	opts = opts.withDefaults()
 	w := &Walk{
 		world:     world,
@@ -229,6 +233,7 @@ func NewWalk(world int, premerged *cst.Merged, cstMergeNs int64, opts Options) *
 		lossy:     opts.TimingMode == trace.TimingLossy,
 		premerged: premerged,
 		global:    cst.New(),
+		rankCalls: make([]int64, 0, world),
 	}
 	w.st.CSTMergeNs = cstMergeNs
 	if premerged != nil {
@@ -281,6 +286,7 @@ func (w *Walk) Add(snaps []*Snapshot) error {
 	for _, s := range snaps {
 		w.st.IntraNs += s.IntraNs
 		w.st.TotalCalls += s.Calls
+		w.rankCalls = append(w.rankCalls, s.Calls)
 	}
 	// The batch's tables join the global CST in rank order; a rank's
 	// relabel is final the moment its table is absorbed.
@@ -400,12 +406,21 @@ func (w *Walk) Stop() {
 }
 
 // Finish waits for the Packer and the templater, lays the trace of the
-// walked ranks out and returns it; info, when non-nil, tags it as a
-// salvage. Every rank must have been added.
+// walked ranks out and returns it. Every rank must have been added.
+// info, when non-nil, tags the trace as a salvage: the caller gives its
+// Reason and FailedRanks, and Finish sets its Calls to every rank's
+// snapshot's (0 for a rank that traced nothing) and counts the salvage
+// on the Options' Collector.
 func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
 	if w.next != w.world {
 		w.Stop()
 		return nil, FinalizeStats{}, fmt.Errorf("core: walk finished after %d of %d ranks", w.next, w.world)
+	}
+	if info != nil {
+		info.Calls = w.rankCalls
+		if c := w.opts.Collector; c != nil {
+			c.Salvages.Inc()
+		}
 	}
 	if w.world == 0 { // every entry point's zero-rank result
 		return &trace.File{CST: cst.New(), Salvage: info}, FinalizeStats{}, nil
@@ -421,9 +436,6 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 		WithAttr("unique_shapes", int64(len(w.calls.reps))).
 		WithAttr("wait_ns", time.Since(t2).Nanoseconds()).End()
 	st.CFGMergeNs = w.cfgNs + w.calls.busyNs
-	st.UniqueCFGs = len(w.calls.uniq)
-	st.UniqueShapes = len(w.calls.reps)
-	st.GlobalCST = w.global.Len()
 
 	f := &trace.File{
 		NumRanks:   w.world,
@@ -456,7 +468,7 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 	// The first write lays the File out, once; every later write, size
 	// and report reads that form.
 	bsp := w.opts.ObsSink.Start("finalize", "finalize.body").WithAttr("ranks", int64(w.world))
-	st.TraceBytes = f.SizeBytes()
+	st.describe(f)
 	body := f.BodyStorage()
 	var waitNs int64
 	if f.CSTTemplater != nil {
@@ -477,21 +489,48 @@ func (w *Walk) Finish(info *trace.SalvageInfo) (*trace.File, FinalizeStats, erro
 
 // FinalizeStreamed runs the finalize walk over world ranks fetched in
 // batches of fetchGrain, each batch fetched while the walk Adds the one
-// before when the two fit under MaxResidentSnapshots (pipeline).
-// premerged and cstMergeNs are NewWalk's. The trace is the same bytes
-// with or without a premerged CST, for every cap and GOMAXPROCS. It
-// fails when fetch does, when a fetched batch breaks Add's contract, or
-// when a grammar names a terminal its rank's table never held; a batch
-// already fetched when Add fails is dropped unwalked. Every path joins
-// the fetch goroutine and the Packer before it returns.
-func FinalizeStreamed(world int, fetch SnapshotFetch, premerged *cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
-	w := NewWalk(world, premerged, cstMergeNs, opts)
+// before when the two fit under MaxResidentSnapshots (pipeline); info
+// is Finish's. The trace is the same bytes for every cap and
+// GOMAXPROCS. It fails when fetch does, when a fetched batch breaks
+// Add's contract, or when a grammar names a terminal its rank's table
+// never held; a batch already fetched when Add fails is dropped
+// unwalked. Every path joins the fetch goroutine and the Packer before
+// it returns.
+func FinalizeStreamed(world int, fetch SnapshotFetch, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
+	return NewWalk(world, opts).streamed(fetch, info)
+}
+
+// streamed is FinalizeStreamed on a walk w that has taken no rank yet.
+func (w *Walk) streamed(fetch SnapshotFetch, info *trace.SalvageInfo) (*trace.File, FinalizeStats, error) {
 	defer w.Stop()
-	batch, limit := opts.fetchGrain(world)
-	if err := pipeline(world, batch, limit, fetch, w.Add); err != nil {
+	batch, limit := w.opts.fetchGrain(w.world)
+	if err := pipeline(w.world, batch, limit, fetch, w.Add); err != nil {
 		return nil, FinalizeStats{}, err
 	}
 	return w.Finish(info)
+}
+
+// describe sets the stats the trace file itself determines: its size,
+// its global CST entries and its unique grammars and shapes.
+func (st *FinalizeStats) describe(f *trace.File) {
+	st.TraceBytes = f.SizeBytes()
+	st.GlobalCST = f.CST.Len()
+	st.UniqueCFGs = len(f.Grammars)
+	st.UniqueShapes = len(f.Representatives())
+}
+
+// CollectedStats is what a finalize of snaps reports when another
+// process walked them into f (a collector): the snapshots' calls and
+// intra-process time, and what f itself determines, as Walk.Finish
+// sets it. It reports no merge times.
+func CollectedStats(f *trace.File, snaps []*Snapshot) FinalizeStats {
+	var st FinalizeStats
+	for _, s := range snaps {
+		st.TotalCalls += s.Calls
+		st.IntraNs += s.IntraNs
+	}
+	st.describe(f)
+	return st
 }
 
 // fetched is what one fetch returned.

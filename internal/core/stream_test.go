@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/cst"
 	"github.com/hpcrepro/pilgrim/internal/leaktest"
+	"github.com/hpcrepro/pilgrim/internal/metrics"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
 )
@@ -36,6 +38,15 @@ func streamSnapshots(n int, lossy bool) ([]*Snapshot, *cst.Merged) {
 		merged.Relabels[r], _ = merged.Table.Absorb(tb) // one call per rank cannot overflow
 	}
 	return snaps, merged
+}
+
+// streamedWith is FinalizeStreamed, handed the tables premerged when
+// merged is non-nil.
+func streamedWith(n int, fetch SnapshotFetch, merged *cst.Merged, opts Options) (*trace.File, FinalizeStats, error) {
+	if merged == nil {
+		return FinalizeStreamed(n, fetch, opts, nil)
+	}
+	return newWalk(n, merged, 0, opts).streamed(fetch, nil)
 }
 
 // TestFinalizeStreamedErrorJoinsPackers: the Packers run on their own
@@ -75,7 +86,7 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 					return snaps[start : start+k], nil
 				}
 				check := leaktest.Baseline(t)
-				if _, _, err := FinalizeStreamed(n, failing, merged, 0, opts, nil); !errors.Is(err, errFetch) {
+				if _, _, err := streamedWith(n, failing, merged, opts); !errors.Is(err, errFetch) {
 					t.Fatalf("%s: fetch failure came back as %v", name, err)
 				}
 				check()
@@ -113,7 +124,7 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 					return out, nil
 				}
 				check = leaktest.Baseline(t)
-				_, _, err := FinalizeStreamed(n, slow, merged, 0, capped, nil)
+				_, _, err := streamedWith(n, slow, merged, capped)
 				if err == nil || !strings.Contains(err.Error(), "relabel rank 1") {
 					t.Fatalf("%s: a failing Add came back as %v", name, err)
 				}
@@ -123,14 +134,14 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 				check()
 
 				check = leaktest.Baseline(t)
-				if _, _, err := FinalizeStreamed(n, func(start, k int) ([]*Snapshot, error) {
+				if _, _, err := streamedWith(n, func(start, k int) ([]*Snapshot, error) {
 					return snaps[start : start+k], nil
-				}, merged, 0, capped, nil); err != nil {
+				}, merged, capped); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				check()
 				check = leaktest.Baseline(t)
-				w := NewWalk(n, merged, 0, opts)
+				w := newWalk(n, merged, 0, opts)
 				if err := w.Add(snaps[:n/2]); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -157,7 +168,7 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 					s.Grammar = g.Serialize()
 				})
 				check = leaktest.Baseline(t)
-				_, _, err = FinalizeStreamed(n, hostile, merged, 0, opts, nil)
+				_, _, err = streamedWith(n, hostile, merged, opts)
 				if err == nil || !strings.Contains(err.Error(), "relabel rank 9") {
 					t.Fatalf("%s: unmapped terminal came back as %v", name, err)
 				}
@@ -165,7 +176,7 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 
 				tableless := swap9(func(s *Snapshot) { s.Table = nil })
 				check = leaktest.Baseline(t)
-				_, _, err = FinalizeStreamed(n, tableless, merged, 0, opts, nil)
+				_, _, err = streamedWith(n, tableless, merged, opts)
 				if fold && (err == nil || !strings.Contains(err.Error(), "rank 9 without its table")) {
 					t.Fatalf("%s: a missing table came back as %v", name, err)
 				}
@@ -184,7 +195,7 @@ func TestFinalizeStreamedErrorJoinsPackers(t *testing.T) {
 					}
 				})
 				check = leaktest.Baseline(t)
-				_, _, err = FinalizeStreamed(n, overflowing, merged, 0, opts, nil)
+				_, _, err = streamedWith(n, overflowing, merged, opts)
 				if fold && (err == nil || !strings.Contains(err.Error(), "merge rank 9")) {
 					t.Fatalf("%s: an overflowing count came back as %v", name, err)
 				}
@@ -242,7 +253,7 @@ func TestFinalizeStreamedResidency(t *testing.T) {
 					}
 					return snaps[start : start+m], nil
 				}
-				w := NewWalk(n, merged, 0, opts)
+				w := newWalk(n, merged, 0, opts)
 				adds, seen := int64(0), int64(0)
 				err := pipeline(n, batch, limit, fetch, func(b []*Snapshot) error {
 					adds++
@@ -273,9 +284,9 @@ func TestFinalizeStreamedResidency(t *testing.T) {
 				if want := int64(min(limit, 2*batch)); peak.Load() != want {
 					t.Errorf("%s: at most %d snapshots resident, want %d (batches of %d)", name, peak.Load(), want, batch)
 				}
-				f, _, err = FinalizeStreamed(n, func(start, m int) ([]*Snapshot, error) {
+				f, _, err = streamedWith(n, func(start, m int) ([]*Snapshot, error) {
 					return snaps[start : start+m], nil
-				}, merged, 0, opts, nil)
+				}, merged, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -294,4 +305,35 @@ func streamBytes(t *testing.T, f *trace.File) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// TestWalkFinishFillsSalvageCalls: a tag handed to Finish with only its
+// reason and failed ranks comes back on the File with every rank's
+// snapshot calls, and the salvage is counted once on the collector; an
+// untagged walk counts none.
+func TestWalkFinishFillsSalvageCalls(t *testing.T) {
+	const n = 5
+	snaps, _ := streamSnapshots(n, false)
+	col := metrics.NewCollector()
+	for _, info := range []*trace.SalvageInfo{nil, {Reason: "test", FailedRanks: []int32{3}}} {
+		w := NewWalk(n, Options{Collector: col})
+		for r := 0; r < n; r += 2 {
+			if err := w.Add(snaps[r:min(r+2, n)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, _, err := w.Finish(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Salvage != info {
+			t.Fatalf("the File carries tag %+v, not the one handed to Finish", f.Salvage)
+		}
+		if info != nil && !slices.Equal(info.Calls, []int64{1, 2, 3, 4, 5}) {
+			t.Fatalf("the tag holds calls %v, want each snapshot's [1 2 3 4 5]", info.Calls)
+		}
+	}
+	if got := col.Report().Counters["pilgrim_trace_salvages_total"]; got != 1 {
+		t.Fatalf("salvages = %d, want 1", got)
+	}
 }

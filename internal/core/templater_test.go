@@ -60,14 +60,14 @@ func checkTemplater(t *testing.T, route string, f *trace.File) bool {
 }
 
 // templateRoutes finalizes tracers through Finalize, FinalizeStreamed
-// at K ∈ {0, 1, 2, 256}, SalvageFinalize and, when srv is non-nil, the
+// at K ∈ {0, 1, 2, 256}, a salvage and, when srv is non-nil, the
 // collector's walk on arrival, and checks every File's templater. It
 // requires every route but the salvage to write the bytes Finalize
 // writes, and returns how many Files had a templater; at a grain of 1
 // (grainOne), every one at K = 1 of a world of two ranks or more has.
 func templateRoutes(t *testing.T, tracers []*core.Tracer, opts core.Options, srv *collect.Server, grainOne bool) int {
 	t.Helper()
-	snaps := snapshotAll(tracers)
+	snaps := core.Snapshots(tracers)
 	n, templated := len(snaps), 0
 	f, _ := core.Finalize(tracers)
 	want := fileBytes(t, f)
@@ -77,7 +77,7 @@ func templateRoutes(t *testing.T, tracers []*core.Tracer, opts core.Options, srv
 	for _, k := range []int{0, 1, 2, 256} {
 		o := opts
 		o.MaxResidentSnapshots = k
-		f, _, err := core.FinalizeStreamed(n, func(start, m int) ([]*core.Snapshot, error) { return snaps[start : start+m], nil }, nil, 0, o, nil)
+		f, _, err := core.FinalizeStreamed(n, func(start, m int) ([]*core.Snapshot, error) { return snaps[start : start+m], nil }, o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,8 +91,8 @@ func templateRoutes(t *testing.T, tracers []*core.Tracer, opts core.Options, srv
 			t.Fatalf("%s: the trace differs from Finalize's", route)
 		}
 	}
-	f, _ = core.SalvageFinalize(tracers, map[int]error{n / 2: errors.New("crashed")}, "templater test")
-	if checkTemplater(t, "SalvageFinalize", f) {
+	f, _ = core.FinalizeSnapshots(core.Snapshots(tracers), opts, core.NewSalvageInfo(map[int]error{n / 2: errors.New("crashed")}, "templater test"))
+	if checkTemplater(t, "salvage", f) {
 		templated++
 	}
 	if srv != nil {
@@ -192,9 +192,9 @@ func templateSpans(sink *obs.Sink) int {
 // fails or by a fetch that does, joins the templater's goroutine.
 func TestWalkTemplaterGoroutines(t *testing.T) {
 	settled := leaktest.Baseline(t)
-	snaps := snapshotAll(traceSkeleton(t, "stencil2d", 16, 50, core.Options{}))
+	snaps := core.Snapshots(traceSkeleton(t, "stencil2d", 16, 50, core.Options{}))
 	settled() // the simulated ranks' goroutines have exited
-	w := core.NewWalk(16, nil, 0, core.Options{})
+	w := core.NewWalk(16, core.Options{})
 	check := leaktest.Baseline(t)
 	for r := range snaps {
 		if err := w.Add(snaps[r : r+1]); err != nil {
@@ -225,12 +225,12 @@ func TestWalkTemplaterGoroutines(t *testing.T) {
 					return nil, errFetch
 				}
 				return snaps[start : start+n], nil
-			}, nil, 0, opts, nil)
+			}, opts, nil)
 			if !errors.Is(err, errFetch) {
 				t.Fatalf("%s: came back as %v", how, err)
 			}
 		default:
-			w := core.NewWalk(16, nil, 0, opts)
+			w := core.NewWalk(16, opts)
 			if err := w.Add(snaps[:8]); err != nil {
 				t.Fatal(err)
 			}

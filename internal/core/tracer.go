@@ -42,15 +42,9 @@ type Options struct {
 	// metrics: per-stage tracing overhead histograms (a sample: calls
 	// Post times, about one in 16), CST hit/miss counters, and
 	// finalize/trace-writer gauges. Only a timed call looks at it.
+	// Serving it (pilgrim.ServeMetrics) or reporting its progress
+	// (pilgrim.StartProgressReporter) is the caller's affair.
 	Collector *metrics.Collector
-	// MetricsAddr, when non-empty, makes pilgrim.RunSim serve the
-	// collector (Prometheus text, expvar JSON, pprof) on this
-	// host:port for the duration of the run, creating a Collector if
-	// none was supplied. The core package itself does not serve.
-	MetricsAddr string
-	// ProgressEvery, when positive, makes pilgrim.RunSim emit a
-	// one-line progress summary to stderr at this interval.
-	ProgressEvery time.Duration
 
 	// CollectorAddr, when non-empty, makes pilgrim.RunSim stream every
 	// rank's finalize-time snapshot to the pilgrim-collectd at this
@@ -132,10 +126,12 @@ func (o Options) Validate() error {
 // rank's tracer on one goroutine, back to back, and the ranks then
 // trace on other goroutines, so the fields Post writes on every call
 // lie at least 128 B from either end, between the read-only head below
-// and the encoder's cold tail (DESIGN §4, "One allocation per rank").
+// (padded to 128 B by headPad) and the encoder's cold tail (DESIGN §4,
+// "One allocation per rank").
 type Tracer struct {
 	Rank int
 	opts Options
+	_    [headPad]byte
 
 	mu     sync.Mutex
 	tcomp  *timing.Compressor
@@ -169,6 +165,11 @@ type Tracer struct {
 
 	enc sig.Encoder
 }
+
+// headPad is the cold padding after a Tracer's read-only head, Rank and
+// opts, that puts the first field Post writes 128 B in. A head that
+// outgrows 128 B fails to compile.
+const headPad = 128 - unsafe.Sizeof(int(0)) - unsafe.Sizeof(Options{})
 
 // capture is the raw call stream Options.Verify keeps.
 type capture struct {
@@ -454,8 +455,8 @@ type FinalizeStats struct {
 	TraceBytes   int
 
 	// Metrics is the final self-observability report, populated when
-	// the run had a metrics Collector attached (Options.Collector or
-	// Options.MetricsAddr); nil otherwise.
+	// the run had a metrics Collector attached (Options.Collector); nil
+	// otherwise.
 	Metrics *metrics.Report
 }
 
@@ -561,42 +562,24 @@ func (t *Tracer) start() {
 // tracers and produces the trace file (§3.5). It corresponds to the
 // work Pilgrim does inside MPI_Finalize.
 func Finalize(tracers []*Tracer) (*trace.File, FinalizeStats) {
-	var opts Options
-	if len(tracers) > 0 {
-		opts = tracers[0].opts
-	}
-	return finalizeResident(snapshotAll(tracers, opts), nil, 0, opts, nil)
+	return FinalizeSnapshots(Snapshots(tracers), OptionsOf(tracers), nil)
 }
 
-// SalvageFinalize is the failure-path finalize: it snapshots every
-// tracer (the ranks may be dead or unwound; any still running are
-// snapshotted consistently), runs the same §3.5 inter-process merge
-// over the survivors' full streams and the failed ranks' partial ones,
-// and tags the resulting trace with the failure. failed maps a rank to
-// its fatal error (crash/abort/panic); ranks absent from it survived
-// to the halt. reason is a one-line description of what stopped the
-// run.
-func SalvageFinalize(tracers []*Tracer, failed map[int]error, reason string) (*trace.File, FinalizeStats) {
-	var opts Options
-	if len(tracers) > 0 {
-		opts = tracers[0].opts
+// OptionsOf returns the options the first of tracers was built with,
+// defaulted, which a finalize over them runs with; the zero Options
+// for none.
+func OptionsOf(tracers []*Tracer) Options {
+	if len(tracers) == 0 {
+		return Options{}
 	}
-	if opts.Collector != nil {
-		opts.Collector.Salvages.Inc()
-	}
-	snaps := snapshotAll(tracers, opts)
-	info := NewSalvageInfo(len(snaps), failed, reason)
-	for i, s := range snaps {
-		info.Calls[i] = s.Calls
-	}
-	return finalizeResident(snaps, nil, 0, opts, info)
+	return tracers[0].opts
 }
 
-// NewSalvageInfo starts the tag of a salvage finalize over world ranks:
-// the reason and the failed ranks in ascending order. The caller fills
-// Calls as it snapshots the ranks.
-func NewSalvageInfo(world int, failed map[int]error, reason string) *trace.SalvageInfo {
-	info := &trace.SalvageInfo{Reason: reason, Calls: make([]int64, world)}
+// NewSalvageInfo starts the tag of a salvage finalize: the reason and
+// the failed ranks in ascending order. The walk that finishes the
+// trace fills in every rank's calls.
+func NewSalvageInfo(failed map[int]error, reason string) *trace.SalvageInfo {
+	info := &trace.SalvageInfo{Reason: reason}
 	for r := range failed {
 		info.FailedRanks = append(info.FailedRanks, int32(r))
 	}
@@ -604,18 +587,22 @@ func NewSalvageInfo(world int, failed map[int]error, reason string) *trace.Salva
 	return info
 }
 
-// FinalizeSnapshots merges explicit snapshots (e.g. collected
-// incrementally by a monitor) into a trace tagged with salvage info.
+// FinalizeSnapshots is the finalize walk over resident snapshots, in
+// rank order; info, when non-nil, tags the trace as a salvage (see
+// Walk.Finish). The snapshots may come from Snapshots, after a run or
+// after its failure (the ranks may be dead or unwound; any still
+// running are snapshotted consistently), or from a monitor.
 func FinalizeSnapshots(snaps []*Snapshot, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	return finalizeResident(snaps, nil, 0, opts, info)
+	return NewWalk(len(snaps), opts).resident(snaps, info)
 }
 
-// snapshotAll snapshots every tracer on GOMAXPROCS workers: each
+// Snapshots snapshots every tracer on GOMAXPROCS workers: each
 // Snapshot serializes that rank's grammars (and, in lossy timing mode,
 // its two timing grammars) under the rank's own lock, so the per-rank
-// serialization loop parallelizes trivially.
-func snapshotAll(tracers []*Tracer, opts Options) []*Snapshot {
-	sp := opts.ObsSink.Start("finalize", "finalize.snapshot").WithAttr("ranks", int64(len(tracers)))
+// serialization loop parallelizes trivially. The span goes to the
+// tracers' ObsSink (OptionsOf).
+func Snapshots(tracers []*Tracer) []*Snapshot {
+	sp := OptionsOf(tracers).ObsSink.Start("finalize", "finalize.snapshot").WithAttr("ranks", int64(len(tracers)))
 	snaps := make([]*Snapshot, len(tracers))
 	par.For(len(tracers), runtime.GOMAXPROCS(0), func(i int) {
 		snaps[i] = tracers[i].Snapshot()
@@ -632,19 +619,17 @@ func snapshotAll(tracers []*Tracer, opts Options) []*Snapshot {
 // locally, because cst.Incremental reproduces the rank-order fold
 // exactly.
 func FinalizePremerged(snaps []*Snapshot, merged cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	return finalizeResident(snaps, &merged, cstMergeNs, opts, info)
+	return newWalk(len(snaps), &merged, cstMergeNs, opts).resident(snaps, info)
 }
 
-// finalizeResident is the finalize walk over resident snapshots, in
-// batches of Options.BatchSize sliced from the array. Nothing is
-// fetched, so nothing is fetched ahead: a goroutine per batch would
-// only add its start-up to a 16-rank finalize. The walk is
-// FinalizeStreamed's, so the in-memory and streamed routes stay
-// byte-identical by construction.
-func finalizeResident(snaps []*Snapshot, premerged *cst.Merged, cstMergeNs int64, opts Options, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
-	w := NewWalk(len(snaps), premerged, cstMergeNs, opts)
+// resident walks resident snapshots in batches of Options.BatchSize
+// sliced from the array. Nothing is fetched, so nothing is fetched
+// ahead: a goroutine per batch would only add its start-up to a
+// 16-rank finalize. The walk is FinalizeStreamed's, so the in-memory
+// and streamed routes stay byte-identical by construction.
+func (w *Walk) resident(snaps []*Snapshot, info *trace.SalvageInfo) (*trace.File, FinalizeStats) {
 	defer w.Stop()
-	batch := opts.BatchSize(len(snaps))
+	batch := w.opts.BatchSize(len(snaps))
 	for start := 0; start < len(snaps); start += batch {
 		if err := w.Add(snaps[start:min(start+batch, len(snaps))]); err != nil {
 			// A resident snapshot's grammar names only terminals of the

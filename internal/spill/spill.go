@@ -173,22 +173,15 @@ func (w *Writer) Close() error { return w.f.Close() }
 
 // Finalize runs the streaming finalize over every tracer (FinalizeRanks
 // with TakeSnapshot as the source). failed and reason tag a salvage
-// finalize exactly as core.SalvageFinalize does; pass failed == nil
+// finalize (core.NewSalvageInfo); pass failed == nil and reason == ""
 // for a clean run. The trace is byte-identical to the in-memory path.
 func Finalize(tracers []*core.Tracer, failed map[int]error, reason string, opts core.Options) (*trace.File, core.FinalizeStats, error) {
 	var info *trace.SalvageInfo
 	if failed != nil || reason != "" {
-		if opts.Collector != nil {
-			opts.Collector.Salvages.Inc()
-		}
-		info = core.NewSalvageInfo(len(tracers), failed, reason)
+		info = core.NewSalvageInfo(failed, reason)
 	}
 	return FinalizeRanks(len(tracers), func(rank int) *core.Snapshot {
-		s := tracers[rank].TakeSnapshot()
-		if info != nil {
-			info.Calls[rank] = s.Calls
-		}
-		return s
+		return tracers[rank].TakeSnapshot()
 	}, info, opts)
 }
 
@@ -219,7 +212,7 @@ func FinalizeRanks(world int, take func(rank int) *core.Snapshot, info *trace.Sa
 func (w *Writer) finalize(take func(rank int) *core.Snapshot, info *trace.SalvageInfo, opts core.Options) (*trace.File, core.FinalizeStats, error) {
 	f, st, err := core.FinalizeStreamed(len(w.refs), func(start, n int) ([]*core.Snapshot, error) {
 		return w.spillBatch(take, start, n, opts)
-	}, nil, 0, opts, info)
+	}, opts, info)
 	if err != nil {
 		return nil, core.FinalizeStats{}, err
 	}

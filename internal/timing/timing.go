@@ -73,18 +73,17 @@ func ValidBase(b float64) bool { return b > 1 && !math.IsInf(b, 1) }
 // call, so they sit 128 B from either end: a compressor allocated next
 // to another rank's shares no cache line, nor an adjacent one, that
 // Record writes with it (DESIGN §4, "One allocation per rank"). Ahead
-// of them are the read-only bases and perSig, which only a call that
+// of them are the read-only base and perSig, which only a call that
 // meets a new terminal writes; after them, padding. At 512 B the
 // allocator adds no header and rounds nothing.
 type Compressor struct {
-	base    expBase
-	perFunc map[mpispec.FuncID]expBase // nil until the first SetFuncBase
+	base expBase
 	// perSig holds each signature terminal's Σ reconstructed intervals.
 	// Terminals are contiguous small ints, so a dense slice (grown on
 	// demand) replaces the former map: no hashing and no allocation on
 	// the per-call path once the terminal has been seen.
 	perSig []float64
-	_      [72]byte
+	_      [80]byte
 
 	durG, intG sequitur.Grammar
 	_          [128]byte
@@ -100,25 +99,6 @@ func New(base float64) *Compressor {
 	c.durG.Init(nil)
 	c.intG.Init(nil)
 	return c
-}
-
-// SetFuncBase overrides the base for one MPI function (the paper
-// allows per-function bases).
-func (c *Compressor) SetFuncBase(f mpispec.FuncID, base float64) {
-	if !ValidBase(base) {
-		panic("timing: base must be finite and > 1")
-	}
-	if c.perFunc == nil {
-		c.perFunc = map[mpispec.FuncID]expBase{}
-	}
-	c.perFunc[f] = newExpBase(base)
-}
-
-func (c *Compressor) baseFor(f mpispec.FuncID) expBase {
-	if b, ok := c.perFunc[f]; ok {
-		return b
-	}
-	return c.base
 }
 
 // binOf returns the grammar terminal for value v under the base whose
@@ -147,10 +127,12 @@ func valueOf(term int32, b float64) float64 {
 }
 
 // Record adds one call's timing: term is the call's CST terminal (the
-// per-signature interval chains key on it), f its function id, and
-// tStart/tEnd its wall-clock entry and exit in nanoseconds.
+// per-signature interval chains key on it), and tStart/tEnd its
+// wall-clock entry and exit in nanoseconds. f, the call's function id,
+// is not read: a trace stores one base for all calls. It stays in the
+// signature for the benchmark harness, which calls Record with it.
 func (c *Compressor) Record(term int32, f mpispec.FuncID, tStart, tEnd int64) {
-	b := c.baseFor(f)
+	b := c.base
 	dur := float64(tEnd - tStart)
 	c.durG.Append(b.bin(dur))
 
@@ -185,9 +167,8 @@ func (c *Compressor) IntervalGrammar() sequitur.Serialized {
 // Reconstructor recovers per-call (tStart, tEnd) from the main call
 // sequence plus the two timing grammars.
 type Reconstructor struct {
-	base    expBase
-	perFunc map[mpispec.FuncID]expBase
-	perSig  []float64 // dense, like Compressor.perSig (post-merge terminals stay contiguous)
+	base   expBase
+	perSig []float64 // dense, like Compressor.perSig (post-merge terminals stay contiguous)
 }
 
 // NewReconstructor mirrors the compressor configuration.
@@ -195,25 +176,10 @@ func NewReconstructor(base float64) *Reconstructor {
 	return &Reconstructor{base: newExpBase(base)}
 }
 
-// SetFuncBase mirrors Compressor.SetFuncBase.
-func (r *Reconstructor) SetFuncBase(f mpispec.FuncID, base float64) {
-	if r.perFunc == nil {
-		r.perFunc = map[mpispec.FuncID]expBase{}
-	}
-	r.perFunc[f] = newExpBase(base)
-}
-
-func (r *Reconstructor) baseFor(f mpispec.FuncID) expBase {
-	if b, ok := r.perFunc[f]; ok {
-		return b
-	}
-	return r.base
-}
-
-// Next recovers the k-th call's times given its CST terminal, function
-// id, and the k-th terminals of the duration and interval grammars.
-func (r *Reconstructor) Next(term int32, f mpispec.FuncID, durTerm, intTerm int32) (tStart, tEnd int64) {
-	b := r.baseFor(f)
+// Next recovers the k-th call's times given its CST terminal and the
+// k-th terminals of the duration and interval grammars.
+func (r *Reconstructor) Next(term, durTerm, intTerm int32) (tStart, tEnd int64) {
+	b := r.base
 	r.perSig = growDense(r.perSig, term)
 	recon := r.perSig[term] + b.value(intTerm)
 	r.perSig[term] = recon
@@ -234,24 +200,23 @@ type CallTime struct {
 func (t CallTime) Duration() int64 { return t.End - t.Start }
 
 // Series recovers the full per-call timeline of one rank in a single
-// pass: terms and funcs describe the rank's call stream (CST terminal
-// and function id per call, in order), durTerms/intTerms are the
-// expanded duration and interval grammars. All four slices must have
-// equal length. Every recovered start time and duration carries the
+// pass: terms is the rank's call stream (a CST terminal per call, in
+// order), durTerms/intTerms are the expanded duration and interval
+// grammars. All three slices must have equal length. Every recovered start time and duration carries the
 // paper's guarantee: relative error at most base−1 against the
 // original wall clock, never compounding across calls.
 //
 // The receiver is single-use for a given rank: it accumulates the
 // per-signature reconstructed interval chains, so reuse across ranks
 // (or interleaving with Next) corrupts the recovered times.
-func (r *Reconstructor) Series(terms []int32, funcs []mpispec.FuncID, durTerms, intTerms []int32) ([]CallTime, error) {
-	if len(funcs) != len(terms) || len(durTerms) != len(terms) || len(intTerms) != len(terms) {
-		return nil, fmt.Errorf("timing: stream lengths differ (terms=%d funcs=%d dur=%d int=%d)",
-			len(terms), len(funcs), len(durTerms), len(intTerms))
+func (r *Reconstructor) Series(terms, durTerms, intTerms []int32) ([]CallTime, error) {
+	if len(durTerms) != len(terms) || len(intTerms) != len(terms) {
+		return nil, fmt.Errorf("timing: stream lengths differ (terms=%d dur=%d int=%d)",
+			len(terms), len(durTerms), len(intTerms))
 	}
 	out := make([]CallTime, len(terms))
 	for i := range terms {
-		s, e := r.Next(terms[i], funcs[i], durTerms[i], intTerms[i])
+		s, e := r.Next(terms[i], durTerms[i], intTerms[i])
 		out[i] = CallTime{Start: s, End: e}
 	}
 	return out, nil
@@ -259,6 +224,5 @@ func (r *Reconstructor) Series(terms []int32, funcs []mpispec.FuncID, durTerms, 
 
 // Bound returns the reconstructor's relative-error guarantee (base−1):
 // every CallTime Series or Next produces has |recovered−true|/true at
-// most this, for both start times and durations. Per-function base
-// overrides are reported by the function's own bound.
-func (r *Reconstructor) Bound(f mpispec.FuncID) float64 { return r.baseFor(f).b - 1 }
+// most this, for both start times and durations.
+func (r *Reconstructor) Bound() float64 { return r.base.b - 1 }

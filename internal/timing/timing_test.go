@@ -68,7 +68,7 @@ func TestRecordReconstructErrorBound(t *testing.T) {
 	}
 	r := NewReconstructor(base)
 	for i, cl := range calls {
-		ts, te := r.Next(cl.term, cl.f, durSeq[i], intSeq[i])
+		ts, te := r.Next(cl.term, durSeq[i], intSeq[i])
 		if relErr(float64(ts), float64(cl.ts)) > base-1+1e-9 {
 			t.Fatalf("call %d: tStart error %.4f exceeds bound", i, relErr(float64(ts), float64(cl.ts)))
 		}
@@ -98,7 +98,6 @@ func TestSeriesEveryCallWithinBound(t *testing.T) {
 	c := New(base)
 
 	var terms []int32
-	var funcs []mpispec.FuncID
 	var starts, durs []int64
 	now := int64(500)
 	fids := []mpispec.FuncID{mpispec.FSend, mpispec.FRecv, mpispec.FWaitall, mpispec.FAllreduce}
@@ -112,7 +111,6 @@ func TestSeriesEveryCallWithinBound(t *testing.T) {
 		}
 		now += gap
 		terms = append(terms, term)
-		funcs = append(funcs, f)
 		starts = append(starts, now)
 		durs = append(durs, dur)
 		c.Record(term, f, now, now+dur)
@@ -120,14 +118,14 @@ func TestSeriesEveryCallWithinBound(t *testing.T) {
 	}
 
 	r := NewReconstructor(base)
-	times, err := r.Series(terms, funcs, c.DurationGrammar().Expand(0), c.IntervalGrammar().Expand(0))
+	times, err := r.Series(terms, c.DurationGrammar().Expand(0), c.IntervalGrammar().Expand(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(times) != len(terms) {
 		t.Fatalf("Series returned %d times for %d calls", len(times), len(terms))
 	}
-	bound := r.Bound(mpispec.FSend) + 1e-9
+	bound := r.Bound() + 1e-9
 	for i, ct := range times {
 		if e := relErr(float64(ct.Start), float64(starts[i])); e > bound {
 			t.Fatalf("call %d: start error %.4f exceeds per-call bound %.4f", i, e, bound)
@@ -140,7 +138,7 @@ func TestSeriesEveryCallWithinBound(t *testing.T) {
 
 func TestSeriesLengthMismatch(t *testing.T) {
 	r := NewReconstructor(1.2)
-	if _, err := r.Series([]int32{0, 1}, []mpispec.FuncID{mpispec.FSend}, []int32{0, 0}, []int32{0, 0}); err == nil {
+	if _, err := r.Series([]int32{0, 1}, []int32{0}, []int32{0, 0}); err == nil {
 		t.Fatal("mismatched stream lengths must error")
 	}
 }
@@ -188,28 +186,10 @@ func TestNoisyTimingStillBounded(t *testing.T) {
 	intSeq := c.IntervalGrammar().Expand(0)
 	r := NewReconstructor(base)
 	for i := range starts {
-		ts, _ := r.Next(1, mpispec.FRecv, durSeq[i], intSeq[i])
+		ts, _ := r.Next(1, durSeq[i], intSeq[i])
 		if relErr(float64(ts), float64(starts[i])) > base-1+1e-9 {
 			t.Fatalf("call %d start error out of bound", i)
 		}
-	}
-}
-
-func TestPerFunctionBase(t *testing.T) {
-	c := New(1.2)
-	c.SetFuncBase(mpispec.FBarrier, 2.0)
-	// A duration of 1000ns bins differently under base 2.
-	c.Record(0, mpispec.FBarrier, 0, 1000)
-	c.Record(1, mpispec.FSend, 0, 1000)
-	seq := c.DurationGrammar().Expand(0)
-	if seq[0] == seq[1] {
-		t.Fatal("per-function base had no effect")
-	}
-	r := NewReconstructor(1.2)
-	r.SetFuncBase(mpispec.FBarrier, 2.0)
-	_, te := r.Next(0, mpispec.FBarrier, seq[0], 0)
-	if relErr(float64(te), 1000) > 1.0+1e-9 { // base 2 → error < 1.0
-		t.Fatalf("barrier duration error %f", relErr(float64(te), 1000))
 	}
 }
 
@@ -250,9 +230,7 @@ func TestGrammarSizesReported(t *testing.T) {
 var newSink *Compressor
 
 // TestNewAllocs pins a compressor's construction: the struct, which
-// holds its two grammars, and each grammar's first symbol and rule. The
-// per-function base map is made by the first SetFuncBase, which no
-// caller but a test has ever used.
+// holds its two grammars, and each grammar's first symbol and rule.
 func TestNewAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { newSink = New(1.2) }); allocs > 5 {
 		t.Fatalf("timing.New allocates %.0f times, want at most 5", allocs)
@@ -261,8 +239,7 @@ func TestNewAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { r = NewReconstructor(1.2) }); allocs > 1 {
 		t.Fatalf("timing.NewReconstructor allocates %.0f times, want at most 1", allocs)
 	}
-	// Reading the unmade map is the common path.
-	if b := r.Bound(mpispec.FSend); math.Abs(b-0.2) > 1e-12 {
-		t.Fatalf("bound without overrides = %v, want 0.2", b)
+	if b := r.Bound(); math.Abs(b-0.2) > 1e-12 {
+		t.Fatalf("bound = %v, want 0.2", b)
 	}
 }

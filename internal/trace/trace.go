@@ -230,7 +230,9 @@ type decodedSig struct {
 	err error
 }
 
-// SalvageInfo tags a partial trace produced by SalvageFinalize.
+// SalvageInfo tags a partial trace produced by a salvage finalize: the
+// caller names the failure, and the finalize walk (core.Walk.Finish)
+// fills in Calls.
 type SalvageInfo struct {
 	// FailedRanks lists the ranks that crashed or aborted; their call
 	// streams end at the failure point. Ranks not listed survived to

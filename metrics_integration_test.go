@@ -13,14 +13,19 @@ import (
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
-// TestMetricsEndpointDuringRun boots a simulation with
-// Options.MetricsAddr set and scrapes the Prometheus endpoint while
-// ranks are still running: the response must carry counters from all
-// three instrumented layers (tracer, mpi runtime, trace writer after
+// TestMetricsEndpointDuringRun serves a run's collector with
+// ServeMetrics and scrapes the Prometheus endpoint while ranks are
+// still running: the response must carry counters from all three
+// instrumented layers (tracer, mpi runtime, trace writer after
 // finalize).
 func TestMetricsEndpointDuringRun(t *testing.T) {
 	addr := freeAddr(t)
-	opts := pilgrim.Options{MetricsAddr: addr}
+	col := pilgrim.NewMetricsCollector()
+	srv, err := pilgrim.ServeMetrics(addr, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := pilgrim.Options{Collector: col}
 
 	type scrape struct {
 		body string
@@ -45,6 +50,7 @@ func TestMetricsEndpointDuringRun(t *testing.T) {
 
 	body := workloads.Stencil2D(workloads.StencilConfig{Iters: 3000})
 	_, stats, err := pilgrim.RunSim(9, opts, mpi.Options{}, body)
+	srv.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +71,7 @@ func TestMetricsEndpointDuringRun(t *testing.T) {
 
 	// The final report covers the writer layer too.
 	if stats.Metrics == nil {
-		t.Fatal("FinalizeStats.Metrics nil with MetricsAddr set")
+		t.Fatal("FinalizeStats.Metrics nil with a collector attached")
 	}
 	if stats.Metrics.Counters["pilgrim_tracer_calls_total"] != stats.TotalCalls {
 		t.Fatalf("metrics calls %d != stats calls %d",
@@ -81,9 +87,9 @@ func TestMetricsEndpointDuringRun(t *testing.T) {
 		t.Fatal("no per-rank mpi message counters in final report")
 	}
 
-	// The server must be gone after RunSim returns.
+	// The server must be gone once closed.
 	if _, err := httpGet("http://" + addr + "/metrics"); err == nil {
-		t.Fatal("metrics server still up after RunSim returned")
+		t.Fatal("metrics server still up after Close")
 	}
 }
 

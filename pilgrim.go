@@ -108,25 +108,11 @@ func RunSim(n int, opts Options, simOpts mpi.Options, body func(p *mpi.Proc)) (*
 	if spilled && opts.CollectorRunID != "" && !framelog.ValidRunID(opts.CollectorRunID) {
 		return nil, FinalizeStats{}, fmt.Errorf("pilgrim: run id %q cannot name a spill directory", opts.CollectorRunID)
 	}
-	// Self-observability: an explicit Collector wins; otherwise asking
-	// for an endpoint or a progress reporter implies one.
+	// Self-observability: the runtime reports into the tracers'
+	// collector. Serving it is the caller's (ServeMetrics,
+	// StartProgressReporter).
 	col := opts.Collector
-	if col == nil && (opts.MetricsAddr != "" || opts.ProgressEvery > 0) {
-		col = metrics.NewCollector()
-		opts.Collector = col
-	}
 	if col != nil {
-		if opts.MetricsAddr != "" {
-			srv, err := metrics.Serve(opts.MetricsAddr, col)
-			if err != nil {
-				return nil, FinalizeStats{}, err
-			}
-			defer srv.Close()
-		}
-		if opts.ProgressEvery > 0 {
-			stop := col.StartReporter(os.Stderr, opts.ProgressEvery)
-			defer stop()
-		}
 		simOpts.Metrics = col
 	}
 	tracers := make([]*Tracer, n)
@@ -180,7 +166,7 @@ func RunSim(n int, opts Options, simOpts mpi.Options, body func(p *mpi.Proc)) (*
 		}
 		return nil, stats, fmt.Errorf("pilgrim: spill finalize: %w", ferr)
 	case err != nil:
-		file, stats := core.SalvageFinalize(tracers, failed, reason)
+		file, stats := core.FinalizeSnapshots(core.Snapshots(tracers), opts, core.NewSalvageInfo(failed, reason))
 		return file, stats, err
 	}
 	file, stats := core.Finalize(tracers)
@@ -214,10 +200,7 @@ func classify(err error) (failed map[int]error, reason string) {
 // back to the local merge over the same snapshots, so the run always
 // succeeds.
 func collectFinalize(tracers []*Tracer, opts Options) (*TraceFile, FinalizeStats) {
-	snaps := make([]*core.Snapshot, len(tracers))
-	for i, tr := range tracers {
-		snaps[i] = tr.Snapshot()
-	}
+	snaps := core.Snapshots(tracers)
 	runID := opts.CollectorRunID
 	if runID == "" {
 		runID = "run-" + strconv.FormatInt(time.Now().UnixNano(), 36) +
@@ -252,26 +235,18 @@ func collectFinalize(tracers []*Tracer, opts Options) (*TraceFile, FinalizeStats
 			opts.CollectorAddr, err)
 		return core.FinalizeSnapshots(snaps, opts, nil)
 	}
-	var st FinalizeStats
-	for _, s := range snaps {
-		st.TotalCalls += s.Calls
-		st.IntraNs += s.IntraNs
-	}
-	st.TraceBytes = file.SizeBytes()
-	st.GlobalCST = file.CST.Len()
-	st.UniqueCFGs = len(file.Grammars)
-	st.UniqueShapes = len(file.Representatives())
-	return file, st
+	return file, core.CollectedStats(file, snaps)
 }
 
 // SalvageFinalize performs the failure-path inter-process merge: it
 // snapshots every tracer, merges the survivors' full call streams with
 // the failed ranks' partial ones, and tags the trace with which ranks
 // originated the failure (ranks that merely unwound with ErrRevoked
-// are not listed as failed) and why. err is the error RunOpt returned.
+// are not listed as failed), why, and every rank's calls. err is the
+// error RunOpt returned; the options are the first tracer's.
 func SalvageFinalize(tracers []*Tracer, err error) (*TraceFile, FinalizeStats) {
 	failed, reason := classify(err)
-	return core.SalvageFinalize(tracers, failed, reason)
+	return core.FinalizeSnapshots(core.Snapshots(tracers), core.OptionsOf(tracers), core.NewSalvageInfo(failed, reason))
 }
 
 // VerifySalvaged checks a salvaged trace against the tracers: salvage
@@ -346,15 +321,15 @@ func NewMetricsCollector() *MetricsCollector { return metrics.NewCollector() }
 type MetricsServer = metrics.Server
 
 // ServeMetrics starts a MetricsServer on addr (use ":0" for an
-// ephemeral port; Addr() reports the bound address). RunSim starts one
-// automatically when Options.MetricsAddr is set.
+// ephemeral port; Addr() reports the bound address). Attach the same
+// collector via Options.Collector to serve a run's metrics while it
+// runs.
 func ServeMetrics(addr string, c *MetricsCollector) (*MetricsServer, error) {
 	return metrics.Serve(addr, c)
 }
 
 // StartProgressReporter emits a one-line summary of c every interval
-// until the returned stop func is called. RunSim starts one
-// automatically when Options.ProgressEvery is set.
+// until the returned stop func is called.
 func StartProgressReporter(w io.Writer, c *MetricsCollector, every time.Duration) (stop func()) {
 	return c.StartReporter(w, every)
 }
