@@ -183,13 +183,12 @@ func BenchmarkFig10Timing(b *testing.B) {
 func BenchmarkCollectJournalIngest(b *testing.B) {
 	for _, mode := range []collect.SyncMode{collect.SyncOff, collect.SyncBatch, collect.SyncAlways} {
 		b.Run(string(mode), func(b *testing.B) {
-			snaps := benchSnapshots(b, 8)
-			dir := b.TempDir()
-			srv, err := collect.Start(collect.Config{Listen: "127.0.0.1:0", OutDir: dir, JournalSync: mode})
+			tracers, err := traceRun(8, core.Options{}, mpi.Options{}, workload(b, "stencil2d", 3, 8))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer srv.Close()
+			snaps := core.Snapshots(tracers)
+			srv := startCollector(b, collect.Config{OutDir: b.TempDir(), JournalSync: mode})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := &collect.Client{
@@ -202,34 +201,6 @@ func BenchmarkCollectJournalIngest(b *testing.B) {
 			}
 		})
 	}
-}
-
-// benchSnapshots traces a small stencil run and returns its per-rank
-// snapshots for replaying through collectors.
-func benchSnapshots(b *testing.B, n int) []*core.Snapshot {
-	b.Helper()
-	tracers := make([]*core.Tracer, n)
-	ics := make([]mpi.Interceptor, n)
-	for i := range tracers {
-		tracers[i] = core.NewTracer(i, nil, core.Options{})
-		ics[i] = tracers[i]
-	}
-	body, err := workloads.Get("stencil2d", 3, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	err = mpi.RunOpt(n, mpi.Options{Interceptors: ics}, func(p *mpi.Proc) {
-		core.BindOOB(tracers[p.Rank()], p)
-		body(p)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snaps := make([]*core.Snapshot, n)
-	for i, tr := range tracers {
-		snaps[i] = tr.Snapshot()
-	}
-	return snaps
 }
 
 // --- Component microbenchmarks -------------------------------------------------
@@ -463,10 +434,7 @@ func BenchmarkDecodeRank(b *testing.B) {
 		{"cg4096x10", "cg", 4096, 10},
 	} {
 		b.Run(w.name, func(b *testing.B) {
-			body, err := workloads.Get(w.app, w.iters, w.procs)
-			if err != nil {
-				b.Fatal(err)
-			}
+			body := workload(b, w.app, w.iters, w.procs)
 			file, stats, err := pilgrim.Run(w.procs, pilgrim.Options{}, body)
 			if err != nil {
 				b.Fatal(err)
@@ -513,10 +481,7 @@ func BenchmarkTraceRead(b *testing.B) {
 		{"cg4096x10", "cg", 4096, 10},
 	} {
 		b.Run(w.name, func(b *testing.B) {
-			body, err := workloads.Get(w.app, w.iters, w.procs)
-			if err != nil {
-				b.Fatal(err)
-			}
+			body := workload(b, w.app, w.iters, w.procs)
 			file, _, err := pilgrim.Run(w.procs, pilgrim.Options{}, body)
 			if err != nil {
 				b.Fatal(err)

@@ -68,10 +68,7 @@ func snapshots(t *testing.T, n int) []*core.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := make([]*core.Snapshot, n)
-	for i, tr := range trs {
-		snaps[i] = tr.Snapshot()
-	}
+	snaps := core.Snapshots(trs)
 	return snaps
 }
 

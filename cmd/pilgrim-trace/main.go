@@ -41,9 +41,8 @@ func main() {
 		spillDir    = flag.String("spill-dir", "", "finalize a batch of ranks at a time instead of holding every rank in memory, recording each batch's snapshots under this directory (journal-format, byte-identical output; ignored with -collector)")
 		maxResident = flag.Int("max-resident", 0, "max rank snapshots resident during a -spill-dir finalize: batches of half this many are snapshotted and written to the spill while the batch before is finalized (0 = two batches of a sixteenth of the ranks; negative is refused)")
 
-		obsOn   = flag.Bool("obs", false, "record pipeline spans (finalize stages, collector client) into a flight recorder")
-		obsBuf  = flag.Int("obs-buf", 0, "flight recorder capacity in events (0 = 4096 default; overflow drops oldest)")
-		obsDump = flag.String("obs-dump", "", "write the flight recorder as trace-event JSON to this file after the run (implies -obs)")
+		obsBuf  = flag.Int("obs-buf", 0, "-obs-dump's flight recorder capacity in events (0 = 4096 default; overflow drops oldest)")
+		obsDump = flag.String("obs-dump", "", "record pipeline spans (finalize stages, collector client) into a flight recorder, written as trace-event JSON to this file after the run")
 
 		salvage   = flag.Bool("salvage", false, "on failure, write the salvaged partial trace instead of exiting empty-handed")
 		seed      = flag.Int64("seed", 0, "simulator seed (0 = default)")
@@ -93,7 +92,7 @@ func main() {
 	opts.CollectorRunID = *runID
 	opts.SpillDir = *spillDir
 	opts.MaxResidentSnapshots = *maxResident
-	if *obsOn || *obsDump != "" {
+	if *obsDump != "" {
 		opts.ObsSink = pilgrim.NewObsSink(*obsBuf)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,7 +116,9 @@ func TestTraceRefusesBadOptions(t *testing.T) {
 // collector. -metrics-addr on an ephemeral port is accepted, -progress
 // prints progress lines to stderr while the run goes on, and
 // -metrics-json writes a report whose tracer call counter is the
-// run's calls.
+// run's calls. -obs-dump writes the flight recorder as trace-event
+// JSON holding the finalize spans, and -obs, which only made a
+// recorder no one read, is no flag.
 func TestTraceTelemetryFlags(t *testing.T) {
 	dir := t.TempDir()
 	report := filepath.Join(dir, "metrics.json")
@@ -142,5 +145,22 @@ func TestTraceTelemetryFlags(t *testing.T) {
 	}
 	if got := rep.Counters["pilgrim_tracer_calls_total"]; got != calls {
 		t.Errorf("the report counts %d tracer calls, the run traced %d", got, calls)
+	}
+
+	spans := filepath.Join(dir, "spans.json")
+	if _, stderr, code := run(t, "-workload", "stencil2d", "-procs", "4", "-obs-dump", spans, "-o", filepath.Join(dir, "s.pilgrim")); code != 0 {
+		t.Fatalf("-obs-dump: exit %d, stderr %q", code, stderr)
+	}
+	var dump struct {
+		TraceEvents []struct{ Name string } `json:"traceEvents"`
+	}
+	if data, err = os.ReadFile(spans); err == nil {
+		err = json.Unmarshal(data, &dump)
+	}
+	if err != nil || !slices.ContainsFunc(dump.TraceEvents, func(e struct{ Name string }) bool { return e.Name == "finalize.cst_merge" }) {
+		t.Errorf("-obs-dump wrote %d events with no finalize.cst_merge span (%v)", len(dump.TraceEvents), err)
+	}
+	if _, stderr, code := run(t, "-workload", "stencil2d", "-procs", "4", "-obs"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -obs") {
+		t.Errorf("-obs: exit %d, stderr %q; want exit 2, an unknown flag", code, stderr)
 	}
 }

@@ -8,8 +8,6 @@ import (
 
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/collect"
-	"github.com/hpcrepro/pilgrim/internal/core"
-	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
@@ -21,16 +19,9 @@ import (
 func TestRunSimThroughCollector(t *testing.T) {
 	const n = 8
 	dir := t.TempDir()
-	srv, err := collect.Start(collect.Config{Listen: "127.0.0.1:0", OutDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := startCollector(t, collect.Config{OutDir: dir})
 
-	body, err := workloads.Get("stencil2d", 3, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := workload(t, "stencil2d", 3, n)
 	opts := pilgrim.Options{CollectorAddr: srv.Addr(), CollectorRunID: "e2e"}
 	file, stats, err := pilgrim.RunSim(n, opts, mpi.Options{}, body)
 	if err != nil {
@@ -66,25 +57,15 @@ func TestRunSimThroughCollector(t *testing.T) {
 // silently hand back the first run's trace.
 func TestRunSimReusedRunID(t *testing.T) {
 	const n = 4
-	srv, err := collect.Start(collect.Config{Listen: "127.0.0.1:0", OutDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := startCollector(t, collect.Config{OutDir: t.TempDir()})
 	opts := pilgrim.Options{CollectorAddr: srv.Addr(), CollectorRunID: "reused"}
 
-	small, err := workloads.Get("stencil2d", 2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := workload(t, "stencil2d", 2, n)
 	file1, _, err := pilgrim.RunSim(n, opts, mpi.Options{}, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := workloads.Get("stencil2d", 5, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := workload(t, "stencil2d", 5, n)
 	file2, _, err := pilgrim.RunSim(n, opts, mpi.Options{}, big)
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +92,7 @@ func TestRunSimReusedRunID(t *testing.T) {
 // the run still succeeds with a full trace.
 func TestRunSimCollectorDown(t *testing.T) {
 	const n = 4
-	body, err := workloads.Get("stencil2d", 2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := workload(t, "stencil2d", 2, n)
 	// A listener we close immediately: the port is real but dead.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -142,10 +120,7 @@ func TestRunSimCollectorDown(t *testing.T) {
 // run must still finish via the local fallback.
 func TestRunSimCollectorKilledMidRun(t *testing.T) {
 	const n = 4
-	body, err := workloads.Get("stencil2d", 2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := workload(t, "stencil2d", 2, n)
 	// A "dying collector": accepts each connection, then severs it
 	// before any ack — what producers observe when the daemon is killed
 	// between connect and reply.
@@ -180,28 +155,24 @@ func TestRunSimCollectorKilledMidRun(t *testing.T) {
 // completes via the local finalize, producing a full trace.
 func TestRunSimFallsBackOnAdmissionNack(t *testing.T) {
 	const n = 4
-	srv, err := collect.Start(collect.Config{Listen: "127.0.0.1:0", MaxRuns: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := startCollector(t, collect.Config{MaxRuns: 1})
 
 	// Occupy the only run slot with a half-reported run that never
 	// finalizes (no straggler deadline configured).
-	occ := traceSnapshots(t, 2)
+	occ, err := traceRun(2, pilgrim.Options{}, mpi.Options{}, workload(t, "stencil2d", 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	hold := &collect.Client{
 		Addr:  srv.Addr(),
 		Run:   collect.RunInfo{RunID: "occupier", WorldSize: 2},
 		Retry: collect.RetryPolicy{Seed: 1},
 	}
-	if err := hold.SendSnapshot(occ[0]); err != nil {
+	if err := hold.SendSnapshot(occ[0].Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 
-	body, err := workloads.Get("stencil2d", 2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := workload(t, "stencil2d", 2, n)
 	opts := pilgrim.Options{CollectorAddr: srv.Addr(), CollectorRunID: "shed"}
 	file, stats, err := pilgrim.RunSim(n, opts, mpi.Options{}, body)
 	if err != nil {
@@ -226,32 +197,4 @@ func TestRunSimFallsBackOnAdmissionNack(t *testing.T) {
 	if !ok || st.State != "collecting" || st.Received != 1 {
 		t.Fatalf("occupier run disturbed by shed load: %+v", st)
 	}
-}
-
-// traceSnapshots runs a small workload under per-rank tracers and
-// returns the snapshots — raw material for driving a collector by hand.
-func traceSnapshots(t *testing.T, n int) []*core.Snapshot {
-	t.Helper()
-	tracers := make([]*core.Tracer, n)
-	ics := make([]mpi.Interceptor, n)
-	for i := 0; i < n; i++ {
-		tracers[i] = core.NewTracer(i, nil, core.Options{})
-		ics[i] = tracers[i]
-	}
-	body, err := workloads.Get("stencil2d", 2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = mpi.RunOpt(n, mpi.Options{Interceptors: ics}, func(p *mpi.Proc) {
-		core.BindOOB(tracers[p.Rank()], p)
-		body(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := make([]*core.Snapshot, n)
-	for i, tr := range tracers {
-		snaps[i] = tr.Snapshot()
-	}
-	return snaps
 }

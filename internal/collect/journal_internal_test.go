@@ -41,6 +41,8 @@ func TestParseManifestRejectsHostileInput(t *testing.T) {
 		{"huge world", `{"run":"r","nranks":99999999,"state":"collecting"}`},
 		{"bad state", `{"run":"r","nranks":2,"state":"exploded"}`},
 		{"negative base", `{"run":"r","nranks":2,"state":"collecting","timing_base":-3}`},
+		{"lossy base 0.5", `{"run":"r","nranks":2,"state":"collecting","timing_mode":1,"timing_base":0.5}`},
+		{"timing mode 5", `{"run":"r","nranks":2,"state":"collecting","timing_mode":5}`},
 	} {
 		if _, err := framelog.ParseManifest([]byte(tc.body)); err == nil {
 			t.Errorf("%s: accepted %q", tc.name, tc.body)

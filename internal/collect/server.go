@@ -32,6 +32,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/obs"
+	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
@@ -431,6 +432,14 @@ func (s *Server) runFor(h *wire.Hello, fromJournal bool) (*run, error) {
 		if sameEpoch {
 			if r.world != h.WorldSize {
 				return nil, fmt.Errorf("run %s world size %d != announced %d", h.RunID, r.world, h.WorldSize)
+			}
+			// A run traces in one timing: a hello of another mode, or of
+			// another base in lossy timing, would finalize into a trace
+			// that drops or misreads its rank's timing streams.
+			mode, base := r.opts.TimingMode, trace.DefaultBase(r.opts.TimingBase)
+			if h.TimingMode != mode || mode == trace.TimingLossy && trace.DefaultBase(h.TimingBase) != base {
+				return nil, fmt.Errorf("run %s timing mode %d base %v != announced mode %d base %v",
+					h.RunID, mode, base, h.TimingMode, trace.DefaultBase(h.TimingBase))
 			}
 			return r, nil
 		}

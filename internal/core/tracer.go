@@ -93,19 +93,17 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.TimingBase == 0 {
-		o.TimingBase = 1.2
-	}
+	o.TimingBase = trace.DefaultBase(o.TimingBase)
 	return o
 }
 
-// Validate refuses options no run can trace with: in lossy timing mode
-// the base, once defaulted, must be finite and greater than 1, and the
-// resident snapshot cap must not be negative.
+// Validate refuses options no run can trace with: a timing mode and
+// base, once defaulted, that trace.CheckTiming refuses, or a negative
+// resident snapshot cap.
 func (o Options) Validate() error {
 	o = o.withDefaults()
-	if o.TimingMode == trace.TimingLossy && !timing.ValidBase(o.TimingBase) {
-		return &trace.TimingBaseError{Base: o.TimingBase}
+	if err := trace.CheckTiming(o.TimingMode, o.TimingBase); err != nil {
+		return err
 	}
 	if o.MaxResidentSnapshots < 0 {
 		return fmt.Errorf("max resident snapshots %d is negative", o.MaxResidentSnapshots)

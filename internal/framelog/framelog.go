@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
@@ -144,6 +145,9 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	}
 	if math.IsNaN(m.TimingBase) || math.IsInf(m.TimingBase, 0) || m.TimingBase < 0 {
 		return nil, fmt.Errorf("framelog: manifest timing base %v implausible", m.TimingBase)
+	}
+	if err := trace.CheckTiming(m.TimingMode, trace.DefaultBase(m.TimingBase)); err != nil {
+		return nil, fmt.Errorf("framelog: manifest: %w", err)
 	}
 	if math.IsNaN(m.CreatedSec) || math.IsInf(m.CreatedSec, 0) {
 		return nil, fmt.Errorf("framelog: manifest created time %v implausible", m.CreatedSec)

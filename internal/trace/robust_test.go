@@ -496,7 +496,8 @@ func TestReadRejectsEmptyGrammars(t *testing.T) {
 
 // TestReadRejectsBadTimingBase: a lossy file whose base is not finite
 // and greater than 1 is refused with a TimingBaseError; an aggregated
-// file never uses its base and reads whatever it holds.
+// file never uses its base and reads whatever it holds. A file of a
+// timing mode neither aggregated nor lossy is refused.
 func TestReadRejectsBadTimingBase(t *testing.T) {
 	for _, b := range []float64{math.NaN(), 1, 0.5, 0, -1.2, math.Inf(1)} {
 		f := richFile(t)
@@ -516,6 +517,11 @@ func TestReadRejectsBadTimingBase(t *testing.T) {
 	f.TimingBase = math.NaN()
 	if _, err := Read(bytes.NewReader(serialize(t, f))); err != nil {
 		t.Fatalf("aggregated file with an unused NaN base: %v", err)
+	}
+	f = mkFile(t)
+	f.TimingMode = 5
+	if _, err := Read(bytes.NewReader(serialize(t, f))); err == nil {
+		t.Fatal("a file of timing mode 5 read")
 	}
 }
 

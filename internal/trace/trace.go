@@ -126,6 +126,30 @@ func (e *TimingBaseError) Error() string {
 	return fmt.Sprintf("lossy timing base %v is not finite and > 1", e.Base)
 }
 
+// CheckTiming refuses a timing header no trace can carry: the mode is
+// TimingAggregated or TimingLossy, and a lossy base passes
+// timing.ValidBase (a TimingBaseError). Read checks a file's header
+// with it; tracing options, a collector hello and a journal manifest
+// check theirs with base 0 taken as DefaultBase's.
+func CheckTiming(mode uint8, base float64) error {
+	switch {
+	case mode != TimingAggregated && mode != TimingLossy:
+		return fmt.Errorf("timing mode %d is neither aggregated (%d) nor lossy (%d)", mode, TimingAggregated, TimingLossy)
+	case mode == TimingLossy && !timing.ValidBase(base):
+		return &TimingBaseError{Base: base}
+	}
+	return nil
+}
+
+// DefaultBase is the lossy-timing base a run that names base traces
+// with: base itself, or 1.2 (20 %, as the paper evaluates) for 0.
+func DefaultBase(base float64) float64 {
+	if base == 0 {
+		return 1.2
+	}
+	return base
+}
+
 // File is a complete compressed trace.
 //
 // A File is built by filling its exported fields (finalize, Read) and
@@ -760,8 +784,8 @@ func Read(r io.Reader) (*File, error) {
 		return nil, err
 	}
 	f.TimingBase = math.Float64frombits(baseBits)
-	if f.TimingMode == TimingLossy && !timing.ValidBase(f.TimingBase) {
-		return nil, &TimingBaseError{Base: f.TimingBase}
+	if err := CheckTiming(f.TimingMode, f.TimingBase); err != nil {
+		return nil, err
 	}
 	s := form{data: data, at: br.off()}
 	s.raw = len(data) - s.at

@@ -21,6 +21,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"github.com/hpcrepro/pilgrim/internal/trace"
 )
 
 // Version is the protocol version carried in every Hello; a collector
@@ -377,6 +379,9 @@ func DecodeHello(body []byte) (*Hello, error) {
 	h.TimingBase = math.Float64frombits(bits)
 	if math.IsNaN(h.TimingBase) || math.IsInf(h.TimingBase, 0) || h.TimingBase < 0 {
 		return nil, fmt.Errorf("wire: implausible timing base %v", h.TimingBase)
+	}
+	if err := trace.CheckTiming(h.TimingMode, trace.DefaultBase(h.TimingBase)); err != nil {
+		return nil, fmt.Errorf("wire: hello: %w", err)
 	}
 	// The observability trailer is optional even at version 2: a v2
 	// hello without it decodes with zero span context.

@@ -326,11 +326,17 @@ func TestHelloRoundTripAndValidation(t *testing.T) {
 		{Version: Version, RunID: "r", WorldSize: 0, Rank: 0, TimingBase: 1},
 		{Version: Version, RunID: "r", WorldSize: MaxWorldSize + 1, Rank: 0, TimingBase: 1},
 		{Version: Version, RunID: "r", WorldSize: 2, Rank: 0, TimingBase: math.Inf(1)},
+		{Version: Version, RunID: "r", WorldSize: 2, Rank: 0, TimingMode: 1, TimingBase: 1},
+		{Version: Version, RunID: "r", WorldSize: 2, Rank: 0, TimingMode: 5},
 	}
 	for i, h := range bad {
 		if _, err := DecodeHello(h.Encode()); err == nil {
 			t.Fatalf("bad hello %d accepted", i)
 		}
+	}
+	// Base 0 is the default base.
+	if _, err := DecodeHello((&Hello{Version: Version, RunID: "r", WorldSize: 2, TimingMode: 1}).Encode()); err != nil {
+		t.Fatalf("lossy hello at the default base: %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/mpispec"
-	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
 
@@ -70,10 +69,7 @@ func (s *stopwatch) time(keep bool, hook func()) {
 // both without the interrupted calls, with the number of calls traced
 // and of calls dropped.
 func intraRatio(t *testing.T, name string, procs, iters int) (ratio float64, calls int64, drops int) {
-	body, err := workloads.Get(name, iters, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := workload(t, name, iters, procs)
 	tracers := make([]*pilgrim.Tracer, procs)
 	watches := make([]*stopwatch, procs)
 	ics := make([]mpi.Interceptor, procs)
@@ -82,7 +78,7 @@ func intraRatio(t *testing.T, name string, procs, iters int) (ratio float64, cal
 		watches[i] = &stopwatch{Tracer: tracers[i]}
 		ics[i] = watches[i]
 	}
-	err = mpi.RunOpt(procs, mpi.Options{Seed: 1, Interceptors: ics}, func(p *mpi.Proc) {
+	err := mpi.RunOpt(procs, mpi.Options{Seed: 1, Interceptors: ics}, func(p *mpi.Proc) {
 		pilgrim.BindOOB(tracers[p.Rank()], p)
 		body(p)
 	})
