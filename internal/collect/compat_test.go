@@ -8,6 +8,7 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
@@ -73,7 +74,7 @@ func TestV1ClientCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	if want := serialize(t, local); !bytes.Equal(data, want) {
+	if want := tracetest.Bytes(t, local); !bytes.Equal(data, want) {
 		t.Fatalf("v1-ingested trace differs from local finalize: %d vs %d bytes", len(data), len(want))
 	}
 
@@ -117,7 +118,7 @@ func TestV1DuplicateAndMixedVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	if want := serialize(t, local); !bytes.Equal(data, want) {
+	if want := tracetest.Bytes(t, local); !bytes.Equal(data, want) {
 		t.Fatal("mixed-version run differs from local finalize")
 	}
 	if got := srv.Metrics().IngestSnapshots.Load(); got != n {

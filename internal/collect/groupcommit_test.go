@@ -15,6 +15,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/framelog/framelogtest"
 	"github.com/hpcrepro/pilgrim/internal/obs"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
@@ -140,7 +141,7 @@ func TestJournalGroupCommit(t *testing.T) {
 	const n, senders = 64, 8
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 	for _, resident := range []int{0, 4} {
 		t.Run(fmt.Sprintf("resident%d", resident), func(t *testing.T) {
 			dir := t.TempDir()
@@ -294,7 +295,7 @@ func TestCrashRecoveryBetweenPublishAndCommit(t *testing.T) {
 	const n = 8
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 	for _, mode := range []collect.SyncMode{collect.SyncAlways, collect.SyncBatch} {
 		t.Run(string(mode), func(t *testing.T) {
 			dir := t.TempDir()

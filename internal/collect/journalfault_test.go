@@ -9,6 +9,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/framelog"
 	"github.com/hpcrepro/pilgrim/internal/framelog/framelogtest"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 )
 
 // startOnFS is startServer with run journals on fsys.
@@ -33,7 +34,7 @@ func TestJournalShortWriteRecovers(t *testing.T) {
 	const n = 4
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 	for k := 1; k < n; k++ {
 		t.Run(fmt.Sprintf("append%d", k), func(t *testing.T) {
 			dir := t.TempDir()
@@ -80,7 +81,7 @@ func TestJournalManifestFaultRunsMemoryOnly(t *testing.T) {
 	const n = 4
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 	for _, op := range []string{framelogtest.WriteManifest, framelogtest.Sync, framelogtest.Rename} {
 		t.Run(op, func(t *testing.T) {
 			ffs := &framelogtest.FaultFS{FS: framelog.OS, Op: op, N: 1}
@@ -89,7 +90,7 @@ func TestJournalManifestFaultRunsMemoryOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(serialize(t, got), want) {
+			if !bytes.Equal(tracetest.Bytes(t, got), want) {
 				t.Fatal("trace of a run without a journal differs from the local finalize")
 			}
 			m := srv.Metrics()

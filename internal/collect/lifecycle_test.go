@@ -12,6 +12,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/obs"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 )
 
 // spanCount counts the sink's events called name; with attr set, only
@@ -55,7 +56,7 @@ func TestHeldConnectionsBoundedBySenders(t *testing.T) {
 	const n = senders * each
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	srv := startServer(t, collect.Config{})
 	var dials atomic.Int64
@@ -163,7 +164,7 @@ func TestCollectorRestartBetweenSends(t *testing.T) {
 	const n = 2
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	dir := t.TempDir()
 	srv := startServer(t, collect.Config{OutDir: dir, JournalSync: collect.SyncAlways})

@@ -9,6 +9,7 @@ import (
 
 	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
@@ -26,7 +27,7 @@ func TestCrashRecoveryMidRun(t *testing.T) {
 	const n = 8
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	dir := t.TempDir()
 	srv := startServer(t, collect.Config{OutDir: dir, JournalSync: collect.SyncAlways})
@@ -99,7 +100,7 @@ func TestCrashRecoveryAfterLastFrame(t *testing.T) {
 	const n = 4
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	dir := t.TempDir()
 	srv := startServer(t, collect.Config{OutDir: dir, JournalSync: collect.SyncAlways})
@@ -142,7 +143,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	const n = 4
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	// A valid frame pair to tear: rank n-1's hello+snapshot.
 	var pair bytes.Buffer
@@ -220,7 +221,7 @@ func TestGracefulRestartReplaysBatchJournal(t *testing.T) {
 	const n = 4
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	dir := t.TempDir()
 	srv := startServer(t, collect.Config{OutDir: dir, JournalSync: collect.SyncBatch})

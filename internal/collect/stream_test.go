@@ -15,6 +15,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/collect"
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 )
 
 // Tests for the bounded-memory ingest path: payload spilling to the
@@ -30,7 +31,7 @@ func TestSpilledPayloadsMatchLocalFinalize(t *testing.T) {
 	const n = 16
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	for _, limit := range []int{1, 3} {
 		srv := startServer(t, collect.Config{OutDir: t.TempDir(), MaxResidentSnapshots: limit})
@@ -39,7 +40,7 @@ func TestSpilledPayloadsMatchLocalFinalize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("limit=%d: %v", limit, err)
 		}
-		if got := serialize(t, remote); !bytes.Equal(got, want) {
+		if got := tracetest.Bytes(t, remote); !bytes.Equal(got, want) {
 			t.Fatalf("limit=%d: spilled-finalize trace differs from local (%d vs %d bytes)",
 				limit, len(got), len(want))
 		}
@@ -168,7 +169,7 @@ func TestBackpressureNeverDrops(t *testing.T) {
 	const n = 48
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	srv := startServer(t, collect.Config{})
 	var wg sync.WaitGroup
@@ -249,7 +250,7 @@ func TestCrashRecoveryWithSpill(t *testing.T) {
 	const n = 8
 	snaps := traceWorkload(t, n)
 	local, _ := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	want := serialize(t, local)
+	want := tracetest.Bytes(t, local)
 
 	dir := t.TempDir()
 	cfg := collect.Config{OutDir: dir, JournalSync: collect.SyncAlways, MaxResidentSnapshots: 2}

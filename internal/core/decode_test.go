@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -18,6 +17,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/sig"
 	"github.com/hpcrepro/pilgrim/internal/timing"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 )
 
@@ -34,20 +34,7 @@ func traced(t testing.TB, name string, procs, iters int, opts pilgrim.Options) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func read(t testing.TB, data []byte) *trace.File {
-	t.Helper()
-	f, err := trace.Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return tracetest.Bytes(t, f)
 }
 
 // referenceDecode is the per-call decoder DecodeRank used to be, kept
@@ -145,7 +132,7 @@ func TestDecodeRankMatchesPerCallReference(t *testing.T) {
 // matchesReference is TestDecodeRankMatchesPerCallReference on one
 // trace, whose CST must be stored in form.
 func matchesReference(t *testing.T, data []byte, form string) {
-	ref := read(t, data)
+	ref := tracetest.Read(t, data)
 	if st := ref.CSTStorage(); st.Form != form {
 		t.Fatalf("CST stored %s, want %s", st.Form, form)
 	}
@@ -165,7 +152,7 @@ func matchesReference(t *testing.T, data []byte, form string) {
 		t.Fatal("no rank's timeline ends past 0")
 	}
 
-	f := read(t, data)
+	f := tracetest.Read(t, data)
 	for pass := 1; pass <= 2; pass++ {
 		for r := range want {
 			got, err := core.DecodeRank(f, r)
@@ -178,7 +165,7 @@ func matchesReference(t *testing.T, data []byte, form string) {
 		}
 	}
 
-	f = read(t, data)
+	f = tracetest.Read(t, data)
 	var wg sync.WaitGroup
 	raced := make([][][]core.DecodedCall, 8) // per goroutine, per rank
 	for g := range raced {
@@ -229,7 +216,7 @@ func TestDecodedArgsShared(t *testing.T) {
 		{"stencil2d", 4, 20, "raw"},
 		{"cg", 16, 5, "templated"},
 	} {
-		f := read(t, traced(t, w.name, w.procs, w.iters, pilgrim.Options{}))
+		f := tracetest.Read(t, traced(t, w.name, w.procs, w.iters, pilgrim.Options{}))
 		if st := f.CSTStorage(); st.Form != w.form {
 			t.Fatalf("%s: CST stored %s, want %s", w.name, st.Form, w.form)
 		}
@@ -273,7 +260,7 @@ func TestDecodedArgsShared(t *testing.T) {
 // and the decoders the calls of a File nobody else touched.
 func TestCSTJoinsWhileDecoding(t *testing.T) {
 	data := traced(t, "cg", 16, 5, pilgrim.Options{})
-	ref := read(t, data)
+	ref := tracetest.Read(t, data)
 	if st := ref.CSTStorage(); st.Form != "templated" {
 		t.Fatalf("CST stored %s, want templated", st.Form)
 	}
@@ -287,7 +274,7 @@ func TestCSTJoinsWhileDecoding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := read(t, data)
+	f := tracetest.Read(t, data)
 	uses := []func(term int32) error{
 		func(term int32) error {
 			if got, want := string(f.CST.Sig(term)), table.SigString(term); got != want {
@@ -378,7 +365,7 @@ func sameEveryTime(t *testing.T, name string, f *trace.File) map[int]error {
 // and does not reach the ranks that never reference it.
 func TestDecodeErrorsAreStable(t *testing.T) {
 	data := traced(t, "cg", 8, 5, pilgrim.Options{})
-	clean := read(t, data)
+	clean := tracetest.Read(t, data)
 	idx, err := clean.GrammarIndex()
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +382,7 @@ func TestDecodeErrorsAreStable(t *testing.T) {
 		"short rank map":    idx[:len(idx)-1],
 		"overlong rank map": append(append([]int32(nil), idx...), 0),
 	} {
-		f := read(t, data)
+		f := tracetest.Read(t, data)
 		f.RankMap = rankMap
 		failed := sameEveryTime(t, name, f)
 		if len(failed) != f.NumRanks {
@@ -410,7 +397,7 @@ func TestDecodeErrorsAreStable(t *testing.T) {
 
 	// A terminal past the CST in one grammar fails exactly the ranks
 	// mapped to it.
-	f := read(t, data)
+	f := tracetest.Read(t, data)
 	bad := idx[1]
 	f.Grammars[bad] = gram(0, int32(f.CST.Len())+5, 0)
 	failed := sameEveryTime(t, "terminal out of range", f)
@@ -446,7 +433,7 @@ func TestDecodeErrorsAreStable(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no CST entry used by some but not all ranks")
 	}
-	f = read(t, data)
+	f = tracetest.Read(t, data)
 	table := cst.New()
 	for term := int32(0); int(term) < f.CST.Len(); term++ {
 		s := f.CST.Sig(term)
@@ -492,7 +479,7 @@ func TestDecodeRankWarmAllocs(t *testing.T) {
 		t.Fatalf("a decoded value is %d bytes, want at most 48", unsafe.Sizeof(sig.DecodedValue{}))
 	}
 	warm := func(iters int) (allocs, allocBytes float64, calls int) {
-		f := read(t, traced(t, "stencil2d", 16, iters, pilgrim.Options{}))
+		f := tracetest.Read(t, traced(t, "stencil2d", 16, iters, pilgrim.Options{}))
 		for r := 0; r < f.NumRanks; r++ {
 			if _, err := core.DecodeRank(f, r); err != nil {
 				t.Fatal(err)

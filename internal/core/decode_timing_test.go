@@ -7,6 +7,7 @@ import (
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/core"
 	"github.com/hpcrepro/pilgrim/internal/timing"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 )
 
 // mathTimes recovers one rank's times with math.Pow on every term: the
@@ -43,7 +44,7 @@ func TestDecodeLossyTimesUnchanged(t *testing.T) {
 		{"stencil2d", 30, 1.05},
 		{"cg", 4, 2.0},
 	} {
-		f := read(t, traced(t, w.name, 8, w.iters, pilgrim.Options{TimingMode: pilgrim.TimingLossy, TimingBase: w.base}))
+		f := tracetest.Read(t, traced(t, w.name, 8, w.iters, pilgrim.Options{TimingMode: pilgrim.TimingLossy, TimingBase: w.base}))
 		for r := 0; r < f.NumRanks; r++ {
 			calls, err := core.DecodeRank(f, r)
 			if err != nil {

@@ -13,6 +13,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/experiments"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
@@ -69,16 +70,7 @@ func premergedOracle(t *testing.T, snaps []*core.Snapshot, opts core.Options, in
 		}
 	}
 	f, st := core.FinalizePremerged(snaps, inc.Result(), 0, opts, info)
-	return fileBytes(t, f), st
-}
-
-func fileBytes(t *testing.T, f *trace.File) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if _, err := f.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
+	return tracetest.Bytes(t, f), st
 }
 
 // salvageInfo tags a salvage of snaps with two failed ranks; the walk
@@ -100,7 +92,7 @@ func foldSweep(t *testing.T, snaps []*core.Snapshot, opts core.Options, info *tr
 			runtime.GOMAXPROCS(procs)
 			opts.MaxResidentSnapshots = k
 			f, st := core.FinalizeSnapshots(snaps, opts, info)
-			if got := fileBytes(t, f); !bytes.Equal(got, want) {
+			if got := tracetest.Bytes(t, f); !bytes.Equal(got, want) {
 				t.Fatalf("K=%d procs=%d: folded trace differs from the premerged oracle (%d vs %d bytes)", k, procs, len(got), len(want))
 			}
 			if st.GlobalCST != wantSt.GlobalCST || st.UniqueCFGs != wantSt.UniqueCFGs {

@@ -18,6 +18,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/metrics"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 )
 
 // streamSnapshots builds n single-signature ranks with pairwise
@@ -230,7 +231,7 @@ func TestFinalizeStreamedResidency(t *testing.T) {
 				opts.TimingMode = trace.TimingLossy
 			}
 			ref, _ := FinalizeSnapshots(snaps, opts, nil)
-			want := streamBytes(t, ref)
+			want := tracetest.Bytes(t, ref)
 			for _, k := range []int{1, 2, 3, 256, 0} {
 				name := fmt.Sprintf("lossy=%v fold=%v K=%d", lossy, fold, k)
 				opts.MaxResidentSnapshots = k
@@ -278,7 +279,7 @@ func TestFinalizeStreamedResidency(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if got := streamBytes(t, f); !bytes.Equal(got, want) {
+				if got := tracetest.Bytes(t, f); !bytes.Equal(got, want) {
 					t.Fatalf("%s: %d bytes, in memory %d", name, len(got), len(want))
 				}
 				if want := int64(min(limit, 2*batch)); peak.Load() != want {
@@ -290,21 +291,12 @@ func TestFinalizeStreamedResidency(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if got := streamBytes(t, f); !bytes.Equal(got, want) {
+				if got := tracetest.Bytes(t, f); !bytes.Equal(got, want) {
 					t.Fatalf("%s: FinalizeStreamed wrote %d bytes, in memory %d", name, len(got), len(want))
 				}
 			}
 		}
 	}
-}
-
-func streamBytes(t *testing.T, f *trace.File) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if _, err := f.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
 }
 
 // TestWalkFinishFillsSalvageCalls: a tag handed to Finish with only its

@@ -14,6 +14,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
 	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/workloads"
 )
 
@@ -53,7 +54,7 @@ func checkTemplater(t *testing.T, route string, f *trace.File) bool {
 	if !bytes.Equal(got, want) || gotN != wantN {
 		t.Fatalf("%s: the walk's section is %d bytes of %d templates, from scratch %d of %d", route, len(got), gotN, len(want), wantN)
 	}
-	if !bytes.Equal(fileBytes(t, f), fileBytes(t, withoutTemplater(f))) {
+	if !bytes.Equal(tracetest.Bytes(t, f), tracetest.Bytes(t, withoutTemplater(f))) {
 		t.Fatalf("%s: the trace differs from the one templated from scratch", route)
 	}
 	return true
@@ -70,7 +71,7 @@ func templateRoutes(t *testing.T, tracers []*core.Tracer, opts core.Options, srv
 	snaps := core.Snapshots(tracers)
 	n, templated := len(snaps), 0
 	f, _ := core.Finalize(tracers)
-	want := fileBytes(t, f)
+	want := tracetest.Bytes(t, f)
 	if checkTemplater(t, "Finalize", f) {
 		templated++
 	}
@@ -87,7 +88,7 @@ func templateRoutes(t *testing.T, tracers []*core.Tracer, opts core.Options, srv
 		} else if k == 1 && n > 1 && grainOne {
 			t.Fatalf("%s: one-rank batches at a grain of 1 handed nothing off", route)
 		}
-		if !bytes.Equal(fileBytes(t, f), want) {
+		if !bytes.Equal(tracetest.Bytes(t, f), want) {
 			t.Fatalf("%s: the trace differs from Finalize's", route)
 		}
 	}
@@ -108,7 +109,7 @@ func templateRoutes(t *testing.T, tracers []*core.Tracer, opts core.Options, srv
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(fileBytes(t, f), want) {
+		if !bytes.Equal(tracetest.Bytes(t, f), want) {
 			t.Fatal("collector: the trace differs from Finalize's")
 		}
 	}

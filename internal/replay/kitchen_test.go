@@ -10,7 +10,6 @@ import (
 
 	pilgrim "github.com/hpcrepro/pilgrim"
 	"github.com/hpcrepro/pilgrim/internal/analysis"
-	"github.com/hpcrepro/pilgrim/internal/trace"
 	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/mpi"
 )
@@ -300,7 +299,7 @@ func checkGolden(t *testing.T, name string, n int, body func(p *mpi.Proc)) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := writeTrace(t, f)
+			got := tracetest.Bytes(t, f)
 			path := filepath.Join("testdata", "golden", name+".pilgrim")
 			if *update {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -311,42 +310,14 @@ func checkGolden(t *testing.T, name string, n int, body func(p *mpi.Proc)) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a, b := rawTrace(t, got), rawTrace(t, golden); !bytes.Equal(a, b) {
+			if a, b := tracetest.Raw(t, got), tracetest.Raw(t, golden); !bytes.Equal(a, b) {
 				t.Errorf("trace is %d raw bytes, golden %d, contents differ", len(a), len(b))
 			}
-			if again := writeTrace(t, readTrace(t, golden)); !bytes.Equal(again, golden) {
+			if again := tracetest.Bytes(t, tracetest.Read(t, golden)); !bytes.Equal(again, golden) {
 				t.Errorf("the golden read and written again is %d bytes, not its own %d", len(again), len(golden))
 			}
 		})
 	}
-}
-
-func writeTrace(t *testing.T, f *trace.File) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// rawTrace is tracetest.Raw's view of a trace's bytes.
-func rawTrace(t *testing.T, b []byte) []byte {
-	t.Helper()
-	raw, err := tracetest.Raw(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
-func readTrace(t *testing.T, b []byte) *trace.File {
-	t.Helper()
-	f, err := trace.Read(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
 }
 
 // TestAnalyzeKitchenSinkGoldens requires analysis to read both
@@ -360,7 +331,7 @@ func TestAnalyzeKitchenSinkGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			an, err := analysis.Analyze(readTrace(t, b))
+			an, err := analysis.Analyze(tracetest.Read(t, b))
 			if err != nil {
 				t.Fatal(err)
 			}

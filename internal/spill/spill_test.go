@@ -18,7 +18,7 @@ import (
 	"github.com/hpcrepro/pilgrim/internal/framelog/framelogtest"
 	"github.com/hpcrepro/pilgrim/internal/obs"
 	"github.com/hpcrepro/pilgrim/internal/sequitur"
-	"github.com/hpcrepro/pilgrim/internal/trace"
+	"github.com/hpcrepro/pilgrim/internal/tracetest"
 	"github.com/hpcrepro/pilgrim/internal/wire"
 )
 
@@ -367,7 +367,7 @@ func TestFinalizeIOPerBatch(t *testing.T) {
 		snaps[r] = mkSnapshot(r)
 	}
 	ref, refSt := core.FinalizeSnapshots(snaps, core.Options{}, nil)
-	if !bytes.Equal(fileBytes(t, f), fileBytes(t, ref)) {
+	if !bytes.Equal(tracetest.Bytes(t, f), tracetest.Bytes(t, ref)) {
 		t.Fatal("spilled finalize differs from the in-memory one")
 	}
 	if st.TotalCalls != refSt.TotalCalls || st.GlobalCST != refSt.GlobalCST || st.UniqueCFGs != refSt.UniqueCFGs {
@@ -395,15 +395,6 @@ func TestFinalizeIOPerBatch(t *testing.T) {
 	if spans["finalize.spill"] != world/batch || spans["finalize.cst_merge"] != world/batch || spans["finalize.batch_merge"] != 0 {
 		t.Fatalf("spans = %v", spans)
 	}
-}
-
-func fileBytes(t *testing.T, f *trace.File) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if _, err := f.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
 }
 
 // TestFinalizeZeroTracers: a world of no ranks finalizes to the empty
