@@ -156,3 +156,55 @@ func TestAbortPropagatesPromptly(t *testing.T) {
 		}
 	}
 }
+
+// TestHopelessBlockedOps: the watchdog halts early only when every
+// blocked operation waits on crashed ranks, directly or through blocked
+// ranks that do.
+func TestHopelessBlockedOps(t *testing.T) {
+	op := func(rank int, waitsOn ...int) BlockedOp { return BlockedOp{Rank: rank, WaitsOn: waitsOn} }
+	cases := []struct {
+		name    string
+		crashed []int
+		ops     []BlockedOp
+		want    bool
+	}{
+		{"each waits on the crashed rank", []int{2}, []BlockedOp{op(0, 2), op(1, 2, 2), op(3, 2)}, true},
+		{"a ring broken by the crashed rank", []int{2}, []BlockedOp{op(0, 3), op(1, 0), op(3, 2)}, true},
+		{"a crash recorded twice", []int{2, 2}, []BlockedOp{op(0, 2), op(1, 0, 2)}, true},
+		{"one waits on no named rank", []int{2}, []BlockedOp{op(0, 2), op(1)}, false},
+		{"a cycle of live ranks", []int{2}, []BlockedOp{op(0, 1), op(1, 0), op(3, 2)}, false},
+		{"one waits on a running rank too", []int{2}, []BlockedOp{op(0, 2, 1)}, false},
+		{"no crashed rank", nil, []BlockedOp{op(0, 1), op(1, 0)}, false},
+	}
+	for _, tc := range cases {
+		if got := hopeless(tc.crashed, tc.ops); got != tc.want {
+			t.Errorf("%s: hopeless = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestQuiesceWindowOnlyWithoutCrash: a crash that leaves every survivor
+// blocked on it halts the run within the quiescence window; a deadlock
+// no crash explains waits the window out.
+func TestQuiesceWindowOnlyWithoutCrash(t *testing.T) {
+	plan := &FaultPlan{Faults: []Fault{{Kind: FaultCrash, Rank: 2, AtCall: 10}}}
+	start := time.Now()
+	if err := RunOpt(4, Options{Timeout: 60 * time.Second, FaultPlan: plan}, ringBody(1000)); err == nil {
+		t.Fatal("expected a run error after injected crash")
+	}
+	if elapsed := time.Since(start); elapsed >= quiesceWindow {
+		t.Errorf("crashed ring halted after %v, want under the %v window", elapsed, quiesceWindow)
+	}
+	start = time.Now()
+	err := RunOpt(2, Options{Timeout: 60 * time.Second}, func(p *Proc) {
+		buf := p.Alloc(8)
+		p.Recv(buf.Ptr(0), 1, Double, 1-p.Rank(), 9, p.World(), nil)
+	})
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("error %v is not a deadlock diagnosis", err)
+	}
+	if elapsed := time.Since(start); elapsed < quiesceWindow {
+		t.Errorf("deadlock without a crash halted after %v, before the %v window", elapsed, quiesceWindow)
+	}
+}
